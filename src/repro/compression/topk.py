@@ -14,9 +14,11 @@ driver-level error-feedback refactor this is the shared
 :class:`~repro.compression.base.CodecCompressor` residual state — for top-k
 selection, ``input - decode(own payload)`` zeroes exactly the transmitted
 coordinates, so the driver residual is bit-identical to the historical
-stage-internal one (the golden traces pin this).  The selection itself runs
-as one batched ``argpartition`` over the stacked (world, numel) gradient
-matrix (see :func:`repro.compression.codec.stages.batched_top_k_indices`).
+stage-internal one (the golden traces pin this).  The selection itself is
+:func:`repro.compression.codec.stages.batched_top_k_indices` over the stacked
+(world, numel) gradient matrix: exact, sampled-threshold selection per row
+above a size floor, one batched ``argpartition`` below it.  It picks the same
+coordinate set as the :func:`top_k_indices` oracle re-exported here.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from repro.compression.base import CodecCompressor
 from repro.compression.codec import Pipeline, TopK
 
-# Re-exported for callers that select coordinates directly.
+# Re-exported: the production selector and the reference oracle tests compare it to.
 from repro.compression.codec.stages import batched_top_k_indices, top_k_indices  # noqa: F401
 
 

@@ -10,7 +10,8 @@ are reported alongside):
 * ``train_step_scaling`` — the same step at world sizes 16 and 64, comparing
   the world-batched execution path against the per-rank loop;
 * ``codec/<spec>`` — encode→reduce/gather→decode round trips of representative
-  codec pipelines over a (4, numel) gradient matrix;
+  codec pipelines over a (4, numel) Gaussian gradient matrix, plus
+  ``codec/topk0.01/relu-sparse`` over the same shape with ~80 % exact zeros;
 * ``engine/event_loop`` — the discrete-event engine scheduling many buckets
   over heterogeneous ranks;
 * ``campaign/dispatch`` — campaign cell expansion plus content-address
@@ -209,22 +210,31 @@ def bench_codec(quick: bool) -> List[BenchResult]:
     repeats, warmup = (5, 1) if quick else (15, 3)
     rng = np.random.default_rng(0)
     matrix = rng.standard_normal((world, numel))
+    # Real per-rank gradients are ~80 % exact zeros (ReLU): the tie mass the
+    # Gaussian rows cannot show and top-k selection cost depends on.
+    relu_sparse = matrix * (rng.random(matrix.shape) < 0.2)
     bucket = Bucket(index=0, slices=[BucketSlice("flat", 0, numel, (numel,))])
 
+    cases = [
+        (spec, f"codec/{spec}", matrix)
+        for spec in ("fp16", "topk0.01", "topk0.01+terngrad", "randomk0.1")
+    ]
+    cases.append(("topk0.01", "codec/topk0.01/relu-sparse", relu_sparse))
+
     results = []
-    for spec in ("fp16", "topk0.01", "topk0.01+terngrad", "randomk0.1"):
+    for spec, name, gradients in cases:
         compressor = build_compressor(spec, seed=0)
         group = ProcessGroup(world)
 
-        def roundtrip(compressor=compressor, group=group) -> None:
-            grad_bucket = GradBucket(bucket, matrix=matrix)
+        def roundtrip(compressor=compressor, group=group, gradients=gradients) -> None:
+            grad_bucket = GradBucket(bucket, matrix=gradients)
             compressor.aggregate(grad_bucket, group, iteration=0)
             group.events.clear()
 
         results.append(
             time_callable(
                 roundtrip,
-                name=f"codec/{spec}",
+                name=name,
                 repeats=repeats,
                 warmup=warmup,
                 meta={"numel": numel, "world_size": world},

@@ -233,6 +233,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"backend must be None or one of {sorted(KNOWN_BACKENDS)}, got {self.backend!r}"
             )
+        if self.image_size != 8 and self.model.lower() == "mlp":
+            raise ValueError(
+                "model 'mlp' has a fixed 3*8*8 input layer and needs image_size=8, "
+                f"got image_size={self.image_size}"
+            )
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

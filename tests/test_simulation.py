@@ -226,6 +226,13 @@ class TestExperimentDriver:
         with pytest.raises(ValueError):
             ExperimentConfig(batch_size=0)
 
+    def test_mlp_rejects_other_image_sizes_at_construction(self):
+        # Used to die with a shape error inside matmul, iterations later.
+        with pytest.raises(ValueError, match="image_size=8"):
+            ExperimentConfig(model="mlp", image_size=16)
+        assert ExperimentConfig(model="mlp", image_size=8).image_size == 8
+        assert ExperimentConfig(model="resnet18", image_size=16).image_size == 16
+
 
 class TestEngineIntegration:
     """Acceptance criteria for the event-driven engine refactor."""
