@@ -286,21 +286,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
             print(f"  {name:<40} {speedup:5.2f}x vs seed")
 
     if args.check:
-        from repro.perf import check_derived_floors  # noqa: PLC0415
-
         with open(args.check, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
         regressions = check_regressions(results, baseline, max_regression=args.max_regression)
-        # Derived floors are ratios between rows of *this* run (same host by
-        # construction), so they gate unconditionally — unlike cross-host
-        # median comparisons.  Metrics absent on this host are skipped.
-        floor_failures = check_derived_floors(document.get("derived", {}))
-        if floor_failures:
-            for metric, value, floor in floor_failures:
-                print(
-                    f"PERF FLOOR {metric}: {value:.2f}x below required {floor:.2f}x",
-                    file=sys.stderr,
-                )
         same_host = hosts_match(baseline)
         if not same_host and not args.quiet:
             print(
@@ -323,8 +311,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
                 return 2
         elif not args.quiet:
             print(f"no regressions vs {args.check} (margin {args.max_regression:.0%})")
-        if floor_failures:
-            return 2
     return 0
 
 

@@ -8,9 +8,7 @@ that file is the regression baseline the CI perf-smoke job checks against.
 
 from repro.perf.suite import (
     BenchResult,
-    DERIVED_FLOORS,
     SUITE,
-    check_derived_floors,
     check_regressions,
     host_fingerprint,
     hosts_match,
@@ -21,9 +19,7 @@ from repro.perf.suite import (
 
 __all__ = [
     "BenchResult",
-    "DERIVED_FLOORS",
     "SUITE",
-    "check_derived_floors",
     "check_regressions",
     "host_fingerprint",
     "hosts_match",

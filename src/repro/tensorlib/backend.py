@@ -14,7 +14,9 @@ applies to stochastic approximation: accuracy control stays pinned while the
 execution strategy varies):
 
 * :class:`NumpyBackend` — the reference.  Every other backend is measured
-  against it; selecting it is always safe.
+  against it; selecting it is always safe.  Its im2col gather is one flat
+  ``np.take`` through a per-geometry index plan cached on this module
+  (:func:`_gather_index_plan`, bounded by total plan bytes).
 * :class:`NumbaBackend` — JIT-compiles the hot-spot kernels with plain
   sequential accumulation loops (no fastmath, no reassociation; reductions
   replay numpy's pairwise summation tree).  On construction it *probes* each
@@ -82,6 +84,18 @@ HOT_KERNELS = (
 )
 
 
+#: Bound on the total bytes of cached gather plans.  A plan is as large as one
+#: image's patch matrix in int64 (``out_h*out_w*C*kh*kw*8`` bytes: 36 KB for
+#: the benchmark's ``(8, 10, 10)`` k3 layers, 4.7 MB for a full-width
+#: ``(64, 32, 32)`` one), so the bound counts bytes, not entries; 64 MB holds
+#: every geometry of a full-width CIFAR-scale ResNet-18 or VGG-19 several
+#: times over.
+_PLAN_CACHE_MAX_BYTES = 64 << 20
+
+#: geometry -> read-only index plan, shared by every backend in the process.
+_GATHER_PLANS: Dict[Tuple, np.ndarray] = {}
+
+
 def _gather_index_plan(
     channels: int,
     padded_h: int,
@@ -90,15 +104,20 @@ def _gather_index_plan(
     stride: Tuple[int, int],
     out_hw: Tuple[int, int],
 ) -> np.ndarray:
-    """Flat per-image source indices of the im2col gather.
+    """Flat per-image source indices of the im2col gather, cached per geometry.
 
-    Element ``t`` of the returned ``int64`` vector is the offset — inside one
-    C-contiguous ``(C, padded_h, padded_w)`` image — of the value that lands
-    at flat output position ``t`` of the ``(out_h*out_w, C*kh*kw)`` patch
-    matrix.  Pure integer bookkeeping shared by the numba gather kernel and
-    its tests; computing it once per ``(shape, kernel, stride, padding)``
-    geometry is what the backend-side plan cache amortises.
+    Element ``t`` of the returned read-only ``int64`` vector is the offset —
+    inside one C-contiguous ``(C, padded_h, padded_w)`` image — of the value
+    that lands at flat output position ``t`` of the ``(out_h*out_w, C*kh*kw)``
+    patch matrix.  Pure integer bookkeeping, computed once per geometry: every
+    training step over the same layer reuses the plan.  The cache is cleared
+    when the next plan would take it past :data:`_PLAN_CACHE_MAX_BYTES`; a
+    single plan larger than the bound is returned uncached.
     """
+    key = (channels, padded_h, padded_w, *kernel, *stride, *out_hw)
+    plan = _GATHER_PLANS.get(key)
+    if plan is not None:
+        return plan
     kh, kw = kernel
     sh, sw = stride
     out_h, out_w = out_hw
@@ -113,9 +132,14 @@ def _gather_index_plan(
     c = np.arange(channels, dtype=np.int64)[None, None, :, None, None]
     # Output layout: rows (out_h, out_w), columns (c, kh, kw) — exactly the
     # (N, L, C*kh*kw) ordering im2col hands the conv/pool GEMMs.
-    return np.ascontiguousarray(
-        (c * (padded_h * padded_w) + h * padded_w + w).reshape(-1)
-    )
+    plan = (c * (padded_h * padded_w) + h * padded_w + w).reshape(-1)
+    plan.flags.writeable = False  # shared by every caller
+    if plan.nbytes <= _PLAN_CACHE_MAX_BYTES:
+        cached = sum(p.nbytes for p in _GATHER_PLANS.values())
+        if cached + plan.nbytes > _PLAN_CACHE_MAX_BYTES:
+            _GATHER_PLANS.clear()
+        _GATHER_PLANS[key] = plan
+    return plan
 
 
 class NumpyBackend:
@@ -196,23 +220,15 @@ class NumpyBackend:
         """Gather ``(N, C, Hp, Wp)`` padded images into contiguous patches.
 
         Returns the ``(N, out_h*out_w, C*kh*kw)`` patch matrix the conv/pool
-        GEMMs consume.  Pure data movement — any correct gather is
-        bit-identical — so accelerated backends only have to get the index
-        arithmetic right, which the construction-time probe verifies.
+        GEMMs consume: a fresh C-contiguous array that never aliases
+        ``padded``.  One flat indexed copy per image through the cached
+        :func:`_gather_index_plan` — pure data movement, so the result is
+        bit-identical for every dtype and input layout.
         """
-        n, c = padded.shape[0], padded.shape[1]
-        kh, kw = kernel
-        sh, sw = stride
-        out_h, out_w = out_hw
-        strides = padded.strides
-        view = np.lib.stride_tricks.as_strided(
-            padded,
-            shape=(n, c, out_h, out_w, kh, kw),
-            strides=(strides[0], strides[1], strides[2] * sh, strides[3] * sw, strides[2], strides[3]),
-            writeable=False,
-        )
-        cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h * out_w, c * kh * kw)
-        return np.ascontiguousarray(cols)
+        n, c, hp, wp = padded.shape
+        plan = _gather_index_plan(c, hp, wp, kernel, stride, out_hw)
+        cols = np.take(padded.reshape(n, c * hp * wp), plan, axis=1)
+        return cols.reshape(n, out_hw[0] * out_hw[1], c * kernel[0] * kernel[1])
 
     def conv_weight_grad(self, grad_mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Convolution weight-gradient contraction, ``(O, N*L) @ (N*L, K)``.
@@ -307,18 +323,15 @@ class NumbaBackend(NumpyBackend):
     Every kernel keeps numpy's exact summation semantics — the col2im
     scatter-add runs its additions in the same ``(i, j)``-major order, the
     pooling/normalisation reductions replay numpy's pairwise-summation tree,
-    and the im2col gather and pool max are pure data movement.  Because
-    compilers and BLAS builds may still differ in ways we cannot see, each
-    kernel is probed for bit-identity against :class:`NumpyBackend` on random
-    float64 *and* float32 inputs at construction time; a kernel that fails its
-    probe (or fails to compile) is disabled — numpy is used instead — with a
-    logged warning and the reason recorded in :meth:`kernel_status`.
-    Selecting this backend can therefore change speed but never numbers.
-
-    The im2col gather keeps a per-geometry index plan cache keyed on
-    ``(padded shape, kernel, stride, output size)``: repeated training steps
-    over the same layer reuse the precomputed source indices and only pay the
-    JIT'ed flat gather.
+    and the pool max is pure data movement.  The im2col gather is not
+    overridden: the reference's plan-driven ``np.take`` already is the flat
+    indexed copy a JIT loop would run.  Because compilers and BLAS builds may
+    still differ in ways we cannot see, each kernel is probed for bit-identity
+    against :class:`NumpyBackend` on random float64 *and* float32 inputs at
+    construction time; a kernel that fails its probe (or fails to compile) is
+    disabled — numpy is used instead — with a logged warning and the reason
+    recorded in :meth:`kernel_status`.  Selecting this backend can therefore
+    change speed but never numbers.
 
     The fused-norm kernels accelerate the last-axis (LayerNorm-shaped)
     reduction; channel-axis reductions (BatchNorm over ``(N, H, W)``) fall
@@ -331,11 +344,6 @@ class NumbaBackend(NumpyBackend):
     #: Reduction sizes above this use numpy (the JIT pairwise tree matches
     #: numpy's PW_BLOCKSIZE=128 base case plus its recursive split).
     _PAIRWISE_BLOCK = 128
-
-    #: Gather plans are tiny relative to the arrays they index, but unbounded
-    #: growth over a long multi-model campaign is still a leak; clear-on-cap
-    #: keeps the common case (a handful of conv geometries per model) free.
-    _PLAN_CACHE_CAP = 64
 
     def __init__(self) -> None:
         import numba  # raises ImportError when unavailable
@@ -359,18 +367,6 @@ class NumbaBackend(NumpyBackend):
                             for t in range(oh):
                                 for u in range(ow):
                                     padded[a, b, i + sh * t, j + sw * u] += cols[i, j, a, b, t, u]
-
-        @njit(cache=False)
-        def _gather(flat, idx, out):  # pragma: no cover - jit
-            # Pure gather: out[i, t] = flat[i, idx[t]].  Bit-identical by
-            # construction as long as the index plan is right (probed).
-            n = flat.shape[0]
-            p = idx.shape[0]
-            for i in range(n):
-                row = flat[i]
-                dst = out[i]
-                for t in range(p):
-                    dst[t] = row[idx[t]]
 
         @njit(cache=False)
         def _pairwise(a, lo, n, zero):  # pragma: no cover - jit
@@ -471,17 +467,14 @@ class NumbaBackend(NumpyBackend):
 
         self._conv_weight_grad_jit = _conv_weight_grad
         self._col2im_scatter_jit = _col2im_scatter
-        self._gather_jit = _gather
         self._pool_max_jit = _pool_max
         self._pool_mean_jit = _pool_mean
         self._norm_stats_jit = _norm_stats
         self._norm_backward_jit = _norm_backward
 
-        self._gather_plans: Dict[Tuple, np.ndarray] = {}
         self._kernel_notes: Dict[str, str] = {}
         self._jit_weight_grad_ok = self._probe("conv_weight_grad", self._probe_weight_grad)
         self._jit_col2im_ok = self._probe("col2im_scatter_add", self._probe_col2im)
-        self._jit_gather_ok = self._probe("im2col_gather", self._probe_gather)
         self._jit_pool_ok = self._probe("pool_reduce", self._probe_pool)
         self._jit_norm_ok = self._probe("fused_norm_stats", self._probe_norm)
         self._kernel_notes.setdefault(
@@ -526,20 +519,6 @@ class NumbaBackend(NumpyBackend):
         self._col2im_scatter_jit(probe, cols, 2, 2)
         if not np.array_equal(probe, reference):
             raise AssertionError("not bit-identical to the numpy scatter order")
-
-    def _probe_gather(self) -> None:
-        rng = np.random.default_rng(2)
-        for dtype in (np.float64, np.float32):
-            padded = rng.standard_normal((2, 3, 9, 7)).astype(dtype)
-            for kernel, stride in (((3, 2), (2, 1)), ((1, 1), (1, 1))):
-                out_hw = (
-                    (padded.shape[2] - kernel[0]) // stride[0] + 1,
-                    (padded.shape[3] - kernel[1]) // stride[1] + 1,
-                )
-                reference = NumpyBackend.im2col_gather(self, padded, kernel, stride, out_hw)
-                out = self._gather(padded, kernel, stride, out_hw)
-                if not np.array_equal(out, reference):
-                    raise AssertionError("gather index plan mismatch")
 
     def _probe_pool(self) -> None:
         rng = np.random.default_rng(3)
@@ -608,40 +587,6 @@ class NumbaBackend(NumpyBackend):
             super().col2im_scatter_add(padded, cols, sh, sw, out_h, out_w)
             return
         self._col2im_scatter_jit(padded, np.ascontiguousarray(cols), sh, sw)
-
-    def _gather(
-        self,
-        padded: np.ndarray,
-        kernel: Tuple[int, int],
-        stride: Tuple[int, int],
-        out_hw: Tuple[int, int],
-    ) -> np.ndarray:
-        key = (padded.shape[1:], kernel, stride, out_hw)
-        idx = self._gather_plans.get(key)
-        if idx is None:
-            if len(self._gather_plans) >= self._PLAN_CACHE_CAP:
-                self._gather_plans.clear()
-            idx = _gather_index_plan(
-                padded.shape[1], padded.shape[2], padded.shape[3], kernel, stride, out_hw
-            )
-            self._gather_plans[key] = idx
-        n = padded.shape[0]
-        flat = np.ascontiguousarray(padded).reshape(n, -1)
-        out = np.empty((n, idx.shape[0]), dtype=padded.dtype)
-        self._gather_jit(flat, idx, out)
-        kh, kw = kernel
-        return out.reshape(n, out_hw[0] * out_hw[1], padded.shape[1] * kh * kw)
-
-    def im2col_gather(
-        self,
-        padded: np.ndarray,
-        kernel: Tuple[int, int],
-        stride: Tuple[int, int],
-        out_hw: Tuple[int, int],
-    ) -> np.ndarray:
-        if not self._jit_gather_ok or padded.dtype not in (np.float64, np.float32):
-            return super().im2col_gather(padded, kernel, stride, out_hw)
-        return self._gather(padded, kernel, stride, out_hw)
 
     def _pool(self, cols: np.ndarray, op: str) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         flat, length, k = cols.shape

@@ -7,10 +7,12 @@ forward value with plain numpy and attaches a backward closure that scatters the
 gradient back to its inputs.
 
 The convolution path is the hottest code in every training step, so it avoids
-``np.pad`` (a zero buffer plus one slice assignment is several times faster)
-and — on the float32 fast path — contracts the weight gradient through BLAS
-instead of ``np.einsum``.  The float64 path keeps the original kernels so its
-results stay bit-identical to the historical behaviour.
+``np.pad`` (a zero buffer plus one slice assignment is several times faster),
+gathers its patches with one flat indexed copy through an index plan cached
+per layer geometry (the backend's ``im2col_gather``) and — on the float32 fast
+path — contracts the weight gradient through BLAS instead of ``np.einsum``.
+The float64 path keeps the original kernels so its results stay bit-identical
+to the historical behaviour.
 
 World-batched execution
 -----------------------
@@ -89,10 +91,16 @@ def im2col(
     sh, sw = stride
     ph, pw = padding
 
-    padded = _zero_pad(images, ph, pw)
+    if min(kh, kw, sh, sw) < 1 or h + 2 * ph < kh or w + 2 * pw < kw:
+        raise ValueError(
+            f"window does not fit: input size {(h, w)}, kernel {(kh, kw)}, stride {(sh, sw)}, "
+            f"padding {(ph, pw)} (kernel and stride must be >= 1 and the kernel no larger "
+            f"than the padded input)"
+        )
     out_h = (h + 2 * ph - kh) // sh + 1
     out_w = (w + 2 * pw - kw) // sw + 1
 
+    padded = _zero_pad(images, ph, pw)
     cols = get_backend().im2col_gather(padded, (kh, kw), (sh, sw), (out_h, out_w))
     return cols, (out_h, out_w)
 
@@ -331,11 +339,7 @@ def max_pool2d(x: Tensor, kernel_size=2, stride=None) -> Tensor:
     *lead, c, h, w = x.shape
     flat = math.prod(lead) * c
     kh, kw = kernel_size
-    sh, sw = stride
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-
-    cols, _ = im2col(x.data.reshape(flat, 1, h, w), kernel_size, stride, (0, 0))
+    cols, (out_h, out_w) = im2col(x.data.reshape(flat, 1, h, w), kernel_size, stride, (0, 0))
     cols = cols.reshape(flat, out_h * out_w, kh * kw)
     values, argmax = get_backend().pool_reduce(cols, "max")
     out_data = values.reshape(*lead, c, out_h, out_w)
@@ -360,11 +364,7 @@ def avg_pool2d(x: Tensor, kernel_size=2, stride=None) -> Tensor:
     *lead, c, h, w = x.shape
     flat = math.prod(lead) * c
     kh, kw = kernel_size
-    sh, sw = stride
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-
-    cols, _ = im2col(x.data.reshape(flat, 1, h, w), kernel_size, stride, (0, 0))
+    cols, (out_h, out_w) = im2col(x.data.reshape(flat, 1, h, w), kernel_size, stride, (0, 0))
     cols = cols.reshape(flat, out_h * out_w, kh * kw)
     values, _ = get_backend().pool_reduce(cols, "mean")
     out_data = values.reshape(*lead, c, out_h, out_w)

@@ -98,44 +98,100 @@ def _assert_matches(label, exact, actual, expected):
 
 
 # --------------------------------------------------------------------------- #
-# Hypothesis parity grid: dtype x stride x padding x kernel size
+# Hypothesis parity grid: dtype x layout x stride x padding x kernel size
 # --------------------------------------------------------------------------- #
-@settings(max_examples=40, deadline=None)
+def _as_layout(padded, layout):
+    """``padded``'s values behind a non-contiguous view of the named kind."""
+    if layout == "strided-slice":
+        wide = np.zeros(padded.shape[:3] + (2 * padded.shape[3],), dtype=padded.dtype)
+        wide[..., ::2] = padded
+        return wide[..., ::2]
+    if layout == "transposed":
+        return np.ascontiguousarray(padded.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    if layout == "broadcast":  # stride 0 over the batch axis: every image is image 0
+        return np.broadcast_to(padded[:1], (padded.shape[0] + 1,) + padded.shape[1:])
+    return padded
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    dtype=st.sampled_from([np.float64, np.float32]),
+    dtype=st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    layout=st.sampled_from(["contiguous", "strided-slice", "transposed", "broadcast"]),
     stride=st.sampled_from([(1, 1), (2, 2), (2, 1), (3, 3)]),
     padding=st.sampled_from([(0, 0), (1, 1), (2, 0)]),
-    kernel=st.sampled_from([(1, 1), (2, 2), (3, 3), (3, 2)]),
+    kernel=st.sampled_from([(1, 1), (2, 2), (3, 3), (3, 2), "full"]),
     n=st.integers(min_value=1, max_value=3),
     c=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_im2col_gather_parity(dtype, stride, padding, kernel, n, c, seed):
+def test_im2col_gather_parity(dtype, layout, stride, padding, kernel, n, c, seed):
     rng = np.random.default_rng(seed)
-    kh, kw = kernel
     ph, pw = padding
-    h = kh + 2  # always at least one window
-    w = kw + 3
-    images = rng.standard_normal((n, c, h, w)).astype(dtype)
+    if kernel == "full":
+        # kernel == (Hp, Wp): one window per image, the 1x1 adaptive_avg_pool2d case
+        h, w = 4, 5
+        kernel = (h + 2 * ph, w + 2 * pw)
+    else:
+        h = kernel[0] + 2  # always at least one window
+        w = kernel[1] + 3
+    kh, kw = kernel
+    images = (rng.standard_normal((n, c, h, w)) * 4).astype(dtype)
     padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dtype)
     padded[:, :, ph : ph + h, pw : pw + w] = images
+    padded = _as_layout(padded, layout)
+    assert padded.flags.c_contiguous == (layout == "contiguous")
     out_hw = (
         (h + 2 * ph - kh) // stride[0] + 1,
         (w + 2 * pw - kw) // stride[1] + 1,
     )
     expected = naive_im2col(padded, kernel, stride, out_hw)
     for label, backend, exact in PARITY_BACKENDS:
-        _assert_matches(
-            f"im2col/{label}",
-            exact,
-            backend.im2col_gather(padded, kernel, stride, out_hw),
-            expected,
-        )
-    # The precomputed index plan (what the numba gather executes) must
-    # describe the same data movement — checked on every host, numba or not.
-    plan = B._gather_index_plan(c, padded.shape[2], padded.shape[3], kernel, stride, out_hw)
-    planned = padded.reshape(n, -1)[:, plan].reshape(expected.shape)
-    assert np.array_equal(planned, expected)
+        if not exact and dtype in (np.int64, np.bool_):
+            continue
+        cols = backend.im2col_gather(padded, kernel, stride, out_hw)
+        assert cols.dtype == padded.dtype
+        _assert_matches(f"im2col/{label}", exact, cols, expected)
+        # Always a fresh array: downstream kernels may write into it and the
+        # caller's images must not change underneath.
+        assert cols.flags.c_contiguous and cols.flags.writeable, label
+        assert not np.shares_memory(cols, padded), label
+
+
+class TestGatherPlanCache:
+    """The one per-geometry index plan every backend's reference gather shares."""
+
+    GEOMETRY = (2, 6, 6, (3, 3), (1, 1), (4, 4))
+
+    def test_plan_is_read_only(self):
+        plan = B._gather_index_plan(*self.GEOMETRY)
+        assert plan.dtype == np.int64 and plan.flags.c_contiguous
+        assert not plan.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            plan[0] = 0
+
+    def test_plan_reused_on_repeat_call(self, monkeypatch):
+        monkeypatch.setattr(B, "_GATHER_PLANS", {})
+        padded = np.random.default_rng(0).standard_normal((1,) + self.GEOMETRY[:3])
+        backend = B.NumpyBackend()
+        first = backend.im2col_gather(padded, *self.GEOMETRY[3:])
+        (plan,) = B._GATHER_PLANS.values()
+        second = backend.im2col_gather(padded, *self.GEOMETRY[3:])
+        assert len(B._GATHER_PLANS) == 1  # reused, not re-planned
+        assert B._gather_index_plan(*self.GEOMETRY) is plan
+        assert np.array_equal(first, second) and not np.shares_memory(first, second)
+
+    def test_cache_stays_under_its_byte_bound(self, monkeypatch):
+        monkeypatch.setattr(B, "_GATHER_PLANS", {})
+        bound = 4 * B._gather_index_plan(*self.GEOMETRY).nbytes
+        monkeypatch.setattr(B, "_PLAN_CACHE_MAX_BYTES", bound)
+        built = 0
+        for size in range(6, 40):  # far more than `bound` worth of distinct plans
+            plan = B._gather_index_plan(1, size, size, (3, 3), (1, 1), (size - 2, size - 2))
+            built += plan.nbytes
+            assert sum(p.nbytes for p in B._GATHER_PLANS.values()) <= bound
+            # A plan larger than the whole bound is handed out uncached.
+            assert (plan.nbytes > bound) == all(p is not plan for p in B._GATHER_PLANS.values())
+        assert built > 10 * bound
 
 
 @settings(max_examples=30, deadline=None)
@@ -360,22 +416,14 @@ class TestNumbaKernels:
         for kernel in ("im2col_gather", "pool_reduce", "conv_weight_grad", "col2im_scatter_add"):
             assert kernel in status
 
-    def test_gather_plan_cache_reused_and_capped(self):
+    def test_gather_is_the_shared_numpy_reference(self, monkeypatch):
         backend = _numba_backend_or_skip()
-        if not backend._jit_gather_ok:
-            pytest.skip("gather kernel degraded on this host")
-        backend._gather_plans.clear()
-        rng = np.random.default_rng(0)
-        padded = rng.standard_normal((1, 2, 6, 6))
-        backend.im2col_gather(padded, (3, 3), (1, 1), (4, 4))
-        assert len(backend._gather_plans) == 1
-        backend.im2col_gather(padded, (3, 3), (1, 1), (4, 4))
-        assert len(backend._gather_plans) == 1  # reused, not re-planned
-        for size in range(backend._PLAN_CACHE_CAP + 2):
-            h = 6 + size
-            img = rng.standard_normal((1, 1, h, h))
-            backend.im2col_gather(img, (3, 3), (1, 1), (h - 2, h - 2))
-        assert len(backend._gather_plans) <= backend._PLAN_CACHE_CAP
+        assert backend.kernel_status()["im2col_gather"] == "numpy reference"
+        monkeypatch.setattr(B, "_GATHER_PLANS", {})
+        padded = np.random.default_rng(0).standard_normal((1, 2, 6, 7))
+        for _ in range(2):
+            backend.im2col_gather(padded, (3, 3), (1, 1), (4, 5))
+            assert len(B._GATHER_PLANS) == 1  # planned once, on the module's cache
 
     def test_conv_golden_bit_identical_under_numba(self):
         """The conv golden cell (resnet18) must not drift under numba."""

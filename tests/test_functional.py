@@ -33,6 +33,40 @@ class TestIm2Col:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+class TestWindowThatDoesNotFit:
+    """One readable error from im2col for every caller, naming the geometry."""
+
+    MESSAGE = r"window does not fit: input size \(2, 2\), kernel \(3, 3\), stride \(1, 1\), padding \(0, 0\)"
+
+    def test_conv2d(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 2, 2)))
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            F.conv2d(x, w)
+        # padding that makes the window fit is still accepted
+        assert F.conv2d(x, w, padding=1).shape == (1, 3, 2, 2)
+
+    def test_conv2d_world_batched(self, rng):
+        x = Tensor(rng.standard_normal((2, 1, 2, 2, 2)))
+        w = Tensor(rng.standard_normal((2, 3, 2, 3, 3)))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            F.conv2d(x, w)
+
+    @pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
+    def test_pools_no_longer_return_an_empty_tensor(self, pool, rng):
+        x = Tensor(rng.standard_normal((1, 2, 2, 2)))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            pool(x, kernel_size=3, stride=1)
+
+    def test_adaptive_avg_pool2d(self):
+        with pytest.raises(ValueError, match=r"input size \(0, 0\), kernel \(0, 0\)"):
+            F.adaptive_avg_pool2d(Tensor(np.zeros((1, 2, 0, 0))))
+
+    def test_zero_stride(self, rng):
+        with pytest.raises(ValueError, match=r"stride \(0, 1\)"):
+            F.im2col(rng.standard_normal((1, 1, 4, 4)), (2, 2), (0, 1), (0, 0))
+
+
 class TestConv2d:
     def test_forward_matches_direct_convolution(self, rng):
         x = rng.standard_normal((1, 2, 5, 5))
