@@ -21,6 +21,8 @@ are reported alongside):
   row per backend whose library is importable and whose probes accepted it
   (numpy always measures; its ``pool``/``fused_norm`` rows are the reference
   the derived ``*_numba_speedup_vs_numpy`` metrics divide by);
+* ``batchnorm/float64/{w8n16c8,c64s1}`` — forward + backward of the one-node
+  float64 ``BatchNorm2d`` at the two extreme shapes of the benchmark ResNet;
 * ``campaign/backend_sweep/<backend>`` — wall-clock of a small conv campaign
   pinned to each available backend through the ``backend`` campaign axis,
   demonstrating that backend selection moves end-to-end campaign time, not
@@ -405,6 +407,42 @@ def bench_fused_norm(quick: bool) -> List[BenchResult]:
     return results
 
 
+def bench_batchnorm(quick: bool) -> List[BenchResult]:
+    """Float64 training-mode ``BatchNorm2d`` forward + backward (one graph node).
+
+    The two extremes of the benchmark ResNet-18's twenty BatchNorm calls —
+    world 8 x 16 samples of 8 channels at 8x8 (the stem and layer1) and of 64
+    channels at 1x1 (layer4) — with the channels-innermost strided layout
+    ``conv2d`` hands over and a dense upstream gradient.
+    """
+    from repro.nn.layers import BatchNorm2d  # noqa: PLC0415
+    from repro.tensorlib import Tensor, default_dtype  # noqa: PLC0415
+
+    repeats, warmup = (9, 2) if quick else (25, 5)
+    rng = np.random.default_rng(3)
+    results = []
+    for suffix, (n, c, h, w) in (("w8n16c8", (128, 8, 8, 8)), ("c64s1", (128, 64, 1, 1))):
+        data = rng.standard_normal((n, h, w, c)).transpose(0, 3, 1, 2)
+        grad = rng.standard_normal((n, c, h, w))
+        layer = BatchNorm2d(c)
+
+        def forward_backward(layer=layer, data=data, grad=grad) -> None:
+            with default_dtype("float64"):
+                layer.zero_grad()
+                layer(Tensor(data, requires_grad=True)).backward(grad)
+
+        results.append(
+            time_callable(
+                forward_backward,
+                name=f"batchnorm/float64/{suffix}",
+                repeats=repeats,
+                warmup=warmup,
+                meta={"n": n, "c": c, "h": h, "w": w},
+            )
+        )
+    return results
+
+
 def bench_backend_sweep(quick: bool) -> List[BenchResult]:
     """End-to-end campaign wall-clock per backend (the ``backend`` axis).
 
@@ -461,6 +499,7 @@ SUITE: Dict[str, Callable[[bool], object]] = {
     "im2col": bench_im2col,
     "pool": bench_pool,
     "fused_norm": bench_fused_norm,
+    "batchnorm": bench_batchnorm,
     "backend_sweep": bench_backend_sweep,
 }
 

@@ -139,8 +139,13 @@ class MethodSpec:
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict:
-        """JSON-ready dict that :meth:`from_dict` restores exactly."""
-        return dataclasses.asdict(self)
+        """JSON-ready dict that :meth:`from_dict` restores exactly.
+
+        Every field is a scalar, so a fresh dict in field order is all
+        ``dataclasses.asdict`` would produce — without its recursive deep
+        copy, which dominated fingerprinting a stored campaign.
+        """
+        return {name: getattr(self, name) for name in _METHOD_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "MethodSpec":
@@ -150,6 +155,8 @@ class MethodSpec:
             raise KeyError(f"unknown MethodSpec fields {sorted(unknown)}; known: {sorted(known)}")
         return cls(**data)
 
+
+_METHOD_FIELDS = tuple(f.name for f in dataclasses.fields(MethodSpec))
 
 #: The five methods compared throughout the paper's evaluation (Figs. 3 and 5).
 #: PacTrain uses the paper's default configuration: pruning ratio 0.5, GSE every
@@ -260,11 +267,12 @@ class ExperimentConfig:
         """JSON-ready dict that :meth:`from_dict` restores exactly.
 
         The nested :class:`ClusterSpec` serialises through its own
-        ``to_dict``; everything else is plain scalars.  This representation is
-        what the campaign result store hashes, so it must stay stable and
-        canonical (no derived/duplicated fields).
+        ``to_dict``; everything else is plain scalars, copied into a fresh
+        dict in field order.  This representation is what the campaign result
+        store hashes, so it must stay stable and canonical (no
+        derived/duplicated fields).
         """
-        data = dataclasses.asdict(self)
+        data = {name: getattr(self, name) for name in _CONFIG_FIELDS}
         data["cluster"] = self.cluster.to_dict()
         return data
 
@@ -278,6 +286,9 @@ class ExperimentConfig:
         if "cluster" in kwargs and isinstance(kwargs["cluster"], dict):
             kwargs["cluster"] = ClusterSpec.from_dict(kwargs["cluster"])
         return cls(**kwargs)
+
+
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 @dataclass

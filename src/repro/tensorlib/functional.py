@@ -44,7 +44,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.tensorlib.backend import get_backend
-from repro.tensorlib.tensor import Tensor, is_grad_enabled
+from repro.tensorlib.tensor import Tensor, _neg_unbroadcast, _unbroadcast, is_grad_enabled
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -404,11 +404,13 @@ def fused_norm(
 ) -> Tensor:
     """Normalise ``x`` over ``axes`` and apply a learned scale/shift, fused.
 
-    One graph node instead of the ~10 the composite ``mean``/``var``/
+    One graph node instead of the ~15 the composite ``mean``/``var``/
     arithmetic formulation creates, with the standard analytic batch-norm
     backward.  Used by the float32 fast path of ``BatchNorm2d`` and
-    ``LayerNorm``; the float64 path keeps the composite ops so its results
-    stay bit-identical to the historical behaviour.
+    ``LayerNorm``.  The analytic backward re-associates the composite's sums,
+    so it is not bit-identical to it: in float64 ``BatchNorm2d`` trains through
+    :func:`batch_norm_replay` (one node, the composite's own arithmetic) and
+    ``LayerNorm`` keeps the composite ops.
 
     ``param_shape`` is the broadcast shape the raw ``weight``/``bias`` arrays
     take against ``x`` (e.g. ``(1, C, 1, 1)`` for BatchNorm2d, their own
@@ -419,8 +421,6 @@ def fused_norm(
     ``BatchNorm2d``, which folds the same statistics into its running
     averages), avoiding a second pass over the activations.
     """
-    from repro.tensorlib.tensor import _unbroadcast  # noqa: PLC0415
-
     backend = get_backend()
     if stats is None:
         stats = backend.fused_norm_stats(x.data, axes, eps)
@@ -446,6 +446,106 @@ def fused_norm(
             )
 
     return _make_output(out_data, parents, backward)
+
+
+# --------------------------------------------------------------------------- #
+# Batch norm, float64 training path: the composite graph replayed in one node
+# --------------------------------------------------------------------------- #
+def batch_norm_replay(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    axes: Tuple[int, ...],
+    eps: float,
+    param_shape: Tuple[int, ...],
+) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Training-mode batch norm as one graph node; returns ``(out, mean, var)``.
+
+    Performs the floating-point operations of the composite expression ::
+
+        mean = x.mean(axes, keepdims=True); var = x.var(axes, keepdims=True)
+        out = (x - mean) / (var + eps).sqrt() * scale + shift
+
+    in the order that graph's forward and reverse-topological backward run
+    them, minus what the graph repeats (``x.sum`` and ``x - mean`` twice) or
+    only copies (pass-through gradients, the materialised broadcast of the
+    variance gradient).  Output, every gradient and ``mean``/``var``
+    (``keepdims`` arrays, for the running buffers) are bit-identical to the
+    composite's — also when ``x`` has other consumers or a gradient already:
+    with leaf ``weight``/``bias`` the composite's nodes are one contiguous
+    block of the topological order, and the four input-gradient terms are
+    accumulated into ``x`` one by one in that block's order.  The closure
+    keeps two full-size arrays alive (``centered``, ``normalised``); the
+    composite kept about eight.
+
+    Two things the bit-identity rests on (pinned by
+    ``tests/test_batchnorm_replay.py``):
+
+    * every reduction is the composite's own :func:`_unbroadcast` call, which
+      sums only the axes broadcasting actually *stretched* — ``(0,)`` rather
+      than ``(0, 2, 3)`` at 1x1 spatial (numpy 2.4 returns the same bits for
+      both axis sets; the replay does not depend on that);
+    * numpy's summation order depends on memory layout.  Looped-path conv
+      outputs are channels-innermost (NHWC-strided) views, and every
+      elementwise result here gets the layout numpy gives the composite's
+      because it is the same operation on same-layout operands — except the
+      gradient of ``centered * centered``.  There the composite multiplies a
+      materialised *copy* of the broadcast variance gradient (laid out
+      channels-outermost) with ``centered``; operands that disagree on layout
+      make numpy fall back to C order, so for contiguous and NHWC inputs the
+      product is C-contiguous, not input-shaped.  The replay skips the copy
+      and asks ``np.nditer`` to allocate the output numpy would have chosen
+      for such operands.
+    """
+    inv_count = 1.0 / math.prod(x.shape[axis] for axis in axes)
+    mean = x.data.sum(axis=axes, keepdims=True) * inv_count
+    centered = x.data - mean
+    var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
+    std = np.sqrt(var + eps)
+    normalised = centered / std
+    scale = weight.data.reshape(param_shape)
+    out_data = normalised * scale
+    out_data += bias.data.reshape(param_shape)
+
+    parents = (x, weight, bias)
+    if not _needs_graph(*parents):
+        return Tensor._wrap(out_data), mean, var
+    stat_shape = mean.shape
+
+    def backward(grad: np.ndarray) -> None:
+        if bias.requires_grad:
+            bias_grad = _unbroadcast(grad, param_shape)
+            bias._accumulate(bias_grad.reshape(bias.shape), own=bias_grad is not grad)
+        if weight.requires_grad:
+            weight._accumulate(
+                _unbroadcast(grad * normalised, param_shape).reshape(weight.shape), own=True
+            )
+        if not x.requires_grad:
+            return
+        # d normalised, then the two operands of ``centered / std``.
+        scaled = grad * scale
+        std_grad = scaled * centered
+        std_grad /= std ** 2
+        std_grad = _neg_unbroadcast(std_grad, stat_shape)
+        centered_grad = np.divide(scaled, std, out=scaled)
+        # std -> var -> sum of squares -> centered * centered, into the layout
+        # a copy of the broadcast times centered would take (see above).
+        square_grad = std_grad * 0.5 / std * inv_count
+        like = np.empty_like(np.broadcast_to(square_grad, x.shape))
+        var_path = np.nditer(
+            [like, centered, None],
+            op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
+        ).operands[2]
+        np.multiply(square_grad, centered, out=var_path)
+        var_path *= 2.0
+        # x - mean, twice: each hands its gradient to x and minus its
+        # reduction, through mean = sum * inv_count, back to x as a broadcast.
+        x._accumulate(var_path, own=True)
+        x._accumulate(_neg_unbroadcast(var_path, stat_shape) * inv_count)
+        x._accumulate(centered_grad)
+        x._accumulate(_neg_unbroadcast(centered_grad, stat_shape) * inv_count)
+
+    return _make_output(out_data, parents, backward), mean, var
 
 
 # --------------------------------------------------------------------------- #

@@ -91,6 +91,21 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _neg_unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``-_unbroadcast(grad, shape)`` as a fresh array the caller owns.
+
+    Reduces first and negates the (small) result in place: IEEE negation
+    commutes with summation bit-exactly, and this avoids materialising a
+    full-size ``-grad`` when broadcasting reduced the operand (``x - mean``
+    chains).
+    """
+    reduced = _unbroadcast(grad, shape)
+    if reduced is grad:
+        return -grad
+    np.negative(reduced, out=reduced)
+    return reduced
+
+
 class Tensor:
     """A numpy array with an optional gradient and a backward closure.
 
@@ -336,16 +351,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(_unbroadcast(grad, self.shape), own=grad.shape != self.shape)
             if other.requires_grad:
-                # Reduce first, negate the (small) result in place: IEEE
-                # negation commutes with summation bit-exactly, and this
-                # avoids materialising a full-size -grad when broadcasting
-                # reduced the other operand (x - mean chains).
-                reduced = _unbroadcast(grad, other.shape)
-                if reduced is grad:
-                    other._accumulate(-grad, own=True)
-                else:
-                    np.negative(reduced, out=reduced)
-                    other._accumulate(reduced, own=True)
+                other._accumulate(_neg_unbroadcast(grad, other.shape), own=True)
 
         return Tensor._attach(out_data, (self, other), backward)
 

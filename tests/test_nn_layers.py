@@ -96,6 +96,33 @@ class TestBatchNorm:
         names = [name for name, _ in layer.named_parameters()]
         assert names == ["weight", "bias"]
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize(
+        "features,shape",
+        [
+            (1, (4, 16, 2, 2)),  # used to run, and resize the running buffers to (16,)
+            (8, (4, 16, 2, 2)),  # used to die in numpy broadcasting
+            (16, (4, 16, 2)),  # used to be an IndexError
+            (16, (2, 4, 16, 2, 2)),  # a world-batched input without replica views
+        ],
+    )
+    def test_shape_mismatch_is_one_readable_error(self, rng, features, shape, training):
+        layer = BatchNorm2d(features)
+        layer.train(training)
+        with pytest.raises(ValueError, match=r"BatchNorm2d shape mismatch.*\(N, C, H, W\).*got shape"):
+            layer(Tensor(rng.standard_normal(shape)))
+        assert layer.running_mean.shape == layer.running_var.shape == (features,)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 8, 2, 2), (4, 16, 2, 2), (3, 4, 16, 2)])
+    def test_shape_mismatch_world_batched(self, rng, shape):
+        from repro.nn.batched import replica_views
+
+        layer = BatchNorm2d(16)
+        with replica_views(layer, 3):
+            with pytest.raises(ValueError, match=r"expected \(world, N, C, H, W\).*num_features == 16"):
+                layer(Tensor(rng.standard_normal(shape)))
+            assert layer(Tensor(rng.standard_normal((3, 4, 16, 2, 2)))).shape == (3, 4, 16, 2, 2)
+
 
 class TestLayerNorm:
     def test_normalises_last_dim(self, rng):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nn.models import mlp_tiny, resnet18_mini, vgg19_mini
 from repro.simulation import (
@@ -143,6 +146,91 @@ class TestMethodSpec:
         compressor = spec.build_compressor()
         assert [type(s).__name__ for s in compressor.pipeline.stages] == ["TopK", "Ternarize"]
         assert not compressor.allreduce_compatible  # top-k forces all-gather
+
+
+_METHODS = st.builds(
+    MethodSpec,
+    name=st.text(max_size=8),
+    compressor=st.sampled_from(["allreduce", "fp16", "topk-0.01", "pactrain", "ef+topk0.01+terngrad"]),
+    pruning_ratio=st.floats(0.0, 0.9),
+    pruning_method=st.sampled_from(["magnitude", "grasp"]),
+    gse=st.booleans(),
+    quantize=st.booleans(),
+    stability_threshold=st.integers(1, 9),
+    min_sparsity=st.floats(0.0, 0.5),
+    warmup_iterations=st.integers(0, 5),
+    error_feedback=st.sampled_from([None, True, False]),
+    sync_schedule=st.sampled_from([None, "", "sync", "localsgd:4", "localsgd:2:delta", "ps:2"]),
+)
+_CLUSTERS = st.builds(
+    ClusterSpec,
+    world_size=st.just(4),
+    bandwidth=st.sampled_from(["100Mbps", "1Gbps", 2.5e8]),
+    device=st.sampled_from(["sim-gpu", "a40", DeviceSpec("custom", 3.0e9)]),
+    devices=st.sampled_from([None, ["sim-gpu", DeviceSpec("slow", 1.0e9), "a40", "sim-gpu"]]),
+    straggler_factors=st.sampled_from([None, [1.0, 1.5, 1.0, 2.0]]),
+    overlap=st.booleans(),
+)
+_CONFIGS = st.builds(
+    ExperimentConfig,
+    model=st.sampled_from(["mlp", "resnet18", "vgg19"]),
+    cluster=_CLUSTERS,
+    epochs=st.integers(1, 20),
+    lr=st.floats(1e-4, 1.0),
+    target_accuracy=st.sampled_from([None, 0.5, 1]),
+    max_iterations_per_epoch=st.sampled_from([None, 3]),
+    seed=st.integers(0, 99),
+    stop_at_target=st.booleans(),
+    dtype=st.sampled_from(["float64", "float32"]),
+    execution=st.sampled_from(["batched", "looped"]),
+    backend=st.sampled_from([None, "numpy"]),
+)
+
+
+class TestSpecToDict:
+    """``to_dict`` builds its dict from the field names; ``asdict`` is the oracle."""
+
+    @given(method=_METHODS)
+    @settings(max_examples=60, deadline=None)
+    def test_method_spec_equals_asdict_and_is_fresh(self, method):
+        data = method.to_dict()
+        assert data == dataclasses.asdict(method)
+        assert list(data) == list(dataclasses.asdict(method))
+        assert MethodSpec.from_dict(data) == method
+        data["compressor"] = "mutated"
+        data["extra"] = 1
+        assert method.to_dict() == dataclasses.asdict(method)
+
+    @given(config=_CONFIGS)
+    @settings(max_examples=60, deadline=None)
+    def test_experiment_config_equals_asdict_and_is_fresh(self, config):
+        oracle = dataclasses.asdict(config)
+        oracle["cluster"] = config.cluster.to_dict()
+        data = config.to_dict()
+        assert data == oracle
+        assert list(data) == list(oracle)
+        assert ExperimentConfig.from_dict(data).to_dict() == oracle
+        data["epochs"] = -1
+        data["cluster"]["world_size"] = 99
+        if data["cluster"]["devices"] is not None:
+            data["cluster"]["devices"].append("a40")
+        assert config.to_dict() == oracle
+        assert config.cluster.world_size == 4
+
+    def test_golden_cell_fingerprints_unchanged(self):
+        # Recorded at the commit before to_dict stopped calling asdict; they
+        # move only when a spec field, RESULT_SCHEMA_VERSION or the package
+        # version does.
+        from repro.campaign import cell_fingerprint
+        from repro.golden import GOLDEN_CONFIG
+
+        assert {name: cell_fingerprint(GOLDEN_CONFIG, m) for name, m in PAPER_METHODS.items()} == {
+            "all-reduce": "d128ce0a7d3292e67d8a6ac5938fe894e8ba452679c259852487d61b873f379d",
+            "fp16": "7405259d41628215ab90b15b28fb066a267fbb8aef62853db9b2b51dc4d40337",
+            "topk-0.1": "4d0dbcd1c47c46b89efbb83827d1498dea30e3f115613217f7e612800f850f2a",
+            "topk-0.01": "a3fe9b82429fc856f46b1b3b5c55fc552a49756d7c954e6f78118c76ef1fd8b4",
+            "pactrain": "c045c58e60beda88d838727072ab931e274b3ed6e290553c9c0c5a0e8d6f7544",
+        }
 
 
 class TestExperimentDriver:
