@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.campaign.store import canonical_json, cell_fingerprint
 from repro.simulation.cluster import ClusterSpec
-from repro.simulation.experiment import PAPER_METHODS, ExperimentConfig, MethodSpec
+from repro.simulation.spec import PAPER_METHODS, ExperimentConfig, MethodSpec
 
 #: Axis names that configure the experiment itself (minus the nested cluster).
 CONFIG_AXES = frozenset(
@@ -64,6 +64,13 @@ class CampaignCell:
 
     config: ExperimentConfig
     method: MethodSpec
+
+    def __post_init__(self) -> None:
+        # An unsupported regime x fault-plan cell fails at expansion, before
+        # the campaign dispatches anything.
+        plan = self.config.cluster.faults
+        if plan is not None:
+            plan.validate_for_regime(self.method.schedule().regime)
 
     @property
     def label(self) -> str:

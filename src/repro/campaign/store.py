@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import __version__
-from repro.simulation.experiment import ExperimentConfig, ExperimentResult, MethodSpec
+from repro.simulation.spec import ExperimentConfig, ExperimentResult, MethodSpec
 
 #: Bumped whenever the stored record layout (or the meaning of a stored field)
 #: changes incompatibly; part of every fingerprint, so old records are simply

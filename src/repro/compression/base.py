@@ -225,7 +225,7 @@ class CodecCompressor(Compressor):
     def enable_error_feedback(self) -> None:
         """Switch on driver-level error feedback after construction.
 
-        Used when a :class:`~repro.simulation.experiment.MethodSpec` requests
+        Used when a :class:`~repro.simulation.spec.MethodSpec` requests
         ``error_feedback=True`` for a registry-built compressor.  Stage-internal
         compensation and unbiased rescaling are disabled at the same time (see
         :meth:`_adopt_driver_error_feedback`).

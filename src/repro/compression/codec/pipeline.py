@@ -4,7 +4,7 @@
 stage left-to-right and decodes the (reduced or gathered) payload right-to-left
 back into a dense tensor.  ``parse_codec_spec("topk0.01+terngrad")`` builds the
 same pipeline from the ``+``-separated spec strings used by
-:class:`repro.simulation.experiment.MethodSpec` and the compressor registry.
+:class:`repro.simulation.spec.MethodSpec` and the compressor registry.
 """
 
 from __future__ import annotations

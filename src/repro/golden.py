@@ -34,12 +34,12 @@ import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.simulation.cluster import ClusterSpec
-from repro.simulation.experiment import (
+from repro.simulation.experiment import run_experiment
+from repro.simulation.spec import (
     PAPER_METHODS,
     ExperimentConfig,
     ExperimentResult,
     MethodSpec,
-    run_experiment,
 )
 
 #: Default fixture directory, resolved relative to the repository root (the

@@ -19,12 +19,8 @@ from typing import Dict, Optional
 
 from repro.pactrain.config import PacTrainConfig
 from repro.simulation.cluster import ClusterSpec
-from repro.simulation.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    MethodSpec,
-    run_experiment,
-)
+from repro.simulation.experiment import run_experiment
+from repro.simulation.spec import ExperimentConfig, ExperimentResult, MethodSpec
 
 
 @dataclass

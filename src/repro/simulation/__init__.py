@@ -23,10 +23,16 @@ Modules:
   per-iteration schedule (compute/comm/overlap/straggler breakdown);
 * :mod:`repro.simulation.cluster`  — cluster description (workers, devices,
   stragglers, network, overlap/hierarchical toggles);
+* :mod:`repro.simulation.faults`   — declarative fault plans (crash / re-join /
+  link windows / churn) on the simulated clock;
 * :mod:`repro.simulation.timeline` — accumulation of compute/communication/
   overlap time and per-iteration traces;
-* :mod:`repro.simulation.experiment` — configuration-driven experiment driver
-  used by every benchmark.
+* :mod:`repro.simulation.regimes`  — training-regime schedules (``sync``,
+  ``localsgd:H[:delta]``, ``ps[:S]``), local-SGD replicas and checkpoints;
+* :mod:`repro.simulation.spec`     — the typed specs: ``MethodSpec``,
+  ``ExperimentConfig``, ``ExperimentResult`` and the paper's methods;
+* :mod:`repro.simulation.experiment` — the configuration-driven driver every
+  benchmark uses: one stepped training loop, two regime steps, the PS loop.
 """
 
 from repro.simulation.compute import (
@@ -44,14 +50,16 @@ from repro.simulation.engine import (
 )
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.timeline import TrainingTimeline, EpochRecord
-from repro.simulation.experiment import (
+from repro.simulation.spec import (
     MethodSpec,
     ExperimentConfig,
     ExperimentResult,
+    PAPER_METHODS,
+)
+from repro.simulation.experiment import (
     run_experiment,
     train_distributed,
     evaluate_accuracy,
-    PAPER_METHODS,
 )
 
 __all__ = [

@@ -12,21 +12,22 @@ and tabulated in Table 1.
 from __future__ import annotations
 
 import copy
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.comm.process_group import ProcessGroup
 from repro.compression.base import FP32_BYTES, CodecCompressor, Compressor
-from repro.compression.registry import build_compressor
+from repro.compression.codec import EncodeContext
 from repro.data import DataLoader, DistributedSampler, make_dataset, train_test_split
 from repro.ddp import DistributedDataParallel
 from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES
 from repro.nn import SGD
 from repro.nn.models import build_model
 from repro.nn.module import Module
-from repro.obs.tracer import TRACER
+from repro.obs.instrument import emit_ps_update, emit_simulated_iteration
+from repro.obs.tracer import SIM_SCHEDULE_TID, TRACER
 from repro.pruning import PruningMask, apply_gse, grasp_prune, magnitude_prune
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.engine import EventHeap, LinkChannel, SimEvent, SimulationEngine
@@ -36,354 +37,14 @@ from repro.simulation.regimes import (
     TrainingCheckpoint,
     parse_sync_schedule,
 )
+from repro.simulation.spec import (
+    PAPER_METHODS,
+    ExperimentConfig,
+    ExperimentResult,
+    MethodSpec,
+)
 from repro.simulation.timeline import TrainingTimeline
 from repro.tensorlib import Tensor, default_dtype, functional as F, no_grad, use_backend
-from repro.tensorlib.backend import KNOWN_BACKENDS
-from repro.tensorlib.dtypes import SUPPORTED_DTYPES
-
-
-# --------------------------------------------------------------------------- #
-# Method and experiment descriptions
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class MethodSpec:
-    """One gradient-synchronisation method, as named in the paper's figures.
-
-    ``compressor`` is a registry name (see :mod:`repro.compression.registry`)
-    or a ``+``-separated codec pipeline spec such as ``"topk0.01+terngrad"``,
-    ``"ef+signsgd"`` or ``"powersgd-rank4"`` — arbitrary codec compositions
-    run end-to-end without a dedicated compressor class.  ``error_feedback``
-    is tri-state: ``None`` (default) keeps whatever the compressor spec says,
-    ``True`` switches on the driver-level per-bucket residual state
-    (equivalent to, and composing idempotently with, a leading ``"ef"`` spec
-    token) and ``False`` forces every form of error feedback off — including
-    the stage-internal compensation top-k carries in its paper form — which
-    makes ``error_feedback`` a uniform on/off campaign axis.  Pruning-related
-    fields only take effect for methods that prune (PacTrain); the baselines
-    keep the dense model.
-
-    ``sync_schedule`` selects the training regime (see
-    :mod:`repro.simulation.regimes` for the grammar): ``None``/``"sync"`` is
-    synchronous data-parallel, ``"localsgd:H"`` averages parameters every H
-    local steps (``"localsgd:H:delta"`` compresses the model delta through
-    the method's codec pipeline instead), and ``"ps[:S]"`` runs the
-    stale-gradient async parameter server with staleness bound S.
-    """
-
-    name: str
-    compressor: str = "allreduce"
-    pruning_ratio: float = 0.0
-    pruning_method: str = "magnitude"
-    gse: bool = False
-    quantize: bool = False
-    stability_threshold: int = 3
-    min_sparsity: float = 0.05
-    warmup_iterations: int = 0
-    #: Driver-level error feedback: the compressor keeps a per-(bucket, rank)
-    #: residual of the gradient mass its encoding dropped and adds it to the
-    #: next iteration's input.  ``None`` defers to the compressor spec;
-    #: ``True``/``False`` force it on/off (codec-pipeline compressors only).
-    error_feedback: Optional[bool] = None
-    #: Training-regime schedule spec (``None`` = synchronous; grammar in
-    #: :func:`repro.simulation.regimes.parse_sync_schedule`).
-    sync_schedule: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.sync_schedule == "":
-            object.__setattr__(self, "sync_schedule", None)
-        # Validate eagerly so a bad schedule fails at spec-construction time
-        # (campaign expansion), not minutes into a sweep.
-        parse_sync_schedule(self.sync_schedule)
-
-    def schedule(self) -> SyncSchedule:
-        """The parsed sync schedule (the synchronous default when unset)."""
-        return parse_sync_schedule(self.sync_schedule)
-
-    def build_compressor(self, seed: int = 0) -> Compressor:
-        if self.compressor.startswith("pactrain"):
-            # Imported lazily: repro.pactrain.trainer itself builds on this module.
-            from repro.pactrain.compressor import PacTrainCompressor  # noqa: PLC0415
-
-            if self.error_feedback is not None:
-                raise ValueError(
-                    f"error_feedback={self.error_feedback} is not supported for "
-                    "PacTrain methods: its compacted aggregation is already "
-                    "lossless w.r.t. the masked gradient, so there is no dropped "
-                    "mass to feed back (and nothing to strip); leave the field "
-                    "at None"
-                )
-            return PacTrainCompressor(
-                stability_threshold=self.stability_threshold,
-                min_sparsity=self.min_sparsity,
-                quantize=self.quantize,
-                seed=seed,
-                warmup_iterations=self.warmup_iterations,
-            )
-        # Registry names and codec pipeline specs receive the same per-run
-        # seed, so stochastic codecs (random-k selection, ternary rounding)
-        # actually vary across multi-seed sweeps.
-        compressor = build_compressor(self.compressor, seed=seed)
-        if self.error_feedback is None:
-            return compressor
-        if not isinstance(compressor, CodecCompressor):
-            raise TypeError(
-                f"error_feedback={self.error_feedback} needs a codec-pipeline "
-                f"compressor, got {type(compressor).__name__} for {self.compressor!r}"
-            )
-        if self.error_feedback:
-            if not compressor.error_feedback:
-                compressor.enable_error_feedback()
-        else:
-            compressor.disable_error_feedback()
-        return compressor
-
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict:
-        """JSON-ready dict that :meth:`from_dict` restores exactly.
-
-        Every field is a scalar, so a fresh dict in field order is all
-        ``dataclasses.asdict`` would produce — without its recursive deep
-        copy, which dominated fingerprinting a stored campaign.
-        """
-        return {name: getattr(self, name) for name in _METHOD_FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "MethodSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise KeyError(f"unknown MethodSpec fields {sorted(unknown)}; known: {sorted(known)}")
-        return cls(**data)
-
-
-_METHOD_FIELDS = tuple(f.name for f in dataclasses.fields(MethodSpec))
-
-#: The five methods compared throughout the paper's evaluation (Figs. 3 and 5).
-#: PacTrain uses the paper's default configuration: pruning ratio 0.5, GSE every
-#: iteration and ternary quantisation of the compacted gradients (§III.D).
-PAPER_METHODS: Dict[str, MethodSpec] = {
-    "all-reduce": MethodSpec(name="all-reduce", compressor="allreduce"),
-    "fp16": MethodSpec(name="fp16", compressor="fp16"),
-    "topk-0.1": MethodSpec(name="topk-0.1", compressor="topk-0.1"),
-    "topk-0.01": MethodSpec(name="topk-0.01", compressor="topk-0.01"),
-    "pactrain": MethodSpec(
-        name="pactrain", compressor="pactrain", pruning_ratio=0.5, gse=True, quantize=True
-    ),
-}
-
-#: PacTrain without ternary quantisation (lossless w.r.t. the masked gradient);
-#: used by the ablation benchmark.
-PACTRAIN_FP32 = MethodSpec(
-    name="pactrain-fp32", compressor="pactrain", pruning_ratio=0.5, gse=True, quantize=False
-)
-
-
-@dataclass
-class ExperimentConfig:
-    """Workload + cluster + optimisation settings for one training run."""
-
-    model: str = "resnet18"
-    dataset: str = "cifar10"
-    num_classes: int = 10
-    cluster: ClusterSpec = field(default_factory=ClusterSpec)
-    epochs: int = 10
-    batch_size: int = 32
-    lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    target_accuracy: Optional[float] = None
-    dataset_samples: int = 512
-    image_size: int = 8
-    #: Per-sample noise of the synthetic dataset.  Larger values make the task
-    #: harder, so convergence takes more epochs and the convergence-speed
-    #: differences between compression schemes become visible.
-    noise_std: float = 0.6
-    test_fraction: float = 0.25
-    pretrain_iterations: int = 3
-    max_iterations_per_epoch: Optional[int] = None
-    seed: int = 0
-    stop_at_target: bool = False
-    #: Gradient bucket capacity.  PyTorch's 25 MiB default keeps the mini
-    #: models in a single bucket; set a smaller cap to get the multi-bucket
-    #: layout that per-bucket compute/comm overlap needs.
-    bucket_cap_bytes: int = DEFAULT_BUCKET_CAP_BYTES
-    #: Compute precision of the whole run: ``"float64"`` (default — every
-    #: result bit-identical to the historical float64-only behaviour) or
-    #: ``"float32"`` (the fast path: ~half the memory traffic and roughly
-    #: double the SIMD throughput, accuracy within the documented tolerance).
-    #: Wire-byte accounting models the fp32 wire format either way, so
-    #: communication volumes and modeled times do not depend on this.  Also a
-    #: campaign axis (``"dtype": ["float32", "float64"]``).
-    dtype: str = "float64"
-    #: Host-side execution strategy for the per-iteration forward/backward:
-    #: ``"batched"`` (default) evaluates all ranks in one world-batched pass,
-    #: ``"looped"`` keeps the per-rank Python loop.  Float64 results are
-    #: bit-identical either way (dropout excepted); modeled time is
-    #: execution-independent, so this is purely a wall-clock knob.
-    execution: str = "batched"
-    #: Array backend for the tensor kernels (``repro.tensorlib.backend``):
-    #: ``None`` keeps the process-wide default (``REPRO_BACKEND`` env or
-    #: numpy); ``"numba"``/``"torch"``/``"cupy"`` opt into accelerated
-    #: kernels, degrading to numpy with a warning when the library is absent.
-    backend: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.dtype not in SUPPORTED_DTYPES:
-            raise ValueError(
-                f"dtype must be one of {sorted(SUPPORTED_DTYPES)}, got {self.dtype!r}"
-            )
-        if self.execution not in ("batched", "looped"):
-            raise ValueError(
-                f"execution must be 'batched' or 'looped', got {self.execution!r}"
-            )
-        if self.backend is not None and self.backend not in KNOWN_BACKENDS:
-            raise ValueError(
-                f"backend must be None or one of {sorted(KNOWN_BACKENDS)}, got {self.backend!r}"
-            )
-        if self.image_size != 8 and self.model.lower() == "mlp":
-            raise ValueError(
-                "model 'mlp' has a fixed 3*8*8 input layer and needs image_size=8, "
-                f"got image_size={self.image_size}"
-            )
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.dataset_samples < 2:
-            raise ValueError(
-                "dataset_samples must be >= 2 (the train/test split needs at least "
-                f"one sample on each side), got {self.dataset_samples}"
-            )
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.target_accuracy is not None and not isinstance(self.target_accuracy, (int, float)):
-            raise TypeError(
-                f"target_accuracy must be a float or None, got {self.target_accuracy!r} "
-                "(resolve named targets such as 'per-model' before building the config)"
-            )
-
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict:
-        """JSON-ready dict that :meth:`from_dict` restores exactly.
-
-        The nested :class:`ClusterSpec` serialises through its own
-        ``to_dict``; everything else is plain scalars, copied into a fresh
-        dict in field order.  This representation is what the campaign result
-        store hashes, so it must stay stable and canonical (no
-        derived/duplicated fields).
-        """
-        data = {name: getattr(self, name) for name in _CONFIG_FIELDS}
-        data["cluster"] = self.cluster.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise KeyError(f"unknown ExperimentConfig fields {sorted(unknown)}; known: {sorted(known)}")
-        kwargs = dict(data)
-        if "cluster" in kwargs and isinstance(kwargs["cluster"], dict):
-            kwargs["cluster"] = ClusterSpec.from_dict(kwargs["cluster"])
-        return cls(**kwargs)
-
-
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
-
-
-@dataclass
-class ExperimentResult:
-    """Everything a benchmark needs to report about one training run."""
-
-    method: str
-    model: str
-    dataset: str
-    bandwidth_mbps: float
-    world_size: int
-    epochs_run: int
-    iterations_run: int
-    simulated_time: float
-    compute_time: float
-    comm_time: float
-    comm_bytes_per_worker: float
-    final_accuracy: float
-    best_accuracy: float
-    tta: Optional[float]
-    target_accuracy: Optional[float]
-    accuracy_trace: List[Tuple[float, float]]
-    loss_trace: List[float]
-    compression_ratio: float
-    weight_sparsity: float
-    gradient_density: float
-    #: Whether the run hit ``target_accuracy`` at any epoch (even if training
-    #: continued afterwards because ``stop_at_target`` was off).
-    reached_target: bool = False
-    #: Fraction of communication hidden behind backward compute by the
-    #: event-driven per-bucket schedule (0.0 with overlap disabled).
-    overlap_fraction: float = 0.0
-    #: Sum of per-iteration critical paths from the engine's schedule; equals
-    #: ``simulated_time`` up to float rounding of the per-iteration sums.
-    critical_path_time: float = 0.0
-    #: Simulated seconds the fastest worker spent idle waiting for stragglers.
-    straggler_time: float = 0.0
-    #: Fault/recovery accounting (all zero on a healthy cluster).  Fault
-    #: events interpreted during the run (crashes, re-joins, link changes):
-    fault_events: int = 0
-    #: Iterations that ran over a shrunken (degraded) membership.
-    degraded_iterations: int = 0
-    #: Rank-seconds of capacity lost to dead ranks.
-    downtime_rank_seconds: float = 0.0
-    #: Simulated seconds spent re-synchronising re-joined ranks (included in
-    #: ``simulated_time``).
-    rejoin_cost_time: float = 0.0
-    #: Fraction of the cluster's rank-seconds spent training rather than lost
-    #: to downtime or re-join synchronisation (1.0 when healthy).
-    goodput_fraction: float = 1.0
-    #: Training-regime accounting (all zero on the synchronous path).
-    #: Averaging collectives run by the local-SGD regime:
-    sync_rounds: int = 0
-    #: Communication-free local optimiser steps between collectives.
-    local_steps: int = 0
-    #: Updates applied by the async parameter server.
-    ps_updates: int = 0
-    #: Mean / max per-update staleness (server updates applied between a
-    #: worker's parameter pull and its gradient's application).
-    staleness_mean: float = 0.0
-    staleness_max: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    def tta_or_total(self) -> float:
-        """TTA if the target was reached, otherwise total simulated time.
-
-        ``reached_target`` (not ``tta is None``) decides which: the paper
-        reports relative TTA, and runs that never reach the target are charged
-        their full training time (a conservative lower bound on their
-        disadvantage).
-        """
-        if self.reached_target and self.tta is not None:
-            return self.tta
-        return self.simulated_time
-
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict:
-        """JSON-ready dict that :meth:`from_dict` restores exactly.
-
-        Floats survive the round trip bit-identically (JSON serialises the
-        shortest repr, which Python parses back to the same double; ``nan`` and
-        ``inf`` use the non-strict JSON literals).  Tuples in
-        ``accuracy_trace`` come back as tuples via ``from_dict``.
-        """
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ExperimentResult":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise KeyError(f"unknown ExperimentResult fields {sorted(unknown)}; known: {sorted(known)}")
-        kwargs = dict(data)
-        kwargs["accuracy_trace"] = [tuple(point) for point in kwargs.get("accuracy_trace", [])]
-        return cls(**kwargs)
 
 
 # --------------------------------------------------------------------------- #
@@ -472,35 +133,104 @@ class _WeightSparsityCache:
 # --------------------------------------------------------------------------- #
 # Core training loop
 # --------------------------------------------------------------------------- #
+@dataclass
+class _Run:
+    """What every regime shares: the run's objects and its epoch end.
+
+    Built once by :func:`train_distributed`.  The timeline is always read
+    through the run, so restoring a checkpoint swaps it in one place.
+    """
+
+    model: Module
+    test_loader: DataLoader
+    method: MethodSpec
+    cluster: ClusterSpec
+    epochs: int
+    mask: Optional[PruningMask]
+    target_accuracy: Optional[float]
+    stop_at_target: bool
+    max_iterations_per_epoch: Optional[int]
+    compressor: Compressor
+    ddp: DistributedDataParallel
+    optimizer: SGD
+    timeline: TrainingTimeline
+    per_rank_compute: List[float]
+    rank_loaders: List[DataLoader]
+    reached_target: bool = False
+
+    @property
+    def world_size(self) -> int:
+        return self.cluster.world_size
+
+    @property
+    def model_wire_bytes(self) -> float:
+        """Bytes of one full parameter transfer (fp32 wire format)."""
+        return float(sum(p.size for p in self.model.parameters()) * 4)
+
+    def end_epoch(self, epoch: int, losses: List[float]) -> bool:
+        """Evaluate, record the epoch and test the target; True means stop."""
+        accuracy = evaluate_accuracy(self.model, self.test_loader)
+        mean_loss = float(np.mean(losses)) if losses else float("nan")
+        self.timeline.snapshot_epoch(epoch, mean_loss, accuracy)
+        if self.target_accuracy is not None and accuracy >= self.target_accuracy:
+            self.reached_target = True
+            return self.stop_at_target
+        return False
+
+    def outcome(self) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
+        """What :func:`train_distributed` returns."""
+        return self.timeline, self.ddp, self.compressor, self.reached_target
+
+
+def _collective_cost(bucket_events) -> Tuple[float, float, List[float]]:
+    """``(seconds, bytes per worker, per-bucket seconds)`` of one collective.
+
+    Flat sums over the events in issue order — the same accumulation order
+    (and therefore the same floats) as the drained group log.
+    """
+    comm_seconds = float(sum(e.time_seconds for per_bucket in bucket_events for e in per_bucket))
+    comm_bytes = float(sum(e.bytes_per_worker for per_bucket in bucket_events for e in per_bucket))
+    per_bucket_seconds = [
+        float(sum(e.time_seconds for e in per_bucket)) for per_bucket in bucket_events
+    ]
+    return comm_seconds, comm_bytes, per_bucket_seconds
+
+
 class _FaultState:
-    """Per-run fault-plan interpreter shared by the sync and local-SGD loops.
+    """Per-run fault-plan interpreter of the stepped loop (sync and local SGD).
 
     An empty plan keeps :attr:`faulty` False and :meth:`advance` is a no-op
     returning ``(None, None)``, so healthy runs take exactly the historical
     code path (golden traces stay bit-identical).
     """
 
-    def __init__(
-        self,
-        plan,
-        cluster: ClusterSpec,
-        world_size: int,
-        ddp: DistributedDataParallel,
-        compressor: Compressor,
-        timeline: TrainingTimeline,
-        model_wire_bytes: float,
-    ) -> None:
-        self.plan = plan
-        self.cluster = cluster
-        self.world_size = world_size
-        self.ddp = ddp
-        self.compressor = compressor
-        self.timeline = timeline
-        self.model_wire_bytes = model_wire_bytes
-        self.faulty = not plan.is_empty
+    def __init__(self, run: _Run) -> None:
+        self.run = run
+        self.plan = run.cluster.fault_plan()
+        self.world_size = run.world_size
+        self.faulty = not self.plan.is_empty
         self.cursor = -1.0
-        self.active = list(range(world_size))
+        self.active = list(range(self.world_size))
         self.link = 1.0
+
+    def _set_membership(self, active: List[int], link: float) -> None:
+        """Point the DDP wrapper at ``active`` over a link scaled by ``link``."""
+        ddp = self.run.ddp
+        if len(active) == self.world_size and link == 1.0:
+            ddp.set_active_ranks(None)
+        else:
+            degraded_model = self.run.cluster.cost_model_for(len(active), link)
+            ddp.set_active_ranks(active, ProcessGroup(len(active), degraded_model))
+        self.active, self.link = active, link
+
+    def restore(self, cursor: float, active: List[int], link: float) -> None:
+        """Resume onto a checkpoint's cursor and membership.
+
+        The elastic seam is re-applied, not replayed: the restored compressor
+        already carries the resized residuals.
+        """
+        self.cursor = cursor
+        self._set_membership(active, link)
 
     def advance(self, now: float, global_iteration: int, on_rejoin=None):
         """Interpret the plan up to simulated time ``now``.
@@ -510,20 +240,19 @@ class _FaultState:
         ``(active_set, churn)`` for the iteration — ``(None, None)`` when the
         plan is empty.  ``on_rejoin`` (if given) is called with the list of
         ranks that re-joined, after their broadcast cost has been charged —
-        the local-SGD loop uses it to refresh the returning replica.
+        the local-SGD step uses it to refresh the returning replica.
         """
         if not self.faulty:
             return None, None
         plan = self.plan
+        timeline = self.run.timeline
         fired = plan.events_between(self.cursor, now)
         self.cursor = now
         active = plan.active_ranks(self.world_size, now)
         link = plan.link_factor(now)
         if fired:
-            self.timeline.fault_events += len(fired)
+            timeline.fault_events += len(fired)
             if TRACER.enabled:
-                from repro.obs.tracer import SIM_SCHEDULE_TID  # noqa: PLC0415
-
                 for event in fired:
                     TRACER.instant(
                         f"fault/{event.kind}", cat="fault", clock="sim",
@@ -532,39 +261,29 @@ class _FaultState:
                     )
         if active != self.active or link != self.link:
             if active != self.active:
-                self.compressor.resize_world(self.active, active, plan.residual_policy)
-            if len(active) == self.world_size and link == 1.0:
-                self.ddp.set_active_ranks(None)
-            else:
-                from repro.comm.process_group import ProcessGroup  # noqa: PLC0415
-
-                degraded_model = self.cluster.cost_model_for(len(active), link)
-                self.ddp.set_active_ranks(
-                    active, ProcessGroup(len(active), degraded_model)
-                )
-            # A re-joining rank pulls the current model state before it can
-            # participate: charge one broadcast over the new membership per
-            # re-join and advance the simulated clock.
+                self.run.compressor.resize_world(self.active, active, plan.residual_policy)
+            self._set_membership(active, link)
+            # A re-joining rank pulls the current model state (fp32 wire
+            # format) before it can participate: charge one broadcast over the
+            # new membership per re-join and advance the simulated clock.
+            model_wire_bytes = self.run.model_wire_bytes
             rejoined = []
             for event in fired:
                 if event.kind != "rejoin" or event.rank not in active:
                     continue
-                cost = self.cluster.cost_model_for(len(active), link).broadcast_time(
-                    self.model_wire_bytes
+                cost = self.run.cluster.cost_model_for(len(active), link).broadcast_time(
+                    model_wire_bytes
                 )
-                self.timeline.add_rejoin_cost(cost)
+                timeline.add_rejoin_cost(cost)
                 rejoined.append(event.rank)
                 if TRACER.enabled:
-                    from repro.obs.tracer import SIM_SCHEDULE_TID  # noqa: PLC0415
-
                     TRACER.sim_span(
                         "fault/rejoin-sync", "fault", ts=now, dur=cost,
                         tid=SIM_SCHEDULE_TID, rank=event.rank,
-                        bytes=self.model_wire_bytes,
+                        bytes=model_wire_bytes,
                     )
             if rejoined and on_rejoin is not None:
                 on_rejoin(rejoined)
-            self.active, self.link = active, link
         return set(self.active), plan.churn_multipliers(self.world_size, global_iteration)
 
 
@@ -593,15 +312,17 @@ def train_distributed(
 ) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
     """Run distributed training with modeled time under the method's regime.
 
-    The method's ``sync_schedule`` selects the training loop: synchronous
+    The method's ``sync_schedule`` selects the regime: synchronous
     data-parallel (the default — every iteration is scheduled by the
     event-driven :class:`~repro.simulation.engine.SimulationEngine`, and with
     ``cluster.overlap`` off the schedule degenerates to the seed
     ``compute + comm`` sum bit-identically), local SGD with periodic
-    (optionally delta-compressed) averaging, or the stale-gradient async
-    parameter server.  ``localsgd:1`` routes through the synchronous loop —
-    averaging after every step *is* synchronous training — which the
-    regime-parity tests pin bit-identically.
+    (optionally delta-compressed) averaging — both one barrier-per-iteration
+    loop (:func:`_train_stepped`) driving a regime step — or the
+    stale-gradient async parameter server, an event loop of its own.
+    ``localsgd:1`` takes the synchronous step — averaging after every step
+    *is* synchronous training — which the regime-parity tests pin
+    bit-identically.
 
     ``execution`` picks the host-side strategy for the per-rank passes:
     ``"batched"`` (default) runs one world-batched forward/backward,
@@ -626,12 +347,16 @@ def train_distributed(
         raise ValueError(f"unknown execution strategy {execution!r}")
     schedule = parse_sync_schedule(method.sync_schedule)
     world_size = cluster.world_size
-    plan = cluster.fault_plan()
-    plan.validate_for_regime(schedule.regime)
+    cluster.fault_plan().validate_for_regime(schedule.regime)
     if (checkpoint_at is not None or resume_from is not None) and not schedule.is_synchronous:
         raise ValueError(
             "checkpoint/restore is only supported on the synchronous path "
             f"(sync or localsgd:1 schedules), got {method.sync_schedule!r}"
+        )
+    if schedule.regime == "ps" and (mask is not None or method.gse):
+        raise ValueError(
+            "async parameter-server mode does not support pruning/GSE methods: "
+            "the mask lifecycle assumes a synchronous view of the parameters"
         )
     process_group = cluster.process_group()
     compressor = method.build_compressor(seed=seed)
@@ -640,21 +365,12 @@ def train_distributed(
         # hand the DDP wrapper the restored instance from the start.  Deep-
         # copied so one checkpoint can seed several resumes.
         compressor = copy.deepcopy(resume_from.compressor)
-    if schedule.regime == "ps" and not isinstance(compressor, CodecCompressor):
+    encodes_per_rank = schedule.regime == "ps" or (schedule.delta and not schedule.is_synchronous)
+    if encodes_per_rank and not isinstance(compressor, CodecCompressor):
         raise ValueError(
-            "async parameter-server mode needs a codec-pipeline compressor "
-            f"(its pushes are encoded per worker), got {type(compressor).__name__} "
-            f"for {method.compressor!r}"
-        )
-    if (
-        schedule.regime == "localsgd"
-        and schedule.delta
-        and not schedule.is_synchronous
-        and not isinstance(compressor, CodecCompressor)
-    ):
-        raise ValueError(
-            "localsgd delta mode compresses model deltas through a codec "
-            f"pipeline, got {type(compressor).__name__} for {method.compressor!r}"
+            "async parameter-server pushes and localsgd delta mode encode one rank at a "
+            f"time, which needs a codec-pipeline compressor; got {type(compressor).__name__} "
+            f"for {method.compressor!r} under schedule {method.sync_schedule!r}"
         )
     ddp = DistributedDataParallel(
         model,
@@ -666,7 +382,6 @@ def train_distributed(
     optimizer = SGD(model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
     compute_model = cluster.compute_model()
     engine = SimulationEngine(overlap=cluster.overlap)
-    timeline = TrainingTimeline()
     if TRACER.enabled:
         # One simulated-cluster track group per training run, so sweeps
         # never overlay two schedules on the same Perfetto tracks.
@@ -692,7 +407,7 @@ def train_distributed(
         for rank in range(world_size)
     ]
 
-    shared = dict(
+    run = _Run(
         model=model,
         test_loader=test_loader,
         method=method,
@@ -702,141 +417,103 @@ def train_distributed(
         target_accuracy=target_accuracy,
         stop_at_target=stop_at_target,
         max_iterations_per_epoch=max_iterations_per_epoch,
-        world_size=world_size,
-        plan=plan,
         compressor=compressor,
         ddp=ddp,
         optimizer=optimizer,
-        timeline=timeline,
+        timeline=TrainingTimeline(),
         per_rank_compute=per_rank_compute,
         rank_loaders=rank_loaders,
     )
     if schedule.regime == "ps":
-        return _train_async_ps(schedule=schedule, seed=seed, **shared)
-    if schedule.regime == "localsgd" and not schedule.is_synchronous:
-        return _train_localsgd(
-            schedule=schedule,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            engine=engine,
-            bucket_fractions=bucket_fractions,
-            **shared,
-        )
-    return _train_synchronous(
-        execution=execution,
-        engine=engine,
-        bucket_fractions=bucket_fractions,
-        checkpoint_at=checkpoint_at,
-        checkpoint_box=checkpoint_box,
-        resume_from=resume_from,
-        **shared,
+        return _train_async_ps(run, schedule, seed)
+    if schedule.is_synchronous:
+        step = _SyncStep(run, execution)
+    else:
+        step = _LocalSGDStep(run, schedule, lr, momentum, weight_decay)
+    return _train_stepped(
+        run, step, engine, bucket_fractions, checkpoint_at, checkpoint_box, resume_from
     )
 
 
-def _train_synchronous(
-    *,
-    model: Module,
-    test_loader: DataLoader,
-    method: MethodSpec,
-    cluster: ClusterSpec,
-    epochs: int,
-    mask: Optional[PruningMask],
-    target_accuracy: Optional[float],
-    stop_at_target: bool,
-    max_iterations_per_epoch: Optional[int],
-    world_size: int,
-    plan,
-    compressor: Compressor,
-    ddp: DistributedDataParallel,
-    optimizer: SGD,
+def _train_stepped(
+    run: _Run,
+    step,
     engine: SimulationEngine,
-    timeline: TrainingTimeline,
-    per_rank_compute: List[float],
     bucket_fractions: List[float],
-    rank_loaders: List[DataLoader],
-    execution: str,
-    checkpoint_at: Optional[int] = None,
-    checkpoint_box: Optional[List[TrainingCheckpoint]] = None,
-    resume_from: Optional[TrainingCheckpoint] = None,
+    checkpoint_at: Optional[int],
+    checkpoint_box: Optional[List[TrainingCheckpoint]],
+    resume_from: Optional[TrainingCheckpoint],
 ) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
-    """The synchronous data-parallel loop (the historical code path)."""
-    # Re-join cost model: the returning rank pulls the current parameters
-    # (fp32 wire format) via a broadcast over the post-join membership.
-    model_wire_bytes = float(sum(p.size for p in model.parameters()) * 4)
-    faults = _FaultState(
-        plan, cluster, world_size, ddp, compressor, timeline, model_wire_bytes
-    )
+    """The barrier-per-iteration loop shared by the sync and local-SGD regimes.
+
+    Owns what the regimes have in common — epochs and loaders, checkpoint
+    capture/resume, the fault cursor, engine scheduling, timeline booking,
+    tracer emission and the epoch end.  What an iteration *does* is the
+    regime ``step``'s business (:class:`_SyncStep`, :class:`_LocalSGDStep`):
+    ``step(batches, active_set, epoch, iteration)`` trains one iteration and
+    returns ``(per_rank_losses, bucket_events)`` — ``None`` events mean a
+    communication-free local step; ``flush(epoch, active)`` runs before the
+    epoch-end evaluation; ``on_rejoin`` (or ``None``) hears of re-joined ranks.
+    """
+    ddp = run.ddp
+    world_size = run.world_size
+    max_iterations_per_epoch = run.max_iterations_per_epoch
+    faults = _FaultState(run)
     global_iteration = 0
-    reached_target = False
     start_epoch = 0
-    resume_iteration = 0
-    resumed_losses: List[float] = []
     if resume_from is not None:
         ck = resume_from
         ddp.restore_parameters(ck.params)
-        optimizer.load_state_arrays(ck.velocities)
-        timeline = copy.deepcopy(ck.timeline)
-        faults.timeline = timeline
-        faults.cursor = ck.fault_cursor
-        faults.active = list(ck.active_ranks)
-        faults.link = ck.link_factor
-        if len(ck.active_ranks) != world_size or ck.link_factor != 1.0:
-            from repro.comm.process_group import ProcessGroup  # noqa: PLC0415
-
-            degraded_model = cluster.cost_model_for(
-                len(ck.active_ranks), ck.link_factor
-            )
-            ddp.set_active_ranks(
-                list(ck.active_ranks),
-                ProcessGroup(len(ck.active_ranks), degraded_model),
-            )
+        run.optimizer.load_state_arrays(ck.velocities)
+        run.timeline = copy.deepcopy(ck.timeline)
+        faults.restore(ck.fault_cursor, list(ck.active_ranks), ck.link_factor)
         ddp.hook_state.iteration = ck.hook_iteration
         global_iteration = ck.global_iteration
-        reached_target = ck.reached_target
+        run.reached_target = ck.reached_target
         start_epoch = ck.epoch
-        resume_iteration = ck.iteration_in_epoch
-        resumed_losses = list(ck.epoch_losses)
         # The modeled per-rank times were computed from the *initial* weights
         # (weight sparsity drifts during training on unmasked models); replay
         # the captured values so resumed timing is bit-identical.
-        per_rank_compute = list(ck.per_rank_compute)
+        run.per_rank_compute = list(ck.per_rank_compute)
         bucket_fractions = list(ck.bucket_fractions)
+    timeline = run.timeline
+    per_rank_compute = run.per_rank_compute
     captured = checkpoint_at is None or checkpoint_box is None
-    for epoch in range(start_epoch, epochs):
-        for loader in rank_loaders:
+    for epoch in range(start_epoch, run.epochs):
+        for loader in run.rank_loaders:
             loader.set_epoch(epoch)
-        iterators = [iter(loader) for loader in rank_loaders]
+        iterators = [iter(loader) for loader in run.rank_loaders]
         epoch_losses: List[float] = []
         iteration = 0
         if resume_from is not None and epoch == start_epoch:
             # Fast-forward the deterministic samplers to the captured
             # position; the consumed batches were already trained on.
-            for _ in range(resume_iteration):
+            for _ in range(resume_from.iteration_in_epoch):
                 for it in iterators:
                     next(it)
-            iteration = resume_iteration
-            epoch_losses = resumed_losses
+            iteration = resume_from.iteration_in_epoch
+            epoch_losses = list(resume_from.epoch_losses)
         while True:
             if max_iterations_per_epoch is not None and iteration >= max_iterations_per_epoch:
                 break
             if not captured and global_iteration == checkpoint_at:
                 checkpoint_box.append(
-                    TrainingCheckpoint.capture(
-                        ddp=ddp,
-                        optimizer=optimizer,
-                        compressor=compressor,
-                        timeline=timeline,
+                    TrainingCheckpoint(
+                        params=ddp.snapshot_parameters(),
+                        velocities=run.optimizer.state_arrays(),
+                        compressor=copy.deepcopy(run.compressor),
+                        timeline=copy.deepcopy(timeline),
                         epoch=epoch,
                         iteration_in_epoch=iteration,
                         global_iteration=global_iteration,
-                        epoch_losses=epoch_losses,
+                        epoch_losses=list(epoch_losses),
                         fault_cursor=faults.cursor,
-                        active_ranks=faults.active,
+                        active_ranks=list(faults.active),
                         link_factor=faults.link,
-                        reached_target=reached_target,
-                        per_rank_compute=per_rank_compute,
-                        bucket_fractions=bucket_fractions,
+                        reached_target=run.reached_target,
+                        hook_iteration=ddp.hook_state.iteration,
+                        per_rank_compute=list(per_rank_compute),
+                        bucket_fractions=list(bucket_fractions),
                     )
                 )
                 captured = True
@@ -845,65 +522,11 @@ def _train_synchronous(
             except StopIteration:
                 break
 
-            active_set, churn = faults.advance(timeline.total_time, global_iteration)
-
-            with TRACER.span("train/backward", cat="train", epoch=epoch, iteration=iteration):
-                if (
-                    execution == "batched"
-                    and not ddp.is_degraded
-                    and DistributedDataParallel._stackable(batches)
-                ):
-                    images = np.stack([batch[0] for batch in batches])
-                    labels = np.stack([np.asarray(batch[1]) for batch in batches])
-                    per_rank_losses, grads = ddp.compute_batched_gradients(
-                        (images, labels), F.cross_entropy
-                    )
-                    if method.gse and mask is not None:
-                        # keep masks broadcast over the leading world axis:
-                        # (world, *shape) * (*shape) multiplies each rank's
-                        # slice exactly as the looped path does.
-                        grads = apply_gse(model, mask, grads=grads)
-                    ddp.stage_world_gradients(grads)
-                else:
-                    per_rank_losses = []
-                    for rank, batch in enumerate(batches):
-                        if active_set is not None and rank not in active_set:
-                            # Dead rank: its shard's batch is consumed (data
-                            # order stays deterministic) but contributes no
-                            # gradient, loss or compute this iteration.
-                            continue
-                        # copy=False is safe because each rank's gradients are
-                        # staged into the arena before the next rank's backward
-                        # pass runs (GSE, when active, reads them in the same
-                        # window).
-                        loss_value, grads = ddp.compute_local_gradients(
-                            batch, F.cross_entropy, copy=False
-                        )
-                        if method.gse and mask is not None:
-                            grads = apply_gse(model, mask, grads=grads)
-                        ddp.stage_rank_gradients(rank, grads)
-                        per_rank_losses.append(loss_value)
-
-            with TRACER.span("train/sync", cat="train", epoch=epoch, iteration=iteration):
-                aggregated, bucket_events = ddp.synchronize_staged()
-            with TRACER.span("train/apply", cat="train", epoch=epoch, iteration=iteration):
-                ddp.apply_aggregated_gradients(aggregated)
-                optimizer.step()
-                if mask is not None:
-                    # Guard against regrowth through momentum / weight decay.
-                    mask.apply_to_weights(model)
-
-            # Flat sums over the events in issue order — the same accumulation
-            # order (and therefore the same floats) as the drained group log.
-            comm_seconds = float(
-                sum(e.time_seconds for per_bucket in bucket_events for e in per_bucket)
+            active_set, churn = faults.advance(
+                timeline.total_time, global_iteration, on_rejoin=step.on_rejoin
             )
-            comm_bytes = float(
-                sum(e.bytes_per_worker for per_bucket in bucket_events for e in per_bucket)
-            )
-            per_bucket_seconds = [
-                float(sum(e.time_seconds for e in per_bucket)) for per_bucket in bucket_events
-            ]
+            per_rank_losses, bucket_events = step.step(batches, active_set, epoch, iteration)
+
             iteration_compute = per_rank_compute
             if faults.faulty:
                 # Survivors only, each scaled by this iteration's churn draw
@@ -912,20 +535,17 @@ def _train_synchronous(
                 iteration_compute = [
                     per_rank_compute[rank] * churn[rank] for rank in faults.active
                 ]
-            trace = engine.run_iteration(
-                iteration_compute,
-                bucket_fractions,
-                per_bucket_seconds,
-            )
+            if bucket_events is None:
+                comm_seconds, comm_bytes = 0.0, 0.0
+                trace = engine.run_local_iteration(iteration_compute)
+            else:
+                comm_seconds, comm_bytes, per_bucket_seconds = _collective_cost(bucket_events)
+                trace = engine.run_iteration(iteration_compute, bucket_fractions, per_bucket_seconds)
             sim_base = timeline.total_time
             timeline.add_iteration(trace.compute_span, comm_seconds, comm_bytes, trace=trace)
             if faults.faulty:
-                timeline.note_degraded_iteration(
-                    world_size - len(faults.active), trace.wall_time
-                )
+                timeline.note_degraded_iteration(world_size - len(faults.active), trace.wall_time)
                 if TRACER.enabled and len(faults.active) < world_size:
-                    from repro.obs.tracer import SIM_SCHEDULE_TID  # noqa: PLC0415
-
                     TRACER.sim_span(
                         "fault/degraded-world", "fault", ts=sim_base,
                         dur=trace.wall_time, tid=SIM_SCHEDULE_TID,
@@ -937,10 +557,10 @@ def _train_synchronous(
                 # link channel's per-bucket reduce windows, the iteration
                 # critical path.  The increment of the timeline total is
                 # exactly trace.wall_time, so iterations tile the sim axis.
-                from repro.obs.instrument import emit_simulated_iteration  # noqa: PLC0415
-
                 emit_simulated_iteration(
-                    TRACER, sim_base, trace, bucket_fractions, timeline.iterations - 1
+                    TRACER, sim_base, trace,
+                    [] if bucket_events is None else bucket_fractions,
+                    timeline.iterations - 1,
                 )
                 TRACER.sim_now = timeline.total_time
             ddp.hook_state.iteration += 1
@@ -948,43 +568,86 @@ def _train_synchronous(
             epoch_losses.append(float(np.mean(per_rank_losses)))
             iteration += 1
 
-        accuracy = evaluate_accuracy(model, test_loader)
-        mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        timeline.snapshot_epoch(epoch, mean_loss, accuracy)
-
-        if target_accuracy is not None and accuracy >= target_accuracy:
-            reached_target = True
-            if stop_at_target:
-                break
-    return timeline, ddp, compressor, reached_target
+        step.flush(epoch, faults.active)
+        if run.end_epoch(epoch, epoch_losses):
+            break
+    return run.outcome()
 
 
-def _train_localsgd(
-    *,
-    model: Module,
-    test_loader: DataLoader,
-    method: MethodSpec,
-    schedule: SyncSchedule,
-    cluster: ClusterSpec,
-    epochs: int,
-    lr: float,
-    momentum: float,
-    weight_decay: float,
-    mask: Optional[PruningMask],
-    target_accuracy: Optional[float],
-    stop_at_target: bool,
-    max_iterations_per_epoch: Optional[int],
-    world_size: int,
-    plan,
-    compressor: Compressor,
-    ddp: DistributedDataParallel,
-    optimizer: SGD,
-    engine: SimulationEngine,
-    timeline: TrainingTimeline,
-    per_rank_compute: List[float],
-    bucket_fractions: List[float],
-    rank_loaders: List[DataLoader],
-) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
+class _SyncStep:
+    """One synchronous data-parallel iteration (the historical code path)."""
+
+    #: Every rank applies the same aggregated gradient to the one shared
+    #: model, so a returning rank has nothing of its own to refresh.
+    on_rejoin = None
+
+    def __init__(self, run: _Run, execution: str) -> None:
+        self.run = run
+        self.execution = execution
+        self.use_gse = run.method.gse and run.mask is not None
+
+    def step(self, batches, active_set, epoch: int, iteration: int):
+        run = self.run
+        ddp, model, mask = run.ddp, run.model, run.mask
+        with TRACER.span("train/backward", cat="train", epoch=epoch, iteration=iteration):
+            if (
+                self.execution == "batched"
+                and not ddp.is_degraded
+                and DistributedDataParallel._stackable(batches)
+            ):
+                images = np.stack([batch[0] for batch in batches])
+                labels = np.stack([np.asarray(batch[1]) for batch in batches])
+                per_rank_losses, grads = ddp.compute_batched_gradients(
+                    (images, labels), F.cross_entropy
+                )
+                if self.use_gse:
+                    # keep masks broadcast over the leading world axis:
+                    # (world, *shape) * (*shape) multiplies each rank's
+                    # slice exactly as the looped path does.
+                    grads = apply_gse(model, mask, grads=grads)
+                ddp.stage_world_gradients(grads)
+            else:
+                per_rank_losses = []
+                for rank, batch in enumerate(batches):
+                    if active_set is not None and rank not in active_set:
+                        # Dead rank: its shard's batch is consumed (data
+                        # order stays deterministic) but contributes no
+                        # gradient, loss or compute this iteration.
+                        continue
+                    # copy=False is safe because each rank's gradients are
+                    # staged into the arena before the next rank's backward
+                    # pass runs (GSE, when active, reads them in the same
+                    # window).
+                    loss_value, grads = ddp.compute_local_gradients(
+                        batch, F.cross_entropy, copy=False
+                    )
+                    if self.use_gse:
+                        grads = apply_gse(model, mask, grads=grads)
+                    ddp.stage_rank_gradients(rank, grads)
+                    per_rank_losses.append(loss_value)
+
+        # The gradient stacks stay referenced until the next step rebinds them
+        # (here and after the apply), as the loop's locals did before the step
+        # was carved out: released at return, glibc trims ~12 MB off the heap
+        # and faults it back in on the next backward (pactrain_pruned: 13 k ->
+        # 54 k minor faults per op, +5 % op cost).
+        self._grads = grads
+        with TRACER.span("train/sync", cat="train", epoch=epoch, iteration=iteration):
+            aggregated, bucket_events = ddp.synchronize_staged()
+        with TRACER.span("train/apply", cat="train", epoch=epoch, iteration=iteration):
+            ddp.apply_aggregated_gradients(aggregated)
+            run.optimizer.step()
+            if mask is not None:
+                # Guard against regrowth through momentum / weight decay.
+                mask.apply_to_weights(model)
+        self._aggregated = aggregated
+        return per_rank_losses, bucket_events
+
+    def flush(self, epoch: int, active: List[int]) -> None:
+        """Nothing to flush: every iteration ends synchronised."""
+
+
+class _LocalSGDStep:
     """Local SGD: H local optimiser steps per rank between averaging rounds.
 
     Each rank trains on its own diverged parameter/velocity replica
@@ -997,196 +660,111 @@ def _train_localsgd(
     all-reduces the raw fp32 parameters (the method's compressor is not
     consulted at the boundary — FedAvg-style exact averaging).
 
-    ``optimizer`` (the shared-model optimiser built by the dispatcher) is
-    unused: local steps go through the per-rank replicas' optimisers.
+    The run's shared-model optimiser is unused: local steps go through the
+    per-rank replicas' optimisers.  ``timeline.sync_rounds``/``local_steps``
+    are booked here, not by the loop: they stay zero on the synchronous path.
     """
-    del optimizer  # per-rank optimisers live in the ReplicaSet
-    period = schedule.period
-    model_wire_bytes = float(sum(p.size for p in model.parameters()) * 4)
-    faults = _FaultState(
-        plan, cluster, world_size, ddp, compressor, timeline, model_wire_bytes
-    )
-    replicas = ReplicaSet(
-        model, world_size, lr=lr, momentum=momentum, weight_decay=weight_decay
-    )
-    anchor = ddp.snapshot_parameters()
-    use_gse = method.gse and mask is not None
 
-    def on_rejoin(ranks: List[int]) -> None:
+    def __init__(
+        self, run: _Run, schedule: SyncSchedule, lr: float, momentum: float, weight_decay: float
+    ) -> None:
+        self.run = run
+        self.schedule = schedule
+        self.replicas = ReplicaSet(
+            run.model, run.world_size, lr=lr, momentum=momentum, weight_decay=weight_decay
+        )
+        self.anchor = run.ddp.snapshot_parameters()
+        self.use_gse = run.method.gse and run.mask is not None
+        self.window = 0  # local steps since the last averaging round
+
+    def on_rejoin(self, ranks: List[int]) -> None:
         # A returning rank starts from the last synced state with fresh
         # momentum (its broadcast cost was already charged by the fault
         # interpreter).
         for rank in ranks:
-            replicas.assign(rank, anchor)
-            replicas.reset_velocity(rank)
+            self.replicas.assign(rank, self.anchor)
+            self.replicas.reset_velocity(rank)
 
-    def sync_round(active: List[int]):
-        """Average the active replicas; returns (comm_s, comm_bytes, per_bucket_s)."""
-        nonlocal anchor
-        for rank in active:
-            if schedule.delta:
+    def _sync_round(self, active):
+        """Average the active replicas; returns the collective's bucket events."""
+        run, replicas, anchor = self.run, self.replicas, self.anchor
+        ddp = run.ddp
+        if self.schedule.delta:
+            for rank in active:
                 ddp.stage_rank_gradients(rank, replicas.delta(rank, anchor))
-            else:
-                ddp.stage_rank_gradients(rank, replicas.params_dict(rank))
-        if schedule.delta:
             aggregated, bucket_events = ddp.synchronize_staged()
-            new_params = {
-                name: anchor[name] + aggregated[name] for name in anchor
-            }
+            new_params = {name: anchor[name] + aggregated[name] for name in anchor}
         else:
+            for rank in active:
+                ddp.stage_rank_gradients(rank, replicas.params_dict(rank))
             # Dense parameter averaging: swap in the native all-reduce hook
             # for this collective so the raw fp32 parameters go on the wire.
             ddp.register_comm_hook(None)
             try:
-                aggregated, bucket_events = ddp.synchronize_staged()
+                new_params, bucket_events = ddp.synchronize_staged()
             finally:
-                ddp.register_comm_hook(compressor)
-            new_params = aggregated
-        for name, param in model.named_parameters():
+                ddp.register_comm_hook(run.compressor)
+        for name, param in run.model.named_parameters():
             param.data = new_params[name]
-        if mask is not None:
-            mask.apply_to_weights(model)
-        anchor = ddp.snapshot_parameters()
-        replicas.reset_all(anchor, active)
-        comm_seconds = float(
-            sum(e.time_seconds for per_bucket in bucket_events for e in per_bucket)
-        )
-        comm_bytes = float(
-            sum(e.bytes_per_worker for per_bucket in bucket_events for e in per_bucket)
-        )
-        per_bucket_seconds = [
-            float(sum(e.time_seconds for e in per_bucket)) for per_bucket in bucket_events
-        ]
-        return comm_seconds, comm_bytes, per_bucket_seconds
+        if run.mask is not None:
+            run.mask.apply_to_weights(run.model)
+        self.anchor = ddp.snapshot_parameters()
+        replicas.reset_all(self.anchor, active)
+        return bucket_events
 
-    global_iteration = 0
-    window = 0  # local steps since the last averaging round
-    reached_target = False
-    for epoch in range(epochs):
-        for loader in rank_loaders:
-            loader.set_epoch(epoch)
-        iterators = [iter(loader) for loader in rank_loaders]
-        epoch_losses: List[float] = []
-        iteration = 0
-        while True:
-            if max_iterations_per_epoch is not None and iteration >= max_iterations_per_epoch:
-                break
-            try:
-                batches = [next(it) for it in iterators]
-            except StopIteration:
-                break
-
-            active_set, churn = faults.advance(
-                timeline.total_time, global_iteration, on_rejoin=on_rejoin
-            )
-            active = faults.active if faults.faulty else list(range(world_size))
-
-            per_rank_losses: List[float] = []
-            with TRACER.span("train/backward", cat="train", epoch=epoch, iteration=iteration):
-                for rank, batch in enumerate(batches):
-                    if active_set is not None and rank not in active_set:
-                        # Dead rank: its shard's batch is consumed (data
-                        # order stays deterministic) but it takes no step.
-                        continue
-                    replicas.load(rank)
-                    loss_value, grads = ddp.compute_local_gradients(
-                        batch, F.cross_entropy, copy=False
-                    )
-                    if use_gse:
-                        grads = apply_gse(model, mask, grads=grads)
-                        ddp.apply_aggregated_gradients(grads)
-                    replicas.step(rank)
-                    if mask is not None:
-                        mask.apply_to_weights(model)
-                    replicas.save(rank)
-                    per_rank_losses.append(loss_value)
-
-            window += 1
-            is_boundary = window >= period
-            if is_boundary:
-                with TRACER.span(
-                    "regime/localsgd-sync", cat="regime",
-                    epoch=epoch, iteration=iteration, window=window,
-                ):
-                    comm_seconds, comm_bytes, per_bucket_seconds = sync_round(active)
-                timeline.sync_rounds += 1
-                window = 0
-            else:
-                comm_seconds, comm_bytes, per_bucket_seconds = 0.0, 0.0, []
-                timeline.local_steps += 1
-
-            iteration_compute = per_rank_compute
-            if faults.faulty:
-                iteration_compute = [
-                    per_rank_compute[rank] * churn[rank] for rank in faults.active
-                ]
-            if is_boundary:
-                trace = engine.run_iteration(
-                    iteration_compute, bucket_fractions, per_bucket_seconds
+    def step(self, batches, active_set, epoch: int, iteration: int):
+        run, replicas = self.run, self.replicas
+        ddp, model, mask = run.ddp, run.model, run.mask
+        per_rank_losses: List[float] = []
+        with TRACER.span("train/backward", cat="train", epoch=epoch, iteration=iteration):
+            for rank, batch in enumerate(batches):
+                if active_set is not None and rank not in active_set:
+                    # Dead rank: its shard's batch is consumed (data
+                    # order stays deterministic) but it takes no step.
+                    continue
+                replicas.load(rank)
+                loss_value, grads = ddp.compute_local_gradients(
+                    batch, F.cross_entropy, copy=False
                 )
-            else:
-                trace = engine.run_local_iteration(iteration_compute)
-            sim_base = timeline.total_time
-            timeline.add_iteration(trace.compute_span, comm_seconds, comm_bytes, trace=trace)
-            if faults.faulty:
-                timeline.note_degraded_iteration(
-                    world_size - len(faults.active), trace.wall_time
-                )
-            if TRACER.enabled:
-                from repro.obs.instrument import emit_simulated_iteration  # noqa: PLC0415
+                if self.use_gse:
+                    grads = apply_gse(model, mask, grads=grads)
+                    ddp.apply_aggregated_gradients(grads)
+                replicas.step(rank)
+                if mask is not None:
+                    mask.apply_to_weights(model)
+                replicas.save(rank)
+                per_rank_losses.append(loss_value)
 
-                emit_simulated_iteration(
-                    TRACER, sim_base, trace,
-                    bucket_fractions if is_boundary else [],
-                    timeline.iterations - 1,
-                )
-                TRACER.sim_now = timeline.total_time
-            ddp.hook_state.iteration += 1
-            global_iteration += 1
-            epoch_losses.append(float(np.mean(per_rank_losses)))
-            iteration += 1
+        self.window += 1
+        if self.window < self.schedule.period:
+            run.timeline.local_steps += 1
+            return per_rank_losses, None
+        # Stage in rank order (the fault interpreter's membership order).
+        active = range(run.world_size) if active_set is None else sorted(active_set)
+        with TRACER.span(
+            "regime/localsgd-sync", cat="regime",
+            epoch=epoch, iteration=iteration, window=self.window,
+        ):
+            bucket_events = self._sync_round(active)
+        run.timeline.sync_rounds += 1
+        self.window = 0
+        return per_rank_losses, bucket_events
 
-        if window > 0:
-            # Flush a partially filled window so evaluation (and the final
-            # model) sees the averaged parameters, not one rank's replica.
-            active = faults.active if faults.faulty else list(range(world_size))
-            with TRACER.span("regime/localsgd-flush", cat="regime", epoch=epoch, window=window):
-                comm_seconds, comm_bytes, _ = sync_round(active)
-            timeline.add_sync_round(comm_seconds, comm_bytes)
-            window = 0
-
-        accuracy = evaluate_accuracy(model, test_loader)
-        mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        timeline.snapshot_epoch(epoch, mean_loss, accuracy)
-
-        if target_accuracy is not None and accuracy >= target_accuracy:
-            reached_target = True
-            if stop_at_target:
-                break
-    return timeline, ddp, compressor, reached_target
+    def flush(self, epoch: int, active: List[int]) -> None:
+        """Average a partially filled window, so evaluation (and the final
+        model) sees the averaged parameters, not one rank's replica."""
+        if self.window == 0:
+            return
+        with TRACER.span(
+            "regime/localsgd-flush", cat="regime", epoch=epoch, window=self.window
+        ):
+            comm_seconds, comm_bytes, _ = _collective_cost(self._sync_round(active))
+        self.run.timeline.add_sync_round(comm_seconds, comm_bytes)
+        self.window = 0
 
 
 def _train_async_ps(
-    *,
-    model: Module,
-    test_loader: DataLoader,
-    method: MethodSpec,
-    schedule: SyncSchedule,
-    cluster: ClusterSpec,
-    epochs: int,
-    seed: int,
-    mask: Optional[PruningMask],
-    target_accuracy: Optional[float],
-    stop_at_target: bool,
-    max_iterations_per_epoch: Optional[int],
-    world_size: int,
-    plan,
-    compressor: Compressor,
-    ddp: DistributedDataParallel,
-    optimizer: SGD,
-    timeline: TrainingTimeline,
-    per_rank_compute: List[float],
-    rank_loaders: List[DataLoader],
+    run: _Run, schedule: SyncSchedule, seed: int
 ) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
     """Stale-gradient asynchronous parameter server on the event engine.
 
@@ -1205,31 +783,27 @@ def _train_async_ps(
     carry the dense fp32 parameters.  Busy compute/comm time accumulates per
     update, and the timeline total is reconciled to the event clock at every
     epoch snapshot (see ``TrainingTimeline.reconcile_async_total``).
+
+    With no iteration barrier this is an event loop of its own, not a step of
+    :func:`_train_stepped`; it shares the run and :meth:`_Run.end_epoch`.
     """
-    if mask is not None or method.gse:
-        raise ValueError(
-            "async parameter-server mode does not support pruning/GSE methods: "
-            "the mask lifecycle assumes a synchronous view of the parameters"
-        )
+    compressor, ddp, timeline = run.compressor, run.ddp, run.timeline
+    epochs, world_size = run.epochs, run.world_size
+    rank_loaders, per_rank_compute = run.rank_loaders, run.per_rank_compute
     assert isinstance(compressor, CodecCompressor)  # dispatcher validated
     staleness_bound = schedule.staleness
-    cost_model = cluster.cost_model_for(world_size)
-    model_wire_bytes = float(sum(p.size for p in model.parameters()) * 4)
+    cost_model = run.cluster.cost_model_for(world_size)
+    model_wire_bytes = run.model_wire_bytes
     pull_seconds = cost_model.p2p_time(model_wire_bytes)
 
     iters_per_epoch = min(len(loader) for loader in rank_loaders)
-    if max_iterations_per_epoch is not None:
-        iters_per_epoch = min(iters_per_epoch, max_iterations_per_epoch)
-    reached_target = False
+    if run.max_iterations_per_epoch is not None:
+        iters_per_epoch = min(iters_per_epoch, run.max_iterations_per_epoch)
     if iters_per_epoch == 0:
         for epoch in range(epochs):
-            accuracy = evaluate_accuracy(model, test_loader)
-            timeline.snapshot_epoch(epoch, float("nan"), accuracy)
-            if target_accuracy is not None and accuracy >= target_accuracy:
-                reached_target = True
-                if stop_at_target:
-                    break
-        return timeline, ddp, compressor, reached_target
+            if run.end_epoch(epoch, []):
+                break
+        return run.outcome()
     total_per_worker = epochs * iters_per_epoch
 
     # Per-worker codec pipelines: stage state (low-rank warm starts, stage
@@ -1238,7 +812,7 @@ def _train_async_ps(
     # instance, which doubles as the run's stats carrier.
     worker_codecs: List[CodecCompressor] = [compressor]
     for _ in range(1, world_size):
-        clone = method.build_compressor(seed=seed)
+        clone = run.method.build_compressor(seed=seed)
         assert isinstance(clone, CodecCompressor)
         worker_codecs.append(clone)
     driver_ef = compressor.error_feedback
@@ -1246,8 +820,6 @@ def _train_async_ps(
     residuals: List[List[Optional[np.ndarray]]] = [
         [None] * len(buckets) for _ in range(world_size)
     ]
-
-    from repro.compression.codec import EncodeContext  # noqa: PLC0415
 
     heap = EventHeap()
     channel = LinkChannel()
@@ -1348,7 +920,7 @@ def _train_async_ps(
             for bucket, flat in zip(buckets, state["decoded"]):
                 aggregated.update(bucket.unflatten(flat))
             ddp.apply_aggregated_gradients(aggregated)
-            optimizer.step()
+            run.optimizer.step()
             staleness = applies - version_at_pull[rank]
             applies += 1
             completed[rank] += 1
@@ -1360,8 +932,6 @@ def _train_async_ps(
             )
             epoch_loss_buckets[state["epoch"]].append(state["loss"])
             if TRACER.enabled:
-                from repro.obs.instrument import emit_ps_update  # noqa: PLC0415
-
                 emit_ps_update(
                     TRACER,
                     rank=rank,
@@ -1380,15 +950,9 @@ def _train_async_ps(
                 and min(completed) >= (snapshots_done + 1) * iters_per_epoch
             ):
                 timeline.reconcile_async_total(now)
-                accuracy = evaluate_accuracy(model, test_loader)
-                losses = epoch_loss_buckets[snapshots_done]
-                mean_loss = float(np.mean(losses)) if losses else float("nan")
-                timeline.snapshot_epoch(snapshots_done, mean_loss, accuracy)
+                # On a stop the in-flight work is discarded.
+                stop = run.end_epoch(snapshots_done, epoch_loss_buckets[snapshots_done]) or stop
                 snapshots_done += 1
-                if target_accuracy is not None and accuracy >= target_accuracy:
-                    reached_target = True
-                    if stop_at_target:
-                        stop = True  # in-flight work is discarded
             if not stop and completed[rank] < total_per_worker:
                 heap.push(SimEvent(time=now, kind="ps-request", rank=rank))
             # This apply raised min-progress (or freed the channel): re-admit
@@ -1400,7 +964,7 @@ def _train_async_ps(
         else:  # pragma: no cover - no other kinds are scheduled
             raise RuntimeError(f"unexpected event kind {event.kind!r}")
 
-    return timeline, ddp, compressor, reached_target
+    return run.outcome()
 
 
 # --------------------------------------------------------------------------- #
@@ -1416,6 +980,9 @@ def run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentRe
     (:func:`repro.tensorlib.backend.use_backend`); both are restored on exit
     even when the run raises.
     """
+    # Reject an unsupported regime x fault-plan cell before any work is done
+    # (the method's own regime x pruning check ran at spec construction).
+    config.cluster.fault_plan().validate_for_regime(method.schedule().regime)
     with default_dtype(config.dtype), use_backend(config.backend):
         with TRACER.span(
             "experiment", cat="experiment",
@@ -1424,7 +991,15 @@ def run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentRe
             return _run_experiment(config, method)
 
 
-def _run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentResult:
+def _prepare_workload(
+    config: ExperimentConfig, method: MethodSpec
+) -> Tuple[Module, object, DataLoader, Optional[PruningMask]]:
+    """``(model, train_set, test_loader, mask)`` for one cell, deterministically.
+
+    Materialises the dataset, builds the model, pre-trains it briefly (the
+    stand-in for "start from a pre-trained model") and applies the method's
+    pruning step.
+    """
     dataset = make_dataset(
         config.dataset,
         num_samples=config.dataset_samples,
@@ -1437,11 +1012,15 @@ def _run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentR
 
     model = build_model(config.model, num_classes=dataset.num_classes, seed=config.seed)
 
-    # Pre-train briefly (stand-in for "start from a pre-trained model"), then prune.
     pretrain_loader = DataLoader(train_set, batch_size=config.batch_size, shuffle=True, seed=config.seed)
     _pretrain(model, pretrain_loader, config.pretrain_iterations, config.lr)
     sample_batch = next(iter(pretrain_loader))
     mask = _prune_model(model, method, sample_batch)
+    return model, train_set, test_loader, mask
+
+
+def _run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentResult:
+    model, train_set, test_loader, mask = _prepare_workload(config, method)
     sparsity_cache = _WeightSparsityCache()
 
     timeline, ddp, compressor, reached_target = train_distributed(
@@ -1491,7 +1070,11 @@ def _run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentR
         comm_bytes_per_worker=timeline.comm_bytes_per_worker,
         final_accuracy=timeline.final_accuracy(),
         best_accuracy=timeline.best_accuracy(),
-        tta=timeline.time_to_accuracy(config.target_accuracy) if config.target_accuracy else None,
+        tta=(
+            timeline.time_to_accuracy(config.target_accuracy)
+            if config.target_accuracy is not None
+            else None
+        ),
         target_accuracy=config.target_accuracy,
         accuracy_trace=timeline.accuracy_trace(),
         loss_trace=[record.train_loss for record in timeline.epochs],
@@ -1531,8 +1114,7 @@ def run_method_comparison(
     pre-campaign behaviour of the plain loop this used to be).
     """
     # Imported lazily: repro.campaign builds on this module.
-    from repro.campaign.runner import run_campaign  # noqa: PLC0415
-    from repro.campaign.spec import CampaignCell  # noqa: PLC0415
+    from repro.campaign import CampaignCell, run_campaign  # noqa: PLC0415
 
     methods = list(methods) if methods is not None else list(PAPER_METHODS.values())
     cells = [CampaignCell(config=config, method=method) for method in methods]

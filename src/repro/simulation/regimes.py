@@ -2,7 +2,7 @@
 
 A :class:`SyncSchedule` describes *when* the simulated ranks synchronise —
 orthogonally to *what* they put on the wire (the compressor spec).  It is
-carried as a compact string on :class:`~repro.simulation.experiment.MethodSpec`
+carried as a compact string on :class:`~repro.simulation.spec.MethodSpec`
 (``sync_schedule``), making the regime a first-class campaign axis, and parsed
 with the same registry-of-parsers style as the codec spec grammar
 (:func:`repro.compression.codec.parse_compressor_spec`).
@@ -32,7 +32,6 @@ tests pin this bit-identically for every golden method.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -321,40 +320,3 @@ class TrainingCheckpoint:
     #: drifts during training on unmasked models).
     per_rank_compute: List[float]
     bucket_fractions: List[float]
-
-    @classmethod
-    def capture(
-        cls,
-        *,
-        ddp,
-        optimizer: SGD,
-        compressor,
-        timeline,
-        epoch: int,
-        iteration_in_epoch: int,
-        global_iteration: int,
-        epoch_losses: List[float],
-        fault_cursor: float,
-        active_ranks: List[int],
-        link_factor: float,
-        reached_target: bool,
-        per_rank_compute,
-        bucket_fractions,
-    ) -> "TrainingCheckpoint":
-        return cls(
-            params=ddp.snapshot_parameters(),
-            velocities=optimizer.state_arrays(),
-            compressor=copy.deepcopy(compressor),
-            timeline=copy.deepcopy(timeline),
-            epoch=epoch,
-            iteration_in_epoch=iteration_in_epoch,
-            global_iteration=global_iteration,
-            epoch_losses=list(epoch_losses),
-            fault_cursor=fault_cursor,
-            active_ranks=list(active_ranks),
-            link_factor=link_factor,
-            reached_target=reached_target,
-            hook_iteration=ddp.hook_state.iteration,
-            per_rank_compute=list(per_rank_compute),
-            bucket_fractions=list(bucket_fractions),
-        )

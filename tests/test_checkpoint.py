@@ -22,43 +22,14 @@ import numpy as np
 import pytest
 
 from repro import golden
-from repro.data import DataLoader, make_dataset, train_test_split
-from repro.nn.models import build_model
-from repro.simulation.experiment import (
-    MethodSpec,
-    _pretrain,
-    _prune_model,
-    train_distributed,
-)
+from repro.simulation.experiment import MethodSpec, _prepare_workload, train_distributed
 from repro.simulation.regimes import TrainingCheckpoint
 
 METHOD = MethodSpec(name="topk-0.01", compressor="topk-0.01")
 
 
-def _setup(config, method):
-    """Mirror ``_run_experiment``'s data/model preparation deterministically."""
-    dataset = make_dataset(
-        config.dataset,
-        num_samples=config.dataset_samples,
-        image_size=config.image_size,
-        noise_std=config.noise_std,
-        seed=config.seed,
-    )
-    train_set, test_set = train_test_split(
-        dataset, test_fraction=config.test_fraction, seed=config.seed
-    )
-    test_loader = DataLoader(test_set, batch_size=config.batch_size)
-    model = build_model(config.model, num_classes=dataset.num_classes, seed=config.seed)
-    pretrain_loader = DataLoader(
-        train_set, batch_size=config.batch_size, shuffle=True, seed=config.seed
-    )
-    _pretrain(model, pretrain_loader, config.pretrain_iterations, config.lr)
-    mask = _prune_model(model, method, next(iter(pretrain_loader)))
-    return model, train_set, test_loader, mask
-
-
 def _run(config, method, **kwargs):
-    model, train_set, test_loader, mask = _setup(config, method)
+    model, train_set, test_loader, mask = _prepare_workload(config, method)
     timeline, ddp, compressor, reached = train_distributed(
         model=model,
         train_dataset=train_set,

@@ -131,7 +131,7 @@ class TestCrossModelIntegration:
         assert result.weight_sparsity > 0.2
 
     def test_quantized_pactrain_sends_fewer_bytes_than_fp32_variant(self):
-        from repro.simulation.experiment import PACTRAIN_FP32
+        from repro.simulation.spec import PACTRAIN_FP32
 
         config = quick_config("100Mbps", epochs=2)
         quantized = run_experiment(config, PAPER_METHODS["pactrain"])

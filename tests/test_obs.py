@@ -15,6 +15,8 @@ Covers the layer's load-bearing guarantees:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.comm import NetworkModel, ProcessGroup
 from repro.comm.network import MBPS
 from repro.compression import FP16Compressor, NoCompression, build_compressor
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
+from repro.golden import GOLDEN_CONFIG
 from repro.obs import BUCKET_BOUNDS, SIM_SCHEDULE_TID, TRACER, Histogram, MetricsRegistry
 from repro.obs.export import (
     chrome_trace,
@@ -438,6 +441,24 @@ class TestExperimentTracing:
         TRACER.disable()
         assert traced.to_dict() == plain.to_dict()
         assert len(events) > 0  # the traced run did record
+
+    def test_faulty_localsgd_run_emits_degraded_world_spans(self):
+        # Degraded iterations are booked at one site for both barrier
+        # regimes; every one of them shows as a span on the sim clock.
+        config = dataclasses.replace(
+            GOLDEN_CONFIG,
+            cluster=ClusterSpec(
+                world_size=4, bandwidth="100Mbps", faults="crash:3@0.001,rejoin:3@0.003"
+            ),
+        )
+        method = dataclasses.replace(PAPER_METHODS["topk-0.01"], sync_schedule="localsgd:4:delta")
+        TRACER.enable()
+        result = run_experiment(config, method)
+        events = TRACER.events()
+        TRACER.disable()
+        degraded = [e for e in events if e["name"] == "fault/degraded-world"]
+        assert result.degraded_iterations >= 1
+        assert len(degraded) == result.degraded_iterations
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ The regime seam is locked down from four directions:
 
 * the ``sync_schedule`` spec grammar (``"localsgd:H"``, ``"localsgd:H:delta"``,
   ``"ps:S"``) parses, canonicalises and round-trips through
-  :class:`~repro.simulation.experiment.MethodSpec` dicts, and rejects
+  :class:`~repro.simulation.spec.MethodSpec` dicts, and rejects
   malformed specs loudly — property-tested with Hypothesis;
 * **regime parity**: ``localsgd:1`` must reproduce today's synchronous path
   *bit-identically* for every golden method — averaging after every step is
@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import golden
-from repro.campaign.spec import METHOD_FIELD_AXES, build_cell
+from repro.campaign.spec import METHOD_FIELD_AXES, CampaignSpec, build_cell
 from repro.comm import ProcessGroup
 from repro.compression import (
     Compressor,
@@ -353,17 +353,63 @@ class TestAsyncParameterServer:
             run_experiment(config, _ps_method(2))
 
     def test_ps_rejects_pruning_methods(self):
-        method = dataclasses.replace(
-            golden.GOLDEN_METHODS["pactrain"], name="p", sync_schedule="ps:2"
-        )
-        with pytest.raises(ValueError):
-            run_experiment(golden.GOLDEN_CONFIG, method)
+        # Rejected at spec construction, before a campaign could dispatch it.
+        with pytest.raises(ValueError, match="parameter-server mode does not support pruning"):
+            dataclasses.replace(
+                golden.GOLDEN_METHODS["pactrain"], name="p", sync_schedule="ps:2"
+            )
 
     def test_ps_rejects_non_codec_compressors(self):
         register_compressor("plain-mean", _PlainMean)
         method = MethodSpec(name="p", compressor="plain-mean", sync_schedule="ps:2")
         with pytest.raises(ValueError, match="codec"):
             run_experiment(golden.GOLDEN_CONFIG, method)
+
+    def test_fault_plan_is_rejected_before_any_work(self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("the dataset was built before the cell was rejected")
+
+        monkeypatch.setattr("repro.simulation.experiment.make_dataset", spy)
+        config = dataclasses.replace(
+            golden.GOLDEN_CONFIG,
+            cluster=ClusterSpec(world_size=4, bandwidth="100Mbps", faults="churn:0.2"),
+        )
+        with pytest.raises(ValueError, match="parameter-server"):
+            run_experiment(config, _ps_method(2))
+
+
+# --------------------------------------------------------------------------- #
+# The epoch end every regime shares
+# --------------------------------------------------------------------------- #
+_EPOCH_END_CASES = {
+    "stop-at-target": dict(target_accuracy=0.0, stop_at_target=True),
+    "target-without-stop": dict(target_accuracy=0.0),
+    "unreachable-target": dict(target_accuracy=2.0, stop_at_target=True),
+    "zero-iteration-epochs": dict(max_iterations_per_epoch=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EPOCH_END_CASES))
+@pytest.mark.parametrize("regime", ["sync", "localsgd:4", "localsgd:4:delta", "ps:2"])
+def test_epoch_end_contract(regime, case):
+    config = dataclasses.replace(golden.GOLDEN_CONFIG, **_EPOCH_END_CASES[case])
+    method = MethodSpec(name="m", compressor="topk-0.01", sync_schedule=regime)
+    result = run_experiment(config, method)
+    if case == "stop-at-target":
+        assert result.epochs_run == 1 and result.reached_target
+        assert result.tta == result.accuracy_trace[0][0]
+    elif case == "target-without-stop":
+        assert result.epochs_run == config.epochs and result.reached_target
+        assert result.tta == result.accuracy_trace[0][0]
+    elif case == "unreachable-target":
+        assert result.epochs_run == config.epochs and not result.reached_target
+        assert result.tta is None
+        assert result.tta_or_total() == result.simulated_time
+    else:
+        assert result.epochs_run == config.epochs
+        assert result.iterations_run == 0 and result.simulated_time == 0.0
+        assert len(result.loss_trace) == config.epochs
+        assert all(np.isnan(loss) for loss in result.loss_trace)
 
 
 # --------------------------------------------------------------------------- #
@@ -388,3 +434,14 @@ class TestCampaignAxis:
     def test_invalid_schedule_fails_at_cell_expansion(self):
         with pytest.raises(ValueError):
             build_cell({"method": "topk-0.01", "sync_schedule": "localsgd:0"})
+
+    def test_unsupported_ps_cells_fail_at_campaign_expansion(self):
+        pruned = CampaignSpec(axes={"method": ["all-reduce", "pactrain"], "sync_schedule": ["ps:2"]})
+        with pytest.raises(ValueError, match="does not support pruning"):
+            pruned.expand()
+        faulty = CampaignSpec(
+            base={"faults": "crash:3@0.002,rejoin:3@0.008"},
+            axes={"method": ["topk-0.01"], "sync_schedule": ["sync", "ps:2"]},
+        )
+        with pytest.raises(ValueError, match="fault plans are not supported"):
+            faulty.expand()

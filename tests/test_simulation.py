@@ -148,8 +148,7 @@ class TestMethodSpec:
         assert not compressor.allreduce_compatible  # top-k forces all-gather
 
 
-_METHODS = st.builds(
-    MethodSpec,
+_METHODS = st.fixed_dictionaries(dict(
     name=st.text(max_size=8),
     compressor=st.sampled_from(["allreduce", "fp16", "topk-0.01", "pactrain", "ef+topk0.01+terngrad"]),
     pruning_ratio=st.floats(0.0, 0.9),
@@ -161,7 +160,10 @@ _METHODS = st.builds(
     warmup_iterations=st.integers(0, 5),
     error_feedback=st.sampled_from([None, True, False]),
     sync_schedule=st.sampled_from([None, "", "sync", "localsgd:4", "localsgd:2:delta", "ps:2"]),
-)
+)).filter(
+    # ps x pruning/GSE is rejected at spec construction.
+    lambda kw: kw["sync_schedule"] != "ps:2" or not (kw["pruning_ratio"] > 0.0 or kw["gse"])
+).map(lambda kw: MethodSpec(**kw))
 _CLUSTERS = st.builds(
     ClusterSpec,
     world_size=st.just(4),
