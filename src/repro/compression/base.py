@@ -29,6 +29,7 @@ from repro.compression.codec.pipeline import Pipeline, as_pipeline
 from repro.compression.codec.stages import Codec, EncodeContext, remap_rank_rows
 from repro.ddp.bucket import GradBucket
 from repro.obs.tracer import NULL_SPAN, TRACER
+from repro.tensorlib.dtypes import float_dtype_of
 
 #: With tracing enabled, lossy pipelines sample an exact-average NMSE every
 #: this many iterations per bucket (full exact averages every step would
@@ -144,18 +145,33 @@ class CodecCompressor(Compressor):
     2. **reduces** the payloads with an all-reduce when they are element-wise
        summable, otherwise **gathers** them — the collective layer charges the
        network model from ``payload.nbytes``;
-    3. **decodes** back to the dense average gradient, accumulating gathered
-       payloads into one preallocated buffer (peak memory O(numel)).
+    3. **decodes** back to the dense average gradient, accumulating each
+       gathered payload's decoded form into one result vector — only the
+       carried coordinates of a selection, which is never densified (peak
+       memory O(numel), work O(k) per rank).
 
     With ``error_feedback=True`` the driver additionally keeps one residual
     matrix per bucket — the ``(world_size, numel)`` gradient mass each rank's
-    *own* encoding failed to represent.  Encoding then sees the compensated
-    gradient ``grad + residual`` and, after encoding, the residual is rewritten
-    to ``input - decode(own payload)``, so every coordinate a lossy compressor
+    *own* encoding failed to represent — and compensates **in place**: the
+    step's gradients are added into the residual (``residual += grad``), the
+    residual rows *are* the encode inputs, and after the collective each row
+    has its own decoded payload subtracted, so it again holds
+    ``input - decode(own payload)`` and every coordinate a lossy compressor
     drops is retransmitted once the accumulated error grows large enough
-    (EF-SGD, Karimireddy et al., 2019).  The residual buffers are owned by the
-    compressor — never views into the DDP gradient arena — so they survive
-    arena staging and bucket reuse across iterations.
+    (EF-SGD, Karimireddy et al., 2019).  For a selection that subtraction
+    touches only the transmitted coordinates.
+
+    **Aliasing contract.**  The residual buffers are owned by the compressor:
+    allocated here, never adopted from a caller (not the DDP gradient arena,
+    not a degraded membership's fancy copy, not a list-backed bucket's rows),
+    so they survive arena staging and bucket reuse across iterations.  During
+    one ``aggregate`` call the pipeline's stages *read* them — as
+    ``EncodeContext.matrix`` and as the ``DensePayload`` values of the first
+    stage — and must not write them or keep a reference past the call; a
+    pass-through stage may return them as its payload, which is why the
+    residual is rewritten only after the collective (which never mutates its
+    inputs) has consumed the payloads.  ``residual(bucket)`` hands out the live
+    buffer: copy it to keep a snapshot.
 
     Subclasses may override :meth:`_pipeline_for` to pick the pipeline
     adaptively per bucket/iteration (PacTrain's stable/fallback switch).
@@ -267,6 +283,24 @@ class CodecCompressor(Compressor):
         """Pipeline used for this bucket synchronisation (static by default)."""
         return self.pipeline
 
+    def _compensate(self, bucket: GradBucket) -> np.ndarray:
+        """``residual += grad`` in place; returns the bucket's residual matrix.
+
+        The first call, or a bucket that changed world size, length or dtype,
+        starts from zeros — allocated here, so the residual never aliases the
+        caller's rows.  Rows are added one by one: list-backed buckets are
+        never stacked.
+        """
+        buffers = bucket.buffers
+        shape = (bucket.world_size, bucket.numel)
+        dtype = np.asarray(buffers[0]).dtype
+        residual = self._residuals.get(bucket.index)
+        if residual is None or residual.shape != shape or residual.dtype != dtype:
+            residual = self._residuals[bucket.index] = np.zeros(shape, dtype=dtype)
+        for row, grad in zip(residual, buffers):
+            np.add(grad, row, out=row)
+        return residual
+
     def aggregate(self, bucket: GradBucket, group: ProcessGroup, iteration: int = 0) -> np.ndarray:
         pipeline = self._pipeline_for(bucket, group, iteration)
         # Arena-backed buckets hand first-stage matrix consumers (batched
@@ -274,23 +308,14 @@ class CodecCompressor(Compressor):
         # list-backed buckets pass None so pipelines that never read the
         # matrix don't pay for a stack.
         matrix = bucket.materialized_matrix
-        buffers: Sequence[np.ndarray] = bucket.buffers
+        buffers: List[np.ndarray] = bucket.buffers
 
         residual: Optional[np.ndarray] = None
         if self.error_feedback:
-            residual = self._residuals.get(bucket.index)
-            if residual is None or residual.shape != (bucket.world_size, bucket.numel):
-                residual = np.zeros(
-                    (bucket.world_size, bucket.numel), dtype=np.asarray(buffers[0]).dtype
-                )
-            # Compensate: encode grad + residual.  The sum is a fresh matrix —
-            # it must not alias the arena (whose rows are rewritten next step)
-            # nor the residual buffer (rewritten below from these inputs).
-            if matrix is not None:
-                matrix = matrix + residual
-            else:
-                matrix = np.stack(buffers) + residual
-            buffers = list(matrix)
+            # The compensated gradients live in the residual itself: its rows
+            # are the encode inputs until they are rewritten below.
+            matrix = residual = self._compensate(bucket)
+            buffers = list(residual)
 
         ctx = EncodeContext(
             world_size=bucket.world_size,
@@ -307,20 +332,17 @@ class CodecCompressor(Compressor):
         ) if traced else NULL_SPAN:
             payloads = pipeline.encode_all(buffers, ctx)
         wire_nbytes = max(payload.nbytes for payload in payloads) if traced else 0
+        # The NMSE reference must be taken while ``buffers`` still hold this
+        # step's inputs — under error feedback they are residual rows.
+        exact: Optional[np.ndarray] = None
+        if traced and not self.lossless and iteration % NMSE_SAMPLE_EVERY == 0:
+            exact = exact_average(buffers)
 
         # Route on the pipeline's static property; the collective layer still
         # validates per-payload reducibility, so a stage that wrongly claims
         # compatibility fails loudly rather than silently gathering.
         reducible = pipeline.allreduce_compatible
         if reducible:
-            if residual is not None:
-                # residual_r = input_r - decode(rank r's own payload): exactly
-                # the gradient mass rank r's encoding dropped this step.
-                for rank, payload in enumerate(payloads):
-                    np.subtract(
-                        buffers[rank], pipeline.decode(payload), out=residual[rank],
-                        casting="unsafe",
-                    )
             with TRACER.span(
                 "codec/reduce", cat="codec", bucket=bucket.index, bytes=int(wire_nbytes)
             ) if traced else NULL_SPAN:
@@ -329,6 +351,13 @@ class CodecCompressor(Compressor):
                 "codec/decode", cat="codec", bucket=bucket.index
             ) if traced else NULL_SPAN:
                 result = pipeline.decode(reduced)
+            if residual is not None:
+                # residual_r = input_r - decode(rank r's own payload): exactly
+                # the gradient mass rank r's encoding dropped this step.  Only
+                # now: a pass-through payload's values *are* the residual row,
+                # and the all-reduce above had to read them first.
+                for rank, payload in enumerate(payloads):
+                    pipeline.decode_payload(payload).subtract_from(residual[rank])
         else:
             with TRACER.span(
                 "codec/gather", cat="codec", bucket=bucket.index, bytes=int(wire_nbytes)
@@ -339,48 +368,48 @@ class CodecCompressor(Compressor):
             ) if traced else NULL_SPAN:
                 result = None
                 for rank, payload in enumerate(gathered):
-                    decoded = pipeline.decode(payload)
+                    # A selection stays sparse: O(k) per rank, nothing densified.
+                    decoded = pipeline.decode_payload(payload)
                     if residual is not None:
                         # The gathered payloads are per-rank copies of the
                         # local ones, so the same decode serves both the
                         # average and the residual update.
-                        np.subtract(buffers[rank], decoded, out=residual[rank], casting="unsafe")
+                        decoded.subtract_from(residual[rank])
                     if result is None:
-                        result = np.zeros(bucket.numel, dtype=decoded.dtype)
-                    np.add(result, decoded, out=result)
+                        result = np.zeros(bucket.numel, dtype=float_dtype_of(decoded.values))
+                    decoded.add_to(result)
                 result /= bucket.world_size
 
-        if residual is not None:
-            self._residuals[bucket.index] = residual
         self._record(bucket, payloads, used_allgather=not reducible)
         if traced and TRACER.enabled:
-            self._observe(bucket, buffers, result, wire_nbytes, iteration)
+            self._observe(bucket, exact, result, wire_nbytes, iteration)
         return result
 
     def _observe(
         self,
         bucket: GradBucket,
-        buffers: Sequence[np.ndarray],
+        exact: Optional[np.ndarray],
         result: np.ndarray,
         wire_nbytes: float,
         iteration: int,
     ) -> None:
         """Publish per-aggregation metrics (only called while tracing).
 
-        Everything here is read-only over the aggregation's inputs and
-        output, so an observed run stays bit-identical to an unobserved one.
-        The exact-average NMSE is sampled every :data:`NMSE_SAMPLE_EVERY`
-        iterations because it costs a full lossless aggregation.
+        Everything here is read-only over the aggregation's output, so an
+        observed run stays bit-identical to an unobserved one.  ``exact`` is
+        the exact average of the encode inputs, sampled by the caller every
+        :data:`NMSE_SAMPLE_EVERY` iterations because it costs a full lossless
+        aggregation (``None`` otherwise).
         """
         metrics = TRACER.metrics
         metrics.inc("codec.aggregations")
         metrics.inc("codec.wire_bytes", float(wire_nbytes))
         metrics.inc("codec.raw_bytes", float(bucket.numel * FP32_BYTES))
         metrics.observe("codec.payload_bytes", float(wire_nbytes))
-        if not self.lossless and iteration % NMSE_SAMPLE_EVERY == 0:
+        if exact is not None:
             from repro.metrics.nmse import nmse  # noqa: PLC0415
 
-            value = float(nmse(exact_average(list(buffers)), result))
+            value = float(nmse(exact, result))
             metrics.observe("codec.nmse", value)
             TRACER.instant(
                 "codec/nmse", cat="codec",

@@ -40,6 +40,13 @@ class WirePayload:
     :meth:`reduce_values` (the dense float64 view summed during reduction) and
     :meth:`with_reduced` (rebuild a payload of the same structure around
     reduced values).
+
+    Two payloads are also the **decoded forms** a pipeline's decode ends in —
+    :class:`DensePayload` and :class:`SparsePayload` — and share the three
+    operations the aggregation driver applies to a decoded gradient without
+    asking which one it holds: :meth:`densify`, :meth:`add_to` and
+    :meth:`subtract_from`.  On a selection the last two touch only the
+    carried coordinates, which is what keeps aggregation O(k) per rank.
     """
 
     @property
@@ -99,6 +106,18 @@ class DensePayload(WirePayload):
 
     def with_reduced(self, values: np.ndarray) -> "DensePayload":
         return DensePayload(values, element_bytes=self.element_bytes)
+
+    def densify(self) -> np.ndarray:
+        """The values themselves, as a compute-dtype array (no copy)."""
+        return as_compute_array(self.values)
+
+    def add_to(self, out: np.ndarray) -> None:
+        """``out += values`` in place."""
+        np.add(out, self.values, out=out)
+
+    def subtract_from(self, out: np.ndarray) -> None:
+        """``out -= values`` in place (``out`` may be the values themselves)."""
+        np.subtract(out, self.values, out=out, casting="unsafe")
 
 
 @dataclass(frozen=True)
@@ -209,6 +228,21 @@ class SparsePayload(WirePayload):
         dense = np.zeros(self.numel, dtype=float_dtype_of(np.asarray(self.values)))
         dense[self.indices] = self.values
         return dense
+
+    def add_to(self, out: np.ndarray) -> None:
+        """``out += densify()`` touching only the selected coordinates.
+
+        Exact, not approximate: indices are unique, and every skipped
+        coordinate would have added ``+0.0``, which changes no value an
+        accumulator started at ``+0.0`` can hold (a sum is ``-0.0`` only when
+        both addends are).
+        """
+        out[self.indices] += self.values
+
+    def subtract_from(self, out: np.ndarray) -> None:
+        """``out -= densify()`` touching only the selected coordinates
+        (``x - 0.0`` is ``x`` for every ``x``, ``-0.0`` and NaN included)."""
+        out[self.indices] -= self.values
 
 
 def pack_ternary(codes: np.ndarray) -> np.ndarray:

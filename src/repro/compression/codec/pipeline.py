@@ -14,8 +14,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.compression.codec.payloads import DensePayload, WirePayload, as_payload
-from repro.tensorlib.dtypes import as_compute_array
+from repro.compression.codec.payloads import (
+    DensePayload,
+    SparsePayload,
+    WirePayload,
+    as_payload,
+)
 from repro.compression.codec.stages import (
     Codec,
     DGCSelect,
@@ -37,6 +41,12 @@ class Pipeline(Codec):
     concatenates.  ``encode`` / ``encode_all`` start from the raw flat gradient
     (wrapped into a :class:`DensePayload`); ``decode`` returns the dense
     ``np.ndarray`` the training loop applies.
+
+    A stage that reads the dense gradient (``dense_input``: the selections,
+    ``Sign``, ``LowRank``) may only follow stages that hand the
+    :class:`DensePayload` on unchanged (``dense_output``: ``Identity``); any
+    other order is rejected here, when the pipeline is built, rather than
+    inside the first aggregation.
     """
 
     def __init__(self, stages: Sequence[Codec]) -> None:
@@ -50,6 +60,17 @@ class Pipeline(Codec):
             flat = [Identity()]
         self.stages: List[Codec] = flat
         self.name = self.spec()
+        transformed_by: Optional[Codec] = None
+        for position, stage in enumerate(flat, start=1):
+            if stage.dense_input and transformed_by is not None:
+                raise ValueError(
+                    f"pipeline {self.name!r}: stage {stage.spec()!r} at position "
+                    f"{position} reads the dense gradient, which "
+                    f"{transformed_by.spec()!r} before it has already "
+                    "transformed; only pass-through stages (fp32) may precede it"
+                )
+            if transformed_by is None and not stage.dense_output:
+                transformed_by = stage
 
     # ------------------------------------------------------------------ #
     # Aggregate properties
@@ -100,16 +121,27 @@ class Pipeline(Codec):
         """
         return self.encode_all([flat], ctx)[0]
 
-    def decode(self, payload: WirePayload) -> np.ndarray:  # type: ignore[override]
-        """Map a payload back to the dense flat gradient it encodes."""
+    def decode_payload(self, payload: WirePayload) -> WirePayload:
+        """Undo every stage, leaving a selection sparse.
+
+        Returns one of the two decoded forms — a :class:`DensePayload` or a
+        :class:`SparsePayload` — whose ``densify`` / ``add_to`` /
+        ``subtract_from`` let the caller apply the decoded gradient in
+        O(carried coordinates).
+        """
         for stage in reversed(self.stages):
             payload = stage.decode(payload)
-        if not isinstance(payload, DensePayload):
+        if not isinstance(payload, (DensePayload, SparsePayload)):
             raise TypeError(
                 f"pipeline {self.spec()!r} decoded to {type(payload).__name__}, "
-                "expected a DensePayload — a stage is missing its decode"
+                "expected a DensePayload or SparsePayload — a stage is missing "
+                "its decode"
             )
-        return as_compute_array(payload.values)
+        return payload
+
+    def decode(self, payload: WirePayload) -> np.ndarray:  # type: ignore[override]
+        """Map a payload back to the dense flat gradient it encodes."""
+        return self.decode_payload(payload).densify()
 
     def reset(self) -> None:
         for stage in self.stages:
@@ -189,6 +221,25 @@ def parse_codec_token(token: str, seed: int = 0) -> Codec:
     return _STAGE_FACTORIES[match.group("stage")](float(match.group("ratio")), seed=seed)
 
 
+def _spec_tokens(spec: str) -> List[str]:
+    """The ``+``-separated tokens of a spec; an empty one is a grammar error.
+
+    A blank spec stays a ``KeyError`` (it names nothing); ``"topk0.1+"`` or
+    ``"topk0.1++fp16"`` name something and then stop making sense, and must
+    not silently alias the spec without the stray ``+``.
+    """
+    if not spec.strip():
+        raise KeyError(f"empty codec spec {spec!r}")
+    tokens = [token.strip() for token in spec.split("+")]
+    for position, token in enumerate(tokens, start=1):
+        if not token:
+            raise ValueError(
+                f"codec spec {spec!r} has an empty token at position {position} "
+                "(a leading, trailing or doubled '+')"
+            )
+    return tokens
+
+
 def parse_codec_spec(spec: str, seed: int = 0) -> Pipeline:
     """Parse a ``+``-separated codec spec string into a :class:`Pipeline`.
 
@@ -197,31 +248,33 @@ def parse_codec_spec(spec: str, seed: int = 0) -> Pipeline:
     reaches every stochastic stage of the pipeline.  A leading ``"ef"``
     modifier is rejected here — it configures the aggregation driver, not a
     stage; use :func:`parse_compressor_spec` for full compressor specs.
+
+    Raises ``KeyError`` for an unknown token and ``ValueError`` for a spec the
+    grammar cannot mean: an empty token, or a stage order the
+    :class:`Pipeline` constructor rejects.
     """
-    tokens = [token for token in spec.split("+") if token.strip()]
-    if not tokens:
-        raise KeyError(f"empty codec spec {spec!r}")
-    return Pipeline([parse_codec_token(token, seed=seed) for token in tokens])
+    return Pipeline([parse_codec_token(token, seed=seed) for token in _spec_tokens(spec)])
 
 
 def parse_compressor_spec(spec: str, seed: int = 0) -> "tuple[Pipeline, bool]":
     """Parse a full compressor spec into ``(pipeline, error_feedback)``.
 
-    The grammar is the codec spec grammar plus an optional leading ``"ef"``
+    The grammar is the codec spec grammar plus one optional leading ``"ef"``
     modifier: ``"ef+topk0.01"`` selects driver-level error feedback around the
     ``topk0.01`` pipeline.  The pipeline is returned unmodified — the
     :class:`~repro.compression.base.CodecCompressor` constructor adapts its
     stages when the flag is set (stage-internal error feedback and unbiased
     rescaling off, self-compensating stages rejected).
     """
-    tokens = [token for token in spec.split("+") if token.strip()]
-    error_feedback = False
-    while tokens and tokens[0].strip().lower() in EF_TOKENS:
-        error_feedback = True
+    tokens = _spec_tokens(spec)
+    error_feedback = tokens[0].lower() in EF_TOKENS
+    if error_feedback:
         tokens.pop(0)
+        if tokens and tokens[0].lower() in EF_TOKENS:
+            raise ValueError(
+                f"codec spec {spec!r} has a repeated 'ef' modifier at position 2; "
+                "error feedback is one property of the driver, not a stage"
+            )
     if not tokens:
-        raise KeyError(
-            f"codec spec {spec!r} has no stages"
-            + (" after the 'ef' modifier" if error_feedback else "")
-        )
+        raise KeyError(f"codec spec {spec!r} has no stages after the 'ef' modifier")
     return Pipeline([parse_codec_token(token, seed=seed) for token in tokens]), error_feedback

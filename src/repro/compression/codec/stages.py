@@ -59,7 +59,8 @@ class EncodeContext:
     #: one.  Consumed by the *first* stage of a pipeline — whose inputs are by
     #: construction the matrix's rows — to skip the ``np.stack`` re-pack; the
     #: pipeline clears it before later stages run.  Stages must treat it as
-    #: read-only.
+    #: read-only and keep no reference past the call: it is the DDP arena, or
+    #: under driver error feedback the compressor's own residual.
     matrix: Optional[object] = None
 
 
@@ -71,6 +72,12 @@ class Codec:
     allreduce_compatible: bool = True
     #: Whether decode(encode(x)) == x exactly.
     lossless: bool = False
+    #: Whether the stage reads the dense gradient (it selects, projects or
+    #: takes signs of coordinates), so only stages that pass it through
+    #: unchanged may precede it — checked when the pipeline is built.
+    dense_input: bool = False
+    #: Whether the stage hands on the :class:`DensePayload` it received.
+    dense_output: bool = False
 
     def prepare(self, inputs: List[WirePayload], ctx: EncodeContext) -> None:
         """Cross-rank coordination before encoding (default: none)."""
@@ -79,6 +86,12 @@ class Codec:
         raise NotImplementedError
 
     def decode(self, payload: WirePayload) -> WirePayload:
+        """Undo this stage's encoding on a (reduced or gathered) payload.
+
+        A selection stays a :class:`SparsePayload`: the pipeline densifies
+        once at the end if a dense array is asked for, and the aggregation
+        driver accumulates gathered selections without densifying at all.
+        """
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -279,6 +292,7 @@ class Identity(Codec):
 
     name = "fp32"
     lossless = True
+    dense_output = True
 
     def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
         return payload
@@ -322,10 +336,17 @@ class TopK(Codec):
     Every rank selects a different coordinate set, so encoded payloads are not
     summable and aggregation must use all-gather — the all-reduce
     incompatibility the paper's Table 1 flags for TopK/DGC.
+
+    With ``error_feedback`` the stage owns one ``(world, numel)`` residual per
+    bucket and compensates **in place**: the step's gradients are added into
+    the residual, the selection reads the residual, and the transmitted
+    coordinates are then zeroed in it — no compensated copy of the matrix is
+    built.  The stage never writes the encode context's matrix.
     """
 
     allreduce_compatible = False
     lossless = False
+    dense_input = True
 
     def __init__(self, ratio: float = 0.1, error_feedback: bool = True) -> None:
         if not 0.0 < ratio <= 1.0:
@@ -349,18 +370,26 @@ class TopK(Codec):
         numel = matrix.shape[1]
         k = max(1, int(round(numel * self.ratio)))
 
+        residual = None
         if self.error_feedback:
             residual = self._residuals.get(ctx.bucket_index)
-            if residual is not None and residual.shape == matrix.shape:
-                matrix = matrix + residual
+            if (
+                residual is not None
+                and residual.shape == matrix.shape
+                and residual.dtype == matrix.dtype
+            ):
+                np.add(matrix, residual, out=residual)
+            else:
+                # First call, or the bucket changed shape or dtype: start from
+                # a copy — the matrix is the caller's (often the arena).
+                residual = self._residuals[ctx.bucket_index] = matrix.copy()
+            matrix = residual
 
         indices = batched_top_k_indices(matrix, k)
         values = np.take_along_axis(matrix, indices, axis=1)
 
-        if self.error_feedback:
-            residual = matrix.copy()
+        if residual is not None:
             np.put_along_axis(residual, indices, 0.0, axis=1)
-            self._residuals[ctx.bucket_index] = residual
 
         ctx.shared[id(self)] = (indices, values, numel)
 
@@ -372,8 +401,6 @@ class TopK(Codec):
         )
 
     def decode(self, payload: WirePayload) -> WirePayload:
-        if isinstance(payload, SparsePayload):
-            return DensePayload(payload.densify())
         return payload
 
 
@@ -382,6 +409,7 @@ class RandomK(Codec):
 
     allreduce_compatible = True
     lossless = False
+    dense_input = True
 
     def __init__(self, ratio: float = 0.1, seed: int = 0, rescale: bool = True) -> None:
         if not 0.0 < ratio <= 1.0:
@@ -406,12 +434,11 @@ class RandomK(Codec):
         )
 
     def decode(self, payload: WirePayload) -> WirePayload:
-        if isinstance(payload, SparsePayload):
-            dense = payload.densify()
-            if self.rescale and payload.values.size:
-                # Unbiased estimate of the dense average gradient.
-                dense *= payload.numel / payload.values.size
-            return DensePayload(dense)
+        if isinstance(payload, SparsePayload) and self.rescale and payload.values.size:
+            # Unbiased estimate of the dense average gradient.
+            return payload.with_reduced(
+                payload.values * (payload.numel / payload.values.size)
+            )
         return payload
 
 
@@ -426,6 +453,7 @@ class MaskCompact(Codec):
 
     allreduce_compatible = True
     lossless = True
+    dense_input = True
     name = "compact"
 
     def __init__(self) -> None:
@@ -452,8 +480,6 @@ class MaskCompact(Codec):
         )
 
     def decode(self, payload: WirePayload) -> WirePayload:
-        if isinstance(payload, SparsePayload):
-            return DensePayload(payload.densify())
         return payload
 
 
@@ -550,6 +576,7 @@ class Sign(Codec):
     name = "signsgd"
     allreduce_compatible = True
     lossless = False
+    dense_input = True
 
     def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
         return SignPayload.from_values(_dense_input(payload, "Sign"))
@@ -611,6 +638,7 @@ class LowRank(Codec):
 
     allreduce_compatible = True
     lossless = False
+    dense_input = True
 
     def __init__(self, rank: int = 4, seed: int = 0) -> None:
         if rank < 1:
@@ -698,6 +726,7 @@ class DGCSelect(Codec):
 
     allreduce_compatible = False
     lossless = False
+    dense_input = True
     #: DGC's local gradient accumulation *is* error feedback (on the
     #: momentum-corrected gradient) and cannot be separated from the
     #: algorithm; the driver refuses to layer or strip EF around this stage.
@@ -775,6 +804,4 @@ class DGCSelect(Codec):
         )
 
     def decode(self, payload: WirePayload) -> WirePayload:
-        if isinstance(payload, SparsePayload):
-            return DensePayload(payload.densify())
         return payload

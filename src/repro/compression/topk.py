@@ -9,15 +9,18 @@ flags and that causes TopK-0.1 to congest the bottleneck link in Fig. 3.
 
 By default the compressor keeps an error-feedback residual per bucket (the
 unsent coordinates are added back into the next iteration's gradient), the
-standard trick for making aggressive sparsification converge.  Since the
-driver-level error-feedback refactor this is the shared
-:class:`~repro.compression.base.CodecCompressor` residual state — for top-k
-selection, ``input - decode(own payload)`` zeroes exactly the transmitted
-coordinates, so the driver residual is bit-identical to the historical
-stage-internal one (the golden traces pin this).  The selection itself is
-:func:`repro.compression.codec.stages.batched_top_k_indices` over the stacked
-(world, numel) gradient matrix: exact, sampled-threshold selection per row
-above a size floor, one batched ``argpartition`` below it.  It picks the same
+standard trick for making aggressive sparsification converge.  This is the
+shared :class:`~repro.compression.base.CodecCompressor` residual state, and it
+costs O(k) per rank beyond the selection itself: the driver adds the step's
+gradients into the residual in place, top-k reads the residual rows, the
+gathered (index, value) payloads are accumulated into the average without
+being densified, and ``input - decode(own payload)`` rewrites exactly the
+transmitted coordinates of each row to ``x - x`` — the historical
+stage-internal residual (every sent coordinate zeroed), bit for bit (the
+golden traces pin this).  The selection itself is
+:func:`repro.compression.codec.stages.batched_top_k_indices` over the
+(world, numel) matrix: exact, sampled-threshold selection per row above a
+size floor, one batched ``argpartition`` below it.  It picks the same
 coordinate set as the :func:`top_k_indices` oracle re-exported here.
 """
 

@@ -981,8 +981,11 @@ def run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentRe
     even when the run raises.
     """
     # Reject an unsupported regime x fault-plan cell before any work is done
-    # (the method's own regime x pruning check ran at spec construction).
+    # (the method's own regime x pruning check ran at spec construction), and
+    # a malformed codec spec too: one throwaway build instead of a check in
+    # MethodSpec.__post_init__, which a stored campaign runs per cell.
     config.cluster.fault_plan().validate_for_regime(method.schedule().regime)
+    method.build_compressor(config.seed)
     with default_dtype(config.dtype), use_backend(config.backend):
         with TRACER.span(
             "experiment", cat="experiment",

@@ -484,6 +484,6 @@ class TestSignMajorityVote:
         np.testing.assert_array_equal(result, [0.0])
 
     def test_sign_stage_rejects_non_dense_upstream(self):
-        pipeline = Pipeline([TopK(0.5, error_feedback=False), Sign()])
-        with pytest.raises(TypeError, match="Sign"):
-            pipeline.encode(np.arange(8.0))
+        # Rejected when the pipeline is built, not inside the first encode.
+        with pytest.raises(ValueError, match="signsgd"):
+            Pipeline([TopK(0.5, error_feedback=False), Sign()])
