@@ -9,10 +9,14 @@ built on:
   rescales back to gradient units;
 * bind it to the shared encode/reduce/decode driver with
   :class:`repro.compression.CodecCompressor` and register it under a name so
-  experiment configurations can refer to it;
-* drive the DDP simulator directly — per-rank forward/backward, bucketed
-  gradient exchange — and inspect the Mask Tracker on the flat bucket
-  gradients, exactly the view a PyTorch DDP comm hook would see.
+  experiment configurations can refer to it (``register_compressor`` is the
+  extension point for what a spec string cannot say; the built-in names are
+  just a table of spec strings);
+* hand the compressor to the DDP simulator as its communication hook — the
+  hook *is* ``compressor.aggregate(bucket, group, iteration)``, called once
+  per bucket — drive per-rank forward/backward and bucketed gradient exchange
+  directly, and inspect the Mask Tracker on the flat bucket gradients,
+  exactly the view a PyTorch DDP comm hook would see.
 
 Note there is no byte bookkeeping anywhere in the custom code: the collective
 layer reads the wire size straight off the payload (``payload.nbytes``).
@@ -128,7 +132,7 @@ def main() -> None:
                 f"comm={comm_time * 1e3:.1f} ms"
             )
 
-    compressor = ddp._hook.compressor  # the CodecCompressor instance
+    compressor = ddp.compressor  # the CodecCompressor instance passed as comm_hook
     print(f"\nSign codec wire ratio: {compressor.stats.compression_ratio:.1f}x "
           f"(raw {compressor.stats.raw_bytes / 1e6:.2f} MB -> {compressor.stats.wire_bytes / 1e6:.3f} MB)")
 

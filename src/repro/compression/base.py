@@ -13,23 +13,19 @@ at the collective layer — compressors no longer self-report byte counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
-from repro.compression.codec.payloads import (
-    FP16_BYTES,
-    FP32_BYTES,
-    INDEX_BYTES,
-    TERNARY_BYTES,
-    WirePayload,
-)
+from repro.compression.codec.payloads import FP32_BYTES, WirePayload
 from repro.compression.codec.pipeline import Pipeline, as_pipeline
 from repro.compression.codec.stages import Codec, EncodeContext, remap_rank_rows
-from repro.ddp.bucket import GradBucket
 from repro.obs.tracer import NULL_SPAN, TRACER
 from repro.tensorlib.dtypes import float_dtype_of
+
+if TYPE_CHECKING:  # repro.ddp imports this package; the bucket is only an annotation here
+    from repro.ddp.bucket import GradBucket
 
 #: With tracing enabled, lossy pipelines sample an exact-average NMSE every
 #: this many iterations per bucket (full exact averages every step would
@@ -37,10 +33,6 @@ from repro.tensorlib.dtypes import float_dtype_of
 NMSE_SAMPLE_EVERY = 16
 
 __all__ = [
-    "FP32_BYTES",
-    "FP16_BYTES",
-    "INDEX_BYTES",
-    "TERNARY_BYTES",
     "CompressionStats",
     "Compressor",
     "CodecCompressor",
@@ -80,7 +72,9 @@ class Compressor:
     Subclasses implement :meth:`aggregate`, which receives the per-rank flat
     gradients of one bucket and must return the aggregated *average* gradient
     of the same length, issuing all communication through ``group`` so that the
-    network cost model sees it.
+    network cost model sees it.  This call is the paper's "communication hook":
+    :class:`repro.ddp.DistributedDataParallel` makes it once per bucket, and it
+    sees only the flat bucket — no parameter names or shapes.
 
     Attributes
     ----------

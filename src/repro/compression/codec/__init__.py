@@ -51,6 +51,7 @@ from repro.compression.codec.stages import (
     TopK,
     batched_top_k_indices,
     orthonormalize,
+    ternarize,
     top_k_indices,
 )
 from repro.compression.codec.pipeline import (
@@ -92,6 +93,7 @@ __all__ = [
     "LowRank",
     "top_k_indices",
     "batched_top_k_indices",
+    "ternarize",
     "orthonormalize",
     "Pipeline",
     "as_pipeline",

@@ -562,6 +562,28 @@ class Ternarize(Codec):
         return payload
 
 
+def ternarize(
+    grad: np.ndarray,
+    scaler: Optional[float] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> np.ndarray:
+    """Stochastically quantise ``grad`` to ``scaler * {-1, 0, +1}``.
+
+    The functional form of :class:`Ternarize` without clipping or
+    shared-scaler agreement, for tests and ad-hoc callers.  ``scaler``
+    defaults to ``max(|grad|)``; ``rng`` draws the Bernoulli keeps
+    (deterministic tests pass a seeded generator).
+    """
+    rng = rng or np.random.default_rng()
+    if scaler is None:
+        scaler = float(np.max(np.abs(grad))) if grad.size else 0.0
+    if scaler == 0.0:
+        return np.zeros_like(grad)
+    probability = np.clip(np.abs(grad) / scaler, 0.0, 1.0)
+    keep = rng.random(grad.shape) < probability
+    return scaler * np.sign(grad) * keep
+
+
 class Sign(Codec):
     """signSGD with majority vote (Bernstein et al., 2018).
 

@@ -1,62 +1,92 @@
-"""Compressor registry and codec spec strings.
+"""Compressor names: a name is a codec spec string.
 
 Benchmark configurations refer to compression schemes by the names used in the
 paper's figures ("all-reduce", "fp16", "topk-0.1", "topk-0.01", "pactrain").
-``build_compressor`` resolves those names to fresh compressor instances; the
-PacTrain entry is registered lazily to avoid a circular import with
-:mod:`repro.pactrain`.
+The built-in names are **data**: :data:`BUILTIN_SPECS` maps each to the spec
+string it abbreviates, and :func:`build_compressor` returns the
+:class:`~repro.compression.base.CodecCompressor` that spec builds, under the
+figure's label.  A name that is not registered is parsed as a spec itself
+(``"topk0.01+terngrad"``, ``"ef+signsgd"``; grammar in
+:func:`repro.compression.codec.parse_compressor_spec`).
 
-Beyond the fixed names, any ``+``-separated codec pipeline spec builds a
-compressor on the fly: ``build_compressor("topk0.01+terngrad")`` selects the
-top 1 % coordinates and ternarises the selected values — arbitrary codec
-composition without writing a compressor class (see
-:func:`repro.compression.codec.parse_codec_spec` for the grammar).  A leading
-``"ef"`` token (``"ef+topk0.01"``, ``"ef+signsgd"``) wraps the pipeline in the
-driver's per-bucket error-feedback residual state; ``"signsgd"`` and
-``"powersgd-rank4"`` name the sign/majority-vote and low-rank stage families.
+:func:`register_compressor` is the extension point for what a spec cannot say:
+a user's own :class:`~repro.compression.codec.Codec` stage
+(``examples/custom_compressor.py``), and PacTrain, whose pipeline the Mask
+Tracker picks per bucket — registered here under its three names and imported
+lazily, because :mod:`repro.pactrain` builds on this package.
 """
 
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.compression.base import CodecCompressor, Compressor
-from repro.compression.codec import Identity, Pipeline, parse_compressor_spec
-from repro.compression.dgc import DGCCompressor
-from repro.compression.fp16 import FP16Compressor
-from repro.compression.none import NoCompression
-from repro.compression.randomk import RandomKCompressor
-from repro.compression.terngrad import TernGradCompressor
-from repro.compression.topk import TopKCompressor
+from repro.compression.codec import parse_compressor_spec
 
 CompressorFactory = Callable[..., Compressor]
 
-#: Deterministic compressors (top-k selection, dgc, fp16, identity) declare a
-#: ``seed`` parameter they ignore, so :func:`build_compressor` can thread the
-#: per-run seed uniformly without special-casing which methods are stochastic.
+#: Built-in name -> (the spec string it abbreviates, the compressor's ``.name``
+#: in tables and traces).  Top-k carries error feedback in its paper form,
+#: hence ``"ef+"``; the identity codec is also registered as ``"none"`` /
+#: ``"identity"`` so that ``localsgd:1:delta`` with a lossless codec reads as a
+#: first-class method in the regime-parity tests.
+BUILTIN_SPECS: Dict[str, Tuple[str, str]] = {
+    "allreduce": ("fp32", "allreduce"),
+    "all-reduce": ("fp32", "allreduce"),
+    "none": ("fp32", "none"),
+    "identity": ("fp32", "identity"),
+    "fp16": ("fp16", "fp16"),
+    "topk": ("ef+topk0.1", "topk-0.1"),
+    "topk-0.1": ("ef+topk0.1", "topk-0.1"),
+    "topk-0.01": ("ef+topk0.01", "topk-0.01"),
+    "randomk": ("randomk0.1", "randomk-0.1"),
+    "terngrad": ("terngrad", "terngrad"),
+    "dgc": ("dgc0.01", "dgc-0.01"),
+    "dgc-0.01": ("dgc0.01", "dgc-0.01"),
+}
+
+#: PacTrain's three names and what each says about ternary quantisation
+#: (``None``: the caller's ``quantize`` decides).
+PACTRAIN_QUANTIZE: Dict[str, Optional[bool]] = {
+    "pactrain": None,
+    "pactrain-terngrad": True,
+    "pactrain-fp32": False,
+}
+
+
+def _from_spec(spec: str, name: str, seed: Optional[int] = None) -> Compressor:
+    """The compressor ``spec`` describes, labelled ``name`` (lower-cased, like a registry key)."""
+    try:
+        pipeline, error_feedback = parse_compressor_spec(spec, seed=0 if seed is None else seed)
+    except KeyError:
+        raise KeyError(
+            f"unknown compressor {name!r}: not a registered name "
+            f"({sorted(COMPRESSOR_REGISTRY)}) and not a codec pipeline spec"
+        ) from None
+    except ValueError as error:
+        raise ValueError(f"invalid codec spec {name!r}: {error}") from error
+    return CodecCompressor(pipeline, name=name.lower(), error_feedback=error_feedback)
+
+
+def _pactrain(name: str, quantize: bool = False, **tracker) -> Compressor:
+    """PacTrain under one of its names; the name's suffix and ``quantize`` must agree."""
+    from repro.pactrain.compressor import PacTrainCompressor  # noqa: PLC0415
+
+    named = PACTRAIN_QUANTIZE[name]
+    if quantize and named is False:
+        raise ValueError(
+            f"compressor {name!r} names PacTrain without ternary quantisation, "
+            "but quantize=True was requested; use 'pactrain-terngrad', or "
+            "'pactrain' with quantize=True"
+        )
+    return PacTrainCompressor(quantize=quantize or bool(named), **tracker)
+
+
 COMPRESSOR_REGISTRY: Dict[str, CompressorFactory] = {
-    "allreduce": NoCompression,
-    "all-reduce": NoCompression,
-    "fp16": FP16Compressor,
-    "topk-0.1": lambda seed=None, **kw: TopKCompressor(ratio=0.1, **kw),
-    "topk-0.01": lambda seed=None, **kw: TopKCompressor(ratio=0.01, **kw),
-    "topk": TopKCompressor,
-    "randomk": RandomKCompressor,
-    "terngrad": TernGradCompressor,
-    "dgc": DGCCompressor,
-    "dgc-0.01": lambda seed=None, **kw: DGCCompressor(ratio=0.01, **kw),
-    # Explicit identity codec (same object the spec parser would build from
-    # the bare "none" token).  Registered by name so the training-regime
-    # parity tests — localsgd:1:delta with a lossless codec must reproduce
-    # the synchronous path bit-identically — read as a first-class method
-    # rather than a spec-grammar fallthrough.
-    "none": lambda seed=None, **kw: CodecCompressor(
-        Pipeline([Identity()]), name="none", **kw
-    ),
-    "identity": lambda seed=None, **kw: CodecCompressor(
-        Pipeline([Identity()]), name="identity", **kw
-    ),
+    **{name: partial(_from_spec, *entry) for name, entry in BUILTIN_SPECS.items()},
+    **{name: partial(_pactrain, name) for name in PACTRAIN_QUANTIZE},
 }
 
 
@@ -91,50 +121,31 @@ def build_compressor(name: str, seed: Optional[int] = None, **kwargs) -> Compres
     ``seed`` is threaded to whatever randomness the method actually has: it is
     passed to registry factories that accept a ``seed`` keyword and to the
     stochastic stages of codec pipeline specs (shared random-k selection,
-    ternary rounding).  ``None`` keeps every factory default (seed 0 for the
-    built-in stochastic codecs).
+    ternary rounding); deterministic stages ignore it.  ``None`` keeps every
+    factory default (seed 0 for the built-in stochastic codecs).  Other
+    keywords go to the factory: PacTrain takes ``quantize`` and its Mask
+    Tracker settings, a spec string takes none.
 
     Raises
     ------
     KeyError
-        If the name is neither registered nor a parseable codec spec.  The
-        PacTrain compressor is imported lazily so that
-        ``build_compressor("pactrain")`` works without importing
-        :mod:`repro.pactrain` up front.
+        If the name is neither registered nor a parseable codec spec.
     ValueError
         If the name parses as a codec spec but a stage parameter is invalid
         (e.g. ``"topk2"`` — ratio outside ``(0, 1]``); the error names the
-        offending spec.
+        offending spec.  Also when ``quantize=True`` contradicts
+        ``"pactrain-fp32"``.
     """
     key = name.lower()
-    if key in ("pactrain", "pactrain-terngrad", "pactrain-fp32") and key not in COMPRESSOR_REGISTRY:
-        from repro.pactrain.compressor import PacTrainCompressor  # noqa: PLC0415
-
-        register_compressor("pactrain", lambda **kw: PacTrainCompressor(**kw))
-        register_compressor(
-            "pactrain-terngrad", lambda **kw: PacTrainCompressor(quantize=True, **kw)
-        )
-        register_compressor(
-            "pactrain-fp32", lambda **kw: PacTrainCompressor(quantize=False, **kw)
-        )
-    if key in COMPRESSOR_REGISTRY:
-        factory = COMPRESSOR_REGISTRY[key]
+    factory = COMPRESSOR_REGISTRY.get(key)
+    if factory is not None:
         if seed is not None and "seed" not in kwargs and _accepts_seed(factory):
             kwargs["seed"] = seed
         return factory(**kwargs)
-    try:
-        pipeline, error_feedback = parse_compressor_spec(key, seed=0 if seed is None else seed)
-    except KeyError:
-        raise KeyError(
-            f"unknown compressor {name!r}: not a registered name "
-            f"({sorted(COMPRESSOR_REGISTRY)}) and not a codec pipeline spec"
-        ) from None
-    except ValueError as error:
-        raise ValueError(f"invalid codec spec {name!r}: {error}") from error
     if kwargs:
         raise TypeError(
             f"codec spec {name!r} does not accept keyword arguments "
             f"({sorted(kwargs)}); encode parameters in the spec itself "
             "(e.g. 'topk0.05') or register a factory under a name"
         )
-    return CodecCompressor(pipeline, name=key, error_feedback=error_feedback)
+    return _from_spec(key, name, seed)

@@ -12,7 +12,8 @@ This module reproduces that abstraction:
 * :class:`BucketSlice` — where one parameter lives inside a bucket;
 * :class:`Bucket` — the static layout (slices, total element count);
 * :class:`GradBucket` — one iteration's per-rank flat gradients for a bucket,
-  the only object a communication hook receives;
+  the only view of the gradients that the communication hook —
+  :meth:`repro.compression.Compressor.aggregate` — receives;
 * :func:`build_buckets` — split a model's parameters (reversed) into buckets by
   byte capacity.
 """
@@ -96,9 +97,9 @@ class Bucket:
 
 
 class GradBucket:
-    """One iteration's gradients for one bucket, as seen by a communication hook.
+    """One iteration's gradients for one bucket, as ``Compressor.aggregate`` sees them.
 
-    The hook receives:
+    The compressor receives:
 
     * :attr:`index` — the bucket index (0 is the *last* bucket to be ready in
       real DDP; here simply the first bucket in reverse parameter order);

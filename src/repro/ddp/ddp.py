@@ -10,9 +10,10 @@ of ``world_size`` replicas on a single process:
    :class:`~repro.ddp.arena.GradientArena` — one reusable ``(world_size,
    numel)`` matrix per bucket (reverse parameter order, names erased — see
    :mod:`repro.ddp.bucket`) — with no per-step flatten buffers;
-3. the registered communication hook aggregates each bucket through the
-   process group, which records modeled time and bytes; the events each
-   bucket's hook issued are drained from the group's log per step (the group
+3. the wrapper's :class:`~repro.compression.base.Compressor` — the
+   communication hook — aggregates each bucket through the process group,
+   which records modeled time and bytes; the events each bucket's
+   aggregation issued are drained from the group's log per step (the group
    keeps lifetime aggregates), so the log cannot grow with run length.
    Stateful compressors (error-feedback residuals, DGC momentum, PacTrain
    masks) own their per-bucket buffers — never views into the arena, whose
@@ -36,10 +37,11 @@ import numpy as np
 
 from repro.comm.collectives import CollectiveEvent
 from repro.comm.process_group import ProcessGroup
+from repro.compression.base import Compressor
+from repro.compression.registry import build_compressor
 from repro.ddp.arena import GradientArena
 from repro.ddp.bucket import Bucket, GradBucket, build_buckets, DEFAULT_BUCKET_CAP_BYTES
 from repro.obs.tracer import TRACER
-from repro.ddp.hooks import CommHook, HookState, make_hook
 from repro.nn.batched import replica_views
 from repro.nn.module import Module
 from repro.tensorlib import Tensor
@@ -77,7 +79,9 @@ class DistributedDataParallel:
         Gradient bucket capacity; PyTorch's 25 MiB default keeps small models
         in a single bucket, which matches how DDP behaves for them.
     comm_hook:
-        ``None`` (native all-reduce), a compressor, or a hook callable.
+        The :class:`~repro.compression.base.Compressor` whose
+        ``aggregate(bucket, group, iteration)`` synchronises each bucket;
+        ``None`` is the native fp32 all-reduce (``build_compressor("all-reduce")``).
     """
 
     def __init__(
@@ -86,7 +90,7 @@ class DistributedDataParallel:
         world_size: int,
         process_group: Optional[ProcessGroup] = None,
         bucket_cap_bytes: int = DEFAULT_BUCKET_CAP_BYTES,
-        comm_hook: Optional[object] = None,
+        comm_hook: Optional[Compressor] = None,
     ) -> None:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
@@ -96,8 +100,10 @@ class DistributedDataParallel:
         if self.process_group.world_size != world_size:
             raise ValueError("process_group world_size does not match DDP world_size")
         self.buckets: List[Bucket] = build_buckets(model, bucket_cap_bytes)
-        self._hook: CommHook = make_hook(comm_hook)
-        self._hook_state = HookState(process_group=self.process_group)
+        self.register_comm_hook(comm_hook)
+        #: Training iteration counter handed to the compressor (warm-up logic,
+        #: per-iteration seeds); the driver of the step increments it.
+        self.iteration = 0
         self._param_map = dict(model.named_parameters())
         parameters = list(self._param_map.values())
         #: Compute dtype of the gradient plumbing (the model's parameter dtype).
@@ -109,18 +115,23 @@ class DistributedDataParallel:
         #: means the full healthy world and takes exactly the historical
         #: synchronisation path.
         self._active_ranks: Optional[List[int]] = None
-        self._active_group: Optional[ProcessGroup] = None
+        #: The group collectives currently run over: ``process_group`` when
+        #: healthy, the degraded-world group under :meth:`set_active_ranks`.
+        self.active_group = self.process_group
 
     # ------------------------------------------------------------------ #
     # Hook management
     # ------------------------------------------------------------------ #
-    def register_comm_hook(self, hook_or_compressor: object) -> None:
-        """Replace the communication hook (mirrors DDP's ``register_comm_hook``)."""
-        self._hook = make_hook(hook_or_compressor)
-
-    @property
-    def hook_state(self) -> HookState:
-        return self._hook_state
+    def register_comm_hook(self, compressor: Optional[Compressor]) -> None:
+        """Replace the compressor (mirrors DDP's ``register_comm_hook``)."""
+        if compressor is None:
+            compressor = build_compressor("all-reduce")
+        if not isinstance(compressor, Compressor):
+            raise TypeError(
+                "comm_hook must be None or a repro.compression.Compressor (the hook is its "
+                f"aggregate(bucket, group, iteration) method), got {type(compressor).__name__}"
+            )
+        self.compressor = compressor
 
     # ------------------------------------------------------------------ #
     # Elastic membership
@@ -157,8 +168,7 @@ class DistributedDataParallel:
         """
         if ranks is None:
             self._active_ranks = None
-            self._active_group = None
-            self._hook_state.process_group = self.process_group
+            self.active_group = self.process_group
             return
         active = sorted(dict.fromkeys(int(r) for r in ranks))
         if not active:
@@ -170,16 +180,14 @@ class DistributedDataParallel:
         if len(active) == self.world_size and process_group is None:
             self.set_active_ranks(None)
             return
-        self._active_ranks = active
-        self._active_group = process_group or ProcessGroup(
-            len(active), self.process_group.network
-        )
-        if self._active_group.world_size != len(active):
+        group = process_group or ProcessGroup(len(active), self.process_group.network)
+        if group.world_size != len(active):
             raise ValueError(
-                f"process_group world_size {self._active_group.world_size} does not "
+                f"process_group world_size {group.world_size} does not "
                 f"match {len(active)} active ranks"
             )
-        self._hook_state.process_group = self._active_group
+        self._active_ranks = active
+        self.active_group = group
 
     # ------------------------------------------------------------------ #
     # Training step
@@ -296,7 +304,7 @@ class DistributedDataParallel:
         events = [event for per_bucket in bucket_events for event in per_bucket]
         comm_time = float(sum(e.time_seconds for e in events))
         comm_bytes = float(sum(e.bytes_per_worker for e in events))
-        self._hook_state.iteration += 1
+        self.iteration += 1
         return StepResult(
             loss=float(np.mean(per_rank_losses)),
             per_rank_loss=per_rank_losses,
@@ -324,7 +332,7 @@ class DistributedDataParallel:
         self,
         per_rank_grads: Sequence[Dict[str, np.ndarray]],
     ) -> Dict[str, np.ndarray]:
-        """Stage per-rank gradients into the arena, run the hook per bucket,
+        """Stage per-rank gradients into the arena, aggregate each bucket,
         unpack the result."""
         aggregated, _ = self.synchronize_gradients_traced(per_rank_grads)
         return aggregated
@@ -336,7 +344,7 @@ class DistributedDataParallel:
         """:meth:`synchronize_gradients`, also returning per-bucket events.
 
         The second element groups the collective events by the bucket whose
-        hook issued them (one — or, for adaptive compressors, several — per
+        aggregation issued them (one — or, for adaptive compressors, several — per
         bucket), which is what the event-driven engine needs to schedule each
         bucket's collective against backward compute.  The events are
         *drained* from the process group's per-step log as they are grouped
@@ -346,26 +354,33 @@ class DistributedDataParallel:
         self.arena.write_all(per_rank_grads)
         return self.synchronize_staged()
 
-    def synchronize_staged(self) -> Tuple[Dict[str, np.ndarray], List[List[CollectiveEvent]]]:
+    def synchronize_staged(
+        self, compressor: Optional[Compressor] = None
+    ) -> Tuple[Dict[str, np.ndarray], List[List[CollectiveEvent]]]:
         """Aggregate the gradients currently staged in the arena.
 
+        ``compressor`` stands in for the wrapper's own for this one call
+        (local SGD's dense parameter averaging passes a lossless one).
+
         Under a degraded membership (:meth:`set_active_ranks`) each bucket's
-        collective runs over the survivors only: the hook sees a
+        collective runs over the survivors only: the compressor sees a
         ``(len(active), numel)`` matrix of the surviving ranks' arena rows
         and the degraded process group, so dead ranks contribute nothing to
         the average and the cost model charges an ``len(active)``-way
         collective.
         """
+        if compressor is None:
+            compressor = self.compressor
         active = self._active_ranks
-        group = self.process_group if active is None else self._active_group
+        group = self.active_group
         aggregated: Dict[str, np.ndarray] = {}
         bucket_events: List[List[CollectiveEvent]] = []
         last_index = len(self.buckets) - 1
         for bucket in self.buckets:
             matrix = self.arena.matrix(bucket.index)
             if active is not None:
-                # Fancy indexing copies the surviving rows out of the arena,
-                # so hooks never see (or alias) dead ranks' stale gradients.
+                # Fancy indexing copies the surviving rows out of the arena, so
+                # compressors never see (or alias) dead ranks' stale gradients.
                 matrix = matrix[active]
             grad_bucket = GradBucket(
                 bucket,
@@ -377,17 +392,17 @@ class DistributedDataParallel:
                 "ddp/bucket_sync", cat="ddp",
                 bucket=bucket.index, numel=bucket.numel,
             ):
-                reduced = self._hook(self._hook_state, grad_bucket)
+                reduced = compressor.aggregate(grad_bucket, group, iteration=self.iteration)
             bucket_events.append(group.events[events_before:])
             del group.events[events_before:]
             aggregated.update(bucket.unflatten(self._ensure_flat(reduced, bucket)))
         return aggregated, bucket_events
 
     def _ensure_flat(self, reduced, bucket: Bucket) -> np.ndarray:
-        """Coerce a hook result to a flat compute-dtype array without copying.
+        """Coerce an aggregate to a flat compute-dtype array without copying.
 
         Already-flat arrays of the right dtype pass through untouched (the
-        aggregated gradients then alias the hook's reduced buffer, which is
+        aggregated gradients then alias the compressor's result, which is
         fresh per step).  A result aliasing the arena itself *is* copied —
         otherwise the next step's staging would silently corrupt ``param.grad``.
         """
@@ -397,7 +412,7 @@ class DistributedDataParallel:
         array = array.reshape(-1)
         if array.size != bucket.numel:
             raise ValueError(
-                f"hook returned {array.size} elements for bucket {bucket.index}, "
+                f"compressor returned {array.size} elements for bucket {bucket.index}, "
                 f"expected {bucket.numel}"
             )
         if self.arena.shares_memory_with(array):

@@ -78,10 +78,6 @@ class PacTrainCompressor(CodecCompressor):
             self._compact_pipeline,
             name="pactrain-terngrad" if quantize else "pactrain",
         )
-        # The fallback pipeline is also all-reduce compatible, and the scheme
-        # is lossless w.r.t. the masked gradient when quantisation is off.
-        self.allreduce_compatible = True
-        self.lossless = not quantize
 
         # Per-bucket record of the last mask for which the bitmask sync cost
         # was charged, so the cost is only paid when the mask actually changes.
@@ -91,6 +87,14 @@ class PacTrainCompressor(CodecCompressor):
         self.full_iterations = 0
 
     # ------------------------------------------------------------------ #
+    def _check_driver_ef_composable(self) -> None:
+        raise ValueError(
+            "driver-level error feedback is not supported for PacTrain: its "
+            "compacted aggregation is already lossless w.r.t. the masked "
+            "gradient, so there is no dropped mass to feed back (and nothing "
+            "to strip); leave MethodSpec.error_feedback at None"
+        )
+
     def reset(self) -> None:
         super().reset()
         self._full_pipeline.reset()

@@ -17,8 +17,6 @@ class PacTrainConfig:
     pruning_method:
         ``"magnitude"`` (weight-magnitude criterion) or ``"grasp"`` (Eq. (4)
         gradient-flow criterion).
-    pruning_scope:
-        ``"global"`` or ``"layer"`` thresholding for magnitude pruning.
     stability_threshold:
         Consecutive unchanged iterations before the Mask Tracker declares a
         bucket's sparsity pattern stable.
@@ -30,35 +28,24 @@ class PacTrainConfig:
     gse_every_iteration:
         Re-apply Gradient Sparsity Enforcement after every backward pass; the
         paper's Eq. (2).  Disabling this is only useful for ablations.
-    reapply_weight_mask:
-        Re-zero pruned weights after every optimiser step.  With exact GSE this
-        is a no-op, but it guards against optimiser-side regrowth (momentum,
-        weight decay) and is cheap.
     warmup_iterations:
         Number of initial iterations that always use full synchronisation,
         regardless of mask stability (lets the optimiser settle after pruning).
-    seed:
-        Seed for the stochastic quantiser.
     """
 
     pruning_ratio: float = 0.5
     pruning_method: str = "magnitude"
-    pruning_scope: str = "global"
     stability_threshold: int = 3
     min_sparsity: float = 0.05
     quantize: bool = False
     gse_every_iteration: bool = True
-    reapply_weight_mask: bool = True
     warmup_iterations: int = 0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.pruning_ratio < 1.0:
             raise ValueError("pruning_ratio must be in [0, 1)")
         if self.pruning_method not in ("magnitude", "grasp"):
             raise ValueError("pruning_method must be 'magnitude' or 'grasp'")
-        if self.pruning_scope not in ("global", "layer"):
-            raise ValueError("pruning_scope must be 'global' or 'layer'")
         if self.stability_threshold < 1:
             raise ValueError("stability_threshold must be >= 1")
         if not 0.0 <= self.min_sparsity < 1.0:

@@ -18,11 +18,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
-from repro.compression.base import FP32_BYTES, CodecCompressor, Compressor
-from repro.compression.codec import EncodeContext
+from repro.compression.base import CodecCompressor, Compressor
+from repro.compression.registry import build_compressor
 from repro.data import DataLoader, DistributedSampler, make_dataset, train_test_split
 from repro.ddp import DistributedDataParallel
-from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES
+from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES, GradBucket
 from repro.nn import SGD
 from repro.nn.models import build_model
 from repro.nn.module import Module
@@ -368,9 +368,10 @@ def train_distributed(
     encodes_per_rank = schedule.regime == "ps" or (schedule.delta and not schedule.is_synchronous)
     if encodes_per_rank and not isinstance(compressor, CodecCompressor):
         raise ValueError(
-            "async parameter-server pushes and localsgd delta mode encode one rank at a "
-            f"time, which needs a codec-pipeline compressor; got {type(compressor).__name__} "
-            f"for {method.compressor!r} under schedule {method.sync_schedule!r}"
+            "async parameter-server pushes (sized from the codec driver's wire-byte record) "
+            "and localsgd delta mode are only defined for a codec-pipeline compressor; got "
+            f"{type(compressor).__name__} for {method.compressor!r} under schedule "
+            f"{method.sync_schedule!r}"
         )
     ddp = DistributedDataParallel(
         model,
@@ -467,7 +468,7 @@ def _train_stepped(
         run.optimizer.load_state_arrays(ck.velocities)
         run.timeline = copy.deepcopy(ck.timeline)
         faults.restore(ck.fault_cursor, list(ck.active_ranks), ck.link_factor)
-        ddp.hook_state.iteration = ck.hook_iteration
+        ddp.iteration = ck.hook_iteration
         global_iteration = ck.global_iteration
         run.reached_target = ck.reached_target
         start_epoch = ck.epoch
@@ -511,7 +512,7 @@ def _train_stepped(
                         active_ranks=list(faults.active),
                         link_factor=faults.link,
                         reached_target=run.reached_target,
-                        hook_iteration=ddp.hook_state.iteration,
+                        hook_iteration=ddp.iteration,
                         per_rank_compute=list(per_rank_compute),
                         bucket_fractions=list(bucket_fractions),
                     )
@@ -563,7 +564,7 @@ def _train_stepped(
                     timeline.iterations - 1,
                 )
                 TRACER.sim_now = timeline.total_time
-            ddp.hook_state.iteration += 1
+            ddp.iteration += 1
             global_iteration += 1
             epoch_losses.append(float(np.mean(per_rank_losses)))
             iteration += 1
@@ -657,8 +658,8 @@ class _LocalSGDStep:
     anchor) through the method's codec pipeline — error feedback then carries
     the delta mass the encoding dropped, and fault-driven membership changes
     remap residuals through the same elastic seam as gradients.  Dense mode
-    all-reduces the raw fp32 parameters (the method's compressor is not
-    consulted at the boundary — FedAvg-style exact averaging).
+    all-reduces the raw fp32 parameters through the step's own lossless
+    compressor (the method's is not consulted — FedAvg-style exact averaging).
 
     The run's shared-model optimiser is unused: local steps go through the
     per-rank replicas' optimisers.  ``timeline.sync_rounds``/``local_steps``
@@ -674,6 +675,7 @@ class _LocalSGDStep:
             run.model, run.world_size, lr=lr, momentum=momentum, weight_decay=weight_decay
         )
         self.anchor = run.ddp.snapshot_parameters()
+        self.dense_average = build_compressor("all-reduce")
         self.use_gse = run.method.gse and run.mask is not None
         self.window = 0  # local steps since the last averaging round
 
@@ -697,13 +699,8 @@ class _LocalSGDStep:
         else:
             for rank in active:
                 ddp.stage_rank_gradients(rank, replicas.params_dict(rank))
-            # Dense parameter averaging: swap in the native all-reduce hook
-            # for this collective so the raw fp32 parameters go on the wire.
-            ddp.register_comm_hook(None)
-            try:
-                new_params, bucket_events = ddp.synchronize_staged()
-            finally:
-                ddp.register_comm_hook(run.compressor)
+            # Dense parameter averaging: the raw fp32 parameters go on the wire.
+            new_params, bucket_events = ddp.synchronize_staged(self.dense_average)
         for name, param in run.model.named_parameters():
             param.data = new_params[name]
         if run.mask is not None:
@@ -778,11 +775,13 @@ def _train_async_ps(
     (stale synchronous parallel); blocked workers re-enter in rank order as
     laggards apply.
 
-    Each worker encodes its pushes through its own codec-pipeline instance
-    (independent stage state, per-worker error-feedback residuals); pulls
-    carry the dense fp32 parameters.  Busy compute/comm time accumulates per
-    update, and the timeline total is reconciled to the event clock at every
-    epoch snapshot (see ``TrainingTimeline.reconcile_async_total``).
+    Each worker pushes through its own compressor instance (independent stage
+    state, per-worker error-feedback residuals): one ``aggregate`` call per
+    bucket over a one-rank bucket and group, the same driver every other
+    regime uses.  Pulls carry the dense fp32 parameters.  Busy compute/comm
+    time accumulates per update, and the timeline total is reconciled to the
+    event clock at every epoch snapshot (see
+    ``TrainingTimeline.reconcile_async_total``).
 
     With no iteration barrier this is an event loop of its own, not a step of
     :func:`_train_stepped`; it shares the run and :meth:`_Run.end_epoch`.
@@ -790,7 +789,6 @@ def _train_async_ps(
     compressor, ddp, timeline = run.compressor, run.ddp, run.timeline
     epochs, world_size = run.epochs, run.world_size
     rank_loaders, per_rank_compute = run.rank_loaders, run.per_rank_compute
-    assert isinstance(compressor, CodecCompressor)  # dispatcher validated
     staleness_bound = schedule.staleness
     cost_model = run.cluster.cost_model_for(world_size)
     model_wire_bytes = run.model_wire_bytes
@@ -806,20 +804,19 @@ def _train_async_ps(
         return run.outcome()
     total_per_worker = epochs * iters_per_epoch
 
-    # Per-worker codec pipelines: stage state (low-rank warm starts, stage
-    # seeds) and error-feedback residuals must not be shared across workers
-    # pushing at different versions.  Worker 0 reuses the dispatcher's
-    # instance, which doubles as the run's stats carrier.
-    worker_codecs: List[CodecCompressor] = [compressor]
+    # Per-worker compressors: stage state (low-rank warm starts, stage seeds)
+    # and error-feedback residuals must not be shared across workers pushing
+    # at different versions.  Worker 0 reuses the dispatcher's instance, and
+    # every worker records into its stats: the run's one stats carrier.
+    worker_codecs: List[Compressor] = [compressor]
     for _ in range(1, world_size):
         clone = run.method.build_compressor(seed=seed)
-        assert isinstance(clone, CodecCompressor)
+        clone.stats = compressor.stats
         worker_codecs.append(clone)
-    driver_ef = compressor.error_feedback
-    buckets = ddp.buckets
-    residuals: List[List[Optional[np.ndarray]]] = [
-        [None] * len(buckets) for _ in range(world_size)
-    ]
+    # A push is a one-rank aggregation.  Its wire time is the p2p transfer
+    # booked on the server link below, so the group carries no cost model and
+    # its event log is dropped after every push.
+    push_group = ProcessGroup(1)
 
     heap = EventHeap()
     channel = LinkChannel()
@@ -872,35 +869,20 @@ def _train_async_ps(
             loss_value, grads = ddp.compute_local_gradients(
                 batch, F.cross_entropy, copy=False
             )
-            codec = worker_codecs[rank]
-            decoded: List[np.ndarray] = []
-            payload_bytes = 0.0
-            for bucket in buckets:
-                flat = bucket.flatten(grads)
-                res = residuals[rank][bucket.index]
-                if driver_ef:
-                    if res is None:
-                        res = residuals[rank][bucket.index] = np.zeros_like(flat)
-                    np.add(flat, res, out=flat)  # flatten returned a fresh buffer
-                context = EncodeContext(
-                    world_size=1,
-                    bucket_index=bucket.index,
-                    iteration=update_index,
+            wire_before = compressor.stats.wire_bytes
+            aggregated: Dict[str, np.ndarray] = {}
+            for bucket in ddp.buckets:
+                pushed = worker_codecs[rank].aggregate(
+                    GradBucket(bucket, [bucket.flatten(grads)]), push_group, iteration=update_index
                 )
-                payload = codec.pipeline.encode_all([flat], context)[0]
-                out = codec.pipeline.decode(payload)
-                if driver_ef:
-                    residuals[rank][bucket.index] = flat - out
-                payload_bytes += float(payload.nbytes)
-                decoded.append(out)
-                # Mirror CodecCompressor._record on the shared stats carrier:
-                # one aggregation of this bucket, fp32 raw bytes, wire bytes.
-                compressor.stats.iterations += 1
-                compressor.stats.raw_bytes += bucket.numel * FP32_BYTES
-                compressor.stats.wire_bytes += float(payload.nbytes)
+                aggregated.update(bucket.unflatten(pushed))
+            push_group.events.clear()
+            # What the driver recorded for this push (wire sizes are multiples
+            # of 1/8 byte, so the running sum and this difference are exact).
+            payload_bytes = compressor.stats.wire_bytes - wire_before
             compute_seconds = per_rank_compute[rank]
             state.update(
-                decoded=decoded,
+                aggregated=aggregated,
                 payload_bytes=payload_bytes,
                 loss=loss_value,
                 compute=compute_seconds,
@@ -916,10 +898,7 @@ def _train_async_ps(
             heap.push(SimEvent(time=end, kind="ps-apply", rank=rank))
         elif event.kind == "ps-apply":
             state = pending[rank]
-            aggregated: Dict[str, np.ndarray] = {}
-            for bucket, flat in zip(buckets, state["decoded"]):
-                aggregated.update(bucket.unflatten(flat))
-            ddp.apply_aggregated_gradients(aggregated)
+            ddp.apply_aggregated_gradients(state["aggregated"])
             run.optimizer.step()
             staleness = applies - version_at_pull[rank]
             applies += 1
@@ -944,7 +923,7 @@ def _train_async_ps(
                     pull_bytes=model_wire_bytes,
                 )
                 TRACER.sim_now = now
-            ddp.hook_state.iteration += 1
+            ddp.iteration += 1
             while (
                 snapshots_done < epochs
                 and min(completed) >= (snapshots_done + 1) * iters_per_epoch

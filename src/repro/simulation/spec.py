@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.compression.base import CodecCompressor, Compressor
-from repro.compression.registry import build_compressor
+from repro.compression.registry import PACTRAIN_QUANTIZE, build_compressor
 from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.regimes import SyncSchedule, parse_sync_schedule
@@ -81,29 +81,21 @@ class MethodSpec:
         return parse_sync_schedule(self.sync_schedule)
 
     def build_compressor(self, seed: int = 0) -> Compressor:
-        if self.compressor.startswith("pactrain"):
-            # Imported lazily: repro.pactrain.trainer itself builds on this module.
-            from repro.pactrain.compressor import PacTrainCompressor  # noqa: PLC0415
-
-            if self.error_feedback is not None:
-                raise ValueError(
-                    f"error_feedback={self.error_feedback} is not supported for "
-                    "PacTrain methods: its compacted aggregation is already "
-                    "lossless w.r.t. the masked gradient, so there is no dropped "
-                    "mass to feed back (and nothing to strip); leave the field "
-                    "at None"
-                )
-            return PacTrainCompressor(
-                stability_threshold=self.stability_threshold,
-                min_sparsity=self.min_sparsity,
-                quantize=self.quantize,
-                seed=seed,
-                warmup_iterations=self.warmup_iterations,
-            )
+        """A fresh compressor for this method, built by the registry; PacTrain's
+        factory alone takes ``quantize`` (which its name may not contradict) and
+        the Mask Tracker fields."""
+        tracker = {}
+        if self.compressor.lower() in PACTRAIN_QUANTIZE:
+            tracker = {
+                "quantize": self.quantize,
+                "stability_threshold": self.stability_threshold,
+                "min_sparsity": self.min_sparsity,
+                "warmup_iterations": self.warmup_iterations,
+            }
         # Registry names and codec pipeline specs receive the same per-run
         # seed, so stochastic codecs (random-k selection, ternary rounding)
         # actually vary across multi-seed sweeps.
-        compressor = build_compressor(self.compressor, seed=seed)
+        compressor = build_compressor(self.compressor, seed=seed, **tracker)
         if self.error_feedback is None:
             return compressor
         if not isinstance(compressor, CodecCompressor):

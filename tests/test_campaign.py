@@ -617,7 +617,7 @@ class TestRunner:
         assert results[0].loss_trace != results[1].loss_trace
 
     def test_compressor_seed_threading(self):
-        assert MethodSpec(name="rk", compressor="randomk").build_compressor(seed=7).seed == 7
+        assert MethodSpec(name="rk", compressor="randomk").build_compressor(seed=7).pipeline.stages[0].seed == 7
         pipeline = MethodSpec(name="c", compressor="randomk0.2+terngrad").build_compressor(seed=9)
         randomk, ternarize = pipeline.pipeline.stages
         assert randomk.seed == 9 and ternarize.seed == 9

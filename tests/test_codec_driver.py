@@ -58,7 +58,6 @@ from repro.simulation import run_experiment
 from repro.simulation.spec import MethodSpec
 from repro.tensorlib.dtypes import default_dtype
 
-build_compressor("pactrain")  # registers the three lazily-imported PacTrain names
 REGISTRY_NAMES = tuple(sorted(COMPRESSOR_REGISTRY))
 SPECS = REGISTRY_NAMES + (
     "ef+fp32", "ef+fp16", "ef+topk0.05", "ef+randomk0.1", "ef+signsgd",

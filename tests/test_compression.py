@@ -9,18 +9,12 @@ from repro.comm import NetworkModel, ProcessGroup
 from repro.comm.network import MBPS
 from repro.compression import (
     COMPRESSOR_REGISTRY,
-    DGCCompressor,
-    FP16Compressor,
-    NoCompression,
-    RandomKCompressor,
-    TernGradCompressor,
-    TopKCompressor,
+    CodecCompressor,
     build_compressor,
     register_compressor,
 )
 from repro.compression.base import exact_average
-from repro.compression.terngrad import ternarize
-from repro.compression.topk import top_k_indices
+from repro.compression.codec import DGCSelect, Identity, RandomK, TopK, ternarize, top_k_indices
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.metrics import nmse
 
@@ -43,36 +37,36 @@ def group():
 
 class TestNoCompression:
     def test_exact_average(self, buffers, group):
-        result = NoCompression().aggregate(make_bucket(buffers), group)
+        result = build_compressor("allreduce").aggregate(make_bucket(buffers), group)
         np.testing.assert_allclose(result, exact_average(buffers), atol=1e-12)
 
     def test_flags(self):
-        compressor = NoCompression()
+        compressor = build_compressor("allreduce")
         assert compressor.allreduce_compatible
         assert compressor.lossless
         assert compressor.stats.compression_ratio == 1.0  # nothing recorded yet
 
     def test_compression_ratio_is_one(self, buffers, group):
-        compressor = NoCompression()
+        compressor = build_compressor("allreduce")
         compressor.aggregate(make_bucket(buffers), group)
         assert compressor.stats.compression_ratio == pytest.approx(1.0)
 
 
 class TestFP16:
     def test_small_error(self, buffers, group):
-        result = FP16Compressor().aggregate(make_bucket(buffers), group)
-        assert nmse(exact_average(buffers), result) < 1e-5
+        result = build_compressor("fp16").aggregate(make_bucket(buffers), group)
+        assert 0.0 < nmse(exact_average(buffers), result) < 1e-5
 
     def test_halves_wire_bytes(self, buffers, group):
-        compressor = FP16Compressor()
+        compressor = build_compressor("fp16")
         compressor.aggregate(make_bucket(buffers), group)
         assert compressor.stats.compression_ratio == pytest.approx(2.0)
 
     def test_faster_than_fp32(self, buffers):
         network = NetworkModel.from_bandwidth(4, 100 * MBPS, latency=0.0)
         g32, g16 = ProcessGroup(4, network), ProcessGroup(4, network)
-        NoCompression().aggregate(make_bucket(buffers), g32)
-        FP16Compressor().aggregate(make_bucket(buffers), g16)
+        build_compressor("allreduce").aggregate(make_bucket(buffers), g32)
+        build_compressor("fp16").aggregate(make_bucket(buffers), g16)
         assert g16.total_time == pytest.approx(g32.total_time / 2)
 
 
@@ -88,21 +82,21 @@ class TestTopK:
         assert top_k_indices(values, 0).size == 0
 
     def test_keeps_requested_fraction(self, buffers, group):
-        compressor = TopKCompressor(ratio=0.1, error_feedback=False)
+        compressor = CodecCompressor(TopK(ratio=0.1, error_feedback=False))
         result = compressor.aggregate(make_bucket(buffers), group)
         # Union over 4 ranks of 10% selections: between 10% and 40% non-zero.
         density = np.mean(result != 0)
         assert 0.05 < density <= 0.4
 
     def test_uses_allgather(self, buffers, group):
-        compressor = TopKCompressor(ratio=0.1)
+        compressor = build_compressor("topk-0.1")
         compressor.aggregate(make_bucket(buffers), group)
         assert not compressor.allreduce_compatible
         assert compressor.stats.allgather_calls == 1
         assert group.events[-1].op == "all_gather"
 
     def test_error_feedback_accumulates_unsent_mass(self, group, rng):
-        compressor = TopKCompressor(ratio=0.05, error_feedback=True)
+        compressor = build_compressor("ef+topk0.05")
         # A coordinate with small but persistent gradient must eventually be sent.
         base = np.zeros(100)
         base[7] = 0.05
@@ -118,13 +112,14 @@ class TestTopK:
         assert sent_seven
 
     def test_invalid_ratio(self):
+        for spec in ("topk0", "topk1.5", "ef+topk0", "topk-0+terngrad"):
+            with pytest.raises(ValueError, match="ratio must be in"):
+                build_compressor(spec)
         with pytest.raises(ValueError):
-            TopKCompressor(ratio=0.0)
-        with pytest.raises(ValueError):
-            TopKCompressor(ratio=1.5)
+            TopK(ratio=0.0)
 
     def test_reset_clears_residuals(self, buffers, group):
-        compressor = TopKCompressor(ratio=0.1)
+        compressor = build_compressor("topk-0.1")
         compressor.aggregate(make_bucket(buffers), group)
         assert compressor._residuals
         compressor.reset()
@@ -134,7 +129,7 @@ class TestTopK:
 
 class TestRandomK:
     def test_selection_is_shared_across_ranks(self, buffers, group):
-        compressor = RandomKCompressor(ratio=0.2, rescale=False)
+        compressor = CodecCompressor(RandomK(ratio=0.2, rescale=False))
         result = compressor.aggregate(make_bucket(buffers), group)
         exact = exact_average(buffers)
         nonzero = result != 0
@@ -142,13 +137,13 @@ class TestRandomK:
         assert np.mean(nonzero) == pytest.approx(0.2, abs=0.02)
 
     def test_allreduce_compatible(self, buffers, group):
-        compressor = RandomKCompressor(ratio=0.1)
+        compressor = build_compressor("randomk")
         compressor.aggregate(make_bucket(buffers), group)
         assert compressor.allreduce_compatible
         assert compressor.stats.allgather_calls == 0
 
     def test_selection_changes_per_iteration(self, buffers, group):
-        compressor = RandomKCompressor(ratio=0.1, rescale=False)
+        compressor = CodecCompressor(RandomK(ratio=0.1, rescale=False))
         a = compressor.aggregate(make_bucket(buffers), group, iteration=0)
         b = compressor.aggregate(make_bucket(buffers), group, iteration=1)
         assert not np.array_equal(a != 0, b != 0)
@@ -173,49 +168,53 @@ class TestTernGrad:
 
     def test_aggregate_preserves_direction(self, group, rng):
         buffers = [rng.standard_normal(2000) + 0.5 for _ in range(4)]
-        result = TernGradCompressor(seed=0).aggregate(make_bucket(buffers), group)
+        result = build_compressor("terngrad", seed=0).aggregate(make_bucket(buffers), group)
         exact = exact_average(buffers)
         cosine = np.dot(result, exact) / (np.linalg.norm(result) * np.linalg.norm(exact))
         assert cosine > 0.5
 
     def test_wire_bytes_are_two_bits_per_element(self, buffers, group):
-        compressor = TernGradCompressor(seed=0)
+        compressor = build_compressor("terngrad", seed=0)
         compressor.aggregate(make_bucket(buffers), group)
         assert compressor.stats.compression_ratio == pytest.approx(16.0)
 
     def test_allreduce_compatible(self):
-        assert TernGradCompressor().allreduce_compatible
+        assert build_compressor("terngrad").allreduce_compatible
 
 
 class TestDGC:
     def test_sparsity_of_output(self, buffers, group):
-        compressor = DGCCompressor(ratio=0.01)
+        compressor = build_compressor("dgc")
         result = compressor.aggregate(make_bucket(buffers), group)
         assert np.mean(result != 0) <= 0.04 + 1e-9  # at most world_size * ratio
 
     def test_momentum_correction_state_grows_then_clears(self, buffers, group):
-        compressor = DGCCompressor(ratio=0.01, momentum=0.9)
+        compressor = build_compressor("dgc")
         compressor.aggregate(make_bucket(buffers), group)
-        assert compressor._momentum_buf and compressor._accum_buf
+        stage = compressor.pipeline.stages[0]
+        assert stage.momentum == 0.9
+        assert stage._momentum and stage._accum
         compressor.reset()
-        assert not compressor._momentum_buf
+        assert not stage._momentum
 
     def test_uses_allgather(self, buffers, group):
-        compressor = DGCCompressor(ratio=0.01)
+        compressor = build_compressor("dgc")
         compressor.aggregate(make_bucket(buffers), group)
         assert compressor.stats.allgather_calls == 1
 
     def test_clipping(self, group, rng):
-        compressor = DGCCompressor(ratio=0.5, clip_norm=1.0)
+        compressor = CodecCompressor(DGCSelect(ratio=0.5, clip_norm=1.0))
         huge = [rng.standard_normal(100) * 100 for _ in range(4)]
         result = compressor.aggregate(make_bucket(huge), group)
         assert np.linalg.norm(result) <= 1.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DGCCompressor(ratio=0.0)
+            DGCSelect(ratio=0.0)
         with pytest.raises(ValueError):
-            DGCCompressor(momentum=1.0)
+            DGCSelect(momentum=1.0)
+        with pytest.raises(ValueError, match="ratio must be in"):
+            build_compressor("dgc0")
 
 
 class TestCodecPipelines:
@@ -248,7 +247,7 @@ class TestCodecPipelines:
         assert compressor.stats.allgather_calls == 1
 
     def test_composed_randomk_fp16_close_to_randomk(self, buffers, group):
-        plain = RandomKCompressor(ratio=0.2).aggregate(make_bucket(buffers), group)
+        plain = build_compressor("randomk0.2").aggregate(make_bucket(buffers), group)
         composed = build_compressor("randomk0.2+fp16")
         casted = composed.aggregate(make_bucket(buffers), ProcessGroup(4))
         # Same shared-seed selection; fp16-casting the selected values only
@@ -268,7 +267,7 @@ class TestCodecPipelines:
         from repro.compression.codec import SparsePayload
 
         group = ProcessGroup(4)
-        compressor = TopKCompressor(ratio=0.1, error_feedback=False)
+        compressor = CodecCompressor(TopK(ratio=0.1, error_feedback=False))
         compressor.aggregate(make_bucket(buffers), group)
         event = group.events[-1]
         numel = buffers[0].size
@@ -285,8 +284,8 @@ class TestRegistry:
         assert build_compressor(name) is not None
 
     def test_paper_names_map_to_expected_ratios(self):
-        assert build_compressor("topk-0.01").ratio == pytest.approx(0.01)
-        assert build_compressor("topk-0.1").ratio == pytest.approx(0.1)
+        assert build_compressor("topk-0.01").pipeline.stages[0].ratio == pytest.approx(0.01)
+        assert build_compressor("topk-0.1").pipeline.stages[0].ratio == pytest.approx(0.1)
 
     def test_pactrain_lazy_registration(self):
         compressor = build_compressor("pactrain")
@@ -299,8 +298,8 @@ class TestRegistry:
             build_compressor("thc")
 
     def test_register_custom(self):
-        register_compressor("custom-test", NoCompression)
+        register_compressor("custom-test", lambda: CodecCompressor(Identity(), name="mine"))
         try:
-            assert isinstance(build_compressor("custom-test"), NoCompression)
+            assert build_compressor("Custom-Test", seed=3).name == "mine"
         finally:
             COMPRESSOR_REGISTRY.pop("custom-test", None)

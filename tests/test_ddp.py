@@ -1,4 +1,4 @@
-"""DDP simulator: buckets, hooks, gradient synchronisation and equivalence."""
+"""DDP simulator: buckets, gradient synchronisation and equivalence."""
 
 from __future__ import annotations
 
@@ -7,17 +7,9 @@ import pytest
 
 from repro.comm import NetworkModel, ProcessGroup
 from repro.comm.network import MBPS
-from repro.compression import FP16Compressor, NoCompression
-from repro.ddp import (
-    DistributedDataParallel,
-    GradBucket,
-    HookState,
-    allreduce_hook,
-    build_buckets,
-    fp16_compress_hook,
-)
+from repro.compression import build_compressor
+from repro.ddp import DistributedDataParallel, GradBucket, build_buckets
 from repro.ddp.bucket import Bucket, BucketSlice
-from repro.ddp.hooks import make_hook
 from repro.nn import SGD
 from repro.nn.models import mlp_tiny
 from repro.tensorlib import Tensor, functional as F
@@ -99,31 +91,6 @@ class TestGradBucket:
             GradBucket(bucket, [np.zeros(bucket.numel + 1)])
 
 
-class TestHooks:
-    def test_allreduce_hook_averages(self, rng):
-        bucket = Bucket(index=0, slices=[BucketSlice("w", 0, 8, (8,))])
-        buffers = [rng.standard_normal(8) for _ in range(4)]
-        state = HookState(process_group=ProcessGroup(4))
-        result = allreduce_hook(state, GradBucket(bucket, buffers))
-        np.testing.assert_allclose(result, np.mean(buffers, axis=0), atol=1e-12)
-
-    def test_fp16_hook_introduces_bounded_error(self, rng):
-        bucket = Bucket(index=0, slices=[BucketSlice("w", 0, 64, (64,))])
-        buffers = [rng.standard_normal(64) for _ in range(2)]
-        state = HookState(process_group=ProcessGroup(2))
-        result = fp16_compress_hook(state, GradBucket(bucket, buffers))
-        exact = np.mean(buffers, axis=0)
-        assert np.abs(result - exact).max() < 1e-2
-        assert np.abs(result - exact).max() > 0.0
-
-    def test_make_hook_dispatch(self):
-        assert make_hook(None) is allreduce_hook
-        assert callable(make_hook(NoCompression()))
-        assert make_hook(allreduce_hook) is allreduce_hook
-        with pytest.raises(TypeError):
-            make_hook(42)
-
-
 class TestDistributedDataParallel:
     def test_train_step_returns_accounting(self, tiny_model, sample_batch):
         network = NetworkModel.from_bandwidth(4, 100 * MBPS)
@@ -177,7 +144,7 @@ class TestDistributedDataParallel:
             tiny_model, world_size=2, process_group=ProcessGroup(2, network)
         )
         fp32 = ddp.train_step([sample_batch] * 2, F.cross_entropy)
-        ddp.register_comm_hook(FP16Compressor())
+        ddp.register_comm_hook(build_compressor("fp16"))
         fp16 = ddp.train_step([sample_batch] * 2, F.cross_entropy)
         assert fp16.comm_time < fp32.comm_time
 
@@ -197,6 +164,6 @@ class TestDistributedDataParallel:
 
     def test_hook_iteration_counter_increments(self, tiny_model, sample_batch):
         ddp = DistributedDataParallel(tiny_model, world_size=2)
-        assert ddp.hook_state.iteration == 0
+        assert ddp.iteration == 0
         ddp.train_step([sample_batch] * 2, F.cross_entropy)
-        assert ddp.hook_state.iteration == 1
+        assert ddp.iteration == 1

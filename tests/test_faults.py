@@ -194,11 +194,11 @@ class TestElasticState:
         ddp.set_active_ranks([0, 2, 3])
         assert ddp.is_degraded
         assert ddp.active_ranks == [0, 2, 3]
-        assert ddp.hook_state.process_group.world_size == 3
+        assert ddp.active_group.world_size == 3
         # Full membership with no explicit group restores the healthy path.
         ddp.set_active_ranks([0, 1, 2, 3])
         assert not ddp.is_degraded
-        assert ddp.hook_state.process_group is ddp.process_group
+        assert ddp.active_group is ddp.process_group
 
     def test_ddp_rejects_bad_membership(self, tiny_model):
         ddp = DistributedDataParallel(tiny_model, world_size=4)

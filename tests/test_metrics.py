@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression import FP16Compressor, NoCompression
+from repro.compression import build_compressor
 from repro.metrics import (
     AccuracyTrace,
     bytes_saved,
@@ -88,13 +88,13 @@ class TestThroughput:
             Bucket(index=0, slices=[BucketSlice("w", 0, 128, (128,))]),
             [rng.standard_normal(128) for _ in range(2)],
         )
-        compressor = FP16Compressor()
+        compressor = build_compressor("fp16")
         compressor.aggregate(bucket, ProcessGroup(2))
         summary = compression_summary(compressor)
         assert summary["compression_ratio"] == pytest.approx(2.0)
         assert summary["allreduce_compatible"] == 1.0
         assert bytes_saved(compressor) == pytest.approx(128 * 2.0)
-        assert bytes_saved(NoCompression()) == 0.0
+        assert bytes_saved(build_compressor("allreduce")) == 0.0
 
     def test_effective_throughput(self):
         assert effective_throughput(1000, 10.0) == pytest.approx(100.0)

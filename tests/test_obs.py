@@ -22,7 +22,7 @@ import pytest
 
 from repro.comm import NetworkModel, ProcessGroup
 from repro.comm.network import MBPS
-from repro.compression import FP16Compressor, NoCompression, build_compressor
+from repro.compression import build_compressor
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.golden import GOLDEN_CONFIG
 from repro.obs import BUCKET_BOUNDS, SIM_SCHEDULE_TID, TRACER, Histogram, MetricsRegistry
@@ -367,7 +367,7 @@ class TestKernelCallSites:
 class TestCodecCallSites:
     def test_one_span_per_stage_on_reduce_path(self, rng):
         TRACER.enable()
-        FP16Compressor().aggregate(make_bucket(rng), make_group(), iteration=0)
+        build_compressor("fp16").aggregate(make_bucket(rng), make_group(), iteration=0)
         events = TRACER.events()
         for name in ("codec/encode", "codec/reduce", "codec/decode"):
             assert len(wall_spans(events, name)) == 1, name
@@ -393,7 +393,7 @@ class TestCodecCallSites:
 
     def test_lossless_pipeline_skips_nmse(self, rng):
         TRACER.enable()
-        NoCompression().aggregate(make_bucket(rng), make_group(), iteration=0)
+        build_compressor("allreduce").aggregate(make_bucket(rng), make_group(), iteration=0)
         assert not any(
             e.get("kind") == "instant" and e["name"] == "codec/nmse" for e in TRACER.events()
         )
@@ -404,7 +404,7 @@ class TestCodecCallSites:
         def run():
             layout = Bucket(index=0, slices=[BucketSlice("w", 0, 256, (256,))])
             bucket = GradBucket(layout, [b.copy() for b in bucket_data])
-            return FP16Compressor().aggregate(bucket, make_group(), iteration=0)
+            return build_compressor("fp16").aggregate(bucket, make_group(), iteration=0)
 
         plain = run()
         TRACER.enable()
@@ -481,7 +481,7 @@ class TestSummary:
     def test_summary_renders_all_sections(self, rng):
         TRACER.enable()
         TRACER.new_sim_process("demo")
-        FP16Compressor().aggregate(make_bucket(rng), make_group(), iteration=0)
+        build_compressor("fp16").aggregate(make_bucket(rng), make_group(), iteration=0)
         TRACER.sim_span("iteration 0", "sim", 0.0, 1.0, SIM_SCHEDULE_TID)
         TRACER.metrics.set_gauge("campaign.workers", 2)
         TRACER.flush_metrics()

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.comm import NetworkModel, ProcessGroup
 from repro.comm.network import MBPS
-from repro.compression import NoCompression
+from repro.compression import build_compressor
 from repro.compression.base import exact_average
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.pactrain import MaskTracker, PacTrainCompressor, PacTrainConfig, PacTrainTrainer
@@ -147,7 +149,7 @@ class TestPacTrainCompressor:
         buffers = [rng.standard_normal(4000) * mask for _ in range(4)]
 
         baseline_group = ProcessGroup(4, network)
-        NoCompression().aggregate(make_bucket(buffers), baseline_group)
+        build_compressor("allreduce").aggregate(make_bucket(buffers), baseline_group)
 
         compressor = PacTrainCompressor(stability_threshold=1)
         pac_group = ProcessGroup(4, network)
@@ -239,6 +241,26 @@ class TestPacTrainConfig:
             PacTrainConfig(stability_threshold=0)
         with pytest.raises(ValueError):
             PacTrainConfig(warmup_iterations=-1)
+
+    @pytest.mark.parametrize(
+        "option", [{"pruning_scope": "layer"}, {"reapply_weight_mask": False}, {"seed": 1}]
+    )
+    def test_options_that_did_nothing_are_gone(self, option):
+        with pytest.raises(TypeError):
+            PacTrainConfig(**option)
+
+    def test_every_option_reaches_the_method_spec(self):
+        """No field is validated, documented and then dropped on the way to the run."""
+        changed = {
+            "pruning_ratio": 0.25, "pruning_method": "grasp", "stability_threshold": 9,
+            "min_sparsity": 0.5, "quantize": True, "gse_every_iteration": False,
+            "warmup_iterations": 5,
+        }
+        assert set(changed) == {f.name for f in dataclasses.fields(PacTrainConfig)}
+        default = PacTrainTrainer().method_spec()
+        for name, value in changed.items():
+            spec = PacTrainTrainer(config=PacTrainConfig(**{name: value})).method_spec()
+            assert spec != default, name
 
 
 class TestPacTrainTrainer:

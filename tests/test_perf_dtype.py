@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.campaign.spec import build_cell
 from repro.comm.process_group import ProcessGroup
+from repro.compression.base import Compressor
 from repro.compression.codec import DensePayload, SparsePayload, parse_codec_spec
 from repro.compression.registry import build_compressor
 from repro.data import DataLoader, DistributedSampler, synthetic_cifar10
@@ -37,6 +38,7 @@ from repro.pruning import PruningMask
 from repro.simulation import ExperimentConfig, MethodSpec, PAPER_METHODS, run_experiment
 from repro.simulation.experiment import _WeightSparsityCache
 from repro.tensorlib import Tensor, default_dtype, functional as F, get_default_dtype
+from repro.tensorlib.dtypes import SUPPORTED_DTYPES, float_dtype_of
 
 
 def tiny_config(dtype: str = "float64", **overrides) -> ExperimentConfig:
@@ -169,12 +171,13 @@ class TestGradientArena:
             np.testing.assert_array_equal(value, snapshot[name])
 
     def test_hook_returning_arena_row_is_copied(self, tiny_model, sample_batch):
-        """A hook result aliasing the arena must not leak into param.grad."""
+        """An aggregate aliasing the arena must not leak into param.grad."""
 
-        def passthrough_hook(state, bucket):
-            return bucket.buffer(0)  # a live arena row view
+        class PassThrough(Compressor):
+            def aggregate(self, bucket, group, iteration=0):
+                return bucket.buffer(0)  # a live arena row view
 
-        ddp = DistributedDataParallel(tiny_model, world_size=2, comm_hook=passthrough_hook)
+        ddp = DistributedDataParallel(tiny_model, world_size=2, comm_hook=PassThrough())
         images, labels = sample_batch
         _, grads = ddp.compute_local_gradients((images, labels), F.cross_entropy)
         aggregated = ddp.synchronize_gradients([grads, grads])
@@ -214,6 +217,16 @@ class TestGradientArena:
 # Payload dtype round trips (hypothesis)
 # --------------------------------------------------------------------------- #
 class TestPayloadDtypes:
+    @pytest.mark.parametrize(
+        "code", ["f2", "f4", "f8", ">f4", ">f8", "g", "i4", "i8", "u1", "b1", "c8", "c16", "O"]
+    )
+    def test_float_dtype_of_is_the_supported_name_table(self, code):
+        """``float_dtype_of`` tests kind and item size (a per-payload hot path);
+        it must keep meaning "the array's dtype iff its name is supported"."""
+        dtype = np.dtype(code)
+        expected = dtype if dtype.name in SUPPORTED_DTYPES else get_default_dtype()
+        assert float_dtype_of(np.zeros(2, dtype=dtype)) is expected
+
     @settings(max_examples=25, deadline=None)
     @given(
         values=st.lists(st.floats(-1e3, 1e3, allow_nan=False, width=32), min_size=1, max_size=64),

@@ -35,8 +35,7 @@ from repro.compression.codec import (
     pack_ternary,
     unpack_ternary,
 )
-from repro.compression.terngrad import ternarize
-from repro.compression.topk import top_k_indices
+from repro.compression.codec import ternarize, top_k_indices
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.metrics import nmse
 from repro.pactrain import MaskTracker, PacTrainCompressor
