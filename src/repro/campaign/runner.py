@@ -8,7 +8,9 @@ cell is independent and internally seeded (``config.seed`` drives the dataset,
 model init, data order and the compressor), so parallel and serial execution
 produce bit-identical results; outcomes are committed to the store in cell
 order regardless of completion order, keeping the store file deterministic
-too.
+too.  Independent does not mean prepared from scratch: the cells of one
+campaign that agree on dataset, split and pre-trained model share them (see
+:func:`run_campaign`), which changes how long a sweep takes and nothing else.
 
 The runner is hardened against its own failures — large fault-study sweeps
 must survive the faults of the machine running them:
@@ -49,7 +51,7 @@ import numpy as np
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.obs.tracer import TRACER
-from repro.simulation.experiment import ExperimentResult, run_experiment
+from repro.simulation.experiment import ExperimentResult, _WorkloadShare, run_experiment
 
 #: Outcome statuses: freshly trained, served from the store, errored, or
 #: killed by the per-cell watchdog.
@@ -194,21 +196,22 @@ def _chaos_inject(label: str) -> None:
 
 
 def _execute_cell(
-    payload: Tuple[int, CampaignCell],
+    payload: Tuple[int, CampaignCell], share: _WorkloadShare
 ) -> Tuple[int, Optional[ExperimentResult], Optional[str], Optional[str], float]:
     """Train one cell; never raises (returns the traceback instead).
 
-    Module-level so it pickles into pool workers.  The fourth element is the
-    exception *type name* (the retry policy's transience classifier), the
-    fifth the cell's own wall time in seconds (measured here so pooled and
-    in-process execution report it identically).
+    ``share`` holds the pre-trained workloads of the campaign's earlier cells
+    in this process (see :func:`run_campaign`).  The fourth element of the
+    return value is the exception *type name* (the retry policy's transience
+    classifier), the fifth the cell's own wall time in seconds (measured here
+    so pooled and in-process execution report it identically).
     """
     index, cell = payload
     start = time.perf_counter()
     try:
         _chaos_inject(cell.label)
         with TRACER.span("campaign/cell", cat="campaign", label=cell.label):
-            result = run_experiment(cell.config, cell.method)
+            result = run_experiment(cell.config, cell.method, _share=share)
         return index, result, None, None, time.perf_counter() - start
     except Exception as error:  # noqa: BLE001 - fail-soft per cell by design
         return (
@@ -217,17 +220,24 @@ def _execute_cell(
         )
 
 
+#: The share of the pool worker this module is loaded in: set once by
+#: :func:`_worker_init`, dies with the worker when the campaign's pool closes.
+#: ``None`` everywhere else (in-process execution passes its share down).
+_WORKER_SHARE: Optional[_WorkloadShare] = None
+
+
 def _execute_cell_in_worker(payload: Tuple[int, CampaignCell]):
     """Pool-worker entry point: per-cell seeding, then :func:`_execute_cell`.
 
-    Forked workers inherit the parent's global numpy RNG state; re-seeding it
-    from the cell seed isolates any stray global draws per cell.  The
-    simulation itself only uses explicitly seeded generators, so this does
-    not affect results — and it runs only in workers, never in the caller's
-    process (in-process execution must not clobber the caller's RNG state).
+    Module-level so it pickles into pool workers.  Forked workers inherit the
+    parent's global numpy RNG state; re-seeding it from the cell seed isolates
+    any stray global draws per cell.  The simulation itself only uses
+    explicitly seeded generators, so this does not affect results — and it
+    runs only in workers, never in the caller's process (in-process execution
+    must not clobber the caller's RNG state).
     """
     np.random.seed(payload[1].config.seed % (2**32))
-    outcome = _execute_cell(payload)
+    outcome = _execute_cell(payload, _WORKER_SHARE)
     if TRACER.enabled:
         # Workers have no clean shutdown hook; flushing a cumulative metric
         # snapshot after every cell keeps the shared sink current (the
@@ -237,7 +247,8 @@ def _execute_cell_in_worker(payload: Tuple[int, CampaignCell]):
 
 
 def _worker_init(backend_names: Sequence[str], trace_sink: Optional[str] = None) -> None:
-    """Pool-worker initializer: warm the backend cache, join the trace sink.
+    """Pool-worker initializer: open the worker's workload share, warm the
+    backend cache, join the trace sink.
 
     Constructing a backend by name is where JIT compilation and the
     bit-identity probes happen; warming the process-level cache here means a
@@ -247,6 +258,8 @@ def _worker_init(backend_names: Sequence[str], trace_sink: Optional[str] = None)
     append-only JSONL sink — whole-line appends interleave safely, and the
     worker's pid keeps its tracks distinct.
     """
+    global _WORKER_SHARE
+    _WORKER_SHARE = _WorkloadShare()
     if trace_sink is not None:
         TRACER.enable(path=trace_sink, role="worker")
 
@@ -307,6 +320,16 @@ def run_campaign(
 ) -> CampaignReport:
     """Execute a campaign: expand, check the cache, train what is missing.
 
+    The pending cells of one call share their pre-trained workloads: cells
+    that agree on every argument of
+    :func:`~repro.simulation.experiment._pretrained_workload` (dataset, split,
+    model, pre-training, compute dtype, backend — most of a method x
+    bandwidth x fault-plan grid) build the dataset and pre-train the model
+    once, and each trains its own copy.  The share belongs to this call — one
+    for in-process execution, one per pool worker, bounded in bytes — and is
+    gone when it returns; results are bit-identical to running every cell
+    alone with :func:`~repro.simulation.experiment.run_experiment`.
+
     Parameters
     ----------
     campaign:
@@ -353,7 +376,7 @@ def run_campaign(
 
     # Cache pass: partition into served-from-store and pending cells.
     cached_outcomes: List[CellOutcome] = []
-    pending: List[Tuple[int, CampaignCell]] = []
+    pending: List[Tuple[int, CampaignCell, str]] = []
     for index, cell in enumerate(cells):
         key = cell.fingerprint()
         cached = store.get_by_key(key) if (store is not None and not recompute) else None
@@ -365,7 +388,7 @@ def run_campaign(
                 )
             )
         else:
-            pending.append((index, cell))
+            pending.append((index, cell, key))
 
     workers = min(default_jobs() if jobs is None else max(1, jobs), len(pending)) if pending else 1
     pending_left = len(pending)
@@ -416,7 +439,7 @@ def run_campaign(
             # Every distinct backend the pending cells name is constructed in
             # the worker initializer, so per-worker JIT warmup happens once.
             backend_names = sorted(
-                {cell.config.backend for _, cell in pending if cell.config.backend}
+                {cell.config.backend for _, cell, _ in pending if cell.config.backend}
             )
             trace_sink = TRACER.sink_path if TRACER.enabled else None
             pool_args = dict(
@@ -461,24 +484,24 @@ def run_campaign(
 
 
 def _run_inline(
-    pending: Sequence[Tuple[int, CampaignCell]],
+    pending: Sequence[Tuple[int, CampaignCell, str]],
     store: Optional[ResultStore],
     settle: Callable[[CellOutcome, float], None],
     retries: int,
     retry_backoff: float,
 ) -> None:
     """Serial execution with the same retry policy as the pooled path."""
-    for index, cell in pending:
-        key = cell.fingerprint()
+    share = _WorkloadShare()
+    for index, cell, key in pending:
         attempts = 0
         elapsed_total = 0.0
         while True:
             attempts += 1
-            _, result, error, error_type, elapsed = _execute_cell((index, cell))
+            _, result, error, error_type, elapsed = _execute_cell((index, cell), share)
             elapsed_total += elapsed
             if error is None:
                 if store is not None:
-                    store.put(cell.config, cell.method, result, attempts=attempts)
+                    store.put(cell.config, cell.method, result, attempts=attempts, key=key)
                 settle(
                     CellOutcome(
                         index=index, cell=cell, key=key, status=STATUS_RAN,
@@ -511,7 +534,7 @@ def _pool_pids(pool) -> Optional[frozenset]:
 def _run_pooled(
     pool,
     pool_args: dict,
-    pending: Sequence[Tuple[int, CampaignCell]],
+    pending: Sequence[Tuple[int, CampaignCell, str]],
     store: Optional[ResultStore],
     settle: Callable[[CellOutcome, float], None],
     retries: int,
@@ -535,12 +558,12 @@ def _run_pooled(
     """
     queue: Deque[Tuple[int, int, CampaignCell, int, float]] = deque(
         (position, index, cell, 1, 0.0)
-        for position, (index, cell) in enumerate(pending)
+        for position, (index, cell, _) in enumerate(pending)
     )
     in_flight: Dict[int, _InFlight] = {}
     buffered: Dict[int, Tuple[CellOutcome, float]] = {}
     next_commit = 0
-    keys = {position: cell.fingerprint() for position, (_, cell) in enumerate(pending)}
+    keys = [key for _, _, key in pending]  # by queue position
     pids = _pool_pids(pool)
 
     def commit_ready() -> None:
@@ -550,7 +573,7 @@ def _run_pooled(
             if outcome.status == STATUS_RAN and store is not None:
                 store.put(
                     outcome.cell.config, outcome.cell.method, outcome.result,
-                    attempts=outcome.attempts,
+                    attempts=outcome.attempts, key=outcome.key,
                 )
             settle(outcome, elapsed)
             next_commit += 1

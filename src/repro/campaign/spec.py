@@ -31,13 +31,14 @@ sweep`` drives.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from repro.campaign.store import canonical_json, cell_fingerprint
+from repro.campaign.store import cell_identity, identity_fingerprint
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.spec import PAPER_METHODS, ExperimentConfig, MethodSpec
 
@@ -60,7 +61,13 @@ METHOD_FIELD_AXES = frozenset(
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """One concrete experiment of a campaign: a workload and a method."""
+    """One concrete experiment of a campaign: a workload and a method.
+
+    A cell is serialised once: :attr:`identity` is computed on first use and
+    kept, and expansion's dedupe, the runner's cache lookup and the store
+    write all derive from it.  Build a new cell instead of mutating the
+    ``config`` of one whose identity has been read.
+    """
 
     config: ExperimentConfig
     method: MethodSpec
@@ -84,9 +91,15 @@ class CampaignCell:
             f"@{bandwidth}/w{cluster.world_size}/seed{self.config.seed}"
         )
 
+    @functools.cached_property
+    def identity(self) -> str:
+        """Canonical JSON of the complete cell specification."""
+        return cell_identity(self.config, self.method)
+
     def fingerprint(self) -> str:
-        """Content hash of the cell (the store's cache key)."""
-        return cell_fingerprint(self.config, self.method)
+        """Content hash of the cell (the store's cache key): equal to
+        ``cell_fingerprint(self.config, self.method)``."""
+        return identity_fingerprint(self.identity)
 
 
 def resolve_method(
@@ -253,10 +266,9 @@ class CampaignSpec:
 
     def _add_cell(self, cells: List[CampaignCell], seen: Dict[str, None], overrides: Dict) -> None:
         cell = build_cell(overrides, base=self.base, methods=self.methods)
-        identity = canonical_json({"config": cell.config.to_dict(), "method": cell.method.to_dict()})
-        if identity in seen:
+        if cell.identity in seen:
             return
-        seen[identity] = None
+        seen[cell.identity] = None
         cells.append(cell)
 
     def __len__(self) -> int:

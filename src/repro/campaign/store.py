@@ -55,7 +55,9 @@ def cell_fingerprint(config: ExperimentConfig, method: MethodSpec) -> str:
 
     Covers the complete cell specification plus the code-relevant versions:
     two cells collide exactly when they would run the identical experiment
-    under the identical code.
+    under the identical code.  This is the reference definition of a store
+    key; :func:`identity_fingerprint` hashes the same bytes from an identity
+    that is already serialised.
     """
     payload = {
         "config": config.to_dict(),
@@ -64,6 +66,33 @@ def cell_fingerprint(config: ExperimentConfig, method: MethodSpec) -> str:
         "repro_version": __version__,
     }
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def cell_identity(config: ExperimentConfig, method: MethodSpec) -> str:
+    """Canonical JSON of the complete cell specification, without versions.
+
+    Equal exactly when two cells would run the identical experiment: what a
+    campaign deduplicates on, and the part of :func:`cell_fingerprint`'s
+    payload that depends on the cell.
+    """
+    return canonical_json({"config": config.to_dict(), "method": method.to_dict()})
+
+
+#: What :func:`cell_fingerprint` hashes after the identity's two keys: sorted,
+#: ``"repro_version"`` and ``"schema"`` follow ``"config"`` and ``"method"``.
+_VERSIONS_TAIL = "," + canonical_json(
+    {"repro_version": __version__, "schema": RESULT_SCHEMA_VERSION}
+)[1:]
+
+
+def identity_fingerprint(identity: str) -> str:
+    """:func:`cell_fingerprint` of the cell whose :func:`cell_identity` this is.
+
+    The version keys are spliced into the identity's JSON object instead of
+    serialising the specification a second time; the hashed bytes are the
+    same, so the keys are (``tests/test_workload_sharing.py`` pins the equality).
+    """
+    return hashlib.sha256((identity[:-1] + _VERSIONS_TAIL).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -248,13 +277,17 @@ class ResultStore:
         method: MethodSpec,
         result: ExperimentResult,
         attempts: int = 1,
+        key: Optional[str] = None,
     ) -> str:
         """Persist one result; returns the cell fingerprint it is stored under.
 
         ``attempts`` records how many executions the campaign runner started
-        before this result landed (>1 means the cell was retried).
+        before this result landed (>1 means the cell was retried).  ``key`` is
+        that fingerprint when the caller already holds it (the runner computed
+        it for its cache lookup); it is computed here otherwise.
         """
-        key = cell_fingerprint(config, method)
+        if key is None:
+            key = cell_fingerprint(config, method)
         record = StoredRecord(
             key=key,
             config=config.to_dict(),

@@ -65,7 +65,14 @@ class DistributedSampler:
 
 
 class DataLoader:
-    """Iterate over a dataset in mini-batches of stacked numpy arrays."""
+    """Iterate over a dataset in mini-batches of stacked numpy arrays.
+
+    ``dataset`` holds its samples as two aligned arrays, ``images`` and
+    ``labels`` (:class:`~repro.data.synthetic.SyntheticImageClassification`
+    and its subsets do).  A mini-batch is one fancy-indexed copy of each, so
+    the yielded arrays are fresh and writeable and never alias the dataset —
+    which may therefore be shared read-only between runs.
+    """
 
     def __init__(
         self,
@@ -105,13 +112,10 @@ class DataLoader:
         limit = len(indices)
         if self.drop_last:
             limit = (limit // self.batch_size) * self.batch_size
+        images, labels = self.dataset.images, self.dataset.labels
         for start in range(0, limit, self.batch_size):
             batch_idx = indices[start : start + self.batch_size]
-            if len(batch_idx) == 0:
-                continue
-            images = np.stack([self.dataset[i][0] for i in batch_idx])
-            labels = np.array([self.dataset[i][1] for i in batch_idx], dtype=np.int64)
-            yield images, labels
+            yield images[batch_idx], labels[batch_idx]
 
     def __len__(self) -> int:
         count = len(self.sampler) if self.sampler is not None else len(self.dataset)

@@ -268,10 +268,11 @@ class ClusterSpec:
         def _device(value) -> Union[str, DeviceSpec]:
             return DeviceSpec.from_dict(value) if isinstance(value, dict) else value
 
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_CLUSTER_FIELDS)
         if unknown:
-            raise KeyError(f"unknown ClusterSpec fields {sorted(unknown)}; known: {sorted(known)}")
+            raise KeyError(
+                f"unknown ClusterSpec fields {sorted(unknown)}; known: {sorted(_CLUSTER_FIELDS)}"
+            )
         kwargs = dict(data)
         if kwargs.get("device") is not None:
             kwargs["device"] = _device(kwargs["device"])
@@ -292,3 +293,6 @@ class ClusterSpec:
             "heterogeneous": self.is_heterogeneous,
             "straggler_factors": self.straggler_multipliers(),
         }
+
+
+_CLUSTER_FIELDS = frozenset(f.name for f in dataclasses.fields(ClusterSpec))

@@ -13,14 +13,20 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
 from repro.compression.base import CodecCompressor, Compressor
 from repro.compression.registry import build_compressor
-from repro.data import DataLoader, DistributedSampler, make_dataset, train_test_split
+from repro.data import (
+    DataLoader,
+    DistributedSampler,
+    SyntheticImageClassification,
+    make_dataset,
+    train_test_split,
+)
 from repro.ddp import DistributedDataParallel
 from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES, GradBucket
 from repro.nn import SGD
@@ -44,7 +50,15 @@ from repro.simulation.spec import (
     MethodSpec,
 )
 from repro.simulation.timeline import TrainingTimeline
-from repro.tensorlib import Tensor, default_dtype, functional as F, no_grad, use_backend
+from repro.tensorlib import (
+    Tensor,
+    default_dtype,
+    functional as F,
+    get_backend,
+    get_default_dtype,
+    no_grad,
+    use_backend,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -74,6 +88,12 @@ def _pretrain(model: Module, loader: DataLoader, iterations: int, lr: float) -> 
     """
     if iterations <= 0:
         return
+    if len(loader) == 0:
+        raise ValueError(
+            f"cannot pre-train for {iterations} iterations: the loader yields no batches "
+            f"({len(loader.dataset)} samples, batch_size={loader.batch_size}, "
+            f"drop_last={loader.drop_last})"
+        )
     optimizer = SGD(model.parameters(), lr=lr)
     done = 0
     while done < iterations:
@@ -949,7 +969,9 @@ def _train_async_ps(
 # --------------------------------------------------------------------------- #
 # Config-driven wrapper
 # --------------------------------------------------------------------------- #
-def run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentResult:
+def run_experiment(
+    config: ExperimentConfig, method: MethodSpec, *, _share: Optional[_WorkloadShare] = None
+) -> ExperimentResult:
     """Build the workload described by ``config``, train it with ``method``.
 
     The entire run — dataset materialisation, model construction, training,
@@ -958,6 +980,12 @@ def run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentRe
     ``config.backend`` is set, under that array backend
     (:func:`repro.tensorlib.backend.use_backend`); both are restored on exit
     even when the run raises.
+
+    A call prepares its own dataset, split and pre-trained model and keeps
+    nothing afterwards.  ``_share`` belongs to the campaign runner: the cells
+    of one :func:`~repro.campaign.runner.run_campaign` hand in one
+    :class:`_WorkloadShare`, so cells that agree on every argument of
+    :func:`_pretrained_workload` prepare once (see :func:`_prepare_workload`).
     """
     # Reject an unsupported regime x fault-plan cell before any work is done
     # (the method's own regime x pruning check ran at spec construction), and
@@ -970,39 +998,168 @@ def run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentRe
             "experiment", cat="experiment",
             model=config.model, method=method.name, world=config.cluster.world_size,
         ):
-            return _run_experiment(config, method)
+            return _run_experiment(config, method, _share)
+
+
+@dataclass(frozen=True)
+class _PretrainedWorkload:
+    """What :func:`_pretrained_workload` returns: the part of a cell's
+    preparation that no :class:`MethodSpec` field and no cluster field reaches."""
+
+    train_set: SyntheticImageClassification
+    test_set: SyntheticImageClassification
+    #: The batch GraSP scores its pruning on (the pre-training loader's first).
+    sample_batch: Tuple[np.ndarray, np.ndarray]
+    #: Pre-trained and still dense; carries what :func:`_pretrain` leaves
+    #: behind (stale ``.grad``s, BatchNorm running statistics, the advanced
+    #: ``Dropout`` generator).
+    model: Module
+
+    def arrays(self) -> Iterator[np.ndarray]:
+        """Every array the workload holds (what a share sizes and freezes)."""
+        yield self.train_set.prototypes  # one array, shared by both subsets
+        for dataset in (self.train_set, self.test_set):
+            yield dataset.images
+            yield dataset.labels
+        yield from self.sample_batch
+        for param in self.model.parameters():
+            yield param.data
+            if param.grad is not None:
+                yield param.grad
+        for _, buffer in self.model.named_buffers():
+            yield buffer
+
+
+def _pretrained_workload(
+    dataset: str,
+    dataset_samples: int,
+    image_size: int,
+    noise_std: float,
+    seed: int,
+    test_fraction: float,
+    batch_size: int,
+    model: str,
+    pretrain_iterations: int,
+    lr: float,
+    dtype: np.dtype,
+    backend,
+) -> _PretrainedWorkload:
+    """Materialise the dataset, split it, build the model and pre-train it.
+
+    A function of its twelve arguments and nothing else: the ten
+    :class:`ExperimentConfig` fields preparation reads plus the compute dtype
+    and the array backend the run resolved to, both re-entered here so no
+    ambient state leaks in.  That makes the argument tuple the complete
+    identity of the result — it *is* the key a :class:`_WorkloadShare` stores
+    under — so a field that starts to influence preparation has to become an
+    argument and cannot go stale in a hand-kept key list.  The brief
+    single-worker pre-training is the stand-in for the paper's "start from a
+    pre-trained model" (Fig. 1: pretrain, prune, then train distributed).
+    """
+    with default_dtype(dtype), use_backend(backend):
+        full = make_dataset(
+            dataset,
+            num_samples=dataset_samples,
+            image_size=image_size,
+            noise_std=noise_std,
+            seed=seed,
+        )
+        train_set, test_set = train_test_split(full, test_fraction=test_fraction, seed=seed)
+        network = build_model(model, num_classes=full.num_classes, seed=seed)
+        pretrain_loader = DataLoader(train_set, batch_size=batch_size, shuffle=True, seed=seed)
+        _pretrain(network, pretrain_loader, pretrain_iterations, lr)
+        sample_batch = next(iter(pretrain_loader))
+    return _PretrainedWorkload(train_set, test_set, sample_batch, network)
+
+
+#: Bound on the bytes of pre-trained workloads one :class:`_WorkloadShare`
+#: keeps.  A workload is its dataset plus the model's parameters, stale
+#: gradients and buffers (0.34 MB for the golden-sized MLP cell; 5.5 / 3.3 /
+#: 4.7 / 1.7 MB for the four models of ``examples/campaigns/fig3.json``), so
+#: the bound counts bytes, not entries; 128 MB holds the distinct workloads of
+#: that grid eight seeds over.
+_WORKLOAD_SHARE_MAX_BYTES = 128 << 20
+
+
+class _WorkloadShare:
+    """The pre-trained workloads the cells of one campaign have in common.
+
+    Created by :func:`~repro.campaign.runner.run_campaign` — one for
+    in-process execution, one per pool worker — and dropped when the campaign
+    returns; nothing is process-global.  Keyed by the argument tuple of
+    :func:`_pretrained_workload`.  *Every* distinct workload is kept, not the
+    last one (the Fig. 3 grid iterates its zipped ``model`` axis fastest),
+    up to :data:`_WORKLOAD_SHARE_MAX_BYTES`: oldest out, and a single workload
+    larger than the bound is handed to its cell without being kept.  Kept
+    arrays are read-only; a cell trains a copy of the model.
+    """
+
+    def __init__(self) -> None:
+        #: argument tuple -> (workload, its bytes), oldest first.
+        self._kept: Dict[tuple, Tuple[_PretrainedWorkload, int]] = {}
+
+    def workload(self, args: tuple) -> _PretrainedWorkload:
+        """``_pretrained_workload(*args)``, computed at most once while kept."""
+        kept = self._kept.get(args)
+        if kept is not None:
+            return kept[0]
+        workload = _pretrained_workload(*args)
+        nbytes = 0
+        for array in workload.arrays():
+            array.flags.writeable = False  # shared by every cell that hits
+            nbytes += array.nbytes
+        if nbytes <= _WORKLOAD_SHARE_MAX_BYTES:
+            kept_bytes = sum(size for _, size in self._kept.values())
+            while kept_bytes + nbytes > _WORKLOAD_SHARE_MAX_BYTES:
+                _, evicted = self._kept.pop(next(iter(self._kept)))
+                kept_bytes -= evicted
+            self._kept[args] = (workload, nbytes)
+        return workload
 
 
 def _prepare_workload(
-    config: ExperimentConfig, method: MethodSpec
-) -> Tuple[Module, object, DataLoader, Optional[PruningMask]]:
+    config: ExperimentConfig, method: MethodSpec, share: Optional[_WorkloadShare] = None
+) -> Tuple[Module, SyntheticImageClassification, DataLoader, Optional[PruningMask]]:
     """``(model, train_set, test_loader, mask)`` for one cell, deterministically.
 
-    Materialises the dataset, builds the model, pre-trains it briefly (the
-    stand-in for "start from a pre-trained model") and applies the method's
-    pruning step.
+    The method-independent part comes from :func:`_pretrained_workload`;
+    the cell's own remainder is the method's pruning step and the test
+    loader.  Without a ``share`` the workload is built for this cell alone,
+    which prunes and trains its model directly.  With one, the workload is
+    looked up under (or built and kept for) its argument tuple and the cell
+    prunes and trains a deep copy of the shared model — parameters, stale
+    gradients, buffers and ``Dropout`` generators included — so a hit is
+    bit-identical to building it again.
     """
-    dataset = make_dataset(
+    args = (
         config.dataset,
-        num_samples=config.dataset_samples,
-        image_size=config.image_size,
-        noise_std=config.noise_std,
-        seed=config.seed,
+        config.dataset_samples,
+        config.image_size,
+        config.noise_std,
+        config.seed,
+        config.test_fraction,
+        config.batch_size,
+        config.model,
+        config.pretrain_iterations,
+        config.lr,
+        get_default_dtype(),
+        get_backend(),
     )
-    train_set, test_set = train_test_split(dataset, test_fraction=config.test_fraction, seed=config.seed)
-    test_loader = DataLoader(test_set, batch_size=config.batch_size)
+    if share is None:
+        workload = _pretrained_workload(*args)
+        model = workload.model
+    else:
+        workload = share.workload(args)
+        model = copy.deepcopy(workload.model)
+    mask = _prune_model(model, method, workload.sample_batch)
+    test_loader = DataLoader(workload.test_set, batch_size=config.batch_size)
+    return model, workload.train_set, test_loader, mask
 
-    model = build_model(config.model, num_classes=dataset.num_classes, seed=config.seed)
 
-    pretrain_loader = DataLoader(train_set, batch_size=config.batch_size, shuffle=True, seed=config.seed)
-    _pretrain(model, pretrain_loader, config.pretrain_iterations, config.lr)
-    sample_batch = next(iter(pretrain_loader))
-    mask = _prune_model(model, method, sample_batch)
-    return model, train_set, test_loader, mask
-
-
-def _run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentResult:
-    model, train_set, test_loader, mask = _prepare_workload(config, method)
+def _run_experiment(
+    config: ExperimentConfig, method: MethodSpec, share: Optional[_WorkloadShare]
+) -> ExperimentResult:
+    model, train_set, test_loader, mask = _prepare_workload(config, method, share)
     sparsity_cache = _WeightSparsityCache()
 
     timeline, ddp, compressor, reached_target = train_distributed(

@@ -122,10 +122,11 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "MethodSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_METHOD_FIELDS)
         if unknown:
-            raise KeyError(f"unknown MethodSpec fields {sorted(unknown)}; known: {sorted(known)}")
+            raise KeyError(
+                f"unknown MethodSpec fields {sorted(unknown)}; known: {sorted(_METHOD_FIELDS)}"
+            )
         return cls(**data)
 
 
@@ -229,6 +230,18 @@ class ExperimentConfig:
             )
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        # The split train_test_split will make, with its own arithmetic: an
+        # empty training shard trains nothing (and pre-training never ends),
+        # an empty test split evaluates nothing.
+        train_samples = int(self.dataset_samples * (1.0 - self.test_fraction))
+        test_samples = self.dataset_samples - train_samples
+        if train_samples < self.cluster.world_size or test_samples < 1:
+            raise ValueError(
+                f"dataset_samples={self.dataset_samples} with test_fraction={self.test_fraction} "
+                f"splits into {train_samples} training / {test_samples} test samples: every one "
+                f"of the world_size={self.cluster.world_size} ranks needs at least one training "
+                "sample (shards drop the remainder) and the test split at least one"
+            )
         if self.target_accuracy is not None and not isinstance(self.target_accuracy, (int, float)):
             raise TypeError(
                 f"target_accuracy must be a float or None, got {self.target_accuracy!r} "
@@ -251,10 +264,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_CONFIG_FIELDS)
         if unknown:
-            raise KeyError(f"unknown ExperimentConfig fields {sorted(unknown)}; known: {sorted(known)}")
+            raise KeyError(
+                f"unknown ExperimentConfig fields {sorted(unknown)}; known: {sorted(_CONFIG_FIELDS)}"
+            )
         kwargs = dict(data)
         if "cluster" in kwargs and isinstance(kwargs["cluster"], dict):
             kwargs["cluster"] = ClusterSpec.from_dict(kwargs["cluster"])
@@ -350,10 +364,14 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentResult":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_RESULT_FIELDS)
         if unknown:
-            raise KeyError(f"unknown ExperimentResult fields {sorted(unknown)}; known: {sorted(known)}")
+            raise KeyError(
+                f"unknown ExperimentResult fields {sorted(unknown)}; known: {sorted(_RESULT_FIELDS)}"
+            )
         kwargs = dict(data)
         kwargs["accuracy_trace"] = [tuple(point) for point in kwargs.get("accuracy_trace", [])]
         return cls(**kwargs)
+
+
+_RESULT_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentResult))

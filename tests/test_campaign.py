@@ -19,7 +19,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repro.campaign.store as store_module
 from repro.campaign import (
@@ -126,6 +126,8 @@ class TestSerializationRoundTrips:
     )
     def test_experiment_config_roundtrip(self, model, epochs, lr, target_accuracy,
                                          test_fraction, dataset_samples, seed):
+        # Only splits ExperimentConfig accepts for its default world of 8.
+        assume(8 <= int(dataset_samples * (1.0 - test_fraction)) < dataset_samples)
         config = ExperimentConfig(
             model=model, epochs=epochs, lr=lr, target_accuracy=target_accuracy,
             test_fraction=test_fraction, dataset_samples=dataset_samples, seed=seed,
