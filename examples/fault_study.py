@@ -10,9 +10,11 @@ membership change, and the timeline accounts downtime, re-join cost and the
 resulting goodput fraction.
 
 The same workload runs healthy first so the fault overhead is visible as a
-diff.  With ``--trace PATH`` the run also emits ``fault/*`` instants and
-``fault/degraded-world`` spans on the simulated clock; convert them with
-``python -m repro trace export PATH`` and load the result in Perfetto.
+diff.  With ``--trace PATH`` the run also streams ``fault/*`` instants and
+``fault/degraded-world`` spans on the simulated clock as raw events (to
+``PATH`` when it ends in ``.jsonl``, to ``PATH.jsonl`` otherwise);
+``python -m repro trace convert EVENTS OUT.json`` turns them into a Chrome
+trace to load in Perfetto.
 
 Run with:  python examples/fault_study.py [--trace fault_study.jsonl]
 """
@@ -106,10 +108,11 @@ def run_study(
         f"for {overhead * 1e3:+.3f} ms total overhead."
     )
     if trace_path:
+        events = obs.TRACER.sink_path
         print(
-            f"\nTrace written to {trace_path} — fault instants and degraded-world "
-            f"spans are on the simulated clock.  Export for Perfetto with:\n"
-            f"  python -m repro trace export {trace_path}"
+            f"\nTrace events written to {events} — fault instants and degraded-world "
+            f"spans are on the simulated clock.  Convert for Perfetto with:\n"
+            f"  python -m repro trace convert {events} fault_study.trace.json"
         )
 
 

@@ -6,25 +6,34 @@ checkout and are intentionally not installed.
 """
 
 import os
+import re
 
 from setuptools import find_packages, setup
 
 
-def _read_long_description() -> str:
-    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "README.md")
-    with open(readme, encoding="utf-8") as handle:
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _read(*parts: str) -> str:
+    with open(os.path.join(HERE, *parts), encoding="utf-8") as handle:
         return handle.read()
+
+
+def _read_version() -> str:
+    """``repro.__version__`` — the one version number, also hashed into every
+    result-store key — read from the source without importing the package."""
+    return re.search(r'^__version__ = "([^"]+)"', _read("src", "repro", "__init__.py"), re.M).group(1)
 
 
 setup(
     name="pactrain-repro",
-    version="0.2.0",
+    version=_read_version(),
     description=(
         "Reproduction of PacTrain: pruning-aware gradient compression for "
         "bandwidth-limited data-parallel training, with a composable "
         "encode/reduce/decode codec pipeline and measured wire-byte accounting"
     ),
-    long_description=_read_long_description(),
+    long_description=_read("README.md"),
     long_description_content_type="text/markdown",
     author="paper-repo-growth",
     license="MIT",

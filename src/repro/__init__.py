@@ -41,6 +41,5 @@ __all__ = [
     "simulation",
     "metrics",
     "campaign",
-    "perf",
     "obs",
 ]

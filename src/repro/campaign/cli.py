@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro run|sweep|report|perf``.
+"""Command-line front end: ``python -m repro run|sweep|report|golden|backends|trace``.
 
 * ``run`` — train one cell described by flags and print its headline metrics;
 * ``sweep`` — execute a campaign spec file (JSON, or TOML on Python 3.11+)
@@ -6,9 +6,6 @@
   per-cell progress lines;
 * ``report`` — query a store: pivot any result metric over any two axes and
   optionally normalise methods against a baseline (relative TTA);
-* ``perf`` — run the tracked performance microbenchmarks
-  (:mod:`repro.perf`), write ``BENCH_perf.json`` and optionally gate on a
-  committed baseline (``--check``);
 * ``golden`` — verify the committed golden-trace fixtures (``tests/golden/``)
   against fresh runs, or rewrite them with ``--update`` after an intentional
   numerical change (:mod:`repro.golden`);
@@ -21,16 +18,19 @@
   checks the Chrome Trace Event structure, ``convert`` turns a raw JSONL
   stream into a Chrome trace.
 
-Every command exits non-zero on failure; ``sweep`` exits non-zero if any cell
-failed (the remaining cells still run and persist), ``perf --check`` exits
-non-zero when a benchmark regressed beyond the allowed margin, ``golden``
-exits non-zero when any frozen trace drifted, ``trace validate`` exits
-non-zero on structural errors.
+Every command exits non-zero on failure: 2 with one ``error: ...`` line when
+the input is at fault (a flag, a spec or trace file, an axis or method name —
+everything before training starts, see :func:`_user_input`), 1 when the work
+itself failed — ``run``/``sweep`` if any cell failed (the remaining cells
+still run and persist; each failure prints as ``FAILED <label>:`` plus the
+cell's traceback), ``golden`` when any frozen trace drifted, ``trace
+validate`` on structural errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -64,12 +64,37 @@ def _parse_axis_value(raw: str):
         return raw
 
 
+@contextlib.contextmanager
+def _user_input():
+    """The one way a subcommand reports a user-input error.
+
+    What runs inside is input handling — flags to overrides to a cell, a spec
+    file to its cells, opening a trace, naming an axis or a golden method —
+    so what it raises is the user's to fix: print the message the raise
+    already carries as one ``error:`` line and exit 2, like argparse does.
+    Training and reading results stay outside and keep their tracebacks.
+    """
+    try:
+        yield
+    except (OSError, KeyError, TypeError, ValueError, RuntimeError) as error:
+        message = error.args[0] if isinstance(error, KeyError) else error  # str() would quote it
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _report_failures(report: CampaignReport) -> int:
+    """Print each failed cell's captured traceback once; the exit code."""
+    for outcome in report.failures():
+        print(f"FAILED {outcome.cell.label}:\n{outcome.error}", file=sys.stderr)
+    return 1 if report.failed else 0
+
+
 def _parse_axis_pairs(pairs: Optional[Sequence[str]], flag: str) -> Dict:
     """Parse repeated ``AXIS=VALUE`` options (shared by --filter and --set)."""
     parsed: Dict = {}
     for pair in pairs or ():
         if "=" not in pair:
-            raise SystemExit(f"{flag} expects axis=value, got {pair!r}")
+            raise ValueError(f"{flag} expects axis=value, got {pair!r}")
         name, _, raw = pair.partition("=")
         parsed[name] = _parse_axis_value(raw)
     return parsed
@@ -155,16 +180,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides["dataset_samples"] = args.dataset_samples
     if args.regime is not None:
         overrides["sync_schedule"] = args.regime
-    overrides.update(_parse_axis_pairs(args.set, "--set"))
-
-    cell = build_cell(overrides)
+    with _user_input():
+        overrides.update(_parse_axis_pairs(args.set, "--set"))
+        cell = build_cell(overrides)
     store = ResultStore(args.store) if args.store else None
     _start_trace(args.trace)
     try:
         report = run_campaign([cell], store=store, jobs=1, progress=_progress_printer(args.quiet))
     finally:
         _finish_trace(args.trace, args.quiet)
-    report.raise_failures()
+    if report.failed:
+        return _report_failures(report)
     result = report.outcomes[0].result
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
@@ -189,11 +215,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    data, spec_store_path = load_spec_file(args.spec)
-    spec = CampaignSpec.from_dict({key: value for key, value in data.items() if key != "store"})
+    with _user_input():
+        data, spec_store_path = load_spec_file(args.spec)
+        spec = CampaignSpec.from_dict({key: value for key, value in data.items() if key != "store"})
+        cells = spec.expand()
     store_path = args.store or spec_store_path or f"campaign_results/{spec.name}.jsonl"
     store = ResultStore(store_path)
-    cells = spec.expand()
     print(f"campaign {spec.name!r}: {len(cells)} cells -> store {store_path}", flush=True)
 
     _start_trace(args.trace)
@@ -210,11 +237,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     finally:
         _finish_trace(args.trace, args.quiet)
     print(report.summary(), flush=True)
-    for outcome in report.failures():
-        print(f"FAILED {outcome.cell.label}:\n{outcome.error}", file=sys.stderr)
+    status = _report_failures(report)
     if not args.quiet and report.results():
         _print_default_report(report)
-    return 1 if report.failed else 0
+    return status
 
 
 def _print_default_report(report: CampaignReport) -> None:
@@ -244,74 +270,6 @@ def _print_default_report(report: CampaignReport) -> None:
             rows,
         )
     )
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    # Imported lazily: the perf suite pulls in the training stack.
-    from repro.perf import check_regressions, hosts_match, run_suite, write_report  # noqa: PLC0415
-
-    def progress(result) -> None:
-        if not args.quiet:
-            print(
-                f"{result.name:<40} median {result.median_s * 1e3:9.3f} ms"
-                f"  (k={result.repeats}, warmup={result.warmup})",
-                flush=True,
-            )
-
-    results = run_suite(quick=args.quick, only=args.only, progress=progress)
-
-    # Carry forward from the existing report (the committed BENCH_perf.json):
-    # the recorded seed baseline always, and — when --only reran a subset —
-    # the previous results of the benchmarks that were not rerun, so a
-    # partial run never truncates the report.
-    seed_baseline = None
-    if os.path.exists(args.out):
-        try:
-            with open(args.out, "r", encoding="utf-8") as handle:
-                previous = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            previous = {}
-        seed_baseline = previous.get("seed_baseline")
-        if args.only:
-            from repro.perf import BenchResult  # noqa: PLC0415
-
-            for name, entry in previous.get("results", {}).items():
-                if name not in results:
-                    results[name] = BenchResult.from_dict(name, entry)
-
-    document = write_report(results, args.out, quick=args.quick, seed_baseline=seed_baseline)
-    if not args.quiet:
-        print(f"wrote {args.out}")
-        for name, speedup in sorted(document.get("speedup_vs_seed", {}).items()):
-            print(f"  {name:<40} {speedup:5.2f}x vs seed")
-
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        regressions = check_regressions(results, baseline, max_regression=args.max_regression)
-        same_host = hosts_match(baseline)
-        if not same_host and not args.quiet:
-            print(
-                f"PERF WARNING: baseline {args.check} was measured on a different host "
-                f"(host fingerprint mismatch); medians are not comparable",
-                file=sys.stderr,
-            )
-        if regressions:
-            # Cross-host medians routinely differ by more than any noise
-            # margin; demote regressions to warnings so CI runners with a
-            # different python/numpy/arch than the baseline host don't fail.
-            label = "PERF REGRESSION" if same_host else "PERF WARNING (different host)"
-            for name, current, previous in regressions:
-                print(
-                    f"{label} {name}: {current * 1e3:.3f} ms vs baseline "
-                    f"{previous * 1e3:.3f} ms (> {args.max_regression:.0%} slower)",
-                    file=sys.stderr,
-                )
-            if same_host:
-                return 2
-        elif not args.quiet:
-            print(f"no regressions vs {args.check} (margin {args.max_regression:.0%})")
-    return 0
 
 
 def cmd_backends(args: argparse.Namespace) -> int:
@@ -380,22 +338,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
         write_chrome,
     )
 
-    if args.trace_command == "report":
-        print(summary(load_events(args.path)))
-        return 0
+    with _user_input():
+        if args.trace_command != "validate":
+            events = load_events(args.path)
+        elif args.path.endswith(".jsonl"):
+            # validate accepts the raw JSONL stream as well as the Chrome trace
+            # JSON (converted in memory first, so both artifacts are checkable).
+            document = chrome_trace(load_events(args.path))
+        else:
+            with open(args.path, "r", encoding="utf-8") as handle:
+                document = json.load(handle)
 
+    if args.trace_command == "report":
+        print(summary(events))
+        return 0
     if args.trace_command == "convert":
-        document = write_chrome(load_events(args.path), args.out)
+        document = write_chrome(events, args.out)
         print(f"wrote {args.out} ({len(document['traceEvents'])} trace events)")
         return 0
-
-    # validate: accept either a Chrome trace JSON or a raw JSONL stream
-    # (converted in memory first, so both artifacts are checkable).
-    if args.path.endswith(".jsonl"):
-        document = chrome_trace(load_events(args.path))
-    else:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
     errors = validate_chrome_trace(document)
     if errors:
         for error in errors:
@@ -410,16 +370,14 @@ def cmd_golden(args: argparse.Namespace) -> int:
     # Imported lazily: the golden module pulls in the training stack.
     from repro import golden  # noqa: PLC0415
 
+    with _user_input():
+        selected = golden.select_methods(args.only)
     if args.update:
         def progress(name: str, path: str) -> None:
             if not args.quiet:
                 print(f"wrote {path}  ({name})", flush=True)
 
-        try:
-            golden.regenerate(args.dir, progress=progress, only=args.only)
-        except KeyError as error:
-            print(f"error: {error.args[0]}", file=sys.stderr)
-            return 2
+        golden.regenerate(args.dir, progress=progress, only=args.only)
         return 0
 
     # --trace doubles as the instrumentation no-drift gate: verification
@@ -427,9 +385,6 @@ def cmd_golden(args: argparse.Namespace) -> int:
     _start_trace(args.trace)
     try:
         drifted = golden.verify(args.dir, rtol=args.rtol, only=args.only)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
     finally:
         _finish_trace(args.trace, args.quiet)
     if drifted:
@@ -439,17 +394,17 @@ def cmd_golden(args: argparse.Namespace) -> int:
     if not args.quiet:
         directory = args.dir or golden.DEFAULT_GOLDEN_DIR
         how = "bit-identically" if args.rtol == 0.0 else f"within rtol={args.rtol:g}"
-        count = len(args.only) if args.only else len(golden.GOLDEN_METHODS)
-        print(f"all {count} golden traces match {directory} {how}")
+        print(f"all {len(selected)} golden traces match {directory} {how}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    with _user_input():
+        filters = _parse_axis_pairs(args.filter, "--filter")
     store = ResultStore(args.store)
     if not len(store):
         print(f"store {args.store!r} is empty", file=sys.stderr)
         return 1
-    filters = _parse_axis_pairs(args.filter, "--filter")
 
     if args.baseline:
         relative = store.relative_to_baseline(
@@ -547,22 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--filter", action="append", metavar="AXIS=VALUE",
                         help="only records matching this axis value (repeatable)")
     report.set_defaults(func=cmd_report)
-
-    perf = sub.add_parser("perf", help="run the tracked perf microbenchmarks")
-    perf.add_argument("--quick", action="store_true",
-                      help="smaller sizes and fewer repeats (CI smoke mode)")
-    perf.add_argument("--out", default="BENCH_perf.json",
-                      help="report path (default: BENCH_perf.json)")
-    perf.add_argument("--check", default=None, metavar="BASELINE",
-                      help="fail (exit 2) if any benchmark regresses vs this report")
-    perf.add_argument("--max-regression", type=float, default=0.25,
-                      dest="max_regression",
-                      help="allowed fractional slowdown for --check (default 0.25)")
-    perf.add_argument("--only", nargs="+", default=None,
-                      help="subset of benchmark groups (train_step train_step_scaling codec "
-                           "engine campaign im2col pool fused_norm backend_sweep)")
-    perf.add_argument("--quiet", action="store_true")
-    perf.set_defaults(func=cmd_perf)
 
     backends = sub.add_parser(
         "backends",

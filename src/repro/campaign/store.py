@@ -188,6 +188,8 @@ class ResultStore:
         #: Byte length of the valid prefix when the file ends in a torn line
         #: (a write interrupted mid-record); ``None`` when the file is whole.
         self._valid_bytes: Optional[int] = None
+        #: Lines ``<path>.corrupt`` already holds; read on the first bad line.
+        self._quarantined: Optional[set] = None
         self._load()
 
     # ------------------------------------------------------------------ #
@@ -223,11 +225,22 @@ class ResultStore:
             self._records[record.key] = record
 
     def _quarantine(self, line: str, line_number: int, error: Exception) -> None:
-        """Preserve one unreadable store line in ``<path>.corrupt`` and warn."""
+        """Preserve one unreadable store line in ``<path>.corrupt`` and warn.
+
+        The bad line stays in the append-only store, so every later open meets
+        it again: it is appended only if the quarantine file does not hold it.
+        """
         quarantine_path = f"{self.path}.corrupt"
         try:
-            with open(quarantine_path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            if self._quarantined is None:
+                self._quarantined = set()
+                if os.path.exists(quarantine_path):
+                    with open(quarantine_path, "r", encoding="utf-8") as handle:
+                        self._quarantined.update(handle.read().splitlines())
+            if line not in self._quarantined:
+                with open(quarantine_path, "a", encoding="utf-8") as handle:
+                    handle.write(line + "\n")
+                self._quarantined.add(line)
         except OSError:
             quarantine_path = "<unwritable>"
         warnings.warn(

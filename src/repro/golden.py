@@ -276,6 +276,16 @@ def write_fixture(trace: Dict, directory: Optional[str] = None) -> str:
     return path
 
 
+def select_methods(only: Optional[List[str]] = None) -> Dict[str, MethodSpec]:
+    """The golden cells named by ``only`` (every cell when ``None``), in table order."""
+    if only is None:
+        return dict(GOLDEN_METHODS)
+    unknown = sorted(set(only) - set(GOLDEN_METHODS))
+    if unknown:
+        raise KeyError(f"unknown golden methods: {', '.join(unknown)}")
+    return {name: method for name, method in GOLDEN_METHODS.items() if name in only}
+
+
 def regenerate(
     directory: Optional[str] = None,
     progress=None,
@@ -288,14 +298,8 @@ def regenerate(
     serialised bytes would otherwise churn when a spec gains a defaulted
     field; ``_canonical_spec`` keeps old fixtures comparable unregenerated).
     """
-    if only is not None:
-        unknown = sorted(set(only) - set(GOLDEN_METHODS))
-        if unknown:
-            raise KeyError(f"unknown golden methods: {', '.join(unknown)}")
     paths = []
-    for name, method in GOLDEN_METHODS.items():
-        if only is not None and name not in only:
-            continue
+    for name, method in select_methods(only).items():
         trace = compute_trace(method)
         paths.append(write_fixture(trace, directory))
         if progress is not None:
@@ -314,14 +318,8 @@ def verify(
     (missing fixtures report as a single diff line); empty dict means every
     trace is still bit-identical.
     """
-    if only is not None:
-        unknown = sorted(set(only) - set(GOLDEN_METHODS))
-        if unknown:
-            raise KeyError(f"unknown golden methods: {', '.join(unknown)}")
     drifted: Dict[str, List[str]] = {}
-    for name, method in GOLDEN_METHODS.items():
-        if only is not None and name not in only:
-            continue
+    for name, method in select_methods(only).items():
         try:
             expected = load_fixture(name, directory)
         except FileNotFoundError as error:

@@ -4,7 +4,8 @@ The process-wide singleton :data:`TRACER` is the observability bus every
 subsystem reports into.  It is **disabled by default** and every hot call
 site guards on the single module-level flag (``TRACER.enabled`` — one
 attribute read), so the disabled path adds nothing measurable to the
-training step (``python -m repro perf --check`` gates this).
+training step; what switching it on costs is the benchmark's
+``obs.traced_op_ratio`` micro row (``benchmarks/e2e/micro.py``).
 
 Two clocks, one trace:
 

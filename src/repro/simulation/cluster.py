@@ -96,6 +96,7 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.world_size < 1:
             raise ValueError("world_size must be >= 1")
+        self.bandwidth_bytes_per_second()  # an unknown name fails here, not in the cell
         if self.devices is not None and len(self.devices) != self.world_size:
             raise ValueError(
                 f"devices must list one entry per worker ({self.world_size}), got {len(self.devices)}"

@@ -14,8 +14,7 @@ iteration it asks the plan which ranks are alive and what the link factor is
 at the current simulated time, then runs that iteration's collectives over
 the surviving membership with the degraded link cost.  An **empty plan is
 inert by construction** — the driver takes exactly the historical code path,
-so golden traces and the perf gate are bit-identical to a build without this
-module.
+so golden traces are bit-identical to a build without this module.
 
 Event grammar (also accepted, as a compact string, anywhere a plan is
 configured — CLI ``--set faults=...``, campaign files, ``ClusterSpec``

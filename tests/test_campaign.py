@@ -14,6 +14,7 @@ Covers the subsystem's load-bearing guarantees:
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import sys
@@ -21,6 +22,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import repro
 import repro.campaign.store as store_module
 from repro.campaign import (
     CampaignCell,
@@ -510,6 +512,39 @@ class TestResultStore:
         assert final.get(tiny_config(seed=1), method).tta == 2.0
         assert "garbage" in (tmp_path / "store.jsonl.corrupt").read_text()
 
+    def test_reopening_does_not_requarantine_the_same_line(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        config, method = tiny_config(), PAPER_METHODS["all-reduce"]
+        ResultStore(path).put(config, method, fake_result())
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("garbage-not-json\n")
+        for _ in range(3):
+            with pytest.warns(RuntimeWarning, match="line 2"):
+                assert ResultStore(path).get(config, method) == fake_result()
+        corrupt = tmp_path / "store.jsonl.corrupt"
+        assert corrupt.read_text() == "garbage-not-json\n"
+        # A second, different bad line is new to the quarantine file; a repeat
+        # of the first one inside the same store is not.
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("other garbage\ngarbage-not-json\n")
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning):
+                ResultStore(path)
+        assert corrupt.read_text() == "garbage-not-json\nother garbage\n"
+
+    def test_unwritable_quarantine_still_loads_good_records(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        config, method = tiny_config(), PAPER_METHODS["all-reduce"]
+        ResultStore(path).put(config, method, fake_result())
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("garbage-not-json\n")
+        # A directory in the quarantine file's place cannot be read or appended
+        # to by anyone (mode bits would not stop a root test run).
+        (tmp_path / "store.jsonl.corrupt").mkdir()
+        with pytest.warns(RuntimeWarning, match="<unwritable>"):
+            store = ResultStore(path)
+        assert store.get(config, method) == fake_result()
+
     def test_pivot_skips_records_without_the_metric(self):
         store = ResultStore()
         config = tiny_config()
@@ -718,6 +753,52 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "failed=1" in captured.out
         assert "no-such-model" in captured.err
+
+    def test_every_public_name_is_a_subpackage(self):
+        for name in repro.__all__:
+            assert importlib.import_module(f"repro.{name}").__name__ == f"repro.{name}"
+
+    def test_removed_perf_subcommand_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["perf", "--quick"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
+    RUN = ["run", "--model", "mlp", "--epochs", "1", "--world-size", "2", "--quiet",
+           "--dataset-samples", "32", "--max-iterations-per-epoch", "1"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "{tmp}/missing.json"], "No such file"),
+        (["sweep", "{tmp}/not.json"], "Expecting value"),
+        (["sweep", "{tmp}/axis.json"], "unknown campaign axis 'bogus'"),
+        ([*RUN, "--set", "bogus=1"], "unknown campaign axis 'bogus'"),
+        ([*RUN, "--set", "bogus"], "--set expects axis=value"),
+        ([*RUN, "--regime", "bogus:1"], "unknown training regime 'bogus'"),
+        ([*RUN, "--set", "faults=crash:9@0.1"], "outside world_size=2"),
+        ([*RUN, "--bandwidth", "3Gbps"], "unknown bandwidth setting '3Gbps'"),
+        (["trace", "report", "{tmp}/missing.jsonl"], "No such file"),
+        (["trace", "validate", "{tmp}/missing.json"], "No such file"),
+        (["report", "--store", "{tmp}/s.jsonl", "--filter", "bogus"], "--filter expects axis=value"),
+        (["golden", "--only", "nope"], "unknown golden methods: nope"),
+        (["golden", "--update", "--only", "nope", "--dir", "{tmp}"], "unknown golden methods: nope"),
+    ])
+    def test_bad_input_is_one_error_line_and_exit_2(self, tmp_path, capsys, argv, message):
+        (tmp_path / "not.json").write_text("not json")
+        (tmp_path / "axis.json").write_text(json.dumps({"name": "x", "axes": {"bogus": [1]}}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
+    def test_run_with_a_failing_cell_prints_its_traceback_once(self, capsys):
+        assert cli_main([*self.RUN, "--method", "bogus"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("FAILED mlp/bogus@") == 1
+        assert captured.err.count("Traceback") == 1 and "unknown compressor 'bogus'" in captured.err
 
 
 # --------------------------------------------------------------------------- #

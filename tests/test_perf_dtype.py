@@ -1,4 +1,4 @@
-"""Dtype fast path, gradient arenas and the perf microbenchmark plumbing.
+"""Dtype fast path and gradient arenas.
 
 Covers the PR-4 acceptance contract:
 
@@ -10,13 +10,10 @@ Covers the PR-4 acceptance contract:
   (hypothesis-driven);
 * the process-group event log stays bounded while lifetime aggregates keep
   whole-run totals;
-* the weight-sparsity scan is cached on the mask version;
-* the perf suite times, reports and gates regressions.
+* the weight-sparsity scan is cached on the mask version.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -33,7 +30,6 @@ from repro.ddp import DistributedDataParallel, GradBucket
 from repro.ddp.arena import GradientArena
 from repro.ddp.bucket import build_buckets
 from repro.nn.models import build_model, mlp_tiny
-from repro.perf import BenchResult, check_regressions, run_suite, time_callable, write_report
 from repro.pruning import PruningMask
 from repro.simulation import ExperimentConfig, MethodSpec, PAPER_METHODS, run_experiment
 from repro.simulation.experiment import _WeightSparsityCache
@@ -349,106 +345,6 @@ class TestWeightSparsityCache:
         param = tiny_model.parameters()[0]
         param.data = np.zeros_like(param.data)
         assert cache.value(tiny_model, None) > before
-
-
-# --------------------------------------------------------------------------- #
-# Perf suite
-# --------------------------------------------------------------------------- #
-class TestPerfSuite:
-    def test_time_callable_statistics(self):
-        result = time_callable(lambda: None, name="noop", repeats=5, warmup=1)
-        assert result.repeats == 5
-        assert result.min_s <= result.median_s
-        assert result.median_s >= 0.0
-
-    def test_run_suite_subset_and_unknown(self):
-        results = run_suite(quick=True, only=["campaign"])
-        assert "campaign/dispatch" in results
-        with pytest.raises(KeyError):
-            run_suite(quick=True, only=["nope"])
-
-    def test_write_report_and_regression_check(self, tmp_path):
-        results = {
-            "bench/a": BenchResult("bench/a", 0.010, 0.011, 0.009, 5, 1),
-            "bench/b": BenchResult("bench/b", 0.100, 0.100, 0.099, 5, 1),
-        }
-        path = tmp_path / "BENCH_perf.json"
-        document = write_report(results, str(path), quick=True)
-        on_disk = json.loads(path.read_text())
-        assert on_disk["results"]["bench/a"]["median_s"] == 0.010
-        assert document["schema"] == on_disk["schema"]
-
-        slower = {
-            "bench/a": BenchResult("bench/a", 0.014, 0.014, 0.013, 5, 1),
-            "bench/b": BenchResult("bench/b", 0.101, 0.101, 0.100, 5, 1),
-        }
-        regressions = check_regressions(slower, on_disk, max_regression=0.25)
-        assert [name for name, _, _ in regressions] == ["bench/a"]
-        assert check_regressions(results, on_disk, max_regression=0.25) == []
-
-    def test_seed_baseline_speedups_recorded(self, tmp_path):
-        results = {"train_step/float64/resnet18/w4": BenchResult(
-            "train_step/float64/resnet18/w4", 0.05, 0.05, 0.05, 3, 1)}
-        baseline = {"results": {"train_step/float64/resnet18/w4": {"median_s": 0.10}}}
-        document = write_report(results, str(tmp_path / "report.json"), quick=True,
-                                seed_baseline=baseline)
-        assert document["speedup_vs_seed"]["train_step/float64/resnet18/w4"] == pytest.approx(2.0)
-
-    def test_committed_baseline_is_valid(self):
-        import os
-
-        path = os.path.join(os.path.dirname(__file__), "..", "BENCH_perf.json")
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        assert document["schema"] == 1
-        speedups = document["speedup_vs_seed"]
-        assert speedups["train_step/float64/resnet18/w4"] >= 1.2
-        assert speedups["train_step/float32/resnet18/w4"] >= 1.7
-
-    def test_perf_cli_quick_subset(self, tmp_path, capsys):
-        from repro.campaign.cli import main
-
-        out = tmp_path / "BENCH_perf.json"
-        assert main(["perf", "--quick", "--only", "campaign", "--out", str(out)]) == 0
-        document = json.loads(out.read_text())
-        assert "campaign/dispatch" in document["results"]
-        # A fabricated much-faster baseline (same workload meta — entries with
-        # different workloads are skipped) must trip the regression gate, but
-        # only when it carries this host's fingerprint.
-        entry = document["results"]["campaign/dispatch"]
-        fast = {"host": document["host"], "results": {"campaign/dispatch": {
-            "median_s": entry["median_s"] / 100.0, "meta": entry["meta"]}}}
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps(fast))
-        assert main(["perf", "--quick", "--only", "campaign", "--out", str(out),
-                     "--check", str(baseline_path)]) == 2
-        # The same regression measured against a different host's baseline is
-        # demoted to a warning (exit 0): cross-host medians are incomparable.
-        fast["host"] = {"python": "0.0.0", "numpy": "0.0", "machine": "other"}
-        baseline_path.write_text(json.dumps(fast))
-        assert main(["perf", "--quick", "--only", "campaign", "--out", str(out),
-                     "--check", str(baseline_path)]) == 0
-        err = capsys.readouterr().err
-        assert "different host" in err
-
-    def test_check_skips_mismatched_workloads(self):
-        from repro.perf import BenchResult, check_regressions
-
-        current = {"codec/fp16": BenchResult("codec/fp16", 1.0, 1.0, 1.0, 3, 1,
-                                             meta={"numel": 50_000})}
-        baseline = {"results": {"codec/fp16": {"median_s": 0.01, "meta": {"numel": 200_000}}}}
-        assert check_regressions(current, baseline) == []
-
-    def test_only_subset_does_not_truncate_report(self, tmp_path):
-        from repro.campaign.cli import main
-
-        out = tmp_path / "BENCH_perf.json"
-        assert main(["perf", "--quick", "--only", "engine", "--out", str(out), "--quiet"]) == 0
-        assert main(["perf", "--quick", "--only", "campaign", "--out", str(out), "--quiet"]) == 0
-        document = json.loads(out.read_text())
-        # The engine entry from the first run survives the campaign-only rerun.
-        assert "engine/event_loop" in document["results"]
-        assert "campaign/dispatch" in document["results"]
 
 
 # --------------------------------------------------------------------------- #
