@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro run|sweep|report|golden|backends|trace``.
+"""Command-line front end: ``python -m repro run|sweep|report|trace|golden``.
 
 * ``run`` — train one cell described by flags and print its headline metrics;
 * ``sweep`` — execute a campaign spec file (JSON, or TOML on Python 3.11+)
@@ -9,10 +9,6 @@
 * ``golden`` — verify the committed golden-trace fixtures (``tests/golden/``)
   against fresh runs, or rewrite them with ``--update`` after an intentional
   numerical change (:mod:`repro.golden`);
-* ``backends`` — list the array backends with availability and bit-identity
-  probe status (available / degraded-to-numpy / per-kernel rejections), for
-  debugging silent numpy fallback; ``--counters`` additionally runs a tiny
-  smoke step per backend and prints per-kernel call counts/time/bytes;
 * ``trace`` — consume a recorded observability trace (``run``/``sweep``
   ``--trace PATH``): ``report`` prints the summary tables, ``validate``
   checks the Chrome Trace Event structure, ``convert`` turns a raw JSONL
@@ -32,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -272,63 +267,6 @@ def _print_default_report(report: CampaignReport) -> None:
     )
 
 
-def cmd_backends(args: argparse.Namespace) -> int:
-    # Imported lazily for symmetry with the other subcommands.
-    from repro.tensorlib.backend import (  # noqa: PLC0415
-        BACKEND_ENV_VAR,
-        describe_backends,
-        get_backend,
-    )
-
-    infos = describe_backends(probe=not args.no_probe)
-    print(
-        format_table(
-            ("backend", "installed", "status", "detail"),
-            [
-                (info.name, "yes" if info.installed else "no", info.status, info.detail)
-                for info in infos
-            ],
-        )
-    )
-    if not args.no_probe:
-        for info in infos:
-            if info.name == "numpy" or not info.kernels:
-                continue
-            print(f"\n{info.name} kernels:")
-            for kernel, note in sorted(info.kernels.items()):
-                print(f"  {kernel:<20} {note}")
-    active = get_backend()
-    origin = f"${BACKEND_ENV_VAR}" if os.environ.get(BACKEND_ENV_VAR) else "default"
-    suffix = ""
-    if active.fallback_from:
-        suffix = f" (requested {active.fallback_from!r}: {active.fallback_reason})"
-    print(f"\nactive backend: {active.name} [{origin}]{suffix}")
-
-    if args.counters:
-        from repro.obs.instrument import backend_kernel_counters  # noqa: PLC0415
-
-        usage = backend_kernel_counters()
-        rows = []
-        for requested, entry in usage.items():
-            executed = entry["executed"]
-            label = requested if executed == requested else f"{requested}->{executed}"
-            for kernel, counters in sorted(
-                entry["kernels"].items(), key=lambda item: -item[1]["seconds"]
-            ):
-                rows.append(
-                    (
-                        label,
-                        kernel,
-                        f"{counters['calls']:g}",
-                        f"{counters['seconds'] * 1e3:.3f}",
-                        f"{counters['bytes'] / 1e6:.2f}",
-                    )
-                )
-        print("\nper-kernel usage of one tiny smoke step (forward+backward):")
-        print(format_table(("backend", "kernel", "calls", "time (ms)", "MB"), rows))
-    return 0
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import (  # noqa: PLC0415
         chrome_trace,
@@ -502,18 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--filter", action="append", metavar="AXIS=VALUE",
                         help="only records matching this axis value (repeatable)")
     report.set_defaults(func=cmd_report)
-
-    backends = sub.add_parser(
-        "backends",
-        help="list array backends with availability and bit-identity probe status",
-    )
-    backends.add_argument("--no-probe", action="store_true", dest="no_probe",
-                          help="only check library availability; skip construction "
-                               "(numba JIT compilation + probes)")
-    backends.add_argument("--counters", action="store_true",
-                          help="run a tiny smoke step per available backend and print "
-                               "per-kernel call counts, elapsed time and bytes")
-    backends.set_defaults(func=cmd_backends)
 
     trace = sub.add_parser("trace", help="report on / validate a recorded trace")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)

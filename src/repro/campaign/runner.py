@@ -246,32 +246,18 @@ def _execute_cell_in_worker(payload: Tuple[int, CampaignCell]):
     return outcome
 
 
-def _worker_init(backend_names: Sequence[str], trace_sink: Optional[str] = None) -> None:
-    """Pool-worker initializer: open the worker's workload share, warm the
-    backend cache, join the trace sink.
+def _worker_init(trace_sink: Optional[str] = None) -> None:
+    """Pool-worker initializer: open the worker's workload share, join the
+    trace sink.
 
-    Constructing a backend by name is where JIT compilation and the
-    bit-identity probes happen; warming the process-level cache here means a
-    worker pays that cost once at startup instead of once per cell (cells
-    resolve their ``config.backend`` through the same cache).  When the
-    parent is tracing, each worker enables its own tracer against the same
-    append-only JSONL sink — whole-line appends interleave safely, and the
-    worker's pid keeps its tracks distinct.
+    When the parent is tracing, each worker enables its own tracer against
+    the same append-only JSONL sink — whole-line appends interleave safely,
+    and the worker's pid keeps its tracks distinct.
     """
     global _WORKER_SHARE
     _WORKER_SHARE = _WorkloadShare()
     if trace_sink is not None:
         TRACER.enable(path=trace_sink, role="worker")
-
-    from repro.tensorlib.backend import shared_backend  # noqa: PLC0415
-
-    for name in backend_names:
-        try:
-            shared_backend(name)
-        except KeyError:
-            # An unknown backend name fails loudly inside the cell itself,
-            # where the error is captured on its CellOutcome.
-            pass
 
 
 def default_jobs() -> int:
@@ -323,7 +309,7 @@ def run_campaign(
     The pending cells of one call share their pre-trained workloads: cells
     that agree on every argument of
     :func:`~repro.simulation.experiment._pretrained_workload` (dataset, split,
-    model, pre-training, compute dtype, backend — most of a method x
+    model, pre-training, compute dtype — most of a method x
     bandwidth x fault-plan grid) build the dataset and pre-train the model
     once, and each trains its own copy.  The share belongs to this call — one
     for in-process execution, one per pool worker, bounded in bytes — and is
@@ -436,16 +422,11 @@ def run_campaign(
     if pending:
         pool = None
         if workers > 1:
-            # Every distinct backend the pending cells name is constructed in
-            # the worker initializer, so per-worker JIT warmup happens once.
-            backend_names = sorted(
-                {cell.config.backend for _, cell, _ in pending if cell.config.backend}
-            )
             trace_sink = TRACER.sink_path if TRACER.enabled else None
             pool_args = dict(
                 processes=workers,
                 initializer=_worker_init,
-                initargs=(backend_names, trace_sink),
+                initargs=(trace_sink,),
             )
             try:
                 pool = multiprocessing.Pool(**pool_args)

@@ -100,6 +100,18 @@ def register_compressor(name: str, factory: CompressorFactory) -> None:
     COMPRESSOR_REGISTRY[name.lower()] = factory
 
 
+def check_compressor_name(name: str) -> None:
+    """Raise what :func:`build_compressor` would for a name that is neither
+    registered nor a codec pipeline spec.
+
+    A dictionary lookup for registered names (a stored campaign checks one per
+    cell); only an unregistered name is parsed as a spec.
+    """
+    key = name.lower()
+    if key not in COMPRESSOR_REGISTRY:
+        _from_spec(key, name)
+
+
 def _accepts_seed(factory: CompressorFactory) -> bool:
     """Whether ``factory`` can receive a ``seed`` keyword argument."""
     try:

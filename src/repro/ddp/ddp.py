@@ -262,29 +262,24 @@ class DistributedDataParallel:
         self,
         per_rank_batches: Sequence[Tuple[np.ndarray, np.ndarray]],
         loss_fn: Callable[[Tensor, np.ndarray], Tensor],
-        execution: str = "batched",
     ) -> StepResult:
         """One synchronous iteration: local backward on every rank, then sync.
 
         ``per_rank_batches`` must contain exactly ``world_size`` batches (one
         per rank, typically produced by a :class:`repro.data.DistributedSampler`).
 
-        ``execution`` selects how the per-rank passes run: ``"batched"`` (the
-        default) evaluates all ranks in one world-batched forward/backward,
-        ``"looped"`` keeps the historical per-rank Python loop.  Float64
-        results are bit-identical either way; ragged per-rank batch shapes
-        fall back to the loop automatically.  Modeled time is unaffected —
-        the simulation clock measures the *simulated* cluster, not host
-        execution strategy.
+        All ranks are evaluated in one world-batched forward/backward when
+        their batches share a shape; ragged per-rank batches take the per-rank
+        loop.  Float64 results are bit-identical either way, and modeled time
+        is unaffected — the simulation clock measures the *simulated* cluster,
+        not how the host runs the passes.
         """
         if len(per_rank_batches) != self.world_size:
             raise ValueError(
                 f"expected {self.world_size} per-rank batches, got {len(per_rank_batches)}"
             )
-        if execution not in ("batched", "looped"):
-            raise ValueError(f"unknown execution strategy {execution!r}")
 
-        if execution == "batched" and self._stackable(per_rank_batches):
+        if self._stackable(per_rank_batches):
             images = np.stack([batch[0] for batch in per_rank_batches])
             labels = np.stack([np.asarray(batch[1]) for batch in per_rank_batches])
             per_rank_losses, grads = self.compute_batched_gradients((images, labels), loss_fn)

@@ -15,7 +15,7 @@ method, plus one 2-rank mini-ResNet cell) so the whole golden suite re-trains
 in seconds; it covers the five methods of the paper's evaluation plus one
 composed codec spec — together exercising every wire payload and both
 aggregation paths — and one convolutional cell that pins the conv/pool/norm
-kernel stack accelerated backends route through.
+kernel stack.
 
 Regenerate fixtures after an *intentional* numerical change with::
 
@@ -27,6 +27,7 @@ explains them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.experiment import run_experiment
 from repro.simulation.spec import (
+    PACTRAIN_FP32,
     PAPER_METHODS,
     ExperimentConfig,
     ExperimentResult,
@@ -68,9 +70,7 @@ GOLDEN_CONFIG = ExperimentConfig(
 #: A convolutional golden cell: a 2-rank mini-ResNet run exercising the whole
 #: conv/pool/batch-norm kernel stack — the im2col gather, the overlapping
 #: col2im scatter-add (stride-2 3x3 convs), pooling window reductions and
-#: batch-norm statistics — none of which the MLP cells touch.  This is the
-#: cell that pins accelerated backends: it must pass bit-identically under
-#: ``REPRO_BACKEND=numba``.
+#: batch-norm statistics — none of which the MLP cells touch.
 GOLDEN_CONV_CONFIG = ExperimentConfig(
     model="resnet18",
     dataset="cifar10",
@@ -84,11 +84,19 @@ GOLDEN_CONV_CONFIG = ExperimentConfig(
     seed=0,
 )
 
+#: PacTrain where it leaves full synchronisation.  Under ``GOLDEN_CONFIG`` the
+#: ``pactrain`` cell's Mask Tracker (threshold 3) never declares a stable
+#: pattern, so that fixture equals ``all-reduce`` to the last bit.  One more
+#: epoch and ``stability_threshold=2`` give a run holding both halves of
+#: Algorithm 1: 6 full-sync iterations, then 2 compact ones.
+GOLDEN_COMPACT_CONFIG = dataclasses.replace(GOLDEN_CONFIG, epochs=4)
+
 #: The frozen methods: the paper's five plus one composed codec spec (which
 #: exercises sparse + ternary payload composition through the gather path),
-#: the convolutional cell above, and the two non-synchronous training regimes
+#: the convolutional cell above, the two non-synchronous training regimes
 #: (compressed-delta local SGD and the stale-gradient parameter server) so
-#: regime numerics are pinned exactly like synchronous ones.
+#: regime numerics are pinned exactly like synchronous ones, and PacTrain in
+#: compact mode with and without ternary quantisation.
 GOLDEN_METHODS: Dict[str, MethodSpec] = {
     **PAPER_METHODS,
     "topk0.01+terngrad": MethodSpec(
@@ -101,11 +109,19 @@ GOLDEN_METHODS: Dict[str, MethodSpec] = {
     "async-ps": MethodSpec(
         name="async-ps", compressor="topk-0.01", sync_schedule="ps:2"
     ),
+    "pactrain-compact": dataclasses.replace(
+        PAPER_METHODS["pactrain"], name="pactrain-compact", stability_threshold=2
+    ),
+    "pactrain-compact-fp32": dataclasses.replace(
+        PACTRAIN_FP32, name="pactrain-compact-fp32", stability_threshold=2
+    ),
 }
 
 #: Per-method config overrides; anything absent runs under GOLDEN_CONFIG.
 GOLDEN_CONFIGS: Dict[str, ExperimentConfig] = {
     "conv-all-reduce": GOLDEN_CONV_CONFIG,
+    "pactrain-compact": GOLDEN_COMPACT_CONFIG,
+    "pactrain-compact-fp32": GOLDEN_COMPACT_CONFIG,
 }
 
 

@@ -21,7 +21,12 @@ from repro.nn.models.resnet import (
     resnet152_mini,
 )
 from repro.nn.models.vit import VisionTransformer, vit_base_16, vit_base_16_mini
-from repro.nn.models.registry import MODEL_REGISTRY, build_model, register_model
+from repro.nn.models.registry import (
+    MODEL_REGISTRY,
+    build_model,
+    register_model,
+    registered_model,
+)
 
 __all__ = [
     "MLP",
@@ -41,4 +46,5 @@ __all__ = [
     "MODEL_REGISTRY",
     "build_model",
     "register_model",
+    "registered_model",
 ]

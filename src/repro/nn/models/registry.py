@@ -43,16 +43,21 @@ def register_model(name: str, mini: ModelFactory, full: Optional[ModelFactory] =
     MODEL_REGISTRY[name] = {"mini": mini, "full": full or mini}
 
 
-def build_model(name: str, num_classes: int = 10, seed: Optional[int] = None, full: bool = False) -> Module:
-    """Instantiate a registered model by name.
+def registered_model(name: str) -> Dict[str, ModelFactory]:
+    """The factories registered under ``name`` (case-insensitive).
 
     Raises
     ------
     KeyError
         If ``name`` is not registered.
     """
-    key = name.lower()
-    if key not in MODEL_REGISTRY:
+    entry = MODEL_REGISTRY.get(name.lower())
+    if entry is None:
         raise KeyError(f"unknown model {name!r}; registered models: {sorted(MODEL_REGISTRY)}")
-    factory = MODEL_REGISTRY[key]["full" if full else "mini"]
+    return entry
+
+
+def build_model(name: str, num_classes: int = 10, seed: Optional[int] = None, full: bool = False) -> Module:
+    """Instantiate a registered model by name (``KeyError`` if it is not registered)."""
+    factory = registered_model(name)["full" if full else "mini"]
     return factory(num_classes=num_classes, seed=seed)

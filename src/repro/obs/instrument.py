@@ -8,25 +8,18 @@ Three pieces live here, all activated only while tracing is enabled:
   bound to a tracer — one wall span per call.  Everything else forwards to
   the wrapped backend untouched, so numerics are bit-identical.
 * :func:`install_backend_observer` plugs the wrapper into the single
-  ``get_backend()`` seam (``repro.tensorlib.backend._OBSERVER``); kernel
-  degradation and fallback diagnoses are emitted as instant events the first
-  time each backend instance is observed.
+  ``get_backend()`` seam (``repro.tensorlib.backend._OBSERVER``).
 * :func:`emit_simulated_iteration` converts one engine
   :class:`~repro.simulation.engine.IterationTrace` into simulated-clock
   spans: per-rank backward segments (one track per simulated rank),
   per-bucket reduce windows + ready markers on the link-channel track, and
   the iteration critical path on the schedule track.
-
-:func:`backend_kernel_counters` is the ``python -m repro backends
---counters`` engine: it runs a tiny forward/backward smoke step per backend
-under a private registry (no global tracer state touched) and returns the
-per-kernel usage table.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SIM_CHANNEL_TID, SIM_SCHEDULE_TID
@@ -37,7 +30,6 @@ __all__ = [
     "uninstall_backend_observer",
     "emit_simulated_iteration",
     "emit_ps_update",
-    "backend_kernel_counters",
 ]
 
 
@@ -109,24 +101,6 @@ _install_kernel_methods()
 _WRAPPERS: Dict[int, ObservedBackend] = {}
 
 
-def _emit_backend_diagnostics(tracer, backend) -> None:
-    """Instant events for fallback and per-kernel JIT probe outcomes."""
-    if getattr(backend, "fallback_from", None):
-        tracer.instant(
-            "backend/fallback", cat="backend",
-            backend=backend.name, requested=backend.fallback_from,
-            reason=getattr(backend, "fallback_reason", None) or "",
-        )
-    if backend.name == "numpy" and not getattr(backend, "fallback_from", None):
-        return
-    for kernel, note in sorted(backend.kernel_status().items()):
-        degraded = note.startswith("numpy")
-        tracer.instant(
-            "backend/kernel_probe", cat="backend",
-            backend=backend.name, kernel=kernel, note=note, degraded=degraded,
-        )
-
-
 def install_backend_observer(tracer) -> None:
     """Route ``get_backend()`` through an :class:`ObservedBackend` wrapper."""
     from repro.tensorlib import backend as backend_module  # noqa: PLC0415
@@ -138,7 +112,6 @@ def install_backend_observer(tracer) -> None:
         if wrapper is None or wrapper._inner is not active:
             wrapper = ObservedBackend(active, tracer=tracer, registry=tracer.metrics)
             _WRAPPERS[id(active)] = wrapper
-            _emit_backend_diagnostics(tracer, active)
         return wrapper
 
     backend_module._OBSERVER = observe
@@ -246,71 +219,3 @@ def emit_ps_update(
         rank=rank, update=update_index, staleness=staleness,
     )
     tracer.metrics.observe("regime.staleness", float(staleness))
-
-
-# --------------------------------------------------------------------------- #
-# ``backends --counters`` smoke step
-# --------------------------------------------------------------------------- #
-def _smoke_step(batch: int, image_size: int, seed: int) -> None:
-    """One tiny conv forward/backward touching every routed hot kernel."""
-    import numpy as np  # noqa: PLC0415
-    from repro.nn import SGD  # noqa: PLC0415
-    from repro.nn.models import build_model  # noqa: PLC0415
-    from repro.tensorlib import Tensor, functional as F  # noqa: PLC0415
-
-    rng = np.random.default_rng(seed)
-    images = rng.standard_normal((batch, 3, image_size, image_size))
-    labels = rng.integers(0, 10, size=batch)
-    model = build_model("resnet18", num_classes=10, seed=seed)
-    optimizer = SGD(model.parameters(), lr=0.1)
-    model.zero_grad()
-    loss = F.cross_entropy(model(Tensor(images)), labels)
-    loss.backward()
-    optimizer.step()
-
-
-def backend_kernel_counters(
-    names: Optional[Sequence[str]] = None,
-    batch: int = 2,
-    image_size: int = 8,
-    seed: int = 0,
-) -> Dict[str, dict]:
-    """Per-kernel usage of a tiny smoke step, per backend.
-
-    Returns ``{requested_name: {"executed": actual_name, "kernels":
-    {kernel: {"calls", "seconds", "bytes"}}}}``.  Each backend runs under a
-    private registry and a scoped ``use_backend``, so the call leaves global
-    tracer/backend state untouched.  A backend whose library is missing
-    resolves to its numpy fallback — the counters then describe what
-    actually executed (``executed`` names it).
-    """
-    from repro.tensorlib.backend import (  # noqa: PLC0415
-        HOT_KERNELS,
-        available_backends,
-        shared_backend,
-        use_backend,
-    )
-
-    results: Dict[str, dict] = {}
-    for name in names if names is not None else available_backends():
-        try:
-            inner = shared_backend(name)
-        except KeyError:
-            continue
-        registry = MetricsRegistry()
-        wrapped = ObservedBackend(inner, tracer=None, registry=registry)
-        with use_backend(wrapped):
-            _smoke_step(batch, image_size, seed)
-        prefix = f"backend.{inner.name}."
-        kernels: Dict[str, Dict[str, float]] = {}
-        for kernel in HOT_KERNELS:
-            calls = registry.counters.get(f"{prefix}{kernel}.calls", 0.0)
-            if not calls:
-                continue
-            kernels[kernel] = {
-                "calls": calls,
-                "seconds": registry.counters.get(f"{prefix}{kernel}.seconds", 0.0),
-                "bytes": registry.counters.get(f"{prefix}{kernel}.bytes", 0.0),
-            }
-        results[name] = {"executed": inner.name, "kernels": kernels}
-    return results

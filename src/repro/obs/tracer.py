@@ -22,8 +22,8 @@ Two clocks, one trace:
 Events stream to an append-only JSONL sink when a path is configured (each
 line is one ``json.dumps`` + flush, so concurrent pool workers appending to
 the same file interleave whole lines), or accumulate in memory otherwise
-(tests, ``backends --counters``).  :mod:`repro.obs.export` turns either into
-Chrome Trace Event JSON and text summaries.
+(tests).  :mod:`repro.obs.export` turns either into Chrome Trace Event JSON
+and text summaries.
 """
 
 from __future__ import annotations

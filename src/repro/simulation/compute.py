@@ -146,10 +146,9 @@ class ComputeModel:
     """Convert a model + batch size into per-iteration compute seconds.
 
     Modeled time describes one rank of the *simulated* cluster, so it is
-    deliberately independent of how the host evaluates the replicas —
-    per-rank loop or world-batched pass (``ExperimentConfig.execution``) —
-    and of which array backend executes the kernels.  Only the workload
-    (model, batch, device, sparsity) moves these numbers.
+    deliberately independent of how the host evaluates the replicas (per-rank
+    loop or world-batched pass).  Only the workload (model, batch, device,
+    sparsity) moves these numbers.
     """
 
     def __init__(

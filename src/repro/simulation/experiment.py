@@ -54,10 +54,8 @@ from repro.tensorlib import (
     Tensor,
     default_dtype,
     functional as F,
-    get_backend,
     get_default_dtype,
     no_grad,
-    use_backend,
 )
 
 
@@ -325,7 +323,6 @@ def train_distributed(
     seed: int = 0,
     bucket_cap_bytes: int = DEFAULT_BUCKET_CAP_BYTES,
     sparsity_cache: Optional["_WeightSparsityCache"] = None,
-    execution: str = "batched",
     checkpoint_at: Optional[int] = None,
     checkpoint_box: Optional[List[TrainingCheckpoint]] = None,
     resume_from: Optional[TrainingCheckpoint] = None,
@@ -344,13 +341,12 @@ def train_distributed(
     *is* synchronous training — which the regime-parity tests pin
     bit-identically.
 
-    ``execution`` picks the host-side strategy for the per-rank passes:
-    ``"batched"`` (default) runs one world-batched forward/backward,
-    ``"looped"`` the per-rank Python loop; float64 losses, gradients and
-    traces are bit-identical either way, and modeled time — which measures
-    the *simulated* cluster — never depends on it.  Ragged tail batches
-    (unequal shapes across ranks) fall back to the loop for that iteration.
-    Local-SGD windows always loop (diverged replicas cannot share one
+    On the host the synchronous step evaluates all ranks in one world-batched
+    forward/backward whenever the per-rank batches stack and the world is not
+    degraded, and rank by rank otherwise (ragged tail batches, dead ranks);
+    float64 losses, gradients and traces are bit-identical either way, and
+    modeled time — which measures the *simulated* cluster — never depends on
+    it.  Local-SGD windows always loop (diverged replicas cannot share one
     world-batched pass).
 
     ``checkpoint_at``/``checkpoint_box`` capture a
@@ -363,8 +359,6 @@ def train_distributed(
     compressor (whose statistics record bytes on the wire) and whether the
     target accuracy was reached at any epoch.
     """
-    if execution not in ("batched", "looped"):
-        raise ValueError(f"unknown execution strategy {execution!r}")
     schedule = parse_sync_schedule(method.sync_schedule)
     world_size = cluster.world_size
     cluster.fault_plan().validate_for_regime(schedule.regime)
@@ -448,7 +442,7 @@ def train_distributed(
     if schedule.regime == "ps":
         return _train_async_ps(run, schedule, seed)
     if schedule.is_synchronous:
-        step = _SyncStep(run, execution)
+        step = _SyncStep(run)
     else:
         step = _LocalSGDStep(run, schedule, lr, momentum, weight_decay)
     return _train_stepped(
@@ -602,20 +596,15 @@ class _SyncStep:
     #: model, so a returning rank has nothing of its own to refresh.
     on_rejoin = None
 
-    def __init__(self, run: _Run, execution: str) -> None:
+    def __init__(self, run: _Run) -> None:
         self.run = run
-        self.execution = execution
         self.use_gse = run.method.gse and run.mask is not None
 
     def step(self, batches, active_set, epoch: int, iteration: int):
         run = self.run
         ddp, model, mask = run.ddp, run.model, run.mask
         with TRACER.span("train/backward", cat="train", epoch=epoch, iteration=iteration):
-            if (
-                self.execution == "batched"
-                and not ddp.is_degraded
-                and DistributedDataParallel._stackable(batches)
-            ):
+            if not ddp.is_degraded and DistributedDataParallel._stackable(batches):
                 images = np.stack([batch[0] for batch in batches])
                 labels = np.stack([np.asarray(batch[1]) for batch in batches])
                 per_rank_losses, grads = ddp.compute_batched_gradients(
@@ -976,9 +965,7 @@ def run_experiment(
 
     The entire run — dataset materialisation, model construction, training,
     evaluation — executes under ``config.dtype`` (see
-    :func:`repro.tensorlib.dtypes.default_dtype`) and, when
-    ``config.backend`` is set, under that array backend
-    (:func:`repro.tensorlib.backend.use_backend`); both are restored on exit
+    :func:`repro.tensorlib.dtypes.default_dtype`), which is restored on exit
     even when the run raises.
 
     A call prepares its own dataset, split and pre-trained model and keeps
@@ -988,12 +975,13 @@ def run_experiment(
     :func:`_pretrained_workload` prepare once (see :func:`_prepare_workload`).
     """
     # Reject an unsupported regime x fault-plan cell before any work is done
-    # (the method's own regime x pruning check ran at spec construction), and
-    # a malformed codec spec too: one throwaway build instead of a check in
-    # MethodSpec.__post_init__, which a stored campaign runs per cell.
+    # (the method's own regime x pruning check and compressor-name check ran
+    # at spec construction), and with one throwaway build the field
+    # combinations only the factory rejects (``error_feedback`` on a
+    # non-codec compressor, ``quantize`` against ``pactrain-fp32``).
     config.cluster.fault_plan().validate_for_regime(method.schedule().regime)
     method.build_compressor(config.seed)
-    with default_dtype(config.dtype), use_backend(config.backend):
+    with default_dtype(config.dtype):
         with TRACER.span(
             "experiment", cat="experiment",
             model=config.model, method=method.name, world=config.cluster.world_size,
@@ -1042,21 +1030,20 @@ def _pretrained_workload(
     pretrain_iterations: int,
     lr: float,
     dtype: np.dtype,
-    backend,
 ) -> _PretrainedWorkload:
     """Materialise the dataset, split it, build the model and pre-train it.
 
-    A function of its twelve arguments and nothing else: the ten
+    A function of its eleven arguments and nothing else: the ten
     :class:`ExperimentConfig` fields preparation reads plus the compute dtype
-    and the array backend the run resolved to, both re-entered here so no
-    ambient state leaks in.  That makes the argument tuple the complete
-    identity of the result — it *is* the key a :class:`_WorkloadShare` stores
-    under — so a field that starts to influence preparation has to become an
-    argument and cannot go stale in a hand-kept key list.  The brief
-    single-worker pre-training is the stand-in for the paper's "start from a
-    pre-trained model" (Fig. 1: pretrain, prune, then train distributed).
+    the run resolved to, re-entered here so no ambient state leaks in.  That
+    makes the argument tuple the complete identity of the result — it *is*
+    the key a :class:`_WorkloadShare` stores under — so a field that starts to
+    influence preparation has to become an argument and cannot go stale in a
+    hand-kept key list.  The brief single-worker pre-training is the stand-in
+    for the paper's "start from a pre-trained model" (Fig. 1: pretrain, prune,
+    then train distributed).
     """
-    with default_dtype(dtype), use_backend(backend):
+    with default_dtype(dtype):
         full = make_dataset(
             dataset,
             num_samples=dataset_samples,
@@ -1143,7 +1130,6 @@ def _prepare_workload(
         config.pretrain_iterations,
         config.lr,
         get_default_dtype(),
-        get_backend(),
     )
     if share is None:
         workload = _pretrained_workload(*args)
@@ -1180,7 +1166,6 @@ def _run_experiment(
         seed=config.seed,
         bucket_cap_bytes=config.bucket_cap_bytes,
         sparsity_cache=sparsity_cache,
-        execution=config.execution,
     )
 
     gradient_density = 1.0

@@ -13,11 +13,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.compression.base import CodecCompressor, Compressor
-from repro.compression.registry import PACTRAIN_QUANTIZE, build_compressor
+from repro.compression.registry import (
+    PACTRAIN_QUANTIZE,
+    build_compressor,
+    check_compressor_name,
+)
 from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES
+from repro.nn.models import registered_model
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.regimes import SyncSchedule, parse_sync_schedule
-from repro.tensorlib.backend import KNOWN_BACKENDS
 from repro.tensorlib.dtypes import SUPPORTED_DTYPES
 
 
@@ -67,9 +71,10 @@ class MethodSpec:
     def __post_init__(self) -> None:
         if self.sync_schedule == "":
             object.__setattr__(self, "sync_schedule", None)
-        # Validate eagerly so a bad schedule fails at spec-construction time
-        # (campaign expansion), not minutes into a sweep.
+        # Validate eagerly so a bad schedule or a misspelt compressor fails at
+        # spec-construction time (campaign expansion), not minutes into a sweep.
         schedule = parse_sync_schedule(self.sync_schedule)
+        check_compressor_name(self.compressor)
         if schedule.regime == "ps" and (self.pruning_ratio > 0.0 or self.gse):
             raise ValueError(
                 "async parameter-server mode does not support pruning/GSE methods: "
@@ -189,31 +194,13 @@ class ExperimentConfig:
     #: communication volumes and modeled times do not depend on this.  Also a
     #: campaign axis (``"dtype": ["float32", "float64"]``).
     dtype: str = "float64"
-    #: Host-side execution strategy for the per-iteration forward/backward:
-    #: ``"batched"`` (default) evaluates all ranks in one world-batched pass,
-    #: ``"looped"`` keeps the per-rank Python loop.  Float64 results are
-    #: bit-identical either way (dropout excepted); modeled time is
-    #: execution-independent, so this is purely a wall-clock knob.
-    execution: str = "batched"
-    #: Array backend for the tensor kernels (``repro.tensorlib.backend``):
-    #: ``None`` keeps the process-wide default (``REPRO_BACKEND`` env or
-    #: numpy); ``"numba"``/``"torch"``/``"cupy"`` opt into accelerated
-    #: kernels, degrading to numpy with a warning when the library is absent.
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.dtype not in SUPPORTED_DTYPES:
             raise ValueError(
                 f"dtype must be one of {sorted(SUPPORTED_DTYPES)}, got {self.dtype!r}"
             )
-        if self.execution not in ("batched", "looped"):
-            raise ValueError(
-                f"execution must be 'batched' or 'looped', got {self.execution!r}"
-            )
-        if self.backend is not None and self.backend not in KNOWN_BACKENDS:
-            raise ValueError(
-                f"backend must be None or one of {sorted(KNOWN_BACKENDS)}, got {self.backend!r}"
-            )
+        registered_model(self.model)  # a misspelt name fails here, before any dataset is built
         if self.image_size != 8 and self.model.lower() == "mlp":
             raise ValueError(
                 "model 'mlp' has a fixed 3*8*8 input layer and needs image_size=8, "

@@ -27,8 +27,6 @@ from repro.tensorlib.dtypes import (
     set_default_dtype,
 )
 from repro.tensorlib.backend import (
-    KNOWN_BACKENDS,
-    available_backends,
     get_backend,
     set_backend,
     use_backend,
@@ -46,8 +44,6 @@ __all__ = [
     "get_default_dtype",
     "set_default_dtype",
     "resolve_dtype",
-    "KNOWN_BACKENDS",
-    "available_backends",
     "get_backend",
     "set_backend",
     "use_backend",

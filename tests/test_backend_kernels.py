@@ -1,25 +1,17 @@
 """Parity and routing tests for the backend seam's hot kernels.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
-* the :class:`NumpyBackend` reference kernels (``im2col_gather``,
-  ``pool_reduce``, ``fused_norm_stats``/``fused_norm_backward``) agree with
-  naive loop/composite formulations across a hypothesis-driven
+* the :class:`NumpyBackend` kernels (``im2col_gather``, ``pool_reduce``,
+  ``fused_norm_stats``/``fused_norm_backward``) agree bit for bit with naive
+  loop/composite formulations across a hypothesis-driven
   dtype × stride × padding × kernel-size grid;
 * every conv/pool/norm call site in ``functional.py``/``nn/layers.py`` —
   looped *and* world-batched — actually routes through ``get_backend()``
-  (a recording backend proves it);
-* accelerated backends match the reference: numba bit-identically (float64
-  and float32), torch within float tolerance.  Both skip cleanly when the
-  library is absent — behaviour must never depend on what is installed.
-
-The selection machinery itself (warn-once degradation, the shared cache, the
-``backends`` CLI) is covered at the bottom.
+  (a recording backend proves it).
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 import pytest
@@ -67,34 +59,6 @@ def composite_norm_backward(grad, w, x_hat, inv_std, axes):
     mean_g = g_hat.mean(axis=axes, keepdims=True)
     mean_gx = (g_hat * x_hat).mean(axis=axes, keepdims=True)
     return inv_std * (g_hat - mean_g - x_hat * mean_gx)
-
-
-def _parity_backends():
-    """(label, backend, exact) triples to run kernel parity against.
-
-    numpy always; numba (bit-identical contract) and torch (float tolerance)
-    only when importable and not degraded by their probes.
-    """
-    pairs = [("numpy", B.NumpyBackend(), True)]
-    for name, exact in (("numba", True), ("torch", False)):
-        try:
-            __import__(name)
-        except ImportError:
-            continue
-        backend = B.shared_backend(name)
-        if backend.name == name:
-            pairs.append((name, backend, exact))
-    return pairs
-
-
-PARITY_BACKENDS = _parity_backends()
-
-
-def _assert_matches(label, exact, actual, expected):
-    if exact:
-        assert np.array_equal(actual, expected), label
-    else:
-        np.testing.assert_allclose(actual, expected, rtol=1e-6, atol=1e-12, err_msg=label)
 
 
 # --------------------------------------------------------------------------- #
@@ -145,20 +109,17 @@ def test_im2col_gather_parity(dtype, layout, stride, padding, kernel, n, c, seed
         (w + 2 * pw - kw) // stride[1] + 1,
     )
     expected = naive_im2col(padded, kernel, stride, out_hw)
-    for label, backend, exact in PARITY_BACKENDS:
-        if not exact and dtype in (np.int64, np.bool_):
-            continue
-        cols = backend.im2col_gather(padded, kernel, stride, out_hw)
-        assert cols.dtype == padded.dtype
-        _assert_matches(f"im2col/{label}", exact, cols, expected)
-        # Always a fresh array: downstream kernels may write into it and the
-        # caller's images must not change underneath.
-        assert cols.flags.c_contiguous and cols.flags.writeable, label
-        assert not np.shares_memory(cols, padded), label
+    cols = B.NumpyBackend().im2col_gather(padded, kernel, stride, out_hw)
+    assert cols.dtype == padded.dtype
+    assert np.array_equal(cols, expected)
+    # Always a fresh array: downstream kernels may write into it and the
+    # caller's images must not change underneath.
+    assert cols.flags.c_contiguous and cols.flags.writeable
+    assert not np.shares_memory(cols, padded)
 
 
 class TestGatherPlanCache:
-    """The one per-geometry index plan every backend's reference gather shares."""
+    """The one per-geometry index plan the gather kernel reads."""
 
     GEOMETRY = (2, 6, 6, (3, 3), (1, 1), (4, 4))
 
@@ -208,13 +169,13 @@ def test_pool_reduce_parity(dtype, k, flat, length, seed):
     expected_max = cols.max(axis=2)
     expected_arg = cols.argmax(axis=2)
     expected_mean = cols.mean(axis=2)
-    for label, backend, exact in PARITY_BACKENDS:
-        values, argmax = backend.pool_reduce(cols, "max")
-        _assert_matches(f"pool-max/{label}", exact, values, expected_max)
-        assert np.array_equal(argmax, expected_arg), f"pool-argmax/{label}"
-        values, none = backend.pool_reduce(cols, "mean")
-        _assert_matches(f"pool-mean/{label}", exact, values, expected_mean)
-        assert none is None
+    backend = B.NumpyBackend()
+    values, argmax = backend.pool_reduce(cols, "max")
+    assert np.array_equal(values, expected_max)
+    assert np.array_equal(argmax, expected_arg)
+    values, none = backend.pool_reduce(cols, "mean")
+    assert np.array_equal(values, expected_mean)
+    assert none is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -233,17 +194,17 @@ def test_fused_norm_last_axis_parity(dtype, dim, rows, seed):
     eps = 1e-5
     expected = composite_norm_stats(data, axes, eps)
     expected_gx = composite_norm_backward(grad, w, expected[3], expected[2], axes)
-    for label, backend, exact in PARITY_BACKENDS:
-        stats = backend.fused_norm_stats(data, axes, eps)
-        for field, actual, ref in zip(("mean", "var", "inv_std", "x_hat"), stats, expected):
-            assert actual.shape == ref.shape, f"norm-{field}/{label}"
-            _assert_matches(f"norm-{field}/{label}", exact, actual, ref)
-        gx = backend.fused_norm_backward(grad, w, stats[3], stats[2], axes)
-        _assert_matches(f"norm-backward/{label}", exact, gx, expected_gx)
+    backend = B.NumpyBackend()
+    stats = backend.fused_norm_stats(data, axes, eps)
+    for field, actual, ref in zip(("mean", "var", "inv_std", "x_hat"), stats, expected):
+        assert actual.shape == ref.shape, field
+        assert np.array_equal(actual, ref), field
+    gx = backend.fused_norm_backward(grad, w, stats[3], stats[2], axes)
+    assert np.array_equal(gx, expected_gx)
 
 
 def test_fused_norm_batchnorm_axes_parity():
-    """Channel-style reductions (BatchNorm) work on every backend too."""
+    """Channel-style reductions (BatchNorm) match the composite too."""
     rng = np.random.default_rng(0)
     data = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
     grad = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
@@ -251,12 +212,12 @@ def test_fused_norm_batchnorm_axes_parity():
     axes = (0, 2, 3)
     expected = composite_norm_stats(data, axes, 1e-5)
     expected_gx = composite_norm_backward(grad, w, expected[3], expected[2], axes)
-    for label, backend, exact in PARITY_BACKENDS:
-        stats = backend.fused_norm_stats(data, axes, 1e-5)
-        for actual, ref in zip(stats, expected):
-            _assert_matches(f"bn-stats/{label}", exact, actual, ref)
-        gx = backend.fused_norm_backward(grad, w, stats[3], stats[2], axes)
-        _assert_matches(f"bn-backward/{label}", exact, gx, expected_gx)
+    backend = B.NumpyBackend()
+    stats = backend.fused_norm_stats(data, axes, 1e-5)
+    for actual, ref in zip(stats, expected):
+        assert np.array_equal(actual, ref)
+    gx = backend.fused_norm_backward(grad, w, stats[3], stats[2], axes)
+    assert np.array_equal(gx, expected_gx)
 
 
 def test_pool_reduce_rejects_unknown_op():
@@ -396,152 +357,3 @@ class TestCallSiteRouting:
         out_rec, grad_rec = run()
         assert np.array_equal(out_ref, out_rec)
         assert np.array_equal(grad_ref, grad_rec)
-
-
-# --------------------------------------------------------------------------- #
-# Numba: bit-identity across the grid + the conv golden
-# --------------------------------------------------------------------------- #
-def _numba_backend_or_skip():
-    pytest.importorskip("numba")
-    backend = B.shared_backend("numba")
-    if backend.name != "numba":
-        pytest.skip(f"numba present but degraded: {backend.fallback_reason}")
-    return backend
-
-
-class TestNumbaKernels:
-    def test_kernel_status_reports_jit(self):
-        backend = _numba_backend_or_skip()
-        status = backend.kernel_status()
-        for kernel in ("im2col_gather", "pool_reduce", "conv_weight_grad", "col2im_scatter_add"):
-            assert kernel in status
-
-    def test_gather_is_the_shared_numpy_reference(self, monkeypatch):
-        backend = _numba_backend_or_skip()
-        assert backend.kernel_status()["im2col_gather"] == "numpy reference"
-        monkeypatch.setattr(B, "_GATHER_PLANS", {})
-        padded = np.random.default_rng(0).standard_normal((1, 2, 6, 7))
-        for _ in range(2):
-            backend.im2col_gather(padded, (3, 3), (1, 1), (4, 5))
-            assert len(B._GATHER_PLANS) == 1  # planned once, on the module's cache
-
-    def test_conv_golden_bit_identical_under_numba(self):
-        """The conv golden cell (resnet18) must not drift under numba."""
-        _numba_backend_or_skip()
-        from repro import golden  # noqa: PLC0415
-
-        expected = golden.load_fixture("conv-all-reduce")
-        with B.use_backend("numba"):
-            actual = golden.compute_trace(golden.GOLDEN_METHODS["conv-all-reduce"])
-        diffs = golden.compare_traces(expected, actual, rtol=0.0)
-        assert not diffs, golden.format_diff("conv-all-reduce (numba)", diffs)
-
-
-# --------------------------------------------------------------------------- #
-# Selection machinery: warn-once, recorded reasons, shared cache, CLI
-# --------------------------------------------------------------------------- #
-def _block_import(monkeypatch, module: str):
-    import builtins
-
-    real_import = builtins.__import__
-
-    def fake_import(name, *args, **kwargs):
-        if name == module or name.startswith(module + "."):
-            raise ImportError(f"{module} is not installed")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", fake_import)
-
-
-class TestDegradation:
-    def test_fallback_warns_exactly_once_per_process(self, monkeypatch, caplog):
-        _block_import(monkeypatch, "torch")
-        monkeypatch.setattr(B, "_FALLBACK_WARNED", set())
-        with caplog.at_level(logging.WARNING, logger="repro.tensorlib.backend"):
-            first = B.create_backend("torch")
-            second = B.create_backend("torch")
-        warnings = [r for r in caplog.records if "falling back to numpy" in r.message]
-        assert len(warnings) == 1
-        # ... but the reason is recorded on every degraded instance.
-        for backend in (first, second):
-            assert type(backend) is B.NumpyBackend
-            assert backend.fallback_from == "torch"
-            assert "not installed" in backend.fallback_reason
-
-    def test_distinct_backends_each_get_their_warning(self, monkeypatch, caplog):
-        _block_import(monkeypatch, "torch")
-        _block_import(monkeypatch, "cupy")
-        monkeypatch.setattr(B, "_FALLBACK_WARNED", set())
-        with caplog.at_level(logging.WARNING, logger="repro.tensorlib.backend"):
-            B.create_backend("torch")
-            B.create_backend("cupy")
-            B.create_backend("torch")
-        warnings = [r for r in caplog.records if "falling back to numpy" in r.message]
-        assert len(warnings) == 2
-
-    def test_shared_backend_caches_per_name(self, monkeypatch):
-        monkeypatch.setattr(B, "_SHARED", {})
-        first = B.shared_backend("numpy")
-        assert B.shared_backend("numpy") is first
-        # set_backend by name resolves through the same cache
-        assert B.set_backend("numpy") is first
-
-    def test_shared_backend_unknown_name_raises(self):
-        with pytest.raises(KeyError, match="unknown backend"):
-            B.shared_backend("fortran")
-
-
-class TestDescribeBackends:
-    def test_reports_reference_and_missing(self, monkeypatch):
-        infos = {info.name: info for info in B.describe_backends(probe=False)}
-        assert set(infos) == set(B.KNOWN_BACKENDS)
-        assert infos["numpy"].status == "reference"
-        for name in ("numba", "torch", "cupy"):
-            info = infos[name]
-            if not info.installed:
-                assert info.status == "degraded-to-numpy"
-                assert "not installed" in info.detail
-
-    def test_probe_mode_reports_kernels_for_installed_backends(self):
-        for info in B.describe_backends(probe=True):
-            if info.status == "available":
-                assert info.kernels, info.name
-
-    def test_backends_cli_lists_every_known_backend(self, capsys):
-        from repro.campaign.cli import main  # noqa: PLC0415
-
-        assert main(["backends", "--no-probe"]) == 0
-        out = capsys.readouterr().out
-        for name in B.KNOWN_BACKENDS:
-            assert name in out
-        assert "active backend:" in out
-
-
-class TestCampaignBackendAxis:
-    def test_backend_axis_expands_and_runs(self, tmp_path):
-        from repro.campaign.runner import run_campaign  # noqa: PLC0415
-        from repro.campaign.spec import CampaignSpec  # noqa: PLC0415
-
-        spec = CampaignSpec(
-            name="backend-axis",
-            base={
-                "model": "mlp",
-                "epochs": 1,
-                "batch_size": 4,
-                "dataset_samples": 8,
-                "image_size": 8,
-                "pretrain_iterations": 0,
-                "max_iterations_per_epoch": 1,
-                "world_size": 2,
-            },
-            axes={"backend": ["numpy", None]},
-        )
-        cells = spec.expand()
-        assert [cell.config.backend for cell in cells] == ["numpy", None]
-        report = run_campaign(spec, store=None, jobs=1)
-        report.raise_failures()
-        results = report.results()
-        # Backend selection changes speed, never results: both cells train
-        # identically on this host.
-        assert results[0].final_accuracy == results[1].final_accuracy
-        assert results[0].simulated_time == results[1].simulated_time

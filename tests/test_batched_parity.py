@@ -2,12 +2,16 @@
 
 The batched execution path (``repro.nn.batched`` + the world-batched kernels
 in ``repro.tensorlib.functional``) promises float64 bit-identity with the
-historical per-rank loop.  These tests pin that promise at every level:
-individual layers under ``replica_views`` (hypothesis over layer types, world
-sizes and dtypes), full ``DistributedDataParallel.train_step`` results, the
-end-to-end experiment timeline (including a GSE/PacTrain cell), and the two
-supporting pieces — ``GradientArena.write_world`` and the ``col2im``
-non-overlap fast path.
+per-rank loop.  These tests pin that promise at every level: individual layers
+under ``replica_views`` (hypothesis over layer types, world sizes and dtypes),
+full ``DistributedDataParallel.train_step`` results, the end-to-end experiment
+timeline (including a GSE/PacTrain cell), and the two supporting pieces —
+``GradientArena.write_world`` and the ``col2im`` non-overlap fast path.
+
+Nothing selects the loop by name: the code takes it when the per-rank batches
+do not stack or the world is degraded.  The oracle runs are forced onto it
+through that observed condition (:func:`force_loop`), and a call counter
+proves which path each run took.
 """
 
 from __future__ import annotations
@@ -27,6 +31,30 @@ from repro.nn.models import build_model
 from repro.nn.module import Module
 from repro.tensorlib import Tensor, default_dtype, functional as F
 from repro.tensorlib.functional import col2im, im2col
+
+
+def force_loop(monkeypatch) -> None:
+    """Make every step take the per-rank loop: report the batches as unstackable."""
+    monkeypatch.setattr(
+        DistributedDataParallel, "_stackable", staticmethod(lambda batches: False)
+    )
+
+
+def count_passes(monkeypatch) -> dict:
+    """Count world-batched and per-rank gradient passes from here on."""
+    calls = {"batched": 0, "looped": 0}
+
+    def counting(key, original):
+        def counted(self, *args, **kwargs):
+            calls[key] += 1
+            return original(self, *args, **kwargs)
+
+        return counted
+
+    for key, name in (("batched", "compute_batched_gradients"), ("looped", "compute_local_gradients")):
+        original = getattr(DistributedDataParallel, name)
+        monkeypatch.setattr(DistributedDataParallel, name, counting(key, original))
+    return calls
 
 
 def _per_rank_grads(model: Module, images: np.ndarray, labels: np.ndarray):
@@ -169,14 +197,18 @@ class TestTrainStepParity:
             ]
         return ddp, batches
 
-    def test_train_step_results_identical(self):
+    def test_train_step_results_identical(self, monkeypatch):
+        calls = count_passes(monkeypatch)
         results = {}
         params = {}
-        for execution in ("batched", "looped"):
+        for path in ("batched", "looped"):
+            if path == "looped":
+                force_loop(monkeypatch)
             ddp, batches = self._make()
             with default_dtype("float64"):
-                results[execution] = ddp.train_step(batches, F.cross_entropy, execution=execution)
-            params[execution] = {n: p.data.copy() for n, p in ddp.model.named_parameters()}
+                results[path] = ddp.train_step(batches, F.cross_entropy)
+            params[path] = {n: p.data.copy() for n, p in ddp.model.named_parameters()}
+        assert calls == {"batched": 1, "looped": 4}
         batched, looped = results["batched"], results["looped"]
         assert batched.per_rank_loss == looped.per_rank_loss
         assert batched.loss == looped.loss
@@ -184,19 +216,21 @@ class TestTrainStepParity:
         assert batched.comm_bytes_per_worker == looped.comm_bytes_per_worker
         _assert_stacks_equal(params["batched"], params["looped"])
 
-    def test_ragged_batches_fall_back_to_loop(self):
+    def test_ragged_batches_take_the_loop_without_being_asked(self, monkeypatch):
+        calls = count_passes(monkeypatch)
         ddp, batches = self._make(world=2, batch=2)
         images, labels = batches[1]
         batches[1] = (images[:1], labels[:1])  # ragged tail
         assert not DistributedDataParallel._stackable(batches)
         with default_dtype("float64"):
-            result = ddp.train_step(batches, F.cross_entropy, execution="batched")
+            result = ddp.train_step(batches, F.cross_entropy)
         assert len(result.per_rank_loss) == 2
+        assert calls == {"batched": 0, "looped": 2}
 
-    def test_unknown_execution_rejected(self):
+    def test_train_step_takes_no_execution_argument(self):
         ddp, batches = self._make(world=2, batch=2)
-        with pytest.raises(ValueError, match="unknown execution strategy"):
-            ddp.train_step(batches, F.cross_entropy, execution="vectorised")
+        with pytest.raises(TypeError, match="execution"):
+            ddp.train_step(batches, F.cross_entropy, execution="looped")
 
 
 class TestExperimentParity:
@@ -208,37 +242,50 @@ class TestExperimentParity:
         ],
         ids=["all-reduce", "pactrain-gse"],
     )
-    def test_timeline_identical(self, spec_kwargs):
+    def test_timeline_identical(self, spec_kwargs, monkeypatch):
         from repro.simulation.cluster import ClusterSpec
         from repro.simulation.experiment import ExperimentConfig, MethodSpec, run_experiment
 
-        def config(execution: str) -> "ExperimentConfig":
-            return ExperimentConfig(
-                model="mlp",
-                cluster=ClusterSpec(world_size=4),
-                epochs=2,
-                batch_size=8,
-                dataset_samples=64,
-                seed=0,
-                execution=execution,
-            )
-
+        config = ExperimentConfig(
+            model="mlp",
+            cluster=ClusterSpec(world_size=4),
+            epochs=2,
+            batch_size=8,
+            dataset_samples=64,
+            seed=0,
+        )
         spec = MethodSpec(**spec_kwargs)
-        batched = run_experiment(config("batched"), spec)
-        looped = run_experiment(config("looped"), spec)
+        calls = count_passes(monkeypatch)
+        batched = run_experiment(config, spec)
+        assert calls["batched"] == batched.iterations_run and calls["looped"] == 0
+        force_loop(monkeypatch)
+        looped = run_experiment(config, spec)
+        assert calls["batched"] == batched.iterations_run
+        assert calls["looped"] == 4 * looped.iterations_run
         assert batched.loss_trace == looped.loss_trace
         assert batched.accuracy_trace == looped.accuracy_trace
         assert batched.simulated_time == looped.simulated_time
         assert batched.comm_bytes_per_worker == looped.comm_bytes_per_worker
         assert batched.final_accuracy == looped.final_accuracy
 
-    def test_config_rejects_unknown_execution_and_backend(self):
-        from repro.simulation.experiment import ExperimentConfig
+    def test_degraded_world_takes_the_loop_without_being_asked(self, monkeypatch):
+        """With a rank dead from t=0 every iteration runs over the survivors,
+        rank by rank: a dead rank computes nothing, so no world-batched pass."""
+        from repro.simulation.cluster import ClusterSpec
+        from repro.simulation.experiment import ExperimentConfig, MethodSpec, run_experiment
 
-        with pytest.raises(ValueError, match="execution"):
-            ExperimentConfig(model="mlp", execution="turbo")
-        with pytest.raises(ValueError, match="backend"):
-            ExperimentConfig(model="mlp", backend="fortran")
+        config = ExperimentConfig(
+            model="mlp",
+            cluster=ClusterSpec(world_size=4, faults="crash:3@0.0"),
+            epochs=1,
+            batch_size=8,
+            dataset_samples=64,
+            seed=0,
+        )
+        calls = count_passes(monkeypatch)
+        result = run_experiment(config, MethodSpec(name="dense", compressor="allreduce"))
+        assert result.degraded_iterations == result.iterations_run > 0
+        assert calls == {"batched": 0, "looped": 3 * result.iterations_run}
 
 
 class TestArenaWriteWorld:

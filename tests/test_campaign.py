@@ -600,13 +600,14 @@ class TestRunner:
 
     def test_failed_cell_is_captured_not_raised(self):
         cells = [
-            CampaignCell(config=tiny_config(model="no-such-model"),
-                         method=PAPER_METHODS["all-reduce"]),
+            # Well-formed, rejected only when the cell builds its compressor.
+            CampaignCell(config=tiny_config(),
+                         method=MethodSpec(name="bad", compressor="pactrain", error_feedback=True)),
             CampaignCell(config=tiny_config(), method=PAPER_METHODS["all-reduce"]),
         ]
         report = run_campaign(cells, jobs=1)
         assert report.failed == 1 and report.ran == 1
-        assert "no-such-model" in report.failures()[0].error
+        assert "not supported for PacTrain" in report.failures()[0].error
         with pytest.raises(RuntimeError, match="1 campaign cell"):
             report.raise_failures()
 
@@ -746,23 +747,27 @@ class TestCLI:
             "base": {"epochs": 1, "batch_size": 8, "dataset_samples": 32,
                      "max_iterations_per_epoch": 1, "pretrain_iterations": 0,
                      "world_size": 2},
-            "axes": {"model": ["mlp", "no-such-model"], "method": ["all-reduce"]},
+            # Well-formed, and rejected only by the compressor factory when the
+            # cell runs: PacTrain takes no driver-level error feedback.
+            "axes": {"model": ["mlp"], "method": ["all-reduce", "pactrain"],
+                     "error_feedback": [None, True]},
         }))
         assert cli_main(["sweep", str(spec_path), "--store",
                          str(tmp_path / "s.jsonl"), "--jobs", "1", "--quiet"]) == 1
         captured = capsys.readouterr()
         assert "failed=1" in captured.out
-        assert "no-such-model" in captured.err
+        assert captured.err.count("FAILED mlp/ef+pactrain@") == 1
 
     def test_every_public_name_is_a_subpackage(self):
         for name in repro.__all__:
             assert importlib.import_module(f"repro.{name}").__name__ == f"repro.{name}"
 
-    def test_removed_perf_subcommand_is_an_invalid_choice(self, capsys):
+    @pytest.mark.parametrize("argv", [["perf", "--quick"], ["backends"]])
+    def test_removed_subcommand_is_an_invalid_choice(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
-            cli_main(["perf", "--quick"])
+            cli_main(argv)
         assert exit_info.value.code == 2
-        assert "invalid choice: 'perf'" in capsys.readouterr().err
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
     RUN = ["run", "--model", "mlp", "--epochs", "1", "--world-size", "2", "--quiet",
            "--dataset-samples", "32", "--max-iterations-per-epoch", "1"]
@@ -781,10 +786,27 @@ class TestCLI:
         (["report", "--store", "{tmp}/s.jsonl", "--filter", "bogus"], "--filter expects axis=value"),
         (["golden", "--only", "nope"], "unknown golden methods: nope"),
         (["golden", "--update", "--only", "nope", "--dir", "{tmp}"], "unknown golden methods: nope"),
+        (["run", "--model", "nope", "--epochs", "1"], "unknown model 'nope'"),
+        (["run", "--method", "bogus", "--epochs", "1"], "unknown compressor 'bogus'"),
+        (["sweep", "{tmp}/typo.json"], "unknown model 'no-such-model'"),
+        # Retired settings are unknown names, not silently accepted ones.
+        ([*RUN, "--set", "backend=numba"], "unknown campaign axis 'backend'"),
+        ([*RUN, "--set", "execution=looped"], "unknown campaign axis 'execution'"),
+        (["sweep", "{tmp}/backend-axis.json"], "unknown campaign axis 'backend'"),
+        (["sweep", "{tmp}/execution-axis.json"], "unknown campaign axis 'execution'"),
     ])
     def test_bad_input_is_one_error_line_and_exit_2(self, tmp_path, capsys, argv, message):
         (tmp_path / "not.json").write_text("not json")
         (tmp_path / "axis.json").write_text(json.dumps({"name": "x", "axes": {"bogus": [1]}}))
+        (tmp_path / "typo.json").write_text(
+            json.dumps({"name": "x", "axes": {"model": ["mlp", "no-such-model"]}})
+        )
+        (tmp_path / "backend-axis.json").write_text(
+            json.dumps({"name": "x", "axes": {"backend": ["numpy", None]}})
+        )
+        (tmp_path / "execution-axis.json").write_text(
+            json.dumps({"name": "x", "axes": {"execution": ["batched", "looped"]}})
+        )
         with pytest.raises(SystemExit) as exit_info:
             cli_main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
         assert exit_info.value.code == 2
@@ -794,11 +816,18 @@ class TestCLI:
         assert line.startswith("error: ") and message in line
 
     def test_run_with_a_failing_cell_prints_its_traceback_once(self, capsys):
-        assert cli_main([*self.RUN, "--method", "bogus"]) == 1
+        assert cli_main([*self.RUN, "--method", "pactrain", "--set", "error_feedback=true"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("FAILED mlp/bogus@") == 1
-        assert captured.err.count("Traceback") == 1 and "unknown compressor 'bogus'" in captured.err
+        assert captured.err.count("FAILED mlp/ef+pactrain@") == 1
+        assert captured.err.count("Traceback") == 1
+        assert "error feedback is not supported for PacTrain" in captured.err
+
+    @pytest.mark.parametrize("key, value", [("backend", None), ("execution", "batched")])
+    def test_a_stored_config_with_a_retired_key_is_rejected_by_name(self, key, value):
+        data = {**tiny_config().to_dict(), key: value}
+        with pytest.raises(KeyError, match=f"unknown ExperimentConfig fields \\['{key}'\\]"):
+            ExperimentConfig.from_dict(data)
 
 
 # --------------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ from repro.campaign.runner import (
     STATUS_TIMEOUT,
     retry_delay,
 )
-from repro.simulation import ClusterSpec, ExperimentConfig
+from repro.simulation import ClusterSpec, ExperimentConfig, MethodSpec
 from repro.simulation.experiment import PAPER_METHODS
 
 
@@ -84,14 +84,15 @@ class TestRetryPolicy:
 
     def test_deterministic_error_is_not_retried(self):
         cells = [
-            CampaignCell(config=tiny_config(model="no-such-model"),
-                         method=PAPER_METHODS["all-reduce"]),
+            # Well-formed, rejected only when the cell builds its compressor.
+            CampaignCell(config=tiny_config(),
+                         method=MethodSpec(name="bad", compressor="pactrain", error_feedback=True)),
         ]
         report = run_campaign(cells, jobs=1, retries=5, retry_backoff=0.001)
         outcome = report.outcomes[0]
         assert outcome.status == STATUS_FAILED
         assert outcome.attempts == 1  # KeyError/ValueError: retrying cannot help
-        assert "no-such-model" in outcome.error
+        assert "not supported for PacTrain" in outcome.error
 
     def test_retries_zero_disables_retrying(self, chaos):
         chaos("raise")

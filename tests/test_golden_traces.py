@@ -66,6 +66,22 @@ def test_fixture_config_matches_the_frozen_golden_config():
         ), name
 
 
+def test_compact_cells_pin_pactrain_outside_full_synchronisation():
+    """``pactrain.json`` equals ``all-reduce.json`` to the last bit (its tracker
+    never declares a stable pattern); these two cells hold both halves of
+    Algorithm 1 in one run, and ternary compaction sends less than fp32."""
+    from repro.simulation import run_experiment
+
+    for name in ("pactrain-compact", "pactrain-compact-fp32"):
+        result = run_experiment(golden.golden_config_for(name), golden.GOLDEN_METHODS[name])
+        assert result.extra["full_iterations"] >= 2, name
+        assert result.extra["compact_iterations"] >= 2, name
+    ternary = golden.load_fixture("pactrain-compact", GOLDEN_DIR)["trace"]
+    fp32 = golden.load_fixture("pactrain-compact-fp32", GOLDEN_DIR)["trace"]
+    assert ternary["compression_ratio"] > 1.0 and fp32["compression_ratio"] > 1.0
+    assert ternary["comm_bytes_per_worker"] < fp32["comm_bytes_per_worker"]
+
+
 def test_compare_traces_reports_readable_diffs():
     expected = {
         "trace": {"simulated_time": 1.0, "accuracy_trace": [[0.0, 0.5]]},

@@ -360,6 +360,6 @@ class TestPacTrainHasOneConstructionPath:
 
     def test_an_unknown_spelling_fails_before_the_dataset_is_built(self, monkeypatch):
         no_dataset(monkeypatch)
-        method = MethodSpec(name="x", compressor="pactrainXYZ")
         with pytest.raises(KeyError, match="unknown compressor 'pactrainXYZ'"):
-            run_experiment(golden.GOLDEN_CONFIG, method)
+            # Rejected at spec construction, earlier still than the run.
+            run_experiment(golden.GOLDEN_CONFIG, MethodSpec(name="x", compressor="pactrainXYZ"))
