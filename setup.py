@@ -42,7 +42,6 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy>=1.24",
-        "networkx>=3.0",
     ],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],

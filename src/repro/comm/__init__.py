@@ -4,8 +4,8 @@ The paper's testbed (Fig. 4) is eight GPU servers attached to virtual switches
 with configurable bottleneck links (100 Mbps / 500 Mbps / 1 Gbps).  This
 package models that substrate:
 
-* :mod:`repro.comm.topology` — the Fig. 4 topology as a networkx graph with
-  per-link bandwidth/latency annotations;
+* :mod:`repro.comm.topology` — the Fig. 4 topology as a graph of servers and
+  switches with per-link bandwidth/latency annotations;
 * :mod:`repro.comm.network` — an alpha–beta cost model producing transfer
   times for point-to-point and collective operations over that topology;
 * :mod:`repro.comm.collectives` — ring all-reduce, all-gather, broadcast and

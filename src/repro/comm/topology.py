@@ -2,9 +2,9 @@
 
 The evaluation testbed attaches eight GPU servers (S1..S8) to virtual switches;
 the two links between the switches are throttled to create the WAN bottleneck.
-:class:`ClusterTopology` captures that structure as a networkx graph whose
-edges carry :class:`repro.comm.network.LinkSpec` annotations and exposes two
-views of it to the collective layer:
+:class:`ClusterTopology` captures that structure as a graph whose links carry
+:class:`repro.comm.network.LinkSpec` annotations and exposes two views of it
+to the collective layer:
 
 * :meth:`ClusterTopology.to_network_model` — the flat view: one bottleneck
   link shared by all servers (what the paper's single-number bandwidth sweep
@@ -18,9 +18,7 @@ views of it to the collective layer:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import networkx as nx
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.comm.network import CostModel, LinkSpec, NetworkModel, GBPS
 
@@ -29,40 +27,78 @@ class ClusterTopology:
     """A graph of servers and switches with per-edge link specifications."""
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        self._kind: Dict[str, str] = {}
+        self._links: Dict[str, Dict[str, LinkSpec]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     def add_server(self, name: str) -> None:
-        self.graph.add_node(name, kind="server")
+        self._kind[name] = "server"
+        self._links.setdefault(name, {})
 
     def add_switch(self, name: str) -> None:
-        self.graph.add_node(name, kind="switch")
+        self._kind[name] = "switch"
+        self._links.setdefault(name, {})
 
     def add_link(self, a: str, b: str, link: LinkSpec) -> None:
-        if a not in self.graph or b not in self.graph:
+        """Link two existing nodes; linking a pair again replaces its spec."""
+        if a not in self._kind or b not in self._kind:
             raise KeyError(f"both endpoints must exist before linking ({a!r}, {b!r})")
-        self.graph.add_edge(a, b, link=link)
+        self._links[a][b] = self._links[b][a] = link
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     @property
     def servers(self) -> List[str]:
-        return sorted(n for n, d in self.graph.nodes(data=True) if d.get("kind") == "server")
+        return sorted(n for n, kind in self._kind.items() if kind == "server")
 
     @property
     def switches(self) -> List[str]:
-        return sorted(n for n, d in self.graph.nodes(data=True) if d.get("kind") == "switch")
+        return sorted(n for n, kind in self._kind.items() if kind == "switch")
+
+    @property
+    def num_links(self) -> int:
+        return sum(1 for _ in self._edges())
+
+    def _edges(self) -> Iterator[Tuple[str, str, LinkSpec]]:
+        """Every link once, ordered by first endpoint then by insertion."""
+        done = set()
+        for a, neighbors in self._links.items():
+            for b, link in neighbors.items():
+                if b not in done:
+                    yield a, b, link
+            done.add(a)
 
     def path(self, src: str, dst: str) -> List[str]:
-        """Shortest path (fewest hops) between two nodes."""
-        return nx.shortest_path(self.graph, src, dst)
+        """Fewest-hop path between two nodes (breadth-first from ``src``).
+
+        Among equally short paths, the one that follows the earlier-added link
+        at the first node where they differ.
+        """
+        for node in (src, dst):
+            if node not in self._kind:
+                raise KeyError(f"unknown node {node!r} in path({src!r}, {dst!r})")
+        came_from: Dict[str, Optional[str]] = {src: None}
+        queue = [src]
+        for node in queue:  # grows while iterated: a FIFO without pops
+            if node == dst:
+                break
+            for neighbor in self._links[node]:
+                if neighbor not in came_from:
+                    came_from[neighbor] = node
+                    queue.append(neighbor)
+        else:
+            raise ValueError(f"no path between {src!r} and {dst!r}")
+        nodes = [dst]
+        while nodes[-1] != src:
+            nodes.append(came_from[nodes[-1]])
+        return nodes[::-1]
 
     def path_links(self, src: str, dst: str) -> List[LinkSpec]:
         nodes = self.path(src, dst)
-        return [self.graph.edges[a, b]["link"] for a, b in zip(nodes[:-1], nodes[1:])]
+        return [self._links[a][b] for a, b in zip(nodes[:-1], nodes[1:])]
 
     def bottleneck_link(self, src: str, dst: str) -> LinkSpec:
         """The slowest link on the path between ``src`` and ``dst``."""
@@ -107,10 +143,9 @@ class ClusterTopology:
         if len(servers) < 2:
             raise ValueError("topology has fewer than two servers")
 
-        parent: Dict[str, str] = {node: node for node in self.graph.nodes}
+        parent: Dict[str, str] = {node: node for node in self._kind}
         server_count: Dict[str, int] = {
-            node: 1 if self.graph.nodes[node].get("kind") == "server" else 0
-            for node in self.graph.nodes
+            node: 1 if kind == "server" else 0 for node, kind in self._kind.items()
         }
 
         def find(node: str) -> str:
@@ -121,11 +156,7 @@ class ClusterTopology:
                 parent[node], node = root, parent[node]
             return root
 
-        edges = sorted(
-            self.graph.edges(data="link"),
-            key=lambda edge: edge[2].bandwidth,
-            reverse=True,
-        )
+        edges = sorted(self._edges(), key=lambda edge: edge[2].bandwidth, reverse=True)
         worst: Optional[LinkSpec] = None
         for a, b, link in edges:
             root_a, root_b = find(a), find(b)
@@ -146,9 +177,9 @@ class ClusterTopology:
     def attached_switch(self, server: str) -> Optional[str]:
         """The switch a server hangs off (fastest adjacent switch link)."""
         candidates = [
-            (self.graph.edges[server, neighbor]["link"].bandwidth, neighbor)
-            for neighbor in self.graph.neighbors(server)
-            if self.graph.nodes[neighbor].get("kind") == "switch"
+            (link.bandwidth, neighbor)
+            for neighbor, link in self._links[server].items()
+            if self._kind[neighbor] == "switch"
         ]
         if not candidates:
             return None
@@ -185,9 +216,9 @@ class ClusterTopology:
         servers = self.servers
         bottleneck = self.global_bottleneck()
         intra_candidates = [
-            self.graph.edges[a, b]["link"]
-            for a, b in self.graph.edges
-            if self.graph.nodes[a].get("kind") == "server" or self.graph.nodes[b].get("kind") == "server"
+            link
+            for a, b, link in self._edges()
+            if self._kind[a] == "server" or self._kind[b] == "server"
         ]
         intra = max(intra_candidates, key=lambda link: link.bandwidth) if intra_candidates else None
         return NetworkModel(world_size=len(servers), bottleneck=bottleneck, intra_link=intra)
@@ -198,7 +229,7 @@ class ClusterTopology:
         return {
             "servers": self.servers,
             "switches": self.switches,
-            "num_links": self.graph.number_of_edges(),
+            "num_links": self.num_links,
             "bottleneck_bandwidth_mbps": bottleneck.bandwidth * 8 / 1e6,
             "bottleneck_latency_us": bottleneck.latency * 1e6,
         }
@@ -239,9 +270,9 @@ class HierarchicalCostModel(CostModel):
         self._group_models: List[NetworkModel] = []
         for name, members in zip(self.group_names, self.groups):
             links = [
-                topology.graph.edges[server, name]["link"]
+                topology._links[server][name]
                 for server in members
-                if topology.graph.has_edge(server, name)
+                if name in topology._links[server]
             ]
             intra = min(links, key=lambda link: link.bandwidth) if links else LinkSpec(float("inf"), 0.0)
             self._group_models.append(

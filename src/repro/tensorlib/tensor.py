@@ -106,6 +106,11 @@ def _neg_unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return reduced
 
 
+def _consumed(grad: np.ndarray) -> None:
+    """``_backward`` of a node an earlier :meth:`Tensor.backward` walked and released."""
+    raise RuntimeError("graph already consumed by backward(); run the forward pass again")
+
+
 class Tensor:
     """A numpy array with an optional gradient and a backward closure.
 
@@ -259,6 +264,10 @@ class Tensor:
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Run reverse-mode differentiation from this tensor.
 
+        A graph is good for one walk: leaves accumulate into ``.grad``,
+        interior nodes are released as they are consumed, and walking a
+        released node again raises ``RuntimeError``.
+
         Parameters
         ----------
         grad:
@@ -307,10 +316,19 @@ class Tensor:
         build(self)
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        # The walk consumes the tape: every child precedes a node in this
+        # order, so once a node's closure has run its gradient is complete and
+        # its closure, edges and gradient (patch matrices, masks, saved
+        # activations) are released here instead of when the root dies.
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
                 continue
-            node._backward(node.grad)
+            if node.grad is not None:
+                node._backward(node.grad)
+            node._backward = _consumed
+            node._parents = ()
+            node.grad = None
 
     # ------------------------------------------------------------------ #
     # Arithmetic

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.comm import (
     GBPS,
@@ -119,7 +127,7 @@ class TestTopology:
         assert len(topo.servers) == 8
         assert len(topo.switches) == 3
         # 8 server links + 2 inter-switch links
-        assert topo.graph.number_of_edges() == 10
+        assert topo.num_links == 10
 
     def test_bottleneck_is_wan_link(self):
         topo = build_paper_topology(wan_bandwidth=100 * MBPS)
@@ -285,6 +293,191 @@ class TestHierarchicalCostModel:
     def test_requires_servers(self):
         with pytest.raises(ValueError):
             HierarchicalCostModel(ClusterTopology())
+
+
+# ---------------------------------------------------------------------- #
+# The topology without a graph library
+# ---------------------------------------------------------------------- #
+#: What the networkx-backed ``ClusterTopology`` of commit 70ee6f8 returned,
+#: recorded by running ``_topology_snapshot`` over ``_pinned_topologies()`` on
+#: that commit: a digest of every value for the whole grid ("digests") and
+#: the values themselves for three of its members ("values").
+PINNED = json.loads((Path(__file__).parent / "fixtures" / "topology_values.json").read_text())
+
+COST_METHODS = ("p2p_time",) + COLLECTIVE_METHODS
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _topology_snapshot(topo: ClusterTopology) -> dict:
+    """Everything the cost layer reads from a topology, as JSON-exact values."""
+    servers = topo.servers
+    pairs = {}
+    for i, a in enumerate(servers):
+        for b in servers[i + 1 :]:
+            spec = topo.path_spec(a, b)
+            pairs[f"{a}-{b}"] = [">".join(topo.path(a, b)), spec.bandwidth, spec.latency]
+
+    def bottleneck():
+        link = topo.global_bottleneck()
+        return [link.bandwidth, link.latency]
+
+    def costs():
+        model = topo.cost_model()
+        return {m: [getattr(model, m)(n) for n in (1.0, 1e6, 5e7)] for m in COST_METHODS}
+
+    return {
+        "pairs": pairs,
+        "global_bottleneck": _outcome(bottleneck),
+        "switch_groups": topo.switch_groups(),
+        "costs": _outcome(costs),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_topologies() -> dict:
+    topologies = {}
+    for servers in range(1, 17):
+        for switches in range(1, 5):
+            topologies[f"paper-{servers}x{switches}"] = build_paper_topology(
+                wan_bandwidth=100 * MBPS, num_servers=servers, num_switches=switches
+            )
+        topologies[f"star-{servers}"] = build_star_topology(servers, LinkSpec(1 * GBPS, latency=1e-4))
+    return topologies
+
+
+def _digest(snapshot: dict) -> str:
+    return hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _first_in_link_order(adjacency: dict, src: str, dst: str):
+    """Brute force: every simple path, the shortest of them, then the tie rule."""
+
+    def simple_paths(path):
+        if path[-1] == dst:
+            yield path
+            return
+        for neighbor in adjacency[path[-1]]:
+            if neighbor not in path:
+                yield from simple_paths(path + [neighbor])
+
+    def link_order(path):
+        return [adjacency[a].index(b) for a, b in zip(path, path[1:])]
+
+    paths = list(simple_paths([src]))
+    fewest = min(map(len, paths), default=None)
+    return min((path for path in paths if len(path) == fewest), key=link_order, default=None)
+
+
+class TestTopologyWithoutNetworkx:
+    @pytest.mark.parametrize("name", sorted(PINNED["digests"]))
+    def test_grid_returns_what_the_networkx_version_returned(self, name):
+        snapshot = json.loads(json.dumps(_topology_snapshot(_pinned_topologies()[name])))
+        if name in PINNED["values"]:
+            assert snapshot == PINNED["values"][name]
+        assert _digest(snapshot) == PINNED["digests"][name], snapshot
+
+    def test_the_pinned_grid_is_the_whole_grid(self):
+        assert sorted(PINNED["digests"]) == sorted(_pinned_topologies())
+        assert sorted(PINNED["values"]) == ["paper-16x4", "paper-8x3", "star-8"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), size=st.integers(2, 12))
+    def test_tree_paths_are_simple_linked_and_unique(self, data, size):
+        above = [None] + [data.draw(st.integers(0, i - 1)) for i in range(1, size)]
+        links = data.draw(st.permutations(range(1, size)))
+        topo = ClusterTopology()
+        for i in data.draw(st.permutations(range(size))):
+            (topo.add_server if data.draw(st.booleans()) else topo.add_switch)(f"n{i}")
+        for i in links:
+            topo.add_link(f"n{i}", f"n{above[i]}", LinkSpec(1e6 * (i + 1)))
+        src, dst = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+
+        def to_root(i):
+            return [i] if above[i] is None else [i] + to_root(above[i])
+
+        up, down = to_root(src), to_root(dst)
+        while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+            up.pop(), down.pop()
+        expected = [f"n{i}" for i in up + down[-2::-1]]
+
+        path = topo.path(f"n{src}", f"n{dst}")
+        assert (path[0], path[-1]) == (f"n{src}", f"n{dst}")
+        assert len(set(path)) == len(path)
+        assert all(b in topo._links[a] for a, b in zip(path, path[1:]))
+        assert path == expected
+        assert topo.num_links == size - 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), size=st.integers(2, 7))
+    def test_cyclic_graphs_take_the_fewest_hops_and_the_earlier_link(self, data, size):
+        every_pair = [(a, b) for a in range(size) for b in range(a + 1, size)]
+        links = data.draw(st.lists(st.sampled_from(every_pair), unique=True, max_size=len(every_pair)))
+        topo = ClusterTopology()
+        adjacency = {f"n{i}": [] for i in range(size)}
+        for name in adjacency:
+            topo.add_switch(name)
+        for a, b in links:
+            a, b = (f"n{a}", f"n{b}") if data.draw(st.booleans()) else (f"n{b}", f"n{a}")
+            topo.add_link(a, b, LinkSpec(1e6))
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        src, dst = f"n{data.draw(st.integers(0, size - 1))}", f"n{data.draw(st.integers(0, size - 1))}"
+        expected = _first_in_link_order(adjacency, src, dst)
+        if expected is None:
+            with pytest.raises(ValueError, match=f"'{src}' and '{dst}'"):
+                topo.path(src, dst)
+        else:
+            assert topo.path(src, dst) == expected
+        assert topo.num_links == len(links)
+
+    def test_linking_a_pair_again_replaces_the_spec(self):
+        topo = build_star_topology(2, LinkSpec(1 * GBPS))
+        slow = LinkSpec(10 * MBPS, latency=5e-3)
+        topo.add_link("switch0", "S1", slow)
+        assert topo.num_links == 2
+        assert topo.path_links("S1", "switch0") == [slow] == topo.path_links("switch0", "S1")
+        assert topo.global_bottleneck() == slow
+        assert topo.path("S1", "S2") == ["S1", "switch0", "S2"]
+
+    def test_adding_a_node_again_keeps_its_links(self):
+        topo = build_star_topology(2, LinkSpec(1 * GBPS))
+        topo.add_switch("S2")
+        assert topo.servers == ["S1"] and topo.switches == ["S2", "switch0"]
+        assert topo.path("S1", "S2") == ["S1", "switch0", "S2"]
+
+    def test_path_to_an_unknown_node_is_a_key_error_naming_it(self):
+        topo = build_star_topology(2, LinkSpec(1 * GBPS))
+        with pytest.raises(KeyError, match="'S9'.*path\\('S1', 'S9'\\)"):
+            topo.path("S1", "S9")
+        with pytest.raises(KeyError, match="'nowhere'"):
+            topo.path_spec("nowhere", "S1")
+
+    def test_path_between_disconnected_nodes_is_a_value_error_naming_them(self):
+        topo = build_star_topology(2, LinkSpec(1 * GBPS))
+        topo.add_server("island")
+        with pytest.raises(ValueError, match="no path between 'S1' and 'island'"):
+            topo.path("S1", "island")
+        with pytest.raises(ValueError, match="no path between 'island' and 'S2'"):
+            topo.path_cost("island", "S2", 1e6)
+
+    def test_importing_the_package_loads_no_graph_library(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.simulation, repro.campaign, repro.golden; "
+                "sys.exit('networkx' in sys.modules)",
+            ],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestCollectives:
