@@ -12,7 +12,8 @@ without re-stacking.
 
 Aliasing contract: every slice of every row is either written or explicitly
 zeroed on each staging pass, so one iteration's gradients can never leak into
-the next through buffer reuse (covered by the aliasing-safety tests).
+the next through buffer reuse (covered by the aliasing-safety tests); a
+gradient born in its :attr:`GradientArena.slots` view counts as written.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ class GradientArena:
         self._matrices: List[np.ndarray] = [
             np.zeros((world_size, bucket.numel), dtype=self.dtype) for bucket in self._buckets
         ]
+        #: ``{param_name: (world_size, *shape) view of its bucket slice}``: a
+        #: stack computed into its slot is staged already (see write_world).
+        self.slots: Dict[str, np.ndarray] = {
+            piece.param_name: matrix[:, piece.offset : piece.end].reshape((world_size,) + piece.shape)
+            for bucket, matrix in zip(self._buckets, self._matrices) for piece in bucket.slices
+        }
 
     # ------------------------------------------------------------------ #
     @property
@@ -82,23 +89,28 @@ class GradientArena:
         The world-batched execution path produces one stacked array per
         parameter (the replica views' ``.grad``); each lands in its bucket
         slice with a single vectorised copy instead of one copy per
-        ``(rank, parameter)`` pair.  Missing parameters zero their slices in
-        every row, preserving the write-everything aliasing contract.
+        ``(rank, parameter)`` pair; a stack that *is* its :attr:`slots` entry
+        is skipped.  Missing parameters zero their slices in every row,
+        preserving the write-everything aliasing contract.
         """
         world = self.world_size
-        for bucket, matrix in zip(self._buckets, self._matrices):
+        for bucket in self._buckets:
             for piece in bucket.slices:
                 grad = grads_by_name.get(piece.param_name)
-                target = matrix[:, piece.offset : piece.end]
+                slot = self.slots[piece.param_name]
+                if grad is slot:
+                    continue
                 if grad is None:
-                    target[:] = 0.0
+                    slot[...] = 0.0
                     continue
                 if grad.shape[0] != world or grad.size != world * piece.numel:
                     raise ValueError(
                         f"stacked gradient for {piece.param_name!r} has shape {grad.shape}, "
                         f"expected ({world}, ...) with {piece.numel} elements per rank"
                     )
-                np.copyto(target, grad.reshape(world, -1), casting="unsafe")
+                # Copied in the stack's own layout: a transposed stack (a Linear
+                # weight's) is not first flattened into a temporary.
+                np.copyto(slot, grad.reshape(slot.shape), casting="unsafe")
 
     def write_all(self, per_rank_grads: Sequence[Dict[str, np.ndarray]]) -> None:
         """Stage every rank's gradient dict (one dict per rank)."""

@@ -231,7 +231,9 @@ class DistributedDataParallel:
         exactly like the per-rank loop's scalar backward seeds.  Returns the
         per-rank losses and ``{name: (world, *shape)}`` gradient stacks, whose
         float64 values are bit-identical per rank to
-        :meth:`compute_local_gradients` run rank by rank.
+        :meth:`compute_local_gradients` run rank by rank.  Conv weight stacks
+        are born in their ``arena.slots``: like ``compute_local_gradients(
+        copy=False)`` they are valid until the next staging pass.
         """
         images, labels = batch
         if images.shape[0] != self.world_size:
@@ -239,7 +241,7 @@ class DistributedDataParallel:
                 f"batched images lead with {images.shape[0]} ranks, expected {self.world_size}"
             )
         self.model.zero_grad()
-        with replica_views(self.model, self.world_size) as views:
+        with replica_views(self.model, self.world_size, self.arena.slots) as views:
             logits = self.model(Tensor(images))
             loss = loss_fn(logits, labels)
             loss.backward(np.ones(self.world_size, dtype=loss.data.dtype))

@@ -64,29 +64,41 @@ def world_batched(world_size: int) -> Iterator[int]:
         _ACTIVE_WORLD = previous
 
 
-def _make_view(param: Parameter, world_size: int, name: str) -> Tensor:
+class _ReplicaView(Tensor):
+    """A parameter's broadcast view; ``slot`` is the array its gradient may be born in, or ``None``."""
+
+    __slots__ = ("slot",)
+
+
+def _make_view(param: Parameter, world_size: int, name: str, slot: Optional[np.ndarray]) -> _ReplicaView:
     # Construct without Tensor.__init__ so the stride-0 broadcast is preserved
     # verbatim (no dtype coercion copy): the view must alias the parameter's
     # storage for the whole point — zero-copy replicas — to hold.
-    view = Tensor.__new__(Tensor)
+    view = _ReplicaView.__new__(_ReplicaView)
     view.data = np.broadcast_to(param.data, (world_size,) + param.data.shape)
     view.grad = None
     view.requires_grad = param.requires_grad
     view._backward = None
     view._parents = ()
     view.name = name
+    view.slot = slot
     return view
 
 
 @contextlib.contextmanager
-def replica_views(model: Module, world_size: int) -> Iterator[Dict[str, Tensor]]:
+def replica_views(
+    model: Module, world_size: int, slots: Optional[Dict[str, np.ndarray]] = None
+) -> Iterator[Dict[str, Tensor]]:
     """Swap every parameter for a ``(world, *shape)`` broadcast view.
 
     Yields ``{dotted_name: view}`` (same names and order as
     ``model.named_parameters()``).  After a backward pass each view's
     ``.grad`` is the stacked per-rank gradient ``(world, *param.shape)``;
-    the underlying parameters themselves accumulate nothing.  Attributes are
-    restored on exit even if the forward/backward raises.
+    the underlying parameters themselves accumulate nothing.  A kernel may
+    write a view's first contribution into its ``slots`` entry (``{name:
+    (world, *shape) array}``, e.g. ``GradientArena.slots``), which then *is*
+    its ``.grad``.  Attributes are restored on exit even if the
+    forward/backward raises.
     """
     views: Dict[str, Tensor] = {}
     installed: List[Tuple[Module, str, Parameter]] = []
@@ -94,7 +106,7 @@ def replica_views(model: Module, world_size: int) -> Iterator[Dict[str, Tensor]]
         for prefix, module in model.named_modules():
             for local, param in module._parameters.items():
                 full = local if prefix == "" else f"{prefix}.{local}"
-                view = _make_view(param, world_size, full)
+                view = _make_view(param, world_size, full, None if slots is None else slots.get(full))
                 views[full] = view
                 installed.append((module, local, param))
                 object.__setattr__(module, local, view)

@@ -38,12 +38,13 @@ def apply_gse(
 
     * ``apply_gse(model, mask)`` — mask the ``param.grad`` buffers in place
       (the mode used inside the training loop);
-    * ``apply_gse(model, mask, grads=...)`` — return a masked copy of an
-      external ``name -> gradient`` dict without touching the model (used when
-      gradients have already been extracted, e.g. per-rank dictionaries in the
-      DDP simulator).  World-batched ``(world, *shape)`` gradient stacks work
-      unchanged: the ``(*shape)`` mask broadcasts over the leading world axis,
-      multiplying each rank's slice exactly as the per-rank path does.
+    * ``apply_gse(model, mask, grads=...)`` — mask an external ``name ->
+      gradient`` dict (per-rank dictionaries, arena-born stacks) and return
+      it: an array whose last axis is contiguous in place, a transposed one
+      (a Linear weight's) by a masked row-major copy, the layout staging
+      reads fastest.  World-batched ``(world, *shape)`` stacks work
+      unchanged: the ``(*shape)`` mask broadcasts over the leading world
+      axis, multiplying each rank's slice exactly as the per-rank path does.
 
     If ``mask`` is omitted it is derived from the current weights, which is the
     literal reading of Eq. (2).
@@ -55,11 +56,13 @@ def apply_gse(
         mask.apply_to_gradients(model)
         return None
 
-    masked: Dict[str, np.ndarray] = {}
     for name, grad in grads.items():
         keep = mask.get(name)
-        masked[name] = grad * keep if keep is not None else grad
-    return masked
+        if keep is not None and grad.ndim and grad.strides[-1] == grad.itemsize:
+            np.multiply(grad, keep, out=grad)
+        elif keep is not None:
+            grads[name] = np.multiply(grad, keep, order="C")
+    return grads
 
 
 def gradient_sparsity(model: Module) -> float:

@@ -63,7 +63,8 @@ from repro.tensorlib import (
 # Helpers
 # --------------------------------------------------------------------------- #
 def evaluate_accuracy(model: Module, loader: DataLoader) -> float:
-    """Top-1 accuracy of ``model`` over a data loader (evaluation mode)."""
+    """Top-1 accuracy of ``model`` over a data loader, in eval mode; the caller's mode is restored."""
+    was_training = model.training
     model.eval()
     correct = 0
     total = 0
@@ -73,7 +74,7 @@ def evaluate_accuracy(model: Module, loader: DataLoader) -> float:
             predictions = logits.data.argmax(axis=-1)
             correct += int((predictions == labels).sum())
             total += len(labels)
-    model.train()
+    model.train(was_training)
     return correct / total if total else 0.0
 
 
@@ -613,8 +614,8 @@ class _SyncStep:
                 if self.use_gse:
                     # keep masks broadcast over the leading world axis:
                     # (world, *shape) * (*shape) multiplies each rank's
-                    # slice exactly as the looped path does.
-                    grads = apply_gse(model, mask, grads=grads)
+                    # slice exactly as the looped path does (arena slots in place).
+                    apply_gse(model, mask, grads=grads)
                 ddp.stage_world_gradients(grads)
             else:
                 per_rank_losses = []
@@ -626,22 +627,16 @@ class _SyncStep:
                         continue
                     # copy=False is safe because each rank's gradients are
                     # staged into the arena before the next rank's backward
-                    # pass runs (GSE, when active, reads them in the same
+                    # pass runs (GSE, when active, masks them in the same
                     # window).
                     loss_value, grads = ddp.compute_local_gradients(
                         batch, F.cross_entropy, copy=False
                     )
                     if self.use_gse:
-                        grads = apply_gse(model, mask, grads=grads)
+                        apply_gse(model, mask, grads=grads)
                     ddp.stage_rank_gradients(rank, grads)
                     per_rank_losses.append(loss_value)
 
-        # The gradient stacks stay referenced until the next step rebinds them
-        # (here and after the apply), as the loop's locals did before the step
-        # was carved out: released at return, glibc trims ~12 MB off the heap
-        # and faults it back in on the next backward (pactrain_pruned: 13 k ->
-        # 54 k minor faults per op, +5 % op cost).
-        self._grads = grads
         with TRACER.span("train/sync", cat="train", epoch=epoch, iteration=iteration):
             aggregated, bucket_events = ddp.synchronize_staged()
         with TRACER.span("train/apply", cat="train", epoch=epoch, iteration=iteration):
@@ -650,7 +645,6 @@ class _SyncStep:
             if mask is not None:
                 # Guard against regrowth through momentum / weight decay.
                 mask.apply_to_weights(model)
-        self._aggregated = aggregated
         return per_rank_losses, bucket_events
 
     def flush(self, epoch: int, active: List[int]) -> None:
@@ -733,7 +727,7 @@ class _LocalSGDStep:
                     batch, F.cross_entropy, copy=False
                 )
                 if self.use_gse:
-                    grads = apply_gse(model, mask, grads=grads)
+                    apply_gse(model, mask, grads=grads)
                     ddp.apply_aggregated_gradients(grads)
                 replicas.step(rank)
                 if mask is not None:

@@ -8,7 +8,8 @@ step — the im2col patch gather, the conv weight-gradient contraction, the
 fused-norm statistics — are methods of that one class (:data:`HOT_KERNELS`),
 and every call site reaches them through :func:`get_backend`.  The im2col
 gather is one flat ``np.take`` through a per-geometry index plan cached on
-this module (:func:`_gather_index_plan`, bounded by total plan bytes).
+this module (:func:`_gather_index_plan`, bounded by total plan bytes) into a
+pooled buffer (:func:`_workspace`).
 
 The seam exists for two callers.  :mod:`repro.obs` meters the hot kernels
 while tracing by wrapping the active instance (the :data:`_OBSERVER` hook);
@@ -21,7 +22,9 @@ takes on the bit-identity contract the golden traces check.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, Optional, Tuple
+import math
+import sys
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,6 +99,56 @@ def _gather_index_plan(
     return plan
 
 
+#: Bound on the bytes of pooled workspace buffers: the patch matrices of the
+#: benchmark's world-batched ResNet-18 step take 44 MB, its VGG-19 one 28 MB.
+_WORKSPACE_MAX_BYTES = 64 << 20
+
+#: Flat ``uint8`` buffers, from least to most recently handed out.
+_WORKSPACE: List[np.ndarray] = []
+
+#: Buffers the pool has allocated so far: a repeated step allocates none.
+_workspace_misses = 0
+
+
+def _workspace(shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised C-contiguous ``shape``/``dtype`` array carved from the pool.
+
+    A buffer is handed out only while the pool holds its only reference: a
+    numpy view refers to the buffer owning its memory, so a patch matrix a
+    live graph or a caller still holds pins its buffer (the CPython refcount
+    test numpy's temporary elision relies on).  The smallest free buffer that
+    fits serves.  A miss allocates exactly the request and drops the free
+    smaller buffers last handed out before every buffer in use — leftovers of
+    an earlier, smaller pass — so one warm-up step settles the set a repeated
+    step reuses.  Past :data:`_WORKSPACE_MAX_BYTES` the free buffers are
+    dropped; a request that still does not fit is served unpooled.  Like the
+    grad mode and the active world, the pool assumes one training thread.
+    """
+    global _workspace_misses
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes > _WORKSPACE_MAX_BYTES:
+        return np.empty(shape, dtype=dtype)
+    pool = _WORKSPACE
+    # Two references mean free: the pool's list entry and getrefcount's argument.
+    fits = [i for i in range(len(pool)) if pool[i].nbytes >= nbytes and sys.getrefcount(pool[i]) == 2]
+    if fits:
+        buffer = pool.pop(min(fits, key=lambda i: pool[i].nbytes))
+        pool.append(buffer)
+    else:
+        _workspace_misses += 1
+        free = [sys.getrefcount(pool[i]) == 2 for i in range(len(pool))]
+        buffer = np.empty(nbytes, dtype=np.uint8)
+        first_live = free.index(False) if False in free else len(pool)
+        kept = [b for i, b in enumerate(pool) if i >= first_live or b.nbytes >= nbytes]
+        if sum(b.nbytes for b in kept) + nbytes > _WORKSPACE_MAX_BYTES:
+            kept = [b for b, f in zip(pool, free) if not f]
+        if sum(b.nbytes for b in kept) + nbytes <= _WORKSPACE_MAX_BYTES:
+            kept.append(buffer)
+        pool[:] = kept
+    return buffer[:nbytes].view(dtype).reshape(shape)
+
+
 class NumpyBackend:
     """The reference backend: a minimal array-API surface over numpy.
 
@@ -164,17 +217,22 @@ class NumpyBackend:
         """Gather ``(N, C, Hp, Wp)`` padded images into contiguous patches.
 
         Returns the ``(N, out_h*out_w, C*kh*kw)`` patch matrix the conv/pool
-        GEMMs consume: a fresh C-contiguous array that never aliases
-        ``padded``.  One flat indexed copy per image through the cached
+        GEMMs consume: a C-contiguous :func:`_workspace` array that aliases no
+        live array.  One flat indexed copy per image through the cached
         :func:`_gather_index_plan` — pure data movement, so the result is
-        bit-identical for every dtype and input layout.
+        bit-identical for every dtype and input layout.  Plan indices are in
+        range, so ``mode="wrap"`` rewrites none; it is numpy's fastest take
+        loop, and ``out=`` under the default ``mode="raise"`` would buffer.
         """
         n, c, hp, wp = padded.shape
         plan = _gather_index_plan(c, hp, wp, kernel, stride, out_hw)
-        cols = np.take(padded.reshape(n, c * hp * wp), plan, axis=1)
+        cols = _workspace((n, plan.size), padded.dtype)
+        np.take(padded.reshape(n, c * hp * wp), plan, axis=1, out=cols, mode="wrap")
         return cols.reshape(n, out_hw[0] * out_hw[1], c * kernel[0] * kernel[1])
 
-    def conv_weight_grad(self, grad_mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def conv_weight_grad(
+        self, grad_mat: np.ndarray, cols: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Convolution weight-gradient contraction, ``(O, N*L) @ (N*L, K)``.
 
         ``grad_mat``/``cols`` are either the per-rank ``(N, L, O)`` /
@@ -183,14 +241,16 @@ class NumpyBackend:
         window axes fused into the single contraction axis; the world axis
         stays a *batch* axis (numpy runs one GEMM per slice), so the batched
         result is bit-identical to calling the per-rank kernel per world.
+        ``out`` (returned) receives the ``(O, K)`` / ``(W, O, K)`` result
+        bit-identically, e.g. an arena slot whose ranks lie a bucket row apart.
         """
         if grad_mat.ndim == 4:
             world, n, length, o = grad_mat.shape
             gm = grad_mat.transpose(0, 3, 1, 2).reshape(world, o, n * length)
-            return np.matmul(gm, cols.reshape(world, n * length, -1))
+            return np.matmul(gm, cols.reshape(world, n * length, -1), out=out)
         n, length, o = grad_mat.shape
         gm = grad_mat.transpose(2, 0, 1).reshape(o, n * length)
-        return np.matmul(gm, cols.reshape(n * length, -1))
+        return np.matmul(gm, cols.reshape(n * length, -1), out=out)
 
     def col2im_scatter_add(
         self, padded: np.ndarray, cols: np.ndarray, sh: int, sw: int, out_h: int, out_w: int

@@ -285,8 +285,13 @@ def _conv2d_batched(
         # grad: (W, N, O, out_h, out_w) -> (W, N, L, O)
         grad_mat = grad.reshape(world, n, out_channels, length).transpose(0, 1, 3, 2)
         if weight.requires_grad:
-            grad_w = backend.conv_weight_grad(grad_mat, cols4)  # (W, O, K)
-            weight._accumulate(grad_w.reshape(weight.shape), own=True)
+            slot = getattr(weight, "slot", None) if weight.grad is None else None
+            if slot is None:
+                grad_w = backend.conv_weight_grad(grad_mat, cols4)  # (W, O, K)
+                weight._accumulate(grad_w.reshape(weight.shape), own=True)
+            else:  # a replica view's first contribution, born in its arena slot
+                backend.conv_weight_grad(grad_mat, cols4, out=slot.reshape(world, out_channels, -1))
+                weight._accumulate(slot, own=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(1, 2)), own=True)
         if x.requires_grad:
@@ -474,9 +479,9 @@ def batch_norm_replay(
     composite's — also when ``x`` has other consumers or a gradient already:
     with leaf ``weight``/``bias`` the composite's nodes are one contiguous
     block of the topological order, and the four input-gradient terms are
-    accumulated into ``x`` one by one in that block's order.  The closure
-    keeps two full-size arrays alive (``centered``, ``normalised``); the
-    composite kept about eight.
+    accumulated into ``x`` one by one in that block's order.  The closure keeps
+    no full-size array (the composite kept about eight): backward recomputes
+    ``centered`` and ``normalised`` bit for bit from ``x``, ``mean`` and ``std``.
 
     Two things the bit-identity rests on (pinned by
     ``tests/test_batchnorm_replay.py``):
@@ -516,7 +521,9 @@ def batch_norm_replay(
         if bias.requires_grad:
             bias_grad = _unbroadcast(grad, param_shape)
             bias._accumulate(bias_grad.reshape(bias.shape), own=bias_grad is not grad)
+        centered = x.data - mean
         if weight.requires_grad:
+            normalised = centered / std
             weight._accumulate(
                 _unbroadcast(grad * normalised, param_shape).reshape(weight.shape), own=True
             )

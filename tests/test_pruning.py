@@ -182,11 +182,38 @@ class TestGSE:
         mask = magnitude_prune(tiny_model, 0.5)
         backward_on(tiny_model, sample_batch)
         grads = {name: p.grad.copy() for name, p in tiny_model.named_parameters()}
+        before = {name: grad.copy() for name, grad in grads.items()}
+        arrays = {name: id(grad) for name, grad in grads.items()}
         masked = apply_gse(tiny_model, mask, grads=grads)
         pruned = ~mask["fc1.weight"]
-        np.testing.assert_array_equal(masked["fc1.weight"][pruned], 0.0)
-        # Original dict is untouched.
-        assert np.any(grads["fc1.weight"][pruned] != 0.0) or pruned.sum() == 0
+        assert pruned.any() and np.any(before["fc1.weight"][pruned] != 0.0)
+        # Masked in place: the same dict holding the same arrays, no copies.
+        assert masked is grads
+        assert {name: id(grad) for name, grad in grads.items()} == arrays
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, before[name] * mask[name], err_msg=name)
+        # The model's own gradients are not the dict's arrays and stay unmasked.
+        assert np.any(tiny_model.fc1.weight.grad[pruned] != 0.0)
+
+    def test_gse_masks_world_stacks_of_any_layout_bit_for_bit(self, tiny_model):
+        """World-batched Linear weight stacks are transposed views: they are
+        replaced by row-major masked copies, the rest masked in place, and
+        every result has the bytes of ``grad * keep``, signed zeros included."""
+        rng = np.random.default_rng(0)
+        mask = magnitude_prune(tiny_model, 0.5)
+        grads = {}
+        for name, param in tiny_model.named_parameters():
+            stack = rng.standard_normal((3,) + param.shape[::-1])
+            grads[name] = stack.swapaxes(-1, -2) if param.ndim == 2 else stack
+        transposed = {name for name, grad in grads.items() if not grad.flags.c_contiguous}
+        assert transposed and transposed != set(grads)
+        arrays = dict(grads)
+        want = {name: grad * mask[name] for name, grad in grads.items()}
+        apply_gse(tiny_model, mask, grads=grads)
+        for name, grad in grads.items():
+            assert grad.tobytes() == want[name].tobytes(), name
+            assert (grad is arrays[name]) == (name not in transposed), name
+            assert grad.flags.c_contiguous, name
 
     def test_gse_keeps_sparsity_through_training_step(self, tiny_model, sample_batch):
         from repro.nn import SGD

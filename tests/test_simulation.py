@@ -308,6 +308,14 @@ class TestExperimentDriver:
         accuracy = evaluate_accuracy(model, DataLoader(test, batch_size=8))
         assert 0.0 <= accuracy <= 1.0
 
+    @pytest.mark.parametrize("training", [True, False], ids=["from-train", "from-eval"])
+    def test_evaluate_accuracy_returns_the_model_in_its_mode(self, tiny_split, training):
+        _, test = tiny_split
+        model = mlp_tiny(seed=0)
+        model.train(training)
+        evaluate_accuracy(model, DataLoader(test, batch_size=8))
+        assert all(module.training is training for _, module in model.named_modules())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(epochs=0)
