@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import print_table
+from repro.campaign.cli import format_table
 from repro.comm import NetworkModel, ProcessGroup
 from repro.compression import build_compressor
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
@@ -108,12 +108,14 @@ def bench_comm_volume_per_method(benchmark):
                 f"{entry['time_1Gbps'] * 1e3:.1f}",
             )
         )
-    print_table(
-        f"Per-sync communication cost ({NUMEL} gradient elements, {WORLD_SIZE} workers, "
-        f"PacTrain density {PRUNING_DENSITY})",
+    print(
+        f"\n=== Per-sync communication cost ({NUMEL} gradient elements, {WORLD_SIZE} workers, "
+        f"PacTrain density {PRUNING_DENSITY}) ==="
+    )
+    print(format_table(
         ("method", "collective", "MB/worker", "reduction", "ms@100Mbps", "ms@500Mbps", "ms@1Gbps"),
         rows,
-    )
+    ))
     benchmark.extra_info.update(
         {f"{name}/mb_per_worker": round(entry["bytes"] / 1e6, 4) for name, entry in report.items()}
     )

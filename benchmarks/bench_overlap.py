@@ -16,13 +16,8 @@ is strictly below ``compute + comm`` whenever communication is nonzero.
 
 from __future__ import annotations
 
-from benchmarks.common import (
-    BENCH_NOISE_STD,
-    experiment_config,
-    print_table,
-    summarise_for_extra_info,
-)
-from repro.simulation import ClusterSpec, PAPER_METHODS, run_experiment
+from repro.campaign.cli import format_table
+from repro.simulation import ClusterSpec, ExperimentConfig, PAPER_METHODS, run_experiment
 
 MODEL = "resnet18"
 BANDWIDTH = "100Mbps"
@@ -35,18 +30,19 @@ STRAGGLER_FACTOR = 2.0
 METHOD_ORDER = ("all-reduce", "fp16", "topk-0.1", "topk-0.01", "pactrain")
 
 
-def _config(cluster: ClusterSpec):
-    config = experiment_config(
-        MODEL,
-        bandwidth=BANDWIDTH,
+def _config(cluster: ClusterSpec) -> ExperimentConfig:
+    """Two epochs of the figure campaigns' workload on ``cluster``."""
+    return ExperimentConfig(
+        model=MODEL,
+        cluster=cluster,
         epochs=2,
-        world_size=WORLD_SIZE,
-        target_accuracy=None,
+        batch_size=16,
+        dataset_samples=256,
+        max_iterations_per_epoch=2,
+        noise_std=0.8,
+        pretrain_iterations=15,
+        bucket_cap_bytes=BUCKET_CAP_BYTES,
     )
-    config.cluster = cluster
-    config.bucket_cap_bytes = BUCKET_CAP_BYTES
-    config.noise_std = BENCH_NOISE_STD
-    return config
 
 
 def run_overlap_study() -> dict:
@@ -105,15 +101,14 @@ def bench_overlap_speedup(benchmark):
                 f"{overlapped.straggler_time:.3f}",
             )
         )
-    print_table(
-        f"Per-bucket overlap on {MODEL} @ {BANDWIDTH}, {WORLD_SIZE} workers "
-        f"(bucket cap {BUCKET_CAP_BYTES // 1024} KiB, straggler x{STRAGGLER_FACTOR})",
+    print(
+        f"\n=== Per-bucket overlap on {MODEL} @ {BANDWIDTH}, {WORLD_SIZE} workers "
+        f"(bucket cap {BUCKET_CAP_BYTES // 1024} KiB, straggler x{STRAGGLER_FACTOR}) ==="
+    )
+    print(format_table(
         ("method", "serial s", "overlap s", "speedup", "comm hidden", "straggler s"),
         rows,
-    )
-    benchmark.extra_info.update(
-        summarise_for_extra_info({name: pair["overlap"] for name, pair in results.items()})
-    )
+    ))
 
     for name in METHOD_ORDER:
         serial, overlapped = results[name]["serial"], results[name]["overlap"]

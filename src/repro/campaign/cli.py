@@ -15,12 +15,12 @@
   stream into a Chrome trace.
 
 Every command exits non-zero on failure: 2 with one ``error: ...`` line when
-the input is at fault (a flag, a spec or trace file, an axis or method name —
-everything before training starts, see :func:`_user_input`), 1 when the work
-itself failed — ``run``/``sweep`` if any cell failed (the remaining cells
-still run and persist; each failure prints as ``FAILED <label>:`` plus the
-cell's traceback), ``golden`` when any frozen trace drifted, ``trace
-validate`` on structural errors.
+the input is at fault (a flag, a spec or trace file, an axis, metric or method
+name — everything before training or reporting starts, see
+:func:`_user_input`), 1 when the work itself failed — ``run``/``sweep`` if any
+cell failed (the remaining cells still run and persist; each failure prints
+as ``FAILED <label>:`` plus the cell's traceback), ``golden`` when any frozen
+trace drifted, ``trace validate`` on structural errors.
 """
 
 from __future__ import annotations
@@ -64,10 +64,11 @@ def _user_input():
     """The one way a subcommand reports a user-input error.
 
     What runs inside is input handling — flags to overrides to a cell, a spec
-    file to its cells, opening a trace, naming an axis or a golden method —
-    so what it raises is the user's to fix: print the message the raise
-    already carries as one ``error:`` line and exit 2, like argparse does.
-    Training and reading results stay outside and keep their tracebacks.
+    file to its cells, opening a trace or a store, naming an axis, a metric,
+    a baseline or a golden method — so what it raises is the user's to fix:
+    print the message the raise already carries as one ``error:`` line and
+    exit 2, like argparse does.  Training and building tables stay outside
+    and keep their tracebacks.
     """
     try:
         yield
@@ -336,13 +337,50 @@ def cmd_golden(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_axis(record, name: str) -> bool:
+    """Whether ``name`` resolves on this record to a value a table can key on."""
+    try:
+        hash(record.axis(name))
+    except (KeyError, TypeError):
+        return False
+    return True
+
+
+def _check_report(store: ResultStore, args: argparse.Namespace) -> None:
+    """Reject a report the store cannot answer before any table is built.
+
+    Every axis flag must name an axis some record resolves to a hashable
+    value; ``--value`` must be ``tta_or_total``, a result field or a stored
+    ``extra`` key, numeric wherever it is set; ``--baseline`` must be a
+    stored method.
+    """
+    records = store.records()
+    axes = [("--rows", args.rows), ("--cols", args.cols)]
+    axes += [("--group-by", name) for name in args.group_by]
+    for flag, name in axes:
+        if not any(_is_axis(record, name) for record in records):
+            raise KeyError(f"{flag} {name!r} is not an axis of any stored record")
+    if args.value != "tta_or_total" and not any(
+        hasattr(record.result, args.value) or args.value in record.result.extra
+        for record in records
+    ):
+        raise KeyError(f"--value {args.value!r} is not a result field or stored metric")
+    for record in records:
+        record.value(args.value)  # TypeError for a field that is not a number
+    methods = sorted({record.result.method for record in records})
+    if args.baseline is not None and args.baseline not in methods:
+        raise KeyError(f"--baseline {args.baseline!r} is not a stored method: {methods}")
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     with _user_input():
         filters = _parse_axis_pairs(args.filter, "--filter")
-    store = ResultStore(args.store)
+        store = ResultStore(args.store)
     if not len(store):
         print(f"store {args.store!r} is empty", file=sys.stderr)
         return 1
+    with _user_input():
+        _check_report(store, args)
 
     if args.baseline:
         relative = store.relative_to_baseline(
@@ -432,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--rows", default="model", help="row axis (default: model)")
     report.add_argument("--cols", default="method", help="column axis (default: method)")
     report.add_argument("--value", default="simulated_time",
-                        help="result metric (e.g. tta_or_total, final_accuracy, comm_time)")
+                        help="result metric (e.g. tta_or_total, final_accuracy, comm_time, "
+                             "or a key of the result's extra such as compact_fraction)")
     report.add_argument("--baseline", default=None,
                         help="method name to normalise against (relative-TTA style report)")
     report.add_argument("--group-by", nargs="+", default=["model", "bandwidth_mbps"],

@@ -8,10 +8,10 @@ unchanged cell is a cache hit — the stored :class:`ExperimentResult` is
 returned without training — while any change to the workload, cluster, method
 or code version changes the fingerprint and forces a fresh run.
 
-The store is also the query surface benchmarks and the ``python -m repro
-report`` CLI aggregate from: records can be filtered by any axis (config,
-cluster, method or result field), pivoted into tables, and normalised against
-a named baseline method (the paper's relative-TTA presentation).
+The store is also the query surface the ``python -m repro report`` CLI
+aggregates from: records can be filtered by any axis (config, cluster, method
+or result field), pivoted into tables, and normalised against a named
+baseline method (the paper's relative-TTA presentation).
 """
 
 from __future__ import annotations
@@ -135,15 +135,20 @@ class StoredRecord:
 
         ``tta_or_total`` resolves through the method of the same name; ``tta``
         is ``None`` for runs that never reached their target (aggregations
-        skip those records rather than failing).
+        skip those records rather than failing).  A name that is not a result
+        field is looked up in ``result.extra`` (``compact_fraction`` ...), and
+        is unset for a record whose method does not report it.
         """
         if name == "tta_or_total":
             return self.result.tta_or_total()
-        value = getattr(self.result, name)
+        try:
+            value = getattr(self.result, name)
+        except AttributeError:
+            value = self.result.extra.get(name)
         if value is None:
             return None
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise TypeError(f"result field {name!r} is not numeric (got {value!r})")
+            raise TypeError(f"result field {name!r} is not numeric (it is a {type(value).__name__})")
         return float(value)
 
     def to_json(self) -> str:

@@ -1,23 +1,5 @@
-"""Metrics used by the paper's evaluation: TTA, NMSE, compression/throughput."""
+"""Gradient-compression error: NMSE of an aggregate against the exact average."""
 
-from repro.metrics.tta import AccuracyTrace, time_to_accuracy, relative_tta, speedup_table
-from repro.metrics.nmse import nmse, compression_error_report
-from repro.metrics.throughput import (
-    bytes_saved,
-    compression_summary,
-    effective_throughput,
-    iteration_breakdown,
-)
+from repro.metrics.nmse import nmse
 
-__all__ = [
-    "AccuracyTrace",
-    "time_to_accuracy",
-    "relative_tta",
-    "speedup_table",
-    "nmse",
-    "compression_error_report",
-    "bytes_saved",
-    "compression_summary",
-    "effective_throughput",
-    "iteration_breakdown",
-]
+__all__ = ["nmse"]

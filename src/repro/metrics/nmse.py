@@ -2,15 +2,13 @@
 
 The paper (§III.D) argues that determining the pruning mask by weight ranking
 reduces the compression scheme's sensitivity to NMSE,
-``NMSE(x, x_hat) = ||x - x_hat||^2 / ||x||^2``.  These helpers quantify the
-aggregation error each compressor introduces relative to the exact average —
-used by unit tests (PacTrain without quantisation must be exact on masked
-gradients) and by the ablation benchmark.
+``NMSE(x, x_hat) = ||x - x_hat||^2 / ||x||^2``.  It quantifies the
+aggregation error a compressor introduces relative to the exact average:
+``CodecCompressor`` traces it on sampled aggregations, and the unit tests use
+it (PacTrain without quantisation must be exact on masked gradients).
 """
 
 from __future__ import annotations
-
-from typing import Dict, Sequence
 
 import numpy as np
 
@@ -25,17 +23,3 @@ def nmse(reference: np.ndarray, approximation: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0 if float(np.sum(approximation ** 2)) == 0.0 else float("inf")
     return float(np.sum((reference - approximation) ** 2)) / denom
-
-
-def compression_error_report(
-    per_rank_gradients: Sequence[np.ndarray],
-    aggregated: np.ndarray,
-) -> Dict[str, float]:
-    """NMSE and cosine similarity of an aggregated gradient vs the exact average."""
-    exact = np.mean(np.stack([np.asarray(g, dtype=np.float64) for g in per_rank_gradients]), axis=0)
-    error = nmse(exact, aggregated)
-    exact_flat = exact.reshape(-1)
-    approx_flat = np.asarray(aggregated, dtype=np.float64).reshape(-1)
-    denom = np.linalg.norm(exact_flat) * np.linalg.norm(approx_flat)
-    cosine = float(np.dot(exact_flat, approx_flat) / denom) if denom > 0 else 1.0
-    return {"nmse": error, "cosine_similarity": cosine}

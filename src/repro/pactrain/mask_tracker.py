@@ -50,7 +50,7 @@ class MaskTracker:
     stability_threshold:
         Number of consecutive iterations the pattern must stay identical before
         it is considered stable.  The paper leaves the constant open; 2–5 works
-        well and is explored by the ablation benchmark.
+        well, and ``examples/campaigns/ablation.json`` sweeps 1 and 8.
     min_sparsity:
         Patterns denser than ``1 - min_sparsity`` are never declared stable:
         compacting a nearly-dense gradient saves nothing but adds bookkeeping,

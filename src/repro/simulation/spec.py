@@ -151,7 +151,7 @@ PAPER_METHODS: Dict[str, MethodSpec] = {
 }
 
 #: PacTrain without ternary quantisation (lossless w.r.t. the masked gradient);
-#: used by the ablation benchmark.
+#: the ``pactrain-compact-fp32`` golden trace is built from it.
 PACTRAIN_FP32 = MethodSpec(
     name="pactrain-fp32", compressor="pactrain", pruning_ratio=0.5, gse=True, quantize=False
 )

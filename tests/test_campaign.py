@@ -18,6 +18,7 @@ import importlib
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -350,6 +351,34 @@ class TestCampaignSpec:
         spec = CampaignSpec.from_file(path)
         assert spec.name == "tomled"
         assert len(spec.expand()) == 2
+
+
+CAMPAIGNS = Path(__file__).resolve().parent.parent / "examples" / "campaigns"
+
+#: The cells each paper comparison declares (Fig. 3: 4 models x 3 bandwidths x
+#: 5 methods; Fig. 6: 4 models x 7 pruning ratios).
+FIGURE_CELLS = {"fig3": 60, "fig5": 5, "fig6": 28, "table1": 6, "ablation": 7}
+
+
+class TestShippedSpecs:
+    @pytest.mark.parametrize("path", sorted(CAMPAIGNS.glob("*.json")), ids=lambda path: path.name)
+    def test_spec_file_loads_and_expands(self, path):
+        assert CampaignSpec.from_file(path).expand()
+
+    @pytest.mark.parametrize("name, cells", sorted(FIGURE_CELLS.items()))
+    def test_each_paper_figure_is_one_spec(self, name, cells):
+        assert len(CampaignSpec.from_file(CAMPAIGNS / f"{name}.json").expand()) == cells
+
+    def test_table1_allreduce_compatibility_matches_the_paper(self):
+        """Table 1's compatibility column is a property of the code, not of a run."""
+        cells = CampaignSpec.from_file(CAMPAIGNS / "table1.json").expand()
+        compatible = {
+            cell.method.name: cell.method.build_compressor().allreduce_compatible for cell in cells
+        }
+        assert compatible == {
+            "pactrain": True, "terngrad": True, "dgc-0.01": False,
+            "topk-0.01": False, "fp16": True, "all-reduce": True,
+        }
 
 
 # --------------------------------------------------------------------------- #
@@ -728,6 +757,42 @@ class TestCLI:
     def test_report_on_empty_store_fails(self, tmp_path, capsys):
         assert cli_main(["report", "--store", str(tmp_path / "none.jsonl")]) == 1
         assert "empty" in capsys.readouterr().err
+
+    @staticmethod
+    def _ablation_like_store(path):
+        """An all-reduce record and a PacTrain one that reports compact_fraction."""
+        store = ResultStore(path)
+        store.put(tiny_config(), PAPER_METHODS["all-reduce"], fake_result())
+        pactrain = fake_result(method="pactrain")
+        pactrain.extra["compact_fraction"] = 0.5
+        store.put(tiny_config(), PAPER_METHODS["pactrain"], pactrain)
+
+    def test_report_reads_a_metric_from_result_extra(self, tmp_path, capsys):
+        store_path = tmp_path / "s.jsonl"
+        self._ablation_like_store(store_path)
+        assert cli_main(["report", "--store", str(store_path), "--rows", "method",
+                         "--cols", "model", "--value", "compact_fraction"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split() for row in rows] == [["all-reduce", "-"], ["pactrain", "0.500"]]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--value", "no_such_field"], "--value 'no_such_field' is not a result field"),
+        (["--value", "accuracy_trace"], "'accuracy_trace' is not numeric (it is a list)"),
+        (["--rows", "bogus"], "--rows 'bogus' is not an axis"),
+        (["--cols", "accuracy_trace"], "--cols 'accuracy_trace' is not an axis"),
+        (["--baseline", "all-reduce", "--group-by", "model", "bogus"], "--group-by 'bogus'"),
+        (["--baseline", "bogus"], "--baseline 'bogus' is not a stored method"),
+    ])
+    def test_report_rejects_what_it_cannot_report(self, tmp_path, capsys, flags, message):
+        store_path = tmp_path / "s.jsonl"
+        self._ablation_like_store(store_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["report", "--store", str(store_path), *flags])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
 
     def test_run_single_cell(self, tmp_path, capsys):
         store_path = tmp_path / "store.jsonl"

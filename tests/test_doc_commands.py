@@ -1,7 +1,8 @@
 """The docs cannot name a command that does not parse.
 
-(a) A line of a fenced ``README.md`` code block or of a CI ``run:`` script that
-invokes ``python -m repro`` must be accepted by the real argument parser;
+(a) A line of a fenced ``README.md`` code block, a code span in a ``README.md``
+table row, or a line of a CI ``run:`` script that invokes ``python -m repro``
+must be accepted by the real argument parser;
 (b) wherever a command is only mentioned — README prose, the verify skill,
 string literals (docstrings, messages) of ``examples/*.py`` and ``src/repro`` —
 the subcommand word after it must exist, an ``a|b|c`` list word by word and
@@ -32,14 +33,17 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
 
 
 def _script_lines():
-    """README code and CI scripts, backslash and YAML-folded continuations joined."""
-    fenced = "\n".join(re.findall(FENCE, (ROOT / "README.md").read_text()))
+    """README code (fenced blocks and table code spans) and CI scripts, backslash
+    and YAML-folded continuations joined."""
+    readme = (ROOT / "README.md").read_text()
+    fenced = "\n".join(re.findall(FENCE, readme))
+    table_code = "\n".join(re.findall(r"`([^`]+)`", "\n".join(re.findall(r"(?m)^\|.*", readme))))
     ci = re.sub(
         r"(?m)^( *)run: >-?\n((?:\1 +\S.*\n)+)",
         lambda match: " ".join(match.group(2).split()) + "\n",
         (ROOT / ".github/workflows/ci.yml").read_text(),
     )
-    for text in (fenced, ci):
+    for text in (fenced, table_code, ci):
         yield from re.sub(r"\\\n\s*", " ", text).splitlines()
 
 
