@@ -14,9 +14,11 @@ built on:
   just a table of spec strings);
 * hand the compressor to the DDP simulator as its communication hook — the
   hook *is* ``compressor.aggregate(bucket, group, iteration)``, called once
-  per bucket — drive per-rank forward/backward and bucketed gradient exchange
-  directly, and inspect the Mask Tracker on the flat bucket gradients,
-  exactly the view a PyTorch DDP comm hook would see.
+  per bucket — drive the synchronous step the experiment driver runs
+  (``ddp.train_step``: per-rank forward/backward, Gradient Sparsity
+  Enforcement, bucketed gradient exchange) directly, and inspect the Mask
+  Tracker on the staged flat bucket gradients, exactly the view a PyTorch DDP
+  comm hook would see.
 
 Note there is no byte bookkeeping anywhere in the custom code: the collective
 layer reads the wire size straight off the payload (``payload.nbytes``).
@@ -47,7 +49,7 @@ from repro.ddp import DistributedDataParallel
 from repro.nn import SGD
 from repro.nn.models import build_model
 from repro.pactrain import MaskTracker
-from repro.pruning import apply_gse, magnitude_prune
+from repro.pruning import magnitude_prune
 from repro.tensorlib import functional as F
 
 WORLD_SIZE = 4
@@ -105,31 +107,26 @@ def main() -> None:
         for loader in loaders:
             loader.set_epoch(epoch)
         for batches in zip(*loaders):
-            per_rank_grads = []
-            losses = []
-            for batch in batches:
-                loss, grads = ddp.compute_local_gradients(batch, F.cross_entropy)
-                per_rank_grads.append(apply_gse(model, mask, grads=grads))
-                losses.append(loss)
-
-            # Peek at what a comm hook sees: flat, nameless bucket gradients.
-            bucket = ddp.buckets[0]
-            flats = [bucket.flatten(grads) for grads in per_rank_grads]
-            state = tracker.update_from_rank_gradients(bucket.index, flats)
-
-            # The traced variant returns each bucket's collective events (DDP
-            # drains the group's per-step log; whole-run totals live in the
-            # group's lifetime_* counters).
-            aggregated, bucket_events = ddp.synchronize_gradients_traced(per_rank_grads)
-            ddp.apply_aggregated_gradients(aggregated)
+            # One synchronous step: backward on every rank, GSE with the
+            # pruning mask, one aggregate() per bucket, gradients written back.
+            # The step reports each bucket's collective events (DDP drains the
+            # group's per-step log; whole-run totals live in its lifetime_*
+            # counters).
+            step = ddp.train_step(batches, F.cross_entropy, gse_mask=mask)
             optimizer.step()
             mask.apply_to_weights(model)
+            ddp.iteration += 1
 
-            comm_time = sum(e.time_seconds for per_bucket in bucket_events for e in per_bucket)
+            # Peek at what the comm hook saw: the flat, nameless per-rank rows
+            # of the first bucket, still staged in the gradient arena.
+            bucket = ddp.buckets[0]
+            state = tracker.update_from_rank_gradients(
+                bucket.index, list(ddp.arena.matrix(bucket.index))
+            )
             print(
-                f"epoch {epoch} loss={np.mean(losses):.3f} "
+                f"epoch {epoch} loss={step.loss:.3f} "
                 f"bucket density={state.density:.2f} stable={state.stable} "
-                f"comm={comm_time * 1e3:.1f} ms"
+                f"comm={step.comm_time * 1e3:.1f} ms"
             )
 
     compressor = ddp.compressor  # the CodecCompressor instance passed as comm_hook

@@ -15,29 +15,30 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.pactrain import PacTrainConfig, PacTrainTrainer
-from repro.simulation import ClusterSpec
+from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, run_experiment
 
 
 def main() -> None:
     cluster = ClusterSpec(world_size=8, bandwidth="100Mbps")
-    trainer = PacTrainTrainer(
+    config = ExperimentConfig(
         model="resnet18",
         dataset="cifar10",
         cluster=cluster,
-        config=PacTrainConfig(pruning_ratio=0.5, stability_threshold=3, quantize=True),
         epochs=4,
         batch_size=16,
         dataset_samples=256,
         target_accuracy=0.7,
         seed=0,
     )
+    # The paper's configuration: prune 0.5, GSE every iteration, ternary
+    # quantisation of the compacted gradients, Mask Tracker threshold 3.
+    method = PAPER_METHODS["pactrain"]
 
     print("Cluster:", cluster.describe())
     print("\nRunning PacTrain (prune 0.5 + GSE + adaptive sparse compression)...")
-    pactrain = trainer.run()
+    pactrain = run_experiment(config, method)
     print("\nRunning the native all-reduce baseline on the same workload...")
-    baseline = trainer.run_baseline("allreduce")
+    baseline = run_experiment(config, PAPER_METHODS["all-reduce"])
 
     print("\n=== Results (simulated time; accuracy from real training) ===")
     header = f"{'method':<12} {'final acc':>9} {'sim time':>10} {'comm time':>10} {'MB/worker':>10}"

@@ -10,17 +10,14 @@ the PacTrain Mask Tracker / adaptive sparse compressor themselves.
 
 Quickstart
 ----------
->>> from repro.pactrain import PacTrainTrainer, PacTrainConfig
->>> from repro.simulation import ClusterSpec
->>> trainer = PacTrainTrainer(
+>>> from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, run_experiment
+>>> config = ExperimentConfig(
 ...     model="resnet18",
-...     dataset="cifar10",
 ...     cluster=ClusterSpec(world_size=4, bandwidth="100Mbps"),
-...     config=PacTrainConfig(pruning_ratio=0.5),
 ...     epochs=2,
 ... )
->>> result = trainer.run()          # doctest: +SKIP
->>> print(result.final_accuracy)    # doctest: +SKIP
+>>> result = run_experiment(config, PAPER_METHODS["pactrain"])  # doctest: +SKIP
+>>> print(result.final_accuracy)                                # doctest: +SKIP
 
 Parameter studies over many (model, bandwidth, method, seed) cells run through
 the :mod:`repro.campaign` subsystem (``python -m repro sweep``); see the

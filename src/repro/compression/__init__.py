@@ -1,15 +1,15 @@
 """Gradient compressors and the encode/reduce/decode codec subsystem.
 
 The repository's one gradient-synchronisation seam — the paper's
-"communication hook" — is :meth:`Compressor.aggregate(bucket, group, iteration)
-<repro.compression.base.Compressor.aggregate>`: given one gradient bucket
+"communication hook" — is :meth:`CodecCompressor.aggregate(bucket, group, iteration)
+<repro.compression.base.CodecCompressor.aggregate>`: given one gradient bucket
 (per-rank flat tensors) and a process group, produce the aggregated average
 gradient while issuing the collectives it actually needs.  The DDP wrapper
 calls it per bucket; local-SGD rounds and parameter-server pushes reach the
 wire through the same call.
 
-Every built-in compressor is a :class:`~repro.compression.base.CodecCompressor`
-— a codec :class:`~repro.compression.codec.Pipeline` bound to the shared
+Every compressor is a :class:`~repro.compression.base.CodecCompressor` — a
+codec :class:`~repro.compression.codec.Pipeline` bound to the shared
 encode → reduce/gather → decode driver — *named by a spec string*: ``"fp32"``,
 ``"fp16"``, ``"ef+topk0.01"``, ``"randomk0.1"``, ``"terngrad"``, ``"dgc0.01"``,
 ``"topk0.01+terngrad"``, ``"ef+signsgd"``, ``"powersgd-rank4"``.  The paper's
@@ -29,7 +29,6 @@ is registered for :func:`build_compressor` under ``"pactrain"``,
 from repro.compression.base import (
     CodecCompressor,
     CompressionStats,
-    Compressor,
     exact_average,
 )
 from repro.compression.codec import (
@@ -51,7 +50,6 @@ from repro.compression.codec import (
 from repro.compression.registry import COMPRESSOR_REGISTRY, build_compressor, register_compressor
 
 __all__ = [
-    "Compressor",
     "CodecCompressor",
     "CompressionStats",
     "exact_average",

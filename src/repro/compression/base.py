@@ -1,13 +1,14 @@
-"""Compressor interface, the shared codec aggregation driver and bookkeeping.
+"""The compressor: the shared codec aggregation driver and its bookkeeping.
 
-A :class:`Compressor` turns one gradient bucket (per-rank flat tensors) into
-the aggregated average gradient, issuing all communication through the process
-group so the network cost model sees it.  Since the codec refactor every
-built-in compressor is a :class:`CodecCompressor`: a thin wrapper binding a
+A :class:`CodecCompressor` turns one gradient bucket (per-rank flat tensors)
+into the aggregated average gradient, issuing all communication through the
+process group so the network cost model sees it.  It binds a
 :class:`~repro.compression.codec.pipeline.Pipeline` of encode/decode stages to
-the shared **encode → reduce/gather → decode** driver below.  Wire bytes are
-derived from the encoded :class:`~repro.compression.codec.payloads.WirePayload`
-at the collective layer — compressors no longer self-report byte counts.
+the shared **encode → reduce/gather → decode** driver below; it is the one
+compressor type (PacTrain subclasses it to pick the pipeline per bucket).
+Wire bytes are derived from the encoded
+:class:`~repro.compression.codec.payloads.WirePayload` at the collective
+layer — compressors never self-report byte counts.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ NMSE_SAMPLE_EVERY = 16
 
 __all__ = [
     "CompressionStats",
-    "Compressor",
     "CodecCompressor",
     "exact_average",
 ]
@@ -66,70 +66,17 @@ class CompressionStats:
         return self.raw_bytes / self.wire_bytes
 
 
-class Compressor:
-    """Base class for gradient compressors.
-
-    Subclasses implement :meth:`aggregate`, which receives the per-rank flat
-    gradients of one bucket and must return the aggregated *average* gradient
-    of the same length, issuing all communication through ``group`` so that the
-    network cost model sees it.  This call is the paper's "communication hook":
-    :class:`repro.ddp.DistributedDataParallel` makes it once per bucket, and it
-    sees only the flat bucket — no parameter names or shapes.
-
-    Attributes
-    ----------
-    name:
-        Short identifier used by the registry and in benchmark tables.
-    allreduce_compatible:
-        Whether aggregation uses the all-reduce primitive (Table 1's
-        "Compatibility" column).  All-gather-based schemes pay the
-        ``(n-1) x payload`` exchange cost instead of ``2 (n-1)/n``.
-    lossless:
-        Whether the aggregated result equals the exact average of the inputs.
-    """
-
-    name: str = "base"
-    allreduce_compatible: bool = True
-    lossless: bool = False
-
-    def __init__(self) -> None:
-        self.stats = CompressionStats()
-
-    # ------------------------------------------------------------------ #
-    # Interface
-    # ------------------------------------------------------------------ #
-    def aggregate(
-        self,
-        bucket: GradBucket,
-        group: ProcessGroup,
-        iteration: int = 0,
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Clear statistics and any per-bucket state (error feedback, masks)."""
-        self.stats = CompressionStats()
-
-    def resize_world(
-        self, old_ranks: Sequence[int], new_ranks: Sequence[int], policy: str = "carry"
-    ) -> None:
-        """Adapt per-rank state to an elastic membership change.
-
-        ``old_ranks``/``new_ranks`` are the global rank ids active before and
-        after the change, in the order their rows occupied the per-bucket
-        state matrices.  The base compressor keeps no per-rank state, so the
-        default is a no-op; :class:`CodecCompressor` remaps its
-        error-feedback residuals and forwards to every pipeline stage.
-        ``policy`` is ``"carry"`` (survivors keep their rows, newcomers start
-        from zero) or ``"zero"`` (everyone restarts).
-        """
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class CodecCompressor(Compressor):
+class CodecCompressor:
     """Aggregate gradients through a codec pipeline (the shared driver).
+
+    :meth:`aggregate` receives the per-rank flat gradients of one bucket and
+    returns their aggregated *average*, issuing all communication through
+    ``group`` so that the network cost model sees it.  This call is the
+    paper's "communication hook": :class:`repro.ddp.DistributedDataParallel`
+    makes it once per bucket, and it sees only the flat bucket — no parameter
+    names or shapes.  ``name`` labels the compressor in tables and traces;
+    ``allreduce_compatible`` (Table 1's "Compatibility" column) and
+    ``lossless`` are the pipeline's.
 
     Per bucket and iteration the driver
 
@@ -177,7 +124,7 @@ class CodecCompressor(Compressor):
         name: Optional[str] = None,
         error_feedback: bool = False,
     ) -> None:
-        super().__init__()
+        self.stats = CompressionStats()
         self.pipeline = as_pipeline(pipeline)
         self.error_feedback = bool(error_feedback)
         if name is None:
@@ -411,7 +358,8 @@ class CodecCompressor(Compressor):
             )
 
     def reset(self) -> None:
-        super().reset()
+        """Clear statistics and all per-bucket state (error feedback, stage state)."""
+        self.stats = CompressionStats()
         self.pipeline.reset()
         self._residuals.clear()
 

@@ -22,10 +22,10 @@ import inspect
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.compression.base import CodecCompressor, Compressor
+from repro.compression.base import CodecCompressor
 from repro.compression.codec import parse_compressor_spec
 
-CompressorFactory = Callable[..., Compressor]
+CompressorFactory = Callable[..., CodecCompressor]
 
 #: Built-in name -> (the spec string it abbreviates, the compressor's ``.name``
 #: in tables and traces).  Top-k carries error feedback in its paper form,
@@ -56,7 +56,7 @@ PACTRAIN_QUANTIZE: Dict[str, Optional[bool]] = {
 }
 
 
-def _from_spec(spec: str, name: str, seed: Optional[int] = None) -> Compressor:
+def _from_spec(spec: str, name: str, seed: Optional[int] = None) -> CodecCompressor:
     """The compressor ``spec`` describes, labelled ``name`` (lower-cased, like a registry key)."""
     try:
         pipeline, error_feedback = parse_compressor_spec(spec, seed=0 if seed is None else seed)
@@ -70,7 +70,7 @@ def _from_spec(spec: str, name: str, seed: Optional[int] = None) -> Compressor:
     return CodecCompressor(pipeline, name=name.lower(), error_feedback=error_feedback)
 
 
-def _pactrain(name: str, quantize: bool = False, **tracker) -> Compressor:
+def _pactrain(name: str, quantize: bool = False, **tracker) -> CodecCompressor:
     """PacTrain under one of its names; the name's suffix and ``quantize`` must agree."""
     from repro.pactrain.compressor import PacTrainCompressor  # noqa: PLC0415
 
@@ -93,6 +93,8 @@ COMPRESSOR_REGISTRY: Dict[str, CompressorFactory] = {
 def register_compressor(name: str, factory: CompressorFactory) -> None:
     """Register a compressor factory under ``name`` (case-insensitive).
 
+    The factory must build a :class:`CodecCompressor` (a subclass may pick its
+    pipeline per bucket); :func:`build_compressor` rejects anything else.
     Factories that accept a ``seed`` keyword (or ``**kwargs``) receive the
     per-run seed from :func:`build_compressor`; seedless factories still work
     (their compressors are treated as deterministic).
@@ -123,7 +125,7 @@ def _accepts_seed(factory: CompressorFactory) -> bool:
     )
 
 
-def build_compressor(name: str, seed: Optional[int] = None, **kwargs) -> Compressor:
+def build_compressor(name: str, seed: Optional[int] = None, **kwargs) -> CodecCompressor:
     """Instantiate a compressor by registry name or codec pipeline spec.
 
     Resolution order: registered names first (so the paper's figure names and
@@ -147,13 +149,21 @@ def build_compressor(name: str, seed: Optional[int] = None, **kwargs) -> Compres
         (e.g. ``"topk2"`` — ratio outside ``(0, 1]``); the error names the
         offending spec.  Also when ``quantize=True`` contradicts
         ``"pactrain-fp32"``.
+    TypeError
+        If a registered factory builds anything but a :class:`CodecCompressor`.
     """
     key = name.lower()
     factory = COMPRESSOR_REGISTRY.get(key)
     if factory is not None:
         if seed is not None and "seed" not in kwargs and _accepts_seed(factory):
             kwargs["seed"] = seed
-        return factory(**kwargs)
+        compressor = factory(**kwargs)
+        if not isinstance(compressor, CodecCompressor):
+            raise TypeError(
+                f"the factory registered as {key!r} built a {type(compressor).__name__}, "
+                "not a repro.compression.CodecCompressor"
+            )
+        return compressor
     if kwargs:
         raise TypeError(
             f"codec spec {name!r} does not accept keyword arguments "

@@ -7,13 +7,14 @@ This package reproduces the PyTorch DDP abstractions the paper builds on:
   erased (:mod:`repro.ddp.bucket`);
 * gradient synchronisation is customisable through a **communication hook**
   that only ever sees the flat bucket.  Here the hook is a
-  :class:`repro.compression.Compressor`: its ``aggregate(bucket, group,
+  :class:`repro.compression.CodecCompressor`: its ``aggregate(bucket, group,
   iteration)`` method is the one seam every regime synchronises through
   (``comm_hook=None`` is the identity compressor, a plain fp32 all-reduce);
-* :class:`repro.ddp.DistributedDataParallel` drives per-rank forward/backward
-  passes over sharded data, calls the compressor per bucket, and writes the
-  aggregated gradient back into the model, so the optimiser step is identical
-  on every rank (:mod:`repro.ddp.ddp`).
+* :meth:`repro.ddp.DistributedDataParallel.train_step` — the one synchronous
+  step — drives per-rank forward/backward passes over sharded data, calls the
+  compressor per bucket, and writes the aggregated gradient back into the
+  model, so the optimiser step is identical on every rank
+  (:mod:`repro.ddp.ddp`).
 
 The deliberately restricted hook interface is what makes the paper's Mask
 Tracker necessary: ``aggregate`` cannot map bucket offsets back to named

@@ -112,13 +112,6 @@ class GradientArena:
                 # weight's) is not first flattened into a temporary.
                 np.copyto(slot, grad.reshape(slot.shape), casting="unsafe")
 
-    def write_all(self, per_rank_grads: Sequence[Dict[str, np.ndarray]]) -> None:
-        """Stage every rank's gradient dict (one dict per rank)."""
-        if len(per_rank_grads) != self.world_size:
-            raise ValueError("need one gradient dict per rank")
-        for rank, grads in enumerate(per_rank_grads):
-            self.write_rank(rank, grads)
-
     def zero(self) -> None:
         """Clear every bucket matrix (mainly for tests)."""
         for matrix in self._matrices:

@@ -13,7 +13,7 @@ This module reproduces that abstraction:
 * :class:`Bucket` — the static layout (slices, total element count);
 * :class:`GradBucket` — one iteration's per-rank flat gradients for a bucket,
   the only view of the gradients that the communication hook —
-  :meth:`repro.compression.Compressor.aggregate` — receives;
+  :meth:`repro.compression.CodecCompressor.aggregate` — receives;
 * :func:`build_buckets` — split a model's parameters (reversed) into buckets by
   byte capacity.
 """
@@ -97,7 +97,7 @@ class Bucket:
 
 
 class GradBucket:
-    """One iteration's gradients for one bucket, as ``Compressor.aggregate`` sees them.
+    """One iteration's gradients for one bucket, as ``CodecCompressor.aggregate`` sees them.
 
     The compressor receives:
 

@@ -5,12 +5,13 @@ of ``world_size`` replicas on a single process:
 
 1. every rank runs a real forward/backward pass on its own mini-batch (the
    replicas share one set of weights, which is mathematically identical to
-   real DDP because every rank applies the same aggregated gradient);
+   real DDP because every rank applies the same aggregated gradient), with
+   Gradient Sparsity Enforcement applied when the step is given a mask;
 2. per-rank gradients are staged into a preallocated
    :class:`~repro.ddp.arena.GradientArena` — one reusable ``(world_size,
    numel)`` matrix per bucket (reverse parameter order, names erased — see
    :mod:`repro.ddp.bucket`) — with no per-step flatten buffers;
-3. the wrapper's :class:`~repro.compression.base.Compressor` — the
+3. the wrapper's :class:`~repro.compression.base.CodecCompressor` — the
    communication hook — aggregates each bucket through the process group,
    which records modeled time and bytes; the events each bucket's
    aggregation issued are drained from the group's log per step (the group
@@ -23,45 +24,70 @@ of ``world_size`` replicas on a single process:
    the reduced buffer (no copies on the float64 or float32 path) so a single
    optimiser step updates the shared weights.
 
-The result of each step reports the loss, the modeled communication time and
-the bytes each worker placed on the wire — the raw material for every TTA
+:meth:`DistributedDataParallel.train_step` is that iteration, and the
+experiment driver runs it.  Its result reports the per-rank losses and each
+bucket's collective events, from which the modeled communication time and the
+bytes each worker placed on the wire follow — the raw material for every TTA
 figure in the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.collectives import CollectiveEvent
 from repro.comm.process_group import ProcessGroup
-from repro.compression.base import Compressor
+from repro.compression.base import CodecCompressor
 from repro.compression.registry import build_compressor
 from repro.ddp.arena import GradientArena
 from repro.ddp.bucket import Bucket, GradBucket, build_buckets, DEFAULT_BUCKET_CAP_BYTES
 from repro.obs.tracer import TRACER
 from repro.nn.batched import replica_views
 from repro.nn.module import Module
+from repro.pruning import PruningMask, apply_gse
 from repro.tensorlib import Tensor
 from repro.tensorlib.dtypes import get_default_dtype
 
 
 @dataclass
 class StepResult:
-    """Outcome of one synchronous training step."""
+    """Outcome of one training step: per-rank losses and the collectives it issued."""
 
-    loss: float
     per_rank_loss: List[float]
-    comm_time: float
-    comm_bytes_per_worker: float
-    events: List[CollectiveEvent] = field(default_factory=list)
-    per_bucket_numel: List[int] = field(default_factory=list)
-    #: Modeled seconds of each bucket's collective(s), in bucket order — the
-    #: per-bucket costs the event-driven engine schedules against backward
-    #: compute.
-    per_bucket_comm_time: List[float] = field(default_factory=list)
+    #: The collective events of each bucket's aggregation, in bucket order (one
+    #: — or, for adaptive compressors, several — per bucket): what the
+    #: event-driven engine schedules against backward compute.  ``None`` for a
+    #: step that communicated nothing (a local-SGD step inside its window).
+    bucket_events: Optional[List[List[CollectiveEvent]]] = None
+
+    @property
+    def loss(self) -> float:
+        return float(np.mean(self.per_rank_loss))
+
+    @property
+    def events(self) -> List[CollectiveEvent]:
+        """Every collective event, in issue order."""
+        return [event for per_bucket in self.bucket_events or () for event in per_bucket]
+
+    @property
+    def comm_time(self) -> float:
+        """Modeled seconds of all collectives (summed in issue order, like the group log)."""
+        return float(sum(event.time_seconds for event in self.events))
+
+    @property
+    def comm_bytes_per_worker(self) -> float:
+        return float(sum(event.bytes_per_worker for event in self.events))
+
+    @property
+    def per_bucket_comm_time(self) -> List[float]:
+        """Modeled seconds of each bucket's collective(s), in bucket order."""
+        return [
+            float(sum(event.time_seconds for event in per_bucket))
+            for per_bucket in self.bucket_events or ()
+        ]
 
 
 class DistributedDataParallel:
@@ -79,7 +105,7 @@ class DistributedDataParallel:
         Gradient bucket capacity; PyTorch's 25 MiB default keeps small models
         in a single bucket, which matches how DDP behaves for them.
     comm_hook:
-        The :class:`~repro.compression.base.Compressor` whose
+        The :class:`~repro.compression.base.CodecCompressor` whose
         ``aggregate(bucket, group, iteration)`` synchronises each bucket;
         ``None`` is the native fp32 all-reduce (``build_compressor("all-reduce")``).
     """
@@ -90,7 +116,7 @@ class DistributedDataParallel:
         world_size: int,
         process_group: Optional[ProcessGroup] = None,
         bucket_cap_bytes: int = DEFAULT_BUCKET_CAP_BYTES,
-        comm_hook: Optional[Compressor] = None,
+        comm_hook: Optional[CodecCompressor] = None,
     ) -> None:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
@@ -122,13 +148,13 @@ class DistributedDataParallel:
     # ------------------------------------------------------------------ #
     # Hook management
     # ------------------------------------------------------------------ #
-    def register_comm_hook(self, compressor: Optional[Compressor]) -> None:
+    def register_comm_hook(self, compressor: Optional[CodecCompressor]) -> None:
         """Replace the compressor (mirrors DDP's ``register_comm_hook``)."""
         if compressor is None:
             compressor = build_compressor("all-reduce")
-        if not isinstance(compressor, Compressor):
+        if not isinstance(compressor, CodecCompressor):
             raise TypeError(
-                "comm_hook must be None or a repro.compression.Compressor (the hook is its "
+                "comm_hook must be None or a repro.compression.CodecCompressor (the hook is its "
                 f"aggregate(bucket, group, iteration) method), got {type(compressor).__name__}"
             )
         self.compressor = compressor
@@ -264,55 +290,58 @@ class DistributedDataParallel:
         self,
         per_rank_batches: Sequence[Tuple[np.ndarray, np.ndarray]],
         loss_fn: Callable[[Tensor, np.ndarray], Tensor],
+        gse_mask: Optional[PruningMask] = None,
     ) -> StepResult:
-        """One synchronous iteration: local backward on every rank, then sync.
+        """One synchronous iteration: backward on every active rank, GSE, sync.
 
-        ``per_rank_batches`` must contain exactly ``world_size`` batches (one
-        per rank, typically produced by a :class:`repro.data.DistributedSampler`).
+        ``per_rank_batches`` holds exactly ``world_size`` batches, one per rank
+        (typically produced by a :class:`repro.data.DistributedSampler`); a
+        rank outside :attr:`active_ranks` has its batch consumed, so data order
+        stays deterministic, but contributes no gradient or loss.
 
         All ranks are evaluated in one world-batched forward/backward when
-        their batches share a shape; ragged per-rank batches take the per-rank
-        loop.  Float64 results are bit-identical either way, and modeled time
-        is unaffected — the simulation clock measures the *simulated* cluster,
+        their batches share a shape and the world is healthy; ragged batches
+        or a degraded membership take the per-rank loop over the active ranks.
+        Float64 results are bit-identical either way, and modeled time is
+        unaffected — the simulation clock measures the *simulated* cluster,
         not how the host runs the passes.
+
+        ``gse_mask`` applies Gradient Sparsity Enforcement (the paper's
+        Eq. (2)) to every rank's gradients before they are staged.  The
+        aggregated gradients are written back into ``param.grad``; the
+        optimiser step and advancing :attr:`iteration` are the caller's.
         """
         if len(per_rank_batches) != self.world_size:
             raise ValueError(
                 f"expected {self.world_size} per-rank batches, got {len(per_rank_batches)}"
             )
-
-        if self._stackable(per_rank_batches):
-            images = np.stack([batch[0] for batch in per_rank_batches])
-            labels = np.stack([np.asarray(batch[1]) for batch in per_rank_batches])
-            per_rank_losses, grads = self.compute_batched_gradients((images, labels), loss_fn)
-            self.arena.write_world(grads)
-        else:
-            per_rank_losses = []
-            for rank, batch in enumerate(per_rank_batches):
-                # copy=False: gradients go straight from param.grad into the
-                # arena row, skipping one full-model copy per rank per step.
-                loss_value, grads = self.compute_local_gradients(batch, loss_fn, copy=False)
-                self.arena.write_rank(rank, grads)
-                per_rank_losses.append(loss_value)
-
-        aggregated, bucket_events = self.synchronize_staged()
-        self._write_back(aggregated)
-
-        events = [event for per_bucket in bucket_events for event in per_bucket]
-        comm_time = float(sum(e.time_seconds for e in events))
-        comm_bytes = float(sum(e.bytes_per_worker for e in events))
-        self.iteration += 1
-        return StepResult(
-            loss=float(np.mean(per_rank_losses)),
-            per_rank_loss=per_rank_losses,
-            comm_time=comm_time,
-            comm_bytes_per_worker=comm_bytes,
-            events=events,
-            per_bucket_numel=[b.numel for b in self.buckets],
-            per_bucket_comm_time=[
-                float(sum(e.time_seconds for e in per_bucket)) for per_bucket in bucket_events
-            ],
-        )
+        with TRACER.span("train/backward", cat="train", iteration=self.iteration):
+            if not self.is_degraded and self._stackable(per_rank_batches):
+                images = np.stack([batch[0] for batch in per_rank_batches])
+                labels = np.stack([np.asarray(batch[1]) for batch in per_rank_batches])
+                per_rank_losses, grads = self.compute_batched_gradients((images, labels), loss_fn)
+                if gse_mask is not None:
+                    # The (*shape) masks broadcast over the leading world axis,
+                    # multiplying each rank's slice exactly as the loop does.
+                    apply_gse(self.model, gse_mask, grads=grads)
+                self.stage_world_gradients(grads)
+            else:
+                per_rank_losses = []
+                for rank in self.active_ranks:
+                    # copy=False: each rank's gradients are masked and staged
+                    # into its arena row before the next rank's backward pass
+                    # overwrites them, skipping one full-model copy per rank.
+                    loss_value, grads = self.compute_local_gradients(
+                        per_rank_batches[rank], loss_fn, copy=False
+                    )
+                    if gse_mask is not None:
+                        apply_gse(self.model, gse_mask, grads=grads)
+                    self.stage_rank_gradients(rank, grads)
+                    per_rank_losses.append(loss_value)
+        with TRACER.span("train/sync", cat="train", iteration=self.iteration):
+            aggregated, bucket_events = self.synchronize_staged()
+            self.apply_aggregated_gradients(aggregated)
+        return StepResult(per_rank_losses, bucket_events)
 
     # ------------------------------------------------------------------ #
     # Gradient synchronisation
@@ -325,36 +354,15 @@ class DistributedDataParallel:
         """Write ``(world, *shape)`` stacked gradients into all arena rows at once."""
         self.arena.write_world(grads_by_name)
 
-    def synchronize_gradients(
-        self,
-        per_rank_grads: Sequence[Dict[str, np.ndarray]],
-    ) -> Dict[str, np.ndarray]:
-        """Stage per-rank gradients into the arena, aggregate each bucket,
-        unpack the result."""
-        aggregated, _ = self.synchronize_gradients_traced(per_rank_grads)
-        return aggregated
-
-    def synchronize_gradients_traced(
-        self,
-        per_rank_grads: Sequence[Dict[str, np.ndarray]],
-    ) -> Tuple[Dict[str, np.ndarray], List[List[CollectiveEvent]]]:
-        """:meth:`synchronize_gradients`, also returning per-bucket events.
-
-        The second element groups the collective events by the bucket whose
-        aggregation issued them (one — or, for adaptive compressors, several — per
-        bucket), which is what the event-driven engine needs to schedule each
-        bucket's collective against backward compute.  The events are
-        *drained* from the process group's per-step log as they are grouped
-        (the group keeps running lifetime aggregates), so a long run's log
-        stays bounded no matter how the caller drives synchronisation.
-        """
-        self.arena.write_all(per_rank_grads)
-        return self.synchronize_staged()
-
     def synchronize_staged(
-        self, compressor: Optional[Compressor] = None
+        self, compressor: Optional[CodecCompressor] = None
     ) -> Tuple[Dict[str, np.ndarray], List[List[CollectiveEvent]]]:
         """Aggregate the gradients currently staged in the arena.
+
+        Returns the unflattened aggregate and the collective events grouped by
+        the bucket whose aggregation issued them.  The events are *drained*
+        from the process group's per-step log (the group keeps running
+        lifetime aggregates), so a long run's log stays bounded.
 
         ``compressor`` stands in for the wrapper's own for this one call
         (local SGD's dense parameter averaging passes a lossless one).
@@ -417,10 +425,7 @@ class DistributedDataParallel:
         return array
 
     def apply_aggregated_gradients(self, aggregated: Dict[str, np.ndarray]) -> None:
-        """Public entry point for writing externally aggregated gradients back."""
-        self._write_back(aggregated)
-
-    def _write_back(self, aggregated: Dict[str, np.ndarray]) -> None:
+        """Write aggregated gradients back into ``param.grad``."""
         dtype = self.dtype
         for name, grad in aggregated.items():
             param = self._param_map.get(name)

@@ -13,21 +13,20 @@ substrates in :mod:`repro.nn`, :mod:`repro.ddp`, :mod:`repro.comm`,
   full fp32 all-reduce; once stable, only the non-masked coordinates are packed
   into a short dense tensor and all-reduced (optionally ternary-quantised),
   which is lossless with respect to the masked gradient and stays all-reduce
-  compatible;
-* :class:`PacTrainConfig` / :class:`PacTrainTrainer` — the worker algorithm
-  (prune → GSE every iteration → mask tracking → adaptive synchronisation)
-  packaged as a ready-to-run trainer.
+  compatible.
+
+The worker algorithm itself (prune → GSE every iteration → mask tracking →
+adaptive synchronisation) is one experiment cell:
+``run_experiment(ExperimentConfig(...), PAPER_METHODS["pactrain"])`` from
+:mod:`repro.simulation`, whose :class:`~repro.simulation.MethodSpec` carries
+the pruning, GSE, quantisation and Mask Tracker settings.
 """
 
 from repro.pactrain.mask_tracker import MaskTracker, MaskState
 from repro.pactrain.compressor import PacTrainCompressor
-from repro.pactrain.config import PacTrainConfig
-from repro.pactrain.trainer import PacTrainTrainer
 
 __all__ = [
     "MaskTracker",
     "MaskState",
     "PacTrainCompressor",
-    "PacTrainConfig",
-    "PacTrainTrainer",
 ]

@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
-from repro.compression.base import CodecCompressor, Compressor
+from repro.compression.base import CodecCompressor
 from repro.compression.registry import build_compressor
 from repro.data import (
     DataLoader,
@@ -27,7 +27,7 @@ from repro.data import (
     make_dataset,
     train_test_split,
 )
-from repro.ddp import DistributedDataParallel
+from repro.ddp import DistributedDataParallel, StepResult
 from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES, GradBucket
 from repro.nn import SGD
 from repro.nn.models import build_model
@@ -169,7 +169,7 @@ class _Run:
     target_accuracy: Optional[float]
     stop_at_target: bool
     max_iterations_per_epoch: Optional[int]
-    compressor: Compressor
+    compressor: CodecCompressor
     ddp: DistributedDataParallel
     optimizer: SGD
     timeline: TrainingTimeline
@@ -196,23 +196,9 @@ class _Run:
             return self.stop_at_target
         return False
 
-    def outcome(self) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
+    def outcome(self) -> Tuple[TrainingTimeline, DistributedDataParallel, CodecCompressor, bool]:
         """What :func:`train_distributed` returns."""
         return self.timeline, self.ddp, self.compressor, self.reached_target
-
-
-def _collective_cost(bucket_events) -> Tuple[float, float, List[float]]:
-    """``(seconds, bytes per worker, per-bucket seconds)`` of one collective.
-
-    Flat sums over the events in issue order — the same accumulation order
-    (and therefore the same floats) as the drained group log.
-    """
-    comm_seconds = float(sum(e.time_seconds for per_bucket in bucket_events for e in per_bucket))
-    comm_bytes = float(sum(e.bytes_per_worker for per_bucket in bucket_events for e in per_bucket))
-    per_bucket_seconds = [
-        float(sum(e.time_seconds for e in per_bucket)) for per_bucket in bucket_events
-    ]
-    return comm_seconds, comm_bytes, per_bucket_seconds
 
 
 class _FaultState:
@@ -327,7 +313,7 @@ def train_distributed(
     checkpoint_at: Optional[int] = None,
     checkpoint_box: Optional[List[TrainingCheckpoint]] = None,
     resume_from: Optional[TrainingCheckpoint] = None,
-) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
+) -> Tuple[TrainingTimeline, DistributedDataParallel, CodecCompressor, bool]:
     """Run distributed training with modeled time under the method's regime.
 
     The method's ``sync_schedule`` selects the regime: synchronous
@@ -342,13 +328,13 @@ def train_distributed(
     *is* synchronous training — which the regime-parity tests pin
     bit-identically.
 
-    On the host the synchronous step evaluates all ranks in one world-batched
-    forward/backward whenever the per-rank batches stack and the world is not
-    degraded, and rank by rank otherwise (ragged tail batches, dead ranks);
-    float64 losses, gradients and traces are bit-identical either way, and
-    modeled time — which measures the *simulated* cluster — never depends on
-    it.  Local-SGD windows always loop (diverged replicas cannot share one
-    world-batched pass).
+    The synchronous step is :meth:`DistributedDataParallel.train_step`: on the
+    host it evaluates all ranks in one world-batched forward/backward whenever
+    the per-rank batches stack and the world is not degraded, and rank by rank
+    otherwise (ragged tail batches, dead ranks); float64 losses, gradients and
+    traces are bit-identical either way, and modeled time — which measures the
+    *simulated* cluster — never depends on it.  Local-SGD windows always loop
+    (diverged replicas cannot share one world-batched pass).
 
     ``checkpoint_at``/``checkpoint_box`` capture a
     :class:`~repro.simulation.regimes.TrainingCheckpoint` just before global
@@ -380,14 +366,6 @@ def train_distributed(
         # hand the DDP wrapper the restored instance from the start.  Deep-
         # copied so one checkpoint can seed several resumes.
         compressor = copy.deepcopy(resume_from.compressor)
-    encodes_per_rank = schedule.regime == "ps" or (schedule.delta and not schedule.is_synchronous)
-    if encodes_per_rank and not isinstance(compressor, CodecCompressor):
-        raise ValueError(
-            "async parameter-server pushes (sized from the codec driver's wire-byte record) "
-            "and localsgd delta mode are only defined for a codec-pipeline compressor; got "
-            f"{type(compressor).__name__} for {method.compressor!r} under schedule "
-            f"{method.sync_schedule!r}"
-        )
     ddp = DistributedDataParallel(
         model,
         world_size=world_size,
@@ -459,7 +437,7 @@ def _train_stepped(
     checkpoint_at: Optional[int],
     checkpoint_box: Optional[List[TrainingCheckpoint]],
     resume_from: Optional[TrainingCheckpoint],
-) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
+) -> Tuple[TrainingTimeline, DistributedDataParallel, CodecCompressor, bool]:
     """The barrier-per-iteration loop shared by the sync and local-SGD regimes.
 
     Owns what the regimes have in common — epochs and loaders, checkpoint
@@ -467,7 +445,7 @@ def _train_stepped(
     tracer emission and the epoch end.  What an iteration *does* is the
     regime ``step``'s business (:class:`_SyncStep`, :class:`_LocalSGDStep`):
     ``step(batches, active_set, epoch, iteration)`` trains one iteration and
-    returns ``(per_rank_losses, bucket_events)`` — ``None`` events mean a
+    returns its :class:`~repro.ddp.StepResult` — ``None`` bucket events mean a
     communication-free local step; ``flush(epoch, active)`` runs before the
     epoch-end evaluation; ``on_rejoin`` (or ``None``) hears of re-joined ranks.
     """
@@ -541,7 +519,7 @@ def _train_stepped(
             active_set, churn = faults.advance(
                 timeline.total_time, global_iteration, on_rejoin=step.on_rejoin
             )
-            per_rank_losses, bucket_events = step.step(batches, active_set, epoch, iteration)
+            result = step.step(batches, active_set, epoch, iteration)
 
             iteration_compute = per_rank_compute
             if faults.faulty:
@@ -551,14 +529,16 @@ def _train_stepped(
                 iteration_compute = [
                     per_rank_compute[rank] * churn[rank] for rank in faults.active
                 ]
-            if bucket_events is None:
-                comm_seconds, comm_bytes = 0.0, 0.0
+            if result.bucket_events is None:
                 trace = engine.run_local_iteration(iteration_compute)
             else:
-                comm_seconds, comm_bytes, per_bucket_seconds = _collective_cost(bucket_events)
-                trace = engine.run_iteration(iteration_compute, bucket_fractions, per_bucket_seconds)
+                trace = engine.run_iteration(
+                    iteration_compute, bucket_fractions, result.per_bucket_comm_time
+                )
             sim_base = timeline.total_time
-            timeline.add_iteration(trace.compute_span, comm_seconds, comm_bytes, trace=trace)
+            timeline.add_iteration(
+                trace.compute_span, result.comm_time, result.comm_bytes_per_worker, trace=trace
+            )
             if faults.faulty:
                 timeline.note_degraded_iteration(world_size - len(faults.active), trace.wall_time)
                 if TRACER.enabled and len(faults.active) < world_size:
@@ -575,13 +555,13 @@ def _train_stepped(
                 # exactly trace.wall_time, so iterations tile the sim axis.
                 emit_simulated_iteration(
                     TRACER, sim_base, trace,
-                    [] if bucket_events is None else bucket_fractions,
+                    [] if result.bucket_events is None else bucket_fractions,
                     timeline.iterations - 1,
                 )
                 TRACER.sim_now = timeline.total_time
             ddp.iteration += 1
             global_iteration += 1
-            epoch_losses.append(float(np.mean(per_rank_losses)))
+            epoch_losses.append(result.loss)
             iteration += 1
 
         step.flush(epoch, faults.active)
@@ -591,7 +571,7 @@ def _train_stepped(
 
 
 class _SyncStep:
-    """One synchronous data-parallel iteration (the historical code path)."""
+    """One synchronous data-parallel iteration: DDP's train step, then the optimiser."""
 
     #: Every rank applies the same aggregated gradient to the one shared
     #: model, so a returning rank has nothing of its own to refresh.
@@ -599,53 +579,18 @@ class _SyncStep:
 
     def __init__(self, run: _Run) -> None:
         self.run = run
-        self.use_gse = run.method.gse and run.mask is not None
+        self.gse_mask = run.mask if run.method.gse else None
 
-    def step(self, batches, active_set, epoch: int, iteration: int):
+    def step(self, batches, active_set, epoch: int, iteration: int) -> StepResult:
+        # The wrapper already runs over the fault interpreter's membership.
         run = self.run
-        ddp, model, mask = run.ddp, run.model, run.mask
-        with TRACER.span("train/backward", cat="train", epoch=epoch, iteration=iteration):
-            if not ddp.is_degraded and DistributedDataParallel._stackable(batches):
-                images = np.stack([batch[0] for batch in batches])
-                labels = np.stack([np.asarray(batch[1]) for batch in batches])
-                per_rank_losses, grads = ddp.compute_batched_gradients(
-                    (images, labels), F.cross_entropy
-                )
-                if self.use_gse:
-                    # keep masks broadcast over the leading world axis:
-                    # (world, *shape) * (*shape) multiplies each rank's
-                    # slice exactly as the looped path does (arena slots in place).
-                    apply_gse(model, mask, grads=grads)
-                ddp.stage_world_gradients(grads)
-            else:
-                per_rank_losses = []
-                for rank, batch in enumerate(batches):
-                    if active_set is not None and rank not in active_set:
-                        # Dead rank: its shard's batch is consumed (data
-                        # order stays deterministic) but contributes no
-                        # gradient, loss or compute this iteration.
-                        continue
-                    # copy=False is safe because each rank's gradients are
-                    # staged into the arena before the next rank's backward
-                    # pass runs (GSE, when active, masks them in the same
-                    # window).
-                    loss_value, grads = ddp.compute_local_gradients(
-                        batch, F.cross_entropy, copy=False
-                    )
-                    if self.use_gse:
-                        apply_gse(model, mask, grads=grads)
-                    ddp.stage_rank_gradients(rank, grads)
-                    per_rank_losses.append(loss_value)
-
-        with TRACER.span("train/sync", cat="train", epoch=epoch, iteration=iteration):
-            aggregated, bucket_events = ddp.synchronize_staged()
+        result = run.ddp.train_step(batches, F.cross_entropy, gse_mask=self.gse_mask)
         with TRACER.span("train/apply", cat="train", epoch=epoch, iteration=iteration):
-            ddp.apply_aggregated_gradients(aggregated)
             run.optimizer.step()
-            if mask is not None:
+            if run.mask is not None:
                 # Guard against regrowth through momentum / weight decay.
-                mask.apply_to_weights(model)
-        return per_rank_losses, bucket_events
+                run.mask.apply_to_weights(run.model)
+        return result
 
     def flush(self, epoch: int, active: List[int]) -> None:
         """Nothing to flush: every iteration ends synchronised."""
@@ -712,7 +657,7 @@ class _LocalSGDStep:
         replicas.reset_all(self.anchor, active)
         return bucket_events
 
-    def step(self, batches, active_set, epoch: int, iteration: int):
+    def step(self, batches, active_set, epoch: int, iteration: int) -> StepResult:
         run, replicas = self.run, self.replicas
         ddp, model, mask = run.ddp, run.model, run.mask
         per_rank_losses: List[float] = []
@@ -738,7 +683,7 @@ class _LocalSGDStep:
         self.window += 1
         if self.window < self.schedule.period:
             run.timeline.local_steps += 1
-            return per_rank_losses, None
+            return StepResult(per_rank_losses)
         # Stage in rank order (the fault interpreter's membership order).
         active = range(run.world_size) if active_set is None else sorted(active_set)
         with TRACER.span(
@@ -748,7 +693,7 @@ class _LocalSGDStep:
             bucket_events = self._sync_round(active)
         run.timeline.sync_rounds += 1
         self.window = 0
-        return per_rank_losses, bucket_events
+        return StepResult(per_rank_losses, bucket_events)
 
     def flush(self, epoch: int, active: List[int]) -> None:
         """Average a partially filled window, so evaluation (and the final
@@ -758,14 +703,14 @@ class _LocalSGDStep:
         with TRACER.span(
             "regime/localsgd-flush", cat="regime", epoch=epoch, window=self.window
         ):
-            comm_seconds, comm_bytes, _ = _collective_cost(self._sync_round(active))
-        self.run.timeline.add_sync_round(comm_seconds, comm_bytes)
+            synced = StepResult([], self._sync_round(active))
+        self.run.timeline.add_sync_round(synced.comm_time, synced.comm_bytes_per_worker)
         self.window = 0
 
 
 def _train_async_ps(
     run: _Run, schedule: SyncSchedule, seed: int
-) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
+) -> Tuple[TrainingTimeline, DistributedDataParallel, CodecCompressor, bool]:
     """Stale-gradient asynchronous parameter server on the event engine.
 
     A logical PS rank holds the parameters; workers cycle pull → compute →
@@ -811,7 +756,7 @@ def _train_async_ps(
     # and error-feedback residuals must not be shared across workers pushing
     # at different versions.  Worker 0 reuses the dispatcher's instance, and
     # every worker records into its stats: the run's one stats carrier.
-    worker_codecs: List[Compressor] = [compressor]
+    worker_codecs: List[CodecCompressor] = [compressor]
     for _ in range(1, world_size):
         clone = run.method.build_compressor(seed=seed)
         clone.stats = compressor.stats
@@ -970,9 +915,9 @@ def run_experiment(
     """
     # Reject an unsupported regime x fault-plan cell before any work is done
     # (the method's own regime x pruning check and compressor-name check ran
-    # at spec construction), and with one throwaway build the field
-    # combinations only the factory rejects (``error_feedback`` on a
-    # non-codec compressor, ``quantize`` against ``pactrain-fp32``).
+    # at spec construction), and with one throwaway build what only the
+    # registry rejects (``error_feedback`` on PacTrain, ``quantize`` against
+    # ``pactrain-fp32``, a registered factory that builds no CodecCompressor).
     config.cluster.fault_plan().validate_for_regime(method.schedule().regime)
     method.build_compressor(config.seed)
     with default_dtype(config.dtype):

@@ -12,7 +12,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.compression.base import CodecCompressor, Compressor
+from repro.compression.base import CodecCompressor
 from repro.compression.registry import (
     PACTRAIN_QUANTIZE,
     build_compressor,
@@ -40,7 +40,10 @@ class MethodSpec:
     the stage-internal compensation top-k carries in its paper form — which
     makes ``error_feedback`` a uniform on/off campaign axis.  Pruning-related
     fields only take effect for methods that prune (PacTrain); the baselines
-    keep the dense model.
+    keep the dense model.  A PacTrain cell is described by this spec alone
+    (``PAPER_METHODS["pactrain"]`` is the paper's configuration): the pruning
+    ratio and criterion, GSE, quantisation and the Mask Tracker's settings are
+    its fields, range-checked at construction.
 
     ``sync_schedule`` selects the training regime (see
     :mod:`repro.simulation.regimes` for the grammar): ``None``/``"sync"`` is
@@ -62,7 +65,7 @@ class MethodSpec:
     #: Driver-level error feedback: the compressor keeps a per-(bucket, rank)
     #: residual of the gradient mass its encoding dropped and adds it to the
     #: next iteration's input.  ``None`` defers to the compressor spec;
-    #: ``True``/``False`` force it on/off (codec-pipeline compressors only).
+    #: ``True``/``False`` force it on/off.
     error_feedback: Optional[bool] = None
     #: Training-regime schedule spec (``None`` = synchronous; grammar in
     #: :func:`repro.simulation.regimes.parse_sync_schedule`).
@@ -75,6 +78,19 @@ class MethodSpec:
         # spec-construction time (campaign expansion), not minutes into a sweep.
         schedule = parse_sync_schedule(self.sync_schedule)
         check_compressor_name(self.compressor)
+        if not 0.0 <= self.pruning_ratio < 1.0:
+            raise ValueError(f"pruning_ratio must be in [0, 1), got {self.pruning_ratio}")
+        if self.pruning_method not in ("magnitude", "grasp"):
+            # The weight-magnitude criterion and GraSP's gradient-flow one (Eq. (4)).
+            raise ValueError(
+                f"pruning_method must be 'magnitude' or 'grasp', got {self.pruning_method!r}"
+            )
+        if self.stability_threshold < 1:
+            raise ValueError(f"stability_threshold must be >= 1, got {self.stability_threshold}")
+        if not 0.0 <= self.min_sparsity < 1.0:
+            raise ValueError(f"min_sparsity must be in [0, 1), got {self.min_sparsity}")
+        if self.warmup_iterations < 0:
+            raise ValueError(f"warmup_iterations must be >= 0, got {self.warmup_iterations}")
         if schedule.regime == "ps" and (self.pruning_ratio > 0.0 or self.gse):
             raise ValueError(
                 "async parameter-server mode does not support pruning/GSE methods: "
@@ -85,7 +101,7 @@ class MethodSpec:
         """The parsed sync schedule (the synchronous default when unset)."""
         return parse_sync_schedule(self.sync_schedule)
 
-    def build_compressor(self, seed: int = 0) -> Compressor:
+    def build_compressor(self, seed: int = 0) -> CodecCompressor:
         """A fresh compressor for this method, built by the registry; PacTrain's
         factory alone takes ``quantize`` (which its name may not contradict) and
         the Mask Tracker fields."""
@@ -103,11 +119,6 @@ class MethodSpec:
         compressor = build_compressor(self.compressor, seed=seed, **tracker)
         if self.error_feedback is None:
             return compressor
-        if not isinstance(compressor, CodecCompressor):
-            raise TypeError(
-                f"error_feedback={self.error_feedback} needs a codec-pipeline "
-                f"compressor, got {type(compressor).__name__} for {self.compressor!r}"
-            )
         if self.error_feedback:
             if not compressor.error_feedback:
                 compressor.enable_error_feedback()

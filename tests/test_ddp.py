@@ -112,7 +112,9 @@ class TestDistributedDataParallel:
 
         _, grads_a = ddp.compute_local_gradients(batch_a, F.cross_entropy)
         _, grads_b = ddp.compute_local_gradients(batch_b, F.cross_entropy)
-        aggregated = ddp.synchronize_gradients([grads_a, grads_b])
+        ddp.stage_rank_gradients(0, grads_a)
+        ddp.stage_rank_gradients(1, grads_b)
+        aggregated, _ = ddp.synchronize_staged()
         for name in grads_a:
             np.testing.assert_allclose(
                 aggregated[name], (grads_a[name] + grads_b[name]) / 2, atol=1e-12
@@ -162,8 +164,19 @@ class TestDistributedDataParallel:
         assert ddp.gradient_numel() == tiny_model.num_parameters()
         assert ddp.gradient_nbytes() == tiny_model.num_parameters() * 4
 
-    def test_hook_iteration_counter_increments(self, tiny_model, sample_batch):
-        ddp = DistributedDataParallel(tiny_model, world_size=2)
-        assert ddp.iteration == 0
+    def test_train_step_hands_the_counter_to_the_hook_and_leaves_it(self, tiny_model, sample_batch):
+        """The experiment loop advances ``iteration`` (once per step); the step only reads it."""
+        seen = []
+        hook = build_compressor("all-reduce")
+        aggregate = hook.aggregate
+
+        def recording(bucket, group, iteration=0):
+            seen.append(iteration)
+            return aggregate(bucket, group, iteration)
+
+        hook.aggregate = recording
+        ddp = DistributedDataParallel(tiny_model, world_size=2, comm_hook=hook)
+        ddp.iteration = 5
         ddp.train_step([sample_batch] * 2, F.cross_entropy)
-        assert ddp.iteration == 1
+        assert ddp.iteration == 5
+        assert seen == [5] * len(ddp.buckets)

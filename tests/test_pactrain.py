@@ -1,4 +1,4 @@
-"""PacTrain core: Mask Tracker, adaptive compressor, config and trainer."""
+"""PacTrain core: Mask Tracker, adaptive compressor, and the method spec of a cell."""
 
 from __future__ import annotations
 
@@ -12,8 +12,10 @@ from repro.comm.network import MBPS
 from repro.compression import build_compressor
 from repro.compression.base import exact_average
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
-from repro.pactrain import MaskTracker, PacTrainCompressor, PacTrainConfig, PacTrainTrainer
-from repro.simulation import ClusterSpec
+from repro.campaign import CampaignSpec
+from repro.pactrain import MaskTracker, PacTrainCompressor
+from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, MethodSpec, run_experiment
+from repro.simulation.spec import PACTRAIN_FP32
 
 
 def make_bucket(buffers, index=0):
@@ -225,79 +227,66 @@ class TestPacTrainCompressor:
         assert not PacTrainCompressor(quantize=True).lossless
 
 
-class TestPacTrainConfig:
-    def test_defaults_match_paper(self):
-        config = PacTrainConfig()
-        assert config.pruning_ratio == pytest.approx(0.5)
-        assert config.pruning_method == "magnitude"
-        assert config.gse_every_iteration
+class TestPacTrainSpec:
+    """A PacTrain cell is one :class:`MethodSpec`; its fields are checked there."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PacTrainConfig(pruning_ratio=1.0)
-        with pytest.raises(ValueError):
-            PacTrainConfig(pruning_method="l1-norm")
-        with pytest.raises(ValueError):
-            PacTrainConfig(stability_threshold=0)
-        with pytest.raises(ValueError):
-            PacTrainConfig(warmup_iterations=-1)
+    def test_defaults_match_paper(self):
+        method = PAPER_METHODS["pactrain"]
+        assert method.compressor == "pactrain"
+        assert method.pruning_ratio == pytest.approx(0.5)
+        assert method.pruning_method == "magnitude"
+        assert method.gse and method.quantize
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("pruning_method", "grsap"),
+            ("pruning_method", "l1-norm"),
+            ("pruning_ratio", -0.2),
+            ("pruning_ratio", 1.0),
+            ("pruning_ratio", 1.5),
+            ("stability_threshold", 0),
+            ("min_sparsity", -0.1),
+            ("min_sparsity", 1.0),
+            ("warmup_iterations", -1),
+        ],
+    )
+    def test_a_bad_field_fails_at_construction_and_at_expansion(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(PAPER_METHODS["pactrain"], **{field: value})
+        with pytest.raises(ValueError, match=field):
+            CampaignSpec(axes={"method": ["pactrain"], field: [value]}).expand()
 
     @pytest.mark.parametrize(
         "option", [{"pruning_scope": "layer"}, {"reapply_weight_mask": False}, {"seed": 1}]
     )
     def test_options_that_did_nothing_are_gone(self, option):
         with pytest.raises(TypeError):
-            PacTrainConfig(**option)
-
-    def test_every_option_reaches_the_method_spec(self):
-        """No field is validated, documented and then dropped on the way to the run."""
-        changed = {
-            "pruning_ratio": 0.25, "pruning_method": "grasp", "stability_threshold": 9,
-            "min_sparsity": 0.5, "quantize": True, "gse_every_iteration": False,
-            "warmup_iterations": 5,
-        }
-        assert set(changed) == {f.name for f in dataclasses.fields(PacTrainConfig)}
-        default = PacTrainTrainer().method_spec()
-        for name, value in changed.items():
-            spec = PacTrainTrainer(config=PacTrainConfig(**{name: value})).method_spec()
-            assert spec != default, name
+            MethodSpec(name="x", compressor="pactrain", **option)
 
 
-class TestPacTrainTrainer:
-    @pytest.fixture
-    def trainer(self):
-        return PacTrainTrainer(
-            model="mlp",
-            dataset="cifar10",
-            cluster=ClusterSpec(world_size=2, bandwidth="100Mbps"),
-            config=PacTrainConfig(pruning_ratio=0.5, stability_threshold=2),
-            epochs=2,
-            batch_size=16,
-            dataset_samples=96,
-            seed=0,
-        )
+class TestPacTrainCell:
+    CONFIG = ExperimentConfig(
+        model="mlp",
+        cluster=ClusterSpec(world_size=2, bandwidth="100Mbps"),
+        epochs=2,
+        batch_size=16,
+        dataset_samples=96,
+        seed=0,
+    )
 
-    def test_run_produces_sparse_model_and_positive_accuracy(self, trainer):
-        result = trainer.run()
-        assert result.weight_sparsity > 0.2
-        assert result.final_accuracy > 0.2
-        assert result.simulated_time > 0
-        assert result.comm_time > 0
-        assert result.extra["compact_iterations"] > 0
+    @pytest.fixture(scope="class")
+    def pac(self):
+        return run_experiment(self.CONFIG, dataclasses.replace(PACTRAIN_FP32, stability_threshold=2))
 
-    def test_method_spec_mirrors_config(self, trainer):
-        spec = trainer.method_spec()
-        assert spec.compressor == "pactrain"
-        assert spec.pruning_ratio == pytest.approx(0.5)
-        assert spec.gse
+    def test_run_produces_sparse_model_and_positive_accuracy(self, pac):
+        assert pac.weight_sparsity > 0.2
+        assert pac.final_accuracy > 0.2
+        assert pac.simulated_time > 0
+        assert pac.comm_time > 0
+        assert pac.extra["compact_iterations"] > 0
 
-    def test_baseline_run_is_dense_and_slower(self, trainer):
-        pac = trainer.run()
-        base = trainer.run_baseline("allreduce")
+    def test_baseline_run_is_dense_and_slower(self, pac):
+        base = run_experiment(self.CONFIG, PAPER_METHODS["all-reduce"])
         assert base.weight_sparsity < 0.05
         assert base.comm_time > pac.comm_time
-
-    def test_summary_keys(self, trainer):
-        result = trainer.run()
-        summary = trainer.summary(result)
-        assert {"final_accuracy", "simulated_time_s", "compression_ratio"} <= set(summary)

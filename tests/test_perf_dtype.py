@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.campaign.spec import build_cell
 from repro.comm.process_group import ProcessGroup
-from repro.compression.base import Compressor
 from repro.compression.codec import DensePayload, SparsePayload, parse_codec_spec
 from repro.compression.registry import build_compressor
 from repro.data import DataLoader, DistributedSampler, synthetic_cifar10
@@ -51,6 +50,13 @@ def tiny_config(dtype: str = "float64", **overrides) -> ExperimentConfig:
     config = ExperimentConfig(**kwargs)
     config.cluster.world_size = 2
     return config
+
+
+def _synchronize(ddp, per_rank_grads):
+    """Stage one gradient dict per rank and aggregate: ``(aggregated, bucket events)``."""
+    for rank, grads in enumerate(per_rank_grads):
+        ddp.stage_rank_gradients(rank, grads)
+    return ddp.synchronize_staged()
 
 
 def _world_batches(world_size: int, seed: int = 0):
@@ -147,11 +153,11 @@ class TestGradientArena:
         images, labels = sample_batch
         _, grads = ddp.compute_local_gradients((images, labels), F.cross_entropy)
         full = dict(grads)
-        ddp.synchronize_gradients([full, full])
+        _synchronize(ddp, [full, full])
 
         name = next(iter(full))
         partial = {k: v for k, v in full.items() if k != name}
-        aggregated = ddp.synchronize_gradients([partial, partial])
+        aggregated, _ = _synchronize(ddp, [partial, partial])
         assert np.all(aggregated[name] == 0.0)
 
     def test_consecutive_steps_do_not_alias(self, tiny_model, sample_batch):
@@ -159,24 +165,23 @@ class TestGradientArena:
         ddp = DistributedDataParallel(tiny_model, world_size=2)
         images, labels = sample_batch
         _, grads = ddp.compute_local_gradients((images, labels), F.cross_entropy)
-        first = ddp.synchronize_gradients([grads, grads])
+        first, _ = _synchronize(ddp, [grads, grads])
         snapshot = {name: value.copy() for name, value in first.items()}
         doubled = {name: value * 2.0 for name, value in grads.items()}
-        ddp.synchronize_gradients([doubled, doubled])
+        _synchronize(ddp, [doubled, doubled])
         for name, value in first.items():
             np.testing.assert_array_equal(value, snapshot[name])
 
     def test_hook_returning_arena_row_is_copied(self, tiny_model, sample_batch):
         """An aggregate aliasing the arena must not leak into param.grad."""
 
-        class PassThrough(Compressor):
-            def aggregate(self, bucket, group, iteration=0):
-                return bucket.buffer(0)  # a live arena row view
+        pass_through = build_compressor("all-reduce")
+        pass_through.aggregate = lambda bucket, group, iteration=0: bucket.buffer(0)  # a live arena row
 
-        ddp = DistributedDataParallel(tiny_model, world_size=2, comm_hook=PassThrough())
+        ddp = DistributedDataParallel(tiny_model, world_size=2, comm_hook=pass_through)
         images, labels = sample_batch
         _, grads = ddp.compute_local_gradients((images, labels), F.cross_entropy)
-        aggregated = ddp.synchronize_gradients([grads, grads])
+        aggregated, _ = _synchronize(ddp, [grads, grads])
         for value in aggregated.values():
             assert not ddp.arena.shares_memory_with(value)
 
@@ -185,12 +190,12 @@ class TestGradientArena:
         ddp = DistributedDataParallel(tiny_model, world_size=2)
         images, labels = sample_batch
         _, grads = ddp.compute_local_gradients((images, labels), F.cross_entropy)
-        aggregated, _ = ddp.synchronize_gradients_traced([grads, grads])
+        aggregated, _ = _synchronize(ddp, [grads, grads])
         ddp.apply_aggregated_gradients(aggregated)
         params = dict(tiny_model.named_parameters())
         for name, value in aggregated.items():
             # unflatten returned views of one reduced buffer per bucket, and
-            # _write_back assigned them without casting copies.
+            # apply_aggregated_gradients assigned them without casting copies.
             assert params[name].grad is value
             assert value.base is not None
 

@@ -14,8 +14,9 @@ The regime seam is locked down from four directions:
   closing the aggregate delta exactly as it does for gradients;
 * the stale-gradient parameter server: update accounting, the bounded
   staleness invariant ``staleness_max <= (world - 1) * (S + 1)``, event-loop
-  determinism, and the loud rejections (fault plans, pruning, non-codec
-  compressors).
+  determinism, and the loud rejections (fault plans, pruning), plus the
+  registry's refusal of a factory that builds no ``CodecCompressor`` — in
+  every regime, before any work.
 """
 
 from __future__ import annotations
@@ -30,12 +31,8 @@ from hypothesis import strategies as st
 from repro import golden
 from repro.campaign.spec import METHOD_FIELD_AXES, CampaignSpec, build_cell
 from repro.comm import ProcessGroup
-from repro.compression import (
-    Compressor,
-    build_compressor,
-    exact_average,
-    register_compressor,
-)
+from repro.compression import build_compressor, exact_average
+from repro.compression.registry import COMPRESSOR_REGISTRY
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.experiment import MethodSpec, run_experiment
@@ -47,20 +44,6 @@ def make_bucket(buffers, index=0):
     layout = Bucket(index=index, slices=[BucketSlice("w", 0, numel, (numel,))])
     return GradBucket(layout, buffers)
 
-
-class _PlainMean(Compressor):
-    """Minimal non-codec compressor: exact dense averaging, no pipeline."""
-
-    name = "plain-mean"
-    lossless = True
-
-    def __init__(self, seed=None):
-        super().__init__()
-
-    def aggregate(self, bucket, group, iteration=0):
-        flats = [np.asarray(row) for row in bucket.buffers]
-        group.all_reduce(flats, average=True)
-        return exact_average(flats)
 
 #: Result fields that must be bit-identical between the synchronous path and
 #: a ``localsgd:1`` schedule (every float the golden fixtures freeze).
@@ -261,17 +244,6 @@ class TestLocalSgd:
         assert dense.sync_rounds == delta.sync_rounds
         assert dense.comm_bytes_per_worker > delta.comm_bytes_per_worker
 
-    def test_localsgd_delta_needs_a_codec_compressor(self):
-        # Every built-in compressor is a CodecCompressor, but the registry
-        # accepts arbitrary Compressor subclasses — delta mode must reject
-        # them loudly (it encodes model deltas through a codec pipeline).
-        register_compressor("plain-mean", _PlainMean)
-        method = MethodSpec(
-            name="p", compressor="plain-mean", sync_schedule="localsgd:4:delta"
-        )
-        with pytest.raises(ValueError, match="delta mode"):
-            run_experiment(golden.GOLDEN_CONFIG, method)
-
     def test_delta_ef_residual_closes_the_aggregate_delta(self):
         """The EF contract holds unchanged when the pipeline carries model
         deltas: mean(delta) == aggregate + mean(residual), per round."""
@@ -359,23 +331,39 @@ class TestAsyncParameterServer:
                 golden.GOLDEN_METHODS["pactrain"], name="p", sync_schedule="ps:2"
             )
 
-    def test_ps_rejects_non_codec_compressors(self):
-        register_compressor("plain-mean", _PlainMean)
-        method = MethodSpec(name="p", compressor="plain-mean", sync_schedule="ps:2")
-        with pytest.raises(ValueError, match="codec"):
-            run_experiment(golden.GOLDEN_CONFIG, method)
-
     def test_fault_plan_is_rejected_before_any_work(self, monkeypatch):
-        def spy(*args, **kwargs):
-            raise AssertionError("the dataset was built before the cell was rejected")
-
-        monkeypatch.setattr("repro.simulation.experiment.make_dataset", spy)
+        no_dataset(monkeypatch)
         config = dataclasses.replace(
             golden.GOLDEN_CONFIG,
             cluster=ClusterSpec(world_size=4, bandwidth="100Mbps", faults="churn:0.2"),
         )
         with pytest.raises(ValueError, match="parameter-server"):
             run_experiment(config, _ps_method(2))
+
+
+def no_dataset(monkeypatch) -> None:
+    def spy(*args, **kwargs):
+        raise AssertionError("the dataset was built before the cell was rejected")
+
+    monkeypatch.setattr("repro.simulation.experiment.make_dataset", spy)
+
+
+class _PlainMean:
+    """Exact dense averaging without a codec pipeline: not a CodecCompressor."""
+
+    def aggregate(self, bucket, group, iteration=0):
+        return exact_average(list(bucket.buffers))
+
+
+@pytest.mark.parametrize("regime", ["sync", "localsgd:4:delta", "ps:2"])
+def test_a_factory_that_builds_no_codec_compressor_fails_before_any_work(regime, monkeypatch):
+    """Every regime aggregates through ``CodecCompressor.aggregate``; the
+    registry refuses anything else, naming the key, at the run's first build."""
+    monkeypatch.setitem(COMPRESSOR_REGISTRY, "plain-mean", _PlainMean)
+    no_dataset(monkeypatch)
+    method = MethodSpec(name="p", compressor="Plain-Mean", sync_schedule=regime)
+    with pytest.raises(TypeError, match="'plain-mean' built a _PlainMean"):
+        run_experiment(golden.GOLDEN_CONFIG, method)
 
 
 # --------------------------------------------------------------------------- #

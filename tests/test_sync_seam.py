@@ -1,18 +1,22 @@
-"""The one gradient-sync seam: ``Compressor.aggregate(bucket, group, iteration)``.
+"""The one gradient-sync seam: ``CodecCompressor.aggregate(bucket, group, iteration)``.
 
-Four equivalences the design relies on, each pinned by bytes:
+Four equivalences the design relies on, each pinned by bytes, and the step
+that reaches the seam:
 
 * a built-in compressor *name* is the spec string the registry table says it
   is (and nothing more: same results, events, stats and flags);
 * the DDP wrapper's hook is a compressor — ``comm_hook=None`` is the identity
-  compressor, anything else that is not a ``Compressor`` is a ``TypeError``,
+  compressor, anything else that is not a ``CodecCompressor`` is a ``TypeError``,
   and a degraded-then-restored membership leaves one group;
 * a parameter-server push is a one-rank ``aggregate`` on the worker's own
   compressor — results equal to the hand-rolled encode/residual/decode block
   it replaced (values captured at that commit), residuals isolated per worker,
   the one-rank group's event log drained;
 * PacTrain has one construction path, on which the name and ``quantize`` agree
-  or the build fails before any work.
+  or the build fails before any work;
+* a synchronous run drives ``DistributedDataParallel.train_step`` — the step
+  the unit tests above exercise — once per iteration, and the hook sees each
+  iteration number exactly once per bucket.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from repro.compression.registry import BUILTIN_SPECS, PACTRAIN_QUANTIZE
 from repro.ddp import DistributedDataParallel
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.nn.models import mlp_tiny
-from repro.simulation import run_experiment
+from repro.simulation import PAPER_METHODS, ClusterSpec, run_experiment
 from repro.simulation.spec import MethodSpec
 from repro.tensorlib import functional as F
 
@@ -115,10 +119,10 @@ class TestTheCompressorIsTheHook:
             return bucket.buffer(0)
 
         for hook in (42, bare_hook):
-            with pytest.raises(TypeError, match="Compressor"):
+            with pytest.raises(TypeError, match="CodecCompressor"):
                 DistributedDataParallel(tiny_model, world_size=2, comm_hook=hook)
         ddp = DistributedDataParallel(tiny_model, world_size=2)
-        with pytest.raises(TypeError, match="Compressor"):
+        with pytest.raises(TypeError, match="CodecCompressor"):
             ddp.register_comm_hook(bare_hook)
 
     def test_membership_round_trip_leaves_one_group(self, tiny_model, rng):
@@ -363,3 +367,76 @@ class TestPacTrainHasOneConstructionPath:
         with pytest.raises(KeyError, match="unknown compressor 'pactrainXYZ'"):
             # Rejected at spec construction, earlier still than the run.
             run_experiment(golden.GOLDEN_CONFIG, MethodSpec(name="x", compressor="pactrainXYZ"))
+
+
+# --------------------------------------------------------------------------- #
+# The experiment loop runs the tested step
+# --------------------------------------------------------------------------- #
+#: Rank 3 is dead for three of the six iterations: degraded iterations loop
+#: over the survivors, healthy ones take the world-batched pass.
+CRASH_PLAN = "crash:3@0.001,rejoin:3@0.025"
+
+#: name -> (config overrides, sync_schedule) of the synchronous cells pinned
+#: below.  A small bucket cap gives the MLP several buckets, and 86 samples
+#: give every rank two full batches per epoch (no ragged tail).
+SYNC_CELLS = {
+    "sync": ({}, None),
+    "localsgd:1": ({}, "localsgd:1"),
+    "crash-plan": (
+        {"cluster": ClusterSpec(world_size=4, bandwidth="100Mbps", faults=CRASH_PLAN)}, None
+    ),
+}
+
+
+def sync_cell(name):
+    overrides, schedule = SYNC_CELLS[name]
+    config = dataclasses.replace(
+        golden.GOLDEN_CONFIG, bucket_cap_bytes=8 * 1024, dataset_samples=86, **overrides
+    )
+    method = dataclasses.replace(PAPER_METHODS["pactrain"], sync_schedule=schedule)
+    return config, method
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(DistributedDataParallel, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DistributedDataParallel, name, counted)
+    return calls
+
+
+class TestTheExperimentLoopRunsTheTestedStep:
+    @pytest.mark.parametrize("cell", sorted(SYNC_CELLS))
+    def test_train_step_runs_once_per_iteration(self, cell, monkeypatch):
+        steps = count_calls(monkeypatch, "train_step")
+        batched = count_calls(monkeypatch, "compute_batched_gradients")
+        looped = count_calls(monkeypatch, "compute_local_gradients")
+        result = run_experiment(*sync_cell(cell))
+        assert result.iterations_run == 6
+        assert len(steps) == result.iterations_run
+        degraded = result.degraded_iterations
+        assert degraded == (3 if cell == "crash-plan" else 0)
+        assert len(batched) == result.iterations_run - degraded
+        assert len(looped) == 3 * degraded
+
+    @pytest.mark.parametrize("cell", sorted(SYNC_CELLS))
+    def test_the_hook_sees_each_iteration_once_per_bucket(self, cell, monkeypatch):
+        seen = []
+        original = CodecCompressor.aggregate
+
+        def spy(self, bucket, group, iteration=0):
+            seen.append((bucket.index, iteration))
+            return original(self, bucket, group, iteration)
+
+        monkeypatch.setattr(CodecCompressor, "aggregate", spy)
+        config, method = sync_cell(cell)
+        result = run_experiment(config, method)
+        buckets = sorted({index for index, _ in seen})
+        assert len(buckets) > 1
+        for index in buckets:
+            iterations = [iteration for bucket, iteration in seen if bucket == index]
+            assert iterations == list(range(result.iterations_run)), index
