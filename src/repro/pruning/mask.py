@@ -22,20 +22,9 @@ class PruningMask:
 
     def __init__(self, masks: Optional[Dict[str, np.ndarray]] = None) -> None:
         self.masks: Dict[str, np.ndarray] = {}
-        self._version = 0
         if masks:
             for name, mask in masks.items():
                 self.masks[name] = np.asarray(mask, dtype=bool)
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped whenever a layer mask is (re)assigned.
-
-        Consumers that derive expensive quantities from the mask (e.g. the
-        cached weight-sparsity scan in the experiment driver) use this to
-        invalidate only when the mask actually changed.
-        """
-        return self._version
 
     # ------------------------------------------------------------------ #
     # Mapping interface
@@ -48,7 +37,6 @@ class PruningMask:
 
     def __setitem__(self, name: str, mask: np.ndarray) -> None:
         self.masks[name] = np.asarray(mask, dtype=bool)
-        self._version += 1
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.comm.network import CostModel, NetworkModel, PAPER_BANDWIDTHS
 from repro.comm.process_group import ProcessGroup
-from repro.comm.topology import ClusterTopology, build_paper_topology
+from repro.comm.topology import build_paper_topology
 from repro.simulation.compute import ComputeModel, DeviceSpec
 from repro.simulation.faults import EMPTY_FAULT_PLAN, FaultPlan
 
@@ -129,37 +129,17 @@ class ClusterSpec:
             return PAPER_BANDWIDTHS[self.bandwidth]
         return float(self.bandwidth)
 
-    def network_model(self) -> NetworkModel:
-        """Flat alpha-beta model of the bottleneck implied by this cluster."""
-        return NetworkModel.from_bandwidth(
-            self.world_size, self.bandwidth_bytes_per_second(), latency=self.latency
-        )
-
-    def topology(self) -> ClusterTopology:
-        """Fig. 4 topology with the requested bottleneck bandwidth."""
-        return build_paper_topology(
-            wan_bandwidth=self.bandwidth_bytes_per_second(),
-            wan_latency=self.latency,
-            num_servers=self.world_size,
-        )
-
-    def cost_model(self) -> CostModel:
-        """Collective cost backend: flat by default, per-switch-group when
-        ``hierarchical`` is set."""
-        if self.hierarchical:
-            return self.topology().cost_model()
-        return self.network_model()
-
     def cost_model_for(
         self, world_size: Optional[int] = None, bandwidth_factor: float = 1.0
     ) -> CostModel:
-        """Cost model for a (possibly degraded) view of this cluster.
+        """The collective cost backend for a (possibly degraded) view of this cluster.
 
-        ``world_size`` restricts to the surviving membership size and
-        ``bandwidth_factor`` scales the bottleneck (a fault plan's
-        time-varying link factor).  The defaults reproduce
-        :meth:`cost_model` exactly — a 1.0 factor preserves the bandwidth
-        bits — so faultless callers can route through this unconditionally.
+        Flat alpha-beta over the bottleneck link by default; per switch group
+        of the Fig. 4 topology when ``hierarchical`` is set.  ``world_size``
+        restricts to the surviving membership size and ``bandwidth_factor``
+        scales the bottleneck (a fault plan's time-varying link factor).  The
+        defaults price the healthy cluster — a 1.0 factor preserves the
+        bandwidth bits.
         """
         n = self.world_size if world_size is None else world_size
         bandwidth = self.bandwidth_bytes_per_second() * bandwidth_factor
@@ -175,7 +155,7 @@ class ClusterSpec:
 
     def process_group(self) -> ProcessGroup:
         """Process group whose collectives are costed by this cluster's network."""
-        return ProcessGroup(self.world_size, self.cost_model())
+        return ProcessGroup(self.world_size, self.cost_model_for())
 
     # ------------------------------------------------------------------ #
     # Compute heterogeneity

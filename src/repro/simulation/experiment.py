@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,27 +28,16 @@ from repro.data import (
     train_test_split,
 )
 from repro.ddp import DistributedDataParallel, StepResult
-from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES, GradBucket
+from repro.ddp.bucket import GradBucket
 from repro.nn import SGD
 from repro.nn.models import build_model
 from repro.nn.module import Module
 from repro.obs.instrument import emit_ps_update, emit_simulated_iteration
 from repro.obs.tracer import SIM_SCHEDULE_TID, TRACER
 from repro.pruning import PruningMask, apply_gse, grasp_prune, magnitude_prune
-from repro.simulation.cluster import ClusterSpec
 from repro.simulation.engine import EventHeap, LinkChannel, SimEvent, SimulationEngine
-from repro.simulation.regimes import (
-    ReplicaSet,
-    SyncSchedule,
-    TrainingCheckpoint,
-    parse_sync_schedule,
-)
-from repro.simulation.spec import (
-    PAPER_METHODS,
-    ExperimentConfig,
-    ExperimentResult,
-    MethodSpec,
-)
+from repro.simulation.regimes import ReplicaSet, TrainingCheckpoint
+from repro.simulation.spec import ExperimentConfig, ExperimentResult, MethodSpec
 from repro.simulation.timeline import TrainingTimeline
 from repro.tensorlib import (
     Tensor,
@@ -125,61 +114,39 @@ def _weight_sparsity(model: Module) -> float:
     return zeros / total if total else 0.0
 
 
-class _WeightSparsityCache:
-    """Memoised :func:`_weight_sparsity`, invalidated by the mask version.
-
-    With a pruning mask in force the zero pattern of the weights is pinned —
-    GSE masks every gradient and ``apply_to_weights`` re-zeroes after every
-    optimiser step — so the O(parameters) sparsity scan only needs to re-run
-    when the mask itself changes (:attr:`PruningMask.version`).  Without a
-    mask the weights drift freely and every query scans, exactly as before.
-    """
-
-    def __init__(self) -> None:
-        self._version: Optional[int] = None
-        self._value: Optional[float] = None
-
-    def value(self, model: Module, mask: Optional[PruningMask]) -> float:
-        if mask is None:
-            return _weight_sparsity(model)
-        version = mask.version
-        if self._value is None or version != self._version:
-            self._version = version
-            self._value = _weight_sparsity(model)
-        return self._value
-
-
 # --------------------------------------------------------------------------- #
 # Core training loop
 # --------------------------------------------------------------------------- #
 @dataclass
 class _Run:
-    """What every regime shares: the run's objects and its epoch end.
+    """One run: its two specs, the objects built from them and its epoch end.
 
-    Built once by :func:`train_distributed`.  The timeline is always read
-    through the run, so restoring a checkpoint swaps it in one place.
+    Built by :func:`train_distributed`, which returns it.  Everything a spec
+    already says is read from ``config`` / ``method``; what the run adds is
+    state.  The timeline is always read through the run, so restoring a
+    checkpoint swaps it in one place.
     """
 
+    config: ExperimentConfig
+    method: MethodSpec
     model: Module
     test_loader: DataLoader
-    method: MethodSpec
-    cluster: ClusterSpec
-    epochs: int
     mask: Optional[PruningMask]
-    target_accuracy: Optional[float]
-    stop_at_target: bool
-    max_iterations_per_epoch: Optional[int]
     compressor: CodecCompressor
     ddp: DistributedDataParallel
     optimizer: SGD
     timeline: TrainingTimeline
+    #: Measured once, right after pruning.  A mask pins the zero pattern for
+    #: the whole run (GSE masks every gradient, ``apply_to_weights`` re-zeroes
+    #: after every optimiser step), so for a pruned run this is also its final
+    #: sparsity.
+    weight_sparsity: float
     per_rank_compute: List[float]
     rank_loaders: List[DataLoader]
-    reached_target: bool = False
 
     @property
     def world_size(self) -> int:
-        return self.cluster.world_size
+        return self.config.cluster.world_size
 
     @property
     def model_wire_bytes(self) -> float:
@@ -187,18 +154,73 @@ class _Run:
         return float(sum(p.size for p in self.model.parameters()) * 4)
 
     def end_epoch(self, epoch: int, losses: List[float]) -> bool:
-        """Evaluate, record the epoch and test the target; True means stop."""
+        """Evaluate and record the epoch; True means stop at the target."""
         accuracy = evaluate_accuracy(self.model, self.test_loader)
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         self.timeline.snapshot_epoch(epoch, mean_loss, accuracy)
-        if self.target_accuracy is not None and accuracy >= self.target_accuracy:
-            self.reached_target = True
-            return self.stop_at_target
-        return False
+        target = self.config.target_accuracy
+        return self.config.stop_at_target and target is not None and accuracy >= target
 
-    def outcome(self) -> Tuple[TrainingTimeline, DistributedDataParallel, CodecCompressor, bool]:
-        """What :func:`train_distributed` returns."""
-        return self.timeline, self.ddp, self.compressor, self.reached_target
+    def result(self) -> ExperimentResult:
+        """The :class:`ExperimentResult` this run reports.
+
+        Whether the target was reached is read off the timeline's epoch
+        records — the same records ``tta`` comes from — so a resumed run
+        reports it from the history its checkpoint carried.
+        """
+        from repro.pactrain.compressor import PacTrainCompressor  # noqa: PLC0415
+
+        config, timeline, compressor = self.config, self.timeline, self.compressor
+        extra: Dict[str, float] = {}
+        if isinstance(compressor, PacTrainCompressor):
+            extra["compact_fraction"] = compressor.compact_fraction
+            extra["full_iterations"] = float(compressor.full_iterations)
+            extra["compact_iterations"] = float(compressor.compact_iterations)
+
+        tta = (
+            timeline.time_to_accuracy(config.target_accuracy)
+            if config.target_accuracy is not None
+            else None
+        )
+        return ExperimentResult(
+            method=self.method.name,
+            model=config.model,
+            dataset=config.dataset,
+            bandwidth_mbps=config.cluster.bandwidth_bytes_per_second() * 8 / 1e6,
+            world_size=config.cluster.world_size,
+            epochs_run=len(timeline.epochs),
+            iterations_run=timeline.iterations,
+            simulated_time=timeline.total_time,
+            compute_time=timeline.compute_time,
+            comm_time=timeline.comm_time,
+            comm_bytes_per_worker=timeline.comm_bytes_per_worker,
+            final_accuracy=timeline.final_accuracy(),
+            best_accuracy=timeline.best_accuracy(),
+            tta=tta,
+            target_accuracy=config.target_accuracy,
+            accuracy_trace=timeline.accuracy_trace(),
+            loss_trace=[record.train_loss for record in timeline.epochs],
+            compression_ratio=compressor.stats.compression_ratio,
+            weight_sparsity=(
+                self.weight_sparsity if self.mask is not None else _weight_sparsity(self.model)
+            ),
+            gradient_density=1.0 if self.mask is None else self.mask.density,
+            reached_target=tta is not None,
+            overlap_fraction=timeline.overlap_fraction,
+            critical_path_time=timeline.critical_path_time(),
+            straggler_time=timeline.straggler_time,
+            fault_events=timeline.fault_events,
+            degraded_iterations=timeline.degraded_iterations,
+            downtime_rank_seconds=timeline.downtime_rank_seconds,
+            rejoin_cost_time=timeline.rejoin_cost_time,
+            goodput_fraction=timeline.goodput_fraction(config.cluster.world_size),
+            sync_rounds=timeline.sync_rounds,
+            local_steps=timeline.local_steps,
+            ps_updates=timeline.ps_updates,
+            staleness_mean=timeline.mean_staleness,
+            staleness_max=timeline.staleness_max,
+            extra=extra,
+        )
 
 
 class _FaultState:
@@ -211,7 +233,7 @@ class _FaultState:
 
     def __init__(self, run: _Run) -> None:
         self.run = run
-        self.plan = run.cluster.fault_plan()
+        self.plan = run.config.cluster.fault_plan()
         self.world_size = run.world_size
         self.faulty = not self.plan.is_empty
         self.cursor = -1.0
@@ -224,7 +246,7 @@ class _FaultState:
         if len(active) == self.world_size and link == 1.0:
             ddp.set_active_ranks(None)
         else:
-            degraded_model = self.run.cluster.cost_model_for(len(active), link)
+            degraded_model = self.run.config.cluster.cost_model_for(len(active), link)
             ddp.set_active_ranks(active, ProcessGroup(len(active), degraded_model))
         self.active, self.link = active, link
 
@@ -276,7 +298,7 @@ class _FaultState:
             for event in fired:
                 if event.kind != "rejoin" or event.rank not in active:
                     continue
-                cost = self.run.cluster.cost_model_for(len(active), link).broadcast_time(
+                cost = self.run.config.cluster.cost_model_for(len(active), link).broadcast_time(
                     model_wire_bytes
                 )
                 timeline.add_rejoin_cost(cost)
@@ -293,28 +315,19 @@ class _FaultState:
 
 
 def train_distributed(
-    model: Module,
-    train_dataset,
-    test_loader: DataLoader,
+    config: ExperimentConfig,
     method: MethodSpec,
-    cluster: ClusterSpec,
-    epochs: int,
-    batch_size: int,
-    lr: float,
-    momentum: float = 0.9,
-    weight_decay: float = 0.0,
-    mask: Optional[PruningMask] = None,
-    target_accuracy: Optional[float] = None,
-    stop_at_target: bool = False,
-    max_iterations_per_epoch: Optional[int] = None,
-    seed: int = 0,
-    bucket_cap_bytes: int = DEFAULT_BUCKET_CAP_BYTES,
-    sparsity_cache: Optional["_WeightSparsityCache"] = None,
+    *,
+    share: Optional[_WorkloadShare] = None,
     checkpoint_at: Optional[int] = None,
     checkpoint_box: Optional[List[TrainingCheckpoint]] = None,
     resume_from: Optional[TrainingCheckpoint] = None,
-) -> Tuple[TrainingTimeline, DistributedDataParallel, CodecCompressor, bool]:
-    """Run distributed training with modeled time under the method's regime.
+) -> _Run:
+    """Prepare, prune and train the run ``(config, method)`` describes.
+
+    The two specs determine the run: the workload comes from
+    :func:`_prepare_workload` (through ``share`` when a campaign hands one in)
+    and everything runs under ``config.dtype``.
 
     The method's ``sync_schedule`` selects the regime: synchronous
     data-parallel (the default — every iteration is scheduled by the
@@ -339,105 +352,94 @@ def train_distributed(
     ``checkpoint_at``/``checkpoint_box`` capture a
     :class:`~repro.simulation.regimes.TrainingCheckpoint` just before global
     iteration ``checkpoint_at`` executes (appended to the box; the run then
-    continues normally); ``resume_from`` restores one and continues
-    bit-identically to the uninterrupted run.  Synchronous schedules only.
+    continues normally); ``resume_from`` restores one into a run built from
+    the same two specs and continues bit-identically to the uninterrupted run.
+    Synchronous schedules only.
 
-    Returns the timeline (accuracy/time trace), the DDP wrapper, the
-    compressor (whose statistics record bytes on the wire) and whether the
-    target accuracy was reached at any epoch.
+    Returns the run: its ``timeline`` (accuracy/time trace), ``ddp``
+    wrapper, ``compressor`` (whose statistics record bytes on the wire),
+    ``model`` and ``mask``; :meth:`_Run.result` is what
+    :func:`run_experiment` reports.
     """
-    schedule = parse_sync_schedule(method.sync_schedule)
-    world_size = cluster.world_size
-    cluster.fault_plan().validate_for_regime(schedule.regime)
+    schedule = method.schedule()
     if (checkpoint_at is not None or resume_from is not None) and not schedule.is_synchronous:
         raise ValueError(
             "checkpoint/restore is only supported on the synchronous path "
             f"(sync or localsgd:1 schedules), got {method.sync_schedule!r}"
         )
-    if schedule.regime == "ps" and (mask is not None or method.gse):
-        raise ValueError(
-            "async parameter-server mode does not support pruning/GSE methods: "
-            "the mask lifecycle assumes a synchronous view of the parameters"
+    cluster = config.cluster
+    world_size = cluster.world_size
+    with default_dtype(config.dtype):
+        model, train_set, test_loader, mask = _prepare_workload(config, method, share)
+        if resume_from is None:
+            compressor = method.build_compressor(seed=config.seed)
+        else:
+            # The compressor's residual/momentum state is part of the
+            # checkpoint; hand the DDP wrapper the restored instance from the
+            # start.  Deep-copied so one checkpoint can seed several resumes.
+            compressor = copy.deepcopy(resume_from.compressor)
+        ddp = DistributedDataParallel(
+            model,
+            world_size=world_size,
+            process_group=cluster.process_group(),
+            bucket_cap_bytes=config.bucket_cap_bytes,
+            comm_hook=compressor,
         )
-    process_group = cluster.process_group()
-    compressor = method.build_compressor(seed=seed)
-    if resume_from is not None:
-        # The compressor's residual/momentum state is part of the checkpoint;
-        # hand the DDP wrapper the restored instance from the start.  Deep-
-        # copied so one checkpoint can seed several resumes.
-        compressor = copy.deepcopy(resume_from.compressor)
-    ddp = DistributedDataParallel(
-        model,
-        world_size=world_size,
-        process_group=process_group,
-        bucket_cap_bytes=bucket_cap_bytes,
-        comm_hook=compressor,
-    )
-    optimizer = SGD(model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
-    compute_model = cluster.compute_model()
-    engine = SimulationEngine(overlap=cluster.overlap)
-    if TRACER.enabled:
-        # One simulated-cluster track group per training run, so sweeps
-        # never overlay two schedules on the same Perfetto tracks.
-        TRACER.new_sim_process(f"{method.name} world={world_size}")
-
-    input_shape = train_dataset.input_shape
-    sparsity_cache = sparsity_cache or _WeightSparsityCache()
-    weight_sparsity = sparsity_cache.value(model, mask)
-    per_rank_compute = cluster.per_rank_iteration_times(
-        model, input_shape, batch_size, weight_sparsity=weight_sparsity
-    )
-    bucket_fractions = compute_model.bucket_completion_fractions(
-        model, input_shape, ddp.buckets
-    )
-
-    # One loader per rank over disjoint shards.
-    rank_loaders = [
-        DataLoader(
-            train_dataset,
-            batch_size=batch_size,
-            sampler=DistributedSampler(len(train_dataset), world_size, rank, seed=seed),
+        optimizer = SGD(
+            model.parameters(),
+            lr=config.lr,
+            momentum=config.momentum,
+            weight_decay=config.weight_decay,
         )
-        for rank in range(world_size)
-    ]
+        if TRACER.enabled:
+            # One simulated-cluster track group per training run, so sweeps
+            # never overlay two schedules on the same Perfetto tracks.
+            TRACER.new_sim_process(f"{method.name} world={world_size}")
 
-    run = _Run(
-        model=model,
-        test_loader=test_loader,
-        method=method,
-        cluster=cluster,
-        epochs=epochs,
-        mask=mask,
-        target_accuracy=target_accuracy,
-        stop_at_target=stop_at_target,
-        max_iterations_per_epoch=max_iterations_per_epoch,
-        compressor=compressor,
-        ddp=ddp,
-        optimizer=optimizer,
-        timeline=TrainingTimeline(),
-        per_rank_compute=per_rank_compute,
-        rank_loaders=rank_loaders,
-    )
-    if schedule.regime == "ps":
-        return _train_async_ps(run, schedule, seed)
-    if schedule.is_synchronous:
-        step = _SyncStep(run)
-    else:
-        step = _LocalSGDStep(run, schedule, lr, momentum, weight_decay)
-    return _train_stepped(
-        run, step, engine, bucket_fractions, checkpoint_at, checkpoint_box, resume_from
-    )
+        weight_sparsity = _weight_sparsity(model)
+        run = _Run(
+            config=config,
+            method=method,
+            model=model,
+            test_loader=test_loader,
+            mask=mask,
+            compressor=compressor,
+            ddp=ddp,
+            optimizer=optimizer,
+            timeline=TrainingTimeline(),
+            weight_sparsity=weight_sparsity,
+            per_rank_compute=cluster.per_rank_iteration_times(
+                model, train_set.input_shape, config.batch_size, weight_sparsity=weight_sparsity
+            ),
+            # One loader per rank over disjoint shards.
+            rank_loaders=[
+                DataLoader(
+                    train_set,
+                    batch_size=config.batch_size,
+                    sampler=DistributedSampler(len(train_set), world_size, rank, seed=config.seed),
+                )
+                for rank in range(world_size)
+            ],
+        )
+        if schedule.regime == "ps":
+            _train_async_ps(run)
+        else:
+            bucket_fractions = cluster.compute_model().bucket_completion_fractions(
+                model, train_set.input_shape, ddp.buckets
+            )
+            step = _SyncStep(run) if schedule.is_synchronous else _LocalSGDStep(run)
+            _train_stepped(run, step, bucket_fractions, checkpoint_at, checkpoint_box, resume_from)
+    return run
 
 
 def _train_stepped(
     run: _Run,
     step,
-    engine: SimulationEngine,
     bucket_fractions: List[float],
     checkpoint_at: Optional[int],
     checkpoint_box: Optional[List[TrainingCheckpoint]],
     resume_from: Optional[TrainingCheckpoint],
-) -> Tuple[TrainingTimeline, DistributedDataParallel, CodecCompressor, bool]:
+) -> None:
     """The barrier-per-iteration loop shared by the sync and local-SGD regimes.
 
     Owns what the regimes have in common — epochs and loaders, checkpoint
@@ -448,32 +450,31 @@ def _train_stepped(
     returns its :class:`~repro.ddp.StepResult` — ``None`` bucket events mean a
     communication-free local step; ``flush(epoch, active)`` runs before the
     epoch-end evaluation; ``on_rejoin`` (or ``None``) hears of re-joined ranks.
+
+    ``ddp.iteration`` — the number the hook sees — is the global iteration
+    counter: it starts at 0 and the loop advances it once per iteration.
     """
     ddp = run.ddp
     world_size = run.world_size
-    max_iterations_per_epoch = run.max_iterations_per_epoch
+    max_iterations_per_epoch = run.config.max_iterations_per_epoch
+    engine = SimulationEngine(overlap=run.config.cluster.overlap)
     faults = _FaultState(run)
-    global_iteration = 0
     start_epoch = 0
     if resume_from is not None:
+        # The run was built from the same specs, so its modeled per-rank
+        # times and bucket fractions — priced on the weights right after
+        # pruning — are already the uninterrupted run's.
         ck = resume_from
         ddp.restore_parameters(ck.params)
         run.optimizer.load_state_arrays(ck.velocities)
         run.timeline = copy.deepcopy(ck.timeline)
         faults.restore(ck.fault_cursor, list(ck.active_ranks), ck.link_factor)
-        ddp.iteration = ck.hook_iteration
-        global_iteration = ck.global_iteration
-        run.reached_target = ck.reached_target
+        ddp.iteration = ck.global_iteration
         start_epoch = ck.epoch
-        # The modeled per-rank times were computed from the *initial* weights
-        # (weight sparsity drifts during training on unmasked models); replay
-        # the captured values so resumed timing is bit-identical.
-        run.per_rank_compute = list(ck.per_rank_compute)
-        bucket_fractions = list(ck.bucket_fractions)
     timeline = run.timeline
     per_rank_compute = run.per_rank_compute
     captured = checkpoint_at is None or checkpoint_box is None
-    for epoch in range(start_epoch, run.epochs):
+    for epoch in range(start_epoch, run.config.epochs):
         for loader in run.rank_loaders:
             loader.set_epoch(epoch)
         iterators = [iter(loader) for loader in run.rank_loaders]
@@ -490,7 +491,7 @@ def _train_stepped(
         while True:
             if max_iterations_per_epoch is not None and iteration >= max_iterations_per_epoch:
                 break
-            if not captured and global_iteration == checkpoint_at:
+            if not captured and ddp.iteration == checkpoint_at:
                 checkpoint_box.append(
                     TrainingCheckpoint(
                         params=ddp.snapshot_parameters(),
@@ -499,15 +500,11 @@ def _train_stepped(
                         timeline=copy.deepcopy(timeline),
                         epoch=epoch,
                         iteration_in_epoch=iteration,
-                        global_iteration=global_iteration,
+                        global_iteration=ddp.iteration,
                         epoch_losses=list(epoch_losses),
                         fault_cursor=faults.cursor,
                         active_ranks=list(faults.active),
                         link_factor=faults.link,
-                        reached_target=run.reached_target,
-                        hook_iteration=ddp.iteration,
-                        per_rank_compute=list(per_rank_compute),
-                        bucket_fractions=list(bucket_fractions),
                     )
                 )
                 captured = True
@@ -517,7 +514,7 @@ def _train_stepped(
                 break
 
             active_set, churn = faults.advance(
-                timeline.total_time, global_iteration, on_rejoin=step.on_rejoin
+                timeline.total_time, ddp.iteration, on_rejoin=step.on_rejoin
             )
             result = step.step(batches, active_set, epoch, iteration)
 
@@ -560,14 +557,12 @@ def _train_stepped(
                 )
                 TRACER.sim_now = timeline.total_time
             ddp.iteration += 1
-            global_iteration += 1
             epoch_losses.append(result.loss)
             iteration += 1
 
         step.flush(epoch, faults.active)
         if run.end_epoch(epoch, epoch_losses):
             break
-    return run.outcome()
 
 
 class _SyncStep:
@@ -614,13 +609,16 @@ class _LocalSGDStep:
     are booked here, not by the loop: they stay zero on the synchronous path.
     """
 
-    def __init__(
-        self, run: _Run, schedule: SyncSchedule, lr: float, momentum: float, weight_decay: float
-    ) -> None:
+    def __init__(self, run: _Run) -> None:
+        config = run.config
         self.run = run
-        self.schedule = schedule
+        self.schedule = run.method.schedule()
         self.replicas = ReplicaSet(
-            run.model, run.world_size, lr=lr, momentum=momentum, weight_decay=weight_decay
+            run.model,
+            run.world_size,
+            lr=config.lr,
+            momentum=config.momentum,
+            weight_decay=config.weight_decay,
         )
         self.anchor = run.ddp.snapshot_parameters()
         self.dense_average = build_compressor("all-reduce")
@@ -708,9 +706,7 @@ class _LocalSGDStep:
         self.window = 0
 
 
-def _train_async_ps(
-    run: _Run, schedule: SyncSchedule, seed: int
-) -> Tuple[TrainingTimeline, DistributedDataParallel, CodecCompressor, bool]:
+def _train_async_ps(run: _Run) -> None:
     """Stale-gradient asynchronous parameter server on the event engine.
 
     A logical PS rank holds the parameters; workers cycle pull → compute →
@@ -718,7 +714,7 @@ def _train_async_ps(
     (:class:`~repro.simulation.engine.LinkChannel`).  Gradients are computed
     against the parameters as of the worker's pull and applied whenever the
     push lands — the measured staleness (server updates applied in between)
-    is recorded per update.  ``schedule.staleness`` bounds the progress skew:
+    is recorded per update.  The schedule's ``staleness`` bounds the progress skew:
     a worker may start update ``k`` only while ``k - min_progress <= S``
     (stale synchronous parallel); blocked workers re-enter in rank order as
     laggards apply.
@@ -735,21 +731,22 @@ def _train_async_ps(
     :func:`_train_stepped`; it shares the run and :meth:`_Run.end_epoch`.
     """
     compressor, ddp, timeline = run.compressor, run.ddp, run.timeline
-    epochs, world_size = run.epochs, run.world_size
+    config, world_size = run.config, run.world_size
+    epochs = config.epochs
     rank_loaders, per_rank_compute = run.rank_loaders, run.per_rank_compute
-    staleness_bound = schedule.staleness
-    cost_model = run.cluster.cost_model_for(world_size)
+    staleness_bound = run.method.schedule().staleness
+    cost_model = config.cluster.cost_model_for(world_size)
     model_wire_bytes = run.model_wire_bytes
     pull_seconds = cost_model.p2p_time(model_wire_bytes)
 
     iters_per_epoch = min(len(loader) for loader in rank_loaders)
-    if run.max_iterations_per_epoch is not None:
-        iters_per_epoch = min(iters_per_epoch, run.max_iterations_per_epoch)
+    if config.max_iterations_per_epoch is not None:
+        iters_per_epoch = min(iters_per_epoch, config.max_iterations_per_epoch)
     if iters_per_epoch == 0:
         for epoch in range(epochs):
             if run.end_epoch(epoch, []):
                 break
-        return run.outcome()
+        return
     total_per_worker = epochs * iters_per_epoch
 
     # Per-worker compressors: stage state (low-rank warm starts, stage seeds)
@@ -758,7 +755,7 @@ def _train_async_ps(
     # every worker records into its stats: the run's one stats carrier.
     worker_codecs: List[CodecCompressor] = [compressor]
     for _ in range(1, world_size):
-        clone = run.method.build_compressor(seed=seed)
+        clone = run.method.build_compressor(seed=config.seed)
         clone.stats = compressor.stats
         worker_codecs.append(clone)
     # A push is a one-rank aggregation.  Its wire time is the p2p transfer
@@ -891,8 +888,6 @@ def _train_async_ps(
         else:  # pragma: no cover - no other kinds are scheduled
             raise RuntimeError(f"unexpected event kind {event.kind!r}")
 
-    return run.outcome()
-
 
 # --------------------------------------------------------------------------- #
 # Config-driven wrapper
@@ -902,10 +897,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Build the workload described by ``config``, train it with ``method``.
 
-    The entire run — dataset materialisation, model construction, training,
-    evaluation — executes under ``config.dtype`` (see
+    The run is :func:`train_distributed`'s: dataset materialisation, model
+    construction, training and evaluation execute under ``config.dtype`` (see
     :func:`repro.tensorlib.dtypes.default_dtype`), which is restored on exit
-    even when the run raises.
+    even when the run raises.  The result is :meth:`_Run.result`.
 
     A call prepares its own dataset, split and pre-trained model and keeps
     nothing afterwards.  ``_share`` belongs to the campaign runner: the cells
@@ -920,12 +915,11 @@ def run_experiment(
     # ``pactrain-fp32``, a registered factory that builds no CodecCompressor).
     config.cluster.fault_plan().validate_for_regime(method.schedule().regime)
     method.build_compressor(config.seed)
-    with default_dtype(config.dtype):
-        with TRACER.span(
-            "experiment", cat="experiment",
-            model=config.model, method=method.name, world=config.cluster.world_size,
-        ):
-            return _run_experiment(config, method, _share)
+    with TRACER.span(
+        "experiment", cat="experiment",
+        model=config.model, method=method.name, world=config.cluster.world_size,
+    ):
+        return train_distributed(config, method, share=_share).result()
 
 
 @dataclass(frozen=True)
@@ -1079,108 +1073,3 @@ def _prepare_workload(
     mask = _prune_model(model, method, workload.sample_batch)
     test_loader = DataLoader(workload.test_set, batch_size=config.batch_size)
     return model, workload.train_set, test_loader, mask
-
-
-def _run_experiment(
-    config: ExperimentConfig, method: MethodSpec, share: Optional[_WorkloadShare]
-) -> ExperimentResult:
-    model, train_set, test_loader, mask = _prepare_workload(config, method, share)
-    sparsity_cache = _WeightSparsityCache()
-
-    timeline, ddp, compressor, reached_target = train_distributed(
-        model=model,
-        train_dataset=train_set,
-        test_loader=test_loader,
-        method=method,
-        cluster=config.cluster,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        lr=config.lr,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        mask=mask,
-        target_accuracy=config.target_accuracy,
-        stop_at_target=config.stop_at_target,
-        max_iterations_per_epoch=config.max_iterations_per_epoch,
-        seed=config.seed,
-        bucket_cap_bytes=config.bucket_cap_bytes,
-        sparsity_cache=sparsity_cache,
-    )
-
-    gradient_density = 1.0
-    if mask is not None:
-        gradient_density = mask.density
-
-    from repro.pactrain.compressor import PacTrainCompressor  # noqa: PLC0415
-
-    extra: Dict[str, float] = {}
-    if isinstance(compressor, PacTrainCompressor):
-        extra["compact_fraction"] = compressor.compact_fraction
-        extra["full_iterations"] = float(compressor.full_iterations)
-        extra["compact_iterations"] = float(compressor.compact_iterations)
-
-    return ExperimentResult(
-        method=method.name,
-        model=config.model,
-        dataset=config.dataset,
-        bandwidth_mbps=config.cluster.bandwidth_bytes_per_second() * 8 / 1e6,
-        world_size=config.cluster.world_size,
-        epochs_run=len(timeline.epochs),
-        iterations_run=timeline.iterations,
-        simulated_time=timeline.total_time,
-        compute_time=timeline.compute_time,
-        comm_time=timeline.comm_time,
-        comm_bytes_per_worker=timeline.comm_bytes_per_worker,
-        final_accuracy=timeline.final_accuracy(),
-        best_accuracy=timeline.best_accuracy(),
-        tta=(
-            timeline.time_to_accuracy(config.target_accuracy)
-            if config.target_accuracy is not None
-            else None
-        ),
-        target_accuracy=config.target_accuracy,
-        accuracy_trace=timeline.accuracy_trace(),
-        loss_trace=[record.train_loss for record in timeline.epochs],
-        compression_ratio=compressor.stats.compression_ratio,
-        weight_sparsity=sparsity_cache.value(model, mask),
-        gradient_density=gradient_density,
-        reached_target=reached_target,
-        overlap_fraction=timeline.overlap_fraction,
-        critical_path_time=timeline.critical_path_time(),
-        straggler_time=timeline.straggler_time,
-        fault_events=timeline.fault_events,
-        degraded_iterations=timeline.degraded_iterations,
-        downtime_rank_seconds=timeline.downtime_rank_seconds,
-        rejoin_cost_time=timeline.rejoin_cost_time,
-        goodput_fraction=timeline.goodput_fraction(config.cluster.world_size),
-        sync_rounds=timeline.sync_rounds,
-        local_steps=timeline.local_steps,
-        ps_updates=timeline.ps_updates,
-        staleness_mean=timeline.mean_staleness,
-        staleness_max=timeline.staleness_max,
-        extra=extra,
-    )
-
-
-def run_method_comparison(
-    config: ExperimentConfig,
-    methods: Optional[Sequence[MethodSpec]] = None,
-    jobs: int = 1,
-    store=None,
-) -> Dict[str, ExperimentResult]:
-    """Run the same workload under several methods (defaults to the paper's five).
-
-    The comparison is one campaign over the method axis, executed by the
-    :mod:`repro.campaign` runner: ``jobs > 1`` trains the methods in parallel
-    worker processes, and an optional :class:`~repro.campaign.store.ResultStore`
-    serves unchanged cells from cache.  A failing cell re-raises its error (the
-    pre-campaign behaviour of the plain loop this used to be).
-    """
-    # Imported lazily: repro.campaign builds on this module.
-    from repro.campaign import CampaignCell, run_campaign  # noqa: PLC0415
-
-    methods = list(methods) if methods is not None else list(PAPER_METHODS.values())
-    cells = [CampaignCell(config=config, method=method) for method in methods]
-    report = run_campaign(cells, store=store, jobs=jobs)
-    report.raise_failures()
-    return {outcome.result.method: outcome.result for outcome in report.outcomes}

@@ -9,7 +9,8 @@ against the same cluster produces bit-identical schedules, which keeps fault
 studies cacheable and comparable like every other campaign axis.
 
 The plan is *interpreted* by the training driver
-(:func:`repro.simulation.experiment.train_distributed`): before each
+(``train_distributed(config, method)`` in :mod:`repro.simulation.experiment`,
+reading ``config.cluster.faults``): before each
 iteration it asks the plan which ranks are alive and what the link factor is
 at the current simulated time, then runs that iteration's collectives over
 the surviving membership with the degraded link cost.  An **empty plan is

@@ -4,8 +4,7 @@ A :class:`SyncSchedule` describes *when* the simulated ranks synchronise —
 orthogonally to *what* they put on the wire (the compressor spec).  It is
 carried as a compact string on :class:`~repro.simulation.spec.MethodSpec`
 (``sync_schedule``), making the regime a first-class campaign axis, and parsed
-with the same registry-of-parsers style as the codec spec grammar
-(:func:`repro.compression.codec.parse_compressor_spec`).
+by :func:`parse_sync_schedule`: the leading token picks the regime's parser.
 
 Grammar (case-insensitive; ``None`` and ``""`` mean the synchronous default)::
 
@@ -43,8 +42,6 @@ from repro.nn.module import Module
 __all__ = [
     "SyncSchedule",
     "parse_sync_schedule",
-    "register_regime",
-    "REGIME_PARSERS",
     "ReplicaSet",
     "TrainingCheckpoint",
 ]
@@ -161,20 +158,14 @@ def _parse_ps(spec: str, rest: List[str]) -> SyncSchedule:
     return SyncSchedule(regime="ps", staleness=staleness)
 
 
-#: Leading-token registry, mirroring the codec spec's stage-factory table:
-#: the first ``:``-separated token selects the parser for the rest.
-REGIME_PARSERS: Dict[str, Callable[[str, List[str]], SyncSchedule]] = {
+#: The first ``:``-separated token selects the parser for the rest.
+_PARSERS: Dict[str, Callable[[str, List[str]], SyncSchedule]] = {
     "sync": _parse_sync,
     "localsgd": _parse_localsgd,
     "local-sgd": _parse_localsgd,
     "ps": _parse_ps,
     "async-ps": _parse_ps,
 }
-
-
-def register_regime(name: str, parser: Callable[[str, List[str]], SyncSchedule]) -> None:
-    """Register a schedule parser under a leading token (case-insensitive)."""
-    REGIME_PARSERS[name.lower()] = parser
 
 
 def parse_sync_schedule(spec: Optional[str]) -> SyncSchedule:
@@ -191,11 +182,11 @@ def parse_sync_schedule(spec: Optional[str]) -> SyncSchedule:
     if not text:
         return _SYNC
     tokens = [token.strip() for token in text.split(":")]
-    parser = REGIME_PARSERS.get(tokens[0])
+    parser = _PARSERS.get(tokens[0])
     if parser is None:
         raise ValueError(
             f"unknown training regime {tokens[0]!r} in sync schedule {spec!r}; "
-            f"known: {sorted(REGIME_PARSERS)}"
+            f"known: {sorted(_PARSERS)}"
         )
     return parser(spec, tokens[1:])
 
@@ -292,14 +283,19 @@ class ReplicaSet:
 class TrainingCheckpoint:
     """Everything needed to resume a synchronous run bit-identically.
 
-    Captured mid-run by :func:`repro.simulation.experiment.train_distributed`
-    (``checkpoint_at`` / ``checkpoint_box``) and consumed by ``resume_from``.
-    All array state is deep-copied at capture *and* at restore, so one
-    checkpoint can seed several resumes and outlive the run that wrote it.
-    Fault-interpreter state (cursor, surviving membership, link factor) rides
-    along, so a checkpoint taken inside a degraded window resumes onto the
-    same shrunken world — the elastic seam (``set_active_ranks`` +
-    ``resize_world``) is re-applied, not replayed.
+    Captured mid-run by
+    ``train_distributed(config, method, checkpoint_at=i, checkpoint_box=box)``
+    (:func:`repro.simulation.experiment.train_distributed`) and consumed by
+    ``train_distributed(config, method, resume_from=box[0])`` — a run built
+    from the same two specs, so what those determine (the modeled per-rank
+    compute, the bucket layout, whether the target was reached by the epochs
+    the ``timeline`` recorded) is not stored here.  All array state is
+    deep-copied at capture *and* at restore, so one checkpoint can seed
+    several resumes and outlive the run that wrote it.  Fault-interpreter
+    state (cursor, surviving membership, link factor) rides along, so a
+    checkpoint taken inside a degraded window resumes onto the same shrunken
+    world — the elastic seam (``set_active_ranks`` + ``resize_world``) is
+    re-applied, not replayed.
     """
 
     params: Dict[str, np.ndarray]
@@ -308,15 +304,9 @@ class TrainingCheckpoint:
     timeline: object
     epoch: int
     iteration_in_epoch: int
+    #: Iterations run so far: the restored ``ddp.iteration`` (what the hook sees).
     global_iteration: int
     epoch_losses: List[float]
     fault_cursor: float
     active_ranks: List[int]
     link_factor: float
-    reached_target: bool
-    hook_iteration: int
-    #: Frozen at capture so a resume never recomputes them from the evolved
-    #: weights (the modeled per-rank times depend on weight sparsity, which
-    #: drifts during training on unmasked models).
-    per_rank_compute: List[float]
-    bucket_fractions: List[float]

@@ -69,7 +69,7 @@ def set_default_dtype(dtype: DTypeLike) -> None:
 def default_dtype(dtype: DTypeLike) -> Iterator[np.dtype]:
     """Scoped compute dtype: restores the previous default on exit.
 
-    This is how :func:`repro.simulation.experiment.run_experiment` applies
+    This is how :func:`repro.simulation.experiment.train_distributed` applies
     ``ExperimentConfig.dtype`` — the setting cannot leak across experiments
     even when a run raises.
     """

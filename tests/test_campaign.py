@@ -36,9 +36,8 @@ from repro.campaign import (
 )
 from repro.campaign.cli import main as cli_main
 from repro.campaign.spec import load_spec_file
-from repro.simulation import ClusterSpec, ExperimentConfig, ExperimentResult, MethodSpec
+from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, ExperimentResult, MethodSpec
 from repro.simulation.compute import DeviceSpec
-from repro.simulation.experiment import PAPER_METHODS, run_method_comparison
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -661,16 +660,19 @@ class TestRunner:
         assert all(p.cache_hit and p.outcome.status == "cached" for p in again)
         assert all(p.elapsed_s == 0.0 for p in again)
 
-    def test_run_method_comparison_uses_store_and_cache(self, tmp_path):
+    def test_method_comparison_uses_store_and_cache(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
-        config = tiny_config()
-        methods = [PAPER_METHODS["all-reduce"], PAPER_METHODS["fp16"]]
-        first = run_method_comparison(config, methods, store=store)
-        assert set(first) == {"all-reduce", "fp16"}
-        again = run_method_comparison(config, methods, store=store)
-        assert {name: r.to_dict() for name, r in again.items()} == {
-            name: r.to_dict() for name, r in first.items()
-        }
+        cells = [
+            CampaignCell(config=tiny_config(), method=PAPER_METHODS[name])
+            for name in ("all-reduce", "fp16")
+        ]
+        first = run_campaign(cells, store=store)
+        first.raise_failures()
+        assert [r.method for r in first.results()] == ["all-reduce", "fp16"]
+        again = run_campaign(cells, store=store)
+        again.raise_failures()
+        assert again.cached == 2
+        assert [r.to_dict() for r in again.results()] == [r.to_dict() for r in first.results()]
 
     def test_seed_axis_varies_stochastic_compressors(self):
         """Multi-seed sweeps reach the stochastic codecs (the old seed-0 bug)."""

@@ -19,8 +19,7 @@ from repro.campaign.runner import (
     STATUS_TIMEOUT,
     retry_delay,
 )
-from repro.simulation import ClusterSpec, ExperimentConfig, MethodSpec
-from repro.simulation.experiment import PAPER_METHODS
+from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, MethodSpec
 
 
 def tiny_config(**overrides) -> ExperimentConfig:

@@ -1,14 +1,16 @@
 """Checkpoint/restore round trips on the elastic seam.
 
-``train_distributed`` can capture a :class:`TrainingCheckpoint` just before a
-chosen global iteration and later resume from it on a fresh model.  These
-tests pin the contract end to end:
+``train_distributed(config, method, ...)`` can capture a
+:class:`TrainingCheckpoint` just before a chosen global iteration and later
+resume from it in a run rebuilt from the same two specs.  These tests pin the
+contract end to end:
 
 * capturing a checkpoint is side-effect-free — the checkpointed run finishes
   bit-identically to the uninterrupted run;
 * resuming from the checkpoint reproduces the uninterrupted run's timeline,
   losses and final parameters bit-for-bit;
 * one checkpoint seeds several resumes (the capture deep-copies all state);
+* a target reached before the capture is still reported by the resumed run;
 * a checkpoint taken mid-fault — while the membership is degraded — restores
   the degraded process group through the elastic seam and still converges to
   the uninterrupted run.
@@ -22,32 +24,15 @@ import numpy as np
 import pytest
 
 from repro import golden
-from repro.simulation.experiment import MethodSpec, _prepare_workload, train_distributed
+from repro.simulation.experiment import MethodSpec, train_distributed
 from repro.simulation.regimes import TrainingCheckpoint
 
 METHOD = MethodSpec(name="topk-0.01", compressor="topk-0.01")
 
 
 def _run(config, method, **kwargs):
-    model, train_set, test_loader, mask = _prepare_workload(config, method)
-    timeline, ddp, compressor, reached = train_distributed(
-        model=model,
-        train_dataset=train_set,
-        test_loader=test_loader,
-        method=method,
-        cluster=config.cluster,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        lr=config.lr,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        mask=mask,
-        max_iterations_per_epoch=config.max_iterations_per_epoch,
-        seed=config.seed,
-        bucket_cap_bytes=config.bucket_cap_bytes,
-        **kwargs,
-    )
-    return timeline, ddp.snapshot_parameters(), compressor
+    run = train_distributed(config, method, **kwargs)
+    return run.timeline, run.ddp.snapshot_parameters(), run.compressor
 
 
 def _assert_identical(run_a, run_b):
@@ -91,6 +76,26 @@ class TestCheckpointRoundTrip:
         first = _run(golden.GOLDEN_CONFIG, METHOD, resume_from=box[0])
         second = _run(golden.GOLDEN_CONFIG, METHOD, resume_from=box[0])
         _assert_identical(first, second)
+
+    def test_a_target_reached_only_before_the_capture_survives_the_resume(self):
+        # Seed 1's accuracy peaks at epoch 1 and falls in epoch 2.  With the
+        # target at that peak and the capture inside epoch 2 (global
+        # iteration 5 of 2 per epoch), only the epoch records the checkpoint
+        # carries can say the target was reached.
+        config = dataclasses.replace(golden.GOLDEN_CONFIG, seed=1)
+        accuracies = [record.test_accuracy for record in _run(config, METHOD)[0].epochs]
+        config = dataclasses.replace(config, target_accuracy=accuracies[1])
+        assert max(accuracies[0], accuracies[2]) < config.target_accuracy
+        baseline = train_distributed(config, METHOD).result()
+        assert baseline.reached_target
+        assert baseline.tta == baseline.accuracy_trace[1][0]
+        box: list[TrainingCheckpoint] = []
+        train_distributed(config, METHOD, checkpoint_at=5, checkpoint_box=box)
+        assert (box[0].epoch, box[0].iteration_in_epoch) == (2, 1)
+        resumed = train_distributed(config, METHOD, resume_from=box[0]).result()
+        assert resumed.reached_target == baseline.reached_target
+        assert resumed.tta == baseline.tta
+        assert resumed.to_dict() == baseline.to_dict()
 
     def test_resume_restores_compressor_residuals(self):
         # top-k with error feedback carries residual state across iterations;

@@ -10,6 +10,8 @@ import pytest
 from repro.compression import build_compressor
 from repro.compression.codec.stages import remap_rank_rows
 from repro.comm import ProcessGroup
+from repro.comm.network import NetworkModel
+from repro.comm.topology import build_paper_topology
 from repro.ddp import DistributedDataParallel
 from repro.golden import GOLDEN_METHODS, golden_config_for
 from repro.simulation import ClusterSpec, run_experiment
@@ -131,14 +133,23 @@ class TestClusterSpecFaults:
     def test_fault_plan_defaults_to_inert(self):
         assert ClusterSpec(world_size=4).fault_plan() is EMPTY_FAULT_PLAN
 
-    def test_cost_model_for_defaults_matches_cost_model(self):
-        for spec in (
-            ClusterSpec(world_size=4, bandwidth="100Mbps"),
-            ClusterSpec(world_size=4, bandwidth="1Gbps", hierarchical=True),
-        ):
-            base = spec.cost_model()
-            derived = spec.cost_model_for()
-            assert derived.ring_all_reduce_time(10_000) == base.ring_all_reduce_time(10_000)
+    def test_cost_model_for_defaults_price_the_healthy_cluster(self):
+        flat = ClusterSpec(world_size=4, bandwidth="100Mbps")
+        hier = ClusterSpec(world_size=4, bandwidth="1Gbps", hierarchical=True)
+        expected = {
+            "flat": NetworkModel.from_bandwidth(
+                4, flat.bandwidth_bytes_per_second(), latency=flat.latency
+            ),
+            "hier": build_paper_topology(
+                wan_bandwidth=hier.bandwidth_bytes_per_second(),
+                wan_latency=hier.latency,
+                num_servers=4,
+            ).cost_model(),
+        }
+        for name, spec in (("flat", flat), ("hier", hier)):
+            want = expected[name].ring_all_reduce_time(10_000)
+            assert spec.cost_model_for().ring_all_reduce_time(10_000) == want
+            assert spec.process_group().network.ring_all_reduce_time(10_000) == want
 
     def test_cost_model_for_degraded_link_costs_more(self):
         spec = ClusterSpec(world_size=4, bandwidth="100Mbps")

@@ -36,8 +36,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.instrument import ObservedBackend
-from repro.simulation import ClusterSpec, ExperimentConfig
-from repro.simulation.experiment import PAPER_METHODS, run_experiment
+from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, run_experiment
 from repro.tensorlib.backend import NumpyBackend, get_backend
 
 

@@ -10,7 +10,7 @@ Covers the PR-4 acceptance contract:
   (hypothesis-driven);
 * the process-group event log stays bounded while lifetime aggregates keep
   whole-run totals;
-* the weight-sparsity scan is cached on the mask version.
+* a pruned cell reports the weight sparsity measured right after pruning.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from repro.ddp import DistributedDataParallel, GradBucket
 from repro.ddp.arena import GradientArena
 from repro.ddp.bucket import build_buckets
 from repro.nn.models import build_model, mlp_tiny
-from repro.pruning import PruningMask
-from repro.simulation import ExperimentConfig, MethodSpec, PAPER_METHODS, run_experiment
-from repro.simulation.experiment import _WeightSparsityCache
+from repro.simulation import ExperimentConfig, MethodSpec, PAPER_METHODS, run_experiment, train_distributed
+from repro.simulation.experiment import _prepare_workload
 from repro.tensorlib import Tensor, default_dtype, functional as F, get_default_dtype
 from repro.tensorlib.dtypes import SUPPORTED_DTYPES, float_dtype_of
 
@@ -322,34 +321,17 @@ class TestEventDraining:
 
 
 # --------------------------------------------------------------------------- #
-# Sparsity cache
+# Weight sparsity
 # --------------------------------------------------------------------------- #
-class TestWeightSparsityCache:
-    def test_mask_version_bumps_on_assignment(self):
-        mask = PruningMask({"w": np.array([True, False])})
-        version = mask.version
-        mask["w"] = np.array([True, True])
-        assert mask.version == version + 1
-
-    def test_cache_rescans_only_on_version_change(self, tiny_model):
-        mask = PruningMask.dense(tiny_model)
-        cache = _WeightSparsityCache()
-        first = cache.value(tiny_model, mask)
-        # Zero out a parameter: the stale cached value is served until the
-        # mask version changes (the documented invalidation contract).
-        param = tiny_model.parameters()[0]
-        param.data = np.zeros_like(param.data)
-        assert cache.value(tiny_model, mask) == first
-        name = next(name for name, _ in tiny_model.named_parameters())
-        mask[name] = np.zeros(param.shape, dtype=bool)
-        assert cache.value(tiny_model, mask) > first
-
-    def test_dense_runs_always_scan(self, tiny_model):
-        cache = _WeightSparsityCache()
-        before = cache.value(tiny_model, None)
-        param = tiny_model.parameters()[0]
-        param.data = np.zeros_like(param.data)
-        assert cache.value(tiny_model, None) > before
+class TestWeightSparsity:
+    def test_a_pruned_cell_reports_the_sparsity_measured_after_pruning(self):
+        config, method = tiny_config(), PAPER_METHODS["pactrain"]
+        model, _, _, mask = _prepare_workload(config, method)
+        assert mask is not None
+        params = model.parameters()
+        after_pruning = sum(int(np.sum(p.data == 0.0)) for p in params) / sum(p.size for p in params)
+        assert after_pruning > 0.4
+        assert run_experiment(config, method).weight_sparsity == after_pruning
 
 
 # --------------------------------------------------------------------------- #
@@ -398,8 +380,14 @@ class TestFusedKernelParity:
 
 
 class TestMethodSpecDtypeSweep:
-    def test_run_method_comparison_accepts_dtype_axis(self):
+    def test_run_experiment_accepts_float32(self):
         config = tiny_config(dtype="float32")
         result = run_experiment(config, MethodSpec(name="fp16", compressor="fp16"))
         assert result.simulated_time > 0
         assert 0.0 <= result.final_accuracy <= 1.0
+
+    def test_train_distributed_runs_under_the_config_dtype(self):
+        before = get_default_dtype()
+        run = train_distributed(tiny_config(dtype="float32"), PAPER_METHODS["fp16"])
+        assert {p.data.dtype for p in run.model.parameters()} == {np.dtype(np.float32)}
+        assert get_default_dtype() == before

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,10 @@ from repro.simulation import (
     run_experiment,
     train_distributed,
 )
+from repro.campaign import CampaignCell, run_campaign
+from repro.comm.network import NetworkModel
+from repro.comm.topology import build_paper_topology
 from repro.simulation.compute import DEVICE_PRESETS
-from repro.simulation.experiment import run_method_comparison
 from repro.data import DataLoader
 
 
@@ -75,16 +78,25 @@ class TestClusterSpec:
         cluster = ClusterSpec(world_size=4, bandwidth=1e6)
         assert cluster.bandwidth_bytes_per_second() == pytest.approx(1e6)
 
-    def test_network_model_and_group(self):
+    def test_cost_model_and_group(self):
         cluster = ClusterSpec(world_size=4, bandwidth="500Mbps")
-        assert cluster.network_model().world_size == 4
+        flat = cluster.cost_model_for()
+        assert isinstance(flat, NetworkModel) and flat.world_size == 4
         assert cluster.process_group().world_size == 4
 
-    def test_topology_matches_bandwidth(self):
-        cluster = ClusterSpec(world_size=8, bandwidth="100Mbps")
-        topo = cluster.topology()
+    def test_hierarchical_cluster_is_costed_over_the_paper_topology(self):
+        cluster = ClusterSpec(world_size=8, bandwidth="100Mbps", hierarchical=True)
+        topo = build_paper_topology(
+            wan_bandwidth=cluster.bandwidth_bytes_per_second(),
+            wan_latency=cluster.latency,
+            num_servers=cluster.world_size,
+        )
         assert len(topo.servers) == 8
         assert topo.global_bottleneck().bandwidth == pytest.approx(cluster.bandwidth_bytes_per_second())
+        nbytes = 1_000_000
+        assert cluster.cost_model_for().ring_all_reduce_time(nbytes) == (
+            topo.cost_model().ring_all_reduce_time(nbytes)
+        )
 
     def test_describe(self):
         info = ClusterSpec(world_size=8, bandwidth="1Gbps").describe()
@@ -295,12 +307,27 @@ class TestExperimentDriver:
         # Both compositions shrink the wire payload well below dense fp32.
         assert result.compression_ratio > 2.0
 
+    def test_run_experiment_is_train_distributed_plus_its_result(self, quick_config):
+        method = PAPER_METHODS["pactrain"]
+        run = train_distributed(quick_config, method)
+        assert run.mask is not None and run.model is run.ddp.model
+        assert run_experiment(quick_config, method).to_dict() == run.result().to_dict()
+
+    def test_train_distributed_takes_the_two_specs(self):
+        # Everything else a run needs is a field of one of them.
+        assert list(inspect.signature(train_distributed).parameters) == [
+            "config", "method", "share", "checkpoint_at", "checkpoint_box", "resume_from",
+        ]
+
     def test_method_comparison_runs_all(self, quick_config):
-        results = run_method_comparison(
-            quick_config,
-            [PAPER_METHODS["all-reduce"], PAPER_METHODS["fp16"]],
+        report = run_campaign(
+            [
+                CampaignCell(config=quick_config, method=PAPER_METHODS[name])
+                for name in ("all-reduce", "fp16")
+            ]
         )
-        assert set(results) == {"all-reduce", "fp16"}
+        report.raise_failures()
+        assert [result.method for result in report.results()] == ["all-reduce", "fp16"]
 
     def test_evaluate_accuracy_bounds(self, tiny_split):
         train, test = tiny_split
@@ -449,22 +476,10 @@ class TestEngineIntegration:
         assert missed.tta is None
         assert missed.tta_or_total() == missed.simulated_time
 
-    def test_timeline_records_iteration_traces(self, tiny_split):
-        train, test = tiny_split
-        cluster = ClusterSpec(world_size=2, bandwidth="100Mbps", overlap=True)
-        timeline, ddp, _, reached = train_distributed(
-            model=resnet18_mini(seed=0),
-            train_dataset=train,
-            test_loader=DataLoader(test, batch_size=8),
-            method=PAPER_METHODS["all-reduce"],
-            cluster=cluster,
-            epochs=1,
-            batch_size=8,
-            lr=0.05,
-            max_iterations_per_epoch=2,
-            bucket_cap_bytes=8 * 1024,
-        )
-        assert not reached  # no target was set
+    def test_timeline_records_iteration_traces(self):
+        config = self._config(ClusterSpec(world_size=2, bandwidth="100Mbps", overlap=True))
+        run = train_distributed(config, PAPER_METHODS["all-reduce"])
+        timeline, ddp = run.timeline, run.ddp
         assert len(timeline.traces) == timeline.iterations == 2
         assert len(ddp.buckets) > 1
         trace = timeline.traces[0]

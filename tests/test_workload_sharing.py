@@ -29,10 +29,9 @@ from repro.campaign import CampaignSpec, ResultStore, cell_fingerprint, run_camp
 from repro.campaign.store import iter_jsonl
 from repro.data import DataLoader, DistributedSampler, synthetic_cifar10, train_test_split
 from repro.nn.models import MLP, MODEL_REGISTRY, build_model, register_model
-from repro.simulation import ClusterSpec, ExperimentConfig, MethodSpec, run_experiment
+from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, MethodSpec, run_experiment
 from repro.simulation import experiment
 from repro.simulation.experiment import (
-    PAPER_METHODS,
     _prepare_workload,
     _pretrain,
     _WorkloadShare,
