@@ -5,8 +5,10 @@ Three pieces live here, all activated only while tracing is enabled:
 * :class:`ObservedBackend` wraps any array backend and times the routed hot
   kernels (:data:`~repro.tensorlib.backend.HOT_KERNELS`): per-kernel call
   counters, elapsed seconds, operand bytes, a latency histogram, and — when
-  bound to a tracer — one wall span per call.  Everything else forwards to
-  the wrapped backend untouched, so numerics are bit-identical.
+  bound to a tracer — one wall span per call.  The im2col gather also
+  reports the patch workspace pool (``backend.workspace.bytes`` /
+  ``.misses``).  Everything else forwards to the wrapped backend untouched,
+  so numerics are bit-identical.
 * :func:`install_backend_observer` plugs the wrapper into the single
   ``get_backend()`` seam (``repro.tensorlib.backend._OBSERVER``).
 * :func:`emit_simulated_iteration` converts one engine
@@ -85,11 +87,36 @@ def _kernel_method(kernel: str):
     return method
 
 
+def _gather_method():
+    """``im2col_gather`` metered like every kernel, plus the workspace pool's footprint.
+
+    After each gather ``backend.workspace.bytes`` observes the bytes the pool
+    holds (so its largest bucket is the step's high-water mark) and
+    ``backend.workspace.misses`` counts the buffers the gather allocated.
+    """
+    from repro.tensorlib import backend as backend_module  # noqa: PLC0415
+
+    metered = _kernel_method("im2col_gather")
+
+    def im2col_gather(self: ObservedBackend, *args, **kwargs):
+        misses = backend_module._workspace_misses
+        cols = metered(self, *args, **kwargs)
+        registry = self._registry
+        registry.inc("backend.workspace.misses", backend_module._workspace_misses - misses)
+        registry.observe(
+            "backend.workspace.bytes", sum(buffer.nbytes for buffer in backend_module._WORKSPACE)
+        )
+        return cols
+
+    return im2col_gather
+
+
 def _install_kernel_methods() -> None:
     from repro.tensorlib.backend import HOT_KERNELS  # noqa: PLC0415
 
     for kernel in HOT_KERNELS:
         setattr(ObservedBackend, kernel, _kernel_method(kernel))
+    ObservedBackend.im2col_gather = _gather_method()
 
 
 _install_kernel_methods()

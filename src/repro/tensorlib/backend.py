@@ -9,7 +9,9 @@ fused-norm statistics — are methods of that one class (:data:`HOT_KERNELS`),
 and every call site reaches them through :func:`get_backend`.  The im2col
 gather is one flat ``np.take`` through a per-geometry index plan cached on
 this module (:func:`_gather_index_plan`, bounded by total plan bytes) into a
-pooled buffer (:func:`_workspace`).
+pooled buffer (:func:`_workspace`).  Callers hold a patch matrix only for the
+GEMM that reads it — conv backward gathers again rather than keep forward's —
+so a step reuses one layer's buffer instead of pinning one per layer.
 
 The seam exists for two callers.  :mod:`repro.obs` meters the hot kernels
 while tracing by wrapping the active instance (the :data:`_OBSERVER` hook);
@@ -99,8 +101,10 @@ def _gather_index_plan(
     return plan
 
 
-#: Bound on the bytes of pooled workspace buffers: the patch matrices of the
-#: benchmark's world-batched ResNet-18 step take 44 MB, its VGG-19 one 28 MB.
+#: Bound on the bytes of pooled workspace buffers.  No graph keeps a patch
+#: matrix (conv backward re-gathers its own), so the pool settles at one
+#: layer's patches: 4.7 MB for the benchmark's world-batched ResNet-18 and
+#: VGG-19 steps (44 MB and 28 MB while graphs kept them).
 _WORKSPACE_MAX_BYTES = 64 << 20
 
 #: Flat ``uint8`` buffers, from least to most recently handed out.

@@ -14,6 +14,14 @@ path — contracts the weight gradient through BLAS instead of ``np.einsum``.
 The float64 path keeps the original kernels so its results stay bit-identical
 to the historical behaviour.
 
+No patch matrix outlives its GEMM.  The gather writes into a pooled buffer
+(the backend's ``_workspace``) that is free again once nothing refers to it,
+so conv backward gathers its input's patches a second time for the weight
+gradient — the same bytes through the same plan — and drops them before the
+input-gradient gather, and max-pool backward keeps only the argmax.  A step
+therefore holds one layer's patches at a time, not every layer's from
+forward to backward.
+
 World-batched execution
 -----------------------
 The simulated-DDP training step can evaluate all ranks at once by prepending a
@@ -196,7 +204,11 @@ def conv2d(
         # grad: (N, O, out_h, out_w) -> (N, L, O)
         grad_mat = grad.reshape(x.shape[0], out_channels, out_h * out_w).transpose(0, 2, 1)
         if weight.requires_grad:
+            # Re-gathered, not kept from forward: the pooled buffer is free again
+            # before the input-gradient gather below asks for one.
+            cols, _ = im2col(x.data, (kh, kw), stride, padding)
             grad_w = backend.conv_weight_grad(grad_mat, cols)
+            del cols
             weight._accumulate(grad_w.reshape(weight.shape), own=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(0, 1)), own=True)
@@ -255,10 +267,9 @@ def _conv2d_batched(
         )
 
     backend = get_backend()
-    flat_images = x.data.reshape((world * n,) + x.shape[2:])
-    cols, (out_h, out_w) = im2col(flat_images, (kh, kw), stride, padding)  # (W*N, L, K)
+    flat_shape = (world * n,) + x.shape[2:]
+    cols, (out_h, out_w) = im2col(x.data.reshape(flat_shape), (kh, kw), stride, padding)  # (W*N, L, K)
     length = out_h * out_w
-    cols4 = cols.reshape(world, n, length, -1)
     shared_weight = weight.data.strides[0] == 0
     if shared_weight:
         w_mat = weight.data[0].reshape(out_channels, -1)  # (O, K), no world copies
@@ -268,7 +279,7 @@ def _conv2d_batched(
         w_mat = None
         w_mats = weight.data.reshape(world, out_channels, -1)  # (W, O, K)
         # (W, N, L, K) @ (W, 1, K, O) -> (W, N, L, O), per-slice GEMMs.
-        out4 = backend.matmul(cols4, np.swapaxes(w_mats, -1, -2)[:, None])
+        out4 = backend.matmul(cols.reshape(world, n, length, -1), np.swapaxes(w_mats, -1, -2)[:, None])
     if bias is not None:
         b = bias.data  # (world, O) view
         if b.strides[0] == 0:
@@ -285,6 +296,11 @@ def _conv2d_batched(
         # grad: (W, N, O, out_h, out_w) -> (W, N, L, O)
         grad_mat = grad.reshape(world, n, out_channels, length).transpose(0, 1, 3, 2)
         if weight.requires_grad:
+            # Re-gathered, as in the per-rank kernel, and dropped before the
+            # input-gradient gather.
+            cols4 = im2col(x.data.reshape(flat_shape), (kh, kw), stride, padding)[0].reshape(
+                world, n, length, -1
+            )
             slot = getattr(weight, "slot", None) if weight.grad is None else None
             if slot is None:
                 grad_w = backend.conv_weight_grad(grad_mat, cols4)  # (W, O, K)
@@ -292,6 +308,7 @@ def _conv2d_batched(
             else:  # a replica view's first contribution, born in its arena slot
                 backend.conv_weight_grad(grad_mat, cols4, out=slot.reshape(world, out_channels, -1))
                 weight._accumulate(slot, own=True)
+            del cols4
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(1, 2)), own=True)
         if x.requires_grad:
@@ -352,7 +369,8 @@ def max_pool2d(x: Tensor, kernel_size=2, stride=None) -> Tensor:
         return Tensor._wrap(out_data)
 
     def backward(grad: np.ndarray) -> None:
-        grad_cols = np.zeros_like(cols)
+        # Only ``argmax`` is kept: the pooled patch buffer is free once forward returns.
+        grad_cols = np.zeros((flat, out_h * out_w, kh * kw), dtype=x.data.dtype)
         np.put_along_axis(
             grad_cols, argmax[..., None], grad.reshape(flat, out_h * out_w, 1), axis=2
         )

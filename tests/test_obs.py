@@ -37,6 +37,7 @@ from repro.obs.export import (
 )
 from repro.obs.instrument import ObservedBackend
 from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, run_experiment
+from repro.tensorlib import backend as backend_module
 from repro.tensorlib.backend import NumpyBackend, get_backend
 
 
@@ -476,6 +477,21 @@ class TestBackendCounters:
             assert counters[f"{prefix}.bytes"] > 0, kernel
         TRACER.flush_metrics()
         assert "backend.numpy.matmul.calls" in summary(TRACER.events())
+
+    def test_every_gather_reports_the_workspace_pool(self, monkeypatch):
+        """Graph footprint per step: the pool's bytes after each gather, and its misses."""
+        monkeypatch.setattr(backend_module, "_WORKSPACE", [])
+        monkeypatch.setattr(backend_module, "_workspace_misses", 0)
+        TRACER.enable()
+        run_experiment(tiny_config(model="resnet18"), PAPER_METHODS["all-reduce"])
+        metrics = TRACER.metrics
+        pooled = metrics.histograms["backend.workspace.bytes"]
+        assert pooled.count == metrics.counters["backend.numpy.im2col_gather.calls"]
+        assert metrics.counters["backend.workspace.misses"] == backend_module._workspace_misses > 0
+        high_water = max(bound for bound, _ in pooled.to_buckets())
+        assert high_water >= sum(buffer.nbytes for buffer in backend_module._WORKSPACE) > 0
+        TRACER.flush_metrics()
+        assert "backend.workspace.bytes" in summary(TRACER.events())
 
 
 class TestSummary:
