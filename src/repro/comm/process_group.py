@@ -110,9 +110,6 @@ class ProcessGroup:
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
-    def reset_log(self) -> None:
-        self.events.clear()
-
     @property
     def total_time(self) -> float:
         """Total modeled communication time across all logged collectives."""

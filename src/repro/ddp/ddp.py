@@ -3,10 +3,11 @@
 :class:`DistributedDataParallel` simulates synchronous data-parallel training
 of ``world_size`` replicas on a single process:
 
-1. every rank runs a real forward/backward pass on its own mini-batch (the
-   replicas share one set of weights, which is mathematically identical to
-   real DDP because every rank applies the same aggregated gradient), with
-   Gradient Sparsity Enforcement applied when the step is given a mask;
+1. every live rank runs a real forward/backward pass on its own mini-batch —
+   all of them in one world-batched pass (the replicas share one set of
+   weights, which is mathematically identical to real DDP because every rank
+   applies the same aggregated gradient) — with Gradient Sparsity Enforcement
+   applied when the step is given a mask;
 2. per-rank gradients are staged into a preallocated
    :class:`~repro.ddp.arena.GradientArena` — one reusable ``(world_size,
    numel)`` matrix per bucket (reverse parameter order, names erased — see
@@ -244,47 +245,48 @@ class DistributedDataParallel:
 
     def compute_batched_gradients(
         self,
-        batch: Tuple[np.ndarray, np.ndarray],
+        per_rank_batches: Sequence[Tuple[np.ndarray, np.ndarray]],
         loss_fn: Callable[[Tensor, np.ndarray], Tensor],
+        ranks: Optional[Sequence[int]] = None,
+        stacks: Optional[Dict[str, np.ndarray]] = None,
     ) -> Tuple[List[float], Dict[str, np.ndarray]]:
-        """Run every rank's forward/backward as one world-batched pass.
+        """Run the forward/backward of ``ranks`` (default: all) as one world-batched pass.
 
-        ``batch`` is the stacked ``(world_size, N, ...)`` images and
-        ``(world_size, N)`` labels.  Parameters are temporarily swapped for
-        zero-copy ``(world, *shape)`` broadcast views (see
-        :mod:`repro.nn.batched`); the loss function returns a per-world loss
-        vector whose backward is seeded with unit gradients — one per rank,
-        exactly like the per-rank loop's scalar backward seeds.  Returns the
-        per-rank losses and ``{name: (world, *shape)}`` gradient stacks, whose
-        float64 values are bit-identical per rank to
-        :meth:`compute_local_gradients` run rank by rank.  Conv weight stacks
-        are born in their ``arena.slots``: like ``compute_local_gradients(
-        copy=False)`` they are valid until the next staging pass.
+        ``per_rank_batches`` holds one ``(images, labels)`` batch per rank of
+        the world; only the batches of ``ranks`` (sorted global ids) are
+        stacked, and they must share one shape (``ValueError`` otherwise).
+        Parameters are temporarily swapped for ``(len(ranks), *shape)`` views
+        (see :mod:`repro.nn.batched`): broadcasts of the shared weights, or
+        the per-rank ``stacks`` when given.  The loss function returns a
+        per-world loss vector whose backward is seeded with unit gradients —
+        one per rank, exactly like the per-rank loop's scalar backward seeds.
+        Returns the per-rank losses and ``{name: (len(ranks), *shape)}``
+        gradient stacks, whose float64 values are bit-identical per rank to
+        :meth:`compute_local_gradients` run rank by rank.  When the full world
+        runs, conv weight stacks are born in their ``arena.slots``: like
+        ``compute_local_gradients(copy=False)`` they are valid until the next
+        staging pass.
         """
-        images, labels = batch
-        if images.shape[0] != self.world_size:
+        if len(per_rank_batches) != self.world_size:
             raise ValueError(
-                f"batched images lead with {images.shape[0]} ranks, expected {self.world_size}"
+                f"expected {self.world_size} per-rank batches, got {len(per_rank_batches)}"
             )
+        ranks = range(self.world_size) if ranks is None else ranks
+        # np.stack raises ValueError on ragged batches.
+        images = np.stack([per_rank_batches[rank][0] for rank in ranks])
+        labels = np.stack([np.asarray(per_rank_batches[rank][1]) for rank in ranks])
+        world = len(ranks)
+        slots = self.arena.slots if world == self.world_size else None
         self.model.zero_grad()
-        with replica_views(self.model, self.world_size, self.arena.slots) as views:
+        with replica_views(self.model, world, slots, stacks) as views:
             logits = self.model(Tensor(images))
             loss = loss_fn(logits, labels)
-            loss.backward(np.ones(self.world_size, dtype=loss.data.dtype))
+            loss.backward(np.ones(world, dtype=loss.data.dtype))
             grads = {
                 name: view.grad for name, view in views.items() if view.grad is not None
             }
         losses = [float(value) for value in np.asarray(loss.data).reshape(-1)]
         return losses, grads
-
-    @staticmethod
-    def _stackable(per_rank_batches: Sequence[Tuple[np.ndarray, np.ndarray]]) -> bool:
-        """Whether every rank's batch has identical shapes (batchable)."""
-        first_images, first_labels = per_rank_batches[0]
-        return all(
-            images.shape == first_images.shape and np.shape(labels) == np.shape(first_labels)
-            for images, labels in per_rank_batches
-        )
 
     def train_step(
         self,
@@ -294,15 +296,15 @@ class DistributedDataParallel:
     ) -> StepResult:
         """One synchronous iteration: backward on every active rank, GSE, sync.
 
-        ``per_rank_batches`` holds exactly ``world_size`` batches, one per rank
-        (typically produced by a :class:`repro.data.DistributedSampler`); a
-        rank outside :attr:`active_ranks` has its batch consumed, so data order
-        stays deterministic, but contributes no gradient or loss.
+        ``per_rank_batches`` holds exactly ``world_size`` equally shaped
+        batches, one per rank (as a :class:`repro.data.DistributedSampler`
+        produces them); a rank outside :attr:`active_ranks` has its batch
+        consumed, so data order stays deterministic, but contributes no
+        gradient or loss.
 
-        All ranks are evaluated in one world-batched forward/backward when
-        their batches share a shape and the world is healthy; ragged batches
-        or a degraded membership take the per-rank loop over the active ranks.
-        Float64 results are bit-identical either way, and modeled time is
+        The active ranks are evaluated in one world-batched forward/backward
+        (:meth:`compute_batched_gradients`), healthy or degraded.  Float64
+        results are bit-identical to a per-rank loop, and modeled time is
         unaffected — the simulation clock measures the *simulated* cluster,
         not how the host runs the passes.
 
@@ -311,33 +313,16 @@ class DistributedDataParallel:
         aggregated gradients are written back into ``param.grad``; the
         optimiser step and advancing :attr:`iteration` are the caller's.
         """
-        if len(per_rank_batches) != self.world_size:
-            raise ValueError(
-                f"expected {self.world_size} per-rank batches, got {len(per_rank_batches)}"
-            )
         with TRACER.span("train/backward", cat="train", iteration=self.iteration):
-            if not self.is_degraded and self._stackable(per_rank_batches):
-                images = np.stack([batch[0] for batch in per_rank_batches])
-                labels = np.stack([np.asarray(batch[1]) for batch in per_rank_batches])
-                per_rank_losses, grads = self.compute_batched_gradients((images, labels), loss_fn)
-                if gse_mask is not None:
-                    # The (*shape) masks broadcast over the leading world axis,
-                    # multiplying each rank's slice exactly as the loop does.
-                    apply_gse(self.model, gse_mask, grads=grads)
-                self.stage_world_gradients(grads)
-            else:
-                per_rank_losses = []
-                for rank in self.active_ranks:
-                    # copy=False: each rank's gradients are masked and staged
-                    # into its arena row before the next rank's backward pass
-                    # overwrites them, skipping one full-model copy per rank.
-                    loss_value, grads = self.compute_local_gradients(
-                        per_rank_batches[rank], loss_fn, copy=False
-                    )
-                    if gse_mask is not None:
-                        apply_gse(self.model, gse_mask, grads=grads)
-                    self.stage_rank_gradients(rank, grads)
-                    per_rank_losses.append(loss_value)
+            ranks = self._active_ranks
+            per_rank_losses, grads = self.compute_batched_gradients(
+                per_rank_batches, loss_fn, ranks
+            )
+            if gse_mask is not None:
+                # The (*shape) masks broadcast over the leading world axis,
+                # multiplying each rank's slice exactly as the loop does.
+                apply_gse(self.model, gse_mask, grads=grads)
+            self.stage_world_gradients(grads, ranks)
         with TRACER.span("train/sync", cat="train", iteration=self.iteration):
             aggregated, bucket_events = self.synchronize_staged()
             self.apply_aggregated_gradients(aggregated)
@@ -350,9 +335,22 @@ class DistributedDataParallel:
         """Write one rank's named gradients into its arena rows."""
         self.arena.write_rank(rank, grads_by_name)
 
-    def stage_world_gradients(self, grads_by_name: Dict[str, np.ndarray]) -> None:
-        """Write ``(world, *shape)`` stacked gradients into all arena rows at once."""
-        self.arena.write_world(grads_by_name)
+    def stage_world_gradients(
+        self, grads_by_name: Dict[str, np.ndarray], ranks: Optional[Sequence[int]] = None
+    ) -> None:
+        """Write ``(len(ranks), *shape)`` gradient stacks into the rows of ``ranks``.
+
+        ``ranks`` (sorted global ids) defaults to the whole world, which is
+        staged in one vectorised copy per parameter; a subset is staged row by
+        row and leaves the other ranks' rows untouched.
+        """
+        if ranks is None or len(ranks) == self.world_size:
+            self.arena.write_world(grads_by_name)
+            return
+        for index, rank in enumerate(ranks):
+            self.stage_rank_gradients(
+                rank, {name: grad[index] for name, grad in grads_by_name.items()}
+            )
 
     def synchronize_staged(
         self, compressor: Optional[CodecCompressor] = None

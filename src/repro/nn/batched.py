@@ -1,19 +1,20 @@
 """World-batched replica execution for the simulated data-parallel step.
 
-The DDP simulator trains ``world_size`` replicas that share one set of
-parameter arrays.  Looping Python over the ranks costs one full
-forward/backward per rank; this module lets a *single* batched
-forward/backward evaluate every rank at once while keeping the per-rank
-float64 numerics bit-identical to the loop:
+The DDP simulator runs ``world`` replicas through one model.  Looping Python
+over the ranks costs one full forward/backward per rank; this module lets a
+*single* batched forward/backward evaluate every live rank at once while
+keeping the per-rank float64 numerics bit-identical to the loop:
 
 * :func:`replica_views` temporarily swaps every parameter attribute for a
-  zero-copy broadcast **view** of shape ``(world, *param.shape)`` (stride 0
-  along the world axis — no data is duplicated).  A batched input with a
-  leading ``world`` axis then flows through the unchanged model code; because
-  the views carry the world axis, :func:`repro.tensorlib.tensor._unbroadcast`
-  stops summing *at* that axis and each view's ``.grad`` comes back as the
-  per-rank gradient stack ``(world, *param.shape)`` — exactly the layout the
-  gradient arena stores.
+  ``(world, *param.shape)`` **view**: by default a zero-copy broadcast of the
+  shared parameter (stride 0 along the world axis — synchronous replicas are
+  identical), or a given per-rank stack (local-SGD replicas, which diverge
+  between averaging rounds).  A batched input with a leading ``world`` axis
+  then flows through the unchanged model code; because the views carry the
+  world axis, :func:`repro.tensorlib.tensor._unbroadcast` stops summing *at*
+  that axis and each view's ``.grad`` comes back as the per-rank gradient
+  stack ``(world, *param.shape)`` — exactly the layout the gradient arena
+  stores.
 * :func:`active_world` is the thread-local-style context parameter-less layers
   (``Flatten``, model-level reshapes) consult to know how many leading axes
   are batch bookkeeping rather than data.
@@ -25,8 +26,9 @@ and pruning-mask keys) is untouched, and are always restored on exit.
 Bit-identity contract: contractions keep ``world`` as a batch axis (numpy
 dispatches the same per-slice GEMMs as the loop) and reductions over
 non-world axes reduce each world slice independently, so every float64
-gradient equals its looped counterpart bit-for-bit.  The one exception is
-dropout (a single batched RNG draw); frozen golden workloads disable it.
+gradient equals its looped counterpart bit-for-bit, whether the views are
+broadcasts or real stacks.  The one exception is dropout (a single batched
+RNG draw instead of one per rank); frozen golden workloads disable it.
 """
 
 from __future__ import annotations
@@ -70,12 +72,20 @@ class _ReplicaView(Tensor):
     __slots__ = ("slot",)
 
 
-def _make_view(param: Parameter, world_size: int, name: str, slot: Optional[np.ndarray]) -> _ReplicaView:
-    # Construct without Tensor.__init__ so the stride-0 broadcast is preserved
-    # verbatim (no dtype coercion copy): the view must alias the parameter's
-    # storage for the whole point — zero-copy replicas — to hold.
+def _make_view(
+    param: Parameter,
+    world_size: int,
+    name: str,
+    slot: Optional[np.ndarray],
+    stack: Optional[np.ndarray],
+) -> _ReplicaView:
+    # Construct without Tensor.__init__ so the stride-0 broadcast (or the
+    # given stack) is installed verbatim, with no dtype coercion copy.
+    shape = (world_size,) + param.data.shape
+    if stack is not None and stack.shape != shape:
+        raise ValueError(f"replica stack for {name!r} has shape {stack.shape}, expected {shape}")
     view = _ReplicaView.__new__(_ReplicaView)
-    view.data = np.broadcast_to(param.data, (world_size,) + param.data.shape)
+    view.data = np.broadcast_to(param.data, shape) if stack is None else stack
     view.grad = None
     view.requires_grad = param.requires_grad
     view._backward = None
@@ -87,11 +97,16 @@ def _make_view(param: Parameter, world_size: int, name: str, slot: Optional[np.n
 
 @contextlib.contextmanager
 def replica_views(
-    model: Module, world_size: int, slots: Optional[Dict[str, np.ndarray]] = None
+    model: Module,
+    world_size: int,
+    slots: Optional[Dict[str, np.ndarray]] = None,
+    stacks: Optional[Dict[str, np.ndarray]] = None,
 ) -> Iterator[Dict[str, Tensor]]:
-    """Swap every parameter for a ``(world, *shape)`` broadcast view.
+    """Swap every parameter for a ``(world, *shape)`` view.
 
-    Yields ``{dotted_name: view}`` (same names and order as
+    The view is a broadcast of the parameter unless ``stacks`` (``{name:
+    (world, *shape) array}``) gives that parameter's per-rank values.  Yields
+    ``{dotted_name: view}`` (same names and order as
     ``model.named_parameters()``).  After a backward pass each view's
     ``.grad`` is the stacked per-rank gradient ``(world, *param.shape)``;
     the underlying parameters themselves accumulate nothing.  A kernel may
@@ -106,7 +121,11 @@ def replica_views(
         for prefix, module in model.named_modules():
             for local, param in module._parameters.items():
                 full = local if prefix == "" else f"{prefix}.{local}"
-                view = _make_view(param, world_size, full, None if slots is None else slots.get(full))
+                view = _make_view(
+                    param, world_size, full,
+                    None if slots is None else slots.get(full),
+                    None if stacks is None else stacks.get(full),
+                )
                 views[full] = view
                 installed.append((module, local, param))
                 object.__setattr__(module, local, view)

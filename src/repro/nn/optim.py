@@ -62,7 +62,9 @@ class SGD(Optimizer):
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
+        #: Per-parameter momentum buffers, ``None`` until a parameter's first
+        #: step; updated in place, so a caller may hand in views to step.
+        self.velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
 
     def step(self) -> None:
         for index, param in enumerate(self.parameters):
@@ -81,9 +83,9 @@ class SGD(Optimizer):
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
             if self.momentum:
-                velocity = self._velocity[index]
+                velocity = self.velocity[index]
                 if velocity is None:
-                    velocity = self._velocity[index] = np.zeros_like(param.data)
+                    velocity = self.velocity[index] = np.zeros_like(param.data)
                 # In-place v = momentum * v + grad: the same two ufuncs (and
                 # therefore the same floats) as the out-of-place update,
                 # without reallocating the velocity buffer every step.
@@ -104,7 +106,7 @@ class SGD(Optimizer):
     # run replays the exact same momentum floats.
     def state_arrays(self) -> List[Optional[np.ndarray]]:
         """Copies of the per-parameter velocity buffers (``None`` = unused)."""
-        return [None if v is None else v.copy() for v in self._velocity]
+        return [None if v is None else v.copy() for v in self.velocity]
 
     def load_state_arrays(self, velocities: List[Optional[np.ndarray]]) -> None:
         """Restore velocity buffers captured by :meth:`state_arrays`."""
@@ -113,4 +115,4 @@ class SGD(Optimizer):
                 f"expected {len(self.parameters)} velocity entries, "
                 f"got {len(velocities)}"
             )
-        self._velocity = [None if v is None else v.copy() for v in velocities]
+        self.velocity = [None if v is None else v.copy() for v in velocities]

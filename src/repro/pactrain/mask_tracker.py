@@ -66,7 +66,6 @@ class MaskTracker:
         self.min_sparsity = min_sparsity
         self._previous: Dict[int, np.ndarray] = {}
         self._streak: Dict[int, int] = {}
-        self._updates: int = 0
 
     # ------------------------------------------------------------------ #
     # Core API
@@ -89,7 +88,6 @@ class MaskTracker:
         synchronisation exactly as Algorithm 1 line 12 requires.
         """
         pattern = np.asarray(nonzero_pattern, dtype=bool).reshape(-1)
-        self._updates += 1
 
         previous = self._previous.get(bucket_index)
         if previous is None or previous.shape != pattern.shape:
@@ -142,9 +140,6 @@ class MaskTracker:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def current_mask(self, bucket_index: int) -> Optional[np.ndarray]:
-        return self._previous.get(bucket_index)
-
     def streak(self, bucket_index: int) -> int:
         return self._streak.get(bucket_index, 0)
 
@@ -161,7 +156,6 @@ class MaskTracker:
         if bucket_index is None:
             self._previous.clear()
             self._streak.clear()
-            self._updates = 0
         else:
             self._previous.pop(bucket_index, None)
             self._streak.pop(bucket_index, None)
@@ -169,7 +163,3 @@ class MaskTracker:
     @property
     def tracked_buckets(self) -> int:
         return len(self._previous)
-
-    @property
-    def total_updates(self) -> int:
-        return self._updates

@@ -1,4 +1,4 @@
-"""Discrete-event simulation engine for one training iteration.
+"""Simulation engine: the schedule of one training iteration.
 
 The seed time model summed two scalars per iteration (``compute + comm``),
 which cannot express the two effects the paper's testbed is built around:
@@ -9,17 +9,19 @@ which cannot express the two effects the paper's testbed is built around:
 * heterogeneous (straggler) workers make the iteration finish at the slowest
   rank, not at an average.
 
-This module replaces the scalar sum with an event-driven schedule:
+This module replaces the scalar sum with a schedule:
 
-* :class:`EventHeap` — a deterministic min-heap of :class:`SimEvent` objects
-  (ties broken by insertion order, so runs are reproducible);
-* :class:`LinkChannel` — occupancy of the shared communication channel (one
-  in-flight collective at a time, matching NCCL's single comm stream);
 * per-rank clocks — every rank finishes its backward pass at its own time,
   and a bucket's collective becomes *ready* only when the slowest rank has
   produced that bucket's gradients;
-* :class:`SimulationEngine` — runs the heap to completion and emits an
-  :class:`IterationTrace` with the compute/comm/overlap/straggler breakdown.
+* :class:`LinkChannel` — occupancy of the shared communication channel (one
+  in-flight collective at a time, matching NCCL's single comm stream);
+* :class:`SimulationEngine` — launches the buckets through the channel in
+  index order and emits an :class:`IterationTrace` with the
+  compute/comm/overlap/straggler breakdown;
+* :class:`EventHeap` — a deterministic min-heap of :class:`SimEvent` objects
+  (ties broken by insertion order, so runs are reproducible), the clock of
+  the asynchronous parameter server, whose workers share no barrier.
 
 Equivalence guarantee: with ``overlap=False`` the engine reports
 ``wall_time = compute_span + comm_busy`` where ``comm_busy`` is the flat sum
@@ -31,27 +33,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 # --------------------------------------------------------------------------- #
 # Events
 # --------------------------------------------------------------------------- #
-#: Event kinds, in the order they may legally occur for one bucket.
-RANK_DONE = "rank_done"          # one rank finished its full backward pass
-BUCKET_READY = "bucket_ready"    # all ranks produced one bucket's gradients
-COMM_START = "comm_start"        # the bucket's collective left the queue
-COMM_END = "comm_end"            # the bucket's collective completed
-
-
 @dataclass(frozen=True)
 class SimEvent:
-    """One timestamped occurrence inside the engine."""
+    """One timestamped occurrence of an event loop (the kinds are the loop's)."""
 
     time: float
     kind: str
-    rank: int = -1       # RANK_DONE only
-    bucket: int = -1     # bucket-scoped kinds only
+    rank: int = -1
 
 
 class EventHeap:
@@ -152,7 +146,7 @@ class IterationTrace:
 # Engine
 # --------------------------------------------------------------------------- #
 class SimulationEngine:
-    """Event-driven scheduler for one iteration's compute and collectives.
+    """Scheduler for one iteration's compute and collectives.
 
     Parameters
     ----------
@@ -220,87 +214,35 @@ class SimulationEngine:
         # ``sum(e.time_seconds for e in events)``.
         comm_busy = float(sum(bucket_comm_times))
 
-        if not self.overlap:
-            # Serial fast path — the schedule is fully determined (every
-            # bucket ready at the backward end, collectives back to back), so
-            # skip the heap and emit the identical trace directly.  This is
-            # also the bit-identical-to-seed case: wall = compute + flat sum.
-            traces = []
-            clock = compute_span
-            for index, duration in enumerate(bucket_comm_times):
-                traces.append(
-                    BucketTrace(
-                        index=index,
-                        ready_time=compute_span,
-                        start_time=clock,
-                        end_time=clock + duration,
-                        comm_seconds=duration,
-                    )
-                )
-                clock += duration
-            return IterationTrace(
-                per_rank_compute=compute,
-                compute_span=compute_span,
-                comm_busy=comm_busy,
-                wall_time=compute_span + comm_busy,
-                overlap_saved=0.0,
-                straggler_slack=straggler_slack,
-                buckets=traces,
-            )
-
-        heap = EventHeap()
+        # Bucket b is ready when the slowest rank has produced it, at
+        # max_r fl(c_r * f_b) = fl(compute_span * f_b): rounding is monotone.
+        # Fractions are non-decreasing, so buckets become ready in index
+        # order and launch through the one channel in that order.  Without
+        # overlap every bucket waits for the full backward pass.
         channel = LinkChannel()
-        num_buckets = len(bucket_comm_times)
-
-        # Per-rank clocks: when each rank finishes each bucket's gradients.
-        for rank, total in enumerate(compute):
-            for index, fraction in enumerate(bucket_fractions):
-                heap.push(SimEvent(time=total * fraction, kind=RANK_DONE, rank=rank, bucket=index))
-
-        pending: Dict[int, int] = {index: len(compute) for index in range(num_buckets)}
-        ready_times: Dict[int, float] = {}
         traces: List[BucketTrace] = []
-        next_to_launch = 0
-        wall = compute_span
-
-        while heap:
-            event = heap.pop()
-            if event.kind == RANK_DONE:
-                pending[event.bucket] -= 1
-                if pending[event.bucket] == 0:
-                    ready_times[event.bucket] = event.time
-                    heap.push(SimEvent(time=event.time, kind=BUCKET_READY, bucket=event.bucket))
-            elif event.kind == BUCKET_READY:
-                # Collectives launch in bucket order on the single channel,
-                # matching NCCL's in-order launch on one comm stream.  Bucket
-                # ready times are monotone in the index (fractions are
-                # non-decreasing), so the next bucket is always the popped one.
-                while next_to_launch < num_buckets and next_to_launch in ready_times:
-                    index = next_to_launch
-                    start, end = channel.acquire(ready_times[index], bucket_comm_times[index])
-                    traces.append(
-                        BucketTrace(
-                            index=index,
-                            ready_time=ready_times[index],
-                            start_time=start,
-                            end_time=end,
-                            comm_seconds=bucket_comm_times[index],
-                        )
-                    )
-                    heap.push(SimEvent(time=end, kind=COMM_END, bucket=index))
-                    next_to_launch += 1
-            elif event.kind == COMM_END:
-                wall = max(wall, event.time)
-
-        wall_time = wall
-        overlap_saved = max(0.0, compute_span + comm_busy - wall_time)
-
+        last_end = compute_span
+        for index, (fraction, duration) in enumerate(zip(bucket_fractions, bucket_comm_times)):
+            ready = compute_span * fraction if self.overlap else compute_span
+            start, last_end = channel.acquire(ready, duration)
+            traces.append(
+                BucketTrace(
+                    index=index,
+                    ready_time=ready,
+                    start_time=start,
+                    end_time=last_end,
+                    comm_seconds=duration,
+                )
+            )
+        # The seed model's wall is compute + the flat sum; with overlap the
+        # iteration ends when the last collective does (ends are monotone).
+        wall_time = max(compute_span, last_end) if self.overlap else compute_span + comm_busy
         return IterationTrace(
             per_rank_compute=compute,
             compute_span=compute_span,
             comm_busy=comm_busy,
             wall_time=wall_time,
-            overlap_saved=overlap_saved,
+            overlap_saved=max(0.0, compute_span + comm_busy - wall_time),
             straggler_slack=straggler_slack,
             buckets=traces,
         )

@@ -263,14 +263,15 @@ class _FaultState:
         """Interpret the plan up to simulated time ``now``.
 
         Events scheduled up to "now" have fired, so the next iteration runs
-        over the surviving membership with the current link factor.  Returns
-        ``(active_set, churn)`` for the iteration — ``(None, None)`` when the
-        plan is empty.  ``on_rejoin`` (if given) is called with the list of
-        ranks that re-joined, after their broadcast cost has been charged —
-        the local-SGD step uses it to refresh the returning replica.
+        over the surviving membership (:attr:`active`, also installed on the
+        DDP wrapper) with the current link factor.  Returns the iteration's
+        per-rank churn multipliers — ``None`` when the plan is empty.
+        ``on_rejoin`` (if given) is called with the list of ranks that
+        re-joined, after their broadcast cost has been charged — the
+        local-SGD step uses it to refresh the returning replica.
         """
         if not self.faulty:
-            return None, None
+            return None
         plan = self.plan
         timeline = self.run.timeline
         fired = plan.events_between(self.cursor, now)
@@ -311,7 +312,7 @@ class _FaultState:
                     )
             if rejoined and on_rejoin is not None:
                 on_rejoin(rejoined)
-        return set(self.active), plan.churn_multipliers(self.world_size, global_iteration)
+        return plan.churn_multipliers(self.world_size, global_iteration)
 
 
 def train_distributed(
@@ -341,13 +342,13 @@ def train_distributed(
     *is* synchronous training — which the regime-parity tests pin
     bit-identically.
 
-    The synchronous step is :meth:`DistributedDataParallel.train_step`: on the
-    host it evaluates all ranks in one world-batched forward/backward whenever
-    the per-rank batches stack and the world is not degraded, and rank by rank
-    otherwise (ragged tail batches, dead ranks); float64 losses, gradients and
-    traces are bit-identical either way, and modeled time — which measures the
-    *simulated* cluster — never depends on it.  Local-SGD windows always loop
-    (diverged replicas cannot share one world-batched pass).
+    Every iteration of the stepped loop is one world-batched forward/backward
+    over the live ranks (:meth:`DistributedDataParallel.compute_batched_gradients`):
+    the synchronous step, :meth:`DistributedDataParallel.train_step`, runs it
+    on broadcast views of the shared weights, healthy or degraded, and a
+    local-SGD step on the replicas' per-rank stacks.  Float64 losses,
+    gradients and traces are bit-identical to a per-rank loop, and modeled
+    time — which measures the *simulated* cluster — never depends on it.
 
     ``checkpoint_at``/``checkpoint_box`` capture a
     :class:`~repro.simulation.regimes.TrainingCheckpoint` just before global
@@ -446,7 +447,8 @@ def _train_stepped(
     capture/resume, the fault cursor, engine scheduling, timeline booking,
     tracer emission and the epoch end.  What an iteration *does* is the
     regime ``step``'s business (:class:`_SyncStep`, :class:`_LocalSGDStep`):
-    ``step(batches, active_set, epoch, iteration)`` trains one iteration and
+    ``step(batches, epoch, iteration)`` trains one iteration over the DDP
+    wrapper's live membership (the fault cursor keeps it current) and
     returns its :class:`~repro.ddp.StepResult` — ``None`` bucket events mean a
     communication-free local step; ``flush(epoch, active)`` runs before the
     epoch-end evaluation; ``on_rejoin`` (or ``None``) hears of re-joined ranks.
@@ -513,10 +515,8 @@ def _train_stepped(
             except StopIteration:
                 break
 
-            active_set, churn = faults.advance(
-                timeline.total_time, ddp.iteration, on_rejoin=step.on_rejoin
-            )
-            result = step.step(batches, active_set, epoch, iteration)
+            churn = faults.advance(timeline.total_time, ddp.iteration, on_rejoin=step.on_rejoin)
+            result = step.step(batches, epoch, iteration)
 
             iteration_compute = per_rank_compute
             if faults.faulty:
@@ -576,7 +576,7 @@ class _SyncStep:
         self.run = run
         self.gse_mask = run.mask if run.method.gse else None
 
-    def step(self, batches, active_set, epoch: int, iteration: int) -> StepResult:
+    def step(self, batches, epoch: int, iteration: int) -> StepResult:
         # The wrapper already runs over the fault interpreter's membership.
         run = self.run
         result = run.ddp.train_step(batches, F.cross_entropy, gse_mask=self.gse_mask)
@@ -595,7 +595,8 @@ class _LocalSGDStep:
     """Local SGD: H local optimiser steps per rank between averaging rounds.
 
     Each rank trains on its own diverged parameter/velocity replica
-    (:class:`~repro.simulation.regimes.ReplicaSet`); every ``schedule.period``
+    (:class:`~repro.simulation.regimes.ReplicaSet`), all live ranks in one
+    world-batched pass per iteration; every ``schedule.period``
     iterations the replicas are reconciled through one collective.  In delta
     mode each rank stages its *model delta* (parameters minus the last synced
     anchor) through the method's codec pipeline — error feedback then carries
@@ -605,7 +606,7 @@ class _LocalSGDStep:
     compressor (the method's is not consulted — FedAvg-style exact averaging).
 
     The run's shared-model optimiser is unused: local steps go through the
-    per-rank replicas' optimisers.  ``timeline.sync_rounds``/``local_steps``
+    replica stacks' optimiser.  ``timeline.sync_rounds``/``local_steps``
     are booked here, not by the loop: they stay zero on the synchronous path.
     """
 
@@ -638,13 +639,11 @@ class _LocalSGDStep:
         run, replicas, anchor = self.run, self.replicas, self.anchor
         ddp = run.ddp
         if self.schedule.delta:
-            for rank in active:
-                ddp.stage_rank_gradients(rank, replicas.delta(rank, anchor))
+            ddp.stage_world_gradients(replicas.delta(active, anchor), active)
             aggregated, bucket_events = ddp.synchronize_staged()
             new_params = {name: anchor[name] + aggregated[name] for name in anchor}
         else:
-            for rank in active:
-                ddp.stage_rank_gradients(rank, replicas.params_dict(rank))
+            ddp.stage_world_gradients(replicas.params_dict(active), active)
             # Dense parameter averaging: the raw fp32 parameters go on the wire.
             new_params, bucket_events = ddp.synchronize_staged(self.dense_average)
         for name, param in run.model.named_parameters():
@@ -655,35 +654,24 @@ class _LocalSGDStep:
         replicas.reset_all(self.anchor, active)
         return bucket_events
 
-    def step(self, batches, active_set, epoch: int, iteration: int) -> StepResult:
+    def step(self, batches, epoch: int, iteration: int) -> StepResult:
         run, replicas = self.run, self.replicas
-        ddp, model, mask = run.ddp, run.model, run.mask
-        per_rank_losses: List[float] = []
+        # The fault interpreter's membership, in rank order; a dead rank's
+        # batch is consumed (data order stays deterministic) but it takes no step.
+        active = run.ddp.active_ranks
         with TRACER.span("train/backward", cat="train", epoch=epoch, iteration=iteration):
-            for rank, batch in enumerate(batches):
-                if active_set is not None and rank not in active_set:
-                    # Dead rank: its shard's batch is consumed (data
-                    # order stays deterministic) but it takes no step.
-                    continue
-                replicas.load(rank)
-                loss_value, grads = ddp.compute_local_gradients(
-                    batch, F.cross_entropy, copy=False
-                )
-                if self.use_gse:
-                    apply_gse(model, mask, grads=grads)
-                    ddp.apply_aggregated_gradients(grads)
-                replicas.step(rank)
-                if mask is not None:
-                    mask.apply_to_weights(model)
-                replicas.save(rank)
-                per_rank_losses.append(loss_value)
+            per_rank_losses, grads = run.ddp.compute_batched_gradients(
+                batches, F.cross_entropy, active, replicas.load(active)
+            )
+            if self.use_gse:
+                apply_gse(run.model, run.mask, grads=grads)
+            replicas.step(grads, run.mask)
+            replicas.save(active)
 
         self.window += 1
         if self.window < self.schedule.period:
             run.timeline.local_steps += 1
             return StepResult(per_rank_losses)
-        # Stage in rank order (the fault interpreter's membership order).
-        active = range(run.world_size) if active_set is None else sorted(active_set)
         with TRACER.span(
             "regime/localsgd-sync", cat="regime",
             epoch=epoch, iteration=iteration, window=self.window,

@@ -32,12 +32,12 @@ tests pin this bit-identically for every golden method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn import SGD
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 
 __all__ = [
     "SyncSchedule",
@@ -200,10 +200,15 @@ class ReplicaSet:
     The simulator shares one model across ranks because synchronous DDP makes
     every rank apply the identical aggregated gradient.  Local SGD breaks that
     identity: between averaging collectives each rank's parameters (and its
-    momentum buffer) diverge.  This class owns the diverged state — one
-    parameter-array list and one :class:`~repro.nn.SGD` instance per rank —
-    and swaps it through the shared model for each rank's local step
-    (``load``, then forward/backward/step, then ``save``).
+    momentum buffer) diverge.  This class owns the diverged state as one
+    ``(world, *shape)`` parameter stack and one velocity stack per model
+    parameter, and a local step touches the live ranks' rows together:
+    ``load(active)`` gathers them — the stacks
+    :func:`~repro.nn.batched.replica_views` installs for one world-batched
+    forward/backward — ``step`` applies one :class:`~repro.nn.SGD` update to
+    all of them (elementwise, so every row gets the floats a per-rank
+    optimiser would compute) and ``save(active)`` writes them back.  The
+    shared model's own parameters keep the last averaged state.
 
     Normalisation running statistics (non-parameter buffers) stay shared
     across ranks, matching the synchronous simulator's single-model design.
@@ -217,63 +222,96 @@ class ReplicaSet:
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ) -> None:
-        self.model = model
         self.world_size = world_size
-        self._named = list(model.named_parameters())
-        self.replicas: List[List[np.ndarray]] = [
-            [param.data.copy() for _, param in self._named] for _ in range(world_size)
+        named = list(model.named_parameters())
+        self.names = [name for name, _ in named]
+        self.params: List[np.ndarray] = [
+            np.stack([param.data] * world_size) for _, param in named
         ]
-        self.optimizers: List[SGD] = [
-            SGD(
-                [param for _, param in self._named],
-                lr=lr,
-                momentum=momentum,
-                weight_decay=weight_decay,
-            )
-            for _ in range(world_size)
+        #: Zeros until a rank steps: a fresh momentum buffer, as SGD allocates it.
+        self.velocities: List[Optional[np.ndarray]] = [
+            np.zeros_like(stack) if momentum else None for stack in self.params
         ]
+        #: The loaded rows, one Parameter per model parameter: what ``step`` updates.
+        self._loaded = [Parameter(stack) for stack in self.params]
+        self.optimizer = SGD(
+            self._loaded, lr=lr, momentum=momentum, weight_decay=weight_decay
+        )
+
+    def _rows(self, ranks: Sequence[int]):
+        """Index of ``ranks``' rows: a slice (a view, no gather) for the whole world."""
+        return slice(None) if len(ranks) == self.world_size else list(ranks)
 
     # ------------------------------------------------------------------ #
-    def load(self, rank: int) -> None:
-        """Point the shared model's parameters at ``rank``'s replica arrays."""
-        for (_, param), stored in zip(self._named, self.replicas[rank]):
-            param.data = stored
+    def load(self, active: Sequence[int]) -> Dict[str, np.ndarray]:
+        """Gather the rows of ``active`` (sorted ranks) for one world-batched pass.
 
-    def save(self, rank: int) -> None:
-        """Store the model's current parameter arrays back into ``rank``'s replica."""
-        self.replicas[rank] = [param.data for _, param in self._named]
+        Returns ``{name: (len(active), *shape)}`` parameter stacks and points
+        the optimiser at the same rows and their velocities.
+        """
+        rows = self._rows(active)
+        for loaded, stack in zip(self._loaded, self.params):
+            loaded.data = stack[rows]
+        self.optimizer.velocity = [
+            None if velocity is None else velocity[rows] for velocity in self.velocities
+        ]
+        return {name: loaded.data for name, loaded in zip(self.names, self._loaded)}
 
-    def step(self, rank: int) -> None:
-        """Apply ``rank``'s local optimiser step (its own velocity buffers)."""
-        self.optimizers[rank].step()
+    def step(self, grads: Dict[str, np.ndarray], mask=None) -> None:
+        """One SGD update of the loaded rows from ``(len(active), *shape)`` gradient stacks.
+
+        ``mask`` (a :class:`~repro.pruning.PruningMask`) re-zeroes pruned
+        weights afterwards, as ``mask.apply_to_weights`` does on the model.
+        """
+        for name, loaded in zip(self.names, self._loaded):
+            loaded.grad = grads.get(name)
+        self.optimizer.step()
+        for name, loaded in zip(self.names, self._loaded):
+            loaded.grad = None
+            keep = None if mask is None else mask.get(name)
+            if keep is not None:
+                loaded.data = loaded.data * keep
+
+    def save(self, active: Sequence[int]) -> None:
+        """Write the stepped rows of ``active`` back into the stacks."""
+        rows = self._rows(active)
+        for index, loaded in enumerate(self._loaded):
+            if isinstance(rows, slice):
+                # The whole world: the stepped stack replaces the old one, and
+                # its velocity rows were views, updated in place.
+                self.params[index] = loaded.data
+                continue
+            self.params[index][rows] = loaded.data
+            if self.velocities[index] is not None:
+                self.velocities[index][rows] = self.optimizer.velocity[index]
 
     # ------------------------------------------------------------------ #
-    def params_dict(self, rank: int) -> Dict[str, np.ndarray]:
-        """``{name: array}`` view of one rank's replica (no copies)."""
-        return {
-            name: stored for (name, _), stored in zip(self._named, self.replicas[rank])
-        }
+    def params_dict(self, ranks: Sequence[int]) -> Dict[str, np.ndarray]:
+        """``{name: (len(ranks), *shape)}`` parameter stacks of ``ranks``."""
+        rows = self._rows(ranks)
+        return {name: stack[rows] for name, stack in zip(self.names, self.params)}
 
-    def delta(self, rank: int, anchor: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """One rank's model delta relative to the last synced ``anchor`` state."""
-        return {
-            name: stored - anchor[name]
-            for (name, _), stored in zip(self._named, self.replicas[rank])
-        }
+    def delta(self, ranks: Sequence[int], anchor: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """``ranks``' model deltas relative to the last synced ``anchor`` state, stacked."""
+        rows = self._rows(ranks)
+        return {name: stack[rows] - anchor[name] for name, stack in zip(self.names, self.params)}
 
     def assign(self, rank: int, params: Dict[str, np.ndarray]) -> None:
-        """Reset one rank's replica to copies of ``params`` (e.g. on re-join)."""
-        self.replicas[rank] = [params[name].copy() for name, _ in self._named]
+        """Reset one rank's replica to ``params`` (e.g. on re-join)."""
+        for name, stack in zip(self.names, self.params):
+            stack[rank] = params[name]
 
-    def reset_all(self, params: Dict[str, np.ndarray], ranks) -> None:
-        """Reset the given ranks' replicas to copies of the averaged ``params``."""
-        for rank in ranks:
-            self.assign(rank, params)
+    def reset_all(self, params: Dict[str, np.ndarray], ranks: Sequence[int]) -> None:
+        """Reset the given ranks' replicas to the averaged ``params``."""
+        rows = self._rows(ranks)
+        for name, stack in zip(self.names, self.params):
+            stack[rows] = params[name]
 
     def reset_velocity(self, rank: int) -> None:
         """Zero one rank's momentum state (a re-joining rank starts fresh)."""
-        optimizer = self.optimizers[rank]
-        optimizer.load_state_arrays([None] * len(optimizer.parameters))
+        for velocity in self.velocities:
+            if velocity is not None:
+                velocity[rank] = 0.0
 
 
 # --------------------------------------------------------------------------- #

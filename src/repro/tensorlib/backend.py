@@ -33,7 +33,6 @@ import numpy as np
 #: The routed hot-spot kernels every backend may override.
 HOT_KERNELS = (
     "matmul",
-    "einsum",
     "im2col_gather",
     "conv_weight_grad",
     "col2im_scatter_add",
@@ -156,10 +155,10 @@ def _workspace(shape: Tuple[int, ...], dtype) -> np.ndarray:
 class NumpyBackend:
     """The reference backend: a minimal array-API surface over numpy.
 
-    The protocol is deliberately small — the contractions, the im2col/col2im
-    data movement, the pooling and normalisation reductions and an RNG bridge
-    — because that is the complete set of numpy entry points the tensor
-    engine's hot paths go through.  Methods accept and return ``np.ndarray``;
+    The protocol is deliberately small — the matmul, the im2col/col2im data
+    movement and the pooling and normalisation reductions — because that is
+    the complete set of numpy entry points the tensor engine's hot paths go
+    through.  Methods accept and return ``np.ndarray``;
     accelerated subclasses may convert internally but must hand back numpy
     arrays.
     """
@@ -172,9 +171,6 @@ class NumpyBackend:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.matmul(a, b)
 
-    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        return np.einsum(subscripts, *operands)
-
     # ------------------------------------------------------------------ #
     # Data movement
     # ------------------------------------------------------------------ #
@@ -183,30 +179,6 @@ class NumpyBackend:
 
     def take(self, a: np.ndarray, indices: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
         return np.take(a, indices, axis=axis)
-
-    # ------------------------------------------------------------------ #
-    # Reductions (numpy ufunc reductions: the bit-identity reference)
-    # ------------------------------------------------------------------ #
-    def sum(self, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return np.sum(a, axis=axis, keepdims=keepdims)
-
-    def mean(self, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return np.mean(a, axis=axis, keepdims=keepdims)
-
-    def amax(self, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return np.amax(a, axis=axis, keepdims=keepdims)
-
-    def amin(self, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return np.amin(a, axis=axis, keepdims=keepdims)
-
-    # ------------------------------------------------------------------ #
-    # RNG bridge
-    # ------------------------------------------------------------------ #
-    def rng(self, seed: Optional[int] = None) -> np.random.Generator:
-        """A numpy ``Generator``: all backends share numpy's RNG streams so
-        stochastic codecs and dropout draw identical sequences regardless of
-        which backend executes the contractions."""
-        return np.random.default_rng(seed)
 
     # ------------------------------------------------------------------ #
     # Hot-spot kernels (the seams accelerated backends override)

@@ -9,10 +9,9 @@ gradient back to its inputs.
 The convolution path is the hottest code in every training step, so it avoids
 ``np.pad`` (a zero buffer plus one slice assignment is several times faster),
 gathers its patches with one flat indexed copy through an index plan cached
-per layer geometry (the backend's ``im2col_gather``) and — on the float32 fast
-path — contracts the weight gradient through BLAS instead of ``np.einsum``.
-The float64 path keeps the original kernels so its results stay bit-identical
-to the historical behaviour.
+per layer geometry (the backend's ``im2col_gather``) and contracts the weight
+gradient as one ``np.matmul`` per rank in both dtypes (the backend's
+``conv_weight_grad``).
 
 No patch matrix outlives its GEMM.  The gather writes into a pooled buffer
 (the backend's ``_workspace``) that is free again once nothing refers to it,
@@ -24,9 +23,10 @@ forward to backward.
 
 World-batched execution
 -----------------------
-The simulated-DDP training step can evaluate all ranks at once by prepending a
-``world`` axis to the data and broadcasting parameters to ``(world, *shape)``
-views (see :mod:`repro.nn.batched`).  The kernels here accept that extra
+The simulated-DDP training step evaluates all live ranks at once by prepending
+a ``world`` axis to the data and swapping parameters for ``(world, *shape)``
+views — broadcasts of shared weights or per-rank stacks (see
+:mod:`repro.nn.batched`).  The kernels here accept that extra
 leading dimension — conv/pool collapse it into the im2col batch axis (each
 window is still reduced per sample), contractions keep ``world`` as a matmul
 *batch* axis so numpy dispatches the same per-slice GEMMs as the per-rank

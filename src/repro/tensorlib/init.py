@@ -54,20 +54,6 @@ def kaiming_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarra
     return _in_compute_dtype(rng.uniform(-bound, bound, size=tuple(shape)))
 
 
-def xavier_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-normal initialisation, appropriate for tanh/GELU networks (ViT)."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return _in_compute_dtype(rng.normal(0.0, std, size=tuple(shape)))
-
-
-def xavier_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform initialisation."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return _in_compute_dtype(rng.uniform(-bound, bound, size=tuple(shape)))
-
-
 def zeros(shape: Sequence[int]) -> np.ndarray:
     """All-zero initialisation (biases, batch-norm shifts)."""
     return np.zeros(tuple(shape), dtype=get_default_dtype())

@@ -705,11 +705,6 @@ class Tensor:
         return Tensor(np.ones(shape, dtype=get_default_dtype()), requires_grad=requires_grad)
 
     @staticmethod
-    def randn(*shape, rng: Optional[np.random.Generator] = None, requires_grad: bool = False) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
-
-    @staticmethod
     def cat(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
         return concatenate(list(tensors), axis=axis)
 

@@ -69,11 +69,6 @@ class TestNumpyReference:
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 5))
         np.testing.assert_array_equal(backend.matmul(a, b), a @ b)
-        np.testing.assert_array_equal(backend.einsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b))
-        np.testing.assert_array_equal(backend.sum(a, axis=0), a.sum(axis=0))
-        np.testing.assert_array_equal(backend.mean(a, axis=1, keepdims=True), a.mean(axis=1, keepdims=True))
-        np.testing.assert_array_equal(backend.amax(a), np.amax(a))
-        np.testing.assert_array_equal(backend.amin(a, axis=0), np.amin(a, axis=0))
         np.testing.assert_array_equal(
             backend.pad(a, ((1, 1), (0, 0))), np.pad(a, ((1, 1), (0, 0)))
         )

@@ -3,15 +3,16 @@
 The batched execution path (``repro.nn.batched`` + the world-batched kernels
 in ``repro.tensorlib.functional``) promises float64 bit-identity with the
 per-rank loop.  These tests pin that promise at every level: individual layers
-under ``replica_views`` (hypothesis over layer types, world sizes and dtypes),
-full ``DistributedDataParallel.train_step`` results, the end-to-end experiment
+under ``replica_views`` — broadcast views and real per-rank stacks
+(hypothesis over layer types, world sizes and dtypes) — full
+``DistributedDataParallel.train_step`` results, the end-to-end experiment
 timeline (including a GSE/PacTrain cell), and the two supporting pieces —
 ``GradientArena.write_world`` and the ``col2im`` non-overlap fast path.
 
-Nothing selects the loop by name: the code takes it when the per-rank batches
-do not stack or the world is degraded.  The oracle runs are forced onto it
-through that observed condition (:func:`force_loop`), and a call counter
-proves which path each run took.
+Every barrier step of the program is one world-batched pass.  The oracle is
+this file's :func:`looped_train_step`, a per-rank loop over the active ranks
+installed in place of ``train_step``; a call counter proves which path each
+run took.
 """
 
 from __future__ import annotations
@@ -22,22 +23,35 @@ from hypothesis import given, settings, strategies as st
 
 from repro.comm.process_group import ProcessGroup
 from repro.data import DataLoader, DistributedSampler, synthetic_cifar10
-from repro.ddp import DistributedDataParallel
+from repro.ddp import DistributedDataParallel, StepResult
 from repro.ddp.arena import GradientArena
 from repro.ddp.bucket import build_buckets
 from repro.nn import layers as L
 from repro.nn.batched import active_world, replica_views, world_batched
 from repro.nn.models import build_model
 from repro.nn.module import Module
+from repro.pruning import apply_gse
 from repro.tensorlib import Tensor, default_dtype, functional as F
 from repro.tensorlib.functional import col2im, im2col
 
 
+def looped_train_step(self, per_rank_batches, loss_fn, gse_mask=None):
+    """The oracle: ``train_step`` as a per-rank loop over the active ranks."""
+    per_rank_losses = []
+    for rank in self.active_ranks:
+        loss_value, grads = self.compute_local_gradients(per_rank_batches[rank], loss_fn, copy=False)
+        if gse_mask is not None:
+            apply_gse(self.model, gse_mask, grads=grads)
+        self.stage_rank_gradients(rank, grads)
+        per_rank_losses.append(loss_value)
+    aggregated, bucket_events = self.synchronize_staged()
+    self.apply_aggregated_gradients(aggregated)
+    return StepResult(per_rank_losses, bucket_events)
+
+
 def force_loop(monkeypatch) -> None:
-    """Make every step take the per-rank loop: report the batches as unstackable."""
-    monkeypatch.setattr(
-        DistributedDataParallel, "_stackable", staticmethod(lambda batches: False)
-    )
+    """Make every synchronous step the per-rank oracle loop."""
+    monkeypatch.setattr(DistributedDataParallel, "train_step", looped_train_step)
 
 
 def count_passes(monkeypatch) -> dict:
@@ -71,6 +85,27 @@ def _per_rank_grads(model: Module, images: np.ndarray, labels: np.ndarray):
             stacks.setdefault(name, []).append(param.grad.copy())
     model.zero_grad()
     return losses, {name: np.stack(grads) for name, grads in stacks.items()}
+
+
+def _per_rank_grads_with(model: Module, stacks: dict, images: np.ndarray, labels: np.ndarray):
+    """Reference for per-rank stacks: rank r runs with every parameter set to its row r."""
+    params = dict(model.named_parameters())
+    originals = {name: param.data for name, param in params.items()}
+    losses, grads = [], {}
+    try:
+        for rank in range(images.shape[0]):
+            for name, param in params.items():
+                param.data = stacks[name][rank]
+            model.zero_grad()
+            loss = F.cross_entropy(model(Tensor(images[rank])), labels[rank])
+            loss.backward()
+            losses.append(float(loss.item()))
+            for name, param in params.items():
+                grads.setdefault(name, []).append(param.grad.copy())
+    finally:
+        for name, param in params.items():
+            param.data = originals[name]
+    return losses, {name: np.stack(per_rank) for name, per_rank in grads.items()}
 
 
 def _batched_grads(model: Module, images: np.ndarray, labels: np.ndarray):
@@ -135,6 +170,47 @@ class TestLayerParity:
             batched_losses, batched = _batched_grads(model, images, labels)
         assert batched_losses == looped_losses
         _assert_stacks_equal(batched, looped)
+
+    @given(
+        kind=st.sampled_from(["mlp", "convbn", "vit"]),
+        world=st.sampled_from([1, 2, 3]),
+        dtype=st.sampled_from(["float64", "float32"]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_per_rank_stacks_equal_the_per_rank_kernels(self, kind, world, dtype):
+        """Real, non-broadcast ``(world, *shape)`` stacks — local SGD's diverged
+        replicas — take the per-slice kernels (conv stride 1 and 2, batch norm,
+        Linear, LayerNorm and attention through vit-base-16), byte for byte."""
+        with default_dtype(dtype):
+            looped_model = _build(kind, np.random.default_rng(13))
+            batched_model = _build(kind, np.random.default_rng(13))
+            rng = np.random.default_rng(17)
+            stacks = {
+                name: param.data + (0.05 * rng.standard_normal((world,) + param.shape)).astype(dtype)
+                for name, param in looped_model.named_parameters()
+            }
+            images = rng.standard_normal((world, 2, 3, 8, 8)).astype(dtype)
+            labels = rng.integers(0, 5, size=(world, 2))
+            looped_losses, looped = _per_rank_grads_with(looped_model, stacks, images, labels)
+            batched_model.zero_grad()
+            with replica_views(batched_model, world, stacks=stacks) as views:
+                assert all(views[name].data is stacks[name] for name in stacks)
+                loss = F.cross_entropy(batched_model(Tensor(images)), labels)
+                loss.backward(np.ones(world, dtype=loss.data.dtype))
+                batched = {name: view.grad.copy() for name, view in views.items()}
+        assert [float(v) for v in loss.data] == looped_losses
+        _assert_stacks_equal(batched, looped)
+        for (name, looped_buffer), (_, batched_buffer) in zip(
+            looped_model.named_buffers(), batched_model.named_buffers()
+        ):
+            np.testing.assert_array_equal(batched_buffer, looped_buffer, err_msg=name)
+
+    def test_a_stack_must_lead_with_the_world(self):
+        model = build_model("mlp", num_classes=5, seed=0)
+        stacks = {name: np.stack([param.data] * 2) for name, param in model.named_parameters()}
+        with pytest.raises(ValueError, match="expected"):
+            with replica_views(model, 3, stacks=stacks):
+                pass
 
     def test_batchnorm_running_stats_match(self):
         """Buffer updates (momentum fold) must follow the per-rank order."""
@@ -216,16 +292,35 @@ class TestTrainStepParity:
         assert batched.comm_bytes_per_worker == looped.comm_bytes_per_worker
         _assert_stacks_equal(params["batched"], params["looped"])
 
-    def test_ragged_batches_take_the_loop_without_being_asked(self, monkeypatch):
-        calls = count_passes(monkeypatch)
+    def test_ragged_batches_are_rejected(self):
+        """Equal shards never yield ragged batches; a caller's ragged input
+        is an error, not a silent change of execution path."""
         ddp, batches = self._make(world=2, batch=2)
         images, labels = batches[1]
-        batches[1] = (images[:1], labels[:1])  # ragged tail
-        assert not DistributedDataParallel._stackable(batches)
-        with default_dtype("float64"):
-            result = ddp.train_step(batches, F.cross_entropy)
-        assert len(result.per_rank_loss) == 2
-        assert calls == {"batched": 0, "looped": 2}
+        batches[1] = (images[:1], labels[:1])
+        with default_dtype("float64"), pytest.raises(ValueError):
+            ddp.train_step(batches, F.cross_entropy)
+
+    def test_degraded_step_equals_the_loop_over_survivors(self, monkeypatch):
+        """Rank 1 dead: one batched pass over ranks 0, 2 and 3 stages the same
+        rows, losses and reduced gradients as the per-rank loop."""
+        calls = count_passes(monkeypatch)
+        results, params, arenas = {}, {}, {}
+        for path in ("batched", "looped"):
+            if path == "looped":
+                force_loop(monkeypatch)
+            ddp, batches = self._make()
+            ddp.set_active_ranks([0, 2, 3])
+            with default_dtype("float64"):
+                results[path] = ddp.train_step(batches, F.cross_entropy)
+            params[path] = {n: p.grad.copy() for n, p in ddp.model.named_parameters()}
+            arenas[path] = [ddp.arena.matrix(b.index)[[0, 2, 3]].copy() for b in ddp.buckets]
+        assert calls == {"batched": 1, "looped": 3}
+        assert results["batched"].per_rank_loss == results["looped"].per_rank_loss
+        assert results["batched"].comm_time == results["looped"].comm_time
+        _assert_stacks_equal(params["batched"], params["looped"])
+        for batched, looped in zip(arenas["batched"], arenas["looped"]):
+            np.testing.assert_array_equal(batched, looped)
 
     def test_train_step_takes_no_execution_argument(self):
         ddp, batches = self._make(world=2, batch=2)
@@ -268,9 +363,9 @@ class TestExperimentParity:
         assert batched.comm_bytes_per_worker == looped.comm_bytes_per_worker
         assert batched.final_accuracy == looped.final_accuracy
 
-    def test_degraded_world_takes_the_loop_without_being_asked(self, monkeypatch):
-        """With a rank dead from t=0 every iteration runs over the survivors,
-        rank by rank: a dead rank computes nothing, so no world-batched pass."""
+    def test_degraded_world_is_one_batched_pass_per_iteration(self, monkeypatch):
+        """With a rank dead from t=0 every iteration runs over the survivors in
+        one world-batched pass: a dead rank computes nothing."""
         from repro.simulation.cluster import ClusterSpec
         from repro.simulation.experiment import ExperimentConfig, MethodSpec, run_experiment
 
@@ -285,7 +380,84 @@ class TestExperimentParity:
         calls = count_passes(monkeypatch)
         result = run_experiment(config, MethodSpec(name="dense", compressor="allreduce"))
         assert result.degraded_iterations == result.iterations_run > 0
-        assert calls == {"batched": 0, "looped": 3 * result.iterations_run}
+        assert calls == {"batched": result.iterations_run, "looped": 0}
+
+
+class TestDropoutUnderLocalSgd:
+    def test_a_dropout_model_is_deterministic_for_a_fixed_seed(self, monkeypatch):
+        """Local SGD draws one batched dropout mask per step, from the model's
+        own generator: a fixed seed repeats the run, and the mask is live."""
+        import dataclasses
+
+        from repro import golden
+        from repro.nn.models.mlp import MLP
+        from repro.nn.models.registry import MODEL_REGISTRY
+        from repro.simulation.experiment import MethodSpec, run_experiment
+
+        def mlp_dropout(num_classes=10, seed=None):
+            return MLP(3 * 8 * 8, (64, 32), num_classes, dropout=0.5, seed=seed)
+
+        monkeypatch.setitem(MODEL_REGISTRY, "mlp-dropout", {"mini": mlp_dropout, "full": mlp_dropout})
+        config = dataclasses.replace(golden.GOLDEN_CONFIG, model="mlp-dropout")
+        method = MethodSpec(name="dense", compressor="allreduce", sync_schedule="localsgd:2")
+        first, second = run_experiment(config, method), run_experiment(config, method)
+        assert first.local_steps > 0
+        assert first.to_dict() == second.to_dict()
+        without = run_experiment(dataclasses.replace(config, model="mlp"), method)
+        assert first.loss_trace != without.loss_trace
+
+
+class TestSyncUnderACrashPlan:
+    """A degraded synchronous world is one batched pass over the survivors:
+    parameters, velocities, per-rank losses, arena rows and the result equal
+    the per-rank loop's across a crash and a re-join, PacTrain's mask and GSE on."""
+
+    @pytest.mark.parametrize("model", ["mlp", "resnet18"])
+    def test_crash_and_rejoin_equal_the_loop(self, model, monkeypatch):
+        import dataclasses
+
+        from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig
+        from repro.simulation.experiment import train_distributed
+
+        method = PAPER_METHODS["pactrain"]
+        config = ExperimentConfig(
+            model=model,
+            cluster=ClusterSpec(world_size=3, bandwidth="100Mbps"),
+            epochs=2, batch_size=2, dataset_samples=40, image_size=8,
+            pretrain_iterations=1, max_iterations_per_epoch=4,
+            weight_decay=5e-4, bucket_cap_bytes=16 * 1024, seed=0,
+        )
+        # Rank 1 is dead from t=0 and re-joins halfway through the healthy run.
+        rejoin = train_distributed(config, method).timeline.total_time / 2
+        config = dataclasses.replace(
+            config,
+            cluster=dataclasses.replace(config.cluster, faults=f"crash:1@0.0,rejoin:1@{rejoin:.9g}"),
+        )
+        runs, losses = {}, {}
+        for path, step in (("batched", DistributedDataParallel.train_step), ("looped", looped_train_step)):
+            recorded = losses[path] = []
+
+            def recording(self, *args, _step=step, _recorded=recorded, **kwargs):
+                result = _step(self, *args, **kwargs)
+                _recorded.append(result.per_rank_loss)
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(DistributedDataParallel, "train_step", recording)
+                runs[path] = train_distributed(config, method)
+        batched, looped = runs["batched"], runs["looped"]
+        result = batched.result()
+        assert 0 < result.degraded_iterations < result.iterations_run
+        assert losses["batched"] == losses["looped"]
+        assert {len(per_rank) for per_rank in losses["batched"]} == {2, 3}
+        assert result.to_dict() == looped.result().to_dict()
+        _assert_stacks_equal(batched.ddp.snapshot_parameters(), looped.ddp.snapshot_parameters())
+        for got, want in zip(batched.optimizer.velocity, looped.optimizer.velocity):
+            np.testing.assert_array_equal(got, want)
+        for bucket in batched.ddp.buckets:
+            np.testing.assert_array_equal(
+                batched.ddp.arena.matrix(bucket.index), looped.ddp.arena.matrix(bucket.index)
+            )
 
 
 class TestArenaWriteWorld:

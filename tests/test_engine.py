@@ -1,46 +1,58 @@
-"""Event-driven simulation engine: heap, channel, schedules, bucket fractions."""
+"""Simulation engine: heap, channel, schedules, bucket fractions.
+
+The iteration schedule is a scan over the buckets; :func:`heap_walk_schedule`
+keeps the event-heap walk it replaced as the oracle, and every trace field of
+the two must be equal (hypothesis over ranks, buckets, fractions and overlap).
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Dict, List
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ddp import DistributedDataParallel
 from repro.ddp.bucket import build_buckets
 from repro.nn.models import mlp_tiny, resnet18_mini, vgg19_mini
 from repro.simulation import ComputeModel, estimate_parameter_flops
 from repro.simulation.engine import (
-    BUCKET_READY,
+    BucketTrace,
     EventHeap,
+    IterationTrace,
     LinkChannel,
     SimEvent,
     SimulationEngine,
 )
 
+READY = "ready"
+
 
 class TestEventHeap:
     def test_pops_in_time_order(self):
         heap = EventHeap()
-        heap.push(SimEvent(time=2.0, kind=BUCKET_READY, bucket=1))
-        heap.push(SimEvent(time=1.0, kind=BUCKET_READY, bucket=0))
-        heap.push(SimEvent(time=3.0, kind=BUCKET_READY, bucket=2))
-        assert [heap.pop().bucket for _ in range(3)] == [0, 1, 2]
+        heap.push(SimEvent(time=2.0, kind=READY, rank=1))
+        heap.push(SimEvent(time=1.0, kind=READY, rank=0))
+        heap.push(SimEvent(time=3.0, kind=READY, rank=2))
+        assert [heap.pop().rank for _ in range(3)] == [0, 1, 2]
 
     def test_ties_break_by_insertion_order(self):
         heap = EventHeap()
-        for bucket in range(5):
-            heap.push(SimEvent(time=1.0, kind=BUCKET_READY, bucket=bucket))
-        assert [heap.pop().bucket for _ in range(5)] == [0, 1, 2, 3, 4]
+        for rank in range(5):
+            heap.push(SimEvent(time=1.0, kind=READY, rank=rank))
+        assert [heap.pop().rank for _ in range(5)] == [0, 1, 2, 3, 4]
 
     def test_len_and_bool(self):
         heap = EventHeap()
         assert not heap and len(heap) == 0
-        heap.push(SimEvent(time=0.0, kind=BUCKET_READY, bucket=0))
+        heap.push(SimEvent(time=0.0, kind=READY, rank=0))
         assert heap and len(heap) == 1
 
     def test_rejects_negative_time_and_empty_pop(self):
         heap = EventHeap()
         with pytest.raises(ValueError):
-            heap.push(SimEvent(time=-1.0, kind=BUCKET_READY, bucket=0))
+            heap.push(SimEvent(time=-1.0, kind=READY, rank=0))
         with pytest.raises(IndexError):
             heap.pop()
 
@@ -165,3 +177,78 @@ class TestBucketFractions:
         fractions = ComputeModel().bucket_completion_fractions(model, (3, 8, 8), ddp.buckets)
         assert len(fractions) == len(ddp.buckets)
         assert fractions[-1] == 1.0
+
+
+@dataclass(frozen=True)
+class _Event:
+    time: float
+    kind: str
+    rank: int = -1
+    bucket: int = -1
+
+
+def heap_walk_schedule(compute, fractions, comm_times, overlap):
+    """The oracle: the event-heap walk (and serial path) the scan replaced."""
+    compute = list(compute)
+    compute_span = max(compute)
+    straggler_slack = compute_span - min(compute)
+    comm_busy = float(sum(comm_times))
+    if not overlap:
+        traces, clock = [], compute_span
+        for index, duration in enumerate(comm_times):
+            traces.append(BucketTrace(index, compute_span, clock, clock + duration, duration))
+            clock += duration
+        return IterationTrace(
+            compute, compute_span, comm_busy, compute_span + comm_busy, 0.0, straggler_slack, traces
+        )
+    heap, channel = EventHeap(), LinkChannel()
+    for rank, total in enumerate(compute):
+        for index, fraction in enumerate(fractions):
+            heap.push(_Event(time=total * fraction, kind="rank_done", rank=rank, bucket=index))
+    pending: Dict[int, int] = {index: len(compute) for index in range(len(comm_times))}
+    ready_times: Dict[int, float] = {}
+    traces: List[BucketTrace] = []
+    next_to_launch, wall = 0, compute_span
+    while heap:
+        event = heap.pop()
+        if event.kind == "rank_done":
+            pending[event.bucket] -= 1
+            if pending[event.bucket] == 0:
+                ready_times[event.bucket] = event.time
+                heap.push(_Event(time=event.time, kind="bucket_ready", bucket=event.bucket))
+        elif event.kind == "bucket_ready":
+            while next_to_launch < len(comm_times) and next_to_launch in ready_times:
+                index = next_to_launch
+                start, end = channel.acquire(ready_times[index], comm_times[index])
+                traces.append(BucketTrace(index, ready_times[index], start, end, comm_times[index]))
+                heap.push(_Event(time=end, kind="comm_end", bucket=index))
+                next_to_launch += 1
+        else:
+            wall = max(wall, event.time)
+    overlap_saved = max(0.0, compute_span + comm_busy - wall)
+    return IterationTrace(
+        compute, compute_span, comm_busy, wall, overlap_saved, straggler_slack, traces
+    )
+
+
+_times = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
+
+
+class TestScanEqualsTheHeapWalk:
+    @given(
+        compute=st.lists(_times, min_size=1, max_size=6),
+        buckets=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=1.0), _times), max_size=6
+        ),
+        overlap=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_trace_field_is_equal(self, compute, buckets, overlap):
+        fractions = sorted(fraction for fraction, _ in buckets)
+        if fractions:
+            fractions[-1] = 1.0
+        comm_times = [duration for _, duration in buckets]
+        got = SimulationEngine(overlap=overlap).run_iteration(compute, fractions, comm_times)
+        want = heap_walk_schedule(compute, fractions, comm_times, overlap)
+        assert got == want
+        assert got.buckets == want.buckets

@@ -208,23 +208,26 @@ class TestPool:
 class TestTrainingStep:
     @pytest.mark.parametrize("looped", [False, True], ids=["world-batched", "looped"])
     @pytest.mark.parametrize("name", ["resnet18", "vgg19"])
-    def test_a_repeated_step_allocates_no_pool_buffer(self, name, looped, fresh_pool, monkeypatch):
-        if looped:
-            monkeypatch.setattr(DistributedDataParallel, "_stackable", staticmethod(lambda b: False))
+    def test_a_repeated_step_allocates_no_pool_buffer(self, name, looped, fresh_pool):
         with default_dtype("float64"):
             ddp, batches = _ddp(name)
-            ddp.train_step(batches, F.cross_entropy)
+
+            def step():
+                if not looped:
+                    return ddp.train_step(batches, F.cross_entropy)
+                for batch in batches:  # the per-rank passes of the async PS
+                    ddp.compute_local_gradients(batch, F.cross_entropy, copy=False)
+
+            step()
             warm = B._workspace_misses
-            ddp.train_step(batches, F.cross_entropy)
+            step()
         assert warm > 0
         assert B._workspace_misses == warm
 
     def test_conv_weight_stacks_are_born_in_their_arena_slots(self, monkeypatch):
         with default_dtype("float64"):
             ddp, batches = _ddp("resnet18")
-            images = np.stack([batch[0] for batch in batches])
-            labels = np.stack([batch[1] for batch in batches])
-            _, grads = ddp.compute_batched_gradients((images, labels), F.cross_entropy)
+            _, grads = ddp.compute_batched_gradients(batches, F.cross_entropy)
         slots = ddp.arena.slots
         conv = {name for name, param in ddp.model.named_parameters() if param.data.ndim == 4}
         others = set(grads) - conv
@@ -246,6 +249,21 @@ class TestTrainingStep:
         for name, value in values.items():
             np.testing.assert_array_equal(slots[name], value, err_msg=name)
 
+    def test_a_partial_world_is_born_outside_the_arena_and_stages_only_its_rows(self):
+        """Ranks 0 and 2 of four: no stack aliases the arena, whose other rows
+        keep what they held."""
+        with default_dtype("float64"):
+            ddp, batches = _ddp("resnet18")
+            ddp.arena.zero()
+            losses, grads = ddp.compute_batched_gradients(batches, F.cross_entropy, [0, 2])
+            assert len(losses) == 2
+            assert all(not ddp.arena.shares_memory_with(grad) for grad in grads.values())
+            assert not any(ddp.arena.matrix(b.index).any() for b in ddp.buckets)
+            ddp.stage_world_gradients(grads, [0, 2])
+        for name, slot in ddp.arena.slots.items():
+            np.testing.assert_array_equal(slot[[0, 2]], grads[name], err_msg=name)
+            assert not slot[[1, 3]].any(), name
+
     def test_arena_born_gradients_equal_the_per_rank_loop(self, monkeypatch):
         """GSE masks conv stacks in the arena; the staged rows still equal the loop's."""
         from repro.pruning import apply_gse, magnitude_prune
@@ -256,9 +274,7 @@ class TestTrainingStep:
                 ddp, batches = _ddp("resnet18")
                 mask = magnitude_prune(ddp.model, 0.5)
                 if path == "batched":
-                    images = np.stack([batch[0] for batch in batches])
-                    labels = np.stack([batch[1] for batch in batches])
-                    _, grads = ddp.compute_batched_gradients((images, labels), F.cross_entropy)
+                    _, grads = ddp.compute_batched_gradients(batches, F.cross_entropy)
                     apply_gse(ddp.model, mask, grads=grads)
                     ddp.stage_world_gradients(grads)
                 else:
