@@ -357,6 +357,10 @@ class CodecCompressor:
                 bucket=bucket.index, iteration=iteration, nmse=value, spec=self.name,
             )
 
+    def result_extra(self) -> Dict[str, float]:
+        """The compressor's own entries for ``ExperimentResult.extra`` (none here)."""
+        return {}
+
     def reset(self) -> None:
         """Clear statistics and all per-bucket state (error feedback, stage state)."""
         self.stats = CompressionStats()

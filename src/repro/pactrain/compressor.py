@@ -134,3 +134,11 @@ class PacTrainCompressor(CodecCompressor):
         """Fraction of bucket synchronisations that used the compact path."""
         total = self.compact_iterations + self.full_iterations
         return self.compact_iterations / total if total else 0.0
+
+    def result_extra(self) -> Dict[str, float]:
+        """Algorithm 1's split: the compact fraction and both counts."""
+        return {
+            "compact_fraction": self.compact_fraction,
+            "full_iterations": float(self.full_iterations),
+            "compact_iterations": float(self.compact_iterations),
+        }

@@ -25,8 +25,9 @@ Modules:
   stragglers, network, overlap/hierarchical toggles);
 * :mod:`repro.simulation.faults`   — declarative fault plans (crash / re-join /
   link windows / churn) on the simulated clock;
-* :mod:`repro.simulation.timeline` — accumulation of compute/communication/
-  overlap time and per-iteration traces;
+* :mod:`repro.simulation.timeline` — a run's append-only log (one entry per
+  iteration, flush, fault, re-join and clock reading) and the fold every
+  reported number comes from;
 * :mod:`repro.simulation.regimes`  — training-regime schedules (``sync``,
   ``localsgd:H[:delta]``, ``ps[:S]``), local-SGD replicas and checkpoints;
 * :mod:`repro.simulation.spec`     — the typed specs: ``MethodSpec``,

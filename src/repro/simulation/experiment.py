@@ -164,62 +164,26 @@ class _Run:
     def result(self) -> ExperimentResult:
         """The :class:`ExperimentResult` this run reports.
 
-        Whether the target was reached is read off the timeline's epoch
-        records — the same records ``tta`` comes from — so a resumed run
-        reports it from the history its checkpoint carried.
+        Every number the run recorded is the timeline's fold — whether the
+        target was reached included, read off the same epoch records ``tta``
+        comes from, so a resumed run reports it from the history its
+        checkpoint carried; the rest comes from the specs and the model.
         """
-        from repro.pactrain.compressor import PacTrainCompressor  # noqa: PLC0415
-
-        config, timeline, compressor = self.config, self.timeline, self.compressor
-        extra: Dict[str, float] = {}
-        if isinstance(compressor, PacTrainCompressor):
-            extra["compact_fraction"] = compressor.compact_fraction
-            extra["full_iterations"] = float(compressor.full_iterations)
-            extra["compact_iterations"] = float(compressor.compact_iterations)
-
-        tta = (
-            timeline.time_to_accuracy(config.target_accuracy)
-            if config.target_accuracy is not None
-            else None
-        )
+        config = self.config
         return ExperimentResult(
             method=self.method.name,
             model=config.model,
             dataset=config.dataset,
             bandwidth_mbps=config.cluster.bandwidth_bytes_per_second() * 8 / 1e6,
             world_size=config.cluster.world_size,
-            epochs_run=len(timeline.epochs),
-            iterations_run=timeline.iterations,
-            simulated_time=timeline.total_time,
-            compute_time=timeline.compute_time,
-            comm_time=timeline.comm_time,
-            comm_bytes_per_worker=timeline.comm_bytes_per_worker,
-            final_accuracy=timeline.final_accuracy(),
-            best_accuracy=timeline.best_accuracy(),
-            tta=tta,
             target_accuracy=config.target_accuracy,
-            accuracy_trace=timeline.accuracy_trace(),
-            loss_trace=[record.train_loss for record in timeline.epochs],
-            compression_ratio=compressor.stats.compression_ratio,
+            compression_ratio=self.compressor.stats.compression_ratio,
             weight_sparsity=(
                 self.weight_sparsity if self.mask is not None else _weight_sparsity(self.model)
             ),
             gradient_density=1.0 if self.mask is None else self.mask.density,
-            reached_target=tta is not None,
-            overlap_fraction=timeline.overlap_fraction,
-            critical_path_time=timeline.critical_path_time(),
-            straggler_time=timeline.straggler_time,
-            fault_events=timeline.fault_events,
-            degraded_iterations=timeline.degraded_iterations,
-            downtime_rank_seconds=timeline.downtime_rank_seconds,
-            rejoin_cost_time=timeline.rejoin_cost_time,
-            goodput_fraction=timeline.goodput_fraction(config.cluster.world_size),
-            sync_rounds=timeline.sync_rounds,
-            local_steps=timeline.local_steps,
-            ps_updates=timeline.ps_updates,
-            staleness_mean=timeline.mean_staleness,
-            staleness_max=timeline.staleness_max,
-            extra=extra,
+            extra=self.compressor.result_extra(),
+            **self.timeline.fold(),
         )
 
 
@@ -227,8 +191,9 @@ class _FaultState:
     """Per-run fault-plan interpreter of the stepped loop (sync and local SGD).
 
     An empty plan keeps :attr:`faulty` False and :meth:`advance` is a no-op
-    returning ``(None, None)``, so healthy runs take exactly the historical
-    code path (golden traces stay bit-identical).
+    returning ``None`` that does not read the simulated clock, so healthy
+    runs take exactly the historical code path (golden traces stay
+    bit-identical).
     """
 
     def __init__(self, run: _Run) -> None:
@@ -259,8 +224,8 @@ class _FaultState:
         self.cursor = cursor
         self._set_membership(active, link)
 
-    def advance(self, now: float, global_iteration: int, on_rejoin=None):
-        """Interpret the plan up to simulated time ``now``.
+    def advance(self, global_iteration: int, on_rejoin=None):
+        """Interpret the plan up to the run's simulated time now.
 
         Events scheduled up to "now" have fired, so the next iteration runs
         over the surviving membership (:attr:`active`, also installed on the
@@ -274,19 +239,19 @@ class _FaultState:
             return None
         plan = self.plan
         timeline = self.run.timeline
+        now = timeline.total_time
         fired = plan.events_between(self.cursor, now)
         self.cursor = now
         active = plan.active_ranks(self.world_size, now)
         link = plan.link_factor(now)
-        if fired:
-            timeline.fault_events += len(fired)
+        for event in fired:
+            timeline.add_event("fault", event.at)
             if TRACER.enabled:
-                for event in fired:
-                    TRACER.instant(
-                        f"fault/{event.kind}", cat="fault", clock="sim",
-                        ts=event.at, tid=SIM_SCHEDULE_TID,
-                        rank=event.rank, factor=event.factor,
-                    )
+                TRACER.instant(
+                    f"fault/{event.kind}", cat="fault", clock="sim",
+                    ts=event.at, tid=SIM_SCHEDULE_TID,
+                    rank=event.rank, factor=event.factor,
+                )
         if active != self.active or link != self.link:
             if active != self.active:
                 self.run.compressor.resize_world(self.active, active, plan.residual_policy)
@@ -302,7 +267,7 @@ class _FaultState:
                 cost = self.run.config.cluster.cost_model_for(len(active), link).broadcast_time(
                     model_wire_bytes
                 )
-                timeline.add_rejoin_cost(cost)
+                timeline.add_event("rejoin", cost)
                 rejoined.append(event.rank)
                 if TRACER.enabled:
                     TRACER.sim_span(
@@ -407,7 +372,7 @@ def train_distributed(
             compressor=compressor,
             ddp=ddp,
             optimizer=optimizer,
-            timeline=TrainingTimeline(),
+            timeline=TrainingTimeline(world_size, config.target_accuracy),
             weight_sparsity=weight_sparsity,
             per_rank_compute=cluster.per_rank_iteration_times(
                 model, train_set.input_shape, config.batch_size, weight_sparsity=weight_sparsity
@@ -515,7 +480,7 @@ def _train_stepped(
             except StopIteration:
                 break
 
-            churn = faults.advance(timeline.total_time, ddp.iteration, on_rejoin=step.on_rejoin)
+            churn = faults.advance(ddp.iteration, on_rejoin=step.on_rejoin)
             result = step.step(batches, epoch, iteration)
 
             iteration_compute = per_rank_compute
@@ -532,20 +497,21 @@ def _train_stepped(
                 trace = engine.run_iteration(
                     iteration_compute, bucket_fractions, result.per_bucket_comm_time
                 )
-            sim_base = timeline.total_time
+            traced = TRACER.enabled
+            if traced:
+                sim_base = timeline.total_time
+            dead = world_size - len(faults.active)
             timeline.add_iteration(
-                trace.compute_span, result.comm_time, result.comm_bytes_per_worker, trace=trace
+                trace.compute_span, result.comm_time, result.comm_bytes_per_worker, trace,
+                kind="local" if result.bucket_events is None else step.kind, dead=dead,
             )
-            if faults.faulty:
-                timeline.note_degraded_iteration(world_size - len(faults.active), trace.wall_time)
-                if TRACER.enabled and len(faults.active) < world_size:
+            if traced:
+                if dead:
                     TRACER.sim_span(
                         "fault/degraded-world", "fault", ts=sim_base,
                         dur=trace.wall_time, tid=SIM_SCHEDULE_TID,
-                        alive=len(faults.active),
-                        dead=world_size - len(faults.active),
+                        alive=len(faults.active), dead=dead,
                     )
-            if TRACER.enabled:
                 # Simulated-clock tracks: per-rank backward segments, the
                 # link channel's per-bucket reduce windows, the iteration
                 # critical path.  The increment of the timeline total is
@@ -553,7 +519,7 @@ def _train_stepped(
                 emit_simulated_iteration(
                     TRACER, sim_base, trace,
                     [] if result.bucket_events is None else bucket_fractions,
-                    timeline.iterations - 1,
+                    ddp.iteration,
                 )
                 TRACER.sim_now = timeline.total_time
             ddp.iteration += 1
@@ -567,6 +533,9 @@ def _train_stepped(
 
 class _SyncStep:
     """One synchronous data-parallel iteration: DDP's train step, then the optimiser."""
+
+    #: The log kind of an iteration that ran a collective.
+    kind = "sync"
 
     #: Every rank applies the same aggregated gradient to the one shared
     #: model, so a returning rank has nothing of its own to refresh.
@@ -606,9 +575,12 @@ class _LocalSGDStep:
     compressor (the method's is not consulted — FedAvg-style exact averaging).
 
     The run's shared-model optimiser is unused: local steps go through the
-    replica stacks' optimiser.  ``timeline.sync_rounds``/``local_steps``
-    are booked here, not by the loop: they stay zero on the synchronous path.
+    replica stacks' optimiser.  The loop logs an iteration without a
+    collective as a ``"local"`` step and one with a collective as
+    :attr:`kind`, an averaging round.
     """
+
+    kind = "average"
 
     def __init__(self, run: _Run) -> None:
         config = run.config
@@ -670,14 +642,12 @@ class _LocalSGDStep:
 
         self.window += 1
         if self.window < self.schedule.period:
-            run.timeline.local_steps += 1
             return StepResult(per_rank_losses)
         with TRACER.span(
             "regime/localsgd-sync", cat="regime",
             epoch=epoch, iteration=iteration, window=self.window,
         ):
             bucket_events = self._sync_round(active)
-        run.timeline.sync_rounds += 1
         self.window = 0
         return StepResult(per_rank_losses, bucket_events)
 
@@ -711,9 +681,9 @@ def _train_async_ps(run: _Run) -> None:
     state, per-worker error-feedback residuals): one ``aggregate`` call per
     bucket over a one-rank bucket and group, the same driver every other
     regime uses.  Pulls carry the dense fp32 parameters.  Busy compute/comm
-    time accumulates per update, and the timeline total is reconciled to the
-    event clock at every epoch snapshot (see
-    ``TrainingTimeline.reconcile_async_total``).
+    time is logged per update, and the event clock once per epoch snapshot:
+    the timeline's fold pins the total to it (see
+    :meth:`TrainingTimeline.fold`).
 
     With no iteration barrier this is an event loop of its own, not a step of
     :func:`_train_stepped`; it shares the run and :meth:`_Run.end_epoch`.
@@ -836,11 +806,12 @@ def _train_async_ps(run: _Run) -> None:
             staleness = applies - version_at_pull[rank]
             applies += 1
             completed[rank] += 1
-            timeline.record_staleness(staleness)
             timeline.add_iteration(
                 state["compute"],
                 pull_seconds + state["push_seconds"],
                 (model_wire_bytes + state["payload_bytes"]) / world_size,
+                kind="ps",
+                staleness=staleness,
             )
             epoch_loss_buckets[state["epoch"]].append(state["loss"])
             if TRACER.enabled:
@@ -861,7 +832,7 @@ def _train_async_ps(run: _Run) -> None:
                 snapshots_done < epochs
                 and min(completed) >= (snapshots_done + 1) * iters_per_epoch
             ):
-                timeline.reconcile_async_total(now)
+                timeline.add_event("clock", now)
                 # On a stop the in-flight work is discarded.
                 stop = run.end_epoch(snapshots_done, epoch_loss_buckets[snapshots_done]) or stop
                 snapshots_done += 1

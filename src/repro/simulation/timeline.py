@@ -1,24 +1,52 @@
-"""Training timeline: accumulation of modeled compute and communication time.
+"""Training timeline: a run's append-only log and the one fold over it.
 
-The timeline is fed one :class:`~repro.simulation.engine.IterationTrace` per
-iteration by the experiment driver.  Three accumulators decompose the run:
-
-* ``compute_time`` — the compute critical path (slowest rank per iteration);
-* ``comm_time`` — collective busy time (what the collectives cost end to end);
-* ``overlap_saved`` — communication hidden behind backward compute by the
-  event-driven engine's per-bucket schedule.
-
-``total_time = compute_time + comm_time - overlap_saved``: with overlap
-disabled every trace reports ``overlap_saved == 0.0`` and the total reduces
-bit-identically to the seed ``compute + comm`` model.
+The driver appends one :class:`LogEntry` per iteration, local-SGD flush,
+fault that fired, re-join charged and parameter-server clock reading;
+:meth:`TrainingTimeline.snapshot_epoch` adds the epoch records.  Every number
+a run reports is :meth:`TrainingTimeline.fold` over the two, keyed by
+``ExperimentResult`` field name.  The simulated total is ``compute_time +
+comm_time - overlap_saved + rejoin_cost_time + async_wait_time``; with overlap
+off, no faults and a barrier regime it reduces bit-identically to the seed
+``compute + comm`` model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.simulation.engine import IterationTrace
+
+#: Log kinds of an iteration: a synchronous step, a communication-free
+#: local-SGD step, a local-SGD step that ended in an averaging round, and one
+#: parameter-server update.
+ITERATION_KINDS = frozenset({"sync", "local", "average", "ps"})
+
+#: Log kinds :meth:`TrainingTimeline.add_event` appends, each with one value:
+#: a fault event that fired (its scheduled time), the broadcast charged to a
+#: re-joining rank (seconds) and a parameter-server event-clock reading.
+EVENT_KINDS = frozenset({"fault", "rejoin", "clock"})
+
+
+class LogEntry(NamedTuple):
+    """One record of a run's log; ``kind`` says which fields are set.
+
+    An iteration (:data:`ITERATION_KINDS`) sets ``compute`` (the slowest
+    rank's: ranks compute in parallel), ``comm``, ``comm_bytes``, ``trace``
+    (``None`` on the parameter-server path), ``dead``
+    (ranks down during it) and ``staleness`` (parameter-server updates only).
+    A ``"flush"`` — an averaging round outside any iteration — sets ``comm``
+    and ``comm_bytes``.  An :data:`EVENT_KINDS` entry sets ``value``.
+    """
+
+    kind: str
+    compute: float = 0.0
+    comm: float = 0.0
+    comm_bytes: float = 0.0
+    trace: Optional[IterationTrace] = None
+    dead: int = 0
+    staleness: int = 0
+    value: float = 0.0
 
 
 @dataclass
@@ -29,127 +57,46 @@ class EpochRecord:
     simulated_time: float
     train_loss: float
     test_accuracy: float
-    comm_time: float
-    compute_time: float
-    comm_bytes_per_worker: float
-    overlap_saved: float = 0.0
-    straggler_time: float = 0.0
 
 
 class TrainingTimeline:
-    """Accumulates modeled time and per-epoch snapshots for one training run.
+    """The ordered log of one training run, plus its epoch records.
 
-    Compute on the simulated ranks happens in parallel, so one iteration adds
-    a *single* compute-time term (the slowest rank's) plus the communication
-    time of that iteration's collectives, minus whatever communication the
-    engine managed to hide behind backward compute.
+    ``world_size`` prices the goodput fraction and ``target_accuracy`` the
+    TTA.  A checkpoint's timeline is a prefix of the uninterrupted run's.
     """
 
-    def __init__(self) -> None:
-        self.compute_time = 0.0
-        self.comm_time = 0.0
-        self.comm_bytes_per_worker = 0.0
-        self.overlap_saved = 0.0
-        self.straggler_time = 0.0
-        self.iterations = 0
+    def __init__(self, world_size: int, target_accuracy: Optional[float] = None) -> None:
+        self.world_size = world_size
+        self.target_accuracy = target_accuracy
+        self.log: List[LogEntry] = []
         self.epochs: List[EpochRecord] = []
-        self.traces: List[IterationTrace] = []
-        # Fault/recovery accounting (all 0.0 on a healthy cluster, in which
-        # case total_time reduces bit-identically to the pre-fault model).
-        #: Simulated seconds spent re-synchronising re-joining ranks (state
-        #: broadcast); part of :attr:`total_time`.
-        self.rejoin_cost_time = 0.0
-        #: Rank-seconds of capacity lost to dead ranks (sum over iterations
-        #: of dead-rank count x iteration wall time).
-        self.downtime_rank_seconds = 0.0
-        #: Iterations that ran over a shrunken membership.
-        self.degraded_iterations = 0
-        #: Fault events interpreted so far (crashes, re-joins, link changes).
-        self.fault_events = 0
-        # Regime accounting (all zero on the synchronous path, in which case
-        # total_time reduces bit-identically to the pre-regime model).
-        #: Averaging collectives run by the local-SGD regime.
-        self.sync_rounds = 0
-        #: Local (communication-free) optimiser steps taken between collectives.
-        self.local_steps = 0
-        #: Parameter-server updates applied by the async regime.
-        self.ps_updates = 0
-        #: Sum / max of per-update staleness (server updates applied between a
-        #: worker's parameter pull and its gradient's application).
-        self.staleness_sum = 0.0
-        self.staleness_max = 0
-        #: Async idle time: simulated seconds the event clock advanced beyond
-        #: the busy compute+comm accumulators (blocked-on-staleness waits and
-        #: channel queueing in parameter-server mode); part of
-        #: :attr:`total_time`.
-        self.async_wait_time = 0.0
 
     # ------------------------------------------------------------------ #
-    @property
-    def total_time(self) -> float:
-        return (
-            self.compute_time
-            + self.comm_time
-            - self.overlap_saved
-            + self.rejoin_cost_time
-            + self.async_wait_time
-        )
-
-    def goodput_fraction(self, world_size: int) -> float:
-        """Productive capacity fraction: 1 minus downtime and re-join overhead.
-
-        ``1.0`` on a healthy run; under faults, the fraction of the cluster's
-        rank-seconds that went into training rather than being lost to dead
-        ranks or re-join synchronisation.
-        """
-        total = self.total_time
-        if total <= 0.0 or world_size <= 0:
-            return 1.0
-        capacity = total * world_size
-        lost = self.downtime_rank_seconds + self.rejoin_cost_time * world_size
-        return max(0.0, 1.0 - lost / capacity)
-
-    def add_rejoin_cost(self, seconds: float) -> None:
-        """Charge the simulated cost of re-integrating a re-joined rank."""
-        if seconds < 0:
-            raise ValueError("rejoin cost must be non-negative")
-        self.rejoin_cost_time += seconds
-
-    @property
-    def overlap_fraction(self) -> float:
-        """Fraction of all communication hidden behind backward compute."""
-        return self.overlap_saved / self.comm_time if self.comm_time > 0 else 0.0
-
-    def critical_path_time(self) -> float:
-        """Sum of per-iteration critical paths (wall time of each schedule).
-
-        Falls back to :attr:`total_time` when no traces were recorded (e.g.
-        when iterations are added through the legacy scalar interface).
-        """
-        if not self.traces:
-            return self.total_time
-        return float(sum(trace.wall_time for trace in self.traces))
-
     def add_iteration(
         self,
         compute_seconds: float,
         comm_seconds: float,
         comm_bytes: float = 0.0,
         trace: Optional[IterationTrace] = None,
+        *,
+        kind: str = "sync",
+        dead: int = 0,
+        staleness: int = 0,
     ) -> None:
+        """Append one iteration of ``kind`` with ``dead`` ranks down."""
         if compute_seconds < 0 or comm_seconds < 0:
             raise ValueError("iteration times must be non-negative")
-        self.compute_time += compute_seconds
-        self.comm_time += comm_seconds
-        self.comm_bytes_per_worker += comm_bytes
-        if trace is not None:
-            self.overlap_saved += trace.overlap_saved
-            self.straggler_time += trace.straggler_slack
-            self.traces.append(trace)
-        self.iterations += 1
+        if dead < 0 or staleness < 0:
+            raise ValueError("dead ranks and staleness must be non-negative")
+        if kind not in ITERATION_KINDS:
+            raise ValueError(f"unknown iteration kind {kind!r}")
+        self.log.append(
+            LogEntry(kind, compute_seconds, comm_seconds, comm_bytes, trace, dead, staleness)
+        )
 
     def add_sync_round(self, comm_seconds: float, comm_bytes: float = 0.0) -> None:
-        """Charge one averaging collective that is not tied to an iteration.
+        """Append one averaging collective that is not tied to an iteration.
 
         Local SGD flushes a partially filled window at the epoch boundary so
         evaluation sees the averaged model; that collective costs time and
@@ -157,74 +104,133 @@ class TrainingTimeline:
         """
         if comm_seconds < 0 or comm_bytes < 0:
             raise ValueError("sync round cost must be non-negative")
-        self.comm_time += comm_seconds
-        self.comm_bytes_per_worker += comm_bytes
-        self.sync_rounds += 1
+        self.log.append(LogEntry("flush", comm=comm_seconds, comm_bytes=comm_bytes))
 
-    def record_staleness(self, staleness: int) -> None:
-        """Record one parameter-server update's measured staleness."""
-        if staleness < 0:
-            raise ValueError("staleness must be non-negative")
-        self.ps_updates += 1
-        self.staleness_sum += staleness
-        if staleness > self.staleness_max:
-            self.staleness_max = staleness
-
-    @property
-    def mean_staleness(self) -> float:
-        return self.staleness_sum / self.ps_updates if self.ps_updates else 0.0
-
-    def reconcile_async_total(self, final_time: float) -> None:
-        """Pin :attr:`total_time` to the async event clock.
-
-        The parameter-server loop accumulates per-update compute and comm
-        busy time, but the run's end-to-end duration is the event clock —
-        overlapping updates make it shorter than the busy sum, staleness
-        blocking makes it longer.  The difference lands in
-        :attr:`overlap_saved` or :attr:`async_wait_time` so the standard
-        decomposition still adds up.
-        """
-        if final_time < 0:
-            raise ValueError("final time must be non-negative")
-        busy = self.compute_time + self.comm_time + self.rejoin_cost_time
-        self.overlap_saved = max(0.0, busy - final_time)
-        self.async_wait_time = max(0.0, final_time - busy)
-
-    def note_degraded_iteration(self, dead_ranks: int, wall_seconds: float) -> None:
-        """Account one iteration that ran with ``dead_ranks`` workers down."""
-        if dead_ranks > 0:
-            self.degraded_iterations += 1
-            self.downtime_rank_seconds += dead_ranks * wall_seconds
+    def add_event(self, kind: str, value: float) -> None:
+        """Append one :data:`EVENT_KINDS` entry with its non-negative value."""
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if value < 0:
+            raise ValueError(f"{kind} value must be non-negative")
+        self.log.append(LogEntry(kind, value=value))
 
     def snapshot_epoch(self, epoch: int, train_loss: float, test_accuracy: float) -> EpochRecord:
-        record = EpochRecord(
-            epoch=epoch,
-            simulated_time=self.total_time,
-            train_loss=train_loss,
-            test_accuracy=test_accuracy,
-            comm_time=self.comm_time,
-            compute_time=self.compute_time,
-            comm_bytes_per_worker=self.comm_bytes_per_worker,
-            overlap_saved=self.overlap_saved,
-            straggler_time=self.straggler_time,
-        )
+        record = EpochRecord(epoch, self.total_time, train_loss, test_accuracy)
         self.epochs.append(record)
         return record
 
     # ------------------------------------------------------------------ #
-    def accuracy_trace(self) -> List[tuple]:
-        """(simulated_time, test_accuracy) pairs, one per recorded epoch."""
-        return [(record.simulated_time, record.test_accuracy) for record in self.epochs]
+    def fold(self) -> Dict[str, Any]:
+        """Every number the run reports, keyed by ``ExperimentResult`` field.
 
-    def time_to_accuracy(self, target_accuracy: float) -> Optional[float]:
-        """Earliest simulated time at which the target accuracy was reached."""
-        for record in self.epochs:
-            if record.test_accuracy >= target_accuracy:
-                return record.simulated_time
-        return None
+        One pass over the log in append order.  Floats are added with ``+=``
+        in the order they were produced, never with ``sum()``, which
+        compensates float sums from Python 3.12 on.  A ``"clock"`` entry pins
+        the total to the parameter-server event clock: overlapping updates make
+        the clock shorter than the busy sum so far, staleness blocking makes
+        it longer, and the difference becomes ``overlap_saved`` or
+        ``async_wait_time``.  Without a trace on the log the critical path is
+        the total.
+        """
+        compute = comm = comm_bytes = overlap = straggler = wall = 0.0
+        rejoin = downtime = async_wait = staleness_sum = 0.0
+        iterations = degraded = fault_events = sync_rounds = local_steps = 0
+        ps_updates = staleness_max = 0
+        traced = False
+        for entry in self.log:
+            kind = entry.kind
+            if kind in ITERATION_KINDS:
+                compute += entry.compute
+                comm += entry.comm
+                comm_bytes += entry.comm_bytes
+                trace = entry.trace
+                if trace is not None:
+                    traced = True
+                    overlap += trace.overlap_saved
+                    straggler += trace.straggler_slack
+                    wall += trace.wall_time
+                    if entry.dead > 0:
+                        degraded += 1
+                        downtime += entry.dead * trace.wall_time
+                iterations += 1
+                if kind == "local":
+                    local_steps += 1
+                elif kind == "average":
+                    sync_rounds += 1
+                elif kind == "ps":
+                    ps_updates += 1
+                    staleness_sum += entry.staleness
+                    if entry.staleness > staleness_max:
+                        staleness_max = entry.staleness
+            elif kind == "flush":
+                comm += entry.comm
+                comm_bytes += entry.comm_bytes
+                sync_rounds += 1
+            elif kind == "fault":
+                fault_events += 1
+            elif kind == "rejoin":
+                rejoin += entry.value
+            else:  # "clock"
+                busy = compute + comm + rejoin
+                overlap = max(0.0, busy - entry.value)
+                async_wait = max(0.0, entry.value - busy)
+        total = compute + comm - overlap + rejoin + async_wait
 
-    def best_accuracy(self) -> float:
-        return max((record.test_accuracy for record in self.epochs), default=0.0)
+        # Goodput: the fraction of the cluster's rank-seconds that went into
+        # training rather than being lost to dead ranks or re-join syncs.
+        world_size = self.world_size
+        goodput = 1.0
+        if total > 0.0 and world_size > 0:
+            capacity = total * world_size
+            goodput = max(0.0, 1.0 - (downtime + rejoin * world_size) / capacity)
 
-    def final_accuracy(self) -> float:
-        return self.epochs[-1].test_accuracy if self.epochs else 0.0
+        epochs = self.epochs
+        target = self.target_accuracy
+        tta = None
+        if target is not None:
+            tta = next((r.simulated_time for r in epochs if r.test_accuracy >= target), None)
+        return {
+            "epochs_run": len(epochs),
+            "iterations_run": iterations,
+            "simulated_time": total,
+            "compute_time": compute,
+            "comm_time": comm,
+            "comm_bytes_per_worker": comm_bytes,
+            "final_accuracy": epochs[-1].test_accuracy if epochs else 0.0,
+            "best_accuracy": max((r.test_accuracy for r in epochs), default=0.0),
+            "tta": tta,
+            "accuracy_trace": [(r.simulated_time, r.test_accuracy) for r in epochs],
+            "loss_trace": [r.train_loss for r in epochs],
+            "reached_target": tta is not None,
+            "overlap_fraction": overlap / comm if comm > 0 else 0.0,
+            # Wall times are np.float64 on local steps and under fault plans.
+            "critical_path_time": float(wall) if traced else total,
+            "straggler_time": straggler,
+            "fault_events": fault_events,
+            "degraded_iterations": degraded,
+            "downtime_rank_seconds": downtime,
+            "rejoin_cost_time": rejoin,
+            "goodput_fraction": goodput,
+            "sync_rounds": sync_rounds,
+            "local_steps": local_steps,
+            "ps_updates": ps_updates,
+            "staleness_mean": staleness_sum / ps_updates if ps_updates else 0.0,
+            "staleness_max": staleness_max,
+        }
+
+    # Views of the fold under the names the driver and callers read.
+    @property
+    def total_time(self) -> float:
+        return self.fold()["simulated_time"]
+
+    @property
+    def iterations(self) -> int:
+        return self.fold()["iterations_run"]
+
+    @property
+    def comm_bytes_per_worker(self) -> float:
+        return self.fold()["comm_bytes_per_worker"]
+
+    @property
+    def fault_events(self) -> int:
+        return self.fold()["fault_events"]

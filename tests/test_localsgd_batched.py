@@ -116,10 +116,8 @@ class LoopedLocalSGDStep(_LocalSGDStep):
             per_rank_losses.append(loss_value)
         self.window += 1
         if self.window < self.schedule.period:
-            run.timeline.local_steps += 1
             return StepResult(per_rank_losses)
         bucket_events = self._sync_round(active)
-        run.timeline.sync_rounds += 1
         self.window = 0
         return StepResult(per_rank_losses, bucket_events)
 

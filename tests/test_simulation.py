@@ -112,28 +112,41 @@ class TestClusterSpec:
 
 class TestTimeline:
     def test_accumulation(self):
-        timeline = TrainingTimeline()
+        timeline = TrainingTimeline(world_size=2)
         timeline.add_iteration(0.1, 0.5, 100.0)
         timeline.add_iteration(0.1, 0.5, 100.0)
         assert timeline.total_time == pytest.approx(1.2)
         assert timeline.iterations == 2
         assert timeline.comm_bytes_per_worker == pytest.approx(200.0)
+        assert len(timeline.log) == 2
 
     def test_epoch_snapshots_and_tta(self):
-        timeline = TrainingTimeline()
-        for epoch, accuracy in enumerate([0.3, 0.6, 0.85, 0.9]):
-            timeline.add_iteration(1.0, 1.0)
-            record = timeline.snapshot_epoch(epoch, train_loss=1.0, test_accuracy=accuracy)
-            assert isinstance(record, EpochRecord)
-        assert timeline.time_to_accuracy(0.8) == pytest.approx(6.0)
-        assert timeline.time_to_accuracy(0.95) is None
-        assert timeline.best_accuracy() == pytest.approx(0.9)
-        assert timeline.final_accuracy() == pytest.approx(0.9)
-        assert len(timeline.accuracy_trace()) == 4
+        for target, tta in [(0.8, 6.0), (0.95, None)]:
+            timeline = TrainingTimeline(world_size=2, target_accuracy=target)
+            for epoch, accuracy in enumerate([0.3, 0.6, 0.85, 0.9]):
+                timeline.add_iteration(1.0, 1.0)
+                record = timeline.snapshot_epoch(epoch, train_loss=1.0, test_accuracy=accuracy)
+                assert isinstance(record, EpochRecord)
+            fold = timeline.fold()
+            assert fold["tta"] == tta
+            assert fold["reached_target"] is (tta is not None)
+            assert fold["best_accuracy"] == pytest.approx(0.9)
+            assert fold["final_accuracy"] == pytest.approx(0.9)
+            assert fold["epochs_run"] == len(fold["accuracy_trace"]) == 4
 
     def test_negative_time_rejected(self):
+        timeline = TrainingTimeline(world_size=2)
         with pytest.raises(ValueError):
-            TrainingTimeline().add_iteration(-1.0, 0.0)
+            timeline.add_iteration(-1.0, 0.0)
+        with pytest.raises(ValueError):
+            timeline.add_iteration(1.0, 0.0, kind="ps", staleness=-1)
+        with pytest.raises(ValueError):
+            timeline.add_sync_round(-1.0)
+        with pytest.raises(ValueError):
+            timeline.add_event("rejoin", -1.0)
+        with pytest.raises(ValueError):
+            timeline.add_event("clock", -1.0)
+        assert timeline.log == []
 
 
 class TestMethodSpec:
@@ -480,13 +493,15 @@ class TestEngineIntegration:
         config = self._config(ClusterSpec(world_size=2, bandwidth="100Mbps", overlap=True))
         run = train_distributed(config, PAPER_METHODS["all-reduce"])
         timeline, ddp = run.timeline, run.ddp
-        assert len(timeline.traces) == timeline.iterations == 2
+        traces = [entry.trace for entry in timeline.log if entry.trace is not None]
+        assert len(traces) == timeline.iterations == 2
         assert len(ddp.buckets) > 1
-        trace = timeline.traces[0]
+        trace = traces[0]
         assert len(trace.buckets) == len(ddp.buckets)
         assert trace.overlap_saved > 0
-        assert timeline.overlap_fraction > 0
-        assert timeline.critical_path_time() == pytest.approx(timeline.total_time)
+        fold = timeline.fold()
+        assert fold["overlap_fraction"] > 0
+        assert fold["critical_path_time"] == pytest.approx(timeline.total_time)
 
     def test_cluster_heterogeneity_validation(self):
         with pytest.raises(ValueError):
