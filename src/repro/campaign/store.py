@@ -95,6 +95,27 @@ def identity_fingerprint(identity: str) -> str:
     return hashlib.sha256((identity[:-1] + _VERSIONS_TAIL).encode("utf-8")).hexdigest()
 
 
+def _share_keys(mapping, templates: Dict[tuple, Dict]):
+    """``mapping`` copied onto the key strings first seen for its key tuple.
+
+    ``templates`` lives for one load and maps each key tuple to a dict of its
+    first-seen keys; a copy of that dict updated with ``mapping`` keeps those
+    key objects, in the same order, with ``mapping``'s values.  The records of
+    one load so keep independent plain dicts whose key strings are shared,
+    instead of every record holding its own copy of each key.  Anything but a
+    dict passes through.
+    """
+    if type(mapping) is not dict:
+        return mapping
+    keys = tuple(mapping)
+    template = templates.get(keys)
+    if template is None:
+        template = templates[keys] = dict.fromkeys(keys)
+    shared = template.copy()
+    shared.update(mapping)
+    return shared
+
+
 @dataclass
 class StoredRecord:
     """One persisted cell: its fingerprint, specification and result."""
@@ -193,6 +214,8 @@ class ResultStore:
         #: Byte length of the valid prefix when the file ends in a torn line
         #: (a write interrupted mid-record); ``None`` when the file is whole.
         self._valid_bytes: Optional[int] = None
+        #: The file ends in a record without its newline (the next append adds it).
+        self._missing_newline = False
         #: Lines ``<path>.corrupt`` already holds; read on the first bad line.
         self._quarantined: Optional[set] = None
         self._load()
@@ -201,33 +224,48 @@ class ResultStore:
     # Persistence
     # ------------------------------------------------------------------ #
     def _load(self) -> None:
+        """Read the store one line at a time, each line parsed on its own.
+
+        A line is the bytes up to and including ``b"\\n"``.  A complete line
+        that does not decode or parse is quarantined; a final chunk with no
+        newline that does not is a torn write, dropped and truncated away by
+        the next append.  The config, cluster and method dicts of one load
+        share their key strings (see :func:`_share_keys`).
+        """
         if self.path is None or not os.path.exists(self.path):
             return
+        templates: Dict[tuple, Dict] = {}
+        raw = b""
         with open(self.path, "rb") as handle:
-            data = handle.read()
-        raw = data.decode("utf-8")
-        lines = raw.splitlines()
-        for line_number, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = StoredRecord.from_json(line)
-            except (json.JSONDecodeError, KeyError, TypeError) as error:
-                if line_number == len(lines) and not raw.endswith("\n"):
-                    # Torn final line from a killed writer: the records before
-                    # it are intact, so drop it (that cell simply re-runs) and
-                    # let the next append truncate the partial bytes away.
-                    self._valid_bytes = len(data) - len(lines[-1].encode("utf-8"))
-                    return
-                # Corrupt interior (or complete-but-bad final) line — e.g. a
-                # crashed writer raced another appender, or the file was
-                # hand-edited.  Losing one record must not take the whole
-                # sweep history with it: quarantine the bad line to
-                # ``<store>.corrupt`` for forensics, warn, and keep loading.
-                self._quarantine(line, line_number, error)
-                continue
-            self._records[record.key] = record
+            for line_number, raw in enumerate(handle, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    record = StoredRecord.from_json(line)
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as error:
+                    if not raw.endswith(b"\n"):
+                        # Torn final line from a killed writer: the records
+                        # before it are intact, so drop it (that cell simply
+                        # re-runs) and let the next append truncate it away.
+                        self._valid_bytes = handle.tell() - len(raw)
+                        return
+                    # Corrupt interior (or complete-but-bad final) line — e.g.
+                    # a crashed writer raced another appender, or the file was
+                    # hand-edited.  Losing one record must not take the whole
+                    # sweep history with it: quarantine the bad line to
+                    # ``<store>.corrupt`` for forensics, warn, and keep loading.
+                    line = raw.decode("utf-8", errors="backslashreplace").strip()
+                    self._quarantine(line, line_number, error)
+                    continue
+                config = record.config = _share_keys(record.config, templates)
+                if type(config) is dict and "cluster" in config:
+                    config["cluster"] = _share_keys(config["cluster"], templates)
+                record.method = _share_keys(record.method, templates)
+                self._records[record.key] = record
+        # A last record whose newline never reached the disk: the next append
+        # writes it first, or the two records would fuse into one bad line.
+        self._missing_newline = bool(raw) and not raw.endswith(b"\n")
 
     def _quarantine(self, line: str, line_number: int, error: Exception) -> None:
         """Preserve one unreadable store line in ``<path>.corrupt`` and warn.
@@ -266,6 +304,9 @@ class ResultStore:
                 handle.truncate(self._valid_bytes)
             self._valid_bytes = None
         with open(self.path, "a", encoding="utf-8") as handle:
+            if self._missing_newline:
+                handle.write("\n")
+                self._missing_newline = False
             handle.write(record.to_json() + "\n")
 
     # ------------------------------------------------------------------ #
