@@ -435,28 +435,11 @@ class DistributedDataParallel:
             param.grad = grad if grad.dtype == dtype else grad.astype(dtype)
 
     # ------------------------------------------------------------------ #
-    # Parameter state (checkpointing and regime replicas)
+    # Parameter state (regime replicas)
     # ------------------------------------------------------------------ #
     def snapshot_parameters(self) -> Dict[str, np.ndarray]:
         """Copies of the model parameters, keyed like aggregated gradients."""
         return {name: param.data.copy() for name, param in self._param_map.items()}
-
-    def restore_parameters(self, params: Dict[str, np.ndarray]) -> None:
-        """Install parameter arrays captured by :meth:`snapshot_parameters`.
-
-        Copies defensively so the caller's snapshot (e.g. a checkpoint that
-        will seed several resumes) is never aliased by the live model.
-        """
-        for name, param in self._param_map.items():
-            if name not in params:
-                raise KeyError(f"snapshot missing parameter {name!r}")
-            stored = np.asarray(params[name])
-            if stored.shape != param.data.shape:
-                raise ValueError(
-                    f"snapshot for {name!r} has shape {stored.shape}, "
-                    f"expected {param.data.shape}"
-                )
-            param.data = stored.astype(self.dtype, copy=True)
 
     # ------------------------------------------------------------------ #
     # Introspection

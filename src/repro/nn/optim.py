@@ -99,20 +99,3 @@ class SGD(Optimizer):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint support: the velocity buffers are the optimiser's only
-    # mutable state, exposed as position-indexed array copies so a resumed
-    # run replays the exact same momentum floats.
-    def state_arrays(self) -> List[Optional[np.ndarray]]:
-        """Copies of the per-parameter velocity buffers (``None`` = unused)."""
-        return [None if v is None else v.copy() for v in self.velocity]
-
-    def load_state_arrays(self, velocities: List[Optional[np.ndarray]]) -> None:
-        """Restore velocity buffers captured by :meth:`state_arrays`."""
-        if len(velocities) != len(self.parameters):
-            raise ValueError(
-                f"expected {len(self.parameters)} velocity entries, "
-                f"got {len(velocities)}"
-            )
-        self.velocity = [None if v is None else v.copy() for v in velocities]

@@ -29,11 +29,12 @@ Modules:
   iteration, flush, fault, re-join and clock reading) and the fold every
   reported number comes from;
 * :mod:`repro.simulation.regimes`  — training-regime schedules (``sync``,
-  ``localsgd:H[:delta]``, ``ps[:S]``), local-SGD replicas and checkpoints;
+  ``localsgd:H[:delta]``, ``ps[:S]``) and local-SGD replicas;
 * :mod:`repro.simulation.spec`     — the typed specs: ``MethodSpec``,
   ``ExperimentConfig``, ``ExperimentResult`` and the paper's methods;
 * :mod:`repro.simulation.experiment` — the configuration-driven driver every
-  benchmark uses: one stepped training loop, two regime steps, the PS loop.
+  benchmark uses: one stepped training loop and its checkpoint, two regime
+  steps, the PS loop.
 """
 
 from repro.simulation.compute import (

@@ -36,7 +36,7 @@ from repro.obs.instrument import emit_ps_update, emit_simulated_iteration
 from repro.obs.tracer import SIM_SCHEDULE_TID, TRACER
 from repro.pruning import PruningMask, apply_gse, grasp_prune, magnitude_prune
 from repro.simulation.engine import EventHeap, LinkChannel, SimEvent, SimulationEngine
-from repro.simulation.regimes import ReplicaSet, TrainingCheckpoint
+from repro.simulation.regimes import ReplicaSet
 from repro.simulation.spec import ExperimentConfig, ExperimentResult, MethodSpec
 from repro.simulation.timeline import TrainingTimeline
 from repro.tensorlib import (
@@ -123,8 +123,9 @@ class _Run:
 
     Built by :func:`train_distributed`, which returns it.  Everything a spec
     already says is read from ``config`` / ``method``; what the run adds is
-    state.  The timeline is always read through the run, so restoring a
-    checkpoint swaps it in one place.
+    state.  The compressor and the timeline are always read through the run,
+    so restoring a checkpoint swaps them in one place; ``checkpoint`` holds
+    the one ``checkpoint_at`` captured (``None`` until then).
     """
 
     config: ExperimentConfig
@@ -143,6 +144,7 @@ class _Run:
     weight_sparsity: float
     per_rank_compute: List[float]
     rank_loaders: List[DataLoader]
+    checkpoint: Optional[TrainingCheckpoint] = None
 
     @property
     def world_size(self) -> int:
@@ -205,7 +207,7 @@ class _FaultState:
         self.active = list(range(self.world_size))
         self.link = 1.0
 
-    def _set_membership(self, active: List[int], link: float) -> None:
+    def set_membership(self, active: List[int], link: float) -> None:
         """Point the DDP wrapper at ``active`` over a link scaled by ``link``."""
         ddp = self.run.ddp
         if len(active) == self.world_size and link == 1.0:
@@ -214,15 +216,6 @@ class _FaultState:
             degraded_model = self.run.config.cluster.cost_model_for(len(active), link)
             ddp.set_active_ranks(active, ProcessGroup(len(active), degraded_model))
         self.active, self.link = active, link
-
-    def restore(self, cursor: float, active: List[int], link: float) -> None:
-        """Resume onto a checkpoint's cursor and membership.
-
-        The elastic seam is re-applied, not replayed: the restored compressor
-        already carries the resized residuals.
-        """
-        self.cursor = cursor
-        self._set_membership(active, link)
 
     def advance(self, global_iteration: int, on_rejoin=None):
         """Interpret the plan up to the run's simulated time now.
@@ -255,7 +248,7 @@ class _FaultState:
         if active != self.active or link != self.link:
             if active != self.active:
                 self.run.compressor.resize_world(self.active, active, plan.residual_policy)
-            self._set_membership(active, link)
+            self.set_membership(active, link)
             # A re-joining rank pulls the current model state (fp32 wire
             # format) before it can participate: charge one broadcast over the
             # new membership per re-join and advance the simulated clock.
@@ -286,7 +279,6 @@ def train_distributed(
     *,
     share: Optional[_WorkloadShare] = None,
     checkpoint_at: Optional[int] = None,
-    checkpoint_box: Optional[List[TrainingCheckpoint]] = None,
     resume_from: Optional[TrainingCheckpoint] = None,
 ) -> _Run:
     """Prepare, prune and train the run ``(config, method)`` describes.
@@ -315,12 +307,14 @@ def train_distributed(
     gradients and traces are bit-identical to a per-rank loop, and modeled
     time — which measures the *simulated* cluster — never depends on it.
 
-    ``checkpoint_at``/``checkpoint_box`` capture a
-    :class:`~repro.simulation.regimes.TrainingCheckpoint` just before global
-    iteration ``checkpoint_at`` executes (appended to the box; the run then
-    continues normally); ``resume_from`` restores one into a run built from
-    the same two specs and continues bit-identically to the uninterrupted run.
-    Synchronous schedules only.
+    ``checkpoint_at`` captures the stepped loop's state as a
+    :class:`TrainingCheckpoint` just before global iteration ``checkpoint_at``
+    executes (``run.checkpoint``; the run then continues normally);
+    ``resume_from`` restores one into a run built from the same two specs
+    (checked first) and continues bit-identically to the uninterrupted run.
+    Every barrier regime checkpoints; the async ``ps`` regime does not (its
+    in-flight pushes live in its event loop) and is rejected before anything
+    is prepared.
 
     Returns the run: its ``timeline`` (accuracy/time trace), ``ddp``
     wrapper, ``compressor`` (whose statistics record bytes on the wire),
@@ -328,22 +322,18 @@ def train_distributed(
     :func:`run_experiment` reports.
     """
     schedule = method.schedule()
-    if (checkpoint_at is not None or resume_from is not None) and not schedule.is_synchronous:
+    if (checkpoint_at is not None or resume_from is not None) and schedule.regime == "ps":
         raise ValueError(
-            "checkpoint/restore is only supported on the synchronous path "
-            f"(sync or localsgd:1 schedules), got {method.sync_schedule!r}"
+            "checkpoint/restore runs on the barrier regimes (sync, localsgd); the async "
+            f"parameter server's in-flight pushes are not captured, got {method.sync_schedule!r}"
         )
+    if resume_from is not None:
+        resume_from.check_specs(config, method)
     cluster = config.cluster
     world_size = cluster.world_size
     with default_dtype(config.dtype):
         model, train_set, test_loader, mask = _prepare_workload(config, method, share)
-        if resume_from is None:
-            compressor = method.build_compressor(seed=config.seed)
-        else:
-            # The compressor's residual/momentum state is part of the
-            # checkpoint; hand the DDP wrapper the restored instance from the
-            # start.  Deep-copied so one checkpoint can seed several resumes.
-            compressor = copy.deepcopy(resume_from.compressor)
+        compressor = method.build_compressor(seed=config.seed)
         ddp = DistributedDataParallel(
             model,
             world_size=world_size,
@@ -394,7 +384,7 @@ def train_distributed(
                 model, train_set.input_shape, ddp.buckets
             )
             step = _SyncStep(run) if schedule.is_synchronous else _LocalSGDStep(run)
-            _train_stepped(run, step, bucket_fractions, checkpoint_at, checkpoint_box, resume_from)
+            _train_stepped(run, step, bucket_fractions, checkpoint_at, resume_from)
     return run
 
 
@@ -403,7 +393,6 @@ def _train_stepped(
     step,
     bucket_fractions: List[float],
     checkpoint_at: Optional[int],
-    checkpoint_box: Optional[List[TrainingCheckpoint]],
     resume_from: Optional[TrainingCheckpoint],
 ) -> None:
     """The barrier-per-iteration loop shared by the sync and local-SGD regimes.
@@ -416,7 +405,9 @@ def _train_stepped(
     wrapper's live membership (the fault cursor keeps it current) and
     returns its :class:`~repro.ddp.StepResult` — ``None`` bucket events mean a
     communication-free local step; ``flush(epoch, active)`` runs before the
-    epoch-end evaluation; ``on_rejoin`` (or ``None``) hears of re-joined ranks.
+    epoch-end evaluation; ``on_rejoin`` (or ``None``) hears of re-joined ranks;
+    ``state()`` / ``load_state(state)`` hand what the step mutates to
+    :func:`_capture` / :func:`_restore`.
 
     ``ddp.iteration`` — the number the hook sees — is the global iteration
     counter: it starts at 0 and the loop advances it once per iteration.
@@ -426,55 +417,26 @@ def _train_stepped(
     max_iterations_per_epoch = run.config.max_iterations_per_epoch
     engine = SimulationEngine(overlap=run.config.cluster.overlap)
     faults = _FaultState(run)
-    start_epoch = 0
+    start_epoch, start_iteration, start_losses = 0, 0, []
     if resume_from is not None:
-        # The run was built from the same specs, so its modeled per-rank
-        # times and bucket fractions — priced on the weights right after
-        # pruning — are already the uninterrupted run's.
-        ck = resume_from
-        ddp.restore_parameters(ck.params)
-        run.optimizer.load_state_arrays(ck.velocities)
-        run.timeline = copy.deepcopy(ck.timeline)
-        faults.restore(ck.fault_cursor, list(ck.active_ranks), ck.link_factor)
-        ddp.iteration = ck.global_iteration
-        start_epoch = ck.epoch
+        start_epoch, start_iteration, start_losses = _restore(run, step, faults, resume_from)
     timeline = run.timeline
     per_rank_compute = run.per_rank_compute
-    captured = checkpoint_at is None or checkpoint_box is None
     for epoch in range(start_epoch, run.config.epochs):
         for loader in run.rank_loaders:
             loader.set_epoch(epoch)
         iterators = [iter(loader) for loader in run.rank_loaders]
-        epoch_losses: List[float] = []
-        iteration = 0
-        if resume_from is not None and epoch == start_epoch:
-            # Fast-forward the deterministic samplers to the captured
-            # position; the consumed batches were already trained on.
-            for _ in range(resume_from.iteration_in_epoch):
-                for it in iterators:
-                    next(it)
-            iteration = resume_from.iteration_in_epoch
-            epoch_losses = list(resume_from.epoch_losses)
+        iteration, epoch_losses = (start_iteration, start_losses) if epoch == start_epoch else (0, [])
+        # Fast-forward the deterministic samplers to a resumed position; the
+        # consumed batches were already trained on.
+        for _ in range(iteration):
+            for it in iterators:
+                next(it)
         while True:
             if max_iterations_per_epoch is not None and iteration >= max_iterations_per_epoch:
                 break
-            if not captured and ddp.iteration == checkpoint_at:
-                checkpoint_box.append(
-                    TrainingCheckpoint(
-                        params=ddp.snapshot_parameters(),
-                        velocities=run.optimizer.state_arrays(),
-                        compressor=copy.deepcopy(run.compressor),
-                        timeline=copy.deepcopy(timeline),
-                        epoch=epoch,
-                        iteration_in_epoch=iteration,
-                        global_iteration=ddp.iteration,
-                        epoch_losses=list(epoch_losses),
-                        fault_cursor=faults.cursor,
-                        active_ranks=list(faults.active),
-                        link_factor=faults.link,
-                    )
-                )
-                captured = True
+            if ddp.iteration == checkpoint_at and run.checkpoint is None:
+                run.checkpoint = _capture(run, step, faults, epoch, iteration, epoch_losses)
             try:
                 batches = [next(it) for it in iterators]
             except StopIteration:
@@ -531,6 +493,94 @@ def _train_stepped(
             break
 
 
+# --------------------------------------------------------------------------- #
+# Checkpoint: the stepped loop's state
+# --------------------------------------------------------------------------- #
+@dataclass
+class TrainingCheckpoint:
+    """The stepped loop's state just before one global iteration runs.
+
+    ``train_distributed(config, method, checkpoint_at=i)`` captures it as
+    ``run.checkpoint``; ``train_distributed(config, method, resume_from=ck)``
+    checks that its specs are the recorded ones, rebuilds what they determine
+    (per-rank compute, bucket layout) and installs the rest: the model's
+    ``state_dict()`` (BatchNorm running statistics included), the optimiser's
+    velocity, the compressor (Mask Tracker streaks, error-feedback residuals),
+    the timeline, the fault cursor and membership, the loop position and what
+    the regime step mutates (``step.state()``: local SGD's replicas, anchor
+    and window).  One capture and one restore, each a deep copy, so one
+    checkpoint seeds several resumes; a degraded membership is re-applied
+    through the elastic seam, not replayed.
+    """
+
+    config: ExperimentConfig
+    method: MethodSpec
+    model_state: Dict[str, np.ndarray]
+    velocity: List[Optional[np.ndarray]]
+    compressor: CodecCompressor
+    timeline: TrainingTimeline
+    step_state: Dict[str, object]
+    fault_cursor: float
+    active_ranks: List[int]
+    link_factor: float
+    epoch: int
+    iteration_in_epoch: int
+    #: Iterations run so far: the restored ``ddp.iteration`` (what the hook sees).
+    global_iteration: int
+    epoch_losses: List[float]
+
+    def check_specs(self, config: ExperimentConfig, method: MethodSpec) -> None:
+        """Raise ``ValueError`` naming the first field ``(config, method)`` changes."""
+        captured = {"config": self.config.to_dict(), "method": self.method.to_dict()}
+        given = {"config": config.to_dict(), "method": method.to_dict()}
+        for changed in _differences(captured, given):
+            raise ValueError(
+                f"cannot resume: {changed} differs from the checkpoint's specs "
+                "(a checkpoint resumes only the run it was captured from)"
+            )
+
+
+def _differences(captured: object, given: object, name: str = ""):
+    """Dotted names of the entries in which two ``to_dict()`` trees differ, in order."""
+    if isinstance(captured, dict):
+        for key, value in captured.items():
+            yield from _differences(value, given.get(key), f"{name}.{key}" if name else key)
+    elif captured != given:
+        yield name
+
+
+def _capture(
+    run: _Run, step, faults: _FaultState, epoch: int, iteration: int, epoch_losses: List[float]
+) -> TrainingCheckpoint:
+    """A deep copy of the stepped loop's state just before ``ddp.iteration`` runs."""
+    return copy.deepcopy(
+        TrainingCheckpoint(
+            config=run.config, method=run.method, model_state=run.model.state_dict(),
+            velocity=run.optimizer.velocity, compressor=run.compressor, timeline=run.timeline,
+            step_state=step.state(), fault_cursor=faults.cursor, active_ranks=faults.active,
+            link_factor=faults.link, epoch=epoch, iteration_in_epoch=iteration,
+            global_iteration=run.ddp.iteration, epoch_losses=epoch_losses,
+        )
+    )
+
+
+def _restore(
+    run: _Run, step, faults: _FaultState, checkpoint: TrainingCheckpoint
+) -> Tuple[int, int, List[float]]:
+    """Install a deep copy of ``checkpoint``; returns its loop position."""
+    ck = copy.deepcopy(checkpoint)
+    run.model.load_state_dict(ck.model_state)
+    run.optimizer.velocity = ck.velocity
+    run.compressor = ck.compressor  # it already carries the resized residuals
+    run.ddp.register_comm_hook(ck.compressor)
+    run.timeline = ck.timeline
+    step.load_state(ck.step_state)
+    faults.cursor = ck.fault_cursor
+    faults.set_membership(ck.active_ranks, ck.link_factor)
+    run.ddp.iteration = ck.global_iteration
+    return ck.epoch, ck.iteration_in_epoch, ck.epoch_losses
+
+
 class _SyncStep:
     """One synchronous data-parallel iteration: DDP's train step, then the optimiser."""
 
@@ -558,6 +608,13 @@ class _SyncStep:
 
     def flush(self, epoch: int, active: List[int]) -> None:
         """Nothing to flush: every iteration ends synchronised."""
+
+    def state(self) -> Dict[str, object]:
+        """Nothing of its own: an iteration leaves its state on the run."""
+        return {}
+
+    def load_state(self, state: Dict[str, object]) -> None:
+        """Nothing to install (see :meth:`state`)."""
 
 
 class _LocalSGDStep:
@@ -662,6 +719,13 @@ class _LocalSGDStep:
             synced = StepResult([], self._sync_round(active))
         self.run.timeline.add_sync_round(synced.comm_time, synced.comm_bytes_per_worker)
         self.window = 0
+
+    def state(self) -> Dict[str, object]:
+        """The replicas, the last synced anchor and the open window's length."""
+        return {"replicas": self.replicas, "anchor": self.anchor, "window": self.window}
+
+    def load_state(self, state: Dict[str, object]) -> None:
+        self.replicas, self.anchor, self.window = state["replicas"], state["anchor"], state["window"]
 
 
 def _train_async_ps(run: _Run) -> None:

@@ -43,7 +43,6 @@ __all__ = [
     "SyncSchedule",
     "parse_sync_schedule",
     "ReplicaSet",
-    "TrainingCheckpoint",
 ]
 
 #: The regimes the training driver knows how to interpret.
@@ -312,39 +311,3 @@ class ReplicaSet:
         for velocity in self.velocities:
             if velocity is not None:
                 velocity[rank] = 0.0
-
-
-# --------------------------------------------------------------------------- #
-# Checkpoint/restore on the elastic seam
-# --------------------------------------------------------------------------- #
-@dataclass
-class TrainingCheckpoint:
-    """Everything needed to resume a synchronous run bit-identically.
-
-    Captured mid-run by
-    ``train_distributed(config, method, checkpoint_at=i, checkpoint_box=box)``
-    (:func:`repro.simulation.experiment.train_distributed`) and consumed by
-    ``train_distributed(config, method, resume_from=box[0])`` — a run built
-    from the same two specs, so what those determine (the modeled per-rank
-    compute, the bucket layout, whether the target was reached by the epochs
-    the ``timeline`` recorded) is not stored here.  All array state is
-    deep-copied at capture *and* at restore, so one checkpoint can seed
-    several resumes and outlive the run that wrote it.  Fault-interpreter
-    state (cursor, surviving membership, link factor) rides along, so a
-    checkpoint taken inside a degraded window resumes onto the same shrunken
-    world — the elastic seam (``set_active_ranks`` + ``resize_world``) is
-    re-applied, not replayed.
-    """
-
-    params: Dict[str, np.ndarray]
-    velocities: List[Optional[np.ndarray]]
-    compressor: object
-    timeline: object
-    epoch: int
-    iteration_in_epoch: int
-    #: Iterations run so far: the restored ``ddp.iteration`` (what the hook sees).
-    global_iteration: int
-    epoch_losses: List[float]
-    fault_cursor: float
-    active_ranks: List[int]
-    link_factor: float

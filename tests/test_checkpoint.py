@@ -1,19 +1,22 @@
-"""Checkpoint/restore round trips on the elastic seam.
+"""Checkpoint/restore round trips of the stepped loop, on every barrier regime.
 
-``train_distributed(config, method, ...)`` can capture a
-:class:`TrainingCheckpoint` just before a chosen global iteration and later
-resume from it in a run rebuilt from the same two specs.  These tests pin the
-contract end to end:
+``train_distributed(config, method, checkpoint_at=i)`` captures the loop's
+state as ``run.checkpoint`` just before global iteration ``i``, and
+``train_distributed(config, method, resume_from=checkpoint)`` installs it in a
+run rebuilt from the same two specs.  These tests pin the contract end to end:
 
-* capturing a checkpoint is side-effect-free — the checkpointed run finishes
+* capturing a checkpoint is side-effect-free — the capturing run finishes
   bit-identically to the uninterrupted run;
-* resuming from the checkpoint reproduces the uninterrupted run's timeline,
-  losses and final parameters bit-for-bit;
-* one checkpoint seeds several resumes (the capture deep-copies all state);
+* a resumed run has the uninterrupted run's log, result and model state
+  (parameters *and* buffers) bit for bit — under sync, dense and delta local
+  SGD, healthy and under a crash/rejoin plan, with captures inside a local-SGD
+  window;
+* one checkpoint seeds several resumes (capture and restore deep-copy);
 * a target reached before the capture is still reported by the resumed run;
 * a checkpoint taken mid-fault — while the membership is degraded — restores
-  the degraded process group through the elastic seam and still converges to
-  the uninterrupted run.
+  the degraded process group through the elastic seam;
+* the async parameter server, and a resume under specs other than the
+  checkpoint's, are rejected before anything is prepared.
 """
 
 from __future__ import annotations
@@ -24,58 +27,53 @@ import numpy as np
 import pytest
 
 from repro import golden
+from repro.simulation import experiment
 from repro.simulation.experiment import MethodSpec, train_distributed
-from repro.simulation.regimes import TrainingCheckpoint
 
 METHOD = MethodSpec(name="topk-0.01", compressor="topk-0.01")
+CRASH_REJOIN = "crash:1@0.0005,rejoin:1@0.003"
 
 
-def _run(config, method, **kwargs):
-    run = train_distributed(config, method, **kwargs)
-    return run.timeline, run.ddp.snapshot_parameters(), run.compressor
+def _faulted(config, faults=CRASH_REJOIN):
+    return dataclasses.replace(config, cluster=dataclasses.replace(config.cluster, faults=faults))
 
 
-def _assert_identical(run_a, run_b):
-    timeline_a, params_a, compressor_a = run_a
-    timeline_b, params_b, compressor_b = run_b
-    assert timeline_b.epochs == timeline_a.epochs
-    assert timeline_b.total_time == timeline_a.total_time
-    assert timeline_b.comm_bytes_per_worker == timeline_a.comm_bytes_per_worker
-    assert timeline_b.iterations == timeline_a.iterations
-    assert set(params_b) == set(params_a)
-    for name, value in params_a.items():
-        assert np.array_equal(params_b[name], value), name
-    assert compressor_b.stats.wire_bytes == compressor_a.stats.wire_bytes
+def _assert_same_run(run, baseline):
+    """Same log, same reported result, same model parameters and buffers."""
+    assert run.timeline.log == baseline.timeline.log
+    assert run.result().to_dict() == baseline.result().to_dict()
+    state, expected = run.model.state_dict(), baseline.model.state_dict()
+    assert state.keys() == expected.keys()
+    for name, value in expected.items():
+        np.testing.assert_array_equal(state[name], value, err_msg=name)
+
+
+def _capture(config, method, checkpoint_at):
+    return train_distributed(config, method, checkpoint_at=checkpoint_at).checkpoint
 
 
 class TestCheckpointRoundTrip:
     def test_capture_is_side_effect_free(self):
-        baseline = _run(golden.GOLDEN_CONFIG, METHOD)
-        box: list[TrainingCheckpoint] = []
-        checkpointed = _run(
-            golden.GOLDEN_CONFIG, METHOD, checkpoint_at=3, checkpoint_box=box
-        )
-        assert len(box) == 1
-        _assert_identical(baseline, checkpointed)
+        baseline = train_distributed(golden.GOLDEN_CONFIG, METHOD)
+        capturing = train_distributed(golden.GOLDEN_CONFIG, METHOD, checkpoint_at=3)
+        assert capturing.checkpoint is not None
+        _assert_same_run(capturing, baseline)
 
     def test_resume_mid_epoch_is_bit_identical(self):
         # Global iteration 3 is epoch 1, iteration 1 in the golden config
         # (2 iterations/epoch): a genuine mid-epoch capture.
-        baseline = _run(golden.GOLDEN_CONFIG, METHOD)
-        box: list[TrainingCheckpoint] = []
-        _run(golden.GOLDEN_CONFIG, METHOD, checkpoint_at=3, checkpoint_box=box)
-        ck = box[0]
+        baseline = train_distributed(golden.GOLDEN_CONFIG, METHOD)
+        ck = _capture(golden.GOLDEN_CONFIG, METHOD, 3)
         assert ck.global_iteration == 3
         assert ck.iteration_in_epoch != 0
-        resumed = _run(golden.GOLDEN_CONFIG, METHOD, resume_from=ck)
-        _assert_identical(baseline, resumed)
+        resumed = train_distributed(golden.GOLDEN_CONFIG, METHOD, resume_from=ck)
+        _assert_same_run(resumed, baseline)
 
     def test_one_checkpoint_seeds_several_resumes(self):
-        box: list[TrainingCheckpoint] = []
-        _run(golden.GOLDEN_CONFIG, METHOD, checkpoint_at=2, checkpoint_box=box)
-        first = _run(golden.GOLDEN_CONFIG, METHOD, resume_from=box[0])
-        second = _run(golden.GOLDEN_CONFIG, METHOD, resume_from=box[0])
-        _assert_identical(first, second)
+        ck = _capture(golden.GOLDEN_CONFIG, METHOD, 2)
+        first = train_distributed(golden.GOLDEN_CONFIG, METHOD, resume_from=ck)
+        second = train_distributed(golden.GOLDEN_CONFIG, METHOD, resume_from=ck)
+        _assert_same_run(second, first)
 
     def test_a_target_reached_only_before_the_capture_survives_the_resume(self):
         # Seed 1's accuracy peaks at epoch 1 and falls in epoch 2.  With the
@@ -83,16 +81,17 @@ class TestCheckpointRoundTrip:
         # iteration 5 of 2 per epoch), only the epoch records the checkpoint
         # carries can say the target was reached.
         config = dataclasses.replace(golden.GOLDEN_CONFIG, seed=1)
-        accuracies = [record.test_accuracy for record in _run(config, METHOD)[0].epochs]
+        accuracies = [
+            record.test_accuracy for record in train_distributed(config, METHOD).timeline.epochs
+        ]
         config = dataclasses.replace(config, target_accuracy=accuracies[1])
         assert max(accuracies[0], accuracies[2]) < config.target_accuracy
         baseline = train_distributed(config, METHOD).result()
         assert baseline.reached_target
         assert baseline.tta == baseline.accuracy_trace[1][0]
-        box: list[TrainingCheckpoint] = []
-        train_distributed(config, METHOD, checkpoint_at=5, checkpoint_box=box)
-        assert (box[0].epoch, box[0].iteration_in_epoch) == (2, 1)
-        resumed = train_distributed(config, METHOD, resume_from=box[0]).result()
+        ck = _capture(config, METHOD, 5)
+        assert (ck.epoch, ck.iteration_in_epoch) == (2, 1)
+        resumed = train_distributed(config, METHOD, resume_from=ck).result()
         assert resumed.reached_target == baseline.reached_target
         assert resumed.tta == baseline.tta
         assert resumed.to_dict() == baseline.to_dict()
@@ -100,57 +99,131 @@ class TestCheckpointRoundTrip:
     def test_resume_restores_compressor_residuals(self):
         # top-k with error feedback carries residual state across iterations;
         # a resume that dropped it would diverge from the baseline run.
-        box: list[TrainingCheckpoint] = []
-        _run(golden.GOLDEN_CONFIG, METHOD, checkpoint_at=3, checkpoint_box=box)
-        residual = box[0].compressor.residual(0)
+        residual = _capture(golden.GOLDEN_CONFIG, METHOD, 3).compressor.residual(0)
         assert residual is not None
         assert float(np.abs(residual).sum()) > 0.0
 
-    def test_checkpoint_rejects_async_schedules(self):
-        method = dataclasses.replace(METHOD, sync_schedule="localsgd:4")
-        with pytest.raises(ValueError, match="synchronous"):
-            _run(golden.GOLDEN_CONFIG, method, checkpoint_at=2, checkpoint_box=[])
+    def test_resume_restores_batchnorm_running_statistics(self):
+        # resnet18's BatchNorm running statistics are buffers, not
+        # parameters: a resume that restored only the parameters would
+        # evaluate (and report accuracies) with the wrong statistics.
+        config = dataclasses.replace(
+            golden.GOLDEN_CONV_CONFIG,
+            epochs=3, dataset_samples=96, max_iterations_per_epoch=4, pretrain_iterations=4,
+        )
+        method = golden.GOLDEN_METHODS["conv-all-reduce"]
+        baseline = train_distributed(config, method)
+        assert any(name.startswith("__buffer__.") for name in baseline.model.state_dict())
+        resumed = train_distributed(config, method, resume_from=_capture(config, method, 3))
+        _assert_same_run(resumed, baseline)
+
+    def test_resume_restores_the_mask_tracker(self):
+        # PacTrain's compact sync needs every worker to agree on the stable
+        # pattern: the tracker's streaks are compressor state, captured while
+        # the run is still in full sync and before it turns compact.
+        config = golden.GOLDEN_COMPACT_CONFIG
+        method = golden.GOLDEN_METHODS["pactrain-compact"]
+        baseline = train_distributed(config, method)
+        assert baseline.result().extra["compact_iterations"] > 0
+        resumed = train_distributed(config, method, resume_from=_capture(config, method, 4))
+        _assert_same_run(resumed, baseline)
 
     def test_localsgd_h1_supports_checkpointing(self):
-        # localsgd:1 routes through the synchronous loop, so the checkpoint
-        # seam works there too.
+        # localsgd:1 routes through the synchronous step.
         method = dataclasses.replace(METHOD, sync_schedule="localsgd:1")
-        baseline = _run(golden.GOLDEN_CONFIG, method)
-        box: list[TrainingCheckpoint] = []
-        _run(golden.GOLDEN_CONFIG, method, checkpoint_at=3, checkpoint_box=box)
-        resumed = _run(golden.GOLDEN_CONFIG, method, resume_from=box[0])
-        _assert_identical(baseline, resumed)
+        baseline = train_distributed(golden.GOLDEN_CONFIG, method)
+        ck = _capture(golden.GOLDEN_CONFIG, method, 3)
+        resumed = train_distributed(golden.GOLDEN_CONFIG, method, resume_from=ck)
+        _assert_same_run(resumed, baseline)
 
 
 class TestCheckpointUnderFaults:
-    @staticmethod
-    def _faulty_config():
-        cluster = dataclasses.replace(
-            golden.GOLDEN_CONFIG.cluster,
-            faults="crash:1@0.0005,rejoin:1@0.003",
-        )
-        return dataclasses.replace(golden.GOLDEN_CONFIG, cluster=cluster)
-
     def test_resume_from_degraded_membership(self):
-        config = self._faulty_config()
-        baseline = _run(config, METHOD)
-        assert baseline[0].fault_events >= 2  # crash + rejoin both fired
-        box: list[TrainingCheckpoint] = []
-        _run(config, METHOD, checkpoint_at=3, checkpoint_box=box)
-        ck = box[0]
+        config = _faulted(golden.GOLDEN_CONFIG)
+        baseline = train_distributed(config, METHOD)
+        assert baseline.result().fault_events >= 2  # crash + rejoin both fired
+        ck = _capture(config, METHOD, 3)
         # The capture lands between the crash and the rejoin: the saved
         # membership is degraded, and the resume must rebuild the degraded
         # process group through the elastic seam before continuing.
         assert len(ck.active_ranks) < config.cluster.world_size
-        resumed = _run(config, METHOD, resume_from=ck)
-        _assert_identical(baseline, resumed)
+        resumed = train_distributed(config, METHOD, resume_from=ck)
+        _assert_same_run(resumed, baseline)
 
     def test_resume_after_rejoin_completes(self):
-        config = self._faulty_config()
-        baseline = _run(config, METHOD)
-        box: list[TrainingCheckpoint] = []
-        _run(config, METHOD, checkpoint_at=5, checkpoint_box=box)
-        ck = box[0]
+        config = _faulted(golden.GOLDEN_CONFIG)
+        baseline = train_distributed(config, METHOD)
+        ck = _capture(config, METHOD, 5)
         assert len(ck.active_ranks) == config.cluster.world_size
-        resumed = _run(config, METHOD, resume_from=ck)
-        _assert_identical(baseline, resumed)
+        resumed = train_distributed(config, METHOD, resume_from=ck)
+        _assert_same_run(resumed, baseline)
+
+
+# --------------------------------------------------------------------------- #
+# Every barrier regime × fault plan × capture point
+# --------------------------------------------------------------------------- #
+SCHEDULES = ["sync", "localsgd:4", "localsgd:4:delta"]
+FAULTS = {"healthy": None, "crash-rejoin": CRASH_REJOIN}
+
+
+def _cell(schedule, faults):
+    config = golden.GOLDEN_CONFIG if FAULTS[faults] is None else _faulted(golden.GOLDEN_CONFIG)
+    return config, dataclasses.replace(METHOD, sync_schedule=schedule)
+
+
+@pytest.mark.parametrize("checkpoint_at", [2, 5])
+@pytest.mark.parametrize("faults", list(FAULTS))
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_every_barrier_regime_resumes_bit_identically(schedule, faults, checkpoint_at):
+    config, method = _cell(schedule, faults)
+    baseline = train_distributed(config, method)
+    capturing = train_distributed(config, method, checkpoint_at=checkpoint_at)
+    _assert_same_run(capturing, baseline)
+    ck = capturing.checkpoint
+    assert ck.global_iteration == checkpoint_at
+    if schedule != "sync":
+        # Both captures land in an open window, where the replicas have
+        # diverged from the anchor: 2 after epoch 0's last step and before
+        # its flush, 5 one step into epoch 2 (2 iterations per epoch).
+        assert ck.step_state["window"] == {2: 2, 5: 1}[checkpoint_at]
+    resumed = train_distributed(config, method, resume_from=ck)
+    _assert_same_run(resumed, baseline)
+
+
+# --------------------------------------------------------------------------- #
+# Rejected before anything is prepared
+# --------------------------------------------------------------------------- #
+def _record_preparations(monkeypatch):
+    """The list every later :func:`_prepare_workload` call is appended to."""
+    calls = []
+    monkeypatch.setattr(experiment, "_prepare_workload", lambda *args: calls.append(args))
+    return calls
+
+
+def test_checkpoint_rejects_the_parameter_server(monkeypatch):
+    prepared = _record_preparations(monkeypatch)
+    method = dataclasses.replace(METHOD, sync_schedule="ps:2")
+    with pytest.raises(ValueError, match="parameter server"):
+        train_distributed(golden.GOLDEN_CONFIG, method, checkpoint_at=2)
+    assert prepared == []
+
+
+@pytest.mark.parametrize(
+    "config, method, field",
+    [
+        (dataclasses.replace(golden.GOLDEN_CONFIG, lr=0.1), METHOD, "config.lr"),
+        (_faulted(golden.GOLDEN_CONFIG), METHOD, "config.cluster.faults"),
+        (
+            golden.GOLDEN_CONFIG,
+            dataclasses.replace(METHOD, sync_schedule="localsgd:4"),
+            "method.sync_schedule",
+        ),
+    ],
+    ids=["config", "cluster", "method"],
+)
+def test_a_resume_under_other_specs_is_rejected(config, method, field, monkeypatch):
+    ck = _capture(golden.GOLDEN_CONFIG, METHOD, 2)
+    prepared = _record_preparations(monkeypatch)
+    with pytest.raises(ValueError, match=rf"cannot resume: {field} differs"):
+        train_distributed(config, method, resume_from=ck)
+    assert prepared == []

@@ -65,7 +65,7 @@ class LoopedReplicaSet:
 
     def reset_velocity(self, rank):
         optimizer = self.optimizers[rank]
-        optimizer.load_state_arrays([None] * len(optimizer.parameters))
+        optimizer.velocity = [None] * len(optimizer.parameters)
 
 
 class LoopedLocalSGDStep(_LocalSGDStep):

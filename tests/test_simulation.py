@@ -329,7 +329,7 @@ class TestExperimentDriver:
     def test_train_distributed_takes_the_two_specs(self):
         # Everything else a run needs is a field of one of them.
         assert list(inspect.signature(train_distributed).parameters) == [
-            "config", "method", "share", "checkpoint_at", "checkpoint_box", "resume_from",
+            "config", "method", "share", "checkpoint_at", "resume_from",
         ]
 
     def test_method_comparison_runs_all(self, quick_config):

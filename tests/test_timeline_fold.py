@@ -31,7 +31,6 @@ from repro import golden
 from repro.simulation import MethodSpec, TrainingTimeline
 from repro.simulation.engine import IterationTrace
 from repro.simulation.experiment import train_distributed
-from repro.simulation.regimes import TrainingCheckpoint
 from repro.simulation.timeline import ITERATION_KINDS
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -371,13 +370,12 @@ def test_a_target_is_read_off_the_replayed_epochs(monkeypatch):
 def test_a_resumed_log_is_the_uninterrupted_log(faults, monkeypatch):
     config = golden.GOLDEN_CONFIG if faults is None else _faulted(faults)
     baseline, marks = _train(config, TOPK, monkeypatch)
-    box: List[TrainingCheckpoint] = []
-    train_distributed(config, TOPK, checkpoint_at=3, checkpoint_box=box)
-    checkpoint = box[0].timeline
-    resumed = train_distributed(config, TOPK, resume_from=box[0])
+    checkpoint = train_distributed(config, TOPK, checkpoint_at=3).checkpoint
+    resumed = train_distributed(config, TOPK, resume_from=checkpoint)
+    prefix = checkpoint.timeline
     log = baseline.timeline.log
-    assert checkpoint.log == log[: len(checkpoint.log)]
-    assert checkpoint.epochs == baseline.timeline.epochs[: len(checkpoint.epochs)]
+    assert prefix.log == log[: len(prefix.log)]
+    assert prefix.epochs == baseline.timeline.epochs[: len(prefix.epochs)]
     assert resumed.timeline.log == log
     assert resumed.timeline.epochs == baseline.timeline.epochs
     _assert_fold_replays(baseline, marks)
