@@ -1,34 +1,29 @@
-"""World-batched replica execution for the simulated data-parallel step.
+"""Replica views: one pass of the model evaluates every simulated rank.
 
-The DDP simulator runs ``world`` replicas through one model.  Looping Python
-over the ranks costs one full forward/backward per rank; this module lets a
-*single* batched forward/backward evaluate every live rank at once while
-keeping the per-rank float64 numerics bit-identical to the loop:
-
-* :func:`replica_views` temporarily swaps every parameter attribute for a
-  ``(world, *param.shape)`` **view**: by default a zero-copy broadcast of the
-  shared parameter (stride 0 along the world axis — synchronous replicas are
-  identical), or a given per-rank stack (local-SGD replicas, which diverge
-  between averaging rounds).  A batched input with a leading ``world`` axis
-  then flows through the unchanged model code; because the views carry the
-  world axis, :func:`repro.tensorlib.tensor._unbroadcast` stops summing *at*
-  that axis and each view's ``.grad`` comes back as the per-rank gradient
-  stack ``(world, *param.shape)`` — exactly the layout the gradient arena
-  stores.
-* :func:`active_world` is the thread-local-style context parameter-less layers
-  (``Flatten``, model-level reshapes) consult to know how many leading axes
-  are batch bookkeeping rather than data.
+Every layer has one forward, written for zero or one leading *world* axis
+and reading which it is off its parameters' or its input's ``ndim``: a plain
+call is world 0, the per-rank form.  :func:`replica_views` turns the model
+into its world-batched form by swapping each parameter attribute for a
+``(world, *param.shape)`` **view** — by default a zero-copy broadcast of the
+shared parameter (stride 0 along the world axis: synchronous replicas are
+identical), or a given per-rank stack (local-SGD replicas, which diverge
+between averaging rounds).  A ``(world, N, ...)`` input then flows through
+the unchanged model code; because the views carry the world axis,
+:func:`repro.tensorlib.tensor._unbroadcast` stops summing *at* that axis and
+each view's ``.grad`` comes back as the per-rank gradient stack
+``(world, *param.shape)`` — exactly the layout the gradient arena stores.
 
 The views are installed with ``object.__setattr__`` so the module's
 ``_parameters`` registry (and therefore ``named_parameters`` order, bucketing
 and pruning-mask keys) is untouched, and are always restored on exit.
 
 Bit-identity contract: contractions keep ``world`` as a batch axis (numpy
-dispatches the same per-slice GEMMs as the loop) and reductions over
-non-world axes reduce each world slice independently, so every float64
-gradient equals its looped counterpart bit-for-bit, whether the views are
-broadcasts or real stacks.  The one exception is dropout (a single batched
-RNG draw instead of one per rank); frozen golden workloads disable it.
+dispatches the same per-slice GEMMs as a plain call on each slice) and
+reductions over non-world axes reduce each world slice independently, so
+every float64 gradient equals its per-rank counterpart bit-for-bit, whether
+the views are broadcasts or real stacks.  The one exception is dropout (a
+single batched RNG draw instead of one per rank); frozen golden workloads
+disable it.
 """
 
 from __future__ import annotations
@@ -40,30 +35,6 @@ import numpy as np
 
 from repro.nn.module import Module, Parameter
 from repro.tensorlib import Tensor
-
-_ACTIVE_WORLD: Optional[int] = None
-
-
-def active_world() -> Optional[int]:
-    """The world size of the batched execution in flight, or ``None``.
-
-    Parameter-less layers use this to tell a batched ``(world, N, ...)``
-    activation apart from a plain ``(N, ...)`` one when the rank alone is
-    ambiguous.
-    """
-    return _ACTIVE_WORLD
-
-
-@contextlib.contextmanager
-def world_batched(world_size: int) -> Iterator[int]:
-    """Mark a region as executing all ``world_size`` replicas at once."""
-    global _ACTIVE_WORLD
-    previous = _ACTIVE_WORLD
-    _ACTIVE_WORLD = int(world_size)
-    try:
-        yield _ACTIVE_WORLD
-    finally:
-        _ACTIVE_WORLD = previous
 
 
 class _ReplicaView(Tensor):
@@ -129,8 +100,7 @@ def replica_views(
                 views[full] = view
                 installed.append((module, local, param))
                 object.__setattr__(module, local, view)
-        with world_batched(world_size):
-            yield views
+        yield views
     finally:
         for module, local, param in installed:
             object.__setattr__(module, local, param)

@@ -12,7 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.batched import active_world
 from repro.nn.module import Module, Parameter
 from repro.tensorlib import Tensor, functional as F, init
 from repro.tensorlib.backend import get_backend
@@ -43,34 +42,26 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.weight.ndim > 2:
-            # World-batched replica view (world, out, in): keep the world axis
-            # a matmul *batch* axis (per-slice GEMMs stay bit-identical to the
-            # per-rank loop) and align it with x's leading axis by inserting
-            # singleton batch axes for higher-rank inputs (e.g. ViT tokens).
-            wT = self.weight.swapaxes(-1, -2)  # (world, in, out)
-            if x.ndim > 3:
-                wT = wT.reshape(
-                    (wT.shape[0],) + (1,) * (x.ndim - 3) + wT.shape[1:]
-                )
-            out = x.matmul(wT)
-        else:
-            out = x.matmul(_transpose2d(self.weight))
+        out = x.matmul(_world_aligned(self.weight.swapaxes(-1, -2), 2, x.ndim))
         if self.bias is not None:
-            bias = self.bias
-            if bias.ndim > 1:
-                # (world, out) view -> (world, 1, ..., 1, out) so the world
-                # axes line up instead of colliding with the sample axis.
-                bias = bias.reshape(
-                    (bias.shape[0],) + (1,) * (out.ndim - 2) + (bias.shape[-1],)
-                )
-            out = out + bias
+            out = out + _world_aligned(self.bias, 1, out.ndim)
         return out
 
 
-def _transpose2d(weight: Parameter) -> Tensor:
-    """Differentiable transpose of a 2-D parameter."""
-    return weight.transpose(1, 0)
+def _world_aligned(param: Tensor, core: int, ndim: int) -> Tensor:
+    """A ``(*world, *core)`` parameter shaped to broadcast against an ``ndim``-D activation.
+
+    ``core`` counts the parameter's own trailing axes.  A world axis has to
+    meet the activation's world axis, not a sample axis, so singleton axes go
+    between it and the core axes (a world-batched ``(world, in, out)`` weight
+    against ``(world, N, T, in)`` tokens becomes ``(world, 1, in, out)``, and
+    the per-slice GEMMs stay those of each world slice).  A parameter without
+    a world axis broadcasts as it is.
+    """
+    lead = param.ndim - core
+    if lead == 0 or param.ndim == ndim:
+        return param
+    return param.reshape(param.shape[:lead] + (1,) * (ndim - param.ndim) + param.shape[lead:])
 
 
 class Conv2d(Module):
@@ -127,53 +118,42 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", init.ones((num_features,)))
 
     def _update_running_stats(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
-        # World-batched (world, C) statistics are folded into the running
-        # buffers sequentially in rank order: the buffers are *shared* across
-        # replicas, and the per-rank loop updates them one rank at a time, so
-        # the sequential fold reproduces its result bit-exactly.
-        if batch_mean.ndim == 2:
-            new_mean, new_var = self.running_mean, self.running_var
-            for w in range(batch_mean.shape[0]):
-                new_mean = (1 - self.momentum) * new_mean + self.momentum * batch_mean[w]
-                new_var = (1 - self.momentum) * new_var + self.momentum * batch_var[w]
-        else:
-            new_mean = (1 - self.momentum) * self.running_mean + self.momentum * batch_mean
-            new_var = (1 - self.momentum) * self.running_var + self.momentum * batch_var
+        # One row of statistics per world slice (one row for a plain call),
+        # folded into the running buffers in rank order: the buffers are
+        # *shared* across replicas, and a per-rank loop updates them one rank
+        # at a time, so the sequential fold reproduces its result bit-exactly.
+        new_mean, new_var = self.running_mean, self.running_var
+        rows = zip(batch_mean.reshape(-1, self.num_features), batch_var.reshape(-1, self.num_features))
+        for mean, var in rows:
+            new_mean = (1 - self.momentum) * new_mean + self.momentum * mean
+            new_var = (1 - self.momentum) * new_var + self.momentum * var
         self.update_buffer("running_mean", new_mean)
         self.update_buffer("running_var", new_var)
 
     def forward(self, x: Tensor) -> Tensor:
-        # A >1-D weight is a world-batched replica view (world, C): statistics
-        # then reduce per world slice over the (N, H, W) axes.
-        batched = self.weight.ndim > 1
-        if x.ndim != (5 if batched else 4) or x.shape[-3] != self.num_features:
-            layout = "(world, N, C, H, W)" if batched else "(N, C, H, W)"
+        # A (world, C) replica-view weight means (world, N, C, H, W) input:
+        # statistics then reduce per world slice over the (N, H, W) axes.
+        lead = self.weight.ndim - 1
+        if x.ndim != lead + 4 or x.shape[-3] != self.num_features:
             raise ValueError(
-                f"BatchNorm2d shape mismatch: expected {layout} input with "
-                f"C == num_features == {self.num_features}, got shape {x.shape}"
+                f"BatchNorm2d shape mismatch: expected {'(world, ' if lead else '('}N, C, H, W) input "
+                f"with C == num_features == {self.num_features}, got shape {x.shape}"
             )
-        if batched:
-            axes = (1, 3, 4)
-            param_shape = (self.weight.shape[0], 1, self.num_features, 1, 1)
-        else:
-            axes = (0, 2, 3)
-            param_shape = (1, self.num_features, 1, 1)
+        axes = (lead, lead + 2, lead + 3)
+        param_shape = self.weight.shape[:lead] + (1, self.num_features, 1, 1)
         if not self.training:
             shape = (1,) * (x.ndim - 3) + (-1, 1, 1)
             mean = Tensor(self.running_mean.reshape(shape))
             var = Tensor(self.running_var.reshape(shape))
             normalised = (x - mean) / (var + self.eps).sqrt()
             return normalised * self.weight.reshape(param_shape) + self.bias.reshape(param_shape)
-        stat_shape = (-1,) if not batched else (self.weight.shape[0], -1)
         if x.dtype == np.float32:
             # Float32 fast path: one fused graph node with the analytic
             # batch-norm backward.  The statistics are computed once through
             # the backend kernel, folded into the running buffers, and handed
             # to fused_norm so the activations are only traversed once.
             stats = get_backend().fused_norm_stats(x.data, axes, self.eps)
-            self._update_running_stats(
-                stats[0].reshape(stat_shape), stats[1].reshape(stat_shape)
-            )
+            self._update_running_stats(stats[0], stats[1])
             return F.fused_norm(
                 x, self.weight, self.bias, axes=axes, eps=self.eps,
                 param_shape=param_shape, stats=stats,
@@ -184,7 +164,7 @@ class BatchNorm2d(Module):
         out, mean, var = F.batch_norm_replay(
             x, self.weight, self.bias, axes=axes, eps=self.eps, param_shape=param_shape
         )
-        self._update_running_stats(mean.reshape(stat_shape), var.reshape(stat_shape))
+        self._update_running_stats(mean, var)
         return out
 
 
@@ -199,29 +179,18 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros((normalized_shape,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        # A >1-D weight is a world-batched replica view (world, D); reshape it
-        # to (world, 1, ..., 1, D) so the world axes align instead of
-        # broadcasting against a sample axis.
-        batched = self.weight.ndim > 1
-        if batched:
-            param_shape = (
-                (self.weight.shape[0],) + (1,) * (x.ndim - 2) + (self.normalized_shape,)
-            )
-        else:
-            param_shape = self.weight.shape
+        weight = _world_aligned(self.weight, 1, x.ndim)
+        bias = _world_aligned(self.bias, 1, x.ndim)
         if x.dtype == np.float32:
             # Same fused fast path as BatchNorm2d's float32 branch; float64
             # LayerNorm keeps the composite ops below.
             return F.fused_norm(
-                x, self.weight, self.bias, axes=(x.ndim - 1,), eps=self.eps,
-                param_shape=param_shape,
+                x, weight, bias, axes=(x.ndim - 1,), eps=self.eps, param_shape=weight.shape
             )
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         normalised = (x - mean) / (var + self.eps).sqrt()
-        if batched:
-            return normalised * self.weight.reshape(param_shape) + self.bias.reshape(param_shape)
-        return normalised * self.weight + self.bias
+        return normalised * weight + bias
 
 
 class ReLU(Module):
@@ -251,16 +220,10 @@ class Dropout(Module):
 
 
 class Flatten(Module):
-    """Flatten all dimensions after the batch dimension.
-
-    Under world-batched execution (see :func:`repro.nn.batched.active_world`)
-    the leading world axis is bookkeeping, not data, so flattening starts one
-    axis later.
-    """
+    """Flatten the trailing ``(C, H, W)`` axes of ``(*world, N, C, H, W)`` input."""
 
     def forward(self, x: Tensor) -> Tensor:
-        start = 2 if active_world() is not None else 1
-        return x.flatten(start_dim=start)
+        return x.flatten(start_dim=x.ndim - 3)
 
 
 class MaxPool2d(Module):
@@ -321,27 +284,14 @@ class MultiHeadAttention(Module):
         # Python-float scale: keeps float32 activations from being promoted
         # to float64 by a numpy scalar under NEP 50.
         scale = 1.0 / float(np.sqrt(self.head_dim))
-        if x.ndim == 4:
-            # World-batched tokens (world, B, T, D): same per-slice attention
-            # GEMMs with the world axis carried as an extra batch axis.
-            world, batch, tokens, dim = x.shape
-            qkv = self.qkv(x)  # (W, B, T, 3D)
-            qkv = qkv.reshape(world, batch, tokens, 3, self.num_heads, self.head_dim)
-            qkv = qkv.transpose(3, 0, 1, 4, 2, 5)  # (3, W, B, H, T, hd)
-            q, k, v = qkv[0], qkv[1], qkv[2]
-            attn = q.matmul(k.swapaxes(-1, -2)) * scale  # (W, B, H, T, T)
-            attn = attn.softmax(axis=-1)
-            context = attn.matmul(v)  # (W, B, H, T, hd)
-            context = context.transpose(0, 1, 3, 2, 4).reshape(world, batch, tokens, dim)
-            return self.proj(context)
-        batch, tokens, dim = x.shape
-        qkv = self.qkv(x)  # (B, T, 3D)
-        qkv = qkv.reshape(batch, tokens, 3, self.num_heads, self.head_dim)
-        qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, H, T, hd)
+        *lead, batch, tokens, dim = x.shape  # lead: the world axis, if any
+        nl = len(lead)
+        qkv = self.qkv(x).reshape(*lead, batch, tokens, 3, self.num_heads, self.head_dim)
+        qkv = qkv.transpose(nl + 2, *range(nl), nl, nl + 3, nl + 1, nl + 4)  # (3, *lead, B, H, T, hd)
         q, k, v = qkv[0], qkv[1], qkv[2]
 
-        attn = q.matmul(k.swapaxes(-1, -2)) * scale  # (B, H, T, T)
+        attn = q.matmul(k.swapaxes(-1, -2)) * scale  # (*lead, B, H, T, T)
         attn = attn.softmax(axis=-1)
-        context = attn.matmul(v)  # (B, H, T, hd)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, tokens, dim)
+        context = attn.matmul(v)  # (*lead, B, H, T, hd)
+        context = context.transpose(*range(nl), nl, nl + 2, nl + 1, nl + 3).reshape(*lead, batch, tokens, dim)
         return self.proj(context)

@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.nn.batched import active_world
 from repro.nn.module import Module
 from repro.nn.layers import Linear, ReLU, Dropout
 from repro.tensorlib import Tensor
@@ -45,9 +44,8 @@ class MLP(Module):
         self.num_classes = num_classes
 
     def forward(self, x: Tensor) -> Tensor:
-        # Under world-batched execution the leading world axis is bookkeeping:
-        # flatten per sample, one axis later.
-        lead = 2 if active_world() is not None else 1
+        # Samples sit behind the weights' world axis, if any: flatten per sample.
+        lead = self.head.weight.ndim - 1
         if x.ndim > lead + 1:
             x = x.flatten(start_dim=lead)
         for linear, act in self.blocks:

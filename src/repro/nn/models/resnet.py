@@ -5,10 +5,10 @@ Both evaluation depths from the paper are provided:
 * ResNet-18 — ``BasicBlock`` with layer plan ``[2, 2, 2, 2]``;
 * ResNet-152 — ``Bottleneck`` with layer plan ``[3, 8, 36, 3]``.
 
-The forward pass is built entirely from world-batched-capable layers
-(conv/norm/pool/flatten/linear), so these models accept a 5-D
-``(world, N, C, H, W)`` input under :func:`repro.nn.batched.replica_views`
-with no model-level changes.
+The forward pass is built entirely from layers that read a leading world
+axis off their tensors (conv/norm/pool/flatten/linear), so these models accept
+a 5-D ``(world, N, C, H, W)`` input under
+:func:`repro.nn.batched.replica_views` with no model-level changes.
 
 As with the VGG models, ``width_scale`` shrinks channel counts (and the
 ``*_mini`` factories additionally shrink the stage plan) so that CPU training

@@ -7,8 +7,8 @@ every channel count proportionally so that CPU-only experiments remain
 tractable; the layer *structure* (16 conv layers + head for VGG19) is
 unchanged, which is what matters for gradient-distribution behaviour.
 
-The forward pass is built entirely from world-batched-capable layers, so the
-models accept a 5-D ``(world, N, C, H, W)`` input under
+The forward pass is built entirely from layers that read a leading world axis
+off their tensors, so the models accept a 5-D ``(world, N, C, H, W)`` input under
 :func:`repro.nn.batched.replica_views` with no model-level changes.
 """
 

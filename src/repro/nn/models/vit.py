@@ -102,46 +102,24 @@ class VisionTransformer(Module):
         return x.reshape(*lead, (h // p) * (w // p), c * p * p)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim == 5:
-            return self._forward_batched(x)
-        n = x.shape[0]
-        patches = self._patchify(x)
-        tokens = self.patch_embed(patches)  # (N, P, D)
+        # (*world, N, C, H, W) input; under replica views the class token is
+        # (world, 1, 1, D) and the position embedding (world, 1, P+1, D), and
+        # each world slice builds the plain call's graph — the class-token
+        # concat's accumulation order included.
+        n = x.shape[-4]
+        tokens = self.patch_embed(self._patchify(x))  # (*world, N, P, D)
 
         cls = self.cls_token
         cls_batch = Tensor.cat(
-            [cls[0:1] for _ in range(n)], axis=0
-        ) if n > 1 else cls.reshape(1, 1, self.embed_dim)
-        tokens = Tensor.cat([cls_batch, tokens], axis=1)
+            [cls[..., 0:1, :, :] for _ in range(n)], axis=-3
+        ) if n > 1 else cls.reshape(cls.shape)
+        tokens = Tensor.cat([cls_batch, tokens], axis=-2)
         tokens = tokens + self.pos_embed
 
         for block in self.blocks:
             tokens = block(tokens)
         tokens = self.norm(tokens)
-        cls_out = tokens[:, 0, :]
-        return self.head(cls_out)
-
-    def _forward_batched(self, x: Tensor) -> Tensor:
-        # World-batched (world, N, C, H, W) input with replica-view parameters
-        # (world, 1, 1, D) / (world, 1, P+1, D): the same graph per world
-        # slice — including the cls-token concat accumulation order — so
-        # float64 per-rank gradients match the looped path bit-for-bit.
-        world, n = x.shape[0], x.shape[1]
-        patches = self._patchify(x)
-        tokens = self.patch_embed(patches)  # (W, N, P, D)
-
-        cls = self.cls_token
-        cls_batch = Tensor.cat(
-            [cls[:, 0:1] for _ in range(n)], axis=1
-        ) if n > 1 else cls.reshape(world, 1, 1, self.embed_dim)
-        tokens = Tensor.cat([cls_batch, tokens], axis=2)
-        tokens = tokens + self.pos_embed
-
-        for block in self.blocks:
-            tokens = block(tokens)
-        tokens = self.norm(tokens)
-        cls_out = tokens[:, :, 0, :]
-        return self.head(cls_out)
+        return self.head(tokens[..., 0, :])
 
 
 def vit_base_16(num_classes: int = 10, image_size: int = 32, seed: Optional[int] = None) -> VisionTransformer:

@@ -74,8 +74,8 @@ class MaskTracker:
         """Feed this iteration's non-zero pattern for one bucket.
 
         ``nonzero_pattern`` is a boolean array (True where the gradient is
-        non-zero); use :meth:`update_from_gradient` to derive it from a flat
-        gradient directly.
+        non-zero); :meth:`update_from_rank_gradients` derives it from the
+        ranks' flat gradients.
 
         Stability is judged *conservatively*: the tracker maintains a keep-mask
         and counts an iteration as consistent when the observed non-zeros are a
@@ -117,11 +117,6 @@ class MaskTracker:
             density=density,
         )
 
-    def update_from_gradient(self, bucket_index: int, flat_gradient: np.ndarray, atol: float = 0.0) -> MaskState:
-        """Derive the non-zero pattern from a flat gradient and update."""
-        pattern = np.abs(np.asarray(flat_gradient).reshape(-1)) > atol
-        return self.update(bucket_index, pattern)
-
     def update_from_rank_gradients(self, bucket_index: int, flat_gradients, atol: float = 0.0) -> MaskState:
         """Union the non-zero patterns of all ranks' gradients and update.
 
@@ -142,14 +137,6 @@ class MaskTracker:
     # ------------------------------------------------------------------ #
     def streak(self, bucket_index: int) -> int:
         return self._streak.get(bucket_index, 0)
-
-    def is_stable(self, bucket_index: int) -> bool:
-        streak = self._streak.get(bucket_index, 0)
-        mask = self._previous.get(bucket_index)
-        if mask is None or streak < self.stability_threshold:
-            return False
-        density = float(mask.mean()) if mask.size else 0.0
-        return (1.0 - density) >= self.min_sparsity
 
     def reset(self, bucket_index: Optional[int] = None) -> None:
         """Forget tracked state, for one bucket or all of them."""

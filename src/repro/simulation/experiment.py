@@ -542,9 +542,9 @@ class TrainingCheckpoint:
 
 def _differences(captured: object, given: object, name: str = ""):
     """Dotted names of the entries in which two ``to_dict()`` trees differ, in order."""
-    if isinstance(captured, dict):
-        for key, value in captured.items():
-            yield from _differences(value, given.get(key), f"{name}.{key}" if name else key)
+    if isinstance(captured, dict) and isinstance(given, dict):
+        for key in {**captured, **given}:
+            yield from _differences(captured.get(key), given.get(key), f"{name}.{key}" if name else key)
     elif captured != given:
         yield name
 

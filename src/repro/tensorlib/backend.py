@@ -209,24 +209,19 @@ class NumpyBackend:
     def conv_weight_grad(
         self, grad_mat: np.ndarray, cols: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Convolution weight-gradient contraction, ``(O, N*L) @ (N*L, K)``.
+        """Convolution weight-gradient contraction, ``(W, O, N*L) @ (W, N*L, K)``.
 
-        ``grad_mat``/``cols`` are either the per-rank ``(N, L, O)`` /
-        ``(N, L, K)`` layout or the world-batched ``(W, N, L, O)`` /
-        ``(W, N, L, K)`` layout.  Both dispatch to GEMM with the sample and
-        window axes fused into the single contraction axis; the world axis
-        stays a *batch* axis (numpy runs one GEMM per slice), so the batched
-        result is bit-identical to calling the per-rank kernel per world.
-        ``out`` (returned) receives the ``(O, K)`` / ``(W, O, K)`` result
-        bit-identically, e.g. an arena slot whose ranks lie a bucket row apart.
+        ``grad_mat``/``cols`` are ``(W, N, L, O)`` / ``(W, N, L, K)``: a world
+        axis (one slice for a plain convolution), samples, windows and the
+        output / patch columns.  The sample and window axes fuse into the
+        single contraction axis and the world axis stays a *batch* axis, so
+        numpy runs one GEMM per world slice.  ``out`` (returned) receives the
+        ``(W, O, K)`` result bit-identically, e.g. an arena slot whose ranks
+        lie a bucket row apart.
         """
-        if grad_mat.ndim == 4:
-            world, n, length, o = grad_mat.shape
-            gm = grad_mat.transpose(0, 3, 1, 2).reshape(world, o, n * length)
-            return np.matmul(gm, cols.reshape(world, n * length, -1), out=out)
-        n, length, o = grad_mat.shape
-        gm = grad_mat.transpose(2, 0, 1).reshape(o, n * length)
-        return np.matmul(gm, cols.reshape(n * length, -1), out=out)
+        world, n, length, o = grad_mat.shape
+        gm = grad_mat.transpose(0, 3, 1, 2).reshape(world, o, n * length)
+        return np.matmul(gm, cols.reshape(world, n * length, -1), out=out)
 
     def col2im_scatter_add(
         self, padded: np.ndarray, cols: np.ndarray, sh: int, sw: int, out_h: int, out_w: int

@@ -10,7 +10,7 @@ The convolution path is the hottest code in every training step, so it avoids
 ``np.pad`` (a zero buffer plus one slice assignment is several times faster),
 gathers its patches with one flat indexed copy through an index plan cached
 per layer geometry (the backend's ``im2col_gather``) and contracts the weight
-gradient as one ``np.matmul`` per rank in both dtypes (the backend's
+gradient as one ``np.matmul`` per world slice in both dtypes (the backend's
 ``conv_weight_grad``).
 
 No patch matrix outlives its GEMM.  The gather writes into a pooled buffer
@@ -23,25 +23,26 @@ forward to backward.
 
 World-batched execution
 -----------------------
-The simulated-DDP training step evaluates all live ranks at once by prepending
-a ``world`` axis to the data and swapping parameters for ``(world, *shape)``
-views — broadcasts of shared weights or per-rank stacks (see
-:mod:`repro.nn.batched`).  The kernels here accept that extra
-leading dimension — conv/pool collapse it into the im2col batch axis (each
-window is still reduced per sample), contractions keep ``world`` as a matmul
-*batch* axis so numpy dispatches the same per-slice GEMMs as the per-rank
-loop, and :func:`cross_entropy` returns a per-world loss vector.  Every
-world-batched float64 result is bit-identical per rank to the looped kernels;
-the one exception is :func:`dropout`, which draws a single batched mask (a
-different RNG consumption pattern than one draw per rank).
+Each op has one form, for data with zero or one leading ``world`` axis, and
+reads which it is off its operands' ``ndim``.  The plain form is world 0:
+one rank's ``(N, C, H, W)`` batch against the model's own parameters.  The
+simulated-DDP training step evaluates all live ranks at once by giving the
+data a ``world`` axis and swapping parameters for ``(world, *shape)`` views —
+broadcasts of shared weights or per-rank stacks (see :mod:`repro.nn.batched`).
+Conv/pool fold that axis into the im2col batch axis (each window is still
+reduced per sample), contractions keep it as a matmul *batch* axis so numpy
+dispatches the same per-slice GEMMs as a plain call on each slice, and
+:func:`cross_entropy` returns a per-world loss vector.  A plain convolution
+runs as world 1 of the one conv kernel.  Every world-batched float64 result
+is bit-identical per rank to the plain form; the one exception is
+:func:`dropout`, which draws a single batched mask (a different RNG
+consumption pattern than one draw per rank).
 
 Every hot kernel routes through the active :mod:`repro.tensorlib.backend` —
 the contractions, the ``im2col`` patch gather (and with it the transposed-conv
 input-gradient correlation), the ``col2im`` scatter-add, the pooling window
 reductions and the fused-norm statistics — whose numpy reference defines the
-summation order accelerated backends must reproduce.  Both the looped and
-world-batched execution paths funnel through these functions, so routing here
-covers both.
+summation order accelerated backends must reproduce.
 """
 
 from __future__ import annotations
@@ -171,47 +172,75 @@ def conv2d(
     stride=1,
     padding=0,
 ) -> Tensor:
-    """2-D convolution over ``(N, C, H, W)`` input with ``(O, C, kh, kw)`` weight.
+    """2-D convolution of ``(*world, N, C, H, W)`` input with a ``(*world, O, C, kh, kw)`` weight.
 
-    A 5-D weight view ``(world, O, C, kh, kw)`` with 5-D input
-    ``(world, N, C, H, W)`` selects the world-batched kernel, whose per-rank
-    float64 results are bit-identical to running this kernel per world slice.
+    ``world`` is zero or one leading axis, read off the weight; a plain call
+    runs as world 1.  The world axis folds into im2col's batch axis (windows
+    still reduce per sample) and stays a *batch* axis of every contraction,
+    so numpy runs the same per-slice GEMMs — the weight-gradient contraction
+    included — for each world slice as for a plain call.  One weight matrix
+    serves every slice when there is one slice or the weight is a replica
+    view broadcast from a shared parameter (``strides[0] == 0``), so no
+    ``world`` copies are made.
     """
     stride = _pair(stride)
     padding = _pair(padding)
-    if weight.ndim == 5:
-        return _conv2d_batched(x, weight, bias, stride, padding)
-    out_channels, in_channels, kh, kw = weight.shape
-    if x.shape[1] != in_channels:
+    x_shape, w_shape = x.shape, weight.shape
+    lead = len(w_shape) - 4
+    if len(x_shape) != len(w_shape) or x_shape[:lead] != w_shape[:lead]:
         raise ValueError(
-            f"conv2d channel mismatch: input has {x.shape[1]} channels, weight expects {in_channels}"
+            f"conv2d expects {'(world, ' if lead else '('}N, C, H, W) input for a weight of "
+            f"shape {w_shape}, got input shape {x_shape}"
         )
+    world, n = math.prod(w_shape[:lead]), x_shape[lead]
+    out_channels, in_channels, kh, kw = w_shape[lead:]
+    if x_shape[-3] != in_channels:
+        raise ValueError(
+            f"conv2d channel mismatch: input has {x_shape[-3]} channels, weight expects {in_channels}"
+        )
+    w_data = weight.data.reshape((world,) + w_shape[lead:])
 
     backend = get_backend()
-    cols, (out_h, out_w) = im2col(x.data, (kh, kw), stride, padding)
-    w_mat = weight.data.reshape(out_channels, -1)
-    # (N, L, CKK) @ (CKK, O) -> (N, L, O)
-    out = backend.matmul(cols, w_mat.T)
+    flat_shape = (world * n,) + x_shape[-3:]
+    cols, (out_h, out_w) = im2col(x.data.reshape(flat_shape), (kh, kw), stride, padding)  # (W*N, L, K)
+    length = out_h * out_w
+    shared_weight = world == 1 or w_data.strides[0] == 0
+    if shared_weight:
+        w_mat = w_data[0].reshape(out_channels, -1)  # (O, K)
+        w_mats = None
+        out4 = backend.matmul(cols, w_mat.T).reshape(world, n, length, out_channels)
+    else:
+        w_mat = None
+        w_mats = w_data.reshape(world, out_channels, -1)  # (W, O, K)
+        # (W, N, L, K) @ (W, 1, K, O) -> (W, N, L, O), per-slice GEMMs.
+        out4 = backend.matmul(cols.reshape(world, n, length, -1), np.swapaxes(w_mats, -1, -2)[:, None])
     if bias is not None:
-        out = out + bias.data.reshape(1, 1, -1)
-    out_data = out.transpose(0, 2, 1).reshape(x.shape[0], out_channels, out_h, out_w)
+        out4 = out4 + bias.data.reshape(world, 1, 1, -1)
+    out_data = out4.transpose(0, 1, 3, 2).reshape(x_shape[:-3] + (out_channels, out_h, out_w))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     if not _needs_graph(*parents):
         return Tensor._wrap(out_data)
 
     def backward(grad: np.ndarray) -> None:
-        # grad: (N, O, out_h, out_w) -> (N, L, O)
-        grad_mat = grad.reshape(x.shape[0], out_channels, out_h * out_w).transpose(0, 2, 1)
+        # grad: (W, N, O, out_h, out_w) -> (W, N, L, O)
+        grad_mat = grad.reshape(world, n, out_channels, length).transpose(0, 1, 3, 2)
         if weight.requires_grad:
             # Re-gathered, not kept from forward: the pooled buffer is free again
             # before the input-gradient gather below asks for one.
-            cols, _ = im2col(x.data, (kh, kw), stride, padding)
-            grad_w = backend.conv_weight_grad(grad_mat, cols)
-            del cols
-            weight._accumulate(grad_w.reshape(weight.shape), own=True)
+            cols4 = im2col(x.data.reshape(flat_shape), (kh, kw), stride, padding)[0].reshape(
+                world, n, length, -1
+            )
+            slot = getattr(weight, "slot", None) if weight.grad is None else None
+            if slot is None:
+                grad_w = backend.conv_weight_grad(grad_mat, cols4)  # (W, O, K)
+                weight._accumulate(grad_w.reshape(w_shape), own=True)
+            else:  # a replica view's first contribution, born in its arena slot
+                backend.conv_weight_grad(grad_mat, cols4, out=slot.reshape(world, out_channels, -1))
+                weight._accumulate(slot, own=True)
+            del cols4
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_mat.sum(axis=(0, 1)), own=True)
+            bias._accumulate(grad_mat.sum(axis=(1, 2)).reshape(bias.shape), own=True)
         if x.requires_grad:
             if (
                 stride == (1, 1)
@@ -222,118 +251,20 @@ def conv2d(
                 # correlation of the output gradient with the flipped kernels —
                 # one im2col + BLAS matmul instead of the kh*kw strided
                 # scatter-add loop in col2im.
-                grad_img = grad.reshape(x.shape[0], out_channels, out_h, out_w)
-                flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                g_cols, _ = im2col(grad_img, (kh, kw), (1, 1), (kh - 1 - padding[0], kw - 1 - padding[1]))
-                grad_x = (
-                    backend.matmul(g_cols, flipped.reshape(x.shape[1], -1).T)
-                    .transpose(0, 2, 1)
-                    .reshape(x.shape)
-                )
-            else:
-                grad_cols = backend.matmul(grad_mat, w_mat)
-                grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding)
-            x._accumulate(grad_x, own=True)
-
-    return _make_output(out_data, parents, backward)
-
-
-def _conv2d_batched(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> Tensor:
-    """World-batched convolution: ``(world, N, C, H, W)`` input, ``(world, O, C, kh, kw)`` weight.
-
-    The world axis folds into im2col's batch axis (windows still reduce per
-    sample) and stays a *batch* axis of every contraction, so numpy runs the
-    same per-slice GEMMs — including the weight-gradient contraction — as the
-    per-rank loop.  Replica views broadcast from shared
-    parameters (``strides[0] == 0``) are detected so the shared weight matrix
-    is used directly instead of materialising ``world`` copies.
-    """
-    if x.ndim != 5 or x.shape[0] != weight.shape[0]:
-        raise ValueError(
-            f"batched conv2d expects (world, N, C, H, W) input matching weight world "
-            f"{weight.shape[0]}, got input shape {x.shape}"
-        )
-    world, n = x.shape[0], x.shape[1]
-    out_channels, in_channels, kh, kw = weight.shape[1:]
-    if x.shape[2] != in_channels:
-        raise ValueError(
-            f"conv2d channel mismatch: input has {x.shape[2]} channels, weight expects {in_channels}"
-        )
-
-    backend = get_backend()
-    flat_shape = (world * n,) + x.shape[2:]
-    cols, (out_h, out_w) = im2col(x.data.reshape(flat_shape), (kh, kw), stride, padding)  # (W*N, L, K)
-    length = out_h * out_w
-    shared_weight = weight.data.strides[0] == 0
-    if shared_weight:
-        w_mat = weight.data[0].reshape(out_channels, -1)  # (O, K), no world copies
-        w_mats = None
-        out4 = backend.matmul(cols, w_mat.T).reshape(world, n, length, out_channels)
-    else:
-        w_mat = None
-        w_mats = weight.data.reshape(world, out_channels, -1)  # (W, O, K)
-        # (W, N, L, K) @ (W, 1, K, O) -> (W, N, L, O), per-slice GEMMs.
-        out4 = backend.matmul(cols.reshape(world, n, length, -1), np.swapaxes(w_mats, -1, -2)[:, None])
-    if bias is not None:
-        b = bias.data  # (world, O) view
-        if b.strides[0] == 0:
-            out4 = out4 + b[0].reshape(1, 1, 1, -1)
-        else:
-            out4 = out4 + b.reshape(world, 1, 1, -1)
-    out_data = out4.transpose(0, 1, 3, 2).reshape(world, n, out_channels, out_h, out_w)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    if not _needs_graph(*parents):
-        return Tensor._wrap(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        # grad: (W, N, O, out_h, out_w) -> (W, N, L, O)
-        grad_mat = grad.reshape(world, n, out_channels, length).transpose(0, 1, 3, 2)
-        if weight.requires_grad:
-            # Re-gathered, as in the per-rank kernel, and dropped before the
-            # input-gradient gather.
-            cols4 = im2col(x.data.reshape(flat_shape), (kh, kw), stride, padding)[0].reshape(
-                world, n, length, -1
-            )
-            slot = getattr(weight, "slot", None) if weight.grad is None else None
-            if slot is None:
-                grad_w = backend.conv_weight_grad(grad_mat, cols4)  # (W, O, K)
-                weight._accumulate(grad_w.reshape(weight.shape), own=True)
-            else:  # a replica view's first contribution, born in its arena slot
-                backend.conv_weight_grad(grad_mat, cols4, out=slot.reshape(world, out_channels, -1))
-                weight._accumulate(slot, own=True)
-            del cols4
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_mat.sum(axis=(1, 2)), own=True)
-        if x.requires_grad:
-            if (
-                stride == (1, 1)
-                and padding[0] <= kh - 1
-                and padding[1] <= kw - 1
-            ):
-                # Correlation fast path, mirroring the per-rank kernel: the
-                # world axis folds into im2col's batch axis and stays a batch
-                # axis of the GEMM, so per-rank results are bit-identical.
                 grad_img = grad.reshape(world * n, out_channels, out_h, out_w)
                 g_cols, _ = im2col(grad_img, (kh, kw), (1, 1), (kh - 1 - padding[0], kw - 1 - padding[1]))
                 if shared_weight:
-                    flipped = weight.data[0][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+                    flipped = w_data[0][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
                     gx = backend.matmul(g_cols, flipped.reshape(in_channels, -1).T)
                 else:
                     # (W, C, O*kh*kw) flipped kernels per world; per-slice GEMM.
-                    flipped = weight.data[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
+                    flipped = w_data[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
                     fl = flipped.reshape(world, in_channels, -1)
                     g_cols4 = g_cols.reshape(world, n, g_cols.shape[1], -1)
                     gx = backend.matmul(g_cols4, np.swapaxes(fl, -1, -2)[:, None]).reshape(
                         world * n, g_cols.shape[1], in_channels
                     )
-                grad_x = gx.transpose(0, 2, 1).reshape(x.shape)
+                grad_x = gx.transpose(0, 2, 1).reshape(x_shape)
             else:
                 if shared_weight:
                     grad_cols = backend.matmul(
@@ -344,8 +275,8 @@ def _conv2d_batched(
                         world * n, length, -1
                     )
                 grad_x = col2im(
-                    grad_cols, (world * n,) + x.shape[2:], (kh, kw), stride, padding
-                ).reshape(x.shape)
+                    grad_cols, flat_shape, (kh, kw), stride, padding
+                ).reshape(x_shape)
             x._accumulate(grad_x, own=True)
 
     return _make_output(out_data, parents, backward)
@@ -508,7 +439,7 @@ def batch_norm_replay(
       sums only the axes broadcasting actually *stretched* — ``(0,)`` rather
       than ``(0, 2, 3)`` at 1x1 spatial (numpy 2.4 returns the same bits for
       both axis sets; the replay does not depend on that);
-    * numpy's summation order depends on memory layout.  Looped-path conv
+    * numpy's summation order depends on memory layout.  Conv
       outputs are channels-innermost (NHWC-strided) views, and every
       elementwise result here gets the layout numpy gives the composite's
       because it is the same operation on same-layout operands — except the
@@ -596,8 +527,8 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
 
     Under world-batched execution one ``(world, ...)`` mask is drawn in a
     single call, a different RNG consumption pattern than one draw per rank —
-    the only world-batched kernel that is *not* bit-identical to the looped
-    path.  The frozen golden workloads all run with dropout disabled.
+    the only world-batched kernel that is *not* bit-identical to the plain
+    form.  The frozen golden workloads all run with dropout disabled.
     """
     if not training or p <= 0.0:
         return x
@@ -617,24 +548,17 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
 # Losses (functional form)
 # --------------------------------------------------------------------------- #
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy between ``(N, C)`` logits and integer class targets.
+    """Mean cross-entropy between ``(*world, N, C)`` logits and integer ``(*world, N)`` targets.
 
-    World-batched ``(world, N, C)`` logits with ``(world, N)`` targets return
-    the per-world loss *vector* ``(world,)``; each entry is bit-identical to
-    the scalar loss the per-rank loop computes, and seeding ``backward`` with
-    ``np.ones(world)`` reproduces the per-rank unit seeds.
+    Plain logits give the scalar loss; world-batched ones give the per-world
+    loss *vector* ``(world,)``, each entry bit-identical to the scalar loss of
+    that world slice, and seeding ``backward`` with ``np.ones(world)``
+    reproduces the per-slice unit seeds.
     """
     targets = np.asarray(targets, dtype=np.int64)
     log_probs = logits.log_softmax(axis=-1)
-    if logits.ndim == 3:
-        world, n = logits.shape[0], logits.shape[1]
-        picked = log_probs[
-            np.arange(world)[:, None], np.arange(n)[None, :], targets
-        ]
-        return -picked.mean(axis=1)
-    n = logits.shape[0]
-    picked = log_probs[np.arange(n), targets]
-    return -picked.mean()
+    picked = log_probs[np.indices(targets.shape, sparse=True) + (targets,)]
+    return -picked.mean(axis=-1)
 
 
 def mse_loss(prediction: Tensor, target: np.ndarray) -> Tensor:

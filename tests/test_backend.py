@@ -76,13 +76,12 @@ class TestNumpyReference:
     def test_conv_weight_grad_matches_einsum(self):
         backend = B.NumpyBackend()
         rng = np.random.default_rng(1)
-        grad_mat = rng.standard_normal((2, 9, 4))  # (n, length, out_channels)
-        cols = rng.standard_normal((2, 9, 27))  # (n, length, c*kh*kw)
-        expected = np.einsum("nlo,nlk->ok", grad_mat, cols)
-        np.testing.assert_allclose(backend.conv_weight_grad(grad_mat, cols), expected, rtol=1e-12)
-        # world-batched variant: one result per world slice
-        grad4 = rng.standard_normal((3, 2, 9, 4))
-        cols4 = rng.standard_normal((3, 2, 9, 27))
+        grad4 = rng.standard_normal((3, 2, 9, 4))  # (world, n, length, out_channels)
+        cols4 = rng.standard_normal((3, 2, 9, 27))  # (world, n, length, c*kh*kw)
+        expected = np.einsum("wnlo,wnlk->wok", grad4, cols4)
         batched = backend.conv_weight_grad(grad4, cols4)
+        np.testing.assert_allclose(batched, expected, rtol=1e-12)
+        # one result per world slice: a slice alone (world 1) gives the same bytes
         for w in range(3):
-            np.testing.assert_array_equal(batched[w], backend.conv_weight_grad(grad4[w], cols4[w]))
+            alone = backend.conv_weight_grad(grad4[w : w + 1], cols4[w : w + 1])
+            np.testing.assert_array_equal(batched[w], alone[0])

@@ -27,7 +27,7 @@ from repro.ddp import DistributedDataParallel, StepResult
 from repro.ddp.arena import GradientArena
 from repro.ddp.bucket import build_buckets
 from repro.nn import layers as L
-from repro.nn.batched import active_world, replica_views, world_batched
+from repro.nn.batched import replica_views
 from repro.nn.models import build_model
 from repro.nn.module import Module
 from repro.pruning import apply_gse
@@ -139,8 +139,7 @@ class _ConvBNNet(Module):
     def forward(self, x: Tensor) -> Tensor:
         h = self.bn(self.conv1(x)).relu()
         h = self.conv2(h).relu()
-        start = 2 if active_world() is not None else 1
-        return self.fc(h.flatten(start_dim=start))
+        return self.fc(h.flatten(start_dim=h.ndim - 3))
 
 
 def _build(kind: str, rng: np.random.Generator) -> Module:
@@ -156,7 +155,7 @@ def _build(kind: str, rng: np.random.Generator) -> Module:
 class TestLayerParity:
     @given(
         kind=st.sampled_from(["mlp", "convbn", "vit"]),
-        world=st.sampled_from([2, 3]),
+        world=st.sampled_from([1, 2, 3]),
         dtype=st.sampled_from(["float64", "float32"]),
     )
     @settings(max_examples=8, deadline=None)
@@ -244,11 +243,21 @@ class TestLayerParity:
         for name, param in model.named_parameters():
             assert param is originals[name]
 
-    def test_world_batched_context(self):
-        assert active_world() is None
-        with world_batched(8):
-            assert active_world() == 8
-        assert active_world() is None
+    @pytest.mark.parametrize("kind", ["mlp", "convbn", "vit"])
+    def test_the_world_axis_is_read_off_the_tensors(self, kind):
+        """No context says whether a pass is batched: the same model answers
+        plain input plainly before, inside and after ``replica_views``."""
+        model = _build(kind, np.random.default_rng(3))
+        images = np.random.default_rng(4).standard_normal((3, 2, 3, 8, 8))
+        before = model(Tensor(images[0])).data
+        with replica_views(model, 3):
+            assert model(Tensor(images)).data.shape == (3, 2, 5)
+        assert model(Tensor(images[0])).data.tobytes() == before.tobytes()
+
+    def test_flatten_keeps_every_axis_before_channels(self):
+        flatten = L.Flatten()
+        assert flatten(Tensor(np.zeros((2, 4, 3, 3)))).shape == (2, 36)
+        assert flatten(Tensor(np.zeros((3, 2, 4, 3, 3)))).shape == (3, 2, 36)
 
 
 class TestTrainStepParity:

@@ -209,20 +209,23 @@ def test_checkpoint_rejects_the_parameter_server(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "config, method, field",
+    "captured, config, method, field",
     [
-        (dataclasses.replace(golden.GOLDEN_CONFIG, lr=0.1), METHOD, "config.lr"),
-        (_faulted(golden.GOLDEN_CONFIG), METHOD, "config.cluster.faults"),
+        (golden.GOLDEN_CONFIG, dataclasses.replace(golden.GOLDEN_CONFIG, lr=0.1), METHOD, "config.lr"),
+        (golden.GOLDEN_CONFIG, _faulted(golden.GOLDEN_CONFIG), METHOD, "config.cluster.faults"),
+        # The reverse: a nested dict captured, ``None`` given.
+        (_faulted(golden.GOLDEN_CONFIG), golden.GOLDEN_CONFIG, METHOD, "config.cluster.faults"),
         (
+            golden.GOLDEN_CONFIG,
             golden.GOLDEN_CONFIG,
             dataclasses.replace(METHOD, sync_schedule="localsgd:4"),
             "method.sync_schedule",
         ),
     ],
-    ids=["config", "cluster", "method"],
+    ids=["config", "cluster", "cluster-dropped", "method"],
 )
-def test_a_resume_under_other_specs_is_rejected(config, method, field, monkeypatch):
-    ck = _capture(golden.GOLDEN_CONFIG, METHOD, 2)
+def test_a_resume_under_other_specs_is_rejected(captured, config, method, field, monkeypatch):
+    ck = _capture(captured, METHOD, 2)
     prepared = _record_preparations(monkeypatch)
     with pytest.raises(ValueError, match=rf"cannot resume: {field} differs"):
         train_distributed(config, method, resume_from=ck)

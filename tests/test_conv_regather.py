@@ -61,7 +61,9 @@ def retaining_conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, s
     def backward(grad: np.ndarray) -> None:
         grad_mat = grad.reshape(x.shape[0], out_channels, out_h * out_w).transpose(0, 2, 1)
         if weight.requires_grad:
-            grad_w = backend.conv_weight_grad(grad_mat, cols)
+            # The per-rank weight-gradient contraction, (O, N*L) @ (N*L, K).
+            gm = grad_mat.transpose(2, 0, 1).reshape(out_channels, -1)
+            grad_w = np.matmul(gm, cols.reshape(gm.shape[1], -1))
             weight._accumulate(grad_w.reshape(weight.shape), own=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(0, 1)), own=True)

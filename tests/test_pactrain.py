@@ -48,8 +48,7 @@ class TestMaskTracker:
         pattern = np.zeros(20, dtype=bool)
         pattern[:5] = True
         tracker.update(0, pattern)
-        tracker.update(0, pattern)
-        assert tracker.is_stable(0)
+        assert tracker.update(0, pattern).stable
         grown = pattern.copy()
         grown[10] = True
         state = tracker.update(0, grown)
@@ -82,10 +81,10 @@ class TestMaskTracker:
         a = rng.random(30) < 0.4
         b = rng.random(30) < 0.4
         tracker.update(0, a)
-        tracker.update(1, b)
-        tracker.update(0, a)
-        assert tracker.is_stable(0)
-        assert not tracker.is_stable(1)
+        state_b = tracker.update(1, b)
+        state_a = tracker.update(0, a)
+        assert state_a.stable and state_a.consecutive_stable == 2
+        assert not state_b.stable and state_b.consecutive_stable == 1
         assert tracker.tracked_buckets == 2
 
     def test_update_from_rank_gradients_takes_union(self):
