@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.campaign.cli import format_table
 from repro.comm import NetworkModel, ProcessGroup
 from repro.compression import build_compressor
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
+from repro.obs.export import format_table
 from repro.pactrain import PacTrainCompressor
 
 WORLD_SIZE = 8
@@ -52,11 +52,30 @@ METHODS = (
     "ef+signsgd",
 )
 
+#: Bytes per worker for one steady-state synchronisation, per method, pinned
+#: exactly: the seam from bucket matrix to collective must not move a byte.
+EXPECTED_BYTES = {
+    "allreduce": 1400000.0,
+    "fp16": 700000.0,
+    "topk-0.1": 1120000.0,
+    "topk-0.01": 112000.0,
+    "terngrad": 87507.0,
+    "dgc-0.01": 112000.0,
+    "pactrain": 702436.0,
+    "pactrain-terngrad": 43909.25,
+    "topk0.01+terngrad": 59507.0,
+    "randomk0.1+fp16": 70000.0,
+    "signsgd": 43757.0,
+    "powersgd-rank4": 25060.0,
+    "ef+topk0.01": 112000.0,
+    "ef+signsgd": 43757.0,
+}
+
 
 def _bucket(rng: np.random.Generator, mask: np.ndarray) -> GradBucket:
     layout = Bucket(index=0, slices=[BucketSlice("w", 0, NUMEL, (NUMEL,))])
-    buffers = [rng.standard_normal(NUMEL) * mask for _ in range(WORLD_SIZE)]
-    return GradBucket(layout, buffers)
+    rows = [rng.standard_normal(NUMEL) * mask for _ in range(WORLD_SIZE)]
+    return GradBucket(layout, np.stack(rows))
 
 
 def run_volume_analysis() -> dict:
@@ -119,6 +138,8 @@ def bench_comm_volume_per_method(benchmark):
     benchmark.extra_info.update(
         {f"{name}/mb_per_worker": round(entry["bytes"] / 1e6, 4) for name, entry in report.items()}
     )
+
+    assert {name: entry["bytes"] for name, entry in report.items()} == EXPECTED_BYTES
 
     # Steady-state PacTrain must beat the fp32 baseline and TopK-0.1 on the wire.
     # At pruning density 0.5 the un-quantised variant sends ~2 bytes/element,

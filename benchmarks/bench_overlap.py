@@ -16,7 +16,7 @@ is strictly below ``compute + comm`` whenever communication is nonzero.
 
 from __future__ import annotations
 
-from repro.campaign.cli import format_table
+from repro.obs.export import format_table
 from repro.simulation import ClusterSpec, ExperimentConfig, PAPER_METHODS, run_experiment
 
 MODEL = "resnet18"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
-from repro.campaign.cli import format_table
+from repro.obs.export import format_table
 
 STORE_PATH = "campaign_results/quickstart.jsonl"
 

@@ -110,8 +110,7 @@ def main() -> None:
             # One synchronous step: backward on every rank, GSE with the
             # pruning mask, one aggregate() per bucket, gradients written back.
             # The step reports each bucket's collective events (DDP drains the
-            # group's per-step log; whole-run totals live in its lifetime_*
-            # counters).
+            # group's per-step log into them).
             step = ddp.train_step(batches, F.cross_entropy, gse_mask=mask)
             optimizer.step()
             mask.apply_to_weights(model)

@@ -34,21 +34,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.campaign.runner import CampaignReport, Progress, run_campaign
 from repro.campaign.spec import CampaignSpec, build_cell, load_spec_file
 from repro.campaign.store import ResultStore
-
-
-def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Plain-text table: header, dashed rule, aligned columns."""
-    widths = [len(str(column)) for column in header]
-    for row in rows:
-        widths = [max(width, len(str(cell))) for width, cell in zip(widths, row)]
-    lines = [
-        "  ".join(str(cell).ljust(width) for cell, width in zip(header, widths)),
-        "  ".join("-" * width for width in widths),
-    ]
-    lines.extend(
-        "  ".join(str(cell).ljust(width) for cell, width in zip(row, widths)) for row in rows
-    )
-    return "\n".join(lines)
+from repro.obs.export import format_table
 
 
 def _parse_axis_value(raw: str):

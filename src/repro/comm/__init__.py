@@ -9,8 +9,8 @@ package models that substrate:
 * :mod:`repro.comm.network` — an alpha–beta cost model producing transfer
   times for point-to-point and collective operations over that topology;
 * :mod:`repro.comm.collectives` — ring all-reduce, all-gather, broadcast and
-  reduce-scatter over numpy arrays, returning both the mathematical result and
-  a :class:`CollectiveEvent` with modeled time and bytes on the wire;
+  reduce-scatter over per-rank wire payloads, returning both the mathematical
+  result and a :class:`CollectiveEvent` with modeled time and bytes on the wire;
 * :mod:`repro.comm.process_group` — a simulated process group tying the
   collectives to a fixed set of ranks, used by the DDP simulator.
 """
@@ -28,8 +28,6 @@ from repro.comm.collectives import (
     all_gather,
     broadcast,
     reduce_scatter,
-    ring_all_reduce_time,
-    all_gather_time,
 )
 from repro.comm.process_group import ProcessGroup
 
@@ -48,7 +46,5 @@ __all__ = [
     "all_gather",
     "broadcast",
     "reduce_scatter",
-    "ring_all_reduce_time",
-    "all_gather_time",
     "ProcessGroup",
 ]

@@ -1,18 +1,17 @@
 """Collective communication operations over simulated ranks.
 
-Each collective takes the per-rank buffers (a list indexed by rank) — either
-raw numpy arrays or first-class :class:`~repro.compression.codec.payloads.WirePayload`
-objects — computes the mathematically exact result and returns it together
-with a :class:`CollectiveEvent` describing the modeled cost: which algorithm
-ran, how many bytes each worker put on the wire, and how long the operation
-took under the :class:`repro.comm.network.NetworkModel`.
+Each collective takes one :class:`~repro.compression.codec.payloads.WirePayload`
+per rank (a list indexed by rank), computes the mathematically exact result
+and returns it together with a :class:`CollectiveEvent` describing the modeled
+cost: which algorithm ran, how many bytes each worker put on the wire, and how
+long the operation took under the :class:`repro.comm.network.NetworkModel`.
 
-When payloads are passed, the wire size is **derived from the encoded
-representation** (``payload.nbytes``): a sparse payload is charged for its
-(index, value) pairs, a ternary payload for two bits per element, and so on.
-The legacy raw-array path keeps the ``element_bytes`` override for tests and
-ad-hoc modeling, but the compression stack itself always communicates
-payloads, so byte accounting is measured rather than asserted.
+The wire size is **derived from the encoded representation**
+(``payload.nbytes``): a sparse payload is charged for its (index, value)
+pairs, a ternary payload for two bits per element, and so on.  A raw array is
+refused — wrap it as ``DensePayload(values, element_bytes=...)``, which says
+what each element costs on the wire — so byte accounting is measured rather
+than asserted.
 
 The numerical results are exact (no simulation of per-step partial sums is
 needed for correctness), while the *costs* follow the standard ring-based
@@ -24,8 +23,9 @@ memory stays O(numel) instead of the O(world × numel) of a stack-then-sum.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,24 +33,6 @@ from repro.comm.network import NetworkModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compression.codec.payloads import WirePayload
-
-Buffers = Sequence[Union[np.ndarray, "WirePayload"]]
-
-
-_WIRE_PAYLOAD_CLS = None
-
-
-def _is_payload(value) -> bool:
-    # Deferred import: repro.compression.base imports the process group, so a
-    # module-level import here would be circular.  By the time payloads reach a
-    # collective the compression package is importable; cache the class so the
-    # hot path pays the import machinery only once.
-    global _WIRE_PAYLOAD_CLS
-    if _WIRE_PAYLOAD_CLS is None:
-        from repro.compression.codec.payloads import WirePayload  # noqa: PLC0415
-
-        _WIRE_PAYLOAD_CLS = WirePayload
-    return isinstance(value, _WIRE_PAYLOAD_CLS)
 
 
 @dataclass
@@ -65,30 +47,20 @@ class CollectiveEvent:
     metadata: dict = field(default_factory=dict)
 
 
-def _is_payload_sequence(buffers: Buffers) -> bool:
-    if len(buffers) == 0:
-        raise ValueError("collective called with no buffers")
-    payload_count = sum(1 for b in buffers if _is_payload(b))
-    if 0 < payload_count < len(buffers):
-        raise ValueError(
-            f"collective received a mix of {payload_count} WirePayloads and "
-            f"{len(buffers) - payload_count} raw arrays; pass one kind per call"
-        )
-    return payload_count == len(buffers)
-
-
-def _check_buffers(buffers: Sequence[np.ndarray]) -> None:
-    if len(buffers) == 0:
-        raise ValueError("collective called with no buffers")
-    shape = buffers[0].shape
-    for index, buffer in enumerate(buffers):
-        if buffer.shape != shape:
-            raise ValueError(
-                f"rank {index} buffer shape {buffer.shape} differs from rank 0 shape {shape}"
-            )
-
-
 def _check_payloads(payloads: Sequence[WirePayload]) -> None:
+    """Refuse anything but a non-empty sequence of payloads (raw arrays above all)."""
+    if isinstance(payloads, np.ndarray) or not all(hasattr(p, "reducible_with") for p in payloads):
+        raise TypeError(
+            "collectives carry one WirePayload per rank; wrap a raw array as "
+            "DensePayload(values, element_bytes=...)"
+        )
+    if len(payloads) == 0:
+        raise ValueError("collective called with no buffers")
+
+
+def _reduce(payloads: Sequence[WirePayload], average: bool) -> np.ndarray:
+    """Sum (or average) element-wise reducible payloads into one dense buffer."""
+    _check_payloads(payloads)
     head = payloads[0]
     for index, payload in enumerate(payloads[1:], start=1):
         if not head.reducible_with(payload):
@@ -97,6 +69,11 @@ def _check_payloads(payloads: Sequence[WirePayload]) -> None:
                 f"reducible with rank 0 ({type(head).__name__}); aggregate per-rank "
                 "selections with all_gather instead"
             )
+    # Lazy generator: only one decoded buffer is live at a time.
+    total = accumulate_sum(payload.reduce_values() for payload in payloads)
+    if average:
+        total /= len(payloads)
+    return total
 
 
 def accumulate_sum(arrays) -> np.ndarray:
@@ -106,7 +83,7 @@ def accumulate_sum(arrays) -> np.ndarray:
     O(numel) regardless of how many ranks contribute.  The accumulator dtype
     follows the first array's floating dtype (float64 for non-float inputs),
     so float32 gradients reduce in float32 while the historical float64 path
-    is untouched.  Shared by the raw and payload collective paths and by
+    is untouched.  Shared by the reducing collectives and by
     :func:`repro.compression.base.exact_average`.
     """
     from repro.tensorlib.dtypes import float_dtype_of  # noqa: PLC0415
@@ -122,190 +99,100 @@ def accumulate_sum(arrays) -> np.ndarray:
     return total
 
 
-def ring_all_reduce_time(network: NetworkModel, num_bytes: float) -> float:
-    """Expose the network model's all-reduce cost (used by planners/tests)."""
-    return network.ring_all_reduce_time(num_bytes)
-
-
-def all_gather_time(network: NetworkModel, num_bytes: float) -> float:
-    """Expose the network model's all-gather cost."""
-    return network.all_gather_time(num_bytes)
-
-
 def all_reduce(
-    buffers: Buffers,
+    buffers: Sequence[WirePayload],
     network: Optional[NetworkModel] = None,
     average: bool = True,
-    element_bytes: Optional[float] = None,
 ) -> tuple:
-    """Sum (or average) the per-rank buffers via a modeled ring all-reduce.
+    """Sum (or average) element-wise reducible payloads via a modeled ring all-reduce.
 
-    Parameters
-    ----------
-    buffers:
-        One buffer per rank: raw arrays (all the same shape) or element-wise
-        reducible :class:`WirePayload` objects.
-    network:
-        Cost model; if ``None``, time is reported as ``0`` (useful in unit tests).
-    average:
-        Divide by the world size (the DDP convention for gradients).
-    element_bytes:
-        Wire size per element for the raw-array path only.  Defaults to the
-        buffer's dtype itemsize.  Ignored for payloads, whose wire size is
-        ``payload.nbytes`` by construction.
-
-    Returns
-    -------
-    ``(result, event)`` where ``result`` mirrors the input kind: a dense array
-    for raw arrays, a reduced :class:`WirePayload` (same structure, reduced
-    values) for payloads.
+    ``network=None`` reports time as ``0`` (useful in unit tests); ``average``
+    divides by the world size (the DDP convention for gradients).  Returns
+    ``(result, event)``, where ``result`` is a payload of rank 0's structure
+    carrying the reduced values.
     """
-    if _is_payload_sequence(buffers):
-        payloads: Sequence[WirePayload] = buffers  # type: ignore[assignment]
-        _check_payloads(payloads)
-        world_size = len(payloads)
-        # Lazy generator: only one decoded buffer is live at a time.
-        total = accumulate_sum(payload.reduce_values() for payload in payloads)
-        if average:
-            total /= world_size
-        reduced = payloads[0].with_reduced(total)
-
-        num_bytes = max(payload.nbytes for payload in payloads)
-        time = network.ring_all_reduce_time(num_bytes) if network is not None else 0.0
-        event = CollectiveEvent(
-            op="all_reduce",
-            bytes_per_worker=2.0 * (world_size - 1) / world_size * num_bytes if world_size > 1 else 0.0,
-            time_seconds=time,
-            world_size=world_size,
-            payload_elements=int(payloads[0].transmitted_elements),
-            metadata={"payload": type(payloads[0]).__name__},
-        )
-        return reduced, event
-
-    _check_buffers(buffers)
+    total = _reduce(buffers, average)
     world_size = len(buffers)
-    result = accumulate_sum(buffers)
-    if average:
-        result /= world_size
-
-    itemsize = element_bytes if element_bytes is not None else buffers[0].dtype.itemsize
-    num_bytes = buffers[0].size * itemsize
+    num_bytes = max(payload.nbytes for payload in buffers)
     time = network.ring_all_reduce_time(num_bytes) if network is not None else 0.0
     event = CollectiveEvent(
         op="all_reduce",
         bytes_per_worker=2.0 * (world_size - 1) / world_size * num_bytes if world_size > 1 else 0.0,
         time_seconds=time,
         world_size=world_size,
-        payload_elements=int(buffers[0].size),
+        payload_elements=int(buffers[0].transmitted_elements),
+        metadata={"payload": type(buffers[0]).__name__},
     )
-    return result, event
+    return buffers[0].with_reduced(total), event
 
 
 def all_gather(
-    buffers: Buffers,
+    buffers: Sequence[WirePayload],
     network: Optional[NetworkModel] = None,
-    element_bytes: Optional[float] = None,
 ) -> tuple:
-    """Gather every rank's buffer (or payload) onto every rank.
+    """Gather every rank's payload onto every rank.
 
-    Unlike :func:`all_reduce`, buffers may have *different lengths* (as happens
-    with per-rank top-k selections); the cost model charges the maximum
-    per-rank payload, matching the padded all-gather used in practice.
+    Unlike :func:`all_reduce`, payloads may have *different lengths* (as
+    happens with per-rank top-k selections); the cost model charges the
+    maximum per-rank payload, matching the padded all-gather used in practice.
     """
+    _check_payloads(buffers)
     world_size = len(buffers)
-    if _is_payload_sequence(buffers):
-        import copy as _copy  # noqa: PLC0415
-
-        payloads: Sequence[WirePayload] = buffers  # type: ignore[assignment]
-        num_bytes = max(payload.nbytes for payload in payloads)
-        max_elements = max(int(p.transmitted_elements) for p in payloads)
-        time = network.all_gather_time(num_bytes) if network is not None else 0.0
-        event = CollectiveEvent(
-            op="all_gather",
-            bytes_per_worker=(world_size - 1) * num_bytes if world_size > 1 else 0.0,
-            time_seconds=time,
-            world_size=world_size,
-            payload_elements=max_elements,
-            metadata={"payload": type(payloads[0]).__name__},
-        )
-        # Independent copies, matching the raw-array path's semantics (the
-        # inputs may hold views into a stage's internal state).
-        return [_copy.deepcopy(payload) for payload in payloads], event
-
-    gathered = [np.array(b, copy=True) for b in buffers]
-    itemsize = element_bytes if element_bytes is not None else buffers[0].dtype.itemsize
-    max_elements = max(b.size for b in buffers)
-    num_bytes = max_elements * itemsize
+    num_bytes = max(payload.nbytes for payload in buffers)
     time = network.all_gather_time(num_bytes) if network is not None else 0.0
     event = CollectiveEvent(
         op="all_gather",
         bytes_per_worker=(world_size - 1) * num_bytes if world_size > 1 else 0.0,
         time_seconds=time,
         world_size=world_size,
-        payload_elements=int(max_elements),
+        payload_elements=max(int(p.transmitted_elements) for p in buffers),
+        metadata={"payload": type(buffers[0]).__name__},
     )
-    return gathered, event
+    # Independent copies: the inputs may hold views into a stage's internal state.
+    return [copy.deepcopy(payload) for payload in buffers], event
 
 
 def broadcast(
-    buffer: Union[np.ndarray, WirePayload],
+    buffer: WirePayload,
     world_size: int,
     network: Optional[NetworkModel] = None,
-    element_bytes: Optional[float] = None,
 ) -> tuple:
-    """Broadcast a root buffer or payload to all ranks (weight/mask sync)."""
+    """Broadcast a root payload to all ranks (weight/mask sync)."""
+    _check_payloads([buffer])
     if world_size < 1:
         raise ValueError("world_size must be >= 1")
-    if _is_payload(buffer):
-        import copy as _copy  # noqa: PLC0415
-
-        num_bytes = buffer.nbytes
-        # Independent replicas, matching the raw-array path's copy semantics
-        # (payload dataclasses are frozen but their ndarray fields are not).
-        replicas: List = [_copy.deepcopy(buffer) for _ in range(world_size)]
-        payload_elements = int(buffer.num_elements)
-        metadata = {"payload": type(buffer).__name__}
-    else:
-        itemsize = element_bytes if element_bytes is not None else buffer.dtype.itemsize
-        num_bytes = buffer.size * itemsize
-        replicas = [np.array(buffer, copy=True) for _ in range(world_size)]
-        payload_elements = int(buffer.size)
-        metadata = {}
+    num_bytes = buffer.nbytes
     time = network.broadcast_time(num_bytes) if network is not None else 0.0
     event = CollectiveEvent(
         op="broadcast",
         bytes_per_worker=num_bytes if world_size > 1 else 0.0,
         time_seconds=time,
         world_size=world_size,
-        payload_elements=payload_elements,
-        metadata=metadata,
+        payload_elements=int(buffer.num_elements),
+        metadata={"payload": type(buffer).__name__},
     )
-    return replicas, event
+    # Independent replicas: payload dataclasses are frozen but their ndarray
+    # fields are not.
+    return [copy.deepcopy(buffer) for _ in range(world_size)], event
 
 
 def reduce_scatter(
-    buffers: Sequence[np.ndarray],
+    buffers: Sequence[WirePayload],
     network: Optional[NetworkModel] = None,
     average: bool = False,
-    element_bytes: Optional[float] = None,
 ) -> tuple:
-    """Reduce buffers across ranks and scatter equal chunks back to each rank."""
-    _check_buffers(buffers)
+    """Reduce payloads across ranks and scatter equal dense chunks back to each rank."""
+    total = _reduce(buffers, average)
     world_size = len(buffers)
-    total = accumulate_sum(buffers)
-    if average:
-        total /= world_size
-    flat = total.reshape(-1)
-    chunks = np.array_split(flat, world_size)
-
-    itemsize = element_bytes if element_bytes is not None else buffers[0].dtype.itemsize
-    num_bytes = buffers[0].size * itemsize
+    chunks: List[np.ndarray] = np.array_split(total.reshape(-1), world_size)
+    num_bytes = max(payload.nbytes for payload in buffers)
     time = network.reduce_scatter_time(num_bytes) if network is not None else 0.0
     event = CollectiveEvent(
         op="reduce_scatter",
         bytes_per_worker=(world_size - 1) / world_size * num_bytes if world_size > 1 else 0.0,
         time_seconds=time,
         world_size=world_size,
-        payload_elements=int(buffers[0].size),
+        payload_elements=int(buffers[0].transmitted_elements),
+        metadata={"payload": type(buffers[0]).__name__},
     )
     return chunks, event

@@ -6,27 +6,29 @@ call collectives through the group so that the experiment driver can later ask
 "how many bytes went over the wire?" and "how much simulated time did gradient
 synchronisation take?" — the two quantities behind every figure in the paper.
 
-Collectives accept either raw numpy arrays (charged per ``element_bytes``) or
-:class:`~repro.compression.codec.payloads.WirePayload` objects, whose wire
-size is derived from the encoded representation (``payload.nbytes``) — the
-path every compressor uses, so the byte log is measured, not asserted.
+Collectives carry :class:`~repro.compression.codec.payloads.WirePayload`
+objects only, whose wire size is derived from the encoded representation
+(``payload.nbytes``), so the byte log is measured, not asserted.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from repro.comm.collectives import (
-    Buffers,
     CollectiveEvent,
+    _check_payloads,
     all_gather,
     all_reduce,
     broadcast,
     reduce_scatter,
 )
 from repro.comm.network import NetworkModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.compression.codec.payloads import WirePayload
 
 
 class ProcessGroup:
@@ -35,8 +37,7 @@ class ProcessGroup:
     ``events`` is a *per-step* buffer: the DDP wrapper drains the events each
     bucket's hook issued as part of every synchronisation, so the list stays
     bounded by one iteration's collectives no matter how long the run is.
-    Whole-run accounting lives in the ``lifetime_*`` counters, which are
-    updated on every append and survive draining.
+    Whole-run accounting is the run's record, ``TrainingTimeline.log``.
     """
 
     def __init__(self, world_size: int, network: Optional[NetworkModel] = None) -> None:
@@ -45,64 +46,39 @@ class ProcessGroup:
         self.world_size = world_size
         self.network = network
         self.events: List[CollectiveEvent] = []
-        #: Whole-run aggregates (never reset by draining the per-step buffer).
-        self.lifetime_events: int = 0
-        self.lifetime_time_seconds: float = 0.0
-        self.lifetime_bytes_per_worker: float = 0.0
-
-    def _log(self, event: CollectiveEvent) -> None:
-        self.events.append(event)
-        self.lifetime_events += 1
-        self.lifetime_time_seconds += event.time_seconds
-        self.lifetime_bytes_per_worker += event.bytes_per_worker
 
     # ------------------------------------------------------------------ #
     # Collectives
     # ------------------------------------------------------------------ #
-    def all_reduce(
-        self,
-        buffers: Buffers,
-        average: bool = True,
-        element_bytes: Optional[float] = None,
-    ):
-        """Reduce per-rank buffers/payloads; returns the reduced value.
-
-        Raw arrays reduce to a dense array; payloads reduce to a payload of
-        the same structure carrying the reduced values.
-        """
+    def all_reduce(self, buffers: Sequence[WirePayload], average: bool = True) -> WirePayload:
+        """Reduce per-rank payloads into a payload of the same structure."""
         self._check_world(buffers)
-        result, event = all_reduce(buffers, self.network, average=average, element_bytes=element_bytes)
-        self._log(event)
+        result, event = all_reduce(buffers, self.network, average=average)
+        self.events.append(event)
         return result
 
-    def all_gather(
-        self,
-        buffers: Buffers,
-        element_bytes: Optional[float] = None,
-    ) -> List:
+    def all_gather(self, buffers: Sequence[WirePayload]) -> List[WirePayload]:
         self._check_world(buffers)
-        gathered, event = all_gather(buffers, self.network, element_bytes=element_bytes)
-        self._log(event)
+        gathered, event = all_gather(buffers, self.network)
+        self.events.append(event)
         return gathered
 
-    def broadcast(self, buffer, element_bytes: Optional[float] = None) -> List:
-        replicas, event = broadcast(buffer, self.world_size, self.network, element_bytes=element_bytes)
-        self._log(event)
+    def broadcast(self, buffer: WirePayload) -> List[WirePayload]:
+        replicas, event = broadcast(buffer, self.world_size, self.network)
+        self.events.append(event)
         return replicas
 
-    def reduce_scatter(
-        self,
-        buffers: Sequence[np.ndarray],
-        average: bool = False,
-        element_bytes: Optional[float] = None,
-    ) -> List[np.ndarray]:
+    def reduce_scatter(self, buffers: Sequence[WirePayload], average: bool = False) -> List[np.ndarray]:
         self._check_world(buffers)
-        chunks, event = reduce_scatter(buffers, self.network, average=average, element_bytes=element_bytes)
-        self._log(event)
+        chunks, event = reduce_scatter(buffers, self.network, average=average)
+        self.events.append(event)
         return chunks
 
-    def _check_world(self, buffers: Sequence) -> None:
+    def _check_world(self, buffers: Sequence[WirePayload]) -> None:
         if len(buffers) != self.world_size:
+            # The collective checks payloads itself; a raw array must be named
+            # as such before it is counted as the wrong number of ranks.
+            _check_payloads(buffers)
             raise ValueError(
                 f"expected one buffer per rank ({self.world_size}), got {len(buffers)}"
             )

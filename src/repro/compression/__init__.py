@@ -3,7 +3,7 @@
 The repository's one gradient-synchronisation seam — the paper's
 "communication hook" — is :meth:`CodecCompressor.aggregate(bucket, group, iteration)
 <repro.compression.base.CodecCompressor.aggregate>`: given one gradient bucket
-(per-rank flat tensors) and a process group, produce the aggregated average
+(its ``(world, numel)`` matrix) and a process group, produce the aggregated average
 gradient while issuing the collectives it actually needs.  The DDP wrapper
 calls it per bucket; local-SGD rounds and parameter-server pushes reach the
 wire through the same call.

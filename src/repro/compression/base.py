@@ -1,6 +1,6 @@
 """The compressor: the shared codec aggregation driver and its bookkeeping.
 
-A :class:`CodecCompressor` turns one gradient bucket (per-rank flat tensors)
+A :class:`CodecCompressor` turns one gradient bucket (a ``(world, numel)`` matrix)
 into the aggregated average gradient, issuing all communication through the
 process group so the network cost model sees it.  It binds a
 :class:`~repro.compression.codec.pipeline.Pipeline` of encode/decode stages to
@@ -69,7 +69,7 @@ class CompressionStats:
 class CodecCompressor:
     """Aggregate gradients through a codec pipeline (the shared driver).
 
-    :meth:`aggregate` receives the per-rank flat gradients of one bucket and
+    :meth:`aggregate` receives one bucket's ``(world, numel)`` gradients and
     returns their aggregated *average*, issuing all communication through
     ``group`` so that the network cost model sees it.  This call is the
     paper's "communication hook": :class:`repro.ddp.DistributedDataParallel`
@@ -104,7 +104,7 @@ class CodecCompressor:
 
     **Aliasing contract.**  The residual buffers are owned by the compressor:
     allocated here, never adopted from a caller (not the DDP gradient arena,
-    not a degraded membership's fancy copy, not a list-backed bucket's rows),
+    not a degraded membership's fancy copy, not a pushed worker's row),
     so they survive arena staging and bucket reuse across iterations.  During
     one ``aggregate`` call the pipeline's stages *read* them — as
     ``EncodeContext.matrix`` and as the ``DensePayload`` values of the first
@@ -229,34 +229,22 @@ class CodecCompressor:
 
         The first call, or a bucket that changed world size, length or dtype,
         starts from zeros — allocated here, so the residual never aliases the
-        caller's rows.  Rows are added one by one: list-backed buckets are
-        never stacked.
+        caller's matrix.
         """
-        buffers = bucket.buffers
-        shape = (bucket.world_size, bucket.numel)
-        dtype = np.asarray(buffers[0]).dtype
+        matrix = bucket.matrix
         residual = self._residuals.get(bucket.index)
-        if residual is None or residual.shape != shape or residual.dtype != dtype:
-            residual = self._residuals[bucket.index] = np.zeros(shape, dtype=dtype)
-        for row, grad in zip(residual, buffers):
-            np.add(grad, row, out=row)
+        if residual is None or residual.shape != matrix.shape or residual.dtype != matrix.dtype:
+            residual = self._residuals[bucket.index] = np.zeros(matrix.shape, dtype=matrix.dtype)
+        np.add(matrix, residual, out=residual)
         return residual
 
     def aggregate(self, bucket: GradBucket, group: ProcessGroup, iteration: int = 0) -> np.ndarray:
         pipeline = self._pipeline_for(bucket, group, iteration)
-        # Arena-backed buckets hand first-stage matrix consumers (batched
-        # top-k, DGC) the (world, numel) gradients without re-stacking;
-        # list-backed buckets pass None so pipelines that never read the
-        # matrix don't pay for a stack.
-        matrix = bucket.materialized_matrix
-        buffers: List[np.ndarray] = bucket.buffers
-
-        residual: Optional[np.ndarray] = None
-        if self.error_feedback:
-            # The compensated gradients live in the residual itself: its rows
-            # are the encode inputs until they are rewritten below.
-            matrix = residual = self._compensate(bucket)
-            buffers = list(residual)
+        # Under error feedback the compensated gradients live in the residual
+        # itself: its rows are the encode inputs until they are rewritten below.
+        residual = self._compensate(bucket) if self.error_feedback else None
+        matrix = bucket.matrix if residual is None else residual
+        buffers = list(matrix)
 
         ctx = EncodeContext(
             world_size=bucket.world_size,

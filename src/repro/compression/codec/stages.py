@@ -54,13 +54,13 @@ class EncodeContext:
     iteration: int = 0
     group: Optional[object] = None
     shared: Dict = field(default_factory=dict)
-    #: The raw ``(world_size, numel)`` gradient matrix for this bucket, when
-    #: the caller (the codec driver over an arena-backed bucket) already holds
-    #: one.  Consumed by the *first* stage of a pipeline — whose inputs are by
-    #: construction the matrix's rows — to skip the ``np.stack`` re-pack; the
-    #: pipeline clears it before later stages run.  Stages must treat it as
-    #: read-only and keep no reference past the call: it is the DDP arena, or
-    #: under driver error feedback the compressor's own residual.
+    #: The raw ``(world_size, numel)`` gradient matrix for this bucket, set by
+    #: the codec driver (``None`` for a standalone ``encode_all``).  Consumed
+    #: by the *first* stage of a pipeline — whose inputs are by construction
+    #: the matrix's rows — to skip the ``np.stack`` re-pack; the pipeline
+    #: clears it before later stages run.  Stages must treat it as read-only
+    #: and keep no reference past the call: it is the DDP arena, or under
+    #: driver error feedback the compressor's own residual.
     matrix: Optional[object] = None
 
 
@@ -133,8 +133,8 @@ def _dense_input(payload: WirePayload, stage: str) -> np.ndarray:
 def _stacked_inputs(inputs: List[WirePayload], ctx: EncodeContext, stage: str) -> np.ndarray:
     """The ``(world, numel)`` matrix of a stage's dense inputs.
 
-    Uses the bucket's arena matrix directly when the encode context carries
-    one (zero-copy); otherwise stacks the per-rank payload values.
+    Uses the bucket's matrix directly when the encode context carries one
+    (zero-copy); a standalone ``encode_all`` stacks the per-rank payload values.
     """
     if ctx.matrix is not None:
         return ctx.matrix

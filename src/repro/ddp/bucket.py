@@ -11,8 +11,8 @@ This module reproduces that abstraction:
 
 * :class:`BucketSlice` — where one parameter lives inside a bucket;
 * :class:`Bucket` — the static layout (slices, total element count);
-* :class:`GradBucket` — one iteration's per-rank flat gradients for a bucket,
-  the only view of the gradients that the communication hook —
+* :class:`GradBucket` — one iteration's ``(world, numel)`` gradient matrix for
+  a bucket, the only view of the gradients that the communication hook —
   :meth:`repro.compression.CodecCompressor.aggregate` — receives;
 * :func:`build_buckets` — split a model's parameters (reversed) into buckets by
   byte capacity.
@@ -21,7 +21,7 @@ This module reproduces that abstraction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -99,42 +99,21 @@ class Bucket:
 class GradBucket:
     """One iteration's gradients for one bucket, as ``CodecCompressor.aggregate`` sees them.
 
-    The compressor receives:
-
-    * :attr:`index` — the bucket index (0 is the *last* bucket to be ready in
-      real DDP; here simply the first bucket in reverse parameter order);
-    * :meth:`buffer` / :attr:`buffers` — the flat 1-D per-rank gradients;
-    * :attr:`is_last` — whether this is the final bucket of the iteration;
-    * :attr:`matrix` — the stacked ``(world_size, numel)`` gradient matrix
-      (zero-copy when the bucket is backed by a
-      :class:`~repro.ddp.arena.GradientArena`, stacked lazily otherwise).
+    The compressor receives the bucket :attr:`index` (0 is the *last* bucket
+    to be ready in real DDP; here simply the first bucket in reverse parameter
+    order) and :attr:`matrix`, the ``(world_size, numel)`` gradient matrix —
+    one row per rank, zero-copy when it is a
+    :class:`~repro.ddp.arena.GradientArena` view.  A single worker's push is
+    world 1: ``GradBucket(bucket, flat[None])``.
 
     It deliberately does **not** expose parameter names or shapes.
     """
 
-    def __init__(
-        self,
-        bucket: Bucket,
-        per_rank_flat: Optional[Sequence[np.ndarray]] = None,
-        is_last: bool = False,
-        matrix: Optional[np.ndarray] = None,
-    ) -> None:
-        if (per_rank_flat is None) == (matrix is None):
-            raise ValueError("provide exactly one of per_rank_flat or matrix")
+    def __init__(self, bucket: Bucket, matrix: np.ndarray) -> None:
+        if matrix.ndim != 2 or matrix.shape[1] != bucket.numel:
+            raise ValueError("matrix must be (world_size, bucket.numel)")
         self._bucket = bucket
-        self.is_last = is_last
-        if matrix is not None:
-            if matrix.ndim != 2 or matrix.shape[1] != bucket.numel:
-                raise ValueError("matrix must be (world_size, bucket.numel)")
-            self._matrix: Optional[np.ndarray] = matrix
-            self._buffers = list(matrix)
-            return
-        dtype = get_default_dtype()
-        for flat in per_rank_flat:
-            if flat.size != bucket.numel:
-                raise ValueError("per-rank flat gradient does not match bucket layout")
-        self._matrix = None
-        self._buffers = [np.asarray(f, dtype=dtype) for f in per_rank_flat]
+        self.matrix = matrix
 
     @property
     def index(self) -> int:
@@ -142,7 +121,7 @@ class GradBucket:
 
     @property
     def world_size(self) -> int:
-        return len(self._buffers)
+        return self.matrix.shape[0]
 
     @property
     def numel(self) -> int:
@@ -151,32 +130,6 @@ class GradBucket:
     @property
     def nbytes(self) -> int:
         return self._bucket.nbytes
-
-    @property
-    def buffers(self) -> List[np.ndarray]:
-        """Flat gradient of every rank (list indexed by rank)."""
-        return self._buffers
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The ``(world_size, numel)`` gradient matrix, stacked at most once."""
-        if self._matrix is None:
-            self._matrix = np.stack(self._buffers)
-        return self._matrix
-
-    @property
-    def materialized_matrix(self) -> Optional[np.ndarray]:
-        """The matrix if one already exists (arena-backed buckets), else None.
-
-        Lets consumers offer the zero-copy matrix to stages that want it
-        without forcing a stack on list-backed buckets whose pipeline may
-        never read it.
-        """
-        return self._matrix
-
-    def buffer(self, rank: int = 0) -> np.ndarray:
-        """Flat gradient of one rank."""
-        return self._buffers[rank]
 
 
 def build_buckets(

@@ -378,18 +378,13 @@ class DistributedDataParallel:
         group = self.active_group
         aggregated: Dict[str, np.ndarray] = {}
         bucket_events: List[List[CollectiveEvent]] = []
-        last_index = len(self.buckets) - 1
         for bucket in self.buckets:
             matrix = self.arena.matrix(bucket.index)
             if active is not None:
                 # Fancy indexing copies the surviving rows out of the arena, so
                 # compressors never see (or alias) dead ranks' stale gradients.
                 matrix = matrix[active]
-            grad_bucket = GradBucket(
-                bucket,
-                matrix=matrix,
-                is_last=bucket.index == last_index,
-            )
+            grad_bucket = GradBucket(bucket, matrix)
             events_before = len(group.events)
             with TRACER.span(
                 "ddp/bucket_sync", cat="ddp",

@@ -31,6 +31,7 @@ __all__ = [
     "write_chrome",
     "validate_chrome_trace",
     "summary",
+    "format_table",
 ]
 
 #: Microseconds per second (Chrome trace timestamps are in microseconds).
@@ -232,7 +233,8 @@ def validate_chrome_trace(document: dict) -> List[str]:
 # --------------------------------------------------------------------------- #
 # Text summary
 # --------------------------------------------------------------------------- #
-def _table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Plain-text table: header, dashed rule, aligned columns."""
     widths = [len(str(column)) for column in header]
     for row in rows:
         widths = [max(width, len(str(cell))) for width, cell in zip(widths, row)]
@@ -300,7 +302,7 @@ def summary(events: Sequence[dict]) -> str:
             )
         sections.append(
             f"== {title} ==\n"
-            + _table(("span", "count", f"total {unit}", f"mean {unit}", f"max {unit}"), rows)
+            + format_table(("span", "count", f"total {unit}", f"mean {unit}", f"max {unit}"), rows)
         )
 
     span_section("spans (wall clock)", wall, 1e3, "ms")
@@ -309,10 +311,10 @@ def summary(events: Sequence[dict]) -> str:
     metrics = merge_metrics(events)
     if metrics["counters"]:
         rows = [(name, f"{value:g}") for name, value in sorted(metrics["counters"].items())]
-        sections.append("== counters ==\n" + _table(("counter", "value"), rows))
+        sections.append("== counters ==\n" + format_table(("counter", "value"), rows))
     if metrics["gauges"]:
         rows = [(name, f"{value:g}") for name, value in sorted(metrics["gauges"].items())]
-        sections.append("== gauges ==\n" + _table(("gauge", "value"), rows))
+        sections.append("== gauges ==\n" + format_table(("gauge", "value"), rows))
     if metrics["histograms"]:
         rows = []
         for name, histogram in sorted(metrics["histograms"].items()):
@@ -322,7 +324,7 @@ def summary(events: Sequence[dict]) -> str:
             )
         sections.append(
             "== histograms ==\n"
-            + _table(("histogram", "count", "mean", "~p50", "~p99"), rows)
+            + format_table(("histogram", "count", "mean", "~p50", "~p99"), rows)
         )
 
     instants = sum(1 for event in events if event.get("kind") == "instant")

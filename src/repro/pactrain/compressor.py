@@ -106,7 +106,7 @@ class PacTrainCompressor(CodecCompressor):
     # ------------------------------------------------------------------ #
     def _pipeline_for(self, bucket: GradBucket, group: ProcessGroup, iteration: int) -> Pipeline:
         """Algorithm 1's switch: full sync while unstable, compact once stable."""
-        state = self.tracker.update_from_rank_gradients(bucket.index, bucket.buffers)
+        state = self.tracker.update_from_rank_gradients(bucket.index, bucket.matrix)
 
         if iteration < self.warmup_iterations or not state.stable:
             self.full_iterations += 1

@@ -840,7 +840,7 @@ def _train_async_ps(run: _Run) -> None:
             aggregated: Dict[str, np.ndarray] = {}
             for bucket in ddp.buckets:
                 pushed = worker_codecs[rank].aggregate(
-                    GradBucket(bucket, [bucket.flatten(grads)]), push_group, iteration=update_index
+                    GradBucket(bucket, bucket.flatten(grads)[None]), push_group, iteration=update_index
                 )
                 aggregated.update(bucket.unflatten(pushed))
             push_group.events.clear()

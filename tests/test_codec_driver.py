@@ -72,8 +72,8 @@ SPECS = REGISTRY_NAMES + (
 def reference_aggregate(compressor, bucket, group, iteration=0, nmse_samples=None):
     """The dense driver: compensate into a fresh matrix, densify every rank."""
     pipeline = compressor._pipeline_for(bucket, group, iteration)
-    matrix = bucket.materialized_matrix
-    buffers = bucket.buffers
+    matrix = bucket.matrix
+    buffers = list(matrix)
     residual = None
     if compressor.error_feedback:
         residual = compressor._residuals.get(bucket.index)
@@ -81,7 +81,7 @@ def reference_aggregate(compressor, bucket, group, iteration=0, nmse_samples=Non
             residual = np.zeros(
                 (bucket.world_size, bucket.numel), dtype=np.asarray(buffers[0]).dtype
             )
-        matrix = (matrix if matrix is not None else np.stack(buffers)) + residual
+        matrix = matrix + residual
         buffers = list(matrix)
     ctx = EncodeContext(
         world_size=bucket.world_size, bucket_index=bucket.index,
@@ -153,8 +153,8 @@ def layout(numel, index=0):
     return Bucket(index=index, slices=[BucketSlice("w", 0, numel, (numel,))])
 
 
-def make_bucket(buffers, index=0):
-    return GradBucket(layout(buffers[0].size, index), list(buffers))
+def make_bucket(rows, index=0):
+    return GradBucket(layout(rows[0].size, index), np.stack(rows))
 
 
 def bits(array):
@@ -195,8 +195,11 @@ def nmse_marks(jsonl_path):
     ]
 
 
-def run_differential(spec, world, numel, dtype, arena_backed, policy, seed, traced=False):
-    """Five steps, one crash (``resize_world`` down) and one re-join (up)."""
+def run_differential(spec, world, numel, dtype, policy, seed, traced=False):
+    """Five steps, one crash (``resize_world`` down) and one re-join (up).
+
+    World 1 is a parameter-server push's shape: one worker's row.
+    """
     rng = np.random.default_rng(seed)
     keep = rng.random(numel) >= 0.3
     actual = build_compressor(spec, seed=seed)
@@ -214,14 +217,11 @@ def run_differential(spec, world, numel, dtype, arena_backed, policy, seed, trac
         grads = gradients(rng, len(active), numel, dtype, keep)
         buckets = []
         for arena in arenas:
-            if arena_backed:
-                arena[active] = grads
-                # A degraded membership hands the hook a fancy copy of the
-                # surviving rows (DistributedDataParallel.synchronize_staged).
-                matrix = arena if active == full else arena[active]
-                buckets.append(GradBucket(layout(numel), matrix=matrix))
-            else:
-                buckets.append(make_bucket([row.copy() for row in grads]))
+            arena[active] = grads
+            # A degraded membership hands the hook a fancy copy of the
+            # surviving rows (DistributedDataParallel.synchronize_staged).
+            matrix = arena if active == full else arena[active]
+            buckets.append(GradBucket(layout(numel), matrix=matrix))
         groups = [ProcessGroup(len(active)) for _ in range(2)]
         iteration = step * NMSE_SAMPLE_EVERY // 2  # every other step is an NMSE sample
         got = actual.aggregate(buckets[0], groups[0], iteration=iteration)
@@ -232,7 +232,7 @@ def run_differential(spec, world, numel, dtype, arena_backed, policy, seed, trac
         tag = f"{spec} step {step}"
         assert_same_bits(got, want, f"{tag}: result")
         for rank, row in enumerate(grads):
-            assert_same_bits(buckets[0].buffer(rank), row, f"{tag}: input row {rank} mutated")
+            assert_same_bits(buckets[0].matrix[rank], row, f"{tag}: input row {rank} mutated")
         if reference.residual(0) is None:
             assert actual.residual(0) is None, tag
         else:
@@ -257,39 +257,36 @@ class TestDifferentialOracle:
         world=st.sampled_from([1, 2, 3, 8]),
         numel=st.sampled_from([1, 7, 64, 257, 1000, SAMPLED_SELECT_FLOOR + 232]),
         dtype=st.sampled_from(["float32", "float64"]),
-        arena_backed=st.booleans(),
         policy=st.sampled_from(["carry", "zero"]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=150, deadline=None)
-    def test_driver_matches_the_dense_reference(
-        self, spec, world, numel, dtype, arena_backed, policy, seed
-    ):
+    def test_driver_matches_the_dense_reference(self, spec, world, numel, dtype, policy, seed):
         with default_dtype(dtype):
-            run_differential(spec, world, numel, np.dtype(dtype), arena_backed, policy, seed)
+            run_differential(spec, world, numel, np.dtype(dtype), policy, seed)
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_every_spec_on_one_fixed_grid_point(self, spec):
         """Hypothesis samples the grid; no spec may be left to chance."""
-        for arena_backed in (True, False):
-            run_differential(spec, 3, 257, np.dtype("float64"), arena_backed, "carry", 11)
+        for world in (3, 1):
+            run_differential(spec, world, 257, np.dtype("float64"), "carry", 11)
 
     @pytest.mark.parametrize("spec", ["topk-0.01", "ef+topk0.05", "topk0.05", "dgc0.05"])
     def test_rows_above_the_sampled_selection_floor(self, spec):
         run_differential(
-            spec, 8, SAMPLED_SELECT_FLOOR + 232, np.dtype("float64"), True, "carry", 5
+            spec, 8, SAMPLED_SELECT_FLOOR + 232, np.dtype("float64"), "carry", 5
         )
 
     def test_pactrain_reaches_compact_mode_under_this_harness(self):
-        actual, _ = run_differential("pactrain", 3, 257, np.dtype("float64"), True, "carry", 3)
+        actual, _ = run_differential("pactrain", 3, 257, np.dtype("float64"), "carry", 3)
         assert actual.compact_iterations > 0
 
     @pytest.mark.parametrize(
         "spec", ["ef+topk0.05", "topk-0.1", "topk0.05+terngrad", "ef+fp16", "ef+signsgd", "fp16"]
     )
-    @pytest.mark.parametrize("arena_backed", [True, False])
+    @pytest.mark.parametrize("world", [3, 1])
     def test_traced_equals_untraced_and_nmse_reads_this_steps_inputs(
-        self, spec, arena_backed, tmp_path
+        self, spec, world, tmp_path
     ):
         """Trap: NMSE taken after the residual rewrite reads the next step's
         residual instead of this step's compensated gradients."""
@@ -299,7 +296,7 @@ class TestDifferentialOracle:
             # The differential run itself is the "traced == untraced result"
             # check: the reference is never observed.
             _, expected = run_differential(
-                spec, 3, 257, np.dtype("float64"), arena_backed, "carry", 7, traced=True
+                spec, world, 257, np.dtype("float64"), "carry", 7, traced=True
             )
         finally:
             TRACER.disable()
@@ -327,7 +324,7 @@ class TestPassThroughAlias:
                 arena[...] = grads
                 bucket = GradBucket(layout(300), matrix=arena)
             else:
-                bucket = make_bucket([row.copy() for row in grads])
+                bucket = make_bucket(grads)
             result = compressor.aggregate(bucket, ProcessGroup(4), iteration=step)
             assert_same_bits(result, exact_average(list(grads)), f"{spec} step {step}")
             assert not np.any(compressor.residual(0))
@@ -340,7 +337,7 @@ class TestPassThroughAlias:
         compressor = CodecCompressor([Passthrough()], error_feedback=True)
         for step in range(3):
             grads = rng.standard_normal((2, 50))
-            result = compressor.aggregate(make_bucket(list(grads)), ProcessGroup(2), step)
+            result = compressor.aggregate(make_bucket(grads), ProcessGroup(2), step)
             assert_same_bits(result, exact_average(list(grads)), f"step {step}")
 
 
@@ -383,15 +380,15 @@ class TestResidualOwnsItsMemory:
         assert residual.shape == (3, 120)
         assert not np.shares_memory(residual, survivors)
 
-    def test_list_backed_rows_are_not_adopted(self):
+    def test_a_reshaped_bucket_is_not_adopted(self):
         rng = np.random.default_rng(4)
         compressor = build_compressor("ef+randomk0.1")
         for numel in (90, 60):  # the second call changes the bucket's shape
-            rows = [rng.standard_normal(numel) for _ in range(3)]
-            compressor.aggregate(make_bucket(rows), ProcessGroup(3))
+            bucket = make_bucket([rng.standard_normal(numel) for _ in range(3)])
+            compressor.aggregate(bucket, ProcessGroup(3))
             residual = compressor.residual(0)
             assert residual.shape == (3, numel)
-            assert not any(np.shares_memory(residual, row) for row in rows)
+            assert not np.shares_memory(residual, bucket.matrix)
 
     @pytest.mark.parametrize("spec", ["ef+topk0.05", "topk0.05"])
     def test_dtype_change_restarts_the_residual_in_the_new_dtype(self, spec):

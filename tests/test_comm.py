@@ -33,6 +33,7 @@ from repro.comm import (
     reduce_scatter,
 )
 from repro.comm.network import PAPER_BANDWIDTHS
+from repro.compression.codec.payloads import DensePayload
 
 #: Every collective cost the CostModel interface exposes, by method name.
 COLLECTIVE_METHODS = (
@@ -277,7 +278,7 @@ class TestHierarchicalCostModel:
     def test_process_group_accepts_hierarchical_model(self, rng):
         topo = build_paper_topology(wan_bandwidth=100 * MBPS, num_servers=4)
         group = ProcessGroup(4, topo.cost_model())
-        group.all_reduce([rng.standard_normal(64) for _ in range(4)])
+        group.all_reduce(dense(rng, *[64] * 4))
         assert group.total_time > 0.0
 
     def test_single_server_topology(self):
@@ -480,76 +481,89 @@ class TestTopologyWithoutNetworkx:
         assert (done.returncode, done.stderr) == (0, "")
 
 
+def dense(rng, *sizes):
+    """One fp32-charged DensePayload per size, standard-normal values."""
+    return [DensePayload(rng.standard_normal(size)) for size in sizes]
+
+
 class TestCollectives:
     def test_all_reduce_average(self, rng):
-        buffers = [rng.standard_normal(100) for _ in range(4)]
+        buffers = dense(rng, *[100] * 4)
         result, event = all_reduce(buffers, average=True)
-        np.testing.assert_allclose(result, np.mean(buffers, axis=0), atol=1e-12)
+        np.testing.assert_allclose(
+            result.values, np.mean([b.values for b in buffers], axis=0), atol=1e-12
+        )
         assert event.op == "all_reduce"
         assert event.world_size == 4
 
     def test_all_reduce_sum(self, rng):
-        buffers = [rng.standard_normal(10) for _ in range(3)]
+        buffers = dense(rng, 10, 10, 10)
         result, _ = all_reduce(buffers, average=False)
-        np.testing.assert_allclose(result, np.sum(buffers, axis=0), atol=1e-12)
+        np.testing.assert_allclose(
+            result.values, np.sum([b.values for b in buffers], axis=0), atol=1e-12
+        )
 
     def test_all_reduce_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
-            all_reduce([rng.standard_normal(3), rng.standard_normal(4)])
+            all_reduce(dense(rng, 3, 4))
 
     def test_all_reduce_charges_time(self, rng):
         network = NetworkModel.from_bandwidth(4, 100 * MBPS)
-        _, event = all_reduce([rng.standard_normal(1000) for _ in range(4)], network)
+        _, event = all_reduce(dense(rng, *[1000] * 4), network)
         assert event.time_seconds > 0.0
 
     def test_element_bytes_scales_time(self, rng):
         network = NetworkModel.from_bandwidth(4, 100 * MBPS, latency=0.0)
-        buffers = [rng.standard_normal(10000) for _ in range(4)]
-        _, fp32 = all_reduce(buffers, network, element_bytes=4)
-        _, fp16 = all_reduce(buffers, network, element_bytes=2)
+        values = [rng.standard_normal(10000) for _ in range(4)]
+        _, fp32 = all_reduce([DensePayload(v, element_bytes=4) for v in values], network)
+        _, fp16 = all_reduce([DensePayload(v, element_bytes=2) for v in values], network)
         assert fp32.time_seconds == pytest.approx(2 * fp16.time_seconds)
 
     def test_all_gather_returns_every_buffer(self, rng):
-        buffers = [rng.standard_normal(5) for _ in range(3)]
+        buffers = dense(rng, 5, 5, 5)
         gathered, event = all_gather(buffers)
         assert len(gathered) == 3
         for original, got in zip(buffers, gathered):
-            np.testing.assert_array_equal(original, got)
+            np.testing.assert_array_equal(original.values, got.values)
+            assert not np.shares_memory(original.values, got.values)
         assert event.op == "all_gather"
 
     def test_all_gather_supports_ragged_payloads(self, rng):
-        buffers = [rng.standard_normal(3), rng.standard_normal(7)]
-        gathered, event = all_gather(buffers)
-        assert [g.size for g in gathered] == [3, 7]
+        gathered, event = all_gather(dense(rng, 3, 7))
+        assert [g.num_elements for g in gathered] == [3, 7]
         assert event.payload_elements == 7  # cost charged at the max payload
 
     def test_broadcast(self, rng):
-        root = rng.standard_normal(6)
+        (root,) = dense(rng, 6)
         replicas, event = broadcast(root, world_size=5)
         assert len(replicas) == 5
         for replica in replicas:
-            np.testing.assert_array_equal(replica, root)
+            np.testing.assert_array_equal(replica.values, root.values)
+            assert not np.shares_memory(replica.values, root.values)
         assert event.op == "broadcast"
 
     def test_reduce_scatter_chunks_sum_to_total(self, rng):
-        buffers = [rng.standard_normal(12) for _ in range(4)]
-        chunks, _ = reduce_scatter(buffers)
-        np.testing.assert_allclose(np.concatenate(chunks), np.sum(buffers, axis=0), atol=1e-12)
+        buffers = dense(rng, *[12] * 4)
+        chunks, event = reduce_scatter(buffers)
+        np.testing.assert_allclose(
+            np.concatenate(chunks), np.sum([b.values for b in buffers], axis=0), atol=1e-12
+        )
         assert len(chunks) == 4
+        assert event.bytes_per_worker == 3 / 4 * 12 * 4.0
 
 
 class TestProcessGroup:
     def test_event_log_accumulates(self, rng):
         group = ProcessGroup(4, NetworkModel.from_bandwidth(4, 100 * MBPS))
-        group.all_reduce([rng.standard_normal(100) for _ in range(4)])
-        group.all_gather([rng.standard_normal(10) for _ in range(4)])
+        group.all_reduce(dense(rng, *[100] * 4))
+        group.all_gather(dense(rng, *[10] * 4))
         assert len(group.events) == 2
         assert group.total_time > 0
         assert group.total_bytes_per_worker > 0
 
     def test_pop_events_clears_log(self, rng):
         group = ProcessGroup(2)
-        group.all_reduce([rng.standard_normal(4) for _ in range(2)])
+        group.all_reduce(dense(rng, 4, 4))
         events = group.pop_events()
         assert len(events) == 1
         assert group.events == []
@@ -557,14 +571,38 @@ class TestProcessGroup:
     def test_wrong_buffer_count_raises(self, rng):
         group = ProcessGroup(4)
         with pytest.raises(ValueError):
-            group.all_reduce([rng.standard_normal(4) for _ in range(3)])
+            group.all_reduce(dense(rng, 4, 4, 4))
 
     def test_zero_cost_without_network(self, rng):
         group = ProcessGroup(4)
-        group.all_reduce([rng.standard_normal(4) for _ in range(4)])
+        group.all_reduce(dense(rng, *[4] * 4))
         assert group.total_time == 0.0
 
     def test_broadcast_replicates(self, rng):
         group = ProcessGroup(3)
-        replicas = group.broadcast(rng.standard_normal(5))
+        replicas = group.broadcast(*dense(rng, 5))
         assert len(replicas) == 3
+
+
+class TestCollectivesCarryOnlyPayloads:
+    """A raw array has no wire format: every collective refuses it by name."""
+
+    CALLS = {
+        "all_reduce": lambda group, value: group.all_reduce(value),
+        "all_gather": lambda group, value: group.all_gather(value),
+        "broadcast": lambda group, value: group.broadcast(value),
+        "reduce_scatter": lambda group, value: group.reduce_scatter(value),
+    }
+
+    @pytest.mark.parametrize("op", sorted(CALLS))
+    @pytest.mark.parametrize("form", ["array", "matrix", "list"])
+    def test_raw_arrays_raise_a_type_error_naming_dense_payload(self, op, form, rng):
+        group = ProcessGroup(3)
+        value = {
+            "array": rng.standard_normal(5),
+            "matrix": rng.standard_normal((3, 5)),  # one row per rank
+            "list": [rng.standard_normal(5) for _ in range(3)],
+        }[form]
+        with pytest.raises(TypeError, match="DensePayload"):
+            self.CALLS[op](group, value)
+        assert group.events == []

@@ -22,7 +22,7 @@ from repro.metrics import nmse
 def make_bucket(buffers):
     numel = buffers[0].size
     layout = Bucket(index=0, slices=[BucketSlice("w", 0, numel, (numel,))])
-    return GradBucket(layout, buffers)
+    return GradBucket(layout, np.stack(buffers))
 
 
 @pytest.fixture

@@ -77,18 +77,21 @@ class TestBucketLayout:
 
 
 class TestGradBucket:
-    def test_exposes_only_flat_buffers(self, tiny_model, sample_batch):
+    def test_exposes_only_the_flat_matrix(self, tiny_model, sample_batch):
         grads = make_grads(tiny_model, sample_batch)
         bucket = build_buckets(tiny_model)[0]
-        grad_bucket = GradBucket(bucket, [bucket.flatten(grads)])
-        assert grad_bucket.buffer(0).ndim == 1
+        grad_bucket = GradBucket(bucket, bucket.flatten(grads)[None])
+        assert grad_bucket.matrix.shape == (1, bucket.numel)
+        assert grad_bucket.world_size == 1
         assert grad_bucket.numel == bucket.numel
         assert not hasattr(grad_bucket, "param_names")
 
-    def test_rejects_mismatched_buffers(self, tiny_model):
+    def test_rejects_a_mismatched_matrix(self, tiny_model):
         bucket = build_buckets(tiny_model)[0]
         with pytest.raises(ValueError):
-            GradBucket(bucket, [np.zeros(bucket.numel + 1)])
+            GradBucket(bucket, np.zeros((1, bucket.numel + 1)))
+        with pytest.raises(ValueError):
+            GradBucket(bucket, np.zeros(bucket.numel))
 
 
 class TestDistributedDataParallel:

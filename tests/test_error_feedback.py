@@ -48,7 +48,7 @@ from repro.tensorlib import functional as F
 def make_bucket(buffers, index=0):
     numel = buffers[0].size
     layout = Bucket(index=index, slices=[BucketSlice("w", 0, numel, (numel,))])
-    return GradBucket(layout, buffers)
+    return GradBucket(layout, np.stack(buffers))
 
 
 # --------------------------------------------------------------------------- #

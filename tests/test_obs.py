@@ -51,7 +51,7 @@ def clean_tracer():
 
 def make_bucket(rng, numel=256, world=4):
     layout = Bucket(index=0, slices=[BucketSlice("w", 0, numel, (numel,))])
-    return GradBucket(layout, [rng.standard_normal(numel) for _ in range(world)])
+    return GradBucket(layout, rng.standard_normal((world, numel)))
 
 
 def make_group(world=4):
@@ -403,7 +403,7 @@ class TestCodecCallSites:
 
         def run():
             layout = Bucket(index=0, slices=[BucketSlice("w", 0, 256, (256,))])
-            bucket = GradBucket(layout, [b.copy() for b in bucket_data])
+            bucket = GradBucket(layout, np.stack(bucket_data))
             return build_compressor("fp16").aggregate(bucket, make_group(), iteration=0)
 
         plain = run()

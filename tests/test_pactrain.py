@@ -21,7 +21,7 @@ from repro.simulation.spec import PACTRAIN_FP32
 def make_bucket(buffers, index=0):
     numel = buffers[0].size
     layout = Bucket(index=index, slices=[BucketSlice("w", 0, numel, (numel,))])
-    return GradBucket(layout, buffers)
+    return GradBucket(layout, np.stack(buffers))
 
 
 def masked_buffers(rng, world_size=4, numel=400, density=0.3):

@@ -83,10 +83,10 @@ class TestAllReduceProperties:
     def test_average_is_bounded_by_extremes(self, world, numel, seed):
         rng = np.random.default_rng(seed)
         buffers = [rng.standard_normal(numel) for _ in range(world)]
-        result, _ = all_reduce(buffers, average=True)
+        result, _ = all_reduce([DensePayload(b) for b in buffers], average=True)
         stacked = np.stack(buffers)
-        assert np.all(result <= stacked.max(axis=0) + 1e-12)
-        assert np.all(result >= stacked.min(axis=0) - 1e-12)
+        assert np.all(result.values <= stacked.max(axis=0) + 1e-12)
+        assert np.all(result.values >= stacked.min(axis=0) - 1e-12)
 
     @given(st.integers(min_value=2, max_value=8), st.floats(min_value=1.0, max_value=1e9))
     @settings(max_examples=40, deadline=None)
@@ -465,7 +465,7 @@ class TestErrorFeedbackInvariantProperties:
                 )
             ]
             aggregated = compressor.aggregate(
-                GradBucket(layout, buffers), group, iteration=iteration
+                GradBucket(layout, np.stack(buffers)), group, iteration=iteration
             )
             residual = compressor.residual(0)
             np.testing.assert_allclose(
@@ -525,7 +525,7 @@ class TestPacTrainLosslessProperty:
         layout = Bucket(index=0, slices=[BucketSlice("w", 0, numel, (numel,))])
         for _ in range(3):
             buffers = [rng.standard_normal(numel) * mask for _ in range(world)]
-            result = compressor.aggregate(GradBucket(layout, buffers), group)
+            result = compressor.aggregate(GradBucket(layout, np.stack(buffers)), group)
             np.testing.assert_allclose(result, np.mean(buffers, axis=0), atol=1e-10)
 
 

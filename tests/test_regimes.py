@@ -42,7 +42,7 @@ from repro.simulation.regimes import SyncSchedule, parse_sync_schedule
 def make_bucket(buffers, index=0):
     numel = buffers[0].size
     layout = Bucket(index=index, slices=[BucketSlice("w", 0, numel, (numel,))])
-    return GradBucket(layout, buffers)
+    return GradBucket(layout, np.stack(buffers))
 
 
 #: Result fields that must be bit-identical between the synchronous path and
@@ -352,7 +352,7 @@ class _PlainMean:
     """Exact dense averaging without a codec pipeline: not a CodecCompressor."""
 
     def aggregate(self, bucket, group, iteration=0):
-        return exact_average(list(bucket.buffers))
+        return exact_average(list(bucket.matrix))
 
 
 @pytest.mark.parametrize("regime", ["sync", "localsgd:4:delta", "ps:2"])

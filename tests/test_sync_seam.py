@@ -116,7 +116,7 @@ class TestTheCompressorIsTheHook:
 
     def test_anything_but_a_compressor_is_rejected_at_construction(self, tiny_model):
         def bare_hook(state, bucket):
-            return bucket.buffer(0)
+            return bucket.matrix[0]
 
         for hook in (42, bare_hook):
             with pytest.raises(TypeError, match="CodecCompressor"):
@@ -245,23 +245,25 @@ def ps_cell(spec, schedule, dtype="float64", **overrides):
 
 @pytest.fixture
 def aggregate_calls(monkeypatch):
-    """Every ``CodecCompressor.aggregate`` call of a run: ``(compressor, group)``,
-    checking on the way that no call touches another compressor's residual."""
+    """Every ``CodecCompressor.aggregate`` call of a run: ``(compressor, group,
+    collectives issued)``, checking on the way that no call touches another
+    compressor's residual."""
     calls = []
     original = CodecCompressor.aggregate
 
     def spy(self, bucket, group, iteration=0):
         others = {
             id(other): (other, {index: r.copy() for index, r in other._residuals.items()})
-            for other, _ in calls
+            for other, _, _ in calls
             if other is not self
         }
+        logged = len(group.events)
         result = original(self, bucket, group, iteration)
         for other, before in others.values():
             assert before.keys() == other._residuals.keys()
             for index, residual in before.items():
                 assert residual.tobytes() == other._residuals[index].tobytes()
-        calls.append((self, group))
+        calls.append((self, group, len(group.events) - logged))
         return result
 
     monkeypatch.setattr(CodecCompressor, "aggregate", spy)
@@ -282,7 +284,7 @@ class TestParameterServerPushesOnTheDriver:
         """Residual isolation is asserted inside the spy, on every push."""
         config, method = ps_cell("ef+topk0.05", "ps:2")
         result = run_experiment(config, method)
-        workers = {id(compressor): compressor for compressor, _ in aggregate_calls}
+        workers = {id(compressor): compressor for compressor, _, _ in aggregate_calls}
         assert len(workers) == config.cluster.world_size
         assert len(aggregate_calls) == result.ps_updates  # mlp: one bucket per push
         for compressor in workers.values():
@@ -298,11 +300,11 @@ class TestParameterServerPushesOnTheDriver:
         )
         result = run_experiment(config, method)
         assert result.ps_updates == 200
-        groups = {id(group): group for _, group in aggregate_calls}
+        groups = {id(group): group for _, group, _ in aggregate_calls}
         assert len(groups) == 1
         (group,) = groups.values()
         assert group.world_size == 1
-        assert group.lifetime_events == 400 and not group.events
+        assert sum(issued for _, _, issued in aggregate_calls) == 400 and not group.events
 
 
 # --------------------------------------------------------------------------- #
