@@ -62,10 +62,6 @@ class Bucket:
     def nbytes(self) -> int:
         return self.numel * FLOAT32_BYTES
 
-    @property
-    def param_names(self) -> List[str]:
-        return [s.param_name for s in self.slices]
-
     def flatten(self, grads_by_name: Dict[str, np.ndarray]) -> np.ndarray:
         """Pack named gradients into this bucket's flat layout.
 

@@ -170,11 +170,6 @@ class DistributedDataParallel:
             return list(range(self.world_size))
         return list(self._active_ranks)
 
-    @property
-    def is_degraded(self) -> bool:
-        """Whether synchronisation currently excludes any rank."""
-        return self._active_ranks is not None
-
     def set_active_ranks(
         self,
         ranks: Optional[Sequence[int]],
@@ -223,25 +218,11 @@ class DistributedDataParallel:
         self,
         batch: Tuple[np.ndarray, np.ndarray],
         loss_fn: Callable[[Tensor, np.ndarray], Tensor],
-        copy: bool = True,
     ) -> Tuple[float, Dict[str, np.ndarray]]:
-        """Run forward/backward for one rank's batch and return its gradients.
-
-        ``copy=False`` returns the live ``param.grad`` arrays instead of
-        copies — valid only when the caller consumes them (e.g. stages them
-        into the arena) before the next rank's backward pass overwrites them.
-        """
-        images, labels = batch
-        self.model.zero_grad()
-        logits = self.model(Tensor(images))
-        loss = loss_fn(logits, labels)
-        loss.backward()
-        grads = {
-            name: (param.grad.copy() if copy else param.grad)
-            for name, param in self._param_map.items()
-            if param.grad is not None
-        }
-        return float(loss.item()), grads
+        """One worker's loss and ``{name: (*shape)}`` gradients: world 1 of
+        :meth:`compute_batched_gradients`, whose gradients the caller owns."""
+        losses, grads = self.compute_batched_gradients([batch] * self.world_size, loss_fn, [0])
+        return losses[0], {name: grad[0] for name, grad in grads.items()}
 
     def compute_batched_gradients(
         self,
@@ -261,11 +242,11 @@ class DistributedDataParallel:
         per-world loss vector whose backward is seeded with unit gradients —
         one per rank, exactly like the per-rank loop's scalar backward seeds.
         Returns the per-rank losses and ``{name: (len(ranks), *shape)}``
-        gradient stacks, whose float64 values are bit-identical per rank to
-        :meth:`compute_local_gradients` run rank by rank.  When the full world
-        runs, conv weight stacks are born in their ``arena.slots``: like
-        ``compute_local_gradients(copy=False)`` they are valid until the next
-        staging pass.
+        gradient stacks, whose float64 values are bit-identical per rank to a
+        per-rank loop.  When the full world of several ranks runs, conv weight
+        stacks are born in their ``arena.slots`` and are valid until the next
+        staging pass; any other pass — one worker's, world 1 — hands back
+        arrays of its own.
         """
         if len(per_rank_batches) != self.world_size:
             raise ValueError(
@@ -276,7 +257,7 @@ class DistributedDataParallel:
         images = np.stack([per_rank_batches[rank][0] for rank in ranks])
         labels = np.stack([np.asarray(per_rank_batches[rank][1]) for rank in ranks])
         world = len(ranks)
-        slots = self.arena.slots if world == self.world_size else None
+        slots = self.arena.slots if 1 < world == self.world_size else None
         self.model.zero_grad()
         with replica_views(self.model, world, slots, stacks) as views:
             logits = self.model(Tensor(images))
@@ -435,14 +416,3 @@ class DistributedDataParallel:
     def snapshot_parameters(self) -> Dict[str, np.ndarray]:
         """Copies of the model parameters, keyed like aggregated gradients."""
         return {name: param.data.copy() for name, param in self._param_map.items()}
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def gradient_numel(self) -> int:
-        """Total number of gradient elements synchronised per iteration."""
-        return sum(bucket.numel for bucket in self.buckets)
-
-    def gradient_nbytes(self) -> int:
-        """Uncompressed fp32 bytes synchronised per iteration."""
-        return sum(bucket.nbytes for bucket in self.buckets)

@@ -33,8 +33,8 @@ Modules:
 * :mod:`repro.simulation.spec`     — the typed specs: ``MethodSpec``,
   ``ExperimentConfig``, ``ExperimentResult`` and the paper's methods;
 * :mod:`repro.simulation.experiment` — the configuration-driven driver every
-  benchmark uses: one stepped training loop and its checkpoint, two regime
-  steps, the PS loop.
+  benchmark uses: one stepped training loop, two regime steps and the PS
+  loop, all checkpointed by one capture and one restore.
 """
 
 from repro.simulation.compute import (

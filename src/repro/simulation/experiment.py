@@ -294,27 +294,27 @@ def train_distributed(
     ``compute + comm`` sum bit-identically), local SGD with periodic
     (optionally delta-compressed) averaging — both one barrier-per-iteration
     loop (:func:`_train_stepped`) driving a regime step — or the
-    stale-gradient async parameter server, an event loop of its own.
+    stale-gradient async parameter server, an event loop of its own
+    (:class:`_ParameterServer`).
     ``localsgd:1`` takes the synchronous step — averaging after every step
     *is* synchronous training — which the regime-parity tests pin
     bit-identically.
 
-    Every iteration of the stepped loop is one world-batched forward/backward
-    over the live ranks (:meth:`DistributedDataParallel.compute_batched_gradients`):
-    the synchronous step, :meth:`DistributedDataParallel.train_step`, runs it
-    on broadcast views of the shared weights, healthy or degraded, and a
-    local-SGD step on the replicas' per-rank stacks.  Float64 losses,
-    gradients and traces are bit-identical to a per-rank loop, and modeled
-    time — which measures the *simulated* cluster — never depends on it.
+    Every gradient is one world-batched forward/backward
+    (:meth:`DistributedDataParallel.compute_batched_gradients`): the
+    synchronous step, :meth:`DistributedDataParallel.train_step`, runs it over
+    the live ranks on broadcast views of the shared weights, healthy or
+    degraded, a local-SGD step on the replicas' per-rank stacks, and a
+    parameter-server worker as world 1.  Float64 losses, gradients and traces
+    are bit-identical to a per-rank loop, and modeled time — which measures
+    the *simulated* cluster — never depends on it.
 
-    ``checkpoint_at`` captures the stepped loop's state as a
+    ``checkpoint_at`` captures the loop's state as a
     :class:`TrainingCheckpoint` just before global iteration ``checkpoint_at``
-    executes (``run.checkpoint``; the run then continues normally);
-    ``resume_from`` restores one into a run built from the same two specs
-    (checked first) and continues bit-identically to the uninterrupted run.
-    Every barrier regime checkpoints; the async ``ps`` regime does not (its
-    in-flight pushes live in its event loop) and is rejected before anything
-    is prepared.
+    (under ``ps``: apply ``checkpoint_at``) executes (``run.checkpoint``; the
+    run then continues normally); ``resume_from`` restores one into a run
+    built from the same two specs (checked first) and continues
+    bit-identically to the uninterrupted run.  Every regime checkpoints.
 
     Returns the run: its ``timeline`` (accuracy/time trace), ``ddp``
     wrapper, ``compressor`` (whose statistics record bytes on the wire),
@@ -322,18 +322,20 @@ def train_distributed(
     :func:`run_experiment` reports.
     """
     schedule = method.schedule()
-    if (checkpoint_at is not None or resume_from is not None) and schedule.regime == "ps":
-        raise ValueError(
-            "checkpoint/restore runs on the barrier regimes (sync, localsgd); the async "
-            f"parameter server's in-flight pushes are not captured, got {method.sync_schedule!r}"
-        )
+    cluster = config.cluster
+    # Reject a cell before any work is done: an unsupported regime x fault
+    # plan, a resume under other specs, and (by building the compressor first)
+    # what only the registry rejects — ``error_feedback`` on PacTrain,
+    # ``quantize`` against ``pactrain-fp32``, a registered factory that builds
+    # no CodecCompressor.  The method's own regime x pruning check and
+    # compressor-name check ran at spec construction.
+    cluster.fault_plan().validate_for_regime(schedule.regime)
     if resume_from is not None:
         resume_from.check_specs(config, method)
-    cluster = config.cluster
     world_size = cluster.world_size
     with default_dtype(config.dtype):
-        model, train_set, test_loader, mask = _prepare_workload(config, method, share)
         compressor = method.build_compressor(seed=config.seed)
+        model, train_set, test_loader, mask = _prepare_workload(config, method, share)
         ddp = DistributedDataParallel(
             model,
             world_size=world_size,
@@ -378,7 +380,7 @@ def train_distributed(
             ],
         )
         if schedule.regime == "ps":
-            _train_async_ps(run)
+            _ParameterServer(run).train(checkpoint_at, resume_from)
         else:
             bucket_fractions = cluster.compute_model().bucket_completion_fractions(
                 model, train_set.input_shape, ddp.buckets
@@ -498,7 +500,7 @@ def _train_stepped(
 # --------------------------------------------------------------------------- #
 @dataclass
 class TrainingCheckpoint:
-    """The stepped loop's state just before one global iteration runs.
+    """A training loop's state just before one global iteration runs.
 
     ``train_distributed(config, method, checkpoint_at=i)`` captures it as
     ``run.checkpoint``; ``train_distributed(config, method, resume_from=ck)``
@@ -507,10 +509,11 @@ class TrainingCheckpoint:
     ``state_dict()`` (BatchNorm running statistics included), the optimiser's
     velocity, the compressor (Mask Tracker streaks, error-feedback residuals),
     the timeline, the fault cursor and membership, the loop position and what
-    the regime step mutates (``step.state()``: local SGD's replicas, anchor
-    and window).  One capture and one restore, each a deep copy, so one
-    checkpoint seeds several resumes; a degraded membership is re-applied
-    through the elastic seam, not replayed.
+    the loop's regime mutates (``step.state()``: local SGD's replicas, anchor
+    and window; the parameter server's event heap, link, in-flight pushes,
+    per-worker progress and losses, and worker codecs).  One capture and one
+    restore, each a deep copy, so one checkpoint seeds several resumes; a
+    degraded membership is re-applied through the elastic seam, not replayed.
     """
 
     config: ExperimentConfig
@@ -552,7 +555,7 @@ def _differences(captured: object, given: object, name: str = ""):
 def _capture(
     run: _Run, step, faults: _FaultState, epoch: int, iteration: int, epoch_losses: List[float]
 ) -> TrainingCheckpoint:
-    """A deep copy of the stepped loop's state just before ``ddp.iteration`` runs."""
+    """A deep copy of the loop's state just before ``ddp.iteration`` runs."""
     return copy.deepcopy(
         TrainingCheckpoint(
             config=run.config, method=run.method, model_state=run.model.state_dict(),
@@ -728,7 +731,7 @@ class _LocalSGDStep:
         self.replicas, self.anchor, self.window = state["replicas"], state["anchor"], state["window"]
 
 
-def _train_async_ps(run: _Run) -> None:
+class _ParameterServer:
     """Stale-gradient asynchronous parameter server on the event engine.
 
     A logical PS rank holds the parameters; workers cycle pull → compute →
@@ -741,175 +744,199 @@ def _train_async_ps(run: _Run) -> None:
     (stale synchronous parallel); blocked workers re-enter in rank order as
     laggards apply.
 
-    Each worker pushes through its own compressor instance (independent stage
-    state, per-worker error-feedback residuals): one ``aggregate`` call per
-    bucket over a one-rank bucket and group, the same driver every other
-    regime uses.  Pulls carry the dense fp32 parameters.  Busy compute/comm
-    time is logged per update, and the event clock once per epoch snapshot:
-    the timeline's fold pins the total to it (see
-    :meth:`TrainingTimeline.fold`).
+    A worker's gradient is world 1 of the batched pass, pushed through the
+    worker's own compressor instance (independent stage state, per-worker
+    error-feedback residuals): one ``aggregate`` call per bucket over a
+    one-rank bucket and group, the same driver every other regime uses.
+    Pulls carry the dense fp32 parameters.  Busy compute/comm time is logged
+    per update, and the event clock once per epoch snapshot: the timeline's
+    fold pins the total to it (see :meth:`TrainingTimeline.fold`).
 
     With no iteration barrier this is an event loop of its own, not a step of
-    :func:`_train_stepped`; it shares the run and :meth:`_Run.end_epoch`.
+    :func:`_train_stepped`, but it keeps its state as a step does: the
+    attributes :attr:`STATE` names, which :meth:`state` / :meth:`load_state`
+    hand to :func:`_capture` / :func:`_restore`, at the apply count
+    ``ddp.iteration``.  A worker's loader position is its ``completed`` count:
+    :meth:`batch_for` opens an epoch's iterator when first needed and skips
+    the batches already trained on (none, in an uninterrupted run).
     """
-    compressor, ddp, timeline = run.compressor, run.ddp, run.timeline
-    config, world_size = run.config, run.world_size
-    epochs = config.epochs
-    rank_loaders, per_rank_compute = run.rank_loaders, run.per_rank_compute
-    staleness_bound = run.method.schedule().staleness
-    cost_model = config.cluster.cost_model_for(world_size)
-    model_wire_bytes = run.model_wire_bytes
-    pull_seconds = cost_model.p2p_time(model_wire_bytes)
 
-    iters_per_epoch = min(len(loader) for loader in rank_loaders)
-    if config.max_iterations_per_epoch is not None:
-        iters_per_epoch = min(iters_per_epoch, config.max_iterations_per_epoch)
-    if iters_per_epoch == 0:
-        for epoch in range(epochs):
-            if run.end_epoch(epoch, []):
-                break
-        return
-    total_per_worker = epochs * iters_per_epoch
+    STATE = (
+        "heap", "channel", "completed", "version_at_pull", "pending", "blocked",
+        "epoch_losses", "snapshots_done", "stop", "codecs",
+    )
 
-    # Per-worker compressors: stage state (low-rank warm starts, stage seeds)
-    # and error-feedback residuals must not be shared across workers pushing
-    # at different versions.  Worker 0 reuses the dispatcher's instance, and
-    # every worker records into its stats: the run's one stats carrier.
-    worker_codecs: List[CodecCompressor] = [compressor]
-    for _ in range(1, world_size):
-        clone = run.method.build_compressor(seed=config.seed)
-        clone.stats = compressor.stats
-        worker_codecs.append(clone)
-    # A push is a one-rank aggregation.  Its wire time is the p2p transfer
-    # booked on the server link below, so the group carries no cost model and
-    # its event log is dropped after every push.
-    push_group = ProcessGroup(1)
+    def __init__(self, run: _Run) -> None:
+        config, world_size = run.config, run.world_size
+        self.run = run
+        iters_per_epoch = min(len(loader) for loader in run.rank_loaders)
+        if config.max_iterations_per_epoch is not None:
+            iters_per_epoch = min(iters_per_epoch, config.max_iterations_per_epoch)
+        self.iters_per_epoch = iters_per_epoch
+        self.open_loaders: Dict[int, Tuple[int, Iterator]] = {}  # rank -> (epoch, iterator)
+        self.heap = EventHeap()
+        for rank in range(world_size):
+            self.heap.push(SimEvent(time=0.0, kind="ps-request", rank=rank))
+        self.channel = LinkChannel()
+        self.completed = [0] * world_size  # applied updates per worker
+        self.version_at_pull = [0] * world_size
+        self.pending: List[Optional[Dict]] = [None] * world_size  # from pull to apply
+        self.blocked: set = set()
+        self.epoch_losses: List[List[float]] = [[] for _ in range(config.epochs)]
+        self.snapshots_done, self.stop = 0, False
+        # Stage state (low-rank warm starts, stage seeds) and error-feedback
+        # residuals must not be shared across workers pushing at different
+        # versions.  Worker 0 reuses the dispatcher's instance, and every
+        # worker records into its stats: the run's one stats carrier.
+        self.codecs: List[CodecCompressor] = [run.compressor]
+        for _ in range(1, world_size):
+            clone = run.method.build_compressor(seed=config.seed)
+            clone.stats = run.compressor.stats
+            self.codecs.append(clone)
 
-    heap = EventHeap()
-    channel = LinkChannel()
-    completed = [0] * world_size  # applied updates per worker
-    version_at_pull = [0] * world_size
-    pending: List[Optional[Dict]] = [None] * world_size
-    blocked: set = set()
-    applies = 0
-    epoch_loss_buckets: List[List[float]] = [[] for _ in range(epochs)]
-    worker_epoch = [-1] * world_size
-    worker_iters: List[Optional[object]] = [None] * world_size
-    snapshots_done = 0
-    stop = False
+    def state(self) -> Dict[str, object]:
+        return {name: getattr(self, name) for name in self.STATE}
 
-    def batch_for(rank: int, update_index: int):
-        epoch = update_index // iters_per_epoch
-        if worker_epoch[rank] != epoch:
-            rank_loaders[rank].set_epoch(epoch)
-            worker_iters[rank] = iter(rank_loaders[rank])
-            worker_epoch[rank] = epoch
-        return next(worker_iters[rank])
+    def load_state(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.open_loaders = {}
 
-    def admissible(rank: int) -> bool:
-        if staleness_bound is None:
-            return True
-        return completed[rank] - min(completed) <= staleness_bound
+    def batch_for(self, rank: int, update_index: int):
+        """Worker ``rank``'s batch for its ``update_index``-th update."""
+        epoch = update_index // self.iters_per_epoch
+        opened = self.open_loaders.get(rank)
+        if opened is None or opened[0] != epoch:
+            loader = self.run.rank_loaders[rank]
+            loader.set_epoch(epoch)
+            opened = self.open_loaders[rank] = (epoch, iter(loader))
+            for _ in range(update_index % self.iters_per_epoch):
+                next(opened[1])
+        return next(opened[1])
 
-    for rank in range(world_size):
-        heap.push(SimEvent(time=0.0, kind="ps-request", rank=rank))
+    def train(
+        self, checkpoint_at: Optional[int], resume_from: Optional[TrainingCheckpoint]
+    ) -> None:
+        """Run the event loop to the last apply (or the target)."""
+        run, iters_per_epoch = self.run, self.iters_per_epoch
+        epochs, world_size = run.config.epochs, run.world_size
+        if iters_per_epoch == 0:
+            for epoch in range(epochs):
+                if run.end_epoch(epoch, []):
+                    break
+            return
+        faults = _FaultState(run)  # inert: a fault plan is rejected under ps
+        if resume_from is not None:
+            _restore(run, self, faults, resume_from)
+        ddp, timeline, stats = run.ddp, run.timeline, run.compressor.stats
+        heap, pending, completed = self.heap, self.pending, self.completed
+        staleness_bound = run.method.schedule().staleness
+        cost_model = run.config.cluster.cost_model_for(world_size)
+        model_wire_bytes = run.model_wire_bytes
+        pull_seconds = cost_model.p2p_time(model_wire_bytes)
+        # A push is a one-rank aggregation.  Its wire time is the p2p transfer
+        # booked on the server link, so the group carries no cost model and
+        # its event log is dropped after every push.
+        push_group = ProcessGroup(1)
 
-    while heap and not stop:
-        event = heap.pop()
-        now = event.time
-        rank = event.rank
-        if event.kind == "ps-request":
-            if admissible(rank):
-                start, end = channel.acquire(now, pull_seconds)
-                pending[rank] = {"pull": (start, end)}
-                heap.push(SimEvent(time=end, kind="ps-pulled", rank=rank))
-            else:
-                blocked.add(rank)
-        elif event.kind == "ps-pulled":
-            # Events are processed in time order, so every apply scheduled
-            # before this pull's completion has already landed — the shared
-            # model holds exactly the parameters this worker pulls.
-            state = pending[rank]
-            version_at_pull[rank] = applies
-            update_index = completed[rank]
-            batch = batch_for(rank, update_index)
-            loss_value, grads = ddp.compute_local_gradients(
-                batch, F.cross_entropy, copy=False
-            )
-            wire_before = compressor.stats.wire_bytes
-            aggregated: Dict[str, np.ndarray] = {}
-            for bucket in ddp.buckets:
-                pushed = worker_codecs[rank].aggregate(
-                    GradBucket(bucket, bucket.flatten(grads)[None]), push_group, iteration=update_index
+        def admissible(rank: int) -> bool:
+            if staleness_bound is None:
+                return True
+            return completed[rank] - min(completed) <= staleness_bound
+
+        while heap and not self.stop:
+            if ddp.iteration == checkpoint_at and run.checkpoint is None:
+                # Its position reads as the open epoch, the slowest worker's
+                # place in it and the epoch's losses so far.
+                epoch = self.snapshots_done
+                run.checkpoint = _capture(
+                    run, self, faults, epoch, min(completed) - epoch * iters_per_epoch,
+                    self.epoch_losses[epoch],
                 )
-                aggregated.update(bucket.unflatten(pushed))
-            push_group.events.clear()
-            # What the driver recorded for this push (wire sizes are multiples
-            # of 1/8 byte, so the running sum and this difference are exact).
-            payload_bytes = compressor.stats.wire_bytes - wire_before
-            compute_seconds = per_rank_compute[rank]
-            state.update(
-                aggregated=aggregated,
-                payload_bytes=payload_bytes,
-                loss=loss_value,
-                compute=compute_seconds,
-                epoch=update_index // iters_per_epoch,
-            )
-            heap.push(SimEvent(time=now + compute_seconds, kind="ps-push", rank=rank))
-        elif event.kind == "ps-push":
-            state = pending[rank]
-            push_seconds = cost_model.p2p_time(state["payload_bytes"])
-            start, end = channel.acquire(now, push_seconds)
-            state["push"] = (start, end)
-            state["push_seconds"] = push_seconds
-            heap.push(SimEvent(time=end, kind="ps-apply", rank=rank))
-        elif event.kind == "ps-apply":
-            state = pending[rank]
-            ddp.apply_aggregated_gradients(state["aggregated"])
-            run.optimizer.step()
-            staleness = applies - version_at_pull[rank]
-            applies += 1
-            completed[rank] += 1
-            timeline.add_iteration(
-                state["compute"],
-                pull_seconds + state["push_seconds"],
-                (model_wire_bytes + state["payload_bytes"]) / world_size,
-                kind="ps",
-                staleness=staleness,
-            )
-            epoch_loss_buckets[state["epoch"]].append(state["loss"])
-            if TRACER.enabled:
-                emit_ps_update(
-                    TRACER,
-                    rank=rank,
-                    pull=state["pull"],
-                    compute_seconds=state["compute"],
-                    push=state["push"],
-                    staleness=staleness,
-                    update_index=completed[rank] - 1,
-                    payload_bytes=state["payload_bytes"],
-                    pull_bytes=model_wire_bytes,
+            event = heap.pop()
+            now = event.time
+            rank = event.rank
+            if event.kind == "ps-request":
+                if admissible(rank):
+                    start, end = self.channel.acquire(now, pull_seconds)
+                    pending[rank] = {"pull": (start, end)}
+                    heap.push(SimEvent(time=end, kind="ps-pulled", rank=rank))
+                else:
+                    self.blocked.add(rank)
+            elif event.kind == "ps-pulled":
+                # Events are processed in time order, so every apply scheduled
+                # before this pull's completion has already landed — the shared
+                # model holds exactly the parameters this worker pulls.
+                state = pending[rank]
+                self.version_at_pull[rank] = ddp.iteration
+                update_index = completed[rank]
+                # World 1: the pass reads only this worker's entry.
+                losses, grads = ddp.compute_batched_gradients(
+                    [self.batch_for(rank, update_index)] * world_size, F.cross_entropy, [rank]
                 )
-                TRACER.sim_now = now
-            ddp.iteration += 1
-            while (
-                snapshots_done < epochs
-                and min(completed) >= (snapshots_done + 1) * iters_per_epoch
-            ):
-                timeline.add_event("clock", now)
-                # On a stop the in-flight work is discarded.
-                stop = run.end_epoch(snapshots_done, epoch_loss_buckets[snapshots_done]) or stop
-                snapshots_done += 1
-            if not stop and completed[rank] < total_per_worker:
-                heap.push(SimEvent(time=now, kind="ps-request", rank=rank))
-            # This apply raised min-progress (or freed the channel): re-admit
-            # blocked workers in rank order for determinism.
-            for other in sorted(blocked):
-                if admissible(other):
-                    blocked.discard(other)
-                    heap.push(SimEvent(time=now, kind="ps-request", rank=other))
-        else:  # pragma: no cover - no other kinds are scheduled
-            raise RuntimeError(f"unexpected event kind {event.kind!r}")
+                wire_before = stats.wire_bytes
+                aggregated: Dict[str, np.ndarray] = {}
+                for bucket in ddp.buckets:
+                    pushed = self.codecs[rank].aggregate(
+                        GradBucket(bucket, bucket.flatten(grads)[None]), push_group,
+                        iteration=update_index,
+                    )
+                    aggregated.update(bucket.unflatten(pushed))
+                push_group.events.clear()
+                # What the driver recorded for this push (wire sizes are multiples
+                # of 1/8 byte, so the running sum and this difference are exact).
+                payload_bytes = stats.wire_bytes - wire_before
+                compute_seconds = run.per_rank_compute[rank]
+                state.update(
+                    aggregated=aggregated, payload_bytes=payload_bytes, loss=losses[0],
+                    compute=compute_seconds, epoch=update_index // iters_per_epoch,
+                )
+                heap.push(SimEvent(time=now + compute_seconds, kind="ps-push", rank=rank))
+            elif event.kind == "ps-push":
+                state = pending[rank]
+                push_seconds = cost_model.p2p_time(state["payload_bytes"])
+                start, end = self.channel.acquire(now, push_seconds)
+                state["push"] = (start, end)
+                state["push_seconds"] = push_seconds
+                heap.push(SimEvent(time=end, kind="ps-apply", rank=rank))
+            elif event.kind == "ps-apply":
+                state, pending[rank] = pending[rank], None
+                ddp.apply_aggregated_gradients(state["aggregated"])
+                run.optimizer.step()
+                staleness = ddp.iteration - self.version_at_pull[rank]
+                completed[rank] += 1
+                timeline.add_iteration(
+                    state["compute"], pull_seconds + state["push_seconds"],
+                    (model_wire_bytes + state["payload_bytes"]) / world_size,
+                    kind="ps", staleness=staleness,
+                )
+                self.epoch_losses[state["epoch"]].append(state["loss"])
+                if TRACER.enabled:
+                    emit_ps_update(
+                        TRACER, rank=rank, pull=state["pull"], compute_seconds=state["compute"],
+                        push=state["push"], staleness=staleness, update_index=completed[rank] - 1,
+                        payload_bytes=state["payload_bytes"], pull_bytes=model_wire_bytes,
+                    )
+                    TRACER.sim_now = now
+                ddp.iteration += 1
+                while (
+                    self.snapshots_done < epochs
+                    and min(completed) >= (self.snapshots_done + 1) * iters_per_epoch
+                ):
+                    timeline.add_event("clock", now)
+                    # On a stop the in-flight work is discarded.
+                    closed = self.snapshots_done
+                    self.stop = run.end_epoch(closed, self.epoch_losses[closed]) or self.stop
+                    self.snapshots_done += 1
+                if not self.stop and completed[rank] < epochs * iters_per_epoch:
+                    heap.push(SimEvent(time=now, kind="ps-request", rank=rank))
+                # This apply raised min-progress (or freed the channel): re-admit
+                # blocked workers in rank order for determinism.
+                for other in sorted(self.blocked):
+                    if admissible(other):
+                        self.blocked.discard(other)
+                        heap.push(SimEvent(time=now, kind="ps-request", rank=other))
+            else:  # pragma: no cover - no other kinds are scheduled
+                raise RuntimeError(f"unexpected event kind {event.kind!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -931,13 +958,6 @@ def run_experiment(
     :class:`_WorkloadShare`, so cells that agree on every argument of
     :func:`_pretrained_workload` prepare once (see :func:`_prepare_workload`).
     """
-    # Reject an unsupported regime x fault-plan cell before any work is done
-    # (the method's own regime x pruning check and compressor-name check ran
-    # at spec construction), and with one throwaway build what only the
-    # registry rejects (``error_feedback`` on PacTrain, ``quantize`` against
-    # ``pactrain-fp32``, a registered factory that builds no CodecCompressor).
-    config.cluster.fault_plan().validate_for_regime(method.schedule().regime)
-    method.build_compressor(config.seed)
     with TRACER.span(
         "experiment", cat="experiment",
         model=config.model, method=method.name, world=config.cluster.world_size,

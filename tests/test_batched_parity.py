@@ -39,7 +39,7 @@ def looped_train_step(self, per_rank_batches, loss_fn, gse_mask=None):
     """The oracle: ``train_step`` as a per-rank loop over the active ranks."""
     per_rank_losses = []
     for rank in self.active_ranks:
-        loss_value, grads = self.compute_local_gradients(per_rank_batches[rank], loss_fn, copy=False)
+        loss_value, grads = self.compute_local_gradients(per_rank_batches[rank], loss_fn)
         if gse_mask is not None:
             apply_gse(self.model, gse_mask, grads=grads)
         self.stage_rank_gradients(rank, grads)
@@ -55,13 +55,22 @@ def force_loop(monkeypatch) -> None:
 
 
 def count_passes(monkeypatch) -> dict:
-    """Count world-batched and per-rank gradient passes from here on."""
+    """Count world-batched and per-rank gradient passes from here on.
+
+    A per-rank pass is world 1 of the batched one, so the batched call it
+    makes is that pass and not another: only the outermost call counts.
+    """
     calls = {"batched": 0, "looped": 0}
+    depth = [0]
 
     def counting(key, original):
         def counted(self, *args, **kwargs):
-            calls[key] += 1
-            return original(self, *args, **kwargs)
+            calls[key] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return original(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
 
         return counted
 

@@ -1,7 +1,8 @@
-"""Checkpoint/restore round trips of the stepped loop, on every barrier regime.
+"""Checkpoint/restore round trips of the training loops, on every regime.
 
 ``train_distributed(config, method, checkpoint_at=i)`` captures the loop's
-state as ``run.checkpoint`` just before global iteration ``i``, and
+state as ``run.checkpoint`` just before global iteration ``i`` (under the
+parameter server: apply ``i``), and
 ``train_distributed(config, method, resume_from=checkpoint)`` installs it in a
 run rebuilt from the same two specs.  These tests pin the contract end to end:
 
@@ -10,13 +11,16 @@ run rebuilt from the same two specs.  These tests pin the contract end to end:
 * a resumed run has the uninterrupted run's log, result and model state
   (parameters *and* buffers) bit for bit — under sync, dense and delta local
   SGD, healthy and under a crash/rejoin plan, with captures inside a local-SGD
-  window;
-* one checkpoint seeds several resumes (capture and restore deep-copy);
+  window, and under the async parameter server (``ps``, ``ps:2``) on mlp and
+  resnet18, with captures inside the first epoch and with pushes in flight;
+* one checkpoint seeds several resumes (capture and restore deep-copy), and
+  the parameter server's worker codecs still share the run's compressor and
+  its stats after one;
 * a target reached before the capture is still reported by the resumed run;
 * a checkpoint taken mid-fault — while the membership is degraded — restores
   the degraded process group through the elastic seam;
-* the async parameter server, and a resume under specs other than the
-  checkpoint's, are rejected before anything is prepared.
+* a resume under specs other than the checkpoint's, and a cell the regime or
+  the compressor registry rejects, fail before anything is prepared.
 """
 
 from __future__ import annotations
@@ -191,6 +195,59 @@ def test_every_barrier_regime_resumes_bit_identically(schedule, faults, checkpoi
 
 
 # --------------------------------------------------------------------------- #
+# The parameter server: the position is the apply count
+# --------------------------------------------------------------------------- #
+PS_CONFIGS = {"mlp": golden.GOLDEN_CONFIG, "resnet18": golden.GOLDEN_CONV_CONFIG}
+#: (model, checkpoint_at) -> (the epoch the capture lands in, pushes in flight).
+#: mlp: 4 workers, 2 updates per epoch each, 24 applies; resnet18: 2 workers,
+#: 2 updates per epoch each, 8 applies — its other worker is mid-pull.
+PS_CAPTURES = {
+    ("mlp", 2): (0, 2),
+    ("mlp", 13): (1, 3),
+    ("resnet18", 2): (0, 1),
+    ("resnet18", 5): (1, 1),
+}
+
+
+def _train_with_server(config, method, **kwargs):
+    """``train_distributed`` plus the :class:`_ParameterServer` it ran."""
+    servers = []
+
+    class Recording(experiment._ParameterServer):
+        def __init__(self, run):
+            super().__init__(run)
+            servers.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "_ParameterServer", Recording)
+        run = train_distributed(config, method, **kwargs)
+    return run, servers[0]
+
+
+@pytest.mark.parametrize("model, checkpoint_at", sorted(PS_CAPTURES))
+@pytest.mark.parametrize("schedule", ["ps", "ps:2"])
+def test_the_parameter_server_resumes_bit_identically(schedule, model, checkpoint_at):
+    config = PS_CONFIGS[model]
+    method = dataclasses.replace(METHOD, sync_schedule=schedule)
+    baseline = train_distributed(config, method)
+    capturing = train_distributed(config, method, checkpoint_at=checkpoint_at)
+    _assert_same_run(capturing, baseline)
+    ck = capturing.checkpoint
+    assert ck.global_iteration == checkpoint_at
+    epoch, in_flight = PS_CAPTURES[model, checkpoint_at]
+    assert ck.epoch == epoch
+    pushes = [state for state in ck.step_state["pending"] if state and "aggregated" in state]
+    assert len(pushes) == in_flight
+    resumed, server = _train_with_server(config, method, resume_from=ck)
+    _assert_same_run(resumed, baseline)
+    # The deep copy keeps what the workers share: worker 0 pushes through the
+    # run's compressor, and every worker records into its stats.
+    assert server.codecs[0] is resumed.compressor
+    assert all(codec.stats is resumed.compressor.stats for codec in server.codecs)
+    _assert_same_run(train_distributed(config, method, resume_from=ck), resumed)
+
+
+# --------------------------------------------------------------------------- #
 # Rejected before anything is prepared
 # --------------------------------------------------------------------------- #
 def _record_preparations(monkeypatch):
@@ -200,11 +257,26 @@ def _record_preparations(monkeypatch):
     return calls
 
 
-def test_checkpoint_rejects_the_parameter_server(monkeypatch):
+@pytest.mark.parametrize(
+    "config, method, message",
+    [
+        (
+            _faulted(golden.GOLDEN_CONFIG),
+            dataclasses.replace(METHOD, sync_schedule="ps:2"),
+            "fault plans are not supported",
+        ),
+        (
+            golden.GOLDEN_CONFIG,
+            MethodSpec(name="pactrain-ef", compressor="pactrain", error_feedback=True),
+            "error feedback is not supported for PacTrain",
+        ),
+    ],
+    ids=["ps-under-a-fault-plan", "registry"],
+)
+def test_train_distributed_rejects_a_cell_before_preparing_it(config, method, message, monkeypatch):
     prepared = _record_preparations(monkeypatch)
-    method = dataclasses.replace(METHOD, sync_schedule="ps:2")
-    with pytest.raises(ValueError, match="parameter server"):
-        train_distributed(golden.GOLDEN_CONFIG, method, checkpoint_at=2)
+    with pytest.raises(ValueError, match=message):
+        train_distributed(config, method)
     assert prepared == []
 
 

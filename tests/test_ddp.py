@@ -162,11 +162,6 @@ class TestDistributedDataParallel:
         with pytest.raises(ValueError):
             DistributedDataParallel(tiny_model, world_size=4, process_group=ProcessGroup(2))
 
-    def test_gradient_nbytes(self, tiny_model):
-        ddp = DistributedDataParallel(tiny_model, world_size=2)
-        assert ddp.gradient_numel() == tiny_model.num_parameters()
-        assert ddp.gradient_nbytes() == tiny_model.num_parameters() * 4
-
     def test_train_step_hands_the_counter_to_the_hook_and_leaves_it(self, tiny_model, sample_batch):
         """The experiment loop advances ``iteration`` (once per step); the step only reads it."""
         seen = []

@@ -105,10 +105,11 @@ class LoopedLocalSGDStep(_LocalSGDStep):
         per_rank_losses = []
         for rank in active:
             replicas.load(rank)
-            loss_value, grads = ddp.compute_local_gradients(batches[rank], F.cross_entropy, copy=False)
+            loss_value, grads = ddp.compute_local_gradients(batches[rank], F.cross_entropy)
             if self.use_gse:
                 apply_gse(model, mask, grads=grads)
-                ddp.apply_aggregated_gradients(grads)
+            # The pass hands back its own arrays: the replica's optimiser reads param.grad.
+            ddp.apply_aggregated_gradients(grads)
             replicas.step(rank)
             if mask is not None:
                 mask.apply_to_weights(model)

@@ -33,6 +33,7 @@ from repro.campaign.spec import METHOD_FIELD_AXES, CampaignSpec, build_cell
 from repro.comm import ProcessGroup
 from repro.compression import build_compressor, exact_average
 from repro.compression.registry import COMPRESSOR_REGISTRY
+from repro.ddp import DistributedDataParallel
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.experiment import MethodSpec, run_experiment
@@ -313,6 +314,21 @@ class TestAsyncParameterServer:
             assert getattr(first, field) == getattr(second, field), field
         assert first.loss_trace == second.loss_trace
         assert first.staleness_mean == second.staleness_mean
+
+    def test_each_push_is_world_1_of_the_batched_pass(self, monkeypatch):
+        ranks_per_call = []
+        original = DistributedDataParallel.compute_batched_gradients
+
+        def counted(self, per_rank_batches, loss_fn, ranks=None, stacks=None):
+            ranks_per_call.append(list(ranks))
+            return original(self, per_rank_batches, loss_fn, ranks, stacks)
+
+        monkeypatch.setattr(DistributedDataParallel, "compute_batched_gradients", counted)
+        result = run_experiment(golden.GOLDEN_CONFIG, _ps_method(2))
+        world = golden.GOLDEN_CONFIG.cluster.world_size
+        assert len(ranks_per_call) == result.ps_updates > 0
+        assert all(len(ranks) == 1 for ranks in ranks_per_call)
+        assert sorted({ranks[0] for ranks in ranks_per_call}) == list(range(world))
 
     def test_ps_rejects_fault_plans(self):
         config = dataclasses.replace(

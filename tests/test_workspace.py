@@ -215,8 +215,8 @@ class TestTrainingStep:
             def step():
                 if not looped:
                     return ddp.train_step(batches, F.cross_entropy)
-                for batch in batches:  # the per-rank passes of the async PS
-                    ddp.compute_local_gradients(batch, F.cross_entropy, copy=False)
+                for batch in batches:  # one world-1 pass per rank
+                    ddp.compute_local_gradients(batch, F.cross_entropy)
 
             step()
             warm = B._workspace_misses
@@ -279,7 +279,7 @@ class TestTrainingStep:
                     ddp.stage_world_gradients(grads)
                 else:
                     for rank, batch in enumerate(batches):
-                        _, grads = ddp.compute_local_gradients(batch, F.cross_entropy, copy=False)
+                        _, grads = ddp.compute_local_gradients(batch, F.cross_entropy)
                         apply_gse(ddp.model, mask, grads=grads)
                         ddp.stage_rank_gradients(rank, grads)
             staged[path] = [ddp.arena.matrix(b.index).copy() for b in ddp.buckets]
