@@ -11,14 +11,10 @@ where the collective layer charges each operation from the encoded
 asserted by the compressors.  Because no training is involved this also serves
 as a fast micro-benchmark of the compressor implementations themselves.
 
-Beyond the paper's named methods, two *composed* codec pipelines
-(``topk0.01+terngrad``, ``randomk0.1+fp16``) demonstrate that arbitrary stage
-compositions flow through the same driver and accounting, and the
-signSGD / PowerSGD / error-feedback families added on top of the codec driver
-report their measured wire formats alongside: one bit per coordinate plus a
-scale for ``signsgd``, ``(m+n)*rank`` fp32 factors for ``powersgd-rank4``, and
-byte-for-byte parity between ``ef+topk0.01`` and plain top-k (the residual
-state never touches the network).
+Beyond the paper's named methods, a *composed* codec pipeline
+(``topk0.01+terngrad``) demonstrates that stage compositions flow through the
+same driver and accounting, and ``ef+topk0.01`` shows byte-for-byte parity
+with plain top-k (the error-feedback residual never touches the network).
 """
 
 from __future__ import annotations
@@ -45,11 +41,7 @@ METHODS = (
     "pactrain",
     "pactrain-terngrad",
     "topk0.01+terngrad",
-    "randomk0.1+fp16",
-    "signsgd",
-    "powersgd-rank4",
     "ef+topk0.01",
-    "ef+signsgd",
 )
 
 #: Bytes per worker for one steady-state synchronisation, per method, pinned
@@ -64,11 +56,7 @@ EXPECTED_BYTES = {
     "pactrain": 702436.0,
     "pactrain-terngrad": 43909.25,
     "topk0.01+terngrad": 59507.0,
-    "randomk0.1+fp16": 70000.0,
-    "signsgd": 43757.0,
-    "powersgd-rank4": 25060.0,
     "ef+topk0.01": 112000.0,
-    "ef+signsgd": 43757.0,
 }
 
 
@@ -153,16 +141,8 @@ def bench_comm_volume_per_method(benchmark):
     # TopK-0.1's all-gather exchange costs more time at 100 Mbps than PacTrain's
     # compact all-reduce — the congestion effect called out in §IV.C.1.
     assert report["pactrain"]["time_100Mbps"] < report["topk-0.1"]["time_100Mbps"]
-    # Composed pipelines: ternarising the top-k values shrinks the per-element
-    # value cost from 4 to 0.25 bytes (indices still travel), and fp16-casting
-    # the random-k values halves their wire size.
+    # Composed pipeline: ternarising the top-k values shrinks the per-element
+    # value cost from 4 to 0.25 bytes (indices still travel).
     assert report["topk0.01+terngrad"]["bytes"] < report["topk-0.01"]["bytes"]
-    assert report["randomk0.1+fp16"]["bytes"] < report["fp16"]["bytes"]
-    # signSGD moves one bit per coordinate (plus one fp32 scale per sync):
-    # ~32x below the fp32 baseline, measured off the packed payload.
-    assert report["signsgd"]["bytes"] < report["allreduce"]["bytes"] / 25
-    # PowerSGD rank 4 moves (m+n)*rank fp32 factors per sync.
-    assert report["powersgd-rank4"]["bytes"] < report["allreduce"]["bytes"] / 25
     # Error feedback changes convergence, never wire bytes.
     assert report["ef+topk0.01"]["bytes"] == report["topk-0.01"]["bytes"]
-    assert report["ef+signsgd"]["bytes"] == report["signsgd"]["bytes"]

@@ -6,7 +6,7 @@ built on:
 * implement a custom :class:`repro.compression.Codec` stage (here: a toy
   "sign-SGD with shared scale" codec) — ``prepare`` agrees on the scale
   across ranks, ``encode`` emits a 1-bit-per-element wire payload, ``decode``
-  rescales back to gradient units;
+  multiplies by the shared scale to return to gradient units;
 * bind it to the shared encode/reduce/decode driver with
   :class:`repro.compression.CodecCompressor` and register it under a name so
   experiment configurations can refer to it (``register_compressor`` is the
@@ -22,12 +22,6 @@ built on:
 
 Note there is no byte bookkeeping anywhere in the custom code: the collective
 layer reads the wire size straight off the payload (``payload.nbytes``).
-
-A production version of this idea ships built in as
-:class:`repro.compression.codec.Sign` (spec ``"signsgd"``, or ``"ef+signsgd"``
-with driver-level error feedback): bit-packed :class:`SignPayload` wire format
-and a majority-vote reduce.  This example keeps its own toy stage because its
-point is the extension API, not the codec.
 
 Run with:  python examples/custom_compressor.py
 """

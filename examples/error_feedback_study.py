@@ -1,12 +1,11 @@
-"""Error-feedback study: does EF rescue aggressive compressors?
+"""Error-feedback study: does EF rescue top-k 1 % selection?
 
-One campaign sweeps the ``error_feedback`` method-field axis over three
-aggressive compressor families — top-k 1 % selection, signSGD with majority
-vote and PowerSGD rank-4 low-rank — at two bottleneck bandwidths.  For every
-(compressor, bandwidth) pair the table compares the no-EF and EF variants'
-final accuracy and wire volume: EF retransmits the dropped gradient mass once
-its accumulated error grows, so it changes *convergence*, never bytes on the
-wire (the residual rides inside each rank, not on the network).
+One campaign sweeps the ``error_feedback`` method-field axis over the paper's
+top-k 1 % baseline at two bottleneck bandwidths.  For every bandwidth the
+table compares the no-EF and EF variants' final accuracy and wire volume: EF
+retransmits the dropped gradient mass once its accumulated error grows, so it
+changes *convergence*, never bytes on the wire (the residual rides inside
+each rank, not on the network).
 
     python examples/error_feedback_study.py [--quick] [--store ef.jsonl] [--jobs 4]
 
@@ -22,12 +21,12 @@ from typing import Optional
 
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
 
-#: The aggressive compressor families under study.  The ``error_feedback``
-#: axis is tri-state on MethodSpec; sweeping [false, true] forces every form
-#: of compensation off/on uniformly — the ``false`` arm strips even the
-#: stage-internal residuals top-k carries in its paper form, so all three
-#: no-EF arms are genuinely uncompensated.
-COMPRESSORS = ("topk0.01", "signsgd", "powersgd-rank4")
+#: The compressor under study.  The ``error_feedback`` axis is tri-state on
+#: MethodSpec; sweeping [false, true] forces every form of compensation
+#: off/on uniformly — the ``false`` arm strips even the stage-internal
+#: residuals top-k carries in its paper form, so the no-EF arm is genuinely
+#: uncompensated.
+COMPRESSOR = "topk0.01"
 BANDWIDTHS = ("100Mbps", "1Gbps")
 
 
@@ -53,7 +52,7 @@ def study_campaign(quick: bool = False) -> CampaignSpec:
         base=base,
         axes={
             "bandwidth": list(BANDWIDTHS if not quick else BANDWIDTHS[:1]),
-            "method": list(COMPRESSORS),
+            "method": [COMPRESSOR],
             "error_feedback": [False, True],
         },
     )
@@ -71,29 +70,27 @@ def run_study(quick: bool = False, store_path: Optional[str] = None, jobs: int =
     print(report.summary() + "\n")
 
     by_cell = {
-        (outcome.cell.method.compressor, outcome.result.bandwidth_mbps,
-         outcome.cell.method.error_feedback): outcome.result
+        (outcome.result.bandwidth_mbps, outcome.cell.method.error_feedback): outcome.result
         for outcome in report.outcomes
         if outcome.result is not None
     }
-    bandwidths = sorted({key[1] for key in by_cell})
+    bandwidths = sorted({key[0] for key in by_cell})
     print(f"{'compressor':<16} {'Mbps':>6} {'no-EF acc':>10} {'EF acc':>8} "
           f"{'MB/worker':>10} {'EF gain':>8}")
-    for compressor in COMPRESSORS:
-        for mbps in bandwidths:
-            raw = by_cell.get((compressor, mbps, False))
-            ef = by_cell.get((compressor, mbps, True))
-            if raw is None or ef is None:
-                continue
-            gain = ef.final_accuracy - raw.final_accuracy
-            print(
-                f"{compressor:<16} {mbps:>6g} {raw.final_accuracy:>10.3f} "
-                f"{ef.final_accuracy:>8.3f} "
-                f"{ef.comm_bytes_per_worker / 1e6:>10.2f} {gain:>+8.3f}"
-            )
+    for mbps in bandwidths:
+        raw = by_cell.get((mbps, False))
+        ef = by_cell.get((mbps, True))
+        if raw is None or ef is None:
+            continue
+        gain = ef.final_accuracy - raw.final_accuracy
+        print(
+            f"{COMPRESSOR:<16} {mbps:>6g} {raw.final_accuracy:>10.3f} "
+            f"{ef.final_accuracy:>8.3f} "
+            f"{ef.comm_bytes_per_worker / 1e6:>10.2f} {gain:>+8.3f}"
+        )
     print(
-        "\nEF changes convergence, not bytes: each (compressor, bandwidth) pair "
-        "reports one wire volume because the residual never touches the network."
+        "\nEF changes convergence, not bytes: each bandwidth reports one wire "
+        "volume because the residual never touches the network."
     )
 
 

@@ -22,7 +22,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import __version__
 from repro.simulation.spec import ExperimentConfig, ExperimentResult, MethodSpec
@@ -465,12 +465,3 @@ class ResultStore:
                 continue
             relative[group] = {name: metric / base for name, metric in means.items()}
         return relative
-
-
-def iter_jsonl(path: str) -> Iterable[Dict]:
-    """Yield raw record dicts from a store file (debugging / external tooling)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

@@ -100,13 +100,6 @@ class ClusterTopology:
         nodes = self.path(src, dst)
         return [self._links[a][b] for a, b in zip(nodes[:-1], nodes[1:])]
 
-    def bottleneck_link(self, src: str, dst: str) -> LinkSpec:
-        """The slowest link on the path between ``src`` and ``dst``."""
-        links = self.path_links(src, dst)
-        if not links:
-            return LinkSpec(bandwidth=float("inf"), latency=0.0)
-        return min(links, key=lambda link: link.bandwidth)
-
     def path_spec(self, src: str, dst: str) -> LinkSpec:
         """Collapse the ``src``→``dst`` path into one effective link.
 
@@ -121,10 +114,6 @@ class ClusterTopology:
             bandwidth=min(link.bandwidth for link in links),
             latency=sum(link.latency for link in links),
         )
-
-    def path_cost(self, src: str, dst: str, num_bytes: float) -> float:
-        """Per-hop-aware transfer time for ``num_bytes`` from ``src`` to ``dst``."""
-        return self.path_spec(src, dst).transfer_time(num_bytes)
 
     def global_bottleneck(self) -> LinkSpec:
         """The minimax bottleneck over all server-to-server paths.
@@ -200,16 +189,6 @@ class ClusterTopology:
     def cost_model(self) -> "HierarchicalCostModel":
         """Topology-aware collective cost model (see :class:`HierarchicalCostModel`)."""
         return HierarchicalCostModel(self)
-
-    def hierarchical_all_reduce_time(self, num_bytes: float) -> float:
-        """All-reduce cost under the hierarchical (per-switch-group) model.
-
-        For a single switch group this equals the flat
-        :meth:`to_network_model` ring time exactly; for multi-switch
-        topologies it charges the intra-LAN reduce/broadcast and the WAN
-        exchange separately.
-        """
-        return self.cost_model().ring_all_reduce_time(num_bytes)
 
     def to_network_model(self) -> NetworkModel:
         """Collapse the topology into a flat :class:`NetworkModel` for collectives."""
@@ -292,10 +271,6 @@ class HierarchicalCostModel(CostModel):
             self._inter = None
 
     # ------------------------------------------------------------------ #
-    @property
-    def num_groups(self) -> int:
-        return len(self.groups)
-
     @property
     def is_flat(self) -> bool:
         """True when hierarchy adds nothing (one switch group or one server)."""

@@ -11,8 +11,8 @@ wire through the same call.
 Every compressor is a :class:`~repro.compression.base.CodecCompressor` — a
 codec :class:`~repro.compression.codec.Pipeline` bound to the shared
 encode → reduce/gather → decode driver — *named by a spec string*: ``"fp32"``,
-``"fp16"``, ``"ef+topk0.01"``, ``"randomk0.1"``, ``"terngrad"``, ``"dgc0.01"``,
-``"topk0.01+terngrad"``, ``"ef+signsgd"``, ``"powersgd-rank4"``.  The paper's
+``"fp16"``, ``"ef+topk0.01"``, ``"terngrad"``, ``"dgc0.01"``,
+``"topk0.01+terngrad"``.  The paper's
 figure names (``"all-reduce"``, ``"topk-0.01"``, ``"dgc"``, ...) are a table
 of such strings in :mod:`repro.compression.registry`; there is no class per
 method.  What a spec cannot spell is a constructor argument of the stage:
@@ -37,9 +37,7 @@ from repro.compression.codec import (
     DensePayload,
     EncodeContext,
     HalfPayload,
-    LowRankPayload,
     Pipeline,
-    SignPayload,
     SparsePayload,
     TernaryPayload,
     WirePayload,
@@ -59,8 +57,6 @@ __all__ = [
     "SparsePayload",
     "TernaryPayload",
     "BitmaskPayload",
-    "SignPayload",
-    "LowRankPayload",
     "as_payload",
     "Codec",
     "EncodeContext",

@@ -161,30 +161,20 @@ class CodecCompressor:
         """Make the pipeline safe to run under the driver residual.
 
         Stage-internal error feedback (TopK's residuals) is disabled so the
-        unsent gradient mass is not accumulated twice, and unbiased rescaling
-        (random-k's ``numel/k`` decode factor) is switched off — against a
-        rescaled decode, ``input - decode`` is an *expansion* of the error,
-        not a contraction, and EF training would diverge.  With EF the raw
-        selection is the correct transmit; the residual resends what was
-        dropped.
+        unsent gradient mass is not accumulated twice.
         """
         self._check_driver_ef_composable()
         for stage in self.pipeline.stages:
             if getattr(stage, "error_feedback", False):
                 stage.error_feedback = False
                 stage.reset()
-            if getattr(stage, "rescale", False):
-                stage.rescale = False
-                # Remembered so disable_error_feedback can restore the
-                # unbiased estimator when EF is later switched off again.
-                stage._rescale_disabled_by_driver = True
 
     def enable_error_feedback(self) -> None:
         """Switch on driver-level error feedback after construction.
 
         Used when a :class:`~repro.simulation.spec.MethodSpec` requests
         ``error_feedback=True`` for a registry-built compressor.  Stage-internal
-        compensation and unbiased rescaling are disabled at the same time (see
+        compensation is disabled at the same time (see
         :meth:`_adopt_driver_error_feedback`).
         """
         self._adopt_driver_error_feedback()
@@ -198,10 +188,7 @@ class CodecCompressor:
         The explicit no-EF arm of an error-feedback study
         (``MethodSpec(error_feedback=False)``): even compressors that carry
         compensation by default in their paper form (top-k) run genuinely
-        uncompensated.  Unbiased rescaling is an estimator correction, not
-        compensation: it is left on, and restored if the driver had disabled
-        it (an ``"ef+..."``-built compressor later forced off must not stay
-        both uncompensated *and* biased low by ``k/n``).
+        uncompensated.
         """
         self._check_driver_ef_composable()
         self.error_feedback = False
@@ -210,9 +197,6 @@ class CodecCompressor:
             if getattr(stage, "error_feedback", False):
                 stage.error_feedback = False
                 stage.reset()
-            if getattr(stage, "_rescale_disabled_by_driver", False):
-                stage.rescale = True
-                stage._rescale_disabled_by_driver = False
         if self.name.startswith("ef+"):
             self.name = self.name[len("ef+"):]
 
@@ -249,7 +233,6 @@ class CodecCompressor:
         ctx = EncodeContext(
             world_size=bucket.world_size,
             bucket_index=bucket.index,
-            iteration=iteration,
             group=group,
             matrix=matrix,
         )

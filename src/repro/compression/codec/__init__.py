@@ -7,7 +7,7 @@ Gradient compression is factored into three orthogonal pieces:
   :class:`SparsePayload`, :class:`TernaryPayload`, :class:`BitmaskPayload`),
   each knowing its own wire size and whether it can be reduced element-wise;
 * **stages** (:mod:`repro.compression.codec.stages`) — composable
-  encode/decode operators (:class:`TopK`, :class:`RandomK`,
+  encode/decode operators (:class:`TopK`, :class:`DGCSelect`,
   :class:`Ternarize`, :class:`Half`, :class:`MaskCompact`, ...);
 * **pipelines** (:mod:`repro.compression.codec.pipeline`) — ordered stage
   composition plus the ``"topk0.01+terngrad"`` spec-string syntax used by
@@ -27,8 +27,6 @@ from repro.compression.codec.payloads import (
     FP32_BYTES,
     HalfPayload,
     INDEX_BYTES,
-    LowRankPayload,
-    SignPayload,
     SparsePayload,
     TERNARY_BYTES,
     TernaryPayload,
@@ -43,14 +41,10 @@ from repro.compression.codec.stages import (
     EncodeContext,
     Half,
     Identity,
-    LowRank,
     MaskCompact,
-    RandomK,
-    Sign,
     Ternarize,
     TopK,
     batched_top_k_indices,
-    orthonormalize,
     ternarize,
     top_k_indices,
 )
@@ -70,8 +64,6 @@ __all__ = [
     "SparsePayload",
     "TernaryPayload",
     "BitmaskPayload",
-    "SignPayload",
-    "LowRankPayload",
     "as_payload",
     "pack_ternary",
     "unpack_ternary",
@@ -85,16 +77,12 @@ __all__ = [
     "Identity",
     "Half",
     "TopK",
-    "RandomK",
     "MaskCompact",
     "Ternarize",
     "DGCSelect",
-    "Sign",
-    "LowRank",
     "top_k_indices",
     "batched_top_k_indices",
     "ternarize",
-    "orthonormalize",
     "Pipeline",
     "as_pipeline",
     "parse_codec_spec",

@@ -168,8 +168,8 @@ class SparsePayload(WirePayload):
         Wire bytes per transmitted value (4 for fp32, 2 after an fp16 stage,
         0.25 after a ternary stage).
     indices_on_wire:
-        ``False`` when every rank derives the selection locally (shared seed,
-        shared mask) so only values travel; ``True`` when indices must be sent
+        ``False`` when every rank derives the selection locally (a shared
+        mask) so only values travel; ``True`` when indices must be sent
         alongside values (per-rank top-k).
     shared_selection:
         ``True`` when all ranks are guaranteed to hold the *same* selection,
@@ -343,135 +343,6 @@ class BitmaskPayload(WirePayload):
 
     def with_reduced(self, values: np.ndarray) -> WirePayload:  # pragma: no cover
         raise TypeError("bitmask payloads are broadcast, never reduced")
-
-
-@dataclass(frozen=True)
-class SignPayload(WirePayload):
-    """signSGD wire format: one bit per coordinate plus one fp32 scale.
-
-    ``packed`` holds the sign bits (bit set = non-negative) and ``scale`` the
-    rank's mean absolute gradient, so the wire cost is exactly
-    ``ceil(size / 8) + FP32_BYTES`` — the 32x compression signSGD promises.
-
-    Aggregation is **majority vote** (Bernstein et al., 2018): payloads are
-    element-wise summable (the sign codes are +-1), and the reduced payload
-    decodes to ``mean(scale) * sign(sum of codes)`` with ties decoding to 0.
-    The scale rides along as one extra reduced element, which is how the mean
-    scale reaches :meth:`with_reduced` without a second collective.
-    """
-
-    packed: np.ndarray
-    scale: float
-    size: int
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "SignPayload":
-        values = np.asarray(values)
-        scale = float(np.mean(np.abs(values))) if values.size else 0.0
-        return cls(
-            packed=np.packbits(values >= 0.0),
-            scale=scale,
-            size=int(values.size),
-        )
-
-    @property
-    def nbytes(self) -> float:
-        return float(self.packed.size) + FP32_BYTES
-
-    @property
-    def num_elements(self) -> int:
-        return self.size
-
-    @property
-    def transmitted_elements(self) -> int:
-        return self.size
-
-    def codes(self) -> np.ndarray:
-        """Sign codes in ``{-1.0, +1.0}`` (compute dtype)."""
-        bits = np.unpackbits(self.packed, count=self.size)
-        return (2.0 * bits - 1.0).astype(get_default_dtype())
-
-    def reducible_with(self, other: WirePayload) -> bool:
-        return isinstance(other, SignPayload) and other.size == self.size
-
-    def reduce_values(self) -> np.ndarray:
-        # Codes followed by the scale: one summable vector, so the mean scale
-        # arrives at with_reduced alongside the mean codes.
-        return np.concatenate([self.codes(), np.asarray([self.scale], dtype=get_default_dtype())])
-
-    def with_reduced(self, values: np.ndarray) -> DensePayload:
-        codes, scale = values[: self.size], float(values[self.size])
-        # Majority vote: sign of the summed codes (the mean has the same
-        # sign); exact ties decode to zero.
-        return DensePayload(scale * np.sign(codes))
-
-    def densify(self) -> np.ndarray:
-        """This rank's decoded gradient: ``scale * sign``."""
-        return self.scale * self.codes()
-
-
-@dataclass(frozen=True)
-class LowRankPayload(WirePayload):
-    """PowerSGD wire format: a shared left factor and a per-rank right factor.
-
-    ``p`` is the orthonormalised ``(m, rank)`` left factor — shared by every
-    rank because it is produced from the *aggregated* first power-iteration
-    step — and ``q`` the rank's own ``(n, rank)`` right factor.  Decoding
-    reconstructs ``p @ q.T`` and trims the padding back to ``numel``.
-
-    Both factors travel each iteration (the two all-reduces of the PowerSGD
-    protocol), so the wire cost is the analytic ``(m + n) * rank * 4`` bytes.
-    Payloads are element-wise summable in ``q`` whenever they share the same
-    ``p`` — the all-reduce-compatibility PowerSGD is designed for.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    numel: int
-
-    def __post_init__(self) -> None:
-        if self.p.ndim != 2 or self.q.ndim != 2 or self.p.shape[1] != self.q.shape[1]:
-            raise ValueError(
-                f"factors must be (m, rank) and (n, rank), got {self.p.shape} and {self.q.shape}"
-            )
-
-    @property
-    def rank(self) -> int:
-        return int(self.p.shape[1])
-
-    @property
-    def nbytes(self) -> float:
-        return (self.p.shape[0] + self.q.shape[0]) * self.rank * FP32_BYTES
-
-    @property
-    def num_elements(self) -> int:
-        return self.numel
-
-    @property
-    def transmitted_elements(self) -> int:
-        return int((self.p.shape[0] + self.q.shape[0]) * self.rank)
-
-    def reducible_with(self, other: WirePayload) -> bool:
-        return (
-            isinstance(other, LowRankPayload)
-            and other.numel == self.numel
-            and other.p.shape == self.p.shape
-            and other.q.shape == self.q.shape
-            # The left factor is shared by construction (it comes from the
-            # stage's prepare), so the identity check short-circuits the
-            # O(m * rank) comparison.
-            and (other.p is self.p or np.array_equal(other.p, self.p))
-        )
-
-    def reduce_values(self) -> np.ndarray:
-        return as_compute_array(self.q).reshape(-1)
-
-    def with_reduced(self, values: np.ndarray) -> "LowRankPayload":
-        return replace(self, q=values.reshape(self.q.shape))
-
-    def densify(self) -> np.ndarray:
-        """Reconstruct the flat dense gradient this payload encodes."""
-        return (self.p @ self.q.T).reshape(-1)[: self.numel]
 
 
 def as_payload(value) -> WirePayload:

@@ -26,9 +26,6 @@ from repro.compression.codec.stages import (
     EncodeContext,
     Half,
     Identity,
-    LowRank,
-    RandomK,
-    Sign,
     Ternarize,
     TopK,
 )
@@ -42,11 +39,10 @@ class Pipeline(Codec):
     (wrapped into a :class:`DensePayload`); ``decode`` returns the dense
     ``np.ndarray`` the training loop applies.
 
-    A stage that reads the dense gradient (``dense_input``: the selections,
-    ``Sign``, ``LowRank``) may only follow stages that hand the
-    :class:`DensePayload` on unchanged (``dense_output``: ``Identity``); any
-    other order is rejected here, when the pipeline is built, rather than
-    inside the first aggregation.
+    A stage that reads the dense gradient (``dense_input``: the selections)
+    may only follow stages that hand the :class:`DensePayload` on unchanged
+    (``dense_output``: ``Identity``); any other order is rejected here, when
+    the pipeline is built, rather than inside the first aggregation.
     """
 
     def __init__(self, stages: Sequence[Codec]) -> None:
@@ -163,10 +159,10 @@ def as_pipeline(codec: Union[Codec, Sequence[Codec]]) -> Pipeline:
 # --------------------------------------------------------------------------- #
 # Spec-string parsing
 # --------------------------------------------------------------------------- #
-#: token -> stage factory; a trailing number (``topk0.01``, ``randomk-0.1``)
-#: is parsed as the stage's ratio.  ``seed`` reaches the stochastic stages
-#: (shared random-k selection, ternary rounding); deterministic stages ignore
-#: it, so a multi-seed sweep varies exactly the randomness that exists.
+#: token -> stage factory; a trailing number (``topk0.01``, ``dgc-0.01``) is
+#: parsed as the stage's ratio.  ``seed`` reaches the stochastic stage
+#: (ternary rounding); deterministic stages ignore it, so a multi-seed sweep
+#: varies exactly the randomness that exists.
 _STAGE_FACTORIES: Dict[str, Callable[..., Codec]] = {
     "fp32": lambda ratio=None, seed=0: Identity(),
     "none": lambda ratio=None, seed=0: Identity(),
@@ -176,19 +172,14 @@ _STAGE_FACTORIES: Dict[str, Callable[..., Codec]] = {
     "fp16": lambda ratio=None, seed=0: Half(),
     "half": lambda ratio=None, seed=0: Half(),
     "topk": lambda ratio=None, seed=0: TopK(ratio if ratio is not None else 0.1),
-    "randomk": lambda ratio=None, seed=0: RandomK(ratio if ratio is not None else 0.1, seed=seed),
     "dgc": lambda ratio=None, seed=0: DGCSelect(ratio if ratio is not None else 0.01),
     "terngrad": lambda ratio=None, seed=0: Ternarize(seed=seed),
     "ternary": lambda ratio=None, seed=0: Ternarize(seed=seed),
-    "signsgd": lambda ratio=None, seed=0: Sign(),
-    "sign": lambda ratio=None, seed=0: Sign(),
-    "powersgd": lambda ratio=None, seed=0: LowRank(rank=int(ratio) if ratio is not None else 4, seed=seed),
 }
 
 #: Parameterised tokens: a stage name followed by a ratio (``topk0.01``,
-#: ``randomk-0.1``, ``dgc-0.01``) or a rank (``powersgd-rank4``, ``powersgd4``).
-_PARAM_TOKEN = re.compile(r"^(?P<stage>topk|randomk|dgc)-?(?P<ratio>\d*\.?\d+)$")
-_POWERSGD_TOKEN = re.compile(r"^powersgd(?:-rank|-)?(?P<rank>\d+)$")
+#: ``dgc-0.01``).
+_PARAM_TOKEN = re.compile(r"^(?P<stage>topk|dgc)-?(?P<ratio>\d*\.?\d+)$")
 
 #: The error-feedback modifier is a property of the aggregation *driver*
 #: (:class:`repro.compression.base.CodecCompressor`), not a stage, so it is
@@ -208,15 +199,11 @@ def parse_codec_token(token: str, seed: int = 0) -> Codec:
     factory = _STAGE_FACTORIES.get(token)
     if factory is not None:
         return factory(seed=seed)
-    match = _POWERSGD_TOKEN.match(token)
-    if match is not None:
-        return LowRank(rank=int(match.group("rank")), seed=seed)
     match = _PARAM_TOKEN.match(token)
     if match is None:
         raise KeyError(
             f"unknown codec token {token!r}; expected one of {sorted(_STAGE_FACTORIES)} "
-            "optionally suffixed with a ratio (e.g. 'topk0.01') or rank "
-            "(e.g. 'powersgd-rank4')"
+            "optionally suffixed with a ratio (e.g. 'topk0.01')"
         )
     return _STAGE_FACTORIES[match.group("stage")](float(match.group("ratio")), seed=seed)
 
@@ -244,10 +231,10 @@ def parse_codec_spec(spec: str, seed: int = 0) -> Pipeline:
     """Parse a ``+``-separated codec spec string into a :class:`Pipeline`.
 
     Examples: ``"allreduce"``, ``"fp16"``, ``"topk0.01"``, ``"dgc-0.01"``,
-    ``"topk0.01+terngrad"``, ``"signsgd"``, ``"powersgd-rank4"``.  ``seed``
-    reaches every stochastic stage of the pipeline.  A leading ``"ef"``
-    modifier is rejected here — it configures the aggregation driver, not a
-    stage; use :func:`parse_compressor_spec` for full compressor specs.
+    ``"topk0.01+terngrad"``.  ``seed`` reaches every stochastic stage of the
+    pipeline.  A leading ``"ef"`` modifier is rejected here — it configures
+    the aggregation driver, not a stage; use :func:`parse_compressor_spec`
+    for full compressor specs.
 
     Raises ``KeyError`` for an unknown token and ``ValueError`` for a spec the
     grammar cannot mean: an empty token, or a stage order the
@@ -263,8 +250,8 @@ def parse_compressor_spec(spec: str, seed: int = 0) -> "tuple[Pipeline, bool]":
     modifier: ``"ef+topk0.01"`` selects driver-level error feedback around the
     ``topk0.01`` pipeline.  The pipeline is returned unmodified — the
     :class:`~repro.compression.base.CodecCompressor` constructor adapts its
-    stages when the flag is set (stage-internal error feedback and unbiased
-    rescaling off, self-compensating stages rejected).
+    stages when the flag is set (stage-internal error feedback off,
+    self-compensating stages rejected).
     """
     tokens = _spec_tokens(spec)
     error_feedback = tokens[0].lower() in EF_TOKENS

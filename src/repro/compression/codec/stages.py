@@ -9,10 +9,10 @@ reverses the chain back to a dense tensor.  Stages compose left-to-right via
 then ternarises the selected values, which is the paper's prune+TernGrad
 composition (§III.D) expressed as two independent operators.
 
-Cross-rank coordination (shared scalers, shared random selections, batched
-top-k selection across ranks) happens in :meth:`Codec.prepare`, which sees all
-ranks' stage inputs at once and may issue collectives through the encode
-context's process group so the cost model charges them.
+Cross-rank coordination (shared scalers, batched top-k selection across
+ranks) happens in :meth:`Codec.prepare`, which sees all ranks' stage inputs
+at once and may issue collectives through the encode context's process group
+so the cost model charges them.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from repro.compression.codec.payloads import (
     DensePayload,
     FP16_BYTES,
     HalfPayload,
-    LowRankPayload,
-    SignPayload,
     SparsePayload,
     TERNARY_BYTES,
     TernaryPayload,
@@ -51,7 +49,6 @@ class EncodeContext:
 
     world_size: int = 1
     bucket_index: int = 0
-    iteration: int = 0
     group: Optional[object] = None
     shared: Dict = field(default_factory=dict)
     #: The raw ``(world_size, numel)`` gradient matrix for this bucket, set by
@@ -72,9 +69,9 @@ class Codec:
     allreduce_compatible: bool = True
     #: Whether decode(encode(x)) == x exactly.
     lossless: bool = False
-    #: Whether the stage reads the dense gradient (it selects, projects or
-    #: takes signs of coordinates), so only stages that pass it through
-    #: unchanged may precede it — checked when the pipeline is built.
+    #: Whether the stage reads the dense gradient (it selects coordinates), so
+    #: only stages that pass it through unchanged may precede it — checked
+    #: when the pipeline is built.
     dense_input: bool = False
     #: Whether the stage hands on the :class:`DensePayload` it received.
     dense_output: bool = False
@@ -404,44 +401,6 @@ class TopK(Codec):
         return payload
 
 
-class RandomK(Codec):
-    """Shared-seed random-k selection: summable, indices never hit the wire."""
-
-    allreduce_compatible = True
-    lossless = False
-    dense_input = True
-
-    def __init__(self, ratio: float = 0.1, seed: int = 0, rescale: bool = True) -> None:
-        if not 0.0 < ratio <= 1.0:
-            raise ValueError("ratio must be in (0, 1]")
-        self.ratio = ratio
-        self.seed = seed
-        self.rescale = rescale
-        self.name = f"randomk{ratio:g}"
-
-    def prepare(self, inputs: List[WirePayload], ctx: EncodeContext) -> None:
-        numel = inputs[0].num_elements
-        k = max(1, int(round(numel * self.ratio)))
-        rng = np.random.default_rng(self.seed + 1_000_003 * ctx.bucket_index + ctx.iteration)
-        ctx.shared[id(self)] = (rng.choice(numel, size=k, replace=False), numel)
-
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
-        indices, numel = ctx.shared[id(self)]
-        values = _dense_input(payload, "RandomK")[indices]
-        return SparsePayload(
-            indices, values, numel,
-            indices_on_wire=False, shared_selection=True,
-        )
-
-    def decode(self, payload: WirePayload) -> WirePayload:
-        if isinstance(payload, SparsePayload) and self.rescale and payload.values.size:
-            # Unbiased estimate of the dense average gradient.
-            return payload.with_reduced(
-                payload.values * (payload.numel / payload.values.size)
-            )
-        return payload
-
-
 class MaskCompact(Codec):
     """Pack the coordinates of a shared bitmask into a short dense tensor.
 
@@ -582,159 +541,6 @@ def ternarize(
     probability = np.clip(np.abs(grad) / scaler, 0.0, 1.0)
     keep = rng.random(grad.shape) < probability
     return scaler * np.sign(grad) * keep
-
-
-class Sign(Codec):
-    """signSGD with majority vote (Bernstein et al., 2018).
-
-    Each rank transmits one bit per coordinate (the gradient's sign) plus its
-    mean absolute value as a scale; aggregation is the element-wise majority
-    vote over the sign codes, which is all-reduce compatible.  The decoded
-    average is ``mean(scale) * majority_sign`` — aggressive (32x) compression
-    whose bias is what the driver-level error feedback (``"ef+signsgd"``)
-    compensates.
-    """
-
-    name = "signsgd"
-    allreduce_compatible = True
-    lossless = False
-    dense_input = True
-
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
-        return SignPayload.from_values(_dense_input(payload, "Sign"))
-
-    def decode(self, payload: WirePayload) -> WirePayload:
-        if isinstance(payload, SignPayload):
-            return DensePayload(payload.densify())
-        return payload
-
-
-def orthonormalize(matrix: np.ndarray, rtol: Optional[float] = None) -> np.ndarray:
-    """Column-wise modified Gram-Schmidt (the PowerSGD orthogonalisation).
-
-    Deterministic and dtype-preserving.  Healthy columns are normalised
-    *exactly* (no ``norm + eps`` residue — that residue would propagate into
-    later columns and destroy orthogonality for rank-deficient inputs), while
-    columns whose post-projection remainder falls below a scale-relative
-    tolerance (``sqrt(machine eps)`` of the dtype times the largest input
-    column norm) are zeroed: their remainder is pure rounding noise, and a
-    zero column simply drops out of the ``P @ P.T`` projection.  Exactly
-    low-rank inputs therefore reconstruct to machine precision.
-    """
-    basis = np.array(matrix, copy=True)
-    if basis.size == 0:
-        return basis
-    if rtol is None:
-        rtol = float(np.sqrt(np.finfo(basis.dtype).eps))
-    tol = rtol * float(np.max(np.linalg.norm(basis, axis=0)))
-    for column in range(basis.shape[1]):
-        col = basis[:, column]
-        for previous in range(column):
-            col -= (basis[:, previous] @ col) * basis[:, previous]
-        norm = float(np.linalg.norm(col))
-        if norm > tol and norm > 0.0:
-            col /= norm
-        else:
-            col[:] = 0.0
-    return basis
-
-
-class LowRank(Codec):
-    """PowerSGD-style low-rank compression (Vogels et al., 2019).
-
-    Per bucket the flat gradient is viewed as a near-square ``(m, n)`` matrix
-    (zero-padded) and compressed with **one step of power iteration** warm
-    started from the previous iteration's right factor:
-
-    1. ``P_r = M_r @ Q_prev`` per rank; the mean ``P`` is orthonormalised into
-       the shared left factor ``P_hat`` (the protocol's first all-reduce);
-    2. ``Q_r = M_r.T @ P_hat`` per rank becomes the payload's summable right
-       factor (the second all-reduce, executed by the aggregation driver);
-    3. decode reconstructs ``P_hat @ Q.T``; the aggregated ``Q`` also warm
-       starts the next iteration.
-
-    Both protocol halves are charged through the payload's analytic
-    ``(m + n) * rank * 4`` wire bytes.  Low-rank projection is biased, so the
-    intended composition is ``"ef+powersgd-rank4"``.
-    """
-
-    allreduce_compatible = True
-    lossless = False
-    dense_input = True
-
-    def __init__(self, rank: int = 4, seed: int = 0) -> None:
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
-        self.rank = rank
-        self.seed = seed
-        self.name = f"powersgd-rank{rank}"
-        # Warm-started right factor per bucket: (n, rank), shared across ranks
-        # because it always comes from the aggregated previous step.
-        self._q_prev: Dict[int, np.ndarray] = {}
-
-    def reset(self) -> None:
-        self._q_prev.clear()
-
-    @staticmethod
-    def matrix_shape(numel: int) -> "tuple[int, int]":
-        """Near-square ``(m, n)`` view of a flat gradient of ``numel`` elements."""
-        n = int(np.ceil(np.sqrt(numel)))
-        m = int(np.ceil(numel / n))
-        return m, n
-
-    def _initial_q(self, n: int, rank: int, bucket_index: int, dtype) -> np.ndarray:
-        rng = np.random.default_rng(self.seed + 1_000_003 * bucket_index)
-        return orthonormalize(rng.standard_normal((n, rank)).astype(dtype, copy=False))
-
-    def prepare(self, inputs: List[WirePayload], ctx: EncodeContext) -> None:
-        stacked = _stacked_inputs(inputs, ctx, "LowRank")
-        world, numel = stacked.shape
-        m, n = self.matrix_shape(numel)
-        rank = min(self.rank, m, n)
-        dtype = float_dtype_of(stacked)
-
-        pad = m * n - numel
-        if pad:
-            padded = np.zeros((world, m * n), dtype=dtype)
-            padded[:, :numel] = stacked
-        else:
-            padded = np.asarray(stacked, dtype=dtype)
-        matrices = padded.reshape(world, m, n)
-
-        q_prev = self._q_prev.get(ctx.bucket_index)
-        if q_prev is None or q_prev.shape != (n, rank) or q_prev.dtype != dtype:
-            q_prev = self._initial_q(n, rank, ctx.bucket_index, dtype)
-
-        # First protocol half: P_r = M_r Q_prev, all-reduced and orthonormalised
-        # into the shared left factor (cost carried by the payload's nbytes).
-        p_hat = orthonormalize(np.mean(matrices @ q_prev, axis=0))
-        # Second half: per-rank right factors, summable because p_hat is shared.
-        q_factors = np.transpose(matrices, (0, 2, 1)) @ p_hat
-
-        # Warm start: the aggregated right factor of *this* step seeds the
-        # power iteration of the next one.  Columns that died this step — an
-        # exactly-zero or rank-deficient bucket gradient zeroes the matching
-        # p_hat (and hence q) columns — are re-seeded from the deterministic
-        # initial basis, otherwise M @ q_prev would stay zero in those
-        # directions forever and the bucket could never transmit again.
-        q_next = np.mean(q_factors, axis=0)
-        dead = np.linalg.norm(q_next, axis=0) == 0.0
-        if np.any(dead):
-            q_next[:, dead] = self._initial_q(n, rank, ctx.bucket_index, dtype)[:, dead]
-        self._q_prev[ctx.bucket_index] = q_next
-        ctx.shared[id(self)] = (p_hat, q_factors, numel)
-
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
-        p_hat, q_factors, numel = ctx.shared[id(self)]
-        return LowRankPayload(p=p_hat, q=q_factors[rank], numel=numel)
-
-    def decode(self, payload: WirePayload) -> WirePayload:
-        if isinstance(payload, LowRankPayload):
-            return DensePayload(payload.densify())
-        return payload
-
-    def spec(self) -> str:
-        return self.name
 
 
 class DGCSelect(Codec):

@@ -6,7 +6,7 @@ The built-in names are **data**: :data:`BUILTIN_SPECS` maps each to the spec
 string it abbreviates, and :func:`build_compressor` returns the
 :class:`~repro.compression.base.CodecCompressor` that spec builds, under the
 figure's label.  A name that is not registered is parsed as a spec itself
-(``"topk0.01+terngrad"``, ``"ef+signsgd"``; grammar in
+(``"topk0.01+terngrad"``, ``"ef+topk0.05"``; grammar in
 :func:`repro.compression.codec.parse_compressor_spec`).
 
 :func:`register_compressor` is the extension point for what a spec cannot say:
@@ -41,7 +41,6 @@ BUILTIN_SPECS: Dict[str, Tuple[str, str]] = {
     "topk": ("ef+topk0.1", "topk-0.1"),
     "topk-0.1": ("ef+topk0.1", "topk-0.1"),
     "topk-0.01": ("ef+topk0.01", "topk-0.01"),
-    "randomk": ("randomk0.1", "randomk-0.1"),
     "terngrad": ("terngrad", "terngrad"),
     "dgc": ("dgc0.01", "dgc-0.01"),
     "dgc-0.01": ("dgc0.01", "dgc-0.01"),
@@ -130,13 +129,13 @@ def build_compressor(name: str, seed: Optional[int] = None, **kwargs) -> CodecCo
 
     Resolution order: registered names first (so the paper's figure names and
     user registrations win), then ``+``-separated codec specs such as
-    ``"topk0.01+terngrad"`` or ``"randomk0.1+fp16"``.
+    ``"topk0.01+terngrad"`` or ``"topk0.05+fp16"``.
 
     ``seed`` is threaded to whatever randomness the method actually has: it is
     passed to registry factories that accept a ``seed`` keyword and to the
-    stochastic stages of codec pipeline specs (shared random-k selection,
-    ternary rounding); deterministic stages ignore it.  ``None`` keeps every
-    factory default (seed 0 for the built-in stochastic codecs).  Other
+    stochastic stage of codec pipeline specs (ternary rounding);
+    deterministic stages ignore it.  ``None`` keeps every factory default
+    (seed 0 for the built-in ternary codec).  Other
     keywords go to the factory: PacTrain takes ``quantize`` and its Mask
     Tracker settings, a spec string takes none.
 

@@ -93,9 +93,3 @@ class SGD(Optimizer):
                 np.add(velocity, grad, out=velocity)
                 grad = velocity
             param.data = param.data - self.lr * grad
-
-    def set_lr(self, lr: float) -> None:
-        """Update the learning rate (used by simple step schedules)."""
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr

@@ -50,13 +50,6 @@ def load_events(path: str) -> List[dict]:
     return events
 
 
-def write_jsonl(events: Sequence[dict], path: str) -> None:
-    """Write events as one JSON object per line (round-trips load_events)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(event, separators=(",", ":")) + "\n")
-
-
 # --------------------------------------------------------------------------- #
 # Chrome Trace Event conversion
 # --------------------------------------------------------------------------- #

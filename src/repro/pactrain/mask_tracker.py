@@ -146,7 +146,3 @@ class MaskTracker:
         else:
             self._previous.pop(bucket_index, None)
             self._streak.pop(bucket_index, None)
-
-    @property
-    def tracked_buckets(self) -> int:
-        return len(self._previous)

@@ -10,7 +10,7 @@ accuracy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -94,27 +94,3 @@ def magnitude_prune(
     mask = magnitude_mask(model, pruning_ratio, scope=scope)
     mask.apply_to_weights(model)
     return mask
-
-
-def model_sparsity(model: Module) -> float:
-    """Fraction of exactly-zero parameters in the model."""
-    total = 0
-    zeros = 0
-    for _, param in model.named_parameters():
-        total += param.size
-        zeros += int(np.sum(param.data == 0.0))
-    return zeros / total if total else 0.0
-
-
-def layer_magnitude_summary(model: Module) -> Dict[str, Dict[str, float]]:
-    """Per-layer weight magnitude statistics (used by examples/diagnostics)."""
-    summary: Dict[str, Dict[str, float]] = {}
-    for name, param in model.named_parameters():
-        data = param.data
-        summary[name] = {
-            "numel": float(data.size),
-            "mean_abs": float(np.mean(np.abs(data))) if data.size else 0.0,
-            "max_abs": float(np.max(np.abs(data))) if data.size else 0.0,
-            "zero_fraction": float(np.mean(data == 0.0)) if data.size else 0.0,
-        }
-    return summary

@@ -71,12 +71,6 @@ class PruningMask:
         """Fraction of parameters kept."""
         return 1.0 - self.sparsity
 
-    def per_layer_sparsity(self) -> Dict[str, float]:
-        return {
-            name: 1.0 - float(mask.sum()) / mask.size if mask.size else 0.0
-            for name, mask in self.masks.items()
-        }
-
     # ------------------------------------------------------------------ #
     # Application
     # ------------------------------------------------------------------ #
@@ -100,17 +94,6 @@ class PruningMask:
                 continue
             param.grad = param.grad * mask
 
-    def check_weights_consistent(self, model: Module, atol: float = 0.0) -> bool:
-        """Return True if every pruned weight is (numerically) zero."""
-        for name, param in model.named_parameters():
-            mask = self.masks.get(name)
-            if mask is None:
-                continue
-            pruned_values = param.data[~mask]
-            if pruned_values.size and np.max(np.abs(pruned_values)) > atol:
-                return False
-        return True
-
     # ------------------------------------------------------------------ #
     # Construction / serialisation
     # ------------------------------------------------------------------ #
@@ -128,13 +111,6 @@ class PruningMask:
                 for name, param in model.named_parameters()
             }
         )
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return {name: mask.copy() for name, mask in self.masks.items()}
-
-    @classmethod
-    def from_state_dict(cls, state: Dict[str, np.ndarray]) -> "PruningMask":
-        return cls(state)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PruningMask(layers={len(self.masks)}, sparsity={self.sparsity:.3f})"

@@ -136,12 +136,6 @@ class IterationTrace:
         """Fraction of communication hidden behind backward compute."""
         return self.overlap_saved / self.comm_busy if self.comm_busy > 0 else 0.0
 
-    @property
-    def comm_exposed(self) -> float:
-        """Communication time actually visible on the critical path."""
-        return self.comm_busy - self.overlap_saved
-
-
 # --------------------------------------------------------------------------- #
 # Engine
 # --------------------------------------------------------------------------- #

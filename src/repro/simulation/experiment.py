@@ -784,7 +784,7 @@ class _ParameterServer:
         self.blocked: set = set()
         self.epoch_losses: List[List[float]] = [[] for _ in range(config.epochs)]
         self.snapshots_done, self.stop = 0, False
-        # Stage state (low-rank warm starts, stage seeds) and error-feedback
+        # Stage state (top-k and DGC buffers, stage RNGs) and error-feedback
         # residuals must not be shared across workers pushing at different
         # versions.  Worker 0 reuses the dispatcher's instance, and every
         # worker records into its stats: the run's one stats carrier.

@@ -30,8 +30,8 @@ class MethodSpec:
     """One gradient-synchronisation method, as named in the paper's figures.
 
     ``compressor`` is a registry name (see :mod:`repro.compression.registry`)
-    or a ``+``-separated codec pipeline spec such as ``"topk0.01+terngrad"``,
-    ``"ef+signsgd"`` or ``"powersgd-rank4"`` — arbitrary codec compositions
+    or a ``+``-separated codec pipeline spec such as ``"topk0.01+terngrad"``
+    or ``"ef+topk0.05+fp16"`` — arbitrary codec compositions
     run end-to-end without a dedicated compressor class.  ``error_feedback``
     is tri-state: ``None`` (default) keeps whatever the compressor spec says,
     ``True`` switches on the driver-level per-bucket residual state
@@ -114,8 +114,8 @@ class MethodSpec:
                 "warmup_iterations": self.warmup_iterations,
             }
         # Registry names and codec pipeline specs receive the same per-run
-        # seed, so stochastic codecs (random-k selection, ternary rounding)
-        # actually vary across multi-seed sweeps.
+        # seed, so stochastic codecs (ternary rounding) actually vary across
+        # multi-seed sweeps.
         compressor = build_compressor(self.compressor, seed=seed, **tracker)
         if self.error_feedback is None:
             return compressor

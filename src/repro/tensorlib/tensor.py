@@ -167,10 +167,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but detached from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
@@ -636,16 +632,6 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask, own=True)
-
-        return Tensor._attach(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-        if not self._needs_graph():
-            return Tensor._wrap(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data), own=True)
 
         return Tensor._attach(out_data, (self,), backward)
 

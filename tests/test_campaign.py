@@ -71,7 +71,7 @@ probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclud
 class TestSerializationRoundTrips:
     @given(
         name=st.text(min_size=1, max_size=20),
-        compressor=st.sampled_from(["allreduce", "fp16", "topk-0.1", "randomk", "topk0.01+terngrad"]),
+        compressor=st.sampled_from(["allreduce", "fp16", "topk-0.1", "ef+topk0.05", "topk0.01+terngrad"]),
         pruning_ratio=st.floats(min_value=0.0, max_value=0.99),
         gse=st.booleans(),
         quantize=st.booleans(),
@@ -252,7 +252,7 @@ class TestCampaignSpec:
     def test_error_feedback_is_a_method_field_axis(self):
         spec = CampaignSpec(
             axes={
-                "method": ["signsgd", "powersgd-rank4"],
+                "method": ["terngrad", "topk0.05+fp16"],
                 "error_feedback": [False, True],
             }
         )
@@ -260,7 +260,7 @@ class TestCampaignSpec:
         # Both arms are labelled: forced-off gets -noef (it strips even
         # spec-default compensation), forced-on gets the ef+ prefix.
         assert [c.method.name for c in cells] == [
-            "signsgd-noef", "ef+signsgd", "powersgd-rank4-noef", "ef+powersgd-rank4",
+            "terngrad-noef", "ef+terngrad", "topk0.05+fp16-noef", "ef+topk0.05+fp16",
         ]
         assert [c.method.error_feedback for c in cells] == [False, True, False, True]
         # EF and non-EF cells are distinct cache entries.
@@ -276,9 +276,9 @@ class TestCampaignSpec:
     def test_compressor_axis_renames_non_curated_methods(self):
         # Cells must report what actually ran: a compressor override renames
         # string-resolved methods (including the default all-reduce) ...
-        cell = build_cell({"compressor": "signsgd"})
-        assert cell.method.compressor == "signsgd"
-        assert cell.method.name == "signsgd"
+        cell = build_cell({"compressor": "fp16+terngrad"})
+        assert cell.method.compressor == "fp16+terngrad"
+        assert cell.method.name == "fp16+terngrad"
         swapped = build_cell({"method": "topk-0.1", "compressor": "topk-0.01"})
         assert swapped.method.name == "topk-0.01"
         # ... while explicitly curated methods keep their given name.
@@ -290,8 +290,8 @@ class TestCampaignSpec:
         assert curated.method.compressor == "allreduce"
 
     def test_ef_axis_does_not_double_prefix_ef_specs(self):
-        cell = build_cell({"method": "ef+signsgd", "error_feedback": True})
-        assert cell.method.name == "ef+signsgd"
+        cell = build_cell({"method": "ef+terngrad", "error_feedback": True})
+        assert cell.method.name == "ef+terngrad"
 
     def test_cluster_axes_route_to_cluster_spec(self):
         cell = build_cell({"world_size": 4, "overlap": True, "straggler": 2.0,
@@ -446,8 +446,8 @@ class TestResultStore:
 
     def test_error_feedback_field_changes_the_fingerprint(self):
         config = tiny_config()
-        base = MethodSpec(name="s", compressor="signsgd")
-        with_ef = MethodSpec(name="s", compressor="signsgd", error_feedback=True)
+        base = MethodSpec(name="s", compressor="terngrad")
+        with_ef = MethodSpec(name="s", compressor="terngrad", error_feedback=True)
         assert cell_fingerprint(config, base) != cell_fingerprint(config, with_ef)
 
     def test_latest_record_wins(self, tmp_path):
@@ -679,17 +679,17 @@ class TestRunner:
         results = {}
         for seed in (0, 1):
             config = tiny_config(seed=seed, epochs=2, max_iterations_per_epoch=4)
-            method = MethodSpec(name="randomk", compressor="randomk0.5")
+            method = MethodSpec(name="terngrad", compressor="terngrad")
             report = run_campaign([CampaignCell(config=config, method=method)], jobs=1)
             report.raise_failures()
             results[seed] = report.results()[0]
         assert results[0].loss_trace != results[1].loss_trace
 
     def test_compressor_seed_threading(self):
-        assert MethodSpec(name="rk", compressor="randomk").build_compressor(seed=7).pipeline.stages[0].seed == 7
-        pipeline = MethodSpec(name="c", compressor="randomk0.2+terngrad").build_compressor(seed=9)
-        randomk, ternarize = pipeline.pipeline.stages
-        assert randomk.seed == 9 and ternarize.seed == 9
+        assert MethodSpec(name="tg", compressor="terngrad").build_compressor(seed=7).pipeline.stages[0].seed == 7
+        pipeline = MethodSpec(name="c", compressor="topk0.2+fp16+terngrad").build_compressor(seed=9)
+        _, _, ternarize = pipeline.pipeline.stages
+        assert ternarize.seed == 9
         # Deterministic methods accept (and ignore) the seed.
         MethodSpec(name="t", compressor="topk-0.1").build_compressor(seed=3)
 

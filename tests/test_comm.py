@@ -138,12 +138,12 @@ class TestTopology:
     def test_same_switch_path_avoids_wan(self):
         topo = build_paper_topology(wan_bandwidth=100 * MBPS)
         # S1 and S4 are both on vswitch0 (round-robin assignment).
-        link = topo.bottleneck_link("S1", "S4")
+        link = topo.path_spec("S1", "S4")
         assert link.bandwidth > 100 * MBPS
 
     def test_cross_switch_path_hits_wan(self):
         topo = build_paper_topology(wan_bandwidth=100 * MBPS)
-        link = topo.bottleneck_link("S1", "S2")
+        link = topo.path_spec("S1", "S2")
         assert link.bandwidth == pytest.approx(100 * MBPS)
 
     def test_to_network_model(self):
@@ -220,8 +220,8 @@ class TestTopology:
         spec = topo.path_spec("S1", "S3")
         assert spec.bandwidth == pytest.approx(100 * MBPS)
         assert spec.latency == pytest.approx(2 * 1e-3 + 2 * 20e-6)
-        assert topo.path_cost("S1", "S3", 0.0) == 0.0
-        assert topo.path_cost("S1", "S1", 1e6) == 0.0
+        assert topo.path_spec("S1", "S3").transfer_time(0.0) == 0.0
+        assert topo.path_spec("S1", "S1").transfer_time(1e6) == 0.0
 
     def test_switch_groups_round_robin(self):
         topo = build_paper_topology(num_servers=8, num_switches=3)
@@ -239,7 +239,7 @@ class TestHierarchicalCostModel:
         flat = topo.to_network_model()
         hier = topo.cost_model()
         assert isinstance(hier, CostModel)
-        assert hier.is_flat and hier.num_groups == 1
+        assert hier.is_flat and len(hier.groups) == 1
         for nbytes in (0.0, 1.0, 1e3, 1e6, 5e7):
             for method in COLLECTIVE_METHODS:
                 assert getattr(hier, method)(nbytes) == getattr(flat, method)(nbytes)
@@ -248,9 +248,9 @@ class TestHierarchicalCostModel:
     def test_hierarchical_all_reduce_charges_lan_and_wan(self):
         topo = build_paper_topology(wan_bandwidth=100 * MBPS)
         hier = topo.cost_model()
-        assert hier.num_groups == 3 and not hier.is_flat
+        assert len(hier.groups) == 3 and not hier.is_flat
         nbytes = 1e6
-        total = topo.hierarchical_all_reduce_time(nbytes)
+        total = hier.ring_all_reduce_time(nbytes)
         inter_only = hier._inter.ring_all_reduce_time(nbytes)
         # The WAN exchange runs between the 3 switch-group leaders; the intra
         # LAN reduce and broadcast phases are charged on top of it.
@@ -267,7 +267,8 @@ class TestHierarchicalCostModel:
         # structure the paper's Fig. 4 testbed is built to exercise.
         topo = build_paper_topology(wan_bandwidth=100 * MBPS)
         nbytes = 1e7
-        assert topo.hierarchical_all_reduce_time(nbytes) < topo.to_network_model().ring_all_reduce_time(nbytes)
+        hier = topo.cost_model()
+        assert hier.ring_all_reduce_time(nbytes) < topo.to_network_model().ring_all_reduce_time(nbytes)
 
     def test_all_costs_positive_and_zero_safe(self):
         hier = build_paper_topology(wan_bandwidth=100 * MBPS).cost_model()
@@ -465,7 +466,7 @@ class TestTopologyWithoutNetworkx:
         with pytest.raises(ValueError, match="no path between 'S1' and 'island'"):
             topo.path("S1", "island")
         with pytest.raises(ValueError, match="no path between 'island' and 'S2'"):
-            topo.path_cost("island", "S2", 1e6)
+            topo.path_spec("island", "S2")
 
     def test_importing_the_package_loads_no_graph_library(self):
         src = Path(__file__).resolve().parents[1] / "src"

@@ -14,7 +14,7 @@ from repro.compression import (
     register_compressor,
 )
 from repro.compression.base import exact_average
-from repro.compression.codec import DGCSelect, Identity, RandomK, TopK, ternarize, top_k_indices
+from repro.compression.codec import DGCSelect, Identity, TopK, ternarize, top_k_indices
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.metrics import nmse
 
@@ -127,28 +127,6 @@ class TestTopK:
         assert compressor.stats.iterations == 0
 
 
-class TestRandomK:
-    def test_selection_is_shared_across_ranks(self, buffers, group):
-        compressor = CodecCompressor(RandomK(ratio=0.2, rescale=False))
-        result = compressor.aggregate(make_bucket(buffers), group)
-        exact = exact_average(buffers)
-        nonzero = result != 0
-        np.testing.assert_allclose(result[nonzero], exact[nonzero], atol=1e-12)
-        assert np.mean(nonzero) == pytest.approx(0.2, abs=0.02)
-
-    def test_allreduce_compatible(self, buffers, group):
-        compressor = build_compressor("randomk")
-        compressor.aggregate(make_bucket(buffers), group)
-        assert compressor.allreduce_compatible
-        assert compressor.stats.allgather_calls == 0
-
-    def test_selection_changes_per_iteration(self, buffers, group):
-        compressor = CodecCompressor(RandomK(ratio=0.1, rescale=False))
-        a = compressor.aggregate(make_bucket(buffers), group, iteration=0)
-        b = compressor.aggregate(make_bucket(buffers), group, iteration=1)
-        assert not np.array_equal(a != 0, b != 0)
-
-
 class TestTernGrad:
     def test_ternarize_values_are_ternary(self, rng):
         grad = rng.standard_normal(1000)
@@ -180,6 +158,21 @@ class TestTernGrad:
 
     def test_allreduce_compatible(self):
         assert build_compressor("terngrad").allreduce_compatible
+
+    def test_payload_is_all_reduced_never_all_gathered(self, buffers, group):
+        compressor = build_compressor("terngrad", seed=0)
+        compressor.aggregate(make_bucket(buffers), group)
+        assert compressor.stats.allgather_calls == 0
+        assert group.events[-1].op == "all_reduce"
+
+    def test_rounding_is_redrawn_every_iteration(self, buffers, group):
+        """Stochastic rounding takes fresh draws per step, reproducibly per seed."""
+        compressor = build_compressor("terngrad", seed=0)
+        a = compressor.aggregate(make_bucket(buffers), group, iteration=0)
+        b = compressor.aggregate(make_bucket(buffers), group, iteration=1)
+        assert not np.array_equal(a, b)
+        again = build_compressor("terngrad", seed=0)
+        np.testing.assert_array_equal(again.aggregate(make_bucket(buffers), group, iteration=0), a)
 
 
 class TestDGC:
@@ -226,8 +219,8 @@ class TestCodecPipelines:
         assert pipeline.stages[0].ratio == pytest.approx(0.01)
         assert not pipeline.allreduce_compatible
 
-        pipeline = parse_codec_spec("randomk0.1+fp16")
-        assert [type(s).__name__ for s in pipeline.stages] == ["RandomK", "Half"]
+        pipeline = parse_codec_spec("fp16+terngrad")
+        assert [type(s).__name__ for s in pipeline.stages] == ["Half", "Ternarize"]
         assert pipeline.allreduce_compatible
 
     def test_malformed_spec_raises(self):
@@ -246,11 +239,11 @@ class TestCodecPipelines:
         assert np.mean(result != 0) <= 0.04 + 1e-9
         assert compressor.stats.allgather_calls == 1
 
-    def test_composed_randomk_fp16_close_to_randomk(self, buffers, group):
-        plain = build_compressor("randomk0.2").aggregate(make_bucket(buffers), group)
-        composed = build_compressor("randomk0.2+fp16")
+    def test_composed_topk_fp16_close_to_topk(self, buffers, group):
+        plain = build_compressor("topk0.2").aggregate(make_bucket(buffers), group)
+        composed = build_compressor("topk0.2+fp16")
         casted = composed.aggregate(make_bucket(buffers), ProcessGroup(4))
-        # Same shared-seed selection; fp16-casting the selected values only
+        # Same per-rank selections; fp16-casting the selected values only
         # adds rounding error.
         assert nmse(plain, casted) < 1e-5
 
@@ -275,10 +268,23 @@ class TestCodecPipelines:
         assert event.metadata["payload"] == SparsePayload.__name__
         assert event.bytes_per_worker == pytest.approx((4 - 1) * k * 8.0)
 
+    @pytest.mark.parametrize(
+        "spec, bytes_per_element", [("fp16", 2.0), ("terngrad", 0.25), ("fp16+terngrad", 0.25)]
+    )
+    def test_ring_all_reduce_charges_the_payload_bytes(self, buffers, spec, bytes_per_element):
+        world, numel = len(buffers), buffers[0].size
+        group = ProcessGroup(world)
+        build_compressor(spec, seed=0).aggregate(make_bucket(buffers), group)
+        event = group.events[-1]
+        assert event.op == "all_reduce"
+        assert event.bytes_per_worker == pytest.approx(
+            2.0 * (world - 1) / world * numel * bytes_per_element
+        )
+
 
 class TestRegistry:
     @pytest.mark.parametrize(
-        "name", ["allreduce", "fp16", "topk-0.1", "topk-0.01", "terngrad", "dgc", "randomk"]
+        "name", ["allreduce", "fp16", "topk-0.1", "topk-0.01", "terngrad", "dgc"]
     )
     def test_build_known(self, name):
         assert build_compressor(name) is not None
@@ -286,6 +292,10 @@ class TestRegistry:
     def test_paper_names_map_to_expected_ratios(self):
         assert build_compressor("topk-0.01").pipeline.stages[0].ratio == pytest.approx(0.01)
         assert build_compressor("topk-0.1").pipeline.stages[0].ratio == pytest.approx(0.1)
+        for name in ("dgc", "dgc-0.01"):
+            compressor = build_compressor(name)
+            assert compressor.name == "dgc-0.01"
+            assert compressor.pipeline.stages[0].ratio == pytest.approx(0.01)
 
     def test_pactrain_lazy_registration(self):
         compressor = build_compressor("pactrain")

@@ -88,7 +88,7 @@ class TestIterationSchedule:
         assert trace.wall_time == pytest.approx(0.13)
         assert trace.wall_time < trace.compute_span + trace.comm_busy
         assert trace.overlap_saved == pytest.approx(0.07)
-        assert trace.comm_exposed == pytest.approx(0.03)
+        assert trace.comm_busy - trace.overlap_saved == pytest.approx(0.03)
         assert trace.buckets[1].queue_delay == pytest.approx(0.01)
 
     def test_single_bucket_cannot_overlap(self):

@@ -173,11 +173,3 @@ class TestOptimizer:
             SGD([param], lr=0.1, momentum=1.5)
         with pytest.raises(ValueError):
             SGD([])
-
-    def test_set_lr(self):
-        param = Parameter(np.ones(1))
-        opt = SGD([param], lr=0.1)
-        opt.set_lr(0.01)
-        assert opt.lr == 0.01
-        with pytest.raises(ValueError):
-            opt.set_lr(0.0)

@@ -16,6 +16,7 @@ Covers the layer's load-bearing guarantees:
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from repro.obs.export import (
     summary,
     validate_chrome_trace,
     write_chrome,
-    write_jsonl,
 )
 from repro.obs.instrument import ObservedBackend
 from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, run_experiment
@@ -238,7 +238,8 @@ class TestJsonlRoundTrip:
             {"kind": "metric", "metric": "counter", "name": "c", "value": 3.0, "pid": 7},
         ]
         path = str(tmp_path / "events.jsonl")
-        write_jsonl(events, path)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(event) + "\n" for event in events)
         assert load_events(path) == events
 
 

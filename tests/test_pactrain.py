@@ -85,7 +85,7 @@ class TestMaskTracker:
         state_a = tracker.update(0, a)
         assert state_a.stable and state_a.consecutive_stable == 2
         assert not state_b.stable and state_b.consecutive_stable == 1
-        assert tracker.tracked_buckets == 2
+        assert len(tracker._previous) == 2
 
     def test_update_from_rank_gradients_takes_union(self):
         tracker = MaskTracker(stability_threshold=1)
@@ -101,7 +101,7 @@ class TestMaskTracker:
         assert tracker.streak(0) == 0
         tracker.update(1, rng.random(10) < 0.5)
         tracker.reset()
-        assert tracker.tracked_buckets == 0
+        assert not tracker._previous
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -210,7 +210,7 @@ class TestPacTrainCompressor:
         compressor.reset()
         assert compressor.compact_iterations == 0
         assert compressor.full_iterations == 0
-        assert compressor.tracker.tracked_buckets == 0
+        assert not compressor.tracker._previous
 
     def test_dense_gradients_never_use_compact_path(self, rng):
         compressor = PacTrainCompressor(stability_threshold=1, min_sparsity=0.05)

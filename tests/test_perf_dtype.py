@@ -256,7 +256,7 @@ class TestPayloadDtypes:
 
     @settings(max_examples=15, deadline=None)
     @given(
-        spec=st.sampled_from(["fp32", "fp16", "topk0.5", "randomk0.5", "terngrad"]),
+        spec=st.sampled_from(["fp32", "fp16", "topk0.5", "topk0.5+terngrad", "terngrad"]),
         dtype=st.sampled_from(["float32", "float64"]),
         seed=st.integers(0, 2**16),
     )

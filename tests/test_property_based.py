@@ -18,21 +18,16 @@ from repro.compression.codec import (
     Half,
     INDEX_BYTES,
     Identity,
-    LowRank,
-    LowRankPayload,
     MaskCompact,
     Pipeline,
-    RandomK,
-    Sign,
-    SignPayload,
     SparsePayload,
     TERNARY_BYTES,
     Ternarize,
     TernaryPayload,
     TopK,
     batched_top_k_indices,
-    orthonormalize,
     pack_ternary,
+    parse_codec_spec,
     unpack_ternary,
 )
 from repro.compression.codec import ternarize, top_k_indices
@@ -180,23 +175,6 @@ class TestCodecRoundTripProperties:
         np.testing.assert_array_equal(decoded[selected], values[selected])
         np.testing.assert_array_equal(decoded[~selected], 0.0)
 
-    @given(
-        arrays(shape=st.tuples(st.integers(4, 256))),
-        st.floats(min_value=0.05, max_value=1.0),
-        st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_randomk_rescales_unbiasedly_and_skips_index_bytes(self, values, ratio, seed):
-        pipeline = Pipeline([RandomK(ratio, seed=seed, rescale=True)])
-        payload = pipeline.encode(values)
-        k = max(1, int(round(values.size * ratio)))
-        # Shared-seed selection: indices derived locally, never on the wire.
-        assert payload.nbytes == k * FP32_BYTES
-        decoded = pipeline.decode(payload)
-        np.testing.assert_allclose(
-            decoded[payload.indices], values[payload.indices] * values.size / k, rtol=1e-12
-        )
-
     @given(arrays(shape=st.tuples(st.integers(1, 256))), st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_ternarize_error_bounds_and_two_bit_wire_size(self, values, seed):
@@ -210,6 +188,27 @@ class TestCodecRoundTripProperties:
         assert np.all(decoded[values == 0.0] == 0.0)              # support subset
         nonzero = decoded != 0.0
         assert np.all(np.sign(decoded[nonzero]) == np.sign(values[nonzero]))
+
+    @pytest.mark.parametrize(
+        "spec, bytes_per_element",
+        [
+            ("fp16", FP16_BYTES),
+            ("topk0.25", 0.25 * (FP32_BYTES + INDEX_BYTES)),
+            ("terngrad", TERNARY_BYTES),
+            ("topk0.25+terngrad", 0.25 * (TERNARY_BYTES + INDEX_BYTES)),
+        ],
+    )
+    def test_dtype_matrix_decode_follows_compute_dtype(self, spec, bytes_per_element):
+        """The wire format is fixed by the codec, not by the compute dtype."""
+        from repro.tensorlib.dtypes import default_dtype
+
+        for dtype in ("float32", "float64"):
+            with default_dtype(dtype):
+                values = np.random.default_rng(0).standard_normal(200).astype(dtype)
+                pipeline = parse_codec_spec(spec, seed=0)
+                payload = pipeline.encode(values)
+                assert pipeline.decode(payload).dtype == np.dtype(dtype)
+                assert payload.nbytes == pytest.approx(values.size * bytes_per_element)
 
     @given(
         hnp.arrays(np.int8, st.tuples(st.integers(1, 512)), elements=st.integers(-1, 1))
@@ -292,153 +291,6 @@ class TestCodecRoundTripProperties:
         assert event.metadata["payload"] == "DensePayload"
 
 
-class TestSignPayloadProperties:
-    """signSGD wire format: one bit per coordinate, bounded decode error."""
-
-    @given(arrays(shape=st.tuples(st.integers(1, 300))))
-    @settings(max_examples=50, deadline=None)
-    def test_nbytes_is_exactly_ceil_bits_plus_scale(self, values):
-        payload = SignPayload.from_values(values)
-        assert payload.nbytes == -(-values.size // 8) + FP32_BYTES
-        assert payload.transmitted_elements == values.size
-
-    @given(arrays(shape=st.tuples(st.integers(1, 300))))
-    @settings(max_examples=50, deadline=None)
-    def test_decode_is_scaled_sign(self, values):
-        pipeline = Pipeline([Sign()])
-        decoded = pipeline.decode(pipeline.encode(values))
-        scale = np.mean(np.abs(values))
-        assert np.all(decoded[values > 0] == scale)
-        assert np.all(decoded[values < 0] == -scale)
-        assert np.all(np.abs(decoded) == scale)
-
-    @given(arrays(shape=st.tuples(st.integers(1, 300))))
-    @settings(max_examples=50, deadline=None)
-    def test_nmse_bounded_by_one(self, values):
-        """With scale = mean|v|, NMSE = 1 - n*mean(|v|)^2 / sum(v^2) <= 1."""
-        power = float(np.sum(values.astype(np.float64) ** 2))
-        if power == 0.0:
-            return
-        pipeline = Pipeline([Sign()])
-        decoded = pipeline.decode(pipeline.encode(values))
-        assert nmse(values, decoded) <= 1.0 + 1e-9
-
-    @given(
-        st.integers(min_value=1, max_value=7),
-        st.integers(min_value=1, max_value=64),
-        st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_majority_vote_aggregate_is_sign_of_summed_codes(self, world, numel, seed):
-        rng = np.random.default_rng(seed)
-        buffers = [rng.standard_normal(numel) for _ in range(world)]
-        payloads = [SignPayload.from_values(b) for b in buffers]
-        reduced, _ = all_reduce(payloads, average=True)
-        codes = np.stack([p.codes() for p in payloads])
-        expected = np.mean([p.scale for p in payloads]) * np.sign(codes.sum(axis=0))
-        np.testing.assert_allclose(reduced.values, expected, rtol=1e-12, atol=1e-15)
-
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_dtype_matrix_decode_follows_compute_dtype(self, dtype):
-        from repro.tensorlib.dtypes import default_dtype
-
-        with default_dtype(dtype):
-            rng = np.random.default_rng(0)
-            values = rng.standard_normal(97).astype(dtype)
-            pipeline = Pipeline([Sign()])
-            payload = pipeline.encode(values)
-            decoded = pipeline.decode(payload)
-            assert decoded.dtype == np.dtype(dtype)
-            # Wire cost models the packed-bit + fp32-scale format either way.
-            assert payload.nbytes == -(-values.size // 8) + FP32_BYTES
-
-
-class TestLowRankPayloadProperties:
-    """PowerSGD wire format: (m+n)*rank*4 bytes, projection-bounded error."""
-
-    @given(st.integers(min_value=1, max_value=4000), st.integers(min_value=1, max_value=6))
-    @settings(max_examples=60, deadline=None)
-    def test_nbytes_is_exactly_m_plus_n_times_rank(self, numel, rank):
-        m, n = LowRank.matrix_shape(numel)
-        assert m * n >= numel and (m - 1) * n < numel
-        effective = min(rank, m, n)
-        pipeline = Pipeline([LowRank(rank=rank)])
-        payload = pipeline.encode(np.ones(numel))
-        assert isinstance(payload, LowRankPayload)
-        assert payload.nbytes == (m + n) * effective * FP32_BYTES
-        assert payload.transmitted_elements == (m + n) * effective
-
-    @given(
-        st.integers(min_value=2, max_value=40),
-        st.integers(min_value=1, max_value=3),
-        st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_exactly_low_rank_inputs_reconstruct_exactly(self, side, true_rank, seed):
-        """One warm-started power-iteration step recovers rank <= r matrices."""
-        rng = np.random.default_rng(seed)
-        true_rank = min(true_rank, side)
-        left = rng.standard_normal((side, true_rank))
-        right = rng.standard_normal((side, true_rank))
-        flat = (left @ right.T).reshape(-1)
-        pipeline = Pipeline([LowRank(rank=4)])
-        decoded = pipeline.decode(pipeline.encode(flat))
-        scale = float(np.max(np.abs(flat))) or 1.0
-        np.testing.assert_allclose(decoded, flat, atol=1e-8 * scale)
-
-    @given(arrays(shape=st.tuples(st.integers(4, 400))), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=50, deadline=None)
-    def test_decode_error_bounded_by_projection(self, values, rank):
-        """Reconstruction is an orthogonal projection: NMSE <= 1."""
-        power = float(np.sum(values.astype(np.float64) ** 2))
-        if power == 0.0:
-            return
-        pipeline = Pipeline([LowRank(rank=rank)])
-        decoded = pipeline.decode(pipeline.encode(values))
-        assert nmse(values, decoded) <= 1.0 + 1e-9
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_warm_start_never_degrades_on_a_fixed_matrix(self, seed):
-        rng = np.random.default_rng(seed)
-        flat = rng.standard_normal(256)
-        pipeline = Pipeline([LowRank(rank=2)])
-        errors = []
-        for _ in range(4):
-            decoded = pipeline.decode(pipeline.encode(flat))
-            errors.append(nmse(flat, decoded))
-        assert errors[-1] <= errors[0] + 1e-9
-
-    @given(
-        st.integers(min_value=2, max_value=20),
-        st.integers(min_value=1, max_value=5),
-        st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_orthonormalize_produces_orthonormal_or_zero_columns(self, rows, cols, seed):
-        rng = np.random.default_rng(seed)
-        basis = orthonormalize(rng.standard_normal((rows, cols)))
-        gram = basis.T @ basis
-        norms = np.diag(gram)
-        assert np.all((np.abs(norms - 1.0) < 1e-9) | (norms < 1e-18))
-        off_diagonal = gram - np.diag(norms)
-        assert np.max(np.abs(off_diagonal)) < 1e-9
-
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_dtype_matrix_decode_follows_compute_dtype(self, dtype):
-        from repro.tensorlib.dtypes import default_dtype
-
-        with default_dtype(dtype):
-            rng = np.random.default_rng(1)
-            values = rng.standard_normal(200).astype(dtype)
-            pipeline = Pipeline([LowRank(rank=3)])
-            payload = pipeline.encode(values)
-            decoded = pipeline.decode(payload)
-            assert decoded.dtype == np.dtype(dtype)
-            m, n = LowRank.matrix_shape(values.size)
-            assert payload.nbytes == (m + n) * 3 * FP32_BYTES
-
-
 class TestErrorFeedbackInvariantProperties:
     @given(
         st.integers(min_value=1, max_value=5),
@@ -452,7 +304,7 @@ class TestErrorFeedbackInvariantProperties:
         from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 
         rng = np.random.default_rng(seed)
-        compressor = build_compressor("ef+powersgd-rank2")
+        compressor = build_compressor("ef+topk0.1+terngrad")
         layout = Bucket(index=0, slices=[BucketSlice("w", 0, numel, (numel,))])
         group = ProcessGroup(world)
         for iteration in range(2):

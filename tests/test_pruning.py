@@ -17,7 +17,6 @@ from repro.pruning import (
     magnitude_prune,
     prunable_parameters,
 )
-from repro.pruning.magnitude import layer_magnitude_summary, model_sparsity
 from repro.tensorlib import Tensor, functional as F
 
 
@@ -26,6 +25,21 @@ def backward_on(model, batch):
     model.zero_grad()
     loss = F.cross_entropy(model(Tensor(images)), labels)
     loss.backward()
+
+
+def pruned_weights_are_zero(mask, model, atol=0.0):
+    """Whether every weight the mask prunes is (numerically) zero."""
+    return all(
+        not np.any(np.abs(param.data[~mask[name]]) > atol)
+        for name, param in model.named_parameters()
+        if name in mask
+    )
+
+
+def zero_fraction(model):
+    """Fraction of exactly-zero parameters in the model."""
+    params = [param.data for _, param in model.named_parameters()]
+    return sum(int(np.sum(p == 0.0)) for p in params) / sum(p.size for p in params)
 
 
 class TestPruningMask:
@@ -45,7 +59,7 @@ class TestPruningMask:
         mask["fc0.weight"] = np.zeros_like(tiny_model.fc0.weight.data, dtype=bool)
         mask.apply_to_weights(tiny_model)
         np.testing.assert_array_equal(tiny_model.fc0.weight.data, 0.0)
-        assert mask.check_weights_consistent(tiny_model)
+        assert pruned_weights_are_zero(mask, tiny_model)
 
     def test_apply_to_gradients(self, tiny_model, sample_batch):
         backward_on(tiny_model, sample_batch)
@@ -66,14 +80,6 @@ class TestPruningMask:
         assert not mask["fc0.weight"][0].any()
         assert mask["fc0.weight"][1].all()
 
-    def test_per_layer_sparsity_and_state_dict(self, tiny_model):
-        mask = magnitude_mask(tiny_model, 0.5)
-        per_layer = mask.per_layer_sparsity()
-        assert set(per_layer) == {name for name, _ in tiny_model.named_parameters()}
-        restored = PruningMask.from_state_dict(mask.state_dict())
-        assert restored.sparsity == pytest.approx(mask.sparsity)
-
-
 class TestMagnitudePruning:
     def test_prunable_excludes_biases_and_norms(self):
         model = resnet18_mini(seed=0)
@@ -90,9 +96,9 @@ class TestMagnitudePruning:
         assert kept / total == pytest.approx(0.5, abs=0.02)
 
     def test_weights_zeroed_in_place(self, tiny_model):
-        assert model_sparsity(tiny_model) == pytest.approx(0.0, abs=0.05)
+        assert zero_fraction(tiny_model) == pytest.approx(0.0, abs=0.05)
         magnitude_prune(tiny_model, 0.7)
-        assert model_sparsity(tiny_model) > 0.5
+        assert zero_fraction(tiny_model) > 0.5
 
     def test_prunes_smallest_magnitudes(self):
         model = mlp_tiny(seed=0)
@@ -122,12 +128,6 @@ class TestMagnitudePruning:
         with pytest.raises(ValueError):
             magnitude_mask(tiny_model, 0.5, scope="block")
 
-    def test_layer_summary(self, tiny_model):
-        summary = layer_magnitude_summary(tiny_model)
-        assert "fc0.weight" in summary
-        assert summary["fc0.weight"]["numel"] == tiny_model.fc0.weight.size
-
-
 class TestGraSP:
     def test_scores_have_parameter_shapes(self, tiny_model, sample_batch):
         scores = grasp_scores(tiny_model, sample_batch, F.cross_entropy)
@@ -147,7 +147,7 @@ class TestGraSP:
         kept = sum(mask[name].sum() for name in prunable)
         total = sum(mask[name].size for name in prunable)
         assert kept / total == pytest.approx(0.5, abs=0.05)
-        assert mask.check_weights_consistent(model)
+        assert pruned_weights_are_zero(mask, model)
 
     def test_zero_ratio_keeps_dense(self, tiny_model, sample_batch):
         mask = grasp_prune(tiny_model, sample_batch, F.cross_entropy, pruning_ratio=0.0)
@@ -224,7 +224,7 @@ class TestGSE:
             backward_on(tiny_model, sample_batch)
             apply_gse(tiny_model, mask)
             optimizer.step()
-        assert mask.check_weights_consistent(tiny_model, atol=1e-12)
+        assert pruned_weights_are_zero(mask, tiny_model, atol=1e-12)
 
     def test_gse_from_weights(self, tiny_model):
         magnitude_prune(tiny_model, 0.4)

@@ -309,7 +309,7 @@ class TestExperimentDriver:
         assert a.final_accuracy == pytest.approx(b.final_accuracy)
         assert a.simulated_time == pytest.approx(b.simulated_time)
 
-    @pytest.mark.parametrize("spec", ["topk0.01+terngrad", "randomk0.1+fp16"])
+    @pytest.mark.parametrize("spec", ["topk0.01+terngrad", "ef+topk0.1+fp16"])
     def test_run_experiment_with_composed_pipeline(self, quick_config, spec):
         """Composed codec pipelines run end-to-end through the driver."""
         result = run_experiment(quick_config, MethodSpec(name=spec, compressor=spec))

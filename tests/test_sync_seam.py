@@ -50,7 +50,6 @@ NAME_IS_SPEC = {
     "topk": ("ef+topk0.1", "topk-0.1"),
     "topk-0.1": ("ef+topk0.1", "topk-0.1"),
     "topk-0.01": ("ef+topk0.01", "topk-0.01"),
-    "randomk": ("randomk0.1", "randomk-0.1"),
     "terngrad": ("terngrad", "terngrad"),
     "dgc": ("dgc0.01", "dgc-0.01"),
     "dgc-0.01": ("dgc0.01", "dgc-0.01"),

@@ -92,9 +92,6 @@ class TestElementwiseGradients:
     def test_tanh(self, x):
         check_gradient(lambda t: t.tanh(), x)
 
-    def test_sigmoid(self, x):
-        check_gradient(lambda t: t.sigmoid(), x)
-
     def test_relu(self, x):
         # Shift away from the kink where finite differences are ill-defined.
         shifted = x + np.where(np.abs(x) < 1e-3, 0.1, 0.0)
@@ -221,13 +218,6 @@ class TestBackwardSemantics:
             y = x * 2.0
         assert not y.requires_grad
         assert y._backward is None
-
-    def test_detach_breaks_graph(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = (x * 2.0).detach()
-        z = (y * 3.0).sum()
-        z.backward()
-        assert x.grad is None
 
     def test_zero_grad(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.campaign import CampaignSpec, ResultStore, cell_fingerprint, run_campaign
-from repro.campaign.store import iter_jsonl
 from repro.data import DataLoader, DistributedSampler, synthetic_cifar10, train_test_split
 from repro.nn.models import MLP, MODEL_REGISTRY, build_model, register_model
 from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, MethodSpec, run_experiment
@@ -95,7 +94,8 @@ def kept_workloads(share: _WorkloadShare):
 
 def store_lines(path) -> list:
     """Store records with the wall-clock stamp removed."""
-    records = list(iter_jsonl(str(path)))
+    with open(path, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
     for record in records:
         del record["created"]
     return records
