@@ -14,7 +14,7 @@ layer — compressors never self-report byte counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,15 +104,30 @@ class CodecCompressor:
 
     **Aliasing contract.**  The residual buffers are owned by the compressor:
     allocated here, never adopted from a caller (not the DDP gradient arena,
-    not a degraded membership's fancy copy, not a pushed worker's row),
-    so they survive arena staging and bucket reuse across iterations.  During
-    one ``aggregate`` call the pipeline's stages *read* them — as
-    ``EncodeContext.matrix`` and as the ``DensePayload`` values of the first
-    stage — and must not write them or keep a reference past the call; a
-    pass-through stage may return them as its payload, which is why the
-    residual is rewritten only after the collective (which never mutates its
-    inputs) has consumed the payloads.  ``residual(bucket)`` hands out the live
-    buffer: copy it to keep a snapshot.
+    not a degraded membership's fancy copy, not a pushed worker's row).  The
+    compensation ``residual += grad`` happens in one of two places:
+
+    * a caller that stages gradients may *borrow* a residual with
+      :meth:`lend_residual` and add them into it itself, then pass that very
+      array as the bucket's matrix — ``aggregate`` sees a matrix that *is*
+      its residual and adds nothing (the synchronous DDP step does this when
+      it stages the full world with no GSE mask, so it never holds a second
+      ``(world_size, numel)`` copy).  Between the loan and the ``aggregate``
+      call the borrower may only add gradients into it;
+    * any other matrix — the DDP arena, a degraded membership's copy, a
+      pushed worker's row, a direct call's array — is read only and added
+      into the residual by ``aggregate`` itself.
+
+    Either way each element gets one IEEE addition of gradient and residual,
+    which commutes, so both places give the same bits.  During one ``aggregate`` call the pipeline's
+    stages *read* the residual — as ``EncodeContext.matrix`` and as the
+    ``DensePayload`` values of the first stage — and must not write it or keep
+    a reference past the call; a pass-through stage may return it as its
+    payload, which is why the residual is rewritten only after the collective
+    (which never mutates its inputs) has consumed the payloads.
+    ``residual(bucket)`` hands out the live buffer: copy it to keep a
+    snapshot.  :meth:`_pipeline_for` runs before compensation; on a lent
+    bucket the matrix it sees is already compensated.
 
     Subclasses may override :meth:`_pipeline_for` to pick the pipeline
     adaptively per bucket/iteration (PacTrain's stable/fallback switch).
@@ -204,6 +219,26 @@ class CodecCompressor:
         """The current error-feedback residual of one bucket (None before use)."""
         return self._residuals.get(bucket_index)
 
+    def lend_residual(self, bucket_index: int, shape: Tuple[int, int], dtype) -> np.ndarray:
+        """The residual a caller may stage one bucket's gradients into by addition.
+
+        The bucket's ``shape`` / ``dtype`` residual, started from zeros like a
+        first compensation (:meth:`_compensate`).  A caller that adds the
+        step's ``(world_size, numel)`` gradients into it and passes it as the
+        bucket's matrix has compensated already (see the aliasing contract).
+        Only a compressor with driver error feedback has one to lend.
+        """
+        if not self.error_feedback:
+            raise ValueError(f"{self.name!r} keeps no error-feedback residual to lend")
+        return self._residual_for(bucket_index, shape, np.dtype(dtype))
+
+    def _residual_for(self, bucket_index: int, shape, dtype: np.dtype) -> np.ndarray:
+        """One bucket's residual, zeros if absent or of another shape or dtype."""
+        residual = self._residuals.get(bucket_index)
+        if residual is None or residual.shape != shape or residual.dtype != dtype:
+            residual = self._residuals[bucket_index] = np.zeros(shape, dtype=dtype)
+        return residual
+
     def _pipeline_for(self, bucket: GradBucket, group: ProcessGroup, iteration: int) -> Pipeline:
         """Pipeline used for this bucket synchronisation (static by default)."""
         return self.pipeline
@@ -213,13 +248,13 @@ class CodecCompressor:
 
         The first call, or a bucket that changed world size, length or dtype,
         starts from zeros — allocated here, so the residual never aliases the
-        caller's matrix.
+        caller's matrix.  A bucket whose matrix *is* the residual
+        (:meth:`lend_residual`) was compensated as it was staged.
         """
         matrix = bucket.matrix
-        residual = self._residuals.get(bucket.index)
-        if residual is None or residual.shape != matrix.shape or residual.dtype != matrix.dtype:
-            residual = self._residuals[bucket.index] = np.zeros(matrix.shape, dtype=matrix.dtype)
-        np.add(matrix, residual, out=residual)
+        residual = self._residual_for(bucket.index, matrix.shape, matrix.dtype)
+        if matrix is not residual:
+            np.add(matrix, residual, out=residual)
         return residual
 
     def aggregate(self, bucket: GradBucket, group: ProcessGroup, iteration: int = 0) -> np.ndarray:

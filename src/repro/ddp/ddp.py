@@ -8,19 +8,23 @@ of ``world_size`` replicas on a single process:
    weights, which is mathematically identical to real DDP because every rank
    applies the same aggregated gradient) — with Gradient Sparsity Enforcement
    applied when the step is given a mask;
-2. per-rank gradients are staged into a preallocated
+2. per-rank gradients are staged into a
    :class:`~repro.ddp.arena.GradientArena` — one reusable ``(world_size,
    numel)`` matrix per bucket (reverse parameter order, names erased — see
-   :mod:`repro.ddp.bucket`) — with no per-step flatten buffers;
+   :mod:`repro.ddp.bucket`) — with no per-step flatten buffers.  When the
+   compressor keeps error-feedback residuals and the step stages the full
+   world with no GSE mask, the arena it stages into is the residuals, lent
+   by the compressor, and staging adds into them (the compensation itself);
+   otherwise it is the wrapper's own, allocated on first write;
 3. the wrapper's :class:`~repro.compression.base.CodecCompressor` — the
    communication hook — aggregates each bucket through the process group,
    which records modeled time and bytes; the events each bucket's
    aggregation issued are drained from the group's log per step (the group
    keeps lifetime aggregates), so the log cannot grow with run length.
    Stateful compressors (error-feedback residuals, DGC momentum, PacTrain
-   masks) own their per-bucket buffers — never views into the arena, whose
-   rows are rewritten by every staging pass — so their state survives arena
-   staging and bucket reuse across iterations;
+   masks) own their per-bucket buffers — never views into the wrapper's
+   arena, whose rows are rewritten by every staging pass — so their state
+   survives arena staging and bucket reuse across iterations;
 4. the aggregated gradients are unpacked back into ``param.grad`` as views of
    the reduced buffer (no copies on the float64 or float32 path) so a single
    optimiser step updates the shared weights.
@@ -135,11 +139,14 @@ class DistributedDataParallel:
         parameters = list(self._param_map.values())
         #: Compute dtype of the gradient plumbing (the model's parameter dtype).
         self.dtype = parameters[0].data.dtype if parameters else get_default_dtype()
-        #: Preallocated per-bucket (world_size, numel) gradient matrices,
-        #: reused every iteration.
+        #: The wrapper's own per-bucket (world_size, numel) gradient matrices,
+        #: each allocated on its first write and reused every iteration.
         self.arena = GradientArena(self.buckets, world_size, dtype=self.dtype)
+        #: The arena gradients are staged into: :attr:`arena`, except during
+        #: a :meth:`train_step` that stages into the compressor's residuals.
+        self.staging = self.arena
         #: Surviving membership under a fault scenario; ``None`` (default)
-        #: means the full healthy world and takes exactly the historical
+        #: means the full world and takes exactly the historical
         #: synchronisation path.
         self._active_ranks: Optional[List[int]] = None
         #: The group collectives currently run over: ``process_group`` when
@@ -186,7 +193,9 @@ class DistributedDataParallel:
         wrapper's network model.  Passing ``None`` (or the full membership
         with no explicit group) restores the healthy fast path, whose
         synchronisation is bit-identical to a wrapper that was never
-        degraded.
+        degraded.  The full membership with an explicit group (a slowed
+        link) stages and reduces exactly as the healthy path does and only
+        prices its collectives on ``process_group``.
         """
         if ranks is None:
             self._active_ranks = None
@@ -208,7 +217,7 @@ class DistributedDataParallel:
                 f"process_group world_size {group.world_size} does not "
                 f"match {len(active)} active ranks"
             )
-        self._active_ranks = active
+        self._active_ranks = None if len(active) == self.world_size else active
         self.active_group = group
 
     # ------------------------------------------------------------------ #
@@ -244,9 +253,12 @@ class DistributedDataParallel:
         Returns the per-rank losses and ``{name: (len(ranks), *shape)}``
         gradient stacks, whose float64 values are bit-identical per rank to a
         per-rank loop.  When the full world of several ranks runs, conv weight
-        stacks are born in their ``arena.slots`` and are valid until the next
-        staging pass; any other pass — one worker's, world 1 — hands back
-        arrays of its own.
+        stacks are born in their :attr:`staging` slots: written into the
+        wrapper's arena (valid until the next staging pass), or, inside a
+        :meth:`train_step` that stages into the compressor's residuals, added
+        into them as each GEMM lands (the returned stack is then the
+        compensated residual slice).  Any other pass — one worker's, world 1
+        — hands back arrays of its own.
         """
         if len(per_rank_batches) != self.world_size:
             raise ValueError(
@@ -257,9 +269,10 @@ class DistributedDataParallel:
         images = np.stack([per_rank_batches[rank][0] for rank in ranks])
         labels = np.stack([np.asarray(per_rank_batches[rank][1]) for rank in ranks])
         world = len(ranks)
-        slots = self.arena.slots if 1 < world == self.world_size else None
+        staging = self.staging
+        slots = staging.slots if 1 < world == self.world_size else None
         self.model.zero_grad()
-        with replica_views(self.model, world, slots, stacks) as views:
+        with replica_views(self.model, world, slots, stacks, staging.accumulates) as views:
             logits = self.model(Tensor(images))
             loss = loss_fn(logits, labels)
             loss.backward(np.ones(world, dtype=loss.data.dtype))
@@ -293,40 +306,62 @@ class DistributedDataParallel:
         Eq. (2)) to every rank's gradients before they are staged.  The
         aggregated gradients are written back into ``param.grad``; the
         optimiser step and advancing :attr:`iteration` are the caller's.
+
+        A step over the full world with no GSE mask whose compressor keeps
+        error-feedback residuals stages into those residuals by addition
+        (:meth:`~repro.compression.base.CodecCompressor.lend_residual`), so it
+        holds one ``(world_size, numel)`` matrix per bucket, not two.  Masking
+        must precede compensation, and a degraded world's residuals are the
+        survivors' rows only, so every other step stages into :attr:`arena`.
         """
-        with TRACER.span("train/backward", cat="train", iteration=self.iteration):
-            ranks = self._active_ranks
-            per_rank_losses, grads = self.compute_batched_gradients(
-                per_rank_batches, loss_fn, ranks
-            )
-            if gse_mask is not None:
-                # The (*shape) masks broadcast over the leading world axis,
-                # multiplying each rank's slice exactly as the loop does.
-                apply_gse(self.model, gse_mask, grads=grads)
-            self.stage_world_gradients(grads, ranks)
-        with TRACER.span("train/sync", cat="train", iteration=self.iteration):
-            aggregated, bucket_events = self.synchronize_staged()
-            self.apply_aggregated_gradients(aggregated)
+        ranks = self._active_ranks
+        if ranks is None and gse_mask is None:
+            self.staging = self._lent_staging()
+        try:
+            with TRACER.span("train/backward", cat="train", iteration=self.iteration):
+                per_rank_losses, grads = self.compute_batched_gradients(
+                    per_rank_batches, loss_fn, ranks
+                )
+                if gse_mask is not None:
+                    # The (*shape) masks broadcast over the leading world axis,
+                    # multiplying each rank's slice exactly as the loop does.
+                    apply_gse(self.model, gse_mask, grads=grads)
+                self.stage_world_gradients(grads, ranks)
+            with TRACER.span("train/sync", cat="train", iteration=self.iteration):
+                aggregated, bucket_events = self.synchronize_staged()
+                self.apply_aggregated_gradients(aggregated)
+        finally:
+            self.staging = self.arena
         return StepResult(per_rank_losses, bucket_events)
+
+    def _lent_staging(self) -> GradientArena:
+        """The compressor's residuals as an arena that adds, or :attr:`arena` without them."""
+        if not self.compressor.error_feedback:
+            return self.arena
+        lent = [
+            self.compressor.lend_residual(bucket.index, (self.world_size, bucket.numel), self.dtype)
+            for bucket in self.buckets
+        ]
+        return GradientArena(self.buckets, self.world_size, dtype=self.dtype, lent=lent)
 
     # ------------------------------------------------------------------ #
     # Gradient synchronisation
     # ------------------------------------------------------------------ #
     def stage_rank_gradients(self, rank: int, grads_by_name: Dict[str, np.ndarray]) -> None:
-        """Write one rank's named gradients into its arena rows."""
-        self.arena.write_rank(rank, grads_by_name)
+        """Write one rank's named gradients into its :attr:`staging` rows."""
+        self.staging.write_rank(rank, grads_by_name)
 
     def stage_world_gradients(
         self, grads_by_name: Dict[str, np.ndarray], ranks: Optional[Sequence[int]] = None
     ) -> None:
-        """Write ``(len(ranks), *shape)`` gradient stacks into the rows of ``ranks``.
+        """Write ``(len(ranks), *shape)`` gradient stacks into the :attr:`staging` rows of ``ranks``.
 
         ``ranks`` (sorted global ids) defaults to the whole world, which is
-        staged in one vectorised copy per parameter; a subset is staged row by
-        row and leaves the other ranks' rows untouched.
+        staged in one vectorised copy (or add) per parameter; a subset is
+        staged row by row and leaves the other ranks' rows untouched.
         """
         if ranks is None or len(ranks) == self.world_size:
-            self.arena.write_world(grads_by_name)
+            self.staging.write_world(grads_by_name)
             return
         for index, rank in enumerate(ranks):
             self.stage_rank_gradients(
@@ -336,7 +371,7 @@ class DistributedDataParallel:
     def synchronize_staged(
         self, compressor: Optional[CodecCompressor] = None
     ) -> Tuple[Dict[str, np.ndarray], List[List[CollectiveEvent]]]:
-        """Aggregate the gradients currently staged in the arena.
+        """Aggregate the gradients currently staged in :attr:`staging`.
 
         Returns the unflattened aggregate and the collective events grouped by
         the bucket whose aggregation issued them.  The events are *drained*
@@ -360,7 +395,7 @@ class DistributedDataParallel:
         aggregated: Dict[str, np.ndarray] = {}
         bucket_events: List[List[CollectiveEvent]] = []
         for bucket in self.buckets:
-            matrix = self.arena.matrix(bucket.index)
+            matrix = self.staging.matrix(bucket.index)
             if active is not None:
                 # Fancy indexing copies the surviving rows out of the arena, so
                 # compressors never see (or alias) dead ranks' stale gradients.

@@ -38,9 +38,14 @@ from repro.tensorlib import Tensor
 
 
 class _ReplicaView(Tensor):
-    """A parameter's broadcast view; ``slot`` is the array its gradient may be born in, or ``None``."""
+    """A parameter's broadcast view.
 
-    __slots__ = ("slot",)
+    ``slot`` is the array its gradient may be born in, or ``None``;
+    ``slot_accumulates`` says whether that array holds a value the gradient
+    is added to (a lent error-feedback residual) rather than one it replaces.
+    """
+
+    __slots__ = ("slot", "slot_accumulates")
 
 
 def _make_view(
@@ -49,6 +54,7 @@ def _make_view(
     name: str,
     slot: Optional[np.ndarray],
     stack: Optional[np.ndarray],
+    accumulate: bool,
 ) -> _ReplicaView:
     # Construct without Tensor.__init__ so the stride-0 broadcast (or the
     # given stack) is installed verbatim, with no dtype coercion copy.
@@ -63,6 +69,7 @@ def _make_view(
     view._parents = ()
     view.name = name
     view.slot = slot
+    view.slot_accumulates = accumulate
     return view
 
 
@@ -72,6 +79,7 @@ def replica_views(
     world_size: int,
     slots: Optional[Dict[str, np.ndarray]] = None,
     stacks: Optional[Dict[str, np.ndarray]] = None,
+    accumulate: bool = False,
 ) -> Iterator[Dict[str, Tensor]]:
     """Swap every parameter for a ``(world, *shape)`` view.
 
@@ -83,8 +91,13 @@ def replica_views(
     the underlying parameters themselves accumulate nothing.  A kernel may
     write a view's first contribution into its ``slots`` entry (``{name:
     (world, *shape) array}``, e.g. ``GradientArena.slots``), which then *is*
-    its ``.grad``.  Attributes are restored on exit even if the
-    forward/backward raises.
+    its ``.grad``; with ``accumulate`` it *adds* the contribution to the
+    slot's values instead (a lent residual), so that ``.grad`` is
+    ``slot + gradient``.  Later contributions are added to that sum, so a
+    conv weight applied twice in one forward would compensate as
+    ``(r + g1) + g2``, not ``r + (g1 + g2)``: the same update, rounded
+    differently (no model in :mod:`repro.nn.models` reuses a conv weight).
+    Attributes are restored on exit even if the forward/backward raises.
     """
     views: Dict[str, Tensor] = {}
     installed: List[Tuple[Module, str, Parameter]] = []
@@ -96,6 +109,7 @@ def replica_views(
                     param, world_size, full,
                     None if slots is None else slots.get(full),
                     None if stacks is None else stacks.get(full),
+                    accumulate,
                 )
                 views[full] = view
                 installed.append((module, local, param))

@@ -235,8 +235,18 @@ def conv2d(
             if slot is None:
                 grad_w = backend.conv_weight_grad(grad_mat, cols4)  # (W, O, K)
                 weight._accumulate(grad_w.reshape(w_shape), own=True)
-            else:  # a replica view's first contribution, born in its arena slot
-                backend.conv_weight_grad(grad_mat, cols4, out=slot.reshape(world, out_channels, -1))
+            else:  # a replica view's first contribution, born in its slot
+                slot_mat = slot.reshape(world, out_channels, -1)
+                if weight.slot_accumulates:
+                    # A lent residual: each rank's GEMM lands in a one-rank
+                    # temporary and is added to its slice, so the step holds
+                    # no (W, O, K) copy beside the residual.
+                    for rank in range(world):
+                        part = slice(rank, rank + 1)
+                        grad_w = backend.conv_weight_grad(grad_mat[part], cols4[part])
+                        np.add(grad_w, slot_mat[part], out=slot_mat[part])
+                else:
+                    backend.conv_weight_grad(grad_mat, cols4, out=slot_mat)
                 weight._accumulate(slot, own=True)
             del cols4
         if bias is not None and bias.requires_grad:

@@ -5,9 +5,9 @@ Covers the invariants end to end:
 * the residual contract ``residual = input - decode(own payload)`` per
   (bucket, rank), and its aggregate form ``mean(residual) = mean(input) -
   aggregate`` for reduce-linear pipelines;
-* residual state surviving DDP's preallocated gradient-arena staging and
-  bucket reuse across iterations (the buffers are owned by the compressor,
-  never views into the arena);
+* residual state surviving DDP's staging and bucket reuse across
+  iterations (the buffers are owned by the compressor, never views into the
+  arena; ``tests/test_ef_staging.py`` covers the steps that stage into them);
 * EF-compressed training matching uncompressed SGD on a convex toy problem.
 """
 
@@ -238,8 +238,8 @@ class TestResidualSurvivesArena:
             assert not ddp.arena.shares_memory_with(residual)
             assert np.any(residual != 0.0)
 
-        # The next iteration overwrites every arena row; the residuals must be
-        # untouched by the staging and evolve only through the EF update.
+        # The next iteration stages into the residuals themselves (the arena
+        # stays unallocated); they evolve only through the EF update.
         self._step(ddp, rng)
         for bucket in ddp.buckets:
             after = compressor.residual(bucket.index)
