@@ -38,7 +38,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from repro.campaign.store import cell_identity, identity_fingerprint
+from repro.campaign.store import (
+    canonical_json,
+    cell_identity,
+    identity_fingerprint,
+    splice_identity,
+)
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.spec import PAPER_METHODS, ExperimentConfig, MethodSpec
 
@@ -65,8 +70,12 @@ class CampaignCell:
 
     A cell is serialised once: :attr:`identity` is computed on first use and
     kept, and expansion's dedupe, the runner's cache lookup and the store
-    write all derive from it.  Build a new cell instead of mutating the
-    ``config`` of one whose identity has been read.
+    write all derive from it.  :meth:`CampaignSpec.expand` goes further and
+    serialises each *distinct* spec once, so cells of one expansion may share
+    their ``config`` and ``method`` objects (every cell of one config-side
+    grid point holds the same :class:`ExperimentConfig`).  Nothing in
+    ``repro`` mutates a cell's specs; build a new cell instead of mutating
+    one.
     """
 
     config: ExperimentConfig
@@ -124,13 +133,9 @@ def resolve_method(
     return MethodSpec(name=value, compressor=value)
 
 
-def build_cell(
-    overrides: Dict,
-    base: Optional[Dict] = None,
-    methods: Optional[Dict[str, MethodSpec]] = None,
-) -> CampaignCell:
-    """Construct one cell from base settings plus per-cell axis overrides."""
-    merged = {**(base or {}), **overrides}
+def _route(merged: Dict) -> tuple:
+    """Sort merged axis values into ``(config kwargs, cluster kwargs, method
+    value, method-field overrides)``; an unknown axis name raises here."""
     config_kwargs: Dict = {}
     cluster_kwargs: Dict = {}
     method_overrides: Dict = {}
@@ -154,7 +159,14 @@ def build_cell(
                 f"cluster axes: {sorted(CLUSTER_AXES)}, method-field axes: "
                 f"{sorted(METHOD_FIELD_AXES)}, or 'method'"
             )
-    config = ExperimentConfig(cluster=ClusterSpec.from_dict(cluster_kwargs), **config_kwargs)
+    return config_kwargs, cluster_kwargs, method_value, method_overrides
+
+
+def _build_method(
+    method_value: Union[str, Dict, MethodSpec],
+    method_overrides: Dict,
+    methods: Optional[Dict[str, MethodSpec]],
+) -> MethodSpec:
     method = resolve_method(method_value, methods)
     if method_overrides:
         renamed = method.name
@@ -190,7 +202,93 @@ def build_cell(
             if not parsed.is_synchronous and not renamed.endswith(suffix):
                 renamed = f"{renamed}{suffix}"
         method = dataclasses.replace(method, name=renamed, **method_overrides)
-    return CampaignCell(config=config, method=method)
+    return method
+
+
+def build_cell(
+    overrides: Dict,
+    base: Optional[Dict] = None,
+    methods: Optional[Dict[str, MethodSpec]] = None,
+) -> CampaignCell:
+    """Construct one cell from base settings plus per-cell axis overrides."""
+    config_kwargs, cluster_kwargs, method_value, method_overrides = _route(
+        {**(base or {}), **overrides}
+    )
+    config = ExperimentConfig(cluster=ClusterSpec.from_dict(cluster_kwargs), **config_kwargs)
+    return CampaignCell(config=config, method=_build_method(method_value, method_overrides, methods))
+
+
+def _memo_key(value):
+    """A hashable stand-in for an axis value, equal only for values that
+    :func:`build_cell` cannot tell apart.
+
+    The type is part of the key (``1``, ``1.0`` and ``True`` build different
+    specs), a float is keyed by its exact bits (``-0.0`` is not ``0.0``), and
+    containers are keyed by their items in order.  Anything else — a
+    :class:`MethodSpec`, a ``DeviceSpec``, a ``FaultPlan`` — is keyed by
+    identity, which the spec holding it keeps alive for the whole expansion.
+    """
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return kind, value
+    if kind is float:
+        return kind, value.hex()
+    if kind is dict:
+        return kind, tuple((_memo_key(name), _memo_key(item)) for name, item in value.items())
+    if kind is list or kind is tuple:
+        return kind, tuple(_memo_key(item) for item in value)
+    return kind, id(value)
+
+
+class _SpecMemo:
+    """The specs of one :meth:`CampaignSpec.expand` call, each built and
+    serialised once.
+
+    A cell's config depends only on its config-side overrides (experiment
+    and cluster axes, and any unknown name, which fails on a miss) and its
+    method only on its method-side ones (``method`` and the method-field
+    axes): ``base`` and ``methods`` are fixed for the call.  Each side is
+    keyed by its override items in order, so a key merges exactly the
+    values :func:`build_cell` would.  A miss builds through the same
+    :func:`_route`, raising what ``build_cell`` raises.
+    """
+
+    def __init__(self, base: Dict, methods: Dict[str, MethodSpec]) -> None:
+        self.base = base
+        self.methods = methods
+        self.configs: Dict[tuple, tuple] = {}
+        self.method_specs: Dict[tuple, tuple] = {}
+
+    def cell(self, overrides: Dict) -> CampaignCell:
+        config_key = []
+        method_key = []
+        for name, value in overrides.items():
+            side = method_key if name == METHOD_AXIS or name in METHOD_FIELD_AXES else config_key
+            side.append((name, _memo_key(value)))
+        config_key, method_key = tuple(config_key), tuple(method_key)
+        config_entry = self.configs.get(config_key)
+        method_entry = self.method_specs.get(method_key)
+        if config_entry is None or method_entry is None:
+            config_kwargs, cluster_kwargs, method_value, method_overrides = _route(
+                {**self.base, **overrides}
+            )
+            if config_entry is None:
+                config = ExperimentConfig(
+                    cluster=ClusterSpec.from_dict(cluster_kwargs), **config_kwargs
+                )
+                config_entry = self.configs[config_key] = (
+                    config, canonical_json(config.to_dict())
+                )
+            if method_entry is None:
+                method = _build_method(method_value, method_overrides, self.methods)
+                method_entry = self.method_specs[method_key] = (
+                    method, canonical_json(method.to_dict())
+                )
+        cell = CampaignCell(config=config_entry[0], method=method_entry[0])
+        # Seed the cached property with the identity spliced from the two
+        # serialised specs (what cell_identity would compute again).
+        cell.__dict__["identity"] = splice_identity(config_entry[1], method_entry[1])
+        return cell
 
 
 @dataclass
@@ -241,7 +339,9 @@ class CampaignSpec:
         Grid points iterate with the last axis fastest (like nested loops in
         declaration order); each zip bundle entry is crossed with the full
         grid.  Duplicate cells — identical config and method after expansion —
-        keep their first occurrence.
+        keep their first occurrence.  Each distinct config and method is built
+        and serialised once per call (see :class:`_SpecMemo`); the cells equal
+        :func:`build_cell`'s, identity bytes included.
         """
         grid_names = list(self.axes)
         grid_points = (
@@ -253,23 +353,18 @@ class CampaignSpec:
         else:
             zip_bundles = [()]
 
-        cells: List[CampaignCell] = []
-        seen: Dict[str, None] = {}
+        memo = _SpecMemo(self.base, self.methods)
+        cells: Dict[str, CampaignCell] = {}
         for grid_values in grid_points:
             for zip_values in zip_bundles:
                 overrides = dict(zip(grid_names, grid_values))
                 overrides.update(zip(zip_names, zip_values))
-                self._add_cell(cells, seen, overrides)
+                cell = memo.cell(overrides)
+                cells.setdefault(cell.identity, cell)
         for overrides in self.cells:
-            self._add_cell(cells, seen, overrides)
-        return cells
-
-    def _add_cell(self, cells: List[CampaignCell], seen: Dict[str, None], overrides: Dict) -> None:
-        cell = build_cell(overrides, base=self.base, methods=self.methods)
-        if cell.identity in seen:
-            return
-        seen[cell.identity] = None
-        cells.append(cell)
+            cell = memo.cell(overrides)
+            cells.setdefault(cell.identity, cell)
+        return list(cells.values())
 
     def __len__(self) -> int:
         return len(self.expand())

@@ -51,48 +51,47 @@ def canonical_json(payload) -> str:
 
 
 def cell_fingerprint(config: ExperimentConfig, method: MethodSpec) -> str:
-    """Content hash identifying one campaign cell.
+    """Content hash identifying one campaign cell: the store's key.
 
     Covers the complete cell specification plus the code-relevant versions:
     two cells collide exactly when they would run the identical experiment
-    under the identical code.  This is the reference definition of a store
-    key; :func:`identity_fingerprint` hashes the same bytes from an identity
-    that is already serialised.
+    under the identical code.  It hashes the same bytes as
+    :meth:`CampaignCell.fingerprint`, from the same spliced identity.
     """
-    payload = {
-        "config": config.to_dict(),
-        "method": method.to_dict(),
-        "schema": RESULT_SCHEMA_VERSION,
-        "repro_version": __version__,
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return identity_fingerprint(cell_identity(config, method))
+
+
+def splice_identity(config_json: str, method_json: str) -> str:
+    """The cell identity of a config and a method already in canonical JSON.
+
+    Byte for byte ``canonical_json({"config": ..., "method": ...})``: the two
+    keys sort in that order, and each value's encoding does not depend on
+    where it sits.  Expansion serialises each distinct spec once and joins
+    them here per cell.
+    """
+    return '{"config":' + config_json + ',"method":' + method_json + "}"
 
 
 def cell_identity(config: ExperimentConfig, method: MethodSpec) -> str:
     """Canonical JSON of the complete cell specification, without versions.
 
     Equal exactly when two cells would run the identical experiment: what a
-    campaign deduplicates on, and the part of :func:`cell_fingerprint`'s
-    payload that depends on the cell.
+    campaign deduplicates on, and what :func:`identity_fingerprint` hashes.
     """
-    return canonical_json({"config": config.to_dict(), "method": method.to_dict()})
-
-
-#: What :func:`cell_fingerprint` hashes after the identity's two keys: sorted,
-#: ``"repro_version"`` and ``"schema"`` follow ``"config"`` and ``"method"``.
-_VERSIONS_TAIL = "," + canonical_json(
-    {"repro_version": __version__, "schema": RESULT_SCHEMA_VERSION}
-)[1:]
+    return splice_identity(canonical_json(config.to_dict()), canonical_json(method.to_dict()))
 
 
 def identity_fingerprint(identity: str) -> str:
-    """:func:`cell_fingerprint` of the cell whose :func:`cell_identity` this is.
+    """SHA-256 of a cell's :func:`cell_identity` with the versions added.
 
-    The version keys are spliced into the identity's JSON object instead of
-    serialising the specification a second time; the hashed bytes are the
-    same, so the keys are (``tests/test_workload_sharing.py`` pins the equality).
+    The version keys are spliced into the identity's JSON object: sorted,
+    ``"repro_version"`` and ``"schema"`` follow ``"config"`` and
+    ``"method"``, so the hashed bytes are ``canonical_json`` of all four keys
+    (``tests/test_workload_sharing.py`` pins that definition).  The versions
+    are read at call time, so a schema bump changes every key.
     """
-    return hashlib.sha256((identity[:-1] + _VERSIONS_TAIL).encode("utf-8")).hexdigest()
+    versions = f',"repro_version":{json.dumps(__version__)},"schema":{RESULT_SCHEMA_VERSION:d}}}'
+    return hashlib.sha256((identity[:-1] + versions).encode("utf-8")).hexdigest()
 
 
 def _share_keys(mapping, templates: Dict[tuple, Dict]):

@@ -58,6 +58,17 @@ def _check_payloads(payloads: Sequence[WirePayload]) -> None:
         raise ValueError("collective called with no buffers")
 
 
+def _copy_payload(payload: WirePayload) -> WirePayload:
+    """An independent copy of a payload: its ndarray fields copied, the rest
+    (immutable scalars) shared.  What ``copy.deepcopy`` would give, without
+    walking every field through the deep-copy machinery."""
+    clone = copy.copy(payload)
+    for name, value in vars(payload).items():
+        if isinstance(value, np.ndarray):
+            object.__setattr__(clone, name, value.copy(order="K"))
+    return clone
+
+
 def _reduce(payloads: Sequence[WirePayload], average: bool) -> np.ndarray:
     """Sum (or average) element-wise reducible payloads into one dense buffer."""
     _check_payloads(payloads)
@@ -149,7 +160,7 @@ def all_gather(
         metadata={"payload": type(buffers[0]).__name__},
     )
     # Independent copies: the inputs may hold views into a stage's internal state.
-    return [copy.deepcopy(payload) for payload in buffers], event
+    return [_copy_payload(payload) for payload in buffers], event
 
 
 def broadcast(
@@ -173,7 +184,7 @@ def broadcast(
     )
     # Independent replicas: payload dataclasses are frozen but their ndarray
     # fields are not.
-    return [copy.deepcopy(buffer) for _ in range(world_size)], event
+    return [_copy_payload(buffer) for _ in range(world_size)], event
 
 
 def reduce_scatter(

@@ -357,8 +357,17 @@ class ExperimentResult:
         shortest repr, which Python parses back to the same double; ``nan`` and
         ``inf`` use the non-strict JSON literals).  Tuples in
         ``accuracy_trace`` come back as tuples via ``from_dict``.
+
+        Equal in value and type to ``dataclasses.asdict``, without its
+        recursive deep copy: the fields are scalars except the two traces and
+        ``extra``, which are copied one level (a trace point is an immutable
+        tuple of floats), so mutating the dict never reaches the result.
         """
-        return dataclasses.asdict(self)
+        data = {name: getattr(self, name) for name in _RESULT_FIELDS}
+        data["accuracy_trace"] = [tuple(point) for point in self.accuracy_trace]
+        data["loss_trace"] = list(self.loss_trace)
+        data["extra"] = dict(self.extra)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentResult":
@@ -367,9 +376,9 @@ class ExperimentResult:
             raise KeyError(
                 f"unknown ExperimentResult fields {sorted(unknown)}; known: {sorted(_RESULT_FIELDS)}"
             )
-        kwargs = dict(data)
-        kwargs["accuracy_trace"] = [tuple(point) for point in kwargs.get("accuracy_trace", [])]
-        return cls(**kwargs)
+        result = cls(**data)
+        result.accuracy_trace = [tuple(point) for point in result.accuracy_trace]
+        return result
 
 
-_RESULT_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentResult))
+_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentResult))

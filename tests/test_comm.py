@@ -33,7 +33,14 @@ from repro.comm import (
     reduce_scatter,
 )
 from repro.comm.network import PAPER_BANDWIDTHS
-from repro.compression.codec.payloads import DensePayload
+from repro.compression.codec.payloads import (
+    BitmaskPayload,
+    DensePayload,
+    HalfPayload,
+    SparsePayload,
+    TernaryPayload,
+    pack_ternary,
+)
 
 #: Every collective cost the CostModel interface exposes, by method name.
 COLLECTIVE_METHODS = (
@@ -542,6 +549,48 @@ class TestCollectives:
             np.testing.assert_array_equal(replica.values, root.values)
             assert not np.shares_memory(replica.values, root.values)
         assert event.op == "broadcast"
+
+    @staticmethod
+    def every_payload_kind(rng):
+        """One payload of each kind; the dense one holds a strided view."""
+        values = rng.standard_normal(16)
+        codes = rng.integers(-1, 2, size=16)
+        return [
+            DensePayload(values[::2], element_bytes=2.0),
+            HalfPayload(values),
+            SparsePayload(np.array([1, 4, 9]), values[:3], numel=16, value_bytes=0.25,
+                          indices_on_wire=False, shared_selection=True),
+            TernaryPayload(pack_ternary(codes), scale=0.5, size=16),
+            BitmaskPayload.from_mask(values > 0),
+        ]
+
+    @staticmethod
+    def assert_independent_copy(copy, original):
+        assert type(copy) is type(original)
+        assert vars(copy).keys() == vars(original).keys()
+        for name, value in vars(original).items():
+            got = getattr(copy, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
+                assert not np.shares_memory(got, value), name
+            else:
+                assert got == value and type(got) is type(value), name
+
+    def test_all_gather_copies_every_payload_kind(self, rng):
+        payloads = self.every_payload_kind(rng)
+        gathered, _ = all_gather(payloads)
+        for original, got in zip(payloads, gathered):
+            self.assert_independent_copy(got, original)
+
+    def test_broadcast_replicas_are_each_their_own_copy(self, rng):
+        for root in self.every_payload_kind(rng):
+            replicas, _ = broadcast(root, world_size=3)
+            for replica in replicas:
+                self.assert_independent_copy(replica, root)
+            for first, second in zip(replicas, replicas[1:]):
+                for name, value in vars(first).items():
+                    if isinstance(value, np.ndarray):
+                        assert not np.shares_memory(value, getattr(second, name)), name
 
     def test_reduce_scatter_chunks_sum_to_total(self, rng):
         buffers = dense(rng, *[12] * 4)

@@ -12,20 +12,24 @@ These tests pin what makes that safe:
 * scope — the share lives exactly as long as the campaign, is bounded in
   bytes, and preparation really is entered once per distinct workload;
 * the single batching path of ``DataLoader`` against per-sample stacking;
-* a cell is serialised once and its fingerprint is unchanged;
+* each distinct spec is serialised once per expansion, and the fingerprint
+  is unchanged;
 * splits that leave a rank (or the test set) empty are rejected up front.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import weakref
 
 import numpy as np
 import pytest
 
+from repro import __version__
 from repro.campaign import CampaignSpec, ResultStore, cell_fingerprint, run_campaign
+from repro.campaign.store import RESULT_SCHEMA_VERSION, canonical_json
 from repro.data import DataLoader, DistributedSampler, synthetic_cifar10, train_test_split
 from repro.nn.models import MLP, MODEL_REGISTRY, build_model, register_model
 from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, MethodSpec, run_experiment
@@ -424,8 +428,20 @@ class TestLoaderBatching:
 
 
 # --------------------------------------------------------------------------- #
-# A cell is serialised once
+# A spec is serialised once per expansion
 # --------------------------------------------------------------------------- #
+def reference_fingerprint(config: ExperimentConfig, method: MethodSpec) -> str:
+    """The definition of a store key: SHA-256 of the canonical JSON of both
+    specs plus the code-relevant versions, serialised from scratch."""
+    payload = {
+        "config": config.to_dict(),
+        "method": method.to_dict(),
+        "schema": RESULT_SCHEMA_VERSION,
+        "repro_version": __version__,
+    }
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
 def fingerprint_grid() -> CampaignSpec:
     return CampaignSpec(
         base={**BASE, "model": "mlp", "world_size": 4},
@@ -451,16 +467,20 @@ class TestCellSerialisedOnce:
         cells = fingerprint_grid().expand()
         assert len(cells) == 52
         for cell in cells:
-            assert cell.fingerprint() == cell_fingerprint(cell.config, cell.method), cell.label
+            expected = reference_fingerprint(cell.config, cell.method)
+            assert cell.fingerprint() == expected, cell.label
+            assert cell_fingerprint(cell.config, cell.method) == expected, cell.label
         assert len({cell.fingerprint() for cell in cells}) == len(cells)
 
     def test_identity_is_the_canonical_json_of_both_specs(self):
-        (cell,) = CampaignSpec(base={**BASE, "model": "mlp"}).expand()
-        assert json.loads(cell.identity) == {
-            "config": cell.config.to_dict(), "method": cell.method.to_dict()
-        }
+        for cell in fingerprint_grid().expand():
+            assert cell.identity == canonical_json(
+                {"config": cell.config.to_dict(), "method": cell.method.to_dict()}
+            ), cell.label
 
-    def test_expansion_and_cache_pass_serialise_each_cell_once(self, monkeypatch, tmp_path):
+    def test_expansion_and_cache_pass_serialise_each_distinct_spec_once(
+        self, monkeypatch, tmp_path
+    ):
         spec = fingerprint_grid()
         store = ResultStore(tmp_path / "store.jsonl")
         result = run_experiment(mlp_config(), PAPER_METHODS["all-reduce"])
@@ -482,7 +502,19 @@ class TestCellSerialisedOnce:
         monkeypatch.setattr(MethodSpec, "to_dict", counting_method)
         report = run_campaign(spec, store=store, jobs=1)
         assert report.cached == 52 and report.ran == 0
-        assert calls == {"config": 52, "method": 52}
+        # Configs: the grid's dtype x faults points (6) and the four explicit
+        # cells' config-side overrides (4).  Methods: the grid's method x
+        # error_feedback points (8), and the explicit cells' three distinct
+        # method-side overrides (the two plain "fp16" cells share one).
+        assert calls == {"config": 10, "method": 11}
+
+    def test_cells_of_one_expansion_share_their_specs(self):
+        cells = fingerprint_grid().expand()
+        assert len({id(cell.config) for cell in cells}) == 10
+        assert len({id(cell.method) for cell in cells}) == 11
+        # A fresh expansion builds fresh specs: nothing outlives the call.
+        again = fingerprint_grid().expand()
+        assert not {id(cell.config) for cell in cells} & {id(cell.config) for cell in again}
 
     def test_put_stores_under_the_key_it_is_handed(self, tmp_path):
         (cell,) = CampaignSpec(base={**BASE, "model": "mlp"}).expand()
