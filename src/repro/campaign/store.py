@@ -16,6 +16,7 @@ baseline method (the paper's relative-TTA presentation).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -90,8 +91,14 @@ def identity_fingerprint(identity: str) -> str:
     (``tests/test_workload_sharing.py`` pins that definition).  The versions
     are read at call time, so a schema bump changes every key.
     """
-    versions = f',"repro_version":{json.dumps(__version__)},"schema":{RESULT_SCHEMA_VERSION:d}}}'
+    versions = _version_tail(__version__, RESULT_SCHEMA_VERSION)
     return hashlib.sha256((identity[:-1] + versions).encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def _version_tail(version: str, schema: int) -> str:
+    """The closing ``"repro_version"`` and ``"schema"`` members of a hashed identity."""
+    return f',"repro_version":{json.dumps(version)},"schema":{schema:d}}}'
 
 
 def _share_keys(mapping, templates: Dict[tuple, Dict]):
@@ -409,18 +416,25 @@ class ResultStore:
         """
         if aggregate is None:
             aggregate = _mean
-        records = self.records(**filters)
-        row_values = self.axis_values(rows, **filters)
-        col_values = self.axis_values(cols, **filters)
+        # One pass: row and column values in first-seen order (a record that
+        # lacks one axis still names the other), buckets from records with both.
+        row_values: Dict = {}
+        col_values: Dict = {}
         buckets: Dict[Tuple, List[float]] = {}
-        for record in records:
-            try:
-                bucket = (record.axis(rows), record.axis(cols))
-            except KeyError:
+        for record in self.records(**filters):
+            bucket = []
+            for axis, seen in ((rows, row_values), (cols, col_values)):
+                try:
+                    label = record.axis(axis)
+                except KeyError:
+                    continue
+                seen.setdefault(label, None)
+                bucket.append(label)
+            if len(bucket) < 2:
                 continue
             metric = record.value(value)
             if metric is not None:
-                buckets.setdefault(bucket, []).append(metric)
+                buckets.setdefault(tuple(bucket), []).append(metric)
         header = [rows] + [str(col) for col in col_values]
         table = []
         for row in row_values:

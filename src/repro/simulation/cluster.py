@@ -246,20 +246,10 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":
-        def _device(value) -> Union[str, DeviceSpec]:
-            return DeviceSpec.from_dict(value) if isinstance(value, dict) else value
+        # Imported on call: repro.simulation.spec imports this module.
+        from repro.simulation.spec import rebuild  # noqa: PLC0415
 
-        unknown = set(data).difference(_CLUSTER_FIELDS)
-        if unknown:
-            raise KeyError(
-                f"unknown ClusterSpec fields {sorted(unknown)}; known: {sorted(_CLUSTER_FIELDS)}"
-            )
-        kwargs = dict(data)
-        if kwargs.get("device") is not None:
-            kwargs["device"] = _device(kwargs["device"])
-        if kwargs.get("devices") is not None:
-            kwargs["devices"] = [_device(d) for d in kwargs["devices"]]
-        return cls(**kwargs)
+        return rebuild(cls, data, _CLUSTER_FIELDS, device=_load_device, devices=_load_devices)
 
     # ------------------------------------------------------------------ #
     def describe(self) -> dict:
@@ -276,4 +266,12 @@ class ClusterSpec:
         }
 
 
-_CLUSTER_FIELDS = frozenset(f.name for f in dataclasses.fields(ClusterSpec))
+_CLUSTER_FIELDS = tuple(f.name for f in dataclasses.fields(ClusterSpec))
+
+
+def _load_device(value) -> Union[str, DeviceSpec]:
+    return DeviceSpec.from_dict(value) if isinstance(value, dict) else value
+
+
+def _load_devices(values) -> Optional[List[Union[str, DeviceSpec]]]:
+    return None if values is None else [_load_device(value) for value in values]

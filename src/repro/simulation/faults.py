@@ -92,11 +92,13 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultEvent":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise KeyError(f"unknown FaultEvent fields {sorted(unknown)}; known: {sorted(known)}")
-        return cls(**data)
+        # Imported on call: repro.simulation.spec imports this module.
+        from repro.simulation.spec import rebuild  # noqa: PLC0415
+
+        return rebuild(cls, data, _EVENT_FIELDS)
+
+
+_EVENT_FIELDS = tuple(f.name for f in dataclasses.fields(FaultEvent))
 
 
 @dataclass(frozen=True)
@@ -254,16 +256,10 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise KeyError(f"unknown FaultPlan fields {sorted(unknown)}; known: {sorted(known)}")
-        kwargs = dict(data)
-        kwargs["events"] = tuple(
-            event if isinstance(event, FaultEvent) else FaultEvent.from_dict(event)
-            for event in kwargs.get("events", ())
-        )
-        return cls(**kwargs)
+        # Imported on call: repro.simulation.spec imports this module.
+        from repro.simulation.spec import rebuild  # noqa: PLC0415
+
+        return rebuild(cls, data, _PLAN_FIELDS, events=_events)
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
@@ -331,6 +327,15 @@ class FaultPlan:
             f"faults must be a FaultPlan, grammar string, dict or None, "
             f"got {type(value).__name__}"
         )
+
+
+_PLAN_FIELDS = tuple(f.name for f in dataclasses.fields(FaultPlan))
+
+
+def _events(events) -> Tuple[FaultEvent, ...]:
+    return tuple(
+        event if isinstance(event, FaultEvent) else FaultEvent.from_dict(event) for event in events
+    )
 
 
 #: The inert plan a faultless cluster behaves as.

@@ -1,0 +1,221 @@
+"""How a stored spec or result is rebuilt from its JSON-born dict.
+
+``rebuild`` in :mod:`repro.simulation.spec` is the one ``from_dict`` rule of
+the six serialised dataclasses: a dict holding exactly the class's init fields
+is passed by position, anything else is checked by name and passed by keyword.
+These tests pin that both paths build the same objects as the keyword call
+they replace, with the same errors, and that the field order the helper is
+given is the constructor's parameter order.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+import json
+import warnings
+
+import pytest
+
+from repro import golden
+from repro.campaign import ResultStore
+from repro.campaign.store import StoredRecord
+from repro.simulation import ClusterSpec, ExperimentConfig, ExperimentResult, MethodSpec, run_experiment
+from repro.simulation import spec as spec_module
+from repro.simulation.compute import DeviceSpec
+from repro.simulation.faults import FaultEvent, FaultPlan
+from tests.test_campaign import fake_result, tiny_config
+
+
+@pytest.fixture(scope="module")
+def results():
+    """The result of every golden cell."""
+    return {
+        name: run_experiment(golden.golden_config_for(name), method)
+        for name, method in golden.GOLDEN_METHODS.items()
+    }
+
+
+def json_born(data: dict) -> dict:
+    """``data`` as a store line gives it back: every key a fresh parsed string."""
+    return json.loads(json.dumps(data))
+
+
+@pytest.fixture
+def init_calls(monkeypatch):
+    """Records ``(positional count, keyword names)`` of each ``ExperimentResult.__init__``."""
+    calls = []
+    original = ExperimentResult.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append((len(args), sorted(kwargs)))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExperimentResult, "__init__", spy)
+    return calls
+
+
+def stored_line(result_dict: dict) -> str:
+    record = StoredRecord(
+        key="0" * 64, config=tiny_config().to_dict(), method=MethodSpec(name="m").to_dict(),
+        result=fake_result(),
+    )
+    data = json.loads(record.to_json())
+    data["result"] = result_dict
+    return json.dumps(data)
+
+
+# --------------------------------------------------------------------------- #
+# (a) exact field sets: positional, and equal to the result
+# --------------------------------------------------------------------------- #
+class TestPositionalPath:
+    def test_golden_results_round_trip_positionally(self, results, init_calls):
+        fields = len(dataclasses.fields(ExperimentResult))
+        for name, result in results.items():
+            init_calls.clear()
+            restored = ExperimentResult.from_dict(json_born(result.to_dict()))
+            assert restored == result, name
+            assert all(isinstance(point, tuple) for point in restored.accuracy_trace), name
+            assert init_calls == [(fields, [])], name
+
+    def test_a_store_load_takes_the_positional_path(self, tmp_path, init_calls):
+        path = tmp_path / "store.jsonl"
+        expected = fake_result()
+        ResultStore(path).put(tiny_config(), MethodSpec(name="m"), expected)
+        init_calls.clear()
+        assert ResultStore(path).get(tiny_config(), MethodSpec(name="m")) == expected
+        assert init_calls == [(len(dataclasses.fields(ExperimentResult)), [])]
+
+    def test_nested_specs_convert_on_both_paths(self):
+        plan = FaultPlan.parse("crash:1@0.5,rejoin:1@1.0,link:0.5@0.2-0.4,churn:0.1")
+        cluster = ClusterSpec(
+            world_size=2, device=DeviceSpec("slow", 1e9), devices=["sim-gpu", DeviceSpec("x", 2e9)],
+            faults=plan,
+        )
+        config = dataclasses.replace(tiny_config(), cluster=cluster)
+        data = json_born(config.to_dict())
+        assert ExperimentConfig.from_dict(data) == config
+        # The keyword path: a defaulted field left out of every level.
+        del data["seed"], data["cluster"]["latency"], data["cluster"]["faults"]["churn_seed"]
+        restored = ExperimentConfig.from_dict(data)
+        assert restored == config
+        assert isinstance(restored.cluster.device, DeviceSpec)
+        assert all(isinstance(event, FaultEvent) for event in restored.cluster.faults.events)
+
+    def test_from_dict_leaves_its_argument_untouched(self):
+        plan = FaultPlan.parse("crash:1@0.5,rejoin:1@1.0")
+        config = dataclasses.replace(tiny_config(), cluster=ClusterSpec(world_size=2, faults=plan))
+        for data in (json_born(config.to_dict()), {**json_born(config.to_dict()), "seed": 0}):
+            snapshot = json.dumps(data)
+            ExperimentConfig.from_dict(data)
+            assert json.dumps(data) == snapshot
+
+
+# --------------------------------------------------------------------------- #
+# (b)-(d) every other field set: by keyword, with today's errors
+# --------------------------------------------------------------------------- #
+class TestKeywordPath:
+    @pytest.mark.parametrize("name", ["goodput_fraction", "extra", "staleness_max", "reached_target"])
+    def test_a_record_without_a_defaulted_field_loads_its_default(self, name, init_calls):
+        data = json_born(fake_result().to_dict())
+        del data[name]
+        init_calls.clear()
+        restored = ExperimentResult.from_dict(data)
+        assert init_calls == [(0, sorted(data))]
+        field = next(f for f in dataclasses.fields(ExperimentResult) if f.name == name)
+        expected = field.default_factory() if field.default is dataclasses.MISSING else field.default
+        assert getattr(restored, name) == expected
+        assert restored == dataclasses.replace(fake_result(), **{name: expected})
+
+    def test_the_store_loads_a_record_without_a_defaulted_field(self, tmp_path):
+        data = json_born(fake_result().to_dict())
+        del data["goodput_fraction"]
+        path = tmp_path / "store.jsonl"
+        path.write_text(stored_line(data) + "\n")
+        (record,) = ResultStore(path).records()
+        assert record.result.goodput_fraction == 1.0
+        assert record.result == fake_result()
+
+    @pytest.mark.parametrize(
+        "cls, data",
+        [
+            (MethodSpec, MethodSpec(name="m").to_dict()),
+            (ExperimentConfig, tiny_config().to_dict()),
+            (ExperimentResult, fake_result().to_dict()),
+            (ClusterSpec, ClusterSpec().to_dict()),
+            (FaultEvent, {"kind": "crash", "at": 0.5, "rank": 1}),
+            (FaultPlan, FaultPlan().to_dict()),
+        ],
+        ids=["MethodSpec", "ExperimentConfig", "ExperimentResult", "ClusterSpec", "FaultEvent", "FaultPlan"],
+    )
+    def test_an_unknown_field_raises_the_same_key_error(self, cls, data):
+        known = sorted(field.name for field in dataclasses.fields(cls))
+        message = f"unknown {cls.__name__} fields ['bogus']; known: {known}"
+        # Added to a full dict and swapped for a real field (same length).
+        added = {**json_born(data), "bogus": 1}
+        swapped = dict(json_born(data))
+        swapped.pop(next(iter(swapped)))
+        swapped["bogus"] = 1
+        for bad in (added, swapped):
+            with pytest.raises(KeyError) as caught:
+                cls.from_dict(bad)
+            assert caught.value.args == (message,)
+
+    def test_the_unknown_field_is_named_before_a_nested_value_fails(self):
+        data = json_born(tiny_config().to_dict())
+        data["bogus"] = 1
+        data["cluster"]["also_bogus"] = 1
+        with pytest.raises(KeyError, match=r"unknown ExperimentConfig fields \['bogus'\]"):
+            ExperimentConfig.from_dict(data)
+        plan = {"events": [{"kind": "crash", "at": 0.5, "rank": 1, "nope": 0}], "bogus": 1}
+        with pytest.raises(KeyError, match=r"unknown FaultPlan fields \['bogus'\]"):
+            FaultPlan.from_dict(plan)
+
+    def test_a_missing_required_field_raises_type_error(self):
+        data = json_born(fake_result().to_dict())
+        del data["simulated_time"]
+        with pytest.raises(TypeError, match="simulated_time"):
+            ExperimentResult.from_dict(data)
+        with pytest.raises(TypeError, match="name"):
+            MethodSpec.from_dict({"compressor": "fp16"})
+
+    def test_the_store_quarantines_a_record_without_a_required_field(self, tmp_path):
+        good = json_born(fake_result().to_dict())
+        bad = dict(good)
+        del bad["accuracy_trace"]
+        path = tmp_path / "store.jsonl"
+        bad_line = stored_line(bad)
+        good_line = stored_line(good).replace("0" * 64, "1" * 64)
+        path.write_text(bad_line + "\n" + good_line + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            store = ResultStore(path)
+        assert store.keys() == ["1" * 64]
+        assert any("line 1" in str(warning.message) for warning in caught)
+        assert (tmp_path / "store.jsonl.corrupt").read_text() == bad_line + "\n"
+
+
+# --------------------------------------------------------------------------- #
+# (e) the field order the helper is given is the constructor's
+# --------------------------------------------------------------------------- #
+def test_the_helper_is_given_every_init_parameter_in_order(monkeypatch):
+    seen = {}
+    original = spec_module.rebuild
+
+    def spy(cls, data, names, **convert):
+        seen[cls] = names
+        return original(cls, data, names, **convert)
+
+    monkeypatch.setattr(spec_module, "rebuild", spy)
+    plan = FaultPlan.parse("crash:1@0.5,rejoin:1@1.0")
+    config = dataclasses.replace(tiny_config(), cluster=ClusterSpec(world_size=2, faults=plan))
+    ExperimentConfig.from_dict(json_born(config.to_dict()))
+    MethodSpec.from_dict(json_born(MethodSpec(name="m").to_dict()))
+    ExperimentResult.from_dict(json_born(fake_result().to_dict()))
+    classes = [MethodSpec, ExperimentConfig, ExperimentResult, ClusterSpec, FaultEvent, FaultPlan]
+    assert set(seen) == set(classes)
+    for cls in classes:
+        parameters = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in parameters), cls
+        assert list(seen[cls]) == [p.name for p in parameters], cls
+        assert list(seen[cls]) == [f.name for f in dataclasses.fields(cls) if f.init], cls
