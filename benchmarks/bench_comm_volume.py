@@ -6,9 +6,10 @@ TopK-0.1 "causing network congestion" through its all-gather exchange): for a
 fixed gradient size this benchmark reports, per method, the bytes each worker
 puts on the wire for one synchronisation and the modeled collective time at
 each paper bandwidth.  The byte counts come from the process-group event log,
-where the collective layer charges each operation from the encoded
+where the collective layer records each operation from the encoded
 ``WirePayload.nbytes`` — they are measured off the wire representation, not
-asserted by the compressors.  Because no training is involved this also serves
+asserted by the compressors — and ``repro.simulation.pricing`` prices the
+logged events under each bandwidth's network model.  Because no training is involved this also serves
 as a fast micro-benchmark of the compressor implementations themselves.
 
 Beyond the paper's named methods, a *composed* codec pipeline
@@ -26,6 +27,7 @@ from repro.compression import build_compressor
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.obs.export import format_table
 from repro.pactrain import PacTrainCompressor
+from repro.simulation import pricing
 
 WORLD_SIZE = 8
 NUMEL = 200_000          # gradient elements per synchronisation
@@ -84,14 +86,17 @@ def run_volume_analysis() -> dict:
 
         groups = {}
         for setting in ("100Mbps", "500Mbps", "1Gbps"):
-            group = ProcessGroup(WORLD_SIZE, NetworkModel.from_paper_setting(WORLD_SIZE, setting))
+            group = ProcessGroup(WORLD_SIZE)
             compressor.aggregate(_bucket(rng, mask), group)
             groups[setting] = group
         report[name] = {
             "bytes": groups["1Gbps"].total_bytes_per_worker,
-            "time_100Mbps": groups["100Mbps"].total_time,
-            "time_500Mbps": groups["500Mbps"].total_time,
-            "time_1Gbps": groups["1Gbps"].total_time,
+            **{
+                f"time_{setting}": pricing.comm_time(
+                    NetworkModel.from_paper_setting(WORLD_SIZE, setting), group.events
+                )
+                for setting, group in groups.items()
+            },
             "allreduce_compatible": compressor.allreduce_compatible,
         }
     return report

@@ -21,7 +21,8 @@ built on:
   comm hook would see.
 
 Note there is no byte bookkeeping anywhere in the custom code: the collective
-layer reads the wire size straight off the payload (``payload.nbytes``).
+layer reads the wire size straight off the payload (``payload.nbytes``), and
+``repro.simulation.pricing`` turns the logged bytes into modeled seconds.
 
 Run with:  python examples/custom_compressor.py
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm import NetworkModel, ProcessGroup
+from repro.comm import NetworkModel
 from repro.compression import (
     Codec,
     CodecCompressor,
@@ -44,6 +45,7 @@ from repro.nn import SGD
 from repro.nn.models import build_model
 from repro.pactrain import MaskTracker
 from repro.pruning import magnitude_prune
+from repro.simulation import pricing
 from repro.tensorlib import functional as F
 
 WORLD_SIZE = 4
@@ -83,10 +85,10 @@ def main() -> None:
     model = build_model("vgg19", num_classes=10, seed=0)
     mask = magnitude_prune(model, 0.5)
 
+    # The wrapper moves bytes; the 100 Mbps network model prices them below.
     network = NetworkModel.from_paper_setting(WORLD_SIZE, "100Mbps")
-    group = ProcessGroup(WORLD_SIZE, network)
     ddp = DistributedDataParallel(
-        model, world_size=WORLD_SIZE, process_group=group, comm_hook=build_compressor("sign")
+        model, world_size=WORLD_SIZE, comm_hook=build_compressor("sign")
     )
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
     tracker = MaskTracker(stability_threshold=2)
@@ -104,7 +106,7 @@ def main() -> None:
             # One synchronous step: backward on every rank, GSE with the
             # pruning mask, one aggregate() per bucket, gradients written back.
             # The step reports each bucket's collective events (DDP drains the
-            # group's per-step log into them).
+            # group's per-step log into them), which pricing turns into seconds.
             step = ddp.train_step(batches, F.cross_entropy, gse_mask=mask)
             optimizer.step()
             mask.apply_to_weights(model)
@@ -119,7 +121,7 @@ def main() -> None:
             print(
                 f"epoch {epoch} loss={step.loss:.3f} "
                 f"bucket density={state.density:.2f} stable={state.stable} "
-                f"comm={step.comm_time * 1e3:.1f} ms"
+                f"comm={pricing.comm_time(network, step.events) * 1e3:.1f} ms"
             )
 
     compressor = ddp.compressor  # the CodecCompressor instance passed as comm_hook

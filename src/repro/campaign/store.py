@@ -16,6 +16,7 @@ baseline method (the paper's relative-TTA presentation).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -134,19 +135,22 @@ class StoredRecord:
     #: Executions the campaign runner started before this result landed
     #: (1 = clean first run; >1 = the cell was retried; 0 = unknown/legacy).
     attempts: int = 1
+    #: The names :meth:`axis` resolves against the result (a class attribute, not a field).
+    _RESULT_FIELDS = frozenset(field.name for field in dataclasses.fields(ExperimentResult))
 
     def axis(self, name: str):
         """Look up an axis value by name across result, config, cluster and method.
 
         Resolution order mirrors how campaign axes are declared: result fields
-        first (``method``, ``model``, ``bandwidth_mbps``, ``tta`` ...), then
+        first (``method``, ``model``, ``bandwidth_mbps``, ``tta`` ... — fields
+        only, never a method such as ``tta_or_total`` or ``to_dict``), then
         experiment-config fields (``seed``, ``epochs`` ...), then cluster
         fields (``world_size``, ``overlap``, ``straggler`` ...), then method
         fields (``compressor``, ``pruning_ratio`` ...).
         """
         if name == "attempts":
             return self.attempts
-        if hasattr(self.result, name):
+        if name in self._RESULT_FIELDS:
             return getattr(self.result, name)
         if name in self.config:
             return self.config[name]

@@ -10,9 +10,11 @@ package models that substrate:
   times for point-to-point and collective operations over that topology;
 * :mod:`repro.comm.collectives` — ring all-reduce, all-gather, broadcast and
   reduce-scatter over per-rank wire payloads, returning both the mathematical
-  result and a :class:`CollectiveEvent` with modeled time and bytes on the wire;
+  result and a :class:`CollectiveEvent` with the bytes that moved;
 * :mod:`repro.comm.process_group` — a simulated process group tying the
   collectives to a fixed set of ranks, used by the DDP simulator.
+
+Collectives move bytes; :mod:`repro.simulation.pricing` prices their events.
 """
 
 from repro.comm.network import CostModel, LinkSpec, NetworkModel, MBPS, GBPS

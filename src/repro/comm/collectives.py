@@ -2,9 +2,11 @@
 
 Each collective takes one :class:`~repro.compression.codec.payloads.WirePayload`
 per rank (a list indexed by rank), computes the mathematically exact result
-and returns it together with a :class:`CollectiveEvent` describing the modeled
-cost: which algorithm ran, how many bytes each worker put on the wire, and how
-long the operation took under the :class:`repro.comm.network.NetworkModel`.
+and returns it together with a :class:`CollectiveEvent` describing what moved:
+which algorithm ran, the per-worker payload it was charged for and how many
+bytes each worker put on the wire.  Collectives move bytes; the seconds those
+bytes cost are priced in one place, :mod:`repro.simulation.pricing`, against
+a :class:`repro.comm.network.CostModel`.
 
 The wire size is **derived from the encoded representation**
 (``payload.nbytes``): a sparse payload is charged for its (index, value)
@@ -14,7 +16,7 @@ what each element costs on the wire — so byte accounting is measured rather
 than asserted.
 
 The numerical results are exact (no simulation of per-step partial sums is
-needed for correctness), while the *costs* follow the standard ring-based
+needed for correctness), while the byte counts follow the standard ring-based
 algorithms — this mirrors how NCCL behaves from the training loop's point of
 view: the right answer arrives after a bandwidth/latency dependent delay.
 Reductions accumulate rank by rank into one preallocated buffer, so peak
@@ -29,8 +31,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.network import NetworkModel
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compression.codec.payloads import WirePayload
 
@@ -41,7 +41,9 @@ class CollectiveEvent:
 
     op: str
     bytes_per_worker: float
-    time_seconds: float
+    #: The per-worker payload the cost model charges ``op`` for (the largest
+    #: rank's ``nbytes``; the root's for a broadcast).
+    payload_bytes: float
     world_size: int
     payload_elements: int = 0
     metadata: dict = field(default_factory=dict)
@@ -110,100 +112,67 @@ def accumulate_sum(arrays) -> np.ndarray:
     return total
 
 
-def all_reduce(
-    buffers: Sequence[WirePayload],
-    network: Optional[NetworkModel] = None,
-    average: bool = True,
-) -> tuple:
+def _event(op, head, world_size, num_bytes, bytes_per_worker, elements) -> CollectiveEvent:
+    """One ``op``'s record, labelled by ``head``'s payload type; a lone rank sends nothing."""
+    return CollectiveEvent(
+        op=op,
+        bytes_per_worker=bytes_per_worker if world_size > 1 else 0.0,
+        payload_bytes=num_bytes,
+        world_size=world_size,
+        payload_elements=int(elements),
+        metadata={"payload": type(head).__name__},
+    )
+
+
+def all_reduce(buffers: Sequence[WirePayload], average: bool = True) -> tuple:
     """Sum (or average) element-wise reducible payloads via a modeled ring all-reduce.
 
-    ``network=None`` reports time as ``0`` (useful in unit tests); ``average``
-    divides by the world size (the DDP convention for gradients).  Returns
-    ``(result, event)``, where ``result`` is a payload of rank 0's structure
-    carrying the reduced values.
+    ``average`` divides by the world size (the DDP convention for gradients).
+    Returns ``(result, event)``, where ``result`` is a payload of rank 0's
+    structure carrying the reduced values.
     """
     total = _reduce(buffers, average)
     world_size = len(buffers)
     num_bytes = max(payload.nbytes for payload in buffers)
-    time = network.ring_all_reduce_time(num_bytes) if network is not None else 0.0
-    event = CollectiveEvent(
-        op="all_reduce",
-        bytes_per_worker=2.0 * (world_size - 1) / world_size * num_bytes if world_size > 1 else 0.0,
-        time_seconds=time,
-        world_size=world_size,
-        payload_elements=int(buffers[0].transmitted_elements),
-        metadata={"payload": type(buffers[0]).__name__},
-    )
+    wire = 2.0 * (world_size - 1) / world_size * num_bytes
+    event = _event("all_reduce", buffers[0], world_size, num_bytes, wire, buffers[0].transmitted_elements)
     return buffers[0].with_reduced(total), event
 
 
-def all_gather(
-    buffers: Sequence[WirePayload],
-    network: Optional[NetworkModel] = None,
-) -> tuple:
+def all_gather(buffers: Sequence[WirePayload]) -> tuple:
     """Gather every rank's payload onto every rank.
 
     Unlike :func:`all_reduce`, payloads may have *different lengths* (as
-    happens with per-rank top-k selections); the cost model charges the
+    happens with per-rank top-k selections); the event charges the
     maximum per-rank payload, matching the padded all-gather used in practice.
     """
     _check_payloads(buffers)
     world_size = len(buffers)
     num_bytes = max(payload.nbytes for payload in buffers)
-    time = network.all_gather_time(num_bytes) if network is not None else 0.0
-    event = CollectiveEvent(
-        op="all_gather",
-        bytes_per_worker=(world_size - 1) * num_bytes if world_size > 1 else 0.0,
-        time_seconds=time,
-        world_size=world_size,
-        payload_elements=max(int(p.transmitted_elements) for p in buffers),
-        metadata={"payload": type(buffers[0]).__name__},
-    )
+    elements = max(int(p.transmitted_elements) for p in buffers)
+    event = _event("all_gather", buffers[0], world_size, num_bytes, (world_size - 1) * num_bytes, elements)
     # Independent copies: the inputs may hold views into a stage's internal state.
     return [_copy_payload(payload) for payload in buffers], event
 
 
-def broadcast(
-    buffer: WirePayload,
-    world_size: int,
-    network: Optional[NetworkModel] = None,
-) -> tuple:
+def broadcast(buffer: WirePayload, world_size: int) -> tuple:
     """Broadcast a root payload to all ranks (weight/mask sync)."""
     _check_payloads([buffer])
     if world_size < 1:
         raise ValueError("world_size must be >= 1")
     num_bytes = buffer.nbytes
-    time = network.broadcast_time(num_bytes) if network is not None else 0.0
-    event = CollectiveEvent(
-        op="broadcast",
-        bytes_per_worker=num_bytes if world_size > 1 else 0.0,
-        time_seconds=time,
-        world_size=world_size,
-        payload_elements=int(buffer.num_elements),
-        metadata={"payload": type(buffer).__name__},
-    )
+    event = _event("broadcast", buffer, world_size, num_bytes, num_bytes, buffer.num_elements)
     # Independent replicas: payload dataclasses are frozen but their ndarray
     # fields are not.
     return [_copy_payload(buffer) for _ in range(world_size)], event
 
 
-def reduce_scatter(
-    buffers: Sequence[WirePayload],
-    network: Optional[NetworkModel] = None,
-    average: bool = False,
-) -> tuple:
+def reduce_scatter(buffers: Sequence[WirePayload], average: bool = False) -> tuple:
     """Reduce payloads across ranks and scatter equal dense chunks back to each rank."""
     total = _reduce(buffers, average)
     world_size = len(buffers)
     chunks: List[np.ndarray] = np.array_split(total.reshape(-1), world_size)
     num_bytes = max(payload.nbytes for payload in buffers)
-    time = network.reduce_scatter_time(num_bytes) if network is not None else 0.0
-    event = CollectiveEvent(
-        op="reduce_scatter",
-        bytes_per_worker=(world_size - 1) / world_size * num_bytes if world_size > 1 else 0.0,
-        time_seconds=time,
-        world_size=world_size,
-        payload_elements=int(buffers[0].transmitted_elements),
-        metadata={"payload": type(buffers[0]).__name__},
-    )
+    wire = (world_size - 1) / world_size * num_bytes
+    event = _event("reduce_scatter", buffers[0], world_size, num_bytes, wire, buffers[0].transmitted_elements)
     return chunks, event

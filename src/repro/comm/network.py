@@ -6,9 +6,10 @@ communication literature): transferring ``n`` bytes over a link costs
 ``alpha + n / beta`` seconds, where ``alpha`` is the per-message latency and
 ``beta`` the bandwidth in bytes/second.
 
-Every consumer of collective costs (the process group, the event-driven
-simulation engine, planners) talks to the abstract :class:`CostModel`
-interface; :class:`NetworkModel` is its flat single-bottleneck backend, and
+Collective costs are read through the abstract :class:`CostModel` interface,
+and outside this package only by :mod:`repro.simulation.pricing`, which
+prices the collectives' byte events for the simulation engine and the
+timeline; :class:`NetworkModel` is its flat single-bottleneck backend, and
 :class:`repro.comm.topology.HierarchicalCostModel` the topology-aware one.
 
 The bottleneck bandwidths used in the paper's evaluation (100 Mbps, 500 Mbps

@@ -1,10 +1,12 @@
 """Simulated process group.
 
-A :class:`ProcessGroup` binds a world size to a network model and keeps a log
-of every collective issued through it.  The DDP simulator and the compressors
-call collectives through the group so that the experiment driver can later ask
-"how many bytes went over the wire?" and "how much simulated time did gradient
-synchronisation take?" — the two quantities behind every figure in the paper.
+A :class:`ProcessGroup` is a world size and a log of every collective issued
+through it.  The DDP simulator and the compressors call collectives through
+the group so that the experiment driver can later ask "how many bytes went
+over the wire, in which collectives?".  The group moves bytes and prices
+nothing: :mod:`repro.simulation.pricing` turns the logged events into
+simulated seconds.  Bytes and seconds are the two quantities behind every
+figure in the paper.
 
 Collectives carry :class:`~repro.compression.codec.payloads.WirePayload`
 objects only, whose wire size is derived from the encoded representation
@@ -13,7 +15,7 @@ objects only, whose wire size is derived from the encoded representation
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
@@ -25,14 +27,13 @@ from repro.comm.collectives import (
     broadcast,
     reduce_scatter,
 )
-from repro.comm.network import NetworkModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compression.codec.payloads import WirePayload
 
 
 class ProcessGroup:
-    """A fixed set of ranks sharing a network model and an event log.
+    """A fixed set of ranks sharing an event log.
 
     ``events`` is a *per-step* buffer: the DDP wrapper drains the events each
     bucket's hook issued as part of every synchronisation, so the list stays
@@ -40,11 +41,10 @@ class ProcessGroup:
     Whole-run accounting is the run's record, ``TrainingTimeline.log``.
     """
 
-    def __init__(self, world_size: int, network: Optional[NetworkModel] = None) -> None:
+    def __init__(self, world_size: int) -> None:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
         self.world_size = world_size
-        self.network = network
         self.events: List[CollectiveEvent] = []
 
     # ------------------------------------------------------------------ #
@@ -53,24 +53,24 @@ class ProcessGroup:
     def all_reduce(self, buffers: Sequence[WirePayload], average: bool = True) -> WirePayload:
         """Reduce per-rank payloads into a payload of the same structure."""
         self._check_world(buffers)
-        result, event = all_reduce(buffers, self.network, average=average)
+        result, event = all_reduce(buffers, average=average)
         self.events.append(event)
         return result
 
     def all_gather(self, buffers: Sequence[WirePayload]) -> List[WirePayload]:
         self._check_world(buffers)
-        gathered, event = all_gather(buffers, self.network)
+        gathered, event = all_gather(buffers)
         self.events.append(event)
         return gathered
 
     def broadcast(self, buffer: WirePayload) -> List[WirePayload]:
-        replicas, event = broadcast(buffer, self.world_size, self.network)
+        replicas, event = broadcast(buffer, self.world_size)
         self.events.append(event)
         return replicas
 
     def reduce_scatter(self, buffers: Sequence[WirePayload], average: bool = False) -> List[np.ndarray]:
         self._check_world(buffers)
-        chunks, event = reduce_scatter(buffers, self.network, average=average)
+        chunks, event = reduce_scatter(buffers, average=average)
         self.events.append(event)
         return chunks
 
@@ -86,11 +86,6 @@ class ProcessGroup:
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
-    @property
-    def total_time(self) -> float:
-        """Total modeled communication time across all logged collectives."""
-        return float(sum(event.time_seconds for event in self.events))
-
     @property
     def total_bytes_per_worker(self) -> float:
         """Total bytes each worker put on the wire across all logged collectives."""

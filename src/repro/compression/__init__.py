@@ -19,9 +19,9 @@ method.  What a spec cannot spell is a constructor argument of the stage:
 ``CodecCompressor(DGCSelect(ratio=0.5, clip_norm=1.0))``.
 
 Encoded :class:`~repro.compression.codec.WirePayload` objects go straight to
-the collective layer, which charges modeled time and bytes from
-``payload.nbytes`` — how Table 1's "compatibility" column turns into Fig. 3's
-TTA differences.  The PacTrain compressor lives in :mod:`repro.pactrain` and
+the collective layer, which records the bytes from ``payload.nbytes``;
+:mod:`repro.simulation.pricing` prices them into modeled time — how Table 1's
+"compatibility" column turns into Fig. 3's TTA differences.  The PacTrain compressor lives in :mod:`repro.pactrain` and
 is registered for :func:`build_compressor` under ``"pactrain"``,
 ``"pactrain-terngrad"`` and ``"pactrain-fp32"``.
 """

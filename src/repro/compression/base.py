@@ -2,7 +2,8 @@
 
 A :class:`CodecCompressor` turns one gradient bucket (a ``(world, numel)`` matrix)
 into the aggregated average gradient, issuing all communication through the
-process group so the network cost model sees it.  It binds a
+process group, whose collectives move the bytes and log them;
+:mod:`repro.simulation.pricing` prices them.  It binds a
 :class:`~repro.compression.codec.pipeline.Pipeline` of encode/decode stages to
 the shared **encode → reduce/gather → decode** driver below; it is the one
 compressor type (PacTrain subclasses it to pick the pipeline per bucket).
@@ -71,7 +72,7 @@ class CodecCompressor:
 
     :meth:`aggregate` receives one bucket's ``(world, numel)`` gradients and
     returns their aggregated *average*, issuing all communication through
-    ``group`` so that the network cost model sees it.  This call is the
+    ``group`` so that its event log records every byte.  This call is the
     paper's "communication hook": :class:`repro.ddp.DistributedDataParallel`
     makes it once per bucket, and it sees only the flat bucket — no parameter
     names or shapes.  ``name`` labels the compressor in tables and traces;
@@ -82,10 +83,10 @@ class CodecCompressor:
 
     1. **encodes** every rank's flat gradient through the pipeline into a
        :class:`WirePayload` (stages coordinate shared scalers/selections and
-       charge those collectives themselves);
+       issue those collectives themselves);
     2. **reduces** the payloads with an all-reduce when they are element-wise
-       summable, otherwise **gathers** them — the collective layer charges the
-       network model from ``payload.nbytes``;
+       summable, otherwise **gathers** them — the collective layer records
+       the bytes from ``payload.nbytes``;
     3. **decodes** back to the dense average gradient, accumulating each
        gathered payload's decoded form into one result vector — only the
        carried coordinates of a selection, which is never densified (peak

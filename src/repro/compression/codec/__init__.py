@@ -14,9 +14,9 @@ Gradient compression is factored into three orthogonal pieces:
   experiment configurations.
 
 The collective layer (:mod:`repro.comm.collectives`) accepts payloads directly
-and charges the network model from ``payload.nbytes``, so reported
-communication volumes are measured from the encoded representation rather than
-asserted by each compressor.
+and moves ``payload.nbytes`` of them, so reported communication volumes are
+measured from the encoded representation rather than asserted by each
+compressor; :mod:`repro.simulation.pricing` prices those bytes into time.
 """
 
 from repro.compression.codec.payloads import (

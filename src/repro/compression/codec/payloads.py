@@ -4,9 +4,10 @@ A :class:`WirePayload` is what a compressor actually puts on the wire for one
 gradient bucket: a dense fp32 tensor, a half-precision tensor, an
 (indices, values) sparse selection, a packed 2-bit ternary tensor or a packed
 bitmask.  Every payload knows its own wire size (:attr:`WirePayload.nbytes`),
-so the collective layer charges the :class:`repro.comm.network.NetworkModel`
-from the *encoded representation* instead of trusting a caller-supplied
-``element_bytes`` — byte accounting is measured, not asserted.
+so the collective layer records the bytes it moves from the *encoded
+representation* instead of trusting a caller-supplied ``element_bytes`` —
+byte accounting is measured, not asserted; :mod:`repro.simulation.pricing`
+prices them.
 
 Payloads also know whether they can be reduced element-wise against a peer
 payload (:meth:`WirePayload.reducible_with`): dense/half/ternary payloads and

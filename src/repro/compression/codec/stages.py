@@ -12,7 +12,7 @@ composition (§III.D) expressed as two independent operators.
 Cross-rank coordination (shared scalers, batched top-k selection across
 ranks) happens in :meth:`Codec.prepare`, which sees all ranks' stage inputs
 at once and may issue collectives through the encode context's process group
-so the cost model charges them.
+so their bytes are logged (and priced) with the bucket's.
 """
 
 from __future__ import annotations

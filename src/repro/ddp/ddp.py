@@ -18,9 +18,9 @@ of ``world_size`` replicas on a single process:
    otherwise it is the wrapper's own, allocated on first write;
 3. the wrapper's :class:`~repro.compression.base.CodecCompressor` — the
    communication hook — aggregates each bucket through the process group,
-   which records modeled time and bytes; the events each bucket's
-   aggregation issued are drained from the group's log per step (the group
-   keeps lifetime aggregates), so the log cannot grow with run length.
+   which records the bytes each collective moved; the events each bucket's
+   aggregation issued are drained from the group's log per step, so the log
+   cannot grow with run length.
    Stateful compressors (error-feedback residuals, DGC momentum, PacTrain
    masks) own their per-bucket buffers — never views into the wrapper's
    arena, whose rows are rewritten by every staging pass — so their state
@@ -31,9 +31,10 @@ of ``world_size`` replicas on a single process:
 
 :meth:`DistributedDataParallel.train_step` is that iteration, and the
 experiment driver runs it.  Its result reports the per-rank losses and each
-bucket's collective events, from which the modeled communication time and the
-bytes each worker placed on the wire follow — the raw material for every TTA
-figure in the paper.
+bucket's collective events: the bytes each worker placed on the wire.  The
+wrapper moves bytes and keeps no clock; the driver prices the events
+(:mod:`repro.simulation.pricing`) into the modeled communication time — the
+raw material for every TTA figure in the paper.
 """
 
 from __future__ import annotations
@@ -78,21 +79,8 @@ class StepResult:
         return [event for per_bucket in self.bucket_events or () for event in per_bucket]
 
     @property
-    def comm_time(self) -> float:
-        """Modeled seconds of all collectives (summed in issue order, like the group log)."""
-        return float(sum(event.time_seconds for event in self.events))
-
-    @property
     def comm_bytes_per_worker(self) -> float:
         return float(sum(event.bytes_per_worker for event in self.events))
-
-    @property
-    def per_bucket_comm_time(self) -> List[float]:
-        """Modeled seconds of each bucket's collective(s), in bucket order."""
-        return [
-            float(sum(event.time_seconds for event in per_bucket))
-            for per_bucket in self.bucket_events or ()
-        ]
 
 
 class DistributedDataParallel:
@@ -105,7 +93,7 @@ class DistributedDataParallel:
     world_size:
         Number of simulated workers.
     process_group:
-        Communication substrate; defaults to a zero-cost group (unit tests).
+        Communication substrate; defaults to a group of ``world_size`` ranks.
     bucket_cap_bytes:
         Gradient bucket capacity; PyTorch's 25 MiB default keeps small models
         in a single bucket, which matches how DDP behaves for them.
@@ -150,7 +138,7 @@ class DistributedDataParallel:
         #: synchronisation path.
         self._active_ranks: Optional[List[int]] = None
         #: The group collectives currently run over: ``process_group`` when
-        #: healthy, the degraded-world group under :meth:`set_active_ranks`.
+        #: healthy, a group of the survivors under :meth:`set_active_ranks`.
         self.active_group = self.process_group
 
     # ------------------------------------------------------------------ #
@@ -177,25 +165,17 @@ class DistributedDataParallel:
             return list(range(self.world_size))
         return list(self._active_ranks)
 
-    def set_active_ranks(
-        self,
-        ranks: Optional[Sequence[int]],
-        process_group: Optional[ProcessGroup] = None,
-    ) -> None:
+    def set_active_ranks(self, ranks: Optional[Sequence[int]]) -> None:
         """Restrict gradient synchronisation to a surviving subset of ranks.
 
         ``ranks`` is the sorted global membership collectives should run
-        over; dead ranks keep their arena rows (the buffers are
-        preallocated for the full world) but are excluded from staging and
-        from every reduce.  ``process_group`` optionally supplies a
-        degraded-world group — e.g. one costed with a fault plan's current
-        link factor — and defaults to a group of ``len(ranks)`` over this
-        wrapper's network model.  Passing ``None`` (or the full membership
-        with no explicit group) restores the healthy fast path, whose
+        over, through a group of ``len(ranks)``; dead ranks keep their arena
+        rows (the buffers are preallocated for the full world) but are
+        excluded from staging and from every reduce.  Passing ``None`` or
+        the full membership restores the healthy fast path, whose
         synchronisation is bit-identical to a wrapper that was never
-        degraded.  The full membership with an explicit group (a slowed
-        link) stages and reduces exactly as the healthy path does and only
-        prices its collectives on ``process_group``.
+        degraded.  What the collectives cost over a degraded world or a
+        slowed link is the driver's to price.
         """
         if ranks is None:
             self._active_ranks = None
@@ -208,17 +188,11 @@ class DistributedDataParallel:
             raise ValueError(
                 f"active ranks {active} outside world_size={self.world_size}"
             )
-        if len(active) == self.world_size and process_group is None:
+        if len(active) == self.world_size:
             self.set_active_ranks(None)
             return
-        group = process_group or ProcessGroup(len(active), self.process_group.network)
-        if group.world_size != len(active):
-            raise ValueError(
-                f"process_group world_size {group.world_size} does not "
-                f"match {len(active)} active ranks"
-            )
-        self._active_ranks = None if len(active) == self.world_size else active
-        self.active_group = group
+        self._active_ranks = active
+        self.active_group = ProcessGroup(len(active))
 
     # ------------------------------------------------------------------ #
     # Training step
@@ -298,9 +272,9 @@ class DistributedDataParallel:
 
         The active ranks are evaluated in one world-batched forward/backward
         (:meth:`compute_batched_gradients`), healthy or degraded.  Float64
-        results are bit-identical to a per-rank loop, and modeled time is
-        unaffected — the simulation clock measures the *simulated* cluster,
-        not how the host runs the passes.
+        results are bit-identical to a per-rank loop, and the collectives
+        issued are unaffected — the simulation clock measures the *simulated*
+        cluster, not how the host runs the passes.
 
         ``gse_mask`` applies Gradient Sparsity Enforcement (the paper's
         Eq. (2)) to every rank's gradients before they are staged.  The
@@ -375,8 +349,8 @@ class DistributedDataParallel:
 
         Returns the unflattened aggregate and the collective events grouped by
         the bucket whose aggregation issued them.  The events are *drained*
-        from the process group's per-step log (the group keeps running
-        lifetime aggregates), so a long run's log stays bounded.
+        from the process group's per-step log, so a long run's log stays
+        bounded.
 
         ``compressor`` stands in for the wrapper's own for this one call
         (local SGD's dense parameter averaging passes a lossless one).
@@ -384,9 +358,8 @@ class DistributedDataParallel:
         Under a degraded membership (:meth:`set_active_ranks`) each bucket's
         collective runs over the survivors only: the compressor sees a
         ``(len(active), numel)`` matrix of the surviving ranks' arena rows
-        and the degraded process group, so dead ranks contribute nothing to
-        the average and the cost model charges an ``len(active)``-way
-        collective.
+        and the survivors' process group, so dead ranks contribute nothing to
+        the average and each event records a ``len(active)``-way collective.
         """
         if compressor is None:
             compressor = self.compressor

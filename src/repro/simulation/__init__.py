@@ -23,6 +23,8 @@ Modules:
   per-iteration schedule (compute/comm/overlap/straggler breakdown);
 * :mod:`repro.simulation.cluster`  — cluster description (workers, devices,
   stragglers, network, overlap/hierarchical toggles);
+* :mod:`repro.simulation.pricing`  — the one place the bytes collectives
+  moved become simulated seconds under the cluster's cost model;
 * :mod:`repro.simulation.faults`   — declarative fault plans (crash / re-join /
   link windows / churn) on the simulated clock;
 * :mod:`repro.simulation.timeline` — a run's append-only log (one entry per

@@ -154,8 +154,8 @@ class ClusterSpec:
         return self.faults if self.faults is not None else EMPTY_FAULT_PLAN
 
     def process_group(self) -> ProcessGroup:
-        """Process group whose collectives are costed by this cluster's network."""
-        return ProcessGroup(self.world_size, self.cost_model_for())
+        """Process group of this cluster's workers (``cost_model_for`` prices its events)."""
+        return ProcessGroup(self.world_size)
 
     # ------------------------------------------------------------------ #
     # Compute heterogeneity

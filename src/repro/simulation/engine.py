@@ -204,8 +204,8 @@ class SimulationEngine:
         compute = list(per_rank_compute)
         compute_span = max(compute)
         straggler_slack = compute_span - min(compute)
-        # Flat float sum in issue order: bit-identical to the seed's
-        # ``sum(e.time_seconds for e in events)``.
+        # Flat float sum in bucket order: with one collective per bucket,
+        # bit-identical to the seed's sum over the iteration's events.
         comm_busy = float(sum(bucket_comm_times))
 
         # Bucket b is ready when the slowest rank has produced it, at

@@ -35,6 +35,7 @@ from repro.nn.module import Module
 from repro.obs.instrument import emit_ps_update, emit_simulated_iteration
 from repro.obs.tracer import SIM_SCHEDULE_TID, TRACER
 from repro.pruning import PruningMask, apply_gse, grasp_prune, magnitude_prune
+from repro.simulation import pricing
 from repro.simulation.engine import EventHeap, LinkChannel, SimEvent, SimulationEngine
 from repro.simulation.regimes import ReplicaSet
 from repro.simulation.spec import ExperimentConfig, ExperimentResult, MethodSpec
@@ -195,7 +196,8 @@ class _FaultState:
     An empty plan keeps :attr:`faulty` False and :meth:`advance` is a no-op
     returning ``None`` that does not read the simulated clock, so healthy
     runs take exactly the historical code path (golden traces stay
-    bit-identical).
+    bit-identical).  :attr:`cost_model` prices the current membership over
+    the current link: the healthy cluster's until the plan changes either.
     """
 
     def __init__(self, run: _Run) -> None:
@@ -206,15 +208,12 @@ class _FaultState:
         self.cursor = -1.0
         self.active = list(range(self.world_size))
         self.link = 1.0
+        self.cost_model = run.config.cluster.cost_model_for(self.world_size, self.link)
 
     def set_membership(self, active: List[int], link: float) -> None:
-        """Point the DDP wrapper at ``active`` over a link scaled by ``link``."""
-        ddp = self.run.ddp
-        if len(active) == self.world_size and link == 1.0:
-            ddp.set_active_ranks(None)
-        else:
-            degraded_model = self.run.config.cluster.cost_model_for(len(active), link)
-            ddp.set_active_ranks(active, ProcessGroup(len(active), degraded_model))
+        """Point the DDP wrapper at ``active`` and price it over a link scaled by ``link``."""
+        self.run.ddp.set_active_ranks(active)
+        self.cost_model = self.run.config.cluster.cost_model_for(len(active), link)
         self.active, self.link = active, link
 
     def advance(self, global_iteration: int, on_rejoin=None):
@@ -257,9 +256,7 @@ class _FaultState:
             for event in fired:
                 if event.kind != "rejoin" or event.rank not in active:
                     continue
-                cost = self.run.config.cluster.cost_model_for(len(active), link).broadcast_time(
-                    model_wire_bytes
-                )
+                cost = pricing.op_time(self.cost_model, "broadcast", model_wire_bytes)
                 timeline.add_event("rejoin", cost)
                 rejoined.append(event.rank)
                 if TRACER.enabled:
@@ -407,7 +404,10 @@ def _train_stepped(
     wrapper's live membership (the fault cursor keeps it current) and
     returns its :class:`~repro.ddp.StepResult` — ``None`` bucket events mean a
     communication-free local step; ``flush(epoch, active)`` runs before the
-    epoch-end evaluation; ``on_rejoin`` (or ``None``) hears of re-joined ranks;
+    epoch-end evaluation and returns the round it synchronised (or ``None``);
+    the loop prices every round's events on the fault cursor's cost model
+    (:mod:`repro.simulation.pricing`) and books them; ``on_rejoin`` (or
+    ``None``) hears of re-joined ranks;
     ``state()`` / ``load_state(state)`` hand what the step mutates to
     :func:`_capture` / :func:`_restore`.
 
@@ -456,17 +456,17 @@ def _train_stepped(
                     per_rank_compute[rank] * churn[rank] for rank in faults.active
                 ]
             if result.bucket_events is None:
+                comm = 0.0
                 trace = engine.run_local_iteration(iteration_compute)
             else:
-                trace = engine.run_iteration(
-                    iteration_compute, bucket_fractions, result.per_bucket_comm_time
-                )
+                comm, per_bucket = pricing.bucket_times(faults.cost_model, result.bucket_events)
+                trace = engine.run_iteration(iteration_compute, bucket_fractions, per_bucket)
             traced = TRACER.enabled
             if traced:
                 sim_base = timeline.total_time
             dead = world_size - len(faults.active)
             timeline.add_iteration(
-                trace.compute_span, result.comm_time, result.comm_bytes_per_worker, trace,
+                trace.compute_span, comm, result.comm_bytes_per_worker, trace,
                 kind="local" if result.bucket_events is None else step.kind, dead=dead,
             )
             if traced:
@@ -490,7 +490,10 @@ def _train_stepped(
             epoch_losses.append(result.loss)
             iteration += 1
 
-        step.flush(epoch, faults.active)
+        synced = step.flush(epoch, faults.active)
+        if synced is not None:
+            comm, _ = pricing.bucket_times(faults.cost_model, synced.bucket_events)
+            timeline.add_sync_round(comm, synced.comm_bytes_per_worker)
         if run.end_epoch(epoch, epoch_losses):
             break
 
@@ -609,7 +612,7 @@ class _SyncStep:
                 run.mask.apply_to_weights(run.model)
         return result
 
-    def flush(self, epoch: int, active: List[int]) -> None:
+    def flush(self, epoch: int, active: List[int]) -> Optional[StepResult]:
         """Nothing to flush: every iteration ends synchronised."""
 
     def state(self) -> Dict[str, object]:
@@ -711,17 +714,18 @@ class _LocalSGDStep:
         self.window = 0
         return StepResult(per_rank_losses, bucket_events)
 
-    def flush(self, epoch: int, active: List[int]) -> None:
+    def flush(self, epoch: int, active: List[int]) -> Optional[StepResult]:
         """Average a partially filled window, so evaluation (and the final
-        model) sees the averaged parameters, not one rank's replica."""
+        model) sees the averaged parameters, not one rank's replica; returns
+        that round (``None`` when the window is empty)."""
         if self.window == 0:
-            return
+            return None
         with TRACER.span(
             "regime/localsgd-flush", cat="regime", epoch=epoch, window=self.window
         ):
             synced = StepResult([], self._sync_round(active))
-        self.run.timeline.add_sync_round(synced.comm_time, synced.comm_bytes_per_worker)
         self.window = 0
+        return synced
 
     def state(self) -> Dict[str, object]:
         """The replicas, the last synced anchor and the open window's length."""
@@ -830,12 +834,12 @@ class _ParameterServer:
         ddp, timeline, stats = run.ddp, run.timeline, run.compressor.stats
         heap, pending, completed = self.heap, self.pending, self.completed
         staleness_bound = run.method.schedule().staleness
-        cost_model = run.config.cluster.cost_model_for(world_size)
+        cost_model = faults.cost_model
         model_wire_bytes = run.model_wire_bytes
-        pull_seconds = cost_model.p2p_time(model_wire_bytes)
+        pull_seconds = pricing.op_time(cost_model, "p2p", model_wire_bytes)
         # A push is a one-rank aggregation.  Its wire time is the p2p transfer
-        # booked on the server link, so the group carries no cost model and
-        # its event log is dropped after every push.
+        # of what the codec recorded, booked on the server link, so the
+        # group's event log is dropped after every push.
         push_group = ProcessGroup(1)
 
         def admissible(rank: int) -> bool:
@@ -893,7 +897,7 @@ class _ParameterServer:
                 heap.push(SimEvent(time=now + compute_seconds, kind="ps-push", rank=rank))
             elif event.kind == "ps-push":
                 state = pending[rank]
-                push_seconds = cost_model.p2p_time(state["payload_bytes"])
+                push_seconds = pricing.op_time(cost_model, "p2p", state["payload_bytes"])
                 start, end = self.channel.acquire(now, push_seconds)
                 state["push"] = (start, end)
                 state["push_seconds"] = push_seconds

@@ -33,6 +33,7 @@ from repro.comm import (
     reduce_scatter,
 )
 from repro.comm.network import PAPER_BANDWIDTHS
+from repro.simulation import pricing
 from repro.compression.codec.payloads import (
     BitmaskPayload,
     DensePayload,
@@ -285,9 +286,9 @@ class TestHierarchicalCostModel:
 
     def test_process_group_accepts_hierarchical_model(self, rng):
         topo = build_paper_topology(wan_bandwidth=100 * MBPS, num_servers=4)
-        group = ProcessGroup(4, topo.cost_model())
+        group = ProcessGroup(4)
         group.all_reduce(dense(rng, *[64] * 4))
-        assert group.total_time > 0.0
+        assert pricing.comm_time(topo.cost_model(), group.events) > 0.0
 
     def test_single_server_topology(self):
         topo = ClusterTopology()
@@ -517,15 +518,17 @@ class TestCollectives:
 
     def test_all_reduce_charges_time(self, rng):
         network = NetworkModel.from_bandwidth(4, 100 * MBPS)
-        _, event = all_reduce(dense(rng, *[1000] * 4), network)
-        assert event.time_seconds > 0.0
+        _, event = all_reduce(dense(rng, *[1000] * 4))
+        assert event.payload_bytes == 4000.0
+        assert pricing.comm_time(network, [event]) > 0.0
 
     def test_element_bytes_scales_time(self, rng):
         network = NetworkModel.from_bandwidth(4, 100 * MBPS, latency=0.0)
         values = [rng.standard_normal(10000) for _ in range(4)]
-        _, fp32 = all_reduce([DensePayload(v, element_bytes=4) for v in values], network)
-        _, fp16 = all_reduce([DensePayload(v, element_bytes=2) for v in values], network)
-        assert fp32.time_seconds == pytest.approx(2 * fp16.time_seconds)
+        _, fp32 = all_reduce([DensePayload(v, element_bytes=4) for v in values])
+        _, fp16 = all_reduce([DensePayload(v, element_bytes=2) for v in values])
+        fp32_time, fp16_time = (pricing.comm_time(network, [e]) for e in (fp32, fp16))
+        assert fp32_time == pytest.approx(2 * fp16_time)
 
     def test_all_gather_returns_every_buffer(self, rng):
         buffers = dense(rng, 5, 5, 5)
@@ -604,11 +607,11 @@ class TestCollectives:
 
 class TestProcessGroup:
     def test_event_log_accumulates(self, rng):
-        group = ProcessGroup(4, NetworkModel.from_bandwidth(4, 100 * MBPS))
+        group = ProcessGroup(4)
         group.all_reduce(dense(rng, *[100] * 4))
         group.all_gather(dense(rng, *[10] * 4))
         assert len(group.events) == 2
-        assert group.total_time > 0
+        assert pricing.comm_time(NetworkModel.from_bandwidth(4, 100 * MBPS), group.events) > 0
         assert group.total_bytes_per_worker > 0
 
     def test_pop_events_clears_log(self, rng):
@@ -624,9 +627,13 @@ class TestProcessGroup:
             group.all_reduce(dense(rng, 4, 4, 4))
 
     def test_zero_cost_without_network(self, rng):
+        """The group and its events carry bytes and no clock: pricing is elsewhere."""
         group = ProcessGroup(4)
         group.all_reduce(dense(rng, *[4] * 4))
-        assert group.total_time == 0.0
+        (event,) = group.events
+        assert not hasattr(group, "network") and not hasattr(group, "total_time")
+        assert not hasattr(event, "time_seconds")
+        assert event.payload_bytes == 16.0
 
     def test_broadcast_replicates(self, rng):
         group = ProcessGroup(3)

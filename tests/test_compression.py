@@ -7,6 +7,7 @@ import pytest
 
 from repro.comm import NetworkModel, ProcessGroup
 from repro.comm.network import MBPS
+from repro.simulation import pricing
 from repro.compression import (
     COMPRESSOR_REGISTRY,
     CodecCompressor,
@@ -32,7 +33,7 @@ def buffers(rng):
 
 @pytest.fixture
 def group():
-    return ProcessGroup(4, NetworkModel.from_bandwidth(4, 100 * MBPS, latency=0.0))
+    return ProcessGroup(4)
 
 
 class TestNoCompression:
@@ -64,10 +65,11 @@ class TestFP16:
 
     def test_faster_than_fp32(self, buffers):
         network = NetworkModel.from_bandwidth(4, 100 * MBPS, latency=0.0)
-        g32, g16 = ProcessGroup(4, network), ProcessGroup(4, network)
+        g32, g16 = ProcessGroup(4), ProcessGroup(4)
         build_compressor("allreduce").aggregate(make_bucket(buffers), g32)
         build_compressor("fp16").aggregate(make_bucket(buffers), g16)
-        assert g16.total_time == pytest.approx(g32.total_time / 2)
+        fp32_time = pricing.comm_time(network, g32.events)
+        assert pricing.comm_time(network, g16.events) == pytest.approx(fp32_time / 2)
 
 
 class TestTopK:

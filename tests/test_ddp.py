@@ -12,6 +12,7 @@ from repro.ddp import DistributedDataParallel, GradBucket, build_buckets
 from repro.ddp.bucket import Bucket, BucketSlice
 from repro.nn import SGD
 from repro.nn.models import mlp_tiny
+from repro.simulation import pricing
 from repro.tensorlib import Tensor, functional as F
 
 
@@ -97,11 +98,9 @@ class TestGradBucket:
 class TestDistributedDataParallel:
     def test_train_step_returns_accounting(self, tiny_model, sample_batch):
         network = NetworkModel.from_bandwidth(4, 100 * MBPS)
-        ddp = DistributedDataParallel(
-            tiny_model, world_size=4, process_group=ProcessGroup(4, network)
-        )
+        ddp = DistributedDataParallel(tiny_model, world_size=4, process_group=ProcessGroup(4))
         result = ddp.train_step([sample_batch] * 4, F.cross_entropy)
-        assert result.comm_time > 0
+        assert pricing.comm_time(network, result.events) > 0
         assert result.comm_bytes_per_worker > 0
         assert len(result.per_rank_loss) == 4
         assert result.loss == pytest.approx(np.mean(result.per_rank_loss))
@@ -145,13 +144,11 @@ class TestDistributedDataParallel:
 
     def test_register_comm_hook_changes_behaviour(self, tiny_model, sample_batch):
         network = NetworkModel.from_bandwidth(2, 100 * MBPS, latency=0.0)
-        ddp = DistributedDataParallel(
-            tiny_model, world_size=2, process_group=ProcessGroup(2, network)
-        )
+        ddp = DistributedDataParallel(tiny_model, world_size=2, process_group=ProcessGroup(2))
         fp32 = ddp.train_step([sample_batch] * 2, F.cross_entropy)
         ddp.register_comm_hook(build_compressor("fp16"))
         fp16 = ddp.train_step([sample_batch] * 2, F.cross_entropy)
-        assert fp16.comm_time < fp32.comm_time
+        assert pricing.comm_time(network, fp16.events) < pricing.comm_time(network, fp32.events)
 
     def test_wrong_batch_count_raises(self, tiny_model, sample_batch):
         ddp = DistributedDataParallel(tiny_model, world_size=4)

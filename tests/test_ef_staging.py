@@ -206,8 +206,9 @@ class TestStagingTarget:
     @pytest.mark.parametrize("method", ["all-reduce", "topk-0.01"])
     def test_a_slowed_link_stages_like_the_healthy_world(self, method, monkeypatch):
         """``link:0.5@0``: the bucket matrix is the staging target itself (the
-        arena for all-reduce, the residual for top-k), not a survivor copy,
-        while the collectives are priced on the degraded group."""
+        arena for all-reduce, the residual for top-k), not a survivor copy, and
+        the group is the healthy world's, while the driver prices the
+        collectives on the slowed link's cost model."""
         seen = []
         aggregate = CodecCompressor.aggregate
 
@@ -220,7 +221,7 @@ class TestStagingTarget:
         ddp = run.ddp
         assert seen
         for index, matrix, group, residual in seen:
-            assert group is ddp.active_group and group is not ddp.process_group
+            assert group is ddp.active_group and group is ddp.process_group
             if method == "all-reduce":
                 assert matrix is ddp.arena.matrix(index)
             else:

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from repro.compression import build_compressor
+from repro.compression.codec import DensePayload
 from repro.compression.codec.stages import remap_rank_rows
-from repro.comm import ProcessGroup
 from repro.comm.network import NetworkModel
 from repro.comm.topology import build_paper_topology
 from repro.ddp import DistributedDataParallel
 from repro.golden import GOLDEN_METHODS, golden_config_for
-from repro.simulation import ClusterSpec, run_experiment
+from repro.simulation import ClusterSpec, pricing, run_experiment
 from repro.simulation.faults import EMPTY_FAULT_PLAN, FaultEvent, FaultPlan
 
 
@@ -149,7 +149,10 @@ class TestClusterSpecFaults:
         for name, spec in (("flat", flat), ("hier", hier)):
             want = expected[name].ring_all_reduce_time(10_000)
             assert spec.cost_model_for().ring_all_reduce_time(10_000) == want
-            assert spec.process_group().network.ring_all_reduce_time(10_000) == want
+            # The cluster's group logs a 10 000-byte all-reduce; its model prices it.
+            group = spec.process_group()
+            group.all_reduce([DensePayload(np.zeros(2_500))] * 4)
+            assert pricing.comm_time(spec.cost_model_for(), group.events) == want
 
     def test_cost_model_for_degraded_link_costs_more(self):
         spec = ClusterSpec(world_size=4, bandwidth="100Mbps")
@@ -204,7 +207,7 @@ class TestElasticState:
         ddp.set_active_ranks([0, 2, 3])
         assert ddp.active_ranks == [0, 2, 3]
         assert ddp.active_group.world_size == 3
-        # Full membership with no explicit group restores the healthy path.
+        # Full membership restores the healthy path.
         ddp.set_active_ranks([0, 1, 2, 3])
         assert ddp.active_ranks == [0, 1, 2, 3]
         assert ddp.active_group is ddp.process_group
@@ -216,7 +219,7 @@ class TestElasticState:
         with pytest.raises(ValueError):
             ddp.set_active_ranks([0, 4])
         with pytest.raises(ValueError):
-            ddp.set_active_ranks([0, 1], ProcessGroup(3))
+            ddp.set_active_ranks([-1, 0])
 
     def test_degraded_reduce_averages_survivors_only(self, tiny_model):
         ddp = DistributedDataParallel(tiny_model, world_size=4)

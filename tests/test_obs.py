@@ -21,8 +21,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.comm import NetworkModel, ProcessGroup
-from repro.comm.network import MBPS
+from repro.comm import ProcessGroup
 from repro.compression import build_compressor
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.golden import GOLDEN_CONFIG
@@ -55,7 +54,7 @@ def make_bucket(rng, numel=256, world=4):
 
 
 def make_group(world=4):
-    return ProcessGroup(world, NetworkModel.from_bandwidth(world, 100 * MBPS, latency=0.0))
+    return ProcessGroup(world)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:

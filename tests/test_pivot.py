@@ -13,6 +13,7 @@ from __future__ import annotations
 import shutil
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.campaign import ResultStore
@@ -122,3 +123,21 @@ def test_report_prints_the_pinned_table(tmp_path, capsys):
             "--value", "simulated_time"]
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == (FIXTURES / "smoke-report.txt").read_text()
+
+
+@pytest.mark.parametrize("axis", ["tta_or_total", "to_dict"])
+def test_a_result_method_is_not_an_axis(axis, tmp_path, capsys):
+    """Result names resolve against the result's fields only: a method of the
+    result is no axis, so the command ends in one ``error:`` line and exit 2."""
+    store_path = tmp_path / "smoke-store.jsonl"
+    shutil.copy(FIXTURES / "smoke-store.jsonl", store_path)
+    record = ResultStore(store_path).records()[0]
+    with pytest.raises(KeyError):
+        record.axis(axis)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["report", "--store", str(store_path), "--rows", axis, "--cols", "method"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == f"error: --rows {axis!r} is not an axis of any stored record"

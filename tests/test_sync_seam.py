@@ -33,11 +33,12 @@ from repro.compression.registry import BUILTIN_SPECS, PACTRAIN_QUANTIZE
 from repro.ddp import DistributedDataParallel
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.nn.models import mlp_tiny
-from repro.simulation import PAPER_METHODS, ClusterSpec, run_experiment
+from repro.simulation import PAPER_METHODS, ClusterSpec, pricing, run_experiment
 from repro.simulation.spec import MethodSpec
 from repro.tensorlib import functional as F
 
 WORLD, NUMEL, STEPS, SEEDS = 4, 5000, 5, (0, 7)
+NETWORK = NetworkModel.from_paper_setting(WORLD, "100Mbps")
 
 #: name -> (spec string, ``.name``): the test's own copy of the table, so an
 #: edit to the registry's has to be made twice to go unnoticed.
@@ -61,13 +62,16 @@ def drive(compressor, seed):
     rng = np.random.default_rng(100 + seed)
     keep = rng.random(NUMEL) < 0.5
     layout = Bucket(index=0, slices=[BucketSlice("w", 0, NUMEL, (NUMEL,))])
-    group = ProcessGroup(WORLD, NetworkModel.from_paper_setting(WORLD, "100Mbps"))
+    group = ProcessGroup(WORLD)
     results, events = [], []
     for step in range(STEPS):
         matrix = rng.standard_normal((WORLD, NUMEL)) * keep
         result = compressor.aggregate(GradBucket(layout, matrix=matrix), group, iteration=step)
         results.append((result.dtype, result.tobytes()))
-        events += [(e.op, e.time_seconds, e.bytes_per_worker) for e in group.pop_events()]
+        events += [
+            (e.op, pricing.op_time(NETWORK, e.op, e.payload_bytes), e.bytes_per_worker)
+            for e in group.pop_events()
+        ]
     return results, events, dataclasses.asdict(compressor.stats)
 
 
@@ -104,12 +108,13 @@ class TestTheCompressorIsTheHook:
         for hook in (None, build_compressor("all-reduce")):
             model = mlp_tiny(num_classes=10, seed=11)
             ddp = DistributedDataParallel(
-                model, world_size=2, process_group=ProcessGroup(2, network), comm_hook=hook
+                model, world_size=2, process_group=ProcessGroup(2), comm_hook=hook
             )
             step = ddp.train_step([sample_batch] * 2, F.cross_entropy)
             grads = [(p.grad.dtype, p.grad.tobytes()) for p in model.parameters()]
-            events = [(e.op, e.time_seconds, e.bytes_per_worker) for e in step.events]
-            steps.append((grads, events, step.comm_time, step.comm_bytes_per_worker))
+            events = [(e.op, e.payload_bytes, e.bytes_per_worker) for e in step.events]
+            comm = pricing.comm_time(network, step.events)
+            steps.append((grads, events, comm, step.comm_bytes_per_worker))
             assert ddp.compressor.name == "allreduce" and ddp.compressor.lossless
         assert steps[0] == steps[1]
 
@@ -145,10 +150,10 @@ class TestTheCompressorIsTheHook:
         ddp.stage_world_gradients(grads)
         healthy, _ = ddp.synchronize_staged()
 
-        degraded_group = ProcessGroup(3)
-        ddp.set_active_ranks([0, 2, 3], degraded_group)
+        ddp.set_active_ranks([0, 2, 3])
+        degraded_group = ddp.active_group
+        assert degraded_group is not ddp.process_group and degraded_group.world_size == 3
         degraded, events = ddp.synchronize_staged()
-        assert ddp.active_group is degraded_group
         assert all(event.world_size == 3 for per_bucket in events for event in per_bucket)
 
         ddp.set_active_ranks(None)
