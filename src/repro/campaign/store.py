@@ -392,16 +392,6 @@ class ResultStore:
                 matched.append(record)
         return matched
 
-    def axis_values(self, axis: str, **filters) -> List:
-        """Distinct values of one axis over the (filtered) records, in first-seen order."""
-        seen: Dict = {}
-        for record in self.records(**filters):
-            try:
-                seen.setdefault(record.axis(axis), None)
-            except KeyError:
-                continue
-        return list(seen)
-
     def pivot(
         self,
         rows: str,

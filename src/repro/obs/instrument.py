@@ -21,7 +21,7 @@ Three pieces live here, all activated only while tracing is enabled:
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SIM_CHANNEL_TID, SIM_SCHEDULE_TID
@@ -154,21 +154,25 @@ def uninstall_backend_observer() -> None:
 # --------------------------------------------------------------------------- #
 # Simulated-clock spans from one engine iteration
 # --------------------------------------------------------------------------- #
-def emit_simulated_iteration(
-    tracer,
-    base: float,
-    trace,
-    bucket_fractions: Sequence[float],
-    iteration: int,
-) -> None:
-    """Emit sim-clock spans for one :class:`IterationTrace` starting at ``base``.
+def emit_simulated_iteration(tracer, timeline, base: float, iteration: int) -> None:
+    """Emit sim-clock spans for the iteration just logged on ``timeline``.
 
     ``base`` is the simulated time at which the iteration starts (the
-    timeline's total before this iteration was added); ``bucket_fractions``
-    are the cumulative completion fractions the engine scheduled with, so
-    each rank's backward splits into per-bucket segments exactly where the
-    engine declared the bucket's gradients ready.
+    timeline's total before it was logged).  The spans read the entry and its
+    :class:`~repro.simulation.engine.IterationTrace` off the timeline's fold:
+    a degraded-world span when ranks were down, then each rank's backward,
+    split into per-bucket segments at the bucket completion fractions the
+    engine scheduled with, and the link channel's reduce windows.  The
+    tracer's simulated clock then moves to the timeline's new total.
     """
+    entry, trace = timeline.log[-1], timeline.priced()[-1].trace
+    dead = 0 if entry.ranks is None else timeline.world_size - len(entry.ranks)
+    if dead:
+        tracer.sim_span(
+            "fault/degraded-world", "fault", ts=base, dur=trace.wall_time,
+            tid=SIM_SCHEDULE_TID, alive=len(entry.ranks), dead=dead,
+        )
+    bucket_fractions = timeline.bucket_fractions if entry.buckets else []
     for rank, total in enumerate(trace.per_rank_compute):
         previous = 0.0
         for index, fraction in enumerate(bucket_fractions):
@@ -201,6 +205,7 @@ def emit_simulated_iteration(
         comm_busy=trace.comm_busy, overlap_saved=trace.overlap_saved,
         straggler_slack=trace.straggler_slack,
     )
+    tracer.sim_now = timeline.total_time
 
 
 def emit_ps_update(

@@ -27,9 +27,9 @@ Modules:
   moved become simulated seconds under the cluster's cost model;
 * :mod:`repro.simulation.faults`   — declarative fault plans (crash / re-join /
   link windows / churn) on the simulated clock;
-* :mod:`repro.simulation.timeline` — a run's append-only log (one entry per
-  iteration, flush, fault, re-join and clock reading) and the fold every
-  reported number comes from;
+* :mod:`repro.simulation.timeline` — a run's append-only log of work (one
+  entry per iteration, flush, fault, re-join and clock reading) and the fold
+  that prices it, which every reported number comes from;
 * :mod:`repro.simulation.regimes`  — training-regime schedules (``sync``,
   ``localsgd:H[:delta]``, ``ps[:S]``) and local-SGD replicas;
 * :mod:`repro.simulation.spec`     — the typed specs: ``MethodSpec``,

@@ -36,7 +36,8 @@ from repro.obs.instrument import emit_ps_update, emit_simulated_iteration
 from repro.obs.tracer import SIM_SCHEDULE_TID, TRACER
 from repro.pruning import PruningMask, apply_gse, grasp_prune, magnitude_prune
 from repro.simulation import pricing
-from repro.simulation.engine import EventHeap, LinkChannel, SimEvent, SimulationEngine
+from repro.simulation.engine import EventHeap, LinkChannel, SimEvent
+from repro.simulation.pricing import Transfer
 from repro.simulation.regimes import ReplicaSet
 from repro.simulation.spec import ExperimentConfig, ExperimentResult, MethodSpec
 from repro.simulation.timeline import TrainingTimeline
@@ -143,7 +144,6 @@ class _Run:
     #: after every optimiser step), so for a pruned run this is also its final
     #: sparsity.
     weight_sparsity: float
-    per_rank_compute: List[float]
     rank_loaders: List[DataLoader]
     checkpoint: Optional[TrainingCheckpoint] = None
 
@@ -196,8 +196,8 @@ class _FaultState:
     An empty plan keeps :attr:`faulty` False and :meth:`advance` is a no-op
     returning ``None`` that does not read the simulated clock, so healthy
     runs take exactly the historical code path (golden traces stay
-    bit-identical).  :attr:`cost_model` prices the current membership over
-    the current link: the healthy cluster's until the plan changes either.
+    bit-identical).  :attr:`active` and :attr:`link` are the membership and
+    link factor the run's work goes over; the timeline prices them.
     """
 
     def __init__(self, run: _Run) -> None:
@@ -208,12 +208,10 @@ class _FaultState:
         self.cursor = -1.0
         self.active = list(range(self.world_size))
         self.link = 1.0
-        self.cost_model = run.config.cluster.cost_model_for(self.world_size, self.link)
 
     def set_membership(self, active: List[int], link: float) -> None:
-        """Point the DDP wrapper at ``active`` and price it over a link scaled by ``link``."""
+        """Point the DDP wrapper at ``active``, over a link scaled by ``link``."""
         self.run.ddp.set_active_ranks(active)
-        self.cost_model = self.run.config.cluster.cost_model_for(len(active), link)
         self.active, self.link = active, link
 
     def advance(self, global_iteration: int, on_rejoin=None):
@@ -224,8 +222,8 @@ class _FaultState:
         DDP wrapper) with the current link factor.  Returns the iteration's
         per-rank churn multipliers — ``None`` when the plan is empty.
         ``on_rejoin`` (if given) is called with the list of ranks that
-        re-joined, after their broadcast cost has been charged — the
-        local-SGD step uses it to refresh the returning replica.
+        re-joined, after their broadcast has been logged — the local-SGD step
+        uses it to refresh the returning replica.
         """
         if not self.faulty:
             return None
@@ -249,19 +247,18 @@ class _FaultState:
                 self.run.compressor.resize_world(self.active, active, plan.residual_policy)
             self.set_membership(active, link)
             # A re-joining rank pulls the current model state (fp32 wire
-            # format) before it can participate: charge one broadcast over the
-            # new membership per re-join and advance the simulated clock.
+            # format) before it can participate: one broadcast over the new
+            # membership per re-join, which advances the simulated clock.
             model_wire_bytes = self.run.model_wire_bytes
             rejoined = []
             for event in fired:
                 if event.kind != "rejoin" or event.rank not in active:
                     continue
-                cost = pricing.op_time(self.cost_model, "broadcast", model_wire_bytes)
-                timeline.add_event("rejoin", cost)
+                timeline.add_event("rejoin", model_wire_bytes, ranks=active, link=link)
                 rejoined.append(event.rank)
                 if TRACER.enabled:
                     TRACER.sim_span(
-                        "fault/rejoin-sync", "fault", ts=now, dur=cost,
+                        "fault/rejoin-sync", "fault", ts=now, dur=timeline.priced()[-1].comm,
                         tid=SIM_SCHEDULE_TID, rank=event.rank,
                         bytes=model_wire_bytes,
                     )
@@ -352,6 +349,7 @@ def train_distributed(
             TRACER.new_sim_process(f"{method.name} world={world_size}")
 
         weight_sparsity = _weight_sparsity(model)
+        shape = train_set.input_shape
         run = _Run(
             config=config,
             method=method,
@@ -361,11 +359,14 @@ def train_distributed(
             compressor=compressor,
             ddp=ddp,
             optimizer=optimizer,
-            timeline=TrainingTimeline(world_size, config.target_accuracy),
-            weight_sparsity=weight_sparsity,
-            per_rank_compute=cluster.per_rank_iteration_times(
-                model, train_set.input_shape, config.batch_size, weight_sparsity=weight_sparsity
+            # The run's pricing inputs: per-rank compute and bucket readiness.
+            timeline=TrainingTimeline(
+                cluster,
+                cluster.per_rank_iteration_times(model, shape, config.batch_size, weight_sparsity),
+                cluster.compute_model().bucket_completion_fractions(model, shape, ddp.buckets),
+                config.target_accuracy,
             ),
+            weight_sparsity=weight_sparsity,
             # One loader per rank over disjoint shards.
             rank_loaders=[
                 DataLoader(
@@ -379,35 +380,31 @@ def train_distributed(
         if schedule.regime == "ps":
             _ParameterServer(run).train(checkpoint_at, resume_from)
         else:
-            bucket_fractions = cluster.compute_model().bucket_completion_fractions(
-                model, train_set.input_shape, ddp.buckets
-            )
             step = _SyncStep(run) if schedule.is_synchronous else _LocalSGDStep(run)
-            _train_stepped(run, step, bucket_fractions, checkpoint_at, resume_from)
+            _train_stepped(run, step, checkpoint_at, resume_from)
     return run
 
 
 def _train_stepped(
     run: _Run,
     step,
-    bucket_fractions: List[float],
     checkpoint_at: Optional[int],
     resume_from: Optional[TrainingCheckpoint],
 ) -> None:
     """The barrier-per-iteration loop shared by the sync and local-SGD regimes.
 
     Owns what the regimes have in common — epochs and loaders, checkpoint
-    capture/resume, the fault cursor, engine scheduling, timeline booking,
-    tracer emission and the epoch end.  What an iteration *does* is the
+    capture/resume, the fault cursor, logging each round's work, tracer
+    emission and the epoch end.  What an iteration *does* is the
     regime ``step``'s business (:class:`_SyncStep`, :class:`_LocalSGDStep`):
     ``step(batches, epoch, iteration)`` trains one iteration over the DDP
     wrapper's live membership (the fault cursor keeps it current) and
     returns its :class:`~repro.ddp.StepResult` — ``None`` bucket events mean a
     communication-free local step; ``flush(epoch, active)`` runs before the
     epoch-end evaluation and returns the round it synchronised (or ``None``);
-    the loop prices every round's events on the fault cursor's cost model
-    (:mod:`repro.simulation.pricing`) and books them; ``on_rejoin`` (or
-    ``None``) hears of re-joined ranks;
+    the loop logs every round's bucket events with the membership, link and
+    churn they ran under, and the timeline's fold prices them;
+    ``on_rejoin`` (or ``None``) hears of re-joined ranks;
     ``state()`` / ``load_state(state)`` hand what the step mutates to
     :func:`_capture` / :func:`_restore`.
 
@@ -415,15 +412,12 @@ def _train_stepped(
     counter: it starts at 0 and the loop advances it once per iteration.
     """
     ddp = run.ddp
-    world_size = run.world_size
     max_iterations_per_epoch = run.config.max_iterations_per_epoch
-    engine = SimulationEngine(overlap=run.config.cluster.overlap)
     faults = _FaultState(run)
     start_epoch, start_iteration, start_losses = 0, 0, []
     if resume_from is not None:
         start_epoch, start_iteration, start_losses = _restore(run, step, faults, resume_from)
     timeline = run.timeline
-    per_rank_compute = run.per_rank_compute
     for epoch in range(start_epoch, run.config.epochs):
         for loader in run.rank_loaders:
             loader.set_epoch(epoch)
@@ -446,54 +440,34 @@ def _train_stepped(
 
             churn = faults.advance(ddp.iteration, on_rejoin=step.on_rejoin)
             result = step.step(batches, epoch, iteration)
-
-            iteration_compute = per_rank_compute
-            if faults.faulty:
-                # Survivors only, each scaled by this iteration's churn draw
-                # (counter-based, so the draw depends only on the iteration
-                # index — never on how the run got here).
-                iteration_compute = [
-                    per_rank_compute[rank] * churn[rank] for rank in faults.active
-                ]
-            if result.bucket_events is None:
-                comm = 0.0
-                trace = engine.run_local_iteration(iteration_compute)
-            else:
-                comm, per_bucket = pricing.bucket_times(faults.cost_model, result.bucket_events)
-                trace = engine.run_iteration(iteration_compute, bucket_fractions, per_bucket)
             traced = TRACER.enabled
             if traced:
                 sim_base = timeline.total_time
-            dead = world_size - len(faults.active)
+            # On a faulty run the survivors and the iteration's churn draw
+            # (counter-based, so it depends only on the iteration index —
+            # never on how the run got here).
             timeline.add_iteration(
-                trace.compute_span, comm, result.comm_bytes_per_worker, trace,
-                kind="local" if result.bucket_events is None else step.kind, dead=dead,
+                result.bucket_events or (), result.comm_bytes_per_worker,
+                kind="local" if result.bucket_events is None else step.kind,
+                ranks=faults.active if faults.faulty else None, churn=churn, link=faults.link,
             )
             if traced:
-                if dead:
-                    TRACER.sim_span(
-                        "fault/degraded-world", "fault", ts=sim_base,
-                        dur=trace.wall_time, tid=SIM_SCHEDULE_TID,
-                        alive=len(faults.active), dead=dead,
-                    )
                 # Simulated-clock tracks: per-rank backward segments, the
                 # link channel's per-bucket reduce windows, the iteration
                 # critical path.  The increment of the timeline total is
-                # exactly trace.wall_time, so iterations tile the sim axis.
-                emit_simulated_iteration(
-                    TRACER, sim_base, trace,
-                    [] if result.bucket_events is None else bucket_fractions,
-                    ddp.iteration,
-                )
-                TRACER.sim_now = timeline.total_time
+                # exactly the iteration's wall time, so iterations tile the
+                # sim axis.
+                emit_simulated_iteration(TRACER, timeline, sim_base, ddp.iteration)
             ddp.iteration += 1
             epoch_losses.append(result.loss)
             iteration += 1
 
         synced = step.flush(epoch, faults.active)
         if synced is not None:
-            comm, _ = pricing.bucket_times(faults.cost_model, synced.bucket_events)
-            timeline.add_sync_round(comm, synced.comm_bytes_per_worker)
+            timeline.add_sync_round(
+                synced.bucket_events, synced.comm_bytes_per_worker,
+                ranks=faults.active if faults.faulty else None, link=faults.link,
+            )
         if run.end_epoch(epoch, epoch_losses):
             break
 
@@ -508,10 +482,10 @@ class TrainingCheckpoint:
     ``train_distributed(config, method, checkpoint_at=i)`` captures it as
     ``run.checkpoint``; ``train_distributed(config, method, resume_from=ck)``
     checks that its specs are the recorded ones, rebuilds what they determine
-    (per-rank compute, bucket layout) and installs the rest: the model's
+    (the bucket layout) and installs the rest: the model's
     ``state_dict()`` (BatchNorm running statistics included), the optimiser's
     velocity, the compressor (Mask Tracker streaks, error-feedback residuals),
-    the timeline, the fault cursor and membership, the loop position and what
+    the timeline with its pricing inputs, the fault cursor and membership, the loop position and what
     the loop's regime mutates (``step.state()``: local SGD's replicas, anchor
     and window; the parameter server's event heap, link, in-flight pushes,
     per-worker progress and losses, and worker codecs).  One capture and one
@@ -752,9 +726,9 @@ class _ParameterServer:
     worker's own compressor instance (independent stage state, per-worker
     error-feedback residuals): one ``aggregate`` call per bucket over a
     one-rank bucket and group, the same driver every other regime uses.
-    Pulls carry the dense fp32 parameters.  Busy compute/comm time is logged
-    per update, and the event clock once per epoch snapshot: the timeline's
-    fold pins the total to it (see :meth:`TrainingTimeline.fold`).
+    Pulls carry the dense fp32 parameters.  Each update's worker and its pull
+    and push bytes are logged, and the event clock once per epoch snapshot:
+    the timeline's fold pins the total to it (see :meth:`TrainingTimeline.fold`).
 
     With no iteration barrier this is an event loop of its own, not a step of
     :func:`_train_stepped`, but it keeps its state as a step does: the
@@ -834,7 +808,9 @@ class _ParameterServer:
         ddp, timeline, stats = run.ddp, run.timeline, run.compressor.stats
         heap, pending, completed = self.heap, self.pending, self.completed
         staleness_bound = run.method.schedule().staleness
-        cost_model = faults.cost_model
+        # The event clock is the one schedule that depends on time, so it
+        # prices its transfers itself (the log's fold prices them again).
+        cost_model = run.config.cluster.cost_model_for()
         model_wire_bytes = run.model_wire_bytes
         pull_seconds = pricing.op_time(cost_model, "p2p", model_wire_bytes)
         # A push is a one-rank aggregation.  Its wire time is the p2p transfer
@@ -889,7 +865,7 @@ class _ParameterServer:
                 # What the driver recorded for this push (wire sizes are multiples
                 # of 1/8 byte, so the running sum and this difference are exact).
                 payload_bytes = stats.wire_bytes - wire_before
-                compute_seconds = run.per_rank_compute[rank]
+                compute_seconds = timeline.per_rank_compute[rank]
                 state.update(
                     aggregated=aggregated, payload_bytes=payload_bytes, loss=losses[0],
                     compute=compute_seconds, epoch=update_index // iters_per_epoch,
@@ -900,7 +876,6 @@ class _ParameterServer:
                 push_seconds = pricing.op_time(cost_model, "p2p", state["payload_bytes"])
                 start, end = self.channel.acquire(now, push_seconds)
                 state["push"] = (start, end)
-                state["push_seconds"] = push_seconds
                 heap.push(SimEvent(time=end, kind="ps-apply", rank=rank))
             elif event.kind == "ps-apply":
                 state, pending[rank] = pending[rank], None
@@ -909,9 +884,9 @@ class _ParameterServer:
                 staleness = ddp.iteration - self.version_at_pull[rank]
                 completed[rank] += 1
                 timeline.add_iteration(
-                    state["compute"], pull_seconds + state["push_seconds"],
+                    [[Transfer("p2p", model_wire_bytes)], [Transfer("p2p", state["payload_bytes"])]],
                     (model_wire_bytes + state["payload_bytes"]) / world_size,
-                    kind="ps", staleness=staleness,
+                    kind="ps", rank=rank, staleness=staleness,
                 )
                 self.epoch_losses[state["epoch"]].append(state["loss"])
                 if TRACER.enabled:

@@ -1,21 +1,27 @@
-"""Training timeline: a run's append-only log and the one fold over it.
+"""Training timeline: a run's append-only log of work and the one fold that prices it.
 
-The driver appends one :class:`LogEntry` per iteration, local-SGD flush,
-fault that fired, re-join charged and parameter-server clock reading;
-:meth:`TrainingTimeline.snapshot_epoch` adds the epoch records.  Every number
-a run reports is :meth:`TrainingTimeline.fold` over the two, keyed by
-``ExperimentResult`` field name.  The simulated total is ``compute_time +
-comm_time - overlap_saved + rejoin_cost_time + async_wait_time``; with overlap
-off, no faults and a barrier regime it reduces bit-identically to the seed
-``compute + comm`` model.
+The driver appends one :class:`LogEntry` of work per iteration, local-SGD
+flush, fault that fired, re-join and parameter-server clock reading, and
+:meth:`TrainingTimeline.snapshot_epoch` the epoch records.  Every number a run
+reports is :meth:`TrainingTimeline.fold`: one pass that prices each entry on
+the run's pricing inputs through :mod:`repro.simulation.pricing` and the
+:class:`~repro.simulation.engine.SimulationEngine`.  The simulated total is
+``compute_time + comm_time - overlap_saved + rejoin_cost_time +
+async_wait_time``; with overlap off, no faults and a barrier regime it reduces
+bit-identically to the seed ``compute + comm`` model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.simulation.engine import IterationTrace
+from repro.simulation import pricing
+from repro.simulation.engine import IterationTrace, SimulationEngine
+from repro.simulation.pricing import Transfer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation.cluster import ClusterSpec
 
 #: Log kinds of an iteration: a synchronous step, a communication-free
 #: local-SGD step, a local-SGD step that ended in an averaging round, and one
@@ -23,135 +29,185 @@ from repro.simulation.engine import IterationTrace
 ITERATION_KINDS = frozenset({"sync", "local", "average", "ps"})
 
 #: Log kinds :meth:`TrainingTimeline.add_event` appends, each with one value:
-#: a fault event that fired (its scheduled time), the broadcast charged to a
-#: re-joining rank (seconds) and a parameter-server event-clock reading.
+#: a fault event that fired (its scheduled time), a re-joining rank's model
+#: broadcast (its bytes) and a parameter-server event-clock reading.
 EVENT_KINDS = frozenset({"fault", "rejoin", "clock"})
 
 
 class LogEntry(NamedTuple):
-    """One record of a run's log; ``kind`` says which fields are set.
+    """One record of a run's log: work, never seconds.
 
-    An iteration (:data:`ITERATION_KINDS`) sets ``compute`` (the slowest
-    rank's: ranks compute in parallel), ``comm``, ``comm_bytes``, ``trace``
-    (``None`` on the parameter-server path), ``dead``
-    (ranks down during it) and ``staleness`` (parameter-server updates only).
-    A ``"flush"`` — an averaging round outside any iteration — sets ``comm``
-    and ``comm_bytes``.  An :data:`EVENT_KINDS` entry sets ``value``.
+    An iteration (:data:`ITERATION_KINDS`) or a ``"flush"`` (an averaging
+    round outside any iteration) sets each bucket's transfers — a
+    parameter-server update's are its pull and its push — and ``comm_bytes``.
+    Under a fault plan ``ranks`` (the survivors), ``churn`` (per-rank compute
+    multipliers) and ``link`` say what it ran over.  A parameter-server update
+    sets its worker ``rank`` and ``staleness``; an :data:`EVENT_KINDS` entry
+    ``value``.
     """
 
     kind: str
-    compute: float = 0.0
-    comm: float = 0.0
+    buckets: Tuple[Tuple[Transfer, ...], ...] = ()
     comm_bytes: float = 0.0
-    trace: Optional[IterationTrace] = None
-    dead: int = 0
+    ranks: Optional[Tuple[int, ...]] = None
+    churn: Optional[Tuple[float, ...]] = None
+    link: float = 1.0
+    rank: int = -1
     staleness: int = 0
     value: float = 0.0
 
 
+class Priced(NamedTuple):
+    """An entry's slowest-rank compute, transfer seconds and engine trace."""
+
+    compute: float = 0.0
+    comm: float = 0.0
+    trace: Optional[IterationTrace] = None
+
+
 @dataclass
 class EpochRecord:
-    """Snapshot taken at the end of one training epoch."""
+    """Snapshot taken at the end of one training epoch, ``position`` log entries in."""
 
     epoch: int
-    simulated_time: float
+    position: int
     train_loss: float
     test_accuracy: float
 
 
 class TrainingTimeline:
-    """The ordered log of one training run, plus its epoch records.
+    """The ordered log of one training run, its epoch records and its pricing inputs.
 
-    ``world_size`` prices the goodput fraction and ``target_accuracy`` the
-    TTA.  A checkpoint's timeline is a prefix of the uninterrupted run's.
+    ``cluster`` prices transfers and sizes the goodput fraction,
+    ``per_rank_compute`` and ``bucket_fractions`` schedule an iteration, and
+    ``target_accuracy`` prices the TTA.  A checkpoint's timeline is a prefix
+    of the uninterrupted run's.
     """
 
-    def __init__(self, world_size: int, target_accuracy: Optional[float] = None) -> None:
-        self.world_size = world_size
+    def __init__(self, cluster: ClusterSpec, per_rank_compute: Sequence[float],
+                 bucket_fractions: Sequence[float], target_accuracy: Optional[float] = None) -> None:
+        self.cluster = cluster
+        self.world_size = cluster.world_size
+        self.per_rank_compute = per_rank_compute
+        self.bucket_fractions = bucket_fractions
         self.target_accuracy = target_accuracy
         self.log: List[LogEntry] = []
         self.epochs: List[EpochRecord] = []
+        self._engine = SimulationEngine(overlap=cluster.overlap)
+        self._priced: List[Priced] = []
+        self._cost_models: Dict[Tuple[int, float], Any] = {}
 
     # ------------------------------------------------------------------ #
-    def add_iteration(
-        self,
-        compute_seconds: float,
-        comm_seconds: float,
-        comm_bytes: float = 0.0,
-        trace: Optional[IterationTrace] = None,
-        *,
-        kind: str = "sync",
-        dead: int = 0,
-        staleness: int = 0,
-    ) -> None:
-        """Append one iteration of ``kind`` with ``dead`` ranks down."""
-        if compute_seconds < 0 or comm_seconds < 0:
-            raise ValueError("iteration times must be non-negative")
-        if dead < 0 or staleness < 0:
-            raise ValueError("dead ranks and staleness must be non-negative")
+    def add_iteration(self, buckets=(), comm_bytes: float = 0.0, *, kind: str = "sync", **work) -> None:
+        """Append one iteration of ``kind`` that moved ``buckets`` (each
+        bucket's events: anything with ``op`` and ``payload_bytes``)."""
         if kind not in ITERATION_KINDS:
             raise ValueError(f"unknown iteration kind {kind!r}")
-        self.log.append(
-            LogEntry(kind, compute_seconds, comm_seconds, comm_bytes, trace, dead, staleness)
-        )
+        self._append(kind, buckets, comm_bytes, **work)
 
-    def add_sync_round(self, comm_seconds: float, comm_bytes: float = 0.0) -> None:
+    def add_sync_round(self, buckets, comm_bytes: float = 0.0, **work) -> None:
         """Append one averaging collective that is not tied to an iteration.
 
         Local SGD flushes a partially filled window at the epoch boundary so
         evaluation sees the averaged model; that collective costs time and
         bytes but does not advance the iteration count.
         """
-        if comm_seconds < 0 or comm_bytes < 0:
-            raise ValueError("sync round cost must be non-negative")
-        self.log.append(LogEntry("flush", comm=comm_seconds, comm_bytes=comm_bytes))
+        self._append("flush", buckets, comm_bytes, **work)
 
-    def add_event(self, kind: str, value: float) -> None:
-        """Append one :data:`EVENT_KINDS` entry with its non-negative value."""
+    def add_event(self, kind: str, value: float, **work) -> None:
+        """Append one :data:`EVENT_KINDS` entry with its value."""
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        if value < 0:
-            raise ValueError(f"{kind} value must be non-negative")
-        self.log.append(LogEntry(kind, value=value))
+        self._append(kind, value=value, **work)
+
+    def _append(self, kind, buckets=(), comm_bytes=0.0, *, ranks=None, churn=None, link=1.0,
+                rank=-1, staleness=0, value=0.0) -> None:
+        """The one place an entry is built: each bucket's events kept as
+        :class:`Transfer` records and every count non-negative."""
+        if comm_bytes < 0 or staleness < 0 or value < 0:
+            raise ValueError(f"{kind}: bytes, staleness and values must be non-negative")
+        buckets = tuple(tuple(Transfer(e.op, e.payload_bytes) for e in bucket) for bucket in buckets)
+        ranks = None if ranks is None else tuple(ranks)
+        churn = None if churn is None else tuple(churn)
+        self.log.append(LogEntry(kind, buckets, comm_bytes, ranks, churn, link, rank, staleness, value))
 
     def snapshot_epoch(self, epoch: int, train_loss: float, test_accuracy: float) -> EpochRecord:
-        record = EpochRecord(epoch, self.total_time, train_loss, test_accuracy)
+        record = EpochRecord(epoch, len(self.log), train_loss, test_accuracy)
         self.epochs.append(record)
         return record
 
     # ------------------------------------------------------------------ #
+    def priced(self) -> List[Priced]:
+        """Each log entry's :class:`Priced`: the fold's pricing pass.  The log
+        only grows, so a call prices only the entries appended since the last."""
+        priced = self._priced
+        for entry in self.log[len(priced):]:
+            priced.append(self._price(entry))
+        return priced
+
+    def _price(self, entry: LogEntry) -> Priced:
+        kind = entry.kind
+        if kind == "fault" or kind == "clock":
+            return Priced()
+        key = (self.world_size if entry.ranks is None else len(entry.ranks), entry.link)
+        if key not in self._cost_models:  # a hierarchical model rebuilds the topology
+            self._cost_models[key] = self.cluster.cost_model_for(*key)
+        cost_model = self._cost_models[key]
+        if kind == "rejoin":
+            return Priced(comm=pricing.op_time(cost_model, "broadcast", entry.value))
+        comm, per_bucket = pricing.bucket_times(cost_model, entry.buckets)
+        if kind == "flush":
+            return Priced(comm=comm)
+        if kind == "ps":
+            return Priced(self.per_rank_compute[entry.rank], comm)
+        compute = self.per_rank_compute
+        if entry.churn is not None:
+            compute = [compute[rank] * entry.churn[rank] for rank in entry.ranks]
+        if entry.buckets:
+            trace = self._engine.run_iteration(compute, self.bucket_fractions, per_bucket)
+        else:
+            trace = self._engine.run_local_iteration(compute)
+        return Priced(trace.compute_span, comm, trace)
+
     def fold(self) -> Dict[str, Any]:
         """Every number the run reports, keyed by ``ExperimentResult`` field.
 
-        One pass over the log in append order.  Floats are added with ``+=``
-        in the order they were produced, never with ``sum()``, which
-        compensates float sums from Python 3.12 on.  A ``"clock"`` entry pins
-        the total to the parameter-server event clock: overlapping updates make
-        the clock shorter than the busy sum so far, staleness blocking makes
-        it longer, and the difference becomes ``overlap_saved`` or
-        ``async_wait_time``.  Without a trace on the log the critical path is
-        the total.
+        One pass over the log and its prices in append order.  Floats are
+        added with ``+=`` in the order they were produced, never with
+        ``sum()``, which compensates float sums from Python 3.12 on.  An epoch
+        record's time is the total after the entries before its position.  A
+        ``"clock"`` entry pins the total to the parameter-server event clock:
+        overlapping updates make the clock shorter than the busy sum so far,
+        staleness blocking makes it longer, and the difference becomes
+        ``overlap_saved`` or ``async_wait_time``.  Without a trace on the log
+        the critical path is the total.
         """
         compute = comm = comm_bytes = overlap = straggler = wall = 0.0
         rejoin = downtime = async_wait = staleness_sum = 0.0
         iterations = degraded = fault_events = sync_rounds = local_steps = 0
         ps_updates = staleness_max = 0
         traced = False
-        for entry in self.log:
+        world_size = self.world_size
+        epochs = self.epochs
+        marks = {record.position for record in epochs}
+        times: Dict[int, float] = {}
+        for position, (entry, price) in enumerate(zip(self.log, self.priced())):
+            if position in marks:
+                times[position] = compute + comm - overlap + rejoin + async_wait
             kind = entry.kind
             if kind in ITERATION_KINDS:
-                compute += entry.compute
-                comm += entry.comm
+                compute += price.compute
+                comm += price.comm
                 comm_bytes += entry.comm_bytes
-                trace = entry.trace
+                trace = price.trace
                 if trace is not None:
                     traced = True
                     overlap += trace.overlap_saved
                     straggler += trace.straggler_slack
                     wall += trace.wall_time
-                    if entry.dead > 0:
+                    if entry.ranks is not None and len(entry.ranks) < world_size:
                         degraded += 1
-                        downtime += entry.dead * trace.wall_time
+                        downtime += (world_size - len(entry.ranks)) * trace.wall_time
                 iterations += 1
                 if kind == "local":
                     local_steps += 1
@@ -163,32 +219,31 @@ class TrainingTimeline:
                     if entry.staleness > staleness_max:
                         staleness_max = entry.staleness
             elif kind == "flush":
-                comm += entry.comm
+                comm += price.comm
                 comm_bytes += entry.comm_bytes
                 sync_rounds += 1
             elif kind == "fault":
                 fault_events += 1
             elif kind == "rejoin":
-                rejoin += entry.value
+                rejoin += price.comm
             else:  # "clock"
                 busy = compute + comm + rejoin
                 overlap = max(0.0, busy - entry.value)
                 async_wait = max(0.0, entry.value - busy)
-        total = compute + comm - overlap + rejoin + async_wait
+        total = times[len(self.log)] = compute + comm - overlap + rejoin + async_wait
 
         # Goodput: the fraction of the cluster's rank-seconds that went into
         # training rather than being lost to dead ranks or re-join syncs.
-        world_size = self.world_size
         goodput = 1.0
         if total > 0.0 and world_size > 0:
             capacity = total * world_size
             goodput = max(0.0, 1.0 - (downtime + rejoin * world_size) / capacity)
 
-        epochs = self.epochs
+        accuracy_trace = [(times[r.position], r.test_accuracy) for r in epochs]
         target = self.target_accuracy
         tta = None
         if target is not None:
-            tta = next((r.simulated_time for r in epochs if r.test_accuracy >= target), None)
+            tta = next((time for time, accuracy in accuracy_trace if accuracy >= target), None)
         return {
             "epochs_run": len(epochs),
             "iterations_run": iterations,
@@ -199,7 +254,7 @@ class TrainingTimeline:
             "final_accuracy": epochs[-1].test_accuracy if epochs else 0.0,
             "best_accuracy": max((r.test_accuracy for r in epochs), default=0.0),
             "tta": tta,
-            "accuracy_trace": [(r.simulated_time, r.test_accuracy) for r in epochs],
+            "accuracy_trace": accuracy_trace,
             "loss_trace": [r.train_loss for r in epochs],
             "reached_target": tta is not None,
             "overlap_fraction": overlap / comm if comm > 0 else 0.0,
@@ -218,19 +273,7 @@ class TrainingTimeline:
             "staleness_max": staleness_max,
         }
 
-    # Views of the fold under the names the driver and callers read.
     @property
     def total_time(self) -> float:
+        """The simulated clock now: what the fault cursor and the tracer read."""
         return self.fold()["simulated_time"]
-
-    @property
-    def iterations(self) -> int:
-        return self.fold()["iterations_run"]
-
-    @property
-    def comm_bytes_per_worker(self) -> float:
-        return self.fold()["comm_bytes_per_worker"]
-
-    @property
-    def fault_events(self) -> int:
-        return self.fold()["fault_events"]

@@ -2,9 +2,11 @@
 
 Two pins.  Pricing an event (or a p2p transfer) equals the matching
 ``CostModel`` method on the bytes the event records, on a flat and on a
-hierarchical model.  And an AST guard keeps pricing in one place: no module
+hierarchical model.  And two AST guards keep pricing in one place: no module
 under ``src/repro`` but ``repro/comm/*`` and ``simulation/pricing.py`` calls one
-of the seven ``CostModel`` time methods.
+of the seven ``CostModel`` time methods, and no module but the timeline's fold
+(``simulation/timeline.py``) schedules an iteration on the engine or prices a
+log's buckets.
 """
 
 from __future__ import annotations
@@ -124,4 +126,48 @@ def test_no_module_but_pricing_calls_a_cost_model_outside_comm():
             continue
         for line in _cost_model_calls(ast.parse(path.read_text(encoding="utf-8"))):
             offenders.append(f"{relative}:{line}")
+    assert offenders == []
+
+
+# --------------------------------------------------------------------------- #
+# Guard: only the timeline's fold schedules iterations and prices buckets
+# --------------------------------------------------------------------------- #
+#: What only the fold calls, and the module that defines each (which may call its own).
+FOLD_ONLY = {
+    "run_iteration": "engine.py",
+    "run_local_iteration": "engine.py",
+    "bucket_times": "pricing.py",
+}
+
+
+def _fold_only_calls(tree: ast.AST, module: str) -> List[str]:
+    return [
+        f"{node.func.attr}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and FOLD_ONLY.get(node.func.attr, module) != module
+    ]
+
+
+def test_the_fold_guard_sees_a_direct_call():
+    tree = ast.parse(
+        "engine.run_iteration(compute, fractions, per_bucket)\n"
+        "self.engine.run_local_iteration(compute)\n"
+        "pricing.bucket_times(model, events)\n"
+        "pricing.op_time(model, 'p2p', n)\n"
+    )
+    assert _fold_only_calls(tree, "experiment.py") == [
+        "run_iteration:1", "run_local_iteration:2", "bucket_times:3"
+    ]
+    assert _fold_only_calls(tree, "engine.py") == ["bucket_times:3"]
+
+
+def test_no_module_but_the_timeline_schedules_or_prices_a_log():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC) == pathlib.Path("simulation", "timeline.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.relative_to(SRC)}:{call}" for call in _fold_only_calls(tree, path.name)]
     assert offenders == []

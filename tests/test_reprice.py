@@ -1,0 +1,131 @@
+"""The fold prices a log of work: by hand, and under another cluster.
+
+Two pins of "the log records work and the fold prices it".
+
+* An α–β oracle that trains nothing.  A hand-built log of N synchronous
+  iterations, each one all-reduce bucket of B bytes, on a flat link with
+  overlap off and homogeneous ranks, must fold to the closed form derived
+  from ``NetworkModel.ring_all_reduce_time``'s docstring: a ring all-reduce
+  over n workers takes 2(n−1) latency-bound steps and sends 2(n−1)/n·B bytes
+  per worker across the bottleneck, so an iteration costs
+  c + 2(n−1)·α + 2(n−1)/n·B/β.  A degraded entry (3 of 4 ranks, link × 0.5)
+  is priced at n = 3 and half the bandwidth.
+* Re-pricing: a golden cell's log and epoch records, trained at 100 Mbps and
+  folded under another cluster's pricing inputs, give exactly the fold of the
+  run trained on that cluster.  The parameter-server cell is excluded: its
+  event clock orders pulls, computes and pushes by simulated time, so what it
+  trains depends on the link.  So are fault plans, which fire on simulated
+  time; no golden cell has one.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+
+import pytest
+
+from repro import golden
+from repro.simulation import ClusterSpec, TrainingTimeline
+from repro.simulation.experiment import train_distributed
+from repro.simulation.pricing import Transfer
+
+# --------------------------------------------------------------------------- #
+# α–β oracle
+# --------------------------------------------------------------------------- #
+WORLD, ALPHA, BETA = 4, 1e-3, 12.5e6  # ranks, latency (s), 100 Mbps in bytes/s
+COMPUTE, NUM_BYTES, ITERATIONS = 0.01, 1e5, 5
+
+#: The fold adds N per-iteration terms one at a time and each term as
+#: compute + comm, where the closed form multiplies; the two orders round
+#: differently by a few ulps per operation (~1e-16 relative each).  1e-12 is
+#: far above that and far below any modelling slip (a missing latency step or
+#: n for n−1 moves the total by more than 1e-3 relative).
+REL = 1e-12
+
+
+def _ring(n: int, bandwidth: float) -> float:
+    return 2 * (n - 1) * ALPHA + 2 * (n - 1) / n * NUM_BYTES / bandwidth
+
+
+def _oracle_timeline() -> TrainingTimeline:
+    cluster = ClusterSpec(world_size=WORLD, bandwidth=BETA, latency=ALPHA)
+    assert not cluster.overlap and not cluster.hierarchical
+    return TrainingTimeline(cluster, [COMPUTE] * WORLD, [1.0])
+
+
+def test_a_healthy_log_folds_to_the_closed_form_ring():
+    timeline = _oracle_timeline()
+    for _ in range(ITERATIONS):
+        timeline.add_iteration([[Transfer("all_reduce", NUM_BYTES)]])
+    fold = timeline.fold()
+    assert fold["compute_time"] == pytest.approx(ITERATIONS * COMPUTE, rel=REL)
+    assert fold["comm_time"] == pytest.approx(ITERATIONS * _ring(WORLD, BETA), rel=REL)
+    want = ITERATIONS * (COMPUTE + _ring(WORLD, BETA))
+    assert fold["simulated_time"] == pytest.approx(want, rel=REL)
+    assert fold["critical_path_time"] == pytest.approx(want, rel=REL)
+    assert fold["overlap_fraction"] == 0.0 and fold["straggler_time"] == 0.0
+
+
+def test_a_degraded_entry_is_priced_over_its_membership_and_link():
+    timeline = _oracle_timeline()
+    for _ in range(ITERATIONS):
+        timeline.add_iteration([[Transfer("all_reduce", NUM_BYTES)]])
+    timeline.add_iteration(
+        [[Transfer("all_reduce", NUM_BYTES)]], ranks=[0, 1, 2], churn=[1.0] * WORLD, link=0.5
+    )
+    fold = timeline.fold()
+    degraded = COMPUTE + _ring(3, 0.5 * BETA)
+    want = ITERATIONS * (COMPUTE + _ring(WORLD, BETA)) + degraded
+    assert fold["simulated_time"] == pytest.approx(want, rel=REL)
+    assert fold["degraded_iterations"] == 1
+    assert fold["downtime_rank_seconds"] == pytest.approx(degraded, rel=REL)
+
+
+# --------------------------------------------------------------------------- #
+# Re-pricing the golden cells
+# --------------------------------------------------------------------------- #
+#: The golden cells whose training does not depend on time.
+CELLS = [name for name, method in golden.GOLDEN_METHODS.items() if method.schedule().regime != "ps"]
+
+#: Clusters other than the golden 100 Mbps one, as overrides of it.
+CLUSTERS = {
+    "1Gbps": dict(bandwidth="1Gbps"),
+    "1Gbps-overlap": dict(bandwidth="1Gbps", overlap=True),
+    "hierarchical": dict(hierarchical=True),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _trained(name: str, cluster: str = ""):
+    config = golden.golden_config_for(name)
+    assert config.cluster.bandwidth == "100Mbps" and config.cluster.faults is None
+    if cluster:
+        overrides = dataclasses.replace(config.cluster, **CLUSTERS[cluster])
+        config = dataclasses.replace(config, cluster=overrides)
+    return train_distributed(config, golden.GOLDEN_METHODS[name]).timeline
+
+
+def test_the_excluded_cell_is_the_parameter_server():
+    assert len(CELLS) == 10 and "async-ps" not in CELLS
+
+
+@pytest.mark.parametrize("cluster", list(CLUSTERS))
+@pytest.mark.parametrize("name", CELLS)
+def test_a_logged_run_repriced_is_the_run_on_that_cluster(name, cluster):
+    base, trained = _trained(name), _trained(name, cluster)
+    # Compute and bucket layout do not depend on the link, and neither does
+    # the work: the two runs logged the same entries at the same epochs.
+    assert trained.per_rank_compute == base.per_rank_compute
+    assert trained.bucket_fractions == base.bucket_fractions
+    assert trained.log == base.log and trained.epochs == base.epochs
+    repriced = TrainingTimeline(
+        trained.cluster, base.per_rank_compute, base.bucket_fractions, base.target_accuracy
+    )
+    repriced.log.extend(base.log)
+    repriced.epochs.extend(base.epochs)
+    got, want = repriced.fold(), trained.fold()
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert repr(got[key]) == repr(value), key
+    assert got["simulated_time"] != base.fold()["simulated_time"]

@@ -27,6 +27,7 @@ from repro.campaign import CampaignCell, run_campaign
 from repro.comm.network import NetworkModel
 from repro.comm.topology import build_paper_topology
 from repro.simulation.compute import DEVICE_PRESETS
+from repro.simulation.pricing import Transfer
 from repro.data import DataLoader
 
 
@@ -110,21 +111,33 @@ class TestClusterSpec:
             ClusterSpec(bandwidth="2Gbps").bandwidth_bytes_per_second()
 
 
+def _flat_timeline(compute, target_accuracy=None):
+    """Two ranks of ``compute`` seconds on a latency-free 1000 B/s link, one
+    bucket: an all-reduce of ``B`` bytes costs ``2(n-1)/n * B / 1000 = B / 1000`` s."""
+    cluster = ClusterSpec(world_size=2, bandwidth=1000.0, latency=0.0)
+    return TrainingTimeline(cluster, [compute, compute], [1.0], target_accuracy)
+
+
+def _all_reduce(num_bytes):
+    return [[Transfer("all_reduce", num_bytes)]]
+
+
 class TestTimeline:
     def test_accumulation(self):
-        timeline = TrainingTimeline(world_size=2)
-        timeline.add_iteration(0.1, 0.5, 100.0)
-        timeline.add_iteration(0.1, 0.5, 100.0)
+        timeline = _flat_timeline(0.1)
+        timeline.add_iteration(_all_reduce(500.0), 100.0)
+        timeline.add_iteration(_all_reduce(500.0), 100.0)
         assert timeline.total_time == pytest.approx(1.2)
-        assert timeline.iterations == 2
-        assert timeline.comm_bytes_per_worker == pytest.approx(200.0)
+        fold = timeline.fold()
+        assert fold["iterations_run"] == 2
+        assert fold["comm_bytes_per_worker"] == pytest.approx(200.0)
         assert len(timeline.log) == 2
 
     def test_epoch_snapshots_and_tta(self):
         for target, tta in [(0.8, 6.0), (0.95, None)]:
-            timeline = TrainingTimeline(world_size=2, target_accuracy=target)
+            timeline = _flat_timeline(1.0, target)
             for epoch, accuracy in enumerate([0.3, 0.6, 0.85, 0.9]):
-                timeline.add_iteration(1.0, 1.0)
+                timeline.add_iteration(_all_reduce(1000.0))
                 record = timeline.snapshot_epoch(epoch, train_loss=1.0, test_accuracy=accuracy)
                 assert isinstance(record, EpochRecord)
             fold = timeline.fold()
@@ -135,13 +148,15 @@ class TestTimeline:
             assert fold["epochs_run"] == len(fold["accuracy_trace"]) == 4
 
     def test_negative_time_rejected(self):
-        timeline = TrainingTimeline(world_size=2)
+        # The log records work, so what it rejects is negative bytes,
+        # staleness, re-join broadcast bytes and clock readings.
+        timeline = _flat_timeline(1.0)
         with pytest.raises(ValueError):
-            timeline.add_iteration(-1.0, 0.0)
+            timeline.add_iteration(_all_reduce(1.0), -1.0)
         with pytest.raises(ValueError):
-            timeline.add_iteration(1.0, 0.0, kind="ps", staleness=-1)
+            timeline.add_iteration(kind="ps", rank=0, staleness=-1)
         with pytest.raises(ValueError):
-            timeline.add_sync_round(-1.0)
+            timeline.add_sync_round(_all_reduce(1.0), -1.0)
         with pytest.raises(ValueError):
             timeline.add_event("rejoin", -1.0)
         with pytest.raises(ValueError):
@@ -493,8 +508,8 @@ class TestEngineIntegration:
         config = self._config(ClusterSpec(world_size=2, bandwidth="100Mbps", overlap=True))
         run = train_distributed(config, PAPER_METHODS["all-reduce"])
         timeline, ddp = run.timeline, run.ddp
-        traces = [entry.trace for entry in timeline.log if entry.trace is not None]
-        assert len(traces) == timeline.iterations == 2
+        traces = [price.trace for price in timeline.priced() if price.trace is not None]
+        assert len(traces) == timeline.fold()["iterations_run"] == 2
         assert len(ddp.buckets) > 1
         trace = traces[0]
         assert len(trace.buckets) == len(ddp.buckets)
