@@ -17,8 +17,8 @@ assumed.
 
 Modules:
 
-* :mod:`repro.simulation.compute`  — analytic FLOP estimates, device specs and
-  per-bucket backward completion fractions;
+* :mod:`repro.simulation.compute`  — a run's compute work: analytic FLOP
+  estimates, device specs and per-bucket backward completion fractions;
 * :mod:`repro.simulation.engine`   — event heap, link occupancy and the
   per-iteration schedule (compute/comm/overlap/straggler breakdown);
 * :mod:`repro.simulation.cluster`  — cluster description (workers, devices,
@@ -41,7 +41,6 @@ Modules:
 
 from repro.simulation.compute import (
     DeviceSpec,
-    ComputeModel,
     estimate_model_flops,
     estimate_parameter_flops,
 )
@@ -68,7 +67,6 @@ from repro.simulation.experiment import (
 
 __all__ = [
     "DeviceSpec",
-    "ComputeModel",
     "estimate_model_flops",
     "estimate_parameter_flops",
     "BucketTrace",

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.comm.network import CostModel, NetworkModel, PAPER_BANDWIDTHS
 from repro.comm.process_group import ProcessGroup
 from repro.comm.topology import build_paper_topology
-from repro.simulation.compute import ComputeModel, DeviceSpec
+from repro.simulation.compute import DeviceSpec, resolve_device
 from repro.simulation.faults import EMPTY_FAULT_PLAN, FaultPlan
 
 
@@ -49,7 +49,7 @@ class ClusterSpec:
         Bottleneck bandwidth: either one of the paper's named settings
         (``"100Mbps"``, ``"500Mbps"``, ``"1Gbps"``) or a float in bytes/second.
     device:
-        Device preset name or :class:`DeviceSpec` for the compute model,
+        Device preset name or :class:`DeviceSpec` that prices compute,
         shared by all workers unless ``devices`` is given.
     latency:
         Per-message latency of the bottleneck link, in seconds.
@@ -97,6 +97,8 @@ class ClusterSpec:
         if self.world_size < 1:
             raise ValueError("world_size must be >= 1")
         self.bandwidth_bytes_per_second()  # an unknown name fails here, not in the cell
+        for device in [self.device, *(self.devices or ())]:
+            resolve_device(device)
         if self.devices is not None and len(self.devices) != self.world_size:
             raise ValueError(
                 f"devices must list one entry per worker ({self.world_size}), got {len(self.devices)}"
@@ -160,18 +162,6 @@ class ClusterSpec:
     # ------------------------------------------------------------------ #
     # Compute heterogeneity
     # ------------------------------------------------------------------ #
-    def compute_model(self) -> ComputeModel:
-        return ComputeModel(self.device, sparse_speedup=self.sparse_compute_speedup)
-
-    def compute_models(self) -> List[ComputeModel]:
-        """One compute model per worker (heterogeneous if ``devices`` is set)."""
-        if self.devices is None:
-            return [self.compute_model()] * self.world_size
-        return [
-            ComputeModel(device, sparse_speedup=self.sparse_compute_speedup)
-            for device in self.devices
-        ]
-
     def straggler_multipliers(self) -> List[float]:
         """Per-worker compute-time multipliers (1.0 everywhere when homogeneous)."""
         if self.straggler_factors is not None:
@@ -188,30 +178,23 @@ class ClusterSpec:
         multipliers = self.straggler_multipliers()
         return any(m != multipliers[0] for m in multipliers)
 
-    def per_rank_iteration_times(
-        self,
-        model,
-        input_shape: Tuple[int, int, int],
-        batch_size: int,
-        weight_sparsity: float = 0.0,
-    ) -> List[float]:
-        """Modeled forward+backward seconds for each worker.
+    def per_rank_iteration_times(self, iteration_flops: float, weight_sparsity: float = 0.0) -> List[float]:
+        """Modeled forward+backward seconds of ``iteration_flops`` on each worker.
 
-        For a homogeneous cluster every entry is exactly the shared
-        ``compute_model().iteration_time(...)`` value (multiplying by the 1.0
-        straggler factor preserves the bits), so the engine's ``max`` over
-        ranks reproduces the seed's single compute term bit-identically.
+        The one place a run's compute work becomes seconds (the timeline
+        calls it): ``flops / device.flops_per_second * straggler`` per rank.
+        With ``sparse_compute_speedup`` pruning also shrinks the FLOPs;
+        unstructured sparsity rarely converts 1:1 into speedup, so half of
+        the theoretical reduction is realised.  On a homogeneous cluster every
+        entry is the same value (a 1.0 factor preserves the bits), so the
+        engine's ``max`` over ranks is the seed's single compute term.
         """
-        multipliers = self.straggler_multipliers()
-        if self.devices is None:
-            base = self.compute_model().iteration_time(
-                model, input_shape, batch_size, weight_sparsity=weight_sparsity
-            )
-            return [base * multiplier for multiplier in multipliers]
+        if self.sparse_compute_speedup and weight_sparsity > 0.0:
+            iteration_flops *= 1.0 - 0.5 * weight_sparsity
+        devices = [self.device] * self.world_size if self.devices is None else self.devices
         return [
-            compute.iteration_time(model, input_shape, batch_size, weight_sparsity=weight_sparsity)
-            * multiplier
-            for compute, multiplier in zip(self.compute_models(), multipliers)
+            iteration_flops / resolve_device(device).flops_per_second * multiplier
+            for device, multiplier in zip(devices, self.straggler_multipliers())
         ]
 
     # ------------------------------------------------------------------ #

@@ -1,10 +1,13 @@
-"""Compute-time model.
+"""Compute work: analytic FLOP counts, device specs and bucket readiness.
 
-Per-iteration compute time is estimated analytically as
+A run's compute work is one iteration's FLOPs,
 
-    time = flops(forward) * backward_factor * batch_size / device_throughput
+    iteration_flops = flops(forward) * batch_size * BACKWARD_FACTOR
 
-where the forward FLOPs are derived from the model's actual layer shapes.  The
+with the forward FLOPs derived from the model's actual layer shapes.  The
+timeline prices it once per rank through
+:meth:`repro.simulation.cluster.ClusterSpec.per_rank_iteration_times`
+(``iteration_flops / device.flops_per_second * straggler``).  The
 default device spec is calibrated so that the *ratio* of compute time to
 communication time for the mini models matches the ratio the paper's full-size
 models exhibit on A40 GPUs — that ratio, not the absolute numbers, is what
@@ -142,94 +145,57 @@ def estimate_parameter_flops(
     return shares
 
 
-class ComputeModel:
-    """Convert a model + batch size into per-iteration compute seconds.
+def resolve_device(device: DeviceSpec | str) -> DeviceSpec:
+    """The :class:`DeviceSpec` a preset name (or a spec) stands for."""
+    if isinstance(device, str):
+        if device not in DEVICE_PRESETS:
+            raise KeyError(f"unknown device preset {device!r}; options: {sorted(DEVICE_PRESETS)}")
+        return DEVICE_PRESETS[device]
+    return device
 
-    Modeled time describes one rank of the *simulated* cluster, so it is
-    deliberately independent of how the host evaluates the replicas (per-rank
-    loop or world-batched pass).  Only the workload (model, batch, device,
-    sparsity) moves these numbers.
+
+def bucket_completion_fractions(
+    model: Module,
+    input_shape: Tuple[int, int, int],
+    buckets: Sequence,
+) -> List[float]:
+    """Cumulative iteration-completion fraction at which each bucket is ready.
+
+    ``buckets`` follow :func:`repro.ddp.bucket.build_buckets` order —
+    reverse parameter order, so bucket 0 (the classifier head) finishes
+    its backward computation *first*.  Each bucket's backward cost is the
+    FLOP share of its parameters (:func:`estimate_parameter_flops`, with a
+    parameter-count fallback for models whose layers are all uncounted);
+    the forward pass, before any gradient exists, is ``1 / BACKWARD_FACTOR``
+    of the iteration, and the returned fractions are
+
+        ``forward + (1 - forward) * cumulative_share``
+
+    with the last entry exactly ``1.0``, so a single-bucket model is ready
+    only when the whole pass ends (no overlap possible).  The fractions are
+    work: they do not depend on the device.
     """
-
-    def __init__(
-        self,
-        device: DeviceSpec | str = "sim-gpu",
-        backward_factor: float = BACKWARD_FACTOR,
-        sparse_speedup: bool = False,
-    ) -> None:
-        if isinstance(device, str):
-            if device not in DEVICE_PRESETS:
-                raise KeyError(f"unknown device preset {device!r}; options: {sorted(DEVICE_PRESETS)}")
-            device = DEVICE_PRESETS[device]
-        self.device = device
-        self.backward_factor = backward_factor
-        #: Whether pruning also shrinks compute time (optional extension; the
-        #: paper's evaluation keeps dense kernels, so the default is False).
-        self.sparse_speedup = sparse_speedup
-
-    def iteration_time(
-        self,
-        model: Module,
-        input_shape: Tuple[int, int, int],
-        batch_size: int,
-        weight_sparsity: float = 0.0,
-    ) -> float:
-        """Modeled seconds of compute for one forward+backward pass on one rank."""
-        flops = estimate_model_flops(model, input_shape, batch_size) * self.backward_factor
-        if self.sparse_speedup and weight_sparsity > 0.0:
-            # Unstructured sparsity rarely converts 1:1 into speedup; assume
-            # half of the theoretical reduction is realised.
-            flops *= 1.0 - 0.5 * weight_sparsity
-        return flops / self.device.flops_per_second
-
-    @property
-    def forward_fraction(self) -> float:
-        """Fraction of an iteration spent in the forward pass (before any
-        gradient exists).  With the default ``backward_factor`` of 3 the
-        forward pass is one third of the iteration and backward the rest."""
-        return 1.0 / self.backward_factor
-
-    def bucket_completion_fractions(
-        self,
-        model: Module,
-        input_shape: Tuple[int, int, int],
-        buckets: Sequence,
-    ) -> List[float]:
-        """Cumulative iteration-completion fraction at which each bucket is ready.
-
-        ``buckets`` follow :func:`repro.ddp.bucket.build_buckets` order —
-        reverse parameter order, so bucket 0 (the classifier head) finishes
-        its backward computation *first*.  Each bucket's backward cost is the
-        FLOP share of its parameters (:func:`estimate_parameter_flops`, with a
-        parameter-count fallback for models whose layers are all uncounted);
-        the returned fractions are
-
-            ``forward_fraction + backward_fraction * cumulative_share``
-
-        and the last entry is exactly ``1.0``, so a single-bucket model is
-        ready only when the whole pass ends (no overlap possible).
-        """
-        buckets = list(buckets)
-        if not buckets:
-            return []
-        shares = estimate_parameter_flops(model, input_shape)
-        weights = [
-            sum(shares.get(piece.param_name, 0.0) for piece in bucket.slices)
-            for bucket in buckets
-        ]
+    buckets = list(buckets)
+    if not buckets:
+        return []
+    shares = estimate_parameter_flops(model, input_shape)
+    weights = [
+        sum(shares.get(piece.param_name, 0.0) for piece in bucket.slices)
+        for bucket in buckets
+    ]
+    total = sum(weights)
+    if total <= 0.0:
+        weights = [float(bucket.numel) for bucket in buckets]
         total = sum(weights)
-        if total <= 0.0:
-            weights = [float(bucket.numel) for bucket in buckets]
-            total = sum(weights)
-        if total <= 0.0:
-            return [1.0 for _ in buckets]
+    if total <= 0.0:
+        return [1.0 for _ in buckets]
 
-        forward = self.forward_fraction
-        backward = 1.0 - forward
-        fractions: List[float] = []
-        cumulative = 0.0
-        for weight in weights:
-            cumulative += weight
-            fractions.append(min(1.0, forward + backward * (cumulative / total)))
-        fractions[-1] = 1.0
-        return fractions
+    forward = 1.0 / BACKWARD_FACTOR
+    backward = 1.0 - forward
+    fractions: List[float] = []
+    cumulative = 0.0
+    for weight in weights:
+        cumulative += weight
+        fractions.append(min(1.0, forward + backward * (cumulative / total)))
+    fractions[-1] = 1.0
+    return fractions

@@ -36,6 +36,7 @@ from repro.obs.instrument import emit_ps_update, emit_simulated_iteration
 from repro.obs.tracer import SIM_SCHEDULE_TID, TRACER
 from repro.pruning import PruningMask, apply_gse, grasp_prune, magnitude_prune
 from repro.simulation import pricing
+from repro.simulation.compute import BACKWARD_FACTOR, bucket_completion_fractions, estimate_model_flops
 from repro.simulation.engine import EventHeap, LinkChannel, SimEvent
 from repro.simulation.pricing import Transfer
 from repro.simulation.regimes import ReplicaSet
@@ -139,11 +140,6 @@ class _Run:
     ddp: DistributedDataParallel
     optimizer: SGD
     timeline: TrainingTimeline
-    #: Measured once, right after pruning.  A mask pins the zero pattern for
-    #: the whole run (GSE masks every gradient, ``apply_to_weights`` re-zeroes
-    #: after every optimiser step), so for a pruned run this is also its final
-    #: sparsity.
-    weight_sparsity: float
     rank_loaders: List[DataLoader]
     checkpoint: Optional[TrainingCheckpoint] = None
 
@@ -181,8 +177,12 @@ class _Run:
             world_size=config.cluster.world_size,
             target_accuracy=config.target_accuracy,
             compression_ratio=self.compressor.stats.compression_ratio,
+            # The timeline's sparsity was measured right after pruning.  A
+            # mask pins the zero pattern for the whole run (GSE masks every
+            # gradient, ``apply_to_weights`` re-zeroes after every optimiser
+            # step), so for a pruned run it is also the final sparsity.
             weight_sparsity=(
-                self.weight_sparsity if self.mask is not None else _weight_sparsity(self.model)
+                self.timeline.weight_sparsity if self.mask is not None else _weight_sparsity(self.model)
             ),
             gradient_density=1.0 if self.mask is None else self.mask.density,
             extra=self.compressor.result_extra(),
@@ -348,7 +348,6 @@ def train_distributed(
             # never overlay two schedules on the same Perfetto tracks.
             TRACER.new_sim_process(f"{method.name} world={world_size}")
 
-        weight_sparsity = _weight_sparsity(model)
         shape = train_set.input_shape
         run = _Run(
             config=config,
@@ -359,14 +358,15 @@ def train_distributed(
             compressor=compressor,
             ddp=ddp,
             optimizer=optimizer,
-            # The run's pricing inputs: per-rank compute and bucket readiness.
+            # The run's compute work: one rank's iteration FLOPs, the weight
+            # sparsity and bucket readiness.
             timeline=TrainingTimeline(
                 cluster,
-                cluster.per_rank_iteration_times(model, shape, config.batch_size, weight_sparsity),
-                cluster.compute_model().bucket_completion_fractions(model, shape, ddp.buckets),
+                estimate_model_flops(model, shape, config.batch_size) * BACKWARD_FACTOR,
+                _weight_sparsity(model),
+                bucket_completion_fractions(model, shape, ddp.buckets),
                 config.target_accuracy,
             ),
-            weight_sparsity=weight_sparsity,
             # One loader per rank over disjoint shards.
             rank_loaders=[
                 DataLoader(

@@ -78,24 +78,34 @@ class EpochRecord:
 class TrainingTimeline:
     """The ordered log of one training run, its epoch records and its pricing inputs.
 
-    ``cluster`` prices transfers and sizes the goodput fraction,
-    ``per_rank_compute`` and ``bucket_fractions`` schedule an iteration, and
-    ``target_accuracy`` prices the TTA.  A checkpoint's timeline is a prefix
-    of the uninterrupted run's.
+    The run's work is its log plus ``iteration_flops`` (one rank's
+    forward+backward FLOPs), ``weight_sparsity`` and ``bucket_fractions``
+    (when each bucket's gradients are ready, as a fraction of the pass);
+    ``cluster`` prices all of it — ``per_rank_compute`` is its
+    :meth:`~repro.simulation.cluster.ClusterSpec.per_rank_iteration_times`
+    of the FLOPs, derived once here — and ``target_accuracy`` prices the
+    TTA.  A checkpoint's timeline is a prefix of the uninterrupted run's.
     """
 
-    def __init__(self, cluster: ClusterSpec, per_rank_compute: Sequence[float],
+    def __init__(self, cluster: ClusterSpec, iteration_flops: float, weight_sparsity: float,
                  bucket_fractions: Sequence[float], target_accuracy: Optional[float] = None) -> None:
         self.cluster = cluster
         self.world_size = cluster.world_size
-        self.per_rank_compute = per_rank_compute
+        self.iteration_flops = iteration_flops
+        self.weight_sparsity = weight_sparsity
         self.bucket_fractions = bucket_fractions
         self.target_accuracy = target_accuracy
+        self.per_rank_compute = cluster.per_rank_iteration_times(iteration_flops, weight_sparsity)
         self.log: List[LogEntry] = []
         self.epochs: List[EpochRecord] = []
         self._engine = SimulationEngine(overlap=cluster.overlap)
         self._priced: List[Priced] = []
         self._cost_models: Dict[Tuple[int, float], Any] = {}
+        # Where the fold stopped: the entries it aggregated, its running sums
+        # after them and the time of each epoch record it passed.
+        self._folded = 0
+        self._sums: Tuple = (0.0,) * 10 + (0,) * 7 + (False,)
+        self._times: List[float] = []
 
     # ------------------------------------------------------------------ #
     def add_iteration(self, buckets=(), comm_bytes: float = 0.0, *, kind: str = "sync", **work) -> None:
@@ -169,31 +179,30 @@ class TrainingTimeline:
             trace = self._engine.run_local_iteration(compute)
         return Priced(trace.compute_span, comm, trace)
 
-    def fold(self) -> Dict[str, Any]:
-        """Every number the run reports, keyed by ``ExperimentResult`` field.
+    def _aggregate(self) -> float:
+        """The fold's one pass: add the entries appended since the last call,
+        with their prices, to the running sums; returns the simulated total.
 
-        One pass over the log and its prices in append order.  Floats are
-        added with ``+=`` in the order they were produced, never with
-        ``sum()``, which compensates float sums from Python 3.12 on.  An epoch
-        record's time is the total after the entries before its position.  A
-        ``"clock"`` entry pins the total to the parameter-server event clock:
-        overlapping updates make the clock shorter than the busy sum so far,
-        staleness blocking makes it longer, and the difference becomes
-        ``overlap_saved`` or ``async_wait_time``.  Without a trace on the log
-        the critical path is the total.
+        The log only grows, so each entry is aggregated once, in append order.
+        Floats are added with ``+=`` in the order they were produced, never
+        with ``sum()``, which compensates float sums from Python 3.12 on.  An
+        epoch record's time is the total after the entries before its
+        position; records are taken at the log's end, so the pass reaches
+        each record's position after it was taken.  A ``"clock"`` entry pins the total to the parameter-server
+        event clock: overlapping updates make the clock shorter than the busy
+        sum so far, staleness blocking makes it longer, and the difference
+        becomes ``overlap_saved`` or ``async_wait_time``.
         """
-        compute = comm = comm_bytes = overlap = straggler = wall = 0.0
-        rejoin = downtime = async_wait = staleness_sum = 0.0
-        iterations = degraded = fault_events = sync_rounds = local_steps = 0
-        ps_updates = staleness_max = 0
-        traced = False
+        (compute, comm, comm_bytes, overlap, straggler, wall, rejoin, downtime, async_wait,
+         staleness_sum, iterations, degraded, fault_events, sync_rounds, local_steps,
+         ps_updates, staleness_max, traced) = self._sums
         world_size = self.world_size
-        epochs = self.epochs
-        marks = {record.position for record in epochs}
-        times: Dict[int, float] = {}
-        for position, (entry, price) in enumerate(zip(self.log, self.priced())):
-            if position in marks:
-                times[position] = compute + comm - overlap + rejoin + async_wait
+        epochs, times = self.epochs, self._times
+        start = self._folded
+        priced = self.priced()
+        for position, (entry, price) in enumerate(zip(self.log[start:], priced[start:]), start):
+            while len(times) < len(epochs) and epochs[len(times)].position == position:
+                times.append(compute + comm - overlap + rejoin + async_wait)
             kind = entry.kind
             if kind in ITERATION_KINDS:
                 compute += price.compute
@@ -230,7 +239,22 @@ class TrainingTimeline:
                 busy = compute + comm + rejoin
                 overlap = max(0.0, busy - entry.value)
                 async_wait = max(0.0, entry.value - busy)
-        total = times[len(self.log)] = compute + comm - overlap + rejoin + async_wait
+        self._folded = len(priced)
+        self._sums = (compute, comm, comm_bytes, overlap, straggler, wall, rejoin, downtime,
+                      async_wait, staleness_sum, iterations, degraded, fault_events, sync_rounds,
+                      local_steps, ps_updates, staleness_max, traced)
+        return compute + comm - overlap + rejoin + async_wait
+
+    def fold(self) -> Dict[str, Any]:
+        """Every number the run reports, keyed by ``ExperimentResult`` field:
+        :meth:`_aggregate`'s sums.  Without a trace on the log the critical
+        path is the total."""
+        total = self._aggregate()
+        (compute, comm, comm_bytes, overlap, straggler, wall, rejoin, downtime, async_wait,
+         staleness_sum, iterations, degraded, fault_events, sync_rounds, local_steps,
+         ps_updates, staleness_max, traced) = self._sums
+        world_size = self.world_size
+        epochs = self.epochs
 
         # Goodput: the fraction of the cluster's rank-seconds that went into
         # training rather than being lost to dead ranks or re-join syncs.
@@ -239,7 +263,9 @@ class TrainingTimeline:
             capacity = total * world_size
             goodput = max(0.0, 1.0 - (downtime + rejoin * world_size) / capacity)
 
-        accuracy_trace = [(times[r.position], r.test_accuracy) for r in epochs]
+        # Records after the last entry are at the total.
+        times = self._times + [total] * (len(epochs) - len(self._times))
+        accuracy_trace = [(time, r.test_accuracy) for time, r in zip(times, epochs)]
         target = self.target_accuracy
         tta = None
         if target is not None:
@@ -276,4 +302,4 @@ class TrainingTimeline:
     @property
     def total_time(self) -> float:
         """The simulated clock now: what the fault cursor and the tracer read."""
-        return self.fold()["simulated_time"]
+        return self._aggregate()

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from repro.ddp import DistributedDataParallel
 from repro.ddp.bucket import build_buckets
 from repro.nn.models import mlp_tiny, resnet18_mini, vgg19_mini
-from repro.simulation import ComputeModel, estimate_parameter_flops
+from repro.simulation import estimate_parameter_flops
+from repro.simulation.compute import BACKWARD_FACTOR, bucket_completion_fractions
 from repro.simulation.engine import (
     BucketTrace,
     EventHeap,
@@ -145,23 +146,23 @@ class TestBucketFractions:
         model = resnet18_mini(seed=0)
         buckets = build_buckets(model, bucket_cap_bytes=8 * 1024)
         assert len(buckets) > 1
-        fractions = ComputeModel().bucket_completion_fractions(model, (3, 8, 8), buckets)
+        fractions = bucket_completion_fractions(model, (3, 8, 8), buckets)
         assert len(fractions) == len(buckets)
         assert all(b >= a for a, b in zip(fractions, fractions[1:]))
         assert fractions[-1] == 1.0
         # The first bucket must leave room for overlap: ready strictly before
         # the end of the pass, but no earlier than the forward pass.
-        assert ComputeModel().forward_fraction <= fractions[0] < 1.0
+        assert 1.0 / BACKWARD_FACTOR <= fractions[0] < 1.0
 
     def test_single_bucket_is_ready_at_the_end(self):
         model = mlp_tiny(seed=0)
         buckets = build_buckets(model)  # default 25 MiB cap: one bucket
         assert len(buckets) == 1
-        fractions = ComputeModel().bucket_completion_fractions(model, (3, 8, 8), buckets)
+        fractions = bucket_completion_fractions(model, (3, 8, 8), buckets)
         assert fractions == [1.0]
 
     def test_empty_bucket_list(self):
-        assert ComputeModel().bucket_completion_fractions(mlp_tiny(seed=0), (3, 8, 8), []) == []
+        assert bucket_completion_fractions(mlp_tiny(seed=0), (3, 8, 8), []) == []
 
     def test_parameter_flops_cover_model(self):
         model = vgg19_mini(seed=0)
@@ -174,7 +175,7 @@ class TestBucketFractions:
     def test_fractions_align_with_ddp_buckets(self):
         model = vgg19_mini(seed=0)
         ddp = DistributedDataParallel(model, world_size=2, bucket_cap_bytes=16 * 1024)
-        fractions = ComputeModel().bucket_completion_fractions(model, (3, 8, 8), ddp.buckets)
+        fractions = bucket_completion_fractions(model, (3, 8, 8), ddp.buckets)
         assert len(fractions) == len(ddp.buckets)
         assert fractions[-1] == 1.0
 

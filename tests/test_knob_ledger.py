@@ -34,12 +34,12 @@ LEDGER = {
     "MethodSpec.min_sparsity": "Mask Tracker constant of Algorithm 1, kept at the paper's value",
     "MethodSpec.warmup_iterations": "Mask Tracker constant of Algorithm 1, kept at the paper's value",
     "MethodSpec.error_feedback": "a second switch for error feedback beside the ef+ token",
-    "ClusterSpec.device": "every cell computes on the sim-gpu preset",
+    "ClusterSpec.device": "compute knob priced in one function; re-priceable from a log",
     "ClusterSpec.latency": "reproduction constant: the bottleneck link's per-message latency",
-    "ClusterSpec.sparse_compute_speedup": "heterogeneity knob run only by examples/straggler_study.py",
-    "ClusterSpec.devices": "heterogeneity knob run only by examples/straggler_study.py",
-    "ClusterSpec.straggler": "heterogeneity knob run only by examples/straggler_study.py",
-    "ClusterSpec.straggler_factors": "heterogeneity knob run only by examples/straggler_study.py",
+    "ClusterSpec.sparse_compute_speedup": "compute knob priced in one function; re-priceable from a log",
+    "ClusterSpec.devices": "compute knob priced in one function; re-priceable from a log",
+    "ClusterSpec.straggler": "compute knob priced in one function; re-priceable from a log",
+    "ClusterSpec.straggler_factors": "compute knob priced in one function; re-priceable from a log",
     "ClusterSpec.overlap": "the engine's bucket schedule; re-pricing a log is how it can earn a row",
     "ClusterSpec.hierarchical": "the Fig. 4 topology model; re-pricing a log is how it can earn a row",
 }

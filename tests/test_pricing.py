@@ -4,9 +4,9 @@ Two pins.  Pricing an event (or a p2p transfer) equals the matching
 ``CostModel`` method on the bytes the event records, on a flat and on a
 hierarchical model.  And two AST guards keep pricing in one place: no module
 under ``src/repro`` but ``repro/comm/*`` and ``simulation/pricing.py`` calls one
-of the seven ``CostModel`` time methods, and no module but the timeline's fold
-(``simulation/timeline.py``) schedules an iteration on the engine or prices a
-log's buckets.
+of the seven ``CostModel`` time methods, and no module but the timeline
+(``simulation/timeline.py``) schedules an iteration on the engine, prices a
+log's buckets or prices a run's compute.
 """
 
 from __future__ import annotations
@@ -130,13 +130,14 @@ def test_no_module_but_pricing_calls_a_cost_model_outside_comm():
 
 
 # --------------------------------------------------------------------------- #
-# Guard: only the timeline's fold schedules iterations and prices buckets
+# Guard: only the timeline schedules iterations and prices buckets and compute
 # --------------------------------------------------------------------------- #
-#: What only the fold calls, and the module that defines each (which may call its own).
+#: What only the timeline calls, and the module that defines each (which may call its own).
 FOLD_ONLY = {
     "run_iteration": "engine.py",
     "run_local_iteration": "engine.py",
     "bucket_times": "pricing.py",
+    "per_rank_iteration_times": "cluster.py",
 }
 
 
@@ -156,11 +157,12 @@ def test_the_fold_guard_sees_a_direct_call():
         "self.engine.run_local_iteration(compute)\n"
         "pricing.bucket_times(model, events)\n"
         "pricing.op_time(model, 'p2p', n)\n"
+        "cluster.per_rank_iteration_times(flops, sparsity)\n"
     )
     assert _fold_only_calls(tree, "experiment.py") == [
-        "run_iteration:1", "run_local_iteration:2", "bucket_times:3"
+        "run_iteration:1", "run_local_iteration:2", "bucket_times:3", "per_rank_iteration_times:5"
     ]
-    assert _fold_only_calls(tree, "engine.py") == ["bucket_times:3"]
+    assert _fold_only_calls(tree, "engine.py") == ["bucket_times:3", "per_rank_iteration_times:5"]
 
 
 def test_no_module_but_the_timeline_schedules_or_prices_a_log():

@@ -1,6 +1,6 @@
 """The fold prices a log of work: by hand, and under another cluster.
 
-Two pins of "the log records work and the fold prices it".
+Three pins of "the log records work and the fold prices it".
 
 * An α–β oracle that trains nothing.  A hand-built log of N synchronous
   iterations, each one all-reduce bucket of B bytes, on a flat link with
@@ -10,11 +10,17 @@ Two pins of "the log records work and the fold prices it".
   per worker across the bottleneck, so an iteration costs
   c + 2(n−1)·α + 2(n−1)/n·B/β.  A degraded entry (3 of 4 ranks, link × 0.5)
   is priced at n = 3 and half the bandwidth.
-* Re-pricing: a golden cell's log and epoch records, trained at 100 Mbps and
-  folded under another cluster's pricing inputs, give exactly the fold of the
-  run trained on that cluster.  The parameter-server cell is excluded: its
-  event clock orders pulls, computes and pushes by simulated time, so what it
-  trains depends on the link.  So are fault plans, which fire on simulated
+* A two-level hierarchy oracle on the same log under ``hierarchical=True``:
+  the switch groups' tree reduce over their LAN links, a ring among the group
+  leaders over the worst leader-to-leader path, then the groups' tree
+  broadcast, all read off ``build_paper_topology``'s links.
+* Re-pricing: a golden cell's log, epoch records and compute work, trained at
+  100 Mbps and folded under another cluster, give exactly the fold of the run
+  trained on that cluster — for every ``ClusterSpec`` field but ``faults``:
+  bandwidth, overlap, hierarchy, device, stragglers, mixed devices and the
+  sparse-compute speedup.  The parameter-server cell is excluded: its event
+  clock orders pulls, computes and pushes by simulated time, so what it
+  trains depends on the cluster.  So are fault plans, which fire on simulated
   time; no golden cell has one.
 """
 
@@ -26,7 +32,8 @@ import functools
 import pytest
 
 from repro import golden
-from repro.simulation import ClusterSpec, TrainingTimeline
+from repro.comm import build_paper_topology
+from repro.simulation import ClusterSpec, DeviceSpec, TrainingTimeline
 from repro.simulation.experiment import train_distributed
 from repro.simulation.pricing import Transfer
 
@@ -48,10 +55,12 @@ def _ring(n: int, bandwidth: float) -> float:
     return 2 * (n - 1) * ALPHA + 2 * (n - 1) / n * NUM_BYTES / bandwidth
 
 
-def _oracle_timeline() -> TrainingTimeline:
-    cluster = ClusterSpec(world_size=WORLD, bandwidth=BETA, latency=ALPHA)
-    assert not cluster.overlap and not cluster.hierarchical
-    return TrainingTimeline(cluster, [COMPUTE] * WORLD, [1.0])
+def _oracle_timeline(hierarchical: bool = False) -> TrainingTimeline:
+    # A device of one FLOP per second: COMPUTE FLOPs take COMPUTE seconds.
+    cluster = ClusterSpec(world_size=WORLD, bandwidth=BETA, latency=ALPHA,
+                          device=DeviceSpec("unit", 1.0), hierarchical=hierarchical)
+    assert not cluster.overlap
+    return TrainingTimeline(cluster, COMPUTE, 0.0, [1.0])
 
 
 def test_a_healthy_log_folds_to_the_closed_form_ring():
@@ -83,16 +92,64 @@ def test_a_degraded_entry_is_priced_over_its_membership_and_link():
 
 
 # --------------------------------------------------------------------------- #
+# Hierarchy oracle
+# --------------------------------------------------------------------------- #
+def test_a_hierarchical_log_folds_to_the_two_level_closed_form():
+    topology = build_paper_topology(wan_bandwidth=BETA, wan_latency=ALPHA, num_servers=WORLD)
+    # Four servers round-robin over three chained switches.
+    assert topology.switch_groups() == {
+        "vswitch0": ["S1", "S4"], "vswitch1": ["S2"], "vswitch2": ["S3"]
+    }
+    lan, wan, _ = topology.path_links("S1", "S2")
+    assert lan.bandwidth > wan.bandwidth and wan.latency == ALPHA
+    # Group phases: the one two-server group reduces onto its leader and
+    # broadcasts back in one binomial round each; singleton groups cost 0.
+    tree = lan.latency + NUM_BYTES / lan.bandwidth
+    # Leader phase: a ring over the three leaders S1, S2, S3, charged on the
+    # worst leader path, S1 -> S3 (LAN, WAN, WAN, LAN): WAN bandwidth, and
+    # the latency of all four hops.
+    path_latency = 2 * lan.latency + 2 * wan.latency
+
+    def leader_ring(bandwidth):
+        return 2 * (3 - 1) * path_latency + 2 * (3 - 1) / 3 * NUM_BYTES / bandwidth
+
+    iteration = COMPUTE + tree + leader_ring(wan.bandwidth) + tree
+    timeline = _oracle_timeline(hierarchical=True)
+    for _ in range(ITERATIONS):
+        timeline.add_iteration([[Transfer("all_reduce", NUM_BYTES)]])
+    fold = timeline.fold()
+    assert fold["compute_time"] == pytest.approx(ITERATIONS * COMPUTE, rel=REL)
+    assert fold["simulated_time"] == pytest.approx(ITERATIONS * iteration, rel=REL)
+    # Three survivors over a halved WAN: three singleton groups, so only the
+    # leader ring is left, on the same worst path at half its bandwidth.
+    timeline.add_iteration(
+        [[Transfer("all_reduce", NUM_BYTES)]], ranks=[0, 1, 2], churn=[1.0] * WORLD, link=0.5
+    )
+    degraded = COMPUTE + leader_ring(0.5 * wan.bandwidth)
+    assert timeline.fold()["simulated_time"] == pytest.approx(
+        ITERATIONS * iteration + degraded, rel=REL
+    )
+
+
+# --------------------------------------------------------------------------- #
 # Re-pricing the golden cells
 # --------------------------------------------------------------------------- #
 #: The golden cells whose training does not depend on time.
 CELLS = [name for name, method in golden.GOLDEN_METHODS.items() if method.schedule().regime != "ps"]
 
-#: Clusters other than the golden 100 Mbps one, as overrides of it.
+SLOW = DeviceSpec("slow", 1.0e9)
+
+#: Clusters other than the golden 100 Mbps one, as overrides of it for a
+#: world of n ranks.
 CLUSTERS = {
-    "1Gbps": dict(bandwidth="1Gbps"),
-    "1Gbps-overlap": dict(bandwidth="1Gbps", overlap=True),
-    "hierarchical": dict(hierarchical=True),
+    "1Gbps": lambda n: dict(bandwidth="1Gbps"),
+    "1Gbps-overlap": lambda n: dict(bandwidth="1Gbps", overlap=True),
+    "hierarchical": lambda n: dict(hierarchical=True),
+    "a40": lambda n: dict(device="a40"),
+    "straggler": lambda n: dict(straggler=2.0),
+    "straggler_factors": lambda n: dict(straggler_factors=[1.0 + 0.5 * rank for rank in range(n)]),
+    "devices": lambda n: dict(devices=["sim-gpu"] + ["a40"] * (n - 2) + [SLOW]),
+    "sparse_compute_speedup": lambda n: dict(sparse_compute_speedup=True),
 }
 
 
@@ -101,7 +158,9 @@ def _trained(name: str, cluster: str = ""):
     config = golden.golden_config_for(name)
     assert config.cluster.bandwidth == "100Mbps" and config.cluster.faults is None
     if cluster:
-        overrides = dataclasses.replace(config.cluster, **CLUSTERS[cluster])
+        overrides = dataclasses.replace(
+            config.cluster, **CLUSTERS[cluster](config.cluster.world_size)
+        )
         config = dataclasses.replace(config, cluster=overrides)
     return train_distributed(config, golden.GOLDEN_METHODS[name]).timeline
 
@@ -114,13 +173,16 @@ def test_the_excluded_cell_is_the_parameter_server():
 @pytest.mark.parametrize("name", CELLS)
 def test_a_logged_run_repriced_is_the_run_on_that_cluster(name, cluster):
     base, trained = _trained(name), _trained(name, cluster)
-    # Compute and bucket layout do not depend on the link, and neither does
-    # the work: the two runs logged the same entries at the same epochs.
-    assert trained.per_rank_compute == base.per_rank_compute
+    # The work does not depend on the cluster: the two runs computed the same
+    # FLOPs at the same sparsity over the same buckets, and logged the same
+    # entries at the same epochs.
+    assert trained.iteration_flops == base.iteration_flops
+    assert trained.weight_sparsity == base.weight_sparsity
     assert trained.bucket_fractions == base.bucket_fractions
     assert trained.log == base.log and trained.epochs == base.epochs
     repriced = TrainingTimeline(
-        trained.cluster, base.per_rank_compute, base.bucket_fractions, base.target_accuracy
+        trained.cluster, base.iteration_flops, base.weight_sparsity,
+        base.bucket_fractions, base.target_accuracy,
     )
     repriced.log.extend(base.log)
     repriced.epochs.extend(base.epochs)
@@ -128,4 +190,7 @@ def test_a_logged_run_repriced_is_the_run_on_that_cluster(name, cluster):
     assert list(got) == list(want)
     for key, value in want.items():
         assert repr(got[key]) == repr(value), key
-    assert got["simulated_time"] != base.fold()["simulated_time"]
+    # Every cluster moves the clock, except a sparse-compute speedup on a
+    # dense model, which has nothing to speed up.
+    moved = cluster != "sparse_compute_speedup" or base.weight_sparsity > 0.0
+    assert (got["simulated_time"] != base.fold()["simulated_time"]) == moved

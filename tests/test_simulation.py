@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from repro.nn.models import mlp_tiny, resnet18_mini, vgg19_mini
 from repro.simulation import (
     ClusterSpec,
-    ComputeModel,
     DeviceSpec,
     EpochRecord,
     ExperimentConfig,
@@ -23,10 +22,10 @@ from repro.simulation import (
     run_experiment,
     train_distributed,
 )
-from repro.campaign import CampaignCell, run_campaign
+from repro.campaign import CampaignCell, CampaignSpec, run_campaign
 from repro.comm.network import NetworkModel
 from repro.comm.topology import build_paper_topology
-from repro.simulation.compute import DEVICE_PRESETS
+from repro.simulation.compute import BACKWARD_FACTOR, DEVICE_PRESETS
 from repro.simulation.pricing import Transfer
 from repro.data import DataLoader
 
@@ -45,24 +44,21 @@ class TestComputeModel:
         assert big > small
 
     def test_iteration_time_inverse_in_throughput(self):
-        model = resnet18_mini(seed=0)
-        slow = ComputeModel(DeviceSpec("slow", 1e9))
-        fast = ComputeModel(DeviceSpec("fast", 2e9))
-        assert slow.iteration_time(model, (3, 8, 8), 32) == pytest.approx(
-            2 * fast.iteration_time(model, (3, 8, 8), 32)
-        )
+        flops = estimate_model_flops(resnet18_mini(seed=0), (3, 8, 8), 32) * BACKWARD_FACTOR
+        (slow,) = ClusterSpec(world_size=1, device=DeviceSpec("slow", 1e9)).per_rank_iteration_times(flops)
+        (fast,) = ClusterSpec(world_size=1, device=DeviceSpec("fast", 2e9)).per_rank_iteration_times(flops)
+        assert slow == pytest.approx(2 * fast)
 
     def test_device_presets(self):
         assert "sim-gpu" in DEVICE_PRESETS and "a40" in DEVICE_PRESETS
-        assert ComputeModel("a40").device.flops_per_second > ComputeModel("sim-gpu").device.flops_per_second
+        assert DEVICE_PRESETS["a40"].flops_per_second > DEVICE_PRESETS["sim-gpu"].flops_per_second
         with pytest.raises(KeyError):
-            ComputeModel("tpu")
+            ClusterSpec(device="tpu")
 
     def test_sparse_speedup_reduces_time(self):
-        model = resnet18_mini(seed=0)
-        dense = ComputeModel("sim-gpu", sparse_speedup=True).iteration_time(model, (3, 8, 8), 32, 0.0)
-        sparse = ComputeModel("sim-gpu", sparse_speedup=True).iteration_time(model, (3, 8, 8), 32, 0.8)
-        assert sparse < dense
+        cluster = ClusterSpec(world_size=1, sparse_compute_speedup=True)
+        flops = estimate_model_flops(resnet18_mini(seed=0), (3, 8, 8), 32) * BACKWARD_FACTOR
+        assert cluster.per_rank_iteration_times(flops, 0.8) < cluster.per_rank_iteration_times(flops, 0.0)
 
     def test_invalid_device(self):
         with pytest.raises(ValueError):
@@ -110,12 +106,36 @@ class TestClusterSpec:
         with pytest.raises(KeyError):
             ClusterSpec(bandwidth="2Gbps").bandwidth_bytes_per_second()
 
+    UNKNOWN_DEVICE = r"unknown device preset 'tpu'; options: \['a40', 'sim-gpu'\]"
+
+    @pytest.mark.parametrize("overrides", [
+        dict(device="tpu"),
+        dict(world_size=2, devices=["sim-gpu", "tpu"]),
+        dict(world_size=2, devices=[DeviceSpec("fast", 4e9), "tpu"]),
+    ])
+    def test_an_unknown_device_preset_fails_at_construction(self, overrides):
+        with pytest.raises(KeyError, match=self.UNKNOWN_DEVICE):
+            ClusterSpec(**overrides)
+
+    @pytest.mark.parametrize("axis, values", [
+        ("device", ["sim-gpu", "tpu"]),
+        ("devices", [None, ["sim-gpu", "tpu"]]),
+    ])
+    def test_an_unknown_device_preset_fails_at_campaign_expansion(self, axis, values):
+        spec = CampaignSpec(base={"model": "mlp", "world_size": 2}, axes={axis: values})
+        with pytest.raises(KeyError, match=self.UNKNOWN_DEVICE):
+            spec.expand()
+
+
+#: A device of one FLOP per second: an iteration of ``c`` FLOPs takes ``c`` seconds.
+UNIT_DEVICE = DeviceSpec("unit", 1.0)
+
 
 def _flat_timeline(compute, target_accuracy=None):
     """Two ranks of ``compute`` seconds on a latency-free 1000 B/s link, one
     bucket: an all-reduce of ``B`` bytes costs ``2(n-1)/n * B / 1000 = B / 1000`` s."""
-    cluster = ClusterSpec(world_size=2, bandwidth=1000.0, latency=0.0)
-    return TrainingTimeline(cluster, [compute, compute], [1.0], target_accuracy)
+    cluster = ClusterSpec(world_size=2, bandwidth=1000.0, latency=0.0, device=UNIT_DEVICE)
+    return TrainingTimeline(cluster, compute, 0.0, [1.0], target_accuracy)
 
 
 def _all_reduce(num_bytes):

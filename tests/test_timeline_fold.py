@@ -283,7 +283,8 @@ def _assert_fold_replays(run, marks: List[int]) -> None:
     assert len(priced) == len(timeline.log)
     old = AccumulatorTimeline()
     prefix = TrainingTimeline(
-        timeline.cluster, timeline.per_rank_compute, timeline.bucket_fractions, target
+        timeline.cluster, timeline.iteration_flops, timeline.weight_sparsity,
+        timeline.bucket_fractions, target,
     )
     snapshots = 0
     for position in range(len(timeline.log) + 1):
@@ -387,6 +388,55 @@ def test_a_resumed_log_is_the_uninterrupted_log(faults, monkeypatch):
     assert resumed.timeline.log == log
     assert resumed.timeline.epochs == baseline.timeline.epochs
     _assert_fold_replays(baseline, marks)
+
+
+class _CountingList(list):
+    """A list that counts the items read out of it by slicing or iterating."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        items = super().__getitem__(index)
+        if isinstance(index, slice):
+            self.reads += len(items)
+        return items
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+def test_a_faulty_run_aggregates_each_log_entry_once(monkeypatch):
+    # The fault cursor reads the simulated clock before every iteration, and
+    # the tracer around it; each read runs the fold's pass, which resumes
+    # where the last one stopped.
+    timelines, folds = [], []
+    init, aggregate = TrainingTimeline.__init__, TrainingTimeline._aggregate
+
+    def counting_init(self, *args):
+        init(self, *args)
+        self._priced = _CountingList()
+        timelines.append(self)
+
+    def counting_aggregate(self):
+        folds.append(len(self.log))
+        return aggregate(self)
+
+    monkeypatch.setattr(TrainingTimeline, "__init__", counting_init)
+    monkeypatch.setattr(TrainingTimeline, "_aggregate", counting_aggregate)
+    plan = f"{FAULT_PLANS['crash-rejoin']},{FAULT_PLANS['churn']}"
+    run = train_distributed(_faulted(plan, dataset_samples=100, epochs=6), TOPK)
+    (timeline,) = timelines
+    assert {"sync", "fault", "rejoin"} <= {entry.kind for entry in timeline.log}
+    # Folding from the start every time would read the log at each length
+    # a fold saw, several times over.
+    assert sum(folds) > 5 * len(timeline.log)
+    result = run.result()
+    assert timeline._priced.reads == len(timeline.log)
+    # Folding again reads nothing and reports the same numbers.
+    assert run.result() == result
+    assert timeline._priced.reads == len(timeline.log)
 
 
 # --------------------------------------------------------------------------- #
