@@ -15,8 +15,8 @@ ways:
 :class:`CampaignCell`\\ s — concrete ``(ExperimentConfig, MethodSpec)`` pairs
 ready for the runner.  Axis names route automatically: experiment fields
 (``model``, ``epochs``, ``seed`` ...) into :class:`ExperimentConfig`, cluster
-fields (``bandwidth``, ``world_size``, ``overlap``, ``straggler``,
-``hierarchical`` ...) into :class:`ClusterSpec`, ``method`` resolves through
+fields (``bandwidth``, ``world_size``, ``overlap``, ``hierarchical``,
+``faults`` ...) into :class:`ClusterSpec`, ``method`` resolves through
 the spec's method table, the paper's named methods, then the compressor
 registry / codec spec grammar, and :class:`MethodSpec` field names
 (``error_feedback``, ``pruning_ratio``, ``quantize`` ...) override the
@@ -44,7 +44,7 @@ from repro.campaign.store import (
     identity_fingerprint,
     splice_identity,
 )
-from repro.simulation.cluster import ClusterSpec
+from repro.simulation.cluster import RETIRED_FIELDS, ClusterSpec
 from repro.simulation.spec import PAPER_METHODS, ExperimentConfig, MethodSpec
 
 #: Axis names that configure the experiment itself (minus the nested cluster).
@@ -149,7 +149,9 @@ def _route(merged: Dict) -> tuple:
             cluster_kwargs.update(value)
         elif name in CONFIG_AXES:
             config_kwargs[name] = value
-        elif name in CLUSTER_AXES:
+        elif name in CLUSTER_AXES or name in RETIRED_FIELDS:
+            # ``ClusterSpec.from_dict`` drops a retired field at its retired
+            # value and names it in the error at any other.
             cluster_kwargs[name] = value
         elif name in METHOD_FIELD_AXES:
             method_overrides[name] = value

@@ -145,7 +145,7 @@ class StoredRecord:
         first (``method``, ``model``, ``bandwidth_mbps``, ``tta`` ... — fields
         only, never a method such as ``tta_or_total`` or ``to_dict``), then
         experiment-config fields (``seed``, ``epochs`` ...), then cluster
-        fields (``world_size``, ``overlap``, ``straggler`` ...), then method
+        fields (``world_size``, ``overlap``, ``hierarchical`` ...), then method
         fields (``compressor``, ``pruning_ratio`` ...).
         """
         if name == "attempts":

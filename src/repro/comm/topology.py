@@ -18,7 +18,7 @@ to the collective layer:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.comm.network import CostModel, LinkSpec, NetworkModel, GBPS
 
@@ -348,14 +348,19 @@ def build_paper_topology(
     lan_latency: float = 20e-6,
     num_servers: int = 8,
     num_switches: int = 3,
+    servers: Optional[Sequence[int]] = None,
 ) -> ClusterTopology:
     """Build the Fig. 4 evaluation topology.
 
     Eight servers are spread round-robin across three vSwitches; the switches
     are chained with throttled WAN links (the experiment's bottleneck), while
-    server-to-switch links are fast LAN links.
+    server-to-switch links are fast LAN links.  ``servers`` keeps only those
+    server indices (the survivors of a degraded cluster), each on the switch
+    it has in the full round-robin; the default is ``range(num_servers)``.
     """
-    if num_servers < 1 or num_switches < 1:
+    if servers is None:
+        servers = range(num_servers)
+    if not servers or num_switches < 1:
         raise ValueError("need at least one server and one switch")
     topo = ClusterTopology()
     switches = [f"vswitch{i}" for i in range(num_switches)]
@@ -365,7 +370,7 @@ def build_paper_topology(
         topo.add_link(switches[i], switches[i + 1], LinkSpec(wan_bandwidth, wan_latency))
 
     lan = LinkSpec(lan_bandwidth, lan_latency)
-    for index in range(num_servers):
+    for index in servers:
         server = f"S{index + 1}"
         topo.add_server(server)
         topo.add_link(server, switches[index % num_switches], lan)

@@ -21,8 +21,8 @@ Modules:
   estimates, device specs and per-bucket backward completion fractions;
 * :mod:`repro.simulation.engine`   — event heap, link occupancy and the
   per-iteration schedule (compute/comm/overlap/straggler breakdown);
-* :mod:`repro.simulation.cluster`  — cluster description (workers, devices,
-  stragglers, network, overlap/hierarchical toggles);
+* :mod:`repro.simulation.cluster`  — cluster description (workers, their
+  device, network, overlap/hierarchical toggles, fault plan);
 * :mod:`repro.simulation.pricing`  — the one place the bytes collectives
   moved become simulated seconds under the cluster's cost model;
 * :mod:`repro.simulation.faults`   — declarative fault plans (crash / re-join /

@@ -1,19 +1,14 @@
 """Cluster specification.
 
 A :class:`ClusterSpec` bundles everything the experiment driver needs to know
-about "where" training runs: how many workers, what device they compute on and
-what network connects them.  The default reproduces the paper's testbed —
-eight homogeneous workers behind the Fig. 4 topology with a configurable WAN
+about "where" training runs: how many workers, the one device they all compute
+on and what network connects them.  The default reproduces the paper's testbed
+— eight homogeneous workers behind the Fig. 4 topology with a configurable WAN
 bottleneck, no compute/comm overlap and a flat (single-bottleneck) collective
 cost model, which keeps every pre-engine figure bit-identical.
 
-Heterogeneity knobs (all optional):
+Optional knobs:
 
-* ``devices`` — one device preset / :class:`DeviceSpec` per worker;
-* ``straggler`` — compute-time multiplier for the last worker (2.0 = twice as
-  slow), the simplest one-straggler scenario;
-* ``straggler_factors`` — full per-worker multiplier list, overriding
-  ``straggler``;
 * ``overlap`` — schedule each gradient bucket's collective the moment its
   gradients are ready (the event-driven engine's per-bucket overlap model);
 * ``hierarchical`` — cost collectives per switch group over the Fig. 4
@@ -21,7 +16,13 @@ Heterogeneity knobs (all optional):
 * ``faults`` — a :class:`~repro.simulation.faults.FaultPlan` of rank
   crashes/re-joins, time-varying link degradation and straggler churn,
   interpreted on the simulated clock by the training driver.  ``None`` (the
-  default) is inert: runs are bit-identical to a faultless cluster.
+  default) is inert: runs are bit-identical to a faultless cluster.  Churn is
+  the cluster's one way to make a worker slower than the others.
+
+:data:`RETIRED_FIELDS` are the fields the cluster no longer has, each at the
+value it was retired at: :meth:`ClusterSpec.to_dict` still writes them, so no
+stored key moves, and :meth:`ClusterSpec.from_dict` drops them at that value
+and rejects any other.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class ClusterSpec:
         Bottleneck bandwidth: either one of the paper's named settings
         (``"100Mbps"``, ``"500Mbps"``, ``"1Gbps"``) or a float in bytes/second.
     device:
-        Device preset name or :class:`DeviceSpec` that prices compute,
-        shared by all workers unless ``devices`` is given.
+        Device preset name or :class:`DeviceSpec` that prices every worker's
+        compute.
     latency:
         Per-message latency of the bottleneck link, in seconds.
     """
@@ -62,15 +63,6 @@ class ClusterSpec:
     #: the mini models in the same bandwidth-bound regime as the paper's
     #: full-size models.
     latency: float = 1e-4
-    sparse_compute_speedup: bool = False
-    #: Per-worker device list (length ``world_size``); overrides ``device``.
-    devices: Optional[Sequence[Union[str, DeviceSpec]]] = None
-    #: Compute-time multiplier for the *last* worker (>= any value > 0); 1.0
-    #: keeps the cluster homogeneous.
-    straggler: float = 1.0
-    #: Per-worker compute-time multipliers (length ``world_size``); overrides
-    #: ``straggler``.
-    straggler_factors: Optional[Sequence[float]] = None
     #: Schedule per-bucket collectives as soon as their gradients are ready
     #: (event-driven overlap).  Off by default: the seed time model.
     overlap: bool = False
@@ -97,22 +89,7 @@ class ClusterSpec:
         if self.world_size < 1:
             raise ValueError("world_size must be >= 1")
         self.bandwidth_bytes_per_second()  # an unknown name fails here, not in the cell
-        for device in [self.device, *(self.devices or ())]:
-            resolve_device(device)
-        if self.devices is not None and len(self.devices) != self.world_size:
-            raise ValueError(
-                f"devices must list one entry per worker ({self.world_size}), got {len(self.devices)}"
-            )
-        if self.straggler <= 0:
-            raise ValueError("straggler factor must be positive")
-        if self.straggler_factors is not None:
-            if len(self.straggler_factors) != self.world_size:
-                raise ValueError(
-                    f"straggler_factors must list one entry per worker ({self.world_size}), "
-                    f"got {len(self.straggler_factors)}"
-                )
-            if any(f <= 0 for f in self.straggler_factors):
-                raise ValueError("straggler factors must be positive")
+        resolve_device(self.device)
         if self.faults == "":
             # The empty campaign-axis value: identical to "no faults", so the
             # two spell the same fingerprint.
@@ -132,24 +109,28 @@ class ClusterSpec:
         return float(self.bandwidth)
 
     def cost_model_for(
-        self, world_size: Optional[int] = None, bandwidth_factor: float = 1.0
+        self, members: Union[None, int, Sequence[int]] = None, bandwidth_factor: float = 1.0
     ) -> CostModel:
         """The collective cost backend for a (possibly degraded) view of this cluster.
 
-        Flat alpha-beta over the bottleneck link by default; per switch group
-        of the Fig. 4 topology when ``hierarchical`` is set.  ``world_size``
-        restricts to the surviving membership size and ``bandwidth_factor``
-        scales the bottleneck (a fault plan's time-varying link factor).  The
-        defaults price the healthy cluster — a 1.0 factor preserves the
-        bandwidth bits.
+        ``members`` are the surviving ranks, or their count for the first
+        that many; ``None`` is the whole world.  ``bandwidth_factor`` scales
+        the bottleneck (a fault plan's time-varying link factor).  The flat
+        alpha-beta model over the bottleneck link depends only on the count.
+        With ``hierarchical`` set, the Fig. 4 topology is built over the
+        surviving servers, each at the vSwitch it hangs off when healthy, and
+        collectives are costed per switch group.  The defaults price the
+        healthy cluster — a 1.0 factor preserves the bandwidth bits.
         """
-        n = self.world_size if world_size is None else world_size
+        if members is None:
+            members = self.world_size
+        ranks = range(members) if isinstance(members, int) else members
         bandwidth = self.bandwidth_bytes_per_second() * bandwidth_factor
         if self.hierarchical:
             return build_paper_topology(
-                wan_bandwidth=bandwidth, wan_latency=self.latency, num_servers=n
+                wan_bandwidth=bandwidth, wan_latency=self.latency, servers=ranks
             ).cost_model()
-        return NetworkModel.from_bandwidth(n, bandwidth, latency=self.latency)
+        return NetworkModel.from_bandwidth(len(ranks), bandwidth, latency=self.latency)
 
     def fault_plan(self) -> FaultPlan:
         """The cluster's fault plan (the shared inert plan when unset)."""
@@ -160,42 +141,14 @@ class ClusterSpec:
         return ProcessGroup(self.world_size)
 
     # ------------------------------------------------------------------ #
-    # Compute heterogeneity
-    # ------------------------------------------------------------------ #
-    def straggler_multipliers(self) -> List[float]:
-        """Per-worker compute-time multipliers (1.0 everywhere when homogeneous)."""
-        if self.straggler_factors is not None:
-            return [float(f) for f in self.straggler_factors]
-        factors = [1.0] * self.world_size
-        factors[-1] = float(self.straggler)
-        return factors
-
-    @property
-    def is_heterogeneous(self) -> bool:
-        """Whether any worker computes at a different speed than the others."""
-        if self.devices is not None and len(set(map(str, self.devices))) > 1:
-            return True
-        multipliers = self.straggler_multipliers()
-        return any(m != multipliers[0] for m in multipliers)
-
-    def per_rank_iteration_times(self, iteration_flops: float, weight_sparsity: float = 0.0) -> List[float]:
+    def per_rank_iteration_times(self, iteration_flops: float) -> List[float]:
         """Modeled forward+backward seconds of ``iteration_flops`` on each worker.
 
         The one place a run's compute work becomes seconds (the timeline
-        calls it): ``flops / device.flops_per_second * straggler`` per rank.
-        With ``sparse_compute_speedup`` pruning also shrinks the FLOPs;
-        unstructured sparsity rarely converts 1:1 into speedup, so half of
-        the theoretical reduction is realised.  On a homogeneous cluster every
-        entry is the same value (a 1.0 factor preserves the bits), so the
-        engine's ``max`` over ranks is the seed's single compute term.
+        calls it): ``flops / device.flops_per_second``, the same for every
+        rank.  A fault plan's churn multiplies it per rank and iteration.
         """
-        if self.sparse_compute_speedup and weight_sparsity > 0.0:
-            iteration_flops *= 1.0 - 0.5 * weight_sparsity
-        devices = [self.device] * self.world_size if self.devices is None else self.devices
-        return [
-            iteration_flops / resolve_device(device).flops_per_second * multiplier
-            for device, multiplier in zip(devices, self.straggler_multipliers())
-        ]
+        return [iteration_flops / resolve_device(self.device).flops_per_second] * self.world_size
 
     # ------------------------------------------------------------------ #
     # Serialization
@@ -203,25 +156,18 @@ class ClusterSpec:
     def to_dict(self) -> dict:
         """JSON-ready dict that :meth:`from_dict` restores exactly.
 
-        ``DeviceSpec`` entries become nested dicts; preset names stay strings,
+        A ``DeviceSpec`` becomes a nested dict; a preset name stays a string,
         so the round trip preserves how the device was specified (the campaign
-        store hashes this representation).
+        store hashes this representation).  :data:`RETIRED_FIELDS` are
+        written in their old place, so every stored key stays byte-identical.
         """
-
-        def _device(value: Union[str, DeviceSpec]) -> Union[str, dict]:
-            return value if isinstance(value, str) else value.to_dict()
-
+        device = self.device
         return {
             "world_size": self.world_size,
             "bandwidth": self.bandwidth,
-            "device": _device(self.device),
+            "device": device if isinstance(device, str) else device.to_dict(),
             "latency": self.latency,
-            "sparse_compute_speedup": self.sparse_compute_speedup,
-            "devices": None if self.devices is None else [_device(d) for d in self.devices],
-            "straggler": self.straggler,
-            "straggler_factors": (
-                None if self.straggler_factors is None else [float(f) for f in self.straggler_factors]
-            ),
+            **RETIRED_FIELDS,
             "overlap": self.overlap,
             "hierarchical": self.hierarchical,
             "faults": None if self.faults is None else self.faults.to_dict(),
@@ -232,7 +178,7 @@ class ClusterSpec:
         # Imported on call: repro.simulation.spec imports this module.
         from repro.simulation.spec import rebuild  # noqa: PLC0415
 
-        return rebuild(cls, data, _CLUSTER_FIELDS, device=_load_device, devices=_load_devices)
+        return rebuild(cls, data, _CLUSTER_FIELDS, retired=RETIRED_FIELDS, device=_load_device)
 
     # ------------------------------------------------------------------ #
     def describe(self) -> dict:
@@ -244,17 +190,22 @@ class ClusterSpec:
             "device": self.device if isinstance(self.device, str) else self.device.name,
             "overlap": self.overlap,
             "hierarchical": self.hierarchical,
-            "heterogeneous": self.is_heterogeneous,
-            "straggler_factors": self.straggler_multipliers(),
         }
 
 
 _CLUSTER_FIELDS = tuple(f.name for f in dataclasses.fields(ClusterSpec))
 
+#: Fields the cluster no longer has, each at the value it was retired at, in
+#: :meth:`ClusterSpec.to_dict`'s order.  Per-worker devices, straggler
+#: multipliers and a compute speed-up from unstructured pruning are not part
+#: of the paper's model; churn in ``faults`` is what slows a worker.
+RETIRED_FIELDS = {
+    "sparse_compute_speedup": False,
+    "devices": None,
+    "straggler": 1.0,
+    "straggler_factors": None,
+}
+
 
 def _load_device(value) -> Union[str, DeviceSpec]:
     return DeviceSpec.from_dict(value) if isinstance(value, dict) else value
-
-
-def _load_devices(values) -> Optional[List[Union[str, DeviceSpec]]]:
-    return None if values is None else [_load_device(value) for value in values]

@@ -7,7 +7,7 @@ A run's compute work is one iteration's FLOPs,
 with the forward FLOPs derived from the model's actual layer shapes.  The
 timeline prices it once per rank through
 :meth:`repro.simulation.cluster.ClusterSpec.per_rank_iteration_times`
-(``iteration_flops / device.flops_per_second * straggler``).  The
+(``iteration_flops / device.flops_per_second``).  The
 default device spec is calibrated so that the *ratio* of compute time to
 communication time for the mini models matches the ratio the paper's full-size
 models exhibit on A40 GPUs — that ratio, not the absolute numbers, is what

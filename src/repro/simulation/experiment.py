@@ -358,8 +358,8 @@ def train_distributed(
             compressor=compressor,
             ddp=ddp,
             optimizer=optimizer,
-            # The run's compute work: one rank's iteration FLOPs, the weight
-            # sparsity and bucket readiness.
+            # The run's compute work (one rank's iteration FLOPs and bucket
+            # readiness) and its sparsity after pruning.
             timeline=TrainingTimeline(
                 cluster,
                 estimate_model_flops(model, shape, config.batch_size) * BACKWARD_FACTOR,

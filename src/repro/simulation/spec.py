@@ -25,13 +25,23 @@ from repro.simulation.regimes import SyncSchedule, parse_sync_schedule
 from repro.tensorlib.dtypes import SUPPORTED_DTYPES
 
 
-def rebuild(cls, data: Dict, names: Tuple[str, ...], **convert: Callable):
+class RetiredFieldError(ValueError):
+    """A stored spec holds a field the class no longer has at another value
+    than the one it was retired at: what it described cannot be rebuilt."""
+
+
+def rebuild(cls, data: Dict, names: Tuple[str, ...], retired: Optional[Dict] = None,
+            **convert: Callable):
     """``cls`` rebuilt from ``data``, a dict of its init fields such as JSON parses.
 
     ``names`` are the class's init fields in ``dataclasses.fields`` order,
     which is the order of its ``__init__`` parameters.  Each ``convert[name]``
     turns that field's plain value into what the class holds (a nested spec, a
     tuple), applied when the field is present and after the names are checked.
+    ``retired`` maps each field the class no longer has to the value it was
+    retired at: a stored one at that value is dropped first, so old records
+    and fixtures still load, and one at any other value raises
+    :class:`RetiredFieldError` naming it.
 
     When ``data`` holds exactly ``names`` the values are passed by position.
     Keyword passing matches a keyword against the parameter names by identity
@@ -43,6 +53,16 @@ def rebuild(cls, data: Dict, names: Tuple[str, ...], **convert: Callable):
     by keyword, so a missing defaulted field takes its default and a missing
     required one raises ``TypeError``.
     """
+    if retired and not retired.keys().isdisjoint(data):
+        data = dict(data)
+        for name, value in retired.items():
+            if name in data:
+                stored = data.pop(name)
+                if stored != value:
+                    raise RetiredFieldError(
+                        f"{cls.__name__} field {name!r} was removed: only {value!r} "
+                        f"loads, got {stored!r}"
+                    )
     if len(data) == len(names):
         try:
             values = [data[name] for name in names]

@@ -79,12 +79,14 @@ class TrainingTimeline:
     """The ordered log of one training run, its epoch records and its pricing inputs.
 
     The run's work is its log plus ``iteration_flops`` (one rank's
-    forward+backward FLOPs), ``weight_sparsity`` and ``bucket_fractions``
-    (when each bucket's gradients are ready, as a fraction of the pass);
-    ``cluster`` prices all of it — ``per_rank_compute`` is its
+    forward+backward FLOPs) and ``bucket_fractions`` (when each bucket's
+    gradients are ready, as a fraction of the pass); ``cluster`` prices all
+    of it — ``per_rank_compute`` is its
     :meth:`~repro.simulation.cluster.ClusterSpec.per_rank_iteration_times`
     of the FLOPs, derived once here — and ``target_accuracy`` prices the
-    TTA.  A checkpoint's timeline is a prefix of the uninterrupted run's.
+    TTA.  ``weight_sparsity`` is the model's sparsity right after pruning,
+    which a pruned run reports.  A checkpoint's timeline is a prefix of the
+    uninterrupted run's.
     """
 
     def __init__(self, cluster: ClusterSpec, iteration_flops: float, weight_sparsity: float,
@@ -95,12 +97,12 @@ class TrainingTimeline:
         self.weight_sparsity = weight_sparsity
         self.bucket_fractions = bucket_fractions
         self.target_accuracy = target_accuracy
-        self.per_rank_compute = cluster.per_rank_iteration_times(iteration_flops, weight_sparsity)
+        self.per_rank_compute = cluster.per_rank_iteration_times(iteration_flops)
         self.log: List[LogEntry] = []
         self.epochs: List[EpochRecord] = []
         self._engine = SimulationEngine(overlap=cluster.overlap)
         self._priced: List[Priced] = []
-        self._cost_models: Dict[Tuple[int, float], Any] = {}
+        self._cost_models: Dict[Tuple[Optional[Tuple[int, ...]], float], Any] = {}
         # Where the fold stopped: the entries it aggregated, its running sums
         # after them and the time of each epoch record it passed.
         self._folded = 0
@@ -159,7 +161,7 @@ class TrainingTimeline:
         kind = entry.kind
         if kind == "fault" or kind == "clock":
             return Priced()
-        key = (self.world_size if entry.ranks is None else len(entry.ranks), entry.link)
+        key = (entry.ranks, entry.link)
         if key not in self._cost_models:  # a hierarchical model rebuilds the topology
             self._cost_models[key] = self.cluster.cost_model_for(*key)
         cost_model = self._cost_models[key]

@@ -93,26 +93,16 @@ class TestSerializationRoundTrips:
             st.floats(min_value=1e3, max_value=1e12),
         ),
         latency=st.floats(min_value=0.0, max_value=1.0),
-        straggler=st.floats(min_value=0.1, max_value=10.0),
         overlap=st.booleans(),
         hierarchical=st.booleans(),
         device_spec=st.booleans(),
     )
-    def test_cluster_spec_roundtrip(self, world_size, bandwidth, latency, straggler,
+    def test_cluster_spec_roundtrip(self, world_size, bandwidth, latency,
                                     overlap, hierarchical, device_spec):
         device = DeviceSpec("custom", 1.5e9) if device_spec else "sim-gpu"
         spec = ClusterSpec(
             world_size=world_size, bandwidth=bandwidth, device=device, latency=latency,
-            straggler=straggler, overlap=overlap, hierarchical=hierarchical,
-        )
-        restored = ClusterSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        assert restored == spec
-
-    def test_cluster_spec_roundtrip_with_per_worker_lists(self):
-        spec = ClusterSpec(
-            world_size=3,
-            devices=["sim-gpu", DeviceSpec("edge", 5e8), "a40"],
-            straggler_factors=[1.0, 2.5, 1.0],
+            overlap=overlap, hierarchical=hierarchical,
         )
         restored = ClusterSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
@@ -294,11 +284,11 @@ class TestCampaignSpec:
         assert cell.method.name == "ef+terngrad"
 
     def test_cluster_axes_route_to_cluster_spec(self):
-        cell = build_cell({"world_size": 4, "overlap": True, "straggler": 2.0,
+        cell = build_cell({"world_size": 4, "overlap": True, "faults": "churn:0.2",
                            "hierarchical": True, "model": "mlp"})
         assert cell.config.cluster.world_size == 4
         assert cell.config.cluster.overlap is True
-        assert cell.config.cluster.straggler == 2.0
+        assert cell.config.cluster.faults.churn_probability == 0.2
         assert cell.config.cluster.hierarchical is True
 
     def test_method_resolution_order(self):

@@ -109,6 +109,16 @@ class TestIterationSchedule:
         # Bucket 0 waits for the straggler's half-done backward: 0.3 * 0.5.
         assert trace.buckets[0].ready_time == pytest.approx(0.15)
 
+    def test_the_slowest_rank_is_the_critical_path(self):
+        serial = SimulationEngine(overlap=False).run_iteration([0.1, 0.4, 0.2], [0.5, 1.0], [0.1, 0.2])
+        assert serial.compute_span == 0.4
+        assert serial.straggler_slack == pytest.approx(0.3)
+        assert serial.wall_time == pytest.approx(0.7)
+        assert [bucket.ready_time for bucket in serial.buckets] == [0.4, 0.4]
+        local = SimulationEngine().run_local_iteration([0.3, 0.1])
+        assert (local.compute_span, local.wall_time) == (0.3, 0.3)
+        assert local.straggler_slack == pytest.approx(0.2)
+
     def test_collectives_launch_in_bucket_order(self):
         trace = SimulationEngine(overlap=True).run_iteration(
             [1.0], [0.2, 0.4, 0.6, 1.0], [0.5, 0.1, 0.1, 0.1]

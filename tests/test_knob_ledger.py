@@ -36,10 +36,6 @@ LEDGER = {
     "MethodSpec.error_feedback": "a second switch for error feedback beside the ef+ token",
     "ClusterSpec.device": "compute knob priced in one function; re-priceable from a log",
     "ClusterSpec.latency": "reproduction constant: the bottleneck link's per-message latency",
-    "ClusterSpec.sparse_compute_speedup": "compute knob priced in one function; re-priceable from a log",
-    "ClusterSpec.devices": "compute knob priced in one function; re-priceable from a log",
-    "ClusterSpec.straggler": "compute knob priced in one function; re-priceable from a log",
-    "ClusterSpec.straggler_factors": "compute knob priced in one function; re-priceable from a log",
     "ClusterSpec.overlap": "the engine's bucket schedule; re-pricing a log is how it can earn a row",
     "ClusterSpec.hierarchical": "the Fig. 4 topology model; re-pricing a log is how it can earn a row",
 }

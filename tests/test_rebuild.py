@@ -5,25 +5,31 @@ the six serialised dataclasses: a dict holding exactly the class's init fields
 is passed by position, anything else is checked by name and passed by keyword.
 These tests pin that both paths build the same objects as the keyword call
 they replace, with the same errors, and that the field order the helper is
-given is the constructor's parameter order.
+given is the constructor's parameter order.  A retired field is dropped at the
+value it was retired at and named in a :class:`RetiredFieldError` at any
+other, so stored records, fixtures and keys written before it went still load.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import glob
 import inspect
 import json
+import os
 import warnings
 
 import pytest
 
 from repro import golden
-from repro.campaign import ResultStore
+from repro.campaign import CampaignSpec, ResultStore, cell_fingerprint
 from repro.campaign.store import StoredRecord
 from repro.simulation import ClusterSpec, ExperimentConfig, ExperimentResult, MethodSpec, run_experiment
 from repro.simulation import spec as spec_module
 from repro.simulation.compute import DeviceSpec
+from repro.simulation.cluster import RETIRED_FIELDS
 from repro.simulation.faults import FaultEvent, FaultPlan
+from repro.simulation.spec import RetiredFieldError
 from tests.test_campaign import fake_result, tiny_config
 
 
@@ -88,10 +94,7 @@ class TestPositionalPath:
 
     def test_nested_specs_convert_on_both_paths(self):
         plan = FaultPlan.parse("crash:1@0.5,rejoin:1@1.0,link:0.5@0.2-0.4,churn:0.1")
-        cluster = ClusterSpec(
-            world_size=2, device=DeviceSpec("slow", 1e9), devices=["sim-gpu", DeviceSpec("x", 2e9)],
-            faults=plan,
-        )
+        cluster = ClusterSpec(world_size=2, device=DeviceSpec("slow", 1e9), faults=plan)
         config = dataclasses.replace(tiny_config(), cluster=cluster)
         data = json_born(config.to_dict())
         assert ExperimentConfig.from_dict(data) == config
@@ -219,3 +222,78 @@ def test_the_helper_is_given_every_init_parameter_in_order(monkeypatch):
         assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in parameters), cls
         assert list(seen[cls]) == [p.name for p in parameters], cls
         assert list(seen[cls]) == [f.name for f in dataclasses.fields(cls) if f.init], cls
+
+
+# --------------------------------------------------------------------------- #
+# (f) retired fields load at their retired value and fail at any other
+# --------------------------------------------------------------------------- #
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+GOLDEN_FILES = sorted(glob.glob(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "*.json")))
+
+#: A value each retired field held in a cluster that is not its retired value.
+RETIRED_OTHERWISE = {
+    "sparse_compute_speedup": True,
+    "devices": ["sim-gpu", {"name": "edge", "flops_per_second": 5e8}],
+    "straggler": 2.0,
+    "straggler_factors": [1.0, 2.5],
+}
+
+
+class TestRetiredFields:
+    def test_to_dict_still_writes_them_in_their_old_place(self):
+        assert list(ClusterSpec().to_dict()) == [
+            "world_size", "bandwidth", "device", "latency", "sparse_compute_speedup", "devices",
+            "straggler", "straggler_factors", "overlap", "hierarchical", "faults",
+        ]
+        assert len(dataclasses.fields(ClusterSpec)) == 7
+        assert not set(RETIRED_FIELDS) & {field.name for field in dataclasses.fields(ClusterSpec)}
+        assert sorted(RETIRED_OTHERWISE) == sorted(RETIRED_FIELDS)
+
+    def test_every_record_of_the_pinned_store_rebuilds_to_its_key(self):
+        with open(os.path.join(FIXTURES, "smoke-store.jsonl"), encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
+        assert lines
+        for data in lines:
+            assert set(RETIRED_FIELDS) <= set(data["config"]["cluster"])
+            config = ExperimentConfig.from_dict(data["config"])
+            assert config.to_dict() == data["config"]
+            assert cell_fingerprint(config, MethodSpec.from_dict(data["method"])) == data["key"]
+
+    @pytest.mark.parametrize("path", GOLDEN_FILES, ids=os.path.basename)
+    def test_every_golden_config_rebuilds_to_its_cell(self, path):
+        with open(path, encoding="utf-8") as handle:
+            fixture = json.load(handle)
+        assert set(RETIRED_FIELDS) <= set(fixture["config"]["cluster"])
+        config = ExperimentConfig.from_dict(fixture["config"])
+        assert config == golden.golden_config_for(fixture["method"])
+
+    def test_at_the_retired_value_on_the_keyword_path_too(self):
+        data = json_born(ClusterSpec(world_size=2).to_dict())
+        del data["latency"]
+        assert ClusterSpec.from_dict(data) == ClusterSpec(world_size=2)
+
+    @pytest.mark.parametrize("name", sorted(RETIRED_OTHERWISE))
+    def test_a_stored_record_at_another_value_names_the_field(self, name):
+        data = json_born(tiny_config().to_dict())
+        data["cluster"][name] = RETIRED_OTHERWISE[name]
+        snapshot = json.dumps(data)
+        with pytest.raises(RetiredFieldError, match=f"ClusterSpec field '{name}' was removed"):
+            ExperimentConfig.from_dict(data)
+        assert json.dumps(data) == snapshot
+
+    def test_the_error_is_a_value_error_naming_both_values(self):
+        data = {**ClusterSpec().to_dict(), "straggler": 2.0}
+        with pytest.raises(ValueError) as caught:
+            ClusterSpec.from_dict(data)
+        assert type(caught.value) is RetiredFieldError
+        assert str(caught.value) == "ClusterSpec field 'straggler' was removed: only 1.0 loads, got 2.0"
+
+    def test_a_campaign_axis_of_a_retired_field(self):
+        base = {"model": "mlp", "world_size": 2}
+        spec = CampaignSpec(base=base, axes={"devices": [None, ["sim-gpu", "a40"]]})
+        with pytest.raises(RetiredFieldError, match="'devices'"):
+            spec.expand()
+        # At the retired value the axis names the cell the spec without it does.
+        (cell,) = CampaignSpec(base=base, axes={"straggler": [1.0]}).expand()
+        (plain,) = CampaignSpec(base=base).expand()
+        assert cell.fingerprint() == plain.fingerprint()

@@ -13,12 +13,15 @@ Three pins of "the log records work and the fold prices it".
 * A two-level hierarchy oracle on the same log under ``hierarchical=True``:
   the switch groups' tree reduce over their LAN links, a ring among the group
   leaders over the worst leader-to-leader path, then the groups' tree
-  broadcast, all read off ``build_paper_topology``'s links.
+  broadcast, all read off ``build_paper_topology``'s links.  A degraded
+  entry is priced over the topology of the ranks that survived, not of the
+  first that many.
 * Re-pricing: a golden cell's log, epoch records and compute work, trained at
   100 Mbps and folded under another cluster, give exactly the fold of the run
   trained on that cluster — for every ``ClusterSpec`` field but ``faults``:
-  bandwidth, overlap, hierarchy, device, stragglers, mixed devices and the
-  sparse-compute speedup.  The parameter-server cell is excluded: its event
+  bandwidth, latency, overlap, hierarchy and device, alone and with overlap,
+  which prices each bucket's collective from when its gradients are ready.
+  The parameter-server cell is excluded: its event
   clock orders pulls, computes and pushes by simulated time, so what it
   trains depends on the cluster.  So are fault plans, which fire on simulated
   time; no golden cell has one.
@@ -76,6 +79,17 @@ def test_a_healthy_log_folds_to_the_closed_form_ring():
     assert fold["overlap_fraction"] == 0.0 and fold["straggler_time"] == 0.0
 
 
+def test_a_churned_entry_waits_for_its_slowest_rank():
+    timeline = _oracle_timeline()
+    timeline.add_iteration(
+        [[Transfer("all_reduce", NUM_BYTES)]], ranks=range(WORLD), churn=[1.0, 3.0, 1.0, 2.0]
+    )
+    fold = timeline.fold()
+    assert fold["compute_time"] == 3 * COMPUTE
+    assert fold["straggler_time"] == pytest.approx(2 * COMPUTE, rel=REL)
+    assert fold["simulated_time"] == pytest.approx(3 * COMPUTE + _ring(WORLD, BETA), rel=REL)
+
+
 def test_a_degraded_entry_is_priced_over_its_membership_and_link():
     timeline = _oracle_timeline()
     for _ in range(ITERATIONS):
@@ -131,25 +145,42 @@ def test_a_hierarchical_log_folds_to_the_two_level_closed_form():
     )
 
 
+def test_a_degraded_hierarchical_entry_is_priced_over_the_survivors_topology():
+    cluster = ClusterSpec(world_size=4, bandwidth="100Mbps", hierarchical=True)
+    # Survivors S1, S2 and S4: S1 and S4 keep sharing vswitch0, so only two
+    # switch groups are left; S1, S2 and S3 would be three singletons.
+    assert cluster.cost_model_for((0, 1, 3)).ring_all_reduce_time(1e6) == pytest.approx(0.08192)
+    assert cluster.cost_model_for((0, 1, 2)).ring_all_reduce_time(1e6) == pytest.approx(0.10763, rel=1e-4)
+    assert cluster.cost_model_for(3).ring_all_reduce_time(1e6) == (
+        cluster.cost_model_for((0, 1, 2)).ring_all_reduce_time(1e6)
+    )
+    timeline = TrainingTimeline(cluster, 0.0, 0.0, [1.0])
+    for ranks in [(0, 1, 3), (0, 1, 2)]:
+        timeline.add_iteration([[Transfer("all_reduce", 1e6)]], ranks=ranks, churn=[1.0] * 4)
+    (survivors, prefix) = (price.comm for price in timeline.priced())
+    assert survivors == pytest.approx(0.08192) and prefix == pytest.approx(0.10763, rel=1e-4)
+    # The flat model depends on the count alone.
+    flat = ClusterSpec(world_size=4, bandwidth="100Mbps")
+    assert flat.cost_model_for((0, 1, 3)).ring_all_reduce_time(1e6) == (
+        flat.cost_model_for(3).ring_all_reduce_time(1e6)
+    )
+
+
 # --------------------------------------------------------------------------- #
 # Re-pricing the golden cells
 # --------------------------------------------------------------------------- #
 #: The golden cells whose training does not depend on time.
 CELLS = [name for name, method in golden.GOLDEN_METHODS.items() if method.schedule().regime != "ps"]
 
-SLOW = DeviceSpec("slow", 1.0e9)
-
-#: Clusters other than the golden 100 Mbps one, as overrides of it for a
-#: world of n ranks.
+#: Clusters other than the golden 100 Mbps one, as overrides of it.
 CLUSTERS = {
-    "1Gbps": lambda n: dict(bandwidth="1Gbps"),
-    "1Gbps-overlap": lambda n: dict(bandwidth="1Gbps", overlap=True),
-    "hierarchical": lambda n: dict(hierarchical=True),
-    "a40": lambda n: dict(device="a40"),
-    "straggler": lambda n: dict(straggler=2.0),
-    "straggler_factors": lambda n: dict(straggler_factors=[1.0 + 0.5 * rank for rank in range(n)]),
-    "devices": lambda n: dict(devices=["sim-gpu"] + ["a40"] * (n - 2) + [SLOW]),
-    "sparse_compute_speedup": lambda n: dict(sparse_compute_speedup=True),
+    "1Gbps": dict(bandwidth="1Gbps"),
+    "1Gbps-overlap": dict(bandwidth="1Gbps", overlap=True),
+    "hierarchical": dict(hierarchical=True),
+    "hierarchical-overlap": dict(hierarchical=True, overlap=True),
+    "a40": dict(device="a40"),
+    "a40-overlap": dict(device="a40", overlap=True),
+    "latency": dict(latency=1e-3),
 }
 
 
@@ -158,10 +189,9 @@ def _trained(name: str, cluster: str = ""):
     config = golden.golden_config_for(name)
     assert config.cluster.bandwidth == "100Mbps" and config.cluster.faults is None
     if cluster:
-        overrides = dataclasses.replace(
-            config.cluster, **CLUSTERS[cluster](config.cluster.world_size)
+        config = dataclasses.replace(
+            config, cluster=dataclasses.replace(config.cluster, **CLUSTERS[cluster])
         )
-        config = dataclasses.replace(config, cluster=overrides)
     return train_distributed(config, golden.GOLDEN_METHODS[name]).timeline
 
 
@@ -190,7 +220,5 @@ def test_a_logged_run_repriced_is_the_run_on_that_cluster(name, cluster):
     assert list(got) == list(want)
     for key, value in want.items():
         assert repr(got[key]) == repr(value), key
-    # Every cluster moves the clock, except a sparse-compute speedup on a
-    # dense model, which has nothing to speed up.
-    moved = cluster != "sparse_compute_speedup" or base.weight_sparsity > 0.0
-    assert (got["simulated_time"] != base.fold()["simulated_time"]) == moved
+    # Every cluster moves the clock.
+    assert got["simulated_time"] != base.fold()["simulated_time"]

@@ -92,6 +92,8 @@ class TestPinnedKeys:
 # Memoised expansion == per-cell build_cell
 # --------------------------------------------------------------------------- #
 EDGE = {"name": "edge", "flops_per_second": 5e8}
+CRASH = {"kind": "crash", "at": 0.5, "rank": 1}
+REJOIN = {"kind": "rejoin", "at": 1.0, "rank": 1}
 CURATED = MethodSpec(name="curated-ü", compressor="fp16")
 #: Equal name, other compressor: instances are told apart by more than name.
 CURATED_TOPK = MethodSpec(name="curated-ü", compressor="topk-0.1")
@@ -101,9 +103,9 @@ BASE = {"model": "mlp", "epochs": 1, "batch_size": 4, "dataset_samples": 24,
 
 #: Values each axis draws from: every type an axis accepts, values equal under
 #: ``==`` that build different specs (``1``/``True``/``1.0``, ``0.0``/``-0.0``),
-#: values of different types that build the same one (``[1, 2.5]`` and
-#: ``[1.0, 2.5]``), lists that differ only in order, and world sizes that
-#: some device lists do not fit.
+#: values of different types that build the same one (a fault plan's events
+#: as a list or a tuple), lists that differ only in order, and world sizes
+#: that some fault plans do not fit.
 AXIS_VALUES = {
     "seed": [0, 1, True, 1.0, -0.0],
     "target_accuracy": [None, 0.0, -0.0, 1e-5, 0.5],
@@ -112,8 +114,15 @@ AXIS_VALUES = {
     "bandwidth": ["100Mbps", "1Gbps", 1.25e7, 12500000],
     "world_size": [2, 3],
     "cluster": [{"latency": 0.0}, {"latency": -0.0, "overlap": True}, {"bandwidth": "500Mbps"}],
-    "devices": [None, ["sim-gpu", "sim-gpu"], ["sim-gpu", EDGE], [EDGE, "sim-gpu"]],
-    "straggler_factors": [None, [1.0, 2.5], [1, 2.5], [2.5, 1.0]],
+    "device": ["sim-gpu", EDGE],
+    "faults": [
+        None,
+        {"events": [CRASH, REJOIN]},
+        {"events": (CRASH, REJOIN)},
+        {"events": [CRASH, {**REJOIN, "at": 1}]},
+        {"events": [{**CRASH, "rank": 2}]},
+        {"events": [], "churn_probability": 0.2},
+    ],
     "method": [
         "all-reduce", "fp16", "topk-0.01", "méthode-π", CURATED, CURATED_TOPK,
         {"name": "dict-ø", "compressor": "pactrain", "pruning_ratio": 0.3},
@@ -186,8 +195,8 @@ class TestMemoisedExpansion:
     def test_values_that_build_the_same_spec_dedupe(self):
         spec = CampaignSpec(
             base=BASE,
-            axes={"straggler_factors": [[1.0, 2.5], [1, 2.5]], "method": ["fp16", CURATED]},
-            cells=[{"method": "fp16", "straggler_factors": (1.0, 2.5)}],
+            axes={"faults": [{"events": [CRASH]}, {"events": (CRASH,)}], "method": ["fp16", CURATED]},
+            cells=[{"method": "fp16", "faults": "crash:1@0.5"}],
         )
         assert [cell.method.name for cell in spec.expand()] == ["fp16", "curated-ü"]
 

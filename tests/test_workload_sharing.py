@@ -453,8 +453,8 @@ def fingerprint_grid() -> CampaignSpec:
         },
         cells=[
             {"method": "fp16", "device": {"name": "edge", "flops_per_second": 5e8}},
-            {"method": "fp16", "devices": ["sim-gpu", {"name": "edge", "flops_per_second": 5e8}],
-             "world_size": 2, "straggler_factors": [1.0, 2.5]},
+            {"method": "fp16", "world_size": 2,
+             "faults": {"events": [{"kind": "link", "at": 0.001, "factor": 0.5, "until": 0.002}]}},
             {"method": {"name": "mine", "compressor": "pactrain", "pruning_ratio": 0.3,
                         "gse": True, "stability_threshold": 2}, "pruning_ratio": 0.4},
             {"method": "topk-0.01", "sync_schedule": "localsgd:4:delta", "target_accuracy": 0.5},
