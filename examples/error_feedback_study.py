@@ -5,7 +5,8 @@ top-k 1 % baseline at two bottleneck bandwidths.  For every bandwidth the
 table compares the no-EF and EF variants' final accuracy and wire volume: EF
 retransmits the dropped gradient mass once its accumulated error grows, so it
 changes *convergence*, never bytes on the wire (the residual rides inside
-each rank, not on the network).
+each rank, not on the network).  Every cell trains with the reproduction's
+SGD (learning rate 0.05, momentum 0.9), the one every figure shares.
 
     python examples/error_feedback_study.py [--quick] [--store ef.jsonl] [--jobs 4]
 
@@ -41,8 +42,6 @@ def study_campaign(quick: bool = False) -> CampaignSpec:
         "max_iterations_per_epoch": 2 if quick else None,
         "pretrain_iterations": 0 if quick else 3,
         "noise_std": 0.3,
-        "lr": 0.05,
-        "momentum": 0.0,
         "seed": 0,
     }
     if base["max_iterations_per_epoch"] is None:

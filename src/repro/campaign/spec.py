@@ -22,6 +22,8 @@ registry / codec spec grammar, and :class:`MethodSpec` field names
 (``error_feedback``, ``pruning_ratio``, ``quantize`` ...) override the
 resolved method per cell — so ``"error_feedback": [false, true]`` sweeps
 every method with and without the driver's error-feedback residual state.
+A retired field routes like a live one; its spec drops it at its retired
+value and rejects any other by name.
 
 Specs round-trip through plain dicts (``from_dict`` / ``to_dict``) and load
 from JSON or TOML files (``from_file``), which is what ``python -m repro
@@ -44,8 +46,8 @@ from repro.campaign.store import (
     identity_fingerprint,
     splice_identity,
 )
-from repro.simulation.cluster import RETIRED_FIELDS, ClusterSpec
-from repro.simulation.spec import PAPER_METHODS, ExperimentConfig, MethodSpec
+from repro.simulation.cluster import ClusterSpec
+from repro.simulation.spec import PAPER_METHODS, ExperimentConfig, MethodSpec, drop_retired
 
 #: Axis names that configure the experiment itself (minus the nested cluster).
 CONFIG_AXES = frozenset(
@@ -62,6 +64,8 @@ METHOD_AXIS = "method"
 METHOD_FIELD_AXES = frozenset(
     f.name for f in dataclasses.fields(MethodSpec) if f.name != "name"
 )
+#: Axis names that build the cell's method, its retired fields included.
+METHOD_SIDE = frozenset({METHOD_AXIS, *METHOD_FIELD_AXES, *MethodSpec.RETIRED})
 
 
 @dataclass(frozen=True)
@@ -147,13 +151,11 @@ def _route(merged: Dict) -> tuple:
             if not isinstance(value, dict):
                 raise TypeError(f"'cluster' must be a dict of ClusterSpec fields, got {value!r}")
             cluster_kwargs.update(value)
-        elif name in CONFIG_AXES:
+        elif name in CONFIG_AXES or name in ExperimentConfig.RETIRED:
             config_kwargs[name] = value
-        elif name in CLUSTER_AXES or name in RETIRED_FIELDS:
-            # ``ClusterSpec.from_dict`` drops a retired field at its retired
-            # value and names it in the error at any other.
+        elif name in CLUSTER_AXES or name in ClusterSpec.RETIRED:
             cluster_kwargs[name] = value
-        elif name in METHOD_FIELD_AXES:
+        elif name in METHOD_FIELD_AXES or name in MethodSpec.RETIRED:
             method_overrides[name] = value
         else:
             raise KeyError(
@@ -170,6 +172,7 @@ def _build_method(
     methods: Optional[Dict[str, MethodSpec]],
 ) -> MethodSpec:
     method = resolve_method(method_value, methods)
+    method_overrides = drop_retired(MethodSpec, method_overrides)
     if method_overrides:
         renamed = method.name
         # A compressor override must be reflected in the reported method name
@@ -216,7 +219,9 @@ def build_cell(
     config_kwargs, cluster_kwargs, method_value, method_overrides = _route(
         {**(base or {}), **overrides}
     )
-    config = ExperimentConfig(cluster=ClusterSpec.from_dict(cluster_kwargs), **config_kwargs)
+    # ``from_dict`` drops a retired field at its retired value, as for a
+    # stored record, and names it in the error at any other.
+    config = ExperimentConfig.from_dict({**config_kwargs, "cluster": cluster_kwargs})
     return CampaignCell(config=config, method=_build_method(method_value, method_overrides, methods))
 
 
@@ -248,8 +253,9 @@ class _SpecMemo:
 
     A cell's config depends only on its config-side overrides (experiment
     and cluster axes, and any unknown name, which fails on a miss) and its
-    method only on its method-side ones (``method`` and the method-field
-    axes): ``base`` and ``methods`` are fixed for the call.  Each side is
+    method only on its method-side ones (:data:`METHOD_SIDE`, a retired
+    method field included, so each of its values is a miss that checks it):
+    ``base`` and ``methods`` are fixed for the call.  Each side is
     keyed by its override items in order, so a key merges exactly the
     values :func:`build_cell` would.  A miss builds through the same
     :func:`_route`, raising what ``build_cell`` raises.
@@ -265,7 +271,7 @@ class _SpecMemo:
         config_key = []
         method_key = []
         for name, value in overrides.items():
-            side = method_key if name == METHOD_AXIS or name in METHOD_FIELD_AXES else config_key
+            side = method_key if name in METHOD_SIDE else config_key
             side.append((name, _memo_key(value)))
         config_key, method_key = tuple(config_key), tuple(method_key)
         config_entry = self.configs.get(config_key)
@@ -275,9 +281,7 @@ class _SpecMemo:
                 {**self.base, **overrides}
             )
             if config_entry is None:
-                config = ExperimentConfig(
-                    cluster=ClusterSpec.from_dict(cluster_kwargs), **config_kwargs
-                )
+                config = ExperimentConfig.from_dict({**config_kwargs, "cluster": cluster_kwargs})
                 config_entry = self.configs[config_key] = (
                     config, canonical_json(config.to_dict())
                 )

@@ -28,7 +28,7 @@ packing order before compact mode is used.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -48,25 +48,10 @@ from repro.pactrain.mask_tracker import MaskTracker
 class PacTrainCompressor(CodecCompressor):
     """Adaptive mask-aware sparse compression, all-reduce compatible."""
 
-    def __init__(
-        self,
-        stability_threshold: int = 3,
-        min_sparsity: float = 0.05,
-        quantize: bool = False,
-        seed: int = 0,
-        mask_tracker: Optional[MaskTracker] = None,
-        warmup_iterations: int = 0,
-    ) -> None:
-        if warmup_iterations < 0:
-            raise ValueError("warmup_iterations must be >= 0")
-        self.tracker = mask_tracker or MaskTracker(
-            stability_threshold=stability_threshold, min_sparsity=min_sparsity
-        )
+    def __init__(self, stability_threshold: int = 3, quantize: bool = False, seed: int = 0) -> None:
+        self.tracker = MaskTracker(stability_threshold=stability_threshold)
         self.quantize = quantize
         self.seed = seed
-        #: Iterations that always use full synchronisation, regardless of mask
-        #: stability (lets the optimiser settle right after pruning).
-        self.warmup_iterations = warmup_iterations
 
         self._compact = MaskCompact()
         compact_stages = [self._compact]
@@ -108,7 +93,7 @@ class PacTrainCompressor(CodecCompressor):
         """Algorithm 1's switch: full sync while unstable, compact once stable."""
         state = self.tracker.update_from_rank_gradients(bucket.index, bucket.matrix)
 
-        if iteration < self.warmup_iterations or not state.stable:
+        if not state.stable:
             self.full_iterations += 1
             return self._full_pipeline
 

@@ -4,8 +4,9 @@ A :class:`ClusterSpec` bundles everything the experiment driver needs to know
 about "where" training runs: how many workers, the one device they all compute
 on and what network connects them.  The default reproduces the paper's testbed
 — eight homogeneous workers behind the Fig. 4 topology with a configurable WAN
-bottleneck, no compute/comm overlap and a flat (single-bottleneck) collective
-cost model, which keeps every pre-engine figure bit-identical.
+bottleneck of 100 us per-message latency, no compute/comm overlap and a flat
+(single-bottleneck) collective cost model, which keeps every pre-engine figure
+bit-identical.
 
 Optional knobs:
 
@@ -19,17 +20,15 @@ Optional knobs:
   default) is inert: runs are bit-identical to a faultless cluster.  Churn is
   the cluster's one way to make a worker slower than the others.
 
-:data:`RETIRED_FIELDS` are the fields the cluster no longer has, each at the
-value it was retired at: :meth:`ClusterSpec.to_dict` still writes them, so no
-stored key moves, and :meth:`ClusterSpec.from_dict` drops them at that value
-and rejects any other.
+``ClusterSpec.RETIRED`` holds the fields the cluster no longer has, under the
+rule :mod:`repro.simulation.spec` keeps for every spec.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.comm.network import CostModel, NetworkModel, PAPER_BANDWIDTHS
 from repro.comm.process_group import ProcessGroup
@@ -52,17 +51,26 @@ class ClusterSpec:
     device:
         Device preset name or :class:`DeviceSpec` that prices every worker's
         compute.
-    latency:
-        Per-message latency of the bottleneck link, in seconds.
     """
+
+    #: Fields the cluster no longer has, each at the value it was retired at.
+    #: Every link's 100 us per-message latency keeps the mini models in the
+    #: paper's bandwidth-bound regime.  Per-worker devices, stragglers and a
+    #: compute speed-up from unstructured pruning are not in the paper's
+    #: model; churn in ``faults`` is what slows a worker.
+    RETIRED: ClassVar[Dict[str, object]] = {
+        "latency": 1e-4, "sparse_compute_speedup": False, "devices": None, "straggler": 1.0,
+        "straggler_factors": None,
+    }
+    #: The key order of :meth:`to_dict`, retired fields in their old place.
+    STORED_KEYS: ClassVar[Tuple[str, ...]] = (
+        "world_size", "bandwidth", "device", "latency", "sparse_compute_speedup", "devices",
+        "straggler", "straggler_factors", "overlap", "hierarchical", "faults",
+    )
 
     world_size: int = 8
     bandwidth: Union[str, float] = "1Gbps"
     device: Union[str, DeviceSpec] = "sim-gpu"
-    #: Per-message latency of the bottleneck link.  The default (100 us) keeps
-    #: the mini models in the same bandwidth-bound regime as the paper's
-    #: full-size models.
-    latency: float = 1e-4
     #: Schedule per-bucket collectives as soon as their gradients are ready
     #: (event-driven overlap).  Off by default: the seed time model.
     overlap: bool = False
@@ -126,11 +134,12 @@ class ClusterSpec:
             members = self.world_size
         ranks = range(members) if isinstance(members, int) else members
         bandwidth = self.bandwidth_bytes_per_second() * bandwidth_factor
+        latency = self.RETIRED["latency"]
         if self.hierarchical:
             return build_paper_topology(
-                wan_bandwidth=bandwidth, wan_latency=self.latency, servers=ranks
+                wan_bandwidth=bandwidth, wan_latency=latency, servers=ranks
             ).cost_model()
-        return NetworkModel.from_bandwidth(len(ranks), bandwidth, latency=self.latency)
+        return NetworkModel.from_bandwidth(len(ranks), bandwidth, latency=latency)
 
     def fault_plan(self) -> FaultPlan:
         """The cluster's fault plan (the shared inert plan when unset)."""
@@ -158,27 +167,24 @@ class ClusterSpec:
 
         A ``DeviceSpec`` becomes a nested dict; a preset name stays a string,
         so the round trip preserves how the device was specified (the campaign
-        store hashes this representation).  :data:`RETIRED_FIELDS` are
-        written in their old place, so every stored key stays byte-identical.
+        store hashes this representation).  The retired fields are written in
+        their old place, so every stored key stays byte-identical.
         """
-        device = self.device
-        return {
-            "world_size": self.world_size,
-            "bandwidth": self.bandwidth,
-            "device": device if isinstance(device, str) else device.to_dict(),
-            "latency": self.latency,
-            **RETIRED_FIELDS,
-            "overlap": self.overlap,
-            "hierarchical": self.hierarchical,
-            "faults": None if self.faults is None else self.faults.to_dict(),
-        }
+        # Imported on call: repro.simulation.spec imports this module.
+        from repro.simulation.spec import stored_dict  # noqa: PLC0415
+
+        data = stored_dict(self)
+        if not isinstance(self.device, str):
+            data["device"] = self.device.to_dict()
+        if self.faults is not None:
+            data["faults"] = self.faults.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":
-        # Imported on call: repro.simulation.spec imports this module.
         from repro.simulation.spec import rebuild  # noqa: PLC0415
 
-        return rebuild(cls, data, _CLUSTER_FIELDS, retired=RETIRED_FIELDS, device=_load_device)
+        return rebuild(cls, data, _CLUSTER_FIELDS, retired=True, device=_load_device)
 
     # ------------------------------------------------------------------ #
     def describe(self) -> dict:
@@ -186,7 +192,7 @@ class ClusterSpec:
         return {
             "world_size": self.world_size,
             "bandwidth_mbps": bandwidth * 8 / 1e6,
-            "latency_ms": self.latency * 1e3,
+            "latency_ms": self.RETIRED["latency"] * 1e3,
             "device": self.device if isinstance(self.device, str) else self.device.name,
             "overlap": self.overlap,
             "hierarchical": self.hierarchical,
@@ -194,17 +200,6 @@ class ClusterSpec:
 
 
 _CLUSTER_FIELDS = tuple(f.name for f in dataclasses.fields(ClusterSpec))
-
-#: Fields the cluster no longer has, each at the value it was retired at, in
-#: :meth:`ClusterSpec.to_dict`'s order.  Per-worker devices, straggler
-#: multipliers and a compute speed-up from unstructured pruning are not part
-#: of the paper's model; churn in ``faults`` is what slows a worker.
-RETIRED_FIELDS = {
-    "sparse_compute_speedup": False,
-    "devices": None,
-    "straggler": 1.0,
-    "straggler_factors": None,
-}
 
 
 def _load_device(value) -> Union[str, DeviceSpec]:

@@ -51,6 +51,13 @@ from repro.tensorlib import (
 )
 
 
+#: The SGD every run trains with (the values the config's ``lr`` and
+#: ``momentum`` fields were retired at), with no weight decay.  Pre-training
+#: takes the same learning rate without momentum.
+SGD_LR = ExperimentConfig.RETIRED["lr"]
+SGD_MOMENTUM = ExperimentConfig.RETIRED["momentum"]
+
+
 # --------------------------------------------------------------------------- #
 # Helpers
 # --------------------------------------------------------------------------- #
@@ -70,7 +77,7 @@ def evaluate_accuracy(model: Module, loader: DataLoader) -> float:
     return correct / total if total else 0.0
 
 
-def _pretrain(model: Module, loader: DataLoader, iterations: int, lr: float) -> None:
+def _pretrain(model: Module, loader: DataLoader, iterations: int) -> None:
     """Brief single-worker warm-up so magnitude/GraSP scores are informative.
 
     Mirrors the paper's setup of starting from a (pre-)trained model before
@@ -85,7 +92,7 @@ def _pretrain(model: Module, loader: DataLoader, iterations: int, lr: float) -> 
             f"({len(loader.dataset)} samples, batch_size={loader.batch_size}, "
             f"drop_last={loader.drop_last})"
         )
-    optimizer = SGD(model.parameters(), lr=lr)
+    optimizer = SGD(model.parameters(), lr=SGD_LR)
     done = 0
     while done < iterations:
         for images, labels in loader:
@@ -152,13 +159,10 @@ class _Run:
         """Bytes of one full parameter transfer (fp32 wire format)."""
         return float(sum(p.size for p in self.model.parameters()) * 4)
 
-    def end_epoch(self, epoch: int, losses: List[float]) -> bool:
-        """Evaluate and record the epoch; True means stop at the target."""
+    def end_epoch(self, epoch: int, losses: List[float]) -> None:
+        """Evaluate and record the epoch (every epoch runs at least one iteration)."""
         accuracy = evaluate_accuracy(self.model, self.test_loader)
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        self.timeline.snapshot_epoch(epoch, mean_loss, accuracy)
-        target = self.config.target_accuracy
-        return self.config.stop_at_target and target is not None and accuracy >= target
+        self.timeline.snapshot_epoch(epoch, float(np.mean(losses)), accuracy)
 
     def result(self) -> ExperimentResult:
         """The :class:`ExperimentResult` this run reports.
@@ -337,12 +341,7 @@ def train_distributed(
             bucket_cap_bytes=config.bucket_cap_bytes,
             comm_hook=compressor,
         )
-        optimizer = SGD(
-            model.parameters(),
-            lr=config.lr,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
-        )
+        optimizer = SGD(model.parameters(), lr=SGD_LR, momentum=SGD_MOMENTUM)
         if TRACER.enabled:
             # One simulated-cluster track group per training run, so sweeps
             # never overlay two schedules on the same Perfetto tracks.
@@ -468,8 +467,7 @@ def _train_stepped(
                 synced.bucket_events, synced.comm_bytes_per_worker,
                 ranks=faults.active if faults.faulty else None, link=faults.link,
             )
-        if run.end_epoch(epoch, epoch_losses):
-            break
+        run.end_epoch(epoch, epoch_losses)
 
 
 # --------------------------------------------------------------------------- #
@@ -582,7 +580,7 @@ class _SyncStep:
         with TRACER.span("train/apply", cat="train", epoch=epoch, iteration=iteration):
             run.optimizer.step()
             if run.mask is not None:
-                # Guard against regrowth through momentum / weight decay.
+                # Guard against regrowth through momentum.
                 run.mask.apply_to_weights(run.model)
         return result
 
@@ -620,16 +618,9 @@ class _LocalSGDStep:
     kind = "average"
 
     def __init__(self, run: _Run) -> None:
-        config = run.config
         self.run = run
         self.schedule = run.method.schedule()
-        self.replicas = ReplicaSet(
-            run.model,
-            run.world_size,
-            lr=config.lr,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
-        )
+        self.replicas = ReplicaSet(run.model, run.world_size, lr=SGD_LR, momentum=SGD_MOMENTUM)
         self.anchor = run.ddp.snapshot_parameters()
         self.dense_average = build_compressor("all-reduce")
         self.use_gse = run.method.gse and run.mask is not None
@@ -741,7 +732,7 @@ class _ParameterServer:
 
     STATE = (
         "heap", "channel", "completed", "version_at_pull", "pending", "blocked",
-        "epoch_losses", "snapshots_done", "stop", "codecs",
+        "epoch_losses", "snapshots_done", "codecs",
     )
 
     def __init__(self, run: _Run) -> None:
@@ -761,7 +752,7 @@ class _ParameterServer:
         self.pending: List[Optional[Dict]] = [None] * world_size  # from pull to apply
         self.blocked: set = set()
         self.epoch_losses: List[List[float]] = [[] for _ in range(config.epochs)]
-        self.snapshots_done, self.stop = 0, False
+        self.snapshots_done = 0
         # Stage state (top-k and DGC buffers, stage RNGs) and error-feedback
         # residuals must not be shared across workers pushing at different
         # versions.  Worker 0 reuses the dispatcher's instance, and every
@@ -794,14 +785,9 @@ class _ParameterServer:
     def train(
         self, checkpoint_at: Optional[int], resume_from: Optional[TrainingCheckpoint]
     ) -> None:
-        """Run the event loop to the last apply (or the target)."""
+        """Run the event loop to the last apply."""
         run, iters_per_epoch = self.run, self.iters_per_epoch
         epochs, world_size = run.config.epochs, run.world_size
-        if iters_per_epoch == 0:
-            for epoch in range(epochs):
-                if run.end_epoch(epoch, []):
-                    break
-            return
         faults = _FaultState(run)  # inert: a fault plan is rejected under ps
         if resume_from is not None:
             _restore(run, self, faults, resume_from)
@@ -823,7 +809,7 @@ class _ParameterServer:
                 return True
             return completed[rank] - min(completed) <= staleness_bound
 
-        while heap and not self.stop:
+        while heap:
             if ddp.iteration == checkpoint_at and run.checkpoint is None:
                 # Its position reads as the open epoch, the slowest worker's
                 # place in it and the epoch's losses so far.
@@ -902,11 +888,9 @@ class _ParameterServer:
                     and min(completed) >= (self.snapshots_done + 1) * iters_per_epoch
                 ):
                     timeline.add_event("clock", now)
-                    # On a stop the in-flight work is discarded.
-                    closed = self.snapshots_done
-                    self.stop = run.end_epoch(closed, self.epoch_losses[closed]) or self.stop
+                    run.end_epoch(self.snapshots_done, self.epoch_losses[self.snapshots_done])
                     self.snapshots_done += 1
-                if not self.stop and completed[rank] < epochs * iters_per_epoch:
+                if completed[rank] < epochs * iters_per_epoch:
                     heap.push(SimEvent(time=now, kind="ps-request", rank=rank))
                 # This apply raised min-progress (or freed the channel): re-admit
                 # blocked workers in rank order for determinism.
@@ -979,16 +963,14 @@ def _pretrained_workload(
     image_size: int,
     noise_std: float,
     seed: int,
-    test_fraction: float,
     batch_size: int,
     model: str,
     pretrain_iterations: int,
-    lr: float,
     dtype: np.dtype,
 ) -> _PretrainedWorkload:
     """Materialise the dataset, split it, build the model and pre-train it.
 
-    A function of its eleven arguments and nothing else: the ten
+    A function of its nine arguments and nothing else: the eight
     :class:`ExperimentConfig` fields preparation reads plus the compute dtype
     the run resolved to, re-entered here so no ambient state leaks in.  That
     makes the argument tuple the complete identity of the result — it *is*
@@ -1006,10 +988,12 @@ def _pretrained_workload(
             noise_std=noise_std,
             seed=seed,
         )
-        train_set, test_set = train_test_split(full, test_fraction=test_fraction, seed=seed)
+        train_set, test_set = train_test_split(
+            full, test_fraction=ExperimentConfig.RETIRED["test_fraction"], seed=seed
+        )
         network = build_model(model, num_classes=full.num_classes, seed=seed)
         pretrain_loader = DataLoader(train_set, batch_size=batch_size, shuffle=True, seed=seed)
-        _pretrain(network, pretrain_loader, pretrain_iterations, lr)
+        _pretrain(network, pretrain_loader, pretrain_iterations)
         sample_batch = next(iter(pretrain_loader))
     return _PretrainedWorkload(train_set, test_set, sample_batch, network)
 
@@ -1079,11 +1063,9 @@ def _prepare_workload(
         config.image_size,
         config.noise_std,
         config.seed,
-        config.test_fraction,
         config.batch_size,
         config.model,
         config.pretrain_iterations,
-        config.lr,
         get_default_dtype(),
     )
     if share is None:

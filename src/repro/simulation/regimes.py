@@ -213,14 +213,7 @@ class ReplicaSet:
     across ranks, matching the synchronous simulator's single-model design.
     """
 
-    def __init__(
-        self,
-        model: Module,
-        world_size: int,
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, model: Module, world_size: int, lr: float, momentum: float) -> None:
         self.world_size = world_size
         named = list(model.named_parameters())
         self.names = [name for name, _ in named]
@@ -228,14 +221,10 @@ class ReplicaSet:
             np.stack([param.data] * world_size) for _, param in named
         ]
         #: Zeros until a rank steps: a fresh momentum buffer, as SGD allocates it.
-        self.velocities: List[Optional[np.ndarray]] = [
-            np.zeros_like(stack) if momentum else None for stack in self.params
-        ]
+        self.velocities: List[np.ndarray] = [np.zeros_like(stack) for stack in self.params]
         #: The loaded rows, one Parameter per model parameter: what ``step`` updates.
         self._loaded = [Parameter(stack) for stack in self.params]
-        self.optimizer = SGD(
-            self._loaded, lr=lr, momentum=momentum, weight_decay=weight_decay
-        )
+        self.optimizer = SGD(self._loaded, lr=lr, momentum=momentum)
 
     def _rows(self, ranks: Sequence[int]):
         """Index of ``ranks``' rows: a slice (a view, no gather) for the whole world."""
@@ -251,9 +240,7 @@ class ReplicaSet:
         rows = self._rows(active)
         for loaded, stack in zip(self._loaded, self.params):
             loaded.data = stack[rows]
-        self.optimizer.velocity = [
-            None if velocity is None else velocity[rows] for velocity in self.velocities
-        ]
+        self.optimizer.velocity = [velocity[rows] for velocity in self.velocities]
         return {name: loaded.data for name, loaded in zip(self.names, self._loaded)}
 
     def step(self, grads: Dict[str, np.ndarray], mask=None) -> None:
@@ -281,8 +268,7 @@ class ReplicaSet:
                 self.params[index] = loaded.data
                 continue
             self.params[index][rows] = loaded.data
-            if self.velocities[index] is not None:
-                self.velocities[index][rows] = self.optimizer.velocity[index]
+            self.velocities[index][rows] = self.optimizer.velocity[index]
 
     # ------------------------------------------------------------------ #
     def params_dict(self, ranks: Sequence[int]) -> Dict[str, np.ndarray]:
@@ -309,5 +295,4 @@ class ReplicaSet:
     def reset_velocity(self, rank: int) -> None:
         """Zero one rank's momentum state (a re-joining rank starts fresh)."""
         for velocity in self.velocities:
-            if velocity is not None:
-                velocity[rank] = 0.0
+            velocity[rank] = 0.0

@@ -4,13 +4,19 @@
 are plain dataclasses with exact ``to_dict``/``from_dict`` round trips, so the
 campaign layer, the result store and the golden harness build, hash and
 (de)serialise them without depending on :mod:`repro.simulation.experiment`.
+
+A spec field that goes is *retired*: its class (these two and
+:class:`~repro.simulation.cluster.ClusterSpec`) declares ``RETIRED``, the
+value it was retired at, and ``STORED_KEYS``, the key order of ``to_dict``.
+:func:`stored_dict` writes it in its old place, so no stored key moves, and
+:func:`drop_retired` drops it at that value and rejects any other by name.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.compression.base import CodecCompressor
 from repro.compression.registry import (
@@ -30,7 +36,38 @@ class RetiredFieldError(ValueError):
     than the one it was retired at: what it described cannot be rebuilt."""
 
 
-def rebuild(cls, data: Dict, names: Tuple[str, ...], retired: Optional[Dict] = None,
+def drop_retired(cls, data: Dict) -> Dict:
+    """``data`` (left untouched) without the fields ``cls.RETIRED`` names.
+
+    One at the value it was retired at is dropped, so old records, fixtures
+    and campaign axes still load; one at any other value raises
+    :class:`RetiredFieldError` naming it.
+    """
+    retired = cls.RETIRED
+    if retired.keys().isdisjoint(data):
+        return data
+    data = dict(data)
+    for name, value in retired.items():
+        if name in data:
+            stored = data.pop(name)
+            if stored != value:
+                raise RetiredFieldError(
+                    f"{cls.__name__} field {name!r} was removed: only {value!r} "
+                    f"loads, got {stored!r}"
+                )
+    return data
+
+
+def stored_dict(spec) -> Dict:
+    """``spec``'s fields as its class stores them: keyed in ``STORED_KEYS``
+    order, each retired field at the value it was retired at."""
+    retired = spec.RETIRED
+    return {
+        key: retired[key] if key in retired else getattr(spec, key) for key in spec.STORED_KEYS
+    }
+
+
+def rebuild(cls, data: Dict, names: Tuple[str, ...], retired: bool = False,
             **convert: Callable):
     """``cls`` rebuilt from ``data``, a dict of its init fields such as JSON parses.
 
@@ -38,10 +75,8 @@ def rebuild(cls, data: Dict, names: Tuple[str, ...], retired: Optional[Dict] = N
     which is the order of its ``__init__`` parameters.  Each ``convert[name]``
     turns that field's plain value into what the class holds (a nested spec, a
     tuple), applied when the field is present and after the names are checked.
-    ``retired`` maps each field the class no longer has to the value it was
-    retired at: a stored one at that value is dropped first, so old records
-    and fixtures still load, and one at any other value raises
-    :class:`RetiredFieldError` naming it.
+    With ``retired`` set, the fields ``cls.RETIRED`` names are dropped first
+    through :func:`drop_retired`.
 
     When ``data`` holds exactly ``names`` the values are passed by position.
     Keyword passing matches a keyword against the parameter names by identity
@@ -53,16 +88,8 @@ def rebuild(cls, data: Dict, names: Tuple[str, ...], retired: Optional[Dict] = N
     by keyword, so a missing defaulted field takes its default and a missing
     required one raises ``TypeError``.
     """
-    if retired and not retired.keys().isdisjoint(data):
-        data = dict(data)
-        for name, value in retired.items():
-            if name in data:
-                stored = data.pop(name)
-                if stored != value:
-                    raise RetiredFieldError(
-                        f"{cls.__name__} field {name!r} was removed: only {value!r} "
-                        f"loads, got {stored!r}"
-                    )
+    if retired:
+        data = drop_retired(cls, data)
     if len(data) == len(names):
         try:
             values = [data[name] for name in names]
@@ -101,8 +128,10 @@ class MethodSpec:
     fields only take effect for methods that prune (PacTrain); the baselines
     keep the dense model.  A PacTrain cell is described by this spec alone
     (``PAPER_METHODS["pactrain"]`` is the paper's configuration): the pruning
-    ratio and criterion, GSE, quantisation and the Mask Tracker's settings are
-    its fields, range-checked at construction.
+    ratio and criterion, GSE, quantisation and the Mask Tracker's stability
+    threshold are its fields, range-checked at construction.  The tracker's
+    dense-pattern guard keeps the paper's value, and every iteration may
+    take the compact path once its pattern is stable.
 
     ``sync_schedule`` selects the training regime (see
     :mod:`repro.simulation.regimes` for the grammar): ``None``/``"sync"`` is
@@ -112,6 +141,17 @@ class MethodSpec:
     stale-gradient async parameter server with staleness bound S.
     """
 
+    #: Fields the method no longer has, each at the value it was retired at:
+    #: the Mask Tracker's dense-pattern guard (its own default) and a warm-up
+    #: of forced full synchronisation that no figure runs.
+    RETIRED: ClassVar[Dict[str, object]] = {"min_sparsity": 0.05, "warmup_iterations": 0}
+    #: The key order of :meth:`to_dict`, retired fields in their old place.
+    STORED_KEYS: ClassVar[Tuple[str, ...]] = (
+        "name", "compressor", "pruning_ratio", "pruning_method", "gse", "quantize",
+        "stability_threshold", "min_sparsity", "warmup_iterations", "error_feedback",
+        "sync_schedule",
+    )
+
     name: str
     compressor: str = "allreduce"
     pruning_ratio: float = 0.0
@@ -119,8 +159,6 @@ class MethodSpec:
     gse: bool = False
     quantize: bool = False
     stability_threshold: int = 3
-    min_sparsity: float = 0.05
-    warmup_iterations: int = 0
     #: Driver-level error feedback: the compressor keeps a per-(bucket, rank)
     #: residual of the gradient mass its encoding dropped and adds it to the
     #: next iteration's input.  ``None`` defers to the compressor spec;
@@ -146,10 +184,6 @@ class MethodSpec:
             )
         if self.stability_threshold < 1:
             raise ValueError(f"stability_threshold must be >= 1, got {self.stability_threshold}")
-        if not 0.0 <= self.min_sparsity < 1.0:
-            raise ValueError(f"min_sparsity must be in [0, 1), got {self.min_sparsity}")
-        if self.warmup_iterations < 0:
-            raise ValueError(f"warmup_iterations must be >= 0, got {self.warmup_iterations}")
         if schedule.regime == "ps" and (self.pruning_ratio > 0.0 or self.gse):
             raise ValueError(
                 "async parameter-server mode does not support pruning/GSE methods: "
@@ -163,19 +197,17 @@ class MethodSpec:
     def build_compressor(self, seed: int = 0) -> CodecCompressor:
         """A fresh compressor for this method, built by the registry; PacTrain's
         factory alone takes ``quantize`` (which its name may not contradict) and
-        the Mask Tracker fields."""
-        tracker = {}
-        if self.compressor.lower() in PACTRAIN_QUANTIZE:
-            tracker = {
-                "quantize": self.quantize,
-                "stability_threshold": self.stability_threshold,
-                "min_sparsity": self.min_sparsity,
-                "warmup_iterations": self.warmup_iterations,
-            }
+        the Mask Tracker's stability threshold."""
         # Registry names and codec pipeline specs receive the same per-run
         # seed, so stochastic codecs (ternary rounding) actually vary across
         # multi-seed sweeps.
-        compressor = build_compressor(self.compressor, seed=seed, **tracker)
+        if self.compressor.lower() in PACTRAIN_QUANTIZE:
+            compressor = build_compressor(
+                self.compressor, seed=seed, quantize=self.quantize,
+                stability_threshold=self.stability_threshold,
+            )
+        else:
+            compressor = build_compressor(self.compressor, seed=seed)
         if self.error_feedback is None:
             return compressor
         if self.error_feedback:
@@ -189,15 +221,16 @@ class MethodSpec:
     def to_dict(self) -> Dict:
         """JSON-ready dict that :meth:`from_dict` restores exactly.
 
-        Every field is a scalar, so a fresh dict in field order is all
-        ``dataclasses.asdict`` would produce — without its recursive deep
-        copy, which dominated fingerprinting a stored campaign.
+        Every field is a scalar, so a fresh :func:`stored_dict` is all
+        ``dataclasses.asdict`` would produce (plus the retired fields) —
+        without its recursive deep copy, which dominated fingerprinting a
+        stored campaign.
         """
-        return {name: getattr(self, name) for name in _METHOD_FIELDS}
+        return stored_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "MethodSpec":
-        return rebuild(cls, data, _METHOD_FIELDS)
+        return rebuild(cls, data, _METHOD_FIELDS, retired=True)
 
 
 _METHOD_FIELDS = tuple(f.name for f in dataclasses.fields(MethodSpec))
@@ -224,17 +257,33 @@ PACTRAIN_FP32 = MethodSpec(
 
 @dataclass
 class ExperimentConfig:
-    """Workload + cluster + optimisation settings for one training run."""
+    """Workload + cluster settings for one training run.
+
+    Every run trains all its epochs with the same SGD
+    (:data:`repro.simulation.experiment.SGD_LR` and ``SGD_MOMENTUM``) and
+    holds out the same quarter of the synthetic set.
+    """
+
+    #: Fields the config no longer has, each at the value it was retired at:
+    #: the SGD and held-out split every figure shares, a class count the
+    #: dataset sets, and an early stop that would cut the accuracy trace short.
+    RETIRED: ClassVar[Dict[str, object]] = {
+        "num_classes": 10, "lr": 0.05, "momentum": 0.9, "weight_decay": 0.0,
+        "test_fraction": 0.25, "stop_at_target": False,
+    }
+    #: The key order of :meth:`to_dict`, retired fields in their old place.
+    STORED_KEYS: ClassVar[Tuple[str, ...]] = (
+        "model", "dataset", "num_classes", "cluster", "epochs", "batch_size", "lr",
+        "momentum", "weight_decay", "target_accuracy", "dataset_samples", "image_size",
+        "noise_std", "test_fraction", "pretrain_iterations", "max_iterations_per_epoch",
+        "seed", "stop_at_target", "bucket_cap_bytes", "dtype",
+    )
 
     model: str = "resnet18"
     dataset: str = "cifar10"
-    num_classes: int = 10
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     epochs: int = 10
     batch_size: int = 32
-    lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
     target_accuracy: Optional[float] = None
     dataset_samples: int = 512
     image_size: int = 8
@@ -242,11 +291,9 @@ class ExperimentConfig:
     #: harder, so convergence takes more epochs and the convergence-speed
     #: differences between compression schemes become visible.
     noise_std: float = 0.6
-    test_fraction: float = 0.25
     pretrain_iterations: int = 3
     max_iterations_per_epoch: Optional[int] = None
     seed: int = 0
-    stop_at_target: bool = False
     #: Gradient bucket capacity.  PyTorch's 25 MiB default keeps the mini
     #: models in a single bucket; set a smaller cap to get the multi-bucket
     #: layout that per-bucket compute/comm overlap needs.
@@ -271,28 +318,27 @@ class ExperimentConfig:
                 "model 'mlp' has a fixed 3*8*8 input layer and needs image_size=8, "
                 f"got image_size={self.image_size}"
             )
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.dataset_samples < 2:
+        least = {"epochs": 1, "batch_size": 1, "image_size": 1, "bucket_cap_bytes": 1,
+                 "pretrain_iterations": 0, "noise_std": 0}
+        for name, bound in least.items():
+            if getattr(self, name) < bound:
+                raise ValueError(f"{name} must be >= {bound}, got {getattr(self, name)}")
+        if self.max_iterations_per_epoch is not None and self.max_iterations_per_epoch < 1:
             raise ValueError(
-                "dataset_samples must be >= 2 (the train/test split needs at least "
-                f"one sample on each side), got {self.dataset_samples}"
+                f"max_iterations_per_epoch must be None or >= 1, got {self.max_iterations_per_epoch}"
             )
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         # The split train_test_split will make, with its own arithmetic: an
-        # empty training shard trains nothing (and pre-training never ends),
-        # an empty test split evaluates nothing.
-        train_samples = int(self.dataset_samples * (1.0 - self.test_fraction))
-        test_samples = self.dataset_samples - train_samples
-        if train_samples < self.cluster.world_size or test_samples < 1:
+        # empty training shard trains nothing (and pre-training never ends).
+        # A quarter held out never leaves the test split empty.
+        test_fraction = self.RETIRED["test_fraction"]
+        train_samples = int(self.dataset_samples * (1.0 - test_fraction))
+        if train_samples < self.cluster.world_size:
             raise ValueError(
-                f"dataset_samples={self.dataset_samples} with test_fraction={self.test_fraction} "
-                f"splits into {train_samples} training / {test_samples} test samples: every one "
-                f"of the world_size={self.cluster.world_size} ranks needs at least one training "
-                "sample (shards drop the remainder) and the test split at least one"
+                f"dataset_samples={self.dataset_samples} with test_fraction={test_fraction} "
+                f"splits into {train_samples} training / "
+                f"{self.dataset_samples - train_samples} test samples: every one of the "
+                f"world_size={self.cluster.world_size} ranks needs at least one training "
+                "sample (shards drop the remainder)"
             )
         if self.target_accuracy is not None and not isinstance(self.target_accuracy, (int, float)):
             raise TypeError(
@@ -306,17 +352,17 @@ class ExperimentConfig:
 
         The nested :class:`ClusterSpec` serialises through its own
         ``to_dict``; everything else is plain scalars, copied into a fresh
-        dict in field order.  This representation is what the campaign result
+        :func:`stored_dict`.  This representation is what the campaign result
         store hashes, so it must stay stable and canonical (no
         derived/duplicated fields).
         """
-        data = {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        data = stored_dict(self)
         data["cluster"] = self.cluster.to_dict()
         return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
-        return rebuild(cls, data, _CONFIG_FIELDS, cluster=_cluster)
+        return rebuild(cls, data, _CONFIG_FIELDS, retired=True, cluster=_cluster)
 
 
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -350,8 +396,8 @@ class ExperimentResult:
     compression_ratio: float
     weight_sparsity: float
     gradient_density: float
-    #: Whether the run hit ``target_accuracy`` at any epoch (even if training
-    #: continued afterwards because ``stop_at_target`` was off).
+    #: Whether the run hit ``target_accuracy`` at any epoch (training always
+    #: continues to the last one).
     reached_target: bool = False
     #: Fraction of communication hidden behind backward compute by the
     #: event-driven per-bucket schedule (0.0 with overlap disabled).

@@ -451,7 +451,7 @@ class TestSyncUnderACrashPlan:
             cluster=ClusterSpec(world_size=3, bandwidth="100Mbps"),
             epochs=2, batch_size=2, dataset_samples=40, image_size=8,
             pretrain_iterations=1, max_iterations_per_epoch=4,
-            weight_decay=5e-4, bucket_cap_bytes=16 * 1024, seed=0,
+            bucket_cap_bytes=16 * 1024, seed=0,
         )
         # Rank 1 is dead from t=0 and re-joins halfway through the healthy run.
         rejoin = train_distributed(config, method).timeline.total_time / 2

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import repro
 import repro.campaign.store as store_module
@@ -65,7 +65,6 @@ def tiny_config(**overrides) -> ExperimentConfig:
 # Serialization round trips
 # --------------------------------------------------------------------------- #
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
-probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
 
 class TestSerializationRoundTrips:
@@ -92,16 +91,14 @@ class TestSerializationRoundTrips:
             st.sampled_from(["100Mbps", "500Mbps", "1Gbps"]),
             st.floats(min_value=1e3, max_value=1e12),
         ),
-        latency=st.floats(min_value=0.0, max_value=1.0),
         overlap=st.booleans(),
         hierarchical=st.booleans(),
         device_spec=st.booleans(),
     )
-    def test_cluster_spec_roundtrip(self, world_size, bandwidth, latency,
-                                    overlap, hierarchical, device_spec):
+    def test_cluster_spec_roundtrip(self, world_size, bandwidth, overlap, hierarchical, device_spec):
         device = DeviceSpec("custom", 1.5e9) if device_spec else "sim-gpu"
         spec = ClusterSpec(
-            world_size=world_size, bandwidth=bandwidth, device=device, latency=latency,
+            world_size=world_size, bandwidth=bandwidth, device=device,
             overlap=overlap, hierarchical=hierarchical,
         )
         restored = ClusterSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
@@ -110,19 +107,15 @@ class TestSerializationRoundTrips:
     @given(
         model=st.sampled_from(["mlp", "resnet18", "vit-base-16"]),
         epochs=st.integers(min_value=1, max_value=20),
-        lr=st.floats(min_value=1e-5, max_value=1.0),
         target_accuracy=st.one_of(st.none(), st.floats(min_value=0.1, max_value=1.0)),
-        test_fraction=probabilities,
-        dataset_samples=st.integers(min_value=2, max_value=4096),
+        # Only splits ExperimentConfig accepts for its default world of 8.
+        dataset_samples=st.integers(min_value=11, max_value=4096),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_experiment_config_roundtrip(self, model, epochs, lr, target_accuracy,
-                                         test_fraction, dataset_samples, seed):
-        # Only splits ExperimentConfig accepts for its default world of 8.
-        assume(8 <= int(dataset_samples * (1.0 - test_fraction)) < dataset_samples)
+    def test_experiment_config_roundtrip(self, model, epochs, target_accuracy, dataset_samples, seed):
         config = ExperimentConfig(
-            model=model, epochs=epochs, lr=lr, target_accuracy=target_accuracy,
-            test_fraction=test_fraction, dataset_samples=dataset_samples, seed=seed,
+            model=model, epochs=epochs, target_accuracy=target_accuracy,
+            dataset_samples=dataset_samples, seed=seed,
         )
         restored = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert restored == config
@@ -180,13 +173,33 @@ class TestSerializationRoundTrips:
 
     def test_config_range_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(test_fraction=0.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(test_fraction=1.0)
-        with pytest.raises(ValueError):
             ExperimentConfig(dataset_samples=1)
         with pytest.raises(TypeError):
             ExperimentConfig(target_accuracy="per-model")
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("max_iterations_per_epoch", 0, "max_iterations_per_epoch must be None or >= 1, got 0"),
+            ("max_iterations_per_epoch", -1, "max_iterations_per_epoch must be None or >= 1, got -1"),
+            ("pretrain_iterations", -1, "pretrain_iterations must be >= 0, got -1"),
+            ("noise_std", -1.0, "noise_std must be >= 0, got -1.0"),
+            ("bucket_cap_bytes", 0, "bucket_cap_bytes must be >= 1, got 0"),
+            ("bucket_cap_bytes", -5, "bucket_cap_bytes must be >= 1, got -5"),
+            ("image_size", 0, "image_size must be >= 1, got 0"),
+        ],
+    )
+    def test_a_config_that_cannot_run_fails_at_construction(self, name, value, message):
+        """Each of these used to construct: a run trained nothing, ran
+        silently or failed partway through a sweep."""
+        with pytest.raises(ValueError) as caught:
+            tiny_config(model="resnet18", **{name: value})
+        assert str(caught.value) == message
+        spec = CampaignSpec(base={"model": "resnet18", "world_size": 2}, axes={name: [value]})
+        with pytest.raises(ValueError, match=message):
+            spec.expand()
+        # The boundary value itself constructs.
+        tiny_config(model="resnet18", **{name: {"noise_std": 0.0, "pretrain_iterations": 0}.get(name, 1)})
 
 
 # --------------------------------------------------------------------------- #

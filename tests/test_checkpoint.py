@@ -283,7 +283,7 @@ def test_train_distributed_rejects_a_cell_before_preparing_it(config, method, me
 @pytest.mark.parametrize(
     "captured, config, method, field",
     [
-        (golden.GOLDEN_CONFIG, dataclasses.replace(golden.GOLDEN_CONFIG, lr=0.1), METHOD, "config.lr"),
+        (golden.GOLDEN_CONFIG, dataclasses.replace(golden.GOLDEN_CONFIG, noise_std=0.5), METHOD, "config.noise_std"),
         (golden.GOLDEN_CONFIG, _faulted(golden.GOLDEN_CONFIG), METHOD, "config.cluster.faults"),
         # The reverse: a nested dict captured, ``None`` given.
         (_faulted(golden.GOLDEN_CONFIG), golden.GOLDEN_CONFIG, METHOD, "config.cluster.faults"),

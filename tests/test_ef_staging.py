@@ -112,7 +112,7 @@ def small_config(dtype="float64", faults=None, **overrides) -> ExperimentConfig:
         cluster=ClusterSpec(world_size=4, bandwidth="100Mbps", faults=faults),
         epochs=2, batch_size=2, dataset_samples=40, image_size=8,
         pretrain_iterations=1, max_iterations_per_epoch=4,
-        weight_decay=5e-4, bucket_cap_bytes=16 * 1024, seed=0, dtype=dtype,
+        bucket_cap_bytes=16 * 1024, seed=0, dtype=dtype,
     )
     base.update(overrides)
     return ExperimentConfig(**base)

@@ -138,11 +138,11 @@ class TestClusterSpecFaults:
         hier = ClusterSpec(world_size=4, bandwidth="1Gbps", hierarchical=True)
         expected = {
             "flat": NetworkModel.from_bandwidth(
-                4, flat.bandwidth_bytes_per_second(), latency=flat.latency
+                4, flat.bandwidth_bytes_per_second(), latency=ClusterSpec.RETIRED["latency"]
             ),
             "hier": build_paper_topology(
                 wan_bandwidth=hier.bandwidth_bytes_per_second(),
-                wan_latency=hier.latency,
+                wan_latency=ClusterSpec.RETIRED["latency"],
                 num_servers=4,
             ).cost_model(),
         }

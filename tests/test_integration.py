@@ -164,18 +164,6 @@ class TestCrossModelIntegration:
         plain = run_experiment(config, PACTRAIN_FP32)
         assert quantized.comm_bytes_per_worker < plain.comm_bytes_per_worker
 
-    def test_warmup_forces_initial_full_sync(self):
-        config = quick_config("100Mbps", epochs=2)
-        spec = MethodSpec(
-            name="pactrain-warmup",
-            compressor="pactrain",
-            pruning_ratio=0.5,
-            gse=True,
-            warmup_iterations=100,  # longer than the whole run
-        )
-        result = run_experiment(config, spec)
-        assert result.extra["compact_iterations"] == 0.0
-
     def test_cifar100_workload(self):
         config = quick_config("100Mbps", epochs=2)
         config.dataset = "cifar100"

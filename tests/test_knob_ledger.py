@@ -22,20 +22,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: ``Spec.field`` -> why it stays although nothing runs it with a non-default value.
 LEDGER = {
-    "ExperimentConfig.num_classes": "the synthetic CIFAR-10 stand-in has the paper's 10 classes",
-    "ExperimentConfig.lr": "reproduction constant of the SGD setup every figure shares",
-    "ExperimentConfig.momentum": "reproduction constant of the SGD setup every figure shares",
-    "ExperimentConfig.weight_decay": "reproduction constant of the SGD setup every figure shares",
-    "ExperimentConfig.test_fraction": "reproduction constant: the held-out share of the synthetic set",
-    "ExperimentConfig.stop_at_target": "ends a run at its TTA; only the regime tests exercise it",
     "ExperimentConfig.bucket_cap_bytes": "PyTorch DDP's 25 MiB default; the overlap study shrinks it",
     "ExperimentConfig.dtype": "the float32 fast path, run by its own tests until precision earns a row",
     "MethodSpec.pruning_method": "GraSP, the paper's alternative pruner, run only by its own tests",
-    "MethodSpec.min_sparsity": "Mask Tracker constant of Algorithm 1, kept at the paper's value",
-    "MethodSpec.warmup_iterations": "Mask Tracker constant of Algorithm 1, kept at the paper's value",
     "MethodSpec.error_feedback": "a second switch for error feedback beside the ef+ token",
     "ClusterSpec.device": "compute knob priced in one function; re-priceable from a log",
-    "ClusterSpec.latency": "reproduction constant: the bottleneck link's per-message latency",
     "ClusterSpec.overlap": "the engine's bucket schedule; re-pricing a log is how it can earn a row",
     "ClusterSpec.hierarchical": "the Fig. 4 topology model; re-pricing a log is how it can earn a row",
 }
@@ -98,4 +89,4 @@ def test_the_rule_sees_a_name_and_a_golden_value():
     run = run_fields('{"faults": ""}')  # text naming only ``faults``
     assert "ClusterSpec.faults" in run  # named; no golden cell has a fault plan
     assert "MethodSpec.stability_threshold" in run  # not named; the compact golden cells vary it
-    assert "ExperimentConfig.lr" not in run_fields(_named_text())
+    assert "ExperimentConfig.dtype" not in run_fields(_named_text())

@@ -27,7 +27,7 @@ from repro.nn import SGD
 from repro.pruning import apply_gse
 from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, MethodSpec
 from repro.simulation import experiment
-from repro.simulation.experiment import _LocalSGDStep, train_distributed
+from repro.simulation.experiment import SGD_LR, SGD_MOMENTUM, _LocalSGDStep, train_distributed
 from repro.tensorlib import functional as F
 
 PERIOD = 4
@@ -36,11 +36,11 @@ PERIOD = 4
 class LoopedReplicaSet:
     """The oracle's replicas: one parameter-array list and one SGD per rank."""
 
-    def __init__(self, model, world_size, lr, momentum=0.0, weight_decay=0.0) -> None:
+    def __init__(self, model, world_size) -> None:
         self._named = list(model.named_parameters())
         self.replicas = [[param.data.copy() for _, param in self._named] for _ in range(world_size)]
         self.optimizers = [
-            SGD([param for _, param in self._named], lr=lr, momentum=momentum, weight_decay=weight_decay)
+            SGD([param for _, param in self._named], lr=SGD_LR, momentum=SGD_MOMENTUM)
             for _ in range(world_size)
         ]
 
@@ -73,10 +73,7 @@ class LoopedLocalSGDStep(_LocalSGDStep):
 
     def __init__(self, run) -> None:
         super().__init__(run)
-        config = run.config
-        self.replicas = LoopedReplicaSet(
-            run.model, run.world_size, config.lr, config.momentum, config.weight_decay
-        )
+        self.replicas = LoopedReplicaSet(run.model, run.world_size)
 
     def _sync_round(self, active):
         run, replicas, anchor, ddp = self.run, self.replicas, self.anchor, self.run.ddp
@@ -125,8 +122,8 @@ class LoopedLocalSGDStep(_LocalSGDStep):
 
 def _config(model: str, faults=None) -> ExperimentConfig:
     # Three ranks, two epochs of five iterations: two averaging windows per
-    # epoch (a full one and a flushed partial one), momentum and weight decay
-    # on, and a small bucket cap so staging spans several buckets.
+    # epoch (a full one and a flushed partial one), the run's momentum SGD,
+    # and a small bucket cap so staging spans several buckets.
     return ExperimentConfig(
         model=model,
         cluster=ClusterSpec(world_size=3, bandwidth="100Mbps", faults=faults),
@@ -136,8 +133,6 @@ def _config(model: str, faults=None) -> ExperimentConfig:
         image_size=8,
         pretrain_iterations=1,
         max_iterations_per_epoch=5,
-        momentum=0.9,
-        weight_decay=5e-4,
         bucket_cap_bytes=16 * 1024,
         seed=0,
     )

@@ -213,7 +213,7 @@ class TestPacTrainCompressor:
         assert not compressor.tracker._previous
 
     def test_dense_gradients_never_use_compact_path(self, rng):
-        compressor = PacTrainCompressor(stability_threshold=1, min_sparsity=0.05)
+        compressor = PacTrainCompressor(stability_threshold=1)  # the tracker's 0.05 guard
         group = ProcessGroup(2)
         for _ in range(4):
             buffers = [rng.standard_normal(100) for _ in range(2)]  # fully dense
@@ -245,9 +245,6 @@ class TestPacTrainSpec:
             ("pruning_ratio", 1.0),
             ("pruning_ratio", 1.5),
             ("stability_threshold", 0),
-            ("min_sparsity", -0.1),
-            ("min_sparsity", 1.0),
-            ("warmup_iterations", -1),
         ],
     )
     def test_a_bad_field_fails_at_construction_and_at_expansion(self, field, value):

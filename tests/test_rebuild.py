@@ -5,9 +5,10 @@ the six serialised dataclasses: a dict holding exactly the class's init fields
 is passed by position, anything else is checked by name and passed by keyword.
 These tests pin that both paths build the same objects as the keyword call
 they replace, with the same errors, and that the field order the helper is
-given is the constructor's parameter order.  A retired field is dropped at the
-value it was retired at and named in a :class:`RetiredFieldError` at any
-other, so stored records, fixtures and keys written before it went still load.
+given is the constructor's parameter order.  A retired field of any of the
+three specs is dropped at the value it was retired at and named in a
+:class:`RetiredFieldError` at any other, so stored records, fixtures, keys and
+campaign axes written before it went still load.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.campaign.store import StoredRecord
 from repro.simulation import ClusterSpec, ExperimentConfig, ExperimentResult, MethodSpec, run_experiment
 from repro.simulation import spec as spec_module
 from repro.simulation.compute import DeviceSpec
-from repro.simulation.cluster import RETIRED_FIELDS
 from repro.simulation.faults import FaultEvent, FaultPlan
 from repro.simulation.spec import RetiredFieldError
 from tests.test_campaign import fake_result, tiny_config
@@ -99,7 +99,7 @@ class TestPositionalPath:
         data = json_born(config.to_dict())
         assert ExperimentConfig.from_dict(data) == config
         # The keyword path: a defaulted field left out of every level.
-        del data["seed"], data["cluster"]["latency"], data["cluster"]["faults"]["churn_seed"]
+        del data["seed"], data["cluster"]["overlap"], data["cluster"]["faults"]["churn_seed"]
         restored = ExperimentConfig.from_dict(data)
         assert restored == config
         assert isinstance(restored.cluster.device, DeviceSpec)
@@ -230,56 +230,114 @@ def test_the_helper_is_given_every_init_parameter_in_order(monkeypatch):
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 GOLDEN_FILES = sorted(glob.glob(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "*.json")))
 
-#: A value each retired field held in a cluster that is not its retired value.
-RETIRED_OTHERWISE = {
-    "sparse_compute_speedup": True,
-    "devices": ["sim-gpu", {"name": "edge", "flops_per_second": 5e8}],
-    "straggler": 2.0,
-    "straggler_factors": [1.0, 2.5],
+#: Each spec's ``to_dict`` key order from before its fields retired, and its
+#: field count after.
+STORED_KEYS = {
+    ExperimentConfig: [
+        "model", "dataset", "num_classes", "cluster", "epochs", "batch_size", "lr", "momentum",
+        "weight_decay", "target_accuracy", "dataset_samples", "image_size", "noise_std",
+        "test_fraction", "pretrain_iterations", "max_iterations_per_epoch", "seed",
+        "stop_at_target", "bucket_cap_bytes", "dtype",
+    ],
+    MethodSpec: [
+        "name", "compressor", "pruning_ratio", "pruning_method", "gse", "quantize",
+        "stability_threshold", "min_sparsity", "warmup_iterations", "error_feedback",
+        "sync_schedule",
+    ],
+    ClusterSpec: [
+        "world_size", "bandwidth", "device", "latency", "sparse_compute_speedup", "devices",
+        "straggler", "straggler_factors", "overlap", "hierarchical", "faults",
+    ],
 }
+FIELD_COUNTS = {ExperimentConfig: 14, MethodSpec: 9, ClusterSpec: 6}
+
+#: A value each retired field held in a spec that is not its retired value.
+RETIRED_OTHERWISE = {
+    ExperimentConfig: {
+        "num_classes": 3, "lr": 0.1, "momentum": 0.0, "weight_decay": 5e-4,
+        "test_fraction": 0.5, "stop_at_target": True,
+    },
+    MethodSpec: {"min_sparsity": 0.3, "warmup_iterations": 4},
+    ClusterSpec: {
+        "latency": 1e-3,
+        "sparse_compute_speedup": True,
+        "devices": ["sim-gpu", {"name": "edge", "flops_per_second": 5e8}],
+        "straggler": 2.0,
+        "straggler_factors": [1.0, 2.5],
+    },
+}
+SPECS = list(RETIRED_OTHERWISE)
+RETIRED_CASES = [(cls, name) for cls in SPECS for name in sorted(RETIRED_OTHERWISE[cls])]
+
+
+def _default(cls):
+    return {ExperimentConfig: tiny_config, MethodSpec: lambda: MethodSpec(name="m"), ClusterSpec: ClusterSpec}[cls]()
+
+
+def _stored_cell(cls, name, value) -> dict:
+    """A stored cell's ``{"config": ..., "method": ...}`` with ``name`` set to ``value`` in ``cls``'s dict."""
+    cell = json_born({"config": tiny_config().to_dict(), "method": MethodSpec(name="m").to_dict()})
+    spec = {ExperimentConfig: cell["config"], ClusterSpec: cell["config"]["cluster"], MethodSpec: cell["method"]}
+    spec[cls][name] = value
+    return cell
+
+
+def _load(cell: dict) -> tuple:
+    return ExperimentConfig.from_dict(cell["config"]), MethodSpec.from_dict(cell["method"])
 
 
 class TestRetiredFields:
-    def test_to_dict_still_writes_them_in_their_old_place(self):
-        assert list(ClusterSpec().to_dict()) == [
-            "world_size", "bandwidth", "device", "latency", "sparse_compute_speedup", "devices",
-            "straggler", "straggler_factors", "overlap", "hierarchical", "faults",
-        ]
-        assert len(dataclasses.fields(ClusterSpec)) == 7
-        assert not set(RETIRED_FIELDS) & {field.name for field in dataclasses.fields(ClusterSpec)}
-        assert sorted(RETIRED_OTHERWISE) == sorted(RETIRED_FIELDS)
+    @pytest.mark.parametrize("cls", SPECS, ids=lambda cls: cls.__name__)
+    def test_to_dict_still_writes_them_in_their_old_place(self, cls):
+        data = _default(cls).to_dict()
+        assert list(data) == STORED_KEYS[cls] == list(cls.STORED_KEYS)
+        names = [field.name for field in dataclasses.fields(cls)]
+        assert len(names) == FIELD_COUNTS[cls]
+        assert [key for key in cls.STORED_KEYS if key not in cls.RETIRED] == names
+        assert sorted(RETIRED_OTHERWISE[cls]) == sorted(cls.RETIRED)
+        assert {name: data[name] for name in cls.RETIRED} == cls.RETIRED
+
+    def test_the_three_specs_have_29_fields(self):
+        assert sum(len(dataclasses.fields(cls)) for cls in SPECS) == 29
 
     def test_every_record_of_the_pinned_store_rebuilds_to_its_key(self):
         with open(os.path.join(FIXTURES, "smoke-store.jsonl"), encoding="utf-8") as handle:
             lines = [json.loads(line) for line in handle]
         assert lines
         for data in lines:
-            assert set(RETIRED_FIELDS) <= set(data["config"]["cluster"])
-            config = ExperimentConfig.from_dict(data["config"])
-            assert config.to_dict() == data["config"]
-            assert cell_fingerprint(config, MethodSpec.from_dict(data["method"])) == data["key"]
+            assert set(ExperimentConfig.RETIRED) <= set(data["config"])
+            assert set(ClusterSpec.RETIRED) <= set(data["config"]["cluster"])
+            assert set(MethodSpec.RETIRED) <= set(data["method"])
+            config, method = _load(data)
+            assert config.to_dict() == data["config"] and method.to_dict() == data["method"]
+            assert cell_fingerprint(config, method) == data["key"]
 
     @pytest.mark.parametrize("path", GOLDEN_FILES, ids=os.path.basename)
     def test_every_golden_config_rebuilds_to_its_cell(self, path):
         with open(path, encoding="utf-8") as handle:
             fixture = json.load(handle)
-        assert set(RETIRED_FIELDS) <= set(fixture["config"]["cluster"])
-        config = ExperimentConfig.from_dict(fixture["config"])
-        assert config == golden.golden_config_for(fixture["method"])
+        assert set(ExperimentConfig.RETIRED) <= set(fixture["config"])
+        assert set(ClusterSpec.RETIRED) <= set(fixture["config"]["cluster"])
+        assert set(MethodSpec.RETIRED) <= set(fixture["method_spec"])
+        assert ExperimentConfig.from_dict(fixture["config"]) == golden.golden_config_for(fixture["method"])
+        assert MethodSpec.from_dict(fixture["method_spec"]) == golden.GOLDEN_METHODS[fixture["method"]]
 
-    def test_at_the_retired_value_on_the_keyword_path_too(self):
-        data = json_born(ClusterSpec(world_size=2).to_dict())
-        del data["latency"]
-        assert ClusterSpec.from_dict(data) == ClusterSpec(world_size=2)
+    @pytest.mark.parametrize("cls", SPECS, ids=lambda cls: cls.__name__)
+    def test_at_the_retired_value_on_the_keyword_path_too(self, cls):
+        data = json_born(_default(cls).to_dict())
+        # One retired field left out: the rest no longer match the field count.
+        del data[sorted(cls.RETIRED)[0]]
+        assert cls.from_dict(data) == _default(cls)
 
-    @pytest.mark.parametrize("name", sorted(RETIRED_OTHERWISE))
-    def test_a_stored_record_at_another_value_names_the_field(self, name):
-        data = json_born(tiny_config().to_dict())
-        data["cluster"][name] = RETIRED_OTHERWISE[name]
-        snapshot = json.dumps(data)
-        with pytest.raises(RetiredFieldError, match=f"ClusterSpec field '{name}' was removed"):
-            ExperimentConfig.from_dict(data)
-        assert json.dumps(data) == snapshot
+    @pytest.mark.parametrize("cls, name", RETIRED_CASES, ids=lambda case: getattr(case, "__name__", case))
+    def test_a_stored_record_at_another_value_names_the_field(self, cls, name):
+        cell = _stored_cell(cls, name, RETIRED_OTHERWISE[cls][name])
+        snapshot = json.dumps(cell)
+        with pytest.raises(RetiredFieldError, match=f"{cls.__name__} field '{name}' was removed"):
+            _load(cell)
+        assert json.dumps(cell) == snapshot
+        # At the retired value the same record loads.
+        assert _load(_stored_cell(cls, name, cls.RETIRED[name])) == (tiny_config(), MethodSpec(name="m"))
 
     def test_the_error_is_a_value_error_naming_both_values(self):
         data = {**ClusterSpec().to_dict(), "straggler": 2.0}
@@ -288,12 +346,29 @@ class TestRetiredFields:
         assert type(caught.value) is RetiredFieldError
         assert str(caught.value) == "ClusterSpec field 'straggler' was removed: only 1.0 loads, got 2.0"
 
-    def test_a_campaign_axis_of_a_retired_field(self):
+    @pytest.mark.parametrize("cls, name", RETIRED_CASES, ids=lambda case: getattr(case, "__name__", case))
+    def test_a_campaign_axis_of_a_retired_field(self, cls, name):
         base = {"model": "mlp", "world_size": 2}
-        spec = CampaignSpec(base=base, axes={"devices": [None, ["sim-gpu", "a40"]]})
-        with pytest.raises(RetiredFieldError, match="'devices'"):
+        retired, other = cls.RETIRED[name], RETIRED_OTHERWISE[cls][name]
+        spec = CampaignSpec(base=base, axes={"method": ["fp16"], name: [retired, other]})
+        with pytest.raises(RetiredFieldError, match=f"{cls.__name__} field '{name}'"):
             spec.expand()
         # At the retired value the axis names the cell the spec without it does.
-        (cell,) = CampaignSpec(base=base, axes={"straggler": [1.0]}).expand()
-        (plain,) = CampaignSpec(base=base).expand()
+        (cell,) = CampaignSpec(base=base, axes={"method": ["fp16"], name: [retired]}).expand()
+        (plain,) = CampaignSpec(base=base, axes={"method": ["fp16"]}).expand()
         assert cell.fingerprint() == plain.fingerprint()
+
+    def test_a_campaign_that_sweeps_the_class_count_fails_at_expansion(self):
+        spec = CampaignSpec.from_dict({
+            "base": {"model": "mlp", "world_size": 2}, "axes": {"num_classes": [10, 3]},
+        })
+        with pytest.raises(RetiredFieldError, match="ExperimentConfig field 'num_classes'"):
+            spec.expand()
+
+    def test_the_values_the_fields_retired_at_are_the_ones_every_run_uses(self):
+        from repro.pactrain import MaskTracker
+        from repro.simulation import experiment
+
+        assert (experiment.SGD_LR, experiment.SGD_MOMENTUM) == (0.05, 0.9)
+        assert MaskTracker().min_sparsity == MethodSpec.RETIRED["min_sparsity"]
+        assert ClusterSpec().cost_model_for().bottleneck.latency == ClusterSpec.RETIRED["latency"]

@@ -386,34 +386,34 @@ def test_a_factory_that_builds_no_codec_compressor_fails_before_any_work(regime,
 # The epoch end every regime shares
 # --------------------------------------------------------------------------- #
 _EPOCH_END_CASES = {
-    "stop-at-target": dict(target_accuracy=0.0, stop_at_target=True),
-    "target-without-stop": dict(target_accuracy=0.0),
-    "unreachable-target": dict(target_accuracy=2.0, stop_at_target=True),
-    "zero-iteration-epochs": dict(max_iterations_per_epoch=0),
+    "reached-target": dict(target_accuracy=0.0),
+    "unreachable-target": dict(target_accuracy=2.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_EPOCH_END_CASES))
 @pytest.mark.parametrize("regime", ["sync", "localsgd:4", "localsgd:4:delta", "ps:2"])
 def test_epoch_end_contract(regime, case):
+    """Every run trains all its epochs, each of at least one iteration."""
     config = dataclasses.replace(golden.GOLDEN_CONFIG, **_EPOCH_END_CASES[case])
     method = MethodSpec(name="m", compressor="topk-0.01", sync_schedule=regime)
     result = run_experiment(config, method)
-    if case == "stop-at-target":
-        assert result.epochs_run == 1 and result.reached_target
+    assert result.epochs_run == config.epochs == len(result.accuracy_trace)
+    assert len(result.loss_trace) == config.epochs
+    assert not any(np.isnan(loss) for loss in result.loss_trace)
+    if case == "reached-target":
+        assert result.reached_target
         assert result.tta == result.accuracy_trace[0][0]
-    elif case == "target-without-stop":
-        assert result.epochs_run == config.epochs and result.reached_target
-        assert result.tta == result.accuracy_trace[0][0]
-    elif case == "unreachable-target":
-        assert result.epochs_run == config.epochs and not result.reached_target
+    else:
+        assert not result.reached_target
         assert result.tta is None
         assert result.tta_or_total() == result.simulated_time
-    else:
-        assert result.epochs_run == config.epochs
-        assert result.iterations_run == 0 and result.simulated_time == 0.0
-        assert len(result.loss_trace) == config.epochs
-        assert all(np.isnan(loss) for loss in result.loss_trace)
+
+
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_an_epoch_without_iterations_is_rejected_at_construction(iterations):
+    with pytest.raises(ValueError, match=f"max_iterations_per_epoch must be None or >= 1, got {iterations}"):
+        dataclasses.replace(golden.GOLDEN_CONFIG, max_iterations_per_epoch=iterations)
 
 
 # --------------------------------------------------------------------------- #

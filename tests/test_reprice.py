@@ -19,7 +19,7 @@ Three pins of "the log records work and the fold prices it".
 * Re-pricing: a golden cell's log, epoch records and compute work, trained at
   100 Mbps and folded under another cluster, give exactly the fold of the run
   trained on that cluster — for every ``ClusterSpec`` field but ``faults``:
-  bandwidth, latency, overlap, hierarchy and device, alone and with overlap,
+  bandwidth, overlap, hierarchy and device, alone and with overlap,
   which prices each bucket's collective from when its gradients are ready.
   The parameter-server cell is excluded: its event
   clock orders pulls, computes and pushes by simulated time, so what it
@@ -43,7 +43,8 @@ from repro.simulation.pricing import Transfer
 # --------------------------------------------------------------------------- #
 # α–β oracle
 # --------------------------------------------------------------------------- #
-WORLD, ALPHA, BETA = 4, 1e-3, 12.5e6  # ranks, latency (s), 100 Mbps in bytes/s
+#: Ranks, the link's fixed latency (s) and 100 Mbps in bytes/s.
+WORLD, ALPHA, BETA = 4, ClusterSpec.RETIRED["latency"], 12.5e6
 COMPUTE, NUM_BYTES, ITERATIONS = 0.01, 1e5, 5
 
 #: The fold adds N per-iteration terms one at a time and each term as
@@ -60,8 +61,8 @@ def _ring(n: int, bandwidth: float) -> float:
 
 def _oracle_timeline(hierarchical: bool = False) -> TrainingTimeline:
     # A device of one FLOP per second: COMPUTE FLOPs take COMPUTE seconds.
-    cluster = ClusterSpec(world_size=WORLD, bandwidth=BETA, latency=ALPHA,
-                          device=DeviceSpec("unit", 1.0), hierarchical=hierarchical)
+    cluster = ClusterSpec(world_size=WORLD, bandwidth=BETA, device=DeviceSpec("unit", 1.0),
+                          hierarchical=hierarchical)
     assert not cluster.overlap
     return TrainingTimeline(cluster, COMPUTE, 0.0, [1.0])
 
@@ -180,7 +181,6 @@ CLUSTERS = {
     "hierarchical-overlap": dict(hierarchical=True, overlap=True),
     "a40": dict(device="a40"),
     "a40-overlap": dict(device="a40", overlap=True),
-    "latency": dict(latency=1e-3),
 }
 
 

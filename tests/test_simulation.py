@@ -80,7 +80,7 @@ class TestClusterSpec:
         cluster = ClusterSpec(world_size=8, bandwidth="100Mbps", hierarchical=True)
         topo = build_paper_topology(
             wan_bandwidth=cluster.bandwidth_bytes_per_second(),
-            wan_latency=cluster.latency,
+            wan_latency=ClusterSpec.RETIRED["latency"],
             num_servers=cluster.world_size,
         )
         assert len(topo.servers) == 8
@@ -123,10 +123,15 @@ class TestClusterSpec:
 UNIT_DEVICE = DeviceSpec("unit", 1.0)
 
 
+#: The latency of a two-rank ring all-reduce: two steps of the fixed link latency.
+RING_LATENCY = 2 * ClusterSpec.RETIRED["latency"]
+
+
 def _flat_timeline(compute, target_accuracy=None):
-    """Two ranks of ``compute`` seconds on a latency-free 1000 B/s link, one
-    bucket: an all-reduce of ``B`` bytes costs ``2(n-1)/n * B / 1000 = B / 1000`` s."""
-    cluster = ClusterSpec(world_size=2, bandwidth=1000.0, latency=0.0, device=UNIT_DEVICE)
+    """Two ranks of ``compute`` seconds on a 1000 B/s link, one bucket: an
+    all-reduce of ``B`` bytes costs ``RING_LATENCY + 2(n-1)/n * B / 1000``
+    ``= RING_LATENCY + B / 1000`` s."""
+    cluster = ClusterSpec(world_size=2, bandwidth=1000.0, device=UNIT_DEVICE)
     return TrainingTimeline(cluster, compute, 0.0, [1.0], target_accuracy)
 
 
@@ -139,21 +144,21 @@ class TestTimeline:
         timeline = _flat_timeline(0.1)
         timeline.add_iteration(_all_reduce(500.0), 100.0)
         timeline.add_iteration(_all_reduce(500.0), 100.0)
-        assert timeline.total_time == pytest.approx(1.2)
+        assert timeline.total_time == pytest.approx(1.2 + 2 * RING_LATENCY)
         fold = timeline.fold()
         assert fold["iterations_run"] == 2
         assert fold["comm_bytes_per_worker"] == pytest.approx(200.0)
         assert len(timeline.log) == 2
 
     def test_epoch_snapshots_and_tta(self):
-        for target, tta in [(0.8, 6.0), (0.95, None)]:
+        for target, tta in [(0.8, 3 * (2.0 + RING_LATENCY)), (0.95, None)]:
             timeline = _flat_timeline(1.0, target)
             for epoch, accuracy in enumerate([0.3, 0.6, 0.85, 0.9]):
                 timeline.add_iteration(_all_reduce(1000.0))
                 record = timeline.snapshot_epoch(epoch, train_loss=1.0, test_accuracy=accuracy)
                 assert isinstance(record, EpochRecord)
             fold = timeline.fold()
-            assert fold["tta"] == tta
+            assert fold["tta"] == pytest.approx(tta)
             assert fold["reached_target"] is (tta is not None)
             assert fold["best_accuracy"] == pytest.approx(0.9)
             assert fold["final_accuracy"] == pytest.approx(0.9)
@@ -208,8 +213,6 @@ _METHODS = st.fixed_dictionaries(dict(
     gse=st.booleans(),
     quantize=st.booleans(),
     stability_threshold=st.integers(1, 9),
-    min_sparsity=st.floats(0.0, 0.5),
-    warmup_iterations=st.integers(0, 5),
     error_feedback=st.sampled_from([None, True, False]),
     sync_schedule=st.sampled_from([None, "", "sync", "localsgd:4", "localsgd:2:delta", "ps:2"]),
 )).filter(
@@ -229,13 +232,18 @@ _CONFIGS = st.builds(
     model=st.sampled_from(["mlp", "resnet18", "vgg19"]),
     cluster=_CLUSTERS,
     epochs=st.integers(1, 20),
-    lr=st.floats(1e-4, 1.0),
     target_accuracy=st.sampled_from([None, 0.5, 1]),
     max_iterations_per_epoch=st.sampled_from([None, 3]),
     seed=st.integers(0, 99),
-    stop_at_target=st.booleans(),
     dtype=st.sampled_from(["float64", "float32"]),
 )
+
+
+def _stored_oracle(spec) -> dict:
+    """``dataclasses.asdict(spec)`` with the class's retired fields at their
+    retired values, in its stored key order (pinned in ``test_rebuild.py``)."""
+    cls, live = type(spec), dataclasses.asdict(spec)
+    return {key: cls.RETIRED[key] if key in cls.RETIRED else live[key] for key in cls.STORED_KEYS}
 
 
 class TestSpecToDict:
@@ -245,17 +253,17 @@ class TestSpecToDict:
     @settings(max_examples=60, deadline=None)
     def test_method_spec_equals_asdict_and_is_fresh(self, method):
         data = method.to_dict()
-        assert data == dataclasses.asdict(method)
-        assert list(data) == list(dataclasses.asdict(method))
+        assert data == _stored_oracle(method)
+        assert list(data) == list(_stored_oracle(method))
         assert MethodSpec.from_dict(data) == method
         data["compressor"] = "mutated"
         data["extra"] = 1
-        assert method.to_dict() == dataclasses.asdict(method)
+        assert method.to_dict() == _stored_oracle(method)
 
     @given(config=_CONFIGS)
     @settings(max_examples=60, deadline=None)
     def test_experiment_config_equals_asdict_and_is_fresh(self, config):
-        oracle = dataclasses.asdict(config)
+        oracle = _stored_oracle(config)
         oracle["cluster"] = config.cluster.to_dict()
         data = config.to_dict()
         assert data == oracle

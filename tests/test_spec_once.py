@@ -104,16 +104,23 @@ BASE = {"model": "mlp", "epochs": 1, "batch_size": 4, "dataset_samples": 24,
 #: Values each axis draws from: every type an axis accepts, values equal under
 #: ``==`` that build different specs (``1``/``True``/``1.0``, ``0.0``/``-0.0``),
 #: values of different types that build the same one (a fault plan's events
-#: as a list or a tuple), lists that differ only in order, and world sizes
-#: that some fault plans do not fit.
+#: as a list or a tuple), lists that differ only in order, world sizes that
+#: some fault plans do not fit, and retired fields of each spec at the value
+#: they were retired at (dropped) and at others (rejected by name).
 AXIS_VALUES = {
     "seed": [0, 1, True, 1.0, -0.0],
     "target_accuracy": [None, 0.0, -0.0, 1e-5, 0.5],
     "lr": [0.05, 1e-5, -0.0],
+    "num_classes": [10, 10.0, 3],
+    "stop_at_target": [False, 0, True],
+    "latency": [1e-4, 0.0],
     "dataset": ["cifar10", "çifar-ü"],
     "bandwidth": ["100Mbps", "1Gbps", 1.25e7, 12500000],
     "world_size": [2, 3],
-    "cluster": [{"latency": 0.0}, {"latency": -0.0, "overlap": True}, {"bandwidth": "500Mbps"}],
+    "cluster": [
+        {"latency": 1e-4}, {"latency": 0.0}, {"latency": -0.0, "overlap": True},
+        {"bandwidth": "500Mbps"},
+    ],
     "device": ["sim-gpu", EDGE],
     "faults": [
         None,
@@ -130,6 +137,8 @@ AXIS_VALUES = {
     "error_feedback": [None, True, False],
     "pruning_ratio": [0.0, -0.0, 0.25],
     "sync_schedule": [None, "localsgd:2"],
+    "min_sparsity": [0.05, 0.3],
+    "warmup_iterations": [0, False, 4],
 }
 AXIS_NAMES = sorted(AXIS_VALUES)
 

@@ -353,14 +353,12 @@ class TestPacTrainHasOneConstructionPath:
         assert (compressor.quantize, compressor.name) == expected
         assert compressor.seed == 3
 
-    def test_tracker_fields_reach_the_compressor(self):
+    def test_the_stability_threshold_reaches_the_tracker(self):
         compressor = MethodSpec(
-            name="x", compressor="pactrain-terngrad",
-            stability_threshold=7, min_sparsity=0.25, warmup_iterations=4,
+            name="x", compressor="pactrain-terngrad", stability_threshold=7,
         ).build_compressor()
         assert compressor.tracker.stability_threshold == 7
-        assert compressor.tracker.min_sparsity == 0.25
-        assert compressor.warmup_iterations == 4
+        assert compressor.tracker.min_sparsity == MethodSpec.RETIRED["min_sparsity"]
 
     def test_a_contradiction_fails_before_the_dataset_is_built(self, monkeypatch):
         no_dataset(monkeypatch)

@@ -19,6 +19,7 @@ These tests pin what makes that safe:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -530,56 +531,53 @@ class TestCellSerialisedOnce:
 # (e) Splits that cannot train
 # --------------------------------------------------------------------------- #
 class TestUntrainableSplitsAreRejected:
+    """Every run holds out the same quarter of its synthetic set."""
+
     def test_empty_training_split(self):
         with pytest.raises(ValueError) as error:
-            ExperimentConfig(model="mlp", dataset_samples=2, test_fraction=0.75,
-                             cluster=ClusterSpec(world_size=1))
+            ExperimentConfig(model="mlp", dataset_samples=1, cluster=ClusterSpec(world_size=1))
         message = str(error.value)
-        for part in ("dataset_samples=2", "test_fraction=0.75", "0 training / 2 test",
+        for part in ("dataset_samples=1", "test_fraction=0.25", "0 training / 1 test",
                      "world_size=1"):
             assert part in message
 
     def test_training_split_smaller_than_the_world(self):
         with pytest.raises(ValueError) as error:
-            ExperimentConfig(model="mlp", dataset_samples=8, test_fraction=0.25,
-                             cluster=ClusterSpec(world_size=8))
+            ExperimentConfig(model="mlp", dataset_samples=8, cluster=ClusterSpec(world_size=8))
         message = str(error.value)
         for part in ("dataset_samples=8", "test_fraction=0.25", "6 training / 2 test",
                      "world_size=8"):
             assert part in message
 
-    def test_empty_test_split(self):
-        with pytest.raises(ValueError, match="4 training / 0 test"):
-            ExperimentConfig(model="mlp", dataset_samples=4, test_fraction=1e-300,
-                             cluster=ClusterSpec(world_size=2))
+    def test_a_set_that_trains_holds_out_at_least_one_sample(self):
+        for samples in range(1, 64):
+            dataset = synthetic_cifar10(num_samples=samples, image_size=8, seed=0)
+            train, test = train_test_split(dataset, test_fraction=0.25, seed=0)
+            assert len(test) >= 1 and len(train) == samples * 3 // 4, samples
 
     def test_smallest_legal_split_trains(self):
         config = ExperimentConfig(
-            model="mlp", dataset_samples=3, test_fraction=0.3, epochs=1, batch_size=4,
+            model="mlp", dataset_samples=3, epochs=1, batch_size=4,
             pretrain_iterations=2, cluster=ClusterSpec(world_size=2, bandwidth="100Mbps"),
         )
         result = run_experiment(config, PAPER_METHODS["all-reduce"])
         assert result.iterations_run == 1
         assert not np.isnan(result.loss_trace).any()
 
-    @pytest.mark.parametrize(
-        "samples, fraction, train_samples",
-        # int(n * (1 - f)) truncates: 10 * (1 - 0.3) is 7.000000000000001,
-        # 10 * (1 - 0.7) is 3.0000000000000004, 100 * (1 - 0.29) is 71.0.
-        [(10, 0.3, 7), (10, 0.7, 3), (100, 0.29, 71)],
-    )
-    def test_the_check_uses_the_split_arithmetic(self, samples, fraction, train_samples):
-        dataset = synthetic_cifar10(num_samples=samples, image_size=8, seed=0)
-        train, _ = train_test_split(dataset, test_fraction=fraction, seed=0)
-        assert len(train) == train_samples
-        settings = dict(model="mlp", dataset_samples=samples, test_fraction=fraction)
-        ExperimentConfig(cluster=ClusterSpec(world_size=train_samples), **settings)
+    @pytest.mark.parametrize("samples, train_samples", [(2, 1), (3, 2), (10, 7), (101, 75)])
+    def test_the_check_uses_the_split_the_run_makes(self, samples, train_samples):
+        config = ExperimentConfig(
+            model="mlp", dataset_samples=samples, pretrain_iterations=0,
+            cluster=ClusterSpec(world_size=train_samples),
+        )
+        _, train_set, test_loader, _ = _prepare_workload(config, PAPER_METHODS["all-reduce"])
+        assert (len(train_set), len(test_loader.dataset)) == (train_samples, samples - train_samples)
         with pytest.raises(ValueError, match=f"{train_samples} training /"):
-            ExperimentConfig(cluster=ClusterSpec(world_size=train_samples + 1), **settings)
+            dataclasses.replace(config, cluster=ClusterSpec(world_size=train_samples + 1))
 
     def test_pretrain_raises_on_a_loader_that_yields_nothing(self, tiny_dataset, tiny_model):
         empty = DataLoader(tiny_dataset, batch_size=200, drop_last=True)
         assert len(empty) == 0
         with pytest.raises(ValueError, match="yields no batches"):
-            _pretrain(tiny_model, empty, iterations=3, lr=0.05)
-        _pretrain(tiny_model, empty, iterations=0, lr=0.05)  # nothing asked, nothing done
+            _pretrain(tiny_model, empty, iterations=3)
+        _pretrain(tiny_model, empty, iterations=0)  # nothing asked, nothing done
