@@ -124,11 +124,16 @@ class DataLoader:
         return int(np.ceil(count / self.batch_size))
 
 
-def train_test_split(dataset, test_fraction: float = 0.2, seed: int = 0):
+def train_split_size(num_samples: int, test_fraction: float) -> int:
+    """How many of ``num_samples`` samples :func:`train_test_split` puts in the training split."""
+    return int(num_samples * (1.0 - test_fraction))
+
+
+def train_test_split(dataset, test_fraction: float, seed: int = 0):
     """Split a dataset into train / test subsets deterministically."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset))
-    split = int(len(dataset) * (1.0 - test_fraction))
+    split = train_split_size(len(dataset), test_fraction)
     return dataset.subset(order[:split]), dataset.subset(order[split:])

@@ -299,7 +299,7 @@ class DistributedDataParallel:
                 if gse_mask is not None:
                     # The (*shape) masks broadcast over the leading world axis,
                     # multiplying each rank's slice exactly as the loop does.
-                    apply_gse(self.model, gse_mask, grads=grads)
+                    apply_gse(gse_mask, grads)
                 self.stage_world_gradients(grads, ranks)
             with TRACER.span("train/sync", cat="train", iteration=self.iteration):
                 aggregated, bucket_events = self.synchronize_staged()

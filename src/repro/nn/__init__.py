@@ -1,4 +1,4 @@
-"""Neural-network layers, losses, optimisers and the evaluation model zoo.
+"""Neural-network layers, the SGD optimiser and the evaluation model zoo.
 
 This package plays the role PyTorch's ``torch.nn`` plays in the paper's
 prototype.  It is deliberately small but complete enough to express the four
@@ -14,16 +14,13 @@ from repro.nn.layers import (
     LayerNorm,
     ReLU,
     GELU,
-    Dropout,
     Flatten,
     MaxPool2d,
-    AvgPool2d,
     AdaptiveAvgPool2d,
     Identity,
     MultiHeadAttention,
 )
-from repro.nn.losses import CrossEntropyLoss, MSELoss
-from repro.nn.optim import SGD, Optimizer
+from repro.nn.optim import SGD
 
 __all__ = [
     "Module",
@@ -36,15 +33,10 @@ __all__ = [
     "LayerNorm",
     "ReLU",
     "GELU",
-    "Dropout",
     "Flatten",
     "MaxPool2d",
-    "AvgPool2d",
     "AdaptiveAvgPool2d",
     "Identity",
     "MultiHeadAttention",
-    "CrossEntropyLoss",
-    "MSELoss",
     "SGD",
-    "Optimizer",
 ]

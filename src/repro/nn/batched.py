@@ -21,9 +21,7 @@ Bit-identity contract: contractions keep ``world`` as a batch axis (numpy
 dispatches the same per-slice GEMMs as a plain call on each slice) and
 reductions over non-world axes reduce each world slice independently, so
 every float64 gradient equals its per-rank counterpart bit-for-bit, whether
-the views are broadcasts or real stacks.  The one exception is dropout (a
-single batched RNG draw instead of one per rank); frozen golden workloads
-disable it.
+the views are broadcasts or real stacks.
 """
 
 from __future__ import annotations

@@ -207,18 +207,6 @@ class GELU(Module):
         return x.gelu()
 
 
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        self.p = p
-        self._rng = rng or np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, training=self.training, rng=self._rng)
-
-
 class Flatten(Module):
     """Flatten the trailing ``(C, H, W)`` axes of ``(*world, N, C, H, W)`` input."""
 
@@ -236,18 +224,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    """Average pooling layer."""
-
-    def __init__(self, kernel_size: int = 2, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
 
 
 class AdaptiveAvgPool2d(Module):

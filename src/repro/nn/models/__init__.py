@@ -24,7 +24,6 @@ from repro.nn.models.vit import VisionTransformer, vit_base_16, vit_base_16_mini
 from repro.nn.models.registry import (
     MODEL_REGISTRY,
     build_model,
-    register_model,
     registered_model,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "vit_base_16_mini",
     "MODEL_REGISTRY",
     "build_model",
-    "register_model",
     "registered_model",
 ]

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.nn.module import Module
-from repro.nn.layers import Linear, ReLU, Dropout
+from repro.nn.layers import Linear, ReLU
 from repro.tensorlib import Tensor
 
 
@@ -25,7 +25,6 @@ class MLP(Module):
         input_dim: int,
         hidden_dims: Sequence[int],
         num_classes: int,
-        dropout: float = 0.0,
         seed: Optional[int] = None,
     ) -> None:
         super().__init__()
@@ -38,7 +37,6 @@ class MLP(Module):
             relu = ReLU()
             setattr(self, f"act{index}", relu)
             self.blocks.append((linear, relu))
-        self.dropout = Dropout(dropout, rng=rng) if dropout > 0 else None
         self.head = Linear(dims[-1], num_classes, rng=rng)
         self.input_dim = input_dim
         self.num_classes = num_classes
@@ -50,8 +48,6 @@ class MLP(Module):
             x = x.flatten(start_dim=lead)
         for linear, act in self.blocks:
             x = act(linear(x))
-        if self.dropout is not None:
-            x = self.dropout(x)
         return self.head(x)
 
 

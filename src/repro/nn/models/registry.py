@@ -28,21 +28,6 @@ MODEL_REGISTRY: Dict[str, Dict[str, ModelFactory]] = {
 }
 
 
-def register_model(name: str, mini: ModelFactory, full: Optional[ModelFactory] = None) -> None:
-    """Register a new model family under ``name``.
-
-    Parameters
-    ----------
-    name:
-        Workload name used by experiment configurations.
-    mini:
-        Factory for the CPU-scale variant.
-    full:
-        Factory for the paper-scale variant; defaults to ``mini``.
-    """
-    MODEL_REGISTRY[name] = {"mini": mini, "full": full or mini}
-
-
 def registered_model(name: str) -> Dict[str, ModelFactory]:
     """The factories registered under ``name`` (case-insensitive).
 

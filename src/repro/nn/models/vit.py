@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.nn.layers import Linear, LayerNorm, GELU, Dropout, MultiHeadAttention
+from repro.nn.layers import Linear, LayerNorm, GELU, MultiHeadAttention
 from repro.tensorlib import Tensor, init
 
 
@@ -26,7 +26,6 @@ class TransformerBlock(Module):
         embed_dim: int,
         num_heads: int,
         mlp_ratio: float = 4.0,
-        dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -38,17 +37,10 @@ class TransformerBlock(Module):
         self.mlp_fc1 = Linear(embed_dim, hidden, rng=rng)
         self.mlp_act = GELU()
         self.mlp_fc2 = Linear(hidden, embed_dim, rng=rng)
-        self.dropout = Dropout(dropout, rng=rng) if dropout > 0 else None
 
     def forward(self, x: Tensor) -> Tensor:
-        attn_out = self.attn(self.norm1(x))
-        if self.dropout is not None:
-            attn_out = self.dropout(attn_out)
-        x = x + attn_out
-        mlp_out = self.mlp_fc2(self.mlp_act(self.mlp_fc1(self.norm2(x))))
-        if self.dropout is not None:
-            mlp_out = self.dropout(mlp_out)
-        return x + mlp_out
+        x = x + self.attn(self.norm1(x))
+        return x + self.mlp_fc2(self.mlp_act(self.mlp_fc1(self.norm2(x))))
 
 
 class VisionTransformer(Module):
@@ -64,7 +56,6 @@ class VisionTransformer(Module):
         num_heads: int = 12,
         mlp_ratio: float = 4.0,
         num_classes: int = 10,
-        dropout: float = 0.0,
         seed: Optional[int] = None,
     ) -> None:
         super().__init__()
@@ -81,7 +72,7 @@ class VisionTransformer(Module):
         self.cls_token = Parameter(init.truncated_normal((1, 1, embed_dim), rng))
         self.pos_embed = Parameter(init.truncated_normal((1, self.num_patches + 1, embed_dim), rng))
         self.blocks = ModuleList(
-            TransformerBlock(embed_dim, num_heads, mlp_ratio, dropout, rng=rng) for _ in range(depth)
+            TransformerBlock(embed_dim, num_heads, mlp_ratio, rng=rng) for _ in range(depth)
         )
         self.norm = LayerNorm(embed_dim)
         self.head = Linear(embed_dim, num_classes, rng=rng)

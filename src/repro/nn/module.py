@@ -92,10 +92,6 @@ class Module:
             child_prefix = child_name if prefix == "" else f"{prefix}.{child_name}"
             yield from child.named_buffers(child_prefix)
 
-    def num_parameters(self) -> int:
-        """Total number of trainable scalar parameters."""
-        return int(sum(p.size for p in self.parameters()))
-
     # ------------------------------------------------------------------ #
     # Mode switching and gradient management
     # ------------------------------------------------------------------ #
@@ -111,23 +107,6 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
-
-    def to(self, dtype) -> "Module":
-        """Cast all parameters, gradients and buffers to a compute dtype in place.
-
-        Mirrors ``torch.nn.Module.to(dtype)`` for the supported compute dtypes
-        (float32/float64); arrays already in the target dtype are left as-is.
-        """
-        from repro.tensorlib.dtypes import resolve_dtype  # noqa: PLC0415
-
-        resolved = resolve_dtype(dtype)
-        for _, param in self.named_parameters():
-            param.data = np.asarray(param.data, dtype=resolved)
-            if param.grad is not None:
-                param.grad = np.asarray(param.grad, dtype=resolved)
-        for _, owner, local in self._iter_buffer_owners():
-            owner.update_buffer(local, np.asarray(owner._buffers[local], dtype=resolved))
-        return self
 
     # ------------------------------------------------------------------ #
     # State management
@@ -182,7 +161,7 @@ class Module:
         return self.forward(*args, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}(params={self.num_parameters()})"
+        return f"{type(self).__name__}(params={sum(p.size for p in self.parameters())})"
 
 
 class Sequential(Module):
@@ -194,21 +173,6 @@ class Sequential(Module):
         for index, module in enumerate(modules):
             setattr(self, str(index), module)
             self._layers.append(module)
-
-    def append(self, module: Module) -> "Sequential":
-        index = len(self._layers)
-        setattr(self, str(index), module)
-        self._layers.append(module)
-        return self
-
-    def __iter__(self):
-        return iter(self._layers)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._layers[index]
-
-    def __len__(self) -> int:
-        return len(self._layers)
 
     def forward(self, x):
         for layer in self._layers:
@@ -233,12 +197,6 @@ class ModuleList(Module):
 
     def __iter__(self):
         return iter(self._items)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._items[index]
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def forward(self, *args, **kwargs):  # pragma: no cover - containers are not called
         raise RuntimeError("ModuleList is a container and cannot be called directly")

@@ -26,6 +26,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
+#: The dense-pattern guard: a pattern denser than ``1 - MIN_SPARSITY`` is
+#: never declared stable.
+MIN_SPARSITY = 0.05
+
 
 @dataclass
 class MaskState:
@@ -57,7 +61,7 @@ class MaskTracker:
         so the tracker keeps the full all-reduce path in that regime.
     """
 
-    def __init__(self, stability_threshold: int = 3, min_sparsity: float = 0.05) -> None:
+    def __init__(self, stability_threshold: int = 3, min_sparsity: float = MIN_SPARSITY) -> None:
         if stability_threshold < 1:
             raise ValueError("stability_threshold must be >= 1")
         if not 0.0 <= min_sparsity < 1.0:

@@ -20,7 +20,7 @@ This package provides:
 from repro.pruning.mask import PruningMask
 from repro.pruning.magnitude import magnitude_prune, magnitude_mask, prunable_parameters
 from repro.pruning.grasp import grasp_scores, grasp_prune
-from repro.pruning.gse import apply_gse, gse_from_weights, gradient_sparsity
+from repro.pruning.gse import apply_gse
 
 __all__ = [
     "PruningMask",
@@ -30,6 +30,4 @@ __all__ = [
     "grasp_scores",
     "grasp_prune",
     "apply_gse",
-    "gse_from_weights",
-    "gradient_sparsity",
 ]

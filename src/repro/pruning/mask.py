@@ -10,7 +10,7 @@ PacTrain compressor exploits.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -29,20 +29,8 @@ class PruningMask:
     # ------------------------------------------------------------------ #
     # Mapping interface
     # ------------------------------------------------------------------ #
-    def __contains__(self, name: str) -> bool:
-        return name in self.masks
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.masks[name]
-
     def __setitem__(self, name: str, mask: np.ndarray) -> None:
         self.masks[name] = np.asarray(mask, dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def items(self) -> Iterator[Tuple[str, np.ndarray]]:
-        return iter(self.masks.items())
 
     def get(self, name: str, default=None):
         return self.masks.get(name, default)
@@ -86,14 +74,6 @@ class PruningMask:
                 )
             param.data = param.data * mask
 
-    def apply_to_gradients(self, model: Module) -> None:
-        """Zero out gradients of pruned entries in place (one GSE application)."""
-        for name, param in model.named_parameters():
-            mask = self.masks.get(name)
-            if mask is None or param.grad is None:
-                continue
-            param.grad = param.grad * mask
-
     # ------------------------------------------------------------------ #
     # Construction / serialisation
     # ------------------------------------------------------------------ #
@@ -101,16 +81,6 @@ class PruningMask:
     def dense(cls, model: Module) -> "PruningMask":
         """All-keep mask matching a model's parameters."""
         return cls({name: np.ones(param.shape, dtype=bool) for name, param in model.named_parameters()})
-
-    @classmethod
-    def from_weights(cls, model: Module, atol: float = 0.0) -> "PruningMask":
-        """Infer the mask from which weights are currently (near) zero."""
-        return cls(
-            {
-                name: np.abs(param.data) > atol
-                for name, param in model.named_parameters()
-            }
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PruningMask(layers={len(self.masks)}, sparsity={self.sparsity:.3f})"

@@ -36,6 +36,10 @@ from repro.comm.topology import build_paper_topology
 from repro.simulation.compute import DeviceSpec, resolve_device
 from repro.simulation.faults import EMPTY_FAULT_PLAN, FaultPlan
 
+#: Every link's per-message latency: 100 us keeps the mini models in the
+#: paper's bandwidth-bound regime.
+LINK_LATENCY = 1e-4
+
 
 @dataclass
 class ClusterSpec:
@@ -54,12 +58,11 @@ class ClusterSpec:
     """
 
     #: Fields the cluster no longer has, each at the value it was retired at.
-    #: Every link's 100 us per-message latency keeps the mini models in the
-    #: paper's bandwidth-bound regime.  Per-worker devices, stragglers and a
-    #: compute speed-up from unstructured pruning are not in the paper's
-    #: model; churn in ``faults`` is what slows a worker.
+    #: Per-worker devices, stragglers and a compute speed-up from unstructured
+    #: pruning are not in the paper's model; churn in ``faults`` is what slows
+    #: a worker.
     RETIRED: ClassVar[Dict[str, object]] = {
-        "latency": 1e-4, "sparse_compute_speedup": False, "devices": None, "straggler": 1.0,
+        "latency": LINK_LATENCY, "sparse_compute_speedup": False, "devices": None, "straggler": 1.0,
         "straggler_factors": None,
     }
     #: The key order of :meth:`to_dict`, retired fields in their old place.
@@ -134,12 +137,11 @@ class ClusterSpec:
             members = self.world_size
         ranks = range(members) if isinstance(members, int) else members
         bandwidth = self.bandwidth_bytes_per_second() * bandwidth_factor
-        latency = self.RETIRED["latency"]
         if self.hierarchical:
             return build_paper_topology(
-                wan_bandwidth=bandwidth, wan_latency=latency, servers=ranks
+                wan_bandwidth=bandwidth, wan_latency=LINK_LATENCY, servers=ranks
             ).cost_model()
-        return NetworkModel.from_bandwidth(len(ranks), bandwidth, latency=latency)
+        return NetworkModel.from_bandwidth(len(ranks), bandwidth, latency=LINK_LATENCY)
 
     def fault_plan(self) -> FaultPlan:
         """The cluster's fault plan (the shared inert plan when unset)."""
@@ -192,7 +194,7 @@ class ClusterSpec:
         return {
             "world_size": self.world_size,
             "bandwidth_mbps": bandwidth * 8 / 1e6,
-            "latency_ms": self.RETIRED["latency"] * 1e3,
+            "latency_ms": LINK_LATENCY * 1e3,
             "device": self.device if isinstance(self.device, str) else self.device.name,
             "overlap": self.overlap,
             "hierarchical": self.hierarchical,

@@ -40,7 +40,14 @@ from repro.simulation.compute import BACKWARD_FACTOR, bucket_completion_fraction
 from repro.simulation.engine import EventHeap, LinkChannel, SimEvent
 from repro.simulation.pricing import Transfer
 from repro.simulation.regimes import ReplicaSet
-from repro.simulation.spec import ExperimentConfig, ExperimentResult, MethodSpec
+from repro.simulation.spec import (
+    SGD_LR,
+    SGD_MOMENTUM,
+    TEST_FRACTION,
+    ExperimentConfig,
+    ExperimentResult,
+    MethodSpec,
+)
 from repro.simulation.timeline import TrainingTimeline
 from repro.tensorlib import (
     Tensor,
@@ -49,13 +56,6 @@ from repro.tensorlib import (
     get_default_dtype,
     no_grad,
 )
-
-
-#: The SGD every run trains with (the values the config's ``lr`` and
-#: ``momentum`` fields were retired at), with no weight decay.  Pre-training
-#: takes the same learning rate without momentum.
-SGD_LR = ExperimentConfig.RETIRED["lr"]
-SGD_MOMENTUM = ExperimentConfig.RETIRED["momentum"]
 
 
 # --------------------------------------------------------------------------- #
@@ -74,7 +74,7 @@ def evaluate_accuracy(model: Module, loader: DataLoader) -> float:
             correct += int((predictions == labels).sum())
             total += len(labels)
     model.train(was_training)
-    return correct / total if total else 0.0
+    return correct / total
 
 
 def _pretrain(model: Module, loader: DataLoader, iterations: int) -> None:
@@ -86,12 +86,6 @@ def _pretrain(model: Module, loader: DataLoader, iterations: int) -> None:
     """
     if iterations <= 0:
         return
-    if len(loader) == 0:
-        raise ValueError(
-            f"cannot pre-train for {iterations} iterations: the loader yields no batches "
-            f"({len(loader.dataset)} samples, batch_size={loader.batch_size}, "
-            f"drop_last={loader.drop_last})"
-        )
     optimizer = SGD(model.parameters(), lr=SGD_LR)
     done = 0
     while done < iterations:
@@ -664,7 +658,7 @@ class _LocalSGDStep:
                 batches, F.cross_entropy, active, replicas.load(active)
             )
             if self.use_gse:
-                apply_gse(run.model, run.mask, grads=grads)
+                apply_gse(run.mask, grads)
             replicas.step(grads, run.mask)
             replicas.save(active)
 
@@ -938,8 +932,7 @@ class _PretrainedWorkload:
     #: The batch GraSP scores its pruning on (the pre-training loader's first).
     sample_batch: Tuple[np.ndarray, np.ndarray]
     #: Pre-trained and still dense; carries what :func:`_pretrain` leaves
-    #: behind (stale ``.grad``s, BatchNorm running statistics, the advanced
-    #: ``Dropout`` generator).
+    #: behind (stale ``.grad``s, BatchNorm running statistics).
     model: Module
 
     def arrays(self) -> Iterator[np.ndarray]:
@@ -989,7 +982,7 @@ def _pretrained_workload(
             seed=seed,
         )
         train_set, test_set = train_test_split(
-            full, test_fraction=ExperimentConfig.RETIRED["test_fraction"], seed=seed
+            full, test_fraction=TEST_FRACTION, seed=seed
         )
         network = build_model(model, num_classes=full.num_classes, seed=seed)
         pretrain_loader = DataLoader(train_set, batch_size=batch_size, shuffle=True, seed=seed)
@@ -1054,8 +1047,8 @@ def _prepare_workload(
     which prunes and trains its model directly.  With one, the workload is
     looked up under (or built and kept for) its argument tuple and the cell
     prunes and trains a deep copy of the shared model — parameters, stale
-    gradients, buffers and ``Dropout`` generators included — so a hit is
-    bit-identical to building it again.
+    gradients and buffers included — so a hit is bit-identical to building
+    it again.
     """
     args = (
         config.dataset,

@@ -24,11 +24,21 @@ from repro.compression.registry import (
     build_compressor,
     check_compressor_name,
 )
+from repro.data.loader import train_split_size
 from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES
 from repro.nn.models import registered_model
+from repro.pactrain.mask_tracker import MIN_SPARSITY
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.regimes import SyncSchedule, parse_sync_schedule
 from repro.tensorlib.dtypes import SUPPORTED_DTYPES
+
+
+#: The SGD every run trains with, without weight decay.  Pre-training takes
+#: the same learning rate without momentum.
+SGD_LR = 0.05
+SGD_MOMENTUM = 0.9
+#: The share of the synthetic set every run holds out for evaluation.
+TEST_FRACTION = 0.25
 
 
 class RetiredFieldError(ValueError):
@@ -144,7 +154,7 @@ class MethodSpec:
     #: Fields the method no longer has, each at the value it was retired at:
     #: the Mask Tracker's dense-pattern guard (its own default) and a warm-up
     #: of forced full synchronisation that no figure runs.
-    RETIRED: ClassVar[Dict[str, object]] = {"min_sparsity": 0.05, "warmup_iterations": 0}
+    RETIRED: ClassVar[Dict[str, object]] = {"min_sparsity": MIN_SPARSITY, "warmup_iterations": 0}
     #: The key order of :meth:`to_dict`, retired fields in their old place.
     STORED_KEYS: ClassVar[Tuple[str, ...]] = (
         "name", "compressor", "pruning_ratio", "pruning_method", "gse", "quantize",
@@ -259,17 +269,17 @@ PACTRAIN_FP32 = MethodSpec(
 class ExperimentConfig:
     """Workload + cluster settings for one training run.
 
-    Every run trains all its epochs with the same SGD
-    (:data:`repro.simulation.experiment.SGD_LR` and ``SGD_MOMENTUM``) and
-    holds out the same quarter of the synthetic set.
+    Every run trains all its epochs with the same SGD (:data:`SGD_LR` and
+    :data:`SGD_MOMENTUM`) and holds out the same :data:`TEST_FRACTION` of the
+    synthetic set.
     """
 
     #: Fields the config no longer has, each at the value it was retired at:
     #: the SGD and held-out split every figure shares, a class count the
     #: dataset sets, and an early stop that would cut the accuracy trace short.
     RETIRED: ClassVar[Dict[str, object]] = {
-        "num_classes": 10, "lr": 0.05, "momentum": 0.9, "weight_decay": 0.0,
-        "test_fraction": 0.25, "stop_at_target": False,
+        "num_classes": 10, "lr": SGD_LR, "momentum": SGD_MOMENTUM, "weight_decay": 0.0,
+        "test_fraction": TEST_FRACTION, "stop_at_target": False,
     }
     #: The key order of :meth:`to_dict`, retired fields in their old place.
     STORED_KEYS: ClassVar[Tuple[str, ...]] = (
@@ -327,14 +337,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"max_iterations_per_epoch must be None or >= 1, got {self.max_iterations_per_epoch}"
             )
-        # The split train_test_split will make, with its own arithmetic: an
-        # empty training shard trains nothing (and pre-training never ends).
-        # A quarter held out never leaves the test split empty.
-        test_fraction = self.RETIRED["test_fraction"]
-        train_samples = int(self.dataset_samples * (1.0 - test_fraction))
+        # The split train_test_split will make: an empty training shard
+        # trains nothing (and pre-training never ends).  A quarter held out
+        # never leaves the test split empty.
+        train_samples = train_split_size(self.dataset_samples, TEST_FRACTION)
         if train_samples < self.cluster.world_size:
             raise ValueError(
-                f"dataset_samples={self.dataset_samples} with test_fraction={test_fraction} "
+                f"dataset_samples={self.dataset_samples} with test_fraction={TEST_FRACTION} "
                 f"splits into {train_samples} training / "
                 f"{self.dataset_samples - train_samples} test samples: every one of the "
                 f"world_size={self.cluster.world_size} ranks needs at least one training "

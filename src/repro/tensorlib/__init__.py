@@ -19,12 +19,11 @@ speed, since training time in the experiments is *modeled* (see
 ``repro.simulation``) rather than measured.
 """
 
-from repro.tensorlib.tensor import Tensor, no_grad, is_grad_enabled, set_grad_enabled
+from repro.tensorlib.tensor import Tensor, no_grad, is_grad_enabled
 from repro.tensorlib.dtypes import (
     default_dtype,
     get_default_dtype,
     resolve_dtype,
-    set_default_dtype,
 )
 from repro.tensorlib.backend import (
     get_backend,
@@ -39,10 +38,8 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "set_grad_enabled",
     "default_dtype",
     "get_default_dtype",
-    "set_default_dtype",
     "resolve_dtype",
     "get_backend",
     "set_backend",

@@ -172,15 +172,6 @@ class NumpyBackend:
         return np.matmul(a, b)
 
     # ------------------------------------------------------------------ #
-    # Data movement
-    # ------------------------------------------------------------------ #
-    def pad(self, a: np.ndarray, pad_width) -> np.ndarray:
-        return np.pad(a, pad_width)
-
-    def take(self, a: np.ndarray, indices: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
-        return np.take(a, indices, axis=axis)
-
-    # ------------------------------------------------------------------ #
     # Hot-spot kernels (the seams accelerated backends override)
     # ------------------------------------------------------------------ #
     def im2col_gather(

@@ -59,12 +59,6 @@ def get_default_dtype() -> np.dtype:
     return _DEFAULT_DTYPE
 
 
-def set_default_dtype(dtype: DTypeLike) -> None:
-    """Set the process-wide compute dtype (``"float32"`` or ``"float64"``)."""
-    global _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = resolve_dtype(dtype)
-
-
 @contextlib.contextmanager
 def default_dtype(dtype: DTypeLike) -> Iterator[np.dtype]:
     """Scoped compute dtype: restores the previous default on exit.

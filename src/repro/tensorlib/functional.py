@@ -2,8 +2,8 @@
 
 These are the structured operations the model zoo needs that do not fit as
 simple elementwise methods on the tensor class: im2col-based 2-D convolution,
-max/average pooling, embedding lookup and dropout.  Each function constructs the
-forward value with plain numpy and attaches a backward closure that scatters the
+max/average pooling, normalisation and the cross-entropy loss.  Each function
+constructs the forward value with plain numpy and attaches a backward closure that scatters the
 gradient back to its inputs.
 
 The convolution path is the hottest code in every training step, so it avoids
@@ -34,9 +34,7 @@ reduced per sample), contractions keep it as a matmul *batch* axis so numpy
 dispatches the same per-slice GEMMs as a plain call on each slice, and
 :func:`cross_entropy` returns a per-world loss vector.  A plain convolution
 runs as world 1 of the one conv kernel.  Every world-batched float64 result
-is bit-identical per rank to the plain form; the one exception is
-:func:`dropout`, which draws a single batched mask (a different RNG
-consumption pattern than one draw per rank).
+is bit-identical per rank to the plain form.
 
 Every hot kernel routes through the active :mod:`repro.tensorlib.backend` —
 the contractions, the ``im2col`` patch gather (and with it the transposed-conv
@@ -515,46 +513,6 @@ def batch_norm_replay(
 
 
 # --------------------------------------------------------------------------- #
-# Embedding, dropout
-# --------------------------------------------------------------------------- #
-def embedding(indices: np.ndarray, weight: Tensor) -> Tensor:
-    """Lookup rows of ``weight`` for integer ``indices``."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out_data = get_backend().take(weight.data, indices, axis=0)
-    if not _needs_graph(weight):
-        return Tensor._wrap(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        grad_w = np.zeros_like(weight.data)
-        np.add.at(grad_w, indices, grad)
-        weight._accumulate(grad_w, own=True)
-
-    return _make_output(out_data, (weight,), backward)
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: scales surviving activations by ``1/(1-p)`` at train time.
-
-    Under world-batched execution one ``(world, ...)`` mask is drawn in a
-    single call, a different RNG consumption pattern than one draw per rank —
-    the only world-batched kernel that is *not* bit-identical to the plain
-    form.  The frozen golden workloads all run with dropout disabled.
-    """
-    if not training or p <= 0.0:
-        return x
-    rng = rng or np.random.default_rng()
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    out_data = x.data * mask
-    if not _needs_graph(x):
-        return Tensor._wrap(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask, own=True)
-
-    return _make_output(out_data, (x,), backward)
-
-
-# --------------------------------------------------------------------------- #
 # Losses (functional form)
 # --------------------------------------------------------------------------- #
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -569,15 +527,3 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     log_probs = logits.log_softmax(axis=-1)
     picked = log_probs[np.indices(targets.shape, sparse=True) + (targets,)]
     return -picked.mean(axis=-1)
-
-
-def mse_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target array."""
-    diff = prediction - Tensor(np.asarray(target, dtype=prediction.dtype))
-    return (diff * diff).mean()
-
-
-def accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Top-1 classification accuracy of raw logits."""
-    predictions = np.asarray(logits).argmax(axis=-1)
-    return float((predictions == np.asarray(targets)).mean())

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.tensorlib import backend as _backend
 from repro.tensorlib import dtypes as _dtypes
-from repro.tensorlib.dtypes import get_default_dtype
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
@@ -40,12 +39,6 @@ _GRAD_ENABLED = True
 def is_grad_enabled() -> bool:
     """Return whether gradient tracking is currently enabled."""
     return _GRAD_ENABLED
-
-
-def set_grad_enabled(mode: bool) -> None:
-    """Globally enable or disable gradient tracking."""
-    global _GRAD_ENABLED
-    _GRAD_ENABLED = bool(mode)
 
 
 @contextlib.contextmanager
@@ -160,25 +153,12 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     # ------------------------------------------------------------------ #
     # Graph construction helpers
@@ -343,9 +323,6 @@ class Tensor:
 
         return Tensor._attach(out_data, (self, other), backward)
 
-    def __radd__(self, other: ArrayLike) -> "Tensor":
-        return self.__add__(other)
-
     def __neg__(self) -> "Tensor":
         if not self._needs_graph():
             return Tensor._wrap(-self.data)
@@ -369,9 +346,6 @@ class Tensor:
 
         return Tensor._attach(out_data, (self, other), backward)
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor._ensure(other).__sub__(self)
-
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = Tensor._ensure(other)
         out_data = self.data * other.data
@@ -394,9 +368,6 @@ class Tensor:
 
         return Tensor._attach(out_data, (self, other), backward)
 
-    def __rmul__(self, other: ArrayLike) -> "Tensor":
-        return self.__mul__(other)
-
     def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = Tensor._ensure(other)
         out_data = self.data / other.data
@@ -412,21 +383,6 @@ class Tensor:
                 )
 
         return Tensor._attach(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor._ensure(other).__truediv__(self)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("Tensor.__pow__ only supports scalar exponents")
-        out_data = self.data ** exponent
-        if not self._needs_graph():
-            return Tensor._wrap(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1), own=True)
-
-        return Tensor._attach(out_data, (self,), backward)
 
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self.matmul(other)
@@ -495,24 +451,6 @@ class Tensor:
         out = (centered * centered).mean(axis=axis, keepdims=keepdims)
         return out
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        if not self._needs_graph():
-            return Tensor._wrap(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            g = grad
-            out = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                out = np.expand_dims(out, axis=axis)
-            mask = (self.data == out).astype(self.data.dtype)
-            # Split ties evenly so the gradient remains well-defined.
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(mask * g / counts, own=True)
-
-        return Tensor._attach(out_data, (self,), backward)
-
     # ------------------------------------------------------------------ #
     # Shape manipulation
     # ------------------------------------------------------------------ #
@@ -566,44 +504,9 @@ class Tensor:
 
         return Tensor._attach(out_data, (self,), backward)
 
-    def pad(self, pad_width) -> "Tensor":
-        """Zero-pad the tensor; ``pad_width`` follows ``numpy.pad`` conventions."""
-        out_data = _backend.get_backend().pad(self.data, pad_width)
-        if not self._needs_graph():
-            return Tensor._wrap(out_data)
-        slices = tuple(
-            slice(before, before + dim)
-            for (before, _after), dim in zip(pad_width, self.shape)
-        )
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad[slices])
-
-        return Tensor._attach(out_data, (self,), backward)
-
     # ------------------------------------------------------------------ #
     # Elementwise nonlinearities
     # ------------------------------------------------------------------ #
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-        if not self._needs_graph():
-            return Tensor._wrap(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data, own=True)
-
-        return Tensor._attach(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-        if not self._needs_graph():
-            return Tensor._wrap(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data, own=True)
-
-        return Tensor._attach(out_data, (self,), backward)
-
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
         if not self._needs_graph():
@@ -611,16 +514,6 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * 0.5 / out_data, own=True)
-
-        return Tensor._attach(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-        if not self._needs_graph():
-            return Tensor._wrap(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data ** 2), own=True)
 
         return Tensor._attach(out_data, (self,), backward)
 
@@ -683,22 +576,8 @@ class Tensor:
     # Convenience constructors
     # ------------------------------------------------------------------ #
     @staticmethod
-    def zeros(*shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=get_default_dtype()), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=get_default_dtype()), requires_grad=requires_grad)
-
-    @staticmethod
     def cat(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
         return concatenate(list(tensors), axis=axis)
-
-    @staticmethod
-    def stack(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._ensure(t) for t in tensors]
-        expanded = [t.reshape(*t.shape[:axis], 1, *t.shape[axis:]) for t in tensors]
-        return concatenate(expanded, axis=axis)
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

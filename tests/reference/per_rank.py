@@ -171,8 +171,6 @@ def mlp_forward(self: MLP, x: Tensor) -> Tensor:
         x = x.flatten(start_dim=1)
     for linear, act in self.blocks:
         x = act(linear(x))
-    if self.dropout is not None:
-        x = self.dropout(x)
     return self.head(x)
 
 

@@ -48,7 +48,7 @@ def reference_train_step(self, per_rank_batches, loss_fn, gse_mask=None):
     ranks = self.active_ranks
     losses, grads = self.compute_batched_gradients(per_rank_batches, loss_fn, ranks)
     if gse_mask is not None:
-        apply_gse(self.model, gse_mask, grads=grads)
+        apply_gse(gse_mask, grads)
     group = self.active_group
     aggregated, bucket_events = {}, []
     for bucket in self.buckets:

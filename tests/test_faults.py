@@ -16,6 +16,7 @@ from repro.ddp import DistributedDataParallel
 from repro.golden import GOLDEN_METHODS, golden_config_for
 from repro.simulation import ClusterSpec, pricing, run_experiment
 from repro.simulation.faults import EMPTY_FAULT_PLAN, FaultEvent, FaultPlan
+from repro.simulation.cluster import LINK_LATENCY
 
 
 # --------------------------------------------------------------------- #
@@ -138,11 +139,11 @@ class TestClusterSpecFaults:
         hier = ClusterSpec(world_size=4, bandwidth="1Gbps", hierarchical=True)
         expected = {
             "flat": NetworkModel.from_bandwidth(
-                4, flat.bandwidth_bytes_per_second(), latency=ClusterSpec.RETIRED["latency"]
+                4, flat.bandwidth_bytes_per_second(), latency=LINK_LATENCY
             ),
             "hier": build_paper_topology(
                 wan_bandwidth=hier.bandwidth_bytes_per_second(),
-                wan_latency=ClusterSpec.RETIRED["latency"],
+                wan_latency=LINK_LATENCY,
                 num_servers=4,
             ).cost_model(),
         }

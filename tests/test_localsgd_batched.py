@@ -104,7 +104,7 @@ class LoopedLocalSGDStep(_LocalSGDStep):
             replicas.load(rank)
             loss_value, grads = ddp.compute_local_gradients(batches[rank], F.cross_entropy)
             if self.use_gse:
-                apply_gse(model, mask, grads=grads)
+                apply_gse(mask, grads)
             # The pass hands back its own arrays: the replica's optimiser reads param.grad.
             ddp.apply_aggregated_gradients(grads)
             replicas.step(rank)

@@ -10,7 +10,6 @@ from repro.nn.models import (
     MODEL_REGISTRY,
     build_model,
     mlp_tiny,
-    register_model,
     resnet18_mini,
     resnet152_mini,
     vgg11_mini,
@@ -56,13 +55,13 @@ class TestForwardShapes:
         model = MINI_FACTORIES[name](num_classes=10, seed=0)
         x, y = batch
         optimizer = SGD(model.parameters(), lr=0.01)
-        loss_before = F.cross_entropy(model(x), y).item()
+        loss_before = float(F.cross_entropy(model(x), y).data)
         for _ in range(5):
             model.zero_grad()
             loss = F.cross_entropy(model(x), y)
             loss.backward()
             optimizer.step()
-        loss_after = F.cross_entropy(model(x), y).item()
+        loss_after = float(F.cross_entropy(model(x), y).data)
         assert loss_after < loss_before
 
 
@@ -93,7 +92,7 @@ class TestVGG:
     def test_width_scale_reduces_parameters(self):
         wide = VGG("vgg11", width_scale=0.25, max_pools=3, seed=0)
         narrow = VGG("vgg11", width_scale=0.125, max_pools=3, seed=0)
-        assert narrow.num_parameters() < wide.num_parameters()
+        assert sum(p.size for p in narrow.parameters()) < sum(p.size for p in wide.parameters())
 
     def test_vgg11_mini_forward(self, rng):
         model = vgg11_mini(seed=0)
@@ -112,7 +111,7 @@ class TestResNet:
 
     def test_resnet152_mini_uses_bottleneck(self):
         model = resnet152_mini(seed=0)
-        assert isinstance(model.layer1[0], Bottleneck)
+        assert isinstance(getattr(model.layer1, "0"), Bottleneck)
 
     def test_resnet152_mini_has_more_param_tensors_than_resnet18_mini(self):
         """The paper attributes ResNet-152's behaviour to its many evenly sized
@@ -146,7 +145,7 @@ class TestViT:
 
     def test_depth_controls_block_count(self):
         model = VisionTransformer(image_size=8, patch_size=2, embed_dim=16, depth=3, num_heads=2, seed=0)
-        assert len(model.blocks) == 3
+        assert len(list(model.blocks)) == 3
 
 
 class TestRegistry:
@@ -162,10 +161,10 @@ class TestRegistry:
         with pytest.raises(KeyError):
             build_model("alexnet")
 
-    def test_register_model(self):
-        register_model("test-model", lambda num_classes=10, seed=None: mlp_tiny(num_classes, seed=seed))
-        try:
-            model = build_model("test-model", num_classes=3, seed=0)
-            assert model.num_classes == 3
-        finally:
-            MODEL_REGISTRY.pop("test-model", None)
+    def test_register_model(self, monkeypatch):
+        def factory(num_classes=10, seed=None):
+            return mlp_tiny(num_classes, seed=seed)
+
+        monkeypatch.setitem(MODEL_REGISTRY, "test-model", {"mini": factory, "full": factory})
+        model = build_model("Test-Model", num_classes=3, seed=0)
+        assert model.num_classes == 3

@@ -1,4 +1,4 @@
-"""Layer behaviour: shapes, normalisation statistics, attention, dropout."""
+"""Layer behaviour: shapes, normalisation statistics, attention."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ import pytest
 
 from repro.nn import (
     AdaptiveAvgPool2d,
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     GELU,
     Identity,
@@ -161,17 +159,7 @@ class TestSimpleLayers:
     def test_max_and_avg_pool_layers(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 8, 8)))
         assert MaxPool2d(2)(x).shape == (1, 2, 4, 4)
-        assert AvgPool2d(2)(x).shape == (1, 2, 4, 4)
         assert AdaptiveAvgPool2d(1)(x).shape == (1, 2, 1, 1)
-
-    def test_dropout_only_active_in_training(self, rng):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        x = Tensor(np.ones((100,)))
-        train_out = layer(x).data
-        layer.eval()
-        eval_out = layer(x).data
-        assert (train_out == 0).any()
-        np.testing.assert_allclose(eval_out, 1.0)
 
 
 class TestMultiHeadAttention:

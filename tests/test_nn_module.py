@@ -34,9 +34,9 @@ class TestRegistration:
         assert params[0].shape == (8, 4)
         assert params[-1].shape == (2,)
 
-    def test_num_parameters(self):
+    def test_parameters_count_every_weight_and_bias(self):
         model = TwoLayer()
-        assert model.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
+        assert sum(p.size for p in model.parameters()) == 4 * 8 + 8 + 8 * 2 + 2
 
     def test_named_modules_includes_children(self):
         model = TwoLayer()
@@ -59,10 +59,10 @@ class TestSequentialAndModuleList:
         out = model(Tensor(rng.standard_normal((3, 4))))
         assert out.shape == (3, 2)
 
-    def test_sequential_indexing_and_len(self, rng):
+    def test_sequential_registers_children_in_order(self, rng):
         model = Sequential(Linear(4, 4, rng=rng), ReLU())
-        assert len(model) == 2
-        assert isinstance(model[1], ReLU)
+        children = [(name, type(module)) for name, module in model.named_modules() if name]
+        assert children == [("0", Linear), ("1", ReLU)]
 
     def test_sequential_registers_parameters(self, rng):
         model = Sequential(Linear(4, 4, rng=rng), Linear(4, 2, rng=rng))
@@ -70,7 +70,6 @@ class TestSequentialAndModuleList:
 
     def test_module_list(self, rng):
         blocks = ModuleList([Linear(2, 2, rng=rng) for _ in range(3)])
-        assert len(blocks) == 3
         assert len(list(blocks)) == 3
         assert len(ModuleList([Linear(2, 2, rng=rng)]).parameters()) == 2
 
@@ -81,11 +80,12 @@ class TestSequentialAndModuleList:
 
 class TestTrainEvalAndGrad:
     def test_train_eval_propagates(self):
-        model = Sequential(BatchNorm2d(3), ReLU())
+        norm = BatchNorm2d(3)
+        model = Sequential(norm, ReLU())
         model.eval()
-        assert not model[0].training
+        assert not norm.training
         model.train()
-        assert model[0].training
+        assert norm.training
 
     def test_zero_grad_clears_all(self, rng):
         model = TwoLayer()
@@ -153,12 +153,24 @@ class TestOptimizer:
         # velocity = 0.5 * 1 + 1 = 1.5
         assert param.data[0] == pytest.approx(-2.5)
 
-    def test_sgd_weight_decay(self):
-        param = Parameter(np.full(1, 2.0))
-        opt = SGD([param], lr=0.1, weight_decay=0.1)
-        param.grad = np.zeros(1)
+    def test_sgd_velocity_is_updated_in_place(self):
+        param = Parameter(np.zeros(2))
+        opt = SGD([param], lr=1.0, momentum=0.5)
+        assert opt.velocity == [None]
+        param.grad = np.ones(2)
         opt.step()
-        assert param.data[0] == pytest.approx(2.0 - 0.1 * 0.1 * 2.0)
+        buffer = opt.velocity[0]
+        param.grad = np.ones(2)
+        opt.step()
+        assert opt.velocity[0] is buffer
+        np.testing.assert_allclose(buffer, [1.5, 1.5])
+
+    def test_sgd_rejects_an_unaggregated_world_stack(self):
+        param = Parameter(np.ones(3))
+        param.grad = np.ones((2, 3))
+        with pytest.raises(ValueError, match="must be aggregated"):
+            SGD([param], lr=0.1).step()
+        np.testing.assert_array_equal(param.data, np.ones(3))
 
     def test_sgd_skips_missing_gradients(self):
         param = Parameter(np.ones(2))

@@ -358,7 +358,6 @@ class TestKernelCallSites:
         inner = NumpyBackend()
         wrapped = ObservedBackend(inner)
         assert wrapped.name == inner.name
-        assert wrapped.pad == inner.pad
 
     def test_disabled_backend_is_unwrapped(self):
         assert not isinstance(get_backend(), ObservedBackend)

@@ -1,0 +1,228 @@
+"""Every function the product path never enters is in the ledger, with a reason.
+
+``benchmarks/reach.py`` runs the product path (README commands, example
+campaigns and examples, one cell per paper model) under a function-level
+tracer and lists the ``def``s of ``src/repro`` that no entry enters.  It
+fails unless that set is exactly what :data:`LEDGER` covers; it is a CI job
+because the path takes about a minute.  A key is a def
+(``path:Qual.name``), a class (``path:Class``: every def in it) or a module
+file (``path``: every def in it), with ``path`` relative to ``src/repro``.
+
+Each reason starts with one tag:
+
+* ``field:`` the code behind a field of the knob ledger
+  (``tests/test_knob_ledger.py``); it goes when the field goes;
+* ``error:`` a typed-error or failure-report path;
+* ``repr:`` a debugging ``__repr__``;
+* ``abstract:`` an interface method with no body of its own;
+* ``bench:`` a name ``benchmarks/e2e/probe.py``'s ``TABLE`` or ``micro.py``
+  calls, which the benchmark's definition pins;
+* ``oracle:`` a reference tests compare against;
+* ``pool:`` code that runs only with pool workers (the path sweeps with
+  ``--jobs 1``);
+* ``decision:`` kept by a decision recorded in ROADMAP item 20(d) or item 9;
+* ``next:<group>`` scheduled for a later deletion group, in the order of
+  :data:`NEXT_GROUPS`.
+
+Tier-1 checks the static half (keys resolve by AST, tags are valid, ``field:``
+names a knob-ledger field) and that the tracer sees both import-time and
+run-time code.  ``reach.py`` loads this file for :data:`LEDGER`, so the tests
+import ``reach`` themselves and loading the file imports nothing else.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import re
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+TAGS = ("field", "error", "repr", "abstract", "bench", "oracle", "pool", "decision")
+#: The later deletion groups, in the order ROADMAP item 20 schedules them.
+NEXT_GROUPS = ("comm", "codec", "api", "models")
+
+#: Never-entered key -> why it stays.
+LEDGER = {
+    # ---- field: the code behind a knob-ledger field ----
+    "comm/topology.py": "field: ClusterSpec.hierarchical; the Fig. 4 topology and its two-level cost model",
+    "pruning/grasp.py": "field: MethodSpec.pruning_method; GraSP, the paper's alternative pruner",
+    "tensorlib/functional.py:fused_norm": "field: ExperimentConfig.dtype; the float32 normalisation path",
+    "tensorlib/backend.py:NumpyBackend.fused_norm_stats": "field: ExperimentConfig.dtype; fused_norm's forward kernel",
+    "tensorlib/backend.py:NumpyBackend.fused_norm_backward": "field: ExperimentConfig.dtype; fused_norm's backward kernel",
+    "simulation/compute.py:DeviceSpec.to_dict": "field: ClusterSpec.device; a custom device in a stored cluster",
+    "simulation/compute.py:DeviceSpec.from_dict": "field: ClusterSpec.device; a custom device read back",
+    # ---- error: typed-error and failure-report paths ----
+    "tensorlib/tensor.py:_consumed": "error: backward over a graph an earlier backward released",
+    "nn/module.py:ModuleList.forward": "error: calling a container",
+    "campaign/store.py:ResultStore._quarantine": "error: an unreadable store line goes to <store>.corrupt",
+    "campaign/runner.py:_is_transient": "error: whether a failed cell is retried",
+    "campaign/runner.py:retry_delay": "error: the backoff before a failed cell's retry",
+    "golden.py:format_diff": "error: the report of a drifted golden trace",
+    "pactrain/compressor.py:PacTrainCompressor._check_driver_ef_composable": "error: driver error feedback on PacTrain",
+    "compression/codec/payloads.py:BitmaskPayload.with_reduced": "error: bitmasks are broadcast, never reduced",
+    # ---- repr: debugging helpers ----
+    "tensorlib/tensor.py:Tensor.__repr__": "repr: debugging helper",
+    "tensorlib/backend.py:NumpyBackend.__repr__": "repr: debugging helper",
+    "nn/module.py:Module.__repr__": "repr: debugging helper",
+    "ddp/arena.py:GradientArena.__repr__": "repr: debugging helper",
+    "compression/codec/pipeline.py:Pipeline.__repr__": "repr: debugging helper",
+    "compression/codec/stages.py:Codec.__repr__": "repr: debugging helper",
+    "obs/instrument.py:ObservedBackend.__repr__": "repr: debugging helper",
+    "pruning/mask.py:PruningMask.__repr__": "repr: debugging helper",
+    # ---- abstract: interface methods ----
+    "comm/network.py:CostModel": "abstract: the collective cost interface NetworkModel implements",
+    "nn/module.py:Module.forward": "abstract: every layer and model defines its own",
+    "compression/codec/stages.py:Codec.encode": "abstract: every stage defines its own",
+    "compression/codec/stages.py:Codec.decode": "abstract: every stage defines its own",
+    "compression/codec/payloads.py:WirePayload.nbytes": "abstract: every payload defines its own",
+    "compression/codec/payloads.py:WirePayload.num_elements": "abstract: every payload defines its own",
+    "compression/codec/payloads.py:WirePayload.transmitted_elements": "abstract: every payload defines its own",
+    "compression/codec/payloads.py:WirePayload.reduce_values": "abstract: every reducible payload defines its own",
+    "compression/codec/payloads.py:WirePayload.with_reduced": "abstract: every reducible payload defines its own",
+    # ---- bench: names the benchmark's probe table or micro rows call ----
+    "tensorlib/tensor.py:Tensor.__matmul__": "bench: micro.py's matmul row multiplies with @",
+    "ddp/ddp.py:DistributedDataParallel.compute_local_gradients": "bench: probe.TABLE's ddp layer",
+    "comm/process_group.py:ProcessGroup.reduce_scatter": "bench: probe.TABLE's comm layer",
+    "comm/collectives.py:reduce_scatter": "bench: the collective ProcessGroup.reduce_scatter runs",
+    "comm/process_group.py:ProcessGroup.pop_events": "bench: micro.py's codec rows drain the event log",
+    "simulation/regimes.py:ReplicaSet.params_dict": "bench: probe.TABLE's simulation.regimes layer",
+    "campaign/store.py:ResultStore.get": "bench: probe.TABLE's campaign.store layer",
+    "campaign/store.py:cell_fingerprint": "bench: the key ResultStore.get looks up",
+    "obs/__init__.py:enable": "bench: micro.py's obs.traced_op_ratio row",
+    "obs/__init__.py:disable": "bench: micro.py's obs.traced_op_ratio row",
+    # ---- oracle: references tests compare against ----
+    "compression/codec/stages.py:top_k_indices": "oracle: the full-argpartition selection the fast selector must equal",
+    "compression/codec/stages.py:ternarize": "oracle: the functional TernGrad the Ternarize stage is checked against",
+    # ---- pool: code that runs only with pool workers ----
+    "campaign/runner.py:_run_pooled": "pool: the jobs > 1 sweep loop",
+    "campaign/runner.py:_execute_cell_in_worker": "pool: a worker's cell entry point",
+    "campaign/runner.py:_worker_init": "pool: a worker's initializer",
+    "campaign/runner.py:_pool_pids": "pool: the worker pids the watchdog tracks",
+    "campaign/runner.py:default_jobs": "pool: the worker count for --jobs 0",
+    # ---- decision: checkpointing (ROADMAP 20(d)) and item 9's full builders ----
+    "simulation/experiment.py:TrainingCheckpoint": "decision: checkpointing, the restore == uninterrupted oracle (20(d))",
+    "simulation/experiment.py:_capture": "decision: checkpointing (20(d))",
+    "simulation/experiment.py:_restore": "decision: checkpointing (20(d))",
+    "simulation/experiment.py:_differences": "decision: checkpointing (20(d))",
+    "simulation/experiment.py:_SyncStep.state": "decision: checkpointing (20(d))",
+    "simulation/experiment.py:_SyncStep.load_state": "decision: checkpointing (20(d))",
+    "simulation/experiment.py:_LocalSGDStep.state": "decision: checkpointing (20(d))",
+    "simulation/experiment.py:_LocalSGDStep.load_state": "decision: checkpointing (20(d))",
+    "simulation/experiment.py:_ParameterServer.state": "decision: checkpointing (20(d))",
+    "simulation/experiment.py:_ParameterServer.load_state": "decision: checkpointing (20(d))",
+    "nn/module.py:Module.state_dict": "decision: checkpoints and the restore == uninterrupted oracle (20(d))",
+    "nn/module.py:Module.load_state_dict": "decision: checkpoints and the restore == uninterrupted oracle (20(d))",
+    "nn/module.py:Module._iter_buffer_owners": "decision: load_state_dict's buffer walk (20(d))",
+    "nn/models/vgg.py:vgg19": "decision: item 9's paper-size builders",
+    "nn/models/resnet.py:resnet18": "decision: item 9's paper-size builders",
+    "nn/models/resnet.py:resnet152": "decision: item 9's paper-size builders",
+    "nn/models/vit.py:vit_base_16": "decision: item 9's paper-size builders",
+    # ---- next:comm: collectives no codec emits ----
+    "comm/network.py:NetworkModel.gather_time": "next:comm: no codec gathers to a root",
+    "comm/network.py:NetworkModel.reduce_time": "next:comm: no codec reduces to a root",
+    "comm/network.py:NetworkModel.reduce_scatter_time": "next:comm: no codec reduce-scatters",
+    "comm/process_group.py:ProcessGroup.total_bytes_per_worker": "next:comm: results count bytes through the timeline",
+    # ---- next:codec: codec conveniences and resets only tests call ----
+    "compression/codec/pipeline.py:Pipeline.encode": "next:codec: a one-rank convenience encode",
+    "compression/codec/pipeline.py:parse_codec_spec": "next:codec: build_compressor parses specs its own way",
+    "compression/codec/stages.py:Codec.__add__": "next:codec: stage + stage builds a Pipeline",
+    "compression/codec/stages.py:Codec.resize_world": "next:codec: the no-op default every stateful stage overrides",
+    "compression/base.py:CodecCompressor.residual": "next:codec: a test accessor for an error-feedback residual",
+    "compression/base.py:CodecCompressor.reset": "next:codec: compressors are built per run, never reset",
+    "pactrain/compressor.py:PacTrainCompressor.reset": "next:codec: compressors are built per run, never reset",
+    "compression/codec/pipeline.py:Pipeline.reset": "next:codec: compressors are built per run, never reset",
+    "compression/codec/stages.py:Codec.reset": "next:codec: compressors are built per run, never reset",
+    "compression/codec/stages.py:DGCSelect.reset": "next:codec: compressors are built per run, never reset",
+    "compression/codec/stages.py:MaskCompact.reset": "next:codec: compressors are built per run, never reset",
+    "compression/codec/stages.py:Ternarize.reset": "next:codec: compressors are built per run, never reset",
+    "pactrain/mask_tracker.py:MaskTracker.reset": "next:codec: compressors are built per run, never reset",
+    "pactrain/mask_tracker.py:MaskTracker.streak": "next:codec: a test accessor for the stability streak",
+    "pactrain/mask_tracker.py:MaskState.sparsity": "next:codec: results read density",
+    "compression/codec/payloads.py:WirePayload.reducible_with": "next:codec: every payload the driver reduces answers itself",
+    "compression/codec/payloads.py:BitmaskPayload.mask": "next:codec: the driver unpacks bitmasks itself",
+    "compression/codec/payloads.py:BitmaskPayload.reduce_values": "next:codec: bitmasks are broadcast, never reduced",
+    "compression/codec/payloads.py:BitmaskPayload.transmitted_elements": "next:codec: no result counts bitmask elements",
+    "compression/codec/payloads.py:DensePayload.num_elements": "next:codec: no result counts payload elements",
+    "compression/codec/payloads.py:HalfPayload.num_elements": "next:codec: no result counts payload elements",
+    "compression/codec/payloads.py:SparsePayload.num_elements": "next:codec: no result counts payload elements",
+    "compression/codec/payloads.py:TernaryPayload.num_elements": "next:codec: no result counts payload elements",
+    "compression/codec/payloads.py:DensePayload.add_to": "next:codec: the driver accumulates in place itself",
+    "compression/codec/payloads.py:DensePayload.subtract_from": "next:codec: the driver updates residuals itself",
+    # ---- next:api: accessors and loaders only tests call ----
+    "campaign/spec.py:CampaignSpec.from_file": "next:api: the CLI reads spec files itself",
+    "campaign/spec.py:CampaignSpec.to_dict": "next:api: no store or report writes a spec back",
+    "campaign/store.py:ResultStore.__contains__": "next:api: a test accessor",
+    "campaign/store.py:ResultStore.keys": "next:api: a test accessor",
+    "ddp/arena.py:GradientArena.nbytes": "next:api: a test accessor",
+    "ddp/arena.py:GradientArena.row": "next:api: a test accessor",
+    "ddp/arena.py:GradientArena.zero": "next:api: a test helper",
+    "ddp/bucket.py:Bucket.nbytes": "next:api: wire bytes come from payloads",
+    "ddp/bucket.py:GradBucket.nbytes": "next:api: wire bytes come from payloads",
+    "simulation/engine.py:EventHeap.__len__": "next:api: a test accessor",
+    "simulation/engine.py:IterationTrace.overlap_fraction": "next:api: results report the saved seconds",
+    "simulation/faults.py:FaultPlan.from_dict": "next:api: stored configs are never decoded on the path",
+    "simulation/faults.py:FaultEvent.from_dict": "next:api: stored configs are never decoded on the path",
+    "simulation/faults.py:_events": "next:api: stored configs are never decoded on the path",
+    "obs/__init__.py:is_enabled": "next:api: a test accessor",
+    "obs/tracer.py:Tracer.events": "next:api: traces stream to a file",
+    "obs/instrument.py:ObservedBackend.__getattr__": "next:api: every backend method is a metered kernel",
+    "tensorlib/backend.py:set_backend": "next:api: the accelerated-backend seam only tests use",
+    "tensorlib/backend.py:use_backend": "next:api: the accelerated-backend seam only tests use",
+    "data/synthetic.py:synthetic_cifar100": "next:api: no figure trains on 100 classes",
+    "data/synthetic.py:SyntheticImageClassification.__getitem__": "next:api: loaders index arrays in batches",
+    # ---- next:models ----
+    "nn/models/vgg.py:vgg11_mini": "next:models: test_campaign.py's cheap conv model; no figure runs vgg11",
+}
+
+
+def test_reach_loads_this_ledger():
+    import reach
+
+    assert reach.load_ledger() == LEDGER
+
+
+def test_every_key_resolves_to_a_def():
+    import reach
+
+    defs = reach.list_defs()
+    unresolved = [key for key in LEDGER if not any(reach.covers(key, d) for d in defs.values())]
+    assert unresolved == [], "these ledger keys name no def in src/repro"
+
+
+def test_no_key_covers_another():
+    import reach
+
+    defs = reach.list_defs().values()
+    for outer in LEDGER:
+        covered = {d.key for d in defs if reach.covers(outer, d)}
+        assert covered & set(LEDGER) <= {outer}, f"{outer} covers other ledger keys"
+
+
+def test_every_reason_is_one_line_with_a_tag():
+    pattern = re.compile(rf"^(?:{'|'.join(TAGS)}|next:(?:{'|'.join(NEXT_GROUPS)})): \S[^\n]*$")
+    untagged = sorted(key for key, reason in LEDGER.items() if not pattern.match(reason))
+    assert untagged == [], f"each reason starts with one of {TAGS} or next:<{'|'.join(NEXT_GROUPS)}>"
+
+
+def test_field_entries_name_a_knob_ledger_field():
+    from tests.test_knob_ledger import LEDGER as KNOBS
+
+    fields = {key: reason.split()[1].rstrip(";") for key, reason in LEDGER.items() if reason.startswith("field: ")}
+    assert fields and {key: name for key, name in fields.items() if name not in KNOBS} == {}
+
+
+def test_the_tracer_sees_import_time_and_run_time_code():
+    """``Tracer.__init__`` runs only while ``repro`` is imported: a hook
+    installed after the import, or one that records nothing, fails here."""
+    from tests.test_reach import in_child
+
+    entered = set(json.loads(in_child("""\
+        import json, reach
+        print(json.dumps(sorted(reach.trace([["repro", "golden", "--quiet", "--only", "all-reduce"]]))))
+        """)))
+    assert "simulation/experiment.py:run_experiment" in entered
+    assert "obs/tracer.py:Tracer.__init__" in entered
+    assert "comm/topology.py:ClusterTopology.path" not in entered

@@ -39,12 +39,13 @@ from repro.comm import build_paper_topology
 from repro.simulation import ClusterSpec, DeviceSpec, TrainingTimeline
 from repro.simulation.experiment import train_distributed
 from repro.simulation.pricing import Transfer
+from repro.simulation.cluster import LINK_LATENCY
 
 # --------------------------------------------------------------------------- #
 # α–β oracle
 # --------------------------------------------------------------------------- #
 #: Ranks, the link's fixed latency (s) and 100 Mbps in bytes/s.
-WORLD, ALPHA, BETA = 4, ClusterSpec.RETIRED["latency"], 12.5e6
+WORLD, ALPHA, BETA = 4, LINK_LATENCY, 12.5e6
 COMPUTE, NUM_BYTES, ITERATIONS = 0.01, 1e5, 5
 
 #: The fold adds N per-iteration terms one at a time and each term as

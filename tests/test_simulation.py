@@ -28,6 +28,7 @@ from repro.comm.topology import build_paper_topology
 from repro.simulation.compute import BACKWARD_FACTOR, DEVICE_PRESETS
 from repro.simulation.pricing import Transfer
 from repro.data import DataLoader
+from repro.simulation.cluster import LINK_LATENCY
 
 
 class TestComputeModel:
@@ -80,7 +81,7 @@ class TestClusterSpec:
         cluster = ClusterSpec(world_size=8, bandwidth="100Mbps", hierarchical=True)
         topo = build_paper_topology(
             wan_bandwidth=cluster.bandwidth_bytes_per_second(),
-            wan_latency=ClusterSpec.RETIRED["latency"],
+            wan_latency=LINK_LATENCY,
             num_servers=cluster.world_size,
         )
         assert len(topo.servers) == 8
@@ -124,7 +125,7 @@ UNIT_DEVICE = DeviceSpec("unit", 1.0)
 
 
 #: The latency of a two-rank ring all-reduce: two steps of the fixed link latency.
-RING_LATENCY = 2 * ClusterSpec.RETIRED["latency"]
+RING_LATENCY = 2 * LINK_LATENCY
 
 
 def _flat_timeline(compute, target_accuracy=None):

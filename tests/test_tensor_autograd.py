@@ -70,27 +70,21 @@ class TestElementwiseGradients:
         other = Tensor(np.abs(rng.standard_normal((3, 4))) + 1.0)
         check_gradient(lambda t: t / other, x)
 
-    def test_rdiv(self, x):
-        shifted = np.abs(x) + 1.0
-        check_gradient(lambda t: 2.0 / t, shifted)
+    def test_div_denominator(self, x, rng):
+        numerator = Tensor(rng.standard_normal((3, 4)))
+        check_gradient(lambda t: numerator / t, np.abs(x) + 1.0)
 
-    def test_pow(self, x):
-        positive = np.abs(x) + 0.5
-        check_gradient(lambda t: t ** 3, positive)
+    def test_mul_broadcast_operand(self, rng):
+        other = Tensor(rng.standard_normal((3, 4)))
+        check_gradient(lambda t: other * t, rng.standard_normal((4,)))
 
-    def test_exp(self, x):
-        check_gradient(lambda t: t.exp(), x)
-
-    def test_log(self, x):
-        positive = np.abs(x) + 0.5
-        check_gradient(lambda t: t.log(), positive)
+    def test_sub_broadcast_operand(self, rng):
+        other = Tensor(rng.standard_normal((2, 3, 4)))
+        check_gradient(lambda t: other - t, rng.standard_normal((3, 1)))
 
     def test_sqrt(self, x):
         positive = np.abs(x) + 0.5
         check_gradient(lambda t: t.sqrt(), positive)
-
-    def test_tanh(self, x):
-        check_gradient(lambda t: t.tanh(), x)
 
     def test_relu(self, x):
         # Shift away from the kink where finite differences are ill-defined.
@@ -139,11 +133,9 @@ class TestReductionGradients:
     def test_var(self, x):
         check_gradient(lambda t: t.var(axis=0), x, atol=1e-4)
 
-    def test_max(self, rng):
-        values = rng.standard_normal((4, 5))
-        # Perturb to avoid ties which break finite differences.
-        values += np.arange(20).reshape(4, 5) * 1e-3
-        check_gradient(lambda t: t.max(axis=1), values)
+    def test_mean_over_an_axis_tuple(self, rng):
+        values = rng.standard_normal((2, 3, 4))
+        check_gradient(lambda t: t.mean(axis=(0, 2), keepdims=True), values)
 
 
 class TestSoftmaxGradients:
@@ -177,18 +169,14 @@ class TestShapeGradients:
         idx = np.array([0, 2])
         check_gradient(lambda t: t[idx], x)
 
-    def test_pad(self, x):
-        check_gradient(lambda t: t.pad(((1, 1), (0, 2))), x)
+    def test_swapaxes(self, rng):
+        values = rng.standard_normal((2, 3, 4))
+        check_gradient(lambda t: t.swapaxes(-1, -2) * Tensor(np.arange(24.0).reshape(2, 4, 3)), values)
 
     def test_concatenate(self, rng):
         a = rng.standard_normal((2, 3))
         b = Tensor(rng.standard_normal((2, 3)))
         check_gradient(lambda t: Tensor.cat([t, b], axis=0), a)
-
-    def test_stack(self, rng):
-        a = rng.standard_normal((2, 3))
-        b = Tensor(rng.standard_normal((2, 3)))
-        check_gradient(lambda t: Tensor.stack([t, b], axis=0), a)
 
 
 class TestBackwardSemantics:

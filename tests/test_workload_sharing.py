@@ -32,12 +32,11 @@ from repro import __version__
 from repro.campaign import CampaignSpec, ResultStore, cell_fingerprint, run_campaign
 from repro.campaign.store import RESULT_SCHEMA_VERSION, canonical_json
 from repro.data import DataLoader, DistributedSampler, synthetic_cifar10, train_test_split
-from repro.nn.models import MLP, MODEL_REGISTRY, build_model, register_model
+from repro.nn.models import build_model
 from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, MethodSpec, run_experiment
 from repro.simulation import experiment
 from repro.simulation.experiment import (
     _prepare_workload,
-    _pretrain,
     _WorkloadShare,
 )
 from repro.tensorlib import default_dtype
@@ -211,32 +210,6 @@ class TestOwnership:
         for own, shared in zip(model.parameters(), workload.model.parameters()):
             assert own.grad is not None
             assert own.grad.tobytes() == shared.grad.tobytes()
-
-    def test_copy_carries_the_dropout_generator_state(self):
-        register_model(
-            "mlp-dropout",
-            lambda num_classes, seed: MLP(192, (32,), num_classes, dropout=0.1, seed=seed),
-        )
-        try:
-            config = mlp_config(model="mlp-dropout")
-            share = _WorkloadShare()
-            model, *_ = _prepare_workload(config, PAPER_METHODS["all-reduce"], share)
-            (workload,) = kept_workloads(share)
-            state = workload.model.dropout._rng.bit_generator.state
-            assert model.dropout._rng is not workload.model.dropout._rng
-            assert model.dropout._rng.bit_generator.state == state
-            # What rules out build_model + load_state_dict as the copy: a
-            # rebuilt model's generator restarts where initialisation left it.
-            rebuilt = build_model("mlp-dropout", num_classes=10, seed=config.seed)
-            rebuilt.load_state_dict(workload.model.state_dict())
-            assert rebuilt.dropout._rng.bit_generator.state != state
-
-            alone = run_experiment(config, PAPER_METHODS["fp16"])
-            run_experiment(config, PAPER_METHODS["all-reduce"], _share=share)  # draws masks
-            shared = run_experiment(config, PAPER_METHODS["fp16"], _share=share)
-            assert shared.to_dict() == alone.to_dict()
-        finally:
-            del MODEL_REGISTRY["mlp-dropout"]
 
     def test_float32_and_float64_cells_do_not_share(self):
         share = _WorkloadShare()
@@ -574,10 +547,3 @@ class TestUntrainableSplitsAreRejected:
         assert (len(train_set), len(test_loader.dataset)) == (train_samples, samples - train_samples)
         with pytest.raises(ValueError, match=f"{train_samples} training /"):
             dataclasses.replace(config, cluster=ClusterSpec(world_size=train_samples + 1))
-
-    def test_pretrain_raises_on_a_loader_that_yields_nothing(self, tiny_dataset, tiny_model):
-        empty = DataLoader(tiny_dataset, batch_size=200, drop_last=True)
-        assert len(empty) == 0
-        with pytest.raises(ValueError, match="yields no batches"):
-            _pretrain(tiny_model, empty, iterations=3)
-        _pretrain(tiny_model, empty, iterations=0)  # nothing asked, nothing done

@@ -275,12 +275,12 @@ class TestTrainingStep:
                 mask = magnitude_prune(ddp.model, 0.5)
                 if path == "batched":
                     _, grads = ddp.compute_batched_gradients(batches, F.cross_entropy)
-                    apply_gse(ddp.model, mask, grads=grads)
+                    apply_gse(mask, grads)
                     ddp.stage_world_gradients(grads)
                 else:
                     for rank, batch in enumerate(batches):
                         _, grads = ddp.compute_local_gradients(batch, F.cross_entropy)
-                        apply_gse(ddp.model, mask, grads=grads)
+                        apply_gse(mask, grads)
                         ddp.stage_rank_gradients(rank, grads)
             staged[path] = [ddp.arena.matrix(b.index).copy() for b in ddp.buckets]
         for batched, looped in zip(staged["batched"], staged["looped"]):
