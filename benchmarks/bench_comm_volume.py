@@ -90,7 +90,7 @@ def run_volume_analysis() -> dict:
             compressor.aggregate(_bucket(rng, mask), group)
             groups[setting] = group
         report[name] = {
-            "bytes": groups["1Gbps"].total_bytes_per_worker,
+            "bytes": float(sum(event.bytes_per_worker for event in groups["1Gbps"].events)),
             **{
                 f"time_{setting}": pricing.comm_time(
                     NetworkModel.from_paper_setting(WORLD_SIZE, setting), group.events

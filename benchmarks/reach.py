@@ -80,6 +80,14 @@ PRODUCT_PATH: List[List[str]] = [
     ["repro", "run", "--model", "mlp", "--method", "dgc-0.01", "--world-size", "4",
      "--epochs", "2", "--dataset-samples", "48", "--max-iterations-per-epoch", "4",
      "--set", "pretrain_iterations=2", "--set", "faults=crash:3@0.001,rejoin:3@0.003", "--quiet"],
+    # A stage without rank-indexed state (MaskCompact) keeps Codec.resize_world's
+    # default: the crash and the re-join must fall in different iterations.
+    ["repro", "run", "--model", "mlp", "--method", "pactrain", "--world-size", "4",
+     "--bandwidth", "100Mbps", "--epochs", "3", "--dataset-samples", "48",
+     "--max-iterations-per-epoch", "4", "--set", "pretrain_iterations=2",
+     "--set", "faults=crash:3@0.0,rejoin:3@0.5", "--quiet"],
+    # Driver error feedback around a dense stage subtracts a DensePayload.
+    ["repro", "run", "--model", "mlp", "--method", "ef+fp16", *_CELL],
     ["repro", "run", "--model", "mlp", "--method", "topk-0.01", "--regime", "ps:2",
      "--world-size", "4", "--bandwidth", "100Mbps", "--epochs", "2", "--dataset-samples", "48",
      "--max-iterations-per-epoch", "3", "--set", "pretrain_iterations=2", "--quiet"],

@@ -26,7 +26,7 @@ memory stays O(numel) instead of the O(world × numel) of a stack-then-sum.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
@@ -45,13 +45,13 @@ class CollectiveEvent:
     #: rank's ``nbytes``; the root's for a broadcast).
     payload_bytes: float
     world_size: int
-    payload_elements: int = 0
-    metadata: dict = field(default_factory=dict)
 
 
 def _check_payloads(payloads: Sequence[WirePayload]) -> None:
     """Refuse anything but a non-empty sequence of payloads (raw arrays above all)."""
-    if isinstance(payloads, np.ndarray) or not all(hasattr(p, "reducible_with") for p in payloads):
+    from repro.compression.codec.payloads import WirePayload  # noqa: PLC0415
+
+    if isinstance(payloads, np.ndarray) or not all(isinstance(p, WirePayload) for p in payloads):
         raise TypeError(
             "collectives carry one WirePayload per rank; wrap a raw array as "
             "DensePayload(values, element_bytes=...)"
@@ -75,6 +75,11 @@ def _reduce(payloads: Sequence[WirePayload], average: bool) -> np.ndarray:
     """Sum (or average) element-wise reducible payloads into one dense buffer."""
     _check_payloads(payloads)
     head = payloads[0]
+    if not hasattr(head, "reducible_with"):
+        raise TypeError(
+            f"{type(head).__name__} is not element-wise reducible; all_reduce carries "
+            "dense, half, ternary or shared-selection sparse payloads"
+        )
     for index, payload in enumerate(payloads[1:], start=1):
         if not head.reducible_with(payload):
             raise ValueError(
@@ -112,15 +117,13 @@ def accumulate_sum(arrays) -> np.ndarray:
     return total
 
 
-def _event(op, head, world_size, num_bytes, bytes_per_worker, elements) -> CollectiveEvent:
-    """One ``op``'s record, labelled by ``head``'s payload type; a lone rank sends nothing."""
+def _event(op, world_size, num_bytes, bytes_per_worker) -> CollectiveEvent:
+    """One ``op``'s record; a lone rank sends nothing."""
     return CollectiveEvent(
         op=op,
         bytes_per_worker=bytes_per_worker if world_size > 1 else 0.0,
         payload_bytes=num_bytes,
         world_size=world_size,
-        payload_elements=int(elements),
-        metadata={"payload": type(head).__name__},
     )
 
 
@@ -135,7 +138,7 @@ def all_reduce(buffers: Sequence[WirePayload], average: bool = True) -> tuple:
     world_size = len(buffers)
     num_bytes = max(payload.nbytes for payload in buffers)
     wire = 2.0 * (world_size - 1) / world_size * num_bytes
-    event = _event("all_reduce", buffers[0], world_size, num_bytes, wire, buffers[0].transmitted_elements)
+    event = _event("all_reduce", world_size, num_bytes, wire)
     return buffers[0].with_reduced(total), event
 
 
@@ -149,8 +152,7 @@ def all_gather(buffers: Sequence[WirePayload]) -> tuple:
     _check_payloads(buffers)
     world_size = len(buffers)
     num_bytes = max(payload.nbytes for payload in buffers)
-    elements = max(int(p.transmitted_elements) for p in buffers)
-    event = _event("all_gather", buffers[0], world_size, num_bytes, (world_size - 1) * num_bytes, elements)
+    event = _event("all_gather", world_size, num_bytes, (world_size - 1) * num_bytes)
     # Independent copies: the inputs may hold views into a stage's internal state.
     return [_copy_payload(payload) for payload in buffers], event
 
@@ -161,7 +163,7 @@ def broadcast(buffer: WirePayload, world_size: int) -> tuple:
     if world_size < 1:
         raise ValueError("world_size must be >= 1")
     num_bytes = buffer.nbytes
-    event = _event("broadcast", buffer, world_size, num_bytes, num_bytes, buffer.num_elements)
+    event = _event("broadcast", world_size, num_bytes, num_bytes)
     # Independent replicas: payload dataclasses are frozen but their ndarray
     # fields are not.
     return [_copy_payload(buffer) for _ in range(world_size)], event
@@ -174,5 +176,5 @@ def reduce_scatter(buffers: Sequence[WirePayload], average: bool = False) -> tup
     chunks: List[np.ndarray] = np.array_split(total.reshape(-1), world_size)
     num_bytes = max(payload.nbytes for payload in buffers)
     wire = (world_size - 1) / world_size * num_bytes
-    event = _event("reduce_scatter", buffers[0], world_size, num_bytes, wire, buffers[0].transmitted_elements)
+    event = _event("reduce_scatter", world_size, num_bytes, wire)
     return chunks, event

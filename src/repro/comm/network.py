@@ -58,11 +58,14 @@ class LinkSpec:
 class CostModel(ABC):
     """Collective cost interface shared by every network backend.
 
-    Each collective method returns the modeled seconds for one collective over
-    a per-worker payload of ``num_bytes``.  Collective costs must be monotone
-    non-decreasing in ``num_bytes`` and (for fixed bytes) in ``world_size``,
-    and must return ``0.0`` for a single worker or an empty payload — the
-    engine and the property-based tests rely on those invariants.
+    It prices exactly the operations a run logs: ``p2p_time`` (a parameter
+    server's pull or push), ``ring_all_reduce_time``, ``all_gather_time`` and
+    ``broadcast_time``.  Each collective method returns the modeled seconds
+    for one collective over a per-worker payload of ``num_bytes``.
+    Collective costs must be monotone non-decreasing in ``num_bytes`` and
+    (for fixed bytes) in ``world_size``, and must return ``0.0`` for a single
+    worker or an empty payload — the engine and the property-based tests rely
+    on those invariants.
     ``p2p_time`` is exempt from the ``world_size`` clause: it is a raw link
     transfer between two endpoints, so only the byte invariants apply (zero
     bytes still cost ``0.0`` via :meth:`LinkSpec.transfer_time`).
@@ -83,20 +86,8 @@ class CostModel(ABC):
         """All-gather where every worker contributes ``num_bytes``."""
 
     @abstractmethod
-    def reduce_scatter_time(self, num_bytes: float) -> float:
-        """Reduce-scatter of a ``num_bytes`` buffer."""
-
-    @abstractmethod
     def broadcast_time(self, num_bytes: float) -> float:
         """Broadcast of ``num_bytes`` from one root to all workers."""
-
-    @abstractmethod
-    def reduce_time(self, num_bytes: float) -> float:
-        """Reduce of ``num_bytes`` from all workers onto one root."""
-
-    @abstractmethod
-    def gather_time(self, num_bytes: float) -> float:
-        """Gather where the root receives ``num_bytes`` from every worker."""
 
 
 class NetworkModel(CostModel):
@@ -163,15 +154,6 @@ class NetworkModel(CostModel):
         volume = (n - 1) * num_bytes
         return steps * self.bottleneck.latency + volume / self.bottleneck.bandwidth
 
-    def reduce_scatter_time(self, num_bytes: float) -> float:
-        """Reduce-scatter of a ``num_bytes`` buffer (half of a ring all-reduce)."""
-        n = self.world_size
-        if n == 1 or num_bytes == 0:
-            return 0.0
-        steps = n - 1
-        volume = (n - 1) / n * num_bytes
-        return steps * self.bottleneck.latency + volume / self.bottleneck.bandwidth
-
     def broadcast_time(self, num_bytes: float) -> float:
         """Binomial-tree broadcast of ``num_bytes`` from one root to all workers."""
         n = self.world_size
@@ -180,6 +162,9 @@ class NetworkModel(CostModel):
         rounds = math.ceil(math.log2(n))
         return rounds * self.bottleneck.transfer_time(num_bytes)
 
+    # ------------------------------------------------------------------ #
+    # Rooted phases (the hierarchical model's intra-group steps)
+    # ------------------------------------------------------------------ #
     def reduce_time(self, num_bytes: float) -> float:
         """Binomial-tree reduce onto one root (the mirror image of broadcast).
 

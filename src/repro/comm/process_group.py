@@ -69,6 +69,9 @@ class ProcessGroup:
         return replicas
 
     def reduce_scatter(self, buffers: Sequence[WirePayload], average: bool = False) -> List[np.ndarray]:
+        """Logs a ``reduce_scatter`` event that :mod:`repro.simulation.pricing`
+        has no price for: no codec emits the op, which stays for the e2e
+        probe's table."""
         self._check_world(buffers)
         chunks, event = reduce_scatter(buffers, average=average)
         self.events.append(event)
@@ -84,13 +87,6 @@ class ProcessGroup:
             )
 
     # ------------------------------------------------------------------ #
-    # Accounting
-    # ------------------------------------------------------------------ #
-    @property
-    def total_bytes_per_worker(self) -> float:
-        """Total bytes each worker put on the wire across all logged collectives."""
-        return float(sum(event.bytes_per_worker for event in self.events))
-
     def pop_events(self) -> List[CollectiveEvent]:
         """Return and clear the event log (one DDP iteration's worth)."""
         events = list(self.events)

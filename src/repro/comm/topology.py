@@ -226,8 +226,11 @@ class HierarchicalCostModel(CostModel):
     * **all-reduce** — intra-group tree reduce onto a group leader (LAN), ring
       all-reduce among the leaders (WAN, charged over the worst leader-to-
       leader path collapsed per hop), intra-group tree broadcast (LAN);
-    * **broadcast / reduce / gather / all-gather / reduce-scatter** — the
-      corresponding intra phase plus the leader-level WAN phase.
+    * **all-gather** — intra-group gather onto the leader (LAN), all-gather
+      of each group's block among the leaders (WAN), intra-group broadcast of
+      the whole world's data (LAN);
+    * **broadcast** — broadcast among the leaders (WAN), then within each
+      group (LAN).
 
     Intra-group phases run concurrently across groups, so each phase charges
     the *slowest* group.
@@ -307,37 +310,12 @@ class HierarchicalCostModel(CostModel):
             + self._max_over_groups("broadcast_time", self.world_size * num_bytes)
         )
 
-    def reduce_scatter_time(self, num_bytes: float) -> float:
-        if self.is_flat:
-            return self._flat.reduce_scatter_time(num_bytes) if self._flat else 0.0
-        return (
-            self._max_over_groups("reduce_time", num_bytes)
-            + self._inter.reduce_scatter_time(num_bytes)
-        )
-
     def broadcast_time(self, num_bytes: float) -> float:
         if self.is_flat:
             return self._flat.broadcast_time(num_bytes) if self._flat else 0.0
         return (
             self._inter.broadcast_time(num_bytes)
             + self._max_over_groups("broadcast_time", num_bytes)
-        )
-
-    def reduce_time(self, num_bytes: float) -> float:
-        if self.is_flat:
-            return self._flat.reduce_time(num_bytes) if self._flat else 0.0
-        return (
-            self._max_over_groups("reduce_time", num_bytes)
-            + self._inter.reduce_time(num_bytes)
-        )
-
-    def gather_time(self, num_bytes: float) -> float:
-        if self.is_flat:
-            return self._flat.gather_time(num_bytes) if self._flat else 0.0
-        max_group = max(len(members) for members in self.groups)
-        return (
-            self._max_over_groups("gather_time", num_bytes)
-            + self._inter.gather_time(max_group * num_bytes)
         )
 
 

@@ -42,7 +42,6 @@ from repro.compression.codec import (
     TernaryPayload,
     WirePayload,
     as_payload,
-    parse_codec_spec,
     parse_compressor_spec,
 )
 from repro.compression.registry import COMPRESSOR_REGISTRY, build_compressor, register_compressor
@@ -61,7 +60,6 @@ __all__ = [
     "Codec",
     "EncodeContext",
     "Pipeline",
-    "parse_codec_spec",
     "parse_compressor_spec",
     "COMPRESSOR_REGISTRY",
     "build_compressor",

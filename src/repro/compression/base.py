@@ -52,11 +52,8 @@ class CompressionStats:
     process group's event log but not counted against the payload ratio.
     """
 
-    iterations: int = 0
     raw_bytes: float = 0.0
     wire_bytes: float = 0.0
-    allreduce_calls: int = 0
-    allgather_calls: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -126,9 +123,8 @@ class CodecCompressor:
     a reference past the call; a pass-through stage may return it as its
     payload, which is why the residual is rewritten only after the collective
     (which never mutates its inputs) has consumed the payloads.
-    ``residual(bucket)`` hands out the live buffer: copy it to keep a
-    snapshot.  :meth:`_pipeline_for` runs before compensation; on a lent
-    bucket the matrix it sees is already compensated.
+    :meth:`_pipeline_for` runs before compensation; on a lent bucket the
+    matrix it sees is already compensated.
 
     Subclasses may override :meth:`_pipeline_for` to pick the pipeline
     adaptively per bucket/iteration (PacTrain's stable/fallback switch).
@@ -151,7 +147,7 @@ class CodecCompressor:
         # Per-bucket (world_size, numel) error-feedback residuals.
         self._residuals: Dict[int, np.ndarray] = {}
         if self.error_feedback:
-            self._adopt_driver_error_feedback()
+            self._drop_stage_error_feedback()
         self.allreduce_compatible = self.pipeline.allreduce_compatible
         self.lossless = self.pipeline.lossless
 
@@ -173,52 +169,34 @@ class CodecCompressor:
                     "feedback cannot be layered around or stripped from it"
                 )
 
-    def _adopt_driver_error_feedback(self) -> None:
-        """Make the pipeline safe to run under the driver residual.
+    def _drop_stage_error_feedback(self) -> None:
+        """Switch stage-internal error feedback (TopK's residuals) off.
 
-        Stage-internal error feedback (TopK's residuals) is disabled so the
-        unsent gradient mass is not accumulated twice.
+        Under the driver residual it would feed the unsent gradient mass back
+        twice; in the explicit no-EF arm it would leave the run compensated.
         """
         self._check_driver_ef_composable()
         for stage in self.pipeline.stages:
             if getattr(stage, "error_feedback", False):
                 stage.error_feedback = False
-                stage.reset()
 
-    def enable_error_feedback(self) -> None:
-        """Switch on driver-level error feedback after construction.
+    def set_error_feedback(self, on: bool) -> None:
+        """Switch driver-level error feedback on or off after construction.
 
-        Used when a :class:`~repro.simulation.spec.MethodSpec` requests
-        ``error_feedback=True`` for a registry-built compressor.  Stage-internal
-        compensation is disabled at the same time (see
-        :meth:`_adopt_driver_error_feedback`).
+        Used when a :class:`~repro.simulation.spec.MethodSpec` sets
+        ``error_feedback`` for a registry-built compressor, which is built per
+        run and so holds no residual yet.  Either way stage-internal
+        compensation goes off: ``on`` so the mass is not fed back twice, off
+        because the explicit no-EF arm of an error-feedback study runs
+        genuinely uncompensated, even for a compressor that compensates in its
+        paper form (top-k).  The name carries the ``ef+`` prefix exactly when
+        ``on``.
         """
-        self._adopt_driver_error_feedback()
-        self.error_feedback = True
-        if not self.name.startswith("ef+"):
-            self.name = f"ef+{self.name}"
-
-    def disable_error_feedback(self) -> None:
-        """Switch off *all* error feedback — driver-level and stage-internal.
-
-        The explicit no-EF arm of an error-feedback study
-        (``MethodSpec(error_feedback=False)``): even compressors that carry
-        compensation by default in their paper form (top-k) run genuinely
-        uncompensated.
-        """
-        self._check_driver_ef_composable()
-        self.error_feedback = False
+        self._drop_stage_error_feedback()
+        self.error_feedback = bool(on)
         self._residuals.clear()
-        for stage in self.pipeline.stages:
-            if getattr(stage, "error_feedback", False):
-                stage.error_feedback = False
-                stage.reset()
-        if self.name.startswith("ef+"):
-            self.name = self.name[len("ef+"):]
-
-    def residual(self, bucket_index: int) -> Optional[np.ndarray]:
-        """The current error-feedback residual of one bucket (None before use)."""
-        return self._residuals.get(bucket_index)
+        name = self.name[len("ef+"):] if self.name.startswith("ef+") else self.name
+        self.name = f"ef+{name}" if on else name
 
     def lend_residual(self, bucket_index: int, shape: Tuple[int, int], dtype) -> np.ndarray:
         """The residual a caller may stage one bucket's gradients into by addition.
@@ -328,7 +306,7 @@ class CodecCompressor:
                     decoded.add_to(result)
                 result /= bucket.world_size
 
-        self._record(bucket, payloads, used_allgather=not reducible)
+        self._record(bucket, payloads)
         if traced and TRACER.enabled:
             self._observe(bucket, exact, result, wire_nbytes, iteration)
         return result
@@ -368,12 +346,6 @@ class CodecCompressor:
         """The compressor's own entries for ``ExperimentResult.extra`` (none here)."""
         return {}
 
-    def reset(self) -> None:
-        """Clear statistics and all per-bucket state (error feedback, stage state)."""
-        self.stats = CompressionStats()
-        self.pipeline.reset()
-        self._residuals.clear()
-
     def resize_world(
         self, old_ranks: Sequence[int], new_ranks: Sequence[int], policy: str = "carry"
     ) -> None:
@@ -391,19 +363,9 @@ class CodecCompressor:
             stage.resize_world(old_ranks, new_ranks, policy)
 
     # ------------------------------------------------------------------ #
-    def _record(
-        self,
-        bucket: GradBucket,
-        payloads: Sequence[WirePayload],
-        used_allgather: bool,
-    ) -> None:
-        self.stats.iterations += 1
+    def _record(self, bucket: GradBucket, payloads: Sequence[WirePayload]) -> None:
         self.stats.raw_bytes += bucket.numel * FP32_BYTES
         self.stats.wire_bytes += max(payload.nbytes for payload in payloads)
-        if used_allgather:
-            self.stats.allgather_calls += 1
-        else:
-            self.stats.allreduce_calls += 1
 
 
 def exact_average(buffers: List[np.ndarray]) -> np.ndarray:

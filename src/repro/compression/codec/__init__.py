@@ -10,8 +10,9 @@ Gradient compression is factored into three orthogonal pieces:
   encode/decode operators (:class:`TopK`, :class:`DGCSelect`,
   :class:`Ternarize`, :class:`Half`, :class:`MaskCompact`, ...);
 * **pipelines** (:mod:`repro.compression.codec.pipeline`) — ordered stage
-  composition plus the ``"topk0.01+terngrad"`` spec-string syntax used by
-  experiment configurations.
+  composition plus :func:`parse_compressor_spec`, the one parser of the
+  ``"topk0.01+terngrad"`` / ``"ef+topk0.01"`` spec strings used by experiment
+  configurations.
 
 The collective layer (:mod:`repro.comm.collectives`) accepts payloads directly
 and moves ``payload.nbytes`` of them, so reported communication volumes are
@@ -52,8 +53,6 @@ from repro.compression.codec.pipeline import (
     EF_TOKENS,
     Pipeline,
     as_pipeline,
-    parse_codec_spec,
-    parse_codec_token,
     parse_compressor_spec,
 )
 
@@ -85,8 +84,6 @@ __all__ = [
     "ternarize",
     "Pipeline",
     "as_pipeline",
-    "parse_codec_spec",
-    "parse_codec_token",
     "parse_compressor_spec",
     "EF_TOKENS",
 ]

@@ -9,12 +9,12 @@ representation* instead of trusting a caller-supplied ``element_bytes`` —
 byte accounting is measured, not asserted; :mod:`repro.simulation.pricing`
 prices them.
 
-Payloads also know whether they can be reduced element-wise against a peer
-payload (:meth:`WirePayload.reducible_with`): dense/half/ternary payloads and
-sparse payloads with a *shared* selection are summable, so the aggregation
-driver may use the all-reduce primitive; per-rank sparse selections (top-k,
-DGC) are not, forcing the all-gather exchange — exactly the "compatibility"
-property in the paper's Table 1.
+A reducible payload also knows whether it can be summed element-wise with a
+peer (``reducible_with``): dense/half/ternary payloads and sparse payloads
+with a *shared* selection are summable, so the aggregation driver may use the
+all-reduce primitive; per-rank sparse selections (top-k, DGC) are not,
+forcing the all-gather exchange — exactly the "compatibility" property in the
+paper's Table 1.  A bitmask has no ``reducible_with``: it is only broadcast.
 """
 
 from __future__ import annotations
@@ -36,47 +36,23 @@ BITMASK_BYTES = 1.0 / 8.0
 class WirePayload:
     """Base class for encoded gradient representations.
 
-    Subclasses must implement :attr:`nbytes` (wire bytes for this payload),
-    :attr:`num_elements` (count of logical gradient elements encoded),
-    :meth:`reduce_values` (the dense float64 view summed during reduction) and
-    :meth:`with_reduced` (rebuild a payload of the same structure around
+    Every subclass implements :attr:`nbytes` (wire bytes for this payload).
+    A payload an all-reduce may carry also implements ``reducible_with(other)``
+    (whether ``self + other`` is meaningful element-wise), ``reduce_values()``
+    (the dense compute-dtype view summed during reduction) and
+    ``with_reduced(values)`` (rebuild a payload of the same structure around
     reduced values).
 
     Two payloads are also the **decoded forms** a pipeline's decode ends in —
-    :class:`DensePayload` and :class:`SparsePayload` — and share the three
-    operations the aggregation driver applies to a decoded gradient without
-    asking which one it holds: :meth:`densify`, :meth:`add_to` and
-    :meth:`subtract_from`.  On a selection the last two touch only the
-    carried coordinates, which is what keeps aggregation O(k) per rank.
+    :class:`DensePayload` and :class:`SparsePayload`.  Both offer
+    :meth:`densify` and ``subtract_from(out)``, which the error-feedback
+    driver applies to a rank's own decoded payload; a gathered selection also
+    offers ``add_to(out)``.  On a selection both touch only the carried
+    coordinates, which is what keeps aggregation O(k) per rank.
     """
 
     @property
     def nbytes(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def num_elements(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def transmitted_elements(self) -> int:
-        """Count of scalar elements actually carried on the wire.
-
-        Differs from :attr:`num_elements` for sparse payloads (selected
-        values vs. decoded length).  Cheap — no value materialisation.
-        """
-        raise NotImplementedError
-
-    def reducible_with(self, other: "WirePayload") -> bool:
-        """Whether ``self + other`` is meaningful element-wise."""
-        return False
-
-    def reduce_values(self) -> np.ndarray:
-        """Dense float64 array accumulated by a payload all-reduce."""
-        raise NotImplementedError
-
-    def with_reduced(self, values: np.ndarray) -> "WirePayload":
-        """Payload of the same structure carrying post-reduction values."""
         raise NotImplementedError
 
 
@@ -91,14 +67,6 @@ class DensePayload(WirePayload):
     def nbytes(self) -> float:
         return self.values.size * self.element_bytes
 
-    @property
-    def num_elements(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def transmitted_elements(self) -> int:
-        return int(self.values.size)
-
     def reducible_with(self, other: WirePayload) -> bool:
         return isinstance(other, DensePayload) and other.values.shape == self.values.shape
 
@@ -111,10 +79,6 @@ class DensePayload(WirePayload):
     def densify(self) -> np.ndarray:
         """The values themselves, as a compute-dtype array (no copy)."""
         return as_compute_array(self.values)
-
-    def add_to(self, out: np.ndarray) -> None:
-        """``out += values`` in place."""
-        np.add(out, self.values, out=out)
 
     def subtract_from(self, out: np.ndarray) -> None:
         """``out -= values`` in place (``out`` may be the values themselves)."""
@@ -133,14 +97,6 @@ class HalfPayload(WirePayload):
     @property
     def nbytes(self) -> float:
         return self.values.size * FP16_BYTES
-
-    @property
-    def num_elements(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def transmitted_elements(self) -> int:
-        return int(self.values.size)
 
     def reducible_with(self, other: WirePayload) -> bool:
         return isinstance(other, HalfPayload) and other.values.shape == self.values.shape
@@ -188,14 +144,6 @@ class SparsePayload(WirePayload):
     def nbytes(self) -> float:
         per_element = self.value_bytes + (INDEX_BYTES if self.indices_on_wire else 0.0)
         return self.values.size * per_element
-
-    @property
-    def num_elements(self) -> int:
-        return self.numel
-
-    @property
-    def transmitted_elements(self) -> int:
-        return int(self.values.size)
 
     def reducible_with(self, other: WirePayload) -> bool:
         return (
@@ -290,14 +238,6 @@ class TernaryPayload(WirePayload):
     def nbytes(self) -> float:
         return self.size * TERNARY_BYTES
 
-    @property
-    def num_elements(self) -> int:
-        return self.size
-
-    @property
-    def transmitted_elements(self) -> int:
-        return self.size
-
     def codes(self) -> np.ndarray:
         return unpack_ternary(self.packed, self.size)
 
@@ -327,23 +267,6 @@ class BitmaskPayload(WirePayload):
     @property
     def nbytes(self) -> float:
         return float(self.packed.size)
-
-    @property
-    def num_elements(self) -> int:
-        return self.size
-
-    @property
-    def transmitted_elements(self) -> int:
-        return self.size
-
-    def mask(self) -> np.ndarray:
-        return np.unpackbits(self.packed, count=self.size).astype(bool)
-
-    def reduce_values(self) -> np.ndarray:  # pragma: no cover - masks are broadcast, not reduced
-        return self.mask().astype(np.float64)
-
-    def with_reduced(self, values: np.ndarray) -> WirePayload:  # pragma: no cover
-        raise TypeError("bitmask payloads are broadcast, never reduced")
 
 
 def as_payload(value) -> WirePayload:

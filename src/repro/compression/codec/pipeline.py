@@ -1,10 +1,12 @@
 """Codec pipelines: ordered stage composition plus spec-string parsing.
 
-``Pipeline([TopK(0.01), Ternarize()])`` encodes a flat gradient through every
-stage left-to-right and decodes the (reduced or gathered) payload right-to-left
-back into a dense tensor.  ``parse_codec_spec("topk0.01+terngrad")`` builds the
-same pipeline from the ``+``-separated spec strings used by
-:class:`repro.simulation.spec.MethodSpec` and the compressor registry.
+``Pipeline([TopK(0.01), Ternarize()])`` encodes every rank's flat gradient
+through every stage left-to-right and decodes the (reduced or gathered)
+payload right-to-left back into a dense tensor.
+``parse_compressor_spec("topk0.01+terngrad")`` builds the same pipeline (and
+the driver's error-feedback flag, set by a leading ``"ef"``) from the
+``+``-separated spec strings used by :class:`repro.simulation.spec.MethodSpec`
+and the compressor registry.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from repro.compression.codec.stages import (
 class Pipeline(Codec):
     """A left-to-right composition of codec stages.
 
-    The pipeline is itself a :class:`Codec`, so pipelines nest and ``a + b``
-    concatenates.  ``encode`` / ``encode_all`` start from the raw flat gradient
-    (wrapped into a :class:`DensePayload`); ``decode`` returns the dense
-    ``np.ndarray`` the training loop applies.
+    The pipeline is itself a :class:`Codec`, so pipelines nest (a nested
+    pipeline's stages are spliced in).  ``encode_all`` starts from the raw flat
+    gradients (wrapped into :class:`DensePayload` objects); ``decode`` returns
+    the dense ``np.ndarray`` the training loop applies.
 
     A stage that reads the dense gradient (``dense_input``: the selections)
     may only follow stages that hand the :class:`DensePayload` on unchanged
@@ -107,22 +109,12 @@ class Pipeline(Codec):
             ctx.matrix = None
         return payloads
 
-    def encode(self, flat, ctx: Optional[EncodeContext] = None) -> WirePayload:
-        """Encode a single flat gradient (convenience wrapper, world size 1).
-
-        Runs a fresh single-rank ``prepare`` on every call — intended for
-        stateless use (tests, inspection).  Multi-rank training encodes all
-        ranks together through :meth:`encode_all`; there is deliberately no
-        ``rank`` parameter here, so per-rank misuse fails loudly.
-        """
-        return self.encode_all([flat], ctx)[0]
-
     def decode_payload(self, payload: WirePayload) -> WirePayload:
         """Undo every stage, leaving a selection sparse.
 
         Returns one of the two decoded forms — a :class:`DensePayload` or a
-        :class:`SparsePayload` — whose ``densify`` / ``add_to`` /
-        ``subtract_from`` let the caller apply the decoded gradient in
+        :class:`SparsePayload` — whose ``densify`` / ``subtract_from`` (and a
+        selection's ``add_to``) let the caller apply the decoded gradient in
         O(carried coordinates).
         """
         for stage in reversed(self.stages):
@@ -138,10 +130,6 @@ class Pipeline(Codec):
     def decode(self, payload: WirePayload) -> np.ndarray:  # type: ignore[override]
         """Map a payload back to the dense flat gradient it encodes."""
         return self.decode_payload(payload).densify()
-
-    def reset(self) -> None:
-        for stage in self.stages:
-            stage.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Pipeline({self.spec()!r})"
@@ -187,14 +175,14 @@ _PARAM_TOKEN = re.compile(r"^(?P<stage>topk|dgc)-?(?P<ratio>\d*\.?\d+)$")
 EF_TOKENS = frozenset({"ef", "error-feedback"})
 
 
-def parse_codec_token(token: str, seed: int = 0) -> Codec:
+def _parse_codec_token(token: str, seed: int = 0) -> Codec:
     """Parse one stage token (``"topk0.01"``, ``"fp16"``) into a stage."""
     token = token.strip().lower()
     if token in EF_TOKENS:
         raise KeyError(
             f"{token!r} is the error-feedback modifier, not a codec stage; it must "
             "lead the spec (e.g. 'ef+topk0.01') and is consumed by the compressor "
-            "driver — parse full compressor specs with parse_compressor_spec"
+            "driver"
         )
     factory = _STAGE_FACTORIES.get(token)
     if factory is not None:
@@ -227,31 +215,21 @@ def _spec_tokens(spec: str) -> List[str]:
     return tokens
 
 
-def parse_codec_spec(spec: str, seed: int = 0) -> Pipeline:
-    """Parse a ``+``-separated codec spec string into a :class:`Pipeline`.
+def parse_compressor_spec(spec: str, seed: int = 0) -> "tuple[Pipeline, bool]":
+    """Parse a ``+``-separated compressor spec into ``(pipeline, error_feedback)``.
 
     Examples: ``"allreduce"``, ``"fp16"``, ``"topk0.01"``, ``"dgc-0.01"``,
-    ``"topk0.01+terngrad"``.  ``seed`` reaches every stochastic stage of the
-    pipeline.  A leading ``"ef"`` modifier is rejected here — it configures
-    the aggregation driver, not a stage; use :func:`parse_compressor_spec`
-    for full compressor specs.
-
-    Raises ``KeyError`` for an unknown token and ``ValueError`` for a spec the
-    grammar cannot mean: an empty token, or a stage order the
-    :class:`Pipeline` constructor rejects.
-    """
-    return Pipeline([parse_codec_token(token, seed=seed) for token in _spec_tokens(spec)])
-
-
-def parse_compressor_spec(spec: str, seed: int = 0) -> "tuple[Pipeline, bool]":
-    """Parse a full compressor spec into ``(pipeline, error_feedback)``.
-
-    The grammar is the codec spec grammar plus one optional leading ``"ef"``
-    modifier: ``"ef+topk0.01"`` selects driver-level error feedback around the
-    ``topk0.01`` pipeline.  The pipeline is returned unmodified — the
+    ``"topk0.01+terngrad"``, ``"ef+topk0.01"``.  One optional leading ``"ef"``
+    modifier selects driver-level error feedback around the rest.  ``seed``
+    reaches every stochastic stage.  The pipeline is returned unmodified — the
     :class:`~repro.compression.base.CodecCompressor` constructor adapts its
     stages when the flag is set (stage-internal error feedback off,
     self-compensating stages rejected).
+
+    Raises ``KeyError`` for an unknown token or a spec that names no stage,
+    and ``ValueError`` for a spec the grammar cannot mean: an empty token, a
+    repeated ``"ef"``, or a stage order the :class:`Pipeline` constructor
+    rejects.
     """
     tokens = _spec_tokens(spec)
     error_feedback = tokens[0].lower() in EF_TOKENS
@@ -264,4 +242,4 @@ def parse_compressor_spec(spec: str, seed: int = 0) -> "tuple[Pipeline, bool]":
             )
     if not tokens:
         raise KeyError(f"codec spec {spec!r} has no stages after the 'ef' modifier")
-    return Pipeline([parse_codec_token(token, seed=seed) for token in tokens]), error_feedback
+    return Pipeline([_parse_codec_token(token, seed=seed) for token in tokens]), error_feedback

@@ -91,9 +91,6 @@ class Codec:
         """
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Clear per-bucket state (error feedback, momentum, RNG)."""
-
     def resize_world(
         self, old_ranks: Sequence[int], new_ranks: Sequence[int], policy: str = "carry"
     ) -> None:
@@ -106,13 +103,8 @@ class Codec:
         """
 
     def spec(self) -> str:
-        """Registry spec token for this stage (inverse of ``parse_codec_spec``)."""
+        """This stage's spec token (what ``parse_compressor_spec`` parses back into it)."""
         return self.name
-
-    def __add__(self, other: "Codec"):
-        from repro.compression.codec.pipeline import Pipeline  # noqa: PLC0415
-
-        return Pipeline([self, other])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}({self.spec()!r})"
@@ -354,9 +346,6 @@ class TopK(Codec):
         # residuals[bucket_index] -> (world, numel) unsent gradient mass
         self._residuals: Dict[int, np.ndarray] = {}
 
-    def reset(self) -> None:
-        self._residuals.clear()
-
     def resize_world(
         self, old_ranks: Sequence[int], new_ranks: Sequence[int], policy: str = "carry"
     ) -> None:
@@ -423,9 +412,6 @@ class MaskCompact(Codec):
     def set_mask(self, bucket_index: int, mask: np.ndarray) -> None:
         self._indices[bucket_index] = np.flatnonzero(np.asarray(mask, dtype=bool))
 
-    def reset(self) -> None:
-        self._indices.clear()
-
     def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
         indices = self._indices.get(ctx.bucket_index)
         if indices is None:
@@ -459,9 +445,6 @@ class Ternarize(Codec):
         self.seed = seed
         self.clip_sigma = clip_sigma
         self._rng = np.random.default_rng(seed)
-
-    def reset(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
 
     def _clip(self, values: np.ndarray) -> np.ndarray:
         if self.clip_sigma is None or values.size == 0:
@@ -577,10 +560,6 @@ class DGCSelect(Codec):
         # Per-bucket (world, numel) momentum (u) and accumulation (v) buffers.
         self._momentum: Dict[int, np.ndarray] = {}
         self._accum: Dict[int, np.ndarray] = {}
-
-    def reset(self) -> None:
-        self._momentum.clear()
-        self._accum.clear()
 
     def resize_world(
         self, old_ranks: Sequence[int], new_ranks: Sequence[int], policy: str = "carry"

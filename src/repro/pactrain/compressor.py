@@ -80,14 +80,6 @@ class PacTrainCompressor(CodecCompressor):
             "to strip); leave MethodSpec.error_feedback at None"
         )
 
-    def reset(self) -> None:
-        super().reset()
-        self._full_pipeline.reset()
-        self.tracker.reset()
-        self._synced_masks.clear()
-        self.compact_iterations = 0
-        self.full_iterations = 0
-
     # ------------------------------------------------------------------ #
     def _pipeline_for(self, bucket: GradBucket, group: ProcessGroup, iteration: int) -> Pipeline:
         """Algorithm 1's switch: full sync while unstable, compact once stable."""

@@ -41,10 +41,6 @@ class MaskState:
     changed: bool                 # whether the pattern differs from the previous iteration
     density: float                # fraction of coordinates that are non-zero
 
-    @property
-    def sparsity(self) -> float:
-        return 1.0 - self.density
-
 
 class MaskTracker:
     """Track per-bucket gradient sparsity patterns across iterations.
@@ -135,18 +131,3 @@ class MaskTracker:
         if union is None:
             raise ValueError("update_from_rank_gradients needs at least one gradient")
         return self.update(bucket_index, union)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def streak(self, bucket_index: int) -> int:
-        return self._streak.get(bucket_index, 0)
-
-    def reset(self, bucket_index: Optional[int] = None) -> None:
-        """Forget tracked state, for one bucket or all of them."""
-        if bucket_index is None:
-            self._previous.clear()
-            self._streak.clear()
-        else:
-            self._previous.pop(bucket_index, None)
-            self._streak.pop(bucket_index, None)

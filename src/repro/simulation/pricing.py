@@ -29,14 +29,17 @@ _PRICES = {
     "all_reduce": lambda model, num_bytes: model.ring_all_reduce_time(num_bytes),
     "all_gather": lambda model, num_bytes: model.all_gather_time(num_bytes),
     "broadcast": lambda model, num_bytes: model.broadcast_time(num_bytes),
-    "reduce_scatter": lambda model, num_bytes: model.reduce_scatter_time(num_bytes),
     "p2p": lambda model, num_bytes: model.p2p_time(num_bytes),
 }
 
 
 def op_time(cost_model: CostModel, op: str, num_bytes: float) -> float:
     """Seconds of one ``op`` (a collective's name or ``"p2p"``) moving ``num_bytes`` per worker."""
-    return _PRICES[op](cost_model, num_bytes)
+    try:
+        price = _PRICES[op]
+    except KeyError:
+        raise ValueError(f"no price for {op!r}; only {', '.join(_PRICES)} are priced") from None
+    return price(cost_model, num_bytes)
 
 
 def comm_time(cost_model: CostModel, events: Sequence[Transfer]) -> float:

@@ -218,13 +218,8 @@ class MethodSpec:
             )
         else:
             compressor = build_compressor(self.compressor, seed=seed)
-        if self.error_feedback is None:
-            return compressor
-        if self.error_feedback:
-            if not compressor.error_feedback:
-                compressor.enable_error_feedback()
-        else:
-            compressor.disable_error_feedback()
+        if self.error_feedback is not None:
+            compressor.set_error_feedback(self.error_feedback)
         return compressor
 
     # ------------------------------------------------------------------ #

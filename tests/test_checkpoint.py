@@ -103,7 +103,7 @@ class TestCheckpointRoundTrip:
     def test_resume_restores_compressor_residuals(self):
         # top-k with error feedback carries residual state across iterations;
         # a resume that dropped it would diverge from the baseline run.
-        residual = _capture(golden.GOLDEN_CONFIG, METHOD, 3).compressor.residual(0)
+        residual = _capture(golden.GOLDEN_CONFIG, METHOD, 3).compressor._residuals.get(0)
         assert residual is not None
         assert float(np.abs(residual).sum()) > 0.0
 

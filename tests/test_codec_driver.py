@@ -42,7 +42,6 @@ from repro.compression.codec import (
     Pipeline,
     SparsePayload,
     TopK,
-    parse_codec_spec,
     parse_compressor_spec,
 )
 from repro.compression.codec.stages import (
@@ -108,7 +107,7 @@ def reference_aggregate(compressor, bucket, group, iteration=0, nmse_samples=Non
         result /= bucket.world_size
     if residual is not None:
         compressor._residuals[bucket.index] = residual
-    compressor._record(bucket, payloads, used_allgather=not reducible)
+    compressor._record(bucket, payloads)
     if (
         nmse_samples is not None
         and not compressor.lossless
@@ -232,10 +231,10 @@ def run_differential(spec, world, numel, dtype, policy, seed, traced=False):
         assert_same_bits(got, want, f"{tag}: result")
         for rank, row in enumerate(grads):
             assert_same_bits(buckets[0].matrix[rank], row, f"{tag}: input row {rank} mutated")
-        if reference.residual(0) is None:
-            assert actual.residual(0) is None, tag
+        if reference._residuals.get(0) is None:
+            assert actual._residuals.get(0) is None, tag
         else:
-            assert_same_bits(actual.residual(0), reference.residual(0), f"{tag}: residual")
+            assert_same_bits(actual._residuals.get(0), reference._residuals.get(0), f"{tag}: residual")
         for mine, theirs in zip(actual.pipeline.stages, reference.pipeline.stages):
             for name in ("_residuals", "_accum", "_momentum"):
                 if hasattr(theirs, name) and 0 in getattr(theirs, name):
@@ -243,7 +242,7 @@ def run_differential(spec, world, numel, dtype, policy, seed, traced=False):
                         getattr(mine, name)[0], getattr(theirs, name)[0], f"{tag}: {name}"
                     )
         assert dataclasses.asdict(actual.stats) == dataclasses.asdict(reference.stats), tag
-        assert groups[0].total_bytes_per_worker == groups[1].total_bytes_per_worker, tag
+        assert groups[0].events == groups[1].events, tag
     return actual, expected_nmse
 
 
@@ -327,7 +326,7 @@ class TestPassThroughAlias:
                 bucket = make_bucket(grads)
             result = compressor.aggregate(bucket, ProcessGroup(4), iteration=step)
             assert_same_bits(result, exact_average(list(grads)), f"{spec} step {step}")
-            assert not np.any(compressor.residual(0))
+            assert not np.any(compressor._residuals.get(0))
 
     def test_custom_stage_whose_payload_views_its_input(self):
         class Passthrough(Identity):
@@ -357,13 +356,13 @@ class TestResidualOwnsItsMemory:
             result = compressor.aggregate(
                 GradBucket(layout(200), matrix=arena), ProcessGroup(4), iteration=step
             )
-            residual = compressor.residual(0)
+            residual = compressor._residuals.get(0)
             assert not np.shares_memory(residual, arena)
             assert not np.shares_memory(result, residual)
             assert not np.shares_memory(result, arena)
             before = residual.copy()
             arena[...] = np.nan  # next step's staging
-            assert_same_bits(compressor.residual(0), before, f"{spec} step {step}")
+            assert_same_bits(compressor._residuals.get(0), before, f"{spec} step {step}")
 
     @pytest.mark.parametrize("remapped", [True, False])
     def test_degraded_membership_rows_are_not_adopted(self, remapped):
@@ -378,7 +377,7 @@ class TestResidualOwnsItsMemory:
             compressor.resize_world([0, 1, 2, 3], [0, 1, 3], "carry")
         survivors = arena[[0, 1, 3]]  # the caller-owned fancy copy
         compressor.aggregate(GradBucket(layout(120), matrix=survivors), ProcessGroup(3), 1)
-        residual = compressor.residual(0)
+        residual = compressor._residuals.get(0)
         assert residual.shape == (3, 120)
         assert not np.shares_memory(residual, survivors)
 
@@ -388,7 +387,7 @@ class TestResidualOwnsItsMemory:
         for numel in (90, 60):  # the second call changes the bucket's shape
             bucket = make_bucket([rng.standard_normal(numel) for _ in range(3)])
             compressor.aggregate(bucket, ProcessGroup(3))
-            residual = compressor.residual(0)
+            residual = compressor._residuals.get(0)
             assert residual.shape == (3, numel)
             assert not np.shares_memory(residual, bucket.matrix)
 
@@ -491,9 +490,6 @@ class TestSpecGrammar:
         with pytest.raises(ValueError, match="empty token") as error:
             parse_compressor_spec(spec)
         assert repr(spec) in str(error.value)
-        if not spec.startswith("ef"):
-            with pytest.raises(ValueError, match="empty token"):
-                parse_codec_spec(spec)
 
     def test_repeated_ef_is_rejected(self):
         with pytest.raises(ValueError, match="repeated 'ef'") as error:
@@ -506,7 +502,7 @@ class TestSpecGrammar:
     def test_dense_input_stage_after_a_transforming_stage_is_rejected(self, spec):
         stage, position = MISPLACED_STAGE_SPECS[spec]
         with pytest.raises(ValueError) as error:
-            parse_codec_spec(spec)
+            parse_compressor_spec(spec)
         message = str(error.value)
         assert repr(spec) in message and repr(stage) in message
         assert f"position {position}" in message
@@ -514,8 +510,6 @@ class TestSpecGrammar:
     def test_pipeline_constructor_rejects_misplaced_stages_too(self):
         with pytest.raises(ValueError, match="position 2"):
             Pipeline([Half(), TopK(0.1)])
-        with pytest.raises(ValueError, match="position 2"):
-            TopK(0.1) + TopK(0.5)
 
     @pytest.mark.parametrize(
         "spec, bare",

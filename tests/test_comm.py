@@ -47,11 +47,12 @@ from repro.compression.codec.payloads import (
 COLLECTIVE_METHODS = (
     "ring_all_reduce_time",
     "all_gather_time",
-    "reduce_scatter_time",
     "broadcast_time",
-    "reduce_time",
-    "gather_time",
 )
+
+#: The flat model's intra-group phases, which the hierarchical model prices
+#: each group with; they are not part of the ``CostModel`` interface.
+FLAT_PHASE_METHODS = ("reduce_time", "gather_time")
 
 
 class TestLinkSpec:
@@ -100,10 +101,6 @@ class TestNetworkModel:
         single = model.bottleneck.transfer_time(1e6)
         assert model.broadcast_time(1e6) == pytest.approx(math.ceil(math.log2(8)) * single)
 
-    def test_reduce_scatter_is_half_of_allreduce(self):
-        model = NetworkModel.from_bandwidth(4, 1 * GBPS, latency=0.0)
-        assert model.ring_all_reduce_time(4e6) == pytest.approx(2 * model.reduce_scatter_time(4e6))
-
     def test_from_paper_setting(self):
         model = NetworkModel.from_paper_setting(8, "500Mbps")
         assert model.bottleneck.bandwidth == pytest.approx(500 * MBPS)
@@ -113,7 +110,7 @@ class TestNetworkModel:
     def test_implements_cost_model_interface(self):
         model = NetworkModel.from_bandwidth(8, 1 * GBPS)
         assert isinstance(model, CostModel)
-        for method in COLLECTIVE_METHODS:
+        for method in COLLECTIVE_METHODS + FLAT_PHASE_METHODS:
             assert getattr(model, method)(1e6) > 0.0
             assert getattr(model, method)(0.0) == 0.0
 
@@ -539,10 +536,18 @@ class TestCollectives:
             assert not np.shares_memory(original.values, got.values)
         assert event.op == "all_gather"
 
+    def test_all_reduce_refuses_a_payload_it_cannot_sum(self, rng):
+        mask = BitmaskPayload.from_mask(rng.standard_normal(16) > 0)
+        with pytest.raises(TypeError, match="BitmaskPayload is not element-wise reducible"):
+            all_reduce([mask, mask])
+        (dense_head,) = dense(rng, 16)
+        with pytest.raises(ValueError, match=r"rank 1 payload \(BitmaskPayload\)"):
+            all_reduce([dense_head, mask])
+
     def test_all_gather_supports_ragged_payloads(self, rng):
         gathered, event = all_gather(dense(rng, 3, 7))
-        assert [g.num_elements for g in gathered] == [3, 7]
-        assert event.payload_elements == 7  # cost charged at the max payload
+        assert [g.values.size for g in gathered] == [3, 7]
+        assert event.payload_bytes == 7 * 4.0  # cost charged at the max payload
 
     def test_broadcast(self, rng):
         (root,) = dense(rng, 6)
@@ -612,7 +617,7 @@ class TestProcessGroup:
         group.all_gather(dense(rng, *[10] * 4))
         assert len(group.events) == 2
         assert pricing.comm_time(NetworkModel.from_bandwidth(4, 100 * MBPS), group.events) > 0
-        assert group.total_bytes_per_worker > 0
+        assert sum(event.bytes_per_worker for event in group.events) > 0
 
     def test_pop_events_clears_log(self, rng):
         group = ProcessGroup(2)
@@ -663,3 +668,32 @@ class TestCollectivesCarryOnlyPayloads:
         with pytest.raises(TypeError, match="DensePayload"):
             self.CALLS[op](group, value)
         assert group.events == []
+
+    @pytest.mark.parametrize("op", sorted(CALLS))
+    def test_a_payload_look_alike_is_refused(self, op, rng):
+        """The check is the type, not the methods: a look-alike is not a payload."""
+        group = ProcessGroup(3)
+        look_alikes = [_PayloadLookAlike(rng.standard_normal(5)) for _ in range(3)]
+        with pytest.raises(TypeError, match="WirePayload"):
+            self.CALLS[op](group, look_alikes[0] if op == "broadcast" else look_alikes)
+        assert group.events == []
+
+
+class _PayloadLookAlike:
+    """Every member a dense payload offers, on a class that is not a ``WirePayload``."""
+
+    def __init__(self, values):
+        self.values = values
+
+    @property
+    def nbytes(self):
+        return self.values.size * 4.0
+
+    def reducible_with(self, other):
+        return isinstance(other, _PayloadLookAlike) and other.values.shape == self.values.shape
+
+    def reduce_values(self):
+        return self.values
+
+    def with_reduced(self, values):
+        return _PayloadLookAlike(values)

@@ -94,8 +94,7 @@ class TestTopK:
         compressor = build_compressor("topk-0.1")
         compressor.aggregate(make_bucket(buffers), group)
         assert not compressor.allreduce_compatible
-        assert compressor.stats.allgather_calls == 1
-        assert group.events[-1].op == "all_gather"
+        assert [event.op for event in group.events] == ["all_gather"]
 
     def test_error_feedback_accumulates_unsent_mass(self, group, rng):
         compressor = build_compressor("ef+topk0.05")
@@ -120,13 +119,15 @@ class TestTopK:
         with pytest.raises(ValueError):
             TopK(ratio=0.0)
 
-    def test_reset_clears_residuals(self, buffers, group):
-        compressor = build_compressor("topk-0.1")
-        compressor.aggregate(make_bucket(buffers), group)
-        assert compressor._residuals
-        compressor.reset()
-        assert not compressor._residuals
-        assert compressor.stats.iterations == 0
+    def test_each_build_starts_without_residuals(self, buffers, group):
+        """Compressors are built per run: a new one carries no state of an old one."""
+        used = build_compressor("topk-0.1")
+        first = used.aggregate(make_bucket(buffers), group)
+        second = used.aggregate(make_bucket(buffers), group)
+        assert used._residuals and not np.array_equal(first, second)
+        fresh = build_compressor("topk-0.1")
+        assert not fresh._residuals
+        np.testing.assert_array_equal(fresh.aggregate(make_bucket(buffers), ProcessGroup(4)), first)
 
 
 class TestTernGrad:
@@ -164,8 +165,8 @@ class TestTernGrad:
     def test_payload_is_all_reduced_never_all_gathered(self, buffers, group):
         compressor = build_compressor("terngrad", seed=0)
         compressor.aggregate(make_bucket(buffers), group)
-        assert compressor.stats.allgather_calls == 0
-        assert group.events[-1].op == "all_reduce"
+        # The shared scaler's agreement, then the payload itself.
+        assert [event.op for event in group.events] == ["all_reduce", "all_reduce"]
 
     def test_rounding_is_redrawn_every_iteration(self, buffers, group):
         """Stochastic rounding takes fresh draws per step, reproducibly per seed."""
@@ -189,13 +190,15 @@ class TestDGC:
         stage = compressor.pipeline.stages[0]
         assert stage.momentum == 0.9
         assert stage._momentum and stage._accum
-        compressor.reset()
-        assert not stage._momentum
+        # Momentum factor masking: the k sent coordinates leave both buffers.
+        k = max(1, round(buffers[0].size * 0.01))
+        for state in (stage._momentum[0], stage._accum[0]):
+            assert np.all(np.count_nonzero(state == 0.0, axis=1) >= k)
 
     def test_uses_allgather(self, buffers, group):
         compressor = build_compressor("dgc")
         compressor.aggregate(make_bucket(buffers), group)
-        assert compressor.stats.allgather_calls == 1
+        assert [event.op for event in group.events] == ["all_gather"]
 
     def test_clipping(self, group, rng):
         compressor = CodecCompressor(DGCSelect(ratio=0.5, clip_norm=1.0))
@@ -214,24 +217,24 @@ class TestDGC:
 
 class TestCodecPipelines:
     def test_spec_parsing_builds_expected_stages(self):
-        from repro.compression.codec import parse_codec_spec
+        from repro.compression.codec import parse_compressor_spec
 
-        pipeline = parse_codec_spec("topk0.01+terngrad")
+        pipeline, _ = parse_compressor_spec("topk0.01+terngrad")
         assert [type(s).__name__ for s in pipeline.stages] == ["TopK", "Ternarize"]
         assert pipeline.stages[0].ratio == pytest.approx(0.01)
         assert not pipeline.allreduce_compatible
 
-        pipeline = parse_codec_spec("fp16+terngrad")
+        pipeline, _ = parse_compressor_spec("fp16+terngrad")
         assert [type(s).__name__ for s in pipeline.stages] == ["Half", "Ternarize"]
         assert pipeline.allreduce_compatible
 
     def test_malformed_spec_raises(self):
-        from repro.compression.codec import parse_codec_spec
+        from repro.compression.codec import parse_compressor_spec
 
         with pytest.raises(KeyError):
-            parse_codec_spec("topk0.01+nosuchstage")
+            parse_compressor_spec("topk0.01+nosuchstage")
         with pytest.raises(KeyError):
-            parse_codec_spec("")
+            parse_compressor_spec("")
 
     def test_composed_topk_terngrad_aggregates_on_selection_support(self, buffers, group):
         compressor = build_compressor("topk0.01+terngrad")
@@ -239,7 +242,7 @@ class TestCodecPipelines:
         assert result.shape == buffers[0].shape
         # Union of 4 ranks' 1% selections: at most 4% of coordinates non-zero.
         assert np.mean(result != 0) <= 0.04 + 1e-9
-        assert compressor.stats.allgather_calls == 1
+        assert [event.op for event in group.events] == ["all_reduce", "all_gather"]
 
     def test_composed_topk_fp16_close_to_topk(self, buffers, group):
         plain = build_compressor("topk0.2").aggregate(make_bucket(buffers), group)
@@ -259,15 +262,12 @@ class TestCodecPipelines:
         assert compressor.stats.wire_bytes == pytest.approx(k * (4.0 + 2.0))
 
     def test_stats_events_charge_payload_bytes(self, buffers):
-        from repro.compression.codec import SparsePayload
-
         group = ProcessGroup(4)
         compressor = CodecCompressor(TopK(ratio=0.1, error_feedback=False))
         compressor.aggregate(make_bucket(buffers), group)
         event = group.events[-1]
         numel = buffers[0].size
         k = max(1, int(round(numel * 0.1)))
-        assert event.metadata["payload"] == SparsePayload.__name__
         assert event.bytes_per_worker == pytest.approx((4 - 1) * k * 8.0)
 
     @pytest.mark.parametrize(

@@ -79,7 +79,7 @@ def record(monkeypatch, step=None):
     aggregate = CodecCompressor.aggregate
 
     def spying_aggregate(self, bucket, group, iteration=0):
-        lent.append(bucket.matrix is self.residual(bucket.index))
+        lent.append(bucket.matrix is self._residuals.get(bucket.index))
         result = aggregate(self, bucket, group, iteration)
         steps[-1][1].append(np.array(result, copy=True))
         return result
@@ -91,7 +91,7 @@ def record(monkeypatch, step=None):
         losses, aggregates, residuals, _ = steps[-1]
         losses.extend(result.per_rank_loss)
         residuals.extend(
-            np.array(self.compressor.residual(bucket.index), copy=True) for bucket in self.buckets
+            np.array(self.compressor._residuals.get(bucket.index), copy=True) for bucket in self.buckets
         )
         steps[-1] = (losses, aggregates, residuals, tuple(lent))
         return result
@@ -137,9 +137,9 @@ class TestLendResidual:
             residual = lent.lend_residual(0, grads.shape, grads.dtype)
             np.add(grads, residual, out=residual)
             got = lent.aggregate(GradBucket(layout, residual), ProcessGroup(4), step)
-            assert lent.residual(0) is residual
+            assert lent._residuals.get(0) is residual
             assert_same_bytes(np.asarray(got), np.asarray(want), f"{spec} step {step}: result")
-            assert_same_bytes(lent.residual(0), copied.residual(0), f"{spec} step {step}: residual")
+            assert_same_bytes(lent._residuals.get(0), copied._residuals.get(0), f"{spec} step {step}: residual")
         assert lent.stats == copied.stats
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -194,14 +194,14 @@ class TestStagingTarget:
         assert run.ddp.arena.nbytes == 0
         assert run.ddp.staging is run.ddp.arena  # the loan ends with the step
         for bucket in run.ddp.buckets:
-            assert run.compressor.residual(bucket.index).shape == (8, bucket.numel)
+            assert run.compressor._residuals.get(bucket.index).shape == (8, bucket.numel)
 
     def test_an_all_reduce_run_stages_into_the_arena(self, monkeypatch):
         run, steps = self._vgg19_run("all-reduce", monkeypatch)
         assert steps and not any(any(lent) for *_, lent in steps)
         ddp = run.ddp
         assert ddp.arena.nbytes == sum(8 * b.numel * 8 for b in ddp.buckets)
-        assert all(run.compressor.residual(b.index) is None for b in ddp.buckets)
+        assert all(run.compressor._residuals.get(b.index) is None for b in ddp.buckets)
 
     @pytest.mark.parametrize("method", ["all-reduce", "topk-0.01"])
     def test_a_slowed_link_stages_like_the_healthy_world(self, method, monkeypatch):
@@ -213,7 +213,7 @@ class TestStagingTarget:
         aggregate = CodecCompressor.aggregate
 
         def spying_aggregate(self, bucket, group, iteration=0):
-            seen.append((bucket.index, bucket.matrix, group, self.residual(bucket.index)))
+            seen.append((bucket.index, bucket.matrix, group, self._residuals.get(bucket.index)))
             return aggregate(self, bucket, group, iteration)
 
         monkeypatch.setattr(CodecCompressor, "aggregate", spying_aggregate)

@@ -99,10 +99,34 @@ class TestEfSpecGrammar:
         assert not compressor.error_feedback
         assert not compressor.pipeline.stages[0].error_feedback
         assert compressor.name == "topk0.1"
-        compressor.enable_error_feedback()
+        compressor.set_error_feedback(True)
         assert compressor.error_feedback
         assert not compressor.pipeline.stages[0].error_feedback
         assert compressor.name == "ef+topk0.1"
+
+    def test_switching_error_feedback_off_drops_the_residual_and_the_prefix(self):
+        """Off means uncompensated from the next step: no stale residual is fed back."""
+        compressor = build_compressor("ef+fp16")
+        rng = np.random.default_rng(3)
+        compressor.aggregate(
+            make_bucket([rng.standard_normal(64) for _ in range(2)]), ProcessGroup(2)
+        )
+        assert compressor._residuals.get(0) is not None
+        compressor.set_error_feedback(False)
+        assert not compressor.error_feedback and not compressor._residuals
+        assert compressor.name == "fp16"
+        compressor.aggregate(
+            make_bucket([rng.standard_normal(64) for _ in range(2)]), ProcessGroup(2)
+        )
+        assert not compressor._residuals
+
+    def test_switching_error_feedback_on_twice_keeps_one_prefix(self):
+        compressor = build_compressor("topk0.1")
+        compressor.set_error_feedback(True)
+        compressor.set_error_feedback(True)
+        assert compressor.error_feedback and compressor.name == "ef+topk0.1"
+        compressor.set_error_feedback(False)
+        assert not compressor.error_feedback and compressor.name == "topk0.1"
 
     def test_ef_rejects_self_compensating_dgc(self):
         """DGC's accumulation *is* error feedback; layering or stripping the
@@ -136,7 +160,7 @@ class TestResidualInvariant:
 
         twin = Pipeline([Ternarize(seed=3)])
         payloads = twin.encode_all([b.copy() for b in buffers])
-        residual = compressor.residual(0)
+        residual = compressor._residuals.get(0)
         assert residual is not None and residual.shape == (world, numel)
         for rank in range(world):
             decoded = twin.decode(payloads[rank])
@@ -150,7 +174,7 @@ class TestResidualInvariant:
             compressor = build_compressor(spec)
             buffers = [rng.standard_normal(numel) for _ in range(world)]
             aggregated = compressor.aggregate(make_bucket(buffers), ProcessGroup(world))
-            residual = compressor.residual(0)
+            residual = compressor._residuals.get(0)
             np.testing.assert_allclose(
                 exact_average(buffers),
                 aggregated + residual.mean(axis=0),
@@ -175,7 +199,7 @@ class TestResidualInvariant:
             peak = max(peak, float(np.max(np.abs(out))))
         assert peak < 100.0
         np.testing.assert_allclose(
-            total + compressor.residual(0).mean(axis=0), float(steps), atol=1e-8
+            total + compressor._residuals.get(0).mean(axis=0), float(steps), atol=1e-8
         )
 
     def test_residual_accumulates_until_coordinate_is_sent(self):
@@ -195,17 +219,6 @@ class TestResidualInvariant:
                 sent = True
                 break
         assert sent
-
-    def test_reset_clears_residuals(self):
-        compressor = build_compressor("ef+fp16")
-        rng = np.random.default_rng(3)
-        compressor.aggregate(
-            make_bucket([rng.standard_normal(64) for _ in range(2)]), ProcessGroup(2)
-        )
-        assert compressor.residual(0) is not None
-        compressor.reset()
-        assert compressor.residual(0) is None
-        assert compressor.stats.iterations == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -229,10 +242,10 @@ class TestResidualSurvivesArena:
 
         self._step(ddp, rng)
         first = {
-            b.index: compressor.residual(b.index).copy() for b in ddp.buckets
+            b.index: compressor._residuals.get(b.index).copy() for b in ddp.buckets
         }
         for bucket in ddp.buckets:
-            residual = compressor.residual(bucket.index)
+            residual = compressor._residuals.get(bucket.index)
             assert residual is not None
             assert residual.shape == (4, bucket.numel)
             assert not ddp.arena.shares_memory_with(residual)
@@ -242,7 +255,7 @@ class TestResidualSurvivesArena:
         # stays unallocated); they evolve only through the EF update.
         self._step(ddp, rng)
         for bucket in ddp.buckets:
-            after = compressor.residual(bucket.index)
+            after = compressor._residuals.get(bucket.index)
             assert not ddp.arena.shares_memory_with(after)
             assert not np.array_equal(after, first[bucket.index])
 
@@ -255,7 +268,7 @@ class TestResidualSurvivesArena:
         for name, param in model.named_parameters():
             assert not ddp.arena.shares_memory_with(param.grad), name
             for bucket in ddp.buckets:
-                assert not np.shares_memory(param.grad, compressor.residual(bucket.index))
+                assert not np.shares_memory(param.grad, compressor._residuals.get(bucket.index))
 
 
 # --------------------------------------------------------------------------- #

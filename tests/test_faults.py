@@ -194,7 +194,7 @@ class TestElasticState:
 
     def test_codec_compressor_residual_resize(self):
         compressor = build_compressor("topk-0.1")
-        compressor.enable_error_feedback()
+        compressor.set_error_feedback(True)
         compressor._residuals[0] = np.arange(8, dtype=np.float64).reshape(4, 2)
         stage = compressor.pipeline.stages[0]
         stage._residuals[0] = np.arange(8, dtype=np.float64).reshape(4, 2) * 10

@@ -94,15 +94,6 @@ class TestMaskTracker:
         state = tracker.update_from_rank_gradients(0, [g1, g2])
         np.testing.assert_array_equal(state.mask, [True, False, True, True])
 
-    def test_reset(self, rng):
-        tracker = MaskTracker(stability_threshold=1)
-        tracker.update(0, rng.random(10) < 0.5)
-        tracker.reset(0)
-        assert tracker.streak(0) == 0
-        tracker.update(1, rng.random(10) < 0.5)
-        tracker.reset()
-        assert not tracker._previous
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MaskTracker(stability_threshold=0)
@@ -202,15 +193,28 @@ class TestPacTrainCompressor:
             compressor.aggregate(make_bucket(buffers), group)
         assert compressor.stats.extra.get("bitmask_syncs", 0) == 1.0
 
-    def test_reset(self, rng):
-        compressor = PacTrainCompressor(stability_threshold=1)
-        group = ProcessGroup(2)
+    def test_each_compressor_starts_from_an_empty_tracker(self, rng):
+        """Compressors are built per run: a new one syncs as the first run began."""
         buffers, _ = masked_buffers(rng, world_size=2)
-        compressor.aggregate(make_bucket(buffers), group)
-        compressor.reset()
-        assert compressor.compact_iterations == 0
-        assert compressor.full_iterations == 0
-        assert not compressor.tracker._previous
+
+        def first_syncs(compressor, steps=2):
+            ops = []
+            for _ in range(steps):
+                group = ProcessGroup(2)
+                compressor.aggregate(make_bucket(buffers), group)
+                ops.append([event.op for event in group.events])
+            return ops
+
+        used = PacTrainCompressor(stability_threshold=2)
+        began = first_syncs(used)
+        counts = (used.full_iterations, used.compact_iterations)
+        first_syncs(used)
+        assert used.compact_iterations > 0
+        fresh = PacTrainCompressor(stability_threshold=2)
+        assert fresh.compact_iterations == fresh.full_iterations == 0
+        assert not fresh.tracker._previous
+        assert first_syncs(fresh) == began
+        assert (fresh.full_iterations, fresh.compact_iterations) == counts
 
     def test_dense_gradients_never_use_compact_path(self, rng):
         compressor = PacTrainCompressor(stability_threshold=1)  # the tracker's 0.05 guard

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.campaign.spec import build_cell
 from repro.comm.process_group import ProcessGroup
-from repro.compression.codec import DensePayload, SparsePayload, parse_codec_spec
+from repro.compression.codec import DensePayload, SparsePayload, parse_compressor_spec
 from repro.compression.registry import build_compressor
 from repro.data import DataLoader, DistributedSampler, synthetic_cifar10
 from repro.ddp import DistributedDataParallel, GradBucket
@@ -262,7 +262,7 @@ class TestPayloadDtypes:
         with default_dtype(dtype):
             rng = np.random.default_rng(seed)
             flats = [rng.standard_normal(32).astype(dtype) for _ in range(2)]
-            pipeline = parse_codec_spec(spec, seed=0)
+            pipeline, _ = parse_compressor_spec(spec, seed=0)
             payloads = pipeline.encode_all(flats)
             decoded = pipeline.decode(payloads[0])
             assert decoded.dtype == np.dtype(dtype)

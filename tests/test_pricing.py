@@ -4,7 +4,7 @@ Two pins.  Pricing an event (or a p2p transfer) equals the matching
 ``CostModel`` method on the bytes the event records, on a flat and on a
 hierarchical model.  And two AST guards keep pricing in one place: no module
 under ``src/repro`` but ``repro/comm/*`` and ``simulation/pricing.py`` calls one
-of the seven ``CostModel`` time methods, and no module but the timeline
+of the cost models' six time methods, and no module but the timeline
 (``simulation/timeline.py``) schedules an iteration on the engine, prices a
 log's buckets or prices a run's compute.
 """
@@ -24,12 +24,12 @@ from repro.simulation import pricing
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: The ``CostModel`` methods that turn bytes into seconds.
+#: The cost-model methods that turn bytes into seconds: the four ``CostModel``
+#: prices and ``NetworkModel``'s two rooted phases.
 COST_METHODS = frozenset({
     "p2p_time",
     "ring_all_reduce_time",
     "all_gather_time",
-    "reduce_scatter_time",
     "broadcast_time",
     "reduce_time",
     "gather_time",
@@ -54,7 +54,6 @@ COLLECTIVES = {
     "all_reduce": ("ring_all_reduce_time", lambda group: group.all_reduce(_payloads([3000] * WORLD))),
     "all_gather": ("all_gather_time", lambda group: group.all_gather(_payloads([100, 700, 300, 50]))),
     "broadcast": ("broadcast_time", lambda group: group.broadcast(_payloads([2500])[0])),
-    "reduce_scatter": ("reduce_scatter_time", lambda group: group.reduce_scatter(_payloads([1200] * WORLD))),
 }
 
 
@@ -72,6 +71,16 @@ def test_pricing_an_event_is_its_cost_model_method(op, model):
     assert pricing.op_time(cost_model, op, event.payload_bytes) == want
     assert pricing.comm_time(cost_model, [event]) == want
     assert pricing.bucket_times(cost_model, [[event]]) == (want, [want])
+
+
+def test_only_the_ops_a_run_logs_are_priced():
+    """No codec reduce-scatters: the group's ``reduce_scatter`` logs an op no price exists for."""
+    group = ProcessGroup(WORLD)
+    group.reduce_scatter(_payloads([1200] * WORLD))
+    (event,) = group.events
+    priced = "only all_reduce, all_gather, broadcast, p2p are priced"
+    with pytest.raises(ValueError, match=f"no price for 'reduce_scatter'; {priced}"):
+        pricing.comm_time(MODELS["flat"](), [event])
 
 
 @pytest.mark.parametrize("model", list(MODELS))

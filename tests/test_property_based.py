@@ -27,7 +27,7 @@ from repro.compression.codec import (
     TopK,
     batched_top_k_indices,
     pack_ternary,
-    parse_codec_spec,
+    parse_compressor_spec,
     unpack_ternary,
 )
 from repro.compression.codec import ternarize, top_k_indices
@@ -142,7 +142,7 @@ class TestCodecRoundTripProperties:
     @settings(max_examples=50, deadline=None)
     def test_identity_is_lossless_and_charges_fp32(self, values):
         pipeline = Pipeline([Identity()])
-        payload = pipeline.encode(values)
+        (payload,) = pipeline.encode_all([values])
         np.testing.assert_array_equal(pipeline.decode(payload), values)
         assert payload.nbytes == values.size * FP32_BYTES
 
@@ -150,7 +150,7 @@ class TestCodecRoundTripProperties:
     @settings(max_examples=50, deadline=None)
     def test_half_error_bounded_by_fp16_rounding(self, values):
         pipeline = Pipeline([Half()])
-        payload = pipeline.encode(values)
+        (payload,) = pipeline.encode_all([values])
         decoded = pipeline.decode(payload)
         # fp16 has a 10-bit mantissa: relative error <= 2^-10 in the normal
         # range, absolute error <= one subnormal step (~6e-8) near zero.
@@ -165,7 +165,7 @@ class TestCodecRoundTripProperties:
     @settings(max_examples=50, deadline=None)
     def test_topk_preserves_selected_coordinates_exactly(self, values, ratio):
         pipeline = Pipeline([TopK(ratio, error_feedback=False)])
-        payload = pipeline.encode(values)
+        (payload,) = pipeline.encode_all([values])
         k = max(1, int(round(values.size * ratio)))
         assert isinstance(payload, SparsePayload)
         assert payload.nbytes == k * (FP32_BYTES + INDEX_BYTES)
@@ -179,7 +179,7 @@ class TestCodecRoundTripProperties:
     @settings(max_examples=50, deadline=None)
     def test_ternarize_error_bounds_and_two_bit_wire_size(self, values, seed):
         pipeline = Pipeline([Ternarize(seed=seed, clip_sigma=None)])
-        payload = pipeline.encode(values)
+        (payload,) = pipeline.encode_all([values])
         assert isinstance(payload, TernaryPayload)
         assert payload.nbytes == values.size * TERNARY_BYTES
         decoded = pipeline.decode(payload)
@@ -205,8 +205,8 @@ class TestCodecRoundTripProperties:
         for dtype in ("float32", "float64"):
             with default_dtype(dtype):
                 values = np.random.default_rng(0).standard_normal(200).astype(dtype)
-                pipeline = parse_codec_spec(spec, seed=0)
-                payload = pipeline.encode(values)
+                pipeline, _ = parse_compressor_spec(spec, seed=0)
+                (payload,) = pipeline.encode_all([values])
                 assert pipeline.decode(payload).dtype == np.dtype(dtype)
                 assert payload.nbytes == pytest.approx(values.size * bytes_per_element)
 
@@ -223,7 +223,7 @@ class TestCodecRoundTripProperties:
     @settings(max_examples=50, deadline=None)
     def test_bitmask_payload_roundtrip_and_one_bit_per_element(self, mask):
         payload = BitmaskPayload.from_mask(mask)
-        np.testing.assert_array_equal(payload.mask(), mask)
+        np.testing.assert_array_equal(np.unpackbits(payload.packed, count=payload.size), mask)
         assert payload.nbytes == -(-mask.size // 8)  # ceil(bits / 8)
 
     @given(
@@ -236,7 +236,7 @@ class TestCodecRoundTripProperties:
         stage = MaskCompact()
         stage.set_mask(0, mask)
         pipeline = Pipeline([stage])
-        payload = pipeline.encode(masked)
+        (payload,) = pipeline.encode_all([masked])
         assert payload.nbytes == mask.sum() * FP32_BYTES
         np.testing.assert_array_equal(pipeline.decode(payload), masked)
 
@@ -249,7 +249,7 @@ class TestCodecRoundTripProperties:
     def test_composed_topk_terngrad_wire_size_and_support(self, values, ratio, seed):
         """Composition: indices charged by TopK, values shrunk to 2 bits."""
         pipeline = Pipeline([TopK(ratio, error_feedback=False), Ternarize(seed=seed)])
-        payload = pipeline.encode(values)
+        (payload,) = pipeline.encode_all([values])
         k = max(1, int(round(values.size * ratio)))
         assert isinstance(payload, SparsePayload)
         assert payload.nbytes == k * (INDEX_BYTES + TERNARY_BYTES)
@@ -288,7 +288,7 @@ class TestCodecRoundTripProperties:
         buffers = [rng.standard_normal(numel) for _ in range(world)]
         reduced, event = all_reduce([DensePayload(b) for b in buffers], average=True)
         np.testing.assert_array_equal(reduced.reduce_values(), exact_average(buffers))
-        assert event.metadata["payload"] == "DensePayload"
+        assert isinstance(reduced, DensePayload) and event.op == "all_reduce"
 
 
 class TestErrorFeedbackInvariantProperties:
@@ -312,14 +312,14 @@ class TestErrorFeedbackInvariantProperties:
             compensated = [
                 b + r for b, r in zip(
                     buffers,
-                    compressor.residual(0) if compressor.residual(0) is not None
+                    compressor._residuals.get(0) if compressor._residuals.get(0) is not None
                     else np.zeros((world, numel)),
                 )
             ]
             aggregated = compressor.aggregate(
                 GradBucket(layout, np.stack(buffers)), group, iteration=iteration
             )
-            residual = compressor.residual(0)
+            residual = compressor._residuals.get(0)
             np.testing.assert_allclose(
                 exact_average(compensated),
                 aggregated + residual.mean(axis=0),
@@ -433,15 +433,14 @@ class TestCollectiveCostProperties:
     @settings(max_examples=60, deadline=None)
     def test_costs_monotone_in_bytes(self, world_size, a, b):
         small, large = sorted((a, b))
-        for model in self._models(world_size):
-            for method in (
-                "ring_all_reduce_time",
-                "all_gather_time",
-                "reduce_scatter_time",
-                "broadcast_time",
-                "reduce_time",
-                "gather_time",
-            ):
+        flat, hier = self._models(world_size)
+        collectives = ("ring_all_reduce_time", "all_gather_time", "broadcast_time")
+        # reduce/gather are the flat model's intra-group phases only.
+        for model, methods in (
+            (flat, collectives + ("reduce_time", "gather_time")),
+            (hier, collectives),
+        ):
+            for method in methods:
                 low = getattr(model, method)(small)
                 high = getattr(model, method)(large)
                 assert 0.0 <= low <= high
@@ -459,7 +458,6 @@ class TestCollectiveCostProperties:
         for method in (
             "ring_all_reduce_time",
             "all_gather_time",
-            "reduce_scatter_time",
             "broadcast_time",
             "reduce_time",
             "gather_time",

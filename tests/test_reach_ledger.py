@@ -42,7 +42,9 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 TAGS = ("field", "error", "repr", "abstract", "bench", "oracle", "pool", "decision")
 #: The later deletion groups, in the order ROADMAP item 20 schedules them.
-NEXT_GROUPS = ("comm", "codec", "api", "models")
+NEXT_GROUPS = ("api", "models")
+#: A reason: one line that starts with a tag.
+REASON = re.compile(rf"^(?:{'|'.join(TAGS)}|next:(?:{'|'.join(NEXT_GROUPS)})): \S[^\n]*$")
 
 #: Never-entered key -> why it stays.
 LEDGER = {
@@ -54,6 +56,8 @@ LEDGER = {
     "tensorlib/backend.py:NumpyBackend.fused_norm_backward": "field: ExperimentConfig.dtype; fused_norm's backward kernel",
     "simulation/compute.py:DeviceSpec.to_dict": "field: ClusterSpec.device; a custom device in a stored cluster",
     "simulation/compute.py:DeviceSpec.from_dict": "field: ClusterSpec.device; a custom device read back",
+    "comm/network.py:NetworkModel.reduce_time": "field: ClusterSpec.hierarchical; the two-level all-reduce's intra-group reduce",
+    "comm/network.py:NetworkModel.gather_time": "field: ClusterSpec.hierarchical; the two-level all-gather's intra-group gather",
     # ---- error: typed-error and failure-report paths ----
     "tensorlib/tensor.py:_consumed": "error: backward over a graph an earlier backward released",
     "nn/module.py:ModuleList.forward": "error: calling a container",
@@ -62,7 +66,6 @@ LEDGER = {
     "campaign/runner.py:retry_delay": "error: the backoff before a failed cell's retry",
     "golden.py:format_diff": "error: the report of a drifted golden trace",
     "pactrain/compressor.py:PacTrainCompressor._check_driver_ef_composable": "error: driver error feedback on PacTrain",
-    "compression/codec/payloads.py:BitmaskPayload.with_reduced": "error: bitmasks are broadcast, never reduced",
     # ---- repr: debugging helpers ----
     "tensorlib/tensor.py:Tensor.__repr__": "repr: debugging helper",
     "tensorlib/backend.py:NumpyBackend.__repr__": "repr: debugging helper",
@@ -78,10 +81,6 @@ LEDGER = {
     "compression/codec/stages.py:Codec.encode": "abstract: every stage defines its own",
     "compression/codec/stages.py:Codec.decode": "abstract: every stage defines its own",
     "compression/codec/payloads.py:WirePayload.nbytes": "abstract: every payload defines its own",
-    "compression/codec/payloads.py:WirePayload.num_elements": "abstract: every payload defines its own",
-    "compression/codec/payloads.py:WirePayload.transmitted_elements": "abstract: every payload defines its own",
-    "compression/codec/payloads.py:WirePayload.reduce_values": "abstract: every reducible payload defines its own",
-    "compression/codec/payloads.py:WirePayload.with_reduced": "abstract: every reducible payload defines its own",
     # ---- bench: names the benchmark's probe table or micro rows call ----
     "tensorlib/tensor.py:Tensor.__matmul__": "bench: micro.py's matmul row multiplies with @",
     "ddp/ddp.py:DistributedDataParallel.compute_local_gradients": "bench: probe.TABLE's ddp layer",
@@ -120,37 +119,6 @@ LEDGER = {
     "nn/models/resnet.py:resnet18": "decision: item 9's paper-size builders",
     "nn/models/resnet.py:resnet152": "decision: item 9's paper-size builders",
     "nn/models/vit.py:vit_base_16": "decision: item 9's paper-size builders",
-    # ---- next:comm: collectives no codec emits ----
-    "comm/network.py:NetworkModel.gather_time": "next:comm: no codec gathers to a root",
-    "comm/network.py:NetworkModel.reduce_time": "next:comm: no codec reduces to a root",
-    "comm/network.py:NetworkModel.reduce_scatter_time": "next:comm: no codec reduce-scatters",
-    "comm/process_group.py:ProcessGroup.total_bytes_per_worker": "next:comm: results count bytes through the timeline",
-    # ---- next:codec: codec conveniences and resets only tests call ----
-    "compression/codec/pipeline.py:Pipeline.encode": "next:codec: a one-rank convenience encode",
-    "compression/codec/pipeline.py:parse_codec_spec": "next:codec: build_compressor parses specs its own way",
-    "compression/codec/stages.py:Codec.__add__": "next:codec: stage + stage builds a Pipeline",
-    "compression/codec/stages.py:Codec.resize_world": "next:codec: the no-op default every stateful stage overrides",
-    "compression/base.py:CodecCompressor.residual": "next:codec: a test accessor for an error-feedback residual",
-    "compression/base.py:CodecCompressor.reset": "next:codec: compressors are built per run, never reset",
-    "pactrain/compressor.py:PacTrainCompressor.reset": "next:codec: compressors are built per run, never reset",
-    "compression/codec/pipeline.py:Pipeline.reset": "next:codec: compressors are built per run, never reset",
-    "compression/codec/stages.py:Codec.reset": "next:codec: compressors are built per run, never reset",
-    "compression/codec/stages.py:DGCSelect.reset": "next:codec: compressors are built per run, never reset",
-    "compression/codec/stages.py:MaskCompact.reset": "next:codec: compressors are built per run, never reset",
-    "compression/codec/stages.py:Ternarize.reset": "next:codec: compressors are built per run, never reset",
-    "pactrain/mask_tracker.py:MaskTracker.reset": "next:codec: compressors are built per run, never reset",
-    "pactrain/mask_tracker.py:MaskTracker.streak": "next:codec: a test accessor for the stability streak",
-    "pactrain/mask_tracker.py:MaskState.sparsity": "next:codec: results read density",
-    "compression/codec/payloads.py:WirePayload.reducible_with": "next:codec: every payload the driver reduces answers itself",
-    "compression/codec/payloads.py:BitmaskPayload.mask": "next:codec: the driver unpacks bitmasks itself",
-    "compression/codec/payloads.py:BitmaskPayload.reduce_values": "next:codec: bitmasks are broadcast, never reduced",
-    "compression/codec/payloads.py:BitmaskPayload.transmitted_elements": "next:codec: no result counts bitmask elements",
-    "compression/codec/payloads.py:DensePayload.num_elements": "next:codec: no result counts payload elements",
-    "compression/codec/payloads.py:HalfPayload.num_elements": "next:codec: no result counts payload elements",
-    "compression/codec/payloads.py:SparsePayload.num_elements": "next:codec: no result counts payload elements",
-    "compression/codec/payloads.py:TernaryPayload.num_elements": "next:codec: no result counts payload elements",
-    "compression/codec/payloads.py:DensePayload.add_to": "next:codec: the driver accumulates in place itself",
-    "compression/codec/payloads.py:DensePayload.subtract_from": "next:codec: the driver updates residuals itself",
     # ---- next:api: accessors and loaders only tests call ----
     "campaign/spec.py:CampaignSpec.from_file": "next:api: the CLI reads spec files itself",
     "campaign/spec.py:CampaignSpec.to_dict": "next:api: no store or report writes a spec back",
@@ -202,9 +170,15 @@ def test_no_key_covers_another():
 
 
 def test_every_reason_is_one_line_with_a_tag():
-    pattern = re.compile(rf"^(?:{'|'.join(TAGS)}|next:(?:{'|'.join(NEXT_GROUPS)})): \S[^\n]*$")
-    untagged = sorted(key for key, reason in LEDGER.items() if not pattern.match(reason))
+    untagged = sorted(key for key, reason in LEDGER.items() if not REASON.match(reason))
     assert untagged == [], f"each reason starts with one of {TAGS} or next:<{'|'.join(NEXT_GROUPS)}>"
+
+
+def test_a_deleted_group_is_no_longer_a_tag():
+    """The comm and codec groups are gone: a leftover tag of theirs fails."""
+    assert REASON.match("next:api: a later group")
+    for group in ("comm", "codec"):
+        assert not REASON.match(f"next:{group}: deleted with its group")
 
 
 def test_field_entries_name_a_knob_ledger_field():

@@ -254,14 +254,14 @@ class TestLocalSgd:
         group = ProcessGroup(world)
         for iteration in range(3):
             deltas = [rng.standard_normal(numel) * 0.01 for _ in range(world)]
-            previous = compressor.residual(0)
+            previous = compressor._residuals.get(0)
             carried = (
                 np.zeros(numel) if previous is None else previous.mean(axis=0).copy()
             )
             aggregated = compressor.aggregate(
                 make_bucket([d.copy() for d in deltas]), group, iteration=iteration
             )
-            residual = compressor.residual(0)
+            residual = compressor._residuals.get(0)
             np.testing.assert_allclose(
                 exact_average(deltas) + carried,
                 aggregated + residual.mean(axis=0),

@@ -184,7 +184,7 @@ class TestTheCompressorIsTheHook:
         }
         ddp.stage_world_gradients(grads)
         dense, _ = ddp.synchronize_staged(build_compressor("all-reduce"))
-        assert ddp.compressor is lossy and lossy.stats.iterations == 0
+        assert ddp.compressor is lossy and lossy.stats.raw_bytes == 0.0
         for name, value in dense.items():
             np.testing.assert_array_equal(value, (grads[name][0] + grads[name][1]) / 2)
 
@@ -292,10 +292,13 @@ class TestParameterServerPushesOnTheDriver:
         assert len(workers) == config.cluster.world_size
         assert len(aggregate_calls) == result.ps_updates  # mlp: one bucket per push
         for compressor in workers.values():
-            assert compressor.residual(0).shape[0] == 1 and np.any(compressor.residual(0))
+            assert compressor._residuals.get(0).shape[0] == 1 and np.any(compressor._residuals.get(0))
         # One stats carrier for the run, whichever worker pushed.
         assert len({id(compressor.stats) for compressor in workers.values()}) == 1
-        assert next(iter(workers.values())).stats.iterations == result.ps_updates
+        # ... which counts every push's fp32 bytes: one (1, numel) bucket each.
+        pusher = next(iter(workers.values()))
+        numel = pusher._residuals[0].shape[1]
+        assert pusher.stats.raw_bytes == result.ps_updates * numel * 4.0
 
     def test_the_one_rank_group_is_drained(self, aggregate_calls):
         """terngrad issues two collectives per push (scaler agreement, payload)."""

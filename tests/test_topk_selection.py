@@ -225,13 +225,13 @@ def run_aggregations(spec: str, matrices):
         compressor.aggregate(GradBucket(layout, matrix=matrix), group, iteration=step).copy()
         for step, matrix in enumerate(matrices)
     ]
-    state = {"driver": compressor.residual(0)}
+    state = {"driver": compressor._residuals.get(0)}
     for stage in compressor.pipeline.stages:
         for attribute in ("_residuals", "_momentum", "_accum"):
             buffers = getattr(stage, attribute, None)
             if buffers:
                 state[f"{stage.name}.{attribute}"] = buffers[0]
-    return outputs, state, group.total_bytes_per_worker
+    return outputs, state, group.events
 
 
 class TestCodecsMatchReferenceSelector:
