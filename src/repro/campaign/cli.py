@@ -199,7 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     with _user_input():
         data, spec_store_path = load_spec_file(args.spec)
-        spec = CampaignSpec.from_dict({key: value for key, value in data.items() if key != "store"})
+        spec = CampaignSpec.from_dict(data)
         cells = spec.expand()
     store_path = args.store or spec_store_path or f"campaign_results/{spec.name}.jsonl"
     store = ResultStore(store_path)

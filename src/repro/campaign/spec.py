@@ -25,9 +25,9 @@ every method with and without the driver's error-feedback residual state.
 A retired field routes like a live one; its spec drops it at its retired
 value and rejects any other by name.
 
-Specs round-trip through plain dicts (``from_dict`` / ``to_dict``) and load
-from JSON or TOML files (``from_file``), which is what ``python -m repro
-sweep`` drives.
+Specs are built from plain dicts (``from_dict``, which ignores a spec file's
+``store`` key); :func:`load_spec_file` reads one from a JSON or TOML file,
+which is what ``python -m repro sweep`` drives.
 """
 
 from __future__ import annotations
@@ -376,18 +376,8 @@ class CampaignSpec:
         return len(self.expand())
 
     # ------------------------------------------------------------------ #
-    # Serialization
+    # Deserialization
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "base": dict(self.base),
-            "axes": {name: list(values) for name, values in self.axes.items()},
-            "zip": {name: list(values) for name, values in self.zipped.items()},
-            "cells": [dict(cell) for cell in self.cells],
-            "methods": {name: spec.to_dict() for name, spec in self.methods.items()},
-        }
-
     @classmethod
     def from_dict(cls, data: Dict) -> "CampaignSpec":
         known = {"name", "base", "axes", "zip", "zipped", "cells", "methods", "store"}
@@ -411,18 +401,6 @@ class CampaignSpec:
             cells=[dict(cell) for cell in data.get("cells", [])],
             methods=methods,
         )
-
-    @classmethod
-    def from_file(cls, path: Union[str, os.PathLike]) -> "CampaignSpec":
-        """Load a spec from a ``.json`` or ``.toml`` file.
-
-        TOML needs Python 3.11+ (:mod:`tomllib` is in the standard library
-        there); on older interpreters use JSON, which is always available.
-        The optional top-level ``store`` key is kept accessible via
-        :func:`load_spec_file` for the CLI; ``from_file`` ignores it.
-        """
-        data, _ = load_spec_file(path)
-        return cls.from_dict({key: value for key, value in data.items() if key != "store"})
 
 
 def load_spec_file(path: Union[str, os.PathLike]) -> tuple:

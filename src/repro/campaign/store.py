@@ -325,12 +325,6 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def keys(self) -> List[str]:
-        return list(self._records)
-
     def get(self, config: ExperimentConfig, method: MethodSpec) -> Optional[ExperimentResult]:
         """The cached result for this exact cell, or ``None`` on a miss."""
         record = self._records.get(cell_fingerprint(config, method))

@@ -140,7 +140,7 @@ class CodecCompressor:
         self.pipeline = as_pipeline(pipeline)
         self.error_feedback = bool(error_feedback)
         if name is None:
-            name = self.pipeline.spec()
+            name = self.pipeline.name
             if self.error_feedback:
                 name = f"ef+{name}"
         self.name = name
@@ -164,7 +164,7 @@ class CodecCompressor:
         for stage in self.pipeline.stages:
             if getattr(stage, "self_compensating", False):
                 raise ValueError(
-                    f"stage {stage.spec()!r} accumulates unsent gradient mass "
+                    f"stage {stage.name!r} accumulates unsent gradient mass "
                     "internally (momentum-corrected DGC); driver-level error "
                     "feedback cannot be layered around or stripped from it"
                 )

@@ -33,38 +33,33 @@ from repro.compression.codec.stages import (
 )
 
 
-class Pipeline(Codec):
-    """A left-to-right composition of codec stages.
+class Pipeline:
+    """A left-to-right composition of one or more codec stages.
 
-    The pipeline is itself a :class:`Codec`, so pipelines nest (a nested
-    pipeline's stages are spliced in).  ``encode_all`` starts from the raw flat
-    gradients (wrapped into :class:`DensePayload` objects); ``decode`` returns
-    the dense ``np.ndarray`` the training loop applies.
+    ``encode_all`` starts from the raw flat gradients (wrapped into
+    :class:`DensePayload` objects); ``decode`` returns the dense
+    ``np.ndarray`` the training loop applies.
 
     A stage that reads the dense gradient (``dense_input``: the selections)
     may only follow stages that hand the :class:`DensePayload` on unchanged
-    (``dense_output``: ``Identity``); any other order is rejected here, when
-    the pipeline is built, rather than inside the first aggregation.
+    (``dense_output``: ``Identity``); any other order, and an empty stage
+    list, is rejected here, when the pipeline is built, rather than inside the
+    first aggregation.
     """
 
     def __init__(self, stages: Sequence[Codec]) -> None:
-        flat: List[Codec] = []
-        for stage in stages:
-            if isinstance(stage, Pipeline):
-                flat.extend(stage.stages)
-            else:
-                flat.append(stage)
-        if not flat:
-            flat = [Identity()]
-        self.stages: List[Codec] = flat
-        self.name = self.spec()
+        self.stages: List[Codec] = list(stages)
+        if not self.stages:
+            raise ValueError("a pipeline needs at least one stage ('fp32' passes gradients through)")
+        #: The spec string ``parse_compressor_spec`` parses back into these stages.
+        self.name = "+".join(stage.name for stage in self.stages)
         transformed_by: Optional[Codec] = None
-        for position, stage in enumerate(flat, start=1):
+        for position, stage in enumerate(self.stages, start=1):
             if stage.dense_input and transformed_by is not None:
                 raise ValueError(
-                    f"pipeline {self.name!r}: stage {stage.spec()!r} at position "
+                    f"pipeline {self.name!r}: stage {stage.name!r} at position "
                     f"{position} reads the dense gradient, which "
-                    f"{transformed_by.spec()!r} before it has already "
+                    f"{transformed_by.name!r} before it has already "
                     "transformed; only pass-through stages (fp32) may precede it"
                 )
             if transformed_by is None and not stage.dense_output:
@@ -74,15 +69,12 @@ class Pipeline(Codec):
     # Aggregate properties
     # ------------------------------------------------------------------ #
     @property
-    def allreduce_compatible(self) -> bool:  # type: ignore[override]
+    def allreduce_compatible(self) -> bool:
         return all(stage.allreduce_compatible for stage in self.stages)
 
     @property
-    def lossless(self) -> bool:  # type: ignore[override]
+    def lossless(self) -> bool:
         return all(stage.lossless for stage in self.stages)
-
-    def spec(self) -> str:
-        return "+".join(stage.spec() for stage in self.stages)
 
     # ------------------------------------------------------------------ #
     # Encode / decode
@@ -121,18 +113,18 @@ class Pipeline(Codec):
             payload = stage.decode(payload)
         if not isinstance(payload, (DensePayload, SparsePayload)):
             raise TypeError(
-                f"pipeline {self.spec()!r} decoded to {type(payload).__name__}, "
+                f"pipeline {self.name!r} decoded to {type(payload).__name__}, "
                 "expected a DensePayload or SparsePayload — a stage is missing "
                 "its decode"
             )
         return payload
 
-    def decode(self, payload: WirePayload) -> np.ndarray:  # type: ignore[override]
+    def decode(self, payload: WirePayload) -> np.ndarray:
         """Map a payload back to the dense flat gradient it encodes."""
         return self.decode_payload(payload).densify()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Pipeline({self.spec()!r})"
+        return f"Pipeline({self.name!r})"
 
 
 def as_pipeline(codec: Union[Codec, Sequence[Codec]]) -> Pipeline:

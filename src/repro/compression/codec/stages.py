@@ -64,6 +64,7 @@ class EncodeContext:
 class Codec:
     """One encode/decode stage of a compression pipeline."""
 
+    #: The stage's spec token (what ``parse_compressor_spec`` parses back into it).
     name: str = "codec"
     #: Whether encoded payloads from different ranks are element-wise summable.
     allreduce_compatible: bool = True
@@ -102,12 +103,8 @@ class Codec:
         stages whose state is shared across ranks ignore it.
         """
 
-    def spec(self) -> str:
-        """This stage's spec token (what ``parse_compressor_spec`` parses back into it)."""
-        return self.name
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}({self.spec()!r})"
+        return f"{type(self).__name__}({self.name!r})"
 
 
 def _dense_input(payload: WirePayload, stage: str) -> np.ndarray:
@@ -442,7 +439,6 @@ class Ternarize(Codec):
     name = "terngrad"
 
     def __init__(self, seed: int = 0, clip_sigma: Optional[float] = 2.5) -> None:
-        self.seed = seed
         self.clip_sigma = clip_sigma
         self._rng = np.random.default_rng(seed)
 

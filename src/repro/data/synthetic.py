@@ -1,4 +1,4 @@
-"""Synthetic class-conditional image datasets standing in for CIFAR-10/100.
+"""Synthetic class-conditional image datasets standing in for CIFAR-10.
 
 Design goals:
 
@@ -16,7 +16,7 @@ Design goals:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -68,9 +68,6 @@ class SyntheticImageClassification:
 
     def __len__(self) -> int:
         return self.spec.num_samples
-
-    def __getitem__(self, index: int) -> Tuple[np.ndarray, int]:
-        return self.images[index], int(self.labels[index])
 
     @property
     def num_classes(self) -> int:
@@ -132,34 +129,25 @@ def synthetic_cifar10(
     )
 
 
-def synthetic_cifar100(
-    num_samples: int = 1024,
-    image_size: int = 8,
-    noise_std: float = 0.5,
-    seed: int = 0,
-) -> SyntheticImageClassification:
-    """100-class synthetic dataset standing in for CIFAR-100."""
-    return SyntheticImageClassification(
-        DatasetSpec(
-            num_classes=100,
-            num_samples=num_samples,
-            image_size=image_size,
-            noise_std=noise_std,
-            seed=seed,
-            name="synthetic-cifar100",
-        )
-    )
-
-
-_DATASET_FACTORIES = {
+_DATASET_FACTORIES: Dict[str, Callable[..., SyntheticImageClassification]] = {
     "cifar10": synthetic_cifar10,
-    "cifar100": synthetic_cifar100,
 }
 
 
-def make_dataset(name: str, **kwargs) -> SyntheticImageClassification:
-    """Build a dataset by paper workload name (``cifar10`` / ``cifar100``)."""
-    key = name.lower().replace("-", "")
-    if key not in _DATASET_FACTORIES:
+def registered_dataset(name: str) -> Callable[..., SyntheticImageClassification]:
+    """The factory registered under ``name`` (case- and hyphen-insensitive).
+
+    Raises
+    ------
+    KeyError
+        If ``name`` is not registered.
+    """
+    factory = _DATASET_FACTORIES.get(name.lower().replace("-", ""))
+    if factory is None:
         raise KeyError(f"unknown dataset {name!r}; available: {sorted(_DATASET_FACTORIES)}")
-    return _DATASET_FACTORIES[key](**kwargs)
+    return factory
+
+
+def make_dataset(name: str, **kwargs) -> SyntheticImageClassification:
+    """Build a dataset by paper workload name (``cifar10``)."""
+    return registered_dataset(name)(**kwargs)

@@ -59,11 +59,6 @@ class GradientArena:
 
     # ------------------------------------------------------------------ #
     @property
-    def nbytes(self) -> int:
-        """Bytes of the matrices allocated so far (or lent)."""
-        return int(sum(matrix.nbytes for matrix in self._matrices if matrix is not None))
-
-    @property
     def slots(self) -> Dict[str, np.ndarray]:
         """``{param_name: (world_size, *shape) view of its bucket slice}``.
 
@@ -89,10 +84,6 @@ class GradientArena:
             self._slots[piece.param_name] = matrix[:, piece.offset : piece.end].reshape(
                 (self.world_size,) + piece.shape
             )
-
-    def row(self, bucket_index: int, rank: int) -> np.ndarray:
-        """One rank's flat gradient view for one bucket."""
-        return self.matrix(bucket_index)[rank]
 
     # ------------------------------------------------------------------ #
     def _put(self, target: np.ndarray, grad) -> None:
@@ -159,12 +150,6 @@ class GradientArena:
                 # weight's) is not first flattened into a temporary.
                 self._put(slot, grad.reshape(slot.shape))
 
-    def zero(self) -> None:
-        """Clear every allocated bucket matrix (mainly for tests)."""
-        for matrix in self._matrices:
-            if matrix is not None:
-                matrix.fill(0.0)
-
     def shares_memory_with(self, array: np.ndarray) -> bool:
         """Whether ``array`` aliases any allocated arena matrix (aliasing guard)."""
         return any(
@@ -174,5 +159,5 @@ class GradientArena:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"GradientArena(buckets={len(self._buckets)}, world_size={self.world_size}, "
-            f"dtype={self.dtype.name}, nbytes={self.nbytes}, accumulates={self.accumulates})"
+            f"dtype={self.dtype.name}, accumulates={self.accumulates})"
         )

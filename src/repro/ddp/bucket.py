@@ -58,10 +58,6 @@ class Bucket:
     def numel(self) -> int:
         return sum(s.numel for s in self.slices)
 
-    @property
-    def nbytes(self) -> int:
-        return self.numel * FLOAT32_BYTES
-
     def flatten(self, grads_by_name: Dict[str, np.ndarray]) -> np.ndarray:
         """Pack named gradients into this bucket's flat layout.
 
@@ -122,10 +118,6 @@ class GradBucket:
     @property
     def numel(self) -> int:
         return self._bucket.numel
-
-    @property
-    def nbytes(self) -> int:
-        return self._bucket.nbytes
 
 
 def build_buckets(

@@ -12,7 +12,7 @@ models by name, mirroring the paper's workload table.
 """
 
 from repro.nn.models.mlp import MLP, mlp_tiny
-from repro.nn.models.vgg import VGG, vgg19, vgg19_mini, vgg11_mini
+from repro.nn.models.vgg import VGG, vgg19, vgg19_mini
 from repro.nn.models.resnet import (
     ResNet,
     resnet18,
@@ -33,7 +33,6 @@ __all__ = [
     "VGG",
     "vgg19",
     "vgg19_mini",
-    "vgg11_mini",
     "ResNet",
     "resnet18",
     "resnet152",

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Optional
 
 from repro.nn.module import Module
 from repro.nn.models.mlp import mlp_tiny
-from repro.nn.models.vgg import vgg19, vgg19_mini, vgg11_mini
+from repro.nn.models.vgg import vgg19, vgg19_mini
 from repro.nn.models.resnet import resnet18, resnet152, resnet18_mini, resnet152_mini
 from repro.nn.models.vit import vit_base_16, vit_base_16_mini
 
@@ -20,7 +20,6 @@ ModelFactory = Callable[..., Module]
 
 MODEL_REGISTRY: Dict[str, Dict[str, ModelFactory]] = {
     "mlp": {"mini": mlp_tiny, "full": mlp_tiny},
-    "vgg11": {"mini": vgg11_mini, "full": vgg11_mini},
     "vgg19": {"mini": vgg19_mini, "full": vgg19},
     "resnet18": {"mini": resnet18_mini, "full": resnet18},
     "resnet152": {"mini": resnet152_mini, "full": resnet152},

@@ -24,9 +24,6 @@ from repro.tensorlib import Tensor
 
 # Channel plans: integers are conv output channels, "M" is a 2x2 max pool.
 VGG_CONFIGS: Dict[str, List[Union[int, str]]] = {
-    "vgg11": [64, "M", 128, "M", 256, 256, "M", 512, 512, "M", 512, 512, "M"],
-    "vgg16": [64, 64, "M", 128, 128, "M", 256, 256, 256, "M",
-              512, 512, 512, "M", 512, 512, 512, "M"],
     "vgg19": [64, 64, "M", 128, 128, "M", 256, 256, 256, 256, "M",
               512, 512, 512, 512, "M", 512, 512, 512, 512, "M"],
 }
@@ -92,8 +89,3 @@ def vgg19_mini(num_classes: int = 10, seed: Optional[int] = None) -> VGG:
     8×8 synthetic images used by the benchmarks.
     """
     return VGG("vgg19", num_classes=num_classes, width_scale=0.125, seed=seed, max_pools=3)
-
-
-def vgg11_mini(num_classes: int = 10, seed: Optional[int] = None) -> VGG:
-    """Narrow VGG11 used in integration tests."""
-    return VGG("vgg11", num_classes=num_classes, width_scale=0.125, seed=seed, max_pools=3)

@@ -31,7 +31,6 @@ __all__ = [
     "Tracer",
     "enable",
     "disable",
-    "is_enabled",
 ]
 
 
@@ -43,7 +42,3 @@ def enable(path=None, role="main") -> None:
 def disable() -> None:
     """Disable the process tracer, flushing metrics and closing the sink."""
     TRACER.disable()
-
-
-def is_enabled() -> bool:
-    return TRACER.enabled

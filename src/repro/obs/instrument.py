@@ -7,8 +7,8 @@ Three pieces live here, all activated only while tracing is enabled:
   counters, elapsed seconds, operand bytes, a latency histogram, and — when
   bound to a tracer — one wall span per call.  The im2col gather also
   reports the patch workspace pool (``backend.workspace.bytes`` /
-  ``.misses``).  Everything else forwards to the wrapped backend untouched,
-  so numerics are bit-identical.
+  ``.misses``).  Every public backend method is a hot kernel, so the wrapper
+  has nothing to forward, and numerics are bit-identical.
 * :func:`install_backend_observer` plugs the wrapper into the single
   ``get_backend()`` seam (``repro.tensorlib.backend._OBSERVER``).
 * :func:`emit_simulated_iteration` converts one engine
@@ -36,7 +36,7 @@ __all__ = [
 
 
 class ObservedBackend:
-    """A backend proxy that meters the hot kernels and forwards the rest.
+    """A backend proxy that meters the hot kernels.
 
     The wrapper never re-implements a kernel — results come byte-for-byte
     from the wrapped backend — so observing cannot change numerics, only
@@ -52,9 +52,6 @@ class ObservedBackend:
         self._inner = inner
         self._tracer = tracer
         self._registry = registry if registry is not None else MetricsRegistry()
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ObservedBackend({self._inner!r})"

@@ -126,7 +126,7 @@ class Tracer:
     def enable(self, path: Optional[str] = None, role: str = "main") -> None:
         """Start tracing.
 
-        ``path`` of ``None`` records in memory (:meth:`events`).  A path
+        ``path`` of ``None`` records in memory (``_events``).  A path
         ending in ``.jsonl`` streams raw events there; any other path is
         treated as the Chrome-trace destination, with raw events streamed to
         a ``<path>.jsonl`` sidecar (the exporter converts at :meth:`finish`).
@@ -192,10 +192,6 @@ class Tracer:
             self._sink.flush()
         else:
             self._events.append(event)
-
-    def events(self) -> List[dict]:
-        """In-memory events (empty when streaming to a JSONL sink)."""
-        return list(self._events)
 
     def wall_now(self) -> float:
         """Absolute wall-clock seconds (epoch-based, perf_counter-resolved)."""

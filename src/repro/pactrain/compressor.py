@@ -51,7 +51,6 @@ class PacTrainCompressor(CodecCompressor):
     def __init__(self, stability_threshold: int = 3, quantize: bool = False, seed: int = 0) -> None:
         self.tracker = MaskTracker(stability_threshold=stability_threshold)
         self.quantize = quantize
-        self.seed = seed
 
         self._compact = MaskCompact()
         compact_stages = [self._compact]

@@ -82,8 +82,9 @@ class ClusterSpec:
     hierarchical: bool = False
     #: Fault-injection scenario for this cluster, on the simulated clock.
     #: ``None`` (default) is a healthy static cluster — bit-identical to the
-    #: pre-fault engine.  Accepts a :class:`~repro.simulation.faults.FaultPlan`,
-    #: a dict (``FaultPlan.from_dict``), or a compact grammar string::
+    #: pre-fault engine.  Accepts a :class:`~repro.simulation.faults.FaultPlan`
+    #: or a compact grammar string; a dict is the stored form (``to_dict``
+    #: writes it, ``FaultPlan.from_dict`` reads it back).  The grammar::
     #:
     #:     crash:R@T          rank R dies at simulated time T
     #:     rejoin:R@T         rank R re-joins at simulated time T

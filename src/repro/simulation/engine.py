@@ -71,9 +71,6 @@ class EventHeap:
             raise IndexError("pop from empty event heap")
         return heapq.heappop(self._heap)[2]
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def __bool__(self) -> bool:
         return bool(self._heap)
 
@@ -130,11 +127,6 @@ class IterationTrace:
     overlap_saved: float      # (compute_span + comm_busy) - wall_time, >= 0
     straggler_slack: float    # compute_span - fastest rank's compute
     buckets: List[BucketTrace] = field(default_factory=list)
-
-    @property
-    def overlap_fraction(self) -> float:
-        """Fraction of communication hidden behind backward compute."""
-        return self.overlap_saved / self.comm_busy if self.comm_busy > 0 else 0.0
 
 # --------------------------------------------------------------------------- #
 # Engine

@@ -24,6 +24,7 @@ from repro.compression.registry import (
     build_compressor,
     check_compressor_name,
 )
+from repro.data import registered_dataset
 from repro.data.loader import train_split_size
 from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES
 from repro.nn.models import registered_model
@@ -317,7 +318,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"dtype must be one of {sorted(SUPPORTED_DTYPES)}, got {self.dtype!r}"
             )
-        registered_model(self.model)  # a misspelt name fails here, before any dataset is built
+        # A misspelt name fails here, before any dataset is built.
+        registered_model(self.model)
+        registered_dataset(self.dataset)
         if self.image_size != 8 and self.model.lower() == "mlp":
             raise ValueError(
                 "model 'mlp' has a fixed 3*8*8 input layer and needs image_size=8, "

@@ -25,11 +25,7 @@ from repro.tensorlib.dtypes import (
     get_default_dtype,
     resolve_dtype,
 )
-from repro.tensorlib.backend import (
-    get_backend,
-    set_backend,
-    use_backend,
-)
+from repro.tensorlib.backend import get_backend
 from repro.tensorlib import backend
 from repro.tensorlib import functional
 from repro.tensorlib import init
@@ -42,8 +38,6 @@ __all__ = [
     "get_default_dtype",
     "resolve_dtype",
     "get_backend",
-    "set_backend",
-    "use_backend",
     "backend",
     "functional",
     "init",

@@ -15,18 +15,14 @@ so a step reuses one layer's buffer instead of pinning one per layer.
 
 The seam exists for two callers.  :mod:`repro.obs` meters the hot kernels
 while tracing by wrapping the active instance (the :data:`_OBSERVER` hook);
-tests substitute a recording subclass.  An accelerated engine is the same
-thing — a :class:`NumpyBackend` subclass overriding the kernels it speeds up,
-handed to :func:`set_backend` or scoped with :func:`use_backend` — and it
-takes on the bit-identity contract the golden traces check.
+tests substitute a recording subclass for :data:`_ACTIVE`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -297,22 +293,3 @@ def get_backend() -> NumpyBackend:
     if _OBSERVER is not None:
         return _OBSERVER(_ACTIVE)
     return _ACTIVE
-
-
-def set_backend(backend: NumpyBackend) -> NumpyBackend:
-    """Make ``backend`` (an instance) the process-wide backend; returns it."""
-    global _ACTIVE
-    _ACTIVE = backend
-    return backend
-
-
-@contextlib.contextmanager
-def use_backend(backend: NumpyBackend) -> Iterator[NumpyBackend]:
-    """Scoped :func:`set_backend`: restores the previous backend on exit."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = backend
-    try:
-        yield backend
-    finally:
-        _ACTIVE = previous

@@ -43,6 +43,6 @@ def small_cluster():
 
 @pytest.fixture
 def sample_batch(tiny_dataset):
-    images = np.stack([tiny_dataset[i][0] for i in range(8)])
-    labels = np.array([tiny_dataset[i][1] for i in range(8)])
+    images = tiny_dataset.images[:8].copy()
+    labels = tiny_dataset.labels[:8].copy()
     return images, labels

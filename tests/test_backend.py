@@ -1,9 +1,8 @@
 """Seam tests for ``repro.tensorlib.backend``.
 
-NumPy is the engine; the seam is ``get_backend()`` / ``set_backend(instance)``
-/ ``use_backend(instance)``.  These tests pin the seam — numpy default,
-instance selection, scoped overrides restored on exit, nothing read from the
-environment — and the reference kernels against plain numpy.
+NumPy is the engine; the seam is ``get_backend()``.  These tests pin the
+seam — numpy default, nothing read from the environment — and the reference
+kernels against plain numpy.
 """
 
 from __future__ import annotations
@@ -29,25 +28,6 @@ def _restore_active_backend():
 class TestSelection:
     def test_default_is_numpy(self):
         assert type(B.get_backend()) is B.NumpyBackend
-
-    def test_set_backend_accepts_instance(self):
-        instance = B.NumpyBackend()
-        assert B.set_backend(instance) is instance
-        assert B.get_backend() is instance
-
-    def test_use_backend_restores_previous(self):
-        outer = B.set_backend(B.NumpyBackend())
-        with B.use_backend(B.NumpyBackend()) as inner:
-            assert B.get_backend() is inner
-            assert inner is not outer
-        assert B.get_backend() is outer
-
-    def test_use_backend_restores_previous_when_the_body_raises(self):
-        outer = B.set_backend(B.NumpyBackend())
-        with pytest.raises(RuntimeError):
-            with B.use_backend(B.NumpyBackend()):
-                raise RuntimeError("boom")
-        assert B.get_backend() is outer
 
     def test_retired_environment_variable_is_not_read(self):
         """``REPRO_BACKEND`` is a retired setting, not a rejected one: nothing

@@ -275,7 +275,7 @@ class TestCallSiteRouting:
 
     @pytest.mark.parametrize("world", [False, True], ids=["looped", "batched"])
     def test_conv_routes_gather_weight_grad_and_scatter(self, world):
-        recorder = B.set_backend(RecordingBackend())
+        recorder = B._ACTIVE = RecordingBackend()
         self._conv_roundtrip(world)
         assert "im2col_gather" in recorder.calls
         assert "conv_weight_grad" in recorder.calls
@@ -283,7 +283,7 @@ class TestCallSiteRouting:
         assert "col2im_scatter_add" in recorder.calls
 
     def test_conv_stride1_input_grad_routes_through_gather(self):
-        recorder = B.set_backend(RecordingBackend())
+        recorder = B._ACTIVE = RecordingBackend()
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
         weight = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
@@ -293,7 +293,7 @@ class TestCallSiteRouting:
 
     @pytest.mark.parametrize("world", [False, True], ids=["looped", "batched"])
     def test_pooling_routes_reduce(self, world):
-        recorder = B.set_backend(RecordingBackend())
+        recorder = B._ACTIVE = RecordingBackend()
         rng = np.random.default_rng(2)
         shape = (2, 2, 3, 8, 8) if world else (2, 3, 8, 8)
         x = Tensor(rng.standard_normal(shape), requires_grad=True)
@@ -304,7 +304,7 @@ class TestCallSiteRouting:
 
     @pytest.mark.parametrize("world", [False, True], ids=["looped", "batched"])
     def test_fused_norm_routes_stats_and_backward(self, world):
-        recorder = B.set_backend(RecordingBackend())
+        recorder = B._ACTIVE = RecordingBackend()
         rng = np.random.default_rng(3)
         shape = (2, 4, 5, 16) if world else (4, 5, 16)
         x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
@@ -322,7 +322,7 @@ class TestCallSiteRouting:
         from repro.nn.batched import replica_views  # noqa: PLC0415
         from repro.tensorlib import default_dtype  # noqa: PLC0415
 
-        recorder = B.set_backend(RecordingBackend())
+        recorder = B._ACTIVE = RecordingBackend()
         rng = np.random.default_rng(4)
         with default_dtype("float32"):
             layer = BatchNorm2d(3)
@@ -351,9 +351,9 @@ class TestCallSiteRouting:
             out.sum().backward()
             return out.data.copy(), np.array(x.grad, copy=True)
 
-        B.set_backend(B.NumpyBackend())
+        B._ACTIVE = B.NumpyBackend()
         out_ref, grad_ref = run()
-        B.set_backend(RecordingBackend())
+        B._ACTIVE = RecordingBackend()
         out_rec, grad_rec = run()
         assert np.array_equal(out_ref, out_rec)
         assert np.array_equal(grad_ref, grad_rec)

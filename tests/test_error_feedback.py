@@ -68,9 +68,9 @@ class TestEfSpecGrammar:
 
     def test_parse_compressor_spec_round_trip(self):
         pipeline, ef = parse_compressor_spec("ef+topk0.05+terngrad")
-        assert ef and pipeline.spec() == "topk0.05+terngrad"
+        assert ef and pipeline.name == "topk0.05+terngrad"
         pipeline, ef = parse_compressor_spec("terngrad")
-        assert not ef and pipeline.spec() == "terngrad"
+        assert not ef and pipeline.name == "terngrad"
 
     def test_method_spec_error_feedback_field(self):
         method = MethodSpec(name="s", compressor="fp16", error_feedback=True)

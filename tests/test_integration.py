@@ -163,10 +163,3 @@ class TestCrossModelIntegration:
         quantized = run_experiment(config, PAPER_METHODS["pactrain"])
         plain = run_experiment(config, PACTRAIN_FP32)
         assert quantized.comm_bytes_per_worker < plain.comm_bytes_per_worker
-
-    def test_cifar100_workload(self):
-        config = quick_config("100Mbps", epochs=2)
-        config.dataset = "cifar100"
-        config.dataset_samples = 200
-        result = run_experiment(config, PAPER_METHODS["pactrain"])
-        assert result.iterations_run > 0

@@ -12,7 +12,6 @@ from repro.nn.models import (
     mlp_tiny,
     resnet18_mini,
     resnet152_mini,
-    vgg11_mini,
     vgg19_mini,
     vit_base_16_mini,
 )
@@ -90,14 +89,9 @@ class TestVGG:
             VGG("vgg23")
 
     def test_width_scale_reduces_parameters(self):
-        wide = VGG("vgg11", width_scale=0.25, max_pools=3, seed=0)
-        narrow = VGG("vgg11", width_scale=0.125, max_pools=3, seed=0)
+        wide = VGG("vgg19", width_scale=0.25, max_pools=3, seed=0)
+        narrow = VGG("vgg19", width_scale=0.125, max_pools=3, seed=0)
         assert sum(p.size for p in narrow.parameters()) < sum(p.size for p in wide.parameters())
-
-    def test_vgg11_mini_forward(self, rng):
-        model = vgg11_mini(seed=0)
-        out = model(Tensor(rng.standard_normal((2, 3, 8, 8))))
-        assert out.shape == (2, 10)
 
 
 class TestResNet:

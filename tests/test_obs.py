@@ -37,7 +37,7 @@ from repro.obs.export import (
 from repro.obs.instrument import ObservedBackend
 from repro.simulation import PAPER_METHODS, ClusterSpec, ExperimentConfig, run_experiment
 from repro.tensorlib import backend as backend_module
-from repro.tensorlib.backend import NumpyBackend, get_backend
+from repro.tensorlib.backend import HOT_KERNELS, NumpyBackend, get_backend
 
 
 @pytest.fixture(autouse=True)
@@ -172,7 +172,7 @@ class TestTracerDisabled:
         TRACER.instant("marker")
         TRACER.sim_span("sim", "test", 0.0, 1.0, 0)
         TRACER.flush_metrics()
-        assert TRACER.events() == []
+        assert TRACER._events == []
 
     def test_disabled_span_is_shared_nullobject(self):
         # The disabled fast path allocates nothing per call.
@@ -186,7 +186,7 @@ class TestTracerEnabled:
         with TRACER.span("outer", cat="test", tag="x"):
             with TRACER.span("inner", cat="test"):
                 pass
-        spans = wall_spans(TRACER.events())
+        spans = wall_spans(TRACER._events)
         assert [s["name"] for s in spans] == ["inner", "outer"]  # exit order
         assert all(s["sim_at"] == 3.5 for s in spans)
         inner, outer = spans
@@ -199,7 +199,7 @@ class TestTracerEnabled:
         assert pid < 0
         TRACER.sim_span("iteration 0", "sim", 0.0, 2.0, SIM_SCHEDULE_TID)
         assert TRACER.new_sim_process("exp B") != pid
-        events = TRACER.events()
+        events = list(TRACER._events)
         span = next(e for e in events if e.get("kind") == "span")
         assert span["clock"] == "sim"
         assert span["pid"] == pid
@@ -255,7 +255,7 @@ class TestChromeTrace:
         TRACER.sim_span("iteration 0", "sim", 0.0, 2.0, SIM_SCHEDULE_TID)
         TRACER.sim_span("backward", "sim", 0.0, 1.0, 0)
         TRACER.instant("ready", cat="sim", clock="sim", ts=1.0, tid=0)
-        document = chrome_trace(TRACER.events())
+        document = chrome_trace(TRACER._events)
         assert validate_chrome_trace(document) == []
 
     def test_required_fields_and_tracks(self):
@@ -264,7 +264,7 @@ class TestChromeTrace:
         with TRACER.span("work", cat="test"):
             pass
         TRACER.sim_span("backward", "sim", 0.0, 1.0, 2)
-        document = chrome_trace(TRACER.events())
+        document = chrome_trace(TRACER._events)
         events = document["traceEvents"]
         for event in events:
             assert event["ph"] in "XiIMBEC"
@@ -291,7 +291,7 @@ class TestChromeTrace:
         for _ in range(5):
             with TRACER.span("step", cat="test"):
                 pass
-        document = chrome_trace(TRACER.events())
+        document = chrome_trace(TRACER._events)
         last = {}
         for event in document["traceEvents"]:
             if event["ph"] != "X":
@@ -331,7 +331,7 @@ class TestChromeTrace:
         with TRACER.span("work", cat="test"):
             pass
         path = str(tmp_path / "trace.json")
-        write_chrome(TRACER.events(), path)
+        write_chrome(TRACER._events, path)
         import json
 
         with open(path, "r", encoding="utf-8") as handle:
@@ -348,16 +348,21 @@ class TestKernelCallSites:
         assert isinstance(backend, ObservedBackend)
         a, b = np.ones((4, 8)), np.ones((8, 2))
         result = backend.matmul(a, b)
-        spans = wall_spans(TRACER.events(), "kernel/matmul")
+        spans = wall_spans(TRACER._events, "kernel/matmul")
         assert len(spans) == 1
         assert spans[0]["args"]["bytes"] == a.nbytes + b.nbytes
         assert TRACER.metrics.counters["backend.numpy.matmul.calls"] == 1.0
         np.testing.assert_array_equal(result, a @ b)
 
-    def test_wrapper_forwards_non_kernels_untouched(self):
-        inner = NumpyBackend()
-        wrapped = ObservedBackend(inner)
-        assert wrapped.name == inner.name
+    def test_every_public_backend_method_is_a_metered_kernel(self):
+        """The wrapper forwards nothing: a public ``NumpyBackend`` method left
+        out of ``HOT_KERNELS`` would raise ``AttributeError`` under ``--trace``."""
+        public = {
+            name for name, value in vars(NumpyBackend).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert public == set(HOT_KERNELS)
+        assert all(kernel in vars(ObservedBackend) for kernel in HOT_KERNELS)
 
     def test_disabled_backend_is_unwrapped(self):
         assert not isinstance(get_backend(), ObservedBackend)
@@ -367,7 +372,7 @@ class TestCodecCallSites:
     def test_one_span_per_stage_on_reduce_path(self, rng):
         TRACER.enable()
         build_compressor("fp16").aggregate(make_bucket(rng), make_group(), iteration=0)
-        events = TRACER.events()
+        events = list(TRACER._events)
         for name in ("codec/encode", "codec/reduce", "codec/decode"):
             assert len(wall_spans(events, name)) == 1, name
         assert len(wall_spans(events, "codec/gather")) == 0
@@ -383,7 +388,7 @@ class TestCodecCallSites:
         group = make_group()
         compressor.aggregate(make_bucket(rng), group, iteration=0)
         compressor.aggregate(make_bucket(rng), group, iteration=1)
-        events = TRACER.events()
+        events = list(TRACER._events)
         assert len(wall_spans(events, "codec/gather")) == 2
         assert len(wall_spans(events, "codec/reduce")) == 0
         # Sampled, not per-iteration: only iteration 0 hits the modulus.
@@ -394,7 +399,7 @@ class TestCodecCallSites:
         TRACER.enable()
         build_compressor("allreduce").aggregate(make_bucket(rng), make_group(), iteration=0)
         assert not any(
-            e.get("kind") == "instant" and e["name"] == "codec/nmse" for e in TRACER.events()
+            e.get("kind") == "instant" and e["name"] == "codec/nmse" for e in TRACER._events
         )
 
     def test_observing_does_not_change_the_result(self, rng):
@@ -419,7 +424,7 @@ class TestExperimentTracing:
     def test_traced_run_produces_valid_dual_clock_trace(self):
         TRACER.enable()
         run_experiment(tiny_config(), PAPER_METHODS["fp16"])
-        events = TRACER.events()
+        events = list(TRACER._events)
         TRACER.disable()
         names = {e["name"] for e in events if e.get("kind") == "span"}
         for expected in ("experiment", "train/backward", "train/sync", "train/apply",
@@ -436,7 +441,7 @@ class TestExperimentTracing:
         plain = run_experiment(config, method)
         TRACER.enable()
         traced = run_experiment(tiny_config(), method)
-        events = TRACER.events()
+        events = list(TRACER._events)
         TRACER.disable()
         assert traced.to_dict() == plain.to_dict()
         assert len(events) > 0  # the traced run did record
@@ -453,7 +458,7 @@ class TestExperimentTracing:
         method = dataclasses.replace(PAPER_METHODS["topk-0.01"], sync_schedule="localsgd:4:delta")
         TRACER.enable()
         result = run_experiment(config, method)
-        events = TRACER.events()
+        events = list(TRACER._events)
         TRACER.disable()
         degraded = [e for e in events if e["name"] == "fault/degraded-world"]
         assert result.degraded_iterations >= 1
@@ -475,7 +480,7 @@ class TestBackendCounters:
             assert counters[f"{prefix}.seconds"] > 0, kernel
             assert counters[f"{prefix}.bytes"] > 0, kernel
         TRACER.flush_metrics()
-        assert "backend.numpy.matmul.calls" in summary(TRACER.events())
+        assert "backend.numpy.matmul.calls" in summary(TRACER._events)
 
     def test_every_gather_reports_the_workspace_pool(self, monkeypatch):
         """Graph footprint per step: the pool's bytes after each gather, and its misses."""
@@ -490,7 +495,7 @@ class TestBackendCounters:
         high_water = max(bound for bound, _ in pooled.to_buckets())
         assert high_water >= sum(buffer.nbytes for buffer in backend_module._WORKSPACE) > 0
         TRACER.flush_metrics()
-        assert "backend.workspace.bytes" in summary(TRACER.events())
+        assert "backend.workspace.bytes" in summary(TRACER._events)
 
 
 class TestSummary:
@@ -501,7 +506,7 @@ class TestSummary:
         TRACER.sim_span("iteration 0", "sim", 0.0, 1.0, SIM_SCHEDULE_TID)
         TRACER.metrics.set_gauge("campaign.workers", 2)
         TRACER.flush_metrics()
-        text = summary(TRACER.events())
+        text = summary(TRACER._events)
         for section in ("spans (wall clock)", "spans (simulated clock)",
                         "== counters ==", "== gauges ==", "== histograms =="):
             assert section in text, section

@@ -135,12 +135,11 @@ class TestDtypeParity:
 # Arena: aliasing safety and no-copy plumbing
 # --------------------------------------------------------------------------- #
 class TestGradientArena:
-    def test_rows_are_views_of_bucket_matrix(self, tiny_model):
+    def test_slots_are_views_of_bucket_matrix(self, tiny_model):
         buckets = build_buckets(tiny_model)
         arena = GradientArena(buckets, world_size=3)
-        matrix = arena.matrix(0)
-        for rank in range(3):
-            assert np.shares_memory(arena.row(0, rank), matrix)
+        for piece in buckets[0].slices:
+            assert np.shares_memory(arena.slots[piece.param_name], arena.matrix(0))
 
     def test_missing_gradients_are_zeroed_not_stale(self, tiny_model, sample_batch):
         """A parameter that got no gradient this step must not inherit the

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.models import mlp_tiny, resnet18_mini, vgg11_mini
+from repro.nn.models import mlp_tiny, resnet18_mini, vgg19_mini
 from repro.pruning import (
     PruningMask,
     apply_gse,
@@ -135,7 +135,7 @@ class TestGraSP:
             np.testing.assert_allclose(param.data, before[name], atol=1e-12)
 
     def test_grasp_prune_hits_ratio(self, sample_batch):
-        model = vgg11_mini(seed=0)
+        model = vgg19_mini(seed=0)
         mask = grasp_prune(model, sample_batch, F.cross_entropy, pruning_ratio=0.5)
         prunable = {name for name, _ in prunable_parameters(model)}
         kept = sum(mask.masks[name].sum() for name in prunable)

@@ -194,7 +194,7 @@ def test_a_failing_entry_raises_and_the_hooks_are_restored(package, tmp_path):
 
 def test_main_writes_the_never_entered_keys_and_exits_1_naming_each_problem(monkeypatch, tmp_path, capsys):
     defs = reach.list_defs()
-    missed = {"tensorlib/tensor.py:_consumed", "obs/tracer.py:Tracer.events"}
+    missed = {"tensorlib/tensor.py:_consumed", "obs/tracer.py:Tracer.finish"}
     monkeypatch.setattr(reach, "trace", lambda path, progress=None: set(defs) - missed)
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(reach, "load_ledger", lambda: {"tensorlib/tensor.py:_consumed": "error: r"})
@@ -206,7 +206,7 @@ def test_main_writes_the_never_entered_keys_and_exits_1_naming_each_problem(monk
     assert (report["defs"], report["entered"]) == (len(defs), len(defs) - 2)
     printed = capsys.readouterr().out
     assert f"{len(defs)} defs" in printed
-    assert "never entered, not in the ledger: obs/tracer.py:Tracer.events" in printed
+    assert "never entered, not in the ledger: obs/tracer.py:Tracer.finish" in printed
     assert "_consumed" not in printed
     monkeypatch.setattr(reach, "load_ledger", lambda: dict.fromkeys(missed, "error: r"))
     assert reach.main([]) == 0

@@ -20,9 +20,10 @@ Each reason starts with one tag:
 * ``oracle:`` a reference tests compare against;
 * ``pool:`` code that runs only with pool workers (the path sweeps with
   ``--jobs 1``);
-* ``decision:`` kept by a decision recorded in ROADMAP item 20(d) or item 9;
-* ``next:<group>`` scheduled for a later deletion group, in the order of
-  :data:`NEXT_GROUPS`.
+* ``decision:`` kept by a decision recorded in ROADMAP.
+
+No tag schedules a deletion: code that should go goes, so every key names a
+reason to stay.
 
 Tier-1 checks the static half (keys resolve by AST, tags are valid, ``field:``
 names a knob-ledger field) and that the tracer sees both import-time and
@@ -41,10 +42,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 TAGS = ("field", "error", "repr", "abstract", "bench", "oracle", "pool", "decision")
-#: The later deletion groups, in the order ROADMAP item 20 schedules them.
-NEXT_GROUPS = ("api", "models")
 #: A reason: one line that starts with a tag.
-REASON = re.compile(rf"^(?:{'|'.join(TAGS)}|next:(?:{'|'.join(NEXT_GROUPS)})): \S[^\n]*$")
+REASON = re.compile(rf"^(?:{'|'.join(TAGS)}): \S[^\n]*$")
 
 #: Never-entered key -> why it stays.
 LEDGER = {
@@ -101,7 +100,7 @@ LEDGER = {
     "campaign/runner.py:_worker_init": "pool: a worker's initializer",
     "campaign/runner.py:_pool_pids": "pool: the worker pids the watchdog tracks",
     "campaign/runner.py:default_jobs": "pool: the worker count for --jobs 0",
-    # ---- decision: checkpointing (ROADMAP 20(d)) and item 9's full builders ----
+    # ---- decision: checkpointing (ROADMAP 20(d)), item 9's full builders, the fault-plan decoder (20(c)) ----
     "simulation/experiment.py:TrainingCheckpoint": "decision: checkpointing, the restore == uninterrupted oracle (20(d))",
     "simulation/experiment.py:_capture": "decision: checkpointing (20(d))",
     "simulation/experiment.py:_restore": "decision: checkpointing (20(d))",
@@ -119,30 +118,9 @@ LEDGER = {
     "nn/models/resnet.py:resnet18": "decision: item 9's paper-size builders",
     "nn/models/resnet.py:resnet152": "decision: item 9's paper-size builders",
     "nn/models/vit.py:vit_base_16": "decision: item 9's paper-size builders",
-    # ---- next:api: accessors and loaders only tests call ----
-    "campaign/spec.py:CampaignSpec.from_file": "next:api: the CLI reads spec files itself",
-    "campaign/spec.py:CampaignSpec.to_dict": "next:api: no store or report writes a spec back",
-    "campaign/store.py:ResultStore.__contains__": "next:api: a test accessor",
-    "campaign/store.py:ResultStore.keys": "next:api: a test accessor",
-    "ddp/arena.py:GradientArena.nbytes": "next:api: a test accessor",
-    "ddp/arena.py:GradientArena.row": "next:api: a test accessor",
-    "ddp/arena.py:GradientArena.zero": "next:api: a test helper",
-    "ddp/bucket.py:Bucket.nbytes": "next:api: wire bytes come from payloads",
-    "ddp/bucket.py:GradBucket.nbytes": "next:api: wire bytes come from payloads",
-    "simulation/engine.py:EventHeap.__len__": "next:api: a test accessor",
-    "simulation/engine.py:IterationTrace.overlap_fraction": "next:api: results report the saved seconds",
-    "simulation/faults.py:FaultPlan.from_dict": "next:api: stored configs are never decoded on the path",
-    "simulation/faults.py:FaultEvent.from_dict": "next:api: stored configs are never decoded on the path",
-    "simulation/faults.py:_events": "next:api: stored configs are never decoded on the path",
-    "obs/__init__.py:is_enabled": "next:api: a test accessor",
-    "obs/tracer.py:Tracer.events": "next:api: traces stream to a file",
-    "obs/instrument.py:ObservedBackend.__getattr__": "next:api: every backend method is a metered kernel",
-    "tensorlib/backend.py:set_backend": "next:api: the accelerated-backend seam only tests use",
-    "tensorlib/backend.py:use_backend": "next:api: the accelerated-backend seam only tests use",
-    "data/synthetic.py:synthetic_cifar100": "next:api: no figure trains on 100 classes",
-    "data/synthetic.py:SyntheticImageClassification.__getitem__": "next:api: loaders index arrays in batches",
-    # ---- next:models ----
-    "nn/models/vgg.py:vgg11_mini": "next:models: test_campaign.py's cheap conv model; no figure runs vgg11",
+    "simulation/faults.py:FaultPlan.from_dict": "decision: the only inverse of a stored faulted config (20(c))",
+    "simulation/faults.py:FaultEvent.from_dict": "decision: a stored fault event read back (20(c))",
+    "simulation/faults.py:_events": "decision: a stored fault plan's event list read back (20(c))",
 }
 
 
@@ -171,14 +149,11 @@ def test_no_key_covers_another():
 
 def test_every_reason_is_one_line_with_a_tag():
     untagged = sorted(key for key, reason in LEDGER.items() if not REASON.match(reason))
-    assert untagged == [], f"each reason starts with one of {TAGS} or next:<{'|'.join(NEXT_GROUPS)}>"
+    assert untagged == [], f"each reason starts with one of {TAGS}"
 
 
 def test_a_deleted_group_is_no_longer_a_tag():
-    """The comm and codec groups are gone: a leftover tag of theirs fails."""
-    assert REASON.match("next:api: a later group")
-    for group in ("comm", "codec"):
-        assert not REASON.match(f"next:{group}: deleted with its group")
+    assert not REASON.match("next:api: a test accessor")
 
 
 def test_field_entries_name_a_knob_ledger_field():

@@ -80,7 +80,7 @@ class TestStoredRecordsOfRemovedMethods:
         path.write_text(line + "\n", encoding="utf-8")
         store = ResultStore(path)
         key = json.loads(line)["key"]
-        assert len(store) == 1 and key in store
+        assert list(store._records) == [key]
         assert store.get_by_key(key).method == "ef+signsgd"
         assert store.get_by_key(key).final_accuracy == 0.25
         header, rows = store.pivot("method", "bandwidth_mbps", value="final_accuracy")

@@ -32,6 +32,7 @@ from repro.campaign import CampaignSpec, ResultStore, StoredRecord, build_cell, 
 from repro.campaign.store import RESULT_SCHEMA_VERSION, canonical_json
 from repro.simulation import ExperimentResult, MethodSpec, run_experiment
 
+from tests.test_campaign import spec_from_file
 from tests.test_workload_sharing import reference_fingerprint
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,14 +77,14 @@ class TestPinnedKeys:
 
     @pytest.mark.parametrize("path", CAMPAIGNS, ids=os.path.basename)
     def test_expansion_reproduces_the_pinned_keys(self, path):
-        cells = CampaignSpec.from_file(path).expand()
+        cells = spec_from_file(path).expand()
         pinned = PINNED_KEYS[os.path.basename(path)]
         assert [(cell.label, cell.fingerprint()) for cell in cells] == list(pinned.items())
 
     def test_a_pinned_store_still_replays(self, tmp_path):
         store_path = tmp_path / "smoke-store.jsonl"
         shutil.copy(os.path.join(FIXTURES, "smoke-store.jsonl"), store_path)
-        spec = CampaignSpec.from_file(os.path.join(ROOT, "examples", "campaigns", "smoke.json"))
+        spec = spec_from_file(os.path.join(ROOT, "examples", "campaigns", "smoke.json"))
         report = run_campaign(spec, store=ResultStore(store_path), jobs=1)
         assert (report.ran, report.cached, report.failed) == (0, 2, 0)
 

@@ -97,7 +97,7 @@ def _load(store_class, data: bytes):
     # order, in content and in the order of their config and method keys.
     records = [record.to_json() for record in store.records()]
     lines = [int(re.search(r"at line (\d+)", str(w.message)).group(1)) for w in caught]
-    return store.keys(), records, store._valid_bytes, corrupt, lines
+    return list(store._records), records, store._valid_bytes, corrupt, lines
 
 
 ascii_garbage = st.text(

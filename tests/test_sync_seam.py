@@ -29,6 +29,7 @@ import pytest
 from repro import golden
 from repro.comm import NetworkModel, ProcessGroup
 from repro.compression import CodecCompressor, build_compressor, parse_compressor_spec
+from repro.compression.codec.stages import Ternarize
 from repro.compression.registry import BUILTIN_SPECS, PACTRAIN_QUANTIZE
 from repro.ddp import DistributedDataParallel
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
@@ -354,7 +355,11 @@ class TestPacTrainHasOneConstructionPath:
             return
         compressor = build()
         assert (compressor.quantize, compressor.name) == expected
-        assert compressor.seed == 3
+        # The seed reaches the ternary stage, the one stage that draws.
+        ternary = [stage for stage in compressor._compact_pipeline.stages if isinstance(stage, Ternarize)]
+        assert len(ternary) == compressor.quantize
+        seeded = np.random.default_rng(3).bit_generator.state
+        assert all(stage._rng.bit_generator.state == seeded for stage in ternary)
 
     def test_the_stability_threshold_reaches_the_tracker(self):
         compressor = MethodSpec(

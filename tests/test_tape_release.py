@@ -208,7 +208,8 @@ class TestMemory:
             walk(self, *args, **kwargs)
 
         monkeypatch.setattr(Tensor, "backward", metered)
-        with default_dtype("float64"), B.use_backend(Recording()):
+        monkeypatch.setattr(B, "_ACTIVE", Recording())
+        with default_dtype("float64"):
             ddp, batches = _ddp("resnet18", world=8, batch=16)
             gc.collect()
             tracemalloc.start()

@@ -337,8 +337,8 @@ def stacked_batches(loader: DataLoader):
         limit = (limit // loader.batch_size) * loader.batch_size
     for start in range(0, limit, loader.batch_size):
         batch_idx = indices[start : start + loader.batch_size]
-        images = np.stack([loader.dataset[i][0] for i in batch_idx])
-        labels = np.array([loader.dataset[i][1] for i in batch_idx], dtype=np.int64)
+        images = np.stack([loader.dataset.images[i] for i in batch_idx])
+        labels = np.array([loader.dataset.labels[i] for i in batch_idx], dtype=np.int64)
         yield images, labels
 
 
