@@ -718,7 +718,8 @@ class TestRunner:
         def seeded_with(stage, seed):
             return stage._rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
-        assert seeded_with(MethodSpec(name="tg", compressor="terngrad").build_compressor(seed=7).pipeline.stages[0], 7)
+        (ternarize,) = MethodSpec(name="tg", compressor="terngrad").build_compressor(seed=7).pipeline.stages
+        assert seeded_with(ternarize, 7)
         pipeline = MethodSpec(name="c", compressor="topk0.2+fp16+terngrad").build_compressor(seed=9)
         _, _, ternarize = pipeline.pipeline.stages
         assert seeded_with(ternarize, 9) and not seeded_with(ternarize, 0)

@@ -100,7 +100,7 @@ LEDGER = {
     "campaign/runner.py:_worker_init": "pool: a worker's initializer",
     "campaign/runner.py:_pool_pids": "pool: the worker pids the watchdog tracks",
     "campaign/runner.py:default_jobs": "pool: the worker count for --jobs 0",
-    # ---- decision: checkpointing (ROADMAP 20(d)), item 9's full builders, the fault-plan decoder (20(c)) ----
+    # ---- decision: checkpointing (20(d)), item 9's full builders, the fault-plan decoder (20(c)) ----
     "simulation/experiment.py:TrainingCheckpoint": "decision: checkpointing, the restore == uninterrupted oracle (20(d))",
     "simulation/experiment.py:_capture": "decision: checkpointing (20(d))",
     "simulation/experiment.py:_restore": "decision: checkpointing (20(d))",
@@ -118,7 +118,7 @@ LEDGER = {
     "nn/models/resnet.py:resnet18": "decision: item 9's paper-size builders",
     "nn/models/resnet.py:resnet152": "decision: item 9's paper-size builders",
     "nn/models/vit.py:vit_base_16": "decision: item 9's paper-size builders",
-    "simulation/faults.py:FaultPlan.from_dict": "decision: the only inverse of a stored faulted config (20(c))",
+    "simulation/faults.py:FaultPlan.from_dict": "decision: the inverse of a stored faulted config (20(c))",
     "simulation/faults.py:FaultEvent.from_dict": "decision: a stored fault event read back (20(c))",
     "simulation/faults.py:_events": "decision: a stored fault plan's event list read back (20(c))",
 }
