@@ -289,7 +289,7 @@ _OBSERVER = None
 
 
 def get_backend() -> NumpyBackend:
-    """The process-wide active backend (a :class:`NumpyBackend` until one is set)."""
+    """The process-wide active :class:`NumpyBackend`, wrapped by the observer while tracing."""
     if _OBSERVER is not None:
         return _OBSERVER(_ACTIVE)
     return _ACTIVE

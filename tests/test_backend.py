@@ -1,8 +1,9 @@
 """Seam tests for ``repro.tensorlib.backend``.
 
 NumPy is the engine; the seam is ``get_backend()``.  These tests pin the
-seam — numpy default, nothing read from the environment — and the reference
-kernels against plain numpy.
+seam — numpy default, the active instance and observer hook read on every
+call, nothing read from the environment — and the reference kernels against
+plain numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +29,17 @@ def _restore_active_backend():
 class TestSelection:
     def test_default_is_numpy(self):
         assert type(B.get_backend()) is B.NumpyBackend
+
+    def test_get_backend_reads_the_active_instance_on_every_call(self):
+        """Tests substitute ``_ACTIVE``; no call site may hold a stale copy."""
+        instance = B.NumpyBackend()
+        B._ACTIVE = instance
+        assert B.get_backend() is instance
+        assert B.get_backend() is B.get_backend()
+
+    def test_an_installed_observer_wraps_the_active_instance(self, monkeypatch):
+        monkeypatch.setattr(B, "_OBSERVER", lambda inner: ("observed", inner))
+        assert B.get_backend() == ("observed", B._ACTIVE)
 
     def test_retired_environment_variable_is_not_read(self):
         """``REPRO_BACKEND`` is a retired setting, not a rejected one: nothing

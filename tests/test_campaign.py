@@ -329,7 +329,7 @@ class TestCampaignSpec:
         from_dict = resolve_method({"name": "d", "compressor": "fp16"})
         assert from_dict == MethodSpec(name="d", compressor="fp16")
 
-    def test_a_spec_dict_builds_the_constructed_spec(self):
+    def test_spec_dict_roundtrip(self):
         spec = CampaignSpec(
             name="rt",
             base={"model": "mlp"},
@@ -434,6 +434,12 @@ class TestResultStore:
         assert store.get(config, method) == fake_result()
         # A fresh handle reloads the persisted record.
         assert ResultStore(path).get(config, method) == fake_result()
+
+    def test_get_by_key_misses_on_an_unknown_key(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        key = store.put(tiny_config(), PAPER_METHODS["all-reduce"], fake_result())
+        assert store.get_by_key(key) == fake_result()
+        assert store.get_by_key("0" * len(key)) is None
 
     def test_in_memory_store_without_path(self):
         store = ResultStore()

@@ -46,6 +46,7 @@ from repro.compression.codec import (
 )
 from repro.compression.codec.stages import (
     SAMPLED_SELECT_FLOOR,
+    Codec,
     EncodeContext,
     _stacked_inputs,
     batched_top_k_indices,
@@ -510,6 +511,15 @@ class TestSpecGrammar:
     def test_pipeline_constructor_rejects_misplaced_stages_too(self):
         with pytest.raises(ValueError, match="position 2"):
             Pipeline([Half(), TopK(0.1)])
+
+    def test_a_pipeline_is_a_composition_not_a_codec(self):
+        """It used to inherit ``encode``/``prepare``/``resize_world`` it never ran."""
+        pipeline = Pipeline([TopK(0.1), Half()])
+        assert not isinstance(pipeline, Codec)
+        assert not any(hasattr(pipeline, name) for name in ("encode", "prepare", "resize_world"))
+        assert (pipeline.name, pipeline.allreduce_compatible, pipeline.lossless) == (
+            "topk0.1+fp16", False, False
+        )
 
     def test_a_pipeline_without_stages_is_rejected(self):
         """It used to become an fp32 pipeline; no caller builds one."""

@@ -10,6 +10,7 @@ from repro.data import (
     DistributedSampler,
     SyntheticImageClassification,
     make_dataset,
+    registered_dataset,
     synthetic_cifar10,
     train_test_split,
 )
@@ -25,6 +26,12 @@ class TestSyntheticDataset:
         assert len(dataset) == 64
         assert dataset.num_classes == 10
         assert dataset.input_shape == (3, 8, 8)
+
+    def test_labels_cover_exactly_the_declared_classes(self):
+        dataset = synthetic_cifar10(num_samples=256, seed=0)
+        assert set(np.unique(dataset.labels)) == set(range(dataset.num_classes))
+        assert dataset.labels.shape == (256,)
+        assert dataset.images.shape == (256, *dataset.input_shape)
 
     def test_deterministic_given_seed(self):
         a = synthetic_cifar10(num_samples=32, seed=3)
@@ -60,6 +67,16 @@ class TestSyntheticDataset:
         assert make_dataset("CIFAR-10", num_samples=16).num_classes == 10
         with pytest.raises(KeyError, match=r"unknown dataset 'imagenet'; available: \['cifar10'\]"):
             make_dataset("imagenet")
+
+    def test_registered_dataset_ignores_case_and_hyphens(self):
+        for spelling in ("cifar10", "CIFAR10", "CIFAR-10", "Cifar-10"):
+            assert registered_dataset(spelling) is synthetic_cifar10
+
+    def test_make_dataset_forwards_its_keywords(self):
+        named = make_dataset("cifar10", num_samples=24, image_size=4, seed=5)
+        direct = synthetic_cifar10(num_samples=24, image_size=4, seed=5)
+        np.testing.assert_array_equal(named.images, direct.images)
+        np.testing.assert_array_equal(named.labels, direct.labels)
 
     def test_spec_roundtrip(self):
         spec = DatasetSpec(num_classes=5, num_samples=20, image_size=4, seed=9)

@@ -45,6 +45,17 @@ class TestFaultPlanSemantics:
         plan = FaultPlan.parse("crash:1@0.5,link:0.5@1.0-2.0,churn:0.2")
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 
+    @pytest.mark.parametrize("token", ["crash:2@0.5", "rejoin:1@3.0", "link:0.25@1.0-2.0", "link:0.5@1.5"])
+    def test_event_dict_roundtrip(self, token):
+        """The stored form of a faulted config decodes back to the same event."""
+        (event,) = FaultPlan.parse(token).events
+        assert FaultEvent.from_dict(event.to_dict()) == event
+
+    def test_from_dict_accepts_built_events(self):
+        event = FaultEvent(kind="crash", at=0.5, rank=1)
+        plan = FaultPlan.from_dict({"events": [event, {"kind": "rejoin", "at": 2.0, "rank": 1}]})
+        assert plan.events == (event, FaultEvent(kind="rejoin", at=2.0, rank=1))
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(KeyError):
             FaultPlan.from_dict({"events": [], "surprise": 1})

@@ -135,7 +135,7 @@ class TestDtypeParity:
 # Arena: aliasing safety and no-copy plumbing
 # --------------------------------------------------------------------------- #
 class TestGradientArena:
-    def test_slots_are_views_of_bucket_matrix(self, tiny_model):
+    def test_rows_are_views_of_bucket_matrix(self, tiny_model):
         buckets = build_buckets(tiny_model)
         arena = GradientArena(buckets, world_size=3)
         for piece in buckets[0].slices:
