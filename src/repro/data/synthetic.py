@@ -134,20 +134,20 @@ _DATASET_FACTORIES: Dict[str, Callable[..., SyntheticImageClassification]] = {
 }
 
 
-def registered_dataset(name: str) -> Callable[..., SyntheticImageClassification]:
-    """The factory registered under ``name`` (case- and hyphen-insensitive).
+def registered_dataset(name: str) -> str:
+    """The registered name ``name`` spells (case- and hyphen-insensitive).
 
     Raises
     ------
     KeyError
         If ``name`` is not registered.
     """
-    factory = _DATASET_FACTORIES.get(name.lower().replace("-", ""))
-    if factory is None:
+    key = name.lower().replace("-", "")
+    if key not in _DATASET_FACTORIES:
         raise KeyError(f"unknown dataset {name!r}; available: {sorted(_DATASET_FACTORIES)}")
-    return factory
+    return key
 
 
 def make_dataset(name: str, **kwargs) -> SyntheticImageClassification:
     """Build a dataset by paper workload name (``cifar10``)."""
-    return registered_dataset(name)(**kwargs)
+    return _DATASET_FACTORIES[registered_dataset(name)](**kwargs)

@@ -27,21 +27,21 @@ MODEL_REGISTRY: Dict[str, Dict[str, ModelFactory]] = {
 }
 
 
-def registered_model(name: str) -> Dict[str, ModelFactory]:
-    """The factories registered under ``name`` (case-insensitive).
+def registered_model(name: str) -> str:
+    """The registered name ``name`` spells (case-insensitive).
 
     Raises
     ------
     KeyError
         If ``name`` is not registered.
     """
-    entry = MODEL_REGISTRY.get(name.lower())
-    if entry is None:
+    key = name.lower()
+    if key not in MODEL_REGISTRY:
         raise KeyError(f"unknown model {name!r}; registered models: {sorted(MODEL_REGISTRY)}")
-    return entry
+    return key
 
 
 def build_model(name: str, num_classes: int = 10, seed: Optional[int] = None, full: bool = False) -> Module:
     """Instantiate a registered model by name (``KeyError`` if it is not registered)."""
-    factory = registered_model(name)["full" if full else "mini"]
+    factory = MODEL_REGISTRY[registered_model(name)]["full" if full else "mini"]
     return factory(num_classes=num_classes, seed=seed)

@@ -7,15 +7,13 @@ The design mirrors ``torch.nn.Module`` where it matters for the reproduction:
   mask-tracking code keys masks by these names;
 * :meth:`Module.parameters` returns parameters in **registration order**, which
   the DDP simulator reverses when building gradient buckets, exactly as PyTorch
-  DDP fills buckets in (approximately) reverse order of the backward pass;
-* ``state_dict`` / ``load_state_dict`` allow replicating a model across
-  simulated ranks and broadcasting rank-0 weights.
+  DDP fills buckets in (approximately) reverse order of the backward pass.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -107,49 +105,6 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
-
-    # ------------------------------------------------------------------ #
-    # State management
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return copies of every parameter and buffer, keyed by dotted name."""
-        state: Dict[str, np.ndarray] = {}
-        for name, param in self.named_parameters():
-            state[name] = param.data.copy()
-        for name, buffer in self.named_buffers():
-            state[f"__buffer__.{name}"] = np.array(buffer, copy=True)
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameter values (and buffers) saved by :meth:`state_dict`."""
-        params = dict(self.named_parameters())
-        for name, value in state.items():
-            if name.startswith("__buffer__."):
-                continue
-            if name not in params:
-                raise KeyError(f"unexpected parameter {name!r} in state dict")
-            if params[name].shape != value.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: model {params[name].shape} vs state {value.shape}"
-                )
-            params[name].data = value.copy()
-        buffer_owners = list(self._iter_buffer_owners())
-        buffer_map = {name: (owner, local) for name, owner, local in buffer_owners}
-        for name, value in state.items():
-            if not name.startswith("__buffer__."):
-                continue
-            key = name[len("__buffer__."):]
-            if key in buffer_map:
-                owner, local = buffer_map[key]
-                owner.update_buffer(local, np.array(value, copy=True))
-
-    def _iter_buffer_owners(self, prefix: str = "") -> Iterator[Tuple[str, "Module", str]]:
-        for name in self._buffers:
-            full = name if prefix == "" else f"{prefix}.{name}"
-            yield full, self, name
-        for child_name, child in self._modules.items():
-            child_prefix = child_name if prefix == "" else f"{prefix}.{child_name}"
-            yield from child._iter_buffer_owners(child_prefix)
 
     # ------------------------------------------------------------------ #
     # Forward

@@ -36,7 +36,7 @@ Modules:
   ``ExperimentConfig``, ``ExperimentResult`` and the paper's methods;
 * :mod:`repro.simulation.experiment` — the configuration-driven driver every
   benchmark uses: one stepped training loop, two regime steps and the PS
-  loop, all checkpointed by one capture and one restore.
+  loop.
 """
 
 from repro.simulation.compute import (

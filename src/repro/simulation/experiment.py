@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -127,9 +128,7 @@ class _Run:
 
     Built by :func:`train_distributed`, which returns it.  Everything a spec
     already says is read from ``config`` / ``method``; what the run adds is
-    state.  The compressor and the timeline are always read through the run,
-    so restoring a checkpoint swaps them in one place; ``checkpoint`` holds
-    the one ``checkpoint_at`` captured (``None`` until then).
+    state.
     """
 
     config: ExperimentConfig
@@ -142,7 +141,6 @@ class _Run:
     optimizer: SGD
     timeline: TrainingTimeline
     rank_loaders: List[DataLoader]
-    checkpoint: Optional[TrainingCheckpoint] = None
 
     @property
     def world_size(self) -> int:
@@ -163,8 +161,7 @@ class _Run:
 
         Every number the run recorded is the timeline's fold — whether the
         target was reached included, read off the same epoch records ``tta``
-        comes from, so a resumed run reports it from the history its
-        checkpoint carried; the rest comes from the specs and the model.
+        comes from; the rest comes from the specs and the model.
         """
         config = self.config
         return ExperimentResult(
@@ -207,11 +204,6 @@ class _FaultState:
         self.active = list(range(self.world_size))
         self.link = 1.0
 
-    def set_membership(self, active: List[int], link: float) -> None:
-        """Point the DDP wrapper at ``active``, over a link scaled by ``link``."""
-        self.run.ddp.set_active_ranks(active)
-        self.active, self.link = active, link
-
     def advance(self, global_iteration: int, on_rejoin=None):
         """Interpret the plan up to the run's simulated time now.
 
@@ -243,7 +235,8 @@ class _FaultState:
         if active != self.active or link != self.link:
             if active != self.active:
                 self.run.compressor.resize_world(self.active, active, plan.residual_policy)
-            self.set_membership(active, link)
+            self.run.ddp.set_active_ranks(active)
+            self.active, self.link = active, link
             # A re-joining rank pulls the current model state (fp32 wire
             # format) before it can participate: one broadcast over the new
             # membership per re-join, which advances the simulated clock.
@@ -270,8 +263,6 @@ def train_distributed(
     method: MethodSpec,
     *,
     share: Optional[_WorkloadShare] = None,
-    checkpoint_at: Optional[int] = None,
-    resume_from: Optional[TrainingCheckpoint] = None,
 ) -> _Run:
     """Prepare, prune and train the run ``(config, method)`` describes.
 
@@ -301,13 +292,6 @@ def train_distributed(
     are bit-identical to a per-rank loop, and modeled time — which measures
     the *simulated* cluster — never depends on it.
 
-    ``checkpoint_at`` captures the loop's state as a
-    :class:`TrainingCheckpoint` just before global iteration ``checkpoint_at``
-    (under ``ps``: apply ``checkpoint_at``) executes (``run.checkpoint``; the
-    run then continues normally); ``resume_from`` restores one into a run
-    built from the same two specs (checked first) and continues
-    bit-identically to the uninterrupted run.  Every regime checkpoints.
-
     Returns the run: its ``timeline`` (accuracy/time trace), ``ddp``
     wrapper, ``compressor`` (whose statistics record bytes on the wire),
     ``model`` and ``mask``; :meth:`_Run.result` is what
@@ -316,14 +300,11 @@ def train_distributed(
     schedule = method.schedule()
     cluster = config.cluster
     # Reject a cell before any work is done: an unsupported regime x fault
-    # plan, a resume under other specs, and (by building the compressor first)
-    # what only the registry rejects — ``error_feedback`` on PacTrain,
-    # ``quantize`` against ``pactrain-fp32``, a registered factory that builds
-    # no CodecCompressor.  The method's own regime x pruning check and
+    # plan and (by building the compressor first) what only the registry
+    # rejects — ``error_feedback`` on PacTrain, ``quantize`` against
+    # ``pactrain-fp32``, a registered factory that builds no CodecCompressor.  The method's own regime x pruning check and
     # compressor-name check ran at spec construction.
     cluster.fault_plan().validate_for_regime(schedule.regime)
-    if resume_from is not None:
-        resume_from.check_specs(config, method)
     world_size = cluster.world_size
     with default_dtype(config.dtype):
         compressor = method.build_compressor(seed=config.seed)
@@ -371,25 +352,19 @@ def train_distributed(
             ],
         )
         if schedule.regime == "ps":
-            _ParameterServer(run).train(checkpoint_at, resume_from)
+            _ParameterServer(run).train()
         else:
-            step = _SyncStep(run) if schedule.is_synchronous else _LocalSGDStep(run)
-            _train_stepped(run, step, checkpoint_at, resume_from)
+            _train_stepped(run, _SyncStep(run) if schedule.is_synchronous else _LocalSGDStep(run))
     return run
 
 
-def _train_stepped(
-    run: _Run,
-    step,
-    checkpoint_at: Optional[int],
-    resume_from: Optional[TrainingCheckpoint],
-) -> None:
+def _train_stepped(run: _Run, step) -> None:
     """The barrier-per-iteration loop shared by the sync and local-SGD regimes.
 
-    Owns what the regimes have in common — epochs and loaders, checkpoint
-    capture/resume, the fault cursor, logging each round's work, tracer
-    emission and the epoch end.  What an iteration *does* is the
-    regime ``step``'s business (:class:`_SyncStep`, :class:`_LocalSGDStep`):
+    Owns what the regimes have in common — epochs and loaders, the fault
+    cursor, logging each round's work, tracer emission and the epoch end.
+    What an iteration *does* is the regime ``step``'s business
+    (:class:`_SyncStep`, :class:`_LocalSGDStep`):
     ``step(batches, epoch, iteration)`` trains one iteration over the DDP
     wrapper's live membership (the fault cursor keeps it current) and
     returns its :class:`~repro.ddp.StepResult` — ``None`` bucket events mean a
@@ -397,40 +372,21 @@ def _train_stepped(
     epoch-end evaluation and returns the round it synchronised (or ``None``);
     the loop logs every round's bucket events with the membership, link and
     churn they ran under, and the timeline's fold prices them;
-    ``on_rejoin`` (or ``None``) hears of re-joined ranks;
-    ``state()`` / ``load_state(state)`` hand what the step mutates to
-    :func:`_capture` / :func:`_restore`.
+    ``on_rejoin`` (or ``None``) hears of re-joined ranks.
 
     ``ddp.iteration`` — the number the hook sees — is the global iteration
     counter: it starts at 0 and the loop advances it once per iteration.
     """
-    ddp = run.ddp
-    max_iterations_per_epoch = run.config.max_iterations_per_epoch
+    ddp, timeline = run.ddp, run.timeline
     faults = _FaultState(run)
-    start_epoch, start_iteration, start_losses = 0, 0, []
-    if resume_from is not None:
-        start_epoch, start_iteration, start_losses = _restore(run, step, faults, resume_from)
-    timeline = run.timeline
-    for epoch in range(start_epoch, run.config.epochs):
+    for epoch in range(run.config.epochs):
         for loader in run.rank_loaders:
             loader.set_epoch(epoch)
-        iterators = [iter(loader) for loader in run.rank_loaders]
-        iteration, epoch_losses = (start_iteration, start_losses) if epoch == start_epoch else (0, [])
-        # Fast-forward the deterministic samplers to a resumed position; the
-        # consumed batches were already trained on.
-        for _ in range(iteration):
-            for it in iterators:
-                next(it)
-        while True:
-            if max_iterations_per_epoch is not None and iteration >= max_iterations_per_epoch:
-                break
-            if ddp.iteration == checkpoint_at and run.checkpoint is None:
-                run.checkpoint = _capture(run, step, faults, epoch, iteration, epoch_losses)
-            try:
-                batches = [next(it) for it in iterators]
-            except StopIteration:
-                break
-
+        epoch_losses = []
+        # One batch per rank per iteration, until a shard runs out or the
+        # epoch's iteration cap is reached.
+        rounds = islice(zip(*run.rank_loaders), run.config.max_iterations_per_epoch)
+        for iteration, batches in enumerate(rounds):
             churn = faults.advance(ddp.iteration, on_rejoin=step.on_rejoin)
             result = step.step(batches, epoch, iteration)
             traced = TRACER.enabled
@@ -453,7 +409,6 @@ def _train_stepped(
                 emit_simulated_iteration(TRACER, timeline, sim_base, ddp.iteration)
             ddp.iteration += 1
             epoch_losses.append(result.loss)
-            iteration += 1
 
         synced = step.flush(epoch, faults.active)
         if synced is not None:
@@ -462,95 +417,6 @@ def _train_stepped(
                 ranks=faults.active if faults.faulty else None, link=faults.link,
             )
         run.end_epoch(epoch, epoch_losses)
-
-
-# --------------------------------------------------------------------------- #
-# Checkpoint: the stepped loop's state
-# --------------------------------------------------------------------------- #
-@dataclass
-class TrainingCheckpoint:
-    """A training loop's state just before one global iteration runs.
-
-    ``train_distributed(config, method, checkpoint_at=i)`` captures it as
-    ``run.checkpoint``; ``train_distributed(config, method, resume_from=ck)``
-    checks that its specs are the recorded ones, rebuilds what they determine
-    (the bucket layout) and installs the rest: the model's
-    ``state_dict()`` (BatchNorm running statistics included), the optimiser's
-    velocity, the compressor (Mask Tracker streaks, error-feedback residuals),
-    the timeline with its pricing inputs, the fault cursor and membership, the loop position and what
-    the loop's regime mutates (``step.state()``: local SGD's replicas, anchor
-    and window; the parameter server's event heap, link, in-flight pushes,
-    per-worker progress and losses, and worker codecs).  One capture and one
-    restore, each a deep copy, so one checkpoint seeds several resumes; a
-    degraded membership is re-applied through the elastic seam, not replayed.
-    """
-
-    config: ExperimentConfig
-    method: MethodSpec
-    model_state: Dict[str, np.ndarray]
-    velocity: List[Optional[np.ndarray]]
-    compressor: CodecCompressor
-    timeline: TrainingTimeline
-    step_state: Dict[str, object]
-    fault_cursor: float
-    active_ranks: List[int]
-    link_factor: float
-    epoch: int
-    iteration_in_epoch: int
-    #: Iterations run so far: the restored ``ddp.iteration`` (what the hook sees).
-    global_iteration: int
-    epoch_losses: List[float]
-
-    def check_specs(self, config: ExperimentConfig, method: MethodSpec) -> None:
-        """Raise ``ValueError`` naming the first field ``(config, method)`` changes."""
-        captured = {"config": self.config.to_dict(), "method": self.method.to_dict()}
-        given = {"config": config.to_dict(), "method": method.to_dict()}
-        for changed in _differences(captured, given):
-            raise ValueError(
-                f"cannot resume: {changed} differs from the checkpoint's specs "
-                "(a checkpoint resumes only the run it was captured from)"
-            )
-
-
-def _differences(captured: object, given: object, name: str = ""):
-    """Dotted names of the entries in which two ``to_dict()`` trees differ, in order."""
-    if isinstance(captured, dict) and isinstance(given, dict):
-        for key in {**captured, **given}:
-            yield from _differences(captured.get(key), given.get(key), f"{name}.{key}" if name else key)
-    elif captured != given:
-        yield name
-
-
-def _capture(
-    run: _Run, step, faults: _FaultState, epoch: int, iteration: int, epoch_losses: List[float]
-) -> TrainingCheckpoint:
-    """A deep copy of the loop's state just before ``ddp.iteration`` runs."""
-    return copy.deepcopy(
-        TrainingCheckpoint(
-            config=run.config, method=run.method, model_state=run.model.state_dict(),
-            velocity=run.optimizer.velocity, compressor=run.compressor, timeline=run.timeline,
-            step_state=step.state(), fault_cursor=faults.cursor, active_ranks=faults.active,
-            link_factor=faults.link, epoch=epoch, iteration_in_epoch=iteration,
-            global_iteration=run.ddp.iteration, epoch_losses=epoch_losses,
-        )
-    )
-
-
-def _restore(
-    run: _Run, step, faults: _FaultState, checkpoint: TrainingCheckpoint
-) -> Tuple[int, int, List[float]]:
-    """Install a deep copy of ``checkpoint``; returns its loop position."""
-    ck = copy.deepcopy(checkpoint)
-    run.model.load_state_dict(ck.model_state)
-    run.optimizer.velocity = ck.velocity
-    run.compressor = ck.compressor  # it already carries the resized residuals
-    run.ddp.register_comm_hook(ck.compressor)
-    run.timeline = ck.timeline
-    step.load_state(ck.step_state)
-    faults.cursor = ck.fault_cursor
-    faults.set_membership(ck.active_ranks, ck.link_factor)
-    run.ddp.iteration = ck.global_iteration
-    return ck.epoch, ck.iteration_in_epoch, ck.epoch_losses
 
 
 class _SyncStep:
@@ -580,13 +446,6 @@ class _SyncStep:
 
     def flush(self, epoch: int, active: List[int]) -> Optional[StepResult]:
         """Nothing to flush: every iteration ends synchronised."""
-
-    def state(self) -> Dict[str, object]:
-        """Nothing of its own: an iteration leaves its state on the run."""
-        return {}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Nothing to install (see :meth:`state`)."""
 
 
 class _LocalSGDStep:
@@ -686,13 +545,6 @@ class _LocalSGDStep:
         self.window = 0
         return synced
 
-    def state(self) -> Dict[str, object]:
-        """The replicas, the last synced anchor and the open window's length."""
-        return {"replicas": self.replicas, "anchor": self.anchor, "window": self.window}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.replicas, self.anchor, self.window = state["replicas"], state["anchor"], state["window"]
-
 
 class _ParameterServer:
     """Stale-gradient asynchronous parameter server on the event engine.
@@ -716,18 +568,9 @@ class _ParameterServer:
     the timeline's fold pins the total to it (see :meth:`TrainingTimeline.fold`).
 
     With no iteration barrier this is an event loop of its own, not a step of
-    :func:`_train_stepped`, but it keeps its state as a step does: the
-    attributes :attr:`STATE` names, which :meth:`state` / :meth:`load_state`
-    hand to :func:`_capture` / :func:`_restore`, at the apply count
-    ``ddp.iteration``.  A worker's loader position is its ``completed`` count:
-    :meth:`batch_for` opens an epoch's iterator when first needed and skips
-    the batches already trained on (none, in an uninterrupted run).
+    :func:`_train_stepped`.  A worker's loader position is its ``completed``
+    count: :meth:`batch_for` opens an epoch's iterator at its first update.
     """
-
-    STATE = (
-        "heap", "channel", "completed", "version_at_pull", "pending", "blocked",
-        "epoch_losses", "snapshots_done", "codecs",
-    )
 
     def __init__(self, run: _Run) -> None:
         config, world_size = run.config, run.world_size
@@ -757,13 +600,6 @@ class _ParameterServer:
             clone.stats = run.compressor.stats
             self.codecs.append(clone)
 
-    def state(self) -> Dict[str, object]:
-        return {name: getattr(self, name) for name in self.STATE}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self.open_loaders = {}
-
     def batch_for(self, rank: int, update_index: int):
         """Worker ``rank``'s batch for its ``update_index``-th update."""
         epoch = update_index // self.iters_per_epoch
@@ -772,19 +608,12 @@ class _ParameterServer:
             loader = self.run.rank_loaders[rank]
             loader.set_epoch(epoch)
             opened = self.open_loaders[rank] = (epoch, iter(loader))
-            for _ in range(update_index % self.iters_per_epoch):
-                next(opened[1])
         return next(opened[1])
 
-    def train(
-        self, checkpoint_at: Optional[int], resume_from: Optional[TrainingCheckpoint]
-    ) -> None:
+    def train(self) -> None:
         """Run the event loop to the last apply."""
         run, iters_per_epoch = self.run, self.iters_per_epoch
         epochs, world_size = run.config.epochs, run.world_size
-        faults = _FaultState(run)  # inert: a fault plan is rejected under ps
-        if resume_from is not None:
-            _restore(run, self, faults, resume_from)
         ddp, timeline, stats = run.ddp, run.timeline, run.compressor.stats
         heap, pending, completed = self.heap, self.pending, self.completed
         staleness_bound = run.method.schedule().staleness
@@ -804,14 +633,6 @@ class _ParameterServer:
             return completed[rank] - min(completed) <= staleness_bound
 
         while heap:
-            if ddp.iteration == checkpoint_at and run.checkpoint is None:
-                # Its position reads as the open epoch, the slowest worker's
-                # place in it and the epoch's losses so far.
-                epoch = self.snapshots_done
-                run.checkpoint = _capture(
-                    run, self, faults, epoch, min(completed) - epoch * iters_per_epoch,
-                    self.epoch_losses[epoch],
-                )
             event = heap.pop()
             now = event.time
             rank = event.rank

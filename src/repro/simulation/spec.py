@@ -318,10 +318,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"dtype must be one of {sorted(SUPPORTED_DTYPES)}, got {self.dtype!r}"
             )
-        # A misspelt name fails here, before any dataset is built.
-        registered_model(self.model)
-        registered_dataset(self.dataset)
-        if self.image_size != 8 and self.model.lower() == "mlp":
+        # A misspelt name fails here, before any dataset is built; a name
+        # spelt another way is stored as the registry's, so it keys one cell.
+        self.model = registered_model(self.model)
+        self.dataset = registered_dataset(self.dataset)
+        if self.image_size != 8 and self.model == "mlp":
             raise ValueError(
                 "model 'mlp' has a fixed 3*8*8 input layer and needs image_size=8, "
                 f"got image_size={self.image_size}"

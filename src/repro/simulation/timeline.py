@@ -85,8 +85,7 @@ class TrainingTimeline:
     :meth:`~repro.simulation.cluster.ClusterSpec.per_rank_iteration_times`
     of the FLOPs, derived once here — and ``target_accuracy`` prices the
     TTA.  ``weight_sparsity`` is the model's sparsity right after pruning,
-    which a pruned run reports.  A checkpoint's timeline is a prefix of the
-    uninterrupted run's.
+    which a pruned run reports.
     """
 
     def __init__(self, cluster: ClusterSpec, iteration_flops: float, weight_sparsity: float,

@@ -215,7 +215,21 @@ class TestSerializationRoundTrips:
             ExperimentConfig(model="mlp", dataset="imagenet")
         with pytest.raises(KeyError, match=message):
             CampaignSpec.from_dict({"base": {"model": "mlp", "dataset": "imagenet"}}).expand()
-        assert ExperimentConfig(model="mlp", dataset="CIFAR-10").dataset == "CIFAR-10"
+        assert ExperimentConfig(model="mlp", dataset="CIFAR-10").dataset == "cifar10"
+
+    def test_a_name_spelt_another_way_is_one_cell(self):
+        """Names are stored as the registry spells them, so both spellings key one cell."""
+        method = PAPER_METHODS["all-reduce"]
+        for (model, dataset), canonical in [
+            (("MLP", "CIFAR-10"), ("mlp", "cifar10")),
+            (("ResNet18", "Cifar10"), ("resnet18", "cifar10")),
+            (("ViT-Base-16", "cifar-10"), ("vit-base-16", "cifar10")),
+        ]:
+            spelt = ExperimentConfig(model=model, dataset=dataset)
+            plain = ExperimentConfig(model=canonical[0], dataset=canonical[1])
+            assert (spelt.model, spelt.dataset) == canonical
+            assert spelt == plain
+            assert cell_fingerprint(spelt, method) == cell_fingerprint(plain, method)
 
 
 # --------------------------------------------------------------------------- #

@@ -96,41 +96,6 @@ class TestTrainEvalAndGrad:
         assert all(p.grad is None for p in model.parameters())
 
 
-class TestStateDict:
-    def test_roundtrip(self, rng):
-        source = TwoLayer(seed=1)
-        target = TwoLayer(seed=2)
-        assert not np.allclose(source.fc1.weight.data, target.fc1.weight.data)
-        target.load_state_dict(source.state_dict())
-        np.testing.assert_allclose(source.fc1.weight.data, target.fc1.weight.data)
-        np.testing.assert_allclose(source.fc2.bias.data, target.fc2.bias.data)
-
-    def test_state_dict_copies_data(self):
-        model = TwoLayer()
-        state = model.state_dict()
-        state["fc1.weight"][:] = 0.0
-        assert not np.allclose(model.fc1.weight.data, 0.0)
-
-    def test_load_rejects_unknown_keys(self):
-        model = TwoLayer()
-        with pytest.raises(KeyError):
-            model.load_state_dict({"nope.weight": np.zeros((2, 2))})
-
-    def test_load_rejects_shape_mismatch(self):
-        model = TwoLayer()
-        state = model.state_dict()
-        state["fc1.weight"] = np.zeros((3, 3))
-        with pytest.raises(ValueError):
-            model.load_state_dict(state)
-
-    def test_buffers_roundtrip(self):
-        bn_source = BatchNorm2d(3)
-        bn_source.update_buffer("running_mean", np.array([1.0, 2.0, 3.0]))
-        bn_target = BatchNorm2d(3)
-        bn_target.load_state_dict(bn_source.state_dict())
-        np.testing.assert_allclose(bn_target.running_mean, [1.0, 2.0, 3.0])
-
-
 class TestOptimizer:
     def test_sgd_moves_against_gradient(self, rng):
         model = TwoLayer()

@@ -100,20 +100,7 @@ LEDGER = {
     "campaign/runner.py:_worker_init": "pool: a worker's initializer",
     "campaign/runner.py:_pool_pids": "pool: the worker pids the watchdog tracks",
     "campaign/runner.py:default_jobs": "pool: the worker count for --jobs 0",
-    # ---- decision: checkpointing (20(d)), item 9's full builders, the fault-plan decoder (20(c)) ----
-    "simulation/experiment.py:TrainingCheckpoint": "decision: checkpointing, the restore == uninterrupted oracle (20(d))",
-    "simulation/experiment.py:_capture": "decision: checkpointing (20(d))",
-    "simulation/experiment.py:_restore": "decision: checkpointing (20(d))",
-    "simulation/experiment.py:_differences": "decision: checkpointing (20(d))",
-    "simulation/experiment.py:_SyncStep.state": "decision: checkpointing (20(d))",
-    "simulation/experiment.py:_SyncStep.load_state": "decision: checkpointing (20(d))",
-    "simulation/experiment.py:_LocalSGDStep.state": "decision: checkpointing (20(d))",
-    "simulation/experiment.py:_LocalSGDStep.load_state": "decision: checkpointing (20(d))",
-    "simulation/experiment.py:_ParameterServer.state": "decision: checkpointing (20(d))",
-    "simulation/experiment.py:_ParameterServer.load_state": "decision: checkpointing (20(d))",
-    "nn/module.py:Module.state_dict": "decision: checkpoints and the restore == uninterrupted oracle (20(d))",
-    "nn/module.py:Module.load_state_dict": "decision: checkpoints and the restore == uninterrupted oracle (20(d))",
-    "nn/module.py:Module._iter_buffer_owners": "decision: load_state_dict's buffer walk (20(d))",
+    # ---- decision: item 9's full builders, the fault-plan decoder (20(c)) ----
     "nn/models/vgg.py:vgg19": "decision: item 9's paper-size builders",
     "nn/models/resnet.py:resnet18": "decision: item 9's paper-size builders",
     "nn/models/resnet.py:resnet152": "decision: item 9's paper-size builders",

@@ -8,6 +8,7 @@ import inspect
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import golden
 from repro.nn.models import mlp_tiny, resnet18_mini, vgg19_mini
 from repro.simulation import (
     ClusterSpec,
@@ -25,6 +26,7 @@ from repro.simulation import (
 from repro.campaign import CampaignCell, CampaignSpec, run_campaign
 from repro.comm.network import NetworkModel
 from repro.comm.topology import build_paper_topology
+from repro.simulation import experiment
 from repro.simulation.compute import BACKWARD_FACTOR, DEVICE_PRESETS
 from repro.simulation.pricing import Transfer
 from repro.data import DataLoader
@@ -364,7 +366,7 @@ class TestExperimentDriver:
     def test_train_distributed_takes_the_two_specs(self):
         # Everything else a run needs is a field of one of them.
         assert list(inspect.signature(train_distributed).parameters) == [
-            "config", "method", "share", "checkpoint_at", "resume_from",
+            "config", "method", "share",
         ]
 
     def test_method_comparison_runs_all(self, quick_config):
@@ -523,3 +525,44 @@ class TestEngineIntegration:
         fold = timeline.fold()
         assert fold["overlap_fraction"] > 0
         assert fold["critical_path_time"] == pytest.approx(timeline.total_time)
+
+
+# --------------------------------------------------------------------------- #
+# Rejected before anything is prepared
+# --------------------------------------------------------------------------- #
+METHOD = MethodSpec(name="topk-0.01", compressor="topk-0.01")
+CRASH_REJOIN = "crash:1@0.0005,rejoin:1@0.003"
+
+
+def _faulted(config, faults=CRASH_REJOIN):
+    return dataclasses.replace(config, cluster=dataclasses.replace(config.cluster, faults=faults))
+
+
+def _record_preparations(monkeypatch):
+    """The list every later :func:`_prepare_workload` call is appended to."""
+    calls = []
+    monkeypatch.setattr(experiment, "_prepare_workload", lambda *args: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "config, method, message",
+    [
+        (
+            _faulted(golden.GOLDEN_CONFIG),
+            dataclasses.replace(METHOD, sync_schedule="ps:2"),
+            "fault plans are not supported",
+        ),
+        (
+            golden.GOLDEN_CONFIG,
+            MethodSpec(name="pactrain-ef", compressor="pactrain", error_feedback=True),
+            "error feedback is not supported for PacTrain",
+        ),
+    ],
+    ids=["ps-under-a-fault-plan", "registry"],
+)
+def test_train_distributed_rejects_a_cell_before_preparing_it(config, method, message, monkeypatch):
+    prepared = _record_preparations(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        train_distributed(config, method)
+    assert prepared == []

@@ -13,8 +13,7 @@ which are the positions they record.
 
 Cells: the eleven golden cells (``localsgd-h4`` flushes a partial window every
 epoch, ``async-ps`` is ``ps:2``), crash/re-join, link-degradation and churn
-fault plans, a local-SGD run under a crash plan, and checkpoint/resume — whose
-resumed log equals the uninterrupted run's, with the checkpoint's as a prefix.
+fault plans and a local-SGD run under a crash plan.
 
 An AST guard keeps it that way: no module under ``src/repro`` but
 ``timeline.py`` assigns to an attribute of a timeline.
@@ -373,21 +372,6 @@ def test_a_target_is_read_off_the_replayed_epochs(monkeypatch):
     run, marks = _train(config, TOPK, monkeypatch)
     _assert_fold_replays(run, marks)
     assert run.result().reached_target
-
-
-@pytest.mark.parametrize("faults", [None, FAULT_PLANS["crash-rejoin"]], ids=["healthy", "faulted"])
-def test_a_resumed_log_is_the_uninterrupted_log(faults, monkeypatch):
-    config = golden.GOLDEN_CONFIG if faults is None else _faulted(faults)
-    baseline, marks = _train(config, TOPK, monkeypatch)
-    checkpoint = train_distributed(config, TOPK, checkpoint_at=3).checkpoint
-    resumed = train_distributed(config, TOPK, resume_from=checkpoint)
-    prefix = checkpoint.timeline
-    log = baseline.timeline.log
-    assert prefix.log == log[: len(prefix.log)]
-    assert prefix.epochs == baseline.timeline.epochs[: len(prefix.epochs)]
-    assert resumed.timeline.log == log
-    assert resumed.timeline.epochs == baseline.timeline.epochs
-    _assert_fold_replays(baseline, marks)
 
 
 class _CountingList(list):

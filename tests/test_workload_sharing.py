@@ -269,6 +269,14 @@ class TestScope:
         assert report.ran == 6
         assert counts == {"make_dataset": 2, "build_model": 2, "_pretrain": 2}
 
+    def test_a_name_spelt_another_way_shares_the_workload(self):
+        share = _WorkloadShare()
+        for model, dataset in [("mlp", "cifar10"), ("MLP", "CIFAR-10")]:
+            _prepare_workload(
+                mlp_config(model=model, dataset=dataset), PAPER_METHODS["all-reduce"], share
+            )
+        assert len(kept_workloads(share)) == 1
+
     def test_outside_a_campaign_every_cell_prepares(self, preparation_spy):
         counts, _ = preparation_spy
         for cell in three_cell_campaign().expand():
