@@ -231,6 +231,33 @@ class TestSerializationRoundTrips:
             assert spelt == plain
             assert cell_fingerprint(spelt, method) == cell_fingerprint(plain, method)
 
+    @pytest.mark.parametrize("axis, values", [
+        ("model", ["mlp", "MLP", "Mlp"]),
+        ("dataset", ["cifar10", "CIFAR-10", "Cifar10"]),
+    ])
+    def test_an_axis_listing_one_name_several_ways_expands_to_one_cell(self, axis, values):
+        base = {"model": "mlp", "dataset": "cifar10", "world_size": 2}
+        cells = CampaignSpec.from_dict(
+            {"base": base, "axes": {axis: values, "method": ["all-reduce", "pactrain"]}}
+        ).expand()
+        assert [(getattr(cell.config, axis), cell.method.name) for cell in cells] == [
+            (values[0], "all-reduce"), (values[0], "pactrain"),
+        ]
+
+    @pytest.mark.parametrize("name", ["vgg11", "alexnet"])
+    def test_an_unknown_model_fails_at_construction_naming_the_registered_ones(self, name):
+        message = rf"unknown model '{name}'; registered models: \['mlp', "
+        with pytest.raises(KeyError, match=message):
+            ExperimentConfig(model=name)
+        with pytest.raises(KeyError, match=message):
+            CampaignSpec.from_dict({"base": {"model": name}}).expand()
+
+    @pytest.mark.parametrize("spelling", ["mlp", "MLP", "Mlp"])
+    def test_the_mlp_input_check_holds_under_any_spelling(self, spelling):
+        with pytest.raises(ValueError, match="model 'mlp' has a fixed 3\\*8\\*8 input layer"):
+            ExperimentConfig(model=spelling, image_size=16)
+        assert ExperimentConfig(model=spelling, image_size=8).model == "mlp"
+
 
 # --------------------------------------------------------------------------- #
 # Spec expansion

@@ -72,6 +72,18 @@ class TestSyntheticDataset:
         for spelling in ("cifar10", "CIFAR10", "CIFAR-10", "Cifar-10"):
             assert registered_dataset(spelling) == "cifar10"
 
+    @pytest.mark.parametrize("name", ["imagenet", "cifar100", "cifar_10", "mnist"])
+    def test_an_unregistered_dataset_is_a_key_error_naming_the_registered_ones(self, name):
+        with pytest.raises(KeyError, match=rf"unknown dataset '{name}'; available: \['cifar10'\]"):
+            registered_dataset(name)
+
+    @pytest.mark.parametrize("spelling", ["CIFAR10", "CIFAR-10", "Cifar-10", "cifar-10"])
+    def test_make_dataset_under_another_spelling_builds_the_same_data(self, spelling):
+        named = make_dataset(spelling, num_samples=16, image_size=4, seed=2)
+        plain = make_dataset("cifar10", num_samples=16, image_size=4, seed=2)
+        np.testing.assert_array_equal(named.images, plain.images)
+        np.testing.assert_array_equal(named.labels, plain.labels)
+
     def test_make_dataset_forwards_its_keywords(self):
         named = make_dataset("cifar10", num_samples=24, image_size=4, seed=5)
         direct = synthetic_cifar10(num_samples=24, image_size=4, seed=5)

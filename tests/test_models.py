@@ -10,6 +10,7 @@ from repro.nn.models import (
     MODEL_REGISTRY,
     build_model,
     mlp_tiny,
+    registered_model,
     resnet18_mini,
     resnet152_mini,
     vgg19_mini,
@@ -162,3 +163,24 @@ class TestRegistry:
         monkeypatch.setitem(MODEL_REGISTRY, "test-model", {"mini": factory, "full": factory})
         model = build_model("Test-Model", num_classes=3, seed=0)
         assert model.num_classes == 3
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_registered_model_is_the_name_in_any_case(self, name):
+        assert registered_model(name) == name
+        assert registered_model(name.upper()) == name
+        assert registered_model(name.title()) == name
+
+    @pytest.mark.parametrize("name", ["vgg11", "resnet-18", "vit_base_16", "resnet"])
+    def test_an_unregistered_model_is_a_key_error_naming_the_registered_ones(self, name):
+        message = rf"unknown model '{name}'; registered models: \['mlp', 'resnet152', "
+        with pytest.raises(KeyError, match=message):
+            registered_model(name)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_build_model_under_another_spelling_builds_the_same_weights(self, name):
+        plain = build_model(name, num_classes=5, seed=3)
+        spelt = build_model(name.upper(), num_classes=5, seed=3)
+        assert type(spelt) is type(plain)
+        assert [n for n, _ in spelt.named_parameters()] == [n for n, _ in plain.named_parameters()]
+        for a, b in zip(spelt.parameters(), plain.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)

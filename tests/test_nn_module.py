@@ -1,4 +1,4 @@
-"""Module / Parameter registration, traversal and state management."""
+"""Module / Parameter registration, traversal, buffers and mode switching."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 
 from repro.nn import Linear, Module, Parameter, ReLU, Sequential, ModuleList, SGD
 from repro.nn.layers import BatchNorm2d
+from repro.nn.models import MODEL_REGISTRY, build_model
 from repro.tensorlib import Tensor
 
 
@@ -94,6 +95,73 @@ class TestTrainEvalAndGrad:
         assert all(p.grad is not None for p in model.parameters())
         model.zero_grad()
         assert all(p.grad is None for p in model.parameters())
+
+    def test_train_and_eval_return_the_module(self):
+        model = TwoLayer()
+        assert model.eval() is model and not model.training
+        assert model.train() is model and model.training
+        assert model.train(False) is model and not model.fc1.training
+
+
+class TestBuffers:
+    def test_register_buffer_sets_the_attribute(self):
+        norm = BatchNorm2d(3)
+        assert norm.running_mean is dict(norm.named_buffers())["running_mean"]
+        np.testing.assert_array_equal(norm.running_var, np.ones(3))
+
+    def test_update_buffer_replaces_the_value_and_the_attribute(self):
+        norm = BatchNorm2d(3)
+        norm.update_buffer("running_mean", np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(norm.running_mean, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(dict(norm.named_buffers())["running_mean"], [1.0, 2.0, 3.0])
+
+    def test_update_buffer_of_an_unregistered_name_is_a_key_error(self):
+        norm = BatchNorm2d(3)
+        with pytest.raises(KeyError, match="buffer 'running_max' has not been registered"):
+            norm.update_buffer("running_max", np.zeros(3))
+        assert "running_max" not in dict(norm.named_buffers())
+
+    def test_named_buffers_use_dotted_names(self, rng):
+        model = Sequential(Linear(4, 4, rng=rng), Sequential(ReLU(), BatchNorm2d(2)))
+        names = [name for name, _ in model.named_buffers()]
+        assert names == ["1.1.running_mean", "1.1.running_var"]
+
+    def test_buffers_are_not_parameters(self):
+        norm = BatchNorm2d(3)
+        assert [name for name, _ in norm.named_parameters()] == ["weight", "bias"]
+        assert all(not isinstance(buffer, Parameter) for _, buffer in norm.named_buffers())
+
+    def test_module_list_names_its_children_by_index(self, rng):
+        blocks = ModuleList([Linear(2, 2, rng=rng), BatchNorm2d(2)])
+        assert [name for name, _ in blocks.named_modules()] == ["", "0", "1"]
+        assert [name for name, _ in blocks.named_parameters()] == [
+            "0.weight", "0.bias", "1.weight", "1.bias",
+        ]
+        assert [name for name, _ in blocks.named_buffers()] == ["1.running_mean", "1.running_var"]
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+class TestRegisteredModelTraversal:
+    """Every registered model is a tree whose dotted names the pruning and
+    mask-tracking code can key on."""
+
+    def test_parameter_and_buffer_names_are_unique_paths_to_modules(self, name):
+        model = build_model(name, seed=0)
+        modules = dict(model.named_modules())
+        for named in (list(model.named_parameters()), list(model.named_buffers())):
+            names = [entry for entry, _ in named]
+            assert len(names) == len(set(names))
+            for entry, value in named:
+                owner, _, leaf = entry.rpartition(".")
+                assert getattr(modules[owner], leaf) is value
+        assert model.parameters() == [param for _, param in model.named_parameters()]
+
+    def test_eval_and_train_reach_every_submodule(self, name):
+        model = build_model(name, seed=0)
+        model.eval()
+        assert not any(module.training for _, module in model.named_modules())
+        model.train()
+        assert all(module.training for _, module in model.named_modules())
 
 
 class TestOptimizer:

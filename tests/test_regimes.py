@@ -33,6 +33,7 @@ from repro.campaign.spec import METHOD_FIELD_AXES, CampaignSpec, build_cell
 from repro.comm import ProcessGroup
 from repro.compression import build_compressor, exact_average
 from repro.compression.registry import COMPRESSOR_REGISTRY
+from repro.data import DataLoader
 from repro.ddp import DistributedDataParallel
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.simulation.cluster import ClusterSpec
@@ -408,6 +409,32 @@ def test_epoch_end_contract(regime, case):
         assert not result.reached_target
         assert result.tta is None
         assert result.tta_or_total() == result.simulated_time
+
+
+@pytest.mark.parametrize("regime", ["sync", "localsgd:4", "ps:0", "ps:2"])
+def test_each_rank_opens_its_loader_once_per_epoch_in_order(regime, monkeypatch):
+    """Every regime sets a rank loader's epoch, then iterates it, once per
+    epoch; the parameter server opens an epoch at its first update."""
+    opened = {}
+    set_epoch, iterate = DataLoader.set_epoch, DataLoader.__iter__
+
+    def record_epoch(self, epoch):
+        opened.setdefault(id(self), []).append(("epoch", epoch))
+        return set_epoch(self, epoch)
+
+    def record_iter(self):
+        if id(self) in opened:
+            opened[id(self)].append(("iter", self._epoch))
+        return iterate(self)
+
+    monkeypatch.setattr(DataLoader, "set_epoch", record_epoch)
+    monkeypatch.setattr(DataLoader, "__iter__", record_iter)
+    config = dataclasses.replace(golden.GOLDEN_CONFIG, epochs=3)
+    method = MethodSpec(name="m", compressor="topk-0.01", sync_schedule=regime)
+    result = run_experiment(config, method)
+    assert result.epochs_run == 3
+    expected = [step for epoch in range(3) for step in (("epoch", epoch), ("iter", epoch))]
+    assert list(opened.values()) == [expected] * config.cluster.world_size
 
 
 @pytest.mark.parametrize("iterations", [0, -1])
