@@ -31,7 +31,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from repro.campaign.runner import CampaignReport, Progress, run_campaign
+from repro.campaign.runner import CampaignReport, Progress, check_retry_policy, run_campaign
 from repro.campaign.spec import CampaignSpec, build_cell, load_spec_file
 from repro.campaign.store import ResultStore
 from repro.obs.export import format_table
@@ -198,6 +198,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     with _user_input():
+        check_retry_policy(args.retries, args.timeout)
         data, spec_store_path = load_spec_file(args.spec)
         spec = CampaignSpec.from_dict(data)
         cells = spec.expand()
@@ -443,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "never retried (default: 2)")
     sweep.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                        help="per-cell watchdog: a pooled cell running past this "
-                            "settles with status 'timeout' and its worker is "
-                            "recycled (default: no timeout)")
+                            "settles with status 'timeout' and the pool is "
+                            "replaced (default: no timeout)")
     sweep.add_argument("--trace", default=None, metavar="PATH",
                        help="record an observability trace of the sweep (workers "
                             "append to the same event stream; see run --trace)")

@@ -2,18 +2,21 @@
 
 :func:`run_campaign` takes a :class:`~repro.campaign.spec.CampaignSpec` (or an
 explicit cell list), serves unchanged cells from the
-:class:`~repro.campaign.store.ResultStore`, and trains the remaining cells —
-in a ``multiprocessing`` pool when ``jobs > 1``, in-process otherwise.  Every
-cell is independent and internally seeded (``config.seed`` drives the dataset,
-model init, data order and the compressor), so parallel and serial execution
-produce bit-identical results; outcomes are committed to the store in cell
-order regardless of completion order, keeping the store file deterministic
-too.  Independent does not mean prepared from scratch: the cells of one
-campaign that agree on dataset, split and pre-trained model share them (see
-:func:`run_campaign`), which changes how long a sweep takes and nothing else.
+:class:`~repro.campaign.store.ResultStore`, and trains the remaining cells in
+one dispatch loop over an executor: a ``concurrent.futures``
+``ProcessPoolExecutor`` when ``jobs > 1``, otherwise an in-process executor
+that runs each cell as it is submitted.  Every cell is independent and
+internally seeded (``config.seed`` drives the dataset, model init, data order
+and the compressor), so parallel and serial execution produce bit-identical
+results; outcomes are committed to the store in cell order regardless of
+completion order, keeping the store file deterministic too.  Independent does
+not mean prepared from scratch: the cells of one campaign that agree on
+dataset, split and pre-trained model share them (see :func:`run_campaign`),
+which changes how long a sweep takes and nothing else.
 
 The runner is hardened against its own failures — large fault-study sweeps
-must survive the faults of the machine running them:
+must survive the faults of the machine running them — with one policy for
+both executors:
 
 * a failing cell never aborts the sweep: its traceback is captured on the
   :class:`CellOutcome` (status ``"failed"``) and the rest keeps running
@@ -22,11 +25,12 @@ must survive the faults of the machine running them:
   deterministic jitter (derived from the cell fingerprint, so two runs of the
   same sweep sleep identically); deterministic errors — ``ValueError`` and
   friends, which re-running cannot fix — are never retried;
-* a **hung** worker is caught by the per-cell watchdog (``cell_timeout``):
-  the overdue cell settles with status ``"timeout"`` and the pool is recycled
-  so its workers come back; a **killed** worker (whose task would otherwise
-  never return) is detected by the pool's pid set changing, and its in-flight
-  cells are resubmitted against the retry budget.
+* a **hung** worker is caught by the per-cell watchdog (``cell_timeout``),
+  which kills the pool's workers: the overdue cell settles with status
+  ``"timeout"``.  A **killed** worker breaks the pool the same way
+  (``BrokenProcessPool``), so both take one path: the pool is replaced and
+  every other cell it held pays one attempt and is resubmitted against its
+  retry budget.
 
 Chaos injection for tests and CI lives behind ``REPRO_CHAOS_MODE``
 (``raise`` / ``kill`` / ``hang``), scoped by ``REPRO_CHAOS_LABEL`` (substring
@@ -36,15 +40,16 @@ a marker directory.
 
 from __future__ import annotations
 
-import multiprocessing
+import heapq
 import os
 import re
 import signal
 import time
 import traceback
-from collections import deque
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -65,6 +70,10 @@ STATUS_TIMEOUT = "timeout"
 DETERMINISTIC_ERRORS = frozenset(
     {"ValueError", "TypeError", "KeyError", "AssertionError", "NotImplementedError"}
 )
+
+#: Base seconds of the exponential backoff between attempts (see
+#: :func:`retry_delay`).
+RETRY_BACKOFF = 0.05
 
 #: Retry backoff ceiling (seconds) — keeps the exponential bounded.
 MAX_RETRY_DELAY = 2.0
@@ -89,10 +98,11 @@ class CellOutcome:
 class Progress:
     """One settled cell, as reported to the progress callback.
 
-    ``elapsed_s`` is the cell's own training wall time (0 for cache hits);
-    ``eta_s`` is a rolling estimate of the remaining run time — mean elapsed
-    of the cells trained so far times the cells still pending, divided by
-    the worker count — and ``None`` until the first fresh cell lands.
+    ``elapsed_s`` is the cell's own training wall time, summed over all its
+    attempts (0 for cache hits); ``eta_s`` is a rolling estimate of the
+    remaining run time — mean elapsed of the cells trained so far times the
+    cells still pending, divided by the worker count — and ``None`` until the
+    first fresh cell lands.
     """
 
     outcome: CellOutcome
@@ -196,28 +206,24 @@ def _chaos_inject(label: str) -> None:
 
 
 def _execute_cell(
-    payload: Tuple[int, CampaignCell], share: _WorkloadShare
-) -> Tuple[int, Optional[ExperimentResult], Optional[str], Optional[str], float]:
+    cell: CampaignCell, share: _WorkloadShare
+) -> Tuple[Optional[ExperimentResult], Optional[str], Optional[str], float]:
     """Train one cell; never raises (returns the traceback instead).
 
     ``share`` holds the pre-trained workloads of the campaign's earlier cells
-    in this process (see :func:`run_campaign`).  The fourth element of the
+    in this process (see :func:`run_campaign`).  The third element of the
     return value is the exception *type name* (the retry policy's transience
-    classifier), the fifth the cell's own wall time in seconds (measured here
+    classifier), the fourth the cell's own wall time in seconds (measured here
     so pooled and in-process execution report it identically).
     """
-    index, cell = payload
     start = time.perf_counter()
     try:
         _chaos_inject(cell.label)
         with TRACER.span("campaign/cell", cat="campaign", label=cell.label):
             result = run_experiment(cell.config, cell.method, _share=share)
-        return index, result, None, None, time.perf_counter() - start
+        return result, None, None, time.perf_counter() - start
     except Exception as error:  # noqa: BLE001 - fail-soft per cell by design
-        return (
-            index, None, traceback.format_exc(), type(error).__name__,
-            time.perf_counter() - start,
-        )
+        return None, traceback.format_exc(), type(error).__name__, time.perf_counter() - start
 
 
 #: The share of the pool worker this module is loaded in: set once by
@@ -226,7 +232,7 @@ def _execute_cell(
 _WORKER_SHARE: Optional[_WorkloadShare] = None
 
 
-def _execute_cell_in_worker(payload: Tuple[int, CampaignCell]):
+def _execute_cell_in_worker(cell: CampaignCell):
     """Pool-worker entry point: per-cell seeding, then :func:`_execute_cell`.
 
     Module-level so it pickles into pool workers.  Forked workers inherit the
@@ -236,8 +242,8 @@ def _execute_cell_in_worker(payload: Tuple[int, CampaignCell]):
     runs only in workers, never in the caller's process (in-process execution
     must not clobber the caller's RNG state).
     """
-    np.random.seed(payload[1].config.seed % (2**32))
-    outcome = _execute_cell(payload, _WORKER_SHARE)
+    np.random.seed(cell.config.seed % (2**32))
+    outcome = _execute_cell(cell, _WORKER_SHARE)
     if TRACER.enabled:
         # Workers have no clean shutdown hook; flushing a cumulative metric
         # snapshot after every cell keeps the shared sink current (the
@@ -282,16 +288,25 @@ def retry_delay(failures: int, key: str, backoff: float) -> float:
     return min(MAX_RETRY_DELAY, backoff * (2.0 ** (failures - 1))) * jitter
 
 
-@dataclass
-class _InFlight:
-    """One cell currently executing in the pool."""
+def check_retry_policy(retries: int, cell_timeout: Optional[float]) -> None:
+    """Reject a retry budget or a watchdog the runner cannot honour."""
+    if retries < 0:
+        raise ValueError(f"retries must be 0 or more, got {retries}")
+    if cell_timeout is not None and not cell_timeout > 0:
+        raise ValueError(f"timeout must be a positive number of seconds, got {cell_timeout}")
 
-    position: int
-    index: int
-    cell: CampaignCell
-    attempts: int
-    handle: object
-    started: float
+
+class _InProcessExecutor:
+    """The executor of ``jobs == 1``: ``submit`` runs the call at once, in
+    this process, and returns its future already done."""
+
+    def submit(self, fn: Callable, *args) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Nothing to release: every call ran inside :meth:`submit`."""
 
 
 def run_campaign(
@@ -301,7 +316,6 @@ def run_campaign(
     progress: Optional[ProgressCallback] = None,
     recompute: bool = False,
     retries: int = 2,
-    retry_backoff: float = 0.05,
     cell_timeout: Optional[float] = None,
 ) -> CampaignReport:
     """Execute a campaign: expand, check the cache, train what is missing.
@@ -329,7 +343,8 @@ def run_campaign(
         in-process — the right mode for CI, tests and nested use (the training
         loop itself is single-process).  ``None`` picks :func:`default_jobs`.
         Pools of one worker, single-cell workloads, and platforms without
-        multiprocessing support all fall back to in-process execution.
+        multiprocessing support all fall back to in-process execution; either
+        way the same loop dispatches, retries and commits.
     progress:
         ``callback(progress)`` invoked once per settled cell with a
         :class:`Progress` (outcome, counts, per-cell elapsed, cache-hit
@@ -341,17 +356,17 @@ def run_campaign(
         Maximum retries per cell for *transient* failures (worker deaths,
         injected chaos, runtime errors); deterministic errors
         (:data:`DETERMINISTIC_ERRORS`) settle as failed immediately.  ``0``
-        disables retrying.
-    retry_backoff:
-        Base seconds of the exponential backoff between attempts (see
-        :func:`retry_delay`).
+        disables retrying; a negative budget raises ``ValueError``.  Retries
+        wait :func:`retry_delay` seconds first.
     cell_timeout:
         Per-cell watchdog in seconds: a pooled cell still running past it
-        settles with status ``"timeout"`` and the pool is recycled so the
-        hung worker cannot wedge the sweep.  ``None`` disables the watchdog;
-        in-process execution cannot be preempted, so the watchdog only
-        applies when a pool is running.
+        settles with status ``"timeout"``, and the pool's workers are killed
+        and replaced so the hung one cannot wedge the sweep.  ``None``
+        disables the watchdog, and a value that is not positive raises
+        ``ValueError``; in-process execution cannot be preempted, so the
+        watchdog only applies when a pool is running.
     """
+    check_retry_policy(retries, cell_timeout)
     cells = campaign.expand() if isinstance(campaign, CampaignSpec) else list(campaign)
     name = campaign.name if isinstance(campaign, CampaignSpec) else "campaign"
     report = CampaignReport(name=name)
@@ -413,42 +428,8 @@ def run_campaign(
 
     for outcome in cached_outcomes:
         settle(outcome, 0.0)
-
-    # Execution pass: train pending cells, in a pool when it pays off.
-    # Outcomes settle and persist in submission (= cell) order even though a
-    # pool completes them out of order: finished cells are buffered until
-    # every earlier pending cell has finished, so the store file a parallel
-    # run writes is identical to the serial one.
     if pending:
-        pool = None
-        if workers > 1:
-            trace_sink = TRACER.sink_path if TRACER.enabled else None
-            pool_args = dict(
-                processes=workers,
-                initializer=_worker_init,
-                initargs=(trace_sink,),
-            )
-            try:
-                pool = multiprocessing.Pool(**pool_args)
-            except (OSError, ImportError):
-                # No usable multiprocessing (restricted sandboxes); run inline.
-                pool = None
-        try:
-            if pool is not None:
-                _run_pooled(
-                    pool, pool_args, pending, store, settle,
-                    retries=retries, retry_backoff=retry_backoff,
-                    cell_timeout=cell_timeout,
-                )
-                pool = None  # _run_pooled owns (and closed) the final pool
-            else:
-                _run_inline(
-                    pending, store, settle, retries=retries, retry_backoff=retry_backoff
-                )
-        finally:
-            if pool is not None:
-                pool.close()
-                pool.join()
+        _dispatch(pending, store, settle, workers, retries, cell_timeout)
 
     if TRACER.enabled:
         # Utilization: fraction of the pool's capacity spent training.  With
@@ -464,237 +445,129 @@ def run_campaign(
     return report
 
 
-def _run_inline(
+def _dispatch(
     pending: Sequence[Tuple[int, CampaignCell, str]],
     store: Optional[ResultStore],
     settle: Callable[[CellOutcome, float], None],
+    workers: int,
     retries: int,
-    retry_backoff: float,
-) -> None:
-    """Serial execution with the same retry policy as the pooled path."""
-    share = _WorkloadShare()
-    for index, cell, key in pending:
-        attempts = 0
-        elapsed_total = 0.0
-        while True:
-            attempts += 1
-            _, result, error, error_type, elapsed = _execute_cell((index, cell), share)
-            elapsed_total += elapsed
-            if error is None:
-                if store is not None:
-                    store.put(cell.config, cell.method, result, attempts=attempts, key=key)
-                settle(
-                    CellOutcome(
-                        index=index, cell=cell, key=key, status=STATUS_RAN,
-                        result=result, attempts=attempts,
-                    ),
-                    elapsed_total,
-                )
-                break
-            if attempts <= retries and _is_transient(error_type):
-                time.sleep(retry_delay(attempts, key, retry_backoff))
-                continue
-            settle(
-                CellOutcome(
-                    index=index, cell=cell, key=key, status=STATUS_FAILED,
-                    error=error, attempts=attempts,
-                ),
-                elapsed_total,
-            )
-            break
-
-
-def _pool_pids(pool) -> Optional[frozenset]:
-    """Worker pids of a multiprocessing pool (None if unavailable)."""
-    try:
-        return frozenset(worker.pid for worker in pool._pool)  # noqa: SLF001
-    except Exception:  # pragma: no cover - implementation detail shifted
-        return None
-
-
-def _run_pooled(
-    pool,
-    pool_args: dict,
-    pending: Sequence[Tuple[int, CampaignCell, str]],
-    store: Optional[ResultStore],
-    settle: Callable[[CellOutcome, float], None],
-    retries: int,
-    retry_backoff: float,
     cell_timeout: Optional[float],
 ) -> None:
-    """Watchdogged pool execution: dispatch, poll, retry, recycle.
+    """Train the pending cells: submit, wait, settle, retry, commit in order.
 
-    The dispatch loop keeps up to ``processes`` cells in flight via
-    ``apply_async`` and polls for completion.  Three hazards are handled:
+    Up to ``workers`` cells are in flight; the loop sleeps only in
+    ``wait``, until a cell finishes, a backoff ends or a watchdog deadline
+    passes.  A failed attempt is retried after :func:`retry_delay` when it is
+    transient and within budget, and settles as failed otherwise.  A finished
+    cell is held until every earlier pending cell has finished, then
+    committed to the store and settled with the wall time of all its
+    attempts, so a pooled run writes the store file a serial one would.
 
-    * a cell *fails* — retried after its backoff when transient and within
-      budget, settled as failed otherwise;
-    * a cell *hangs* past ``cell_timeout`` — settled with status
-      ``"timeout"`` and the pool recycled (terminate + fresh pool), because a
-      task abandoned inside ``Pool`` can never be cancelled individually;
-    * a *worker dies* (OOM-kill, crash, injected chaos) — its task would
-      never return, which the pid-set poll catches; every in-flight cell is
-      resubmitted with its attempt count bumped (the dead worker's cell is
-      unknowable, so all of them pay one attempt against the retry budget).
+    A pool that breaks is replaced.  It breaks when a worker dies (OOM kill,
+    crash, injected chaos) or when the watchdog kills the workers under a cell
+    running past ``cell_timeout``; that cell settles as ``"timeout"``, and
+    every other cell the pool held pays one attempt (which cell a dead
+    worker ran is unknowable) and is resubmitted on the fresh pool.
     """
-    queue: Deque[Tuple[int, int, CampaignCell, int, float]] = deque(
-        (position, index, cell, 1, 0.0)
-        for position, (index, cell, _) in enumerate(pending)
-    )
-    in_flight: Dict[int, _InFlight] = {}
-    buffered: Dict[int, Tuple[CellOutcome, float]] = {}
-    next_commit = 0
-    keys = [key for _, _, key in pending]  # by queue position
-    pids = _pool_pids(pool)
+    executor = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # noqa: PLC0415 - only pools load it
 
-    def commit_ready() -> None:
-        nonlocal next_commit
-        while next_commit in buffered:
-            outcome, elapsed = buffered.pop(next_commit)
-            if outcome.status == STATUS_RAN and store is not None:
-                store.put(
-                    outcome.cell.config, outcome.cell.method, outcome.result,
-                    attempts=outcome.attempts, key=outcome.key,
-                )
-            settle(outcome, elapsed)
-            next_commit += 1
+        trace_sink = TRACER.sink_path if TRACER.enabled else None
+        open_executor = partial(
+            ProcessPoolExecutor, workers, initializer=_worker_init, initargs=(trace_sink,)
+        )
+        task: Callable = _execute_cell_in_worker
+        try:
+            executor = open_executor()
+        except (OSError, ImportError, NotImplementedError):
+            workers = 1  # no usable multiprocessing (restricted sandboxes)
+    if executor is None:
+        open_executor = _InProcessExecutor
+        executor, task = open_executor(), partial(_execute_cell, share=_WorkloadShare())
 
-    def finish(position: int, flight: _InFlight, outcome: CellOutcome, elapsed: float) -> None:
-        buffered[position] = (outcome, elapsed)
-        commit_ready()
-
-    def recycle(timed_out: Optional[int]) -> None:
-        """Terminate the wedged pool, spawn a fresh one, resubmit in-flight."""
-        nonlocal pool, pids
-        pool.terminate()
-        pool.join()
-        pool = multiprocessing.Pool(**pool_args)
-        pids = _pool_pids(pool)
-        now = time.monotonic()
-        for position, flight in sorted(in_flight.items()):
-            if position == timed_out:
-                finish(
-                    position, flight,
-                    CellOutcome(
-                        index=flight.index, cell=flight.cell, key=keys[position],
-                        status=STATUS_TIMEOUT, attempts=flight.attempts,
-                        error=(
-                            f"cell exceeded watchdog timeout of {cell_timeout}s "
-                            f"(attempt {flight.attempts}); worker recycled"
-                        ),
-                    ),
-                    now - flight.started,
-                )
-            elif flight.attempts > retries:
-                finish(
-                    position, flight,
-                    CellOutcome(
-                        index=flight.index, cell=flight.cell, key=keys[position],
-                        status=STATUS_FAILED, attempts=flight.attempts,
-                        error=(
-                            "worker process died while executing this cell "
-                            f"(attempt {flight.attempts}/{retries + 1}); retry "
-                            "budget exhausted"
-                        ),
-                    ),
-                    now - flight.started,
-                )
-            else:
-                queue.append(
-                    (
-                        position, flight.index, flight.cell, flight.attempts + 1,
-                        now + retry_delay(flight.attempts, keys[position], retry_backoff),
-                    )
-                )
-        in_flight.clear()
-
+    # A heap of (not before, position, attempt); positions index ``pending``.
+    queue: List[Tuple[float, int, int]] = [(0.0, position, 1) for position in range(len(pending))]
+    running: Dict[Future, Tuple[int, int, float]] = {}  # -> (position, attempt, started)
+    overdue: Set[int] = set()
+    spent = [0.0] * len(pending)
+    finished: Dict[int, CellOutcome] = {}
+    committed = 0
     try:
-        while queue or in_flight:
-            now = time.monotonic()
-            # Fill free slots with due cells (skip those still backing off).
-            for _ in range(len(queue)):
-                if len(in_flight) >= pool_args["processes"]:
-                    break
-                position, index, cell, attempts, not_before = queue[0]
-                if not_before > now:
-                    queue.rotate(-1)
-                    continue
-                queue.popleft()
-                handle = pool.apply_async(_execute_cell_in_worker, ((index, cell),))
-                in_flight[position] = _InFlight(
-                    position=position, index=index, cell=cell,
-                    attempts=attempts, handle=handle, started=now,
-                )
-
-            # Poll for completions.
-            completed = [
-                (position, flight)
-                for position, flight in sorted(in_flight.items())
-                if flight.handle.ready()
-            ]
-            for position, flight in completed:
-                del in_flight[position]
+        while queue or running:
+            broken = False
+            while queue and len(running) < workers and queue[0][0] <= time.monotonic():
+                not_before, position, attempt = heapq.heappop(queue)
                 try:
-                    _, result, error, error_type, elapsed = flight.handle.get()
-                except Exception:  # noqa: BLE001 - unpicklable result etc.
-                    result, error, error_type, elapsed = (
-                        None, traceback.format_exc(), "PoolError",
-                        time.monotonic() - flight.started,
-                    )
-                if error is None:
-                    finish(
-                        position, flight,
-                        CellOutcome(
-                            index=flight.index, cell=flight.cell, key=keys[position],
-                            status=STATUS_RAN, result=result, attempts=flight.attempts,
-                        ),
-                        elapsed,
-                    )
-                elif flight.attempts <= retries and _is_transient(error_type):
-                    queue.append(
-                        (
-                            position, flight.index, flight.cell, flight.attempts + 1,
-                            time.monotonic()
-                            + retry_delay(flight.attempts, keys[position], retry_backoff),
-                        )
-                    )
-                else:
-                    finish(
-                        position, flight,
-                        CellOutcome(
-                            index=flight.index, cell=flight.cell, key=keys[position],
-                            status=STATUS_FAILED, error=error, attempts=flight.attempts,
-                        ),
-                        elapsed,
-                    )
-
-            if not in_flight and not queue:
-                break
-
-            # Watchdog: a cell past its deadline wedges its worker for good —
-            # settle it as timed out and recycle the pool.
-            if cell_timeout is not None and in_flight:
-                now = time.monotonic()
-                overdue = [
-                    position
-                    for position, flight in sorted(in_flight.items())
-                    if now - flight.started > cell_timeout
+                    future = executor.submit(task, pending[position][1])
+                except BrokenExecutor:  # a worker died after the last wait
+                    heapq.heappush(queue, (not_before, position, attempt))
+                    broken = True
+                    break
+                running[future] = (position, attempt, time.monotonic())
+            if not broken:
+                wakes = [] if cell_timeout is None else [
+                    started + cell_timeout
+                    for position, _, started in running.values() if position not in overdue
                 ]
-                if overdue:
-                    recycle(timed_out=overdue[0])
-                    continue
+                if queue and len(running) < workers:
+                    wakes.append(queue[0][0])
+                timeout = max(0.0, min(wakes) - time.monotonic()) if wakes else None
+                done, _ = wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
+                broken = any(isinstance(future.exception(), BrokenExecutor) for future in done)
+            if broken:
+                executor.shutdown(wait=True)  # returns once every future it held is done
+                executor = open_executor()
+                done = set(running)
 
-            # Worker-death detection: a task on a killed worker never
-            # returns, but the pool's pid set changes when it respawns.
-            if in_flight:
-                current = _pool_pids(pool)
-                if pids is not None and current is not None and current != pids:
-                    recycle(timed_out=None)
+            now = time.monotonic()
+            for future in sorted(done, key=lambda future: running[future][0]):
+                position, attempt, started = running.pop(future)
+                index, cell, key = pending[position]
+                failure = future.exception()
+                if failure is None:
+                    result, error, error_type, elapsed = future.result()
+                else:  # the pool broke under the cell, or its result did not come back
+                    result, error_type, elapsed = None, type(failure).__name__, now - started
+                    error = "".join(traceback.format_exception(failure))
+                spent[position] += elapsed
+                if isinstance(failure, BrokenExecutor) and position in overdue:
+                    status = STATUS_TIMEOUT
+                    error = (
+                        f"cell exceeded watchdog timeout of {cell_timeout}s "
+                        f"(attempt {attempt}); worker recycled"
+                    )
+                elif error is None:
+                    status = STATUS_RAN
+                elif attempt <= retries and _is_transient(error_type):
+                    not_before = now + retry_delay(attempt, key, RETRY_BACKOFF)
+                    heapq.heappush(queue, (not_before, position, attempt + 1))
                     continue
+                else:
+                    status = STATUS_FAILED
+                finished[position] = CellOutcome(
+                    index=index, cell=cell, key=key, status=status,
+                    result=result, error=error, attempts=attempt,
+                )
+            while committed in finished:
+                outcome = finished.pop(committed)
+                if outcome.status == STATUS_RAN and store is not None:
+                    store.put(
+                        outcome.cell.config, outcome.cell.method, outcome.result,
+                        attempts=outcome.attempts, key=outcome.key,
+                    )
+                settle(outcome, spent[committed])
+                committed += 1
 
-            if not completed:
-                time.sleep(0.01)
+            # Watchdog: kill the pool under a cell past its deadline; the
+            # next wait sees every future it held fail with BrokenProcessPool.
+            if cell_timeout is not None:
+                now = time.monotonic()
+                late = {p for p, _, started in running.values() if now - started >= cell_timeout}
+                if late - overdue:
+                    overdue |= late
+                    # Python 3.11 has no public way to kill a worker.
+                    for process in list(executor._processes.values()):  # noqa: SLF001
+                        process.kill()
     finally:
-        commit_ready()
-        pool.close()
-        pool.join()
+        executor.shutdown(wait=True)

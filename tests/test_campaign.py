@@ -942,10 +942,17 @@ class TestCLI:
         (["sweep", "{tmp}/backend-axis.json"], "unknown campaign axis 'backend'"),
         (["sweep", "{tmp}/execution-axis.json"], "unknown campaign axis 'execution'"),
         ([*RUN, "--set", "dataset=imagenet"], "unknown dataset 'imagenet'"),
+        (["sweep", "{tmp}/ok.json", "--store", "{tmp}/s.jsonl", "--timeout", "0"],
+         "timeout must be a positive number of seconds, got 0.0"),
+        (["sweep", "{tmp}/ok.json", "--store", "{tmp}/s.jsonl", "--jobs", "1", "--timeout", "-3"],
+         "timeout must be a positive number of seconds, got -3.0"),
+        (["sweep", "{tmp}/ok.json", "--store", "{tmp}/s.jsonl", "--retries", "-2"],
+         "retries must be 0 or more, got -2"),
     ])
     def test_bad_input_is_one_error_line_and_exit_2(self, tmp_path, capsys, argv, message):
         (tmp_path / "not.json").write_text("not json")
         (tmp_path / "axis.json").write_text(json.dumps({"name": "x", "axes": {"bogus": [1]}}))
+        (tmp_path / "ok.json").write_text(json.dumps({"name": "x", "axes": {"model": ["mlp"]}}))
         (tmp_path / "typo.json").write_text(
             json.dumps({"name": "x", "axes": {"model": ["mlp", "no-such-model"]}})
         )

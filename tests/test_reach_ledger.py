@@ -95,10 +95,8 @@ LEDGER = {
     "compression/codec/stages.py:top_k_indices": "oracle: the full-argpartition selection the fast selector must equal",
     "compression/codec/stages.py:ternarize": "oracle: the functional TernGrad the Ternarize stage is checked against",
     # ---- pool: code that runs only with pool workers ----
-    "campaign/runner.py:_run_pooled": "pool: the jobs > 1 sweep loop",
     "campaign/runner.py:_execute_cell_in_worker": "pool: a worker's cell entry point",
     "campaign/runner.py:_worker_init": "pool: a worker's initializer",
-    "campaign/runner.py:_pool_pids": "pool: the worker pids the watchdog tracks",
     "campaign/runner.py:default_jobs": "pool: the worker count for --jobs 0",
     # ---- decision: item 9's full builders, the fault-plan decoder (20(c)) ----
     "nn/models/vgg.py:vgg19": "decision: item 9's paper-size builders",

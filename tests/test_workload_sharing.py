@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro import __version__
-from repro.campaign import CampaignSpec, ResultStore, cell_fingerprint, run_campaign
+from repro.campaign import CampaignSpec, ResultStore, cell_fingerprint, run_campaign, runner
 from repro.campaign.store import RESULT_SCHEMA_VERSION, canonical_json
 from repro.data import DataLoader, DistributedSampler, synthetic_cifar10, train_test_split
 from repro.nn.models import build_model
@@ -301,7 +301,8 @@ class TestScope:
         monkeypatch.setenv("REPRO_CHAOS_MODE", "raise")
         monkeypatch.setenv("REPRO_CHAOS_LABEL", "fp16")
         monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path / "chaos"))
-        retried = run_campaign(three_cell_campaign(), jobs=1, retry_backoff=0.001)
+        monkeypatch.setattr(runner, "RETRY_BACKOFF", 0.001)
+        retried = run_campaign(three_cell_campaign(), jobs=1)
         assert [o.attempts for o in retried.outcomes] == [1, 2, 1]
         assert [o.result.to_dict() for o in retried.outcomes] == [
             o.result.to_dict() for o in clean.outcomes
