@@ -31,7 +31,9 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from repro.campaign.runner import CampaignReport, Progress, check_retry_policy, run_campaign
+from repro.campaign.runner import (
+    CampaignReport, Progress, check_retry_policy, check_worker_count, run_campaign,
+)
 from repro.campaign.spec import CampaignSpec, build_cell, load_spec_file
 from repro.campaign.store import ResultStore
 from repro.obs.export import format_table
@@ -125,8 +127,6 @@ def _finish_trace(path: Optional[str], quiet: bool) -> None:
     from repro.obs.export import load_events, summary, write_chrome  # noqa: PLC0415
 
     paths = TRACER.finish()
-    if not paths["jsonl"]:
-        return
     events = load_events(paths["jsonl"])
     if paths["chrome"]:
         write_chrome(events, paths["chrome"])
@@ -199,6 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     with _user_input():
         check_retry_policy(args.retries, args.timeout)
+        check_worker_count(args.jobs)
         data, spec_store_path = load_spec_file(args.spec)
         spec = CampaignSpec.from_dict(data)
         cells = spec.expand()

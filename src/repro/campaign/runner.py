@@ -296,6 +296,12 @@ def check_retry_policy(retries: int, cell_timeout: Optional[float]) -> None:
         raise ValueError(f"timeout must be a positive number of seconds, got {cell_timeout}")
 
 
+def check_worker_count(jobs: Optional[int]) -> None:
+    """Reject a negative worker count (``0`` and ``None`` mean one per CPU)."""
+    if jobs is not None and jobs < 0:
+        raise ValueError(f"jobs must be 0 or more, got {jobs}")
+
+
 class _InProcessExecutor:
     """The executor of ``jobs == 1``: ``submit`` runs the call at once, in
     this process, and returns its future already done."""
@@ -341,7 +347,8 @@ def run_campaign(
     jobs:
         Worker processes for the pending cells.  ``1`` (the default) executes
         in-process — the right mode for CI, tests and nested use (the training
-        loop itself is single-process).  ``None`` picks :func:`default_jobs`.
+        loop itself is single-process).  ``None`` picks :func:`default_jobs`;
+        a negative count raises ``ValueError``.
         Pools of one worker, single-cell workloads, and platforms without
         multiprocessing support all fall back to in-process execution; either
         way the same loop dispatches, retries and commits.
@@ -367,6 +374,7 @@ def run_campaign(
         watchdog only applies when a pool is running.
     """
     check_retry_policy(retries, cell_timeout)
+    check_worker_count(jobs)
     cells = campaign.expand() if isinstance(campaign, CampaignSpec) else list(campaign)
     name = campaign.name if isinstance(campaign, CampaignSpec) else "campaign"
     report = CampaignReport(name=name)

@@ -24,7 +24,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import __version__
 from repro.simulation.spec import ExperimentConfig, ExperimentResult, MethodSpec
@@ -391,19 +391,15 @@ class ResultStore:
         rows: str,
         cols: str,
         value: str = "simulated_time",
-        aggregate: Optional[Callable[[Sequence[float]], float]] = None,
-        fmt: str = "{:.3f}",
         **filters,
     ) -> Tuple[List[str], List[List[str]]]:
         """Pivot the store into a ``rows x cols`` table of one result metric.
 
         Multiple records per (row, col) bucket — e.g. several seeds — are
-        reduced by ``aggregate`` (mean by default).  Returns ``(header,
-        table_rows)`` ready for a plain-text table printer; empty buckets
-        render as ``"-"``.
+        mean-reduced.  Returns ``(header, table_rows)`` ready for a plain-text
+        table printer, each value to three decimals; empty buckets render as
+        ``"-"``.
         """
-        if aggregate is None:
-            aggregate = _mean
         # One pass: row and column values in first-seen order (a record that
         # lacks one axis still names the other), buckets from records with both.
         row_values: Dict = {}
@@ -429,7 +425,7 @@ class ResultStore:
             cells = [str(row)]
             for col in col_values:
                 values = buckets.get((row, col))
-                cells.append(fmt.format(aggregate(values)) if values else "-")
+                cells.append(f"{_mean(values):.3f}" if values else "-")
             table.append(cells)
         return header, table
 

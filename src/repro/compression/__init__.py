@@ -16,7 +16,7 @@ encode → reduce/gather → decode driver — *named by a spec string*: ``"fp32
 figure names (``"all-reduce"``, ``"topk-0.01"``, ``"dgc"``, ...) are a table
 of such strings in :mod:`repro.compression.registry`; there is no class per
 method.  What a spec cannot spell is a constructor argument of the stage:
-``CodecCompressor(DGCSelect(ratio=0.5, clip_norm=1.0))``.
+``CodecCompressor(DGCSelect(ratio=0.5, momentum=0.5))``.
 
 Encoded :class:`~repro.compression.codec.WirePayload` objects go straight to
 the collective layer, which records the bytes from ``payload.nbytes``;

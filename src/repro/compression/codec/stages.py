@@ -425,10 +425,15 @@ class MaskCompact(Codec):
         return payload
 
 
+#: TernGrad clips each rank's values to ±``CLIP_SIGMA`` standard deviations
+#: before ternarising (Wen et al., 2017, §3.3).
+CLIP_SIGMA = 2.5
+
+
 class Ternarize(Codec):
     """TernGrad stochastic ternary quantisation (Wen et al., 2017).
 
-    ``prepare`` clips each rank's values (±``clip_sigma`` standard deviations),
+    ``prepare`` clips each rank's values (±:data:`CLIP_SIGMA` standard deviations),
     agrees on the shared scale ``s = max_r max_i |v_i|`` — modeled as a tiny
     one-element all-reduce, charged to the network — and ``encode`` rounds each
     value to ``s * {-1, 0, +1}`` with probability ``|v| / s``, which keeps the
@@ -438,17 +443,17 @@ class Ternarize(Codec):
     lossless = False
     name = "terngrad"
 
-    def __init__(self, seed: int = 0, clip_sigma: Optional[float] = 2.5) -> None:
-        self.clip_sigma = clip_sigma
+    def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
 
-    def _clip(self, values: np.ndarray) -> np.ndarray:
-        if self.clip_sigma is None or values.size == 0:
+    @staticmethod
+    def _clip(values: np.ndarray) -> np.ndarray:
+        if values.size == 0:
             return values
         sigma = float(np.std(values))
         if sigma == 0.0:
             return values
-        bound = self.clip_sigma * sigma
+        bound = CLIP_SIGMA * sigma
         return np.clip(values, -bound, bound)
 
     @staticmethod
@@ -539,19 +544,13 @@ class DGCSelect(Codec):
     #: algorithm; the driver refuses to layer or strip EF around this stage.
     self_compensating = True
 
-    def __init__(
-        self,
-        ratio: float = 0.01,
-        momentum: float = 0.9,
-        clip_norm: Optional[float] = None,
-    ) -> None:
+    def __init__(self, ratio: float = 0.01, momentum: float = 0.9) -> None:
         if not 0.0 < ratio <= 1.0:
             raise ValueError("ratio must be in (0, 1]")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.ratio = ratio
         self.momentum = momentum
-        self.clip_norm = clip_norm
         self.name = f"dgc{ratio:g}"
         # Per-bucket (world, numel) momentum (u) and accumulation (v) buffers.
         self._momentum: Dict[int, np.ndarray] = {}
@@ -563,15 +562,8 @@ class DGCSelect(Codec):
         remap_rank_rows(self._momentum, old_ranks, new_ranks, policy)
         remap_rank_rows(self._accum, old_ranks, new_ranks, policy)
 
-    def _clip_rows(self, matrix: np.ndarray) -> np.ndarray:
-        if self.clip_norm is None:
-            return matrix
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        factors = np.where(norms > self.clip_norm, self.clip_norm / np.maximum(norms, 1e-30), 1.0)
-        return matrix * factors
-
     def prepare(self, inputs: List[WirePayload], ctx: EncodeContext) -> None:
-        matrix = self._clip_rows(_stacked_inputs(inputs, ctx, "DGC"))
+        matrix = _stacked_inputs(inputs, ctx, "DGC")
         numel = matrix.shape[1]
         k = max(1, int(round(numel * self.ratio)))
 

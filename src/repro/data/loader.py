@@ -1,11 +1,12 @@
 """Mini-batch loading and per-rank data sharding.
 
 ``DistributedSampler`` reproduces the behaviour of
-``torch.utils.data.DistributedSampler``: each of the ``world_size`` ranks sees
-a disjoint, equally sized shard of the dataset per epoch, with shuffling driven
-by an epoch-dependent seed that is identical across ranks so shards never
-overlap.  This is the data-parallel substrate the paper's Eq. (1) assumes
-(``D_i^t`` partitions).
+``torch.utils.data.DistributedSampler`` with ``drop_last=True``: each of the
+``world_size`` ranks sees a disjoint, equally sized shard of the dataset per
+epoch (the ``dataset_size % world_size`` samples left over are dropped), with
+shuffling driven by an epoch-dependent seed that is identical across ranks so
+shards never overlap.  This is the data-parallel substrate the paper's Eq. (1)
+assumes (``D_i^t`` partitions).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class DistributedSampler:
         rank: int,
         shuffle: bool = True,
         seed: int = 0,
-        drop_last: bool = True,
     ) -> None:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
@@ -36,7 +36,6 @@ class DistributedSampler:
         self.rank = rank
         self.shuffle = shuffle
         self.seed = seed
-        self.drop_last = drop_last
         self.epoch = 0
 
     def set_epoch(self, epoch: int) -> None:
@@ -48,20 +47,11 @@ class DistributedSampler:
         if self.shuffle:
             rng = np.random.default_rng(self.seed + self.epoch)
             rng.shuffle(order)
-        if self.drop_last:
-            usable = (self.dataset_size // self.world_size) * self.world_size
-            order = order[:usable]
-        else:
-            # Pad by wrapping so every rank gets the same number of samples.
-            target = int(np.ceil(self.dataset_size / self.world_size)) * self.world_size
-            if target > len(order):
-                order = np.concatenate([order, order[: target - len(order)]])
+        order = order[: len(self) * self.world_size]
         return order[self.rank :: self.world_size]
 
     def __len__(self) -> int:
-        if self.drop_last:
-            return self.dataset_size // self.world_size
-        return int(np.ceil(self.dataset_size / self.world_size))
+        return self.dataset_size // self.world_size
 
 
 class DataLoader:
@@ -71,7 +61,8 @@ class DataLoader:
     ``labels`` (:class:`~repro.data.synthetic.SyntheticImageClassification`
     and its subsets do).  A mini-batch is one fancy-indexed copy of each, so
     the yielded arrays are fresh and writeable and never alias the dataset —
-    which may therefore be shared read-only between runs.
+    which may therefore be shared read-only between runs.  The last batch
+    holds what is left and may be short.
     """
 
     def __init__(
@@ -81,7 +72,6 @@ class DataLoader:
         shuffle: bool = False,
         sampler: Optional[DistributedSampler] = None,
         seed: int = 0,
-        drop_last: bool = False,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -90,7 +80,6 @@ class DataLoader:
         self.shuffle = shuffle
         self.sampler = sampler
         self.seed = seed
-        self.drop_last = drop_last
         self._epoch = 0
 
     def set_epoch(self, epoch: int) -> None:
@@ -109,18 +98,13 @@ class DataLoader:
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         indices = self._indices()
-        limit = len(indices)
-        if self.drop_last:
-            limit = (limit // self.batch_size) * self.batch_size
         images, labels = self.dataset.images, self.dataset.labels
-        for start in range(0, limit, self.batch_size):
+        for start in range(0, len(indices), self.batch_size):
             batch_idx = indices[start : start + self.batch_size]
             yield images[batch_idx], labels[batch_idx]
 
     def __len__(self) -> int:
         count = len(self.sampler) if self.sampler is not None else len(self.dataset)
-        if self.drop_last:
-            return count // self.batch_size
         return int(np.ceil(count / self.batch_size))
 
 

@@ -52,8 +52,10 @@ DEFAULT_GOLDEN_DIR = os.path.normpath(
 
 #: The tiny frozen workload.  Small enough that re-running every golden cell
 #: costs well under a second, but real training end to end: pre-training,
-#: pruning (for PacTrain), multi-bucket DDP synchronisation and per-epoch
-#: evaluation all execute exactly as in the full-size benchmarks.
+#: pruning (for PacTrain), DDP synchronisation and per-epoch evaluation all
+#: execute exactly as in the full-size benchmarks.  The MLP's 14 762
+#: parameters fit in one bucket of the default 25 MiB cap, so no golden cell
+#: splits a model into several buckets.
 GOLDEN_CONFIG = ExperimentConfig(
     model="mlp",
     dataset="cifar10",

@@ -254,23 +254,20 @@ class Tracer:
         cat: str = "repro",
         clock: str = "wall",
         ts: Optional[float] = None,
-        pid: Optional[int] = None,
         tid: int = 0,
         **args,
     ) -> None:
-        """Record a zero-duration marker on either clock."""
+        """Record a zero-duration marker on either clock (that clock's process)."""
         if not self.enabled:
             return
         if clock == "wall":
+            pid = self._pid
             if ts is None:
                 ts = self.wall_now()
-            if pid is None:
-                pid = self._pid
         else:
+            pid = self._sim_pid
             if ts is None:
                 ts = self.sim_now
-            if pid is None:
-                pid = self._sim_pid
         self._emit(
             {"kind": "instant", "name": name, "cat": cat, "clock": clock,
              "ts": ts, "pid": pid, "tid": tid, "args": args or {}}

@@ -38,7 +38,6 @@ class MaskState:
     mask: np.ndarray              # boolean, True = coordinate may be non-zero (must be sent)
     stable: bool                  # pattern unchanged for >= stability_threshold iterations
     consecutive_stable: int       # how many consecutive iterations the pattern has held
-    changed: bool                 # whether the pattern differs from the previous iteration
     density: float                # fraction of coordinates that are non-zero
 
 
@@ -51,19 +50,16 @@ class MaskTracker:
         Number of consecutive iterations the pattern must stay identical before
         it is considered stable.  The paper leaves the constant open; 2–5 works
         well, and ``examples/campaigns/ablation.json`` sweeps 1 and 8.
-    min_sparsity:
-        Patterns denser than ``1 - min_sparsity`` are never declared stable:
-        compacting a nearly-dense gradient saves nothing but adds bookkeeping,
-        so the tracker keeps the full all-reduce path in that regime.
+
+    Patterns denser than ``1 - MIN_SPARSITY`` are never declared stable:
+    compacting a nearly-dense gradient saves nothing but adds bookkeeping, so
+    the tracker keeps the full all-reduce path in that regime.
     """
 
-    def __init__(self, stability_threshold: int = 3, min_sparsity: float = MIN_SPARSITY) -> None:
+    def __init__(self, stability_threshold: int = 3) -> None:
         if stability_threshold < 1:
             raise ValueError("stability_threshold must be >= 1")
-        if not 0.0 <= min_sparsity < 1.0:
-            raise ValueError("min_sparsity must be in [0, 1)")
         self.stability_threshold = stability_threshold
-        self.min_sparsity = min_sparsity
         self._previous: Dict[int, np.ndarray] = {}
         self._streak: Dict[int, int] = {}
 
@@ -93,31 +89,27 @@ class MaskTracker:
         if previous is None or previous.shape != pattern.shape:
             tracked = pattern
             streak = 1
-            changed = previous is not None
         elif bool(np.any(pattern & ~previous)):
             # New coordinates became active: the pattern changed for real.
             tracked = previous | pattern
             streak = 1
-            changed = True
         else:
             tracked = previous
             streak = self._streak.get(bucket_index, 0) + 1
-            changed = False
         self._previous[bucket_index] = tracked
         self._streak[bucket_index] = streak
 
         density = float(tracked.mean()) if tracked.size else 0.0
-        sparse_enough = (1.0 - density) >= self.min_sparsity
+        sparse_enough = (1.0 - density) >= MIN_SPARSITY
         stable = streak >= self.stability_threshold and sparse_enough
         return MaskState(
             mask=tracked,
             stable=stable,
             consecutive_stable=streak,
-            changed=changed,
             density=density,
         )
 
-    def update_from_rank_gradients(self, bucket_index: int, flat_gradients, atol: float = 0.0) -> MaskState:
+    def update_from_rank_gradients(self, bucket_index: int, flat_gradients) -> MaskState:
         """Union the non-zero patterns of all ranks' gradients and update.
 
         GSE makes per-rank patterns identical in theory; taking the union makes
@@ -126,7 +118,7 @@ class MaskTracker:
         """
         union: Optional[np.ndarray] = None
         for flat in flat_gradients:
-            pattern = np.abs(np.asarray(flat).reshape(-1)) > atol
+            pattern = np.abs(np.asarray(flat).reshape(-1)) > 0.0
             union = pattern if union is None else (union | pattern)
         if union is None:
             raise ValueError("update_from_rank_gradients needs at least one gradient")

@@ -9,7 +9,7 @@ This package provides:
 
 * :class:`PruningMask` — a named boolean mask over model parameters with
   application, statistics and (de)serialisation helpers;
-* magnitude-based unstructured pruning, global or per-layer
+* global magnitude-based unstructured pruning
   (:mod:`repro.pruning.magnitude`);
 * GraSP importance scores (Wang et al., 2020), used by the paper to pick which
   weights to keep (:mod:`repro.pruning.grasp`);

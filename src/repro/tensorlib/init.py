@@ -64,7 +64,11 @@ def ones(shape: Sequence[int]) -> np.ndarray:
     return np.ones(tuple(shape), dtype=get_default_dtype())
 
 
-def truncated_normal(shape: Sequence[int], rng: np.random.Generator, std: float = 0.02) -> np.ndarray:
-    """Truncated normal initialisation at ±2 std, as used for ViT embeddings."""
-    values = rng.normal(0.0, std, size=tuple(shape))
-    return _in_compute_dtype(np.clip(values, -2 * std, 2 * std))
+#: The standard deviation of :func:`truncated_normal`, ViT's embedding init.
+TRUNCATED_STD = 0.02
+
+
+def truncated_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
+    """Normal initialisation at :data:`TRUNCATED_STD`, truncated at ±2 std, as used for ViT embeddings."""
+    values = rng.normal(0.0, TRUNCATED_STD, size=tuple(shape))
+    return _in_compute_dtype(np.clip(values, -2 * TRUNCATED_STD, 2 * TRUNCATED_STD))

@@ -948,6 +948,8 @@ class TestCLI:
          "timeout must be a positive number of seconds, got -3.0"),
         (["sweep", "{tmp}/ok.json", "--store", "{tmp}/s.jsonl", "--retries", "-2"],
          "retries must be 0 or more, got -2"),
+        (["sweep", "{tmp}/ok.json", "--store", "{tmp}/s.jsonl", "--jobs", "-3"],
+         "jobs must be 0 or more, got -3"),
     ])
     def test_bad_input_is_one_error_line_and_exit_2(self, tmp_path, capsys, argv, message):
         (tmp_path / "not.json").write_text("not json")

@@ -188,6 +188,13 @@ class TestPolicyBounds:
         assert str(error.value) == message
         assert not (tmp_path / "store.jsonl").exists()
 
+    def test_a_negative_worker_count_is_rejected_before_any_cell(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        with pytest.raises(ValueError) as error:
+            run_campaign(two_by_two_campaign(), store=store, jobs=-3)
+        assert str(error.value) == "jobs must be 0 or more, got -3"
+        assert not (tmp_path / "store.jsonl").exists()
+
 
 class TestOneLoop:
     """In-process and pooled cells go through the same dispatch loop."""

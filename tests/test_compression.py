@@ -200,12 +200,6 @@ class TestDGC:
         compressor.aggregate(make_bucket(buffers), group)
         assert [event.op for event in group.events] == ["all_gather"]
 
-    def test_clipping(self, group, rng):
-        compressor = CodecCompressor(DGCSelect(ratio=0.5, clip_norm=1.0))
-        huge = [rng.standard_normal(100) * 100 for _ in range(4)]
-        result = compressor.aggregate(make_bucket(huge), group)
-        assert np.linalg.norm(result) <= 1.5
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DGCSelect(ratio=0.0)

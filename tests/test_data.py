@@ -132,14 +132,9 @@ class TestDistributedSampler:
                 assert not shards[i] & shards[j]
 
     def test_equal_shard_sizes_with_drop_last(self):
-        samplers = [DistributedSampler(103, 4, rank, drop_last=True) for rank in range(4)]
+        samplers = [DistributedSampler(103, 4, rank) for rank in range(4)]
         sizes = {len(s.indices()) for s in samplers}
         assert sizes == {25}
-
-    def test_padding_without_drop_last(self):
-        samplers = [DistributedSampler(10, 4, rank, drop_last=False, shuffle=False) for rank in range(4)]
-        sizes = {len(s.indices()) for s in samplers}
-        assert sizes == {3}
 
     def test_epoch_changes_order(self):
         sampler = DistributedSampler(64, 2, 0, shuffle=True, seed=0)
@@ -169,10 +164,6 @@ class TestDataLoader:
         loader = DataLoader(tiny_dataset, batch_size=40)
         batches = list(loader)
         assert len(batches) == len(loader) == 3  # 96 samples -> 40+40+16
-
-    def test_drop_last(self, tiny_dataset):
-        loader = DataLoader(tiny_dataset, batch_size=40, drop_last=True)
-        assert len(list(loader)) == 2
 
     def test_shuffle_changes_with_epoch(self, tiny_dataset):
         loader = DataLoader(tiny_dataset, batch_size=96, shuffle=True, seed=0)

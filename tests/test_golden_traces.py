@@ -82,6 +82,32 @@ def test_compact_cells_pin_pactrain_outside_full_synchronisation():
     assert ternary["comm_bytes_per_worker"] < fp32["comm_bytes_per_worker"]
 
 
+#: Algorithm 1's decisions on each PacTrain golden cell: full-sync and compact
+#: iterations, the compact fraction (``result.extra``), and the bitmask
+#: broadcasts the compressor charged (``compressor.stats.extra``).
+PACTRAIN_DECISIONS = {
+    "pactrain": (6.0, 0.0, 0.0, 0.0),
+    "pactrain-compact": (6.0, 2.0, 0.25, 2.0),
+    "pactrain-compact-fp32": (6.0, 2.0, 0.25, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACTRAIN_DECISIONS))
+def test_pactrain_decision_counts_are_pinned_exactly(name):
+    """The fixtures pin the trace, not ``result.extra``: a double-counted
+    compact iteration moves no golden number, so the counts are pinned here."""
+    from repro.simulation import train_distributed
+
+    run = train_distributed(golden.golden_config_for(name), golden.GOLDEN_METHODS[name])
+    extra = run.result().extra
+    assert (
+        extra["full_iterations"],
+        extra["compact_iterations"],
+        extra["compact_fraction"],
+        run.compressor.stats.extra.get("bitmask_syncs", 0.0),
+    ) == PACTRAIN_DECISIONS[name]
+
+
 def test_compare_traces_reports_readable_diffs():
     expected = {
         "trace": {"simulated_time": 1.0, "accuracy_trace": [[0.0, 0.5]]},

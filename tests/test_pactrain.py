@@ -52,7 +52,7 @@ class TestMaskTracker:
         grown = pattern.copy()
         grown[10] = True
         state = tracker.update(0, grown)
-        assert state.changed
+        assert state.consecutive_stable == 1
         assert not state.stable
         # Tracked mask widens to include the new coordinate.
         assert state.mask[10]
@@ -67,12 +67,11 @@ class TestMaskTracker:
         subset = pattern.copy()
         subset[3] = False
         state = tracker.update(0, subset)
-        assert not state.changed
         assert state.consecutive_stable == 2
         assert state.mask[3]  # superset retained
 
     def test_dense_pattern_never_stable(self):
-        tracker = MaskTracker(stability_threshold=1, min_sparsity=0.05)
+        tracker = MaskTracker(stability_threshold=1)
         dense = np.ones(100, dtype=bool)
         assert not tracker.update(0, dense).stable
 
@@ -97,8 +96,6 @@ class TestMaskTracker:
     def test_validation(self):
         with pytest.raises(ValueError):
             MaskTracker(stability_threshold=0)
-        with pytest.raises(ValueError):
-            MaskTracker(min_sparsity=1.0)
         with pytest.raises(ValueError):
             MaskTracker().update_from_rank_gradients(0, [])
 

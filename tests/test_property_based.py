@@ -30,10 +30,10 @@ from repro.compression.codec import (
     parse_compressor_spec,
     unpack_ternary,
 )
-from repro.compression.codec import ternarize, top_k_indices
+from repro.compression.codec import stages, ternarize, top_k_indices
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.metrics import nmse
-from repro.pactrain import MaskTracker, PacTrainCompressor
+from repro.pactrain import MaskTracker, PacTrainCompressor, mask_tracker
 from repro.pruning.mask import PruningMask
 from repro.tensorlib import Tensor
 from repro.tensorlib.tensor import _unbroadcast
@@ -178,8 +178,10 @@ class TestCodecRoundTripProperties:
     @given(arrays(shape=st.tuples(st.integers(1, 256))), st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_ternarize_error_bounds_and_two_bit_wire_size(self, values, seed):
-        pipeline = Pipeline([Ternarize(seed=seed, clip_sigma=None)])
-        (payload,) = pipeline.encode_all([values])
+        pipeline = Pipeline([Ternarize(seed=seed)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stages, "CLIP_SIGMA", np.inf)  # the identity clip
+            (payload,) = pipeline.encode_all([values])
         assert isinstance(payload, TernaryPayload)
         assert payload.nbytes == values.size * TERNARY_BYTES
         decoded = pipeline.decode(payload)
@@ -351,12 +353,11 @@ class TestMaskTrackerProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_constant_pattern_stabilises_exactly_at_threshold(self, pattern, threshold, extra):
-        tracker = MaskTracker(stability_threshold=threshold, min_sparsity=0.0)
-        dense = bool(pattern.mean() > 1.0 - 1e-9)
-        for i in range(threshold + extra):
-            state = tracker.update(0, pattern)
-            expected = (i + 1) >= threshold and not (dense and tracker.min_sparsity > 0)
-            assert state.stable == expected or tracker.min_sparsity == 0.0 and state.stable == ((i + 1) >= threshold)
+        tracker = MaskTracker(stability_threshold=threshold)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mask_tracker, "MIN_SPARSITY", 0.0)  # the dense-pattern guard off
+            for i in range(threshold + extra):
+                assert tracker.update(0, pattern).stable == ((i + 1) >= threshold)
 
 
 class TestPacTrainLosslessProperty:
@@ -373,14 +374,15 @@ class TestPacTrainLosslessProperty:
         rng = np.random.default_rng(seed)
         mask = rng.random(numel) < density
         compressor = PacTrainCompressor(stability_threshold=1)
-        # The dense-pattern guard off: a dense draw of the mask may go compact too.
-        compressor.tracker = MaskTracker(stability_threshold=1, min_sparsity=0.0)
         group = ProcessGroup(world)
         layout = Bucket(index=0, slices=[BucketSlice("w", 0, numel, (numel,))])
-        for _ in range(3):
-            buffers = [rng.standard_normal(numel) * mask for _ in range(world)]
-            result = compressor.aggregate(GradBucket(layout, np.stack(buffers)), group)
-            np.testing.assert_allclose(result, np.mean(buffers, axis=0), atol=1e-10)
+        with pytest.MonkeyPatch.context() as patch:
+            # The dense-pattern guard off: a dense draw of the mask may go compact too.
+            patch.setattr(mask_tracker, "MIN_SPARSITY", 0.0)
+            for _ in range(3):
+                buffers = [rng.standard_normal(numel) * mask for _ in range(world)]
+                result = compressor.aggregate(GradBucket(layout, np.stack(buffers)), group)
+                np.testing.assert_allclose(result, np.mean(buffers, axis=0), atol=1e-10)
 
 
 class TestPruningMaskProperties:

@@ -98,17 +98,11 @@ class TestMagnitudePruning:
         model = mlp_tiny(seed=0)
         weight = model.fc0.weight
         weight.data = np.linspace(-1, 1, weight.data.size).reshape(weight.data.shape)
-        mask = magnitude_mask(model, 0.3, scope="layer")
+        mask = magnitude_mask(model, 0.3)
         kept = mask.masks["fc0.weight"]
         dropped_magnitudes = np.abs(weight.data[~kept])
         kept_magnitudes = np.abs(weight.data[kept])
         assert dropped_magnitudes.max() <= kept_magnitudes.min() + 1e-12
-
-    def test_layer_scope_prunes_each_layer_equally(self, tiny_model):
-        mask = magnitude_mask(tiny_model, 0.6, scope="layer")
-        for name, _ in prunable_parameters(tiny_model):
-            layer_sparsity = 1.0 - mask.masks[name].sum() / mask.masks[name].size
-            assert layer_sparsity == pytest.approx(0.6, abs=0.05)
 
     def test_zero_ratio_is_noop(self, tiny_model):
         before = tiny_model.fc0.weight.data.copy()
@@ -119,8 +113,6 @@ class TestMagnitudePruning:
     def test_validation(self, tiny_model):
         with pytest.raises(ValueError):
             magnitude_mask(tiny_model, 1.0)
-        with pytest.raises(ValueError):
-            magnitude_mask(tiny_model, 0.5, scope="block")
 
 class TestGraSP:
     def test_scores_have_parameter_shapes(self, tiny_model, sample_batch):

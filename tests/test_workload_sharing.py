@@ -341,10 +341,7 @@ class TestScope:
 def stacked_batches(loader: DataLoader):
     """The per-sample batching ``DataLoader.__iter__`` replaced (reference)."""
     indices = loader._indices()
-    limit = len(indices)
-    if loader.drop_last:
-        limit = (limit // loader.batch_size) * loader.batch_size
-    for start in range(0, limit, loader.batch_size):
+    for start in range(0, len(indices), loader.batch_size):
         batch_idx = indices[start : start + loader.batch_size]
         images = np.stack([loader.dataset.images[i] for i in batch_idx])
         labels = np.array([loader.dataset.labels[i] for i in batch_idx], dtype=np.int64)
@@ -355,9 +352,7 @@ LOADER_CASES = {
     "in-order": dict(batch_size=16),
     "shuffle": dict(batch_size=16, shuffle=True, seed=3),
     "ragged-tail": dict(batch_size=40),
-    "drop-last": dict(batch_size=40, drop_last=True),
     "batch-larger-than-dataset": dict(batch_size=200),
-    "batch-larger-drop-last": dict(batch_size=200, drop_last=True),
     "single-sample": dict(batch_size=1, shuffle=True),
 }
 
@@ -371,11 +366,10 @@ class TestLoaderBatching:
         loader = DataLoader(dataset, **LOADER_CASES[case])
         self._assert_same_batches(loader, dtype)
 
-    @pytest.mark.parametrize("drop_last", [True, False])
-    def test_sampler_shards_equal_per_sample_stacking(self, drop_last):
+    def test_sampler_shards_equal_per_sample_stacking(self):
         dataset = synthetic_cifar10(num_samples=50, image_size=8, seed=7).subset(np.arange(3, 50))
         for rank in range(4):
-            sampler = DistributedSampler(len(dataset), 4, rank, seed=5, drop_last=drop_last)
+            sampler = DistributedSampler(len(dataset), 4, rank, seed=5)
             loader = DataLoader(dataset, batch_size=5, sampler=sampler)
             for epoch in (0, 1):
                 loader.set_epoch(epoch)
