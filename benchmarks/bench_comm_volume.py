@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm import NetworkModel, ProcessGroup
+from repro.comm import ProcessGroup
 from repro.compression import build_compressor
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket
 from repro.obs.export import format_table
 from repro.pactrain import PacTrainCompressor
-from repro.simulation import pricing
+from repro.simulation import ClusterSpec, pricing
 
 WORLD_SIZE = 8
 NUMEL = 200_000          # gradient elements per synchronisation
@@ -93,7 +93,8 @@ def run_volume_analysis() -> dict:
             "bytes": float(sum(event.bytes_per_worker for event in groups["1Gbps"].events)),
             **{
                 f"time_{setting}": pricing.comm_time(
-                    NetworkModel.from_paper_setting(WORLD_SIZE, setting), group.events
+                    ClusterSpec(world_size=WORLD_SIZE, bandwidth=setting).cost_model_for(),
+                    group.events,
                 )
                 for setting, group in groups.items()
             },

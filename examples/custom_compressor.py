@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm import NetworkModel
 from repro.compression import (
     Codec,
     CodecCompressor,
@@ -45,7 +44,7 @@ from repro.nn import SGD
 from repro.nn.models import build_model
 from repro.pactrain import MaskTracker
 from repro.pruning import magnitude_prune
-from repro.simulation import pricing
+from repro.simulation import ClusterSpec, pricing
 from repro.tensorlib import functional as F
 
 WORLD_SIZE = 4
@@ -85,8 +84,8 @@ def main() -> None:
     model = build_model("vgg19", num_classes=10, seed=0)
     mask = magnitude_prune(model, 0.5)
 
-    # The wrapper moves bytes; the 100 Mbps network model prices them below.
-    network = NetworkModel.from_paper_setting(WORLD_SIZE, "100Mbps")
+    # The wrapper moves bytes; the 100 Mbps cluster's cost model prices them below.
+    network = ClusterSpec(world_size=WORLD_SIZE, bandwidth="100Mbps").cost_model_for()
     ddp = DistributedDataParallel(
         model, world_size=WORLD_SIZE, comm_hook=build_compressor("sign")
     )

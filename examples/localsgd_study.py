@@ -42,7 +42,7 @@ def study_campaign(quick: bool = False, delta: bool = False) -> CampaignSpec:
         "seed": 0,
     }
     if quick:
-        base.update(epochs=1, dataset_samples=32, max_iterations_per_epoch=2)
+        base.update(epochs=1, dataset_samples=384, max_iterations_per_epoch=8)
     else:
         base.update(epochs=6, dataset_samples=192, max_iterations_per_epoch=6)
     return CampaignSpec(

@@ -9,11 +9,13 @@ communication literature): transferring ``n`` bytes over a link costs
 Collective costs are read through the abstract :class:`CostModel` interface,
 and outside this package only by :mod:`repro.simulation.pricing`, which
 prices the collectives' byte events for the simulation engine and the
-timeline; :class:`NetworkModel` is its flat single-bottleneck backend, and
-:class:`repro.comm.topology.HierarchicalCostModel` the topology-aware one.
+timeline.  :class:`NetworkModel` is its flat single-bottleneck backend and
+:class:`repro.comm.topology.HierarchicalCostModel` the two-level one over the
+Fig. 4 switch groups; ``ClusterSpec.cost_model_for`` builds either.
 
 The bottleneck bandwidths used in the paper's evaluation (100 Mbps, 500 Mbps
-and 1 Gbps WAN links between switches) are exposed as convenience constants.
+and 1 Gbps WAN links between switches) are :data:`PAPER_BANDWIDTHS`, the
+names a ``ClusterSpec`` accepts.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class CostModel(ABC):
     world_size: int
 
     @abstractmethod
-    def p2p_time(self, num_bytes: float, cross_cluster: bool = True) -> float:
+    def p2p_time(self, num_bytes: float) -> float:
         """Time for a single point-to-point transfer of ``num_bytes``."""
 
     @abstractmethod
@@ -99,31 +101,20 @@ class NetworkModel(CostModel):
         Number of training workers.
     bottleneck:
         The slowest link on the aggregation path (the WAN link in Fig. 4).
-    intra_link:
-        The fast link between co-located workers and their switch; defaults to
-        a 10 Gbps datacenter link.  Collective timing is dominated by the
-        bottleneck, but the intra-cluster term matters at 1 Gbps.
     """
 
-    def __init__(
-        self,
-        world_size: int,
-        bottleneck: LinkSpec,
-        intra_link: LinkSpec | None = None,
-    ) -> None:
+    def __init__(self, world_size: int, bottleneck: LinkSpec) -> None:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
         self.world_size = world_size
         self.bottleneck = bottleneck
-        self.intra_link = intra_link or LinkSpec(bandwidth=10 * GBPS, latency=20e-6)
 
     # ------------------------------------------------------------------ #
     # Point-to-point
     # ------------------------------------------------------------------ #
-    def p2p_time(self, num_bytes: float, cross_cluster: bool = True) -> float:
+    def p2p_time(self, num_bytes: float) -> float:
         """Time for a single point-to-point transfer of ``num_bytes``."""
-        link = self.bottleneck if cross_cluster else self.intra_link
-        return link.transfer_time(num_bytes)
+        return self.bottleneck.transfer_time(num_bytes)
 
     # ------------------------------------------------------------------ #
     # Collectives (per-worker payload of ``num_bytes``)
@@ -202,16 +193,3 @@ class NetworkModel(CostModel):
     ) -> "NetworkModel":
         """Build a model from a single bottleneck bandwidth figure."""
         return cls(world_size, LinkSpec(bandwidth=bandwidth_bytes_per_s, latency=latency))
-
-    @classmethod
-    def from_paper_setting(cls, world_size: int, setting: str) -> "NetworkModel":
-        """Build a model for one of the paper's WAN settings.
-
-        Parameters
-        ----------
-        setting:
-            One of ``"100Mbps"``, ``"500Mbps"``, ``"1Gbps"``.
-        """
-        if setting not in PAPER_BANDWIDTHS:
-            raise KeyError(f"unknown bandwidth setting {setting!r}; options: {sorted(PAPER_BANDWIDTHS)}")
-        return cls.from_bandwidth(world_size, PAPER_BANDWIDTHS[setting])

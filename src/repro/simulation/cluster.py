@@ -30,9 +30,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.comm.network import CostModel, NetworkModel, PAPER_BANDWIDTHS
+from repro.comm.network import CostModel, LinkSpec, NetworkModel, PAPER_BANDWIDTHS
 from repro.comm.process_group import ProcessGroup
-from repro.comm.topology import build_paper_topology
+from repro.comm.topology import HierarchicalCostModel
 from repro.simulation.compute import DeviceSpec, resolve_device
 from repro.simulation.faults import EMPTY_FAULT_PLAN, FaultPlan
 
@@ -129,19 +129,18 @@ class ClusterSpec:
         that many; ``None`` is the whole world.  ``bandwidth_factor`` scales
         the bottleneck (a fault plan's time-varying link factor).  The flat
         alpha-beta model over the bottleneck link depends only on the count.
-        With ``hierarchical`` set, the Fig. 4 topology is built over the
-        surviving servers, each at the vSwitch it hangs off when healthy, and
-        collectives are costed per switch group.  The defaults price the
-        healthy cluster — a 1.0 factor preserves the bandwidth bits.
+        With ``hierarchical`` set, the bottleneck is the WAN link between the
+        Fig. 4 vSwitches and :class:`HierarchicalCostModel` prices the
+        survivors' switch groups, each rank on the vSwitch it hangs off when
+        healthy.  The defaults price the healthy cluster — a 1.0 factor
+        preserves the bandwidth bits.
         """
         if members is None:
             members = self.world_size
         ranks = range(members) if isinstance(members, int) else members
         bandwidth = self.bandwidth_bytes_per_second() * bandwidth_factor
         if self.hierarchical:
-            return build_paper_topology(
-                wan_bandwidth=bandwidth, wan_latency=LINK_LATENCY, servers=ranks
-            ).cost_model()
+            return HierarchicalCostModel(ranks, LinkSpec(bandwidth, LINK_LATENCY))
         return NetworkModel.from_bandwidth(len(ranks), bandwidth, latency=LINK_LATENCY)
 
     def fault_plan(self) -> FaultPlan:

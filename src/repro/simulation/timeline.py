@@ -161,7 +161,7 @@ class TrainingTimeline:
         if kind == "fault" or kind == "clock":
             return Priced()
         key = (entry.ranks, entry.link)
-        if key not in self._cost_models:  # a hierarchical model rebuilds the topology
+        if key not in self._cost_models:  # one model per membership and link factor
             self._cost_models[key] = self.cluster.cost_model_for(*key)
         cost_model = self._cost_models[key]
         if kind == "rejoin":

@@ -1,25 +1,22 @@
-"""Network cost model, topology (Fig. 4), collectives and process group."""
+"""Network cost models (flat and the Fig. 4 hierarchy), collectives and process group."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.comm import (
     GBPS,
     MBPS,
-    ClusterTopology,
     CostModel,
     HierarchicalCostModel,
     LinkSpec,
@@ -28,12 +25,12 @@ from repro.comm import (
     all_gather,
     all_reduce,
     broadcast,
-    build_paper_topology,
-    build_star_topology,
     reduce_scatter,
 )
 from repro.comm.network import PAPER_BANDWIDTHS
-from repro.simulation import pricing
+from repro.comm.topology import LAN
+from repro.simulation import ClusterSpec, pricing
+from repro.simulation.cluster import LINK_LATENCY
 from repro.compression.codec.payloads import (
     BitmaskPayload,
     DensePayload,
@@ -49,6 +46,9 @@ COLLECTIVE_METHODS = (
     "all_gather_time",
     "broadcast_time",
 )
+
+#: Every price a run reads, by method name.
+COST_METHODS = ("p2p_time",) + COLLECTIVE_METHODS
 
 #: The flat model's intra-group phases, which the hierarchical model prices
 #: each group with; they are not part of the ``CostModel`` interface.
@@ -101,12 +101,6 @@ class TestNetworkModel:
         single = model.bottleneck.transfer_time(1e6)
         assert model.broadcast_time(1e6) == pytest.approx(math.ceil(math.log2(8)) * single)
 
-    def test_from_paper_setting(self):
-        model = NetworkModel.from_paper_setting(8, "500Mbps")
-        assert model.bottleneck.bandwidth == pytest.approx(500 * MBPS)
-        with pytest.raises(KeyError):
-            NetworkModel.from_paper_setting(8, "10Gbps")
-
     def test_implements_cost_model_interface(self):
         model = NetworkModel.from_bandwidth(8, 1 * GBPS)
         assert isinstance(model, CostModel)
@@ -127,364 +121,141 @@ class TestNetworkModel:
         assert NetworkModel.from_bandwidth(1, 100 * MBPS).reduce_time(nbytes) == 0.0
 
 
-class TestTopology:
-    def test_paper_topology_counts(self):
-        topo = build_paper_topology()
-        assert len(topo.servers) == 8
-        assert len(topo.switches) == 3
-        # 8 server links + 2 inter-switch links
-        assert topo.num_links == 10
-
-    def test_bottleneck_is_wan_link(self):
-        topo = build_paper_topology(wan_bandwidth=100 * MBPS)
-        bottleneck = topo.global_bottleneck()
-        assert bottleneck.bandwidth == pytest.approx(100 * MBPS)
-
-    def test_same_switch_path_avoids_wan(self):
-        topo = build_paper_topology(wan_bandwidth=100 * MBPS)
-        # S1 and S4 are both on vswitch0 (round-robin assignment).
-        link = topo.path_spec("S1", "S4")
-        assert link.bandwidth > 100 * MBPS
-
-    def test_cross_switch_path_hits_wan(self):
-        topo = build_paper_topology(wan_bandwidth=100 * MBPS)
-        link = topo.path_spec("S1", "S2")
-        assert link.bandwidth == pytest.approx(100 * MBPS)
-
-    def test_to_network_model(self):
-        topo = build_paper_topology(wan_bandwidth=500 * MBPS)
-        model = topo.to_network_model()
-        assert model.world_size == 8
-        assert model.bottleneck.bandwidth == pytest.approx(500 * MBPS)
-
-    def test_star_topology(self):
-        topo = build_star_topology(4, LinkSpec(1 * GBPS))
-        assert len(topo.servers) == 4
-        assert topo.global_bottleneck().bandwidth == pytest.approx(1 * GBPS)
-
-    def test_describe(self):
-        info = build_paper_topology(wan_bandwidth=1 * GBPS).describe()
-        assert info["bottleneck_bandwidth_mbps"] == pytest.approx(1000.0)
-        assert len(info["servers"]) == 8
-
-    def test_add_link_requires_existing_nodes(self):
-        topo = ClusterTopology()
-        topo.add_server("a")
-        with pytest.raises(KeyError):
-            topo.add_link("a", "missing", LinkSpec(1e6))
-
-    def test_global_bottleneck_requires_two_servers(self):
-        topo = ClusterTopology()
-        topo.add_server("only")
-        with pytest.raises(ValueError):
-            topo.global_bottleneck()
-
-    def test_global_bottleneck_requires_connected_servers(self):
-        topo = ClusterTopology()
-        topo.add_server("a")
-        topo.add_server("b")
-        with pytest.raises(ValueError):
-            topo.global_bottleneck()
-
-    def test_global_bottleneck_avoids_unused_slow_spur(self):
-        # A slow link hanging off a switch with no server behind it must not
-        # count: no server-to-server path crosses it.
-        topo = build_star_topology(4, LinkSpec(1 * GBPS))
-        topo.add_switch("spur")
-        topo.add_link("switch0", "spur", LinkSpec(1 * MBPS))
-        assert topo.global_bottleneck().bandwidth == pytest.approx(1 * GBPS)
-
-    def test_global_bottleneck_is_minimax_over_parallel_paths(self):
-        # Two routes between the servers: 10 Mbps direct, 100 Mbps via two
-        # hops.  The widest path avoids the slow direct link.
-        topo = ClusterTopology()
-        topo.add_server("a")
-        topo.add_server("b")
-        topo.add_switch("mid")
-        topo.add_link("a", "b", LinkSpec(10 * MBPS))
-        topo.add_link("a", "mid", LinkSpec(100 * MBPS))
-        topo.add_link("mid", "b", LinkSpec(100 * MBPS))
-        assert topo.global_bottleneck().bandwidth == pytest.approx(100 * MBPS)
-
-    def test_global_bottleneck_micro_benchmark_512_servers(self):
-        # Satellite requirement: the minimax/maximum-spanning-tree pass must
-        # handle a 512-server topology in well under a second (the old
-        # all-pairs scan was O(n^2) shortest-path computations).
-        topo = build_paper_topology(num_servers=512, num_switches=8)
-        start = time.perf_counter()
-        bottleneck = topo.global_bottleneck()
-        elapsed = time.perf_counter() - start
-        assert bottleneck.bandwidth == pytest.approx(1 * GBPS)
-        assert elapsed < 0.25, f"global_bottleneck took {elapsed:.3f}s on 512 servers"
-
-    def test_path_spec_collapses_hops(self):
-        topo = build_paper_topology(
-            wan_bandwidth=100 * MBPS, wan_latency=1e-3, lan_latency=20e-6
-        )
-        # S1 (vswitch0) -> S3 (vswitch2): LAN + WAN + WAN + LAN hops.
-        spec = topo.path_spec("S1", "S3")
-        assert spec.bandwidth == pytest.approx(100 * MBPS)
-        assert spec.latency == pytest.approx(2 * 1e-3 + 2 * 20e-6)
-        assert topo.path_spec("S1", "S3").transfer_time(0.0) == 0.0
-        assert topo.path_spec("S1", "S1").transfer_time(1e6) == 0.0
-
-    def test_switch_groups_round_robin(self):
-        topo = build_paper_topology(num_servers=8, num_switches=3)
-        groups = topo.switch_groups()
-        assert set(groups) == {"vswitch0", "vswitch1", "vswitch2"}
-        assert sorted(len(members) for members in groups.values()) == [2, 3, 3]
-        assert topo.attached_switch("S1") == "vswitch0"
-
-
 class TestHierarchicalCostModel:
-    def test_star_topology_matches_flat_model_exactly(self):
-        # The satellite equivalence guarantee: one switch group delegates to
-        # the flat NetworkModel, so every cost is float-equal, not approx.
-        topo = build_star_topology(8, LinkSpec(1 * GBPS, latency=1e-4))
-        flat = topo.to_network_model()
-        hier = topo.cost_model()
-        assert isinstance(hier, CostModel)
-        assert hier.is_flat and len(hier.groups) == 1
+    #: A 100 Mbps WAN at the runs' per-message latency.
+    WAN = LinkSpec(100 * MBPS, latency=LINK_LATENCY)
+
+    def test_one_occupied_switch_is_the_flat_lan_model_exactly(self):
+        # Ranks 0, 3 and 6 all hang off switch 0: every path is two LAN hops,
+        # so every cost is float-equal to the flat model over the LAN link.
+        flat = NetworkModel(3, LAN)
+        hier = HierarchicalCostModel((0, 3, 6), self.WAN)
+        assert isinstance(hier, CostModel) and hier.world_size == 3
         for nbytes in (0.0, 1.0, 1e3, 1e6, 5e7):
-            for method in COLLECTIVE_METHODS:
+            for method in COST_METHODS:
                 assert getattr(hier, method)(nbytes) == getattr(flat, method)(nbytes)
-            assert hier.p2p_time(nbytes) == flat.p2p_time(nbytes)
 
     def test_hierarchical_all_reduce_charges_lan_and_wan(self):
-        topo = build_paper_topology(wan_bandwidth=100 * MBPS)
-        hier = topo.cost_model()
-        assert len(hier.groups) == 3 and not hier.is_flat
+        hier = HierarchicalCostModel(range(8), self.WAN)
         nbytes = 1e6
+        # Groups of 3, 3 and 2 ranks; the three leaders are charged over the
+        # switch 0 -> switch 2 path: LAN, WAN, WAN, LAN.
+        group = NetworkModel(3, LAN)
+        leaders = NetworkModel(3, LinkSpec(100 * MBPS, 2 * LAN.latency + 2 * LINK_LATENCY))
+        inter_only = leaders.ring_all_reduce_time(nbytes)
         total = hier.ring_all_reduce_time(nbytes)
-        inter_only = hier._inter.ring_all_reduce_time(nbytes)
-        # The WAN exchange runs between the 3 switch-group leaders; the intra
-        # LAN reduce and broadcast phases are charged on top of it.
         assert total > inter_only
         assert total == pytest.approx(
-            hier._max_over_groups("reduce_time", nbytes)
-            + inter_only
-            + hier._max_over_groups("broadcast_time", nbytes)
+            group.reduce_time(nbytes) + inter_only + group.broadcast_time(nbytes)
         )
+        assert hier.p2p_time(nbytes) == pytest.approx(leaders.p2p_time(nbytes))
 
     def test_chain_beats_flat_ring_under_wan_bottleneck(self):
         # A flat ring drags all 8 workers across the WAN; the hierarchical
         # schedule only sends the 3 group leaders across it — the reduction
         # structure the paper's Fig. 4 testbed is built to exercise.
-        topo = build_paper_topology(wan_bandwidth=100 * MBPS)
         nbytes = 1e7
-        hier = topo.cost_model()
-        assert hier.ring_all_reduce_time(nbytes) < topo.to_network_model().ring_all_reduce_time(nbytes)
+        hier = HierarchicalCostModel(range(8), self.WAN)
+        flat = NetworkModel(8, self.WAN)
+        assert hier.ring_all_reduce_time(nbytes) < flat.ring_all_reduce_time(nbytes)
 
     def test_all_costs_positive_and_zero_safe(self):
-        hier = build_paper_topology(wan_bandwidth=100 * MBPS).cost_model()
-        for method in COLLECTIVE_METHODS:
+        hier = HierarchicalCostModel(range(8), self.WAN)
+        for method in COST_METHODS:
             assert getattr(hier, method)(1e6) > 0.0
             assert getattr(hier, method)(0.0) == 0.0
 
     def test_process_group_accepts_hierarchical_model(self, rng):
-        topo = build_paper_topology(wan_bandwidth=100 * MBPS, num_servers=4)
         group = ProcessGroup(4)
         group.all_reduce(dense(rng, *[64] * 4))
-        assert pricing.comm_time(topo.cost_model(), group.events) > 0.0
+        assert pricing.comm_time(HierarchicalCostModel(range(4), self.WAN), group.events) > 0.0
 
-    def test_single_server_topology(self):
-        topo = ClusterTopology()
-        topo.add_switch("sw")
-        topo.add_server("S1")
-        topo.add_link("S1", "sw", LinkSpec(1 * GBPS))
-        hier = topo.cost_model()
+    def test_single_server(self):
+        hier = HierarchicalCostModel([5], self.WAN)
         assert hier.world_size == 1
         for method in COLLECTIVE_METHODS:
             assert getattr(hier, method)(1e6) == 0.0
 
     def test_requires_servers(self):
         with pytest.raises(ValueError):
-            HierarchicalCostModel(ClusterTopology())
+            HierarchicalCostModel([], self.WAN)
 
 
 # ---------------------------------------------------------------------- #
-# The topology without a graph library
+# The hierarchy in closed form
 # ---------------------------------------------------------------------- #
-#: What the networkx-backed ``ClusterTopology`` of commit 70ee6f8 returned,
-#: recorded by running ``_topology_snapshot`` over ``_pinned_topologies()`` on
-#: that commit: a digest of every value for the whole grid ("digests") and
-#: the values themselves for three of its members ("values").
-PINNED = json.loads((Path(__file__).parent / "fixtures" / "topology_values.json").read_text())
+#: What ``ClusterSpec(hierarchical=True).cost_model_for`` returned when it
+#: priced a graph of servers and switches (commit c741c6a), recorded by
+#: running ``_hierarchy_digest`` over the grid below on that commit: a digest
+#: of every ``float.hex`` value per (bandwidth, world) ("digests") and, for
+#: four survivor sets at link factor 1, the values themselves ("values").
+PINNED = json.loads((Path(__file__).parent / "fixtures" / "hierarchy_costs.json").read_text())
 
-COST_METHODS = ("p2p_time",) + COLLECTIVE_METHODS
-
-
-def _outcome(compute):
-    try:
-        return compute()
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+#: Named, below, equal to and above the 10 Gbps LAN.
+BANDWIDTHS = ("100Mbps", "1Gbps", 3.3e7, 1.25e9, 5e9)
+WORLDS = range(1, 13)
+LINK_FACTORS = (1.0, 0.5, 0.37)
+SIZES = (0.0, 1.0, 1e6, 5e7)
 
 
-def _topology_snapshot(topo: ClusterTopology) -> dict:
-    """Everything the cost layer reads from a topology, as JSON-exact values."""
-    servers = topo.servers
-    pairs = {}
-    for i, a in enumerate(servers):
-        for b in servers[i + 1 :]:
-            spec = topo.path_spec(a, b)
-            pairs[f"{a}-{b}"] = [">".join(topo.path(a, b)), spec.bandwidth, spec.latency]
+def _survivor_sets(world):
+    """The whole world, then every set of at most 8 ranks whose highest is ``world - 1``.
 
-    def bottleneck():
-        link = topo.global_bottleneck()
-        return [link.bandwidth, link.latency]
-
-    def costs():
-        model = topo.cost_model()
-        return {m: [getattr(model, m)(n) for n in (1.0, 1e6, 5e7)] for m in COST_METHODS}
-
-    return {
-        "pairs": pairs,
-        "global_bottleneck": _outcome(bottleneck),
-        "switch_groups": topo.switch_groups(),
-        "costs": _outcome(costs),
-    }
+    Over the worlds 1..12 that is every set of up to 8 of the 12 ranks, once.
+    """
+    yield None
+    for size in range(min(world, 8)):
+        for rest in itertools.combinations(range(world - 1), size):
+            yield rest + (world - 1,)
 
 
-@functools.lru_cache(maxsize=None)
-def _pinned_topologies() -> dict:
-    topologies = {}
-    for servers in range(1, 17):
-        for switches in range(1, 5):
-            topologies[f"paper-{servers}x{switches}"] = build_paper_topology(
-                wan_bandwidth=100 * MBPS, num_servers=servers, num_switches=switches
-            )
-        topologies[f"star-{servers}"] = build_star_topology(servers, LinkSpec(1 * GBPS, latency=1e-4))
-    return topologies
+def _costs(cluster, members, factor):
+    model = cluster.cost_model_for(members, factor)
+    return [getattr(model, method)(n) for method in COST_METHODS for n in SIZES]
 
 
-def _digest(snapshot: dict) -> str:
-    return hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()).hexdigest()[:16]
+def _hierarchy_digest(bandwidth, world):
+    cluster = ClusterSpec(world_size=world, bandwidth=bandwidth, hierarchical=True)
+    values = (
+        float.hex(value)
+        for members in _survivor_sets(world)
+        for factor in LINK_FACTORS
+        for value in _costs(cluster, members, factor)
+    )
+    return hashlib.sha256("\n".join(values).encode()).hexdigest()[:16]
 
 
-def _first_in_link_order(adjacency: dict, src: str, dst: str):
-    """Brute force: every simple path, the shortest of them, then the tie rule."""
-
-    def simple_paths(path):
-        if path[-1] == dst:
-            yield path
-            return
-        for neighbor in adjacency[path[-1]]:
-            if neighbor not in path:
-                yield from simple_paths(path + [neighbor])
-
-    def link_order(path):
-        return [adjacency[a].index(b) for a, b in zip(path, path[1:])]
-
-    paths = list(simple_paths([src]))
-    fewest = min(map(len, paths), default=None)
-    return min((path for path in paths if len(path) == fewest), key=link_order, default=None)
-
-
-class TestTopologyWithoutNetworkx:
-    @pytest.mark.parametrize("name", sorted(PINNED["digests"]))
-    def test_grid_returns_what_the_networkx_version_returned(self, name):
-        snapshot = json.loads(json.dumps(_topology_snapshot(_pinned_topologies()[name])))
-        if name in PINNED["values"]:
-            assert snapshot == PINNED["values"][name]
-        assert _digest(snapshot) == PINNED["digests"][name], snapshot
+class TestHierarchyInClosedForm:
+    @pytest.mark.parametrize("bandwidth", BANDWIDTHS, ids=str)
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_grid_prices_what_the_graph_priced(self, bandwidth, world):
+        assert _hierarchy_digest(bandwidth, world) == PINNED["digests"][f"{bandwidth}/{world}"]
 
     def test_the_pinned_grid_is_the_whole_grid(self):
-        assert sorted(PINNED["digests"]) == sorted(_pinned_topologies())
-        assert sorted(PINNED["values"]) == ["paper-16x4", "paper-8x3", "star-8"]
+        assert sorted(PINNED["digests"]) == sorted(f"{b}/{w}" for b in BANDWIDTHS for w in WORLDS)
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), size=st.integers(2, 12))
-    def test_tree_paths_are_simple_linked_and_unique(self, data, size):
-        above = [None] + [data.draw(st.integers(0, i - 1)) for i in range(1, size)]
-        links = data.draw(st.permutations(range(1, size)))
-        topo = ClusterTopology()
-        for i in data.draw(st.permutations(range(size))):
-            (topo.add_server if data.draw(st.booleans()) else topo.add_switch)(f"n{i}")
-        for i in links:
-            topo.add_link(f"n{i}", f"n{above[i]}", LinkSpec(1e6 * (i + 1)))
-        src, dst = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+    @pytest.mark.parametrize("name", sorted(PINNED["values"]))
+    def test_literal_values(self, name):
+        bandwidth, world = name.split("/")
+        bandwidth = bandwidth if bandwidth.endswith("bps") else float(bandwidth)
+        cluster = ClusterSpec(world_size=int(world), bandwidth=bandwidth, hierarchical=True)
+        pinned = PINNED["values"][name]
+        want = [value for method in COST_METHODS for value in pinned["costs"][method]]
+        assert _costs(cluster, pinned["members"], 1.0) == want
 
-        def to_root(i):
-            return [i] if above[i] is None else [i] + to_root(above[i])
 
-        up, down = to_root(src), to_root(dst)
-        while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
-            up.pop(), down.pop()
-        expected = [f"n{i}" for i in up + down[-2::-1]]
-
-        path = topo.path(f"n{src}", f"n{dst}")
-        assert (path[0], path[-1]) == (f"n{src}", f"n{dst}")
-        assert len(set(path)) == len(path)
-        assert all(b in topo._links[a] for a, b in zip(path, path[1:]))
-        assert path == expected
-        assert topo.num_links == size - 1
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), size=st.integers(2, 7))
-    def test_cyclic_graphs_take_the_fewest_hops_and_the_earlier_link(self, data, size):
-        every_pair = [(a, b) for a in range(size) for b in range(a + 1, size)]
-        links = data.draw(st.lists(st.sampled_from(every_pair), unique=True, max_size=len(every_pair)))
-        topo = ClusterTopology()
-        adjacency = {f"n{i}": [] for i in range(size)}
-        for name in adjacency:
-            topo.add_switch(name)
-        for a, b in links:
-            a, b = (f"n{a}", f"n{b}") if data.draw(st.booleans()) else (f"n{b}", f"n{a}")
-            topo.add_link(a, b, LinkSpec(1e6))
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        src, dst = f"n{data.draw(st.integers(0, size - 1))}", f"n{data.draw(st.integers(0, size - 1))}"
-        expected = _first_in_link_order(adjacency, src, dst)
-        if expected is None:
-            with pytest.raises(ValueError, match=f"'{src}' and '{dst}'"):
-                topo.path(src, dst)
-        else:
-            assert topo.path(src, dst) == expected
-        assert topo.num_links == len(links)
-
-    def test_linking_a_pair_again_replaces_the_spec(self):
-        topo = build_star_topology(2, LinkSpec(1 * GBPS))
-        slow = LinkSpec(10 * MBPS, latency=5e-3)
-        topo.add_link("switch0", "S1", slow)
-        assert topo.num_links == 2
-        assert topo.path_links("S1", "switch0") == [slow] == topo.path_links("switch0", "S1")
-        assert topo.global_bottleneck() == slow
-        assert topo.path("S1", "S2") == ["S1", "switch0", "S2"]
-
-    def test_adding_a_node_again_keeps_its_links(self):
-        topo = build_star_topology(2, LinkSpec(1 * GBPS))
-        topo.add_switch("S2")
-        assert topo.servers == ["S1"] and topo.switches == ["S2", "switch0"]
-        assert topo.path("S1", "S2") == ["S1", "switch0", "S2"]
-
-    def test_path_to_an_unknown_node_is_a_key_error_naming_it(self):
-        topo = build_star_topology(2, LinkSpec(1 * GBPS))
-        with pytest.raises(KeyError, match="'S9'.*path\\('S1', 'S9'\\)"):
-            topo.path("S1", "S9")
-        with pytest.raises(KeyError, match="'nowhere'"):
-            topo.path_spec("nowhere", "S1")
-
-    def test_path_between_disconnected_nodes_is_a_value_error_naming_them(self):
-        topo = build_star_topology(2, LinkSpec(1 * GBPS))
-        topo.add_server("island")
-        with pytest.raises(ValueError, match="no path between 'S1' and 'island'"):
-            topo.path("S1", "island")
-        with pytest.raises(ValueError, match="no path between 'island' and 'S2'"):
-            topo.path_spec("island", "S2")
-
-    def test_importing_the_package_loads_no_graph_library(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, repro.simulation, repro.campaign, repro.golden; "
-                "sys.exit('networkx' in sys.modules)",
-            ],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-        )
-        assert (done.returncode, done.stderr) == (0, "")
+def test_importing_the_package_loads_no_graph_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.simulation, repro.campaign, repro.golden; "
+            "sys.exit('networkx' in sys.modules)",
+        ],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def dense(rng, *sizes):

@@ -195,6 +195,31 @@ class TestDGC:
         for state in (stage._momentum[0], stage._accum[0]):
             assert np.all(np.count_nonzero(state == 0.0, axis=1) >= k)
 
+    def test_two_iterations_by_hand(self):
+        # Two ranks, four elements, k = 1 per rank, momentum 0.9.  Each step:
+        # u = 0.9 u + g; v = v + u; send v's largest entry; clear it in u and v.
+        compressor = build_compressor("dgc0.25")
+        stage = compressor.pipeline.stages[0]
+        group = ProcessGroup(2)
+        # Step 1: u = v = g; rank 0 sends 3 at index 3, rank 1 sends 4 at index 0.
+        result = compressor.aggregate(
+            make_bucket([np.array([1.0, -2.0, 0.5, 3.0]), np.array([4.0, 1.0, -1.0, 0.5])]), group
+        )
+        np.testing.assert_allclose(result, [2.0, 0.0, 0.0, 1.5])
+        residual = [[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, -1.0, 0.5]]
+        np.testing.assert_allclose(stage._momentum[0], residual)
+        np.testing.assert_allclose(stage._accum[0], residual)
+        # Step 2, rank 0: u = 0.9 [1, -2, .5, 0] + 1 = [1.9, -.8, 1.45, 1],
+        # v = [1, -2, .5, 0] + u = [2.9, -2.8, 1.95, 1]: sends 2.9 at index 0.
+        # Rank 1: u = 0.9 [0, 1, -1, .5] + [0, 0, 2, 0] = [0, .9, 1.1, .45],
+        # v = [0, 1, -1, .5] + u = [0, 1.9, .1, .95]: sends 1.9 at index 1.
+        result = compressor.aggregate(
+            make_bucket([np.ones(4), np.array([0.0, 0.0, 2.0, 0.0])]), group
+        )
+        np.testing.assert_allclose(result, [1.45, 0.95, 0.0, 0.0])
+        np.testing.assert_allclose(stage._momentum[0], [[0.0, -0.8, 1.45, 1.0], [0.0, 0.0, 1.1, 0.45]])
+        np.testing.assert_allclose(stage._accum[0], [[0.0, -2.8, 1.95, 1.0], [0.0, 0.0, 0.1, 0.95]])
+
     def test_uses_allgather(self, buffers, group):
         compressor = build_compressor("dgc")
         compressor.aggregate(make_bucket(buffers), group)

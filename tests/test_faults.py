@@ -10,8 +10,8 @@ import pytest
 from repro.compression import build_compressor
 from repro.compression.codec import DensePayload
 from repro.compression.codec.stages import remap_rank_rows
-from repro.comm.network import NetworkModel
-from repro.comm.topology import build_paper_topology
+from repro.comm.network import LinkSpec, NetworkModel
+from repro.comm.topology import HierarchicalCostModel
 from repro.ddp import DistributedDataParallel
 from repro.golden import GOLDEN_METHODS, golden_config_for
 from repro.simulation import ClusterSpec, pricing, run_experiment
@@ -152,11 +152,9 @@ class TestClusterSpecFaults:
             "flat": NetworkModel.from_bandwidth(
                 4, flat.bandwidth_bytes_per_second(), latency=LINK_LATENCY
             ),
-            "hier": build_paper_topology(
-                wan_bandwidth=hier.bandwidth_bytes_per_second(),
-                wan_latency=LINK_LATENCY,
-                num_servers=4,
-            ).cost_model(),
+            "hier": HierarchicalCostModel(
+                range(4), LinkSpec(hier.bandwidth_bytes_per_second(), LINK_LATENCY)
+            ),
         }
         for name, spec in (("flat", flat), ("hier", hier)):
             want = expected[name].ring_all_reduce_time(10_000)

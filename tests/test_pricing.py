@@ -18,7 +18,7 @@ from typing import List
 import numpy as np
 import pytest
 
-from repro.comm import MBPS, NetworkModel, ProcessGroup, build_paper_topology
+from repro.comm import MBPS, HierarchicalCostModel, LinkSpec, NetworkModel, ProcessGroup
 from repro.compression.codec import DensePayload, HalfPayload
 from repro.simulation import pricing
 
@@ -38,9 +38,7 @@ COST_METHODS = frozenset({
 WORLD = 4
 MODELS = {
     "flat": lambda: NetworkModel.from_bandwidth(WORLD, 100 * MBPS, latency=1e-4),
-    "hierarchical": lambda: build_paper_topology(
-        wan_bandwidth=100 * MBPS, num_servers=WORLD
-    ).cost_model(),
+    "hierarchical": lambda: HierarchicalCostModel(range(WORLD), LinkSpec(100 * MBPS, latency=1e-4)),
 }
 
 

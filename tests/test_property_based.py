@@ -419,12 +419,10 @@ class TestCollectiveCostProperties:
 
     @staticmethod
     def _models(world_size):
-        from repro.comm import build_paper_topology
+        from repro.comm import HierarchicalCostModel, LinkSpec
 
         flat = NetworkModel.from_bandwidth(world_size, 100e6 / 8.0, latency=1e-4)
-        hier = build_paper_topology(
-            wan_bandwidth=100e6 / 8.0, num_servers=world_size, num_switches=min(3, world_size)
-        ).cost_model()
+        hier = HierarchicalCostModel(range(world_size), LinkSpec(100e6 / 8.0, latency=1e-4))
         return flat, hier
 
     @given(

@@ -59,7 +59,11 @@ REASON = re.compile(rf"^(?:{'|'.join(TAGS)}): \S[^\n]*$")
 #: Never-entered key -> why it stays.
 LEDGER = {
     # ---- field: the code behind a knob-ledger field ----
-    "comm/topology.py": "field: ClusterSpec.hierarchical; the Fig. 4 topology and its two-level cost model",
+    "comm/topology.py:HierarchicalCostModel.__init__": "field: ClusterSpec.hierarchical; the Fig. 4 switch groups and the leaders' link",
+    "comm/topology.py:HierarchicalCostModel.p2p_time": "field: ClusterSpec.hierarchical; a parameter server's transfer over the leaders' link",
+    "comm/topology.py:HierarchicalCostModel.ring_all_reduce_time": "field: ClusterSpec.hierarchical; the two-level all-reduce",
+    "comm/topology.py:HierarchicalCostModel.all_gather_time": "field: ClusterSpec.hierarchical; the two-level all-gather",
+    "comm/topology.py:HierarchicalCostModel.broadcast_time": "field: ClusterSpec.hierarchical; the two-level broadcast",
     "pruning/grasp.py": "field: MethodSpec.pruning_method; GraSP, the paper's alternative pruner",
     "tensorlib/functional.py:fused_norm": "field: ExperimentConfig.dtype; the float32 normalisation path",
     "tensorlib/backend.py:NumpyBackend.fused_norm_stats": "field: ExperimentConfig.dtype; fused_norm's forward kernel",
@@ -238,7 +242,7 @@ ARMS = {
     # ---- simulation ----
     "simulation/cluster.py:ClusterSpec.__post_init__": "input: the empty faults value \"\" of a campaign axis",
     "simulation/cluster.py:ClusterSpec.bandwidth_bytes_per_second": "input: a numeric bandwidth in bytes/s instead of a preset name",
-    "simulation/cluster.py:ClusterSpec.cost_model_for": "field: ClusterSpec.hierarchical; the Fig. 4 topology's cost model",
+    "simulation/cluster.py:ClusterSpec.cost_model_for": "field: ClusterSpec.hierarchical; the two-level cost model over the Fig. 4 switch groups",
     "simulation/cluster.py:ClusterSpec.to_dict": "field: ClusterSpec.device; a custom device stored with its cluster",
     "simulation/compute.py:bucket_completion_fractions": "input: a model with no buckets, or whose buckets hold no parameter with compute",
     "simulation/compute.py:estimate_parameter_flops": "input: a module without parameters of its own",
@@ -372,6 +376,6 @@ def test_the_tracer_sees_import_time_and_run_time_code():
     entered, executed = set(run[0]), set(run[1])
     assert "simulation/experiment.py:run_experiment" in entered
     assert "obs/tracer.py:Tracer.__init__" in entered
-    assert "comm/topology.py:ClusterTopology.path" not in entered
+    assert "comm/topology.py:HierarchicalCostModel.__init__" not in entered
     assert line["threshold = np.partition(all_magnitudes, k - 1)[k - 1]"] in executed
     assert line['raise ValueError("pruning_ratio must be in [0, 1)")'] not in executed

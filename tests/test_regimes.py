@@ -22,6 +22,8 @@ The regime seam is locked down from four directions:
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import golden
+from repro.campaign import run_campaign
 from repro.campaign.spec import METHOD_FIELD_AXES, CampaignSpec, build_cell
 from repro.comm import ProcessGroup
 from repro.compression import build_compressor, exact_average
@@ -277,6 +280,22 @@ class TestLocalSgd:
         assert result.sync_rounds > 0
         assert result.iterations_run > 0
         assert 0.0 <= result.final_accuracy <= 1.0
+
+    @pytest.mark.parametrize("delta", [False, True], ids=["dense", "delta"])
+    def test_the_quick_study_tells_the_sync_periods_apart(self, delta):
+        """Eight iterations per rank and epoch: H = 2, 4 and 8 sync 4, 2 and 1
+        times, the last at the epoch-end flush."""
+        path = Path(__file__).resolve().parents[1] / "examples" / "localsgd_study.py"
+        spec = importlib.util.spec_from_file_location("localsgd_study", path)
+        study = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(study)
+        report = run_campaign(study.study_campaign(quick=True, delta=delta))
+        report.raise_failures()
+        rounds = {
+            result.method.partition("@")[2].removesuffix(":delta"): (result.sync_rounds, result.local_steps)
+            for result in report.results()
+        }
+        assert rounds == {"": (0, 0), "localsgd:2": (4, 4), "localsgd:4": (2, 6), "localsgd:8": (1, 7)}
 
 
 # --------------------------------------------------------------------------- #

@@ -13,9 +13,10 @@ Three pins of "the log records work and the fold prices it".
 * A two-level hierarchy oracle on the same log under ``hierarchical=True``:
   the switch groups' tree reduce over their LAN links, a ring among the group
   leaders over the worst leader-to-leader path, then the groups' tree
-  broadcast, all read off ``build_paper_topology``'s links.  A degraded
-  entry is priced over the topology of the ranks that survived, not of the
-  first that many.
+  broadcast, all read off the module constants ``LAN`` and ``SWITCHES`` of
+  ``repro.comm.topology`` and the WAN's α and β.  A degraded entry is priced
+  over the switch groups of the ranks that survived, not of the first that
+  many.
 * Re-pricing: a golden cell's log, epoch records and compute work, trained at
   100 Mbps and folded under another cluster, give exactly the fold of the run
   trained on that cluster — for every ``ClusterSpec`` field but ``faults``:
@@ -35,7 +36,7 @@ import functools
 import pytest
 
 from repro import golden
-from repro.comm import build_paper_topology
+from repro.comm.topology import LAN, SWITCHES
 from repro.simulation import ClusterSpec, DeviceSpec, TrainingTimeline
 from repro.simulation.experiment import train_distributed
 from repro.simulation.pricing import Transfer
@@ -111,25 +112,21 @@ def test_a_degraded_entry_is_priced_over_its_membership_and_link():
 # Hierarchy oracle
 # --------------------------------------------------------------------------- #
 def test_a_hierarchical_log_folds_to_the_two_level_closed_form():
-    topology = build_paper_topology(wan_bandwidth=BETA, wan_latency=ALPHA, num_servers=WORLD)
-    # Four servers round-robin over three chained switches.
-    assert topology.switch_groups() == {
-        "vswitch0": ["S1", "S4"], "vswitch1": ["S2"], "vswitch2": ["S3"]
-    }
-    lan, wan, _ = topology.path_links("S1", "S2")
-    assert lan.bandwidth > wan.bandwidth and wan.latency == ALPHA
-    # Group phases: the one two-server group reduces onto its leader and
+    # Four ranks round-robin over three chained switches: {0, 3}, {1}, {2}.
+    assert [rank % SWITCHES for rank in range(WORLD)] == [0, 1, 2, 0]
+    assert LAN.bandwidth > BETA
+    # Group phases: the one two-rank group reduces onto its leader and
     # broadcasts back in one binomial round each; singleton groups cost 0.
-    tree = lan.latency + NUM_BYTES / lan.bandwidth
-    # Leader phase: a ring over the three leaders S1, S2, S3, charged on the
-    # worst leader path, S1 -> S3 (LAN, WAN, WAN, LAN): WAN bandwidth, and
-    # the latency of all four hops.
-    path_latency = 2 * lan.latency + 2 * wan.latency
+    tree = LAN.latency + NUM_BYTES / LAN.bandwidth
+    # Leader phase: a ring over the three leaders 0, 1, 2, charged on the
+    # worst leader path, switch 0 -> switch 2 (LAN, WAN, WAN, LAN): WAN
+    # bandwidth, and the latency of all four hops.
+    path_latency = 2 * LAN.latency + 2 * ALPHA
 
     def leader_ring(bandwidth):
         return 2 * (3 - 1) * path_latency + 2 * (3 - 1) / 3 * NUM_BYTES / bandwidth
 
-    iteration = COMPUTE + tree + leader_ring(wan.bandwidth) + tree
+    iteration = COMPUTE + tree + leader_ring(BETA) + tree
     timeline = _oracle_timeline(hierarchical=True)
     for _ in range(ITERATIONS):
         timeline.add_iteration([[Transfer("all_reduce", NUM_BYTES)]])
@@ -141,7 +138,7 @@ def test_a_hierarchical_log_folds_to_the_two_level_closed_form():
     timeline.add_iteration(
         [[Transfer("all_reduce", NUM_BYTES)]], ranks=[0, 1, 2], churn=[1.0] * WORLD, link=0.5
     )
-    degraded = COMPUTE + leader_ring(0.5 * wan.bandwidth)
+    degraded = COMPUTE + leader_ring(0.5 * BETA)
     assert timeline.fold()["simulated_time"] == pytest.approx(
         ITERATIONS * iteration + degraded, rel=REL
     )
@@ -149,8 +146,8 @@ def test_a_hierarchical_log_folds_to_the_two_level_closed_form():
 
 def test_a_degraded_hierarchical_entry_is_priced_over_the_survivors_topology():
     cluster = ClusterSpec(world_size=4, bandwidth="100Mbps", hierarchical=True)
-    # Survivors S1, S2 and S4: S1 and S4 keep sharing vswitch0, so only two
-    # switch groups are left; S1, S2 and S3 would be three singletons.
+    # Survivors 0, 1 and 3: 0 and 3 keep sharing switch 0, so only two
+    # switch groups are left; 0, 1 and 2 would be three singletons.
     assert cluster.cost_model_for((0, 1, 3)).ring_all_reduce_time(1e6) == pytest.approx(0.08192)
     assert cluster.cost_model_for((0, 1, 2)).ring_all_reduce_time(1e6) == pytest.approx(0.10763, rel=1e-4)
     assert cluster.cost_model_for(3).ring_all_reduce_time(1e6) == (

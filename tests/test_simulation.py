@@ -24,8 +24,8 @@ from repro.simulation import (
     train_distributed,
 )
 from repro.campaign import CampaignCell, CampaignSpec, run_campaign
-from repro.comm.network import NetworkModel
-from repro.comm.topology import build_paper_topology
+from repro.comm.network import LinkSpec, NetworkModel
+from repro.comm.topology import LAN, HierarchicalCostModel
 from repro.simulation import experiment
 from repro.simulation.compute import BACKWARD_FACTOR, DEVICE_PRESETS
 from repro.simulation.pricing import Transfer
@@ -81,16 +81,13 @@ class TestClusterSpec:
 
     def test_hierarchical_cluster_is_costed_over_the_paper_topology(self):
         cluster = ClusterSpec(world_size=8, bandwidth="100Mbps", hierarchical=True)
-        topo = build_paper_topology(
-            wan_bandwidth=cluster.bandwidth_bytes_per_second(),
-            wan_latency=LINK_LATENCY,
-            num_servers=cluster.world_size,
-        )
-        assert len(topo.servers) == 8
-        assert topo.global_bottleneck().bandwidth == pytest.approx(cluster.bandwidth_bytes_per_second())
+        wan = LinkSpec(cluster.bandwidth_bytes_per_second(), LINK_LATENCY)
+        assert wan.bandwidth < LAN.bandwidth
+        model = cluster.cost_model_for()
+        assert isinstance(model, HierarchicalCostModel) and model.world_size == 8
         nbytes = 1_000_000
-        assert cluster.cost_model_for().ring_all_reduce_time(nbytes) == (
-            topo.cost_model().ring_all_reduce_time(nbytes)
+        assert model.ring_all_reduce_time(nbytes) == (
+            HierarchicalCostModel(range(8), wan).ring_all_reduce_time(nbytes)
         )
 
     def test_describe(self):

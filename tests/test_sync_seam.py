@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro import golden
-from repro.comm import NetworkModel, ProcessGroup
+from repro.comm import ProcessGroup
 from repro.compression import CodecCompressor, build_compressor, parse_compressor_spec
 from repro.compression.codec.stages import Ternarize
 from repro.compression.registry import BUILTIN_SPECS, PACTRAIN_QUANTIZE
@@ -39,7 +39,7 @@ from repro.simulation.spec import MethodSpec
 from repro.tensorlib import functional as F
 
 WORLD, NUMEL, STEPS, SEEDS = 4, 5000, 5, (0, 7)
-NETWORK = NetworkModel.from_paper_setting(WORLD, "100Mbps")
+NETWORK = ClusterSpec(world_size=WORLD, bandwidth="100Mbps").cost_model_for()
 
 #: name -> (spec string, ``.name``): the test's own copy of the table, so an
 #: edit to the registry's has to be made twice to go unnoticed.
@@ -104,7 +104,7 @@ class TestANameIsASpecString:
 # --------------------------------------------------------------------------- #
 class TestTheCompressorIsTheHook:
     def test_none_is_the_identity_compressor(self, sample_batch):
-        network = NetworkModel.from_paper_setting(2, "100Mbps")
+        network = ClusterSpec(world_size=2, bandwidth="100Mbps").cost_model_for()
         steps = []
         for hook in (None, build_compressor("all-reduce")):
             model = mlp_tiny(num_classes=10, seed=11)
