@@ -28,7 +28,7 @@ from repro.comm import (
     reduce_scatter,
 )
 from repro.comm.network import PAPER_BANDWIDTHS
-from repro.comm.topology import LAN
+from repro.comm.topology import LAN, SWITCHES
 from repro.simulation import ClusterSpec, pricing
 from repro.simulation.cluster import LINK_LATENCY
 from repro.compression.codec.payloads import (
@@ -179,6 +179,116 @@ class TestHierarchicalCostModel:
     def test_requires_servers(self):
         with pytest.raises(ValueError):
             HierarchicalCostModel([], self.WAN)
+
+    def test_the_fig4_constants(self):
+        # Three vSwitches, each server on a 10 Gbps LAN link at 20 µs.
+        assert SWITCHES == 3
+        assert LAN == LinkSpec(10 * GBPS, 20e-6)
+
+    @pytest.mark.parametrize(
+        "ranks", [(0,), (0, 3), (0, 3, 6), (1, 4, 7), (2, 5), (2, 5, 8, 11)], ids=str
+    )
+    def test_one_occupied_switch_never_touches_the_wan(self, ranks):
+        # Survivors that share a switch price as the flat LAN model, however
+        # slow the WAN is.
+        flat = NetworkModel(len(ranks), LAN)
+        for wan in (self.WAN, LinkSpec(1e3, latency=1.0)):
+            hier = HierarchicalCostModel(ranks, wan)
+            for method in COST_METHODS:
+                assert getattr(hier, method)(1e6) == getattr(flat, method)(1e6)
+
+    @pytest.mark.parametrize(
+        "ranks, hops",
+        [
+            ((0, 1), 1),
+            ((1, 2), 1),
+            ((4, 6), 1),
+            ((1, 5), 1),
+            ((0, 2), 2),
+            ((6, 11), 2),
+            ((3, 4, 5), 2),
+        ],
+        ids=str,
+    )
+    def test_leaders_pay_one_wan_hop_per_switch_passed(self, ranks, hops):
+        # The leaders' path runs between the outermost occupied switches:
+        # LAN, ``hops`` WAN links, LAN.
+        hier = HierarchicalCostModel(ranks, self.WAN)
+        path = LinkSpec(self.WAN.bandwidth, 2 * LAN.latency + hops * self.WAN.latency)
+        assert hier.p2p_time(1e3) == pytest.approx(path.transfer_time(1e3))
+
+    @pytest.mark.parametrize(
+        "wan_bandwidth", [1e6, 100 * MBPS, 1 * GBPS, LAN.bandwidth, 5e9, 1e11]
+    )
+    def test_leaders_run_at_the_narrower_of_wan_and_lan(self, wan_bandwidth):
+        # A latency-free WAN leaves the path's latency at two LAN hops, so
+        # only its bandwidth varies: the WAN's, capped by the LAN's.
+        hier = HierarchicalCostModel((0, 1), LinkSpec(wan_bandwidth, latency=0.0))
+        path = LinkSpec(min(wan_bandwidth, LAN.bandwidth), 2 * LAN.latency)
+        assert hier.p2p_time(1e7) == path.transfer_time(1e7)
+
+    @pytest.mark.parametrize(
+        "ranks, largest, groups, hops",
+        [
+            (range(8), 3, 3, 2),
+            (range(12), 4, 3, 2),
+            ((0, 1), 1, 2, 1),
+            ((0, 1, 3), 2, 2, 1),
+            ((1, 2, 4, 7), 3, 2, 1),
+            ((0, 2, 5, 8, 11), 4, 2, 2),
+        ],
+        ids=str,
+    )
+    def test_groups_are_the_ranks_mod_three(self, ranks, largest, groups, hops):
+        # Each phase charges the largest switch group over the LAN and the
+        # ``groups`` leaders over the path between the outermost switches.
+        hier = HierarchicalCostModel(ranks, self.WAN)
+        group = NetworkModel(largest, LAN)
+        path = LinkSpec(self.WAN.bandwidth, 2 * LAN.latency + hops * self.WAN.latency)
+        leaders = NetworkModel(groups, path)
+        nbytes = 1e6
+        assert hier.world_size == len(ranks)
+        assert hier.ring_all_reduce_time(nbytes) == pytest.approx(
+            group.reduce_time(nbytes)
+            + leaders.ring_all_reduce_time(nbytes)
+            + group.broadcast_time(nbytes)
+        )
+        assert hier.all_gather_time(nbytes) == pytest.approx(
+            group.gather_time(nbytes)
+            + leaders.all_gather_time(largest * nbytes)
+            + group.broadcast_time(len(ranks) * nbytes)
+        )
+        assert hier.broadcast_time(nbytes) == pytest.approx(
+            leaders.broadcast_time(nbytes) + group.broadcast_time(nbytes)
+        )
+
+    @pytest.mark.parametrize("method", COST_METHODS)
+    def test_a_slower_wan_always_prices_higher(self, method):
+        for ranks in (range(8), (0, 1), (2, 3, 7)):
+            slow = HierarchicalCostModel(ranks, LinkSpec(100 * MBPS, latency=LINK_LATENCY))
+            fast = HierarchicalCostModel(ranks, LinkSpec(1 * GBPS, latency=LINK_LATENCY))
+            assert getattr(slow, method)(1e6) > getattr(fast, method)(1e6)
+
+    @pytest.mark.parametrize("method", COST_METHODS)
+    def test_more_bytes_always_cost_more(self, method):
+        hier = HierarchicalCostModel(range(8), self.WAN)
+        costs = [getattr(hier, method)(nbytes) for nbytes in (0.0, 1.0, 1e3, 1e6, 5e7)]
+        assert costs == sorted(set(costs))
+
+    @pytest.mark.parametrize("bandwidth", sorted(PAPER_BANDWIDTHS))
+    def test_a_hierarchical_cluster_prices_its_wan_with_this_model(self, bandwidth):
+        # ``cost_model_for`` hands the survivors and the scaled WAN link, at
+        # the runs' per-message latency, to this model.
+        cluster = ClusterSpec(world_size=8, bandwidth=bandwidth, hierarchical=True)
+        for members, ranks, factor in (
+            (None, range(8), 1.0), (5, range(5), 0.5), ((1, 2, 6), (1, 2, 6), 0.37)
+        ):
+            model = cluster.cost_model_for(members, factor)
+            wan = LinkSpec(PAPER_BANDWIDTHS[bandwidth] * factor, latency=LINK_LATENCY)
+            direct = HierarchicalCostModel(ranks, wan)
+            assert type(model) is HierarchicalCostModel
+            for method in COST_METHODS:
+                assert getattr(model, method)(1e6) == getattr(direct, method)(1e6)
 
 
 # ---------------------------------------------------------------------- #
